@@ -14,11 +14,15 @@ Serialized forms: a rational is the string ``"num/den"``; a polynomial is a
 list of coefficient strings (index = degree); a complex scalar is a mapping
 ``{"re": "num/den", "im": "num/den"}``.
 
-Two evaluation paths exist on purpose.  ``Poly.__call__`` is the reference
-path over ``Fraction``/``ComplexRational``.  ``eval_scaled`` is an exact
-integer-scaled Horner used by bulk samplers: it returns an unreduced
-numerator/denominator triple and performs no gcd, which matters when operands
-reach tens of thousands of digits.  The two paths are cross-checked in tests.
+The certificates evaluate polynomials with ``eval_scaled``, an exact
+integer-scaled Horner: it returns an unreduced numerator/denominator triple
+and performs no gcd, which matters when operands reach tens of thousands of
+digits.  Callers compare its results by integer cross-multiplication, after
+the directed-rounding bounds of :mod:`noricert.bounds` have had a chance to
+decide, and reduce to ``Fraction`` only where a reduced value is reported or
+fed to a square-root bound.  ``Poly.__call__`` over ``Fraction`` /
+``ComplexRational`` is the reference path: the tests cross-check
+``eval_scaled`` against it, and refutation witnesses are rendered with it.
 """
 
 from __future__ import annotations
@@ -496,6 +500,13 @@ def eval_scaled(poly: Poly, num_re: int, num_im: int, den: int) -> tuple:
         )
         acc_re += nums[i] * pows[deg - i]
     return acc_re, acc_im, cden * pows[deg]
+
+
+def as_scaled(z: ComplexRational) -> tuple[int, int, int]:
+    """(num_re, num_im, den) with z = (num_re + i num_im)/den and den > 0."""
+    dre, dim = z.re.denominator, z.im.denominator
+    den = dre // math.gcd(dre, dim) * dim
+    return z.re.numerator * (den // dre), z.im.numerator * (den // dim), den
 
 
 def scaled_to_complex(triple: tuple) -> ComplexRational:

@@ -41,7 +41,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ComplexRational, Poly, decimal_approx, format_rational
+from .arith import (
+    ComplexRational,
+    Poly,
+    as_scaled,
+    decimal_approx,
+    eval_scaled,
+    format_rational,
+    scaled_abs2,
+)
+from .bounds import prod_gt
 from .family import CheckReport, CheckResult, Family
 
 __all__ = [
@@ -120,6 +129,11 @@ def chart_point(radius: Fraction, t: Fraction) -> ComplexRational:
     """The right-half-circle chart w(t); |w(t)| = radius exactly."""
     den = 1 + t * t
     return ComplexRational(radius * (1 - t * t) / den, radius * 2 * t / den)
+
+
+def _abs2_at(p: Poly, w: ComplexRational) -> tuple[int, int]:
+    """abs2(p(w)) as an unreduced pair (num, den), by integer-scaled Horner."""
+    return scaled_abs2(eval_scaled(p, *as_scaled(w)))
 
 
 def lipschitz_on_disk(p: Poly, radius: Fraction) -> Fraction:
@@ -256,11 +270,14 @@ def certify_dominance(
         mid = (lo + hi) / 2
         w = chart_point(radius, mid)
         big, small = chart_pairs[chart]
-        b2, s2 = big(w).abs2(), small(w).abs2()
-        if s2 >= b2:
+        b_num, b_den = _abs2_at(big, w)
+        s_num, s_den = _abs2_at(small, w)
+        if not prod_gt((b_num, s_den), (s_num, b_den)):  # abs2(small) >= abs2(big)
             point = w if chart == 0 else -w
             refuted = CirclePoint(chart, mid, point)
             return None
+        # the square-root bounds depend on the reduced form, so reduce here
+        b2, s2 = Fraction(b_num, b_den), Fraction(s_num, s_den)
         chord = _chord_upper(radius, lo, hi, mid)
         lower_big = sqrt_lower(b2) - m_dominant * chord
         upper_small = sqrt_upper(s2) + m_dominated * chord
@@ -379,12 +396,12 @@ def circle_min_modulus_lower_bound(
         """Assess an arc; queue it unless accepted.  False means a root hit."""
         nonlocal counter, best, exact_zero
         mid = (lo + hi) / 2
-        v2 = charts[chart](chart_point(radius, mid)).abs2()
-        if v2 == 0:
+        num, den = _abs2_at(charts[chart], chart_point(radius, mid))
+        if num == 0:
             exact_zero = mid
             return False
         chord = _chord_upper(radius, lo, hi, mid)
-        point_lower = sqrt_lower(v2)
+        point_lower = sqrt_lower(Fraction(num, den))
         arc_lower = point_lower - m_lip * chord
         if arc_lower > 0 and arc_lower >= tight * point_lower:
             bound = arc_lower * arc_lower
@@ -752,14 +769,19 @@ def annulus_bounds_for_factor(
     lower = Fraction(1, 2**deg)
     upper = Fraction(3**deg)
 
+    lo2, up2 = lower * lower, upper * upper
     per_circle = max(2, spot_checks // 2)
     per_circle += per_circle % 2
     checked = 0
     for circle_radius in (Fraction(1), Fraction(2)):
         for cp in circle_points(circle_radius, per_circle):
-            v2 = p(cp.point).abs2()
+            num, den = _abs2_at(p, cp.point)
             checked += 1
-            if not lower * lower < v2 < upper * upper:
+            # lower^2 < num/den < upper^2, cross-multiplied: no reduction
+            if not (
+                lo2.numerator * den < num * lo2.denominator
+                and num * up2.denominator < up2.numerator * den
+            ):
                 return AnnulusBounds(
                     k, lower, upper, Status.REFUTED, checked,
                     f"bound fails at exact point {cp.point} on |z| = {circle_radius}",

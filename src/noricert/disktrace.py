@@ -31,12 +31,25 @@ from .arith import (
     ComplexRational,
     Poly,
     Rational,
+    as_scaled,
     decimal_approx,
     eval_scaled,
     format_rational,
     scaled_abs2,
 )
 from .atlas import ChartPoint, chart_cover_indices
+from .bounds import (
+    _BITS,
+    _abs2_bounds,
+    _p_add,
+    _p_div,
+    _p_int,
+    _p_lt,
+    _p_mul,
+    _p_pow,
+    _p_sqrt,
+    prod_gt,
+)
 from .certify import (
     DEFAULT_BUDGET,
     AnnulusReport,
@@ -107,22 +120,17 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Integer-scaled evaluation helpers
+# Scaled chart predicates
 #
 # The evaluation loops below run thousands of exact tests against values
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
-# work on unreduced ``eval_scaled`` triples and compare by integer
-# cross-multiplication.  The Fraction predicates of the atlas module remain
-# the reference semantics; the test suite cross-validates the two paths.
+# work on unreduced ``eval_scaled`` triples: the directed-rounding pairs of
+# :mod:`noricert.bounds` decide first, and integer cross-multiplication
+# decides whatever the bounds leave open.  The Fraction predicates of the
+# atlas module remain the reference semantics; the test suite
+# cross-validates the two paths.
 # ---------------------------------------------------------------------------
-
-
-def _as_scaled(z: ComplexRational) -> tuple[int, int, int]:
-    """(num_re, num_im, den) with z = (num_re + i num_im)/den and den > 0."""
-    dre, dim = z.re.denominator, z.im.denominator
-    den = dre // math.gcd(dre, dim) * dim
-    return z.re.numerator * (den // dre), z.im.numerator * (den // dim), den
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -136,111 +144,6 @@ def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
         br, bi = br * br - bi * bi, 2 * br * bi
         e >>= 1
     return rr, ri
-
-
-# ---------------------------------------------------------------------------
-# Certified mantissa bounds
-#
-# The deep-scale tests compare products of squared moduli whose unreduced
-# integer forms run to hundreds of thousands of digits.  A directed
-# truncation makes those comparisons cheap without giving up soundness: a
-# "pair" (m, s) is the exact number m * 2^s, every operation rounds down
-# (building a value the true quantity is >= of) or up (a value it is <= of),
-# and comparisons between pairs are exact.  `upper(x) < lower(y)` therefore
-# certifies x < y.  Whenever the bounds cannot separate the two sides, the
-# tests below fall back to the full integer cross-products.
-# ---------------------------------------------------------------------------
-
-_BITS = 192
-
-
-def _p_trunc(m: int, s: int, up: bool) -> tuple[int, int]:
-    k = m.bit_length() - _BITS
-    if k <= 0:
-        return m, s
-    return (-((-m) >> k) if up else m >> k), s + k
-
-
-def _p_int(x: int, up: bool) -> tuple[int, int]:
-    return _p_trunc(x, 0, up)
-
-
-def _p_mul(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
-    return _p_trunc(a[0] * b[0], a[1] + b[1], up)
-
-
-def _p_pow(a: tuple, e: int, up: bool) -> tuple[int, int]:
-    result = (1, 0)
-    base = a
-    while e:
-        if e & 1:
-            result = _p_mul(result, base, up)
-        base = _p_mul(base, base, up)
-        e >>= 1
-    return result
-
-
-def _p_div(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
-    """a/b with directed rounding; pass a lower b for an upper result."""
-    num = a[0] << _BITS
-    m = -((-num) // b[0]) if up else num // b[0]
-    return _p_trunc(m, a[1] - b[1] - _BITS, up)
-
-
-def _p_add(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
-    (ma, sa), (mb, sb) = a, b
-    if ma == 0:
-        return b
-    if mb == 0:
-        return a
-    if sa < sb:
-        (ma, sa), (mb, sb) = (mb, sb), (ma, sa)
-    gap = sa - sb
-    if gap > _BITS + 2:
-        # the smaller term is below one ulp of the larger
-        return _p_trunc(ma + 1, sa, True) if up else (ma, sa)
-    return _p_trunc((ma << gap) + mb, sb, up)
-
-
-def _p_sqrt(a: tuple, up: bool) -> tuple[int, int]:
-    m, s = a
-    if m == 0:
-        return 0, 0
-    if s & 1:
-        m, s = m << 1, s - 1
-    root = math.isqrt(m)
-    if up and root * root < m:
-        root += 1
-    return root, s // 2
-
-
-def _p_lt(a: tuple, b: tuple) -> bool:
-    """Exact comparison of two pair values."""
-    (ma, sa), (mb, sb) = a, b
-    if ma == 0:
-        return mb > 0
-    if mb == 0:
-        return False
-    ea, eb = sa + ma.bit_length(), sb + mb.bit_length()
-    if ea != eb:
-        return ea < eb
-    gap = sa - sb
-    if gap >= 0:
-        return (ma << gap) < mb
-    return ma < (mb << -gap)
-
-
-def _abs2_bounds(v: tuple) -> tuple[tuple, tuple]:
-    """(lower, upper) pairs for the squared modulus of an eval_scaled triple."""
-    re, im, den = v
-    re, im = abs(re), abs(im)
-    num_lo = _p_add(_p_pow(_p_int(re, False), 2, False),
-                    _p_pow(_p_int(im, False), 2, False), False)
-    num_hi = _p_add(_p_pow(_p_int(re, True), 2, True),
-                    _p_pow(_p_int(im, True), 2, True), True)
-    den_lo = _p_pow(_p_int(den, False), 2, False)
-    den_hi = _p_pow(_p_int(den, True), 2, True)
-    return _p_div(num_lo, den_hi, False), _p_div(num_hi, den_lo, True)
 
 
 def _member_test(fam: Family, v1: tuple, v2: tuple, k: int) -> bool:
@@ -518,7 +421,7 @@ def annulus_into_target(
     checked = 0
     for radius in (Fraction(1), Fraction(2)):
         for cpt in circle_points(radius, spot_checks):
-            a, b, den = _as_scaled(cpt.point)
+            a, b, den = as_scaled(cpt.point)
             v1 = eval_scaled(fam.f1, a, b, den)
             v2 = eval_scaled(fam.f2, a, b, den)
             checked += 1
@@ -618,7 +521,7 @@ def image_in_chart_window(
     boundary_checked = 0
     for cpt in circle_points(Fraction(2), 64):
         boundary_checked += 1
-        a, b, den = _as_scaled(cpt.point)
+        a, b, den = as_scaled(cpt.point)
         q_num, q_den = scaled_abs2(eval_scaled(quotient, a, b, den))
         if q_num >= q_den:
             return Certificate(
@@ -637,7 +540,7 @@ def image_in_chart_window(
     while accepted < samples and attempts < 40 * samples:
         attempts += 1
         lam = sampler.complex_in_disk(2)
-        a, b, den = _as_scaled(lam)
+        a, b, den = as_scaled(lam)
         v2 = eval_scaled(fam.f2, a, b, den)
         if v2[0] == 0 and v2[1] == 0:
             continue  # exact exclusion of the common zero set
@@ -911,11 +814,11 @@ def base_chart_certificate(
     diff = fam.f2 - fam.f1
     checked = 0
     for cpt in circle_points(Fraction(2), samples):
-        a, b, den = _as_scaled(cpt.point)
+        a, b, den = as_scaled(cpt.point)
         n1, q1 = scaled_abs2(eval_scaled(fam.f1, a, b, den))
         nd, qd = scaled_abs2(eval_scaled(diff, a, b, den))
         checked += 1
-        if n1 * n1 * pd * pd * qd > pn * pn * nd * q1 * q1:
+        if prod_gt((n1, n1, pd * pd, qd), (pn * pn, nd, q1, q1)):
             return Certificate(
                 "base-chart-cone",
                 Status.REFUTED,
@@ -930,7 +833,8 @@ def base_chart_certificate(
         ComplexRational(fam.params.eps ** fam.params.c[-1], Fraction(0)),
     ]
     for z in degenerate:
-        if not fam.f1(z).is_zero or not fam.f2(z).is_zero:
+        a, b, den = as_scaled(z)
+        if any(eval_scaled(p, a, b, den)[:2] != (0, 0) for p in (fam.f1, fam.f2)):
             return Certificate(
                 "base-chart-cone",
                 Status.REFUTED,
@@ -991,7 +895,7 @@ def cone_window_witness(
         lam = sampler.complex_in_disk(2)
         if attempts % 2 == 0:
             lam = lam * ComplexRational(sampler.unit_scale(12), Fraction(0))
-        a, b, den = _as_scaled(lam)
+        a, b, den = as_scaled(lam)
         v2 = eval_scaled(fam.f2, a, b, den)
         if v2[0] == 0 and v2[1] == 0:
             continue
@@ -1152,11 +1056,13 @@ def uniform_convergence_witness(
         target_certs = {
             fam.n: annulus_into_target(fam, budget=budget) for fam in fams
         }
-    pts = [_as_scaled(cpt.point) for cpt in circle_points(Fraction(1), samples)]
+    pts = [as_scaled(cpt.point) for cpt in circle_points(Fraction(1), samples)]
     entries = []
     for fam in fams:
-        # running sup as an unreduced pair; one reduction at the end
-        sup_num, sup_den = 0, 1
+        # running sup as unreduced factor tuples (numerator, denominator);
+        # prod_gt forms the cross products only where its bounds cannot
+        # separate them, and one reduction happens at the end
+        sup_num, sup_den = (0,), (1,)
         for a, b, den in pts:
             n1, q1 = scaled_abs2(eval_scaled(fam.f1, a, b, den))
             n2, q2 = scaled_abs2(eval_scaled(fam.f2, a, b, den))
@@ -1167,10 +1073,11 @@ def uniform_convergence_witness(
                     samples,
                     f"the first component vanishes on the unit circle at n = {fam.n}",
                 )
-            for cand_num, cand_den in ((n1, q1), (n2, q2), (n2 * q1, q2 * n1)):
-                if cand_num * sup_den > sup_num * cand_den:
+            candidates = (((n1,), (q1,)), ((n2,), (q2,)), ((n2, q1), (q2, n1)))
+            for cand_num, cand_den in candidates:
+                if prod_gt(cand_num + sup_den, sup_num + cand_den):
                     sup_num, sup_den = cand_num, cand_den
-        sup = Fraction(sup_num, sup_den)
+        sup = Fraction(math.prod(sup_num), math.prod(sup_den))
         bound = Fraction(1, fam.n * fam.n)
         entries.append(ConvergenceEntry(fam.n, sup, bound, sup <= bound))
     entries = tuple(entries)

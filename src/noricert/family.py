@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import Poly, format_rational, parse_rational, poly_gcd
+from .arith import Poly, _digits10, format_rational, parse_rational, poly_gcd
 
 
 class FamilyParamError(ValueError):
@@ -72,7 +72,7 @@ def choose_epsilon(n: int, r: Fraction) -> Fraction:
     bound = eps_upper_bound(n, Fraction(r))
     if bound <= 0:
         raise FamilyParamError("r-positive", "r must be positive")
-    m = max(1, len(str(bound.denominator // bound.numerator)))
+    m = max(1, _digits10(bound.denominator // bound.numerator))
     while Fraction(1, 10**m) >= bound:
         m += 1
     while m > 1 and Fraction(1, 10 ** (m - 1)) < bound:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from noricert.arith import Poly, eval_scaled, poly_gcd
+from noricert.arith import Poly, as_scaled, eval_scaled, poly_gcd
 from noricert.atlas import (
     IntersectionMatrix,
     disjointness_search,
@@ -29,17 +29,9 @@ from noricert.certify import (
     family_root_certificates,
     lemma_div_check,
 )
+from noricert.bounds import _abs2_bounds, _p_int, _p_lt, _p_mul, _p_pow
 from noricert.cli import RunConfig, UsageError
-from noricert.disktrace import (
-    _abs2_bounds,
-    _as_scaled,
-    _p_int,
-    _p_lt,
-    _p_mul,
-    _p_pow,
-    escape_witness,
-    vanishing_orders,
-)
+from noricert.disktrace import escape_witness, vanishing_orders
 from noricert.family import (
     FamilyParamError,
     FamilyParams,
@@ -177,7 +169,7 @@ def test_criterion_05_modulus_chain(built_families, corollary_reports):
         nn = _p_int(n * n, True)
         for radius in (F(1), F(2)):
             for cp in circle_points(radius, 512):
-                a, b, c = _as_scaled(cp.point)
+                a, b, c = as_scaled(cp.point)
                 v1 = eval_scaled(fam.f1, a, b, c)
                 v2 = eval_scaled(fam.f2, a, b, c)
                 a1_lo, a1_hi = _abs2_bounds(v1)

@@ -15,6 +15,7 @@ from noricert.arith import Poly
 from noricert.certify import (
     AnnulusReport,
     Status,
+    _abs2_at,
     _cone_combination,
     _perturbation_big,
     annulus_bounds_certificate,
@@ -352,6 +353,54 @@ class TestAnnulusBounds:
         broken = dataclasses.replace(root_certs[2][1], status=Status.INCONCLUSIVE)
         cert = annulus_bounds_for_factor(fam, 1, broken)
         assert cert.status is Status.INCONCLUSIVE
+
+
+class TestScaledEvaluationOracle:
+    """The integer-scaled abs2 behind the circle certificates equals the
+    Fraction-Horner reference at the points those certificates use.
+
+    At n = 4 the Fraction reference costs about 0.2 s per point on the
+    degree-31 cofactor unit, so a stride thins the points there.
+    """
+
+    STRIDE = {2: 1, 3: 1, 4: 4}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dominance_arc_midpoints(self, n, built_families, root_certs):
+        fam = built_families[n]
+        pairs = [
+            (cert.dominance.dominant, cert.dominance.dominated, cert.dominance.radius)
+            for cert in root_certs[n].values()
+            if cert.dominance is not None
+        ]
+        for k in range(n - 1):
+            _, _, unit_part, dominant = _cone_combination(fam, k)
+            pairs.append((dominant, unit_part, F(2)))
+        # the last chart's cofactor: one against the power-ratio unit
+        unit = Poly.constant(fam.params.eps ** (2 * n - 1))
+        for j in range(1, n):
+            unit = unit * fam.Pk(j) ** (n - j)
+        pairs.append((Poly.one(), unit, F(2)))
+        for dominant, dominated, radius in pairs:
+            charts = (
+                (dominant, dominated),
+                (dominant.map_variable_negated(), dominated.map_variable_negated()),
+            )
+            for polys in charts:
+                # midpoints of the eight initial arcs of each chart
+                for i in range(0, 8, self.STRIDE[n]):
+                    w = chart_point(radius, F(2 * i + 1, 8) - 1)
+                    for p in polys:
+                        assert F(*_abs2_at(p, w)) == p(w).abs2()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_annulus_spot_points(self, n, built_families):
+        fam = built_families[n]
+        for k in range(1, n):
+            p = fam.Pk(k)
+            for radius in (F(1), F(2)):
+                for cp in circle_points(radius, 256)[:: self.STRIDE[n]]:
+                    assert F(*_abs2_at(p, cp.point)) == p(cp.point).abs2()
 
 
 ABSENT_ANNULUS = AnnulusReport(Status.INCONCLUSIVE, (), "not built")

@@ -4,6 +4,7 @@ Runs stay on small sizes and reduced sample plans; the one deliberately
 expensive case is the budget-starved n=4 run that must exit 2.
 """
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -24,6 +25,10 @@ from noricert.cli import (
     parse_n_range,
     run_verify,
 )
+
+
+# verify --n 2..3 --samples 256 --seed 0
+GOLDEN_REPORT_SHA256 = "673b18243de4f6539ae4ecbd399510ad00b047f912cc8ece7c9d3221b3c545fc"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -290,6 +295,14 @@ class TestDeterminism:
         first = json.dumps(_strip_meta(small_report), sort_keys=True, indent=2)
         second = json.dumps(_strip_meta(again), sort_keys=True, indent=2)
         assert first == second
+
+    def test_golden_report_digest(self):
+        # sha256 of the report minus meta, pinned so that every refactor of
+        # the evaluation and bounds paths keeps the report byte-identical
+        report, code = run_verify(RunConfig(n_list=(2, 3), samples=256, seed=0))
+        assert code == EXIT_OK
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORT_SHA256
 
     def test_seed_changes_witness_data(self, small_config, small_report):
         other, code = run_verify(

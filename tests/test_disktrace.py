@@ -13,7 +13,7 @@ import pytest
 
 from noricert.arith import ComplexRational, Poly, eval_scaled
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
-from noricert.certify import Status
+from noricert.certify import Status, circle_points
 from noricert.disktrace import (
     Certificate,
     TargetRegion,
@@ -27,13 +27,8 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.disktrace import (
+from noricert.bounds import (
     _abs2_bounds,
-    _chart_entry_test,
-    _cone_test,
-    _cover_indices_scaled,
-    _first_open_cone_scaled,
-    _member_test,
     _p_add,
     _p_div,
     _p_int,
@@ -41,6 +36,13 @@ from noricert.disktrace import (
     _p_mul,
     _p_pow,
     _p_sqrt,
+)
+from noricert.disktrace import (
+    _chart_entry_test,
+    _cone_test,
+    _cover_indices_scaled,
+    _first_open_cone_scaled,
+    _member_test,
 )
 from noricert.family import FamilyParams, build_family, default_family
 
@@ -361,6 +363,16 @@ class TestUniformConvergence:
             assert entry.sup_squared <= F(1, entry.n**2)
             assert entry.sup_squared >= 0
         assert sups[0] >= sups[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sup_matches_fraction_max(self, n, built_families):
+        fam = built_families[n]
+        wit = uniform_convergence_witness([fam], samples=512, target_certs={})
+        expected = F(0)
+        for cpt in circle_points(F(1), 512):
+            a1, a2 = fam.f1(cpt.point).abs2(), fam.f2(cpt.point).abs2()
+            expected = max(expected, a1, a2, a2 / a1)
+        assert wit.entries[0].sup_squared == expected
 
     def test_missing_target_cert_inconclusive(self, built_families):
         wit = uniform_convergence_witness(

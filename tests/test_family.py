@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from noricert.arith import Poly
+from noricert.arith import Poly, _digits10
 from noricert.family import (
     Family,
     FamilyParamError,
@@ -68,6 +68,16 @@ class TestEpsilon:
                 bound = eps_upper_bound(n, r)
                 assert eps < bound
                 assert eps * 10 >= bound  # one digit fewer would break the bound
+
+    def test_exponent_beyond_str_conversion_guard(self):
+        # at n = 8 the bound ratio has about 7600 decimal digits, past the
+        # interpreter's int-to-str conversion guard of 4300
+        bound = eps_upper_bound(8, F(1, 5))
+        eps = choose_epsilon(8, F(1, 5))
+        m = _digits10(eps.denominator) - 1
+        assert m > 4300
+        assert eps == F(1, 10**m)
+        assert eps < bound <= 10 * eps
 
     def test_nonincreasing_in_n(self):
         vals = [choose_epsilon(n, F(1, 5)) for n in range(2, 6)]
