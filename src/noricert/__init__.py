@@ -22,10 +22,8 @@ from .certify import (
     Status,
     annulus_bounds_certificate,
     certify_dominance,
-    circle_min_modulus_lower_bound,
     cone_factor_certificate,
     corollary_ineq_certificate,
-    count_roots_in_disk,
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
@@ -70,12 +68,10 @@ __all__ = [
     "chart_cover_indices",
     "chart_membership",
     "choose_epsilon",
-    "circle_min_modulus_lower_bound",
     "cone_condition",
     "cone_factor_certificate",
     "cone_window_witness",
     "corollary_ineq_certificate",
-    "count_roots_in_disk",
     "default_family",
     "disjointness_search",
     "escape_witness",

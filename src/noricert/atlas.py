@@ -31,13 +31,11 @@ from .sampling import RationalSampler, seed_for
 
 __all__ = [
     "ChartPoint",
-    "ChartVerdict",
     "CoverResult",
     "DisjointnessReport",
     "OverlapReport",
     "IntersectionMatrix",
     "chart_membership",
-    "chart_verdict",
     "chart_cover_indices",
     "cone_condition",
     "disjointness_search",
@@ -60,18 +58,6 @@ class ChartPoint:
 
     def to_json(self) -> dict:
         return {"z1": self.z1.to_json(), "z2": self.z2.to_json()}
-
-
-@dataclass(frozen=True)
-class ChartVerdict:
-    """Combined chart/cone verdict at one point; in_cone implies in_chart."""
-
-    k: int
-    in_chart: bool
-    in_cone: bool
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "in_chart": self.in_chart, "in_cone": self.in_cone}
 
 
 def chart_membership(p: ChartPoint, r: Rational, k: int) -> bool:
@@ -97,12 +83,6 @@ def cone_condition(p: ChartPoint, k: int, rho: Rational) -> bool:
     lhs = a1 * a1
     rhs = rho * rho * (p.z2 ** (k + 1) - p.z1).abs2() * a2**k
     return lhs < rhs
-
-
-def chart_verdict(p: ChartPoint, r: Rational, k: int, rho: Rational) -> ChartVerdict:
-    """Membership and cone verdicts together (cone only claimed in-chart)."""
-    in_chart = chart_membership(p, r, k)
-    return ChartVerdict(k, in_chart, in_chart and cone_condition(p, k, rho))
 
 
 @dataclass(frozen=True)

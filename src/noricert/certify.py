@@ -57,8 +57,6 @@ __all__ = [
     "Status",
     "CirclePoint",
     "Dominance",
-    "MinModulusBound",
-    "RootCount",
     "RootLocalization",
     "AnnulusBounds",
     "AnnulusReport",
@@ -67,19 +65,19 @@ __all__ = [
     "DivisionWitness",
     "ConeFactorCertificate",
     "DEFAULT_BUDGET",
+    "worst",
     "sqrt_lower",
     "sqrt_upper",
     "lipschitz_on_disk",
     "circle_points",
-    "circle_min_modulus_lower_bound",
     "certify_dominance",
-    "count_roots_in_disk",
     "family_root_certificates",
     "annulus_bounds_certificate",
     "annulus_bounds_for_factor",
     "corollary_ineq_certificate",
     "lemma_div_check",
     "cone_factor_certificate",
+    "power_ratio_unit",
     "exact_identity_checks",
 ]
 
@@ -90,6 +88,14 @@ class Status(str, Enum):
     PROVED = "proved"
     REFUTED = "refuted"
     INCONCLUSIVE = "inconclusive"
+
+
+_SEVERITY = {Status.PROVED: 0, Status.INCONCLUSIVE: 1, Status.REFUTED: 2}
+
+
+def worst(statuses) -> Status:
+    """Worst-of aggregation: any refutation wins, then any non-answer."""
+    return max(statuses, key=_SEVERITY.__getitem__, default=Status.PROVED)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +190,7 @@ def circle_points(radius: Fraction, count: int) -> list[CirclePoint]:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive arc refinement (shared by dominance and min-modulus)
+# Arc geometry
 # ---------------------------------------------------------------------------
 
 
@@ -334,279 +340,6 @@ def certify_dominance(
     return Dominance(
         Status.PROVED, dominant, dominated, radius, subdivisions, arcs,
         margin, None, "all arcs certified",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Certified minimum modulus on a circle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinModulusBound:
-    """A certified bound L with abs2(p(z)) >= L everywhere on |z| = radius."""
-
-    status: Status
-    radius: Fraction
-    value: Optional[Fraction]
-    subdivisions: int
-    arcs: int
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "radius": format_rational(self.radius),
-            "value": None if self.value is None else decimal_approx(self.value, mode="floor"),
-            "subdivisions": self.subdivisions,
-            "arcs": self.arcs,
-            "detail": self.detail,
-        }
-
-
-def circle_min_modulus_lower_bound(
-    p: Poly,
-    radius: Fraction,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    initial_arcs: int = 8,
-) -> MinModulusBound:
-    """A certified lower bound for abs2(p) on the circle |z| = radius.
-
-    Arcs are refined until each certified bound is positive and within a
-    factor 1023/1024 of the midpoint modulus, so the returned value converges
-    upward toward the true squared minimum as the budget grows.  An exact
-    root found on the circle yields the exact (and optimal) bound zero.
-    Budget exhaustion is an inconclusive non-answer, never a false bound.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if p.is_zero:
-        raise ValueError("minimum modulus of the zero polynomial")
-    charts = (p, p.map_variable_negated())
-    m_lip = lipschitz_on_disk(p, radius)
-    tight = Fraction(1023, 1024)
-
-    heap: list[tuple[Fraction, int, int, Fraction, Fraction]] = []
-    counter = 0
-    best: Optional[Fraction] = None
-    exact_zero: Optional[Fraction] = None
-
-    def push(chart: int, lo: Fraction, hi: Fraction) -> bool:
-        """Assess an arc; queue it unless accepted.  False means a root hit."""
-        nonlocal counter, best, exact_zero
-        mid = (lo + hi) / 2
-        num, den = _abs2_at(charts[chart], chart_point(radius, mid))
-        if num == 0:
-            exact_zero = mid
-            return False
-        chord = _chord_upper(radius, lo, hi, mid)
-        point_lower = sqrt_lower(Fraction(num, den))
-        arc_lower = point_lower - m_lip * chord
-        if arc_lower > 0 and arc_lower >= tight * point_lower:
-            bound = arc_lower * arc_lower
-            best = bound if best is None else min(best, bound)
-            return True
-        counter += 1
-        heapq.heappush(heap, (arc_lower, counter, chart, lo, hi))
-        return True
-
-    arcs = 0
-    subdivisions = 0
-    step = Fraction(2, initial_arcs)
-    for chart in (0, 1):
-        for i in range(initial_arcs):
-            lo = -1 + i * step
-            arcs += 1
-            if not push(chart, lo, lo + step):
-                return MinModulusBound(
-                    Status.PROVED, radius, Fraction(0), subdivisions, arcs,
-                    "exact root on the circle; zero is the optimal bound",
-                )
-
-    while heap and subdivisions < budget:
-        _, _, chart, lo, hi = heapq.heappop(heap)
-        mid = (lo + hi) / 2
-        subdivisions += 1
-        arcs += 1
-        for a, b in ((lo, mid), (mid, hi)):
-            if not push(chart, a, b):
-                return MinModulusBound(
-                    Status.PROVED, radius, Fraction(0), subdivisions, arcs,
-                    "exact root on the circle; zero is the optimal bound",
-                )
-
-    if heap:
-        return MinModulusBound(
-            Status.INCONCLUSIVE, radius, None, subdivisions, arcs,
-            f"subdivision budget {budget} exhausted with {len(heap)} open arcs",
-        )
-    return MinModulusBound(
-        Status.PROVED, radius, best, subdivisions, arcs, "all arcs certified",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Root counting in disks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RootCount:
-    """Exact number of roots (with multiplicity) of ``poly`` in |z| < radius."""
-
-    poly: Poly
-    radius: Fraction
-    count: Optional[int]
-    status: Status
-    evidence: str  # "monomial" | "linear" | "factors" | "perturbation"
-    dominance: Optional[Dominance]
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.poly.degree,
-            "radius": format_rational(self.radius),
-            "count": self.count,
-            "status": self.status.value,
-            "evidence": self.evidence,
-            "dominance": None if self.dominance is None else self.dominance.to_json(),
-            "detail": self.detail,
-        }
-
-
-def _count_by_family_factors(
-    p: Poly,
-    radius: Fraction,
-    fam: Family,
-    root_certs: dict[int, "RootLocalization"],
-) -> Optional[tuple[int, str]]:
-    """Count roots by peeling off localized family factors and a monomial.
-
-    Succeeds only when ``p`` is (a constant times) a product of factors
-    ``P_j`` whose localization disk of radius 2^-j fits inside the requested
-    disk, times a power of z.  Returns (count, description) or None.
-    """
-    n = fam.n
-    work = p
-    count = 0
-    used = []
-    for j in range(1, n):
-        cert = root_certs.get(j)
-        exponent = 0
-        while True:
-            quotient, remainder = divmod(work, fam.Pk(j))
-            if not remainder.is_zero:
-                break
-            work = quotient
-            exponent += 1
-        if exponent == 0:
-            continue
-        if (
-            cert is None
-            or cert.status is not Status.PROVED
-            or cert.count != fam.params.d[j - 1]
-            or Fraction(1, 2**j) > radius
-        ):
-            return None
-        count += exponent * fam.params.d[j - 1]
-        used.append(f"P{j}^{exponent}")
-    if work.degree != work.trailing_order:  # leftover must be c * z^m
-        return None
-    count += work.trailing_order
-    if work.trailing_order:
-        used.append(f"z^{work.trailing_order}")
-    return count, " * ".join(used) if used else "constant"
-
-
-def count_roots_in_disk(
-    p: Poly,
-    radius: Fraction,
-    *,
-    family: Optional[Family] = None,
-    root_certs: Optional[dict[int, "RootLocalization"]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> RootCount:
-    """Exact root count of ``p`` in the open disk |z| < radius.
-
-    Strategies, in order: a pure monomial (all roots at the origin); a linear
-    polynomial (explicit root, declined when it lies exactly on the circle);
-    a product of already-localized family factors; and the perturbation
-    split p = (p - p(0)) - (-p(0)) with a dominance certificate on the circle
-    transferring the count from the dominant part.  Every strategy certifies
-    as a byproduct that no root lies on the circle itself.
-    """
-    if p.is_zero:
-        raise ValueError("cannot count roots of the zero polynomial")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    if p.degree == p.trailing_order:
-        return RootCount(
-            p, radius, p.degree, Status.PROVED, "monomial", None,
-            f"all {p.degree} roots at the origin",
-        )
-
-    if p.degree == 1:
-        root = -p.coeff(0) / p.coeff(1)
-        if root * root == radius * radius:
-            return RootCount(
-                p, radius, None, Status.INCONCLUSIVE, "linear", None,
-                "the root lies exactly on the circle",
-            )
-        inside = 1 if root * root < radius * radius else 0
-        return RootCount(
-            p, radius, inside, Status.PROVED, "linear", None,
-            f"explicit root at {decimal_approx(root)}",
-        )
-
-    if p.trailing_order > 0:
-        m = p.trailing_order
-        inner = count_roots_in_disk(
-            Poly(p.coeffs[m:]), radius,
-            family=family, root_certs=root_certs, budget=budget,
-        )
-        count = None if inner.count is None else inner.count + m
-        return RootCount(
-            p, radius, count, inner.status, inner.evidence, inner.dominance,
-            f"z^{m} times a cofactor: {inner.detail}",
-        )
-
-    if family is not None:
-        if root_certs is None:
-            root_certs = family_root_certificates(family, budget=budget)
-        direct = _count_by_family_factors(p, radius, family, root_certs)
-        if direct is not None:
-            count, description = direct
-            return RootCount(
-                p, radius, count, Status.PROVED, "factors", None,
-                f"localized factorization {description}",
-            )
-        constant = p.coeff(0)
-        if constant != 0:
-            dominant_part = p - Poly.constant(constant)
-            dom = certify_dominance(
-                dominant_part, Poly.constant(-constant), radius, budget=budget
-            )
-            if dom.status is Status.PROVED:
-                transferred = _count_by_family_factors(
-                    dominant_part, radius, family, root_certs
-                )
-                if transferred is not None:
-                    count, description = transferred
-                    return RootCount(
-                        p, radius, count, Status.PROVED, "perturbation", dom,
-                        f"count transferred from dominant part {description}",
-                    )
-            elif dom.status is Status.INCONCLUSIVE:
-                return RootCount(
-                    p, radius, None, Status.INCONCLUSIVE, "perturbation", dom,
-                    dom.detail,
-                )
-
-    return RootCount(
-        p, radius, None, Status.INCONCLUSIVE, "none", None,
-        "no applicable counting strategy",
     )
 
 
@@ -824,27 +557,26 @@ class AnnulusReport:
         }
 
 
+_ANNULUS_DETAIL = {
+    Status.REFUTED: "a factor bound is refuted",
+    Status.INCONCLUSIVE: "a factor bound is not proved",
+    Status.PROVED: "all factor bounds proved",
+}
+
+
 def annulus_bounds_certificate(
     fam: Family,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
+    root_certs: dict[int, RootLocalization],
     *,
     spot_checks: int = 512,
-    budget: int = DEFAULT_BUDGET,
 ) -> AnnulusReport:
-    """Annulus bounds for all factors; builds root localizations if absent."""
-    if root_certs is None:
-        root_certs = family_root_certificates(fam, budget=budget)
+    """Annulus bounds for all factors from their root localizations."""
     per_factor = tuple(
         annulus_bounds_for_factor(fam, k, root_certs[k], spot_checks=spot_checks)
         for k in range(1, fam.n)
     )
-    if any(b.status is Status.REFUTED for b in per_factor):
-        status, detail = Status.REFUTED, "a factor bound is refuted"
-    elif any(b.status is not Status.PROVED for b in per_factor):
-        status, detail = Status.INCONCLUSIVE, "a factor bound is not proved"
-    else:
-        status, detail = Status.PROVED, "all factor bounds proved"
-    return AnnulusReport(status, per_factor, detail)
+    status = worst(b.status for b in per_factor)
+    return AnnulusReport(status, per_factor, _ANNULUS_DETAIL[status])
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +619,7 @@ class CorollaryReport:
         }
 
 
-def corollary_ineq_certificate(
-    fam: Family,
-    annulus: Optional[AnnulusReport] = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> CorollaryReport:
+def corollary_ineq_certificate(fam: Family, annulus: AnnulusReport) -> CorollaryReport:
     """The scalar inequality chains that drive the mapping estimates.
 
     From the annulus bounds, on 1 <= |z| <= 2 the two map components obey
@@ -903,8 +630,6 @@ def corollary_ineq_certificate(
     and the chains below are exact rational comparisons between those
     envelope values and the disk radius / cone opening parameters.
     """
-    if annulus is None:
-        annulus = annulus_bounds_certificate(fam, budget=budget)
     n = fam.n
     eps, r, rho = fam.params.eps, fam.params.r, fam.params.rho
     d = fam.params.d
@@ -1048,30 +773,32 @@ def cone_factor_certificate(
     fam: Family,
     k: int,
     root_certs: dict[int, RootLocalization],
+    identities: CheckReport,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> ConeFactorCertificate:
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
-    The nonvanishing of the cofactor is established by counting: dominance on
+    For k <= n-2 the identity and the divisibility are checked here, and the
+    nonvanishing of the cofactor is established by counting: dominance on
     |z| = 2 localizes all roots of C among the already-localized deeper
     factors and the origin, and that count is exactly absorbed by the
     multiplicity of factor k+1 inside the disk, leaving the cofactor with no
     root of modulus <= 2.
+
+    For k = n-1 the identity f2^n - f1 = f1 * (unit - 1) is the power-ratio
+    identity of ``identities`` rearranged, so its verdict is taken from
+    there; dominance of 1 over the unit on |z| = 2 makes the cofactor
+    nonvanishing.
     """
     n = fam.n
     if not 0 <= k <= n - 1:
         raise ValueError(f"chart index must be in 0..{n - 1}")
-    eps = fam.params.eps
     d = fam.params.d
-    diff = fam.f2 ** (k + 1) - fam.f1
 
     if k == n - 1:
-        unit_part = Poly.constant(eps ** (2 * n - 1))
-        for j in range(1, n):
-            unit_part = unit_part * fam.Pk(j) ** (n - j)
-        q1 = unit_part - Poly.one()
-        identity_ok = diff == fam.f1 * q1
+        unit_part = power_ratio_unit(fam)
+        identity_ok = identities.passed("power-ratio")
         dom = certify_dominance(Poly.one(), unit_part, Fraction(2), budget=budget)
         if not identity_ok or dom.status is Status.REFUTED:
             status = Status.REFUTED
@@ -1085,7 +812,7 @@ def cone_factor_certificate(
         return ConeFactorCertificate(k, status, identity_ok, True, dom, 0, detail)
 
     g, c_poly, unit_part, dominant = _cone_combination(fam, k)
-    identity_ok = diff == g * c_poly
+    identity_ok = fam.f2 ** (k + 1) - fam.f1 == g * c_poly
     quotient, remainder = divmod(c_poly, fam.Pk(k + 1))
     divisibility_ok = remainder.is_zero and not quotient.is_zero
 
@@ -1126,6 +853,15 @@ def cone_factor_certificate(
 # ---------------------------------------------------------------------------
 
 
+def power_ratio_unit(fam: Family) -> Poly:
+    """The unit eps^(2n-1) * prod_j P_j^(n-j) of the identity f2^n = f1 * unit."""
+    n = fam.n
+    unit = Poly.constant(fam.params.eps ** (2 * n - 1))
+    for j in range(1, n):
+        unit = unit * fam.Pk(j) ** (n - j)
+    return unit
+
+
 def exact_identity_checks(fam: Family) -> CheckReport:
     """Division identities tying the two map components together.
 
@@ -1138,10 +874,7 @@ def exact_identity_checks(fam: Family) -> CheckReport:
     n = fam.n
     eps = fam.params.eps
 
-    unit = Poly.constant(eps ** (2 * n - 1))
-    for j in range(1, n):
-        unit = unit * fam.Pk(j) ** (n - j)
-    power_ratio = fam.f2**n == fam.f1 * unit
+    power_ratio = fam.f2**n == fam.f1 * power_ratio_unit(fam)
 
     diff_expected = Poly.constant(eps) * Poly.monomial(1) * fam.Pk(1) ** 2
     for j in range(2, n):

@@ -39,6 +39,7 @@ from .certify import (
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
+    worst,
 )
 from .disktrace import trace_family
 from .family import (
@@ -87,23 +88,27 @@ class RunConfig:
     max_n: int = 5
 
     def validate(self) -> None:
+        """Run-level checks here; family parameters by ``FamilyParams``.
+
+        An inadmissible eps is let through: it refutes the family at run
+        time instead of being a usage error.
+        """
         if not self.n_list:
             raise UsageError("at least one size n is required")
-        for n in self.n_list:
-            if not 2 <= n <= self.max_n:
-                raise UsageError(f"n must be in 2..{self.max_n}, got {n}")
         if len(set(self.n_list)) != len(self.n_list):
             raise UsageError("duplicate sizes in the n list")
-        if not 0 < self.r < 1:
-            raise UsageError(f"r must be in (0, 1), got {self.r}")
-        if not 0 < self.rho < 1:
-            raise UsageError(f"rho must be in (0, 1), got {self.rho}")
-        if self.r > (self.rho / 2) * (1 - self.r):
-            raise UsageError(
-                f"r <= (rho/2)(1-r) required, got r={self.r}, rho={self.rho}"
-            )
-        if self.eps_override is not None and self.eps_override <= 0:
-            raise UsageError(f"eps must be positive, got {self.eps_override}")
+        for n in self.n_list:
+            try:
+                FamilyParams.build(
+                    n,
+                    r=self.r,
+                    rho=self.rho,
+                    eps=self.eps_override,
+                    allow_unsafe_eps=True,
+                    max_n=self.max_n,
+                )
+            except FamilyParamError as exc:
+                raise UsageError(str(exc)) from exc
         if self.samples < 1:
             raise UsageError("samples must be positive")
         if self.subdivision_budget < 1:
@@ -279,13 +284,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # Pipeline execution
 # ---------------------------------------------------------------------------
 
-_RANK = {Status.PROVED: 0, Status.INCONCLUSIVE: 1, Status.REFUTED: 2}
-
-
-def _worst(statuses) -> Status:
-    return max(statuses, key=_RANK.__getitem__, default=Status.PROVED)
-
-
 def _entry(name: str, status: Status, detail: str = "", data=None) -> dict:
     out = {"name": name, "status": status.value, "detail": detail}
     if data is not None:
@@ -298,7 +296,11 @@ def _status_of(entry: dict) -> Status:
 
 
 def _run_family(config: RunConfig, n: int) -> dict:
-    """All certificate layers for one size; returns the per-n report entry."""
+    """All certificate layers for one size; returns the per-n report entry.
+
+    This is the one place that orders the stages of a family: each stage
+    runs once and receives the earlier stages it uses as arguments.
+    """
     budget = config.subdivision_budget
     try:
         params = FamilyParams.build(
@@ -340,13 +342,13 @@ def _run_family(config: RunConfig, n: int) -> dict:
     certificates.append(
         _entry(
             "root-localization",
-            _worst(rc.status for rc in roots.values()),
+            worst(rc.status for rc in roots.values()),
             f"{len(roots)} factors",
             {str(k): rc.to_json() for k, rc in roots.items()},
         )
     )
 
-    annulus = annulus_bounds_certificate(fam, roots, budget=budget)
+    annulus = annulus_bounds_certificate(fam, roots)
     certificates.append(
         _entry(
             "annulus-bounds",
@@ -356,7 +358,7 @@ def _run_family(config: RunConfig, n: int) -> dict:
         )
     )
 
-    corollary = corollary_ineq_certificate(fam, annulus, budget=budget)
+    corollary = corollary_ineq_certificate(fam, annulus)
     certificates.append(
         _entry(
             "modulus-chain",
@@ -376,8 +378,8 @@ def _run_family(config: RunConfig, n: int) -> dict:
         )
     )
 
-    for k in range(1, n):
-        witness = lemma_div_check(fam, k)
+    divisions = [lemma_div_check(fam, k) for k in range(1, n)]
+    for k, witness in enumerate(divisions, start=1):
         certificates.append(
             _entry(f"divisibility-k{k}", witness.status, witness.detail, witness.to_json())
         )
@@ -385,7 +387,9 @@ def _run_family(config: RunConfig, n: int) -> dict:
     trace = trace_family(
         fam,
         root_certs=roots,
-        annulus=annulus,
+        corollary=corollary,
+        identities=identities,
+        divisions=divisions,
         window_samples=max(16, config.samples // 32),
         cone_samples=max(16, config.samples // 8),
         witness_samples=config.samples,
@@ -470,7 +474,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
         "refuted": sum(1 for s in statuses if s is Status.REFUTED),
         "inconclusive": sum(1 for s in statuses if s is Status.INCONCLUSIVE),
     }
-    verdict = _worst(statuses)
+    verdict = worst(statuses)
     report = {
         "schema": REPORT_SCHEMA,
         "params": config.to_json(),
@@ -586,8 +590,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     rendered = emit_report(report, config)
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(rendered)
     return code

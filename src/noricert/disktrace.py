@@ -52,20 +52,16 @@ from .bounds import (
 )
 from .certify import (
     DEFAULT_BUDGET,
-    AnnulusReport,
     CorollaryReport,
     DivisionWitness,
     RootLocalization,
     Status,
-    annulus_bounds_certificate,
     circle_points,
     cone_factor_certificate,
-    corollary_ineq_certificate,
-    exact_identity_checks,
-    family_root_certificates,
-    lemma_div_check,
+    power_ratio_unit,
+    worst,
 )
-from .family import Family
+from .family import CheckReport, Family
 from .sampling import RationalSampler
 
 __all__ = [
@@ -104,18 +100,13 @@ class Certificate:
 
 
 def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
-    """Worst-of aggregation: any refutation wins, then any non-answer."""
-    refuted = [p for p in parts if p.status is Status.REFUTED]
-    unproved = [p for p in parts if p.status is Status.INCONCLUSIVE]
-    if refuted:
-        status = Status.REFUTED
-        detail = "refuted by " + ", ".join(p.name for p in refuted)
-    elif unproved:
-        status = Status.INCONCLUSIVE
-        detail = "no verdict from " + ", ".join(p.name for p in unproved)
-    else:
-        status = Status.PROVED
+    """Worst-of aggregation, naming the stages that set the verdict."""
+    status = worst(p.status for p in parts)
+    if status is Status.PROVED:
         detail = "all stages proved"
+    else:
+        prefix = "refuted by " if status is Status.REFUTED else "no verdict from "
+        detail = prefix + ", ".join(p.name for p in parts if p.status is status)
     return Certificate(name, status, detail, {"stages": [p.to_json() for p in parts]})
 
 
@@ -399,11 +390,7 @@ def _named_check(corollary: CorollaryReport, name: str):
 
 
 def annulus_into_target(
-    fam: Family,
-    corollary: Optional[CorollaryReport] = None,
-    *,
-    spot_checks: int = 64,
-    budget: int = DEFAULT_BUDGET,
+    fam: Family, corollary: CorollaryReport, *, spot_checks: int = 64
 ) -> Certificate:
     """Certify that the annulus 1 <= |lam| <= 2 maps into the target region.
 
@@ -414,8 +401,6 @@ def annulus_into_target(
     the delegation, ``spot_checks`` exact membership tests run on each
     bounding circle so a broken family is refuted by a concrete point.
     """
-    if corollary is None:
-        corollary = corollary_ineq_certificate(fam, budget=budget)
     target = TargetRegion(fam.n)
 
     checked = 0
@@ -487,33 +472,34 @@ def annulus_into_target(
 
 def image_in_chart_window(
     fam: Family,
-    corollary: Optional[CorollaryReport] = None,
+    corollary: CorollaryReport,
+    identities: CheckReport,
     *,
     samples: int = 64,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
 ) -> Certificate:
     """Certify that the disk image stays below chart index n.
 
-    The second component to the n-th power is exactly divisible by the first;
-    the quotient h satisfies |h| < 1 on 1 <= |lam| <= 2 because the |f2|
+    The power-ratio identity of ``identities``, f2^n = f1 * unit, makes the
+    second component to the n-th power exactly divisible by the first; the
+    quotient h = unit satisfies |h| < 1 on 1 <= |lam| <= 2 because the |f2|
     envelope is below both 1 and the |f1| lower envelope, and a polynomial
     bounded by 1 on the outer circle is bounded by 1 on the closed disk.
     Away from the common zero set this gives |f2|^n < |f1|, which defeats the
     membership inequality |f1| < r|f2|^k of every chart of index k >= n.  The
     claim is spot-checked on the outer circle and at sampled disk points,
     where the computed chart cover must be nonempty with all indices < n.
+    The identity is read from ``identities``, where it is proved once per
+    family; the quotient is rebuilt from its product form, not by division.
     """
     n = fam.n
-    quotient, remainder = divmod(fam.f2**n, fam.f1)
-    if not remainder.is_zero:
+    if not identities.passed("power-ratio"):
         return Certificate(
             "image-in-chart-window",
             Status.REFUTED,
             "the n-th power of the second component is not divisible by the first",
         )
-    if corollary is None:
-        corollary = corollary_ineq_certificate(fam, budget=budget)
+    quotient = power_ratio_unit(fam)
 
     below_one = _named_check(corollary, "f2-upper-below-one")
     below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
@@ -643,12 +629,13 @@ def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
 def chart_cone_certificate(
     fam: Family,
     k: int,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
+    root_certs: dict[int, RootLocalization],
+    identities: CheckReport,
+    divisions: Sequence[DivisionWitness],
     *,
     samples: int = 256,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
-    divisions: Optional[Sequence[DivisionWitness]] = None,
 ) -> Certificate:
     """Certify the cone inequality of chart k on its approach region, k >= 1.
 
@@ -668,14 +655,9 @@ def chart_cone_certificate(
     n = fam.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"chart index must be in 1..{n - 1}")
-    if root_certs is None:
-        root_certs = family_root_certificates(fam, budget=budget)
-
-    if divisions is None:
-        divisions = [lemma_div_check(fam, j) for j in range(1, n)]
     divisions_ok = all(w.status is Status.PROVED for w in divisions)
 
-    core = cone_factor_certificate(fam, k, root_certs, budget=budget)
+    core = cone_factor_certificate(fam, k, root_certs, identities, budget=budget)
 
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
@@ -775,10 +757,10 @@ def chart_cone_certificate(
 
 def base_chart_certificate(
     fam: Family,
-    corollary: Optional[CorollaryReport] = None,
+    corollary: CorollaryReport,
+    identities: CheckReport,
     *,
     samples: int = 256,
-    budget: int = DEFAULT_BUDGET,
 ) -> Certificate:
     """Certify the cone inequality of the base chart (index 0) on the disk.
 
@@ -794,19 +776,16 @@ def base_chart_certificate(
     boundary points and at the degenerate points where both components
     vanish, where it holds as 0 <= 0.
     """
-    identities = exact_identity_checks(fam)
-    by_name = {c.name: c for c in identities.checks}
-    square_ok = by_name["square-ratio"].passed
-    difference_ok = by_name["difference-factorization"].passed
-    if not square_ok or not difference_ok:
+    if not (
+        identities.passed("square-ratio")
+        and identities.passed("difference-factorization")
+    ):
         return Certificate(
             "base-chart-cone",
             Status.REFUTED,
             "an exact divisibility identity fails",
             {"identities": identities.to_json()},
         )
-    if corollary is None:
-        corollary = corollary_ineq_certificate(fam, budget=budget)
     chain = _named_check(corollary, "outer-boundary-chain")
 
     rho = fam.params.rho
@@ -1036,10 +1015,9 @@ class ConvergenceWitness:
 
 def uniform_convergence_witness(
     fams: Sequence[Family],
+    target_certs: dict[int, Certificate],
     *,
     samples: int = 512,
-    target_certs: Optional[dict[int, Certificate]] = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> ConvergenceWitness:
     """Boundary images shrink uniformly: sup metric at most 1/n, nonincreasing.
 
@@ -1052,10 +1030,6 @@ def uniform_convergence_witness(
     """
     if not fams:
         raise ValueError("at least one family is required")
-    if target_certs is None:
-        target_certs = {
-            fam.n: annulus_into_target(fam, budget=budget) for fam in fams
-        }
     pts = [as_scaled(cpt.point) for cpt in circle_points(Fraction(1), samples)]
     entries = []
     for fam in fams:
@@ -1167,11 +1141,20 @@ class TraceReport:
         }
 
 
+_TRACE_DETAIL = {
+    Status.REFUTED: "a condition is refuted",
+    Status.INCONCLUSIVE: "a condition has no verdict",
+    Status.PROVED: "all four conditions proved",
+}
+
+
 def trace_family(
     fam: Family,
     *,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
-    annulus: Optional[AnnulusReport] = None,
+    root_certs: dict[int, RootLocalization],
+    corollary: CorollaryReport,
+    identities: CheckReport,
+    divisions: Sequence[DivisionWitness],
     window_samples: int = 64,
     cone_samples: int = 256,
     witness_samples: int = 2000,
@@ -1180,40 +1163,34 @@ def trace_family(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> TraceReport:
-    """Run the full per-family certification pipeline and bundle the verdicts.
+    """The four per-family conditions, built on the family's certified stages.
 
-    Already computed root localizations and annulus bounds can be passed in to
-    avoid recomputation; everything else is derived here.  The aggregate
-    status is the worst of the four condition statuses.
+    ``root_certs``, ``corollary``, ``identities`` and ``divisions`` are the
+    root localizations, envelope chains, exact identities and division
+    witnesses of ``fam``; the caller computes each of them once and the
+    conditions here only read them.  The aggregate status is the worst of
+    the four condition statuses.
     """
     n = fam.n
-    if root_certs is None:
-        root_certs = family_root_certificates(fam, budget=budget)
-    if annulus is None:
-        annulus = annulus_bounds_certificate(fam, root_certs, budget=budget)
-    corollary = corollary_ineq_certificate(fam, annulus, budget=budget)
-
-    condition_ii = annulus_into_target(
-        fam, corollary, spot_checks=spot_checks, budget=budget
-    )
+    condition_ii = annulus_into_target(fam, corollary, spot_checks=spot_checks)
     window = image_in_chart_window(
-        fam, corollary, samples=window_samples, seed=seed, budget=budget
+        fam, corollary, identities, samples=window_samples, seed=seed
     )
-    divisions = [lemma_div_check(fam, j) for j in range(1, n)]
     cones = [
         chart_cone_certificate(
             fam,
             k,
             root_certs,
+            identities,
+            divisions,
             samples=cone_samples,
             seed=seed,
             budget=budget,
-            divisions=divisions,
         )
         for k in range(1, n)
     ]
     base = base_chart_certificate(
-        fam, corollary, samples=max(cone_samples, 256), budget=budget
+        fam, corollary, identities, samples=max(cone_samples, 256)
     )
     witness = cone_window_witness(fam, samples=witness_samples, seed=seed)
     condition_i = _combine(
@@ -1221,10 +1198,7 @@ def trace_family(
     )
 
     convergence = uniform_convergence_witness(
-        [fam],
-        samples=sup_samples,
-        target_certs={n: condition_ii},
-        budget=budget,
+        [fam], {n: condition_ii}, samples=sup_samples
     )
     entry = convergence.entries[0] if convergence.entries else None
     condition_iii = Certificate(
@@ -1252,12 +1226,7 @@ def trace_family(
         )
 
     conditions = (condition_i, condition_ii, condition_iii, condition_iv)
-    if any(c.status is Status.REFUTED for c in conditions):
-        status, detail = Status.REFUTED, "a condition is refuted"
-    elif any(c.status is not Status.PROVED for c in conditions):
-        status, detail = Status.INCONCLUSIVE, "a condition has no verdict"
-    else:
-        status, detail = Status.PROVED, "all four conditions proved"
+    status = worst(c.status for c in conditions)
 
     return TraceReport(
         n=n,
@@ -1269,5 +1238,5 @@ def trace_family(
         escape_index=escape,
         seed=seed,
         status=status,
-        detail=detail,
+        detail=_TRACE_DETAIL[status],
     )

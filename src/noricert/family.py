@@ -82,6 +82,13 @@ def choose_epsilon(n: int, r: Fraction) -> Fraction:
     return eps
 
 
+def _check_n_range(n: int, max_n: int) -> None:
+    # the cap exists because coefficient sizes explode with n; it is a
+    # config knob, not a mathematical constraint
+    if not 2 <= n <= max_n:
+        raise FamilyParamError("n-range", f"n must be in 2..{max_n}, got {n}")
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     n: int
@@ -103,6 +110,8 @@ class FamilyParams:
         allow_unsafe_eps: bool = False,
         max_n: int = 5,
     ) -> "FamilyParams":
+        # first: the tables and the default eps grow fast with n
+        _check_n_range(n, max_n)
         r = Fraction(r)
         rho = Fraction(rho)
         c, d, N = make_constants(n)
@@ -113,12 +122,7 @@ class FamilyParams:
         return params
 
     def validate(self, *, allow_unsafe_eps: bool = False, max_n: int = 5) -> None:
-        # the cap exists because coefficient sizes explode with n; it is a
-        # config knob, not a mathematical constraint
-        if not 2 <= self.n <= max_n:
-            raise FamilyParamError(
-                "n-range", f"n must be in 2..{max_n}, got {self.n}"
-            )
+        _check_n_range(self.n, max_n)
         if not 0 < self.r < 1:
             raise FamilyParamError("r-range", f"r must be in (0, 1), got {self.r}")
         if not 0 < self.rho < 1:
@@ -245,6 +249,10 @@ class CheckReport:
 
     def failed(self) -> list:
         return [c for c in self.checks if not c.passed]
+
+    def passed(self, name: str) -> bool:
+        """Whether the check called ``name`` is present and passed."""
+        return any(c.passed for c in self.checks if c.name == name)
 
     def to_json(self) -> dict:
         return {

@@ -7,7 +7,12 @@ nothing about what is verified — only how often it is recomputed.
 import numpy as np
 import pytest
 
-from noricert.certify import annulus_bounds_certificate, family_root_certificates
+from noricert.certify import (
+    annulus_bounds_certificate,
+    exact_identity_checks,
+    family_root_certificates,
+    lemma_div_check,
+)
 from noricert.family import default_family
 
 SIZES = (2, 3, 4)
@@ -31,6 +36,19 @@ def annulus_reports(built_families, root_certs):
     }
 
 
+@pytest.fixture(scope="session")
+def identities(built_families):
+    return {n: exact_identity_checks(built_families[n]) for n in SIZES}
+
+
+@pytest.fixture(scope="session")
+def divisions(built_families):
+    return {
+        n: [lemma_div_check(built_families[n], k) for k in range(1, n)]
+        for n in SIZES
+    }
+
+
 def float_roots(poly):
     """Float oracle: numpy companion-matrix roots of an exact polynomial."""
     coeffs = [float(c) for c in reversed(poly.coeffs)]
@@ -48,7 +66,7 @@ def corollary_reports(built_families, annulus_reports):
 
 
 @pytest.fixture(scope="session")
-def trace_reports(built_families, root_certs, annulus_reports):
+def trace_reports(built_families, root_certs, corollary_reports, identities, divisions):
     """Full end-to-end trace per n, built once (the n=4 trace dominates)."""
     from noricert.disktrace import trace_family
 
@@ -56,7 +74,9 @@ def trace_reports(built_families, root_certs, annulus_reports):
         n: trace_family(
             built_families[n],
             root_certs=root_certs[n],
-            annulus=annulus_reports[n],
+            corollary=corollary_reports[n],
+            identities=identities[n],
+            divisions=divisions[n],
         )
         for n in SIZES
     }

@@ -236,11 +236,13 @@ def test_criterion_07_escape(built_families, trace_reports):
     _verdict(7, "orders (n, 1); escape indices (1, 2, 3) strictly increasing")
 
 
-def test_criterion_08_cone_internals(built_families, root_certs, corollary_reports):
+def test_criterion_08_cone_internals(
+    built_families, root_certs, identities, corollary_reports
+):
     for n in SIZES:
         fam = built_families[n]
         for k in range(0, n):
-            cert = cone_factor_certificate(fam, k, root_certs[n])
+            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
             assert cert.status is Status.PROVED, (n, k, cert.detail)
             assert cert.identity_ok and cert.divisibility_ok
             assert cert.nonvanishing is not None

@@ -17,7 +17,6 @@ from noricert.atlas import (
     _membership_int,
     chart_cover_indices,
     chart_membership,
-    chart_verdict,
     cone_condition,
     disjointness_search,
     negative_definite,
@@ -54,18 +53,6 @@ class TestChartMembership:
             chart_membership(pt(0), F(1, 2), 0)
         with pytest.raises(ValueError):
             chart_membership(pt(F(1, 4)), F(1, 2), -1)
-
-    def test_verdict_implication(self):
-        sampler = RationalSampler("verdict-implication")
-        for _ in range(200):
-            p = ChartPoint(
-                sampler.complex_in_box(F(1, 2)), sampler.complex_in_box(F(1, 4))
-            )
-            if p.is_origin:
-                continue
-            for k in range(4):
-                v = chart_verdict(p, F(1, 2), k, F(1, 2))
-                assert not (v.in_cone and not v.in_chart)
 
 
 class TestChartCover:

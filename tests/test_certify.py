@@ -17,20 +17,18 @@ from noricert.certify import (
     Status,
     _abs2_at,
     _cone_combination,
-    _perturbation_big,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
     certify_dominance,
     chart_point,
-    circle_min_modulus_lower_bound,
     circle_points,
     cone_factor_certificate,
     corollary_ineq_certificate,
-    count_roots_in_disk,
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
     lipschitz_on_disk,
+    power_ratio_unit,
     sqrt_lower,
     sqrt_upper,
 )
@@ -135,152 +133,6 @@ class TestDominance:
             certify_dominance(Poly.x(), Poly.one(), F(0))
 
 
-class TestMinModulus:
-    def test_constant_is_exact(self):
-        bound = circle_min_modulus_lower_bound(Poly.constant(F(5)), F(1))
-        assert bound.status is Status.PROVED
-        assert bound.value == F(25)
-
-    def test_identity_map_unit_circle(self):
-        bound = circle_min_modulus_lower_bound(Poly.x(), F(1))
-        assert bound.status is Status.PROVED
-        assert F(1, 4) <= bound.value <= F(1)
-
-    def test_shifted_line_converges_below_true_minimum(self):
-        # |z - 2| has minimum 1 on |z| = 1; the certified squared bound
-        # never exceeds it and lands close underneath it.
-        p = Poly([F(-2), F(1)])
-        bound = circle_min_modulus_lower_bound(p, F(1))
-        assert bound.status is Status.PROVED
-        assert F(9, 10) < bound.value <= F(1)
-
-    def test_budget_exhaustion_is_inconclusive(self):
-        p = Poly([F(-2), F(1)])
-        bound = circle_min_modulus_lower_bound(p, F(1), budget=5)
-        assert bound.status is Status.INCONCLUSIVE
-        assert bound.value is None
-        assert "budget" in bound.detail
-
-    def test_exact_root_on_circle_gives_zero(self):
-        # (z - w)(z - conj(w)) for the exact circle point w at chart
-        # parameter 1/8: the refinement hits the root and reports the
-        # optimal bound zero instead of failing.
-        w = chart_point(F(1), F(1, 8))
-        p = Poly([F(1), -2 * w.re, F(1)])
-        bound = circle_min_modulus_lower_bound(p, F(1))
-        assert bound.status is Status.PROVED
-        assert bound.value == 0
-        assert "root" in bound.detail
-
-    def test_soundness_against_dense_exact_sampling(self):
-        p = Poly([F(5, 7), F(-1, 3), F(1)])
-        radius = F(1)
-        bound = circle_min_modulus_lower_bound(p, radius)
-        assert bound.status is Status.PROVED
-        assert bound.value > 0
-        for cp in circle_points(radius, 10**4):
-            assert p(cp.point).abs2() >= bound.value
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            circle_min_modulus_lower_bound(Poly.zero(), F(1))
-        with pytest.raises(ValueError):
-            circle_min_modulus_lower_bound(Poly.x(), F(-1))
-
-
-class TestRootCount:
-    def test_monomial(self):
-        rc = count_roots_in_disk(Poly.monomial(3), F(1))
-        assert rc.status is Status.PROVED
-        assert rc.count == 3
-        assert rc.evidence == "monomial"
-
-    def test_nonzero_constant(self):
-        rc = count_roots_in_disk(Poly.constant(F(7)), F(2))
-        assert rc.status is Status.PROVED
-        assert rc.count == 0
-
-    def test_linear_inside_and_outside(self):
-        inside = count_roots_in_disk(Poly([F(-1, 3), F(1)]), F(1))
-        assert (inside.status, inside.count, inside.evidence) == (
-            Status.PROVED, 1, "linear",
-        )
-        outside = count_roots_in_disk(Poly([F(-2), F(1)]), F(1))
-        assert (outside.status, outside.count) == (Status.PROVED, 0)
-
-    def test_root_exactly_on_circle_declined(self):
-        rc = count_roots_in_disk(Poly([F(-1), F(1)]), F(1))
-        assert rc.status is Status.INCONCLUSIVE
-        assert rc.count is None
-
-    def test_trailing_monomial_peeling(self):
-        # z * (z - 2) on |z| < 1: one root at the origin, one outside.
-        rc = count_roots_in_disk(Poly.monomial(1) * Poly([F(-2), F(1)]), F(1))
-        assert rc.status is Status.PROVED
-        assert rc.count == 1
-
-    def test_first_factor_counts(self, built_families, root_certs):
-        fam2 = built_families[2]
-        rc = count_roots_in_disk(
-            fam2.Pk(1), F(1, 2), family=fam2, root_certs=root_certs[2]
-        )
-        assert (rc.status, rc.count) == (Status.PROVED, 1)
-        fam3 = built_families[3]
-        rc = count_roots_in_disk(
-            fam3.Pk(1), F(1, 2), family=fam3, root_certs=root_certs[3]
-        )
-        assert (rc.status, rc.count) == (Status.PROVED, 3)
-        assert rc.evidence == "factors"
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_totality_on_map_components(self, n, built_families, root_certs):
-        fam = built_families[n]
-        for component in (fam.f1, fam.f2):
-            rc = count_roots_in_disk(
-                component, F(1), family=fam, root_certs=root_certs[n]
-            )
-            assert rc.status is Status.PROVED, rc.detail
-            assert rc.count == component.degree
-
-    def test_perturbation_transfer_and_consistency(self, built_families, root_certs):
-        # A - B with certified |B| < |A| on the circle has as many roots as
-        # A itself; the family's first factor is exactly such a difference.
-        fam = built_families[3]
-        eps = fam.params.eps
-        big = _perturbation_big(fam, 1)
-        assert Poly.constant(eps) - big == fam.Pk(1)
-        count_big = count_roots_in_disk(
-            big, F(1, 2), family=fam, root_certs=root_certs[3]
-        )
-        count_diff = count_roots_in_disk(
-            fam.Pk(1), F(1, 2), family=fam, root_certs=root_certs[3]
-        )
-        assert count_big.status is count_diff.status is Status.PROVED
-        assert count_big.count == count_diff.count == 3
-
-        # A perturbed constant that is *not* the family's own: the direct
-        # factorization fails, the dominance split carries the count.
-        shifted = big - Poly.constant(eps * eps)
-        rc = count_roots_in_disk(
-            shifted, F(1, 2), family=fam, root_certs=root_certs[3]
-        )
-        assert rc.status is Status.PROVED
-        assert rc.count == 3
-        assert rc.evidence == "perturbation"
-        assert rc.dominance is not None and rc.dominance.status is Status.PROVED
-
-    def test_no_strategy_is_inconclusive(self):
-        rc = count_roots_in_disk(Poly([F(1), F(1), F(1)]), F(1))
-        assert rc.status is Status.INCONCLUSIVE
-        assert rc.count is None
-
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            count_roots_in_disk(Poly.zero(), F(1))
-        with pytest.raises(ValueError):
-            count_roots_in_disk(Poly.x(), F(0))
-
-
 class TestRootLocalization:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_factors_localized(self, n, built_families, root_certs):
@@ -337,10 +189,6 @@ class TestAnnulusBounds:
         for bounds in rep.per_factor:
             assert bounds.status is Status.PROVED, bounds.detail
 
-    def test_builds_own_root_certs_when_absent(self, built_families):
-        rep = annulus_bounds_certificate(built_families[2])
-        assert rep.status is Status.PROVED
-
     def test_spot_check_refutation(self, built_families, root_certs):
         fam = built_families[2]
         tampered = dataclasses.replace(fam, P=(Poly([F(-3), F(-1)]),))
@@ -377,10 +225,7 @@ class TestScaledEvaluationOracle:
             _, _, unit_part, dominant = _cone_combination(fam, k)
             pairs.append((dominant, unit_part, F(2)))
         # the last chart's cofactor: one against the power-ratio unit
-        unit = Poly.constant(fam.params.eps ** (2 * n - 1))
-        for j in range(1, n):
-            unit = unit * fam.Pk(j) ** (n - j)
-        pairs.append((Poly.one(), unit, F(2)))
+        pairs.append((Poly.one(), power_ratio_unit(fam), F(2)))
         for dominant, dominated, radius in pairs:
             charts = (
                 (dominant, dominated),
@@ -420,10 +265,6 @@ class TestCorollaryChains:
             "scalar-window",
             "outer-boundary-chain",
         }
-
-    def test_builds_own_annulus_when_absent(self, built_families):
-        rep = corollary_ineq_certificate(built_families[2])
-        assert rep.status is Status.PROVED
 
     def test_scalar_window_is_equality_at_defaults(self, built_families):
         rep = corollary_ineq_certificate(built_families[2], ABSENT_ANNULUS)
@@ -471,15 +312,15 @@ class TestDivisionWitness:
 
 class TestConeFactorization:
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_every_chart_proved(self, n, built_families, root_certs):
+    def test_every_chart_proved(self, n, built_families, root_certs, identities):
         fam = built_families[n]
         for k in range(n):
-            cert = cone_factor_certificate(fam, k, root_certs[n])
+            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
             assert cert.status is Status.PROVED, (k, cert.detail)
             assert cert.identity_ok and cert.divisibility_ok
         d = fam.params.d
         for k in range(n - 1):
-            cert = cone_factor_certificate(fam, k, root_certs[n])
+            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
             assert cert.localized == d[k]
 
     def test_frozen_cofactor_n3(self, built_families):
@@ -490,14 +331,16 @@ class TestConeFactorization:
         assert remainder.is_zero
         assert quotient == Poly([F(1), F(0), -(eps**3)])
 
-    def test_chart_index_validation(self, built_families):
+    def test_chart_index_validation(self, built_families, identities):
         with pytest.raises(ValueError):
-            cone_factor_certificate(built_families[2], 5, {})
+            cone_factor_certificate(built_families[2], 5, {}, identities[2])
 
     def test_tampered_identity_refuted(self, built_families, root_certs):
         fam = built_families[2]
         tampered = dataclasses.replace(fam, f1=fam.f1 + Poly.one())
-        cert = cone_factor_certificate(tampered, 0, root_certs[2])
+        cert = cone_factor_certificate(
+            tampered, 0, root_certs[2], exact_identity_checks(tampered)
+        )
         assert cert.status is Status.REFUTED
         assert not cert.identity_ok
 

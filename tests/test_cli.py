@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from noricert import certify, cli, disktrace
 from noricert.cli import (
     BUDGET_ENV_VAR,
     EXIT_INCONCLUSIVE,
@@ -211,10 +212,45 @@ class TestExitCodes:
         assert report["summary"]["refuted"] == 0
         assert report["summary"]["inconclusive"] >= 1
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = main(["verify", "--n", "2", "--samples", "16", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_clean_small_run(self, small_report):
         assert small_report["summary"]["verdict"] == "proved"
         assert small_report["summary"]["refuted"] == 0
         assert small_report["summary"]["inconclusive"] == 0
+
+
+class TestStages:
+    def test_each_stage_runs_once_per_family(self, monkeypatch):
+        names = (
+            "exact_identity_checks",
+            "lemma_div_check",
+            "corollary_ineq_certificate",
+        )
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(certify, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (certify, cli, disktrace):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        _, code = run_verify(RunConfig(n_list=(2, 3), samples=64))
+        assert code == EXIT_OK
+        # one call per family, and one division witness per factor (n - 1)
+        assert calls == {
+            "exact_identity_checks": 2,
+            "lemma_div_check": 3,
+            "corollary_ineq_certificate": 2,
+        }
 
 
 class TestReportShape:

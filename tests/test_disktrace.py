@@ -13,7 +13,16 @@ import pytest
 
 from noricert.arith import ComplexRational, Poly, eval_scaled
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
-from noricert.certify import Status, circle_points
+from noricert.certify import (
+    Status,
+    annulus_bounds_certificate,
+    circle_points,
+    corollary_ineq_certificate,
+    exact_identity_checks,
+    family_root_certificates,
+    lemma_div_check,
+    power_ratio_unit,
+)
 from noricert.disktrace import (
     Certificate,
     TargetRegion,
@@ -216,11 +225,14 @@ class TestDivisibilityWindow:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_remainder_zero(self, built_families, n):
         fam = built_families[n]
-        assert divmod(fam.f2**n, fam.f1)[1].is_zero
+        quotient, remainder = divmod(fam.f2**n, fam.f1)
+        assert remainder.is_zero
+        # the window certificate takes its quotient from the product form
+        assert quotient == power_ratio_unit(fam)
 
-    def test_status_proved(self, built_families, corollary_reports):
+    def test_status_proved(self, built_families, corollary_reports, identities):
         cert = image_in_chart_window(
-            built_families[2], corollary_reports[2], samples=32
+            built_families[2], corollary_reports[2], identities[2], samples=32
         )
         assert cert.status is Status.PROVED
         assert cert.data["samples"] == 32
@@ -272,24 +284,33 @@ class TestAnnulusIntoTarget:
 
 
 class TestConeCertificates:
-    def test_chart_index_validation(self, built_families):
+    def test_chart_index_validation(
+        self, built_families, root_certs, identities, divisions
+    ):
         fam = built_families[2]
+        prereqs = (root_certs[2], identities[2], divisions[2])
         with pytest.raises(ValueError):
-            chart_cone_certificate(fam, 0)
+            chart_cone_certificate(fam, 0, *prereqs)
         with pytest.raises(ValueError):
-            chart_cone_certificate(fam, fam.n)
+            chart_cone_certificate(fam, fam.n, *prereqs)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
-    def test_proved(self, built_families, root_certs, n, k):
+    def test_proved(self, built_families, root_certs, identities, divisions, n, k):
         cert = chart_cone_certificate(
-            built_families[n], k, root_certs[n], samples=48
+            built_families[n], k, root_certs[n], identities[n], divisions[n],
+            samples=48,
         )
         assert cert.status is Status.PROVED
         assert cert.data["samples"] == 48
         assert cert.data["core"]["status"] == "proved"
 
-    def test_entry_scale_recorded(self, built_families, root_certs):
-        cert = chart_cone_certificate(built_families[3], 2, root_certs[3], samples=16)
+    def test_entry_scale_recorded(
+        self, built_families, root_certs, identities, divisions
+    ):
+        cert = chart_cone_certificate(
+            built_families[3], 2, root_certs[3], identities[3], divisions[3],
+            samples=16,
+        )
         # frozen: the approach region of chart 2 at n=3 opens near 10^-101
         assert cert.data["entry_scale"] == 101
 
@@ -298,9 +319,9 @@ class TestConeCertificates:
         assert r * r == (rho / 2) * (r - r * r)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_base_chart_proved(self, built_families, corollary_reports, n):
+    def test_base_chart_proved(self, built_families, corollary_reports, identities, n):
         cert = base_chart_certificate(
-            built_families[n], corollary_reports[n], samples=64
+            built_families[n], corollary_reports[n], identities[n], samples=64
         )
         assert cert.status is Status.PROVED
 
@@ -415,10 +436,14 @@ class TestPipeline:
         text = json.dumps(payload, sort_keys=True)
         assert json.loads(text) == payload
 
-    def test_deterministic(self, built_families, root_certs, annulus_reports):
+    def test_deterministic(
+        self, built_families, root_certs, corollary_reports, identities, divisions
+    ):
         kwargs = dict(
             root_certs=root_certs[2],
-            annulus=annulus_reports[2],
+            corollary=corollary_reports[2],
+            identities=identities[2],
+            divisions=divisions[2],
             window_samples=16,
             cone_samples=16,
             witness_samples=64,
@@ -436,8 +461,16 @@ class TestTamper:
         # flip at least one certificate to a refutation
         params = FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True)
         fam = build_family(params)
+        roots = family_root_certificates(fam, budget=1 << 10)
+        corollary = corollary_ineq_certificate(
+            fam, annulus_bounds_certificate(fam, roots)
+        )
         rep = trace_family(
             fam,
+            root_certs=roots,
+            corollary=corollary,
+            identities=exact_identity_checks(fam),
+            divisions=[lemma_div_check(fam, 1)],
             window_samples=16,
             cone_samples=16,
             witness_samples=64,
