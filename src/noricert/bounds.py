@@ -1,25 +1,29 @@
-"""Certified mantissa bounds with exact integer fallback.
+"""Certified mantissa brackets with exact integer fallback.
 
 The certificates compare products of squared moduli whose unreduced integer
 forms run to hundreds of thousands of bits.  A directed truncation makes
 those comparisons cheap without giving up soundness: a "pair" ``(m, s)`` is
 the exact number ``m * 2^s``, every operation rounds down (building a value
 the true quantity is >= of) or up (a value it is <= of), and comparisons
-between pairs are exact.  ``upper(x) < lower(y)`` therefore certifies
-``x < y``.  Whenever the bounds cannot separate the two sides, callers fall
-back to the full integer cross-products, so no truncation ever decides a
-verdict the exact arithmetic would not.
+between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
+around one nonnegative quantity; ``int_bracket``, ``abs2_bracket`` and
+``gap_bracket`` build them.
 
-``prod_gt`` packages that pattern for products of nonnegative integers,
-escalating the working precision before it pays for the exact products.
+``bracket_lt`` is the one comparator: it multiplies the factor brackets of
+each side with directed rounding and returns ``True`` or ``False`` when the
+two products separate, and ``None`` when they overlap.  Callers settle
+``None`` with the full integer cross-products, so no truncation ever
+decides a verdict the exact arithmetic would not.  ``prod_gt`` packages that
+pattern for products of nonnegative integers, escalating the working
+precision before it pays for the exact products.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
-__all__ = ["prod_gt"]
+__all__ = ["abs2_bracket", "bracket_lt", "gap_bracket", "int_bracket", "prod_gt"]
 
 _BITS = 192
 
@@ -31,12 +35,8 @@ def _p_trunc(m: int, s: int, up: bool, bits: int = _BITS) -> tuple[int, int]:
     return (-((-m) >> k) if up else m >> k), s + k
 
 
-def _p_int(x: int, up: bool) -> tuple[int, int]:
-    return _p_trunc(x, 0, up)
-
-
-def _p_mul(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
-    return _p_trunc(a[0] * b[0], a[1] + b[1], up)
+def _p_mul(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
+    return _p_trunc(a[0] * b[0], a[1] + b[1], up, bits)
 
 
 def _p_pow(a: tuple, e: int, up: bool) -> tuple[int, int]:
@@ -100,26 +100,87 @@ def _p_lt(a: tuple, b: tuple) -> bool:
     return ma < (mb << -gap)
 
 
-def _abs2_bounds(v: tuple) -> tuple[tuple, tuple]:
-    """(lower, upper) pairs for the squared modulus of an eval_scaled triple."""
+def int_bracket(x: int, bits: int = _BITS) -> tuple:
+    """The bracket of a nonnegative integer, truncated to ``bits`` bits."""
+    return _p_trunc(x, 0, False, bits), _p_trunc(x, 0, True, bits)
+
+
+def abs2_bracket(v: tuple) -> tuple:
+    """The bracket of the squared modulus of an ``eval_scaled`` triple."""
     re, im, den = v
-    re, im = abs(re), abs(im)
-    num_lo = _p_add(_p_pow(_p_int(re, False), 2, False),
-                    _p_pow(_p_int(im, False), 2, False), False)
-    num_hi = _p_add(_p_pow(_p_int(re, True), 2, True),
-                    _p_pow(_p_int(im, True), 2, True), True)
-    den_lo = _p_pow(_p_int(den, False), 2, False)
-    den_hi = _p_pow(_p_int(den, True), 2, True)
-    return _p_div(num_lo, den_hi, False), _p_div(num_hi, den_lo, True)
+    re_lo, re_hi = int_bracket(abs(re))
+    im_lo, im_hi = int_bracket(abs(im))
+    den_lo, den_hi = int_bracket(den)
+    num_lo = _p_add(_p_pow(re_lo, 2, False), _p_pow(im_lo, 2, False), False)
+    num_hi = _p_add(_p_pow(re_hi, 2, True), _p_pow(im_hi, 2, True), True)
+    return (
+        _p_div(num_lo, _p_pow(den_hi, 2, True), False),
+        _p_div(num_hi, _p_pow(den_lo, 2, False), True),
+    )
 
 
-def _p_prod(xs: Sequence[int], up: bool, bits: int) -> tuple[int, int]:
-    """A directed pair bound on the product of nonnegative integers."""
-    m, s = 1, 0
-    for x in xs:
-        xm, xs_shift = _p_trunc(x, 0, up, bits)
-        m, s = _p_trunc(m * xm, s + xs_shift, up, bits)
-    return m, s
+def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
+    """The bracket of |f2^(k+1) - f1|^2 from those of |f1|^2 and |f2|^2.
+
+    Bounds the difference through the reverse triangle inequality: when the
+    two moduli are separated by at least a factor two, |big - small| lies in
+    [(1 - t) |big|, (1 + t) |big|] with t the modulus ratio.  Comparable
+    moduli (possible cancellation) return None for the exact fallback.
+    """
+    (a1_lo, a1_hi), (a2_lo, a2_hi) = a1, a2
+    p_lo = _p_pow(a2_lo, k + 1, False)
+    p_hi = _p_pow(a2_hi, k + 1, True)
+    if _p_lt(p_hi, a1_lo):
+        big_lo, big_hi, small_hi = a1_lo, a1_hi, p_hi
+    elif _p_lt(a1_hi, p_lo):
+        big_lo, big_hi, small_hi = p_lo, p_hi, a1_hi
+    else:
+        return None
+    if big_lo[0] == 0:
+        return None
+    t_hi = _p_sqrt(_p_div(small_hi, big_lo, True), True)
+    if not _p_lt(t_hi, (1, -1)):  # ratio not certified below 1/2
+        return None
+    mt, st = t_hi
+    if mt.bit_length() + st < -_BITS:
+        # t < 2^-(_BITS + 1): one ulp below 1 is still a lower bound of 1 - t
+        one_minus_t_lo: tuple = ((1 << _BITS) - 1, -_BITS)
+    else:
+        one_minus_t_lo = ((1 << -st) - mt, st)
+    one_plus_t_hi = _p_add((1, 0), t_hi, True)
+    lower = _p_mul(big_lo, _p_pow(one_minus_t_lo, 2, False), False)
+    upper = _p_mul(big_hi, _p_pow(one_plus_t_hi, 2, True), True)
+    return lower, upper
+
+
+def bracket_lt(
+    lhs: Sequence[tuple], rhs: Sequence[tuple], *, closed: bool = False
+) -> Optional[bool]:
+    """Decide ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) by brackets.
+
+    Each side is the product of its factors' brackets, multiplied with
+    directed rounding at the precision of the widest factor (at least 192
+    bits).  Returns the verdict when the two product brackets separate and
+    ``None`` when they overlap; the caller then decides exactly.
+    """
+    bits = max((hi[0].bit_length() for _, hi in (*lhs, *rhs)), default=0)
+    bits = max(bits, _BITS)
+    l_lo = l_hi = r_lo = r_hi = (1, 0)
+    for lo, hi in lhs:
+        l_lo, l_hi = _p_mul(l_lo, lo, False, bits), _p_mul(l_hi, hi, True, bits)
+    for lo, hi in rhs:
+        r_lo, r_hi = _p_mul(r_lo, lo, False, bits), _p_mul(r_hi, hi, True, bits)
+    if closed:
+        if not _p_lt(r_lo, l_hi):
+            return True
+        if _p_lt(r_hi, l_lo):
+            return False
+    else:
+        if _p_lt(l_hi, r_lo):
+            return True
+        if not _p_lt(l_lo, r_hi):
+            return False
+    return None
 
 
 def prod_gt(xs: Sequence[int], ys: Sequence[int]) -> bool:
@@ -134,9 +195,10 @@ def prod_gt(xs: Sequence[int], ys: Sequence[int]) -> bool:
     top = max((v.bit_length() for v in (*xs, *ys)), default=0)
     bits = _BITS
     while bits < top:
-        if _p_lt(_p_prod(ys, True, bits), _p_prod(xs, False, bits)):
-            return True
-        if not _p_lt(_p_prod(ys, False, bits), _p_prod(xs, True, bits)):
-            return False
+        verdict = bracket_lt(
+            [int_bracket(y, bits) for y in ys], [int_bracket(x, bits) for x in xs]
+        )
+        if verdict is not None:
+            return verdict
         bits *= 4
     return math.prod(xs) > math.prod(ys)

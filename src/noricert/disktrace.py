@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     ComplexRational,
@@ -38,18 +38,7 @@ from .arith import (
     scaled_abs2,
 )
 from .atlas import ChartPoint, chart_cover_indices
-from .bounds import (
-    _BITS,
-    _abs2_bounds,
-    _p_add,
-    _p_div,
-    _p_int,
-    _p_lt,
-    _p_mul,
-    _p_pow,
-    _p_sqrt,
-    prod_gt,
-)
+from .bounds import abs2_bracket, bracket_lt, gap_bracket, int_bracket, prod_gt
 from .certify import (
     DEFAULT_BUDGET,
     CorollaryReport,
@@ -116,12 +105,35 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # The evaluation loops below run thousands of exact tests against values
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
-# work on unreduced ``eval_scaled`` triples: the directed-rounding pairs of
-# :mod:`noricert.bounds` decide first, and integer cross-multiplication
-# decides whatever the bounds leave open.  The Fraction predicates of the
+# work on unreduced ``eval_scaled`` triples.  Each image point is bracketed
+# once, as an ``_Image``; every predicate asks ``bounds.bracket_lt`` first,
+# with the parameters r^2 and (rho or rho/2)^2 cross-multiplied as integer
+# brackets of numerator and denominator, and integer cross-multiplication
+# decides whatever the brackets leave open.  The Fraction predicates of the
 # atlas module remain the reference semantics; the test suite
 # cross-validates the two paths.
 # ---------------------------------------------------------------------------
+
+
+class _Image(NamedTuple):
+    """An image point: the two ``eval_scaled`` triples and their abs2 brackets."""
+
+    v1: tuple
+    v2: tuple
+    a1: tuple
+    a2: tuple
+
+    @classmethod
+    def of(cls, v1: tuple, v2: tuple) -> "_Image":
+        return cls(v1, v2, abs2_bracket(v1), abs2_bracket(v2))
+
+
+def _image_at(fam: Family, num_re: int, num_im: int, den: int) -> _Image:
+    """The image point of (num_re + i num_im)/den."""
+    return _Image.of(
+        eval_scaled(fam.f1, num_re, num_im, den),
+        eval_scaled(fam.f2, num_re, num_im, den),
+    )
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -137,78 +149,30 @@ def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
     return rr, ri
 
 
-def _member_test(fam: Family, v1: tuple, v2: tuple, k: int) -> bool:
-    """Exact |f1(lam)| < r |f2(lam)|^k via bounds, falling back to integers."""
-    a1_lo, a1_hi = _abs2_bounds(v1)
-    a2_lo, a2_hi = _abs2_bounds(v2)
+def _member_test(fam: Family, img: _Image, k: int) -> bool:
+    """Exact |f1(lam)| < r |f2(lam)|^k via brackets, falling back to integers."""
     rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    r2n, r2d = _p_int(rn * rn, False), _p_int(rd * rd, True)
-    rhs_lo = _p_div(_p_mul(r2n, _p_pow(a2_lo, k, False), False), r2d, False)
-    if _p_lt(a1_hi, rhs_lo):
-        return True
-    r2n_hi, r2d_lo = _p_int(rn * rn, True), _p_int(rd * rd, False)
-    rhs_hi = _p_div(_p_mul(r2n_hi, _p_pow(a2_hi, k, True), True), r2d_lo, True)
-    if not _p_lt(a1_lo, rhs_hi):
-        return False
-    n1, q1 = scaled_abs2(v1)
-    n2, q2 = scaled_abs2(v2)
+    verdict = bracket_lt(
+        [img.a1, int_bracket(rd * rd)], [int_bracket(rn * rn), *[img.a2] * k]
+    )
+    if verdict is not None:
+        return verdict
+    n1, q1 = scaled_abs2(img.v1)
+    n2, q2 = scaled_abs2(img.v2)
     return n1 * rd * rd * q2**k < rn * rn * n2**k * q1
 
 
-def _chart_entry_test(fam: Family, v1: tuple, v2: tuple, k: int) -> bool:
-    """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)| via bounds, then integers."""
-    a1_lo, a1_hi = _abs2_bounds(v1)
-    a2_lo, a2_hi = _abs2_bounds(v2)
+def _chart_entry_test(fam: Family, img: _Image, k: int) -> bool:
+    """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)| via brackets, then integers."""
     rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    lhs_hi = _p_pow(a2_hi, k + 2, True)
-    rhs_lo = _p_div(
-        _p_mul(_p_int(rn * rn, False), a1_lo, False), _p_int(rd * rd, True), False
+    verdict = bracket_lt(
+        [*[img.a2] * (k + 2), int_bracket(rd * rd)], [int_bracket(rn * rn), img.a1]
     )
-    if _p_lt(lhs_hi, rhs_lo):
-        return True
-    lhs_lo = _p_pow(a2_lo, k + 2, False)
-    rhs_hi = _p_div(
-        _p_mul(_p_int(rn * rn, True), a1_hi, True), _p_int(rd * rd, False), True
-    )
-    if not _p_lt(lhs_lo, rhs_hi):
-        return False
-    n1, q1 = scaled_abs2(v1)
-    n2, q2 = scaled_abs2(v2)
+    if verdict is not None:
+        return verdict
+    n1, q1 = scaled_abs2(img.v1)
+    n2, q2 = scaled_abs2(img.v2)
     return n2 ** (k + 2) * rd * rd * q1 < rn * rn * n1 * q2 ** (k + 2)
-
-
-def _gap_squared_bounds(v1: tuple, v2: tuple, k: int) -> Optional[tuple]:
-    """(lower, upper) pairs for |f2^(k+1) - f1|^2, or None when inconclusive.
-
-    Bounds the difference through the reverse triangle inequality: when the
-    two moduli are separated by at least a factor two, |big - small| lies in
-    [(1 - t) |big|, (1 + t) |big|] with t the modulus ratio.  Comparable
-    moduli (possible cancellation) return None for the exact fallback.
-    """
-    a1_lo, a1_hi = _abs2_bounds(v1)
-    a2_lo, a2_hi = _abs2_bounds(v2)
-    p_lo = _p_pow(a2_lo, k + 1, False)
-    p_hi = _p_pow(a2_hi, k + 1, True)
-    if _p_lt(p_hi, a1_lo):
-        big_lo, big_hi, small_hi = a1_lo, a1_hi, p_hi
-    elif _p_lt(a1_hi, p_lo):
-        big_lo, big_hi, small_hi = p_lo, p_hi, a1_hi
-    else:
-        return None
-    if big_lo[0] == 0:
-        return None
-    t_hi = _p_sqrt(_p_div(small_hi, big_lo, True), True)
-    if not _p_lt(t_hi, (1, -1)):  # ratio not certified below 1/2
-        return None
-    mt, st = t_hi
-    if -st > _BITS + 4:
-        one_minus_t_lo: tuple = ((1 << _BITS) - 1, -_BITS)
-    else:
-        one_minus_t_lo = ((1 << -st) - mt, st)
-    one_plus_t_hi = _p_add((1, 0), t_hi, True)
-    lower = _p_mul(big_lo, _p_pow(one_minus_t_lo, 2, False), False)
-    upper = _p_mul(big_hi, _p_pow(one_plus_t_hi, 2, True), True)
-    return lower, upper
 
 
 def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
@@ -222,10 +186,8 @@ def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
     return g_re * g_re + g_im * g_im, (d1 * dp) ** 2
 
 
-def _cone_test(
-    fam: Family, v1: tuple, v2: tuple, k: int, *, halved: bool
-) -> bool:
-    """The cone inequality at a scaled point, via bounds with exact fallback.
+def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
+    """The cone inequality at a scaled point, via brackets with exact fallback.
 
     With ``halved`` the opening parameter is rho/2 and the comparison is
     closed (the margin-bearing form the factorization lemmas give); without
@@ -233,68 +195,34 @@ def _cone_test(
     """
     opening = fam.params.rho / 2 if halved else fam.params.rho
     pn, pd = opening.numerator, opening.denominator
-    a1_lo, a1_hi = _abs2_bounds(v1)
-    a2_lo, a2_hi = _abs2_bounds(v2)
-    gap = _gap_squared_bounds(v1, v2, k)
+    gap = gap_bracket(img.a1, img.a2, k)
     if gap is not None:
-        gap_lo, gap_hi = gap
-        lhs_hi = _p_pow(a1_hi, 2, True)
-        rhs_lo = _p_div(
-            _p_mul(
-                _p_mul(_p_int(pn * pn, False), gap_lo, False),
-                _p_pow(a2_lo, k, False),
-                False,
-            ),
-            _p_int(pd * pd, True),
-            False,
+        verdict = bracket_lt(
+            [img.a1, img.a1, int_bracket(pd * pd)],
+            [int_bracket(pn * pn), gap, *[img.a2] * k],
+            closed=halved,
         )
-        if _p_lt(lhs_hi, rhs_lo) or (halved and not _p_lt(rhs_lo, lhs_hi)):
-            return True
-        lhs_lo = _p_pow(a1_lo, 2, False)
-        rhs_hi = _p_div(
-            _p_mul(
-                _p_mul(_p_int(pn * pn, True), gap_hi, True),
-                _p_pow(a2_hi, k, True),
-                True,
-            ),
-            _p_int(pd * pd, False),
-            True,
-        )
-        if _p_lt(rhs_hi, lhs_lo):
-            return False
-    n1, q1 = scaled_abs2(v1)
-    n2, q2 = scaled_abs2(v2)
-    g_num, g_den = _gap_squared_exact(v1, v2, k)
+        if verdict is not None:
+            return verdict
+    n1, q1 = scaled_abs2(img.v1)
+    n2, q2 = scaled_abs2(img.v2)
+    g_num, g_den = _gap_squared_exact(img.v1, img.v2, k)
     lhs = n1 * n1 * pd * pd * g_den * q2**k
     rhs = pn * pn * g_num * n2**k * q1 * q1
     return lhs <= rhs if halved else lhs < rhs
 
 
-def _in_cover_region(fam: Family, v1: tuple, v2: tuple) -> bool:
+def _in_cover_region(fam: Family, img: _Image) -> bool:
     """0 < |z1| < r and |z2| < r^2 at a scaled point (exact semantics)."""
-    re1, im1, _ = v1
+    re1, im1, _ = img.v1
     if re1 == 0 and im1 == 0:
         return False
-    a1_lo, a1_hi = _abs2_bounds(v1)
-    a2_lo, a2_hi = _abs2_bounds(v2)
     rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    r2 = _p_div(_p_int(rn * rn, False), _p_int(rd * rd, True), False)
-    r2_hi = _p_div(_p_int(rn * rn, True), _p_int(rd * rd, False), True)
-    r4 = _p_mul(r2, r2, False)
-    r4_hi = _p_mul(r2_hi, r2_hi, True)
-    first = (
-        True if _p_lt(a1_hi, r2)
-        else False if not _p_lt(a1_lo, r2_hi)
-        else None
-    )
-    second = (
-        True if _p_lt(a2_hi, r4)
-        else False if not _p_lt(a2_lo, r4_hi)
-        else None
-    )
+    first = bracket_lt([img.a1, int_bracket(rd**2)], [int_bracket(rn**2)])
+    second = bracket_lt([img.a2, int_bracket(rd**4)], [int_bracket(rn**4)])
     if first is None or second is None:
-        n1, q1 = scaled_abs2(v1)
-        n2, q2 = scaled_abs2(v2)
+        n1, q1 = scaled_abs2(img.v1)
+        n2, q2 = scaled_abs2(img.v2)
         if first is None:
             first = n1 * rd**2 < rn**2 * q1
         if second is None:
@@ -303,25 +231,25 @@ def _in_cover_region(fam: Family, v1: tuple, v2: tuple) -> bool:
 
 
 def _cover_indices_scaled(
-    fam: Family, v1: tuple, v2: tuple, k_max: int
+    fam: Family, img: _Image, k_max: int
 ) -> tuple[bool, tuple[int, ...]]:
     """Chart cover of a scaled image point: (in_region, covering indices).
 
-    ``v1``/``v2`` are ``eval_scaled`` triples of the two coordinates.  Same
-    predicates as ``chart_cover_indices``; the test suite cross-validates.
+    Same predicates as ``chart_cover_indices``; the test suite
+    cross-validates.
     """
-    if not _in_cover_region(fam, v1, v2):
+    if not _in_cover_region(fam, img):
         return False, ()
     indices = [
         k
         for k in range(k_max + 1)
-        if _chart_entry_test(fam, v1, v2, k) and _member_test(fam, v1, v2, k)
+        if _chart_entry_test(fam, img, k) and _member_test(fam, img, k)
     ]
     return True, tuple(indices)
 
 
 def _first_open_cone_scaled(
-    fam: Family, v1: tuple, v2: tuple, k_limit: int
+    fam: Family, img: _Image, k_limit: int
 ) -> tuple[bool, Optional[int]]:
     """First chart index k < k_limit covering the point with its cone open.
 
@@ -329,13 +257,13 @@ def _first_open_cone_scaled(
     success; indices at and beyond ``k_limit`` are the business of the
     divisibility window certificate, not of this scan.
     """
-    if not _in_cover_region(fam, v1, v2):
+    if not _in_cover_region(fam, img):
         return False, None
     for k in range(k_limit):
         if (
-            _chart_entry_test(fam, v1, v2, k)
-            and _member_test(fam, v1, v2, k)
-            and _cone_test(fam, v1, v2, k, halved=False)
+            _chart_entry_test(fam, img, k)
+            and _member_test(fam, img, k)
+            and _cone_test(fam, img, k, halved=False)
         ):
             return True, k
     return True, None
@@ -531,7 +459,7 @@ def image_in_chart_window(
         if v2[0] == 0 and v2[1] == 0:
             continue  # exact exclusion of the common zero set
         v1 = eval_scaled(fam.f1, a, b, den)
-        in_region, indices = _cover_indices_scaled(fam, v1, v2, k_max)
+        in_region, indices = _cover_indices_scaled(fam, _Image.of(v1, v2), k_max)
         if not in_region or not indices or max(indices) > n - 1:
             cover = chart_cover_indices(
                 ChartPoint(fam.f1(lam), fam.f2(lam)), fam.params.r, k_max
@@ -587,19 +515,6 @@ def image_in_chart_window(
 # ---------------------------------------------------------------------------
 
 
-def _region_member_scaled(
-    fam: Family, k: int, num_re: int, num_im: int, den: int
-) -> tuple[bool, tuple, tuple]:
-    """Exact test of |f1| < r|f2|^k at (num_re + i num_im)/den.
-
-    Returns the verdict together with the two scaled evaluations so the
-    caller can reuse them.
-    """
-    v1 = eval_scaled(fam.f1, num_re, num_im, den)
-    v2 = eval_scaled(fam.f2, num_re, num_im, den)
-    return _member_test(fam, v1, v2, k), v1, v2
-
-
 def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
@@ -611,7 +526,7 @@ def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
     """
     probe = 1
     while probe <= cap:
-        if _region_member_scaled(fam, k, 1, 0, 10**probe)[0]:
+        if _member_test(fam, _image_at(fam, 1, 0, 10**probe), k):
             break
         probe *= 2
     else:
@@ -619,7 +534,7 @@ def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
     lo, hi = probe // 2, probe  # membership fails at lo (or lo == 0), holds at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _region_member_scaled(fam, k, 1, 0, 10**mid)[0]:
+        if _member_test(fam, _image_at(fam, 1, 0, 10**mid), k):
             hi = mid
         else:
             lo = mid
@@ -686,10 +601,10 @@ def chart_cone_certificate(
             continue
         e = entry + sampler.integer(0, 5)
         den = (2**grid) * 10**e
-        member, v1, v2 = _region_member_scaled(fam, k, a, b, den)
-        if not member:
+        img = _image_at(fam, a, b, den)
+        if not _member_test(fam, img, k):
             continue
-        if not _cone_test(fam, v1, v2, k, halved=True):
+        if not _cone_test(fam, img, k, halved=True):
             return Certificate(
                 "chart-cone",
                 Status.REFUTED,
@@ -710,7 +625,7 @@ def chart_cone_certificate(
             # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test
             # above is the second half)
             full_membership_checks += 1
-            if not _chart_entry_test(fam, v1, v2, k):
+            if not _chart_entry_test(fam, img, k):
                 return Certificate(
                     "chart-cone",
                     Status.REFUTED,
@@ -879,7 +794,7 @@ def cone_window_witness(
         if v2[0] == 0 and v2[1] == 0:
             continue
         v1 = eval_scaled(fam.f1, a, b, den)
-        in_region, cone_index = _first_open_cone_scaled(fam, v1, v2, n)
+        in_region, cone_index = _first_open_cone_scaled(fam, _Image.of(v1, v2), n)
         if not in_region or cone_index is None:
             cover = chart_cover_indices(
                 ChartPoint(fam.f1(lam), fam.f2(lam)), r, n + 1

@@ -29,7 +29,7 @@ from noricert.certify import (
     family_root_certificates,
     lemma_div_check,
 )
-from noricert.bounds import _abs2_bounds, _p_int, _p_lt, _p_mul, _p_pow
+from noricert.bounds import abs2_bracket, bracket_lt, int_bracket
 from noricert.cli import RunConfig, UsageError
 from noricert.disktrace import escape_witness, vanishing_orders
 from noricert.family import (
@@ -166,30 +166,23 @@ def test_criterion_05_modulus_chain(built_families, corollary_reports):
         fam = built_families[n]
         r = fam.params.r
         rn2, rd2 = r.numerator**2, r.denominator**2
-        nn = _p_int(n * n, True)
+        nn = int_bracket(n * n)
         for radius in (F(1), F(2)):
             for cp in circle_points(radius, 512):
                 a, b, c = as_scaled(cp.point)
                 v1 = eval_scaled(fam.f1, a, b, c)
                 v2 = eval_scaled(fam.f2, a, b, c)
-                a1_lo, a1_hi = _abs2_bounds(v1)
-                a2_lo, a2_hi = _abs2_bounds(v2)
+                a1, a2 = abs2_bracket(v1), abs2_bracket(v2)
                 checks = {
-                    "a": _p_lt(
-                        _p_mul(_p_mul(nn, a1_hi, True), _p_int(rd2, True), True),
-                        _p_int(rn2, False),
+                    "a": bracket_lt([nn, a1, int_bracket(rd2)], [int_bracket(rn2)]),
+                    "b": bracket_lt(
+                        [nn, a2, int_bracket(rd2 * rd2)], [int_bracket(rn2 * rn2)]
                     ),
-                    "b": _p_lt(
-                        _p_mul(
-                            _p_mul(nn, a2_hi, True), _p_int(rd2 * rd2, True), True
-                        ),
-                        _p_int(rn2 * rn2, False),
-                    ),
-                    "c": _p_lt(_p_mul(nn, a2_hi, True), a1_lo),
+                    "c": bracket_lt([nn, a2], [a1]),
                 }
                 for k in range(1, 2 * n + 1):
-                    checks[f"d{k}"] = _p_lt(_p_pow(a2_hi, k, True), a1_lo)
-                undecided = [name for name, ok in checks.items() if not ok]
+                    checks[f"d{k}"] = bracket_lt([a2] * k, [a1])
+                undecided = [name for name, ok in checks.items() if ok is not True]
                 if undecided:
                     # certified bounds could not separate: settle exactly
                     exact1 = fam.f1(cp.point).abs2()

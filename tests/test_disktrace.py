@@ -36,20 +36,13 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.bounds import (
-    _abs2_bounds,
-    _p_add,
-    _p_div,
-    _p_int,
-    _p_lt,
-    _p_mul,
-    _p_pow,
-    _p_sqrt,
-)
+from noricert.bounds import gap_bracket
 from noricert.disktrace import (
+    _Image,
     _chart_entry_test,
     _cone_test,
     _cover_indices_scaled,
+    _entry_scale,
     _first_open_cone_scaled,
     _member_test,
 )
@@ -94,47 +87,25 @@ class TestTargetRegion:
             assert scaled == exact
 
 
-class TestMantissaBounds:
-    """The directed truncation used by the deep-scale fast paths."""
+def _image_and_reference(fam, a, b, den):
+    """The scaled image point of (a + ib)/den and its Fraction ChartPoint."""
+    img = _Image.of(eval_scaled(fam.f1, a, b, den), eval_scaled(fam.f2, a, b, den))
+    lam = ComplexRational(F(a, den), F(b, den))
+    return img, ChartPoint(fam.f1(lam), fam.f2(lam))
 
-    def test_directed_ops_bracket(self):
-        rng = random.Random(7)
-        for _ in range(400):
-            x = rng.getrandbits(rng.randrange(1, 600)) + 1
-            y = rng.getrandbits(rng.randrange(1, 600)) + 1
-            e = rng.randrange(1, 8)
-            for up in (False, True):
-                checks = [
-                    (_p_mul(_p_int(x, up), _p_int(y, up), up), x * y),
-                    (_p_pow(_p_int(x, up), e, up), x**e),
-                    (_p_div(_p_int(x, up), _p_int(y, not up), up), F(x, y)),
-                    (_p_add(_p_int(x, up), _p_int(y, up), up), x + y),
-                ]
-                for (m, s), target in checks:
-                    value = F(m) * F(2) ** s
-                    assert value >= target if up else value <= target
-                m, s = _p_sqrt(_p_int(x, up), up)
-                value = F(m) * F(2) ** s
-                assert value * value >= x if up else value * value <= x
 
-    def test_comparison_is_exact(self):
-        rng = random.Random(8)
-        for _ in range(400):
-            a = (rng.getrandbits(rng.randrange(1, 200)), rng.randrange(-400, 400))
-            b = (rng.getrandbits(rng.randrange(1, 200)), rng.randrange(-400, 400))
-            va = F(a[0]) * F(2) ** a[1]
-            vb = F(b[0]) * F(2) ** b[1]
-            assert _p_lt(a, b) == (va < vb)
-
-    def test_abs2_bounds_bracket(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            re = rng.randrange(-(10**12), 10**12)
-            im = rng.randrange(-(10**12), 10**12)
-            den = rng.randrange(1, 10**9)
-            lo, hi = _abs2_bounds((re, im, den))
-            exact = F(re * re + im * im, den * den)
-            assert F(lo[0]) * F(2) ** lo[1] <= exact <= F(hi[0]) * F(2) ** hi[1]
+def _assert_chart_predicates_match(fam, img, p, k):
+    """The chart-k predicates equal their Fraction references at one point;
+    the halved cone is the closed inequality at rho/2."""
+    r, rho = fam.params.r, fam.params.rho
+    a1, a2 = p.z1.abs2(), p.z2.abs2()
+    assert _chart_entry_test(fam, img, k) == (a2 ** (k + 2) < r**2 * a1)
+    assert _member_test(fam, img, k) == (a1 < r**2 * a2**k)
+    assert _cone_test(fam, img, k, halved=False) == cone_condition(p, k, rho)
+    gap = (p.z2 ** (k + 1) - p.z1).abs2()
+    assert _cone_test(fam, img, k, halved=True) == (
+        a1 * a1 <= (rho / 2) ** 2 * gap * a2**k
+    )
 
 
 class TestScaledPredicates:
@@ -142,7 +113,6 @@ class TestScaledPredicates:
 
     def test_against_atlas_reference(self, built_families):
         fam = built_families[3]
-        r, rho = fam.params.r, fam.params.rho
         rng = random.Random(11)
         checked = 0
         for _ in range(250):
@@ -150,27 +120,30 @@ class TestScaledPredicates:
             if a == 0 and b == 0:
                 continue
             den = rng.choice([64, 100, 1024, 10**4, 10**7])
-            v1 = eval_scaled(fam.f1, a, b, den)
-            v2 = eval_scaled(fam.f2, a, b, den)
-            lam = ComplexRational(F(a, den), F(b, den))
-            p = ChartPoint(fam.f1(lam), fam.f2(lam))
-            ref = chart_cover_indices(p, r, 4)
-            in_region, indices = _cover_indices_scaled(fam, v1, v2, 4)
+            img, p = _image_and_reference(fam, a, b, den)
+            ref = chart_cover_indices(p, fam.params.r, 4)
+            in_region, indices = _cover_indices_scaled(fam, img, 4)
             assert in_region == ref.in_region
             if ref.in_region:
                 assert indices == ref.indices
             for k in range(4):
-                assert _chart_entry_test(fam, v1, v2, k) == (
-                    p.z2.abs2() ** (k + 2) < r**2 * p.z1.abs2()
-                )
-                assert _member_test(fam, v1, v2, k) == (
-                    p.z1.abs2() < r**2 * p.z2.abs2() ** k
-                )
-                assert _cone_test(fam, v1, v2, k, halved=False) == cone_condition(
-                    p, k, rho
-                )
+                _assert_chart_predicates_match(fam, img, p, k)
             checked += 1
         assert checked >= 200
+
+    def test_deep_scales_against_atlas_reference(self, built_families):
+        # the approach regions of charts 1..3 at n = 4 open at 11, 111 and
+        # 914 digits; there the modulus gap is wide and gap_bracket decides
+        fam = built_families[4]
+        rng = random.Random(13)
+        for k in range(1, 4):
+            entry = _entry_scale(fam, k)
+            for _ in range(2):
+                a, b = rng.randrange(128, 256), rng.randrange(-255, 256)
+                den = 2**8 * 10 ** (entry + rng.randrange(0, 6))
+                img, p = _image_and_reference(fam, a, b, den)
+                assert gap_bracket(img.a1, img.a2, k) is not None
+                _assert_chart_predicates_match(fam, img, p, k)
 
     def test_first_open_cone_matches_ladder(self, built_families):
         fam = built_families[2]
@@ -182,7 +155,7 @@ class TestScaledPredicates:
             den = rng.choice([128, 1000, 10**5])
             v1 = eval_scaled(fam.f1, a, b, den)
             v2 = eval_scaled(fam.f2, a, b, den)
-            in_region, first = _first_open_cone_scaled(fam, v1, v2, fam.n)
+            in_region, first = _first_open_cone_scaled(fam, _Image.of(v1, v2), fam.n)
             lam = ComplexRational(F(a, den), F(b, den))
             p = ChartPoint(fam.f1(lam), fam.f2(lam))
             ref = chart_cover_indices(p, fam.params.r, fam.n - 1)
