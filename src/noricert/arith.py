@@ -20,9 +20,13 @@ and performs no gcd, which matters when operands reach tens of thousands of
 digits.  Callers compare its results by integer cross-multiplication, after
 the directed-rounding bounds of :mod:`noricert.bounds` have had a chance to
 decide, and reduce to ``Fraction`` only where a reduced value is reported or
-fed to a square-root bound.  ``Poly.__call__`` over ``Fraction`` /
-``ComplexRational`` is the reference path: the tests cross-check
-``eval_scaled`` against it, and refutation witnesses are rendered with it.
+fed to a square-root bound.  One path skips the exact triple: the
+deep-scale ladder of the chart-cone certificates brackets its values with
+``bounds.ball_abs2``, a midpoint-radius Horner on the coefficient balls of
+``Poly.balls``, and calls ``eval_scaled`` only when a comparison is left
+undecided.  ``Poly.__call__`` over ``Fraction`` / ``ComplexRational`` is the
+reference path: the tests cross-check ``eval_scaled`` against it, and
+refutation witnesses are rendered with it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from typing import Iterable, Sequence, Union
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
+
+# The mantissa bits of ``Poly.balls`` and of every bracket in ``bounds``.
+BALL_BITS = 192
 
 
 def parse_rational(text: str) -> Fraction:
@@ -255,6 +262,7 @@ class Poly:
     def __init__(self, coeffs: Iterable = ()):  # noqa: D401
         self._coeffs = _normalize(coeffs)
         self._scaled_cache = None
+        self._ball_cache = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -442,6 +450,29 @@ class Poly:
                 ints = tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
                 self._scaled_cache = (ints, den)
         return self._scaled_cache
+
+    def balls(self) -> tuple:
+        """Coefficients as midpoint-radius balls ``(m, e, r)``, cached.
+
+        ``m`` is the floor of the coefficient at a binary exponent ``e`` that
+        leaves it about ``BALL_BITS`` bits, and ``r`` is 0 when ``m * 2^e`` is
+        the coefficient exactly and 1 otherwise: |c - m 2^e| <= r 2^e.
+        """
+        if self._ball_cache is None:
+            out = []
+            for c in self._coeffs:
+                num, den = c.numerator, c.denominator
+                if num == 0:
+                    out.append((0, 0, 0))
+                    continue
+                e = num.bit_length() - den.bit_length() - BALL_BITS
+                if e <= 0:
+                    m, rest = divmod(num << -e, den)
+                else:
+                    m, rest = divmod(num, den << e)
+                out.append((m, e, 1 if rest else 0))
+            self._ball_cache = tuple(out)
+        return self._ball_cache
 
     def map_variable_negated(self) -> "Poly":
         """The polynomial q with q(z) = p(-z) for all z."""

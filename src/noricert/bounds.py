@@ -6,8 +6,11 @@ those comparisons cheap without giving up soundness: a "pair" ``(m, s)`` is
 the exact number ``m * 2^s``, every operation rounds down (building a value
 the true quantity is >= of) or up (a value it is <= of), and comparisons
 between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
-around one nonnegative quantity; ``int_bracket``, ``abs2_bracket`` and
-``gap_bracket`` build them.
+around one nonnegative quantity; ``int_bracket``, ``abs2_bracket`` (the
+squared modulus of an exact ``eval_scaled`` triple), ``ball_abs2`` (the
+squared modulus of a polynomial value, by midpoint-radius Horner at about
+192 bits plus an exponent, without the exact triple) and ``gap_bracket``
+build them.
 
 ``bracket_lt`` is the one comparator: it multiplies the factor brackets of
 each side with directed rounding and returns ``True`` or ``False`` when the
@@ -23,9 +26,18 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-__all__ = ["abs2_bracket", "bracket_lt", "gap_bracket", "int_bracket", "prod_gt"]
+from .arith import BALL_BITS
 
-_BITS = 192
+__all__ = [
+    "abs2_bracket",
+    "ball_abs2",
+    "bracket_lt",
+    "gap_bracket",
+    "int_bracket",
+    "prod_gt",
+]
+
+_BITS = BALL_BITS
 
 
 def _p_trunc(m: int, s: int, up: bool, bits: int = _BITS) -> tuple[int, int]:
@@ -151,6 +163,89 @@ def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
     lower = _p_mul(big_lo, _p_pow(one_minus_t_lo, 2, False), False)
     upper = _p_mul(big_hi, _p_pow(one_plus_t_hi, 2, True), True)
     return lower, upper
+
+
+def _ball_point(num_re: int, num_im: int, den: int) -> tuple:
+    """(num_re + i num_im)/den as a ball ``(re, im, rad, e)`` of about 192 bits."""
+    top = max(num_re.bit_length(), num_im.bit_length())
+    if top == 0:
+        return 0, 0, 0, 0
+    s = _BITS + den.bit_length() - top
+    if s >= 0:
+        re, rest_re = divmod(num_re << s, den)
+        im, rest_im = divmod(num_im << s, den)
+    else:
+        re, rest_re = divmod(num_re, den << -s)
+        im, rest_im = divmod(num_im, den << -s)
+    # each floor is below its quotient by less than one unit: |error| < sqrt(2)
+    return re, im, 2 if rest_re or rest_im else 0, -s
+
+
+def ball_abs2(poly, num_re: int, num_im: int, den: int) -> tuple:
+    """The bracket of |poly(z)|^2 at z = (num_re + i num_im)/den, by ball Horner.
+
+    The same bracket ``abs2_bracket(eval_scaled(poly, num_re, num_im, den))``
+    describes, got without the exact triple: every intermediate value is a
+    complex ball ``(re, im, rad, e)``, the exact value lying within
+    ``rad * 2^e`` of ``(re + i im) * 2^e``, with the midpoint kept to about
+    192 bits plus the exponent ``e``.  Each step rounds the midpoint down and
+    grows the radius by at least what the rounding lost, so the result
+    encloses the exact value; it is only wider than the exact triple's
+    bracket, by a relative 2^-180 or so, and a comparison it cannot decide
+    is settled by the caller's exact fallback.  ``den`` must be positive.
+    """
+    if den <= 0:
+        raise ValueError("den must be positive")
+    coeffs = poly.balls()
+    if not coeffs:
+        return (0, 0), (0, 0)
+    zr, zi, zrad, ze = _ball_point(num_re, num_im, den)
+    zabs = abs(zr) + abs(zi)  # an upper bound of |midpoint of z|, in 2^ze
+    re, e, rad = coeffs[-1]
+    im = 0
+    for m, ce, cr in reversed(coeffs[:-1]):
+        # acc * z: |A Z - a z| <= |a| rad_z + rad_a |z| + rad_a rad_z
+        re, im, rad = (
+            re * zr - im * zi,
+            re * zi + im * zr,
+            (abs(re) + abs(im)) * zrad + rad * (zabs + zrad),
+        )
+        e += ze
+        k = max(re.bit_length(), im.bit_length(), rad.bit_length()) - _BITS
+        if k > 0:
+            # two floors lose less than sqrt(2) < 2 units, the radius rounds up
+            re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
+        if m == 0 and cr == 0:
+            continue
+        # + c, with |c| < 2^(top_c + 1) and |acc| < 2^(top_acc + 2)
+        if not (re or im or rad):
+            re, rad, e = m, cr, ce
+            continue
+        top_c = ce + max(m.bit_length(), cr.bit_length())
+        if top_c + 1 <= e:
+            rad += 1  # c is below one unit of the accumulator
+            continue
+        if e + max(re.bit_length(), im.bit_length(), rad.bit_length()) + 2 <= ce:
+            re, im, rad, e = m, 0, cr + 1, ce  # the accumulator is below one unit of c
+            continue
+        if e >= ce:
+            sh = e - ce
+            re, im, rad, e = (re << sh) + m, im << sh, (rad << sh) + cr, ce
+        else:
+            sh = ce - e
+            re, rad = re + (m << sh), rad + (cr << sh)
+        k = max(re.bit_length(), im.bit_length(), rad.bit_length()) - _BITS
+        if k > 0:
+            re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
+    # |p| lies in [root - rad, root + 1 + rad] with root = isqrt(re^2 + im^2)
+    norm = re * re + im * im
+    root = math.isqrt(norm)
+    hi = root + rad + (root * root < norm)
+    lo = root - rad
+    return (
+        _p_trunc(lo * lo, 2 * e, False) if lo > 0 else (0, 0),
+        _p_trunc(hi * hi, 2 * e, True),
+    )
 
 
 def bracket_lt(

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -64,6 +64,7 @@ __all__ = [
     "CorollaryReport",
     "DivisionWitness",
     "ConeFactorCertificate",
+    "IdentityReport",
     "DEFAULT_BUDGET",
     "worst",
     "sqrt_lower",
@@ -773,7 +774,7 @@ def cone_factor_certificate(
     fam: Family,
     k: int,
     root_certs: dict[int, RootLocalization],
-    identities: CheckReport,
+    identities: IdentityReport,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> ConeFactorCertificate:
@@ -787,8 +788,8 @@ def cone_factor_certificate(
     root of modulus <= 2.
 
     For k = n-1 the identity f2^n - f1 = f1 * (unit - 1) is the power-ratio
-    identity of ``identities`` rearranged, so its verdict is taken from
-    there; dominance of 1 over the unit on |z| = 2 makes the cofactor
+    identity of ``identities`` rearranged, so its verdict and its unit are
+    taken from there; dominance of 1 over the unit on |z| = 2 makes the cofactor
     nonvanishing.
     """
     n = fam.n
@@ -797,7 +798,7 @@ def cone_factor_certificate(
     d = fam.params.d
 
     if k == n - 1:
-        unit_part = power_ratio_unit(fam)
+        unit_part = identities.unit
         identity_ok = identities.passed("power-ratio")
         dom = certify_dominance(Poly.one(), unit_part, Fraction(2), budget=budget)
         if not identity_ok or dom.status is Status.REFUTED:
@@ -862,10 +863,23 @@ def power_ratio_unit(fam: Family) -> Poly:
     return unit
 
 
-def exact_identity_checks(fam: Family) -> CheckReport:
+@dataclass(frozen=True)
+class IdentityReport(CheckReport):
+    """The exact identity checks, with the power-ratio unit they were proved for.
+
+    ``unit`` is built once per family, here; the chart-window certificate and
+    the last-chart cone factor read it instead of rebuilding it.  It is not
+    part of the serialized report.
+    """
+
+    unit: Poly = field(compare=False, repr=False)
+
+
+def exact_identity_checks(fam: Family) -> IdentityReport:
     """Division identities tying the two map components together.
 
-    * ``power-ratio``: f2^n equals f1 times an explicit unit polynomial.
+    * ``power-ratio``: f2^n equals f1 times an explicit unit polynomial,
+      the report's ``unit``.
     * ``difference-factorization``: f2 - f1 factors through the square of the
       first factor.
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
@@ -874,7 +888,8 @@ def exact_identity_checks(fam: Family) -> CheckReport:
     n = fam.n
     eps = fam.params.eps
 
-    power_ratio = fam.f2**n == fam.f1 * power_ratio_unit(fam)
+    unit = power_ratio_unit(fam)
+    power_ratio = fam.f2**n == fam.f1 * unit
 
     diff_expected = Poly.constant(eps) * Poly.monomial(1) * fam.Pk(1) ** 2
     for j in range(2, n):
@@ -886,7 +901,7 @@ def exact_identity_checks(fam: Family) -> CheckReport:
         square_expected = square_expected * fam.Pk(j) ** (2 * j - 1)
     square_ratio = fam.f1 * fam.f1 == (fam.f2 - fam.f1) * square_expected
 
-    return CheckReport(
+    return IdentityReport(
         checks=(
             CheckResult("power-ratio", power_ratio,
                         "f2^n = f1 * unit-polynomial"),
@@ -894,5 +909,6 @@ def exact_identity_checks(fam: Family) -> CheckReport:
                         "f2 - f1 = eps * z * P1^2 * (deeper factors)"),
             CheckResult("square-ratio", square_ratio,
                         "f1^2 = (f2 - f1) * explicit polynomial"),
-        )
+        ),
+        unit=unit,
     )

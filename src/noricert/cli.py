@@ -12,7 +12,9 @@ contract:
 * 64 — invalid configuration or usage.
 
 Identical configurations produce byte-identical reports except for the
-``meta`` section (timestamps and wall-clock timings).
+``meta`` section (timestamps, wall-clock timings, and ``deep_scale``: how
+many image points the chart-cone ladders bracketed by ball Horner, and how
+many of those needed the exact triples after all).
 """
 
 import argparse
@@ -295,11 +297,14 @@ def _status_of(entry: dict) -> Status:
     return Status(entry["status"])
 
 
-def _run_family(config: RunConfig, n: int) -> dict:
-    """All certificate layers for one size; returns the per-n report entry.
+def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
+    """All certificate layers for one size.
 
-    This is the one place that orders the stages of a family: each stage
-    runs once and receives the earlier stages it uses as arguments.
+    Returns the per-n report entry and the trace's deep-scale ladder counts
+    (empty when the family is refuted before the trace), which go to
+    ``meta``.  This is the one place that orders the stages of a family:
+    each stage runs once and receives the earlier stages it uses as
+    arguments.
     """
     budget = config.subdivision_budget
     try:
@@ -322,7 +327,7 @@ def _run_family(config: RunConfig, n: int) -> dict:
                     _entry("scale-admissible", Status.REFUTED, str(exc))
                 ],
                 "trace": None,
-            }
+            }, {}
         raise UsageError(str(exc)) from exc
 
     fam = build_family(params)
@@ -398,7 +403,7 @@ def _run_family(config: RunConfig, n: int) -> dict:
         budget=budget,
     )
 
-    return {
+    entry = {
         "n": n,
         "family": {
             "n": n,
@@ -413,6 +418,7 @@ def _run_family(config: RunConfig, n: int) -> dict:
         "certificates": certificates,
         "trace": trace.to_json(),
     }
+    return entry, trace.ladder
 
 
 def _run_atlas(config: RunConfig) -> dict:
@@ -456,7 +462,13 @@ def _run_atlas(config: RunConfig) -> dict:
 def run_verify(config: RunConfig) -> tuple[dict, int]:
     """Execute the full pipeline; returns (report, exit_code)."""
     started = time.time()
-    per_n = [_run_family(config, n) for n in sorted(config.n_list)]
+    runs = [_run_family(config, n) for n in sorted(config.n_list)]
+    per_n = [entry for entry, _ in runs]
+    ladders = {str(entry["n"]): ladder for entry, ladder in runs if ladder}
+    deep_scale = {
+        key: sum(ladder[key] for ladder in ladders.values())
+        for key in ("points", "exact_fallbacks")
+    }
     atlas = _run_atlas(config)
 
     statuses = [
@@ -486,6 +498,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)
             ),
             "elapsed_seconds": round(time.time() - started, 3),
+            "deep_scale": {**deep_scale, "per_n": ladders},
         },
     }
     if verdict is Status.REFUTED:

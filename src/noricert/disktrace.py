@@ -12,24 +12,29 @@ chart geometry of :mod:`noricert.atlas`.  For a family of disk maps
   the cone inequality of one of its covering charts,
 * the vanishing orders of the two components at the disk center, whose gap is
   the number of consecutive chart transitions the image performs, and
-* that the boundary images shrink uniformly as ``n`` grows (sup-metric pairs
-  forming a nonincreasing sequence).
+* that the sampled boundary sup metric of the family is at most ``1/n``.
 
-Everything is exact rational arithmetic: moduli are compared through their
-squares, deep-scale samples are evaluated with integer-scaled Horner steps,
-and each sampled refutation search is deterministic given its seed.
+``trace_family`` certifies one family.  That the sups decrease as ``n``
+grows is checked by ``uniform_convergence_witness`` when it is given
+several families; ``noricert verify`` passes it one family at a time and
+does not compare sups across ``n``.
+
+Every verdict is exact: moduli are compared through their squares, by
+certified brackets that fall back to exact integer arithmetic whenever they
+cannot decide, and each sampled refutation search is deterministic given its
+seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .arith import (
     ComplexRational,
-    Poly,
     Rational,
     as_scaled,
     decimal_approx,
@@ -38,19 +43,26 @@ from .arith import (
     scaled_abs2,
 )
 from .atlas import ChartPoint, chart_cover_indices
-from .bounds import abs2_bracket, bracket_lt, gap_bracket, int_bracket, prod_gt
+from .bounds import (
+    abs2_bracket,
+    ball_abs2,
+    bracket_lt,
+    gap_bracket,
+    int_bracket,
+    prod_gt,
+)
 from .certify import (
     DEFAULT_BUDGET,
     CorollaryReport,
     DivisionWitness,
+    IdentityReport,
     RootLocalization,
     Status,
     circle_points,
     cone_factor_certificate,
-    power_ratio_unit,
     worst,
 )
-from .family import CheckReport, Family
+from .family import Family
 from .sampling import RationalSampler
 
 __all__ = [
@@ -105,34 +117,72 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # The evaluation loops below run thousands of exact tests against values
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
-# work on unreduced ``eval_scaled`` triples.  Each image point is bracketed
-# once, as an ``_Image``; every predicate asks ``bounds.bracket_lt`` first,
-# with the parameters r^2 and (rho or rho/2)^2 cross-multiplied as integer
-# brackets of numerator and denominator, and integer cross-multiplication
-# decides whatever the brackets leave open.  The Fraction predicates of the
-# atlas module remain the reference semantics; the test suite
-# cross-validates the two paths.
+# work on brackets and unreduced ``eval_scaled`` triples.  Each image point
+# is bracketed once, as an ``_Image``; every predicate asks
+# ``bounds.bracket_lt`` first, with the parameters r^2 and (rho or rho/2)^2
+# cross-multiplied as integer brackets of numerator and denominator, and
+# integer cross-multiplication of the exact triples decides whatever the
+# brackets leave open.  Most images hold their triples from the start.  The
+# deep-scale ladder of the chart-cone certificates (``_image_at``) brackets
+# its points with ``bounds.ball_abs2`` instead, and evaluates the triples
+# only when a predicate falls back to them; the verdicts are the same either
+# way.  The Fraction predicates of the atlas module remain the reference
+# semantics; the test suite cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
-class _Image(NamedTuple):
-    """An image point: the two ``eval_scaled`` triples and their abs2 brackets."""
+class _Image:
+    """An image point: the abs2 brackets of both components, exact on demand.
 
-    v1: tuple
-    v2: tuple
-    a1: tuple
-    a2: tuple
+    ``a1`` and ``a2`` bracket |f1|^2 and |f2|^2.  ``v1`` and ``v2`` are the
+    exact ``eval_scaled`` triples, made by ``exact`` on the first access; only
+    a predicate whose bracket comparison was undecided reads them.
+    """
+
+    __slots__ = ("a1", "a2", "_exact", "_triples")
+
+    def __init__(self, a1: tuple, a2: tuple, exact: Callable[[], tuple]):
+        self.a1, self.a2 = a1, a2
+        self._exact = exact
+        self._triples: Optional[tuple] = None
 
     @classmethod
     def of(cls, v1: tuple, v2: tuple) -> "_Image":
-        return cls(v1, v2, abs2_bracket(v1), abs2_bracket(v2))
+        return cls(abs2_bracket(v1), abs2_bracket(v2), lambda: (v1, v2))
+
+    @property
+    def v1(self) -> tuple:
+        if self._triples is None:
+            self._triples = self._exact()
+        return self._triples[0]
+
+    @property
+    def v2(self) -> tuple:
+        if self._triples is None:
+            self._triples = self._exact()
+        return self._triples[1]
 
 
-def _image_at(fam: Family, num_re: int, num_im: int, den: int) -> _Image:
-    """The image point of (num_re + i num_im)/den."""
-    return _Image.of(
-        eval_scaled(fam.f1, num_re, num_im, den),
-        eval_scaled(fam.f2, num_re, num_im, den),
+def _image_at(
+    fam: Family, num_re: int, num_im: int, den: int, tally: Counter
+) -> _Image:
+    """The image point of (num_re + i num_im)/den, bracketed by ball Horner.
+
+    For the deep-scale ladder.  The exact triples are evaluated only if a
+    predicate asks; ``tally`` counts the points and those exact fallbacks.
+    """
+    tally["points"] += 1
+    f1, f2 = fam.f1, fam.f2
+
+    def exact() -> tuple:
+        tally["exact_fallbacks"] += 1
+        return (
+            eval_scaled(f1, num_re, num_im, den),
+            eval_scaled(f2, num_re, num_im, den),
+        )
+
+    return _Image(
+        ball_abs2(f1, num_re, num_im, den), ball_abs2(f2, num_re, num_im, den), exact
     )
 
 
@@ -401,7 +451,7 @@ def annulus_into_target(
 def image_in_chart_window(
     fam: Family,
     corollary: CorollaryReport,
-    identities: CheckReport,
+    identities: IdentityReport,
     *,
     samples: int = 64,
     seed: int = 0,
@@ -417,8 +467,8 @@ def image_in_chart_window(
     membership inequality |f1| < r|f2|^k of every chart of index k >= n.  The
     claim is spot-checked on the outer circle and at sampled disk points,
     where the computed chart cover must be nonempty with all indices < n.
-    The identity is read from ``identities``, where it is proved once per
-    family; the quotient is rebuilt from its product form, not by division.
+    The identity and its quotient are read from ``identities``, where they
+    are built and proved once per family.
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -427,7 +477,7 @@ def image_in_chart_window(
             Status.REFUTED,
             "the n-th power of the second component is not divisible by the first",
         )
-    quotient = power_ratio_unit(fam)
+    quotient = identities.unit
 
     below_one = _named_check(corollary, "f2-upper-below-one")
     below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
@@ -515,18 +565,18 @@ def image_in_chart_window(
 # ---------------------------------------------------------------------------
 
 
-def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
+def _entry_scale(fam: Family, k: int, tally: Counter, cap: int = 4096) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
     Deep enough scales are always members (the components' vanishing orders
     at 0 differ), so a doubling probe finds a member and bisection against
     the last failing probe locates an entry threshold.  Sampling does not
     rely on membership between the two probes: every sampled point is tested
-    for membership exactly before use.
+    for membership exactly before use.  ``tally`` counts the probe images.
     """
     probe = 1
     while probe <= cap:
-        if _member_test(fam, _image_at(fam, 1, 0, 10**probe), k):
+        if _member_test(fam, _image_at(fam, 1, 0, 10**probe, tally), k):
             break
         probe *= 2
     else:
@@ -534,23 +584,44 @@ def _entry_scale(fam: Family, k: int, cap: int = 4096) -> Optional[int]:
     lo, hi = probe // 2, probe  # membership fails at lo (or lo == 0), holds at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _member_test(fam, _image_at(fam, 1, 0, 10**mid), k):
+        if _member_test(fam, _image_at(fam, 1, 0, 10**mid, tally), k):
             hi = mid
         else:
             lo = mid
     return hi
 
 
+_GRID = 8  # magnitude grid of the ladder: |w| in [1/2, 1) with 2^8 resolution
+
+
+def _approach_candidates(fam: Family, k: int, entry: int, samples: int, seed: int):
+    """The deterministic candidate points ``(a, b, e, den)`` of chart k's ladder.
+
+    Each is lam = (a + i b)/den with den = 2^8 10^e, |a + i b| in
+    [2^7, 2^8) and e at most 5 above the entry scale; at most 40 draws per
+    wanted sample are made.
+    """
+    sampler = RationalSampler("cone-region", fam.n, k, samples, seed)
+    for _ in range(40 * samples):
+        a = sampler.integer(-(2**_GRID), 2**_GRID)
+        b = sampler.integer(-(2**_GRID), 2**_GRID)
+        if not 2 ** (2 * _GRID - 2) <= a * a + b * b < 2 ** (2 * _GRID):
+            continue
+        e = entry + sampler.integer(0, 5)
+        yield a, b, e, (2**_GRID) * 10**e
+
+
 def chart_cone_certificate(
     fam: Family,
     k: int,
     root_certs: dict[int, RootLocalization],
-    identities: CheckReport,
+    identities: IdentityReport,
     divisions: Sequence[DivisionWitness],
     *,
     samples: int = 256,
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
+    tally: Counter,
 ) -> Certificate:
     """Certify the cone inequality of chart k on its approach region, k >= 1.
 
@@ -565,7 +636,8 @@ def chart_cone_certificate(
 
     The halved opening parameter leaves a factor-two margin, so every
     validated point satisfies the open cone condition at ``rho`` strictly
-    whenever the right-hand side is nonzero.
+    whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
+    image points and exact fallbacks.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -577,7 +649,7 @@ def chart_cone_certificate(
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
 
-    entry = _entry_scale(fam, k)
+    entry = _entry_scale(fam, k, tally)
     data: dict = {"chart": k, "seed": seed, "entry_scale": entry, "core": core.to_json()}
     if entry is None:
         return Certificate(
@@ -587,21 +659,10 @@ def chart_cone_certificate(
             data,
         )
 
-    sampler = RationalSampler("cone-region", fam.n, k, samples, seed)
-    grid = 8  # magnitude grid: |w| in [1/2, 1) with 2^8 resolution
     accepted = 0
-    attempts = 0
     full_membership_checks = 0
-    while accepted < samples and attempts < 40 * samples:
-        attempts += 1
-        a = sampler.integer(-(2**grid), 2**grid)
-        b = sampler.integer(-(2**grid), 2**grid)
-        norm2 = a * a + b * b
-        if not 2 ** (2 * grid - 2) <= norm2 < 2 ** (2 * grid):
-            continue
-        e = entry + sampler.integer(0, 5)
-        den = (2**grid) * 10**e
-        img = _image_at(fam, a, b, den)
+    for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
+        img = _image_at(fam, a, b, den, tally)
         if not _member_test(fam, img, k):
             continue
         if not _cone_test(fam, img, k, halved=True):
@@ -616,7 +677,7 @@ def chart_cone_certificate(
                         "num_re": a,
                         "num_im": b,
                         "den_log10": e,
-                        "den_pow2": grid,
+                        "den_pow2": _GRID,
                     },
                 },
             )
@@ -633,6 +694,8 @@ def chart_cone_certificate(
                     {**data, "witness": {"num_re": a, "num_im": b, "den_log10": e}},
                 )
         accepted += 1
+        if accepted == samples:
+            break
 
     data["samples"] = accepted
     data["full_membership_checks"] = full_membership_checks
@@ -673,7 +736,7 @@ def chart_cone_certificate(
 def base_chart_certificate(
     fam: Family,
     corollary: CorollaryReport,
-    identities: CheckReport,
+    identities: IdentityReport,
     *,
     samples: int = 256,
 ) -> Certificate:
@@ -941,7 +1004,9 @@ def uniform_convergence_witness(
     through squares.  Each family's sampled sup must be at most 1/n (squared:
     1/n^2), the sequence of sups must be nonincreasing in n, and the claim for
     all boundary points (not just samples) is inherited from the per-family
-    target containment certificates.
+    target containment certificates.  The monotonicity check needs at least
+    two families: ``trace_family`` passes its one family, so for it only the
+    1/n bound is checked.
     """
     if not fams:
         raise ValueError("at least one family is required")
@@ -1017,6 +1082,11 @@ class TraceReport:
       1/n^2 bound.
     * ``condition_iv``: the vanishing-order pair (n, 1); ``escape_index`` is
       their gap and equals n - 1 exactly when the pair is as expected.
+
+    ``ladder`` counts the deep-scale image points of the chart-cone ladders
+    (``points``), all bracketed by ball Horner, and those whose exact
+    triples a predicate needed (``exact_fallbacks``).  It describes
+    the work, not the verdict, and is not part of ``to_json``.
     """
 
     n: int
@@ -1029,6 +1099,7 @@ class TraceReport:
     seed: int
     status: Status
     detail: str = ""
+    ladder: dict = field(default_factory=dict, compare=False)
 
     @property
     def conditions(self) -> tuple[Certificate, Certificate, Certificate, Certificate]:
@@ -1068,7 +1139,7 @@ def trace_family(
     *,
     root_certs: dict[int, RootLocalization],
     corollary: CorollaryReport,
-    identities: CheckReport,
+    identities: IdentityReport,
     divisions: Sequence[DivisionWitness],
     window_samples: int = 64,
     cone_samples: int = 256,
@@ -1087,6 +1158,7 @@ def trace_family(
     the four condition statuses.
     """
     n = fam.n
+    ladder: Counter = Counter()
     condition_ii = annulus_into_target(fam, corollary, spot_checks=spot_checks)
     window = image_in_chart_window(
         fam, corollary, identities, samples=window_samples, seed=seed
@@ -1101,6 +1173,7 @@ def trace_family(
             samples=cone_samples,
             seed=seed,
             budget=budget,
+            tally=ladder,
         )
         for k in range(1, n)
     ]
@@ -1154,4 +1227,5 @@ def trace_family(
         seed=seed,
         status=status,
         detail=_TRACE_DETAIL[status],
+        ladder={key: ladder[key] for key in ("points", "exact_fallbacks")},
     )

@@ -4,6 +4,7 @@ Derived expected values are cross-checked against sympy (independent symbolic
 oracle) rather than against the code under test.
 """
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noricert.arith import (
+    BALL_BITS,
     ComplexRational,
     Poly,
     decimal_approx,
@@ -89,6 +91,16 @@ class TestPolyBasics:
         p = Poly([1, 2, 0, 0])
         assert p.coeffs == (F(1), F(2))
         assert p.degree == 1
+
+    def test_balls_enclose_coefficients(self):
+        rng = random.Random(3)
+        coeffs = [F(0), F(-3, 4), F(1, 3), F(10**400 + 7, 3**300)]
+        coeffs += [F(rng.getrandbits(900) - 2**899, rng.getrandbits(700) + 1) for _ in range(20)]
+        balls = Poly(coeffs + [F(1)]).balls()
+        for c, (m, e, r) in zip(coeffs, balls):
+            assert abs(c - m * F(2) ** e) <= r * F(2) ** e
+            assert r == (0 if c == m * F(2) ** e else 1)
+            assert m == 0 or abs(m).bit_length() >= BALL_BITS - 1
 
     def test_zero_poly(self):
         z = Poly.zero()

@@ -4,15 +4,22 @@ The directed pair operations and the brackets built from them must enclose
 the exact values, and ``bracket_lt`` may return a verdict only when it is
 the exact one.  ``prod_gt`` decides by truncated bounds while it can; its
 cases make it decide at every precision level, including the exact fallback
-that ties and near-ties must reach.
+that ties and near-ties must reach.  ``ball_abs2`` must enclose the exact
+squared modulus of ``eval_scaled`` wherever it is evaluated.
 """
 
 import math
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noricert.arith import Poly, eval_scaled
 from noricert.bounds import (
     _BITS,
+    _ball_point,
     _p_add,
     _p_div,
     _p_lt,
@@ -20,6 +27,7 @@ from noricert.bounds import (
     _p_pow,
     _p_sqrt,
     abs2_bracket,
+    ball_abs2,
     bracket_lt,
     gap_bracket,
     int_bracket,
@@ -235,3 +243,137 @@ class TestProdGt:
         assert not prod_gt([big, 0], [0, big])
         assert not prod_gt([], [1])
         assert prod_gt([2], [])
+
+
+def _encloses(bracket, triple):
+    """lo <= |re + i im|^2 / den^2 <= hi, decided on integers."""
+    re, im, den = triple
+    num, q = re * re + im * im, den * den
+    for (m, s), up in zip(bracket, (False, True)):
+        left, right = (m << s) * q if s >= 0 else m * q, num if s >= 0 else num << -s
+        if up:
+            assert left >= right
+        else:
+            assert left <= right
+
+
+def _rationals(max_bits):
+    return st.builds(
+        lambda num, den: F(num, den),
+        st.integers(-(2**max_bits), 2**max_bits),
+        st.integers(1, 2**max_bits),
+    )
+
+
+_COEFF_BITS = st.sampled_from([8, 200, 2000, 20_000])
+
+
+@st.composite
+def _polys(draw):
+    bits = draw(_COEFF_BITS)
+    return Poly(draw(st.lists(_rationals(bits), max_size=26)))
+
+
+@st.composite
+def _points(draw):
+    """(num_re, num_im, den) with den = d * 10^e, scales down to 10^-1000."""
+    num_re = draw(st.integers(-(2**300), 2**300))
+    num_im = draw(st.integers(-(2**300), 2**300))
+    den = draw(st.integers(1, 2**64)) * 10 ** draw(st.integers(0, 1000))
+    return num_re, num_im, den
+
+
+class TestBallAbs2:
+    """Ball Horner encloses the exact squared modulus at every point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polys(), _points())
+    def test_encloses_exact_value(self, poly, point):
+        _encloses(ball_abs2(poly, *point), eval_scaled(poly, *point))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_polys(), _points())
+    def test_exact_root_total_cancellation(self, cofactor, point):
+        # p = (z - num / den) q and (den z - num) q vanish exactly at
+        # z = num / den; the second has exact binary coefficients when q has,
+        # so only the width of the ball of z keeps the bracket down at zero
+        num, _, den = point
+        for linear in (Poly((-F(num, den), 1)), Poly((-num, den))):
+            for q in (cofactor, Poly.one()):
+                poly = linear * q
+                lo, hi = ball_abs2(poly, num, 0, den)
+                assert lo[0] == 0
+                _encloses((lo, hi), eval_scaled(poly, num, 0, den))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_points())
+    def test_point_ball_encloses_the_point(self, point):
+        num_re, num_im, den = point
+        re, im, rad, e = _ball_point(num_re, num_im, den)
+        err2 = (F(num_re, den) - re * F(2) ** e) ** 2 + (
+            F(num_im, den) - im * F(2) ** e
+        ) ** 2
+        assert err2 <= (rad * F(2) ** e) ** 2
+        assert (rad == 0) == (err2 == 0)
+        assert max(abs(re), abs(im)).bit_length() >= _BITS or num_re == num_im == 0
+
+    def test_seeded_near_roots_and_spread_coefficients(self):
+        # three kinds of 200 cases each: dense random coefficients, a few
+        # roots within 2^-400 of the (real) point, and sparse coefficients
+        # spread over 2^+-3000, where the ball takes over or absorbs terms
+        rng = random.Random(17)
+        for kind in range(3):
+            for _ in range(200):
+                bits = rng.choice([4, 60, 200, 2000])
+                den = rng.randrange(1, 2**64) * 10 ** rng.choice([0, 5, 50, 300])
+                top = 2 ** rng.choice([1, 8, 300])  # z = 0 now and then
+                num_re = rng.randrange(-top, top)
+                num_im = 0 if kind == 1 else rng.randrange(-top, top)
+                deg = rng.randrange(0, 26)
+
+                def coeff():
+                    return F(rng.randrange(-(2**bits), 2**bits), rng.randrange(1, 2**bits))
+
+                if kind == 0:
+                    poly = Poly([coeff() for _ in range(deg + 1)])
+                elif kind == 1:
+                    poly = Poly([coeff()])
+                    for _ in range(deg % 6):
+                        near = F(rng.randrange(-10, 10), den * 2 ** rng.randrange(400))
+                        poly = poly * Poly((-(F(num_re, den) + near), 1))
+                else:
+                    poly = Poly([
+                        coeff().numerator * F(2) ** rng.randrange(-3000, 3000)
+                        if rng.random() < 0.5 else 0
+                        for _ in range(deg + 1)
+                    ])
+                point = (num_re, num_im, den)
+                _encloses(ball_abs2(poly, *point), eval_scaled(poly, *point))
+
+    def test_zero_polynomial_and_constants(self):
+        assert ball_abs2(Poly.zero(), 3, 4, 5) == ((0, 0), (0, 0))
+        # at z = 0 only the constant term is left, however small
+        tiny = Poly((F(1, 2**1000), 1))
+        lo, hi = ball_abs2(tiny, 0, 0, 1)
+        assert _value(lo) == _value(hi) == F(1, 2**2000)
+        for c in (F(5), F(-1, 3), F(7, 2**10), F(10**6000 + 1, 3**4000)):
+            lo, hi = ball_abs2(Poly.constant(c), 12345, -6789, 10**900)
+            _encloses((lo, hi), eval_scaled(Poly.constant(c), 1, 0, 1))
+        # a coefficient that is exact in binary gives a point bracket
+        lo, hi = ball_abs2(Poly.constant(F(-3, 4)), 1, 1, 7)
+        assert _value(lo) == _value(hi) == F(9, 16)
+
+    def test_deep_scale_is_tight(self):
+        # the chart-3 ladder scale of n = 4: the bracket is about 2^-180 wide
+        rng = random.Random(5)
+        poly = Poly([F(rng.getrandbits(20_000) + 1, rng.getrandbits(20_000) + 1)
+                     for _ in range(22)])
+        den = 2**8 * 10**914
+        lo, hi = ball_abs2(poly, 200, -77, den)
+        _encloses((lo, hi), eval_scaled(poly, 200, -77, den))
+        width = _value(hi) - _value(lo)
+        assert width * 2**170 < _value(lo)
+
+    def test_rejects_bad_den(self):
+        with pytest.raises(ValueError):
+            ball_abs2(Poly.one(), 1, 0, 0)

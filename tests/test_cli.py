@@ -30,6 +30,8 @@ from noricert.cli import (
 
 # verify --n 2..3 --samples 256 --seed 0
 GOLDEN_REPORT_SHA256 = "673b18243de4f6539ae4ecbd399510ad00b047f912cc8ece7c9d3221b3c545fc"
+# verify --n 2..4 --seed 0 (also pinned in CI)
+DEFAULT_REPORT_SHA256 = "e80ab14e209a537ed285f9d9dff6052aa839f070573aa720c7f648ce695b0d13"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -346,6 +348,23 @@ class TestDeterminism:
         )
         assert code == EXIT_OK
         assert _strip_meta(other) != _strip_meta(small_report)
+
+
+class TestMeta:
+    def test_deep_scale_counters(self):
+        # the chart-cone ladders at n = 2..4: every count is in meta, and
+        # under 1 % of the ball-bracketed points need the exact triples
+        report, code = run_verify(RunConfig(n_list=(2, 3, 4), seed=0))
+        assert code == EXIT_OK
+        deep = report["meta"]["deep_scale"]
+        assert set(deep) == {"points", "exact_fallbacks", "per_n"}
+        assert set(deep["per_n"]) == {"2", "3", "4"}
+        for key in ("points", "exact_fallbacks"):
+            assert deep[key] == sum(c[key] for c in deep["per_n"].values())
+        assert deep["per_n"]["4"]["points"] > 768
+        assert deep["exact_fallbacks"] * 100 < deep["points"]
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 class TestRendering:

@@ -7,7 +7,9 @@ cross-validated against the reference Fraction implementations.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,14 +38,16 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.bounds import gap_bracket
+from noricert.bounds import bracket_lt, gap_bracket, int_bracket
 from noricert.disktrace import (
     _Image,
+    _approach_candidates,
     _chart_entry_test,
     _cone_test,
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
+    _image_at,
     _member_test,
 )
 from noricert.family import FamilyParams, build_family, default_family
@@ -137,7 +141,7 @@ class TestScaledPredicates:
         fam = built_families[4]
         rng = random.Random(13)
         for k in range(1, 4):
-            entry = _entry_scale(fam, k)
+            entry = _entry_scale(fam, k, Counter())
             for _ in range(2):
                 a, b = rng.randrange(128, 256), rng.randrange(-255, 256)
                 den = 2**8 * 10 ** (entry + rng.randrange(0, 6))
@@ -172,6 +176,68 @@ class TestScaledPredicates:
                 assert first == expected
 
 
+class TestBallImages:
+    """Ball-bracketed ladder points give the verdicts of the exact triples."""
+
+    @pytest.mark.parametrize("n, stride", [(2, 1), (3, 1), (4, 8)])
+    def test_ladder_samples_match_exact(self, built_families, n, stride):
+        # the candidates of every chart-cone certificate at seed 0 with the
+        # 256 samples of the default run; at n = 4 every 8th one
+        fam = built_families[n]
+        tally = Counter()
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, tally)
+            accepted = 0
+            candidates = _approach_candidates(fam, k, entry, 256, 0)
+            for i, (a, b, _, den) in enumerate(candidates):
+                if accepted == 256:
+                    break
+                ball = _image_at(fam, a, b, den, tally)
+                member = _member_test(fam, ball, k)
+                accepted += member
+                if i % stride:
+                    continue
+                exact = _Image.of(
+                    eval_scaled(fam.f1, a, b, den), eval_scaled(fam.f2, a, b, den)
+                )
+                assert _member_test(fam, exact, k) == member
+                assert _chart_entry_test(fam, ball, k) == _chart_entry_test(
+                    fam, exact, k
+                )
+                if member:
+                    assert _cone_test(fam, ball, k, halved=True) == _cone_test(
+                        fam, exact, k, halved=True
+                    )
+            assert accepted == 256
+
+    def test_undecided_comparison_reaches_exact_triples(self):
+        # |f1| = r |f2| exactly at lam = (3 + 4i)/5 (f1 = lam, f2 = 5,
+        # r = 1/5): the ball brackets overlap, and the strict membership is
+        # decided false by the exact triples
+        params = SimpleNamespace(r=F(1, 5), rho=F(1, 2))
+        fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
+        tally = Counter()
+        img = _image_at(fam, 3, 4, 5, tally)
+        rn, rd = params.r.numerator, params.r.denominator
+        assert (
+            bracket_lt([img.a1, int_bracket(rd * rd)], [int_bracket(rn * rn), img.a2])
+            is None
+        )
+        assert tally["exact_fallbacks"] == 0
+        assert _member_test(fam, img, 1) is False
+        assert tally["exact_fallbacks"] == 1
+        assert img.v1 == eval_scaled(fam.f1, 3, 4, 5)
+        # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5: the closed halved
+        # cone holds with equality, the open cone at rho strictly
+        fam = SimpleNamespace(
+            f1=Poly.one(), f2=Poly.constant(5), params=params
+        )
+        img = _image_at(fam, 1, 0, 1, tally)
+        assert _cone_test(fam, img, 0, halved=True) is True
+        assert tally["exact_fallbacks"] == 2
+        assert _cone_test(fam, img, 0, halved=False) is True
+
+
 class TestVanishingOrders:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orders(self, built_families, n):
@@ -196,12 +262,14 @@ class TestDivisibilityWindow:
         assert quotient == Poly.constant(eps**5) * fam.Pk(1) ** 2 * fam.Pk(2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_remainder_zero(self, built_families, n):
+    def test_remainder_zero(self, built_families, identities, n):
         fam = built_families[n]
         quotient, remainder = divmod(fam.f2**n, fam.f1)
         assert remainder.is_zero
-        # the window certificate takes its quotient from the product form
+        # the window certificate takes its quotient from the product form,
+        # built once by the identity checks
         assert quotient == power_ratio_unit(fam)
+        assert identities[n].unit == quotient
 
     def test_status_proved(self, built_families, corollary_reports, identities):
         cert = image_in_chart_window(
@@ -263,15 +331,15 @@ class TestConeCertificates:
         fam = built_families[2]
         prereqs = (root_certs[2], identities[2], divisions[2])
         with pytest.raises(ValueError):
-            chart_cone_certificate(fam, 0, *prereqs)
+            chart_cone_certificate(fam, 0, *prereqs, tally=Counter())
         with pytest.raises(ValueError):
-            chart_cone_certificate(fam, fam.n, *prereqs)
+            chart_cone_certificate(fam, fam.n, *prereqs, tally=Counter())
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
     def test_proved(self, built_families, root_certs, identities, divisions, n, k):
         cert = chart_cone_certificate(
             built_families[n], k, root_certs[n], identities[n], divisions[n],
-            samples=48,
+            samples=48, tally=Counter(),
         )
         assert cert.status is Status.PROVED
         assert cert.data["samples"] == 48
@@ -282,7 +350,7 @@ class TestConeCertificates:
     ):
         cert = chart_cone_certificate(
             built_families[3], 2, root_certs[3], identities[3], divisions[3],
-            samples=16,
+            samples=16, tally=Counter(),
         )
         # frozen: the approach region of chart 2 at n=3 opens near 10^-101
         assert cert.data["entry_scale"] == 101
