@@ -11,23 +11,22 @@ and the cone around the k-th exceptional direction by
 
     |z1|^2 < rho * |z2^(k+1) - z1| * |z2|^k.
 
-Everything in this module evaluates such conditions exactly: each inequality
-between moduli is squared and compared as rational numbers, so membership
-verdicts are never approximate.  The randomized searches (chart
-disjointness, the overlap polydisk identity) draw reproducible rational
-sample points from seeded generators and re-verify the relevant inequality
-chains at every sample; any counterexample is reported as an exact point.
+Everything in this module evaluates such conditions exactly, through squared
+moduli.  The randomized searches (chart disjointness, the overlap polydisk
+identity) draw dyadic points as integer triples from seeded ``RationalSampler``
+streams and re-verify the inequality chains in integers at every sample; a
+counterexample is reported as an exact point.  The ``Fraction`` predicates
+are the reference semantics that the integer transcriptions are tested against.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import ComplexRational, Rational, format_rational
-from .sampling import RationalSampler, seed_for
+from .arith import ComplexRational, Rational, format_rational, scaled_abs2, scaled_to_complex
+from .sampling import RationalSampler
 
 __all__ = [
     "ChartPoint",
@@ -179,14 +178,13 @@ def _membership_int(
     return (n1 * rd2) << (2 * s2 * k) < (rn2 * n2**k) << (2 * s1)
 
 
+# dyadic magnitude bands of a disjointness sample: z = (a + b i)/2^s with
+# s - 16 uniform in 0.._DEPTH - 1
+_DEPTH = 48
+
+
 def disjointness_search(
-    r: Rational,
-    j: int,
-    k: int,
-    samples: int,
-    seed: int = 0,
-    *,
-    depth: int = 48,
+    r: Rational, j: int, k: int, samples: int, seed: int = 0
 ) -> DisjointnessReport:
     """Search the covered region for a point in both chart j and chart k.
 
@@ -198,7 +196,7 @@ def disjointness_search(
         r^4 * A2^max <= A2^(min+2),
 
     which contradicts membership in both charts (membership gives the strict
-    reverse).  Sample magnitudes are stratified over ``depth`` dyadic bands
+    reverse).  Sample magnitudes are stratified over ``_DEPTH`` dyadic bands
     so that points with very small |z1| or |z2| are exercised too.
 
     The inner loop works on integers: a sample z = (a + b*i)/2^s makes every
@@ -216,7 +214,7 @@ def disjointness_search(
     rn, rd = r.numerator, r.denominator
     rn2, rd2 = rn * rn, rd * rd
     rn4, rd4 = rn2 * rn2, rd2 * rd2
-    rng = random.Random(seed_for("disjointness-search", rn, rd, lo, hi, samples, seed))
+    rng = RationalSampler("disjointness-search", rn, rd, lo, hi, samples, seed)
 
     bits = 16
     half = 1 << bits
@@ -229,23 +227,22 @@ def disjointness_search(
         n1 = a1 * a1 + b1 * b1
         if n1 == 0:
             continue
-        s1 = bits + rng.randrange(depth)
+        s1 = bits + rng.randrange(_DEPTH)
         if n1 * rd2 >= rn2 << (2 * s1):  # needs |z1| < r
             continue
         a2 = rng.getrandbits(bits + 1) - half
         b2 = rng.getrandbits(bits + 1) - half
         n2 = a2 * a2 + b2 * b2
-        s2 = bits + rng.randrange(depth)
+        s2 = bits + rng.randrange(_DEPTH)
         if n2 * rd4 >= rn4 << (2 * s2):  # needs |z2| < r^2
             continue
         checked += 1
         if _membership_int(n1, s1, n2, s2, rn2, rd2, lo) and _membership_int(
             n1, s1, n2, s2, rn2, rd2, hi
         ):
-            den1, den2 = Fraction(1, 2**s1), Fraction(1, 2**s2)
             point = ChartPoint(
-                ComplexRational(a1 * den1, b1 * den1),
-                ComplexRational(a2 * den2, b2 * den2),
+                scaled_to_complex((a1, b1, 1 << s1)),
+                scaled_to_complex((a2, b2, 1 << s2)),
             )
             return DisjointnessReport(
                 lo, hi, r, samples, seed, point, chain_failures,
@@ -317,6 +314,21 @@ def overlap_inequalities(
     )
 
 
+def _overlap_int(x: tuple, y: tuple, rn2: int, rd2: int) -> tuple[bool, bool, bool, bool]:
+    """overlap_inequalities at scaled triples ``x``, ``y`` with r^2 = rn2/rd2.
+
+    Pure-integer transcription of the four squared inequalities, in the same
+    order; exactly equivalent to the Fraction evaluation.
+    """
+    (nx, qx), (ny, qy) = scaled_abs2(x), scaled_abs2(y)
+    return (
+        ny * rd2 < rn2 * qy,
+        nx * nx * ny * rd2 < rn2 * qx * qx * qy,
+        nx * ny * ny * rd2 < rn2 * qx * qy * qy,
+        nx * rd2 < rn2 * qx,
+    )
+
+
 def overlap_polydisk_check(r: Rational, samples: int, seed: int = 0) -> OverlapReport:
     """Verify that the overlap of consecutive charts is the polydisk.
 
@@ -324,7 +336,7 @@ def overlap_polydisk_check(r: Rational, samples: int, seed: int = 0) -> OverlapR
     z2 = x*y, z1 = x^2*y, and the overlap is exactly {|x| < r, |y| < r}.
     For interior samples all four ``overlap_inequalities`` must hold; for
     exterior samples (|x| >= r or |y| >= r) at least one must fail.  All
-    comparisons are exact.
+    comparisons are exact, on the integer triples of the sampler.
     """
     r = Fraction(r)
     if not 0 < r < 1:
@@ -332,31 +344,32 @@ def overlap_polydisk_check(r: Rational, samples: int, seed: int = 0) -> OverlapR
     if samples < 2:
         raise ValueError("need at least 2 samples")
     sampler = RationalSampler("overlap-polydisk", r, samples, seed)
+    rn2, rd2 = r.numerator**2, r.denominator**2
     interior = exterior = 0
-
     for i in range(samples):
+        x, y = sampler.dyadic_in_disk(r), sampler.dyadic_in_disk(r)
         if i % 2 == 0:
-            x, y = sampler.complex_in_disk(r), sampler.complex_in_disk(r)
             interior += 1
-            if not all(overlap_inequalities(x, y, r)):
-                return OverlapReport(
-                    r, samples, seed, interior, exterior,
-                    {"x": x.to_json(), "y": y.to_json(), "kind": "interior"},
-                    "an interior point violates a defining inequality",
-                )
         else:
-            x, y = sampler.complex_in_disk(r), sampler.complex_in_disk(r)
-            if sampler.integer(0, 1):
-                x = sampler.complex_in_annulus(r, 1)
-            else:
-                y = sampler.complex_in_annulus(r, 1)
             exterior += 1
-            if all(overlap_inequalities(x, y, r)):
-                return OverlapReport(
-                    r, samples, seed, interior, exterior,
-                    {"x": x.to_json(), "y": y.to_json(), "kind": "exterior"},
-                    "an exterior point satisfies all four inequalities",
-                )
+            if sampler.randint(0, 1):
+                x = sampler.dyadic_in_annulus(r, 1)
+            else:
+                y = sampler.dyadic_in_annulus(r, 1)
+        inside = all(_overlap_int(x, y, rn2, rd2))
+        if inside == (i % 2 == 0):
+            continue
+        return OverlapReport(
+            r, samples, seed, interior, exterior,
+            {
+                "x": scaled_to_complex(x).to_json(),
+                "y": scaled_to_complex(y).to_json(),
+                "kind": "exterior" if inside else "interior",
+            },
+            "an exterior point satisfies all four inequalities"
+            if inside
+            else "an interior point violates a defining inequality",
+        )
     return OverlapReport(
         r, samples, seed, interior, exterior, None,
         "all interior points inside, all exterior points excluded",

@@ -21,8 +21,11 @@ does not compare sups across ``n``.
 
 Every verdict is exact: moduli are compared through their squares, by
 certified brackets that fall back to exact integer arithmetic whenever they
-cannot decide, and each sampled refutation search is deterministic given its
-seed.
+cannot decide.  Each sampled layer draws its points as integer triples
+``(num_re, num_im, den)`` from a seeded ``RationalSampler`` and passes them
+straight to ``eval_scaled``, so it is deterministic given its seed and builds
+no rational number per sample; a refutation renders its witness as exact
+rationals with ``scaled_to_complex``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .arith import (
     eval_scaled,
     format_rational,
     scaled_abs2,
+    scaled_to_complex,
 )
 from .atlas import ChartPoint, chart_cover_indices
 from .bounds import (
@@ -319,6 +323,15 @@ def _first_open_cone_scaled(
     return True, None
 
 
+def _sample_witness(lam: tuple, v1: tuple, v2: tuple, r: Fraction, k_max: int) -> dict:
+    """Refutation data of a sampled ``lam`` triple: lam and its exact cover."""
+    image = ChartPoint(scaled_to_complex(v1), scaled_to_complex(v2))
+    return {
+        "lambda": scaled_to_complex(lam).to_json(),
+        "cover": chart_cover_indices(image, r, k_max).to_json(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # The shrinking closed target region
 # ---------------------------------------------------------------------------
@@ -503,25 +516,18 @@ def image_in_chart_window(
     attempts = 0
     while accepted < samples and attempts < 40 * samples:
         attempts += 1
-        lam = sampler.complex_in_disk(2)
-        a, b, den = as_scaled(lam)
+        a, b, den = sampler.dyadic_in_disk(2)
         v2 = eval_scaled(fam.f2, a, b, den)
         if v2[0] == 0 and v2[1] == 0:
             continue  # exact exclusion of the common zero set
         v1 = eval_scaled(fam.f1, a, b, den)
         in_region, indices = _cover_indices_scaled(fam, _Image.of(v1, v2), k_max)
         if not in_region or not indices or max(indices) > n - 1:
-            cover = chart_cover_indices(
-                ChartPoint(fam.f1(lam), fam.f2(lam)), fam.params.r, k_max
-            )
             return Certificate(
                 "image-in-chart-window",
                 Status.REFUTED,
                 "a sampled image point is not covered by the charts below index n",
-                {
-                    "lambda": lam.to_json(),
-                    "cover": cover.to_json(),
-                },
+                _sample_witness((a, b, den), v1, v2, fam.params.r, k_max),
             )
         accepted += 1
 
@@ -603,11 +609,11 @@ def _approach_candidates(fam: Family, k: int, entry: int, samples: int, seed: in
     """
     sampler = RationalSampler("cone-region", fam.n, k, samples, seed)
     for _ in range(40 * samples):
-        a = sampler.integer(-(2**_GRID), 2**_GRID)
-        b = sampler.integer(-(2**_GRID), 2**_GRID)
+        a = sampler.randint(-(2**_GRID), 2**_GRID)
+        b = sampler.randint(-(2**_GRID), 2**_GRID)
         if not 2 ** (2 * _GRID - 2) <= a * a + b * b < 2 ** (2 * _GRID):
             continue
-        e = entry + sampler.integer(0, 5)
+        e = entry + sampler.randint(0, 5)
         yield a, b, e, (2**_GRID) * 10**e
 
 
@@ -833,13 +839,13 @@ def cone_window_witness(
 ) -> Certificate:
     """Sampled witness that image points sit in a chart with its cone open.
 
-    Draws deterministic points of the closed disk of radius 2 (half uniform,
-    half scaled down to exercise small-modulus bands), discards the common
-    zero set by the exact test f2(lam) = 0, and for every remaining point
-    requires some chart of index below n to contain the image point with its
-    open cone condition holding at the family's rho.  The absence of chart
-    memberships at indices n and above is not re-sampled here: the
-    divisibility window certificate proves it for the whole disk.
+    Draws deterministic dyadic points of the open disk of radius 2 (every
+    other one scaled by 10^-e, e uniform in 0..12, to exercise small-modulus
+    bands), discards the common zero set by the exact test f2(lam) = 0, and
+    for every remaining point requires some chart of index below n to contain
+    the image point with its open cone condition holding at the family's rho.
+    The absence of chart memberships at indices n and above is not re-sampled
+    here: the divisibility window certificate proves it for the whole disk.
     """
     n = fam.n
     r = fam.params.r
@@ -849,24 +855,20 @@ def cone_window_witness(
     index_counts = {k: 0 for k in range(n)}
     while accepted < samples and attempts < 40 * samples:
         attempts += 1
-        lam = sampler.complex_in_disk(2)
+        a, b, den = sampler.dyadic_in_disk(2)
         if attempts % 2 == 0:
-            lam = lam * ComplexRational(sampler.unit_scale(12), Fraction(0))
-        a, b, den = as_scaled(lam)
+            den *= 10 ** sampler.randint(0, 12)
         v2 = eval_scaled(fam.f2, a, b, den)
         if v2[0] == 0 and v2[1] == 0:
             continue
         v1 = eval_scaled(fam.f1, a, b, den)
         in_region, cone_index = _first_open_cone_scaled(fam, _Image.of(v1, v2), n)
         if not in_region or cone_index is None:
-            cover = chart_cover_indices(
-                ChartPoint(fam.f1(lam), fam.f2(lam)), r, n + 1
-            )
             return Certificate(
                 "cone-window-witness",
                 Status.REFUTED,
                 "a sampled image point has no covering chart with an open cone",
-                {"lambda": lam.to_json(), "cover": cover.to_json()},
+                _sample_witness((a, b, den), v1, v2, r, n + 1),
             )
         index_counts[cone_index] += 1
         accepted += 1

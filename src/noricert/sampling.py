@@ -1,21 +1,25 @@
-"""Deterministic rational sampling for the randomized refutation searches.
+"""Deterministic integer sampling for the sampled witnesses and searches.
 
-Every search in this package that samples points does so through a seeded
-generator whose stream is a pure function of a textual seed recipe, so a
-reported verdict (including any counterexample) can be reproduced exactly on
-any platform.  All produced scalars are dyadic-grid rationals: denominators
-stay bounded and every value is exactly representable.
+Every layer of this package that samples points does so through a
+``RationalSampler``: a ``random.Random`` whose stream is a pure function of
+a textual seed recipe, so a reported verdict (including any counterexample)
+can be reproduced exactly on any platform.  Callers draw integers with the
+inherited ``randint``, ``getrandbits`` and ``randrange``; the sampler adds
+only dyadic-grid complex points, returned as integer triples
+``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``, ready for
+``eval_scaled``.  No draw builds a rational number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
-from .arith import ComplexRational, Rational
+__all__ = ["GRID_BITS", "seed_for", "RationalSampler"]
 
-__all__ = ["seed_for", "RationalSampler"]
+# resolution of a point draw: each coordinate is w (2t - G)/G with t uniform
+# in 0..G, G = 2^GRID_BITS, on the box of half-width w
+GRID_BITS = 16
 
 
 def seed_for(*parts) -> int:
@@ -28,72 +32,50 @@ def seed_for(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-class RationalSampler:
-    """Seeded generator of exact rational scalars and complex points.
+class RationalSampler(random.Random):
+    """``random.Random`` seeded by ``seed_for(*seed_parts)``, with dyadic draws.
 
     The positional arguments form the seed recipe; two samplers constructed
-    with equal recipes produce identical streams.
+    with equal recipes produce identical streams.  Each point draw picks a
+    box point with two ``randint(0, G)`` calls and rejects it by an integer
+    test until it lies in the wanted region.
     """
 
-    def __init__(self, *seed_parts, grid_bits: int = 16):
-        if grid_bits < 1:
-            raise ValueError("grid_bits must be >= 1")
-        self._rng = random.Random(seed_for(*seed_parts))
-        self._grid = 1 << grid_bits
+    def __new__(cls, *seed_parts):
+        # Python 3.10's Random.__new__ accepts at most one argument
+        return super().__new__(cls)
 
-    def integer(self, lo: int, hi: int) -> int:
-        """A uniform integer in [lo, hi]."""
-        return self._rng.randint(lo, hi)
+    def __init__(self, *seed_parts):
+        super().__init__(seed_for(*seed_parts))
 
-    def fraction(self, lo: Rational, hi: Rational) -> Fraction:
-        """A grid rational in [lo, hi] (both endpoints reachable)."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi < lo:
-            raise ValueError("empty interval")
-        step = Fraction(self._rng.randint(0, self._grid), self._grid)
-        return lo + (hi - lo) * step
+    def _box(self) -> tuple[int, int]:
+        """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G]."""
+        g = 1 << GRID_BITS
+        return 2 * self.randint(0, g) - g, 2 * self.randint(0, g) - g
 
-    def unit_scale(self, max_exp: int, *, base: int = 10) -> Fraction:
-        """1 / base**e with e uniform in 0..max_exp (log-uniform magnitudes).
-
-        Plain uniform sampling essentially never produces very small values;
-        scaling a unit-size draw by this factor exercises every magnitude
-        band down to base**-max_exp.
-        """
-        if max_exp < 0:
-            raise ValueError("max_exp must be >= 0")
-        return Fraction(1, base ** self._rng.randint(0, max_exp))
-
-    def complex_in_box(self, half_width: Rational) -> ComplexRational:
-        """A point of the square |Re z| <= w, |Im z| <= w."""
-        w = Fraction(half_width)
-        return ComplexRational(self.fraction(-w, w), self.fraction(-w, w))
-
-    def complex_in_disk(self, radius: Rational) -> ComplexRational:
-        """A point of the open disk |z| < radius (rejection from the box)."""
-        r = Fraction(radius)
-        if r <= 0:
+    def dyadic_in_disk(self, radius) -> tuple[int, int, int]:
+        """A grid point of the open disk |z| < radius, as ``(re, im, den)``."""
+        p, q = radius.numerator, radius.denominator
+        if p <= 0:
             raise ValueError("radius must be positive")
-        r2 = r * r
+        g2 = 1 << (2 * GRID_BITS)
         while True:
-            z = self.complex_in_box(r)
-            if z.abs2() < r2:
-                return z
+            u, v = self._box()
+            if u * u + v * v < g2:
+                return p * u, p * v, q << GRID_BITS
 
-    def nonzero_complex_in_disk(self, radius: Rational) -> ComplexRational:
-        """A point of the punctured open disk 0 < |z| < radius."""
-        while True:
-            z = self.complex_in_disk(radius)
-            if not z.is_zero:
-                return z
-
-    def complex_in_annulus(self, inner: Rational, outer: Rational) -> ComplexRational:
-        """A point with inner <= |z| < outer (rejection from the box)."""
-        lo, hi = Fraction(inner), Fraction(outer)
-        if not 0 <= lo < hi:
+    def dyadic_in_annulus(self, inner, outer) -> tuple[int, int, int]:
+        """A grid point with inner <= |z| < outer, as ``(re, im, den)``."""
+        if not 0 <= inner < outer:
             raise ValueError("need 0 <= inner < outer")
-        lo2, hi2 = lo * lo, hi * hi
+        lp, lq = inner.numerator, inner.denominator
+        hp, hq = outer.numerator, outer.denominator
+        g2 = 1 << (2 * GRID_BITS)
+        # |z|^2 = (hp/hq)^2 s / G^2 with s = u^2 + v^2
+        lo = (lp * hq) ** 2 * g2
+        hi = (hp * lq) ** 2
         while True:
-            z = self.complex_in_box(hi)
-            if lo2 <= z.abs2() < hi2:
-                return z
+            u, v = self._box()
+            s = u * u + v * v
+            if s < g2 and lo <= hi * s:
+                return hp * u, hp * v, hq << GRID_BITS

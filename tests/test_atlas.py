@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from noricert.arith import ComplexRational
+from noricert.arith import ComplexRational, scaled_to_complex
 from noricert.atlas import (
     ChartPoint,
     IntersectionMatrix,
     _membership_int,
+    _overlap_int,
     chart_cover_indices,
     chart_membership,
     cone_condition,
@@ -23,7 +24,7 @@ from noricert.atlas import (
     overlap_inequalities,
     overlap_polydisk_check,
 )
-from noricert.sampling import RationalSampler
+from noricert.sampling import GRID_BITS, RationalSampler
 
 F = Fraction
 
@@ -88,10 +89,12 @@ class TestChartCover:
         sampler = RationalSampler("cover-property", r)
         checked = 0
         while checked < 2000:
-            z1 = sampler.nonzero_complex_in_disk(r) * sampler.unit_scale(9)
-            z2 = sampler.complex_in_disk(r * r) * sampler.unit_scale(9)
-            if z1.is_zero or not z1.abs2() < r * r:
+            a1, b1, d1 = sampler.dyadic_in_disk(r)
+            if a1 == b1 == 0:
                 continue
+            z1 = scaled_to_complex((a1, b1, d1 * 10 ** sampler.randint(0, 9)))
+            a2, b2, d2 = sampler.dyadic_in_disk(r * r)
+            z2 = scaled_to_complex((a2, b2, d2 * 10 ** sampler.randint(0, 9)))
             res = chart_cover_indices(ChartPoint(z1, z2), r, 64)
             assert res.in_region
             assert res.indices, (z1, z2)
@@ -125,12 +128,16 @@ class TestConeCondition:
         rho = F(2, 5)
         sampler = RationalSampler("cone-scaling", rho)
         tried = 0
+        grid = 1 << GRID_BITS
         while tried < 100:
-            z1 = sampler.nonzero_complex_in_disk(rho)
+            a, b, den = sampler.dyadic_in_disk(rho)
+            if a == b == 0:
+                continue
+            z1 = scaled_to_complex((a, b, den))
             p = ChartPoint(z1, ComplexRational.of(0))
             if not cone_condition(p, 0, rho):
                 continue
-            t = sampler.fraction(F(1, 100), F(99, 100))
+            t = F(1, 100) + F(98, 100) * F(sampler.randint(0, grid), grid)
             shrunk = ChartPoint(z1 * t, ComplexRational.of(0))
             assert cone_condition(shrunk, 0, rho)
             tried += 1
@@ -201,6 +208,39 @@ class TestOverlap:
         q = ComplexRational.of(F(1, 4))
         assert all(overlap_inequalities(q, q, r))
         assert (q * q * q).abs2() == F(1, 64) ** 2  # |x^2 y| = 1/64 < 1/2
+
+    @staticmethod
+    def _int_and_fraction(x, y, r):
+        got = _overlap_int(x, y, r.numerator**2, r.denominator**2)
+        want = overlap_inequalities(scaled_to_complex(x), scaled_to_complex(y), r)
+        return got, want
+
+    def test_integer_path_matches_fraction_path(self):
+        # dyadic points on both sides of every boundary, scaled down now
+        # and then so that the products |x^2 y| and |x y^2| cross r too
+        sampler = RationalSampler("overlap-int")
+        for r in (F(1, 5), F(1, 2), F(7, 9)):
+            for _ in range(300):
+                xr, xi, xd = sampler.dyadic_in_annulus(0, F(3, 2))
+                yr, yi, yd = sampler.dyadic_in_annulus(0, F(3, 2))
+                x = (xr, xi, xd << sampler.randint(0, 3))
+                y = (yr, yi, yd << sampler.randint(0, 3))
+                got, want = self._int_and_fraction(x, y, r)
+                assert got == want, (x, y, r)
+
+    def test_integer_path_on_exact_boundaries(self):
+        # |x| = r, |y| = r, |x^2 y| = r and |x y^2| = r at r = 1/5: the strict
+        # inequality at equality fails; |x^2 y| = r forces |x| or |y| >= r
+        r = F(1, 5)
+        cases = [
+            ((3, 4, 25), (1, 0, 10), (True, True, True, False)),  # |x| = 1/5
+            ((1, 0, 10), (-3, 4, 25), (False, True, True, True)),  # |y| = 1/5
+            ((3, 4, 10), (0, 4, 5), (False,) * 4),  # |x^2 y| = (1/4)(4/5)
+            ((0, 4, 5), (3, -4, 10), (False,) * 4),  # |x y^2| = (4/5)(1/4)
+        ]
+        for x, y, expected in cases:
+            got, want = self._int_and_fraction(x, y, r)
+            assert got == want == expected, (x, y)
 
     def test_deterministic_replay(self):
         a = overlap_polydisk_check(F(1, 2), 500, seed=9)

@@ -522,6 +522,19 @@ class TestTamper:
         assert rep.status is Status.REFUTED
         assert any(c.status is Status.REFUTED for c in rep.conditions)
 
+    def test_sampled_refutation_witness_is_pinned(self):
+        # the refuting lambda is the sampler's integer draw rendered as exact
+        # rationals, next to the Fraction chart cover of its image
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        wit = cone_window_witness(fam, samples=64)
+        assert wit.status is Status.REFUTED
+        assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
+        assert wit.data["cover"] == {
+            "in_region": False,
+            "indices": [],
+            "detail": "point outside the covered region",
+        }
+
     def test_certificate_worst_status_wins(self):
         proved = Certificate("a", Status.PROVED, "", {})
         assert proved.status is Status.PROVED
