@@ -20,11 +20,11 @@ and performs no gcd, which matters when operands reach tens of thousands of
 digits.  Callers compare its results by integer cross-multiplication, after
 the directed-rounding bounds of :mod:`noricert.bounds` have had a chance to
 decide, and reduce to ``Fraction`` only where a reduced value is reported or
-fed to a square-root bound.  One path skips the exact triple: the
-deep-scale ladder of the chart-cone certificates brackets its values with
-``bounds.ball_abs2``, a midpoint-radius Horner on the coefficient balls of
-``Poly.balls``, and calls ``eval_scaled`` only when a comparison is left
-undecided.  ``Poly.__call__`` over ``Fraction`` / ``ComplexRational`` is the
+fed to a square-root bound.  Sampled disk points take one image path that
+skips the exact triple: every sampled image point of the disk trace is
+bracketed by ``bounds.ball_abs2``, a midpoint-radius Horner on the
+coefficient balls of ``Poly.balls``, and ``eval_scaled`` runs only when a
+comparison or a zero test is left undecided or a refutation is rendered.  ``Poly.__call__`` over ``Fraction`` / ``ComplexRational`` is the
 reference path: the tests cross-check ``eval_scaled`` against it, and
 refutation witnesses are rendered with it.
 """

@@ -6,11 +6,12 @@ those comparisons cheap without giving up soundness: a "pair" ``(m, s)`` is
 the exact number ``m * 2^s``, every operation rounds down (building a value
 the true quantity is >= of) or up (a value it is <= of), and comparisons
 between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
-around one nonnegative quantity; ``int_bracket``, ``abs2_bracket`` (the
-squared modulus of an exact ``eval_scaled`` triple), ``ball_abs2`` (the
-squared modulus of a polynomial value, by midpoint-radius Horner at about
-192 bits plus an exponent, without the exact triple) and ``gap_bracket``
-build them.
+around one nonnegative quantity; ``int_bracket``, ``ball_abs2`` (the squared
+modulus of a polynomial value, by midpoint-radius Horner at about 192 bits
+plus an exponent, without the exact ``eval_scaled`` triple) and
+``gap_bracket`` build them.  ``ball_abs2`` is the one bracket of a sampled
+image point; the squared modulus of a given complex rational is
+``ball_abs2`` of the identity polynomial ``Poly.x()``.
 
 ``bracket_lt`` is the one comparator: it multiplies the factor brackets of
 each side with directed rounding and returns ``True`` or ``False`` when the
@@ -29,7 +30,6 @@ from typing import Optional, Sequence
 from .arith import BALL_BITS
 
 __all__ = [
-    "abs2_bracket",
     "ball_abs2",
     "bracket_lt",
     "gap_bracket",
@@ -117,20 +117,6 @@ def int_bracket(x: int, bits: int = _BITS) -> tuple:
     return _p_trunc(x, 0, False, bits), _p_trunc(x, 0, True, bits)
 
 
-def abs2_bracket(v: tuple) -> tuple:
-    """The bracket of the squared modulus of an ``eval_scaled`` triple."""
-    re, im, den = v
-    re_lo, re_hi = int_bracket(abs(re))
-    im_lo, im_hi = int_bracket(abs(im))
-    den_lo, den_hi = int_bracket(den)
-    num_lo = _p_add(_p_pow(re_lo, 2, False), _p_pow(im_lo, 2, False), False)
-    num_hi = _p_add(_p_pow(re_hi, 2, True), _p_pow(im_hi, 2, True), True)
-    return (
-        _p_div(num_lo, _p_pow(den_hi, 2, True), False),
-        _p_div(num_hi, _p_pow(den_lo, 2, False), True),
-    )
-
-
 def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
     """The bracket of |f2^(k+1) - f1|^2 from those of |f1|^2 and |f2|^2.
 
@@ -184,15 +170,15 @@ def _ball_point(num_re: int, num_im: int, den: int) -> tuple:
 def ball_abs2(poly, num_re: int, num_im: int, den: int) -> tuple:
     """The bracket of |poly(z)|^2 at z = (num_re + i num_im)/den, by ball Horner.
 
-    The same bracket ``abs2_bracket(eval_scaled(poly, num_re, num_im, den))``
-    describes, got without the exact triple: every intermediate value is a
+    The squared modulus of ``eval_scaled(poly, num_re, num_im, den)``,
+    bracketed without the exact triple: every intermediate value is a
     complex ball ``(re, im, rad, e)``, the exact value lying within
     ``rad * 2^e`` of ``(re + i im) * 2^e``, with the midpoint kept to about
     192 bits plus the exponent ``e``.  Each step rounds the midpoint down and
     grows the radius by at least what the rounding lost, so the result
-    encloses the exact value; it is only wider than the exact triple's
-    bracket, by a relative 2^-180 or so, and a comparison it cannot decide
-    is settled by the caller's exact fallback.  ``den`` must be positive.
+    encloses the exact value, to a relative width of 2^-180 or so; a
+    comparison it cannot decide is settled by the caller's exact fallback.
+    ``den`` must be positive.
     """
     if den <= 0:
         raise ValueError("den must be positive")

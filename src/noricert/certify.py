@@ -240,13 +240,15 @@ class Dominance:
         }
 
 
+_INITIAL_ARCS = 8  # arcs per chart half-circle before any refinement
+
+
 def certify_dominance(
     dominant: Poly,
     dominated: Poly,
     radius: Fraction,
     *,
     budget: int = DEFAULT_BUDGET,
-    initial_arcs: int = 8,
 ) -> Dominance:
     """Certify ``|dominated(z)| < |dominant(z)|`` for every z with |z| = radius.
 
@@ -307,9 +309,9 @@ def certify_dominance(
 
     arcs = 0
     subdivisions = 0
-    step = Fraction(2, initial_arcs)
+    step = Fraction(2, _INITIAL_ARCS)
     for chart in (0, 1):
-        for i in range(initial_arcs):
+        for i in range(_INITIAL_ARCS):
             lo = -1 + i * step
             arcs += 1
             if not push(chart, lo, lo + step):

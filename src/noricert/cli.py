@@ -43,7 +43,7 @@ from .certify import (
     lemma_div_check,
     worst,
 )
-from .disktrace import trace_family
+from .disktrace import Certificate, trace_family
 from .family import (
     FamilyParamError,
     FamilyParams,
@@ -286,13 +286,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # Pipeline execution
 # ---------------------------------------------------------------------------
 
-def _entry(name: str, status: Status, detail: str = "", data=None) -> dict:
-    out = {"name": name, "status": status.value, "detail": detail}
-    if data is not None:
-        out["data"] = data
-    return out
-
-
 def _status_of(entry: dict) -> Status:
     return Status(entry["status"])
 
@@ -324,7 +317,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
                 "n": n,
                 "family": None,
                 "certificates": [
-                    _entry("scale-admissible", Status.REFUTED, str(exc))
+                    Certificate("scale-admissible", Status.REFUTED, str(exc)).to_json()
                 ],
                 "trace": None,
             }, {}
@@ -335,7 +328,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     structural = structural_checks(fam)
     certificates.append(
-        _entry(
+        Certificate(
             "structural",
             Status.PROVED if structural.all_passed else Status.REFUTED,
             f"{len(structural.checks)} exact checks",
@@ -345,7 +338,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     roots = family_root_certificates(fam, budget=budget)
     certificates.append(
-        _entry(
+        Certificate(
             "root-localization",
             worst(rc.status for rc in roots.values()),
             f"{len(roots)} factors",
@@ -355,7 +348,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     annulus = annulus_bounds_certificate(fam, roots)
     certificates.append(
-        _entry(
+        Certificate(
             "annulus-bounds",
             annulus.status,
             annulus.detail,
@@ -365,7 +358,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     corollary = corollary_ineq_certificate(fam, annulus)
     certificates.append(
-        _entry(
+        Certificate(
             "modulus-chain",
             corollary.status,
             f"{len(corollary.checks)} inequality checks",
@@ -375,7 +368,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     identities = exact_identity_checks(fam)
     certificates.append(
-        _entry(
+        Certificate(
             "exact-identities",
             Status.PROVED if identities.all_passed else Status.REFUTED,
             f"{len(identities.checks)} division identities",
@@ -386,7 +379,9 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     divisions = [lemma_div_check(fam, k) for k in range(1, n)]
     for k, witness in enumerate(divisions, start=1):
         certificates.append(
-            _entry(f"divisibility-k{k}", witness.status, witness.detail, witness.to_json())
+            Certificate(
+                f"divisibility-k{k}", witness.status, witness.detail, witness.to_json()
+            )
         )
 
     trace = trace_family(
@@ -415,7 +410,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             "N": params.N,
             "hash": family_hash(fam),
         },
-        "certificates": certificates,
+        "certificates": [cert.to_json() for cert in certificates],
         "trace": trace.to_json(),
     }
     return entry, trace.ladder
@@ -430,7 +425,7 @@ def _run_atlas(config: RunConfig) -> dict:
             config.r, j, k, config.samples, config.seed
         )
         checks.append(
-            _entry(
+            Certificate(
                 f"chart-disjointness-{j}-{k}",
                 Status.PROVED if report.disjoint else Status.REFUTED,
                 report.detail,
@@ -439,7 +434,7 @@ def _run_atlas(config: RunConfig) -> dict:
         )
     overlap = overlap_polydisk_check(config.r, max(2, config.samples), config.seed)
     checks.append(
-        _entry(
+        Certificate(
             "overlap-polydisk",
             Status.PROVED if overlap.passed else Status.REFUTED,
             overlap.detail,
@@ -450,13 +445,13 @@ def _run_atlas(config: RunConfig) -> dict:
         _MATRIX_BAD
     )
     checks.append(
-        _entry(
+        Certificate(
             "intersection-matrices",
             Status.PROVED if definite_ok else Status.REFUTED,
             "contractible configuration accepted, non-exceptional one rejected",
         )
     )
-    return {"checks": checks}
+    return {"checks": [check.to_json() for check in checks]}
 
 
 def run_verify(config: RunConfig) -> tuple[dict, int]:

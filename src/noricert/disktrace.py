@@ -22,10 +22,13 @@ does not compare sups across ``n``.
 Every verdict is exact: moduli are compared through their squares, by
 certified brackets that fall back to exact integer arithmetic whenever they
 cannot decide.  Each sampled layer draws its points as integer triples
-``(num_re, num_im, den)`` from a seeded ``RationalSampler`` and passes them
-straight to ``eval_scaled``, so it is deterministic given its seed and builds
-no rational number per sample; a refutation renders its witness as exact
-rationals with ``scaled_to_complex``.
+``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
+deterministic given its seed and builds no rational number per sample.  The
+image of every sampled point takes one path, ``_Image``: it is bracketed by
+ball Horner (``bounds.ball_abs2``), and its exact ``eval_scaled`` triples are
+evaluated only when a comparison or a zero test is left undecided, or when a
+refutation renders its witness as exact rationals with
+``scaled_to_complex``.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import (
     ComplexRational,
-    Rational,
     as_scaled,
     decimal_approx,
     eval_scaled,
@@ -47,14 +49,7 @@ from .arith import (
     scaled_to_complex,
 )
 from .atlas import ChartPoint, chart_cover_indices
-from .bounds import (
-    abs2_bracket,
-    ball_abs2,
-    bracket_lt,
-    gap_bracket,
-    int_bracket,
-    prod_gt,
-)
+from .bounds import ball_abs2, bracket_lt, gap_bracket, prod_gt
 from .certify import (
     DEFAULT_BUDGET,
     CorollaryReport,
@@ -121,73 +116,62 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # The evaluation loops below run thousands of exact tests against values
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
-# work on brackets and unreduced ``eval_scaled`` triples.  Each image point
-# is bracketed once, as an ``_Image``; every predicate asks
-# ``bounds.bracket_lt`` first, with the parameters r^2 and (rho or rho/2)^2
-# cross-multiplied as integer brackets of numerator and denominator, and
-# integer cross-multiplication of the exact triples decides whatever the
-# brackets leave open.  Most images hold their triples from the start.  The
-# deep-scale ladder of the chart-cone certificates (``_image_at``) brackets
-# its points with ``bounds.ball_abs2`` instead, and evaluates the triples
-# only when a predicate falls back to them; the verdicts are the same either
-# way.  The Fraction predicates of the atlas module remain the reference
-# semantics; the test suite cross-validates the paths.
+# work on brackets and unreduced ``eval_scaled`` triples.  Every sampled
+# image point is an ``_Image``: it brackets |f1|^2 and |f2|^2 by
+# ``bounds.ball_abs2`` when it is built, and evaluates its exact triples
+# only when they are read.  Every predicate asks ``bounds.bracket_lt``
+# first, against the family's bracketed parameter squares
+# (``FamilyParams.squares``), and integer cross-multiplication of the exact
+# triples decides whatever the brackets leave open; the zero tests read the
+# triples only when a bracket reaches 0.  The Fraction predicates of the
+# atlas module remain the reference semantics; the test suite
+# cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
 class _Image:
-    """An image point: the abs2 brackets of both components, exact on demand.
+    """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
-    ``a1`` and ``a2`` bracket |f1|^2 and |f2|^2.  ``v1`` and ``v2`` are the
-    exact ``eval_scaled`` triples, made by ``exact`` on the first access; only
-    a predicate whose bracket comparison was undecided reads them.
+    ``a1`` and ``a2`` bracket |f1(lam)|^2 and |f2(lam)|^2; ``ball_abs2``
+    builds them with the image.  ``v1`` and ``v2`` are the exact
+    ``eval_scaled`` triples, both evaluated the first time either is read:
+    by a predicate whose bracket comparison was undecided, by a zero test
+    whose bracket reaches 0, or by a refutation that renders the point.
     """
 
-    __slots__ = ("a1", "a2", "_exact", "_triples")
+    __slots__ = ("fam", "lam", "a1", "a2", "_triples")
 
-    def __init__(self, a1: tuple, a2: tuple, exact: Callable[[], tuple]):
-        self.a1, self.a2 = a1, a2
-        self._exact = exact
+    def __init__(self, fam: Family, num_re: int, num_im: int, den: int):
+        self.fam, self.lam = fam, (num_re, num_im, den)
+        self.a1 = ball_abs2(fam.f1, num_re, num_im, den)
+        self.a2 = ball_abs2(fam.f2, num_re, num_im, den)
         self._triples: Optional[tuple] = None
 
-    @classmethod
-    def of(cls, v1: tuple, v2: tuple) -> "_Image":
-        return cls(abs2_bracket(v1), abs2_bracket(v2), lambda: (v1, v2))
+    @property
+    def evaluated(self) -> bool:
+        """Whether the exact triples have been evaluated."""
+        return self._triples is not None
+
+    def _exact(self) -> tuple:
+        if self._triples is None:
+            self._triples = (
+                eval_scaled(self.fam.f1, *self.lam),
+                eval_scaled(self.fam.f2, *self.lam),
+            )
+        return self._triples
 
     @property
     def v1(self) -> tuple:
-        if self._triples is None:
-            self._triples = self._exact()
-        return self._triples[0]
+        return self._exact()[0]
 
     @property
     def v2(self) -> tuple:
-        if self._triples is None:
-            self._triples = self._exact()
-        return self._triples[1]
+        return self._exact()[1]
 
-
-def _image_at(
-    fam: Family, num_re: int, num_im: int, den: int, tally: Counter
-) -> _Image:
-    """The image point of (num_re + i num_im)/den, bracketed by ball Horner.
-
-    For the deep-scale ladder.  The exact triples are evaluated only if a
-    predicate asks; ``tally`` counts the points and those exact fallbacks.
-    """
-    tally["points"] += 1
-    f1, f2 = fam.f1, fam.f2
-
-    def exact() -> tuple:
-        tally["exact_fallbacks"] += 1
-        return (
-            eval_scaled(f1, num_re, num_im, den),
-            eval_scaled(f2, num_re, num_im, den),
-        )
-
-    return _Image(
-        ball_abs2(f1, num_re, num_im, den), ball_abs2(f2, num_re, num_im, den), exact
-    )
+    def vanishes(self, i: int) -> bool:
+        """Exact f_i(lam) = 0; the triples are read only if a_i reaches 0."""
+        lower = (self.a1, self.a2)[i - 1][0]
+        return lower[0] == 0 and self._exact()[i - 1][:2] == (0, 0)
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -205,28 +189,24 @@ def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
 
 def _member_test(fam: Family, img: _Image, k: int) -> bool:
     """Exact |f1(lam)| < r |f2(lam)|^k via brackets, falling back to integers."""
-    rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    verdict = bracket_lt(
-        [img.a1, int_bracket(rd * rd)], [int_bracket(rn * rn), *[img.a2] * k]
-    )
+    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
+    verdict = bracket_lt([img.a1, rd2_b], [rn2_b, *[img.a2] * k])
     if verdict is not None:
         return verdict
     n1, q1 = scaled_abs2(img.v1)
     n2, q2 = scaled_abs2(img.v2)
-    return n1 * rd * rd * q2**k < rn * rn * n2**k * q1
+    return n1 * rd2 * q2**k < rn2 * n2**k * q1
 
 
 def _chart_entry_test(fam: Family, img: _Image, k: int) -> bool:
     """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)| via brackets, then integers."""
-    rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    verdict = bracket_lt(
-        [*[img.a2] * (k + 2), int_bracket(rd * rd)], [int_bracket(rn * rn), img.a1]
-    )
+    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
+    verdict = bracket_lt([*[img.a2] * (k + 2), rd2_b], [rn2_b, img.a1])
     if verdict is not None:
         return verdict
     n1, q1 = scaled_abs2(img.v1)
     n2, q2 = scaled_abs2(img.v2)
-    return n2 ** (k + 2) * rd * rd * q1 < rn * rn * n1 * q2 ** (k + 2)
+    return n2 ** (k + 2) * rd2 * q1 < rn2 * n1 * q2 ** (k + 2)
 
 
 def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
@@ -247,40 +227,38 @@ def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
     closed (the margin-bearing form the factorization lemmas give); without
     it the parameter is rho and the comparison is the open cone condition.
     """
-    opening = fam.params.rho / 2 if halved else fam.params.rho
-    pn, pd = opening.numerator, opening.denominator
+    squares = fam.params.squares
+    pn2, pd2, pn2_b, pd2_b = squares.half_rho2 if halved else squares.rho2
     gap = gap_bracket(img.a1, img.a2, k)
     if gap is not None:
         verdict = bracket_lt(
-            [img.a1, img.a1, int_bracket(pd * pd)],
-            [int_bracket(pn * pn), gap, *[img.a2] * k],
-            closed=halved,
+            [img.a1, img.a1, pd2_b], [pn2_b, gap, *[img.a2] * k], closed=halved
         )
         if verdict is not None:
             return verdict
     n1, q1 = scaled_abs2(img.v1)
     n2, q2 = scaled_abs2(img.v2)
     g_num, g_den = _gap_squared_exact(img.v1, img.v2, k)
-    lhs = n1 * n1 * pd * pd * g_den * q2**k
-    rhs = pn * pn * g_num * n2**k * q1 * q1
+    lhs = n1 * n1 * pd2 * g_den * q2**k
+    rhs = pn2 * g_num * n2**k * q1 * q1
     return lhs <= rhs if halved else lhs < rhs
 
 
 def _in_cover_region(fam: Family, img: _Image) -> bool:
     """0 < |z1| < r and |z2| < r^2 at a scaled point (exact semantics)."""
-    re1, im1, _ = img.v1
-    if re1 == 0 and im1 == 0:
+    if img.vanishes(1):
         return False
-    rn, rd = fam.params.r.numerator, fam.params.r.denominator
-    first = bracket_lt([img.a1, int_bracket(rd**2)], [int_bracket(rn**2)])
-    second = bracket_lt([img.a2, int_bracket(rd**4)], [int_bracket(rn**4)])
+    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
+    rn4, rd4, rn4_b, rd4_b = fam.params.squares.r4
+    first = bracket_lt([img.a1, rd2_b], [rn2_b])
+    second = bracket_lt([img.a2, rd4_b], [rn4_b])
     if first is None or second is None:
         n1, q1 = scaled_abs2(img.v1)
         n2, q2 = scaled_abs2(img.v2)
         if first is None:
-            first = n1 * rd**2 < rn**2 * q1
+            first = n1 * rd2 < rn2 * q1
         if second is None:
-            second = n2 * rd**4 < rn**4 * q2
+            second = n2 * rd4 < rn4 * q2
     return first and second
 
 
@@ -323,12 +301,12 @@ def _first_open_cone_scaled(
     return True, None
 
 
-def _sample_witness(lam: tuple, v1: tuple, v2: tuple, r: Fraction, k_max: int) -> dict:
-    """Refutation data of a sampled ``lam`` triple: lam and its exact cover."""
-    image = ChartPoint(scaled_to_complex(v1), scaled_to_complex(v2))
+def _sample_witness(img: _Image, k_max: int) -> dict:
+    """Refutation data of a sampled image: lam and the exact cover of its image."""
+    point = ChartPoint(scaled_to_complex(img.v1), scaled_to_complex(img.v2))
     return {
-        "lambda": scaled_to_complex(lam).to_json(),
-        "cover": chart_cover_indices(image, r, k_max).to_json(),
+        "lambda": scaled_to_complex(img.lam).to_json(),
+        "cover": chart_cover_indices(point, img.fam.params.r, k_max).to_json(),
     }
 
 
@@ -516,18 +494,16 @@ def image_in_chart_window(
     attempts = 0
     while accepted < samples and attempts < 40 * samples:
         attempts += 1
-        a, b, den = sampler.dyadic_in_disk(2)
-        v2 = eval_scaled(fam.f2, a, b, den)
-        if v2[0] == 0 and v2[1] == 0:
+        img = _Image(fam, *sampler.dyadic_in_disk(2))
+        if img.vanishes(2):
             continue  # exact exclusion of the common zero set
-        v1 = eval_scaled(fam.f1, a, b, den)
-        in_region, indices = _cover_indices_scaled(fam, _Image.of(v1, v2), k_max)
+        in_region, indices = _cover_indices_scaled(fam, img, k_max)
         if not in_region or not indices or max(indices) > n - 1:
             return Certificate(
                 "image-in-chart-window",
                 Status.REFUTED,
                 "a sampled image point is not covered by the charts below index n",
-                _sample_witness((a, b, den), v1, v2, fam.params.r, k_max),
+                _sample_witness(img, k_max),
             )
         accepted += 1
 
@@ -571,7 +547,16 @@ def image_in_chart_window(
 # ---------------------------------------------------------------------------
 
 
-def _entry_scale(fam: Family, k: int, tally: Counter, cap: int = 4096) -> Optional[int]:
+def _count(tally: Counter, img: _Image) -> None:
+    """Book one ladder point, and whether a predicate needed its exact triples."""
+    tally["points"] += 1
+    tally["exact_fallbacks"] += img.evaluated
+
+
+_ENTRY_CAP = 4096  # deepest decimal scale the entry probe tries
+
+
+def _entry_scale(fam: Family, k: int, tally: Counter) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
     Deep enough scales are always members (the components' vanishing orders
@@ -580,9 +565,16 @@ def _entry_scale(fam: Family, k: int, tally: Counter, cap: int = 4096) -> Option
     rely on membership between the two probes: every sampled point is tested
     for membership exactly before use.  ``tally`` counts the probe images.
     """
+
+    def member(e: int) -> bool:
+        img = _Image(fam, 1, 0, 10**e)
+        verdict = _member_test(fam, img, k)
+        _count(tally, img)
+        return verdict
+
     probe = 1
-    while probe <= cap:
-        if _member_test(fam, _image_at(fam, 1, 0, 10**probe, tally), k):
+    while probe <= _ENTRY_CAP:
+        if member(probe):
             break
         probe *= 2
     else:
@@ -590,7 +582,7 @@ def _entry_scale(fam: Family, k: int, tally: Counter, cap: int = 4096) -> Option
     lo, hi = probe // 2, probe  # membership fails at lo (or lo == 0), holds at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _member_test(fam, _image_at(fam, 1, 0, 10**mid, tally), k):
+        if member(mid):
             hi = mid
         else:
             lo = mid
@@ -668,40 +660,43 @@ def chart_cone_certificate(
     accepted = 0
     full_membership_checks = 0
     for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
-        img = _image_at(fam, a, b, den, tally)
-        if not _member_test(fam, img, k):
-            continue
-        if not _cone_test(fam, img, k, halved=True):
-            return Certificate(
-                "chart-cone",
-                Status.REFUTED,
-                f"the halved cone inequality fails at an exact point of the "
-                f"approach region of chart {k}",
-                {
-                    **data,
-                    "witness": {
-                        "num_re": a,
-                        "num_im": b,
-                        "den_log10": e,
-                        "den_pow2": _GRID,
-                    },
-                },
-            )
-        if full_membership_checks < 32:
-            # the first few accepted points also get the other half of chart
-            # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test
-            # above is the second half)
-            full_membership_checks += 1
-            if not _chart_entry_test(fam, img, k):
+        img = _Image(fam, a, b, den)
+        try:
+            if not _member_test(fam, img, k):
+                continue
+            if not _cone_test(fam, img, k, halved=True):
                 return Certificate(
                     "chart-cone",
                     Status.REFUTED,
-                    f"a sampled approach-region point is not in chart {k}",
-                    {**data, "witness": {"num_re": a, "num_im": b, "den_log10": e}},
+                    f"the halved cone inequality fails at an exact point of the "
+                    f"approach region of chart {k}",
+                    {
+                        **data,
+                        "witness": {
+                            "num_re": a,
+                            "num_im": b,
+                            "den_log10": e,
+                            "den_pow2": _GRID,
+                        },
+                    },
                 )
-        accepted += 1
-        if accepted == samples:
-            break
+            if full_membership_checks < 32:
+                # the first few accepted points also get the other half of chart
+                # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test
+                # above is the second half)
+                full_membership_checks += 1
+                if not _chart_entry_test(fam, img, k):
+                    return Certificate(
+                        "chart-cone",
+                        Status.REFUTED,
+                        f"a sampled approach-region point is not in chart {k}",
+                        {**data, "witness": {"num_re": a, "num_im": b, "den_log10": e}},
+                    )
+            accepted += 1
+            if accepted == samples:
+                break
+        finally:
+            _count(tally, img)
 
     data["samples"] = accepted
     data["full_membership_checks"] = full_membership_checks
@@ -848,7 +843,6 @@ def cone_window_witness(
     here: the divisibility window certificate proves it for the whole disk.
     """
     n = fam.n
-    r = fam.params.r
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     accepted = 0
     attempts = 0
@@ -858,17 +852,16 @@ def cone_window_witness(
         a, b, den = sampler.dyadic_in_disk(2)
         if attempts % 2 == 0:
             den *= 10 ** sampler.randint(0, 12)
-        v2 = eval_scaled(fam.f2, a, b, den)
-        if v2[0] == 0 and v2[1] == 0:
+        img = _Image(fam, a, b, den)
+        if img.vanishes(2):
             continue
-        v1 = eval_scaled(fam.f1, a, b, den)
-        in_region, cone_index = _first_open_cone_scaled(fam, _Image.of(v1, v2), n)
+        in_region, cone_index = _first_open_cone_scaled(fam, img, n)
         if not in_region or cone_index is None:
             return Certificate(
                 "cone-window-witness",
                 Status.REFUTED,
                 "a sampled image point has no covering chart with an open cone",
-                _sample_witness((a, b, den), v1, v2, r, n + 1),
+                _sample_witness(img, n + 1),
             )
         index_counts[cone_index] += 1
         accepted += 1
@@ -1086,9 +1079,9 @@ class TraceReport:
       their gap and equals n - 1 exactly when the pair is as expected.
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
-    (``points``), all bracketed by ball Horner, and those whose exact
-    triples a predicate needed (``exact_fallbacks``).  It describes
-    the work, not the verdict, and is not part of ``to_json``.
+    (``points``) and those whose exact triples a predicate needed
+    (``exact_fallbacks``).  It describes the work, not the verdict, and is
+    not part of ``to_json``.
     """
 
     n: int

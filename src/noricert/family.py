@@ -31,9 +31,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 from .arith import Poly, _digits10, format_rational, parse_rational, poly_gcd
+from .bounds import int_bracket
 
 
 class FamilyParamError(ValueError):
@@ -89,6 +91,16 @@ def _check_n_range(n: int, max_n: int) -> None:
         raise FamilyParamError("n-range", f"n must be in 2..{max_n}, got {n}")
 
 
+class ChartSquares(NamedTuple):
+    """r^2, r^4, rho^2 and (rho/2)^2 for the scaled chart predicates, each as
+    ``(num, den, num_bracket, den_bracket)`` with ``bounds.int_bracket``."""
+
+    r2: tuple
+    r4: tuple
+    rho2: tuple
+    half_rho2: tuple
+
+
 @dataclass(frozen=True)
 class FamilyParams:
     n: int
@@ -120,6 +132,17 @@ class FamilyParams:
         params = cls(n=n, r=r, rho=rho, eps=Fraction(eps), c=c, d=d, N=N)
         params.validate(allow_unsafe_eps=allow_unsafe_eps, max_n=max_n)
         return params
+
+    @cached_property
+    def squares(self) -> ChartSquares:
+        """The chart parameters' squares with their brackets, built once."""
+
+        def power(q: Fraction, e: int) -> tuple:
+            num, den = q.numerator**e, q.denominator**e
+            return num, den, int_bracket(num), int_bracket(den)
+
+        r, rho = self.r, self.rho
+        return ChartSquares(power(r, 2), power(r, 4), power(rho, 2), power(rho / 2, 2))
 
     def validate(self, *, allow_unsafe_eps: bool = False, max_n: int = 5) -> None:
         _check_n_range(self.n, max_n)

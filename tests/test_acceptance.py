@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from noricert.arith import Poly, as_scaled, eval_scaled, poly_gcd
+from noricert.arith import Poly, as_scaled, poly_gcd
 from noricert.atlas import (
     IntersectionMatrix,
     disjointness_search,
@@ -29,7 +29,7 @@ from noricert.certify import (
     family_root_certificates,
     lemma_div_check,
 )
-from noricert.bounds import abs2_bracket, bracket_lt, int_bracket
+from noricert.bounds import ball_abs2, bracket_lt, int_bracket
 from noricert.cli import RunConfig, UsageError
 from noricert.disktrace import escape_witness, vanishing_orders
 from noricert.family import (
@@ -170,9 +170,7 @@ def test_criterion_05_modulus_chain(built_families, corollary_reports):
         for radius in (F(1), F(2)):
             for cp in circle_points(radius, 512):
                 a, b, c = as_scaled(cp.point)
-                v1 = eval_scaled(fam.f1, a, b, c)
-                v2 = eval_scaled(fam.f2, a, b, c)
-                a1, a2 = abs2_bracket(v1), abs2_bracket(v2)
+                a1, a2 = ball_abs2(fam.f1, a, b, c), ball_abs2(fam.f2, a, b, c)
                 checks = {
                     "a": bracket_lt([nn, a1, int_bracket(rd2)], [int_bracket(rn2)]),
                     "b": bracket_lt(

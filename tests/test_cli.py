@@ -32,6 +32,8 @@ from noricert.cli import (
 GOLDEN_REPORT_SHA256 = "673b18243de4f6539ae4ecbd399510ad00b047f912cc8ece7c9d3221b3c545fc"
 # verify --n 2..4 --seed 0 (also pinned in CI)
 DEFAULT_REPORT_SHA256 = "e80ab14e209a537ed285f9d9dff6052aa839f070573aa720c7f648ce695b0d13"
+# verify --n 2 --eps 1 --unsafe-eps --seed 0, which exits 1 (also pinned in CI)
+REFUTED_REPORT_SHA256 = "fcc0a3c982d7028c0db92a28c18a3fea82f354e22a04494c26b79d6317ed624f"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -342,6 +344,16 @@ class TestDeterminism:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORT_SHA256
 
+    def test_refuted_report_digest(self, tmp_path):
+        # a refuted family end to end: the sampled refutations render their
+        # witnesses from the lazily evaluated exact triples
+        out = tmp_path / "report.json"
+        args = "verify --n 2 --eps 1 --unsafe-eps --seed 0 --out"
+        assert main([*args.split(), str(out)]) == EXIT_REFUTED
+        report = json.loads(out.read_text())
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == REFUTED_REPORT_SHA256
+
     def test_seed_changes_witness_data(self, small_config, small_report):
         other, code = run_verify(
             RunConfig(n_list=(2,), samples=64, seed=4)
@@ -363,6 +375,7 @@ class TestMeta:
             assert deep[key] == sum(c[key] for c in deep["per_n"].values())
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
+        assert (deep["points"], deep["exact_fallbacks"]) == (1608, 3)
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 

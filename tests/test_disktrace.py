@@ -13,9 +13,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from noricert.arith import ComplexRational, Poly, eval_scaled
+from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
 from noricert.certify import (
+    IdentityReport,
     Status,
     annulus_bounds_certificate,
     circle_points,
@@ -38,7 +39,7 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.bounds import bracket_lt, gap_bracket, int_bracket
+from noricert.bounds import bracket_lt, gap_bracket
 from noricert.disktrace import (
     _Image,
     _approach_candidates,
@@ -47,10 +48,10 @@ from noricert.disktrace import (
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
-    _image_at,
+    _in_cover_region,
     _member_test,
 )
-from noricert.family import FamilyParams, build_family, default_family
+from noricert.family import CheckResult, FamilyParams, build_family, default_family
 
 F = Fraction
 
@@ -93,7 +94,7 @@ class TestTargetRegion:
 
 def _image_and_reference(fam, a, b, den):
     """The scaled image point of (a + ib)/den and its Fraction ChartPoint."""
-    img = _Image.of(eval_scaled(fam.f1, a, b, den), eval_scaled(fam.f2, a, b, den))
+    img = _Image(fam, a, b, den)
     lam = ComplexRational(F(a, den), F(b, den))
     return img, ChartPoint(fam.f1(lam), fam.f2(lam))
 
@@ -157,9 +158,8 @@ class TestScaledPredicates:
             if a == 0 and b == 0:
                 continue
             den = rng.choice([128, 1000, 10**5])
-            v1 = eval_scaled(fam.f1, a, b, den)
-            v2 = eval_scaled(fam.f2, a, b, den)
-            in_region, first = _first_open_cone_scaled(fam, _Image.of(v1, v2), fam.n)
+            img = _Image(fam, a, b, den)
+            in_region, first = _first_open_cone_scaled(fam, img, fam.n)
             lam = ComplexRational(F(a, den), F(b, den))
             p = ChartPoint(fam.f1(lam), fam.f2(lam))
             ref = chart_cover_indices(p, fam.params.r, fam.n - 1)
@@ -176,8 +176,27 @@ class TestScaledPredicates:
                 assert first == expected
 
 
+def _exact_chart_verdicts(fam, k, a, b, den):
+    """Chart-k membership, entry and closed halved cone at (a + ib)/den, by
+    integer cross-multiplication of the exact ``eval_scaled`` triples."""
+    re1, im1, d1 = v1 = eval_scaled(fam.f1, a, b, den)
+    re2, im2, d2 = v2 = eval_scaled(fam.f2, a, b, den)
+    p_re, p_im, p_den = v2
+    for _ in range(k):  # f2^(k+1)
+        p_re, p_im, p_den = p_re * re2 - p_im * im2, p_re * im2 + p_im * re2, p_den * d2
+    gap = (p_re * d1 - re1 * p_den, p_im * d1 - im1 * p_den, p_den * d1)
+    (n1, q1), (n2, q2), (ng, qg) = (scaled_abs2(v) for v in (v1, v2, gap))
+    r2, h2 = fam.params.r**2, (fam.params.rho / 2) ** 2
+    rn, rd, hn, hd = r2.numerator, r2.denominator, h2.numerator, h2.denominator
+    return (
+        n1 * rd * q2**k < rn * n2**k * q1,
+        n2 ** (k + 2) * rd * q1 < rn * n1 * q2 ** (k + 2),
+        n1 * n1 * hd * qg * q2**k <= hn * ng * n2**k * q1 * q1,
+    )
+
+
 class TestBallImages:
-    """Ball-bracketed ladder points give the verdicts of the exact triples."""
+    """Ball-bracketed image points give the verdicts of the exact triples."""
 
     @pytest.mark.parametrize("n, stride", [(2, 1), (3, 1), (4, 8)])
     def test_ladder_samples_match_exact(self, built_families, n, stride):
@@ -192,50 +211,69 @@ class TestBallImages:
             for i, (a, b, _, den) in enumerate(candidates):
                 if accepted == 256:
                     break
-                ball = _image_at(fam, a, b, den, tally)
-                member = _member_test(fam, ball, k)
+                img = _Image(fam, a, b, den)
+                member = _member_test(fam, img, k)
                 accepted += member
                 if i % stride:
                     continue
-                exact = _Image.of(
-                    eval_scaled(fam.f1, a, b, den), eval_scaled(fam.f2, a, b, den)
+                exact_member, exact_entry, exact_cone = _exact_chart_verdicts(
+                    fam, k, a, b, den
                 )
-                assert _member_test(fam, exact, k) == member
-                assert _chart_entry_test(fam, ball, k) == _chart_entry_test(
-                    fam, exact, k
-                )
+                assert member == exact_member
+                assert _chart_entry_test(fam, img, k) == exact_entry
                 if member:
-                    assert _cone_test(fam, ball, k, halved=True) == _cone_test(
-                        fam, exact, k, halved=True
-                    )
+                    assert _cone_test(fam, img, k, halved=True) == exact_cone
             assert accepted == 256
 
     def test_undecided_comparison_reaches_exact_triples(self):
         # |f1| = r |f2| exactly at lam = (3 + 4i)/5 (f1 = lam, f2 = 5,
         # r = 1/5): the ball brackets overlap, and the strict membership is
         # decided false by the exact triples
-        params = SimpleNamespace(r=F(1, 5), rho=F(1, 2))
+        params = FamilyParams.build(2)
+        assert (params.r, params.rho) == (F(1, 5), F(1, 2))
         fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
-        tally = Counter()
-        img = _image_at(fam, 3, 4, 5, tally)
-        rn, rd = params.r.numerator, params.r.denominator
-        assert (
-            bracket_lt([img.a1, int_bracket(rd * rd)], [int_bracket(rn * rn), img.a2])
-            is None
-        )
-        assert tally["exact_fallbacks"] == 0
+        img = _Image(fam, 3, 4, 5)
+        rn2, rd2, rn2_b, rd2_b = params.squares.r2
+        assert (rn2, rd2) == (1, 25)
+        assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is None
+        assert not img.evaluated
         assert _member_test(fam, img, 1) is False
-        assert tally["exact_fallbacks"] == 1
+        assert img.evaluated
         assert img.v1 == eval_scaled(fam.f1, 3, 4, 5)
         # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5: the closed halved
         # cone holds with equality, the open cone at rho strictly
         fam = SimpleNamespace(
             f1=Poly.one(), f2=Poly.constant(5), params=params
         )
-        img = _image_at(fam, 1, 0, 1, tally)
+        img = _Image(fam, 1, 0, 1)
         assert _cone_test(fam, img, 0, halved=True) is True
-        assert tally["exact_fallbacks"] == 2
+        assert img.evaluated
         assert _cone_test(fam, img, 0, halved=False) is True
+
+    def test_zero_tests_read_triples_only_at_a_zero_bracket(self, built_families):
+        # lam = 0 and the rational root eps^c_{n-1} of the last factor are
+        # common zeros of f1 and f2; elsewhere the lower bracket ends are
+        # positive and decide without the triples
+        fam = built_families[3]
+        root = fam.params.eps ** fam.params.c[-1]
+        for a, den in ((0, 1), (root.numerator, root.denominator)):
+            img = _Image(fam, a, 0, den)
+            assert img.a1[0] == img.a2[0] == (0, 0)
+            assert not img.evaluated
+            assert img.vanishes(1) and img.vanishes(2)
+            assert img.evaluated
+            assert not _in_cover_region(fam, img)
+        img = _Image(fam, 3, -2, 4)
+        assert not img.vanishes(1) and not img.vanishes(2)
+        assert not img.evaluated
+        # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket
+        # reaches 0 and the exact triple shows the value is not zero
+        line = Poly((F(-1, 3), 1))
+        near = SimpleNamespace(f1=line, f2=line, params=fam.params)
+        img = _Image(near, 2**400 + 3, 0, 3 * 2**400)
+        assert img.a1[0] == (0, 0)
+        assert not img.vanishes(1)
+        assert img.evaluated
 
 
 class TestVanishingOrders:
@@ -530,6 +568,27 @@ class TestTamper:
         assert wit.status is Status.REFUTED
         assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
         assert wit.data["cover"] == {
+            "in_region": False,
+            "indices": [],
+            "detail": "point outside the covered region",
+        }
+
+    def test_window_sampled_refutation_is_pinned(self):
+        # a unit of zero passes the power-ratio and outer-circle checks, so
+        # the eps = 1 family is refuted by the window's sampled covers; the
+        # witness renders lambda and its cover from the image's exact triples
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        roots = family_root_certificates(fam, budget=1 << 10)
+        corollary = corollary_ineq_certificate(
+            fam, annulus_bounds_certificate(fam, roots)
+        )
+        identities = IdentityReport(
+            (CheckResult("power-ratio", True, ""),), unit=Poly.zero()
+        )
+        cert = image_in_chart_window(fam, corollary, identities, samples=16, seed=0)
+        assert cert.status is Status.REFUTED
+        assert cert.data["lambda"] == {"re": "3993/8192", "im": "26577/16384"}
+        assert cert.data["cover"] == {
             "in_region": False,
             "indices": [],
             "detail": "point outside the covered region",

@@ -11,6 +11,7 @@ import pytest
 import sympy as sp
 
 from noricert.arith import Poly, _digits10
+from noricert.bounds import int_bracket
 from noricert.family import (
     Family,
     FamilyParamError,
@@ -120,6 +121,20 @@ class TestParams:
         with pytest.raises(FamilyParamError) as err:
             FamilyParams.build(2, r=F(1, 5), rho=F(1))
         assert err.value.violation == "rho-range"
+
+    def test_chart_squares_built_once(self):
+        p = FamilyParams.build(2, r=F(1, 7), rho=F(3, 5))
+        squares = p.squares
+        assert squares is p.squares
+        expected = {
+            "r2": (1, 49), "r4": (1, 2401), "rho2": (9, 25), "half_rho2": (9, 100)
+        }
+        for name, (num, den) in expected.items():
+            bracketed = (num, den, int_bracket(num), int_bracket(den))
+            assert getattr(squares, name) == bracketed
+        # the cached value is not a field: equality and hashing are unchanged
+        twin = dataclasses.replace(p)
+        assert p == twin and hash(p) == hash(twin)
 
 
 class TestBuild:
