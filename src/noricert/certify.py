@@ -26,6 +26,17 @@ arc, and arcs are refined adaptively (worst bound first) until every arc is
 certified, a genuine counterexample point is found, or the subdivision
 budget runs out.
 
+Polynomial identities between products of the family's factors (the exact
+identities and each chart's cone factorization) are proved by exact
+evaluation instead of expansion.  Both sides have degree at most D, read
+from the degrees of the actual ``Poly`` objects, and a nonzero polynomial of
+degree at most D has at most D roots, so agreement at D + 1 distinct
+integers proves the identity.  The factors are evaluated by ``eval_scaled``
+and their values multiplied; only the polynomials that later stages use as
+polynomials (the power-ratio unit and the cone combinations, for dominance,
+the chart window and the divisions) are expanded, and they are evaluated
+from those expansions.
+
 Status taxonomy: ``PROVED`` (certificate complete), ``REFUTED`` (an exact
 witness violates the claim), ``INCONCLUSIVE`` (budget exhausted, no
 applicable strategy, or a prerequisite certificate missing -- never a
@@ -39,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .arith import (
     ComplexRational,
@@ -676,6 +687,73 @@ def corollary_ineq_certificate(fam: Family, annulus: AnnulusReport) -> Corollary
 
 
 # ---------------------------------------------------------------------------
+# Identities proved by exact evaluation
+# ---------------------------------------------------------------------------
+
+# A side of an identity is a list of terms; the term ``(c, ((p, e), ...))``
+# stands for c * p^e * ....  Products of known factors are never expanded
+# to be compared: the factors are evaluated and their values multiplied.
+
+
+def _degree_bound(terms) -> int:
+    """A bound on the degree of a sum of terms, from the factors' own degrees."""
+    return max(
+        (sum(e * max(p.degree, 0) for p, e in factors) for _, factors in terms),
+        default=0,
+    )
+
+
+def _identity_points(degree: int) -> range:
+    """The degree + 1 distinct integers -floor(D/2) .. D - floor(D/2), D = degree."""
+    return range(-(degree // 2), degree - degree // 2 + 1)
+
+
+def _proved_equal(lhs: list, rhs: list) -> bool:
+    """Whether the two sides are the same polynomial, proved by evaluation.
+
+    Both sides have degree at most D, the ``_degree_bound`` of their terms,
+    read from the degrees of the actual ``Poly`` objects (never from the
+    family's tables, so no term can hide above it).  Their difference is a
+    polynomial of degree at most D, and a nonzero one has at most D roots:
+    the sides are equal exactly when they agree at the D + 1 distinct
+    integers of ``_identity_points(D)``.  This is a complete proof, not a
+    sample.
+
+    Every factor is evaluated there by ``eval_scaled`` on its cached integer
+    coefficients.  At an integer point a factor's value has the common
+    denominator of its coefficients whatever the point, so the denominators
+    are hoisted once into one integer weight per term (reduced by their
+    common divisor), and each point is compared exactly in integers.
+    """
+    terms = [*lhs, *rhs]
+    dens = [
+        Fraction(c).denominator * math.prod(p.scaled()[1] ** e for p, e in factors)
+        for c, factors in terms
+    ]
+    common = math.lcm(*dens)
+    weights = [
+        Fraction(c).numerator * (common // den) for (c, _), den in zip(terms, dens)
+    ]
+    divisor = math.gcd(*weights) or 1
+    weighted = [(w // divisor, factors) for w, (_, factors) in zip(weights, terms)]
+    lhs_w, rhs_w = weighted[: len(lhs)], weighted[len(lhs):]
+    polys = {id(p): p for _, factors in terms for p, _ in factors}
+
+    def side(part: list, at: dict) -> int:
+        return sum(
+            w * math.prod(at[id(p)] ** e for p, e in factors)
+            for w, factors in part
+            if w
+        )
+
+    for x in _identity_points(_degree_bound(terms)):
+        at = {key: eval_scaled(p, x, 0, 1)[0] for key, p in polys.items()}
+        if side(lhs_w, at) != side(rhs_w, at):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Division identities
 # ---------------------------------------------------------------------------
 
@@ -708,7 +786,7 @@ def lemma_div_check(fam: Family, k: int) -> DivisionWitness:
     """
     if not 1 <= k <= fam.n - 1:
         raise ValueError(f"factor index must be in 1..{fam.n - 1}")
-    _, combination, _, _ = _cone_combination(fam, k - 1)
+    combination, _, _ = _cone_combination(fam, k - 1)
     quotient, remainder = divmod(combination, fam.Pk(k))
     if remainder.is_zero:
         return DivisionWitness(
@@ -756,20 +834,33 @@ class ConeFactorCertificate:
         }
 
 
-def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly, Poly]:
-    """G, C, and the two sides (unit part, dominant part) of C for chart k <= n-2."""
+def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly]:
+    """C and its two sides (unit part, dominant part) for chart k <= n-2.
+
+    C is the cone combination of f2^(k+1) - f1 = G * C, where G = eps *
+    z^(k+1) * prod_j P_j^min(j, k+1); ``_cone_identity`` proves that identity
+    from the values of G's factors, so G itself is never expanded.
+    """
     n = fam.n
     eps = fam.params.eps
-    g = Poly.monomial(k + 1) * Poly.constant(eps)
-    for j in range(1, n):
-        g = g * fam.Pk(j) ** min(j, k + 1)
     unit_part = Poly.constant(eps ** (2 * k + 1))
     for j in range(1, k + 1):
         unit_part = unit_part * fam.Pk(j) ** (k + 1 - j)
     dominant = Poly.monomial(n - k - 1)
     for j in range(k + 2, n):
         dominant = dominant * fam.Pk(j) ** (j - k - 1)
-    return g, unit_part - dominant, unit_part, dominant
+    return unit_part - dominant, unit_part, dominant
+
+
+def _cone_identity(fam: Family, k: int, c_poly: Poly) -> bool:
+    """Whether f2^(k+1) - f1 == G * c_poly, proved by exact evaluation."""
+    g = ((Poly.x(), k + 1),) + tuple(
+        (fam.Pk(j), min(j, k + 1)) for j in range(1, fam.n)
+    )
+    return _proved_equal(
+        [(1, ((fam.f2, k + 1),)), (-1, ((fam.f1, 1),))],
+        [(fam.params.eps, g + ((c_poly, 1),))],
+    )
 
 
 def cone_factor_certificate(
@@ -777,14 +868,21 @@ def cone_factor_certificate(
     k: int,
     root_certs: dict[int, RootLocalization],
     identities: IdentityReport,
+    divisions: Sequence[DivisionWitness],
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> ConeFactorCertificate:
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
-    For k <= n-2 the identity and the divisibility are checked here, and the
-    nonvanishing of the cofactor is established by counting: dominance on
-    |z| = 2 localizes all roots of C among the already-localized deeper
+    For k <= n-2 the identity f2^(k+1) - f1 = G * C is proved here by exact
+    evaluation at D + 1 integers (see ``_proved_equal``): C is expanded,
+    because the dominance below and the division use it as a polynomial, and
+    is evaluated from that expansion, while G and the powers of f2 enter only
+    through the values of their factors.  The divisibility of C by factor
+    k+1 is the division witness ``divisions[k]`` (``lemma_div_check(fam,
+    k+1)``, which divides the same combination), read rather than redone.
+    The nonvanishing of the cofactor is established by counting: dominance
+    on |z| = 2 localizes all roots of C among the already-localized deeper
     factors and the origin, and that count is exactly absorbed by the
     multiplicity of factor k+1 inside the disk, leaving the cofactor with no
     root of modulus <= 2.
@@ -814,10 +912,12 @@ def cone_factor_certificate(
             status, detail = Status.INCONCLUSIVE, dom.detail
         return ConeFactorCertificate(k, status, identity_ok, True, dom, 0, detail)
 
-    g, c_poly, unit_part, dominant = _cone_combination(fam, k)
-    identity_ok = fam.f2 ** (k + 1) - fam.f1 == g * c_poly
-    quotient, remainder = divmod(c_poly, fam.Pk(k + 1))
-    divisibility_ok = remainder.is_zero and not quotient.is_zero
+    division = divisions[k]
+    if division.index != k + 1:
+        raise ValueError("divisions must hold lemma_div_check(fam, j) for j = 1..n-1")
+    c_poly, unit_part, dominant = _cone_combination(fam, k)
+    identity_ok = _cone_identity(fam, k, c_poly)
+    divisibility_ok = division.status is Status.PROVED and not division.quotient.is_zero
 
     prereq_ok = all(
         root_certs.get(j) is not None and root_certs[j].status is Status.PROVED
@@ -838,7 +938,7 @@ def cone_factor_certificate(
     elif dom.status is Status.PROVED and prereq_ok and bookkeeping_ok:
         status = Status.PROVED
         detail = (
-            f"cofactor of degree {quotient.degree} has no root with |z| <= 2 "
+            f"cofactor of degree {division.quotient.degree} has no root with |z| <= 2 "
             f"({inside} localized roots all absorbed by factor {k + 1})"
         )
     else:
@@ -877,6 +977,25 @@ class IdentityReport(CheckReport):
     unit: Poly = field(compare=False, repr=False)
 
 
+def _identity_sides(fam: Family, unit: Poly) -> dict[str, tuple[list, list]]:
+    """The two sides of each exact identity, as terms for ``_proved_equal``."""
+    n, eps = fam.n, fam.params.eps
+    f1, f2, z = fam.f1, fam.f2, Poly.x()
+    deeper = tuple((fam.Pk(j), 1) for j in range(2, n))
+    square = ((z, 2 * n - 1),) + tuple((fam.Pk(j), 2 * j - 1) for j in range(2, n))
+    return {
+        "power-ratio": ([(1, ((f2, n),))], [(1, ((f1, 1), (unit, 1)))]),
+        "difference-factorization": (
+            [(1, ((f2, 1),)), (-1, ((f1, 1),))],
+            [(eps, ((z, 1), (fam.Pk(1), 2)) + deeper)],
+        ),
+        "square-ratio": (
+            [(1, ((f1, 2),))],
+            [(eps, ((f2, 1),) + square), (-eps, ((f1, 1),) + square)],
+        ),
+    }
+
+
 def exact_identity_checks(fam: Family) -> IdentityReport:
     """Division identities tying the two map components together.
 
@@ -886,30 +1005,25 @@ def exact_identity_checks(fam: Family) -> IdentityReport:
       first factor.
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
       product form.
+
+    Each identity is proved by exact evaluation at D + 1 integers, D the
+    degree bound of its two sides (see ``_proved_equal``).  Only ``unit`` is
+    expanded, because the chart window and the last cone factor use it as a
+    polynomial, and it is evaluated from that expansion; f2^n, f1 * unit and
+    the product forms on the right are products of factor values.
     """
-    n = fam.n
-    eps = fam.params.eps
-
     unit = power_ratio_unit(fam)
-    power_ratio = fam.f2**n == fam.f1 * unit
-
-    diff_expected = Poly.constant(eps) * Poly.monomial(1) * fam.Pk(1) ** 2
-    for j in range(2, n):
-        diff_expected = diff_expected * fam.Pk(j)
-    difference = fam.f2 - fam.f1 == diff_expected
-
-    square_expected = Poly.constant(eps) * Poly.monomial(2 * n - 1)
-    for j in range(2, n):
-        square_expected = square_expected * fam.Pk(j) ** (2 * j - 1)
-    square_ratio = fam.f1 * fam.f1 == (fam.f2 - fam.f1) * square_expected
-
+    holds = {
+        name: _proved_equal(lhs, rhs)
+        for name, (lhs, rhs) in _identity_sides(fam, unit).items()
+    }
     return IdentityReport(
         checks=(
-            CheckResult("power-ratio", power_ratio,
+            CheckResult("power-ratio", holds["power-ratio"],
                         "f2^n = f1 * unit-polynomial"),
-            CheckResult("difference-factorization", difference,
+            CheckResult("difference-factorization", holds["difference-factorization"],
                         "f2 - f1 = eps * z * P1^2 * (deeper factors)"),
-            CheckResult("square-ratio", square_ratio,
+            CheckResult("square-ratio", holds["square-ratio"],
                         "f1^2 = (f2 - f1) * explicit polynomial"),
         ),
         unit=unit,

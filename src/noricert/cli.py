@@ -12,9 +12,10 @@ contract:
 * 64 — invalid configuration or usage.
 
 Identical configurations produce byte-identical reports except for the
-``meta`` section (timestamps, wall-clock timings, and ``deep_scale``: how
-many image points the chart-cone ladders bracketed by ball Horner, and how
-many of those needed the exact triples after all).
+``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
+each certificate stage per size, and ``deep_scale``: how many image points
+the chart-cone ladders bracketed by ball Horner, and how many of those
+needed the exact triples after all).
 """
 
 import argparse
@@ -290,14 +291,14 @@ def _status_of(entry: dict) -> Status:
     return Status(entry["status"])
 
 
-def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
+def _run_family(config: RunConfig, n: int) -> tuple[dict, dict, dict]:
     """All certificate layers for one size.
 
-    Returns the per-n report entry and the trace's deep-scale ladder counts
-    (empty when the family is refuted before the trace), which go to
-    ``meta``.  This is the one place that orders the stages of a family:
-    each stage runs once and receives the earlier stages it uses as
-    arguments.
+    Returns the per-n report entry, the trace's deep-scale ladder counts and
+    the seconds of each stage (both empty when the family is refuted before
+    it is built), which go to ``meta``.  This is the one place that orders
+    the stages of a family: each stage runs once and receives the earlier
+    stages it uses as arguments.
     """
     budget = config.subdivision_budget
     try:
@@ -320,13 +321,20 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
                     Certificate("scale-admissible", Status.REFUTED, str(exc)).to_json()
                 ],
                 "trace": None,
-            }, {}
+            }, {}, {}
         raise UsageError(str(exc)) from exc
 
     fam = build_family(params)
     certificates = []
+    stages: dict[str, float] = {}
 
-    structural = structural_checks(fam)
+    def timed(stage: str, run, *args, **kwargs):
+        started = time.perf_counter()
+        result = run(*args, **kwargs)
+        stages[stage] = round(time.perf_counter() - started, 6)
+        return result
+
+    structural = timed("structural", structural_checks, fam)
     certificates.append(
         Certificate(
             "structural",
@@ -336,7 +344,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    roots = family_root_certificates(fam, budget=budget)
+    roots = timed("roots", family_root_certificates, fam, budget=budget)
     certificates.append(
         Certificate(
             "root-localization",
@@ -346,7 +354,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    annulus = annulus_bounds_certificate(fam, roots)
+    annulus = timed("annulus", annulus_bounds_certificate, fam, roots)
     certificates.append(
         Certificate(
             "annulus-bounds",
@@ -356,7 +364,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    corollary = corollary_ineq_certificate(fam, annulus)
+    corollary = timed("corollary", corollary_ineq_certificate, fam, annulus)
     certificates.append(
         Certificate(
             "modulus-chain",
@@ -366,7 +374,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    identities = exact_identity_checks(fam)
+    identities = timed("identities", exact_identity_checks, fam)
     certificates.append(
         Certificate(
             "exact-identities",
@@ -376,7 +384,9 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    divisions = [lemma_div_check(fam, k) for k in range(1, n)]
+    divisions = timed(
+        "divisions", lambda: [lemma_div_check(fam, k) for k in range(1, n)]
+    )
     for k, witness in enumerate(divisions, start=1):
         certificates.append(
             Certificate(
@@ -384,7 +394,9 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             )
         )
 
-    trace = trace_family(
+    trace = timed(
+        "trace",
+        trace_family,
         fam,
         root_certs=roots,
         corollary=corollary,
@@ -413,7 +425,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         "certificates": [cert.to_json() for cert in certificates],
         "trace": trace.to_json(),
     }
-    return entry, trace.ladder
+    return entry, trace.ladder, stages
 
 
 def _run_atlas(config: RunConfig) -> dict:
@@ -458,8 +470,9 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
     """Execute the full pipeline; returns (report, exit_code)."""
     started = time.time()
     runs = [_run_family(config, n) for n in sorted(config.n_list)]
-    per_n = [entry for entry, _ in runs]
-    ladders = {str(entry["n"]): ladder for entry, ladder in runs if ladder}
+    per_n = [entry for entry, _, _ in runs]
+    ladders = {str(entry["n"]): ladder for entry, ladder, _ in runs if ladder}
+    stages = {str(entry["n"]): seconds for entry, _, seconds in runs if seconds}
     deep_scale = {
         key: sum(ladder[key] for ladder in ladders.values())
         for key in ("points", "exact_fallbacks")
@@ -494,6 +507,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
             ),
             "elapsed_seconds": round(time.time() - started, 3),
             "deep_scale": {**deep_scale, "per_n": ladders},
+            "stages": stages,
         },
     }
     if verdict is Status.REFUTED:

@@ -642,7 +642,9 @@ def chart_cone_certificate(
         raise ValueError(f"chart index must be in 1..{n - 1}")
     divisions_ok = all(w.status is Status.PROVED for w in divisions)
 
-    core = cone_factor_certificate(fam, k, root_certs, identities, budget=budget)
+    core = cone_factor_certificate(
+        fam, k, root_certs, identities, divisions, budget=budget
+    )
 
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)

@@ -228,12 +228,14 @@ def test_criterion_07_escape(built_families, trace_reports):
 
 
 def test_criterion_08_cone_internals(
-    built_families, root_certs, identities, corollary_reports
+    built_families, root_certs, identities, divisions, corollary_reports
 ):
     for n in SIZES:
         fam = built_families[n]
         for k in range(0, n):
-            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
+            cert = cone_factor_certificate(
+                fam, k, root_certs[n], identities[n], divisions[n]
+            )
             assert cert.status is Status.PROVED, (n, k, cert.detail)
             assert cert.identity_ok and cert.divisibility_ok
             assert cert.nonvanishing is not None

@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 from noricert.arith import Poly
 from noricert.certify import (
     AnnulusReport,
+    DivisionWitness,
     Status,
     _abs2_at,
     _cone_combination,
+    _cone_identity,
+    _degree_bound,
+    _identity_points,
+    _identity_sides,
+    _proved_equal,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
     certify_dominance,
@@ -222,7 +228,7 @@ class TestScaledEvaluationOracle:
             if cert.dominance is not None
         ]
         for k in range(n - 1):
-            _, _, unit_part, dominant = _cone_combination(fam, k)
+            _, unit_part, dominant = _cone_combination(fam, k)
             pairs.append((dominant, unit_part, F(2)))
         # the last chart's cofactor: one against the power-ratio unit
         pairs.append((Poly.one(), power_ratio_unit(fam), F(2)))
@@ -312,37 +318,185 @@ class TestDivisionWitness:
 
 class TestConeFactorization:
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_every_chart_proved(self, n, built_families, root_certs, identities):
+    def test_every_chart_proved(self, n, built_families, root_certs, identities, divisions):
         fam = built_families[n]
         for k in range(n):
-            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
+            cert = cone_factor_certificate(
+                fam, k, root_certs[n], identities[n], divisions[n]
+            )
             assert cert.status is Status.PROVED, (k, cert.detail)
             assert cert.identity_ok and cert.divisibility_ok
-        d = fam.params.d
-        for k in range(n - 1):
-            cert = cone_factor_certificate(fam, k, root_certs[n], identities[n])
-            assert cert.localized == d[k]
+            if k < n - 1:
+                assert cert.localized == fam.params.d[k]
+                # the cofactor degree is read from the division witness
+                assert f"degree {divisions[n][k].quotient.degree} " in cert.detail
 
     def test_frozen_cofactor_n3(self, built_families):
         fam = built_families[3]
         eps = fam.params.eps
-        _, c_poly, _, _ = _cone_combination(fam, 1)
+        c_poly, _, _ = _cone_combination(fam, 1)
         quotient, remainder = divmod(c_poly, fam.Pk(2))
         assert remainder.is_zero
         assert quotient == Poly([F(1), F(0), -(eps**3)])
 
-    def test_chart_index_validation(self, built_families, identities):
+    def test_chart_index_validation(self, built_families, identities, divisions):
         with pytest.raises(ValueError):
-            cone_factor_certificate(built_families[2], 5, {}, identities[2])
+            cone_factor_certificate(built_families[2], 5, {}, identities[2], divisions[2])
 
-    def test_tampered_identity_refuted(self, built_families, root_certs):
-        fam = built_families[2]
+    def test_divisions_in_chart_order(self, built_families, root_certs, identities, divisions):
+        reordered = divisions[3][::-1]
+        with pytest.raises(ValueError):
+            cone_factor_certificate(
+                built_families[3], 0, root_certs[3], identities[3], reordered
+            )
+
+    def test_refuted_division_refutes(self, built_families, root_certs, identities, divisions):
+        failed = DivisionWitness(2, Status.REFUTED, None, "nonzero remainder")
+        cert = cone_factor_certificate(
+            built_families[3], 1, root_certs[3], identities[3],
+            [divisions[3][0], failed],
+        )
+        assert cert.status is Status.REFUTED
+        assert cert.identity_ok and not cert.divisibility_ok
+        assert cert.detail == "factor k+1 does not divide the combination"
+
+    @staticmethod
+    def _assert_tampered_refuted(n, k, built_families, root_certs, divisions):
+        fam = built_families[n]
         tampered = dataclasses.replace(fam, f1=fam.f1 + Poly.one())
         cert = cone_factor_certificate(
-            tampered, 0, root_certs[2], exact_identity_checks(tampered)
+            tampered, k, root_certs[n], exact_identity_checks(tampered), divisions[n]
         )
         assert cert.status is Status.REFUTED
         assert not cert.identity_ok
+        assert cert.detail == "factorization identity fails"
+
+    def test_tampered_identity_refuted(self, built_families, root_certs, divisions):
+        self._assert_tampered_refuted(2, 0, built_families, root_certs, divisions)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tampered_identity_refuted_deep_charts(
+        self, k, built_families, root_certs, divisions
+    ):
+        self._assert_tampered_refuted(4, k, built_families, root_certs, divisions)
+
+
+def _expanded_identities(fam, unit):
+    """The exact identities by coefficient comparison: the reference."""
+    n, eps = fam.n, fam.params.eps
+    f1, f2, z = fam.f1, fam.f2, Poly.x()
+    diff = Poly.constant(eps) * z * fam.Pk(1) ** 2
+    square = Poly.constant(eps) * z ** (2 * n - 1)
+    for j in range(2, n):
+        diff = diff * fam.Pk(j)
+        square = square * fam.Pk(j) ** (2 * j - 1)
+    return {
+        "power-ratio": f2**n == f1 * unit,
+        "difference-factorization": f2 - f1 == diff,
+        "square-ratio": f1 * f1 == (f2 - f1) * square,
+    }
+
+
+def _expanded_cone_identity(fam, k):
+    g = Poly.constant(fam.params.eps) * Poly.monomial(k + 1)
+    for j in range(1, fam.n):
+        g = g * fam.Pk(j) ** min(j, k + 1)
+    c_poly, _, _ = _cone_combination(fam, k)
+    return fam.f2 ** (k + 1) - fam.f1 == g * c_poly
+
+
+def _evaluated_identities(fam, unit):
+    return {
+        name: _proved_equal(lhs, rhs)
+        for name, (lhs, rhs) in _identity_sides(fam, unit).items()
+    }
+
+
+def _evaluated_cone_identity(fam, k):
+    return _cone_identity(fam, k, _cone_combination(fam, k)[0])
+
+
+def _tampered(fam, kind):
+    """The family with f2 doubled ("f2-doubled") or one more term in P_j ("Pj")."""
+    if kind == "f2-doubled":
+        return dataclasses.replace(fam, f2=fam.f2 * 2)
+    j = int(kind[1:])
+    bumped = fam.Pk(j) + Poly.monomial(1, fam.params.eps)
+    return dataclasses.replace(fam, P=fam.P[: j - 1] + (bumped,) + fam.P[j:])
+
+
+class TestEvaluationProof:
+    """The identities proved at D + 1 integers agree with their expansions."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_expansion(self, n, built_families, identities):
+        fam = built_families[n]
+        expanded = _expanded_identities(fam, power_ratio_unit(fam))
+        assert expanded == dict.fromkeys(expanded, True)
+        assert {c.name: c.passed for c in identities[n].checks} == expanded
+        for k in range(n - 1):
+            assert _expanded_cone_identity(fam, k)
+            assert _evaluated_cone_identity(fam, k)
+
+    @pytest.mark.parametrize(
+        "n, kind",
+        [(n, "f2-doubled") for n in (2, 3)]
+        + [(n, f"P{j}") for n in (2, 3) for j in range(1, n)],
+    )
+    def test_tampered_agrees_with_expansion(self, n, kind, built_families):
+        fam = _tampered(built_families[n], kind)
+        unit = power_ratio_unit(fam)
+        evaluated = _evaluated_identities(fam, unit)
+        assert evaluated == _expanded_identities(fam, unit)
+        assert not evaluated["power-ratio"]
+        for k in range(n - 1):
+            assert not _evaluated_cone_identity(fam, k)
+            assert not _expanded_cone_identity(fam, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unit_off_by_one_unit_in_last_place(self, n, built_families, identities):
+        fam = built_families[n]
+        unit = identities[n].unit
+        i = unit.degree // 2
+        bad = unit + Poly.monomial(i, F(1, unit.scaled()[1]))
+        assert bad.coeff(i) != unit.coeff(i) and bad.degree == unit.degree
+        assert not _evaluated_identities(fam, bad)["power-ratio"]
+
+    @pytest.mark.parametrize("kind", ["f2-doubled", "P1", "P2", "P3"])
+    def test_tampered_rejected_n4(self, kind, built_families):
+        fam = _tampered(built_families[4], kind)
+        rep = exact_identity_checks(fam)
+        assert not rep.passed("power-ratio")
+        for k in range(3):
+            assert not _evaluated_cone_identity(fam, k)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degree_bound_from_the_polynomials(self, n, built_families):
+        # A term c * prod (z - x) over the D + 1 points of the power-ratio
+        # identity leaves f1 unchanged at every one of them, so a check whose
+        # D came from the family's tables would accept the tampered f1.  Its
+        # degree is D + 1, which the degree bound reads off f1 itself.
+        fam = built_families[n]
+        unit = power_ratio_unit(fam)
+        lhs, rhs = _identity_sides(fam, unit)["power-ratio"]
+        points = _identity_points(_degree_bound(lhs + rhs))
+        bump = Poly.one()
+        for x in points:
+            bump = bump * Poly([-x, 1])
+        tampered = dataclasses.replace(fam, f1=fam.f1 + bump)
+        assert tampered.f1.degree == len(points) > fam.f1.degree
+        for x in points:
+            assert tampered.f1(x) == fam.f1(x)
+            assert tampered.f2(x) ** n == tampered.f1(x) * unit(x)
+        rep = exact_identity_checks(tampered)
+        assert not rep.passed("power-ratio")
+        assert not rep.all_passed
+
+    def test_points_are_distinct_integers(self):
+        for degree in range(8):
+            points = list(_identity_points(degree))
+            assert len(set(points)) == degree + 1
+            assert points[0] == -(degree // 2)
 
 
 class TestExactIdentities:

@@ -362,11 +362,22 @@ class TestDeterminism:
         assert _strip_meta(other) != _strip_meta(small_report)
 
 
+@pytest.fixture(scope="class")
+def default_run():
+    """``verify --n 2..4 --seed 0``, run once for the meta tests."""
+    return run_verify(RunConfig(n_list=(2, 3, 4), seed=0))
+
+
+STAGES = {
+    "structural", "roots", "annulus", "corollary", "identities", "divisions", "trace",
+}
+
+
 class TestMeta:
-    def test_deep_scale_counters(self):
+    def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
         # under 1 % of the ball-bracketed points need the exact triples
-        report, code = run_verify(RunConfig(n_list=(2, 3, 4), seed=0))
+        report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
         assert set(deep) == {"points", "exact_fallbacks", "per_n"}
@@ -378,6 +389,25 @@ class TestMeta:
         assert (deep["points"], deep["exact_fallbacks"]) == (1608, 3)
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+    def test_stage_seconds(self, default_run):
+        report, code = default_run
+        assert code == EXIT_OK
+        stages = report["meta"]["stages"]
+        assert set(stages) == {"2", "3", "4"}
+        for seconds in stages.values():
+            assert set(seconds) == STAGES
+            assert all(isinstance(s, float) and s >= 0 for s in seconds.values())
+        # timings stay out of the deterministic part of the report
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+    def test_no_stages_for_a_family_refuted_before_its_build(self):
+        report, code = run_verify(
+            RunConfig(n_list=(2,), eps_override=F(1, 2), samples=32)
+        )
+        assert code == EXIT_REFUTED
+        assert report["meta"]["stages"] == {}
 
 
 class TestRendering:
