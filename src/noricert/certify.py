@@ -26,6 +26,14 @@ arc, and arcs are refined adaptively (worst bound first) until every arc is
 certified, a genuine counterexample point is found, or the subdivision
 budget runs out.
 
+The arc bounds are exact rationals, but they are not computed as such on
+every arc.  192-bit brackets of them (``bounds.arc_gap_bracket``), built
+from the unreduced midpoint values without a gcd, decide most arcs; exact
+integers settle every arc the brackets leave undecided, so each open arc
+carries its exact bound as its heap key.  The reported margin is the exact
+minimum over the certified arcs, computed exactly only on the arcs whose
+margin bracket can still hold it.
+
 Polynomial identities between products of the family's factors (the exact
 identities and each chart's cone factorization) are proved by exact
 evaluation instead of expansion.  Both sides have degree at most D, read
@@ -53,6 +61,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import (
+    BALL_BITS,
     ComplexRational,
     Poly,
     as_scaled,
@@ -61,7 +70,13 @@ from .arith import (
     format_rational,
     scaled_abs2,
 )
-from .bounds import prod_gt
+from .bounds import (
+    arc_gap_bracket,
+    min_candidates,
+    prod_gt,
+    ratio_bracket,
+    sqrt_bracket,
+)
 from .family import CheckReport, CheckResult, Family
 
 __all__ = [
@@ -224,7 +239,15 @@ class Dominance:
 
     ``margin`` is in squared-modulus units: the minimum over all certified
     arcs of (certified lower bound on abs2(dominant)) minus (certified upper
-    bound on abs2(dominated)).
+    bound on abs2(dominated)).  It is that exact minimum even though most
+    arcs are certified by 192-bit brackets alone: only the arcs whose margin
+    bracket can still hold the minimum get their margin computed exactly.
+
+    ``exact_arcs`` counts the arc assessments the brackets left undecided,
+    which exact integers settled (every arc that stayed open is among them),
+    and ``exact_margins`` the certified arcs whose margin was computed
+    exactly.  They describe the work, not the verdict, and are not part of
+    ``to_json``.
     """
 
     status: Status
@@ -236,6 +259,16 @@ class Dominance:
     margin: Optional[Fraction]
     witness: Optional[CirclePoint]  # refuted: |dominated| >= |dominant| here
     detail: str = ""
+    exact_arcs: int = field(default=0, compare=False, repr=False)
+    exact_margins: int = field(default=0, compare=False, repr=False)
+
+    def counts(self) -> dict[str, int]:
+        """The arcs of the certificate and how many of them needed exact integers."""
+        return {
+            "arcs": self.arcs,
+            "exact_arcs": self.exact_arcs,
+            "exact_margins": self.exact_margins,
+        }
 
     def to_json(self) -> dict:
         return {
@@ -254,6 +287,25 @@ class Dominance:
 _INITIAL_ARCS = 8  # arcs per chart half-circle before any refinement
 
 
+def _root_bracket(num: int, den: int, root) -> tuple:
+    """A bracket of ``root(num/den)``, ``root`` being ``sqrt_lower`` or ``sqrt_upper``.
+
+    Operands that fit in the bracket precision take the exact root, which is
+    cheap, so the bracket of a dyadic root (the constant one) is a point.
+    Larger ones are bracketed without reducing ``num/den``, by the slack of
+    ``sqrt_bracket``: both one-sided roots lie within 2^-64/d of the root of
+    the reduced form n/d.
+    """
+    if max(num.bit_length(), den.bit_length()) <= BALL_BITS:
+        return _fraction_bracket(root(Fraction(num, den)))
+    return sqrt_bracket(num, den, _SQRT_BITS)
+
+
+def _fraction_bracket(q: Fraction) -> tuple:
+    """The bracket of a nonnegative rational."""
+    return ratio_bracket(q.numerator, q.denominator)
+
+
 def certify_dominance(
     dominant: Poly,
     dominated: Poly,
@@ -267,6 +319,17 @@ def certify_dominance(
     the refinement, so a proved result stays proved.  A refutation is always
     an exact circle point where the inequality fails, checked in exact
     arithmetic.
+
+    On each arc the certified bounds are ``lower_big = sqrt_lower(b2) - M *
+    chord`` and ``upper_small = sqrt_upper(s2) + N * chord`` (b2, s2 the
+    squared moduli at the arc midpoint, reduced; M, N the Lipschitz
+    constants), and the arc is certified when ``lower_big > upper_small``.
+    Brackets of these bounds (``bounds.arc_gap_bracket``), built from the
+    unreduced integers, certify most arcs; an arc they leave undecided is
+    decided in exact integers, so every open arc keeps its exact heap key
+    ``lower_big - upper_small`` and the refinement is that of the exact
+    comparison.  The margin is computed exactly only for the arcs whose
+    margin bracket can still hold the minimum.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -278,15 +341,47 @@ def certify_dominance(
     )
     m_dominant = lipschitz_on_disk(dominant, radius)
     m_dominated = lipschitz_on_disk(dominated, radius)
+    m_brackets = (_fraction_bracket(m_dominant), _fraction_bracket(m_dominated))
 
     heap: list[tuple[Fraction, int, int, Fraction, Fraction]] = []
     counter = 0
-    margin: Optional[Fraction] = None
+    exact_arcs = 0
+    exact_margins = 0
+    # certified arcs: the smallest exact margin (num, den) so far, and the
+    # (margin bracket, operands) of the bracket-certified arcs whose bracket
+    # can still hold the minimum
+    least: Optional[tuple[int, int]] = None
+    bracketed: list[tuple[tuple, tuple]] = []
     refuted: Optional[CirclePoint] = None
 
-    def assess(chart: int, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
-        """Certified squared-margin on the arc, or None if the midpoint refutes."""
-        nonlocal margin, refuted
+    def exact_sides(b_num, b_den, s_num, s_den, chord) -> tuple:
+        """lower_big and upper_small as unreduced integer pairs (num, den)."""
+        # the square-root bounds depend on the reduced form, so reduce here
+        t, scale, _ = _sqrt_bracket(Fraction(b_num, b_den))
+        cn, cd = chord.numerator, chord.denominator
+        mn, md = m_dominant.numerator, m_dominant.denominator
+        lower = (t * md * cd - mn * cn * scale, scale * md * cd)
+        t, scale, exact = _sqrt_bracket(Fraction(s_num, s_den))
+        mn, md = m_dominated.numerator, m_dominated.denominator
+        upper = ((t if exact else t + 1) * md * cd + mn * cn * scale, scale * md * cd)
+        return lower, upper
+
+    def settle(lower: tuple, upper: tuple) -> None:
+        """Take lower_big^2 - upper_small^2, as an unreduced pair, into the minimum."""
+        nonlocal least, exact_margins
+        (ln, ld), (un, ud) = lower, upper
+        margin = ln * ln * ud * ud - un * un * ld * ld, ld * ld * ud * ud
+        exact_margins += 1
+        # mirror arcs t, -t of real polynomials give the same pair: a tie
+        # that prod_gt could only settle with the full products
+        if least is None or (
+            margin != least and prod_gt((least[0], margin[1]), (margin[0], least[1]))
+        ):
+            least = margin
+
+    def push(chart: int, lo: Fraction, hi: Fraction) -> bool:
+        """Assess an arc; queue it if still open.  False means refuted."""
+        nonlocal counter, exact_arcs, refuted
         mid = (lo + hi) / 2
         w = chart_point(radius, mid)
         big, small = chart_pairs[chart]
@@ -295,28 +390,36 @@ def certify_dominance(
         if not prod_gt((b_num, s_den), (s_num, b_den)):  # abs2(small) >= abs2(big)
             point = w if chart == 0 else -w
             refuted = CirclePoint(chart, mid, point)
-            return None
-        # the square-root bounds depend on the reduced form, so reduce here
-        b2, s2 = Fraction(b_num, b_den), Fraction(s_num, s_den)
-        chord = _chord_upper(radius, lo, hi, mid)
-        lower_big = sqrt_lower(b2) - m_dominant * chord
-        upper_small = sqrt_upper(s2) + m_dominated * chord
-        if lower_big > upper_small:
-            arc_margin = lower_big * lower_big - upper_small * upper_small
-            margin = arc_margin if margin is None else min(margin, arc_margin)
-            return arc_margin
-        return lower_big - upper_small  # nonpositive: arc stays open
-
-    def push(chart: int, lo: Fraction, hi: Fraction) -> bool:
-        """Assess an arc; queue it if still open.  False means refuted."""
-        nonlocal counter
-        verdict = assess(chart, lo, hi)
-        if verdict is None:
             return False
-        if verdict <= 0:
+        chord = _chord_upper(radius, lo, hi, mid)
+        gap = arc_gap_bracket(
+            _root_bracket(b_num, b_den, sqrt_lower),
+            _root_bracket(s_num, s_den, sqrt_upper),
+            *m_brackets,
+            _fraction_bracket(chord),
+        )
+        if gap is not None:
+            bracketed.append((gap, (b_num, b_den, s_num, s_den, chord)))
+            # an arc whose lower end is above some upper end is never the minimum
+            bracketed[:] = [bracketed[i] for i in min_candidates([g for g, _ in bracketed])]
+            return True
+        exact_arcs += 1
+        lower, upper = exact_sides(b_num, b_den, s_num, s_den, chord)
+        (ln, ld), (un, ud) = lower, upper
+        if ln > 0 and prod_gt((ln, ud), (un, ld)):  # lower_big > upper_small
+            settle(lower, upper)
+        else:
+            # lower_big - upper_small, nonpositive: the arc stays open
+            key = Fraction(ln * ud - un * ld, ld * ud)
             counter += 1
-            heapq.heappush(heap, (verdict, counter, chart, lo, hi))
+            heapq.heappush(heap, (key, counter, chart, lo, hi))
         return True
+
+    def outcome(status: Status, margin: Optional[Fraction], witness, detail: str) -> Dominance:
+        return Dominance(
+            status, dominant, dominated, radius, subdivisions, arcs, margin,
+            witness, detail, exact_arcs=exact_arcs, exact_margins=exact_margins,
+        )
 
     arcs = 0
     subdivisions = 0
@@ -326,9 +429,8 @@ def certify_dominance(
             lo = -1 + i * step
             arcs += 1
             if not push(chart, lo, lo + step):
-                return Dominance(
-                    Status.REFUTED, dominant, dominated, radius, subdivisions,
-                    arcs, None, refuted,
+                return outcome(
+                    Status.REFUTED, None, refuted,
                     "inequality fails at an exact circle point",
                 )
 
@@ -339,22 +441,21 @@ def certify_dominance(
         arcs += 1
         for a, b in ((lo, mid), (mid, hi)):
             if not push(chart, a, b):
-                return Dominance(
-                    Status.REFUTED, dominant, dominated, radius, subdivisions,
-                    arcs, None, refuted,
+                return outcome(
+                    Status.REFUTED, None, refuted,
                     "inequality fails at an exact circle point",
                 )
 
     if heap:
-        return Dominance(
-            Status.INCONCLUSIVE, dominant, dominated, radius, subdivisions,
-            arcs, None, None,
+        return outcome(
+            Status.INCONCLUSIVE, None, None,
             f"subdivision budget {budget} exhausted with {len(heap)} open arcs",
         )
-    return Dominance(
-        Status.PROVED, dominant, dominated, radius, subdivisions, arcs,
-        margin, None, "all arcs certified",
-    )
+    # the minimum is an exactly decided arc's margin or lies in the bracket
+    # of a candidate left in ``bracketed``
+    for _, operands in bracketed:
+        settle(*exact_sides(*operands))
+    return outcome(Status.PROVED, Fraction(*least), None, "all arcs certified")
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +861,21 @@ def _proved_equal(lhs: list, rhs: list) -> bool:
 
 @dataclass(frozen=True)
 class DivisionWitness:
-    """Factor ``index`` divides its associated combination; quotient emitted."""
+    """Factor ``index`` divides its associated combination; quotient emitted.
+
+    ``unit_part`` and ``dominant`` are the two sides of the combination
+    (``_cone_combination(fam, index - 1)``, which is ``unit_part -
+    dominant``).  They are built once, here, and the cone factor of chart
+    ``index - 1`` reads them instead of expanding them again; they are not
+    part of the serialized report.
+    """
 
     index: int
     status: Status
     quotient: Optional[Poly]
     detail: str = ""
+    unit_part: Poly = field(kw_only=True, compare=False, repr=False)
+    dominant: Poly = field(kw_only=True, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -786,16 +896,17 @@ def lemma_div_check(fam: Family, k: int) -> DivisionWitness:
     """
     if not 1 <= k <= fam.n - 1:
         raise ValueError(f"factor index must be in 1..{fam.n - 1}")
-    combination, _, _ = _cone_combination(fam, k - 1)
+    combination, unit_part, dominant = _cone_combination(fam, k - 1)
+    sides = {"unit_part": unit_part, "dominant": dominant}
     quotient, remainder = divmod(combination, fam.Pk(k))
     if remainder.is_zero:
         return DivisionWitness(
             k, Status.PROVED, quotient,
-            f"exact division; quotient degree {quotient.degree}",
+            f"exact division; quotient degree {quotient.degree}", **sides,
         )
     return DivisionWitness(
         k, Status.REFUTED, None,
-        f"nonzero remainder of degree {remainder.degree}",
+        f"nonzero remainder of degree {remainder.degree}", **sides,
     )
 
 
@@ -875,12 +986,13 @@ def cone_factor_certificate(
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
     For k <= n-2 the identity f2^(k+1) - f1 = G * C is proved here by exact
-    evaluation at D + 1 integers (see ``_proved_equal``): C is expanded,
-    because the dominance below and the division use it as a polynomial, and
-    is evaluated from that expansion, while G and the powers of f2 enter only
-    through the values of their factors.  The divisibility of C by factor
-    k+1 is the division witness ``divisions[k]`` (``lemma_div_check(fam,
-    k+1)``, which divides the same combination), read rather than redone.
+    evaluation at D + 1 integers (see ``_proved_equal``): C is the difference
+    of the two expanded sides that the division witness ``divisions[k]``
+    (``lemma_div_check(fam, k+1)``) carries, the same sides the dominance
+    below compares, and is evaluated from that expansion, while G and the
+    powers of f2 enter only through the values of their factors.  The
+    divisibility of C by factor k+1 is read from that witness rather than
+    redone, and the sides are not expanded again.
     The nonvanishing of the cofactor is established by counting: dominance
     on |z| = 2 localizes all roots of C among the already-localized deeper
     factors and the origin, and that count is exactly absorbed by the
@@ -915,8 +1027,8 @@ def cone_factor_certificate(
     division = divisions[k]
     if division.index != k + 1:
         raise ValueError("divisions must hold lemma_div_check(fam, j) for j = 1..n-1")
-    c_poly, unit_part, dominant = _cone_combination(fam, k)
-    identity_ok = _cone_identity(fam, k, c_poly)
+    unit_part, dominant = division.unit_part, division.dominant
+    identity_ok = _cone_identity(fam, k, unit_part - dominant)
     divisibility_ok = division.status is Status.PROVED and not division.quotient.is_zero
 
     prereq_ok = all(

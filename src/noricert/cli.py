@@ -13,9 +13,11 @@ contract:
 
 Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
-each certificate stage per size, and ``deep_scale``: how many image points
-the chart-cone ladders bracketed by ball Horner, and how many of those
-needed the exact triples after all).
+each certificate stage per size, ``deep_scale``: how many image points the
+chart-cone ladders bracketed by ball Horner, and how many of those needed
+the exact triples after all, and ``dominance``: the arcs of the dominance
+certificates, how many of their assessments the 192-bit brackets left to
+exact integers, and how many margins were computed exactly).
 """
 
 import argparse
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -62,6 +65,9 @@ EXIT_USAGE = 64
 
 BUDGET_ENV_VAR = "NORICERT_BUDGET"
 REPORT_SCHEMA = "noricert-report/1"
+
+# the keys of ``Dominance.counts``, summed per size into ``meta.dominance``
+_DOMINANCE_COUNTS = ("arcs", "exact_arcs", "exact_margins")
 
 # the two reference intersection matrices: the contractible configuration
 # and the non-exceptional one
@@ -291,14 +297,15 @@ def _status_of(entry: dict) -> Status:
     return Status(entry["status"])
 
 
-def _run_family(config: RunConfig, n: int) -> tuple[dict, dict, dict]:
+def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     """All certificate layers for one size.
 
-    Returns the per-n report entry, the trace's deep-scale ladder counts and
-    the seconds of each stage (both empty when the family is refuted before
-    it is built), which go to ``meta``.  This is the one place that orders
-    the stages of a family: each stage runs once and receives the earlier
-    stages it uses as arguments.
+    Returns the per-n report entry and what the size adds to ``meta``: the
+    trace's deep-scale ladder counts (``deep_scale``), the arc counts of its
+    dominance certificates (``dominance``) and the seconds of each stage
+    (``stages``); that is empty when the family is refuted before it is
+    built.  This is the one place that orders the stages of a family: each
+    stage runs once and receives the earlier stages it uses as arguments.
     """
     budget = config.subdivision_budget
     try:
@@ -321,7 +328,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict, dict]:
                     Certificate("scale-admissible", Status.REFUTED, str(exc)).to_json()
                 ],
                 "trace": None,
-            }, {}, {}
+            }, {}
         raise UsageError(str(exc)) from exc
 
     fam = build_family(params)
@@ -425,7 +432,15 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict, dict]:
         "certificates": [cert.to_json() for cert in certificates],
         "trace": trace.to_json(),
     }
-    return entry, trace.ladder, stages
+    dominance = Counter(trace.dominance)
+    for rc in roots.values():
+        if rc.dominance is not None:
+            dominance.update(rc.dominance.counts())
+    return entry, {
+        "deep_scale": trace.ladder,
+        "dominance": {key: dominance[key] for key in _DOMINANCE_COUNTS},
+        "stages": stages,
+    }
 
 
 def _run_atlas(config: RunConfig) -> dict:
@@ -470,13 +485,16 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
     """Execute the full pipeline; returns (report, exit_code)."""
     started = time.time()
     runs = [_run_family(config, n) for n in sorted(config.n_list)]
-    per_n = [entry for entry, _, _ in runs]
-    ladders = {str(entry["n"]): ladder for entry, ladder, _ in runs if ladder}
-    stages = {str(entry["n"]): seconds for entry, _, seconds in runs if seconds}
-    deep_scale = {
-        key: sum(ladder[key] for ladder in ladders.values())
-        for key in ("points", "exact_fallbacks")
-    }
+    per_n = [entry for entry, _ in runs]
+    built = {str(entry["n"]): meta for entry, meta in runs if meta}
+
+    def totals(part: str, keys: Sequence[str]) -> dict:
+        counts = {n: meta[part] for n, meta in built.items()}
+        return {
+            **{key: sum(c[key] for c in counts.values()) for key in keys},
+            "per_n": counts,
+        }
+
     atlas = _run_atlas(config)
 
     statuses = [
@@ -506,8 +524,9 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)
             ),
             "elapsed_seconds": round(time.time() - started, 3),
-            "deep_scale": {**deep_scale, "per_n": ladders},
-            "stages": stages,
+            "deep_scale": totals("deep_scale", ("points", "exact_fallbacks")),
+            "dominance": totals("dominance", _DOMINANCE_COUNTS),
+            "stages": {n: meta["stages"] for n, meta in built.items()},
         },
     }
     if verdict is Status.REFUTED:

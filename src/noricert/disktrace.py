@@ -635,7 +635,8 @@ def chart_cone_certificate(
     The halved opening parameter leaves a factor-two margin, so every
     validated point satisfies the open cone condition at ``rho`` strictly
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
-    image points and exact fallbacks.
+    image points and exact fallbacks, and the arcs of the cofactor's dominance
+    certificate (``Dominance.counts``).
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -645,6 +646,7 @@ def chart_cone_certificate(
     core = cone_factor_certificate(
         fam, k, root_certs, identities, divisions, budget=budget
     )
+    tally.update(core.nonvanishing.counts())
 
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
@@ -1082,7 +1084,8 @@ class TraceReport:
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
     (``points``) and those whose exact triples a predicate needed
-    (``exact_fallbacks``).  It describes the work, not the verdict, and is
+    (``exact_fallbacks``); ``dominance`` sums ``Dominance.counts`` over the
+    chart-cone cofactors.  Both describe the work, not the verdict, and are
     not part of ``to_json``.
     """
 
@@ -1097,6 +1100,7 @@ class TraceReport:
     status: Status
     detail: str = ""
     ladder: dict = field(default_factory=dict, compare=False)
+    dominance: dict = field(default_factory=dict, compare=False)
 
     @property
     def conditions(self) -> tuple[Certificate, Certificate, Certificate, Certificate]:
@@ -1155,7 +1159,7 @@ def trace_family(
     the four condition statuses.
     """
     n = fam.n
-    ladder: Counter = Counter()
+    tally: Counter = Counter()
     condition_ii = annulus_into_target(fam, corollary, spot_checks=spot_checks)
     window = image_in_chart_window(
         fam, corollary, identities, samples=window_samples, seed=seed
@@ -1170,7 +1174,7 @@ def trace_family(
             samples=cone_samples,
             seed=seed,
             budget=budget,
-            tally=ladder,
+            tally=tally,
         )
         for k in range(1, n)
     ]
@@ -1224,5 +1228,6 @@ def trace_family(
         seed=seed,
         status=status,
         detail=_TRACE_DETAIL[status],
-        ladder={key: ladder[key] for key in ("points", "exact_fallbacks")},
+        ladder={key: tally[key] for key in ("points", "exact_fallbacks")},
+        dominance={key: tally[key] for key in ("arcs", "exact_arcs", "exact_margins")},
     )

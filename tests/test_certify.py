@@ -5,6 +5,7 @@ an independent sympy/numpy oracle before being frozen here.
 """
 
 import dataclasses
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -14,20 +15,25 @@ from hypothesis import strategies as st
 from noricert.arith import Poly
 from noricert.certify import (
     AnnulusReport,
-    DivisionWitness,
+    CirclePoint,
+    Dominance,
     Status,
     _abs2_at,
+    _chord_upper,
     _cone_combination,
     _cone_identity,
     _degree_bound,
     _identity_points,
     _identity_sides,
+    _perturbation_big,
     _proved_equal,
+    _root_bracket,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
     certify_dominance,
     chart_point,
     circle_points,
+    DEFAULT_BUDGET,
     cone_factor_certificate,
     corollary_ineq_certificate,
     exact_identity_checks,
@@ -38,6 +44,7 @@ from noricert.certify import (
     sqrt_lower,
     sqrt_upper,
 )
+from noricert.bounds import _p_lt
 from noricert.family import FamilyParams, build_family, default_family
 
 F = Fraction
@@ -124,7 +131,8 @@ class TestDominance:
         dominated = Poly.constant(F(499, 1000))
         starved = certify_dominance(Poly.x(), dominated, F(1, 2), budget=10)
         assert starved.status is Status.INCONCLUSIVE
-        assert "budget" in starved.detail
+        assert (starved.arcs, starved.subdivisions) == (26, 10)
+        assert starved.detail == "subdivision budget 10 exhausted with 26 open arcs"
         fed = certify_dominance(Poly.x(), dominated, F(1, 2), budget=20000)
         assert fed.status is Status.PROVED
 
@@ -137,6 +145,233 @@ class TestDominance:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             certify_dominance(Poly.x(), Poly.one(), F(0))
+
+
+def _reference_dominance(dominant, dominated, radius, budget=DEFAULT_BUDGET):
+    """The Fraction reference: every arc decided with reduced Fractions.
+
+    This is the arc loop that decided every arc before the 192-bit brackets:
+    the bounds ``sqrt_lower(b2) - M * chord`` and ``sqrt_upper(s2) + N *
+    chord``, the squared margin and the running minimum are all Fractions.
+    """
+    chart_pairs = (
+        (dominant, dominated),
+        (dominant.map_variable_negated(), dominated.map_variable_negated()),
+    )
+    m_dominant = lipschitz_on_disk(dominant, radius)
+    m_dominated = lipschitz_on_disk(dominated, radius)
+    heap, counter, margin, refuted = [], 0, None, None
+
+    def assess(chart, lo, hi):
+        nonlocal margin, refuted
+        mid = (lo + hi) / 2
+        w = chart_point(radius, mid)
+        big, small = chart_pairs[chart]
+        b2, s2 = F(*_abs2_at(big, w)), F(*_abs2_at(small, w))
+        if s2 >= b2:
+            refuted = CirclePoint(chart, mid, w if chart == 0 else -w)
+            return None
+        chord = _chord_upper(radius, lo, hi, mid)
+        lower_big = sqrt_lower(b2) - m_dominant * chord
+        upper_small = sqrt_upper(s2) + m_dominated * chord
+        if lower_big > upper_small:
+            arc_margin = lower_big * lower_big - upper_small * upper_small
+            margin = arc_margin if margin is None else min(margin, arc_margin)
+            return arc_margin
+        return lower_big - upper_small
+
+    def push(chart, lo, hi):
+        nonlocal counter
+        verdict = assess(chart, lo, hi)
+        if verdict is None:
+            return False
+        if verdict <= 0:
+            counter += 1
+            heapq.heappush(heap, (verdict, counter, chart, lo, hi))
+        return True
+
+    def result(status, margin, witness, detail):
+        return Dominance(
+            status, dominant, dominated, radius, subdivisions, arcs, margin,
+            witness, detail,
+        )
+
+    arcs = subdivisions = 0
+    step = F(2, 8)
+    for chart in (0, 1):
+        for i in range(8):
+            lo = -1 + i * step
+            arcs += 1
+            if not push(chart, lo, lo + step):
+                return result(
+                    Status.REFUTED, None, refuted,
+                    "inequality fails at an exact circle point",
+                )
+    while heap and subdivisions < budget:
+        _, _, chart, lo, hi = heapq.heappop(heap)
+        mid = (lo + hi) / 2
+        subdivisions += 1
+        arcs += 1
+        for a, b in ((lo, mid), (mid, hi)):
+            if not push(chart, a, b):
+                return result(
+                    Status.REFUTED, None, refuted,
+                    "inequality fails at an exact circle point",
+                )
+    if heap:
+        return result(
+            Status.INCONCLUSIVE, None, None,
+            f"subdivision budget {budget} exhausted with {len(heap)} open arcs",
+        )
+    return result(Status.PROVED, margin, None, "all arcs certified")
+
+
+def _assert_matches_reference(dominant, dominated, radius, budget=DEFAULT_BUDGET):
+    dom = certify_dominance(dominant, dominated, radius, budget=budget)
+    ref = _reference_dominance(dominant, dominated, radius, budget)
+    assert dom.to_json() == ref.to_json()
+    assert dom.margin == ref.margin
+    return dom
+
+
+def _default_dominance_calls(fam):
+    """Every dominance certificate the pipeline builds for ``fam``, and chart 0."""
+    n, eps, c = fam.n, fam.params.eps, fam.params.c
+    calls = [
+        (_perturbation_big(fam, k), Poly.constant(eps ** c[k - 1]), F(1, 2**k))
+        for k in range(n - 2, 0, -1)
+    ]
+    for k in range(n - 1):
+        _, unit_part, dominant = _cone_combination(fam, k)
+        calls.append((dominant, unit_part, F(2)))
+    calls.append((Poly.one(), power_ratio_unit(fam), F(2)))
+    return calls
+
+
+@st.composite
+def _dominance_cases(draw):
+    """A dominant part, a dominated part and a radius.
+
+    The dominant part is a monomial, whose squared modulus on the circle is
+    a perfect square, optionally with smaller lower terms, or a constant; the
+    dominated part is scaled down by up to 10^-300.
+    """
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
+    degree = draw(st.integers(0, 5))
+    dominant = Poly.monomial(degree, draw(coeffs.filter(bool)))
+    if degree and draw(st.booleans()):
+        dominant = dominant + Poly(draw(st.lists(coeffs, max_size=degree))) * F(1, 8)
+    scale = F(1, 10 ** draw(st.sampled_from([0, 1, 3, 40, 300])))
+    dominated = Poly(draw(st.lists(coeffs, min_size=1, max_size=7))) * scale
+    if dominant.is_zero or dominated.is_zero:
+        dominated = Poly.constant(scale)
+    radius = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=64))
+    return dominant, dominated, radius
+
+
+class TestDominanceAgainstReference:
+    """The bracket-decided dominance equals the Fraction reference exactly:
+    the same report bytes and the same exact margin."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_default_family_calls(self, n, built_families):
+        for dominant, dominated, radius in _default_dominance_calls(built_families[n]):
+            dom = _assert_matches_reference(dominant, dominated, radius)
+            assert dom.status is Status.PROVED
+            # only the arcs whose bracket can hold the minimum get an exact margin
+            assert dom.exact_margins <= 4 < dom.arcs
+
+    def test_starved_family_call_keeps_the_exact_heap_order(self, built_families):
+        # the n = 4 root localization of factor 1 needs 16 subdivisions; a
+        # starved budget leaves open arcs whose count depends on the order in
+        # which the exact heap keys pop
+        fam = built_families[4]
+        big, small = _perturbation_big(fam, 1), Poly.constant(fam.params.eps ** fam.params.c[0])
+        for budget in (1, 5, 12, 15):
+            dom = _assert_matches_reference(big, small, F(1, 2), budget)
+            assert dom.status is Status.INCONCLUSIVE
+        # the case of the pinned report of verify --n 4 --budget 12
+        dom = certify_dominance(big, small, F(1, 2), budget=12)
+        assert (dom.arcs, dom.subdivisions) == (28, 12)
+        assert dom.detail == "subdivision budget 12 exhausted with 4 open arcs"
+
+    @settings(max_examples=80, deadline=None)
+    @given(_dominance_cases(), st.sampled_from([0, 3, 64]))
+    def test_drawn_polynomials(self, case, budget):
+        _assert_matches_reference(*case, budget=budget)
+
+    def test_constant_dominant_and_tiny_dominated(self):
+        # b2 = 1 everywhere: its bracket is a point, and the margins 1 - s^2
+        # differ only far below 2^-192
+        tiny = Poly([F(3, 10**400), F(-1, 10**401), F(7, 10**399)])
+        dom = _assert_matches_reference(Poly.one(), tiny, F(2))
+        assert dom.status is Status.PROVED
+        assert dom.exact_arcs == 0 and dom.exact_margins < dom.arcs
+
+    def test_equal_bounds_keep_the_arc_open(self):
+        # x against the constant c = 1 - chord of the end arcs on |z| = 1:
+        # there lower_big = sqrt_lower(1) - 1 * chord equals upper_small =
+        # sqrt_upper(c^2) exactly, so those arcs must stay open
+        radius, lo, hi = F(1), F(-1), F(-3, 4)
+        chord = _chord_upper(radius, lo, hi, (lo + hi) / 2)
+        c = 1 - chord
+        assert sqrt_lower(F(1)) - chord == sqrt_upper(c * c)
+        for budget in (0, 4, DEFAULT_BUDGET):
+            dom = _assert_matches_reference(Poly.x(), Poly.constant(c), radius, budget)
+        assert dom.status is Status.PROVED
+        starved = certify_dominance(Poly.x(), Poly.constant(c), radius, budget=0)
+        assert starved.detail == "subdivision budget 0 exhausted with 16 open arcs"
+
+    def test_gap_below_the_bracket_precision_is_certified_exactly(self):
+        # lower_big exceeds upper_small by 2^-300 on the end arcs: the
+        # brackets cannot see it, the exact integers certify those arcs
+        # without subdividing them
+        radius, lo, hi = F(1), F(-1), F(-3, 4)
+        c = 1 - _chord_upper(radius, lo, hi, (lo + hi) / 2) - F(1, 2**300)
+        dom = _assert_matches_reference(Poly.x(), Poly.constant(c), radius)
+        assert dom.status is Status.PROVED
+        assert dom.exact_arcs >= 4
+
+    def test_equal_bounds_beyond_the_bracket_precision(self):
+        # the same tie with operands of more than 192 bits that share a large
+        # factor: 1 + z/D on |z| = D has b2 = 256/113 at the end-arc midpoint,
+        # so sqrt_lower(b2) lies below sqrt(b2) by up to 2^-64/113, far more
+        # than the 192-bit precision; only the slack keeps the tie undecided
+        big_d = 10**70
+        radius, lo, hi = F(big_d), F(-1), F(-3, 4)
+        mid = (lo + hi) / 2
+        dominant = Poly([1, F(1, big_d)])
+        b_num, b_den = _abs2_at(dominant, chart_point(radius, mid))
+        assert b_den.bit_length() > 192 and F(b_num, b_den) == F(256, 113)
+        chord = _chord_upper(radius, lo, hi, mid)
+        c = sqrt_lower(F(256, 113)) - lipschitz_on_disk(dominant, radius) * chord
+        assert 0 < c and sqrt_upper(c * c) == c
+        dominated = Poly.constant(c)
+        for budget in (0, 3, DEFAULT_BUDGET):
+            _assert_matches_reference(dominant, dominated, radius, budget)
+        starved = certify_dominance(dominant, dominated, radius, budget=0)
+        assert starved.exact_arcs >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonneg_fractions, st.integers(1, 2**200), st.sampled_from([1, 10**70]))
+    def test_sqrt_slack(self, q, k, scale):
+        # sqrt_lower and sqrt_upper lie within min(1, q) 2^-64 of sqrt(q),
+        # the slack the unreduced brackets add; checked by exact squares
+        q = q / scale
+        slack = min(F(1), q) / 2**64
+        lower, upper = sqrt_lower(q), sqrt_upper(q)
+        assert (lower + slack) ** 2 >= q and lower * lower <= q
+        assert upper - slack <= 0 or (upper - slack) ** 2 <= q
+        # the bracket of the unreduced operands holds the one-sided root
+        num, den = q.numerator * k, q.denominator * k
+        for root, value in ((sqrt_lower, lower), (sqrt_upper, upper)):
+            lo, hi = _root_bracket(num, den, root)
+            assert F(lo[0]) * F(2) ** lo[1] <= value <= F(hi[0]) * F(2) ** hi[1]
+
+    def test_dyadic_root_is_a_point(self):
+        assert _root_bracket(7, 7, sqrt_lower) == _root_bracket(1, 1, sqrt_upper)
+        lo, hi = _root_bracket(9, 4, sqrt_upper)
+        assert not _p_lt(lo, hi) and not _p_lt(hi, lo)
 
 
 class TestRootLocalization:
@@ -351,7 +586,11 @@ class TestConeFactorization:
             )
 
     def test_refuted_division_refutes(self, built_families, root_certs, identities, divisions):
-        failed = DivisionWitness(2, Status.REFUTED, None, "nonzero remainder")
+        # a refuted witness still carries the sides of its combination
+        failed = dataclasses.replace(
+            divisions[3][1], status=Status.REFUTED, quotient=None,
+            detail="nonzero remainder",
+        )
         cert = cone_factor_certificate(
             built_families[3], 1, root_certs[3], identities[3],
             [divisions[3][0], failed],

@@ -390,6 +390,37 @@ class TestMeta:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
+    def test_dominance_counters(self, default_run):
+        # the nine dominance certificates of n = 2..4 (root localizations and
+        # chart-cone cofactors): the 192-bit brackets decide every arc but the
+        # 16 that the n = 4 localization of factor 1 keeps open and subdivides,
+        # and only the arcs whose margin bracket can hold the minimum get an
+        # exact margin
+        report, code = default_run
+        assert code == EXIT_OK
+        dominance = report["meta"]["dominance"]
+        assert dominance == {
+            "arcs": 160,
+            "exact_arcs": 16,
+            "exact_margins": 32,
+            "per_n": {
+                "2": {"arcs": 16, "exact_arcs": 0, "exact_margins": 2},
+                "3": {"arcs": 48, "exact_arcs": 0, "exact_margins": 10},
+                "4": {"arcs": 96, "exact_arcs": 16, "exact_margins": 20},
+            },
+        }
+        # the arcs are those of the report's dominance certificates
+        arcs, stack = 0, [_strip_meta(report)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                if "dominated_degree" in node:
+                    arcs += node["arcs"]
+                stack.extend(node.values())
+            elif isinstance(node, list):
+                stack.extend(node)
+        assert arcs == dominance["arcs"]
+
     def test_stage_seconds(self, default_run):
         report, code = default_run
         assert code == EXIT_OK
