@@ -16,13 +16,19 @@ and ``sqrt_bracket`` bracket a quotient of two unreduced integers and its
 one-sided square roots without a gcd, and ``arc_gap_bracket`` decides a
 dominance arc from those brackets.
 
-``bracket_lt`` is the one comparator: it multiplies the factor brackets of
-each side with directed rounding and returns ``True`` or ``False`` when the
-two products separate, and ``None`` when they overlap.  Callers settle
-``None`` with the full integer cross-products, so no truncation ever
-decides a verdict the exact arithmetic would not.  ``prod_gt`` packages that
-pattern for products of nonnegative integers, escalating the working
-precision before it pays for the exact products.
+``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
+the two sides' products separate, and ``None`` when they overlap.  It first
+compares powers of two read from the factors' binary exponents
+(``bit_length`` plus the pair exponent, no multiply), and multiplies the
+factor brackets of each side with directed rounding only when those powers
+do not separate.  A directed product never crosses a power of two that
+bounds the exact product on its side, so the exponent stage decides only
+where the product stage would decide the same way: verdicts and exact
+fallbacks are those of the products alone.  Callers settle ``None`` with
+the full integer cross-products, so no truncation ever decides a verdict
+the exact arithmetic would not.  ``prod_gt`` packages that pattern for
+products of nonnegative integers, escalating the working precision before
+it pays for the exact products.
 """
 
 from __future__ import annotations
@@ -59,14 +65,22 @@ def _p_mul(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
 
 
 def _p_pow(a: tuple, e: int, up: bool) -> tuple[int, int]:
-    result = (1, 0)
+    """a^e with directed rounding, by square and multiply.
+
+    The first factor is only truncated, not multiplied by 1, and the base is
+    not squared past the last bit of ``e``.
+    """
+    if e == 0:
+        return 1, 0
+    result = None
     base = a
-    while e:
+    while True:
         if e & 1:
-            result = _p_mul(result, base, up)
-        base = _p_mul(base, base, up)
+            result = _p_trunc(*base, up) if result is None else _p_mul(result, base, up)
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = _p_mul(base, base, up)
 
 
 def _p_div(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
@@ -252,8 +266,8 @@ def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
     else:
         one_minus_t_lo = ((1 << -st) - mt, st)
     one_plus_t_hi = _p_add((1, 0), t_hi, True)
-    lower = _p_mul(big_lo, _p_pow(one_minus_t_lo, 2, False), False)
-    upper = _p_mul(big_hi, _p_pow(one_plus_t_hi, 2, True), True)
+    lower = _p_mul(big_lo, _p_mul(one_minus_t_lo, one_minus_t_lo, False), False)
+    upper = _p_mul(big_hi, _p_mul(one_plus_t_hi, one_plus_t_hi, True), True)
     return lower, upper
 
 
@@ -340,23 +354,76 @@ def ball_abs2(poly, num_re: int, num_im: int, den: int) -> tuple:
     )
 
 
+def _exponent_bounds(side: Sequence[tuple]) -> Optional[tuple[int, int]]:
+    """Powers of two around one side's products; None if a lower end is 0.
+
+    Returns ``(lo, hi)`` with 2^lo <= the product of the lower ends and the
+    product of the upper ends <= 2^hi.  A positive pair ``(m, s)`` lies in
+    [2^(E-1), 2^E) with E = s + m.bit_length(); an empty side is 1 = 2^0.
+    """
+    lo_exp = hi_exp = 0
+    for (m_lo, s_lo), (m_hi, s_hi) in side:
+        if not m_lo:
+            return None
+        lo_exp += s_lo + m_lo.bit_length() - 1
+        hi_exp += s_hi + m_hi.bit_length()
+    return lo_exp, hi_exp
+
+
+def _side_product(side: Sequence[tuple], bits: int) -> tuple:
+    """The directed product bracket of one side's factor brackets at ``bits``.
+
+    The first factor is truncated, not multiplied by 1.
+    """
+    if not side:
+        return (1, 0), (1, 0)
+    (lo, hi), *rest = side
+    p_lo, p_hi = _p_trunc(*lo, False, bits), _p_trunc(*hi, True, bits)
+    for lo, hi in rest:
+        p_lo, p_hi = _p_mul(p_lo, lo, False, bits), _p_mul(p_hi, hi, True, bits)
+    return p_lo, p_hi
+
+
 def bracket_lt(
     lhs: Sequence[tuple], rhs: Sequence[tuple], *, closed: bool = False
 ) -> Optional[bool]:
     """Decide ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) by brackets.
 
-    Each side is the product of its factors' brackets, multiplied with
-    directed rounding at the precision of the widest factor (at least 192
-    bits).  Returns the verdict when the two product brackets separate and
-    ``None`` when they overlap; the caller then decides exactly.
+    Two stages, each returning the verdict when the two sides separate:
+
+    * Exponents.  Sums of the factors' binary exponents give a power of two
+      ``2^lo`` at or below each side's lower product and ``2^hi`` at or
+      above its upper product, read from ``bit_length`` alone (the stage is
+      skipped when a lower end is zero).  Directed truncation keeps a product
+      on its side of a power of two, so the product stage's lower end is
+      >= 2^lo and its upper end <= 2^hi; the stage demands the same strict
+      or non-strict separation of these powers as the product stage does of
+      its ends, and so returns a verdict only where the product stage would
+      return the same one, without a multiply.
+    * Products.  Each side is the product of its factors' brackets,
+      multiplied with directed rounding at the precision of the widest
+      factor (at least 192 bits).
+
+    Returns ``None`` when the product brackets overlap; the caller then
+    decides exactly.
     """
+    left, right = _exponent_bounds(lhs), _exponent_bounds(rhs)
+    if left is not None and right is not None:
+        (l_min, l_max), (r_min, r_max) = left, right
+        if closed:
+            if l_max <= r_min:
+                return True
+            if r_max < l_min:
+                return False
+        else:
+            if l_max < r_min:
+                return True
+            if r_max <= l_min:
+                return False
     bits = max((hi[0].bit_length() for _, hi in (*lhs, *rhs)), default=0)
     bits = max(bits, _BITS)
-    l_lo = l_hi = r_lo = r_hi = (1, 0)
-    for lo, hi in lhs:
-        l_lo, l_hi = _p_mul(l_lo, lo, False, bits), _p_mul(l_hi, hi, True, bits)
-    for lo, hi in rhs:
-        r_lo, r_hi = _p_mul(r_lo, lo, False, bits), _p_mul(r_hi, hi, True, bits)
+    l_lo, l_hi = _side_product(lhs, bits)
+    r_lo, r_hi = _side_product(rhs, bits)
     if closed:
         if not _p_lt(r_lo, l_hi):
             return True

@@ -97,6 +97,7 @@ __all__ = [
     "sqrt_upper",
     "lipschitz_on_disk",
     "circle_points",
+    "circle_triples",
     "certify_dominance",
     "family_root_certificates",
     "annulus_bounds_certificate",
@@ -173,13 +174,17 @@ def lipschitz_on_disk(p: Poly, radius: Fraction) -> Fraction:
     """sum_i i*|a_i|*R^(i-1): a Lipschitz constant for p on |z| <= R."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    total = Fraction(0)
-    power = Fraction(1)
-    for i, a in enumerate(p.coeffs):
-        if i >= 1:
-            total += i * abs(a) * power
-            power *= radius
-    return total
+    ints, den = p.scaled()
+    rn, rd = radius.numerator, radius.denominator
+    # sum_{i>=1} i |ints_i| rn^(i-1) rd^(deg-i) over den rd^(deg-1), by
+    # homogeneous Horner on unreduced integers: one gcd, in the Fraction
+    deg = len(ints) - 1
+    total = 0
+    rd_power = 1
+    for i in range(deg, 0, -1):
+        total = total * rn + i * abs(ints[i]) * rd_power
+        rd_power *= rd
+    return Fraction(total, den * rd ** max(deg - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -214,6 +219,28 @@ def circle_points(radius: Fraction, count: int) -> list[CirclePoint]:
             w = chart_point(radius, t)
             pts.append(CirclePoint(chart, t, w if chart == 0 else -w))
     return pts
+
+
+def circle_triples(radius: Fraction, count: int) -> list[tuple[int, int, int]]:
+    """``as_scaled(p.point)`` for each ``p`` of ``circle_points(radius, count)``.
+
+    For t = p/q and radius rn/rd the point is
+    (rn (q^2 - p^2) + 2 rn p q i) / (rd (q^2 + p^2)), negated on chart 1;
+    dividing the three integers by their gcd gives the triple of
+    ``as_scaled``, without building the ``Fraction`` coordinates (and
+    without reducing p/q first: a common factor of p and q divides out).
+    """
+    if count < 2 or count % 2:
+        raise ValueError("count must be an even integer >= 2")
+    half = count // 2
+    rn, rd = radius.numerator, radius.denominator
+    out = []
+    for i in range(half):
+        p, q = 2 * i - half, half  # t = 2i/half - 1
+        re, im, den = rn * (q * q - p * p), 2 * rn * p * q, rd * (q * q + p * p)
+        g = math.gcd(re, im, den)
+        out.append((re // g, im // g, den // g))
+    return out + [(-re, -im, den) for re, im, den in out]
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +362,13 @@ def certify_dominance(
         raise ValueError("radius must be positive")
     if dominant.is_zero or dominated.is_zero:
         raise ValueError("dominance requires two nonzero polynomials")
+    # the Lipschitz sums build the scaled() caches the negated charts inherit
+    m_dominant = lipschitz_on_disk(dominant, radius)
+    m_dominated = lipschitz_on_disk(dominated, radius)
     chart_pairs = (
         (dominant, dominated),
         (dominant.map_variable_negated(), dominated.map_variable_negated()),
     )
-    m_dominant = lipschitz_on_disk(dominant, radius)
-    m_dominated = lipschitz_on_disk(dominated, radius)
     m_brackets = (_fraction_bracket(m_dominant), _fraction_bracket(m_dominated))
 
     heap: list[tuple[Fraction, int, int, Fraction, Fraction]] = []
@@ -622,17 +650,18 @@ def annulus_bounds_for_factor(
     per_circle += per_circle % 2
     checked = 0
     for circle_radius in (Fraction(1), Fraction(2)):
-        for cp in circle_points(circle_radius, per_circle):
-            num, den = _abs2_at(p, cp.point)
+        for i, triple in enumerate(circle_triples(circle_radius, per_circle)):
+            num, den = scaled_abs2(eval_scaled(p, *triple))
             checked += 1
             # lower^2 < num/den < upper^2, cross-multiplied: no reduction
             if not (
                 lo2.numerator * den < num * lo2.denominator
                 and num * up2.denominator < up2.numerator * den
             ):
+                point = circle_points(circle_radius, per_circle)[i].point
                 return AnnulusBounds(
                     k, lower, upper, Status.REFUTED, checked,
-                    f"bound fails at exact point {cp.point} on |z| = {circle_radius}",
+                    f"bound fails at exact point {point} on |z| = {circle_radius}",
                 )
 
     derivation_ok = (

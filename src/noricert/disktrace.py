@@ -58,6 +58,7 @@ from .certify import (
     RootLocalization,
     Status,
     circle_points,
+    circle_triples,
     cone_factor_certificate,
     worst,
 )
@@ -374,12 +375,12 @@ def annulus_into_target(
 
     checked = 0
     for radius in (Fraction(1), Fraction(2)):
-        for cpt in circle_points(radius, spot_checks):
-            a, b, den = as_scaled(cpt.point)
+        for i, (a, b, den) in enumerate(circle_triples(radius, spot_checks)):
             v1 = eval_scaled(fam.f1, a, b, den)
             v2 = eval_scaled(fam.f2, a, b, den)
             checked += 1
             if not target.contains_scaled(v1, v2):
+                cpt = circle_points(radius, spot_checks)[i]
                 return Certificate(
                     "annulus-into-target",
                     Status.REFUTED,
@@ -474,16 +475,15 @@ def image_in_chart_window(
     below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
 
     boundary_checked = 0
-    for cpt in circle_points(Fraction(2), 64):
+    for i, triple in enumerate(circle_triples(Fraction(2), 64)):
         boundary_checked += 1
-        a, b, den = as_scaled(cpt.point)
-        q_num, q_den = scaled_abs2(eval_scaled(quotient, a, b, den))
+        q_num, q_den = scaled_abs2(eval_scaled(quotient, *triple))
         if q_num >= q_den:
             return Certificate(
                 "image-in-chart-window",
                 Status.REFUTED,
                 "the power-ratio quotient reaches modulus 1 on the outer circle",
-                {"witness": cpt.to_json()},
+                {"witness": circle_points(Fraction(2), 64)[i].to_json()},
             )
 
     sampler = RationalSampler("chart-window", fam.n, samples, seed)
@@ -775,8 +775,7 @@ def base_chart_certificate(
     pn, pd = (rho / 2).numerator, (rho / 2).denominator
     diff = fam.f2 - fam.f1
     checked = 0
-    for cpt in circle_points(Fraction(2), samples):
-        a, b, den = as_scaled(cpt.point)
+    for i, (a, b, den) in enumerate(circle_triples(Fraction(2), samples)):
         n1, q1 = scaled_abs2(eval_scaled(fam.f1, a, b, den))
         nd, qd = scaled_abs2(eval_scaled(diff, a, b, den))
         checked += 1
@@ -785,7 +784,7 @@ def base_chart_certificate(
                 "base-chart-cone",
                 Status.REFUTED,
                 "the halved base-cone inequality fails at an exact boundary point",
-                {"witness": cpt.to_json()},
+                {"witness": circle_points(Fraction(2), samples)[i].to_json()},
             )
 
     # degenerate points: the disk center and the one rational root of the
@@ -1009,7 +1008,7 @@ def uniform_convergence_witness(
     """
     if not fams:
         raise ValueError("at least one family is required")
-    pts = [as_scaled(cpt.point) for cpt in circle_points(Fraction(1), samples)]
+    pts = circle_triples(Fraction(1), samples)
     entries = []
     for fam in fams:
         # running sup as unreduced factor tuples (numerator, denominator);

@@ -8,7 +8,12 @@ that ties and near-ties must reach.  ``ball_abs2`` must enclose the exact
 squared modulus of ``eval_scaled`` wherever it is evaluated, and the
 dominance-arc brackets (``ratio_bracket``, ``sqrt_bracket``,
 ``arc_gap_bracket``, ``min_candidates``) must enclose the exact quotients,
-roots, margins and minima.
+roots, margins and minima.  The exponent stage of ``bracket_lt`` must
+decide only where its product stage decides the same way, ``_p_pow`` must
+keep the pairs of plain square and multiply, and the exact inputs of the
+certificates built without ``Fraction`` (``circle_triples``, the integer
+Lipschitz sum, the caches carried through ``map_variable_negated``) must
+equal their ``Fraction`` references.
 """
 
 import math
@@ -19,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noricert.arith import Poly, eval_scaled
+import noricert.bounds as bounds
+from noricert.arith import Poly, as_scaled, eval_scaled
 from noricert.bounds import (
     _BITS,
     _ball_point,
@@ -30,6 +36,8 @@ from noricert.bounds import (
     _p_pow,
     _p_sqrt,
     _p_sub,
+    _p_trunc,
+    _side_product,
     arc_gap_bracket,
     ball_abs2,
     bracket_lt,
@@ -40,6 +48,7 @@ from noricert.bounds import (
     ratio_bracket,
     sqrt_bracket,
 )
+from noricert.certify import circle_points, circle_triples, lipschitz_on_disk
 
 
 def _value(pair):
@@ -499,3 +508,260 @@ class TestArcBrackets:
         # distinct values far apart leave a single candidate
         spread = [ratio_bracket(1 << (3 * i), 1) for i in range(6)][::-1]
         assert min_candidates(spread) == [5]
+
+
+def _product_stage(lhs, rhs, closed):
+    """The verdict of ``bracket_lt``'s 192-bit product stage alone."""
+    bits = max([_BITS] + [hi[0].bit_length() for _, hi in (*lhs, *rhs)])
+    l_lo, l_hi = _side_product(lhs, bits)
+    r_lo, r_hi = _side_product(rhs, bits)
+    if closed:
+        if not _p_lt(r_lo, l_hi):
+            return True
+        if _p_lt(r_hi, l_lo):
+            return False
+    else:
+        if _p_lt(l_hi, r_lo):
+            return True
+        if not _p_lt(l_lo, r_hi):
+            return False
+    return None
+
+
+def _sound(lhs, rhs, closed, verdict):
+    """A verdict holds for every choice of values inside the brackets."""
+    l_lo = math.prod(_value(lo) for lo, _ in lhs)
+    l_hi = math.prod(_value(hi) for _, hi in lhs)
+    r_lo = math.prod(_value(lo) for lo, _ in rhs)
+    r_hi = math.prod(_value(hi) for _, hi in rhs)
+    if verdict is True:
+        assert l_hi <= r_lo if closed else l_hi < r_lo
+    elif verdict is False:
+        assert l_lo > r_hi if closed else l_lo >= r_hi
+
+
+def _power_of_two_bracket(rng):
+    """A bracket touching a power of two: a point on it, or an end on it."""
+    e = rng.randrange(-300, 300)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (1, e), (1, e)
+    if kind == 1:  # [2^e - ulp, 2^e]
+        return ((1 << _BITS) - 1, e - _BITS), (1, e)
+    return (1, e), ((1 << _BITS) + 1, e - _BITS)  # [2^e, 2^e + ulp]
+
+
+class TestExponentStage:
+    """``bracket_lt`` first compares powers of two read from ``bit_length``."""
+
+    def test_agrees_with_the_product_stage(self):
+        # random sides mixing integers, squared moduli, zero lower ends and
+        # brackets at or next to powers of two: the exponent stage returns a
+        # verdict only where the product stage returns the same one
+        rng = random.Random(44)
+        for _ in range(3000):
+            sides = []
+            for _ in range(2):
+                side = []
+                for _ in range(rng.randrange(0, 5)):
+                    pick = rng.random()
+                    if pick < 0.4:
+                        side.append(_power_of_two_bracket(rng))
+                    elif pick < 0.45:
+                        side.append(((0, 0), (rng.getrandbits(100) + 1, -50)))
+                    else:
+                        size = rng.choice([1, 64, 300])
+                        side.append(TestBracketLt._factor(rng, size)[0])
+                sides.append(side)
+            for closed in (False, True):
+                verdict = bracket_lt(*sides, closed=closed)
+                assert verdict == _product_stage(*sides, closed)
+                _sound(*sides, closed, verdict)
+
+    def test_separated_exponents_need_no_multiply(self, monkeypatch):
+        calls = []
+
+        def counting_mul(*args):
+            calls.append(args)
+            return _p_mul(*args)
+
+        monkeypatch.setattr(bounds, "_p_mul", counting_mul)
+        small, big = int_bracket(3 << 400), int_bracket(5 << 700)
+        lhs, rhs = [small] * 7, [big] * 5
+        assert bracket_lt(lhs, rhs) is True
+        assert bracket_lt(rhs, lhs, closed=True) is False
+        # the thresholds meet: 3 2^3 * 2^4 <= 2^10 <= 2^5 * 2^5 by exponents
+        # alone, which decide the open False and the closed True
+        power = [((1, 5), (1, 5))] * 2
+        below = [((3, 3), (3, 3)), ((1, 4), (1, 4))]
+        assert bracket_lt(power, below) is False
+        assert bracket_lt(below, power, closed=True) is True
+        assert calls == []
+        # (3 2^400)^3 = 27 2^1200 and (5 2^600)^2 = 25 2^1200 both lie in
+        # [2^1203, 2^1206] by exponents: the products decide, with 2 + 1
+        # multiplies per end (the first factor of a side is only truncated)
+        lhs, rhs = [int_bracket(3 << 400)] * 3, [int_bracket(5 << 600)] * 2
+        assert bracket_lt(lhs, rhs) is False
+        assert len(calls) == 2 * 3
+
+    def test_empty_sides_are_one(self):
+        one, two, half = ((1, 0), (1, 0)), ((1, 1), (1, 1)), ((1, -1), (1, -1))
+        below_one = (((1 << _BITS) - 1, -_BITS), ((1 << _BITS) - 1, -_BITS))
+        above_one = (((1 << _BITS) + 1, -_BITS), ((1 << _BITS) + 1, -_BITS))
+        cases = [
+            ([], [], F(1), F(1)),
+            ([], [one], F(1), F(1)),
+            ([one], [], F(1), F(1)),
+            ([], [two], F(1), F(2)),
+            ([two], [], F(2), F(1)),
+            ([], [half], F(1), F(1, 2)),
+            ([half], [], F(1, 2), F(1)),
+            ([], [below_one], F(1), _value(below_one[0])),
+            ([], [above_one], F(1), _value(above_one[0])),
+            ([below_one], [], _value(below_one[0]), F(1)),
+            ([above_one], [], _value(above_one[0]), F(1)),
+        ]
+        for lhs, rhs, left, right in cases:
+            assert bracket_lt(lhs, rhs) == (left < right), (lhs, rhs)
+            assert bracket_lt(lhs, rhs, closed=True) == (left <= right), (lhs, rhs)
+            for closed in (False, True):
+                verdict = bracket_lt(lhs, rhs, closed=closed)
+                assert verdict == _product_stage(lhs, rhs, closed)
+
+    def test_zero_lower_ends_skip_the_stage(self):
+        # [0, 2^-50] against 2^-40 is decided by the products either way;
+        # two sides that both reach 0 are left open
+        near_zero = ((0, 0), (1, -50))
+        tiny = ((1, -40), (1, -40))
+        for closed in (False, True):
+            assert bracket_lt([near_zero], [tiny], closed=closed) is True
+            assert bracket_lt([tiny], [near_zero], closed=closed) is False
+            assert bracket_lt([tiny], [tiny, near_zero], closed=closed) is False
+            assert bracket_lt([near_zero, tiny], [near_zero], closed=closed) is None
+        zero = ((0, 0), (0, 0))
+        assert bracket_lt([zero], [tiny]) is True
+        assert bracket_lt([zero], [zero]) is False
+        assert bracket_lt([zero], [zero], closed=True) is True
+
+    def test_powers_of_two_at_the_boundary(self):
+        # 2^a against 2^b, and against a value one ulp on either side of
+        # 2^b, for a - b in -2..2: the verdicts are the exact ones
+        ulp_below = ((1 << _BITS) - 1, -_BITS)
+        ulp_above = ((1 << _BITS) + 1, -_BITS)
+        for a in (-200, -1, 0, 1, 190, 192, 193, 700):
+            for d in range(-2, 3):
+                b = a + d
+                for factor in ((1, 0), ulp_below, ulp_above):
+                    x = (1, a)
+                    y = (factor[0], factor[1] + b)
+                    lhs, rhs = [(x, x)], [(y, y)]
+                    left, right = _value(x), _value(y)
+                    assert bracket_lt(lhs, rhs) == (left < right)
+                    assert bracket_lt(lhs, rhs, closed=True) == (left <= right)
+                    assert bracket_lt(rhs, lhs) == (right < left)
+                    assert bracket_lt(rhs, lhs, closed=True) == (right <= left)
+                    # split the power into two factors: 2^a = 2^(a-3) 2^3
+                    split = [((1, a - 3), (1, a - 3)), ((1, 3), (1, 3))]
+                    assert bracket_lt(split, rhs) == (left < right)
+                    assert bracket_lt(split, rhs, closed=True) == (left <= right)
+
+
+def _p_pow_square_and_multiply(a, e, up):
+    """Square and multiply from 1, squaring once past the last bit."""
+    result = (1, 0)
+    base = a
+    while e:
+        if e & 1:
+            result = _p_mul(result, base, up)
+        base = _p_mul(base, base, up)
+        e >>= 1
+    return result
+
+
+class TestPow:
+    def test_pairs_of_square_and_multiply(self):
+        rng = random.Random(45)
+        bases = [(1, 0), (3, -2), ((1 << _BITS) - 1, -_BITS), ((1 << 384) - 1, -384)]
+        for _ in range(60):
+            m = rng.getrandbits(rng.choice([8, 191, 192, 193, 400])) | 1
+            bases.append((m, rng.randrange(-300, 300)))
+        for base in bases:
+            for e in range(10):
+                for up in (False, True):
+                    got = _p_pow(base, e, up)
+                    assert got == _p_pow_square_and_multiply(base, e, up), (base, e, up)
+                    exact = _value(base) ** e
+                    assert _value(got) >= exact if up else _value(got) <= exact
+
+    def test_truncated_square_is_a_pow(self):
+        rng = random.Random(46)
+        for _ in range(500):
+            m = rng.getrandbits(rng.choice([8, 192, 384])) | 1
+            x = (m, rng.randrange(-300, 300))
+            for up in (False, True):
+                assert _value(_p_mul(x, x, up)) == _value(_p_pow(x, 2, up))
+                assert _p_trunc(*_p_mul(x, x, up), up) == _p_pow(x, 2, up)
+
+
+class TestCircleTriples:
+    @pytest.mark.parametrize("radius", [F(1), F(2), F(1, 3)])
+    @pytest.mark.parametrize("count", [2, 4, 6, 64, 250])
+    def test_equal_to_the_scaled_points(self, radius, count):
+        expected = [as_scaled(p.point) for p in circle_points(radius, count)]
+        assert circle_triples(radius, count) == expected
+
+    def test_rejects_bad_counts(self):
+        for count in (0, 1, 7):
+            with pytest.raises(ValueError):
+                circle_triples(F(1), count)
+
+
+def _lipschitz_reference(p, radius):
+    total, power = F(0), F(1)
+    for i, a in enumerate(p.coeffs):
+        if i >= 1:
+            total += i * abs(a) * power
+            power *= radius
+    return total
+
+
+class TestLipschitzSum:
+    @settings(max_examples=80, deadline=None)
+    @given(_polys(), st.sampled_from([F(0), F(1), F(2), F(1, 3), F(7, 5)]))
+    def test_equal_to_the_fraction_sum(self, poly, radius):
+        assert lipschitz_on_disk(poly, radius) == _lipschitz_reference(poly, radius)
+
+    def test_small_degrees(self):
+        for coeffs in ((), (F(5, 7),), (F(1, 3), F(-2, 9)), (0, 0, F(3, 4))):
+            for radius in (F(0), F(1, 2), F(3)):
+                p = Poly(coeffs)
+                assert lipschitz_on_disk(p, radius) == _lipschitz_reference(p, radius)
+        with pytest.raises(ValueError):
+            lipschitz_on_disk(Poly.x(), F(-1))
+
+
+class TestNegatedCaches:
+    @settings(max_examples=80, deadline=None)
+    @given(_polys())
+    def test_carried_caches_equal_fresh_ones(self, poly):
+        poly.scaled()
+        poly.balls()
+        q = poly.map_variable_negated()
+        fresh = Poly(q.coeffs)
+        assert q._scaled_cache == fresh.scaled()
+        assert q._ball_cache == fresh.balls()
+
+    def test_exact_and_inexact_balls(self):
+        # integers and dyadics are exact balls; thirds are not
+        p = Poly((F(1, 3), F(-1, 3), 5, F(-7, 8), 0, F(2, 3), 0, -1))
+        p.scaled()
+        p.balls()
+        q = p.map_variable_negated()
+        assert q._scaled_cache == Poly(q.coeffs).scaled()
+        assert q._ball_cache == Poly(q.coeffs).balls()
+
+    def test_unbuilt_caches_stay_unbuilt(self):
+        p = Poly((F(1, 3), F(2, 5), F(-3, 7)))
+        q = p.map_variable_negated()
+        assert q._scaled_cache is None and q._ball_cache is None
+        assert q.scaled() == Poly(q.coeffs).scaled()
