@@ -8,11 +8,16 @@ the true quantity is >= of) or up (a value it is <= of), and comparisons
 between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
 around one nonnegative quantity; ``int_bracket``, ``ball_abs2`` (the squared
 modulus of a polynomial value, by midpoint-radius Horner at about 192 bits
-plus an exponent, without the exact ``eval_scaled`` triple) and
-``gap_bracket`` build them.  ``ball_abs2`` is the one bracket of a sampled
-image point; the squared modulus of a given complex rational is
-``ball_abs2`` of the identity polynomial ``Poly.x()``.  ``ratio_bracket``
-and ``sqrt_bracket`` bracket a quotient of two unreduced integers and its
+plus an exponent, without the exact ``eval_scaled`` triple), ``abs2_bracket``
+(the squared modulus of an exact triple, from truncations of its entries at
+a chosen precision), ``bracket_div`` and ``gap_bracket`` build them.
+``ball_abs2`` is the one bracket of a polynomial value at a point; the
+squared modulus of a given complex rational is ``ball_abs2`` of the identity
+polynomial ``Poly.x()``.  ``Values`` holds the brackets of several
+polynomials at one point, built from one ``ball_point``, and decides
+products of them and of ``constant_factor`` constants, reading the exact
+triples only where the brackets overlap.  ``ratio_bracket`` and
+``sqrt_bracket`` bracket a quotient of two unreduced integers and its
 one-sided square roots without a gcd, and ``arc_gap_bracket`` decides a
 dominance arc from those brackets.
 
@@ -36,12 +41,17 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .arith import BALL_BITS
+from .arith import BALL_BITS, eval_scaled, scaled_abs2
 
 __all__ = [
+    "Values",
+    "abs2_bracket",
     "arc_gap_bracket",
     "ball_abs2",
+    "ball_point",
+    "bracket_div",
     "bracket_lt",
+    "constant_factor",
     "gap_bracket",
     "int_bracket",
     "min_candidates",
@@ -90,7 +100,7 @@ def _p_div(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
     return _p_trunc(m, a[1] - b[1] - _BITS, up)
 
 
-def _p_add(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
+def _p_add(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
     (ma, sa), (mb, sb) = a, b
     if ma == 0:
         return b
@@ -99,10 +109,10 @@ def _p_add(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
     if sa < sb:
         (ma, sa), (mb, sb) = (mb, sb), (ma, sa)
     gap = sa - sb
-    if gap > _BITS + 2:
+    if gap > bits + 2:
         # the smaller term is below one ulp of the larger
-        return _p_trunc(ma + 1, sa, True) if up else (ma, sa)
-    return _p_trunc((ma << gap) + mb, sb, up)
+        return _p_trunc(ma + 1, sa, True, bits) if up else (ma, sa)
+    return _p_trunc((ma << gap) + mb, sb, up, bits)
 
 
 def _p_sub(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
@@ -159,6 +169,52 @@ def _p_lt(a: tuple, b: tuple) -> bool:
 def int_bracket(x: int, bits: int = _BITS) -> tuple:
     """The bracket of a nonnegative integer, truncated to ``bits`` bits."""
     return _p_trunc(x, 0, False, bits), _p_trunc(x, 0, True, bits)
+
+
+def constant_factor(q) -> tuple:
+    """A nonnegative rational as the factor ``(num, den, num_bracket, den_bracket)``.
+
+    The shape of the chart parameters' squares (``FamilyParams.squares``)
+    and of the constant factors of ``Values.lt``; built once per
+    certificate, not per point.
+    """
+    num, den = q.numerator, q.denominator
+    return num, den, int_bracket(num), int_bracket(den)
+
+
+def _p_quot(a: tuple, b: tuple, up: bool, bits: int) -> tuple[int, int]:
+    """a/b with directed rounding to ``bits`` bits, however short a is."""
+    k = bits + max(0, b[0].bit_length() - a[0].bit_length())
+    num = a[0] << k
+    m = -((-num) // b[0]) if up else num // b[0]
+    return _p_trunc(m, a[1] - b[1] - k, up, bits)
+
+
+def bracket_div(a: tuple, b: tuple, bits: int = _BITS) -> tuple:
+    """The bracket of x/y for x in bracket ``a`` and y in ``b`` (b's lower end > 0)."""
+    return _p_quot(a[0], b[1], False, bits), _p_quot(a[1], b[0], True, bits)
+
+
+def abs2_bracket(triple: tuple, bits: int) -> tuple:
+    """The bracket of |(re + i im)/den|^2 for an ``eval_scaled`` triple.
+
+    ``|re|``, ``|im|`` and ``den`` are truncated to ``bits`` bits with
+    directed rounding; their squares are then exact, the sum rounds outward
+    at ``2 * bits`` and the quotient at ``bits``, so the bracket is about
+    2^-bits wide, relative.
+    """
+    re, im, den = triple
+    (re_lo, re_hi), (im_lo, im_hi) = int_bracket(abs(re), bits), int_bracket(abs(im), bits)
+    d_lo, d_hi = int_bracket(den, bits)
+
+    def square(p: tuple) -> tuple:
+        return p[0] * p[0], 2 * p[1]
+
+    num = (
+        _p_add(square(re_lo), square(im_lo), False, 2 * bits),
+        _p_add(square(re_hi), square(im_hi), True, 2 * bits),
+    )
+    return bracket_div(num, (square(d_lo), square(d_hi)), bits)
 
 
 def ratio_bracket(num: int, den: int) -> tuple:
@@ -271,8 +327,14 @@ def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
     return lower, upper
 
 
-def _ball_point(num_re: int, num_im: int, den: int) -> tuple:
-    """(num_re + i num_im)/den as a ball ``(re, im, rad, e)`` of about 192 bits."""
+def ball_point(num_re: int, num_im: int, den: int) -> tuple:
+    """(num_re + i num_im)/den as a ball ``(re, im, rad, e)`` of about 192 bits.
+
+    The exact point lies within ``rad * 2^e`` of ``(re + i im) * 2^e``;
+    ``den`` must be positive.
+    """
+    if den <= 0:
+        raise ValueError("den must be positive")
     top = max(num_re.bit_length(), num_im.bit_length())
     if top == 0:
         return 0, 0, 0, 0
@@ -287,7 +349,9 @@ def _ball_point(num_re: int, num_im: int, den: int) -> tuple:
     return re, im, 2 if rest_re or rest_im else 0, -s
 
 
-def ball_abs2(poly, num_re: int, num_im: int, den: int) -> tuple:
+def ball_abs2(
+    poly, num_re: int, num_im: int, den: int, *, ball: Optional[tuple] = None
+) -> tuple:
     """The bracket of |poly(z)|^2 at z = (num_re + i num_im)/den, by ball Horner.
 
     The squared modulus of ``eval_scaled(poly, num_re, num_im, den)``,
@@ -298,14 +362,16 @@ def ball_abs2(poly, num_re: int, num_im: int, den: int) -> tuple:
     grows the radius by at least what the rounding lost, so the result
     encloses the exact value, to a relative width of 2^-180 or so; a
     comparison it cannot decide is settled by the caller's exact fallback.
-    ``den`` must be positive.
+    ``den`` must be positive.  ``ball``, when given, is
+    ``ball_point(num_re, num_im, den)``, built once by a caller that
+    brackets several polynomials at the same point.
     """
-    if den <= 0:
-        raise ValueError("den must be positive")
+    if ball is None:
+        ball = ball_point(num_re, num_im, den)
     coeffs = poly.balls()
     if not coeffs:
         return (0, 0), (0, 0)
-    zr, zi, zrad, ze = _ball_point(num_re, num_im, den)
+    zr, zi, zrad, ze = ball
     zabs = abs(zr) + abs(zi)  # an upper bound of |midpoint of z|, in 2^ze
     re, e, rad = coeffs[-1]
     im = 0
@@ -456,3 +522,68 @@ def prod_gt(xs: Sequence[int], ys: Sequence[int]) -> bool:
             return verdict
         bits *= 4
     return math.prod(xs) > math.prod(ys)
+
+
+class Values:
+    """The values of ``polys`` at z = (num_re + i num_im)/den, bracketed first.
+
+    ``abs2[i]`` brackets |polys[i](z)|^2; ``ball_abs2`` builds all of them
+    from one ball of z.  ``triples`` are the exact ``eval_scaled`` triples,
+    all evaluated the first time they are read: by a comparison whose
+    brackets overlap, or by a caller that renders the point.
+    """
+
+    __slots__ = ("polys", "lam", "abs2", "_triples", "_squares")
+
+    def __init__(self, polys: Sequence, num_re: int, num_im: int, den: int):
+        ball = ball_point(num_re, num_im, den)
+        self.polys, self.lam = polys, (num_re, num_im, den)
+        self.abs2 = tuple(ball_abs2(p, num_re, num_im, den, ball=ball) for p in polys)
+        self._triples: Optional[tuple] = None
+        self._squares: Optional[tuple] = None
+
+    @property
+    def evaluated(self) -> bool:
+        """Whether the exact triples have been evaluated."""
+        return self._triples is not None
+
+    @property
+    def triples(self) -> tuple:
+        if self._triples is None:
+            self._triples = tuple(eval_scaled(p, *self.lam) for p in self.polys)
+        return self._triples
+
+    def lt(self, lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> bool:
+        """Exact ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) at z.
+
+        A factor is an index ``i``, standing for |polys[i](z)|^2, or a
+        ``constant_factor``.  ``bracket_lt`` decides on the brackets, and
+        where they overlap the unreduced integer squares of the triples
+        are cross-multiplied with the constants' numerators and denominators.
+        """
+        lb, rb = [], []
+        for f in lhs:
+            if isinstance(f, int):
+                lb.append(self.abs2[f])
+            else:
+                lb.append(f[2])
+                rb.append(f[3])
+        for f in rhs:
+            if isinstance(f, int):
+                rb.append(self.abs2[f])
+            else:
+                rb.append(f[2])
+                lb.append(f[3])
+        verdict = bracket_lt(lb, rb, closed=closed)
+        if verdict is not None:
+            return verdict
+        if self._squares is None:
+            self._squares = tuple(scaled_abs2(t) for t in self.triples)
+        left = right = 1
+        for f in lhs:
+            num, den = self._squares[f] if isinstance(f, int) else f[:2]
+            left, right = left * num, right * den
+        for f in rhs:
+            num, den = self._squares[f] if isinstance(f, int) else f[:2]
+            left, right = left * den, right * num
+        return left <= right if closed else left < right

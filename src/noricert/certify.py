@@ -71,7 +71,9 @@ from .arith import (
     scaled_abs2,
 )
 from .bounds import (
+    Values,
     arc_gap_bracket,
+    constant_factor,
     min_candidates,
     prod_gt,
     ratio_bracket,
@@ -605,7 +607,12 @@ def family_root_certificates(
 
 @dataclass(frozen=True)
 class AnnulusBounds:
-    """(1/2)^d_k < |P_k(z)| < 3^d_k for 1 <= |z| <= 2."""
+    """(1/2)^d_k < |P_k(z)| < 3^d_k for 1 <= |z| <= 2.
+
+    ``exact_fallbacks`` counts the spot checks whose brackets overlapped,
+    which exact integers decided; it describes the work, not the verdict,
+    and is not part of ``to_json``.
+    """
 
     index: int
     lower: Fraction
@@ -613,6 +620,7 @@ class AnnulusBounds:
     status: Status
     spot_checks: int
     detail: str = ""
+    exact_fallbacks: int = field(default=0, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -637,31 +645,31 @@ def annulus_bounds_for_factor(
     With all ``d_k`` roots strictly inside |z| < 1/2 and a unit-modulus
     leading coefficient, every linear factor has modulus in (1/2, 3) on the
     annulus, giving the product bounds.  Exact spot checks on the two
-    boundary circles guard the derivation; any spot failure is a refutation
-    with an explicit witness.
+    boundary circles guard the derivation, decided on ball brackets, exact
+    integers where they overlap; any spot failure is a refutation with an
+    explicit witness.
     """
     p = fam.Pk(k)
     deg = fam.params.d[k - 1]
     lower = Fraction(1, 2**deg)
     upper = Fraction(3**deg)
 
-    lo2, up2 = lower * lower, upper * upper
+    lo2, up2 = constant_factor(lower * lower), constant_factor(upper * upper)
     per_circle = max(2, spot_checks // 2)
     per_circle += per_circle % 2
-    checked = 0
+    checked = fallbacks = 0
     for circle_radius in (Fraction(1), Fraction(2)):
         for i, triple in enumerate(circle_triples(circle_radius, per_circle)):
-            num, den = scaled_abs2(eval_scaled(p, *triple))
+            values = Values((p,), *triple)
             checked += 1
-            # lower^2 < num/den < upper^2, cross-multiplied: no reduction
-            if not (
-                lo2.numerator * den < num * lo2.denominator
-                and num * up2.denominator < up2.numerator * den
-            ):
+            inside = values.lt((lo2,), (0,)) and values.lt((0,), (up2,))
+            fallbacks += values.evaluated
+            if not inside:
                 point = circle_points(circle_radius, per_circle)[i].point
                 return AnnulusBounds(
                     k, lower, upper, Status.REFUTED, checked,
                     f"bound fails at exact point {point} on |z| = {circle_radius}",
+                    fallbacks,
                 )
 
     derivation_ok = (
@@ -675,10 +683,12 @@ def annulus_bounds_for_factor(
         return AnnulusBounds(
             k, lower, upper, Status.INCONCLUSIVE, checked,
             "spot checks pass but the root localization prerequisite is missing",
+            fallbacks,
         )
     return AnnulusBounds(
         k, lower, upper, Status.PROVED, checked,
         f"derived from root localization; {checked} boundary spot checks",
+        fallbacks,
     )
 
 
@@ -692,6 +702,13 @@ class AnnulusReport:
 
     def factor(self, k: int) -> AnnulusBounds:
         return self.per_factor[k - 1]
+
+    def counts(self) -> dict[str, int]:
+        """The spot-check points of all factors and their exact fallbacks."""
+        return {
+            "points": sum(b.spot_checks for b in self.per_factor),
+            "exact_fallbacks": sum(b.exact_fallbacks for b in self.per_factor),
+        }
 
     def to_json(self) -> dict:
         return {

@@ -15,9 +15,12 @@ Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
 each certificate stage per size, ``deep_scale``: how many image points the
 chart-cone ladders bracketed by ball Horner, and how many of those needed
-the exact triples after all, and ``dominance``: the arcs of the dominance
-certificates, how many of their assessments the 192-bit brackets left to
-exact integers, and how many margins were computed exactly).
+the exact triples after all, ``boundary``: the same two counts for each
+loop over exact circle points (the annulus bounds, the target region, the
+chart window, the base chart and the boundary sup), and ``dominance``: the
+arcs of the dominance certificates, how many of their assessments the
+192-bit brackets left to exact integers, and how many margins were computed
+exactly).
 """
 
 import argparse
@@ -68,6 +71,9 @@ REPORT_SCHEMA = "noricert-report/1"
 
 # the keys of ``Dominance.counts``, summed per size into ``meta.dominance``
 _DOMINANCE_COUNTS = ("arcs", "exact_arcs", "exact_margins")
+# the counts of the ladder and of each exact-circle-point loop in ``meta``
+_WORK_COUNTS = ("points", "exact_fallbacks")
+_BOUNDARY_LOOPS = ("annulus", "target", "window", "base", "sup")
 
 # the two reference intersection matrices: the contractible configuration
 # and the non-exceptional one
@@ -301,10 +307,11 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     """All certificate layers for one size.
 
     Returns the per-n report entry and what the size adds to ``meta``: the
-    trace's deep-scale ladder counts (``deep_scale``), the arc counts of its
-    dominance certificates (``dominance``) and the seconds of each stage
-    (``stages``); that is empty when the family is refuted before it is
-    built.  This is the one place that orders the stages of a family: each
+    trace's deep-scale ladder counts (``deep_scale``), the points and exact
+    fallbacks of each exact-circle-point loop (``boundary``), the arc counts
+    of its dominance certificates (``dominance``) and the seconds of each
+    stage (``stages``); that is empty when the family is refuted before it
+    is built.  This is the one place that orders the stages of a family: each
     stage runs once and receives the earlier stages it uses as arguments.
     """
     budget = config.subdivision_budget
@@ -438,6 +445,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             dominance.update(rc.dominance.counts())
     return entry, {
         "deep_scale": trace.ladder,
+        "boundary": {"annulus": annulus.counts(), **trace.boundary},
         "dominance": {key: dominance[key] for key in _DOMINANCE_COUNTS},
         "stages": stages,
     }
@@ -524,7 +532,17 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)
             ),
             "elapsed_seconds": round(time.time() - started, 3),
-            "deep_scale": totals("deep_scale", ("points", "exact_fallbacks")),
+            "deep_scale": totals("deep_scale", _WORK_COUNTS),
+            "boundary": {
+                **{
+                    loop: {
+                        key: sum(m["boundary"][loop][key] for m in built.values())
+                        for key in _WORK_COUNTS
+                    }
+                    for loop in _BOUNDARY_LOOPS
+                },
+                "per_n": {n: meta["boundary"] for n, meta in built.items()},
+            },
             "dominance": totals("dominance", _DOMINANCE_COUNTS),
             "stages": {n: meta["stages"] for n, meta in built.items()},
         },

@@ -24,11 +24,13 @@ certified brackets that fall back to exact integer arithmetic whenever they
 cannot decide.  Each sampled layer draws its points as integer triples
 ``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
 deterministic given its seed and builds no rational number per sample.  The
-image of every sampled point takes one path, ``_Image``: it is bracketed by
-ball Horner (``bounds.ball_abs2``), and its exact ``eval_scaled`` triples are
+values at every sampled point and at every exact circle point of a spot
+check take one path, ``bounds.Values``: they are bracketed by ball Horner
+(``bounds.ball_abs2``), and their exact ``eval_scaled`` triples are
 evaluated only when a comparison or a zero test is left undecided, or when a
 refutation renders its witness as exact rationals with
-``scaled_to_complex``.
+``scaled_to_complex``.  The boundary sup keeps its exact triples and
+compares their squares through brackets of escalating precision.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import (
+    BALL_BITS,
     ComplexRational,
     as_scaled,
     decimal_approx,
@@ -49,7 +53,14 @@ from .arith import (
     scaled_to_complex,
 )
 from .atlas import ChartPoint, chart_cover_indices
-from .bounds import ball_abs2, bracket_lt, gap_bracket, prod_gt
+from .bounds import (
+    Values,
+    abs2_bracket,
+    bracket_div,
+    bracket_lt,
+    constant_factor,
+    gap_bracket,
+)
 from .certify import (
     DEFAULT_BUDGET,
     CorollaryReport,
@@ -118,61 +129,55 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
 # work on brackets and unreduced ``eval_scaled`` triples.  Every sampled
-# image point is an ``_Image``: it brackets |f1|^2 and |f2|^2 by
-# ``bounds.ball_abs2`` when it is built, and evaluates its exact triples
-# only when they are read.  Every predicate asks ``bounds.bracket_lt``
-# first, against the family's bracketed parameter squares
-# (``FamilyParams.squares``), and integer cross-multiplication of the exact
-# triples decides whatever the brackets leave open; the zero tests read the
-# triples only when a bracket reaches 0.  The Fraction predicates of the
+# image point is an ``_Image`` and every exact circle point of a spot check
+# a ``bounds.Values``: it brackets the squared moduli of its polynomials by
+# ``bounds.ball_abs2``, from one ball of the point, when it is built, and
+# evaluates its exact triples only when they are read.  Every predicate and
+# spot check is decided on ball brackets, by ``bounds.bracket_lt`` against
+# brackets of the constants built once per certificate (the family's
+# ``FamilyParams.squares`` among them), and integer cross-multiplication of
+# the exact triples decides where the brackets overlap; the zero tests read
+# the triples only when a bracket reaches 0.  The Fraction predicates of the
 # atlas module remain the reference semantics; the test suite
 # cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
-class _Image:
+class _Image(Values):
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
-    ``a1`` and ``a2`` bracket |f1(lam)|^2 and |f2(lam)|^2; ``ball_abs2``
-    builds them with the image.  ``v1`` and ``v2`` are the exact
-    ``eval_scaled`` triples, both evaluated the first time either is read:
-    by a predicate whose bracket comparison was undecided, by a zero test
-    whose bracket reaches 0, or by a refutation that renders the point.
+    ``a1`` and ``a2`` bracket |f1(lam)|^2 and |f2(lam)|^2, and ``v1`` and
+    ``v2`` are the exact ``eval_scaled`` triples, both evaluated the first
+    time either is read: by a predicate whose bracket comparison was
+    undecided, by a zero test whose bracket reaches 0, or by a refutation
+    that renders the point.
     """
 
-    __slots__ = ("fam", "lam", "a1", "a2", "_triples")
+    __slots__ = ("fam", "a1", "a2")
 
     def __init__(self, fam: Family, num_re: int, num_im: int, den: int):
-        self.fam, self.lam = fam, (num_re, num_im, den)
-        self.a1 = ball_abs2(fam.f1, num_re, num_im, den)
-        self.a2 = ball_abs2(fam.f2, num_re, num_im, den)
-        self._triples: Optional[tuple] = None
-
-    @property
-    def evaluated(self) -> bool:
-        """Whether the exact triples have been evaluated."""
-        return self._triples is not None
-
-    def _exact(self) -> tuple:
-        if self._triples is None:
-            self._triples = (
-                eval_scaled(self.fam.f1, *self.lam),
-                eval_scaled(self.fam.f2, *self.lam),
-            )
-        return self._triples
+        super().__init__((fam.f1, fam.f2), num_re, num_im, den)
+        self.fam = fam
+        self.a1, self.a2 = self.abs2
 
     @property
     def v1(self) -> tuple:
-        return self._exact()[0]
+        return self.triples[0]
 
     @property
     def v2(self) -> tuple:
-        return self._exact()[1]
+        return self.triples[1]
 
     def vanishes(self, i: int) -> bool:
         """Exact f_i(lam) = 0; the triples are read only if a_i reaches 0."""
         lower = (self.a1, self.a2)[i - 1][0]
-        return lower[0] == 0 and self._exact()[i - 1][:2] == (0, 0)
+        return lower[0] == 0 and self.triples[i - 1][:2] == (0, 0)
+
+
+def _count(tally: Counter, values) -> None:
+    """Book one point, and whether a comparison needed its exact values."""
+    tally["points"] += 1
+    tally["exact_fallbacks"] += values.evaluated
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -341,12 +346,22 @@ class TargetRegion:
         a1, a2 = z1.abs2(), z2.abs2()
         return nn * a1 <= 1 and nn * a2 <= 1 and nn * a2 <= a1
 
-    def contains_scaled(self, v1: tuple, v2: tuple) -> bool:
-        """The same predicate on unreduced ``eval_scaled`` triples."""
-        n1, q1 = scaled_abs2(v1)
-        n2, q2 = scaled_abs2(v2)
-        nn = self.n * self.n
-        return nn * n1 <= q1 and nn * n2 <= q2 and nn * n2 * q1 <= n1 * q2
+    @cached_property
+    def _scale(self) -> tuple:
+        """n^2 as a ``constant_factor``, built once per region."""
+        return constant_factor(Fraction(self.n * self.n))
+
+    def contains_values(self, values: Values) -> bool:
+        """The same predicate at ``(z1, z2)``, the values of ``values.polys``.
+
+        Decided on ball brackets, exact integers where they overlap.
+        """
+        nn = self._scale
+        return (
+            values.lt((nn, 0), (), closed=True)
+            and values.lt((nn, 1), (), closed=True)
+            and values.lt((nn, 1), (0,), closed=True)
+        )
 
     def to_json(self) -> dict:
         return {"n": self.n, "bound": format_rational(self.bound)}
@@ -360,7 +375,11 @@ def _named_check(corollary: CorollaryReport, name: str):
 
 
 def annulus_into_target(
-    fam: Family, corollary: CorollaryReport, *, spot_checks: int = 64
+    fam: Family,
+    corollary: CorollaryReport,
+    *,
+    spot_checks: int = 64,
+    tally: Optional[Counter] = None,
 ) -> Certificate:
     """Certify that the annulus 1 <= |lam| <= 2 maps into the target region.
 
@@ -369,17 +388,21 @@ def annulus_into_target(
     below r^2/n < 1/n, and n times the |f2| envelope below the |f1| lower
     envelope, which is the squared-free form of |f2| <= (1/n)|f1|.  On top of
     the delegation, ``spot_checks`` exact membership tests run on each
-    bounding circle so a broken family is refuted by a concrete point.
+    bounding circle so a broken family is refuted by a concrete point; they
+    are decided on ball brackets, exact integers where they overlap.
+    ``tally`` counts the points and the exact fallbacks.
     """
     target = TargetRegion(fam.n)
+    tally = Counter() if tally is None else tally
 
     checked = 0
     for radius in (Fraction(1), Fraction(2)):
-        for i, (a, b, den) in enumerate(circle_triples(radius, spot_checks)):
-            v1 = eval_scaled(fam.f1, a, b, den)
-            v2 = eval_scaled(fam.f2, a, b, den)
+        for i, triple in enumerate(circle_triples(radius, spot_checks)):
+            values = Values((fam.f1, fam.f2), *triple)
             checked += 1
-            if not target.contains_scaled(v1, v2):
+            inside = target.contains_values(values)
+            _count(tally, values)
+            if not inside:
                 cpt = circle_points(radius, spot_checks)[i]
                 return Certificate(
                     "annulus-into-target",
@@ -447,6 +470,7 @@ def image_in_chart_window(
     *,
     samples: int = 64,
     seed: int = 0,
+    tally: Optional[Counter] = None,
 ) -> Certificate:
     """Certify that the disk image stays below chart index n.
 
@@ -457,10 +481,12 @@ def image_in_chart_window(
     bounded by 1 on the outer circle is bounded by 1 on the closed disk.
     Away from the common zero set this gives |f2|^n < |f1|, which defeats the
     membership inequality |f1| < r|f2|^k of every chart of index k >= n.  The
-    claim is spot-checked on the outer circle and at sampled disk points,
-    where the computed chart cover must be nonempty with all indices < n.
-    The identity and its quotient are read from ``identities``, where they
-    are built and proved once per family.
+    claim is spot-checked at 64 exact points of the outer circle, where
+    |h| < 1 is decided on ball brackets, exact integers where they overlap,
+    and at sampled disk points, where the computed chart cover must be
+    nonempty with all indices < n.  The identity and its quotient are read
+    from ``identities``, where they are built and proved once per family.
+    ``tally`` counts the outer-circle points and their exact fallbacks.
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -474,11 +500,14 @@ def image_in_chart_window(
     below_one = _named_check(corollary, "f2-upper-below-one")
     below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
 
+    tally = Counter() if tally is None else tally
     boundary_checked = 0
     for i, triple in enumerate(circle_triples(Fraction(2), 64)):
         boundary_checked += 1
-        q_num, q_den = scaled_abs2(eval_scaled(quotient, *triple))
-        if q_num >= q_den:
+        values = Values((quotient,), *triple)
+        below = values.lt((0,), ())
+        _count(tally, values)
+        if not below:
             return Certificate(
                 "image-in-chart-window",
                 Status.REFUTED,
@@ -545,12 +574,6 @@ def image_in_chart_window(
 # ---------------------------------------------------------------------------
 # Deep-scale sampling of the per-chart approach regions
 # ---------------------------------------------------------------------------
-
-
-def _count(tally: Counter, img: _Image) -> None:
-    """Book one ladder point, and whether a predicate needed its exact triples."""
-    tally["points"] += 1
-    tally["exact_fallbacks"] += img.evaluated
 
 
 _ENTRY_CAP = 4096  # deepest decimal scale the entry probe tries
@@ -744,6 +767,7 @@ def base_chart_certificate(
     identities: IdentityReport,
     *,
     samples: int = 256,
+    tally: Optional[Counter] = None,
 ) -> Certificate:
     """Certify the cone inequality of the base chart (index 0) on the disk.
 
@@ -755,9 +779,11 @@ def base_chart_certificate(
 
     so by the maximum principle the bound, and with it the inequality
     ``|f1|^2 <= (rho/2)|f2 - f1|``, holds on the whole closed disk.  The
-    inequality is exactly validated (in squared form) at ``samples`` outer
-    boundary points and at the degenerate points where both components
-    vanish, where it holds as 0 <= 0.
+    inequality is checked (in squared form) at ``samples`` exact outer
+    boundary points, decided on ball brackets, exact integers where they
+    overlap, and exactly at the degenerate points where both components
+    vanish, where it holds as 0 <= 0.  ``tally`` counts the boundary points
+    and their exact fallbacks.
     """
     if not (
         identities.passed("square-ratio")
@@ -771,15 +797,17 @@ def base_chart_certificate(
         )
     chain = _named_check(corollary, "outer-boundary-chain")
 
-    rho = fam.params.rho
-    pn, pd = (rho / 2).numerator, (rho / 2).denominator
-    diff = fam.f2 - fam.f1
+    tally = Counter() if tally is None else tally
+    half_rho2 = fam.params.squares.half_rho2
+    polys = (fam.f1, fam.f2 - fam.f1)
     checked = 0
-    for i, (a, b, den) in enumerate(circle_triples(Fraction(2), samples)):
-        n1, q1 = scaled_abs2(eval_scaled(fam.f1, a, b, den))
-        nd, qd = scaled_abs2(eval_scaled(diff, a, b, den))
+    for i, triple in enumerate(circle_triples(Fraction(2), samples)):
+        values = Values(polys, *triple)
         checked += 1
-        if prod_gt((n1, n1, pd * pd, qd), (pn * pn, nd, q1, q1)):
+        # |f1|^4 <= (rho/2)^2 |f2 - f1|^2
+        holds = values.lt((0, 0), (half_rho2, 1), closed=True)
+        _count(tally, values)
+        if not holds:
             return Certificate(
                 "base-chart-cone",
                 Status.REFUTED,
@@ -989,47 +1017,161 @@ class ConvergenceWitness:
         }
 
 
+_SUP_BITS = BALL_BITS  # first precision of the sup's brackets
+
+
+class _SupPoint:
+    """The exact triples of f1 and f2 at one boundary point, and its metric.
+
+    The sup metric's three candidates at the point are |f1|^2 = N1/Q1,
+    |f2|^2 = N2/Q2 and |f2/f1|^2, with N = re^2 + im^2 and Q = den^2 of
+    each triple.  ``brackets(bits)`` brackets the three from directed
+    truncations of the triples' entries to ``bits`` bits
+    (``bounds.abs2_bracket``), and ``squares`` are the exact integers
+    N1, Q1, N2, Q2, formed on first read.
+    """
+
+    __slots__ = ("triples", "top", "_brackets", "_squares")
+
+    def __init__(self, fam: Family, num_re: int, num_im: int, den: int):
+        self.triples = (
+            eval_scaled(fam.f1, num_re, num_im, den),
+            eval_scaled(fam.f2, num_re, num_im, den),
+        )
+        self.top = max(abs(x).bit_length() for t in self.triples for x in t)
+        self._brackets: dict[int, tuple] = {}
+        self._squares: Optional[tuple] = None
+
+    def brackets(self, bits: int) -> tuple:
+        got = self._brackets.get(bits)
+        if got is None:
+            a1, a2 = (abs2_bracket(t, bits) for t in self.triples)
+            got = self._brackets[bits] = (a1, a2, bracket_div(a2, a1, bits))
+        return got
+
+    @property
+    def evaluated(self) -> bool:
+        """Whether a comparison needed the exact squares."""
+        return self._squares is not None
+
+    @property
+    def squares(self) -> tuple:
+        if self._squares is None:
+            self._squares = tuple(x for t in self.triples for x in scaled_abs2(t))
+        return self._squares
+
+
+# the candidates of ``_SupPoint.brackets`` as (numerator, denominator)
+# factors of its ``squares``: N1/Q1, N2/Q2 and N2 Q1/(Q2 N1)
+_SUP_CANDIDATES = (((0,), (1,)), ((2,), (3,)), ((2, 1), (3, 0)))
+
+
+def _exceeds(p: _SupPoint, i: int, s: _SupPoint, j: int) -> bool:
+    """Whether candidate ``i`` at ``p`` exceeds candidate ``j`` at ``s``.
+
+    Decided on the points' brackets, the precision multiplied by 4 from 192
+    bits while they overlap, but only while it is at most a quarter of the
+    entries' bit length: beyond that the exact squares and products cost
+    less than the bracket arithmetic around them, and they decide.
+    """
+    bits, top = _SUP_BITS, max(p.top, s.top)
+    while 4 * bits <= top:
+        verdict = bracket_lt([s.brackets(bits)[j]], [p.brackets(bits)[i]])
+        if verdict is not None:
+            return verdict
+        bits *= 4
+    (p_num, p_den), (s_num, s_den) = _SUP_CANDIDATES[i], _SUP_CANDIDATES[j]
+    left = math.prod(s.squares[k] for k in s_num) * math.prod(p.squares[k] for k in p_den)
+    right = math.prod(p.squares[k] for k in p_num) * math.prod(s.squares[k] for k in s_den)
+    return left < right
+
+
+def _conjugate_half(pts: Sequence[tuple]) -> Sequence[tuple]:
+    """The points with num_im >= 0 if ``pts`` is closed under conjugation.
+
+    Otherwise every point: the skip is sound only when each dropped point's
+    conjugate ``(a, -b, den)`` is in the list.
+    """
+    upper = [pt for pt in pts if pt[1] >= 0]
+    present = set(upper)
+    if all((a, -b, den) in present for a, b, den in pts if b < 0):
+        return upper
+    return pts
+
+
+def _boundary_sup(
+    fam: Family, pts: Sequence[tuple], tally: Counter
+) -> Optional[Fraction]:
+    """max(|f1|^2, |f2|^2, |f2/f1|^2) over ``pts``; None if f1 vanishes there.
+
+    f1 and f2 have rational coefficients, so f(conj z) = conj f(z) and the
+    metric at a point equals the metric at its conjugate: when ``pts`` is
+    closed under conjugation (``circle_triples`` is: in chart 0, t pairs
+    with -t, and the t = -1 points of the two charts pair with each other)
+    the points with num_im >= 0 reach the same maximum, and only they are
+    evaluated.  The exact triples are compared through ``_exceeds``; the
+    exact squares are formed only for a comparison its brackets leave open
+    and for the reported ``Fraction``.  ``tally`` counts the evaluated
+    points and those with an exact comparison.
+    """
+    sup: Optional[tuple] = None  # (point, candidate index)
+    for triple in _conjugate_half(pts):
+        p = _SupPoint(fam, *triple)
+        if p.triples[0][:2] == (0, 0):
+            _count(tally, p)
+            return None
+        for i in range(len(_SUP_CANDIDATES)):
+            if sup is None:
+                sup = p, i  # |f1|^2 > 0, the starting sup
+            elif _exceeds(p, i, *sup):
+                sup = p, i
+        _count(tally, p)
+    s, i = sup
+    num, den = _SUP_CANDIDATES[i]
+    return Fraction(
+        math.prod(s.squares[k] for k in num), math.prod(s.squares[k] for k in den)
+    )
+
+
 def uniform_convergence_witness(
     fams: Sequence[Family],
     target_certs: dict[int, Certificate],
     *,
     samples: int = 512,
+    tally: Optional[Counter] = None,
 ) -> ConvergenceWitness:
     """Boundary images shrink uniformly: sup metric at most 1/n, nonincreasing.
 
     All families are evaluated at the same exact points of the unit circle;
     the metric at a point is max(|f1|, |f2|, |f2/f1|), computed and compared
-    through squares.  Each family's sampled sup must be at most 1/n (squared:
-    1/n^2), the sequence of sups must be nonincreasing in n, and the claim for
-    all boundary points (not just samples) is inherited from the per-family
-    target containment certificates.  The monotonicity check needs at least
-    two families: ``trace_family`` passes its one family, so for it only the
-    1/n bound is checked.
+    through squares, decided on brackets of the exact triples' squares,
+    exact integers where they overlap.  f1 and f2 have rational
+    coefficients, so |f(conj lam)| = |f(lam)|, and the circle points are
+    closed under conjugation (checked on the list, see ``_boundary_sup``):
+    only the points with num_im >= 0 are evaluated, and the sup is the same
+    ``Fraction`` as over every point.  Each family's sampled sup
+    must be at most 1/n (squared: 1/n^2), the sequence of sups must be
+    nonincreasing in n, and the claim for all boundary points (not just
+    samples) is inherited from the per-family target containment
+    certificates.  The monotonicity check needs at least two families:
+    ``trace_family`` passes its one family, so for it only the 1/n bound is
+    checked.  ``tally`` counts the evaluated points and their exact
+    fallbacks.
     """
     if not fams:
         raise ValueError("at least one family is required")
+    tally = Counter() if tally is None else tally
     pts = circle_triples(Fraction(1), samples)
     entries = []
     for fam in fams:
-        # running sup as unreduced factor tuples (numerator, denominator);
-        # prod_gt forms the cross products only where its bounds cannot
-        # separate them, and one reduction happens at the end
-        sup_num, sup_den = (0,), (1,)
-        for a, b, den in pts:
-            n1, q1 = scaled_abs2(eval_scaled(fam.f1, a, b, den))
-            n2, q2 = scaled_abs2(eval_scaled(fam.f2, a, b, den))
-            if n1 == 0:
-                return ConvergenceWitness(
-                    Status.REFUTED,
-                    tuple(entries),
-                    samples,
-                    f"the first component vanishes on the unit circle at n = {fam.n}",
-                )
-            candidates = (((n1,), (q1,)), ((n2,), (q2,)), ((n2, q1), (q2, n1)))
-            for cand_num, cand_den in candidates:
-                if prod_gt(cand_num + sup_den, sup_num + cand_den):
-                    sup_num, sup_den = cand_num, cand_den
-        sup = Fraction(math.prod(sup_num), math.prod(sup_den))
+        sup = _boundary_sup(fam, pts, tally)
+        if sup is None:
+            return ConvergenceWitness(
+                Status.REFUTED,
+                tuple(entries),
+                samples,
+                f"the first component vanishes on the unit circle at n = {fam.n}",
+            )
         bound = Fraction(1, fam.n * fam.n)
         entries.append(ConvergenceEntry(fam.n, sup, bound, sup <= bound))
     entries = tuple(entries)
@@ -1083,8 +1225,10 @@ class TraceReport:
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
     (``points``) and those whose exact triples a predicate needed
-    (``exact_fallbacks``); ``dominance`` sums ``Dominance.counts`` over the
-    chart-cone cofactors.  Both describe the work, not the verdict, and are
+    (``exact_fallbacks``); ``boundary`` holds the same two counts for each
+    exact-circle-point loop of the trace (``target``, ``window``, ``base``
+    and ``sup``); ``dominance`` sums ``Dominance.counts`` over the
+    chart-cone cofactors.  They describe the work, not the verdict, and are
     not part of ``to_json``.
     """
 
@@ -1099,6 +1243,7 @@ class TraceReport:
     status: Status
     detail: str = ""
     ladder: dict = field(default_factory=dict, compare=False)
+    boundary: dict = field(default_factory=dict, compare=False)
     dominance: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -1126,6 +1271,10 @@ class TraceReport:
             "detail": self.detail,
         }
 
+
+# the exact-circle-point loops of a trace, in the order they run
+_BOUNDARY_LOOPS = ("target", "window", "base", "sup")
+_WORK_COUNTS = ("points", "exact_fallbacks")
 
 _TRACE_DETAIL = {
     Status.REFUTED: "a condition is refuted",
@@ -1159,9 +1308,17 @@ def trace_family(
     """
     n = fam.n
     tally: Counter = Counter()
-    condition_ii = annulus_into_target(fam, corollary, spot_checks=spot_checks)
+    boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
+    condition_ii = annulus_into_target(
+        fam, corollary, spot_checks=spot_checks, tally=boundary["target"]
+    )
     window = image_in_chart_window(
-        fam, corollary, identities, samples=window_samples, seed=seed
+        fam,
+        corollary,
+        identities,
+        samples=window_samples,
+        seed=seed,
+        tally=boundary["window"],
     )
     cones = [
         chart_cone_certificate(
@@ -1178,7 +1335,11 @@ def trace_family(
         for k in range(1, n)
     ]
     base = base_chart_certificate(
-        fam, corollary, identities, samples=max(cone_samples, 256)
+        fam,
+        corollary,
+        identities,
+        samples=max(cone_samples, 256),
+        tally=boundary["base"],
     )
     witness = cone_window_witness(fam, samples=witness_samples, seed=seed)
     condition_i = _combine(
@@ -1186,7 +1347,7 @@ def trace_family(
     )
 
     convergence = uniform_convergence_witness(
-        [fam], {n: condition_ii}, samples=sup_samples
+        [fam], {n: condition_ii}, samples=sup_samples, tally=boundary["sup"]
     )
     entry = convergence.entries[0] if convergence.entries else None
     condition_iii = Certificate(
@@ -1227,6 +1388,10 @@ def trace_family(
         seed=seed,
         status=status,
         detail=_TRACE_DETAIL[status],
-        ladder={key: tally[key] for key in ("points", "exact_fallbacks")},
+        ladder={key: tally[key] for key in _WORK_COUNTS},
+        boundary={
+            loop: {key: counts[key] for key in _WORK_COUNTS}
+            for loop, counts in boundary.items()
+        },
         dominance={key: tally[key] for key in ("arcs", "exact_arcs", "exact_margins")},
     )

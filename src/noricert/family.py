@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .arith import Poly, _digits10, format_rational, parse_rational, poly_gcd
-from .bounds import int_bracket
+from .bounds import constant_factor
 
 
 class FamilyParamError(ValueError):
@@ -92,8 +92,8 @@ def _check_n_range(n: int, max_n: int) -> None:
 
 
 class ChartSquares(NamedTuple):
-    """r^2, r^4, rho^2 and (rho/2)^2 for the scaled chart predicates, each as
-    ``(num, den, num_bracket, den_bracket)`` with ``bounds.int_bracket``."""
+    """r^2, r^4, rho^2 and (rho/2)^2 for the scaled chart predicates, each a
+    ``bounds.constant_factor``: ``(num, den, num_bracket, den_bracket)``."""
 
     r2: tuple
     r4: tuple
@@ -136,13 +136,10 @@ class FamilyParams:
     @cached_property
     def squares(self) -> ChartSquares:
         """The chart parameters' squares with their brackets, built once."""
-
-        def power(q: Fraction, e: int) -> tuple:
-            num, den = q.numerator**e, q.denominator**e
-            return num, den, int_bracket(num), int_bracket(den)
-
         r, rho = self.r, self.rho
-        return ChartSquares(power(r, 2), power(r, 4), power(rho, 2), power(rho / 2, 2))
+        return ChartSquares(
+            *(constant_factor(q) for q in (r**2, r**4, rho**2, (rho / 2) ** 2))
+        )
 
     def validate(self, *, allow_unsafe_eps: bool = False, max_n: int = 5) -> None:
         _check_n_range(self.n, max_n)

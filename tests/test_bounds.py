@@ -25,10 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noricert.bounds as bounds
-from noricert.arith import Poly, as_scaled, eval_scaled
+from noricert.arith import ComplexRational, Poly, as_scaled, eval_scaled
 from noricert.bounds import (
     _BITS,
-    _ball_point,
     _p_add,
     _p_div,
     _p_lt,
@@ -39,8 +38,13 @@ from noricert.bounds import (
     _p_trunc,
     _side_product,
     arc_gap_bracket,
+    Values,
+    abs2_bracket,
     ball_abs2,
+    ball_point,
+    bracket_div,
     bracket_lt,
+    constant_factor,
     gap_bracket,
     int_bracket,
     min_candidates,
@@ -325,7 +329,7 @@ class TestBallAbs2:
     @given(_points())
     def test_point_ball_encloses_the_point(self, point):
         num_re, num_im, den = point
-        re, im, rad, e = _ball_point(num_re, num_im, den)
+        re, im, rad, e = ball_point(num_re, num_im, den)
         err2 = (F(num_re, den) - re * F(2) ** e) ** 2 + (
             F(num_im, den) - im * F(2) ** e
         ) ** 2
@@ -765,3 +769,83 @@ class TestNegatedCaches:
         q = p.map_variable_negated()
         assert q._scaled_cache is None and q._ball_cache is None
         assert q.scaled() == Poly(q.coeffs).scaled()
+
+
+class TestValues:
+    """``Values.lt`` gives the exact verdict, and reads triples only on overlap."""
+
+    def test_against_fraction_products(self):
+        rng = random.Random(23)
+        polys = (
+            Poly((F(1, 3), F(-2, 7), F(5, 11))),
+            Poly((F(3, 4), 1)),
+            Poly((F(10**40 + 1, 3**80), F(1, 5))),
+        )
+        exact_reads = 0
+        for _ in range(300):
+            den = rng.choice([1, 7, 64, 1000, 10**30])
+            lam = (rng.randrange(-50, 51), rng.randrange(-50, 51), den)
+            values = Values(polys, *lam)
+            z = F(lam[0], den), F(lam[1], den)
+            point = ComplexRational(*z)
+            moduli = [p(point).abs2() for p in polys]
+            consts = [
+                constant_factor(F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)))
+                for _ in range(2)
+            ]
+            lhs = [rng.randrange(3) for _ in range(rng.randrange(0, 3))]
+            rhs = [rng.randrange(3) for _ in range(rng.randrange(0, 3))]
+            lhs.append(consts[0])
+            rhs.append(consts[1])
+            # an equal pair of sides: only the closed comparison holds
+            for left, right in ((lhs, rhs), (lhs, lhs)):
+                value = [
+                    math.prod(moduli[f] if isinstance(f, int) else F(f[0], f[1]) for f in side)
+                    for side in (left, right)
+                ]
+                assert values.lt(left, right) == (value[0] < value[1])
+                assert values.lt(left, right, closed=True) == (value[0] <= value[1])
+            if values.evaluated:
+                exact_reads += 1
+                assert values.triples == tuple(eval_scaled(p, *lam) for p in polys)
+        assert 0 < exact_reads < 300
+
+    def test_decided_comparisons_read_no_triples(self):
+        # |(3 + 4i)/10|^2 = 1/4: separated from 1/2, tied with 1/4
+        values = Values((Poly.x(),), 3, 4, 10)
+        half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
+        assert values.lt((0,), (half,)) is True
+        assert values.lt((half,), (0,)) is False
+        assert not values.evaluated
+        assert values.lt((0,), (quarter,)) is False
+        assert values.lt((0,), (quarter,), closed=True) is True
+        assert values.evaluated
+
+
+def _triples(rng):
+    """Triples with entries from 0 to 2^20000 bits, the sign of re and im free."""
+    for _ in range(400):
+        sizes = [rng.choice([0, 1, 30, 200, 800, 3000, 20000]) for _ in range(3)]
+        re, im = (rng.getrandbits(b) * rng.choice([1, -1]) if b else 0 for b in sizes[:2])
+        yield re, im, rng.getrandbits(sizes[2] or 1) + 1
+
+
+class TestAbs2Bracket:
+    @pytest.mark.parametrize("bits", [192, 768, 3072])
+    def test_encloses_exact_value(self, bits):
+        rng = random.Random(bits)
+        for triple in _triples(rng):
+            lo, hi = abs2_bracket(triple, bits)
+            _encloses((lo, hi), triple)
+            re, im, den = triple
+            if re or im:
+                # about 2^-bits wide, relative
+                assert (_value(hi) - _value(lo)) * 2 ** (bits - 4) <= _value(hi)
+
+    def test_division_encloses_the_quotient(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            a, b = rng.getrandbits(rng.randrange(1, 3000)), rng.getrandbits(rng.randrange(1, 3000)) + 1
+            bits = rng.choice([192, 768])
+            lo, hi = bracket_div(int_bracket(a, bits), int_bracket(b, bits), bits)
+            assert _value(lo) <= F(a, b) <= _value(hi)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noricert.arith import Poly
+from noricert.arith import Poly, eval_scaled, scaled_abs2
 from noricert.certify import (
     AnnulusReport,
     CirclePoint,
@@ -33,6 +33,7 @@ from noricert.certify import (
     certify_dominance,
     chart_point,
     circle_points,
+    circle_triples,
     DEFAULT_BUDGET,
     cone_factor_certificate,
     corollary_ineq_certificate,
@@ -90,6 +91,19 @@ class TestCircleCharts:
             circle_points(F(1), 7)
         with pytest.raises(ValueError):
             circle_points(F(1), 0)
+
+    @pytest.mark.parametrize("radius", [F(1), F(2), F(1, 3)])
+    @pytest.mark.parametrize("count", [2, 4, 6, 64, 512])
+    def test_triples_closed_under_conjugation(self, radius, count):
+        # chart 0 pairs t with -t, the t = -1 points of the two charts pair
+        # with each other, and lam = radius, -radius (t = 0, present when
+        # count/2 is even) are their own conjugates
+        pts = circle_triples(radius, count)
+        assert len(set(pts)) == count
+        assert {(a, -b, den) for a, b, den in pts} == set(pts)
+        real = 2 if count % 4 == 0 else 0
+        assert sum(1 for _, b, _ in pts if b == 0) == real
+        assert sum(1 for _, b, _ in pts if b >= 0) == (count + real) // 2
 
     def test_lipschitz_bound_property(self):
         p = Poly([F(1, 3), F(-2), F(0), F(5, 7), F(1)])
@@ -412,6 +426,20 @@ class TestRootLocalization:
         assert certs[1].status is Status.INCONCLUSIVE
 
 
+def _exact_annulus_failure(p, deg, per_circle):
+    """The annulus spot checks with exact integers: first failing (radius, i)."""
+    lo2, up2 = F(1, 4**deg), F(9**deg)
+    for radius in (F(1), F(2)):
+        for i, triple in enumerate(circle_triples(radius, per_circle)):
+            num, den = scaled_abs2(eval_scaled(p, *triple))
+            if not (
+                lo2.numerator * den < num * lo2.denominator
+                and num * up2.denominator < up2.numerator * den
+            ):
+                return radius, i
+    return None
+
+
 class TestAnnulusBounds:
     def test_bound_constants_frozen(self, built_families, annulus_reports):
         rep = annulus_reports[3]
@@ -436,6 +464,34 @@ class TestAnnulusBounds:
         rep = annulus_bounds_certificate(tampered, root_certs[2])
         assert rep.status is Status.REFUTED
         assert "exact point" in rep.factor(1).detail
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spot_checks_match_exact_loop(self, n, built_families, annulus_reports):
+        fam = built_families[n]
+        for k, bounds in enumerate(annulus_reports[n].per_factor, start=1):
+            assert _exact_annulus_failure(fam.Pk(k), fam.params.d[k - 1], 256) is None
+            assert (bounds.spot_checks, bounds.exact_fallbacks) == (512, 0)
+        assert annulus_reports[n].counts() == {
+            "points": 512 * (n - 1),
+            "exact_fallbacks": 0,
+        }
+
+    @pytest.mark.parametrize("scale", [F(1), F(1, 2)])
+    def test_tampered_factor_refuted_at_the_exact_witness(
+        self, built_families, root_certs, scale
+    ):
+        # |P_1|^2 = scale^2 |1 + z|^2 drops to (1/2)^2 in the left half of
+        # |z| = 1 (scale 1) or stays above it up to the point z = -1, where it
+        # vanishes (scale 1/2): both fail first inside chart 1
+        fam = built_families[2]
+        tampered = dataclasses.replace(fam, P=(Poly([scale, scale]),))
+        radius, i = _exact_annulus_failure(tampered.Pk(1), 1, 256)
+        assert radius == 1 and 128 < i < 256
+        cert = annulus_bounds_for_factor(tampered, 1, root_certs[2][1])
+        assert cert.status is Status.REFUTED
+        point = circle_points(radius, 256)[i].point
+        assert cert.detail == f"bound fails at exact point {point} on |z| = 1"
+        assert cert.spot_checks == i + 1
 
     def test_missing_prerequisite_is_inconclusive(self, built_families, root_certs):
         fam = built_families[2]

@@ -390,6 +390,36 @@ class TestMeta:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
+    def test_boundary_counters(self, default_run):
+        # the five loops over exact circle points at n = 2..4: the ball
+        # brackets decide every spot check; the sup's brackets decide every
+        # comparison at n = 3, 4, while the n = 2 triples (about 120 bits)
+        # are short enough that their exact squares decide
+        report, code = default_run
+        assert code == EXIT_OK
+        boundary = report["meta"]["boundary"]
+        per_n = {
+            "annulus": [(512, 0), (1024, 0), (1536, 0)],
+            "target": [(128, 0)] * 3,
+            "window": [(64, 0)] * 3,
+            "base": [(256, 0)] * 3,
+            "sup": [(257, 257), (257, 0), (257, 0)],
+        }
+        assert set(boundary) == {*per_n, "per_n"}
+        assert set(boundary["per_n"]) == {"2", "3", "4"}
+        for loop, counts in per_n.items():
+            for n, (points, fallbacks) in zip("234", counts):
+                assert boundary["per_n"][n][loop] == {
+                    "points": points,
+                    "exact_fallbacks": fallbacks,
+                }
+            assert boundary[loop] == {
+                "points": sum(p for p, _ in counts),
+                "exact_fallbacks": sum(f for _, f in counts),
+            }
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
     def test_dominance_counters(self, default_run):
         # the nine dominance certificates of n = 2..4 (root localizations and
         # chart-cone cofactors): the 192-bit brackets decide every arc but the
@@ -439,6 +469,8 @@ class TestMeta:
         )
         assert code == EXIT_REFUTED
         assert report["meta"]["stages"] == {}
+        assert report["meta"]["boundary"]["per_n"] == {}
+        assert report["meta"]["boundary"]["sup"] == {"points": 0, "exact_fallbacks": 0}
 
 
 class TestRendering:

@@ -20,6 +20,7 @@ from noricert.certify import (
     Status,
     annulus_bounds_certificate,
     circle_points,
+    circle_triples,
     corollary_ineq_certificate,
     exact_identity_checks,
     family_root_certificates,
@@ -39,11 +40,13 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.bounds import bracket_lt, gap_bracket
+from noricert.bounds import Values, bracket_lt, gap_bracket
 from noricert.disktrace import (
     _Image,
     _approach_candidates,
+    _boundary_sup,
     _chart_entry_test,
+    _conjugate_half,
     _cone_test,
     _cover_indices_scaled,
     _entry_scale,
@@ -78,18 +81,25 @@ class TestTargetRegion:
         assert box.contains(quarter, ComplexRational.of(F(1, 8)))
 
     def test_contains_scaled_agrees(self):
+        # the bracketed predicate at (z1, z2) = (lam, c0 + c1 lam) against the
+        # Fraction one, with points on all three closed boundaries: |lam| =
+        # 1/3 at (3 + 4i)/15, and |z2| = |z1|/3 for z2 = lam/3 and -lam/3
         rng = random.Random(20)
         box = TargetRegion(3)
+        cases = [((3, 4, 15), F(0), F(1, 3)), ((3, 4, 15), F(0), F(-1, 3))]
+        cases += [((4, -3, 15), F(1, 3), F(0)), ((0, 5, 15), F(0), F(1, 3))]
         for _ in range(300):
-            re1, im1 = rng.randrange(-40, 41), rng.randrange(-40, 41)
-            re2, im2 = rng.randrange(-40, 41), rng.randrange(-40, 41)
-            den = rng.choice([60, 100, 120])
-            scaled = box.contains_scaled((re1, im1, den), (re2, im2, den))
-            exact = box.contains(
-                ComplexRational(F(re1, den), F(im1, den)),
-                ComplexRational(F(re2, den), F(im2, den)),
-            )
-            assert scaled == exact
+            lam = (rng.randrange(-40, 41), rng.randrange(-40, 41), rng.choice([60, 100, 120]))
+            cases.append((lam, F(rng.randrange(-9, 10), 60), F(rng.randrange(-9, 10), 12)))
+        on_boundary = 0
+        for (re1, im1, den), c0, c1 in cases:
+            z1 = ComplexRational(F(re1, den), F(im1, den))
+            z2 = c0 + c1 * z1
+            values = Values((Poly.x(), Poly((c0, c1))), re1, im1, den)
+            assert box.contains_values(values) == box.contains(z1, z2)
+            a1, a2 = z1.abs2(), z2.abs2()
+            on_boundary += 9 * a1 == 1 or 9 * a2 == 1 or 9 * a2 == a1
+        assert on_boundary >= 4
 
 
 def _image_and_reference(fam, a, b, den):
@@ -274,6 +284,178 @@ class TestBallImages:
         assert img.a1[0] == (0, 0)
         assert not img.vanishes(1)
         assert img.evaluated
+
+
+def _exact_target_failure(fam, spot_checks=64):
+    """The target loop with exact integers only: (checked, (radius, i) or None)."""
+    nn, checked = fam.n * fam.n, 0
+    for radius in (F(1), F(2)):
+        for i, triple in enumerate(circle_triples(radius, spot_checks)):
+            n1, q1 = scaled_abs2(eval_scaled(fam.f1, *triple))
+            n2, q2 = scaled_abs2(eval_scaled(fam.f2, *triple))
+            checked += 1
+            if not (nn * n1 <= q1 and nn * n2 <= q2 and nn * n2 * q1 <= n1 * q2):
+                return checked, (radius, i)
+    return checked, None
+
+
+def _exact_window_failure(unit):
+    """The window's outer-circle loop with exact integers: first i with |unit| >= 1."""
+    for i, triple in enumerate(circle_triples(F(2), 64)):
+        q_num, q_den = scaled_abs2(eval_scaled(unit, *triple))
+        if q_num >= q_den:
+            return i
+    return None
+
+
+def _exact_base_failure(fam, samples):
+    """The base chart's boundary loop with exact integers: first failing i."""
+    half_rho = fam.params.rho / 2
+    pn, pd = half_rho.numerator, half_rho.denominator
+    diff = fam.f2 - fam.f1
+    for i, triple in enumerate(circle_triples(F(2), samples)):
+        n1, q1 = scaled_abs2(eval_scaled(fam.f1, *triple))
+        nd, qd = scaled_abs2(eval_scaled(diff, *triple))
+        if n1 * n1 * pd * pd * qd > pn * pn * nd * q1 * q1:
+            return i
+    return None
+
+
+def _exact_sup(fam, pts):
+    """max(|f1|^2, |f2|^2, |f2/f1|^2) over every point of ``pts``, in Fractions."""
+    best = F(0)
+    for triple in pts:
+        a1 = F(*scaled_abs2(eval_scaled(fam.f1, *triple)))
+        a2 = F(*scaled_abs2(eval_scaled(fam.f2, *triple)))
+        best = max(best, a1, a2, a2 / a1)
+    return best
+
+
+def _identities(*names, unit=None):
+    checks = tuple(CheckResult(name, True, "") for name in names)
+    return IdentityReport(checks, unit=unit if unit is not None else Poly.zero())
+
+
+def _fake(fam, f1, f2):
+    """The parameters of ``fam`` with the components replaced."""
+    return SimpleNamespace(n=fam.n, f1=f1, f2=f2, params=fam.params)
+
+
+class TestBoundaryLoops:
+    """The bracketed exact-circle-point loops against exact-integer ports."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_real_families_match_exact_loops(
+        self, built_families, corollary_reports, identities, n
+    ):
+        fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
+        tally = Counter()
+        target = annulus_into_target(fam, cor, tally=tally)
+        assert target.status is Status.PROVED
+        assert _exact_target_failure(fam) == (128, None)
+        assert tally == Counter(points=128)
+        assert image_in_chart_window(fam, cor, ids, samples=4).status is Status.PROVED
+        assert _exact_window_failure(ids.unit) is None
+        base = base_chart_certificate(fam, cor, ids, samples=256)
+        assert base.status is Status.PROVED
+        assert _exact_base_failure(fam, 256) is None
+        pts = circle_triples(F(1), 512)
+        tally = Counter()
+        wit = uniform_convergence_witness([fam], {}, samples=512, tally=tally)
+        assert wit.entries[0].sup_squared == _exact_sup(fam, pts)
+        assert tally["points"] == 257
+
+    @pytest.mark.parametrize("scale", [F(2, 7), F(1, 4)])
+    def test_tampered_target_refuted_at_the_exact_witness(
+        self, built_families, corollary_reports, scale
+    ):
+        # |f1|^2 = scale^2 |1 + lam|^2: 2/7 leaves the target first at an
+        # interior point of the unit circle, 1/4 touches 4 |f1|^2 <= 1 with
+        # equality at lam = 1 and leaves it on |lam| = 2
+        fam = built_families[2]
+        f1 = Poly((scale, scale))
+        fake = _fake(fam, f1, f1 * F(1, 4))
+        checked, (radius, i) = _exact_target_failure(fake)
+        assert (scale == F(1, 4)) == (radius == 2)
+        assert 0 < i < 32 or radius == 2
+        cert = annulus_into_target(fake, corollary_reports[2])
+        assert cert.status is Status.REFUTED
+        assert cert.data["witness"] == circle_points(radius, 64)[i].to_json()
+
+    def test_target_equality_is_inside(self, built_families, corollary_reports):
+        # n |f2| = |f1| at every point: the closed slope inequality holds with
+        # equality, and the inexact balls of the circle points overlap
+        fam = built_families[2]
+        f1 = Poly((F(1, 8), F(1, 16)))
+        fake = _fake(fam, f1, f1 * F(1, 2))
+        tally = Counter()
+        cert = annulus_into_target(fake, corollary_reports[2], tally=tally)
+        assert _exact_target_failure(fake) == (128, None)
+        assert cert.data["spot_checks"] == 128
+        assert tally["exact_fallbacks"] > 100
+
+    @pytest.mark.parametrize("scale", [F(2, 5), F(1, 3)])
+    def test_tampered_window_refuted_at_the_exact_witness(
+        self, built_families, corollary_reports, scale
+    ):
+        # |unit|^2 = scale^2 |1 + lam|^2 on |lam| = 2: 1/3 reaches 1 exactly
+        # at lam = 2 only, which the strict |unit| < 1 refutes
+        fam = built_families[2]
+        unit = Poly((scale, scale))
+        i = _exact_window_failure(unit)
+        assert 0 < i < 32
+        cert = image_in_chart_window(
+            fam, corollary_reports[2], _identities("power-ratio", unit=unit)
+        )
+        assert cert.status is Status.REFUTED
+        assert cert.data["witness"] == circle_points(F(2), 64)[i].to_json()
+
+    def test_tampered_base_refuted_at_the_exact_witness(
+        self, built_families, corollary_reports
+    ):
+        # f2 - f1 = 1 and |f1| = |1 + lam|/5: |f1|^2 <= (rho/2)|f2 - f1| fails
+        # from an interior point of |lam| = 2 on
+        fam = built_families[2]
+        f1 = Poly((F(1, 5), F(1, 5)))
+        fake = _fake(fam, f1, f1 + Poly.one())
+        i = _exact_base_failure(fake, 256)
+        assert 0 < i < 128
+        ids = _identities("square-ratio", "difference-factorization")
+        cert = base_chart_certificate(fake, corollary_reports[2], ids, samples=256)
+        assert cert.status is Status.REFUTED
+        assert cert.data["witness"] == circle_points(F(2), 256)[i].to_json()
+
+    def test_sup_skips_conjugates_only_on_closed_lists(self, built_families):
+        # |f1| peaks at lam = 1; the list keeps the lower quarter of chart 0
+        # without its conjugates, and one upper point near lam = -1, so
+        # skipping the num_im < 0 points would drop the maximum
+        fam = built_families[2]
+        f1 = Poly((F(1, 4), F(1, 8)))
+        fake = _fake(fam, f1, f1 * F(1, 4))
+        full = circle_triples(F(1), 64)
+        pts = [pt for pt in full[:16] if pt[1] < 0] + [full[40]]
+        assert full[40][1] > 0
+        tally = Counter()
+        sup = _boundary_sup(fake, pts, tally)
+        assert sup == _exact_sup(fake, pts) > _exact_sup(fake, [full[40]])
+        assert tally["points"] == len(pts)
+        # on the closed list the upper half is evaluated, for the same sup
+        tally = Counter()
+        assert _boundary_sup(fake, full, tally) == _exact_sup(fake, full)
+        assert tally["points"] == 33
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_half_circle_sup_is_the_full_sup(self, built_families, n):
+        fam = built_families[n]
+        pts = circle_triples(F(1), 128)
+        assert _conjugate_half(pts) != pts
+        assert _boundary_sup(fam, pts, Counter()) == _exact_sup(fam, pts)
+
+    def test_vanishing_first_component_refutes_the_sup(self):
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        wit = uniform_convergence_witness([fam], {}, samples=64)
+        assert wit.status is Status.REFUTED
+        assert "vanishes on the unit circle" in wit.detail
 
 
 class TestVanishingOrders:
