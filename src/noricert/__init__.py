@@ -21,8 +21,8 @@ from .atlas import (
 from .certify import (
     Status,
     annulus_bounds_certificate,
-    certify_dominance,
     cone_factor_certificate,
+    root_product_dominance,
     corollary_ineq_certificate,
     exact_identity_checks,
     family_root_certificates,
@@ -63,7 +63,6 @@ __all__ = [
     "annulus_bounds_certificate",
     "annulus_into_target",
     "base_chart_certificate",
-    "certify_dominance",
     "chart_cone_certificate",
     "chart_cover_indices",
     "chart_membership",
@@ -85,6 +84,7 @@ __all__ = [
     "overlap_polydisk_check",
     "parse_rational",
     "poly_gcd",
+    "root_product_dominance",
     "seed_for",
     "trace_family",
     "uniform_convergence_witness",

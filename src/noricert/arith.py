@@ -474,25 +474,6 @@ class Poly:
             self._ball_cache = tuple(out)
         return self._ball_cache
 
-    def map_variable_negated(self) -> "Poly":
-        """The polynomial q with q(z) = p(-z) for all z.
-
-        The ``scaled()`` and ``balls()`` caches, when built, are carried over
-        with the odd entries negated: the common denominator is the same,
-        and the floor of -c is -m - r for the ball ``(m, e, r)`` of c.
-        """
-        q = Poly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self._coeffs)))
-        if self._scaled_cache is not None:
-            ints, den = self._scaled_cache
-            negated = tuple(v if i % 2 == 0 else -v for i, v in enumerate(ints))
-            q._scaled_cache = (negated, den)
-        if self._ball_cache is not None:
-            q._ball_cache = tuple(
-                b if i % 2 == 0 else (-b[0] - b[2], b[1], b[2])
-                for i, b in enumerate(self._ball_cache)
-            )
-        return q
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "Poly(0)"

@@ -16,10 +16,9 @@ squared modulus of a given complex rational is ``ball_abs2`` of the identity
 polynomial ``Poly.x()``.  ``Values`` holds the brackets of several
 polynomials at one point, built from one ``ball_point``, and decides
 products of them and of ``constant_factor`` constants, reading the exact
-triples only where the brackets overlap.  ``ratio_bracket`` and
-``sqrt_bracket`` bracket a quotient of two unreduced integers and its
-one-sided square roots without a gcd, and ``arc_gap_bracket`` decides a
-dominance arc from those brackets.
+triples only where the brackets overlap.  Dominances need no brackets:
+``certify`` proves them from root products in exact rationals, and only
+the circle points that test a failed bound are decided by ``Values``.
 
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
@@ -31,9 +30,7 @@ bounds the exact product on its side, so the exponent stage decides only
 where the product stage would decide the same way: verdicts and exact
 fallbacks are those of the products alone.  Callers settle ``None`` with
 the full integer cross-products, so no truncation ever decides a verdict
-the exact arithmetic would not.  ``prod_gt`` packages that pattern for
-products of nonnegative integers, escalating the working precision before
-it pays for the exact products.
+the exact arithmetic would not.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from .arith import BALL_BITS, eval_scaled, scaled_abs2
 __all__ = [
     "Values",
     "abs2_bracket",
-    "arc_gap_bracket",
     "ball_abs2",
     "ball_point",
     "bracket_div",
@@ -54,10 +50,6 @@ __all__ = [
     "constant_factor",
     "gap_bracket",
     "int_bracket",
-    "min_candidates",
-    "prod_gt",
-    "ratio_bracket",
-    "sqrt_bracket",
 ]
 
 _BITS = BALL_BITS
@@ -113,29 +105,6 @@ def _p_add(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
         # the smaller term is below one ulp of the larger
         return _p_trunc(ma + 1, sa, True, bits) if up else (ma, sa)
     return _p_trunc((ma << gap) + mb, sb, up, bits)
-
-
-def _p_sub(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
-    """a - b for a >= b >= 0, with directed rounding."""
-    (ma, sa), (mb, sb) = a, b
-    if mb == 0:
-        return a
-    k = _BITS + 2
-    if sb + mb.bit_length() <= sa - k:
-        # b is below one unit of a widened by k bits
-        return _p_trunc((ma << k) - (0 if up else 1), sa - k, up)
-    s = min(sa, sb)
-    return _p_trunc((ma << (sa - s)) - (mb << (sb - s)), s, up)
-
-
-def _p_square_gap(a: tuple, b: tuple) -> tuple[int, int]:
-    """a^2 - b^2 exactly, for a >= b >= 0 (no truncation)."""
-    (ma, sa), (mb, sb) = a, b
-    if mb == 0:
-        return ma * ma, 2 * sa
-    s = min(sa, sb)
-    x, y = ma << (sa - s), mb << (sb - s)
-    return (x - y) * (x + y), 2 * s
 
 
 def _p_sqrt(a: tuple, up: bool) -> tuple[int, int]:
@@ -215,82 +184,6 @@ def abs2_bracket(triple: tuple, bits: int) -> tuple:
         _p_add(square(re_hi), square(im_hi), True, 2 * bits),
     )
     return bracket_div(num, (square(d_lo), square(d_hi)), bits)
-
-
-def ratio_bracket(num: int, den: int) -> tuple:
-    """The bracket of num/den (num >= 0, den > 0), from ``int_bracket`` of both.
-
-    No gcd is taken: the two integers are truncated to 192 bits first, and
-    the quotient of the truncations is rounded outward.
-    """
-    (n_lo, n_hi), (d_lo, d_hi) = int_bracket(num), int_bracket(den)
-    # widen a short numerator so the quotient keeps 192 bits
-    k = max(0, _BITS - n_lo[0].bit_length())
-    return (
-        _p_div((n_lo[0] << k, n_lo[1] - k), d_hi, False),
-        _p_div((n_hi[0] << k, n_hi[1] - k), d_lo, True),
-    )
-
-
-def sqrt_bracket(num: int, den: int, slack_bits: int) -> tuple:
-    """The bracket of every r >= 0 with |r - sqrt(q)| <= min(1, q) 2^-slack_bits.
-
-    ``q = num/den`` (num >= 0, den > 0) need not be reduced.  This is where a
-    one-sided square root with an error below 2^-slack_bits / d lies, d the
-    reduced denominator of q, because 1/d <= min(1, q) whenever q > 0 (and
-    the root of 0 is exact): so the bound needs no gcd.
-    """
-    lo, hi = ratio_bracket(num, den)
-    slack = hi if _p_lt(hi, (1, 0)) else (1, 0)
-    slack = (slack[0], slack[1] - slack_bits)
-    # widen by an even shift (192) so each root keeps 192 bits
-    root_lo = _p_sqrt((lo[0] << _BITS, lo[1] - _BITS), False)
-    root_hi = _p_sqrt((hi[0] << _BITS, hi[1] - _BITS), True)
-    return (
-        _p_sub(root_lo, slack, False) if _p_lt(slack, root_lo) else (0, 0),
-        _p_add(root_hi, slack, True),
-    )
-
-
-def arc_gap_bracket(
-    big: tuple, small: tuple, m_big: tuple, m_small: tuple, chord: tuple
-) -> Optional[tuple]:
-    """The bracket of (B - M c)^2 - (S + N c)^2, once B - M c > S + N c is certain.
-
-    B, S, M, N and c are any values in the brackets ``big``, ``small``,
-    ``m_big``, ``m_small`` and ``chord``: a dominance arc's bound on the
-    dominant modulus, its bound on the dominated modulus, the two Lipschitz
-    constants and the chord.  Returns None unless every such choice has
-    B - M c > S + N c; the caller then decides exactly.  The two ends of the
-    returned bracket are exact (not truncated), so a margin far below the
-    scale of B keeps its leading bits.
-    """
-    shift_lo = _p_mul(m_big[0], chord[0], False)
-    shift_hi = _p_mul(m_big[1], chord[1], True)
-    if not _p_lt(shift_hi, big[0]):
-        return None
-    lower_lo = _p_sub(big[0], shift_hi, False)
-    lower_hi = _p_sub(big[1], shift_lo, True)
-    upper_lo = _p_add(small[0], _p_mul(m_small[0], chord[0], False), False)
-    upper_hi = _p_add(small[1], _p_mul(m_small[1], chord[1], True), True)
-    if not _p_lt(upper_hi, lower_lo):
-        return None
-    return _p_square_gap(lower_lo, upper_hi), _p_square_gap(lower_hi, upper_lo)
-
-
-def min_candidates(brackets: Sequence[tuple]) -> list[int]:
-    """The indices of the brackets that can hold the minimum of their values.
-
-    Those are the brackets whose lower end is at or below the smallest upper
-    end; every other value exceeds some value of the list.
-    """
-    if not brackets:
-        return []
-    best = brackets[0][1]
-    for _, hi in brackets[1:]:
-        if _p_lt(hi, best):
-            best = hi
-    return [i for i, (lo, _) in enumerate(brackets) if not _p_lt(best, lo)]
 
 
 def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
@@ -501,27 +394,6 @@ def bracket_lt(
         if not _p_lt(l_lo, r_hi):
             return False
     return None
-
-
-def prod_gt(xs: Sequence[int], ys: Sequence[int]) -> bool:
-    """Exact test ``prod(xs) > prod(ys)`` for nonnegative integers.
-
-    Each factor is truncated with directed rounding at 192 bits; while the
-    two bounds overlap the precision is multiplied by 4.  Once it reaches the
-    largest operand's bit length the truncation would no longer be cheaper
-    than the integers themselves, and the exact products decide (ties always
-    end there).
-    """
-    top = max((v.bit_length() for v in (*xs, *ys)), default=0)
-    bits = _BITS
-    while bits < top:
-        verdict = bracket_lt(
-            [int_bracket(y, bits) for y in ys], [int_bracket(x, bits) for x in xs]
-        )
-        if verdict is not None:
-            return verdict
-        bits *= 4
-    return math.prod(xs) > math.prod(ys)
 
 
 class Values:

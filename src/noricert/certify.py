@@ -3,57 +3,46 @@
 Everything here reduces to finitely many exact rational comparisons; no
 floating point enters any decision.  The central tool is a dominance
 certificate: a proof that ``|dominated(z)| < |dominant(z)|`` holds everywhere
-on a circle ``|z| = R``.  Such a certificate transfers root counts from the
-dominant part to the difference (the classical perturbation argument), which
-is how every root-localization and nonvanishing claim below is established.
+on a circle ``|z| = R``.  By Rouché's theorem such a certificate transfers
+root counts from the dominant part to the difference, which is how every
+root-localization and nonvanishing claim below is established.
 
-Circle coverage uses two rational half-circle charts.  For a parameter
-``t`` in ``[-1, 1]`` the point
+Every dominance the pipeline needs compares two products of the family's
+factors (``cone_sides``, ``_localization_sides``), and the roots of each
+factor ``P_j`` are already localized in ``|z| < 2^-j``, deepest first.  With
+``|leading P_j| = 1`` and ``d = deg P_j`` that gives
 
-    w(t) = R * ((1 - t^2) + 2t*i) / (1 + t^2)
+    (R - 2^-j)^d <= |P_j(z)| <= (R + 2^-j)^d   on |z| = R,
 
-sweeps the closed right half of ``|z| = R`` and has exactly rational
-coordinates; the left half is covered by evaluating the variable-negated
-polynomials at the same points.  On an arc ``[lo, hi]`` the distance from any
-point to the arc midpoint is bounded by the exact rational quantity
+so each dominance is one exact comparison of rationals built from ``eps``,
+``R`` and the degrees (``root_product_dominance``), and the bound
+evaluates no polynomial.  Where it does not prove the claim, 16 exact
+circle points test it: a point where it fails is a refutation.
 
-    chord^2 <= 4 R^2 ((hi-lo)/2)^2 / ((1 + m^2)(1 + mid^2)),
+Circle points come from the rational half-circle chart
 
-``m`` the smallest ``|t|`` on the arc, and a polynomial moves by at most a
-Lipschitz constant ``sum_i i*|a_i|*R^(i-1)`` times that distance.  One exact
-evaluation per arc midpoint therefore yields certified bounds on an entire
-arc, and arcs are refined adaptively (worst bound first) until every arc is
-certified, a genuine counterexample point is found, or the subdivision
-budget runs out.
+    w(t) = R * ((1 - t^2) + 2t*i) / (1 + t^2),  t in [-1, 1),
 
-The arc bounds are exact rationals, but they are not computed as such on
-every arc.  192-bit brackets of them (``bounds.arc_gap_bracket``), built
-from the unreduced midpoint values without a gcd, decide most arcs; exact
-integers settle every arc the brackets leave undecided, so each open arc
-carries its exact bound as its heap key.  The reported margin is the exact
-minimum over the certified arcs, computed exactly only on the arcs whose
-margin bracket can still hold it.
+and its negation, so every point has exactly rational coordinates.
 
 Polynomial identities between products of the family's factors (the exact
-identities and each chart's cone factorization) are proved by exact
-evaluation instead of expansion.  Both sides have degree at most D, read
-from the degrees of the actual ``Poly`` objects, and a nonzero polynomial of
-degree at most D has at most D roots, so agreement at D + 1 distinct
-integers proves the identity.  The factors are evaluated by ``eval_scaled``
-and their values multiplied; only the polynomials that later stages use as
-polynomials (the power-ratio unit and the cone combinations, for dominance,
-the chart window and the divisions) are expanded, and they are evaluated
-from those expansions.
+identities, each factor's defining recursion and each chart's cone
+factorization) are proved by exact evaluation instead of expansion.  Both
+sides have degree at most D, read from the degrees of the actual ``Poly``
+objects, and a nonzero polynomial of degree at most D has at most D roots,
+so agreement at D + 1 distinct integers proves the identity.  The factors
+are evaluated by ``eval_scaled`` and their values multiplied; only the cone
+combinations, which the divisions use as polynomials, are expanded, once
+per chart, and they are evaluated from those expansions.
 
 Status taxonomy: ``PROVED`` (certificate complete), ``REFUTED`` (an exact
-witness violates the claim), ``INCONCLUSIVE`` (budget exhausted, no
-applicable strategy, or a prerequisite certificate missing -- never a
-soundness concession).
+witness violates the claim), ``INCONCLUSIVE`` (a sufficient condition that
+fails with no exact witness against the claim, or a prerequisite
+certificate missing -- never a soundness concession).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -61,30 +50,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .arith import (
-    BALL_BITS,
     ComplexRational,
     Poly,
-    as_scaled,
     decimal_approx,
     eval_scaled,
     format_rational,
-    scaled_abs2,
 )
-from .bounds import (
-    Values,
-    arc_gap_bracket,
-    constant_factor,
-    min_candidates,
-    prod_gt,
-    ratio_bracket,
-    sqrt_bracket,
-)
+from .bounds import Values, constant_factor
 from .family import CheckReport, CheckResult, Family
 
 __all__ = [
     "Status",
     "CirclePoint",
-    "Dominance",
+    "RootProductBound",
     "RootLocalization",
     "AnnulusBounds",
     "AnnulusReport",
@@ -92,26 +70,20 @@ __all__ = [
     "CorollaryReport",
     "DivisionWitness",
     "ConeFactorCertificate",
-    "IdentityReport",
-    "DEFAULT_BUDGET",
     "worst",
-    "sqrt_lower",
-    "sqrt_upper",
-    "lipschitz_on_disk",
     "circle_points",
     "circle_triples",
-    "certify_dominance",
+    "cone_sides",
+    "side_factors",
+    "root_product_dominance",
     "family_root_certificates",
     "annulus_bounds_certificate",
     "annulus_bounds_for_factor",
     "corollary_ineq_certificate",
     "lemma_div_check",
     "cone_factor_certificate",
-    "power_ratio_unit",
     "exact_identity_checks",
 ]
-
-DEFAULT_BUDGET = 1 << 16  # subdivisions per circle
 
 
 class Status(str, Enum):
@@ -129,35 +101,7 @@ def worst(statuses) -> Status:
 
 
 # ---------------------------------------------------------------------------
-# One-sided square roots
-# ---------------------------------------------------------------------------
-
-_SQRT_BITS = 64
-
-
-def _sqrt_bracket(q: Fraction) -> tuple[int, int, bool]:
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    n, d = q.numerator, q.denominator
-    x = (n * d) << (2 * _SQRT_BITS)
-    t = math.isqrt(x)
-    return t, d << _SQRT_BITS, t * t == x
-
-
-def sqrt_lower(q: Fraction) -> Fraction:
-    """A rational lower bound on sqrt(q), exact for perfect squares."""
-    t, scale, _ = _sqrt_bracket(q)
-    return Fraction(t, scale)
-
-
-def sqrt_upper(q: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(q), exact for perfect squares."""
-    t, scale, exact = _sqrt_bracket(q)
-    return Fraction(t if exact else t + 1, scale)
-
-
-# ---------------------------------------------------------------------------
-# Circle charts
+# Circle points
 # ---------------------------------------------------------------------------
 
 
@@ -165,28 +109,6 @@ def chart_point(radius: Fraction, t: Fraction) -> ComplexRational:
     """The right-half-circle chart w(t); |w(t)| = radius exactly."""
     den = 1 + t * t
     return ComplexRational(radius * (1 - t * t) / den, radius * 2 * t / den)
-
-
-def _abs2_at(p: Poly, w: ComplexRational) -> tuple[int, int]:
-    """abs2(p(w)) as an unreduced pair (num, den), by integer-scaled Horner."""
-    return scaled_abs2(eval_scaled(p, *as_scaled(w)))
-
-
-def lipschitz_on_disk(p: Poly, radius: Fraction) -> Fraction:
-    """sum_i i*|a_i|*R^(i-1): a Lipschitz constant for p on |z| <= R."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    ints, den = p.scaled()
-    rn, rd = radius.numerator, radius.denominator
-    # sum_{i>=1} i |ints_i| rn^(i-1) rd^(deg-i) over den rd^(deg-1), by
-    # homogeneous Horner on unreduced integers: one gcd, in the Fraction
-    deg = len(ints) - 1
-    total = 0
-    rd_power = 1
-    for i in range(deg, 0, -1):
-        total = total * rn + i * abs(ints[i]) * rd_power
-        rd_power *= rd
-    return Fraction(total, den * rd ** max(deg - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -246,246 +168,195 @@ def circle_triples(radius: Fraction, count: int) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Arc geometry
+# Dominance on a circle by root products (Rouché)
 # ---------------------------------------------------------------------------
 
-
-def _chord_upper(radius: Fraction, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
-    """Upper bound on |w(x) - w(mid)| over x in [lo, hi]."""
-    m = min(abs(lo), abs(hi)) if (lo < 0) == (hi < 0) else Fraction(0)
-    chord2 = (radius * (hi - lo)) ** 2 / ((1 + m * m) * (1 + mid * mid))
-    return sqrt_upper(chord2)
+# A side of a dominance is ``(c, m, ((j, e), ...))``, the product
+# c * z^m * prod_j P_j^e of a constant, a monomial and the family's factors.
 
 
-# ---------------------------------------------------------------------------
-# Dominance on a circle
-# ---------------------------------------------------------------------------
+def _localization_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
+    """(dominant, dominated) of factor k's recursion P_k = eps^(c_k) - dominant."""
+    n = fam.n
+    dominant = (1, n - k, tuple((j, j - k) for j in range(k + 1, n)))
+    return dominant, (fam.params.eps ** fam.params.c[k - 1], 0, ())
+
+
+def cone_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
+    """(dominant, unit part) of chart k's cone combination, unit part - dominant.
+
+    The dominant side is z^(n-k-1) prod_{j>=k+2} P_j^(j-k-1) and the unit
+    part eps^(2k+1) prod_{j<=k} P_j^(k+1-j).  For the last chart, k = n-1,
+    they are 1 and the power-ratio unit eps^(2n-1) prod_j P_j^(n-j) of the
+    identity f2^n = f1 * unit.
+    """
+    n = fam.n
+    dominant = (1, n - k - 1, tuple((j, j - k - 1) for j in range(k + 2, n)))
+    unit_part = (
+        fam.params.eps ** (2 * k + 1),
+        0,
+        tuple((j, k + 1 - j) for j in range(1, k + 1)),
+    )
+    return dominant, unit_part
+
+
+def _side_poly(fam: Family, side: tuple) -> Poly:
+    """The expansion of a side."""
+    c, m, factors = side
+    poly = Poly.monomial(m, c)
+    for j, e in factors:
+        poly = poly * fam.Pk(j) ** e
+    return poly
+
+
+def side_factors(side: tuple, radius: Fraction) -> list:
+    """|side|^2 at a point of |z| = radius, as factors of ``bounds.Values.lt``.
+
+    The values are those of P_1, ..., P_{n-1}: P_j is the index j - 1,
+    repeated e times.  |z|^2 = radius^2 exactly, so the constant and the
+    monomial make one constant factor.
+    """
+    c, m, powers = side
+    const = constant_factor(Fraction(c) ** 2 * radius ** (2 * m))
+    return [const] + [j - 1 for j, e in powers for _ in range(e)]
+
+
+def _side_term(fam: Family, side: tuple, sign: int = 1) -> tuple:
+    """``sign`` times a side, as a term of ``_proved_equal``."""
+    c, m, factors = side
+    monomial = ((Poly.x(), m),) if m else ()
+    return sign * c, monomial + tuple((fam.Pk(j), e) for j, e in factors)
 
 
 @dataclass(frozen=True)
-class Dominance:
-    """Outcome of certifying |dominated| < |dominant| on a circle |z| = radius.
+class RootProductBound:
+    """Outcome of certifying |dominated| < |dominant| on the circle |z| = radius.
 
-    ``margin`` is in squared-modulus units: the minimum over all certified
-    arcs of (certified lower bound on abs2(dominant)) minus (certified upper
-    bound on abs2(dominated)).  It is that exact minimum even though most
-    arcs are certified by 192-bit brackets alone: only the arcs whose margin
-    bracket can still hold the minimum get their margin computed exactly.
-
-    ``exact_arcs`` counts the arc assessments the brackets left undecided,
-    which exact integers settled (every arc that stayed open is among them),
-    and ``exact_margins`` the certified arcs whose margin was computed
-    exactly.  They describe the work, not the verdict, and are not part of
-    ``to_json``.
+    ``lower`` is a lower bound of |dominant| and ``upper`` an upper bound of
+    |dominated| on the whole circle, both from root products (None when a
+    prerequisite is missing); the certificate is proved when lower > upper.
+    ``witness`` is an exact circle point with |dominated| >= |dominant|.
     """
 
     status: Status
-    dominant: Poly
-    dominated: Poly
     radius: Fraction
-    subdivisions: int
-    arcs: int
-    margin: Optional[Fraction]
-    witness: Optional[CirclePoint]  # refuted: |dominated| >= |dominant| here
+    lower: Optional[Fraction]
+    upper: Optional[Fraction]
+    witness: Optional[CirclePoint]
     detail: str = ""
-    exact_arcs: int = field(default=0, compare=False, repr=False)
-    exact_margins: int = field(default=0, compare=False, repr=False)
-
-    def counts(self) -> dict[str, int]:
-        """The arcs of the certificate and how many of them needed exact integers."""
-        return {
-            "arcs": self.arcs,
-            "exact_arcs": self.exact_arcs,
-            "exact_margins": self.exact_margins,
-        }
 
     def to_json(self) -> dict:
         return {
             "status": self.status.value,
-            "dominant_degree": self.dominant.degree,
-            "dominated_degree": self.dominated.degree,
             "radius": format_rational(self.radius),
-            "subdivisions": self.subdivisions,
-            "arcs": self.arcs,
-            "margin": None if self.margin is None else decimal_approx(self.margin, mode="floor"),
+            "lower": None if self.lower is None else decimal_approx(self.lower, mode="floor"),
+            "upper": None if self.upper is None else decimal_approx(self.upper, mode="ceil"),
             "witness": None if self.witness is None else self.witness.to_json(),
             "detail": self.detail,
         }
 
 
-_INITIAL_ARCS = 8  # arcs per chart half-circle before any refinement
+_FALLBACK_POINTS = 16  # circle points tested when the bound does not prove
 
 
-def _root_bracket(num: int, den: int, root) -> tuple:
-    """A bracket of ``root(num/den)``, ``root`` being ``sqrt_lower`` or ``sqrt_upper``.
-
-    Operands that fit in the bracket precision take the exact root, which is
-    cheap, so the bracket of a dyadic root (the constant one) is a point.
-    Larger ones are bracketed without reducing ``num/den``, by the slack of
-    ``sqrt_bracket``: both one-sided roots lie within 2^-64/d of the root of
-    the reduced form n/d.
-    """
-    if max(num.bit_length(), den.bit_length()) <= BALL_BITS:
-        return _fraction_bracket(root(Fraction(num, den)))
-    return sqrt_bracket(num, den, _SQRT_BITS)
-
-
-def _fraction_bracket(q: Fraction) -> tuple:
-    """The bracket of a nonnegative rational."""
-    return ratio_bracket(q.numerator, q.denominator)
-
-
-def certify_dominance(
-    dominant: Poly,
-    dominated: Poly,
-    radius: Fraction,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Dominance:
-    """Certify ``|dominated(z)| < |dominant(z)|`` for every z with |z| = radius.
-
-    Deterministic and monotone in ``budget``: raising the budget only extends
-    the refinement, so a proved result stays proved.  A refutation is always
-    an exact circle point where the inequality fails, checked in exact
-    arithmetic.
-
-    On each arc the certified bounds are ``lower_big = sqrt_lower(b2) - M *
-    chord`` and ``upper_small = sqrt_upper(s2) + N * chord`` (b2, s2 the
-    squared moduli at the arc midpoint, reduced; M, N the Lipschitz
-    constants), and the arc is certified when ``lower_big > upper_small``.
-    Brackets of these bounds (``bounds.arc_gap_bracket``), built from the
-    unreduced integers, certify most arcs; an arc they leave undecided is
-    decided in exact integers, so every open arc keeps its exact heap key
-    ``lower_big - upper_small`` and the refinement is that of the exact
-    comparison.  The margin is computed exactly only for the arcs whose
-    margin bracket can still hold the minimum.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if dominant.is_zero or dominated.is_zero:
-        raise ValueError("dominance requires two nonzero polynomials")
-    # the Lipschitz sums build the scaled() caches the negated charts inherit
-    m_dominant = lipschitz_on_disk(dominant, radius)
-    m_dominated = lipschitz_on_disk(dominated, radius)
-    chart_pairs = (
-        (dominant, dominated),
-        (dominant.map_variable_negated(), dominated.map_variable_negated()),
+def _factor_localized(fam: Family, j: int, root_certs: dict) -> bool:
+    """Whether P_j has a unit leading coefficient and all its roots localized."""
+    p, cert = fam.Pk(j), root_certs.get(j)
+    return (
+        cert is not None
+        and cert.status is Status.PROVED
+        and cert.index == j
+        and cert.count == cert.degree == p.degree
+        and not p.is_zero
+        and abs(p.leading) == 1
     )
-    m_brackets = (_fraction_bracket(m_dominant), _fraction_bracket(m_dominated))
 
-    heap: list[tuple[Fraction, int, int, Fraction, Fraction]] = []
-    counter = 0
-    exact_arcs = 0
-    exact_margins = 0
-    # certified arcs: the smallest exact margin (num, den) so far, and the
-    # (margin bracket, operands) of the bracket-certified arcs whose bracket
-    # can still hold the minimum
-    least: Optional[tuple[int, int]] = None
-    bracketed: list[tuple[tuple, tuple]] = []
-    refuted: Optional[CirclePoint] = None
 
-    def exact_sides(b_num, b_den, s_num, s_den, chord) -> tuple:
-        """lower_big and upper_small as unreduced integer pairs (num, den)."""
-        # the square-root bounds depend on the reduced form, so reduce here
-        t, scale, _ = _sqrt_bracket(Fraction(b_num, b_den))
-        cn, cd = chord.numerator, chord.denominator
-        mn, md = m_dominant.numerator, m_dominant.denominator
-        lower = (t * md * cd - mn * cn * scale, scale * md * cd)
-        t, scale, exact = _sqrt_bracket(Fraction(s_num, s_den))
-        mn, md = m_dominated.numerator, m_dominated.denominator
-        upper = ((t if exact else t + 1) * md * cd + mn * cn * scale, scale * md * cd)
-        return lower, upper
+def _side_bounds(
+    fam: Family, side: tuple, radius: Fraction, root_certs: dict
+) -> tuple[Fraction, Fraction]:
+    """Bounds (lower, upper) of |side| on |z| = radius from root products.
 
-    def settle(lower: tuple, upper: tuple) -> None:
-        """Take lower_big^2 - upper_small^2, as an unreduced pair, into the minimum."""
-        nonlocal least, exact_margins
-        (ln, ld), (un, ud) = lower, upper
-        margin = ln * ln * ud * ud - un * un * ld * ld, ld * ld * ud * ud
-        exact_margins += 1
-        # mirror arcs t, -t of real polynomials give the same pair: a tie
-        # that prod_gt could only settle with the full products
-        if least is None or (
-            margin != least and prod_gt((least[0], margin[1]), (margin[0], least[1]))
-        ):
-            least = margin
+    P_j has a leading coefficient of modulus 1 and all of its deg P_j roots
+    in |z| < rho_j, the radius of its root certificate, so each linear
+    factor z - root has modulus in (radius - rho_j, radius + rho_j) on the
+    circle, and |P_j| lies in [(radius - rho_j)^deg, (radius + rho_j)^deg].
+    """
+    c, m, factors = side
+    lower = upper = abs(Fraction(c)) * radius**m
+    for j, e in factors:
+        rho, power = root_certs[j].radius, fam.Pk(j).degree * e
+        lower *= max(radius - rho, Fraction(0)) ** power
+        upper *= (radius + rho) ** power
+    return lower, upper
 
-    def push(chart: int, lo: Fraction, hi: Fraction) -> bool:
-        """Assess an arc; queue it if still open.  False means refuted."""
-        nonlocal counter, exact_arcs, refuted
-        mid = (lo + hi) / 2
-        w = chart_point(radius, mid)
-        big, small = chart_pairs[chart]
-        b_num, b_den = _abs2_at(big, w)
-        s_num, s_den = _abs2_at(small, w)
-        if not prod_gt((b_num, s_den), (s_num, b_den)):  # abs2(small) >= abs2(big)
-            point = w if chart == 0 else -w
-            refuted = CirclePoint(chart, mid, point)
-            return False
-        chord = _chord_upper(radius, lo, hi, mid)
-        gap = arc_gap_bracket(
-            _root_bracket(b_num, b_den, sqrt_lower),
-            _root_bracket(s_num, s_den, sqrt_upper),
-            *m_brackets,
-            _fraction_bracket(chord),
+
+def _violation(
+    fam: Family, dominant: tuple, dominated: tuple, radius: Fraction
+) -> Optional[CirclePoint]:
+    """The first of 16 exact circle points with |dominated| >= |dominant|.
+
+    Decided by ``Values`` over the factors, exact integers where the
+    brackets overlap.
+    """
+    polys = tuple(fam.Pk(j) for j in range(1, fam.n))
+    small, big = side_factors(dominated, radius), side_factors(dominant, radius)
+    for i, triple in enumerate(circle_triples(radius, _FALLBACK_POINTS)):
+        if not Values(polys, *triple).lt(small, big):
+            return circle_points(radius, _FALLBACK_POINTS)[i]
+    return None
+
+
+def root_product_dominance(
+    fam: Family,
+    dominant: tuple,
+    dominated: tuple,
+    radius: Fraction,
+    root_certs: dict,
+) -> RootProductBound:
+    """Certify |dominated(z)| < |dominant(z)| for every z with |z| = radius.
+
+    Both sides are products of the family's factors (see ``cone_sides``).
+    Given a unit leading coefficient and a proved localization of all roots
+    of every factor they use, ``_side_bounds`` turns the claim into one
+    exact comparison of rationals, lower(dominant) > upper(dominated): by
+    Rouché's theorem the dominant side and the difference of the two then
+    have the same number of roots inside the circle.  When a prerequisite is missing or
+    the bound fails, 16 exact circle points are tested: one where the
+    inequality fails refutes the claim, and otherwise the result is
+    inconclusive (the bound is sufficient, not necessary).
+    """
+    used = sorted({j for side in (dominant, dominated) for j, _ in side[2]})
+    missing = [j for j in used if not _factor_localized(fam, j, root_certs)]
+    lower = upper = None
+    if not missing:
+        lower = _side_bounds(fam, dominant, radius, root_certs)[0]
+        upper = _side_bounds(fam, dominated, radius, root_certs)[1]
+        if lower > upper:
+            return RootProductBound(
+                Status.PROVED, radius, lower, upper, None,
+                "root-product lower bound of the dominant side exceeds the "
+                "upper bound of the dominated side",
+            )
+    witness = _violation(fam, dominant, dominated, radius)
+    if witness is not None:
+        return RootProductBound(
+            Status.REFUTED, radius, lower, upper, witness,
+            "inequality fails at an exact circle point",
         )
-        if gap is not None:
-            bracketed.append((gap, (b_num, b_den, s_num, s_den, chord)))
-            # an arc whose lower end is above some upper end is never the minimum
-            bracketed[:] = [bracketed[i] for i in min_candidates([g for g, _ in bracketed])]
-            return True
-        exact_arcs += 1
-        lower, upper = exact_sides(b_num, b_den, s_num, s_den, chord)
-        (ln, ld), (un, ud) = lower, upper
-        if ln > 0 and prod_gt((ln, ud), (un, ld)):  # lower_big > upper_small
-            settle(lower, upper)
-        else:
-            # lower_big - upper_small, nonpositive: the arc stays open
-            key = Fraction(ln * ud - un * ld, ld * ud)
-            counter += 1
-            heapq.heappush(heap, (key, counter, chart, lo, hi))
-        return True
-
-    def outcome(status: Status, margin: Optional[Fraction], witness, detail: str) -> Dominance:
-        return Dominance(
-            status, dominant, dominated, radius, subdivisions, arcs, margin,
-            witness, detail, exact_arcs=exact_arcs, exact_margins=exact_margins,
+    if missing:
+        detail = (
+            f"factors {missing} lack a unit leading coefficient or a proved "
+            f"localization of all their roots"
         )
-
-    arcs = 0
-    subdivisions = 0
-    step = Fraction(2, _INITIAL_ARCS)
-    for chart in (0, 1):
-        for i in range(_INITIAL_ARCS):
-            lo = -1 + i * step
-            arcs += 1
-            if not push(chart, lo, lo + step):
-                return outcome(
-                    Status.REFUTED, None, refuted,
-                    "inequality fails at an exact circle point",
-                )
-
-    while heap and subdivisions < budget:
-        _, _, chart, lo, hi = heapq.heappop(heap)
-        mid = (lo + hi) / 2
-        subdivisions += 1
-        arcs += 1
-        for a, b in ((lo, mid), (mid, hi)):
-            if not push(chart, a, b):
-                return outcome(
-                    Status.REFUTED, None, refuted,
-                    "inequality fails at an exact circle point",
-                )
-
-    if heap:
-        return outcome(
-            Status.INCONCLUSIVE, None, None,
-            f"subdivision budget {budget} exhausted with {len(heap)} open arcs",
+    else:
+        detail = (
+            f"root-product bound fails: |dominant| >= "
+            f"{decimal_approx(lower, mode='floor')} is not above |dominated| <= "
+            f"{decimal_approx(upper, mode='ceil')}; no violation at "
+            f"{_FALLBACK_POINTS} circle points"
         )
-    # the minimum is an exactly decided arc's margin or lies in the bracket
-    # of a candidate left in ``bracketed``
-    for _, operands in bracketed:
-        settle(*exact_sides(*operands))
-    return outcome(Status.PROVED, Fraction(*least), None, "all arcs certified")
+    return RootProductBound(Status.INCONCLUSIVE, radius, lower, upper, None, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +374,7 @@ class RootLocalization:
     count: Optional[int]
     status: Status
     method: str  # "exact-root" | "perturbation"
-    dominance: Optional[Dominance]
+    dominance: Optional[RootProductBound]
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -519,25 +390,15 @@ class RootLocalization:
         }
 
 
-def _perturbation_big(fam: Family, k: int) -> Poly:
-    """The dominant part of factor k: product of deeper factors times z^(n-k)."""
-    n = fam.n
-    big = Poly.monomial(n - k)
-    for j in range(k + 1, n):
-        big = big * fam.Pk(j) ** (j - k)
-    return big
-
-
-def family_root_certificates(
-    fam: Family, *, budget: int = DEFAULT_BUDGET
-) -> dict[int, RootLocalization]:
+def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
     """Localize the roots of every factor, deepest factor first.
 
     Factor k (degree d_k) is certified to have all of its roots in the open
     disk |z| < 2^-k.  The last factor is linear with an explicitly known
     root; each earlier factor is its constant term minus the product of the
-    already-localized deeper factors times a monomial, so a dominance
-    certificate on its circle transfers the full root count.
+    already-localized deeper factors times a monomial (a recursion proved by
+    exact evaluation), so a root-product dominance on its circle transfers
+    the full root count.
     """
     n = fam.n
     eps = fam.params.eps
@@ -572,12 +433,15 @@ def family_root_certificates(
                 None, "a deeper factor lacks a proved localization",
             )
             continue
-        small = Poly.constant(eps ** c[k - 1])
-        big = _perturbation_big(fam, k)
-        dom = certify_dominance(big, small, radius, budget=budget)
+        big, small = _localization_sides(fam, k)
+        dom = root_product_dominance(fam, big, small, radius, certs)
         if dom.status is Status.PROVED:
             inside = (n - k) + sum((j - k) * d[j - 1] for j in range(k + 1, n))
-            if fam.Pk(k) == small - big and degree == inside == d[k - 1]:
+            recursion_ok = _proved_equal(
+                [(1, ((fam.Pk(k), 1),))],
+                [_side_term(fam, small), _side_term(fam, big, -1)],
+            )
+            if recursion_ok and degree == inside == d[k - 1]:
                 certs[k] = RootLocalization(
                     k, radius, degree, inside, Status.PROVED, "perturbation",
                     dom, f"count transferred from dominant part ({inside} roots)",
@@ -975,7 +839,7 @@ class ConeFactorCertificate:
     status: Status
     identity_ok: bool
     divisibility_ok: bool
-    nonvanishing: Optional[Dominance]
+    nonvanishing: Optional[RootProductBound]
     localized: Optional[int]
     detail: str = ""
 
@@ -996,16 +860,10 @@ def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly]:
 
     C is the cone combination of f2^(k+1) - f1 = G * C, where G = eps *
     z^(k+1) * prod_j P_j^min(j, k+1); ``_cone_identity`` proves that identity
-    from the values of G's factors, so G itself is never expanded.
+    from the values of G's factors, so G itself is never expanded.  The
+    sides are the expansions of ``cone_sides(fam, k)``.
     """
-    n = fam.n
-    eps = fam.params.eps
-    unit_part = Poly.constant(eps ** (2 * k + 1))
-    for j in range(1, k + 1):
-        unit_part = unit_part * fam.Pk(j) ** (k + 1 - j)
-    dominant = Poly.monomial(n - k - 1)
-    for j in range(k + 2, n):
-        dominant = dominant * fam.Pk(j) ** (j - k - 1)
+    dominant, unit_part = (_side_poly(fam, side) for side in cone_sides(fam, k))
     return unit_part - dominant, unit_part, dominant
 
 
@@ -1024,30 +882,29 @@ def cone_factor_certificate(
     fam: Family,
     k: int,
     root_certs: dict[int, RootLocalization],
-    identities: IdentityReport,
+    identities: CheckReport,
     divisions: Sequence[DivisionWitness],
-    *,
-    budget: int = DEFAULT_BUDGET,
 ) -> ConeFactorCertificate:
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
     For k <= n-2 the identity f2^(k+1) - f1 = G * C is proved here by exact
     evaluation at D + 1 integers (see ``_proved_equal``): C is the difference
     of the two expanded sides that the division witness ``divisions[k]``
-    (``lemma_div_check(fam, k+1)``) carries, the same sides the dominance
-    below compares, and is evaluated from that expansion, while G and the
-    powers of f2 enter only through the values of their factors.  The
-    divisibility of C by factor k+1 is read from that witness rather than
-    redone, and the sides are not expanded again.
-    The nonvanishing of the cofactor is established by counting: dominance
-    on |z| = 2 localizes all roots of C among the already-localized deeper
-    factors and the origin, and that count is exactly absorbed by the
-    multiplicity of factor k+1 inside the disk, leaving the cofactor with no
-    root of modulus <= 2.
+    (``lemma_div_check(fam, k+1)``) carries, the expansions of the
+    ``cone_sides`` that the dominance below compares in product form, and is
+    evaluated from that expansion, while G and the powers of f2 enter only
+    through the values of their factors.  The divisibility of C by factor
+    k+1 is read from that witness rather than redone, and the sides are not
+    expanded again.
+    The nonvanishing of the cofactor is established by counting: the
+    root-product dominance on |z| = 2 (``root_product_dominance``) localizes
+    all roots of C among the already-localized deeper factors and the
+    origin, and that count is exactly absorbed by the multiplicity of factor
+    k+1 inside the disk, leaving the cofactor with no root of modulus <= 2.
 
     For k = n-1 the identity f2^n - f1 = f1 * (unit - 1) is the power-ratio
-    identity of ``identities`` rearranged, so its verdict and its unit are
-    taken from there; dominance of 1 over the unit on |z| = 2 makes the cofactor
+    identity of ``identities`` rearranged, so its verdict is taken from
+    there; dominance of 1 over the unit on |z| = 2 makes the cofactor
     nonvanishing.
     """
     n = fam.n
@@ -1055,10 +912,9 @@ def cone_factor_certificate(
         raise ValueError(f"chart index must be in 0..{n - 1}")
     d = fam.params.d
 
+    dom = root_product_dominance(fam, *cone_sides(fam, k), Fraction(2), root_certs)
     if k == n - 1:
-        unit_part = identities.unit
         identity_ok = identities.passed("power-ratio")
-        dom = certify_dominance(Poly.one(), unit_part, Fraction(2), budget=budget)
         if not identity_ok or dom.status is Status.REFUTED:
             status = Status.REFUTED
             detail = "factorization identity fails" if not identity_ok else (
@@ -1081,7 +937,6 @@ def cone_factor_certificate(
         root_certs.get(j) is not None and root_certs[j].status is Status.PROVED
         for j in range(k + 1, n)
     )
-    dom = certify_dominance(dominant, unit_part, Fraction(2), budget=budget)
     inside = (n - k - 1) + sum((j - k - 1) * d[j - 1] for j in range(k + 2, n))
     bookkeeping_ok = inside == d[k]
 
@@ -1114,35 +969,15 @@ def cone_factor_certificate(
 # ---------------------------------------------------------------------------
 
 
-def power_ratio_unit(fam: Family) -> Poly:
-    """The unit eps^(2n-1) * prod_j P_j^(n-j) of the identity f2^n = f1 * unit."""
-    n = fam.n
-    unit = Poly.constant(fam.params.eps ** (2 * n - 1))
-    for j in range(1, n):
-        unit = unit * fam.Pk(j) ** (n - j)
-    return unit
-
-
-@dataclass(frozen=True)
-class IdentityReport(CheckReport):
-    """The exact identity checks, with the power-ratio unit they were proved for.
-
-    ``unit`` is built once per family, here; the chart-window certificate and
-    the last-chart cone factor read it instead of rebuilding it.  It is not
-    part of the serialized report.
-    """
-
-    unit: Poly = field(compare=False, repr=False)
-
-
-def _identity_sides(fam: Family, unit: Poly) -> dict[str, tuple[list, list]]:
+def _identity_sides(fam: Family) -> dict[str, tuple[list, list]]:
     """The two sides of each exact identity, as terms for ``_proved_equal``."""
     n, eps = fam.n, fam.params.eps
     f1, f2, z = fam.f1, fam.f2, Poly.x()
+    unit, unit_factors = _side_term(fam, cone_sides(fam, n - 1)[1])
     deeper = tuple((fam.Pk(j), 1) for j in range(2, n))
     square = ((z, 2 * n - 1),) + tuple((fam.Pk(j), 2 * j - 1) for j in range(2, n))
     return {
-        "power-ratio": ([(1, ((f2, n),))], [(1, ((f1, 1), (unit, 1)))]),
+        "power-ratio": ([(1, ((f2, n),))], [(unit, ((f1, 1),) + unit_factors)]),
         "difference-factorization": (
             [(1, ((f2, 1),)), (-1, ((f1, 1),))],
             [(eps, ((z, 1), (fam.Pk(1), 2)) + deeper)],
@@ -1154,28 +989,26 @@ def _identity_sides(fam: Family, unit: Poly) -> dict[str, tuple[list, list]]:
     }
 
 
-def exact_identity_checks(fam: Family) -> IdentityReport:
+def exact_identity_checks(fam: Family) -> CheckReport:
     """Division identities tying the two map components together.
 
-    * ``power-ratio``: f2^n equals f1 times an explicit unit polynomial,
-      the report's ``unit``.
+    * ``power-ratio``: f2^n equals f1 times the unit eps^(2n-1) prod_j
+      P_j^(n-j) (the unit part of ``cone_sides(fam, n - 1)``).
     * ``difference-factorization``: f2 - f1 factors through the square of the
       first factor.
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
       product form.
 
     Each identity is proved by exact evaluation at D + 1 integers, D the
-    degree bound of its two sides (see ``_proved_equal``).  Only ``unit`` is
-    expanded, because the chart window and the last cone factor use it as a
-    polynomial, and it is evaluated from that expansion; f2^n, f1 * unit and
-    the product forms on the right are products of factor values.
+    degree bound of its two sides (see ``_proved_equal``).  Nothing is
+    expanded: f2^n, f1 * unit and the product forms on the right are
+    products of factor values.
     """
-    unit = power_ratio_unit(fam)
     holds = {
         name: _proved_equal(lhs, rhs)
-        for name, (lhs, rhs) in _identity_sides(fam, unit).items()
+        for name, (lhs, rhs) in _identity_sides(fam).items()
     }
-    return IdentityReport(
+    return CheckReport(
         checks=(
             CheckResult("power-ratio", holds["power-ratio"],
                         "f2^n = f1 * unit-polynomial"),
@@ -1184,5 +1017,4 @@ def exact_identity_checks(fam: Family) -> IdentityReport:
             CheckResult("square-ratio", holds["square-ratio"],
                         "f1^2 = (f2 - f1) * explicit polynomial"),
         ),
-        unit=unit,
     )

@@ -8,7 +8,9 @@ contract:
 
 * 0 — every certificate proved,
 * 1 — at least one refutation,
-* 2 — no refutation, but at least one non-answer (budget exhaustion),
+* 2 — no refutation, but at least one non-answer (a sufficient condition
+  that fails with no exact witness against the claim, or a missing
+  prerequisite),
 * 64 — invalid configuration or usage.
 
 Identical configurations produce byte-identical reports except for the
@@ -17,19 +19,14 @@ each certificate stage per size, ``deep_scale``: how many image points the
 chart-cone ladders bracketed by ball Horner, and how many of those needed
 the exact triples after all, ``boundary``: the same two counts for each
 loop over exact circle points (the annulus bounds, the target region, the
-chart window, the base chart and the boundary sup), and ``dominance``: the
-arcs of the dominance certificates, how many of their assessments the
-192-bit brackets left to exact integers, and how many margins were computed
-exactly).
+chart window, the base chart and the boundary sup).
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,7 +38,6 @@ from .atlas import (
     overlap_polydisk_check,
 )
 from .certify import (
-    DEFAULT_BUDGET,
     Status,
     annulus_bounds_certificate,
     corollary_ineq_certificate,
@@ -66,11 +62,8 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-BUDGET_ENV_VAR = "NORICERT_BUDGET"
-REPORT_SCHEMA = "noricert-report/1"
+REPORT_SCHEMA = "noricert-report/2"
 
-# the keys of ``Dominance.counts``, summed per size into ``meta.dominance``
-_DOMINANCE_COUNTS = ("arcs", "exact_arcs", "exact_margins")
 # the counts of the ladder and of each exact-circle-point loop in ``meta``
 _WORK_COUNTS = ("points", "exact_fallbacks")
 _BOUNDARY_LOOPS = ("annulus", "target", "window", "base", "sup")
@@ -95,7 +88,6 @@ class RunConfig:
     eps_override: Optional[Fraction] = None
     allow_unsafe_eps: bool = False
     samples: int = 2048
-    subdivision_budget: int = DEFAULT_BUDGET
     seed: int = 0
     output_format: str = "json"
     out_path: Optional[str] = None
@@ -126,8 +118,6 @@ class RunConfig:
                 raise UsageError(str(exc)) from exc
         if self.samples < 1:
             raise UsageError("samples must be positive")
-        if self.subdivision_budget < 1:
-            raise UsageError("budget must be positive")
         if self.seed < 0:
             raise UsageError("seed must be nonnegative")
         if self.output_format not in ("json", "text"):
@@ -145,7 +135,6 @@ class RunConfig:
             ),
             "allow_unsafe_eps": self.allow_unsafe_eps,
             "samples": self.samples,
-            "subdivision_budget": self.subdivision_budget,
             "seed": self.seed,
         }
 
@@ -170,19 +159,6 @@ def _parse_rational_arg(name: str, text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise UsageError(f"invalid {name}: {exc}") from exc
-
-
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"invalid {BUDGET_ENV_VAR}: {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2048,
         help="disk witness sample count; other sample plans scale from it (default 2048)",
     )
-    verify.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help=f"subdivision budget (default: ${BUDGET_ENV_VAR} or {DEFAULT_BUDGET})",
-    )
     verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     verify.add_argument(
         "--format",
@@ -282,9 +252,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         ),
         allow_unsafe_eps=args.unsafe_eps,
         samples=args.samples,
-        subdivision_budget=(
-            _default_budget() if args.budget is None else args.budget
-        ),
         seed=args.seed,
         output_format=args.output_format,
         out_path=args.out,
@@ -308,13 +275,11 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     Returns the per-n report entry and what the size adds to ``meta``: the
     trace's deep-scale ladder counts (``deep_scale``), the points and exact
-    fallbacks of each exact-circle-point loop (``boundary``), the arc counts
-    of its dominance certificates (``dominance``) and the seconds of each
-    stage (``stages``); that is empty when the family is refuted before it
-    is built.  This is the one place that orders the stages of a family: each
+    fallbacks of each exact-circle-point loop (``boundary``) and the seconds
+    of each stage (``stages``); that is empty when the family is refuted
+    before it is built.  This is the one place that orders the stages of a family: each
     stage runs once and receives the earlier stages it uses as arguments.
     """
-    budget = config.subdivision_budget
     try:
         params = FamilyParams.build(
             n,
@@ -358,7 +323,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    roots = timed("roots", family_root_certificates, fam, budget=budget)
+    roots = timed("roots", family_root_certificates, fam)
     certificates.append(
         Certificate(
             "root-localization",
@@ -421,7 +386,6 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         witness_samples=config.samples,
         sup_samples=max(32, config.samples // 4),
         seed=config.seed,
-        budget=budget,
     )
 
     entry = {
@@ -439,14 +403,9 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         "certificates": [cert.to_json() for cert in certificates],
         "trace": trace.to_json(),
     }
-    dominance = Counter(trace.dominance)
-    for rc in roots.values():
-        if rc.dominance is not None:
-            dominance.update(rc.dominance.counts())
     return entry, {
         "deep_scale": trace.ladder,
         "boundary": {"annulus": annulus.counts(), **trace.boundary},
-        "dominance": {key: dominance[key] for key in _DOMINANCE_COUNTS},
         "stages": stages,
     }
 
@@ -543,7 +502,6 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
                 },
                 "per_n": {n: meta["boundary"] for n, meta in built.items()},
             },
-            "dominance": totals("dominance", _DOMINANCE_COUNTS),
             "stages": {n: meta["stages"] for n, meta in built.items()},
         },
     }
@@ -590,12 +548,11 @@ def render_text(report: dict) -> str:
     lines.append(f"noricert verification report  [{report['schema']}]")
     params = report["params"]
     lines.append(
-        "params: n={} r={} rho={} samples={} budget={} seed={}".format(
+        "params: n={} r={} rho={} samples={} seed={}".format(
             ",".join(str(n) for n in params["n_list"]),
             params["r"],
             params["rho"],
             params["samples"],
-            params["subdivision_budget"],
             params["seed"],
         )
     )

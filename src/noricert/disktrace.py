@@ -62,18 +62,18 @@ from .bounds import (
     gap_bracket,
 )
 from .certify import (
-    DEFAULT_BUDGET,
     CorollaryReport,
     DivisionWitness,
-    IdentityReport,
     RootLocalization,
     Status,
     circle_points,
     circle_triples,
     cone_factor_certificate,
+    cone_sides,
+    side_factors,
     worst,
 )
-from .family import Family
+from .family import CheckReport, Family
 from .sampling import RationalSampler
 
 __all__ = [
@@ -466,7 +466,7 @@ def annulus_into_target(
 def image_in_chart_window(
     fam: Family,
     corollary: CorollaryReport,
-    identities: IdentityReport,
+    identities: CheckReport,
     *,
     samples: int = 64,
     seed: int = 0,
@@ -476,17 +476,19 @@ def image_in_chart_window(
 
     The power-ratio identity of ``identities``, f2^n = f1 * unit, makes the
     second component to the n-th power exactly divisible by the first; the
-    quotient h = unit satisfies |h| < 1 on 1 <= |lam| <= 2 because the |f2|
-    envelope is below both 1 and the |f1| lower envelope, and a polynomial
-    bounded by 1 on the outer circle is bounded by 1 on the closed disk.
-    Away from the common zero set this gives |f2|^n < |f1|, which defeats the
-    membership inequality |f1| < r|f2|^k of every chart of index k >= n.  The
-    claim is spot-checked at 64 exact points of the outer circle, where
-    |h| < 1 is decided on ball brackets, exact integers where they overlap,
-    and at sampled disk points, where the computed chart cover must be
-    nonempty with all indices < n.  The identity and its quotient are read
-    from ``identities``, where they are built and proved once per family.
-    ``tally`` counts the outer-circle points and their exact fallbacks.
+    quotient h = unit = eps^(2n-1) prod_j P_j^(n-j) satisfies |h| < 1 on
+    1 <= |lam| <= 2 because the |f2| envelope is below both 1 and the |f1|
+    lower envelope, and a polynomial bounded by 1 on the outer circle is
+    bounded by 1 on the closed disk.  Away from the common zero set this
+    gives |f2|^n < |f1|, which defeats the membership inequality
+    |f1| < r|f2|^k of every chart of index k >= n.  The claim is
+    spot-checked at 64 exact points of the outer circle, where
+    eps^(2(2n-1)) prod_j |P_j|^(2(n-j)) < 1 is decided on ball brackets of
+    the factors, exact integers where they overlap, and at sampled disk
+    points, where the computed chart cover must be nonempty with all
+    indices < n.  The identity is proved once per family, in
+    ``identities``, and the quotient stays in product form.  ``tally``
+    counts the outer-circle points and their exact fallbacks.
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -495,7 +497,10 @@ def image_in_chart_window(
             Status.REFUTED,
             "the n-th power of the second component is not divisible by the first",
         )
-    quotient = identities.unit
+    unit = cone_sides(fam, n - 1)[1]
+    quotient_degree = sum(fam.Pk(j).degree * e for j, e in unit[2])
+    factors = side_factors(unit, Fraction(2))
+    polys = tuple(fam.Pk(j) for j in range(1, n))
 
     below_one = _named_check(corollary, "f2-upper-below-one")
     below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
@@ -504,8 +509,8 @@ def image_in_chart_window(
     boundary_checked = 0
     for i, triple in enumerate(circle_triples(Fraction(2), 64)):
         boundary_checked += 1
-        values = Values((quotient,), *triple)
-        below = values.lt((0,), ())
+        values = Values(polys, *triple)
+        below = values.lt(factors, ())
         _count(tally, values)
         if not below:
             return Certificate(
@@ -537,7 +542,7 @@ def image_in_chart_window(
         accepted += 1
 
     data = {
-        "quotient_degree": quotient.degree,
+        "quotient_degree": quotient_degree,
         "boundary_checks": boundary_checked,
         "samples": accepted,
         "seed": seed,
@@ -565,7 +570,7 @@ def image_in_chart_window(
     return Certificate(
         "image-in-chart-window",
         Status.PROVED,
-        f"exact divisibility with quotient of degree {quotient.degree}; "
+        f"exact divisibility with quotient of degree {quotient_degree}; "
         f"quotient modulus < 1 on the disk; {accepted} sampled covers verified",
         data,
     )
@@ -636,12 +641,11 @@ def chart_cone_certificate(
     fam: Family,
     k: int,
     root_certs: dict[int, RootLocalization],
-    identities: IdentityReport,
+    identities: CheckReport,
     divisions: Sequence[DivisionWitness],
     *,
     samples: int = 256,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
     tally: Counter,
 ) -> Certificate:
     """Certify the cone inequality of chart k on its approach region, k >= 1.
@@ -649,7 +653,8 @@ def chart_cone_certificate(
     Three layers:
 
     * the algebraic factorization certificate for ``f2^(k+1) - f1`` (identity,
-      divisibility by the next factor, nonvanishing cofactor via dominance),
+      divisibility by the next factor, nonvanishing cofactor via a
+      root-product dominance),
     * the scalar boundary reduction ``r^2 <= (rho/2)(r - r^2)``, and
     * exact validation of ``|f1|^2 <= (rho/2) |f2^(k+1) - f1| |f2|^k`` (in
       squared form) at ``samples`` deterministic points of the approach
@@ -658,18 +663,14 @@ def chart_cone_certificate(
     The halved opening parameter leaves a factor-two margin, so every
     validated point satisfies the open cone condition at ``rho`` strictly
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
-    image points and exact fallbacks, and the arcs of the cofactor's dominance
-    certificate (``Dominance.counts``).
+    image points and exact fallbacks.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"chart index must be in 1..{n - 1}")
     divisions_ok = all(w.status is Status.PROVED for w in divisions)
 
-    core = cone_factor_certificate(
-        fam, k, root_certs, identities, divisions, budget=budget
-    )
-    tally.update(core.nonvanishing.counts())
+    core = cone_factor_certificate(fam, k, root_certs, identities, divisions)
 
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
@@ -764,7 +765,7 @@ def chart_cone_certificate(
 def base_chart_certificate(
     fam: Family,
     corollary: CorollaryReport,
-    identities: IdentityReport,
+    identities: CheckReport,
     *,
     samples: int = 256,
     tally: Optional[Counter] = None,
@@ -1140,7 +1141,7 @@ def uniform_convergence_witness(
     samples: int = 512,
     tally: Optional[Counter] = None,
 ) -> ConvergenceWitness:
-    """Boundary images shrink uniformly: sup metric at most 1/n, nonincreasing.
+    """Boundary images shrink uniformly: sup metric at most 1/n, nonincreasing in n.
 
     All families are evaluated at the same exact points of the unit circle;
     the metric at a point is max(|f1|, |f2|, |f2/f1|), computed and compared
@@ -1150,13 +1151,13 @@ def uniform_convergence_witness(
     closed under conjugation (checked on the list, see ``_boundary_sup``):
     only the points with num_im >= 0 are evaluated, and the sup is the same
     ``Fraction`` as over every point.  Each family's sampled sup
-    must be at most 1/n (squared: 1/n^2), the sequence of sups must be
-    nonincreasing in n, and the claim for all boundary points (not just
-    samples) is inherited from the per-family target containment
-    certificates.  The monotonicity check needs at least two families:
-    ``trace_family`` passes its one family, so for it only the 1/n bound is
-    checked.  ``tally`` counts the evaluated points and their exact
-    fallbacks.
+    must be at most 1/n (squared: 1/n^2), and the claim for all boundary
+    points (not just samples) is inherited from the per-family target
+    containment certificates.  Given two or more families, the sequence of
+    sups must also be nonincreasing in n, and only then does the detail
+    claim it; ``trace_family`` passes its one family, so for it only the
+    1/n bound is checked.  ``tally`` counts the evaluated points and their
+    exact fallbacks.
     """
     if not fams:
         raise ValueError("at least one family is required")
@@ -1197,12 +1198,11 @@ def uniform_convergence_witness(
             samples,
             f"target containment is not proved for n in {missing}",
         )
-    return ConvergenceWitness(
-        Status.PROVED,
-        entries,
-        samples,
-        "sampled sups within bounds and nonincreasing, with proved containment",
-    )
+    if len(entries) > 1:
+        detail = "sampled sups within bounds and nonincreasing, with proved containment"
+    else:
+        detail = "sampled sup within its bound, with proved containment"
+    return ConvergenceWitness(Status.PROVED, entries, samples, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,9 +1227,8 @@ class TraceReport:
     (``points``) and those whose exact triples a predicate needed
     (``exact_fallbacks``); ``boundary`` holds the same two counts for each
     exact-circle-point loop of the trace (``target``, ``window``, ``base``
-    and ``sup``); ``dominance`` sums ``Dominance.counts`` over the
-    chart-cone cofactors.  They describe the work, not the verdict, and are
-    not part of ``to_json``.
+    and ``sup``).  They describe the work, not the verdict, and are not part
+    of ``to_json``.
     """
 
     n: int
@@ -1244,7 +1243,6 @@ class TraceReport:
     detail: str = ""
     ladder: dict = field(default_factory=dict, compare=False)
     boundary: dict = field(default_factory=dict, compare=False)
-    dominance: dict = field(default_factory=dict, compare=False)
 
     @property
     def conditions(self) -> tuple[Certificate, Certificate, Certificate, Certificate]:
@@ -1288,7 +1286,7 @@ def trace_family(
     *,
     root_certs: dict[int, RootLocalization],
     corollary: CorollaryReport,
-    identities: IdentityReport,
+    identities: CheckReport,
     divisions: Sequence[DivisionWitness],
     window_samples: int = 64,
     cone_samples: int = 256,
@@ -1296,7 +1294,6 @@ def trace_family(
     sup_samples: int = 512,
     spot_checks: int = 64,
     seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
 ) -> TraceReport:
     """The four per-family conditions, built on the family's certified stages.
 
@@ -1329,7 +1326,6 @@ def trace_family(
             divisions,
             samples=cone_samples,
             seed=seed,
-            budget=budget,
             tally=tally,
         )
         for k in range(1, n)
@@ -1393,5 +1389,4 @@ def trace_family(
             loop: {key: counts[key] for key in _WORK_COUNTS}
             for loop, counts in boundary.items()
         },
-        dominance={key: tally[key] for key in ("arcs", "exact_arcs", "exact_margins")},
     )

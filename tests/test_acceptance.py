@@ -239,8 +239,9 @@ def test_criterion_08_cone_internals(
             assert cert.status is Status.PROVED, (n, k, cert.detail)
             assert cert.identity_ok and cert.divisibility_ok
             assert cert.nonvanishing is not None
-            assert cert.nonvanishing.margin is not None
-            assert cert.nonvanishing.margin > 0
+            # the root-product margin: lower bound of the dominant side
+            # above the upper bound of the dominated side
+            assert cert.nonvanishing.lower > cert.nonvanishing.upper > 0
         scalar = next(
             c for c in corollary_reports[n].checks if c.name == "scalar-window"
         )

@@ -220,12 +220,6 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             eval_scaled(Poly.one(), 1, 0, 0)
 
-    def test_negated_variable_map(self):
-        p = Poly([1, 2, 3, 4])
-        q = p.map_variable_negated()
-        z = ComplexRational.of(F(2, 3), F(-1, 5))
-        assert q(z) == p(-z)
-
 
 class TestDecimalApprox:
     def test_plain_values(self):

@@ -2,17 +2,11 @@
 
 The directed pair operations and the brackets built from them must enclose
 the exact values, and ``bracket_lt`` may return a verdict only when it is
-the exact one.  ``prod_gt`` decides by truncated bounds while it can; its
-cases make it decide at every precision level, including the exact fallback
-that ties and near-ties must reach.  ``ball_abs2`` must enclose the exact
-squared modulus of ``eval_scaled`` wherever it is evaluated, and the
-dominance-arc brackets (``ratio_bracket``, ``sqrt_bracket``,
-``arc_gap_bracket``, ``min_candidates``) must enclose the exact quotients,
-roots, margins and minima.  The exponent stage of ``bracket_lt`` must
-decide only where its product stage decides the same way, ``_p_pow`` must
-keep the pairs of plain square and multiply, and the exact inputs of the
-certificates built without ``Fraction`` (``circle_triples``, the integer
-Lipschitz sum, the caches carried through ``map_variable_negated``) must
+the exact one.  ``ball_abs2`` must enclose the exact squared modulus of
+``eval_scaled`` wherever it is evaluated.  The exponent stage of
+``bracket_lt`` must decide only where its product stage decides the same
+way, ``_p_pow`` must keep the pairs of plain square and multiply, and the
+exact circle points built without ``Fraction`` (``circle_triples``) must
 equal their ``Fraction`` references.
 """
 
@@ -34,10 +28,8 @@ from noricert.bounds import (
     _p_mul,
     _p_pow,
     _p_sqrt,
-    _p_sub,
     _p_trunc,
     _side_product,
-    arc_gap_bracket,
     Values,
     abs2_bracket,
     ball_abs2,
@@ -47,12 +39,8 @@ from noricert.bounds import (
     constant_factor,
     gap_bracket,
     int_bracket,
-    min_candidates,
-    prod_gt,
-    ratio_bracket,
-    sqrt_bracket,
 )
-from noricert.certify import circle_points, circle_triples, lipschitz_on_disk
+from noricert.certify import circle_points, circle_triples
 
 
 def _value(pair):
@@ -205,66 +193,6 @@ class TestBracketLt:
         assert self._verdicts([], [big]) == (True, True)
 
 
-def _agrees(xs, ys):
-    expected = math.prod(xs) > math.prod(ys)
-    assert prod_gt(xs, ys) == expected
-    assert prod_gt(ys, xs) == (math.prod(ys) > math.prod(xs))
-
-
-def _operands(rng, size):
-    """One to four random factors of at most ``size`` bits."""
-    return [rng.getrandbits(rng.randrange(1, size + 1)) for _ in range(rng.randrange(1, 5))]
-
-
-class TestProdGt:
-    def test_random_operands_up_to_200k_bits(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            size = rng.choice([1, 64, 300, 5000, 200_000])
-            _agrees(_operands(rng, size), _operands(rng, size))
-
-    def test_exact_ties(self):
-        rng = random.Random(32)
-        for bits in (50, 1000, 200_000):
-            a, b, c = (rng.getrandbits(bits) | 1 for _ in range(3))
-            # the same product in different factorizations
-            assert not prod_gt([a * b, c], [a, b * c])
-            assert not prod_gt([a, b, c], [c, b, a])
-            assert not prod_gt([a * b * c], [a * b * c])
-
-    def test_near_ties(self):
-        # relative gaps 2^-200 and 2^-1100 sit below the first precision
-        # levels, so the comparator must escalate and still get the sign
-        rng = random.Random(33)
-        for gap in (200, 1100):
-            for bits in (gap + 50, 20_000, 200_000):
-                a = rng.getrandbits(bits) | (1 << (bits - 1))
-                b = rng.getrandbits(bits) | (1 << (bits - 1))
-                bumped = a * b + ((a * b) >> gap)
-                _agrees([bumped], [a, b])
-                _agrees([bumped, 3], [a, b, 3])
-                assert prod_gt([bumped], [a, b])
-                assert not prod_gt([a * b - ((a * b) >> gap)], [b, a])
-
-    def test_escalation_beyond_first_precision(self):
-        # one unit of difference in 4 * 2^14 bits is decided only after the
-        # precision has grown past the first two levels
-        big = (1 << (4 * _BITS * 16)) - 1
-        assert prod_gt([big + 1], [big])
-        assert not prod_gt([big], [big + 1])
-        assert not prod_gt([big], [big])
-
-    def test_zero_operands(self):
-        big = (1 << 5000) + 7
-        assert not prod_gt([0], [0])
-        assert not prod_gt([0, big], [big])
-        assert prod_gt([big], [0, big])
-        assert prod_gt([big, big], [big, 0])
-        assert not prod_gt([big, 0], [0, big])
-        assert not prod_gt([], [1])
-        assert prod_gt([2], [])
-
-
 def _encloses(bracket, triple):
     """lo <= |re + i im|^2 / den^2 <= hi, decided on integers."""
     re, im, den = triple
@@ -397,121 +325,6 @@ class TestBallAbs2:
     def test_rejects_bad_den(self):
         with pytest.raises(ValueError):
             ball_abs2(Poly.one(), 1, 0, 0)
-
-
-def _in(bracket, value):
-    return _value(bracket[0]) <= value <= _value(bracket[1])
-
-
-# quotients from 2^-3000 to 2^3000, as unreduced integer pairs; the widths
-# include operands below the 192-bit precision, which must stay exact
-_WIDTHS = st.sampled_from([1, 8, 64, 191, 192, 193, 400, 3000])
-
-
-@st.composite
-def _ratios(draw):
-    num = draw(st.integers(0, 2 ** draw(_WIDTHS)))
-    den = draw(st.integers(1, 2 ** draw(_WIDTHS)))
-    k = draw(st.integers(1, 2**80))  # a common factor nobody reduces
-    return num * k, den * k
-
-
-class TestArcBrackets:
-    """The brackets that decide dominance arcs without a gcd."""
-
-    def test_sub_is_directed(self):
-        rng = random.Random(11)
-        for _ in range(2000):
-            a = (rng.getrandbits(rng.randrange(1, 200)) + 1, rng.randrange(-600, 600))
-            b = (rng.getrandbits(rng.randrange(0, 200)), rng.randrange(-900, 600))
-            if _value(b) > _value(a):
-                a, b = b, a
-            exact = _value(a) - _value(b)
-            assert _value(_p_sub(a, b, False)) <= exact <= _value(_p_sub(a, b, True))
-
-    @settings(max_examples=200, deadline=None)
-    @given(_ratios())
-    def test_ratio_encloses_and_is_tight(self, ratio):
-        num, den = ratio
-        lo, hi = ratio_bracket(num, den)
-        q = F(num, den)
-        assert _value(lo) <= q <= _value(hi)
-        assert _value(hi) - _value(lo) <= q / 2 ** (_BITS - 4)
-
-    def test_small_operands_are_points(self):
-        for num, den in ((0, 1), (1, 1), (3, 1 << 70), (5 << 100, 1)):
-            lo, hi = ratio_bracket(num, den)
-            assert _value(lo) == _value(hi) == F(num, den)
-
-    @settings(max_examples=200, deadline=None)
-    @given(_ratios(), st.sampled_from([0, 16, 64]))
-    def test_sqrt_holds_every_root_within_the_slack(self, ratio, slack_bits):
-        num, den = ratio
-        q = F(num, den)
-        slack = min(F(1), q) / 2**slack_bits
-        lo, hi = (_value(end) for end in sqrt_bracket(num, den, slack_bits))
-        # lo <= sqrt(q) - slack and hi >= sqrt(q) + slack, decided by squares
-        assert lo == 0 or (lo + slack) ** 2 <= q
-        assert hi - slack >= 0 and (hi - slack) ** 2 >= q
-        assert lo <= hi
-
-    def test_arc_gap_encloses_the_exact_margin(self):
-        rng = random.Random(12)
-        decided = 0
-        for _ in range(3000):
-            ratios = []
-            for _ in range(5):
-                k = rng.getrandbits(80) + 1
-                num = rng.getrandbits(rng.choice((1, 64, 192, 400, 3000)))
-                den = rng.getrandbits(rng.choice((1, 64, 192, 400, 3000))) + 1
-                ratios.append((num * k, den * k))
-            big, small, m_big, m_small, chord = (F(n, d) for n, d in ratios)
-            gap = arc_gap_bracket(*(ratio_bracket(n, d) for n, d in ratios))
-            lower, upper = big - m_big * chord, small + m_small * chord
-            if gap is None:
-                continue
-            decided += 1
-            assert lower > upper
-            assert _in(gap, lower * lower - upper * upper)
-        assert decided >= 500
-
-    def test_arc_gap_decides_clear_arcs_only(self):
-        one = ratio_bracket(1, 1)
-        zero = ratio_bracket(0, 1)
-        third = ratio_bracket(1, 3)
-        # 1 - 1/3 * 1 > 1/3 + 0: certified, and the bracket holds 4/9 - 1/9
-        gap = arc_gap_bracket(one, third, third, zero, one)
-        assert gap is not None and _in(gap, F(1, 3))
-        # 1 - 1/3 == 2/3 exactly: never certified
-        assert arc_gap_bracket(one, ratio_bracket(2, 3), third, zero, one) is None
-        # a shift above the dominant bound is not certified either
-        assert arc_gap_bracket(third, zero, one, zero, one) is None
-
-    def test_arc_gap_keeps_a_margin_far_below_the_dominant_scale(self):
-        # 1 - s^2 with s ~ 10^-1000: the two ends must tell the arcs apart
-        ends = []
-        for s_num in (3, 4):
-            small = ratio_bracket(s_num, 10**1000)
-            zero = ratio_bracket(0, 1)
-            gap = arc_gap_bracket(ratio_bracket(1, 1), small, zero, zero, zero)
-            assert _in(gap, 1 - F(s_num, 10**1000) ** 2)
-            ends.append(gap)
-        assert _p_lt(ends[1][1], ends[0][0])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(_ratios(), min_size=1, max_size=12))
-    def test_min_candidates_hold_the_minimum(self, ratios):
-        values = [F(n, d) for n, d in ratios]
-        brackets = [ratio_bracket(n, d) for n, d in ratios]
-        chosen = min_candidates(brackets)
-        assert values.index(min(values)) in chosen
-        assert all(
-            _value(brackets[i][0]) <= min(_value(hi) for _, hi in brackets)
-            for i in chosen
-        )
-        # distinct values far apart leave a single candidate
-        spread = [ratio_bracket(1 << (3 * i), 1) for i in range(6)][::-1]
-        assert min_candidates(spread) == [5]
 
 
 def _product_stage(lhs, rhs, closed):
@@ -718,57 +531,6 @@ class TestCircleTriples:
         for count in (0, 1, 7):
             with pytest.raises(ValueError):
                 circle_triples(F(1), count)
-
-
-def _lipschitz_reference(p, radius):
-    total, power = F(0), F(1)
-    for i, a in enumerate(p.coeffs):
-        if i >= 1:
-            total += i * abs(a) * power
-            power *= radius
-    return total
-
-
-class TestLipschitzSum:
-    @settings(max_examples=80, deadline=None)
-    @given(_polys(), st.sampled_from([F(0), F(1), F(2), F(1, 3), F(7, 5)]))
-    def test_equal_to_the_fraction_sum(self, poly, radius):
-        assert lipschitz_on_disk(poly, radius) == _lipschitz_reference(poly, radius)
-
-    def test_small_degrees(self):
-        for coeffs in ((), (F(5, 7),), (F(1, 3), F(-2, 9)), (0, 0, F(3, 4))):
-            for radius in (F(0), F(1, 2), F(3)):
-                p = Poly(coeffs)
-                assert lipschitz_on_disk(p, radius) == _lipschitz_reference(p, radius)
-        with pytest.raises(ValueError):
-            lipschitz_on_disk(Poly.x(), F(-1))
-
-
-class TestNegatedCaches:
-    @settings(max_examples=80, deadline=None)
-    @given(_polys())
-    def test_carried_caches_equal_fresh_ones(self, poly):
-        poly.scaled()
-        poly.balls()
-        q = poly.map_variable_negated()
-        fresh = Poly(q.coeffs)
-        assert q._scaled_cache == fresh.scaled()
-        assert q._ball_cache == fresh.balls()
-
-    def test_exact_and_inexact_balls(self):
-        # integers and dyadics are exact balls; thirds are not
-        p = Poly((F(1, 3), F(-1, 3), 5, F(-7, 8), 0, F(2, 3), 0, -1))
-        p.scaled()
-        p.balls()
-        q = p.map_variable_negated()
-        assert q._scaled_cache == Poly(q.coeffs).scaled()
-        assert q._ball_cache == Poly(q.coeffs).balls()
-
-    def test_unbuilt_caches_stay_unbuilt(self):
-        p = Poly((F(1, 3), F(2, 5), F(-3, 7)))
-        q = p.map_variable_negated()
-        assert q._scaled_cache is None and q._ball_cache is None
-        assert q.scaled() == Poly(q.coeffs).scaled()
 
 
 class TestValues:

@@ -5,75 +5,40 @@ an independent sympy/numpy oracle before being frozen here.
 """
 
 import dataclasses
-import heapq
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from noricert.arith import Poly, eval_scaled, scaled_abs2
+from noricert.arith import Poly, as_scaled, eval_scaled, scaled_abs2
 from noricert.certify import (
     AnnulusReport,
-    CirclePoint,
-    Dominance,
+    RootLocalization,
     Status,
-    _abs2_at,
-    _chord_upper,
     _cone_combination,
     _cone_identity,
     _degree_bound,
     _identity_points,
     _identity_sides,
-    _perturbation_big,
+    _localization_sides,
     _proved_equal,
-    _root_bracket,
+    _side_bounds,
+    _side_poly,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
-    certify_dominance,
-    chart_point,
     circle_points,
     circle_triples,
-    DEFAULT_BUDGET,
     cone_factor_certificate,
+    cone_sides,
     corollary_ineq_certificate,
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
-    lipschitz_on_disk,
-    power_ratio_unit,
-    sqrt_lower,
-    sqrt_upper,
+    root_product_dominance,
 )
-from noricert.bounds import _p_lt
-from noricert.family import FamilyParams, build_family, default_family
+from noricert.family import FamilyParams, build_family
 
 F = Fraction
-
-nonneg_fractions = st.fractions(
-    min_value=0, max_value=F(10**6), max_denominator=10**6
-)
-
-
-class TestSqrtBounds:
-    @given(nonneg_fractions)
-    @settings(max_examples=200, deadline=None)
-    def test_bracketing(self, q):
-        lo, hi = sqrt_lower(q), sqrt_upper(q)
-        assert lo <= hi
-        assert lo * lo <= q <= hi * hi
-
-    def test_exact_on_perfect_squares(self):
-        q = F(9, 4)
-        assert sqrt_lower(q) == sqrt_upper(q) == F(3, 2)
-
-    def test_tightness(self):
-        q = F(2)
-        assert sqrt_upper(q) - sqrt_lower(q) <= F(1, 2**63)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_lower(F(-1))
 
 
 class TestCircleCharts:
@@ -104,289 +69,6 @@ class TestCircleCharts:
         real = 2 if count % 4 == 0 else 0
         assert sum(1 for _, b, _ in pts if b == 0) == real
         assert sum(1 for _, b, _ in pts if b >= 0) == (count + real) // 2
-
-    def test_lipschitz_bound_property(self):
-        p = Poly([F(1, 3), F(-2), F(0), F(5, 7), F(1)])
-        radius = F(3, 2)
-        m = lipschitz_on_disk(p, radius)
-        params = [F(i, 7) - 1 for i in range(15)]
-        for i, s in enumerate(params):
-            for t in params[i + 1 :]:
-                a, b = chart_point(radius, s), chart_point(radius, t)
-                dv2 = (p(a) - p(b)).abs2()
-                dz2 = (a - b).abs2()
-                assert dv2 <= m * m * dz2
-
-
-class TestDominance:
-    def test_proved_with_squared_margin(self):
-        dom = certify_dominance(Poly.x(), Poly.constant(F(1, 10**8)), F(1, 2))
-        assert dom.status is Status.PROVED
-        assert dom.witness is None
-        # margin is in squared-modulus units: here abs2(dominant) = 1/4
-        # everywhere, so the certified squared gap sits strictly below 1/4
-        # but well above 1/8 already at the coarsest subdivision.
-        assert dom.margin is not None
-        assert F(1, 8) < dom.margin < F(1, 4)
-
-    def test_refuted_with_exact_witness(self):
-        dom = certify_dominance(Poly.x(), Poly.constant(F(3, 5)), F(1, 2))
-        assert dom.status is Status.REFUTED
-        w = dom.witness.point
-        assert w.abs2() == F(1, 4)
-        assert dom.dominated(w).abs2() >= dom.dominant(w).abs2()
-
-    def test_constant_one_refuted_on_large_circle(self):
-        dom = certify_dominance(Poly.one(), Poly.x(), F(2))
-        assert dom.status is Status.REFUTED
-        assert dom.witness.point.abs2() == F(4)
-
-    def test_budget_monotonicity(self):
-        dominated = Poly.constant(F(499, 1000))
-        starved = certify_dominance(Poly.x(), dominated, F(1, 2), budget=10)
-        assert starved.status is Status.INCONCLUSIVE
-        assert (starved.arcs, starved.subdivisions) == (26, 10)
-        assert starved.detail == "subdivision budget 10 exhausted with 26 open arcs"
-        fed = certify_dominance(Poly.x(), dominated, F(1, 2), budget=20000)
-        assert fed.status is Status.PROVED
-
-    def test_zero_polynomials_rejected(self):
-        with pytest.raises(ValueError):
-            certify_dominance(Poly.zero(), Poly.x(), F(1))
-        with pytest.raises(ValueError):
-            certify_dominance(Poly.x(), Poly.zero(), F(1))
-
-    def test_bad_radius_rejected(self):
-        with pytest.raises(ValueError):
-            certify_dominance(Poly.x(), Poly.one(), F(0))
-
-
-def _reference_dominance(dominant, dominated, radius, budget=DEFAULT_BUDGET):
-    """The Fraction reference: every arc decided with reduced Fractions.
-
-    This is the arc loop that decided every arc before the 192-bit brackets:
-    the bounds ``sqrt_lower(b2) - M * chord`` and ``sqrt_upper(s2) + N *
-    chord``, the squared margin and the running minimum are all Fractions.
-    """
-    chart_pairs = (
-        (dominant, dominated),
-        (dominant.map_variable_negated(), dominated.map_variable_negated()),
-    )
-    m_dominant = lipschitz_on_disk(dominant, radius)
-    m_dominated = lipschitz_on_disk(dominated, radius)
-    heap, counter, margin, refuted = [], 0, None, None
-
-    def assess(chart, lo, hi):
-        nonlocal margin, refuted
-        mid = (lo + hi) / 2
-        w = chart_point(radius, mid)
-        big, small = chart_pairs[chart]
-        b2, s2 = F(*_abs2_at(big, w)), F(*_abs2_at(small, w))
-        if s2 >= b2:
-            refuted = CirclePoint(chart, mid, w if chart == 0 else -w)
-            return None
-        chord = _chord_upper(radius, lo, hi, mid)
-        lower_big = sqrt_lower(b2) - m_dominant * chord
-        upper_small = sqrt_upper(s2) + m_dominated * chord
-        if lower_big > upper_small:
-            arc_margin = lower_big * lower_big - upper_small * upper_small
-            margin = arc_margin if margin is None else min(margin, arc_margin)
-            return arc_margin
-        return lower_big - upper_small
-
-    def push(chart, lo, hi):
-        nonlocal counter
-        verdict = assess(chart, lo, hi)
-        if verdict is None:
-            return False
-        if verdict <= 0:
-            counter += 1
-            heapq.heappush(heap, (verdict, counter, chart, lo, hi))
-        return True
-
-    def result(status, margin, witness, detail):
-        return Dominance(
-            status, dominant, dominated, radius, subdivisions, arcs, margin,
-            witness, detail,
-        )
-
-    arcs = subdivisions = 0
-    step = F(2, 8)
-    for chart in (0, 1):
-        for i in range(8):
-            lo = -1 + i * step
-            arcs += 1
-            if not push(chart, lo, lo + step):
-                return result(
-                    Status.REFUTED, None, refuted,
-                    "inequality fails at an exact circle point",
-                )
-    while heap and subdivisions < budget:
-        _, _, chart, lo, hi = heapq.heappop(heap)
-        mid = (lo + hi) / 2
-        subdivisions += 1
-        arcs += 1
-        for a, b in ((lo, mid), (mid, hi)):
-            if not push(chart, a, b):
-                return result(
-                    Status.REFUTED, None, refuted,
-                    "inequality fails at an exact circle point",
-                )
-    if heap:
-        return result(
-            Status.INCONCLUSIVE, None, None,
-            f"subdivision budget {budget} exhausted with {len(heap)} open arcs",
-        )
-    return result(Status.PROVED, margin, None, "all arcs certified")
-
-
-def _assert_matches_reference(dominant, dominated, radius, budget=DEFAULT_BUDGET):
-    dom = certify_dominance(dominant, dominated, radius, budget=budget)
-    ref = _reference_dominance(dominant, dominated, radius, budget)
-    assert dom.to_json() == ref.to_json()
-    assert dom.margin == ref.margin
-    return dom
-
-
-def _default_dominance_calls(fam):
-    """Every dominance certificate the pipeline builds for ``fam``, and chart 0."""
-    n, eps, c = fam.n, fam.params.eps, fam.params.c
-    calls = [
-        (_perturbation_big(fam, k), Poly.constant(eps ** c[k - 1]), F(1, 2**k))
-        for k in range(n - 2, 0, -1)
-    ]
-    for k in range(n - 1):
-        _, unit_part, dominant = _cone_combination(fam, k)
-        calls.append((dominant, unit_part, F(2)))
-    calls.append((Poly.one(), power_ratio_unit(fam), F(2)))
-    return calls
-
-
-@st.composite
-def _dominance_cases(draw):
-    """A dominant part, a dominated part and a radius.
-
-    The dominant part is a monomial, whose squared modulus on the circle is
-    a perfect square, optionally with smaller lower terms, or a constant; the
-    dominated part is scaled down by up to 10^-300.
-    """
-    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=10**6)
-    degree = draw(st.integers(0, 5))
-    dominant = Poly.monomial(degree, draw(coeffs.filter(bool)))
-    if degree and draw(st.booleans()):
-        dominant = dominant + Poly(draw(st.lists(coeffs, max_size=degree))) * F(1, 8)
-    scale = F(1, 10 ** draw(st.sampled_from([0, 1, 3, 40, 300])))
-    dominated = Poly(draw(st.lists(coeffs, min_size=1, max_size=7))) * scale
-    if dominant.is_zero or dominated.is_zero:
-        dominated = Poly.constant(scale)
-    radius = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=64))
-    return dominant, dominated, radius
-
-
-class TestDominanceAgainstReference:
-    """The bracket-decided dominance equals the Fraction reference exactly:
-    the same report bytes and the same exact margin."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_default_family_calls(self, n, built_families):
-        for dominant, dominated, radius in _default_dominance_calls(built_families[n]):
-            dom = _assert_matches_reference(dominant, dominated, radius)
-            assert dom.status is Status.PROVED
-            # only the arcs whose bracket can hold the minimum get an exact margin
-            assert dom.exact_margins <= 4 < dom.arcs
-
-    def test_starved_family_call_keeps_the_exact_heap_order(self, built_families):
-        # the n = 4 root localization of factor 1 needs 16 subdivisions; a
-        # starved budget leaves open arcs whose count depends on the order in
-        # which the exact heap keys pop
-        fam = built_families[4]
-        big, small = _perturbation_big(fam, 1), Poly.constant(fam.params.eps ** fam.params.c[0])
-        for budget in (1, 5, 12, 15):
-            dom = _assert_matches_reference(big, small, F(1, 2), budget)
-            assert dom.status is Status.INCONCLUSIVE
-        # the case of the pinned report of verify --n 4 --budget 12
-        dom = certify_dominance(big, small, F(1, 2), budget=12)
-        assert (dom.arcs, dom.subdivisions) == (28, 12)
-        assert dom.detail == "subdivision budget 12 exhausted with 4 open arcs"
-
-    @settings(max_examples=80, deadline=None)
-    @given(_dominance_cases(), st.sampled_from([0, 3, 64]))
-    def test_drawn_polynomials(self, case, budget):
-        _assert_matches_reference(*case, budget=budget)
-
-    def test_constant_dominant_and_tiny_dominated(self):
-        # b2 = 1 everywhere: its bracket is a point, and the margins 1 - s^2
-        # differ only far below 2^-192
-        tiny = Poly([F(3, 10**400), F(-1, 10**401), F(7, 10**399)])
-        dom = _assert_matches_reference(Poly.one(), tiny, F(2))
-        assert dom.status is Status.PROVED
-        assert dom.exact_arcs == 0 and dom.exact_margins < dom.arcs
-
-    def test_equal_bounds_keep_the_arc_open(self):
-        # x against the constant c = 1 - chord of the end arcs on |z| = 1:
-        # there lower_big = sqrt_lower(1) - 1 * chord equals upper_small =
-        # sqrt_upper(c^2) exactly, so those arcs must stay open
-        radius, lo, hi = F(1), F(-1), F(-3, 4)
-        chord = _chord_upper(radius, lo, hi, (lo + hi) / 2)
-        c = 1 - chord
-        assert sqrt_lower(F(1)) - chord == sqrt_upper(c * c)
-        for budget in (0, 4, DEFAULT_BUDGET):
-            dom = _assert_matches_reference(Poly.x(), Poly.constant(c), radius, budget)
-        assert dom.status is Status.PROVED
-        starved = certify_dominance(Poly.x(), Poly.constant(c), radius, budget=0)
-        assert starved.detail == "subdivision budget 0 exhausted with 16 open arcs"
-
-    def test_gap_below_the_bracket_precision_is_certified_exactly(self):
-        # lower_big exceeds upper_small by 2^-300 on the end arcs: the
-        # brackets cannot see it, the exact integers certify those arcs
-        # without subdividing them
-        radius, lo, hi = F(1), F(-1), F(-3, 4)
-        c = 1 - _chord_upper(radius, lo, hi, (lo + hi) / 2) - F(1, 2**300)
-        dom = _assert_matches_reference(Poly.x(), Poly.constant(c), radius)
-        assert dom.status is Status.PROVED
-        assert dom.exact_arcs >= 4
-
-    def test_equal_bounds_beyond_the_bracket_precision(self):
-        # the same tie with operands of more than 192 bits that share a large
-        # factor: 1 + z/D on |z| = D has b2 = 256/113 at the end-arc midpoint,
-        # so sqrt_lower(b2) lies below sqrt(b2) by up to 2^-64/113, far more
-        # than the 192-bit precision; only the slack keeps the tie undecided
-        big_d = 10**70
-        radius, lo, hi = F(big_d), F(-1), F(-3, 4)
-        mid = (lo + hi) / 2
-        dominant = Poly([1, F(1, big_d)])
-        b_num, b_den = _abs2_at(dominant, chart_point(radius, mid))
-        assert b_den.bit_length() > 192 and F(b_num, b_den) == F(256, 113)
-        chord = _chord_upper(radius, lo, hi, mid)
-        c = sqrt_lower(F(256, 113)) - lipschitz_on_disk(dominant, radius) * chord
-        assert 0 < c and sqrt_upper(c * c) == c
-        dominated = Poly.constant(c)
-        for budget in (0, 3, DEFAULT_BUDGET):
-            _assert_matches_reference(dominant, dominated, radius, budget)
-        starved = certify_dominance(dominant, dominated, radius, budget=0)
-        assert starved.exact_arcs >= 1
-
-    @settings(max_examples=300, deadline=None)
-    @given(nonneg_fractions, st.integers(1, 2**200), st.sampled_from([1, 10**70]))
-    def test_sqrt_slack(self, q, k, scale):
-        # sqrt_lower and sqrt_upper lie within min(1, q) 2^-64 of sqrt(q),
-        # the slack the unreduced brackets add; checked by exact squares
-        q = q / scale
-        slack = min(F(1), q) / 2**64
-        lower, upper = sqrt_lower(q), sqrt_upper(q)
-        assert (lower + slack) ** 2 >= q and lower * lower <= q
-        assert upper - slack <= 0 or (upper - slack) ** 2 <= q
-        # the bracket of the unreduced operands holds the one-sided root
-        num, den = q.numerator * k, q.denominator * k
-        for root, value in ((sqrt_lower, lower), (sqrt_upper, upper)):
-            lo, hi = _root_bracket(num, den, root)
-            assert F(lo[0]) * F(2) ** lo[1] <= value <= F(hi[0]) * F(2) ** hi[1]
-
-    def test_dyadic_root_is_a_point(self):
-        assert _root_bracket(7, 7, sqrt_lower) == _root_bracket(1, 1, sqrt_upper)
-        lo, hi = _root_bracket(9, 4, sqrt_upper)
-        assert not _p_lt(lo, hi) and not _p_lt(hi, lo)
-
 
 class TestRootLocalization:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -424,6 +106,124 @@ class TestRootLocalization:
         certs = family_root_certificates(fam)
         assert certs[2].status is Status.REFUTED  # root at 1 outside |z| < 1/4
         assert certs[1].status is Status.INCONCLUSIVE
+
+    def test_factor_off_its_recursion_is_inconclusive(self, built_families):
+        # P_1 + eps^9 z^2 still has a dominance proved from the deeper factor,
+        # but the recursion P_1 = eps - z^2 P_2, proved by evaluation, fails
+        fam = built_families[3]
+        bumped = fam.Pk(1) + Poly.monomial(2, fam.params.eps**9)
+        certs = family_root_certificates(dataclasses.replace(fam, P=(bumped, fam.Pk(2))))
+        assert certs[1].dominance.status is Status.PROVED
+        assert certs[1].status is Status.INCONCLUSIVE
+        assert certs[1].detail == "factor does not match its defining recursion"
+
+
+def _dominances(fam):
+    """The dominances the pipeline certifies for ``fam``, and chart 0's.
+
+    Each is (dominant, dominated, R).
+    """
+    n = fam.n
+    return [
+        *((*_localization_sides(fam, k), F(1, 2**k)) for k in range(n - 2, 0, -1)),
+        *((*cone_sides(fam, k), F(2)) for k in range(n)),
+    ]
+
+
+def _hand_built(*factors):
+    """The factors P_1, P_2, ... of a family, without the rest of it."""
+    return SimpleNamespace(n=len(factors) + 1, Pk=lambda j: factors[j - 1])
+
+
+def _localized(j, radius, degree, status=Status.PROVED):
+    return RootLocalization(j, radius, degree, degree, status, "perturbation", None)
+
+
+class TestRootProductDominance:
+    """Rouché by root products: the bounds hold, and a failed bound refutes
+    only at a violating point."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bounds_enclose_the_exact_moduli(self, n, built_families, root_certs):
+        fam = built_families[n]
+        for dominant, dominated, radius in _dominances(fam):
+            for side in (dominant, dominated):
+                lower, upper = _side_bounds(fam, side, radius, root_certs[n])
+                poly = _side_poly(fam, side)
+                for triple in circle_triples(radius, 64):
+                    exact = F(*scaled_abs2(eval_scaled(poly, *triple)))
+                    assert lower * lower <= exact <= upper * upper
+            dom = root_product_dominance(fam, dominant, dominated, radius, root_certs[n])
+            assert dom.status is Status.PROVED
+            assert dom.lower == _side_bounds(fam, dominant, radius, root_certs[n])[0]
+            assert dom.upper == _side_bounds(fam, dominated, radius, root_certs[n])[1]
+
+    def test_bounds_are_nearly_attained_by_roots_at_the_localization_radius(self):
+        # P_1 = (z - a)^3 with a just inside |z| < 1/2: on |z| = 1 the side
+        # P_1^2 comes within a factor 1 + 10^-4 of its lower bound at z = 1
+        # and of its upper bound at z = -1
+        a = F(1, 2) - F(1, 10**6)
+        p = Poly([-a, 1]) ** 3
+        fam, certs, side = _hand_built(p), {1: _localized(1, F(1, 2), 3)}, (1, 0, ((1, 2),))
+        lower, upper = _side_bounds(fam, side, F(1), certs)
+        assert (lower, upper) == (F(1, 2) ** 6, F(3, 2) ** 6)
+        values = [
+            F(*scaled_abs2(eval_scaled(p, *triple))) ** 2
+            for triple in circle_triples(F(1), 64)
+        ]
+        assert lower**2 <= min(values) < lower**2 * (1 + F(1, 10**4))
+        assert upper**2 * (1 - F(1, 10**4)) < max(values) <= upper**2
+
+    def test_unproved_root_certificate_is_inconclusive(self):
+        # |z| = 1 > 1/10 on the whole circle, so no point refutes
+        fam, dominant, dominated = _hand_built(Poly.x()), (1, 0, ((1, 1),)), (F(1, 10), 0, ())
+        for status in (Status.INCONCLUSIVE, Status.REFUTED):
+            certs = {1: _localized(1, F(1, 2), 1, status)}
+            dom = root_product_dominance(fam, dominant, dominated, F(1), certs)
+            assert dom.status is Status.INCONCLUSIVE
+            assert dom.lower is None and dom.upper is None and dom.witness is None
+            assert dom.detail.startswith("factors [1] lack")
+        dom = root_product_dominance(fam, dominant, dominated, F(1), {})
+        assert dom.status is Status.INCONCLUSIVE
+        certs = {1: _localized(1, F(1, 2), 1)}
+        proved = root_product_dominance(fam, dominant, dominated, F(1), certs)
+        assert proved.status is Status.PROVED
+        assert (proved.lower, proved.upper) == (F(1, 2), F(1, 10))
+
+    def test_non_unit_leading_coefficient_is_inconclusive(self):
+        # |2z| = 2 on |z| = 1, far above 1/10, but the root-product bound
+        # needs |leading| = 1
+        fam, certs = _hand_built(Poly([0, 2])), {1: _localized(1, F(1, 2), 1)}
+        dom = root_product_dominance(fam, (1, 0, ((1, 1),)), (F(1, 10), 0, ()), F(1), certs)
+        assert dom.status is Status.INCONCLUSIVE
+        assert dom.lower is None and dom.witness is None
+
+    def test_failed_bound_without_violation_is_inconclusive(self):
+        # |z| = 1 on the circle, but a root anywhere in |z| < 1/2 only
+        # guarantees 1/2, which is not above 3/4
+        fam, certs = _hand_built(Poly.x()), {1: _localized(1, F(1, 2), 1)}
+        dom = root_product_dominance(fam, (1, 0, ((1, 1),)), (F(3, 4), 0, ()), F(1), certs)
+        assert dom.status is Status.INCONCLUSIVE
+        assert (dom.lower, dom.upper, dom.witness) == (F(1, 2), F(3, 4), None)
+        assert dom.detail == (
+            "root-product bound fails: |dominant| >= 5.00000e-01 is not above "
+            "|dominated| <= 7.50000e-01; no violation at 16 circle points"
+        )
+        assert dom.to_json()["lower"] == "5.00000e-01"
+
+    def test_violation_refutes_at_the_first_failing_point(self):
+        # |z - 1/4| <= 1 on the right part of |z| = 1
+        p = Poly([F(-1, 4), 1])
+        fam, certs = _hand_built(p), {1: _localized(1, F(1, 2), 1)}
+        failing = [
+            i for i, triple in enumerate(circle_triples(F(1), 16))
+            if F(*scaled_abs2(eval_scaled(p, *triple))) <= 1
+        ]
+        assert 0 < failing[0] < len(failing) < 16
+        dom = root_product_dominance(fam, (1, 0, ((1, 1),)), (1, 0, ()), F(1), certs)
+        assert dom.status is Status.REFUTED
+        assert dom.witness == circle_points(F(1), 16)[failing[0]]
+        assert (dom.lower, dom.upper) == (F(1, 2), F(1))
 
 
 def _exact_annulus_failure(p, deg, per_circle):
@@ -504,36 +304,22 @@ class TestScaledEvaluationOracle:
     """The integer-scaled abs2 behind the circle certificates equals the
     Fraction-Horner reference at the points those certificates use.
 
-    At n = 4 the Fraction reference costs about 0.2 s per point on the
-    degree-31 cofactor unit, so a stride thins the points there.
+    At n = 4 the Fraction reference is slow on the factors' coefficients,
+    so a stride thins the points there.
     """
 
     STRIDE = {2: 1, 3: 1, 4: 4}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_dominance_arc_midpoints(self, n, built_families, root_certs):
+    def test_dominance_fallback_points(self, n, built_families):
+        # the points a root-product dominance tests when its bound fails
         fam = built_families[n]
-        pairs = [
-            (cert.dominance.dominant, cert.dominance.dominated, cert.dominance.radius)
-            for cert in root_certs[n].values()
-            if cert.dominance is not None
-        ]
-        for k in range(n - 1):
-            _, unit_part, dominant = _cone_combination(fam, k)
-            pairs.append((dominant, unit_part, F(2)))
-        # the last chart's cofactor: one against the power-ratio unit
-        pairs.append((Poly.one(), power_ratio_unit(fam), F(2)))
-        for dominant, dominated, radius in pairs:
-            charts = (
-                (dominant, dominated),
-                (dominant.map_variable_negated(), dominated.map_variable_negated()),
-            )
-            for polys in charts:
-                # midpoints of the eight initial arcs of each chart
-                for i in range(0, 8, self.STRIDE[n]):
-                    w = chart_point(radius, F(2 * i + 1, 8) - 1)
-                    for p in polys:
-                        assert F(*_abs2_at(p, w)) == p(w).abs2()
+        for radius in sorted({radius for *_, radius in _dominances(fam)}):
+            for cp in circle_points(radius, 16)[:: self.STRIDE[n]]:
+                for j in range(1, n):
+                    p = fam.Pk(j)
+                    exact = scaled_abs2(eval_scaled(p, *as_scaled(cp.point)))
+                    assert F(*exact) == p(cp.point).abs2()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_annulus_spot_points(self, n, built_families):
@@ -542,7 +328,8 @@ class TestScaledEvaluationOracle:
             p = fam.Pk(k)
             for radius in (F(1), F(2)):
                 for cp in circle_points(radius, 256)[:: self.STRIDE[n]]:
-                    assert F(*_abs2_at(p, cp.point)) == p(cp.point).abs2()
+                    exact = scaled_abs2(eval_scaled(p, *as_scaled(cp.point)))
+                    assert F(*exact) == p(cp.point).abs2()
 
 
 ABSENT_ANNULUS = AnnulusReport(Status.INCONCLUSIVE, (), "not built")
@@ -700,10 +487,18 @@ def _expanded_cone_identity(fam, k):
     return fam.f2 ** (k + 1) - fam.f1 == g * c_poly
 
 
-def _evaluated_identities(fam, unit):
+def _expanded_unit(fam):
+    """The power-ratio unit eps^(2n-1) prod_j P_j^(n-j), expanded."""
+    unit = Poly.constant(fam.params.eps ** (2 * fam.n - 1))
+    for j in range(1, fam.n):
+        unit = unit * fam.Pk(j) ** (fam.n - j)
+    return unit
+
+
+def _evaluated_identities(fam):
     return {
         name: _proved_equal(lhs, rhs)
-        for name, (lhs, rhs) in _identity_sides(fam, unit).items()
+        for name, (lhs, rhs) in _identity_sides(fam).items()
     }
 
 
@@ -726,7 +521,7 @@ class TestEvaluationProof:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_agrees_with_expansion(self, n, built_families, identities):
         fam = built_families[n]
-        expanded = _expanded_identities(fam, power_ratio_unit(fam))
+        expanded = _expanded_identities(fam, _expanded_unit(fam))
         assert expanded == dict.fromkeys(expanded, True)
         assert {c.name: c.passed for c in identities[n].checks} == expanded
         for k in range(n - 1):
@@ -740,22 +535,25 @@ class TestEvaluationProof:
     )
     def test_tampered_agrees_with_expansion(self, n, kind, built_families):
         fam = _tampered(built_families[n], kind)
-        unit = power_ratio_unit(fam)
-        evaluated = _evaluated_identities(fam, unit)
-        assert evaluated == _expanded_identities(fam, unit)
+        evaluated = _evaluated_identities(fam)
+        assert evaluated == _expanded_identities(fam, _expanded_unit(fam))
         assert not evaluated["power-ratio"]
         for k in range(n - 1):
             assert not _evaluated_cone_identity(fam, k)
             assert not _expanded_cone_identity(fam, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_unit_off_by_one_unit_in_last_place(self, n, built_families, identities):
+    def test_unit_off_by_one_unit_in_last_place(self, n, built_families):
+        # the identity's left side against f1 times an expanded unit: the
+        # exact one is accepted, one off by 1/den in a coefficient is not
         fam = built_families[n]
-        unit = identities[n].unit
+        unit = _expanded_unit(fam)
         i = unit.degree // 2
         bad = unit + Poly.monomial(i, F(1, unit.scaled()[1]))
         assert bad.coeff(i) != unit.coeff(i) and bad.degree == unit.degree
-        assert not _evaluated_identities(fam, bad)["power-ratio"]
+        lhs, _ = _identity_sides(fam)["power-ratio"]
+        assert _proved_equal(lhs, [(1, ((fam.f1, 1), (unit, 1)))])
+        assert not _proved_equal(lhs, [(1, ((fam.f1, 1), (bad, 1)))])
 
     @pytest.mark.parametrize("kind", ["f2-doubled", "P1", "P2", "P3"])
     def test_tampered_rejected_n4(self, kind, built_families):
@@ -772,8 +570,8 @@ class TestEvaluationProof:
         # D came from the family's tables would accept the tampered f1.  Its
         # degree is D + 1, which the degree bound reads off f1 itself.
         fam = built_families[n]
-        unit = power_ratio_unit(fam)
-        lhs, rhs = _identity_sides(fam, unit)["power-ratio"]
+        unit = _expanded_unit(fam)
+        lhs, rhs = _identity_sides(fam)["power-ratio"]
         points = _identity_points(_degree_bound(lhs + rhs))
         bump = Poly.one()
         for x in points:

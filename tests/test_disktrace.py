@@ -16,16 +16,16 @@ import pytest
 from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
 from noricert.certify import (
-    IdentityReport,
     Status,
+    _side_poly,
     annulus_bounds_certificate,
     circle_points,
     circle_triples,
+    cone_sides,
     corollary_ineq_certificate,
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
-    power_ratio_unit,
 )
 from noricert.disktrace import (
     Certificate,
@@ -54,7 +54,13 @@ from noricert.disktrace import (
     _in_cover_region,
     _member_test,
 )
-from noricert.family import CheckResult, FamilyParams, build_family, default_family
+from noricert.family import (
+    CheckReport,
+    CheckResult,
+    FamilyParams,
+    build_family,
+    default_family,
+)
 
 F = Fraction
 
@@ -331,14 +337,21 @@ def _exact_sup(fam, pts):
     return best
 
 
-def _identities(*names, unit=None):
-    checks = tuple(CheckResult(name, True, "") for name in names)
-    return IdentityReport(checks, unit=unit if unit is not None else Poly.zero())
+def _identities(*names):
+    return CheckReport(tuple(CheckResult(name, True, "") for name in names))
 
 
-def _fake(fam, f1, f2):
-    """The parameters of ``fam`` with the components replaced."""
-    return SimpleNamespace(n=fam.n, f1=f1, f2=f2, params=fam.params)
+def _fake(fam, f1, f2, factors=None):
+    """The parameters of ``fam`` with the components (and factors) replaced."""
+    factors = fam.P if factors is None else factors
+    return SimpleNamespace(
+        n=fam.n, f1=f1, f2=f2, params=fam.params, Pk=lambda j: factors[j - 1]
+    )
+
+
+def _unit(fam):
+    """The power-ratio unit of the window, expanded from its product form."""
+    return _side_poly(fam, cone_sides(fam, fam.n - 1)[1])
 
 
 class TestBoundaryLoops:
@@ -355,7 +368,7 @@ class TestBoundaryLoops:
         assert _exact_target_failure(fam) == (128, None)
         assert tally == Counter(points=128)
         assert image_in_chart_window(fam, cor, ids, samples=4).status is Status.PROVED
-        assert _exact_window_failure(ids.unit) is None
+        assert _exact_window_failure(_unit(fam)) is None
         base = base_chart_certificate(fam, cor, ids, samples=256)
         assert base.status is Status.PROVED
         assert _exact_base_failure(fam, 256) is None
@@ -398,15 +411,17 @@ class TestBoundaryLoops:
     def test_tampered_window_refuted_at_the_exact_witness(
         self, built_families, corollary_reports, scale
     ):
-        # |unit|^2 = scale^2 |1 + lam|^2 on |lam| = 2: 1/3 reaches 1 exactly
-        # at lam = 2 only, which the strict |unit| < 1 refutes
+        # the factor P_1 = scale (1 + lam) / eps^3 makes the unit eps^3 P_1
+        # equal scale (1 + lam): |unit|^2 = scale^2 |1 + lam|^2 on |lam| = 2,
+        # and 1/3 reaches 1 exactly at lam = 2 only, which the strict
+        # |unit| < 1 refutes
         fam = built_families[2]
         unit = Poly((scale, scale))
+        fake = _fake(fam, fam.f1, fam.f2, (unit * (1 / fam.params.eps**3),))
+        assert _unit(fake) == unit
         i = _exact_window_failure(unit)
         assert 0 < i < 32
-        cert = image_in_chart_window(
-            fam, corollary_reports[2], _identities("power-ratio", unit=unit)
-        )
+        cert = image_in_chart_window(fake, corollary_reports[2], _identities("power-ratio"))
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(F(2), 64)[i].to_json()
 
@@ -486,10 +501,9 @@ class TestDivisibilityWindow:
         fam = built_families[n]
         quotient, remainder = divmod(fam.f2**n, fam.f1)
         assert remainder.is_zero
-        # the window certificate takes its quotient from the product form,
-        # built once by the identity checks
-        assert quotient == power_ratio_unit(fam)
-        assert identities[n].unit == quotient
+        # the window certificate checks its quotient in this product form
+        assert quotient == _unit(fam)
+        assert identities[n].passed("power-ratio")
 
     def test_status_proved(self, built_families, corollary_reports, identities):
         cert = image_in_chart_window(
@@ -722,7 +736,7 @@ class TestTamper:
         # flip at least one certificate to a refutation
         params = FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True)
         fam = build_family(params)
-        roots = family_root_certificates(fam, budget=1 << 10)
+        roots = family_root_certificates(fam)
         corollary = corollary_ineq_certificate(
             fam, annulus_bounds_certificate(fam, roots)
         )
@@ -737,7 +751,6 @@ class TestTamper:
             witness_samples=64,
             sup_samples=32,
             spot_checks=8,
-            budget=1 << 10,
         )
         assert rep.status is Status.REFUTED
         assert any(c.status is Status.REFUTED for c in rep.conditions)
@@ -756,18 +769,18 @@ class TestTamper:
         }
 
     def test_window_sampled_refutation_is_pinned(self):
-        # a unit of zero passes the power-ratio and outer-circle checks, so
-        # the eps = 1 family is refuted by the window's sampled covers; the
-        # witness renders lambda and its cover from the image's exact triples
+        # zero factors make a unit of zero, which passes the outer-circle
+        # check, so the components of the eps = 1 family are refuted by the
+        # window's sampled covers; the witness renders lambda and its cover
+        # from the image's exact triples
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
-        roots = family_root_certificates(fam, budget=1 << 10)
+        roots = family_root_certificates(fam)
         corollary = corollary_ineq_certificate(
             fam, annulus_bounds_certificate(fam, roots)
         )
-        identities = IdentityReport(
-            (CheckResult("power-ratio", True, ""),), unit=Poly.zero()
-        )
-        cert = image_in_chart_window(fam, corollary, identities, samples=16, seed=0)
+        fake = _fake(fam, fam.f1, fam.f2, (Poly.zero(),))
+        identities = _identities("power-ratio")
+        cert = image_in_chart_window(fake, corollary, identities, samples=16, seed=0)
         assert cert.status is Status.REFUTED
         assert cert.data["lambda"] == {"re": "3993/8192", "im": "26577/16384"}
         assert cert.data["cover"] == {
