@@ -326,6 +326,10 @@ def root_product_dominance(
     inequality fails refutes the claim, and otherwise the result is
     inconclusive (the bound is sufficient, not necessary).
     """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if not dominant[0] or not dominated[0]:
+        raise ValueError("sides must be nonzero")
     used = sorted({j for side in (dominant, dominated) for j, _ in side[2]})
     missing = [j for j in used if not _factor_localized(fam, j, root_certs)]
     lower = upper = None

@@ -9,6 +9,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noricert.arith import Poly, as_scaled, eval_scaled, scaled_abs2
 from noricert.certify import (
@@ -224,6 +226,162 @@ class TestRootProductDominance:
         assert dom.status is Status.REFUTED
         assert dom.witness == circle_points(F(1), 16)[failing[0]]
         assert (dom.lower, dom.upper) == (F(1, 2), F(1))
+
+
+class TestDominance:
+    """The certificate on sides with no family factor: c z^m against c'."""
+
+    def test_proved_with_squared_margin(self):
+        dom = root_product_dominance(
+            _hand_built(), (1, 1, ()), (F(1, 10**8), 0, ()), F(1, 2), {}
+        )
+        assert dom.status is Status.PROVED
+        assert dom.witness is None
+        # |z|^2 = 1/4 on the whole circle, so the certified gap of squared
+        # moduli sits strictly below 1/4 but well above 1/8
+        assert (dom.lower, dom.upper) == (F(1, 2), F(1, 10**8))
+        assert F(1, 8) < dom.lower**2 - dom.upper**2 < F(1, 4)
+
+    def test_refuted_with_exact_witness(self):
+        dom = root_product_dominance(_hand_built(), (1, 1, ()), (F(3, 5), 0, ()), F(1, 2), {})
+        assert dom.status is Status.REFUTED
+        w = dom.witness.point
+        assert w.abs2() == F(1, 4)
+        assert F(3, 5) ** 2 >= w.abs2()
+        assert dom.witness == circle_points(F(1, 2), 16)[0]
+
+    def test_constant_one_refuted_on_large_circle(self):
+        dom = root_product_dominance(_hand_built(), (1, 0, ()), (1, 1, ()), F(2), {})
+        assert dom.status is Status.REFUTED
+        assert dom.witness.point.abs2() == F(4)
+
+    def test_zero_polynomials_rejected(self):
+        with pytest.raises(ValueError):
+            root_product_dominance(_hand_built(), (0, 0, ()), (1, 1, ()), F(1), {})
+        with pytest.raises(ValueError):
+            root_product_dominance(_hand_built(), (1, 1, ()), (F(0), 2, ()), F(1), {})
+
+    def test_bad_radius_rejected(self):
+        for radius in (F(0), F(-1, 2)):
+            with pytest.raises(ValueError):
+                root_product_dominance(_hand_built(), (1, 1, ()), (1, 0, ()), radius, {})
+
+
+def _reference_dominance(fam, dominant, dominated, radius, root_certs):
+    """The Fraction reference: (status, lower, upper, witness).
+
+    The bounds read the leading coefficient and the degree of each side's
+    expansion; the circle points are decided by Fraction Horner on the
+    factors.
+    """
+    sides = (dominant, dominated)
+    used = sorted({j for _, _, factors in sides for j, _ in factors})
+    usable = all(
+        root_certs.get(j) is not None
+        and root_certs[j].status is Status.PROVED
+        and root_certs[j].index == j
+        and root_certs[j].count == root_certs[j].degree == fam.Pk(j).degree
+        and abs(fam.Pk(j).leading) == 1
+        for j in used
+    )
+    lower = upper = None
+    if usable:
+        bounds = []
+        for c, m, factors in sides:
+            expanded = Poly.monomial(m, c)
+            for j, e in factors:
+                expanded = expanded * fam.Pk(j) ** e
+            assert expanded.degree == m + sum(fam.Pk(j).degree * e for j, e in factors)
+            scale = abs(expanded.leading) * radius**m
+            low, high = scale, scale
+            for j, e in factors:
+                rho = root_certs[j].radius
+                for _ in range(fam.Pk(j).degree * e):
+                    low *= max(radius - rho, F(0))
+                    high *= radius + rho
+            bounds.append((low, high))
+        lower, upper = bounds[0][0], bounds[1][1]
+        if lower > upper:
+            return Status.PROVED, lower, upper, None
+
+    def abs2(side, w):
+        c, m, factors = side
+        value = F(c) ** 2 * w.abs2() ** m
+        for j, e in factors:
+            value *= fam.Pk(j)(w).abs2() ** e
+        return value
+
+    for cp in circle_points(radius, 16):
+        if abs2(dominated, cp.point) >= abs2(dominant, cp.point):
+            return Status.REFUTED, lower, upper, cp
+    return Status.INCONCLUSIVE, lower, upper, None
+
+
+def _assert_matches_reference(fam, dominant, dominated, radius, root_certs):
+    dom = root_product_dominance(fam, dominant, dominated, radius, root_certs)
+    reference = _reference_dominance(fam, dominant, dominated, radius, root_certs)
+    assert (dom.status, dom.lower, dom.upper, dom.witness) == reference
+    return dom
+
+
+@st.composite
+def _dominance_cases(draw):
+    """Hand-built factors with real roots in |z| < rho_j, two sides of them
+    and a circle; some root certificates unproved or too small."""
+    radius = draw(st.sampled_from([F(1, 4), F(1, 2), F(1), F(2)]))
+    factors, certs = [], {}
+    for j in range(1, draw(st.integers(1, 3)) + 1):
+        rho = draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)]))
+        roots = draw(st.lists(
+            st.fractions(min_value=-rho, max_value=rho, max_denominator=64).filter(
+                lambda a, rho=rho: abs(a) < rho
+            ),
+            min_size=1, max_size=3,
+        ))
+        p = Poly.constant(draw(st.sampled_from([1, -1, 2])))
+        for a in roots:
+            p = p * Poly([-a, 1])
+        factors.append(p)
+        status = draw(st.sampled_from([Status.PROVED] * 3 + [Status.INCONCLUSIVE]))
+        count = p.degree if draw(st.booleans()) else p.degree - 1
+        certs[j] = RootLocalization(j, rho, p.degree, count, status, "perturbation", None)
+
+    def side():
+        c = draw(st.fractions(min_value=F(1, 1000), max_value=4, max_denominator=1000))
+        powers = draw(st.lists(
+            st.tuples(st.integers(1, len(factors)), st.integers(1, 2)),
+            max_size=len(factors), unique_by=lambda t: t[0],
+        ))
+        return c, draw(st.integers(0, 2)), tuple(powers)
+
+    return _hand_built(*factors), side(), side(), radius, certs
+
+
+class TestDominanceAgainstReference:
+    """The certificate equals the Fraction reference exactly: the same
+    status, bounds and witness."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_default_family_calls(self, n, built_families, root_certs):
+        fam, certs = built_families[n], root_certs[n]
+        # each root certificate widened to its circle: the bounds no longer
+        # prove, and the circle points decide
+        for dominant, dominated, radius in _dominances(fam):
+            dom = _assert_matches_reference(fam, dominant, dominated, radius, certs)
+            assert dom.status is Status.PROVED
+            swapped = _assert_matches_reference(fam, dominated, dominant, radius, certs)
+            assert swapped.status is Status.REFUTED
+            assert swapped.witness == circle_points(radius, 16)[0]
+            coarse = {
+                j: dataclasses.replace(cert, radius=radius) for j, cert in certs.items()
+            }
+            widened = _assert_matches_reference(fam, dominant, dominated, radius, coarse)
+            assert widened.status is not Status.REFUTED
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dominance_cases())
+    def test_drawn_polynomials(self, case):
+        _assert_matches_reference(*case)
 
 
 def _exact_annulus_failure(p, deg, per_circle):

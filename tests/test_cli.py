@@ -86,11 +86,20 @@ class TestParsing:
         assert "--budget" in capsys.readouterr().err
 
     def test_budget_env_is_ignored(self, monkeypatch, small_config, small_report):
-        for value in ("8", "many"):
-            monkeypatch.setenv("NORICERT_BUDGET", value)
-            report, code = run_verify(small_config)
-            assert code == EXIT_OK
-            assert _strip_meta(report) == _strip_meta(small_report)
+        monkeypatch.setenv("NORICERT_BUDGET", "8")
+        report, code = run_verify(small_config)
+        assert code == EXIT_OK
+        assert _strip_meta(report) == _strip_meta(small_report)
+
+    def test_budget_env_invalid(self, monkeypatch, capsys, tmp_path, small_report):
+        # the variable is no longer read, so a value it could not parse is no
+        # usage error either
+        monkeypatch.setenv("NORICERT_BUDGET", "many")
+        out = tmp_path / "report.json"
+        argv = ["verify", "--n", "2", "--samples", "64", "--seed", "3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "NORICERT_BUDGET" not in capsys.readouterr().err
+        assert _strip_meta(json.loads(out.read_text())) == _strip_meta(small_report)
 
 
 class TestConfigValidation:
