@@ -20,17 +20,27 @@ triples only where the brackets overlap.  Dominances need no brackets:
 ``certify`` proves them from root products in exact rationals, and only
 the circle points that test a failed bound are decided by ``Values``.
 
+A ``Factor`` is a quantity that knows powers of two around itself when it is
+built and forms its bracket only when one is read: a ``Ratio`` of two
+integers reads them from bit lengths, and a ``Product`` of brackets and
+factors with powers sums its atoms' exponents (``products`` builds several
+products over the same atoms and reads each atom's exponents once).  The
+disk trace brackets an image point this way: |f1|^2, |f2|^2 and
+|f2 - f1|^2 are products of eps^2, |lam|^2 and the |P_j|^2 with powers, so
+their exponents cost a few integer additions per point and their 192-bit
+products are formed only for a comparison the exponents leave open.
+
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
 compares powers of two read from the factors' binary exponents
-(``bit_length`` plus the pair exponent, no multiply), and multiplies the
-factor brackets of each side with directed rounding only when those powers
-do not separate.  A directed product never crosses a power of two that
-bounds the exact product on its side, so the exponent stage decides only
-where the product stage would decide the same way: verdicts and exact
-fallbacks are those of the products alone.  Callers settle ``None`` with
-the full integer cross-products, so no truncation ever decides a verdict
-the exact arithmetic would not.
+(``bit_length`` plus the pair exponent, or a ``Factor``'s own exponents; no
+multiply), and multiplies the factor brackets of each side with directed
+rounding only when those powers do not separate.  A directed product never
+crosses a power of two that bounds the exact product on its side, so the
+exponent stage decides only where the product stage would decide the same
+way: verdicts and exact fallbacks are those of the products alone.  Callers
+settle ``None`` with the full integer cross-products, so no truncation ever
+decides a verdict the exact arithmetic would not.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from typing import Optional, Sequence
 from .arith import BALL_BITS, eval_scaled, scaled_abs2
 
 __all__ = [
+    "Factor",
+    "Product",
+    "Ratio",
     "Values",
     "abs2_bracket",
     "ball_abs2",
@@ -50,6 +63,7 @@ __all__ = [
     "constant_factor",
     "gap_bracket",
     "int_bracket",
+    "products",
 ]
 
 _BITS = BALL_BITS
@@ -145,10 +159,11 @@ def constant_factor(q) -> tuple:
 
     The shape of the chart parameters' squares (``FamilyParams.squares``)
     and of the constant factors of ``Values.lt``; built once per
-    certificate, not per point.
+    certificate, not per point.  The two brackets are one-atom ``Product``
+    factors, so a comparison reads their exponents instead of forming them.
     """
     num, den = q.numerator, q.denominator
-    return num, den, int_bracket(num), int_bracket(den)
+    return (num, den, *products([int_bracket(num), int_bracket(den)], ((1, 0), (0, 1))))
 
 
 def _p_quot(a: tuple, b: tuple, up: bool, bits: int) -> tuple[int, int]:
@@ -186,14 +201,33 @@ def abs2_bracket(triple: tuple, bits: int) -> tuple:
     return bracket_div(num, (square(d_lo), square(d_hi)), bits)
 
 
-def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
+def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[Sequence]:
     """The bracket of |f2^(k+1) - f1|^2 from those of |f1|^2 and |f2|^2.
 
     Bounds the difference through the reverse triangle inequality: when the
     two moduli are separated by at least a factor two, |big - small| lies in
     [(1 - t) |big|, (1 + t) |big|] with t the modulus ratio.  Comparable
     moduli (possible cancellation) return None for the exact fallback.
+
+    ``a1`` and ``a2`` are brackets or factors.  When their exponents put
+    |f2|^(2k+2) and |f1|^2 at least 2^3 apart, t <= 2^-1.5 and the result
+    is a ``Factor`` with the exponents of the larger one widened by 2 below
+    and 1 above ((1 - t)^2 > 1/4, (1 + t)^2 < 2), its bracket formed on
+    first read; otherwise the bracket is formed now, or None.
     """
+    e1 = a1.exponents if isinstance(a1, Factor) else _exponents(a1)
+    e2 = a2.exponents if isinstance(a2, Factor) else _exponents(a2)
+    if e1 is not None and e2 is not None:
+        p_lo, p_hi = (k + 1) * e2[0], (k + 1) * e2[1]
+        if p_hi + 3 <= e1[0]:
+            return _Gap(a1, a2, k, (e1[0] - 2, e1[1] + 1))
+        if e1[1] + 3 <= p_lo:
+            return _Gap(a1, a2, k, (p_lo - 2, p_hi + 1))
+    return _gap_ends(a1, a2, k)
+
+
+def _gap_ends(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
+    """``gap_bracket``'s bracket, formed from the ends of ``a1`` and ``a2``."""
     (a1_lo, a1_hi), (a2_lo, a2_hi) = a1, a2
     p_lo = _p_pow(a2_lo, k + 1, False)
     p_hi = _p_pow(a2_hi, k + 1, True)
@@ -214,7 +248,8 @@ def gap_bracket(a1: tuple, a2: tuple, k: int) -> Optional[tuple]:
         one_minus_t_lo: tuple = ((1 << _BITS) - 1, -_BITS)
     else:
         one_minus_t_lo = ((1 << -st) - mt, st)
-    one_plus_t_hi = _p_add((1, 0), t_hi, True)
+    # 1 as a 192-bit mantissa: below one ulp of it, t costs 2^-192, not 1
+    one_plus_t_hi = _p_add((1 << _BITS, -_BITS), t_hi, True)
     lower = _p_mul(big_lo, _p_mul(one_minus_t_lo, one_minus_t_lo, False), False)
     upper = _p_mul(big_hi, _p_mul(one_plus_t_hi, one_plus_t_hi, True), True)
     return lower, upper
@@ -265,18 +300,16 @@ def ball_abs2(
     if not coeffs:
         return (0, 0), (0, 0)
     zr, zi, zrad, ze = ball
-    zabs = abs(zr) + abs(zi)  # an upper bound of |midpoint of z|, in 2^ze
+    zspan = abs(zr) + abs(zi) + zrad  # an upper bound of |z|, in 2^ze
     re, e, rad = coeffs[-1]
     im = 0
     for m, ce, cr in reversed(coeffs[:-1]):
         # acc * z: |A Z - a z| <= |a| rad_z + rad_a |z| + rad_a rad_z
-        re, im, rad = (
-            re * zr - im * zi,
-            re * zi + im * zr,
-            (abs(re) + abs(im)) * zrad + rad * (zabs + zrad),
-        )
+        rad = (abs(re) + abs(im)) * zrad + rad * zspan if zrad else rad * zspan
+        re, im = re * zr - im * zi, re * zi + im * zr
         e += ze
-        k = max(re.bit_length(), im.bit_length(), rad.bit_length()) - _BITS
+        # the largest bit length of re, im and rad
+        k = (abs(re) | abs(im) | rad).bit_length() - _BITS
         if k > 0:
             # two floors lose less than sqrt(2) < 2 units, the radius rounds up
             re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
@@ -286,11 +319,10 @@ def ball_abs2(
         if not (re or im or rad):
             re, rad, e = m, cr, ce
             continue
-        top_c = ce + max(m.bit_length(), cr.bit_length())
-        if top_c + 1 <= e:
+        if ce + (abs(m) | cr).bit_length() + 1 <= e:
             rad += 1  # c is below one unit of the accumulator
             continue
-        if e + max(re.bit_length(), im.bit_length(), rad.bit_length()) + 2 <= ce:
+        if e + (abs(re) | abs(im) | rad).bit_length() + 2 <= ce:
             re, im, rad, e = m, 0, cr + 1, ce  # the accumulator is below one unit of c
             continue
         if e >= ce:
@@ -299,7 +331,7 @@ def ball_abs2(
         else:
             sh = ce - e
             re, rad = re + (m << sh), rad + (cr << sh)
-        k = max(re.bit_length(), im.bit_length(), rad.bit_length()) - _BITS
+        k = (abs(re) | abs(im) | rad).bit_length() - _BITS
         if k > 0:
             re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
     # |p| lies in [root - rad, root + 1 + rad] with root = isqrt(re^2 + im^2)
@@ -307,25 +339,180 @@ def ball_abs2(
     root = math.isqrt(norm)
     hi = root + rad + (root * root < norm)
     lo = root - rad
-    return (
-        _p_trunc(lo * lo, 2 * e, False) if lo > 0 else (0, 0),
-        _p_trunc(hi * hi, 2 * e, True),
-    )
+    # the squares, truncated to _BITS bits: the lower one down, the upper up
+    hi *= hi
+    k = hi.bit_length() - _BITS
+    upper = (-((-hi) >> k), 2 * e + k) if k > 0 else (hi, 2 * e)
+    if lo <= 0:
+        return (0, 0), upper
+    lo *= lo
+    k = lo.bit_length() - _BITS
+    return ((lo >> k, 2 * e + k) if k > 0 else (lo, 2 * e)), upper
 
 
-def _exponent_bounds(side: Sequence[tuple]) -> Optional[tuple[int, int]]:
+def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
+    """Powers of two around one bracket; None if its lower end is 0.
+
+    Returns ``(lo, hi)`` with 2^lo <= the lower end and the upper end <=
+    2^hi: a positive pair ``(m, s)`` lies in [2^(E-1), 2^E) with
+    E = s + m.bit_length().
+    """
+    (m_lo, s_lo), (m_hi, s_hi) = bracket
+    if not m_lo:
+        return None
+    return s_lo + m_lo.bit_length() - 1, s_hi + m_hi.bit_length()
+
+
+class Factor:
+    """A nonnegative factor of ``bracket_lt``: exponents now, a bracket later.
+
+    ``exponents`` is ``(lo, hi)`` such that the value and both ends of
+    ``bracket`` lie in [2^lo, 2^hi], or None when the bracket's lower end is
+    ``(0, 0)``; it is set when the factor is built, and ``bracket_lt``
+    decides on it without a multiply.  ``bracket``, the ``(lower, upper)``
+    pair of pairs, is formed on first read: by a comparison the exponents
+    leave open, or by a caller that needs the ends.  A factor reads as its
+    bracket: it unpacks, indexes and compares equal as that pair.
+    """
+
+    __slots__ = ("exponents", "_bracket")  # both set by each subclass
+
+    def _form(self) -> tuple:
+        raise NotImplementedError
+
+    @property
+    def bracket(self) -> tuple:
+        if self._bracket is None:
+            self._bracket = self._form()
+        return self._bracket
+
+    def __getitem__(self, i: int) -> tuple:
+        return self.bracket[i]
+
+    def __iter__(self):
+        return iter(self.bracket)
+
+    def __eq__(self, other) -> bool:
+        return self.bracket == (other.bracket if isinstance(other, Factor) else other)
+
+    __hash__ = None  # compared by value, like the bracket it reads as
+
+
+class Ratio(Factor):
+    """The rational num/den (num >= 0, den > 0) as a ``Factor``.
+
+    With num in [2^(bn-1), 2^bn) and den in [2^(bd-1), 2^bd), num/den lies
+    in (2^(bn-1-bd), 2^(bn-bd+1)).  The bracket is one exact division at 192
+    bits: the floor of the quotient, and one unit above it unless the
+    division is exact.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        bn, bd = num.bit_length(), den.bit_length()
+        self.exponents = (bn - 1 - bd, bn - bd + 1) if num else None
+        self.num, self.den, self._bracket = num, den, None
+
+    def _form(self) -> tuple:
+        num, den = self.num, self.den
+        if not num:
+            return (0, 0), (0, 0)
+        k = _BITS + den.bit_length() - num.bit_length()
+        if k >= 0:
+            m, rest = divmod(num << k, den)
+        else:
+            m, rest = divmod(num, den << -k)
+        return (m, -k), (m + (rest > 0), -k)
+
+
+class Product(Factor):
+    """prod_i x_i^(e_i) as a ``Factor``, each x_i >= 0 in ``atoms[i]``.
+
+    An atom is a bracket or a ``Factor``.  The exponents are the sums that
+    ``products`` forms from the atoms' exponents; the bracket is the
+    directed product of the atoms' powers at 192 bits.
+    """
+
+    __slots__ = ("atoms", "powers")
+
+    def __init__(
+        self,
+        atoms: Sequence,
+        powers: Sequence[int],
+        exponents: Optional[tuple[int, int]],
+    ):
+        self.exponents, self.atoms, self.powers = exponents, atoms, powers
+        self._bracket = None
+
+    def _form(self) -> tuple:
+        lo = hi = None
+        for (a_lo, a_hi), e in zip(self.atoms, self.powers):
+            if not e:
+                continue
+            f_lo, f_hi = _p_pow(a_lo, e, False), _p_pow(a_hi, e, True)
+            if lo is not None:
+                f_lo, f_hi = _p_mul(lo, f_lo, False), _p_mul(hi, f_hi, True)
+            lo, hi = f_lo, f_hi
+        if lo is None:
+            lo = hi = (1, 0)  # the empty product
+        return ((0, 0) if self.exponents is None else lo), hi
+
+
+class _Gap(Factor):
+    """``gap_bracket``'s result when the exponents of its two terms separate.
+
+    The bracket is ``_gap_ends``'s, which is never None here: with
+    t^2 <= 2^-3 the ratio stays certified below 1/2.
+    """
+
+    __slots__ = ("a1", "a2", "k")
+
+    def __init__(self, a1: Sequence, a2: Sequence, k: int, exponents: tuple[int, int]):
+        self.exponents, self.a1, self.a2, self.k = exponents, a1, a2, k
+        self._bracket = None
+
+    def _form(self) -> tuple:
+        return _gap_ends(self.a1, self.a2, self.k)
+
+
+def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
+    """One ``Product`` of ``atoms`` per power vector of ``forms``.
+
+    The atoms' exponents are read once, and each product's sums are formed
+    here, once.
+    """
+    exps = [a.exponents if isinstance(a, Factor) else _exponents(a) for a in atoms]
+    out = []
+    for powers in forms:
+        lo = hi = 0
+        for ex, e in zip(exps, powers):
+            if e:
+                if ex is None:
+                    out.append(Product(atoms, powers, None))
+                    break
+                lo += e * ex[0]
+                hi += e * ex[1]
+        else:
+            out.append(Product(atoms, powers, (lo, hi)))
+    return out
+
+
+def _exponent_bounds(side: Sequence) -> Optional[tuple[int, int]]:
     """Powers of two around one side's products; None if a lower end is 0.
 
     Returns ``(lo, hi)`` with 2^lo <= the product of the lower ends and the
-    product of the upper ends <= 2^hi.  A positive pair ``(m, s)`` lies in
-    [2^(E-1), 2^E) with E = s + m.bit_length(); an empty side is 1 = 2^0.
+    product of the upper ends <= 2^hi: the sums of the exponents a
+    ``Factor`` was built with and of those ``_exponents`` reads from a
+    bracket.  An empty side is 1 = 2^0.
     """
     lo_exp = hi_exp = 0
-    for (m_lo, s_lo), (m_hi, s_hi) in side:
-        if not m_lo:
+    for f in side:
+        exps = f.exponents if isinstance(f, Factor) else _exponents(f)
+        if exps is None:
             return None
-        lo_exp += s_lo + m_lo.bit_length() - 1
-        hi_exp += s_hi + m_hi.bit_length()
+        lo_exp += exps[0]
+        hi_exp += exps[1]
     return lo_exp, hi_exp
 
 
@@ -343,25 +530,27 @@ def _side_product(side: Sequence[tuple], bits: int) -> tuple:
     return p_lo, p_hi
 
 
-def bracket_lt(
-    lhs: Sequence[tuple], rhs: Sequence[tuple], *, closed: bool = False
-) -> Optional[bool]:
+def bracket_lt(lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> Optional[bool]:
     """Decide ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) by brackets.
 
-    Two stages, each returning the verdict when the two sides separate:
+    A factor is a bracket or a ``Factor``.  Two stages, each returning the
+    verdict when the two sides separate:
 
     * Exponents.  Sums of the factors' binary exponents give a power of two
       ``2^lo`` at or below each side's lower product and ``2^hi`` at or
-      above its upper product, read from ``bit_length`` alone (the stage is
-      skipped when a lower end is zero).  Directed truncation keeps a product
-      on its side of a power of two, so the product stage's lower end is
-      >= 2^lo and its upper end <= 2^hi; the stage demands the same strict
-      or non-strict separation of these powers as the product stage does of
-      its ends, and so returns a verdict only where the product stage would
-      return the same one, without a multiply.
-    * Products.  Each side is the product of its factors' brackets,
-      multiplied with directed rounding at the precision of the widest
-      factor (at least 192 bits).
+      above its upper product: a ``Factor`` brings the exponents it was
+      built with, a bracket those of ``_exponents``, read from
+      ``bit_length`` alone, and an empty side is 1 = 2^0 (the stage is
+      skipped when a lower end is zero).  Directed truncation keeps a
+      product on its side of a power of two, and a factor's bracket lies
+      within its exponents, so the product stage's lower end is >= 2^lo
+      and its upper end <= 2^hi; the stage demands the same strict or
+      non-strict separation of these powers as the product stage does of
+      its ends, and so returns a verdict only where the product stage
+      would return the same one, without a multiply.
+    * Products.  Each side is the product of its factors' brackets (a
+      ``Factor``'s is formed on first read), multiplied with directed
+      rounding at the precision of the widest factor (at least 192 bits).
 
     Returns ``None`` when the product brackets overlap; the caller then
     decides exactly.
@@ -379,6 +568,8 @@ def bracket_lt(
                 return True
             if r_max <= l_min:
                 return False
+    lhs = [f.bracket if isinstance(f, Factor) else f for f in lhs]
+    rhs = [f.bracket if isinstance(f, Factor) else f for f in rhs]
     bits = max((hi[0].bit_length() for _, hi in (*lhs, *rhs)), default=0)
     bits = max(bits, _BITS)
     l_lo, l_hi = _side_product(lhs, bits)

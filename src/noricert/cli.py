@@ -17,9 +17,10 @@ Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
 each certificate stage per size, ``deep_scale``: how many image points the
 chart-cone ladders bracketed by ball Horner, and how many of those needed
-the exact triples after all, ``boundary``: the same two counts for each
-loop over exact circle points (the annulus bounds, the target region, the
-chart window, the base chart and the boundary sup).
+the exact triples after all, ``witness``: the same two counts for the
+cone-window witness's sampled image points, ``boundary``: the same two
+counts for each loop over exact circle points (the annulus bounds, the
+target region, the chart window, the base chart and the boundary sup).
 """
 
 import argparse
@@ -64,7 +65,8 @@ EXIT_USAGE = 64
 
 REPORT_SCHEMA = "noricert-report/2"
 
-# the counts of the ladder and of each exact-circle-point loop in ``meta``
+# the counts of the ladder, the witness and each exact-circle-point loop in
+# ``meta``
 _WORK_COUNTS = ("points", "exact_fallbacks")
 _BOUNDARY_LOOPS = ("annulus", "target", "window", "base", "sup")
 
@@ -274,8 +276,9 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     """All certificate layers for one size.
 
     Returns the per-n report entry and what the size adds to ``meta``: the
-    trace's deep-scale ladder counts (``deep_scale``), the points and exact
-    fallbacks of each exact-circle-point loop (``boundary``) and the seconds
+    trace's deep-scale ladder counts (``deep_scale``), the cone-window
+    witness's counts (``witness``), the points and exact fallbacks of each
+    exact-circle-point loop (``boundary``) and the seconds
     of each stage (``stages``); that is empty when the family is refuted
     before it is built.  This is the one place that orders the stages of a family: each
     stage runs once and receives the earlier stages it uses as arguments.
@@ -405,6 +408,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     }
     return entry, {
         "deep_scale": trace.ladder,
+        "witness": trace.witness,
         "boundary": {"annulus": annulus.counts(), **trace.boundary},
         "stages": stages,
     }
@@ -492,6 +496,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
             ),
             "elapsed_seconds": round(time.time() - started, 3),
             "deep_scale": totals("deep_scale", _WORK_COUNTS),
+            "witness": totals("witness", _WORK_COUNTS),
             "boundary": {
                 **{
                     loop: {

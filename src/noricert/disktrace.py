@@ -23,12 +23,21 @@ Every verdict is exact: moduli are compared through their squares, by
 certified brackets that fall back to exact integer arithmetic whenever they
 cannot decide.  Each sampled layer draws its points as integer triples
 ``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
-deterministic given its seed and builds no rational number per sample.  The
-values at every sampled point and at every exact circle point of a spot
-check take one path, ``bounds.Values``: they are bracketed by ball Horner
-(``bounds.ball_abs2``), and their exact ``eval_scaled`` triples are
-evaluated only when a comparison or a zero test is left undecided, or when a
-refutation renders its witness as exact rationals with
+deterministic given its seed and builds no rational number per sample.  A
+sampled image point is an ``_Image``.  When the family's three exact
+identities are proved, it is bracketed through the factors: square-ratio
+with difference-factorization gives f1^2 = (eps lam^n prod P_j^j)^2 and
+power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
+|f2|^2 and |f2 - f1|^2 = eps^2 |lam|^2 |P_1|^4 prod_{j>=2} |P_j|^2 are
+products, with powers, of eps^2, the exact |lam|^2 and the ball brackets
+(``bounds.ball_abs2``) of the low-degree factors; the difference needs no
+subtraction.  Their binary exponents are summed once per point and decide
+almost every predicate; the 192-bit products are formed only where the
+exponents overlap.  Without those proofs the atoms are |f1|^2 and |f2|^2
+themselves.  The values at every exact circle point of a spot check take
+``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
+are evaluated only when a comparison or a zero test is left undecided, or
+when a refutation renders its witness as exact rationals with
 ``scaled_to_complex``.  The boundary sup keeps its exact triples and
 compares their squares through brackets of escalating precision.
 """
@@ -40,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     BALL_BITS,
@@ -54,12 +63,16 @@ from .arith import (
 )
 from .atlas import ChartPoint, chart_cover_indices
 from .bounds import (
+    Ratio,
     Values,
     abs2_bracket,
+    ball_abs2,
+    ball_point,
     bracket_div,
     bracket_lt,
     constant_factor,
     gap_bracket,
+    products,
 )
 from .certify import (
     CorollaryReport,
@@ -129,36 +142,121 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
 # work on brackets and unreduced ``eval_scaled`` triples.  Every sampled
-# image point is an ``_Image`` and every exact circle point of a spot check
-# a ``bounds.Values``: it brackets the squared moduli of its polynomials by
-# ``bounds.ball_abs2``, from one ball of the point, when it is built, and
-# evaluates its exact triples only when they are read.  Every predicate and
-# spot check is decided on ball brackets, by ``bounds.bracket_lt`` against
-# brackets of the constants built once per certificate (the family's
-# ``FamilyParams.squares`` among them), and integer cross-multiplication of
-# the exact triples decides where the brackets overlap; the zero tests read
-# the triples only when a bracket reaches 0.  The Fraction predicates of the
-# atlas module remain the reference semantics; the test suite
-# cross-validates the paths.
+# image point is an ``_Image``: it brackets |f1|^2, |f2|^2 and, for the
+# chart-0 cone, |f2 - f1|^2 as ``bounds.Product``s over the atoms of its
+# factor map (``_image_factors``), through the factors P_j when the family's
+# identities prove the product forms, and sums their binary exponents when
+# it is built.  Every exact circle point of a spot check is a
+# ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from one ball of the
+# point.  Every predicate and spot check is decided by ``bounds.bracket_lt``
+# against brackets of the constants built once per certificate (the
+# family's ``FamilyParams.squares`` among them): first on exponents, then on
+# directed 192-bit products of the same atoms, and integer
+# cross-multiplication of the exact triples of f1 and f2 decides where those
+# overlap; the zero tests read the triples only when a bracket reaches 0.
+# The Fraction predicates of the atlas module remain the reference
+# semantics; the test suite cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
-class _Image(Values):
-    """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
+# the identities that prove the product forms of ``_image_factors``
+_FACTOR_IDENTITIES = ("power-ratio", "square-ratio", "difference-factorization")
 
-    ``a1`` and ``a2`` bracket |f1(lam)|^2 and |f2(lam)|^2, and ``v1`` and
-    ``v2`` are the exact ``eval_scaled`` triples, both evaluated the first
-    time either is read: by a predicate whose bracket comparison was
-    undecided, by a zero test whose bracket reaches 0, or by a refutation
-    that renders the point.
+
+class _Factors(NamedTuple):
+    """How an image brackets |f1|^2, |f2|^2 and, at k = 0, |f2 - f1|^2.
+
+    The atoms of a point are ``constants`` (``bounds`` factors), then
+    |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``;
+    ``forms`` holds one power vector over the atoms for each of the three
+    quantities, or for the first two only, when the cone test brackets the
+    difference by ``gap_bracket``.
     """
 
-    __slots__ = ("fam", "a1", "a2")
+    constants: tuple
+    lam: bool
+    polys: tuple
+    forms: tuple
 
-    def __init__(self, fam: Family, num_re: int, num_im: int, den: int):
-        super().__init__((fam.f1, fam.f2), num_re, num_im, den)
-        self.fam = fam
-        self.a1, self.a2 = self.abs2
+
+def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Factors:
+    """The factor map of ``fam``'s images, built once per certificate.
+
+    With the three identities of ``_FACTOR_IDENTITIES`` proved, the atoms
+    are eps^2, |lam|^2 and the |P_j|^2, and
+
+        |f1|^2 = eps^2 |lam|^(2n) prod |P_j|^(2j),
+        |f2|^2 = eps^4 |lam|^2 prod |P_j|^2,
+        |f2 - f1|^2 = eps^2 |lam|^2 |P_1|^4 prod_{j>=2} |P_j|^2,
+
+    a product without cancellation.  Square-ratio with
+    difference-factorization gives f1^2 = (eps lam^n prod P_j^j)^2, which
+    fixes |f1|; power-ratio then gives |f2|^(2n) = (eps^4 |lam|^2
+    prod |P_j|^2)^n, which fixes |f2|; difference-factorization is
+    f2 - f1 = eps lam P_1^2 prod_{j>=2} P_j.  Otherwise (or without
+    ``identities``) the atoms are |f1|^2 and |f2|^2 themselves.
+    """
+    if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
+        return _Factors((), False, (fam.f1, fam.f2), ((1, 0), (0, 1)))
+    n = fam.n
+    eps2 = fam.params.eps**2
+    ones = (1,) * (n - 2)
+    return _Factors(
+        (Ratio(eps2.numerator, eps2.denominator),),
+        True,
+        tuple(fam.Pk(j) for j in range(1, n)),
+        ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
+    )
+
+
+class _Image:
+    """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
+
+    ``a1`` and ``a2`` are ``bounds.Product`` brackets of |f1(lam)|^2 and
+    |f2(lam)|^2, and ``gap`` one of |f2(lam) - f1(lam)|^2 (None when the
+    factor map has no form for it), all over the atoms of ``factors``
+    (``_image_factors``; by default |f1|^2 and |f2|^2): one ``ball_point``
+    of lam, and one ``ball_abs2`` per polynomial of the map.  ``v1`` and
+    ``v2`` are the exact ``eval_scaled`` triples of f1 and f2, both
+    evaluated the first time either is read: by a predicate whose bracket
+    comparison was undecided, by a zero test whose bracket reaches 0, or by
+    a refutation that renders the point.
+    """
+
+    __slots__ = ("fam", "lam", "a1", "a2", "gap", "_triples")
+
+    def __init__(
+        self,
+        fam: Family,
+        num_re: int,
+        num_im: int,
+        den: int,
+        factors: Optional[_Factors] = None,
+    ):
+        factors = _image_factors(fam) if factors is None else factors
+        ball = ball_point(num_re, num_im, den)
+        atoms = list(factors.constants)
+        if factors.lam:
+            # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
+            atoms.append(Ratio(num_re * num_re + num_im * num_im, den * den))
+        for p in factors.polys:
+            atoms.append(ball_abs2(p, num_re, num_im, den, ball=ball))
+        self.a1, self.a2, *gap = products(atoms, factors.forms)
+        self.gap = gap[0] if gap else None
+        self.fam, self.lam = fam, (num_re, num_im, den)
+        self._triples: Optional[tuple] = None
+
+    @property
+    def evaluated(self) -> bool:
+        """Whether the exact triples have been evaluated."""
+        return self._triples is not None
+
+    @property
+    def triples(self) -> tuple:
+        if self._triples is None:
+            fam = self.fam
+            self._triples = (eval_scaled(fam.f1, *self.lam), eval_scaled(fam.f2, *self.lam))
+        return self._triples
 
     @property
     def v1(self) -> tuple:
@@ -170,8 +268,8 @@ class _Image(Values):
 
     def vanishes(self, i: int) -> bool:
         """Exact f_i(lam) = 0; the triples are read only if a_i reaches 0."""
-        lower = (self.a1, self.a2)[i - 1][0]
-        return lower[0] == 0 and self.triples[i - 1][:2] == (0, 0)
+        product = (self.a1, self.a2)[i - 1]
+        return product.exponents is None and self.triples[i - 1][:2] == (0, 0)
 
 
 def _count(tally: Counter, values) -> None:
@@ -235,7 +333,10 @@ def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
     """
     squares = fam.params.squares
     pn2, pd2, pn2_b, pd2_b = squares.half_rho2 if halved else squares.rho2
-    gap = gap_bracket(img.a1, img.a2, k)
+    if k == 0 and img.gap is not None:
+        gap = img.gap
+    else:
+        gap = gap_bracket(img.a1, img.a2, k)
     if gap is not None:
         verdict = bracket_lt(
             [img.a1, img.a1, pd2_b], [pn2_b, gap, *[img.a2] * k], closed=halved
@@ -278,10 +379,11 @@ def _cover_indices_scaled(
     """
     if not _in_cover_region(fam, img):
         return False, ()
+    # at k = 0 membership is |f1| < r, which _in_cover_region has decided
     indices = [
         k
         for k in range(k_max + 1)
-        if _chart_entry_test(fam, img, k) and _member_test(fam, img, k)
+        if _chart_entry_test(fam, img, k) and (k == 0 or _member_test(fam, img, k))
     ]
     return True, tuple(indices)
 
@@ -298,9 +400,10 @@ def _first_open_cone_scaled(
     if not _in_cover_region(fam, img):
         return False, None
     for k in range(k_limit):
+        # at k = 0 membership is |f1| < r, which _in_cover_region has decided
         if (
             _chart_entry_test(fam, img, k)
-            and _member_test(fam, img, k)
+            and (k == 0 or _member_test(fam, img, k))
             and _cone_test(fam, img, k, halved=False)
         ):
             return True, k
@@ -524,11 +627,12 @@ def image_in_chart_window(
     # one index beyond n suffices for the scan: membership at any k >= n
     # would already contradict |f2|^n < |f1| (and |f2| < 1) shown above
     k_max = n + 1
+    factors = _image_factors(fam, identities)
     accepted = 0
     attempts = 0
     while accepted < samples and attempts < 40 * samples:
         attempts += 1
-        img = _Image(fam, *sampler.dyadic_in_disk(2))
+        img = _Image(fam, *sampler.dyadic_in_disk(2), factors)
         if img.vanishes(2):
             continue  # exact exclusion of the common zero set
         in_region, indices = _cover_indices_scaled(fam, img, k_max)
@@ -584,18 +688,21 @@ def image_in_chart_window(
 _ENTRY_CAP = 4096  # deepest decimal scale the entry probe tries
 
 
-def _entry_scale(fam: Family, k: int, tally: Counter) -> Optional[int]:
+def _entry_scale(
+    fam: Family, k: int, tally: Counter, factors: Optional[_Factors] = None
+) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
     Deep enough scales are always members (the components' vanishing orders
     at 0 differ), so a doubling probe finds a member and bisection against
     the last failing probe locates an entry threshold.  Sampling does not
     rely on membership between the two probes: every sampled point is tested
-    for membership exactly before use.  ``tally`` counts the probe images.
+    for membership exactly before use.  ``tally`` counts the probe images,
+    bracketed through ``factors`` (``_Image``'s default when None).
     """
 
     def member(e: int) -> bool:
-        img = _Image(fam, 1, 0, 10**e)
+        img = _Image(fam, 1, 0, 10**e, factors)
         verdict = _member_test(fam, img, k)
         _count(tally, img)
         return verdict
@@ -675,7 +782,8 @@ def chart_cone_certificate(
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
 
-    entry = _entry_scale(fam, k, tally)
+    factors = _image_factors(fam, identities)
+    entry = _entry_scale(fam, k, tally, factors)
     data: dict = {"chart": k, "seed": seed, "entry_scale": entry, "core": core.to_json()}
     if entry is None:
         return Certificate(
@@ -688,7 +796,7 @@ def chart_cone_certificate(
     accepted = 0
     full_membership_checks = 0
     for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
-        img = _Image(fam, a, b, den)
+        img = _Image(fam, a, b, den, factors)
         try:
             if not _member_test(fam, img, k):
                 continue
@@ -860,9 +968,11 @@ def base_chart_certificate(
 
 def cone_window_witness(
     fam: Family,
+    identities: CheckReport,
     *,
     samples: int = 2000,
     seed: int = 0,
+    tally: Optional[Counter] = None,
 ) -> Certificate:
     """Sampled witness that image points sit in a chart with its cone open.
 
@@ -873,8 +983,13 @@ def cone_window_witness(
     the image point with its open cone condition holding at the family's rho.
     The absence of chart memberships at indices n and above is not re-sampled
     here: the divisibility window certificate proves it for the whole disk.
+    The images are bracketed through the factors when ``identities`` proves
+    the three identities of ``_FACTOR_IDENTITIES`` (see ``_image_factors``).
+    ``tally`` counts the drawn image points and their exact fallbacks.
     """
     n = fam.n
+    factors = _image_factors(fam, identities)
+    tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     accepted = 0
     attempts = 0
@@ -884,10 +999,13 @@ def cone_window_witness(
         a, b, den = sampler.dyadic_in_disk(2)
         if attempts % 2 == 0:
             den *= 10 ** sampler.randint(0, 12)
-        img = _Image(fam, a, b, den)
-        if img.vanishes(2):
-            continue
-        in_region, cone_index = _first_open_cone_scaled(fam, img, n)
+        img = _Image(fam, a, b, den, factors)
+        try:
+            if img.vanishes(2):
+                continue
+            in_region, cone_index = _first_open_cone_scaled(fam, img, n)
+        finally:
+            _count(tally, img)
         if not in_region or cone_index is None:
             return Certificate(
                 "cone-window-witness",
@@ -1088,16 +1206,27 @@ def _exceeds(p: _SupPoint, i: int, s: _SupPoint, j: int) -> bool:
 
 
 def _conjugate_half(pts: Sequence[tuple]) -> Sequence[tuple]:
-    """The points with num_im >= 0 if ``pts`` is closed under conjugation.
+    """The points with num_im >= 0 if ``pts`` pairs up as ``circle_triples`` does.
 
-    Otherwise every point: the skip is sound only when each dropped point's
-    conjugate ``(a, -b, den)`` is in the list.
+    ``circle_triples`` returns two charts of h points each; in each chart
+    the point i pairs with the point h - i (t and -t), and the first points
+    of the two charts (t = -1) pair with each other.  Every point with
+    num_im < 0 must be the conjugate ``(a, -b, den)`` of its partner, which
+    has num_im > 0 and is kept.  A list that does not pair up this way is
+    returned whole: the skip is sound only when each dropped point's
+    conjugate is evaluated.
     """
-    upper = [pt for pt in pts if pt[1] >= 0]
-    present = set(upper)
-    if all((a, -b, den) in present for a, b, den in pts if b < 0):
-        return upper
-    return pts
+    count = len(pts)
+    half = count // 2
+    if count % 2:
+        return pts
+    for i, (a, b, den) in enumerate(pts):
+        if b < 0:
+            j = i % half
+            partner = (i + half) % count if j == 0 else i - j + half - j
+            if pts[partner] != (a, -b, den):
+                return pts
+    return [pt for pt in pts if pt[1] >= 0]
 
 
 def _boundary_sup(
@@ -1225,7 +1354,8 @@ class TraceReport:
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
     (``points``) and those whose exact triples a predicate needed
-    (``exact_fallbacks``); ``boundary`` holds the same two counts for each
+    (``exact_fallbacks``), ``witness`` the same two counts for the
+    cone-window witness; ``boundary`` holds the same two counts for each
     exact-circle-point loop of the trace (``target``, ``window``, ``base``
     and ``sup``).  They describe the work, not the verdict, and are not part
     of ``to_json``.
@@ -1242,6 +1372,7 @@ class TraceReport:
     status: Status
     detail: str = ""
     ladder: dict = field(default_factory=dict, compare=False)
+    witness: dict = field(default_factory=dict, compare=False)
     boundary: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -1337,7 +1468,10 @@ def trace_family(
         samples=max(cone_samples, 256),
         tally=boundary["base"],
     )
-    witness = cone_window_witness(fam, samples=witness_samples, seed=seed)
+    witness_tally: Counter = Counter()
+    witness = cone_window_witness(
+        fam, identities, samples=witness_samples, seed=seed, tally=witness_tally
+    )
     condition_i = _combine(
         "disk-into-chart-cones", [window, base, *cones, witness]
     )
@@ -1385,6 +1519,7 @@ def trace_family(
         status=status,
         detail=_TRACE_DETAIL[status],
         ladder={key: tally[key] for key in _WORK_COUNTS},
+        witness={key: witness_tally[key] for key in _WORK_COUNTS},
         boundary={
             loop: {key: counts[key] for key in _WORK_COUNTS}
             for loop, counts in boundary.items()

@@ -12,6 +12,7 @@ equal their ``Fraction`` references.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,8 @@ from noricert.bounds import (
     _p_sqrt,
     _p_trunc,
     _side_product,
+    Factor,
+    Ratio,
     Values,
     abs2_bracket,
     ball_abs2,
@@ -39,6 +42,7 @@ from noricert.bounds import (
     constant_factor,
     gap_bracket,
     int_bracket,
+    products,
 )
 from noricert.certify import circle_points, circle_triples
 
@@ -110,6 +114,38 @@ class TestGapBracket:
                 exact = (c ** (k + 1) - a) ** 2
                 assert _value(gap[0]) <= exact <= _value(gap[1]), (a, c, k)
         assert decided >= 4000
+
+    def test_separated_exponents_give_a_factor(self):
+        # moduli at least 2^3 apart by exponents: a factor whose exponents
+        # enclose the exact gap and its bracket, formed only when read;
+        # closer moduli keep the eager bracket (or None)
+        rng = random.Random(2)
+        kinds = Counter()
+        for _ in range(3000):
+            a = rng.getrandbits(rng.randrange(1, 400)) + 1
+            c = rng.getrandbits(rng.randrange(1, 200)) + 1
+            k = rng.randrange(3)
+            if rng.random() < 0.3:  # |f1| within a factor 8 of |f2|^(k+1)
+                a = max(1, c ** (k + 1) * rng.randrange(1, 9) // rng.randrange(1, 9))
+            a1, a2 = ball_abs2(Poly.x(), a, 0, 1), ball_abs2(Poly.x(), c, 0, 1)
+            if rng.random() < 0.5:
+                a2 = Ratio(c * c, 1)
+            gap = gap_bracket(a1, a2, k)
+            exact = F((c ** (k + 1) - a) ** 2)
+            if isinstance(gap, Factor):
+                kinds["factor"] += 1
+                assert gap._bracket is None
+                lo, hi = gap.exponents
+                assert F(2) ** lo <= exact <= F(2) ** hi
+                bracket = gap.bracket
+                assert bracket is not None
+                assert F(2) ** lo <= _value(bracket[0]) <= exact <= _value(bracket[1]) <= F(2) ** hi
+            elif gap is not None:
+                kinds["bracket"] += 1
+                assert _value(gap[0]) <= exact <= _value(gap[1])
+            else:
+                kinds["none"] += 1
+        assert min(kinds["factor"], kinds["bracket"], kinds["none"]) > 100
 
 
 def _exact(x):
@@ -481,6 +517,144 @@ class TestExponentStage:
                     split = [((1, a - 3), (1, a - 3)), ((1, 3), (1, 3))]
                     assert bracket_lt(split, rhs) == (left < right)
                     assert bracket_lt(split, rhs, closed=True) == (left <= right)
+
+
+def _exact_power_of_two_bounds(exponents, value):
+    lo, hi = exponents
+    assert F(2) ** lo <= value <= F(2) ** hi
+
+
+def _extreme_ratios():
+    """num/den at the ends of the ranges their bit lengths allow."""
+    for bn in (1, 2, 5, 64, 193, 700):
+        for bd in (1, 2, 7, 192, 400):
+            for num in (1 << (bn - 1), (1 << bn) - 1):
+                for den in (1 << (bd - 1), (1 << bd) - 1):
+                    yield num, den
+
+
+class TestFactors:
+    """``Ratio`` and ``Product``: exponents when built, brackets on demand."""
+
+    def test_ratio_exponents_at_the_ends_of_their_ranges(self):
+        # num = 2^(bn-1) over den = 2^bd - 1 is the smallest quotient the
+        # bit lengths allow, just above 2^(bn-1-bd); the largest is just
+        # below 2^(bn-bd+1)
+        for num, den in _extreme_ratios():
+            lo, hi = Ratio(num, den).exponents
+            assert F(2) ** lo < F(num, den) < F(2) ** hi
+
+    def test_ratio_bracket_encloses_the_quotient(self):
+        rng = random.Random(31)
+        cases = list(_extreme_ratios())
+        for _ in range(300):
+            num = rng.getrandbits(rng.randrange(1, 3000))
+            cases.append((num, rng.getrandbits(rng.randrange(1, 3000)) + 1))
+        for num, den in cases:
+            ratio = Ratio(num, den)
+            lo, hi = ratio.bracket
+            assert _value(lo) <= F(num, den) <= _value(hi)
+            if num:
+                assert lo[0].bit_length() in (_BITS, _BITS + 1) and hi[0] - lo[0] <= 1
+                _exact_power_of_two_bounds(ratio.exponents, _value(lo))
+                _exact_power_of_two_bounds(ratio.exponents, _value(hi))
+        exact = Ratio(3 << 500, 1 << 200)
+        assert exact.bracket[0] == exact.bracket[1]
+        assert _value(exact.bracket[0]) == 3 << 300
+
+    def test_zero_ratio(self):
+        zero = Ratio(0, 7)
+        assert zero.exponents is None
+        assert zero.bracket == ((0, 0), (0, 0))
+
+    def test_a_factor_reads_as_its_bracket(self):
+        ratio = Ratio(5, 3)
+        assert ratio._bracket is None  # formed on first read only
+        lo, hi = ratio
+        assert (lo, hi) == ratio.bracket == (ratio[0], ratio[1])
+        assert isinstance(ratio, Factor)
+
+    def test_products_enclose_the_exact_products(self):
+        # atoms mixing ratios, integer brackets, ball-like brackets and a
+        # power-of-two bracket; powers 0..4
+        rng = random.Random(32)
+        for _ in range(400):
+            atoms, values = [], []
+            for _ in range(rng.randrange(1, 6)):
+                pick = rng.random()
+                if pick < 0.3:
+                    num = rng.getrandbits(rng.randrange(1, 400)) + 1
+                    den = rng.getrandbits(rng.randrange(1, 400)) + 1
+                    atoms.append(Ratio(num, den))
+                    values.append((F(num, den), F(num, den)))
+                elif pick < 0.5:
+                    atoms.append(_power_of_two_bracket(rng))
+                    values.append(tuple(_value(end) for end in atoms[-1]))
+                else:
+                    bracket, value = TestBracketLt._factor(rng, rng.choice([1, 64, 300]))
+                    atoms.append(bracket)
+                    values.append((value, value))
+            forms = [tuple(rng.randrange(5) for _ in atoms) for _ in range(3)]
+            for product, powers in zip(products(atoms, forms), forms):
+                lower = math.prod(v[0] ** e for v, e in zip(values, powers))
+                upper = math.prod(v[1] ** e for v, e in zip(values, powers))
+                lo, hi = product.bracket
+                assert _value(lo) <= lower <= upper <= _value(hi)
+                if product.exponents is None:
+                    assert lower == 0 and lo == (0, 0)
+                    continue
+                _exact_power_of_two_bounds(product.exponents, lower)
+                _exact_power_of_two_bounds(product.exponents, upper)
+                _exact_power_of_two_bounds(product.exponents, _value(lo))
+                _exact_power_of_two_bounds(product.exponents, _value(hi))
+
+    def test_zero_atoms(self):
+        # a zero lower end with a positive power makes the product's lower
+        # end (0, 0) and leaves it without exponents; with power 0 it is
+        # not a factor at all
+        near_zero = ((0, 0), (1, -50))
+        two = ((1, 1), (1, 1))
+        with_zero, without, empty = products([near_zero, two], [(1, 3), (0, 3), (0, 0)])
+        assert with_zero.exponents is None
+        assert with_zero.bracket == ((0, 0), (1, -47))
+        assert without.exponents == (3, 6)
+        assert without.bracket == ((1, 3), (1, 3))
+        assert empty.exponents == (0, 0) and empty.bracket == ((1, 0), (1, 0))
+        assert products([Ratio(0, 3), two], [(1, 1)])[0].bracket[0] == (0, 0)
+
+    def test_bracket_lt_on_factors_is_bracket_lt_on_their_brackets(self):
+        # the same comparisons with each factor replaced by its bracket: the
+        # exponents a factor was built with never decide otherwise
+        rng = random.Random(33)
+        for _ in range(600):
+            sides, plain = [], []
+            for _ in range(2):
+                side = []
+                for _ in range(rng.randrange(0, 4)):
+                    if rng.random() < 0.5:
+                        num = rng.getrandbits(rng.randrange(1, 300))
+                        side.append(Ratio(num, rng.getrandbits(rng.randrange(1, 300)) + 1))
+                    else:
+                        atoms = [TestBracketLt._factor(rng, 64)[0] for _ in range(2)]
+                        side.append(products(atoms, [(rng.randrange(3), rng.randrange(3))])[0])
+                sides.append(side)
+                plain.append([f.bracket for f in side])
+            for closed in (False, True):
+                verdict = bracket_lt(*sides, closed=closed)
+                assert verdict == bracket_lt(*plain, closed=closed)
+                _sound(*plain, closed, verdict)
+
+    def test_exponents_decide_without_forming_brackets(self):
+        small, big = Ratio(3, 1 << 400), Ratio(5 << 700, 3)
+        assert bracket_lt([small, small], [big]) is True
+        assert bracket_lt([big], [small], closed=True) is False
+        assert small._bracket is None and big._bracket is None
+        # 1 against 3/2: exponents [0, 2] and [0, 2] overlap; the brackets
+        # decide
+        one, three_halves = Ratio(1, 1), Ratio(3, 2)
+        assert bracket_lt([one], [three_halves]) is True
+        assert bracket_lt([three_halves], [one]) is False
+        assert one._bracket is not None
 
 
 def _p_pow_square_and_multiply(a, e, up):

@@ -374,6 +374,20 @@ class TestMeta:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
+    def test_witness_counters(self, default_run):
+        # the cone-window witness at n = 2..4 draws 2048 points per size,
+        # bracketed through the factors and decided by their exponents
+        report, code = default_run
+        assert code == EXIT_OK
+        witness = report["meta"]["witness"]
+        assert witness == {
+            "points": 6144,
+            "exact_fallbacks": 0,
+            "per_n": {n: {"points": 2048, "exact_fallbacks": 0} for n in ("2", "3", "4")},
+        }
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
     def test_boundary_counters(self, default_run):
         # the five loops over exact circle points at n = 2..4: the ball
         # brackets decide every spot check; the sup's brackets decide every
@@ -409,7 +423,7 @@ class TestMeta:
         report, code = default_run
         assert code == EXIT_OK
         assert set(report["meta"]) == {
-            "generated_at", "elapsed_seconds", "deep_scale", "boundary", "stages",
+            "generated_at", "elapsed_seconds", "deep_scale", "witness", "boundary", "stages",
         }
 
     def test_stage_seconds(self, default_run):

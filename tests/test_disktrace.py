@@ -42,6 +42,7 @@ from noricert.disktrace import (
 )
 from noricert.bounds import Values, bracket_lt, gap_bracket
 from noricert.disktrace import (
+    _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
     _boundary_sup,
@@ -51,9 +52,11 @@ from noricert.disktrace import (
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
+    _image_factors,
     _in_cover_region,
     _member_test,
 )
+from noricert.sampling import RationalSampler
 from noricert.family import (
     CheckReport,
     CheckResult,
@@ -290,6 +293,219 @@ class TestBallImages:
         assert img.a1[0] == (0, 0)
         assert not img.vanishes(1)
         assert img.evaluated
+
+
+def _exact_moduli(fam, a, b, den):
+    """|f1|^2, |f2|^2 and |f2 - f1|^2 at (a + ib)/den as Fractions."""
+    v1, v2 = eval_scaled(fam.f1, a, b, den), eval_scaled(fam.f2, a, b, den)
+    gap = eval_scaled(fam.f2 - fam.f1, a, b, den)
+    return tuple(F(*scaled_abs2(v)) for v in (v1, v2, gap))
+
+
+def _assert_encloses(product, exact):
+    """The product's bracket and its powers of two enclose ``exact``."""
+    lo, hi = product.bracket
+    assert F(lo[0]) * F(2) ** lo[1] <= exact <= F(hi[0]) * F(2) ** hi[1]
+    if product.exponents is None:
+        assert lo == (0, 0)
+    else:
+        e_lo, e_hi = product.exponents
+        assert F(2) ** e_lo <= exact <= F(2) ** e_hi
+
+
+def _witness_draws(n, count, seed):
+    """The first points of the cone-window witness's stream, scaled alike."""
+    sampler = RationalSampler("cone-window", n, count, seed)
+    for i in range(1, count + 1):
+        a, b, den = sampler.dyadic_in_disk(2)
+        if i % 2 == 0:
+            den *= 10 ** sampler.randint(0, 12)
+        yield a, b, den
+
+
+def _rational_root_family():
+    """An n = 3 family whose factors P_1 and P_2 both have rational roots.
+
+    With eps = 1/8, P_2 = 1 - lam and P_1 = eps - lam^2 P_2 (the recursion
+    of P_1, c_1 = 1) vanish at lam = 1 and lam = 1/2, and f1, f2 are the
+    product forms, so all three identities hold.
+    """
+    params = FamilyParams.build(3, eps=F(1, 8), allow_unsafe_eps=True)
+    eps, lam = params.eps, Poly.x()
+    p2 = Poly.one() - lam
+    p1 = Poly.constant(eps) - lam * lam * p2
+    factors = (p1, p2)
+    f1 = Poly.constant(eps) * p1 * p2 * p2 * lam**3
+    f2 = Poly.constant(eps**2) * p1 * p2 * lam
+    return SimpleNamespace(n=3, f1=f1, f2=f2, params=params, P=factors, Pk=lambda j: factors[j - 1])
+
+
+class TestFactorImages:
+    """Images bracketed through the factors: eps^2, |lam|^2 and the |P_j|^2."""
+
+    def test_factor_map_needs_all_three_identities(self, built_families, identities):
+        fam = built_families[3]
+        factors = _image_factors(fam, identities[3])
+        assert factors.polys == fam.P and factors.lam
+        assert factors.forms == ((1, 3, 1, 2), (2, 1, 1, 1), (1, 1, 2, 1))
+        for names in (
+            ("power-ratio",),
+            ("square-ratio", "difference-factorization"),
+            ("power-ratio", "square-ratio"),
+            ("power-ratio", "difference-factorization"),
+        ):
+            plain = _image_factors(fam, _identities(*names))
+            assert plain.polys == (fam.f1, fam.f2) and not plain.lam
+            assert len(plain.forms) == 2
+        assert _image_factors(fam).polys == (fam.f1, fam.f2)
+        assert _image_factors(fam, _identities(*_FACTOR_IDENTITIES)).polys == fam.P
+        # a failed identity is not a proved one
+        failed = CheckReport(
+            tuple(CheckResult(name, name != "square-ratio", "") for name in _FACTOR_IDENTITIES)
+        )
+        assert _image_factors(fam, failed).polys == (fam.f1, fam.f2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_products_enclose_the_exact_moduli(self, built_families, identities, n):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        root = fam.params.eps ** fam.params.c[-1]
+        points = list(_witness_draws(n, 40, 3))
+        points += [(0, 0, 1), (root.numerator, 0, root.denominator), (3, -2, 4)]
+        for a, b, den in points:
+            img = _Image(fam, a, b, den, factors)
+            for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
+                _assert_encloses(product, exact)
+            assert not img.evaluated
+
+    def test_products_at_the_deep_entry_scales(self, built_families, identities):
+        # the approach regions of charts 1..3 at n = 4 open at 11, 111 and
+        # 914 digits
+        fam = built_families[4]
+        factors = _image_factors(fam, identities[4])
+        scales = [_entry_scale(fam, k, Counter(), factors) for k in range(1, 4)]
+        assert scales == [11, 111, 914]
+        for e in scales:
+            for a, b in ((1, 0), (200, -131)):
+                den = 2**8 * 10**e
+                img = _Image(fam, a, b, den, factors)
+                for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
+                    _assert_encloses(product, exact)
+
+    def test_zeros_of_each_factor_read_the_triples(self):
+        # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: each product's
+        # lower end is 0, and the zero tests read the exact triples; beside
+        # them the exponents decide without the triples
+        fam = _rational_root_family()
+        ids = exact_identity_checks(fam)
+        assert all(ids.passed(name) for name in _FACTOR_IDENTITIES)
+        factors = _image_factors(fam, ids)
+        assert factors.polys == fam.P
+        for a, den in ((0, 1), (1, 2), (1, 1)):
+            assert all(eval_scaled(p, a, 0, den)[0] == 0 for p in (fam.f1, fam.f2))
+            img = _Image(fam, a, 0, den, factors)
+            for product in (img.a1, img.a2, img.gap):
+                assert product.exponents is None and product.bracket[0] == (0, 0)
+            assert not img.evaluated
+            assert img.vanishes(1) and img.vanishes(2)
+            assert img.evaluated
+            assert not _in_cover_region(fam, img)
+        for a, b, den in ((1, 1, 2), (3, 0, 5), (1, 0, 3)):
+            img = _Image(fam, a, b, den, factors)
+            for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
+                _assert_encloses(product, exact)
+                assert product.exponents is not None
+            assert not img.vanishes(1) and not img.vanishes(2)
+            assert not img.evaluated
+
+    def test_predicates_match_the_reference(self, built_families, identities):
+        # as test_against_atlas_reference, on factor images at n = 3
+        fam = built_families[3]
+        factors = _image_factors(fam, identities[3])
+        rng = random.Random(14)
+        for _ in range(120):
+            a, b = rng.randrange(-300, 301), rng.randrange(-300, 301)
+            den = rng.choice([64, 100, 1024, 10**4, 10**7])
+            img = _Image(fam, a, b, den, factors)
+            lam = ComplexRational(F(a, den), F(b, den))
+            p = ChartPoint(fam.f1(lam), fam.f2(lam))
+            ref = chart_cover_indices(p, fam.params.r, 4)
+            in_region, indices = _cover_indices_scaled(fam, img, 4)
+            assert in_region == ref.in_region
+            if in_region:
+                assert indices == ref.indices
+            for k in range(4):
+                _assert_chart_predicates_match(fam, img, p, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ladder_verdicts_match_the_plain_images(self, built_families, identities, n):
+        # every 4th ladder candidate of each chart at seed 0: membership,
+        # entry and the halved cone read the same on factor and plain images
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            assert entry == _entry_scale(fam, k, Counter())
+            for i, (a, b, _, den) in enumerate(_approach_candidates(fam, k, entry, 64, 0)):
+                if i % 4 or i > 256:
+                    continue
+                img, plain = _Image(fam, a, b, den, factors), _Image(fam, a, b, den)
+                member = _member_test(fam, img, k)
+                assert member == _member_test(fam, plain, k)
+                assert _chart_entry_test(fam, img, k) == _chart_entry_test(fam, plain, k)
+                if member:
+                    for halved in (True, False):
+                        assert _cone_test(fam, img, k, halved=halved) == _cone_test(
+                            fam, plain, k, halved=halved
+                        )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_decides_on_exponents(self, built_families, identities, n):
+        # the same certificate as on plain images, with no exact fallback
+        fam = built_families[n]
+        factored, plain = Counter(), Counter()
+        wit = cone_window_witness(fam, identities[n], samples=1024, tally=factored)
+        ref = cone_window_witness(fam, _identities(), samples=1024, tally=plain)
+        assert wit.to_json() == ref.to_json()
+        assert wit.status is Status.PROVED
+        assert factored["points"] == plain["points"] >= 1024
+        assert factored["exact_fallbacks"] == 0
+
+    def test_membership_at_k0_is_not_retested(self, built_families, monkeypatch):
+        # |f1| < r is the first inequality of the cover region
+        import noricert.disktrace as disktrace
+
+        seen = []
+        real = disktrace._member_test
+
+        def recording(fam, img, k):
+            seen.append(k)
+            return real(fam, img, k)
+
+        monkeypatch.setattr(disktrace, "_member_test", recording)
+        fam = built_families[3]
+        for a, b, den in _witness_draws(3, 60, 5):
+            img = _Image(fam, a, b, den)
+            _first_open_cone_scaled(fam, img, 3)
+            _cover_indices_scaled(fam, img, 4)
+        assert seen and 0 not in seen
+
+    def test_conjugate_pairing(self):
+        for radius in (F(1), F(2), F(3, 7)):
+            for count in (2, 4, 6, 64, 512):
+                pts = circle_triples(radius, count)
+                assert _conjugate_half(pts) == [pt for pt in pts if pt[1] >= 0]
+        pts = circle_triples(F(1), 16)
+        # move one lower point: its partner no longer matches
+        broken = list(pts)
+        broken[3] = (broken[3][0], broken[3][1] - 1, broken[3][2])
+        assert broken[3][1] < 0
+        assert _conjugate_half(broken) is broken
+        # the same points in another order do not pair by index
+        swapped = pts[8:] + pts[:8]
+        shuffled = swapped[1:] + swapped[:1]
+        assert _conjugate_half(shuffled) is shuffled
+        assert _conjugate_half(pts[:-1]) == pts[:-1]
 
 
 def _exact_target_failure(fam, spot_checks=64):
@@ -610,19 +826,19 @@ class TestConeCertificates:
 
 
 class TestConeWindowWitness:
-    def test_proved_small_run(self, built_families):
-        wit = cone_window_witness(built_families[2], samples=200)
+    def test_proved_small_run(self, built_families, identities):
+        wit = cone_window_witness(built_families[2], identities[2], samples=200)
         assert wit.status is Status.PROVED
         assert wit.data["samples"] == 200
 
-    def test_deterministic(self, built_families):
-        a = cone_window_witness(built_families[2], samples=64, seed=5)
-        b = cone_window_witness(built_families[2], samples=64, seed=5)
+    def test_deterministic(self, built_families, identities):
+        a = cone_window_witness(built_families[2], identities[2], samples=64, seed=5)
+        b = cone_window_witness(built_families[2], identities[2], samples=64, seed=5)
         assert a.to_json() == b.to_json()
 
-    def test_seed_changes_samples_not_verdict(self, built_families):
-        a = cone_window_witness(built_families[2], samples=64, seed=1)
-        b = cone_window_witness(built_families[2], samples=64, seed=2)
+    def test_seed_changes_samples_not_verdict(self, built_families, identities):
+        a = cone_window_witness(built_families[2], identities[2], samples=64, seed=1)
+        b = cone_window_witness(built_families[2], identities[2], samples=64, seed=2)
         assert a.status is Status.PROVED and b.status is Status.PROVED
 
 
@@ -759,7 +975,8 @@ class TestTamper:
         # the refuting lambda is the sampler's integer draw rendered as exact
         # rationals, next to the Fraction chart cover of its image
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
-        wit = cone_window_witness(fam, samples=64)
+        ids = _identities("square-ratio", "difference-factorization")
+        wit = cone_window_witness(fam, ids, samples=64)
         assert wit.status is Status.REFUTED
         assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
         assert wit.data["cover"] == {
@@ -767,6 +984,20 @@ class TestTamper:
             "indices": [],
             "detail": "point outside the covered region",
         }
+
+    def test_sampled_refutation_through_the_factors(self):
+        # the proved identities of the eps = 1 family bracket its images
+        # through the factors; the refuting draw and its cover are the same
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        ids = exact_identity_checks(fam)
+        assert _image_factors(fam, ids).polys == fam.P
+        wit = cone_window_witness(fam, ids, samples=64)
+        plain = cone_window_witness(
+            fam, _identities("square-ratio", "difference-factorization"), samples=64
+        )
+        assert wit.status is Status.REFUTED
+        assert wit.data == plain.data
+        assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
 
     def test_window_sampled_refutation_is_pinned(self):
         # zero factors make a unit of zero, which passes the outer-circle
