@@ -8,9 +8,8 @@ the true quantity is >= of) or up (a value it is <= of), and comparisons
 between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
 around one nonnegative quantity; ``int_bracket``, ``ball_abs2`` (the squared
 modulus of a polynomial value, by midpoint-radius Horner at about 192 bits
-plus an exponent, without the exact ``eval_scaled`` triple), ``abs2_bracket``
-(the squared modulus of an exact triple, from truncations of its entries at
-a chosen precision), ``bracket_div`` and ``gap_bracket`` build them.
+plus an exponent, without the exact ``eval_scaled`` triple) and
+``gap_bracket`` build them.
 ``ball_abs2`` is the one bracket of a polynomial value at a point; the
 squared modulus of a given complex rational is ``ball_abs2`` of the identity
 polynomial ``Poly.x()``.  ``Values`` holds the brackets of several
@@ -18,7 +17,9 @@ polynomials at one point, built from one ``ball_point``, and decides
 products of them and of ``constant_factor`` constants, reading the exact
 triples only where the brackets overlap.  Dominances need no brackets:
 ``certify`` proves them from root products in exact rationals, and only
-the circle points that test a failed bound are decided by ``Values``.
+the circle points that test a failed bound are decided by ``Values``.  The
+boundary sup metric needs none either: the disk trace derives its bound
+from the target certificate.
 
 A ``Factor`` is a quantity that knows powers of two around itself when it is
 built and forms its bracket only when one is read: a ``Ratio`` of two
@@ -55,10 +56,8 @@ __all__ = [
     "Product",
     "Ratio",
     "Values",
-    "abs2_bracket",
     "ball_abs2",
     "ball_point",
-    "bracket_div",
     "bracket_lt",
     "constant_factor",
     "gap_bracket",
@@ -106,7 +105,7 @@ def _p_div(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
     return _p_trunc(m, a[1] - b[1] - _BITS, up)
 
 
-def _p_add(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
+def _p_add(a: tuple, b: tuple, up: bool) -> tuple[int, int]:
     (ma, sa), (mb, sb) = a, b
     if ma == 0:
         return b
@@ -115,10 +114,10 @@ def _p_add(a: tuple, b: tuple, up: bool, bits: int = _BITS) -> tuple[int, int]:
     if sa < sb:
         (ma, sa), (mb, sb) = (mb, sb), (ma, sa)
     gap = sa - sb
-    if gap > bits + 2:
+    if gap > _BITS + 2:
         # the smaller term is below one ulp of the larger
-        return _p_trunc(ma + 1, sa, True, bits) if up else (ma, sa)
-    return _p_trunc((ma << gap) + mb, sb, up, bits)
+        return _p_trunc(ma + 1, sa, True) if up else (ma, sa)
+    return _p_trunc((ma << gap) + mb, sb, up)
 
 
 def _p_sqrt(a: tuple, up: bool) -> tuple[int, int]:
@@ -149,9 +148,9 @@ def _p_lt(a: tuple, b: tuple) -> bool:
     return ma < (mb << -gap)
 
 
-def int_bracket(x: int, bits: int = _BITS) -> tuple:
-    """The bracket of a nonnegative integer, truncated to ``bits`` bits."""
-    return _p_trunc(x, 0, False, bits), _p_trunc(x, 0, True, bits)
+def int_bracket(x: int) -> tuple:
+    """The bracket of a nonnegative integer, truncated to 192 bits."""
+    return _p_trunc(x, 0, False), _p_trunc(x, 0, True)
 
 
 def constant_factor(q) -> tuple:
@@ -164,41 +163,6 @@ def constant_factor(q) -> tuple:
     """
     num, den = q.numerator, q.denominator
     return (num, den, *products([int_bracket(num), int_bracket(den)], ((1, 0), (0, 1))))
-
-
-def _p_quot(a: tuple, b: tuple, up: bool, bits: int) -> tuple[int, int]:
-    """a/b with directed rounding to ``bits`` bits, however short a is."""
-    k = bits + max(0, b[0].bit_length() - a[0].bit_length())
-    num = a[0] << k
-    m = -((-num) // b[0]) if up else num // b[0]
-    return _p_trunc(m, a[1] - b[1] - k, up, bits)
-
-
-def bracket_div(a: tuple, b: tuple, bits: int = _BITS) -> tuple:
-    """The bracket of x/y for x in bracket ``a`` and y in ``b`` (b's lower end > 0)."""
-    return _p_quot(a[0], b[1], False, bits), _p_quot(a[1], b[0], True, bits)
-
-
-def abs2_bracket(triple: tuple, bits: int) -> tuple:
-    """The bracket of |(re + i im)/den|^2 for an ``eval_scaled`` triple.
-
-    ``|re|``, ``|im|`` and ``den`` are truncated to ``bits`` bits with
-    directed rounding; their squares are then exact, the sum rounds outward
-    at ``2 * bits`` and the quotient at ``bits``, so the bracket is about
-    2^-bits wide, relative.
-    """
-    re, im, den = triple
-    (re_lo, re_hi), (im_lo, im_hi) = int_bracket(abs(re), bits), int_bracket(abs(im), bits)
-    d_lo, d_hi = int_bracket(den, bits)
-
-    def square(p: tuple) -> tuple:
-        return p[0] * p[0], 2 * p[1]
-
-    num = (
-        _p_add(square(re_lo), square(im_lo), False, 2 * bits),
-        _p_add(square(re_hi), square(im_hi), True, 2 * bits),
-    )
-    return bracket_div(num, (square(d_lo), square(d_hi)), bits)
 
 
 def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[Sequence]:

@@ -20,7 +20,9 @@ chart-cone ladders bracketed by ball Horner, and how many of those needed
 the exact triples after all, ``witness``: the same two counts for the
 cone-window witness's sampled image points, ``boundary``: the same two
 counts for each loop over exact circle points (the annulus bounds, the
-target region, the chart window, the base chart and the boundary sup).
+target region, the chart window and the base chart).  The boundary sup
+metric of condition iii is derived from the target certificate, so it has
+no loop and no counts.
 """
 
 import argparse
@@ -47,7 +49,8 @@ from .certify import (
     lemma_div_check,
     worst,
 )
-from .disktrace import Certificate, trace_family
+from . import disktrace
+from .disktrace import _WORK_COUNTS, Certificate, trace_family
 from .family import (
     FamilyParamError,
     FamilyParams,
@@ -63,12 +66,11 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-REPORT_SCHEMA = "noricert-report/2"
+REPORT_SCHEMA = "noricert-report/3"
 
-# the counts of the ladder, the witness and each exact-circle-point loop in
-# ``meta``
-_WORK_COUNTS = ("points", "exact_fallbacks")
-_BOUNDARY_LOOPS = ("annulus", "target", "window", "base", "sup")
+# the exact-circle-point loops counted in ``meta``: the annulus bounds', then
+# the trace's
+_BOUNDARY_LOOPS = ("annulus", *disktrace._BOUNDARY_LOOPS)
 
 # the two reference intersection matrices: the contractible configuration
 # and the non-exceptional one
@@ -387,7 +389,6 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         window_samples=max(16, config.samples // 32),
         cone_samples=max(16, config.samples // 8),
         witness_samples=config.samples,
-        sup_samples=max(32, config.samples // 4),
         seed=config.seed,
     )
 

@@ -12,12 +12,13 @@ chart geometry of :mod:`noricert.atlas`.  For a family of disk maps
   the cone inequality of one of its covering charts,
 * the vanishing orders of the two components at the disk center, whose gap is
   the number of consecutive chart transitions the image performs, and
-* that the sampled boundary sup metric of the family is at most ``1/n``.
+* that the boundary sup metric max(|f1|, |f2|, |f2/f1|) on the unit circle
+  is at most 1/n, which the target containment of the annulus implies.
 
-``trace_family`` certifies one family.  That the sups decrease as ``n``
-grows is checked by ``uniform_convergence_witness`` when it is given
-several families; ``noricert verify`` passes it one family at a time and
-does not compare sups across ``n``.
+``trace_family`` certifies one family.  The sup metric is not sampled:
+``uniform_convergence_witness`` reads each family's bound 1/n, and its
+status, from the family's target certificate, so the bounds tend to 0 as
+``n`` grows.
 
 Every verdict is exact: moduli are compared through their squares, by
 certified brackets that fall back to exact integer arithmetic whenever they
@@ -38,13 +39,11 @@ themselves.  The values at every exact circle point of a spot check take
 ``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
 are evaluated only when a comparison or a zero test is left undecided, or
 when a refutation renders its witness as exact rationals with
-``scaled_to_complex``.  The boundary sup keeps its exact triples and
-compares their squares through brackets of escalating precision.
+``scaled_to_complex``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,7 +51,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
-    BALL_BITS,
     ComplexRational,
     as_scaled,
     decimal_approx,
@@ -65,10 +63,8 @@ from .atlas import ChartPoint, chart_cover_indices
 from .bounds import (
     Ratio,
     Values,
-    abs2_bracket,
     ball_abs2,
     ball_point,
-    bracket_div,
     bracket_lt,
     constant_factor,
     gap_bracket,
@@ -1102,236 +1098,101 @@ def escape_witness(fams: Sequence[Family]) -> EscapeWitness:
 
 @dataclass(frozen=True)
 class ConvergenceEntry:
-    """Largest boundary image size for one family, in squared-modulus units."""
+    """One family's bound on its boundary sup metric, in squared-modulus units.
+
+    ``status`` is that of the bound; ``witness``, when the bound is refuted,
+    is the exact point of the unit circle where the image leaves the target
+    region.
+    """
 
     n: int
-    sup_squared: Fraction
+    status: Status
     bound_squared: Fraction
-    passed: bool
+    witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "n": self.n,
-            "sup_squared": decimal_approx(self.sup_squared, mode="ceil"),
+            "status": self.status.value,
             "bound_squared": format_rational(self.bound_squared),
-            "passed": self.passed,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 @dataclass(frozen=True)
 class ConvergenceWitness:
-    """Uniform boundary convergence: sup metrics per n, nonincreasing."""
+    """Uniform boundary convergence: the sup metric of each family at most 1/n."""
 
     status: Status
     entries: tuple[ConvergenceEntry, ...]
-    samples: int
     detail: str = ""
 
     def to_json(self) -> dict:
         return {
             "status": self.status.value,
             "entries": [e.to_json() for e in self.entries],
-            "samples": self.samples,
             "detail": self.detail,
         }
 
 
-_SUP_BITS = BALL_BITS  # first precision of the sup's brackets
-
-
-class _SupPoint:
-    """The exact triples of f1 and f2 at one boundary point, and its metric.
-
-    The sup metric's three candidates at the point are |f1|^2 = N1/Q1,
-    |f2|^2 = N2/Q2 and |f2/f1|^2, with N = re^2 + im^2 and Q = den^2 of
-    each triple.  ``brackets(bits)`` brackets the three from directed
-    truncations of the triples' entries to ``bits`` bits
-    (``bounds.abs2_bracket``), and ``squares`` are the exact integers
-    N1, Q1, N2, Q2, formed on first read.
-    """
-
-    __slots__ = ("triples", "top", "_brackets", "_squares")
-
-    def __init__(self, fam: Family, num_re: int, num_im: int, den: int):
-        self.triples = (
-            eval_scaled(fam.f1, num_re, num_im, den),
-            eval_scaled(fam.f2, num_re, num_im, den),
-        )
-        self.top = max(abs(x).bit_length() for t in self.triples for x in t)
-        self._brackets: dict[int, tuple] = {}
-        self._squares: Optional[tuple] = None
-
-    def brackets(self, bits: int) -> tuple:
-        got = self._brackets.get(bits)
-        if got is None:
-            a1, a2 = (abs2_bracket(t, bits) for t in self.triples)
-            got = self._brackets[bits] = (a1, a2, bracket_div(a2, a1, bits))
-        return got
-
-    @property
-    def evaluated(self) -> bool:
-        """Whether a comparison needed the exact squares."""
-        return self._squares is not None
-
-    @property
-    def squares(self) -> tuple:
-        if self._squares is None:
-            self._squares = tuple(x for t in self.triples for x in scaled_abs2(t))
-        return self._squares
-
-
-# the candidates of ``_SupPoint.brackets`` as (numerator, denominator)
-# factors of its ``squares``: N1/Q1, N2/Q2 and N2 Q1/(Q2 N1)
-_SUP_CANDIDATES = (((0,), (1,)), ((2,), (3,)), ((2, 1), (3, 0)))
-
-
-def _exceeds(p: _SupPoint, i: int, s: _SupPoint, j: int) -> bool:
-    """Whether candidate ``i`` at ``p`` exceeds candidate ``j`` at ``s``.
-
-    Decided on the points' brackets, the precision multiplied by 4 from 192
-    bits while they overlap, but only while it is at most a quarter of the
-    entries' bit length: beyond that the exact squares and products cost
-    less than the bracket arithmetic around them, and they decide.
-    """
-    bits, top = _SUP_BITS, max(p.top, s.top)
-    while 4 * bits <= top:
-        verdict = bracket_lt([s.brackets(bits)[j]], [p.brackets(bits)[i]])
-        if verdict is not None:
-            return verdict
-        bits *= 4
-    (p_num, p_den), (s_num, s_den) = _SUP_CANDIDATES[i], _SUP_CANDIDATES[j]
-    left = math.prod(s.squares[k] for k in s_num) * math.prod(p.squares[k] for k in p_den)
-    right = math.prod(p.squares[k] for k in p_num) * math.prod(s.squares[k] for k in s_den)
-    return left < right
-
-
-def _conjugate_half(pts: Sequence[tuple]) -> Sequence[tuple]:
-    """The points with num_im >= 0 if ``pts`` pairs up as ``circle_triples`` does.
-
-    ``circle_triples`` returns two charts of h points each; in each chart
-    the point i pairs with the point h - i (t and -t), and the first points
-    of the two charts (t = -1) pair with each other.  Every point with
-    num_im < 0 must be the conjugate ``(a, -b, den)`` of its partner, which
-    has num_im > 0 and is kept.  A list that does not pair up this way is
-    returned whole: the skip is sound only when each dropped point's
-    conjugate is evaluated.
-    """
-    count = len(pts)
-    half = count // 2
-    if count % 2:
-        return pts
-    for i, (a, b, den) in enumerate(pts):
-        if b < 0:
-            j = i % half
-            partner = (i + half) % count if j == 0 else i - j + half - j
-            if pts[partner] != (a, -b, den):
-                return pts
-    return [pt for pt in pts if pt[1] >= 0]
-
-
-def _boundary_sup(
-    fam: Family, pts: Sequence[tuple], tally: Counter
-) -> Optional[Fraction]:
-    """max(|f1|^2, |f2|^2, |f2/f1|^2) over ``pts``; None if f1 vanishes there.
-
-    f1 and f2 have rational coefficients, so f(conj z) = conj f(z) and the
-    metric at a point equals the metric at its conjugate: when ``pts`` is
-    closed under conjugation (``circle_triples`` is: in chart 0, t pairs
-    with -t, and the t = -1 points of the two charts pair with each other)
-    the points with num_im >= 0 reach the same maximum, and only they are
-    evaluated.  The exact triples are compared through ``_exceeds``; the
-    exact squares are formed only for a comparison its brackets leave open
-    and for the reported ``Fraction``.  ``tally`` counts the evaluated
-    points and those with an exact comparison.
-    """
-    sup: Optional[tuple] = None  # (point, candidate index)
-    for triple in _conjugate_half(pts):
-        p = _SupPoint(fam, *triple)
-        if p.triples[0][:2] == (0, 0):
-            _count(tally, p)
-            return None
-        for i in range(len(_SUP_CANDIDATES)):
-            if sup is None:
-                sup = p, i  # |f1|^2 > 0, the starting sup
-            elif _exceeds(p, i, *sup):
-                sup = p, i
-        _count(tally, p)
-    s, i = sup
-    num, den = _SUP_CANDIDATES[i]
-    return Fraction(
-        math.prod(s.squares[k] for k in num), math.prod(s.squares[k] for k in den)
-    )
+def _unit_circle_witness(cert: Optional[Certificate]) -> Optional[dict]:
+    """The witness of a refuted target certificate, if it lies on |lam| = 1."""
+    if cert is None or cert.status is not Status.REFUTED:
+        return None
+    witness = (cert.data or {}).get("witness")
+    if witness is None or ComplexRational.from_json(witness["point"]).abs2() != 1:
+        return None
+    return witness
 
 
 def uniform_convergence_witness(
-    fams: Sequence[Family],
-    target_certs: dict[int, Certificate],
-    *,
-    samples: int = 512,
-    tally: Optional[Counter] = None,
+    fams: Sequence[Family], target_certs: dict[int, Certificate]
 ) -> ConvergenceWitness:
-    """Boundary images shrink uniformly: sup metric at most 1/n, nonincreasing in n.
+    """Boundary images shrink uniformly: sup metric at most 1/n on |lam| = 1.
 
-    All families are evaluated at the same exact points of the unit circle;
-    the metric at a point is max(|f1|, |f2|, |f2/f1|), computed and compared
-    through squares, decided on brackets of the exact triples' squares,
-    exact integers where they overlap.  f1 and f2 have rational
-    coefficients, so |f(conj lam)| = |f(lam)|, and the circle points are
-    closed under conjugation (checked on the list, see ``_boundary_sup``):
-    only the points with num_im >= 0 are evaluated, and the sup is the same
-    ``Fraction`` as over every point.  Each family's sampled sup
-    must be at most 1/n (squared: 1/n^2), and the claim for all boundary
-    points (not just samples) is inherited from the per-family target
-    containment certificates.  Given two or more families, the sequence of
-    sups must also be nonincreasing in n, and only then does the detail
-    claim it; ``trace_family`` passes its one family, so for it only the
-    1/n bound is checked.  ``tally`` counts the evaluated points and their
-    exact fallbacks.
+    The metric at a point is max(|f1|, |f2|, |f2/f1|).  Nothing is
+    evaluated: the bound of each family follows from its target certificate
+    ``target_certs[n]`` (``annulus_into_target``).
+
+    * Proved target containment puts the unit circle, with the whole closed
+      annulus, in the region |f1| <= 1/n, |f2| <= 1/n, |f2| <= |f1|/n, and
+      its |f1| lower envelope is positive there, so f1 does not vanish and
+      the metric is at most 1/n (squared: 1/n^2).  As n grows the bounds
+      tend to 0, which is the uniform convergence.
+    * A refutation with a witness on the unit circle refutes the bound at
+      that point: outside the region, |f1| or |f2| exceeds 1/n, or |f2|
+      exceeds |f1|/n (with f1 = 0 and f2 != 0 the quotient is unbounded).
+    * Any other verdict (a witness on |lam| = 2, an envelope refutation, no
+      certificate) leaves the bound inconclusive.
+
+    The status is the worst over the families.
     """
     if not fams:
         raise ValueError("at least one family is required")
-    tally = Counter() if tally is None else tally
-    pts = circle_triples(Fraction(1), samples)
     entries = []
     for fam in fams:
-        sup = _boundary_sup(fam, pts, tally)
-        if sup is None:
-            return ConvergenceWitness(
-                Status.REFUTED,
-                tuple(entries),
-                samples,
-                f"the first component vanishes on the unit circle at n = {fam.n}",
-            )
-        bound = Fraction(1, fam.n * fam.n)
-        entries.append(ConvergenceEntry(fam.n, sup, bound, sup <= bound))
-    entries = tuple(entries)
-    sups = [e.sup_squared for e in entries]
-    if any(not e.passed for e in entries):
-        return ConvergenceWitness(
-            Status.REFUTED, entries, samples, "a sampled sup exceeds its bound"
+        cert = target_certs.get(fam.n)
+        witness = _unit_circle_witness(cert)
+        if witness is not None:
+            status = Status.REFUTED
+        elif cert is not None and cert.status is Status.PROVED:
+            status = Status.PROVED
+        else:
+            status = Status.INCONCLUSIVE
+        entries.append(
+            ConvergenceEntry(fam.n, status, Fraction(1, fam.n * fam.n), witness)
         )
-    if any(b > a for a, b in zip(sups, sups[1:])):
-        return ConvergenceWitness(
-            Status.REFUTED, entries, samples, "the sup sequence increases"
-        )
-    missing = [
-        fam.n
-        for fam in fams
-        if target_certs.get(fam.n) is None
-        or target_certs[fam.n].status is not Status.PROVED
-    ]
-    if missing:
-        return ConvergenceWitness(
-            Status.INCONCLUSIVE,
-            entries,
-            samples,
-            f"target containment is not proved for n in {missing}",
-        )
-    if len(entries) > 1:
-        detail = "sampled sups within bounds and nonincreasing, with proved containment"
+    status = worst(e.status for e in entries)
+    failed = [e.n for e in entries if e.status is status]
+    if status is Status.REFUTED:
+        detail = f"the image leaves the target region on the unit circle for n in {failed}"
+    elif status is Status.INCONCLUSIVE:
+        detail = f"target containment is not proved for n in {failed}"
     else:
-        detail = "sampled sup within its bound, with proved containment"
-    return ConvergenceWitness(Status.PROVED, entries, samples, detail)
+        detail = "sup metric at most 1/n on the unit circle, from proved target containment"
+    return ConvergenceWitness(status, tuple(entries), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -1347,8 +1208,9 @@ class TraceReport:
       index n (divisibility window, per-chart cone certificates, base chart,
       combined sampled witness).
     * ``condition_ii``: the annulus image lies in the shrinking target region.
-    * ``condition_iii``: the sampled boundary sup metric (squared) with its
-      1/n^2 bound.
+    * ``condition_iii``: the boundary sup metric on the unit circle is at
+      most 1/n (squared: 1/n^2), derived from ``condition_ii`` by
+      ``uniform_convergence_witness``, not sampled.
     * ``condition_iv``: the vanishing-order pair (n, 1); ``escape_index`` is
       their gap and equals n - 1 exactly when the pair is as expected.
 
@@ -1356,8 +1218,8 @@ class TraceReport:
     (``points``) and those whose exact triples a predicate needed
     (``exact_fallbacks``), ``witness`` the same two counts for the
     cone-window witness; ``boundary`` holds the same two counts for each
-    exact-circle-point loop of the trace (``target``, ``window``, ``base``
-    and ``sup``).  They describe the work, not the verdict, and are not part
+    exact-circle-point loop of the trace (``target``, ``window`` and
+    ``base``).  They describe the work, not the verdict, and are not part
     of ``to_json``.
     """
 
@@ -1366,7 +1228,6 @@ class TraceReport:
     condition_ii: Certificate
     condition_iii: Certificate
     condition_iv: Certificate
-    sup_squared: Optional[Fraction]
     escape_index: int
     seed: int
     status: Status
@@ -1391,9 +1252,6 @@ class TraceReport:
             "condition_ii": self.condition_ii.to_json(),
             "condition_iii": self.condition_iii.to_json(),
             "condition_iv": self.condition_iv.to_json(),
-            "sup_squared": None
-            if self.sup_squared is None
-            else decimal_approx(self.sup_squared, mode="ceil"),
             "escape_index": self.escape_index,
             "seed": self.seed,
             "status": self.status.value,
@@ -1402,7 +1260,7 @@ class TraceReport:
 
 
 # the exact-circle-point loops of a trace, in the order they run
-_BOUNDARY_LOOPS = ("target", "window", "base", "sup")
+_BOUNDARY_LOOPS = ("target", "window", "base")
 _WORK_COUNTS = ("points", "exact_fallbacks")
 
 _TRACE_DETAIL = {
@@ -1422,7 +1280,6 @@ def trace_family(
     window_samples: int = 64,
     cone_samples: int = 256,
     witness_samples: int = 2000,
-    sup_samples: int = 512,
     spot_checks: int = 64,
     seed: int = 0,
 ) -> TraceReport:
@@ -1476,15 +1333,12 @@ def trace_family(
         "disk-into-chart-cones", [window, base, *cones, witness]
     )
 
-    convergence = uniform_convergence_witness(
-        [fam], {n: condition_ii}, samples=sup_samples, tally=boundary["sup"]
-    )
-    entry = convergence.entries[0] if convergence.entries else None
+    convergence = uniform_convergence_witness([fam], {n: condition_ii})
     condition_iii = Certificate(
         "boundary-sup-metric",
         convergence.status,
         convergence.detail,
-        {"entry": entry.to_json() if entry is not None else None},
+        {"entry": convergence.entries[0].to_json()},
     )
 
     orders = vanishing_orders(fam)
@@ -1513,7 +1367,6 @@ def trace_family(
         condition_ii=condition_ii,
         condition_iii=condition_iii,
         condition_iv=condition_iv,
-        sup_squared=None if entry is None else entry.sup_squared,
         escape_index=escape,
         seed=seed,
         status=status,

@@ -4,11 +4,15 @@ Certificate construction is deterministic, so caching across tests changes
 nothing about what is verified — only how often it is recomputed.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from noricert.arith import eval_scaled, scaled_abs2
 from noricert.certify import (
     annulus_bounds_certificate,
+    circle_triples,
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
@@ -80,3 +84,24 @@ def trace_reports(built_families, root_certs, corollary_reports, identities, div
         )
         for n in SIZES
     }
+
+
+def exact_sup(fam, pts):
+    """max(|f1|^2, |f2|^2, |f2/f1|^2) over every point of ``pts``, in Fractions."""
+    best = Fraction(0)
+    for triple in pts:
+        a1 = Fraction(*scaled_abs2(eval_scaled(fam.f1, *triple)))
+        a2 = Fraction(*scaled_abs2(eval_scaled(fam.f2, *triple)))
+        best = max(best, a1, a2, a2 / a1)
+    return best
+
+
+@pytest.fixture(scope="session")
+def unit_circle_sups(built_families):
+    """The sampled boundary sup metric (squared) at all 512 exact points of |lam| = 1.
+
+    The pipeline derives the bound 1/n from its target certificate and
+    evaluates nothing; this is the sampled cross-check of that bound.
+    """
+    pts = circle_triples(Fraction(1), 512)
+    return {n: exact_sup(built_families[n], pts) for n in SIZES}

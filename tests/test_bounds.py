@@ -34,10 +34,8 @@ from noricert.bounds import (
     Factor,
     Ratio,
     Values,
-    abs2_bracket,
     ball_abs2,
     ball_point,
-    bracket_div,
     bracket_lt,
     constant_factor,
     gap_bracket,
@@ -756,32 +754,3 @@ class TestValues:
         assert values.lt((0,), (quarter,)) is False
         assert values.lt((0,), (quarter,), closed=True) is True
         assert values.evaluated
-
-
-def _triples(rng):
-    """Triples with entries from 0 to 2^20000 bits, the sign of re and im free."""
-    for _ in range(400):
-        sizes = [rng.choice([0, 1, 30, 200, 800, 3000, 20000]) for _ in range(3)]
-        re, im = (rng.getrandbits(b) * rng.choice([1, -1]) if b else 0 for b in sizes[:2])
-        yield re, im, rng.getrandbits(sizes[2] or 1) + 1
-
-
-class TestAbs2Bracket:
-    @pytest.mark.parametrize("bits", [192, 768, 3072])
-    def test_encloses_exact_value(self, bits):
-        rng = random.Random(bits)
-        for triple in _triples(rng):
-            lo, hi = abs2_bracket(triple, bits)
-            _encloses((lo, hi), triple)
-            re, im, den = triple
-            if re or im:
-                # about 2^-bits wide, relative
-                assert (_value(hi) - _value(lo)) * 2 ** (bits - 4) <= _value(hi)
-
-    def test_division_encloses_the_quotient(self):
-        rng = random.Random(4)
-        for _ in range(400):
-            a, b = rng.getrandbits(rng.randrange(1, 3000)), rng.getrandbits(rng.randrange(1, 3000)) + 1
-            bits = rng.choice([192, 768])
-            lo, hi = bracket_div(int_bracket(a, bits), int_bracket(b, bits), bits)
-            assert _value(lo) <= F(a, b) <= _value(hi)

@@ -27,11 +27,11 @@ from noricert.cli import (
 
 
 # verify --n 2..3 --samples 256 --seed 0
-GOLDEN_REPORT_SHA256 = "b0bd0e36f4cd9a08318caec41c27fe6910eadd2c9a48f516049224ff62178c77"
+GOLDEN_REPORT_SHA256 = "cf1616ad2379d25a697c037edf3d5f6bd8eb07dd5230e62b76f87904a3bc9f9d"
 # verify --n 2..4 --seed 0 (also pinned in CI)
-DEFAULT_REPORT_SHA256 = "b9212a9367f11effa6da007af9bde57fc29373dd88b516c82f6d0a52cc0cedcd"
+DEFAULT_REPORT_SHA256 = "1c48324a84b59acc0603105fed3a7ee62676c85b89545f4d4c8390a4dfd48641"
 # verify --n 2 --eps 1 --unsafe-eps --seed 0, which exits 1 (also pinned in CI)
-REFUTED_REPORT_SHA256 = "00d8be64360344a06f17f67d544de39f7960640068dc24cfb8328415922a567c"
+REFUTED_REPORT_SHA256 = "04a7960721dbd93fbb7f0d1f418948ec7246304b07d2e874850a52ffe38f52f3"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -335,6 +335,8 @@ class TestDeterminism:
         args = "verify --n 2 --eps 1 --unsafe-eps --seed 0 --out"
         assert main([*args.split(), str(out)]) == EXIT_REFUTED
         report = json.loads(out.read_text())
+        summary = report["summary"]
+        assert (summary["refuted"], summary["total"]) == (4, 12)
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == REFUTED_REPORT_SHA256
 
@@ -389,10 +391,9 @@ class TestMeta:
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_boundary_counters(self, default_run):
-        # the five loops over exact circle points at n = 2..4: the ball
-        # brackets decide every spot check; the sup's brackets decide every
-        # comparison at n = 3, 4, while the n = 2 triples (about 120 bits)
-        # are short enough that their exact squares decide
+        # the four loops over exact circle points at n = 2..4: the ball
+        # brackets decide every spot check; the sup metric of condition iii
+        # is derived from the target certificate and has no loop
         report, code = default_run
         assert code == EXIT_OK
         boundary = report["meta"]["boundary"]
@@ -401,10 +402,10 @@ class TestMeta:
             "target": [(128, 0)] * 3,
             "window": [(64, 0)] * 3,
             "base": [(256, 0)] * 3,
-            "sup": [(257, 257), (257, 0), (257, 0)],
         }
-        assert set(boundary) == {*per_n, "per_n"}
+        assert set(boundary) == {"annulus", "target", "window", "base", "per_n"}
         assert set(boundary["per_n"]) == {"2", "3", "4"}
+        assert all(set(loops) == set(per_n) for loops in boundary["per_n"].values())
         for loop, counts in per_n.items():
             for n, (points, fallbacks) in zip("234", counts):
                 assert boundary["per_n"][n][loop] == {
@@ -444,8 +445,13 @@ class TestMeta:
         )
         assert code == EXIT_REFUTED
         assert report["meta"]["stages"] == {}
-        assert report["meta"]["boundary"]["per_n"] == {}
-        assert report["meta"]["boundary"]["sup"] == {"points": 0, "exact_fallbacks": 0}
+        assert report["meta"]["boundary"] == {
+            **{
+                loop: {"points": 0, "exact_fallbacks": 0}
+                for loop in ("annulus", "target", "window", "base")
+            },
+            "per_n": {},
+        }
 
 
 class TestRendering:

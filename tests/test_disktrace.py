@@ -45,9 +45,7 @@ from noricert.disktrace import (
     _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
-    _boundary_sup,
     _chart_entry_test,
-    _conjugate_half,
     _cone_test,
     _cover_indices_scaled,
     _entry_scale,
@@ -57,6 +55,7 @@ from noricert.disktrace import (
     _member_test,
 )
 from noricert.sampling import RationalSampler
+from conftest import SIZES, exact_sup
 from noricert.family import (
     CheckReport,
     CheckResult,
@@ -490,24 +489,6 @@ class TestFactorImages:
             _cover_indices_scaled(fam, img, 4)
         assert seen and 0 not in seen
 
-    def test_conjugate_pairing(self):
-        for radius in (F(1), F(2), F(3, 7)):
-            for count in (2, 4, 6, 64, 512):
-                pts = circle_triples(radius, count)
-                assert _conjugate_half(pts) == [pt for pt in pts if pt[1] >= 0]
-        pts = circle_triples(F(1), 16)
-        # move one lower point: its partner no longer matches
-        broken = list(pts)
-        broken[3] = (broken[3][0], broken[3][1] - 1, broken[3][2])
-        assert broken[3][1] < 0
-        assert _conjugate_half(broken) is broken
-        # the same points in another order do not pair by index
-        swapped = pts[8:] + pts[:8]
-        shuffled = swapped[1:] + swapped[:1]
-        assert _conjugate_half(shuffled) is shuffled
-        assert _conjugate_half(pts[:-1]) == pts[:-1]
-
-
 def _exact_target_failure(fam, spot_checks=64):
     """The target loop with exact integers only: (checked, (radius, i) or None)."""
     nn, checked = fam.n * fam.n, 0
@@ -541,16 +522,6 @@ def _exact_base_failure(fam, samples):
         if n1 * n1 * pd * pd * qd > pn * pn * nd * q1 * q1:
             return i
     return None
-
-
-def _exact_sup(fam, pts):
-    """max(|f1|^2, |f2|^2, |f2/f1|^2) over every point of ``pts``, in Fractions."""
-    best = F(0)
-    for triple in pts:
-        a1 = F(*scaled_abs2(eval_scaled(fam.f1, *triple)))
-        a2 = F(*scaled_abs2(eval_scaled(fam.f2, *triple)))
-        best = max(best, a1, a2, a2 / a1)
-    return best
 
 
 def _identities(*names):
@@ -588,11 +559,10 @@ class TestBoundaryLoops:
         base = base_chart_certificate(fam, cor, ids, samples=256)
         assert base.status is Status.PROVED
         assert _exact_base_failure(fam, 256) is None
-        pts = circle_triples(F(1), 512)
-        tally = Counter()
-        wit = uniform_convergence_witness([fam], {}, samples=512, tally=tally)
-        assert wit.entries[0].sup_squared == _exact_sup(fam, pts)
-        assert tally["points"] == 257
+        wit = uniform_convergence_witness([fam], {n: target})
+        assert wit.status is Status.PROVED
+        bound = wit.entries[0].bound_squared
+        assert exact_sup(fam, circle_triples(F(1), 512)) <= bound == F(1, n * n)
 
     @pytest.mark.parametrize("scale", [F(2, 7), F(1, 4)])
     def test_tampered_target_refuted_at_the_exact_witness(
@@ -610,6 +580,17 @@ class TestBoundaryLoops:
         cert = annulus_into_target(fake, corollary_reports[2])
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(radius, 64)[i].to_json()
+        # condition iii: the unit-circle witness refutes the sup bound 1/n,
+        # and the metric there does exceed it; one on |lam| = 2 says nothing
+        # about the unit circle
+        wit = uniform_convergence_witness([fake], {2: cert})
+        if radius == 1:
+            assert wit.status is Status.REFUTED
+            assert wit.entries[0].witness == cert.data["witness"]
+            assert exact_sup(fake, [circle_triples(radius, 64)[i]]) > F(1, 4)
+        else:
+            assert wit.status is Status.INCONCLUSIVE
+            assert wit.entries[0].witness is None
 
     def test_target_equality_is_inside(self, built_families, corollary_reports):
         # n |f2| = |f1| at every point: the closed slope inequality holds with
@@ -656,37 +637,23 @@ class TestBoundaryLoops:
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(F(2), 256)[i].to_json()
 
-    def test_sup_skips_conjugates_only_on_closed_lists(self, built_families):
-        # |f1| peaks at lam = 1; the list keeps the lower quarter of chart 0
-        # without its conjugates, and one upper point near lam = -1, so
-        # skipping the num_im < 0 points would drop the maximum
-        fam = built_families[2]
-        f1 = Poly((F(1, 4), F(1, 8)))
-        fake = _fake(fam, f1, f1 * F(1, 4))
-        full = circle_triples(F(1), 64)
-        pts = [pt for pt in full[:16] if pt[1] < 0] + [full[40]]
-        assert full[40][1] > 0
-        tally = Counter()
-        sup = _boundary_sup(fake, pts, tally)
-        assert sup == _exact_sup(fake, pts) > _exact_sup(fake, [full[40]])
-        assert tally["points"] == len(pts)
-        # on the closed list the upper half is evaluated, for the same sup
-        tally = Counter()
-        assert _boundary_sup(fake, full, tally) == _exact_sup(fake, full)
-        assert tally["points"] == 33
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_half_circle_sup_is_the_full_sup(self, built_families, n):
-        fam = built_families[n]
-        pts = circle_triples(F(1), 128)
-        assert _conjugate_half(pts) != pts
-        assert _boundary_sup(fam, pts, Counter()) == _exact_sup(fam, pts)
-
     def test_vanishing_first_component_refutes_the_sup(self):
+        # f1 = lam^2 (1 - lam) of the eps = 1 family vanishes at lam = 1; its
+        # own target certificate is refuted at lam = -i, where |f1|^2 = 2
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
-        wit = uniform_convergence_witness([fam], {}, samples=64)
+        roots = family_root_certificates(fam)
+        corollary = corollary_ineq_certificate(
+            fam, annulus_bounds_certificate(fam, roots)
+        )
+        target = annulus_into_target(fam, corollary)
+        assert target.status is Status.REFUTED
+        assert target.data["witness"]["point"] == {"re": "0/1", "im": "-1/1"}
+        wit = uniform_convergence_witness([fam], {2: target})
         assert wit.status is Status.REFUTED
-        assert "vanishes on the unit circle" in wit.detail
+        assert wit.entries[0].witness == target.data["witness"]
+        assert wit.detail == (
+            "the image leaves the target region on the unit circle for n in [2]"
+        )
 
 
 class TestVanishingOrders:
@@ -863,34 +830,44 @@ class TestEscapeWitness:
 
 
 class TestUniformConvergence:
-    def test_bounds_and_monotonicity(self, built_families, trace_reports):
+    def test_bounds_and_monotonicity(self, built_families, trace_reports, unit_circle_sups):
         wit = uniform_convergence_witness(
-            [built_families[n] for n in (2, 3)],
-            samples=128,
-            target_certs={n: trace_reports[n].condition_ii for n in (2, 3)},
+            [built_families[n] for n in SIZES],
+            target_certs={n: trace_reports[n].condition_ii for n in SIZES},
         )
         assert wit.status is Status.PROVED
-        sups = [entry.sup_squared for entry in wit.entries]
-        for entry in wit.entries:
-            assert entry.sup_squared <= F(1, entry.n**2)
-            assert entry.sup_squared >= 0
-        assert sups[0] >= sups[1]
+        assert [e.bound_squared for e in wit.entries] == [F(1, n * n) for n in SIZES]
+        sups = [unit_circle_sups[n] for n in SIZES]
+        for sup, entry in zip(sups, wit.entries):
+            assert entry.status is Status.PROVED
+            assert 0 <= sup <= entry.bound_squared
+        assert sups == sorted(sups, reverse=True)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_sup_matches_fraction_max(self, n, built_families):
+    def test_sup_matches_fraction_max(self, n, built_families, unit_circle_sups):
+        # the integer-triple sup of the fixture against Fraction evaluation
         fam = built_families[n]
-        wit = uniform_convergence_witness([fam], samples=512, target_certs={})
         expected = F(0)
         for cpt in circle_points(F(1), 512):
             a1, a2 = fam.f1(cpt.point).abs2(), fam.f2(cpt.point).abs2()
             expected = max(expected, a1, a2, a2 / a1)
-        assert wit.entries[0].sup_squared == expected
+        assert unit_circle_sups[n] == expected <= F(1, n * n)
 
     def test_missing_target_cert_inconclusive(self, built_families):
-        wit = uniform_convergence_witness(
-            [built_families[2]], samples=16, target_certs={}
-        )
+        wit = uniform_convergence_witness([built_families[2]], target_certs={})
         assert wit.status is Status.INCONCLUSIVE
+        assert wit.detail == "target containment is not proved for n in [2]"
+
+    def test_refutation_without_a_unit_circle_witness_is_inconclusive(self):
+        # an envelope refutation carries no point; the bound is not evaluated
+        # at all, so a family with no components will do
+        envelope = Certificate("annulus-into-target", Status.REFUTED, "", {"target": {}})
+        fams = [SimpleNamespace(n=2), SimpleNamespace(n=3)]
+        proved = Certificate("annulus-into-target", Status.PROVED)
+        wit = uniform_convergence_witness(fams, {2: proved, 3: envelope})
+        assert wit.status is Status.INCONCLUSIVE
+        assert [e.status for e in wit.entries] == [Status.PROVED, Status.INCONCLUSIVE]
+        assert wit.detail == "target containment is not proved for n in [3]"
 
 
 class TestPipeline:
@@ -909,11 +886,14 @@ class TestPipeline:
         assert witness["data"]["samples"] >= 2000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_sup_metric_bound(self, trace_reports, n):
-        assert trace_reports[n].sup_squared <= F(1, n * n)
+    def test_sup_metric_bound(self, trace_reports, unit_circle_sups, n):
+        condition = trace_reports[n].condition_iii
+        assert condition.status is Status.PROVED
+        assert condition.data["entry"]["bound_squared"] == f"1/{n * n}"
+        assert unit_circle_sups[n] <= F(1, n * n)
 
-    def test_sup_metric_nonincreasing(self, trace_reports):
-        sups = [trace_reports[n].sup_squared for n in (2, 3, 4)]
+    def test_sup_metric_nonincreasing(self, unit_circle_sups):
+        sups = [unit_circle_sups[n] for n in (2, 3, 4)]
         assert sups == sorted(sups, reverse=True)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -938,7 +918,6 @@ class TestPipeline:
             window_samples=16,
             cone_samples=16,
             witness_samples=64,
-            sup_samples=32,
             spot_checks=8,
         )
         a = trace_family(built_families[2], **kwargs)
@@ -965,7 +944,6 @@ class TestTamper:
             window_samples=16,
             cone_samples=16,
             witness_samples=64,
-            sup_samples=32,
             spot_checks=8,
         )
         assert rep.status is Status.REFUTED
