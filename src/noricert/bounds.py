@@ -25,11 +25,12 @@ A ``Factor`` is a quantity that knows powers of two around itself when it is
 built and forms its bracket only when one is read: a ``Ratio`` of two
 integers reads them from bit lengths, and a ``Product`` of brackets and
 factors with powers sums its atoms' exponents (``products`` builds several
-products over the same atoms and reads each atom's exponents once).  The
-disk trace brackets an image point this way: |f1|^2, |f2|^2 and
-|f2 - f1|^2 are products of eps^2, |lam|^2 and the |P_j|^2 with powers, so
-their exponents cost a few integer additions per point and their 192-bit
-products are formed only for a comparison the exponents leave open.
+products over the same atoms and reads each atom's exponents once).
+``exponents`` reads the powers of two around a bracket or a factor, and
+``log2_bounds`` the tightest ones around a positive rational.  The disk
+trace brackets an image point this way: |f1|^2, |f2|^2 and |f2 - f1|^2 are
+products of eps^2, |lam|^2 and the |P_j|^2 with powers, decided on the net
+powers of those atoms and formed only where those leave a comparison open.
 
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
@@ -60,8 +61,10 @@ __all__ = [
     "ball_point",
     "bracket_lt",
     "constant_factor",
+    "exponents",
     "gap_bracket",
     "int_bracket",
+    "log2_bounds",
     "products",
 ]
 
@@ -165,33 +168,15 @@ def constant_factor(q) -> tuple:
     return (num, den, *products([int_bracket(num), int_bracket(den)], ((1, 0), (0, 1))))
 
 
-def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[Sequence]:
+def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
     """The bracket of |f2^(k+1) - f1|^2 from those of |f1|^2 and |f2|^2.
 
     Bounds the difference through the reverse triangle inequality: when the
     two moduli are separated by at least a factor two, |big - small| lies in
     [(1 - t) |big|, (1 + t) |big|] with t the modulus ratio.  Comparable
     moduli (possible cancellation) return None for the exact fallback.
-
-    ``a1`` and ``a2`` are brackets or factors.  When their exponents put
-    |f2|^(2k+2) and |f1|^2 at least 2^3 apart, t <= 2^-1.5 and the result
-    is a ``Factor`` with the exponents of the larger one widened by 2 below
-    and 1 above ((1 - t)^2 > 1/4, (1 + t)^2 < 2), its bracket formed on
-    first read; otherwise the bracket is formed now, or None.
+    ``a1`` and ``a2`` are brackets or factors.
     """
-    e1 = a1.exponents if isinstance(a1, Factor) else _exponents(a1)
-    e2 = a2.exponents if isinstance(a2, Factor) else _exponents(a2)
-    if e1 is not None and e2 is not None:
-        p_lo, p_hi = (k + 1) * e2[0], (k + 1) * e2[1]
-        if p_hi + 3 <= e1[0]:
-            return _Gap(a1, a2, k, (e1[0] - 2, e1[1] + 1))
-        if e1[1] + 3 <= p_lo:
-            return _Gap(a1, a2, k, (p_lo - 2, p_hi + 1))
-    return _gap_ends(a1, a2, k)
-
-
-def _gap_ends(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
-    """``gap_bracket``'s bracket, formed from the ends of ``a1`` and ``a2``."""
     (a1_lo, a1_hi), (a2_lo, a2_hi) = a1, a2
     p_lo = _p_pow(a2_lo, k + 1, False)
     p_hi = _p_pow(a2_hi, k + 1, True)
@@ -327,6 +312,19 @@ def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
     return s_lo + m_lo.bit_length() - 1, s_hi + m_hi.bit_length()
 
 
+def exponents(x) -> Optional[tuple[int, int]]:
+    """Powers of two ``(lo, hi)`` around a bracket or a ``Factor``; None at 0."""
+    return x.exponents if isinstance(x, Factor) else _exponents(x)
+
+
+def log2_bounds(num: int, den: int) -> tuple[int, int]:
+    """The tightest powers of two around num/den > 0: floor and ceil of log2."""
+    e = num.bit_length() - den.bit_length()  # num/den lies in (2^(e-1), 2^(e+1))
+    a, b = (num, den << e) if e >= 0 else (num << -e, den)
+    lo = e if a >= b else e - 1
+    return lo, lo if a == b else lo + 1
+
+
 class Factor:
     """A nonnegative factor of ``bracket_lt``: exponents now, a bracket later.
 
@@ -343,6 +341,11 @@ class Factor:
 
     def _form(self) -> tuple:
         raise NotImplementedError
+
+    @property
+    def formed(self) -> bool:
+        """Whether the bracket has been formed."""
+        return self._bracket is not None
 
     @property
     def bracket(self) -> tuple:
@@ -423,30 +426,13 @@ class Product(Factor):
         return ((0, 0) if self.exponents is None else lo), hi
 
 
-class _Gap(Factor):
-    """``gap_bracket``'s result when the exponents of its two terms separate.
-
-    The bracket is ``_gap_ends``'s, which is never None here: with
-    t^2 <= 2^-3 the ratio stays certified below 1/2.
-    """
-
-    __slots__ = ("a1", "a2", "k")
-
-    def __init__(self, a1: Sequence, a2: Sequence, k: int, exponents: tuple[int, int]):
-        self.exponents, self.a1, self.a2, self.k = exponents, a1, a2, k
-        self._bracket = None
-
-    def _form(self) -> tuple:
-        return _gap_ends(self.a1, self.a2, self.k)
-
-
 def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
     """One ``Product`` of ``atoms`` per power vector of ``forms``.
 
     The atoms' exponents are read once, and each product's sums are formed
     here, once.
     """
-    exps = [a.exponents if isinstance(a, Factor) else _exponents(a) for a in atoms]
+    exps = [exponents(a) for a in atoms]
     out = []
     for powers in forms:
         lo = hi = 0
@@ -472,7 +458,7 @@ def _exponent_bounds(side: Sequence) -> Optional[tuple[int, int]]:
     """
     lo_exp = hi_exp = 0
     for f in side:
-        exps = f.exponents if isinstance(f, Factor) else _exponents(f)
+        exps = exponents(f)
         if exps is None:
             return None
         lo_exp += exps[0]

@@ -16,11 +16,12 @@ contract:
 Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
 each certificate stage per size, ``deep_scale``: how many image points the
-chart-cone ladders bracketed by ball Horner, and how many of those needed
-the exact triples after all, ``witness``: the same two counts for the
-cone-window witness's sampled image points, ``boundary``: the same two
-counts for each loop over exact circle points (the annulus bounds, the
-target region, the chart window and the base chart).  The boundary sup
+chart-cone ladders bracketed by ball Horner, how many of those needed the
+exact triples after all, and how many formed a 192-bit product,
+``witness``: the same three counts for the cone-window witness's sampled
+image points, ``boundary``: the points and exact fallbacks of each loop
+over exact circle points (the annulus bounds, the target region, the chart
+window and the base chart).  The boundary sup
 metric of condition iii is derived from the target certificate, so it has
 no loop and no counts.
 """
@@ -50,7 +51,7 @@ from .certify import (
     worst,
 )
 from . import disktrace
-from .disktrace import _WORK_COUNTS, Certificate, trace_family
+from .disktrace import _IMAGE_COUNTS, _WORK_COUNTS, Certificate, trace_family
 from .family import (
     FamilyParamError,
     FamilyParams,
@@ -496,8 +497,8 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)
             ),
             "elapsed_seconds": round(time.time() - started, 3),
-            "deep_scale": totals("deep_scale", _WORK_COUNTS),
-            "witness": totals("witness", _WORK_COUNTS),
+            "deep_scale": totals("deep_scale", _IMAGE_COUNTS),
+            "witness": totals("witness", _IMAGE_COUNTS),
             "boundary": {
                 **{
                     loop: {

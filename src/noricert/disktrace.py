@@ -32,11 +32,15 @@ power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
 |f2|^2 and |f2 - f1|^2 = eps^2 |lam|^2 |P_1|^4 prod_{j>=2} |P_j|^2 are
 products, with powers, of eps^2, the exact |lam|^2 and the ball brackets
 (``bounds.ball_abs2``) of the low-degree factors; the difference needs no
-subtraction.  Their binary exponents are summed once per point and decide
-almost every predicate; the 192-bit products are formed only where the
-exponents overlap.  Without those proofs the atoms are |f1|^2 and |f2|^2
-themselves.  The values at every exact circle point of a spot check take
-``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
+subtraction.  Without those proofs the atoms are |f1|^2 and |f2|^2
+themselves.  A point reads only its atoms' binary exponents.  Each chart
+predicate is one net power vector over the atoms, compiled once per
+certificate, so common factors cancel before anything is multiplied and
+the net exponent sums decide almost every predicate; the ``bounds.Product``s
+of |f1|^2, |f2|^2 and |f2 - f1|^2 are built, and their 192-bit products
+formed, only where the net exponents straddle the threshold.  The values
+at every exact circle point of a spot check take ``bounds.Values``,
+bracketed by ball Horner.  Exact ``eval_scaled`` triples
 are evaluated only when a comparison or a zero test is left undecided, or
 when a refutation renders its witness as exact rationals with
 ``scaled_to_complex``.
@@ -67,7 +71,9 @@ from .bounds import (
     ball_point,
     bracket_lt,
     constant_factor,
+    exponents,
     gap_bracket,
+    log2_bounds,
     products,
 )
 from .certify import (
@@ -137,21 +143,22 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # The evaluation loops below run thousands of exact tests against values
 # whose reduced denominators have tens of thousands of digits; Fraction
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
-# work on brackets and unreduced ``eval_scaled`` triples.  Every sampled
-# image point is an ``_Image``: it brackets |f1|^2, |f2|^2 and, for the
-# chart-0 cone, |f2 - f1|^2 as ``bounds.Product``s over the atoms of its
-# factor map (``_image_factors``), through the factors P_j when the family's
-# identities prove the product forms, and sums their binary exponents when
-# it is built.  Every exact circle point of a spot check is a
-# ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from one ball of the
-# point.  Every predicate and spot check is decided by ``bounds.bracket_lt``
-# against brackets of the constants built once per certificate (the
-# family's ``FamilyParams.squares`` among them): first on exponents, then on
-# directed 192-bit products of the same atoms, and integer
-# cross-multiplication of the exact triples of f1 and f2 decides where those
-# overlap; the zero tests read the triples only when a bracket reaches 0.
-# The Fraction predicates of the atlas module remain the reference
-# semantics; the test suite cross-validates the paths.
+# work on exponents, brackets and unreduced ``eval_scaled`` triples.  Every
+# sampled image point is an ``_Image`` over the atoms of its factor map
+# (``_image_factors``).  Each chart predicate compares two products of
+# |f1|^2, |f2|^2, |f2 - f1|^2 and a chart square, which over the same atoms
+# is one net power vector (``_compile_net``, once per certificate): common
+# atoms cancel before anything is multiplied, and the net exponent sums
+# (``_Image.net``) decide wherever the two sides' own sums would, and at
+# most points where those overlap.  Where they straddle the threshold the
+# image forms its ``bounds.Product``s for ``bounds.bracket_lt`` against the
+# chart squares (``FamilyParams.squares``), first on exponents, then on
+# directed 192-bit products; integer cross-multiplication of the exact
+# triples of f1 and f2 decides where those overlap, and the zero tests read
+# the triples only when a bracket reaches 0.  Every exact circle point of a
+# spot check is a ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from
+# one ball of the point.  The Fraction predicates of the atlas module remain
+# the reference semantics; the test suite cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
@@ -162,17 +169,19 @@ _FACTOR_IDENTITIES = ("power-ratio", "square-ratio", "difference-factorization")
 class _Factors(NamedTuple):
     """How an image brackets |f1|^2, |f2|^2 and, at k = 0, |f2 - f1|^2.
 
-    The atoms of a point are ``constants`` (``bounds`` factors), then
+    The atoms of a point are ``constants`` (``bounds.Ratio``s), then
     |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``;
     ``forms`` holds one power vector over the atoms for each of the three
     quantities, or for the first two only, when the cone test brackets the
-    difference by ``gap_bracket``.
+    difference by ``gap_bracket``.  ``nets`` holds the compiled net power
+    vectors of the chart predicates (``_compile_net``), filled on first use.
     """
 
     constants: tuple
     lam: bool
     polys: tuple
     forms: tuple
+    nets: dict
 
 
 def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Factors:
@@ -193,7 +202,7 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     ``identities``) the atoms are |f1|^2 and |f2|^2 themselves.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
-        return _Factors((), False, (fam.f1, fam.f2), ((1, 0), (0, 1)))
+        return _Factors((), False, (fam.f1, fam.f2), ((1, 0), (0, 1)), {})
     n = fam.n
     eps2 = fam.params.eps**2
     ones = (1,) * (n - 2)
@@ -202,24 +211,63 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
         True,
         tuple(fam.Pk(j) for j in range(1, n)),
         ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
+        {},
     )
+
+
+def _compile_net(fam: Family, factors: _Factors, coeffs: tuple, square: Optional[str]):
+    """prod_i q_i^coeffs[i] / c as ``(pairs, lo, hi)``, the q_i the quantities
+    of ``factors.forms`` and c the chart square ``square`` (1 when None).
+
+    The constant atoms fold into c, and 2^lo <= c <= 2^hi are the tightest
+    powers of two around it.  ``pairs`` holds ``(i, net power)`` for each
+    point atom i that either side uses: a common atom cancels only where it
+    is positive.
+    """
+    fixed = len(factors.constants)
+    c = Fraction(*getattr(fam.params.squares, square)[:2]) if square else Fraction(1)
+    pairs = []
+    for i, column in enumerate(zip(*factors.forms)):
+        terms = [coeff * e for coeff, e in zip(coeffs, column)]
+        if i < fixed:
+            ratio = factors.constants[i]
+            c *= Fraction(ratio.num, ratio.den) ** -sum(terms)
+        elif any(terms):
+            pairs.append((i - fixed, sum(terms)))
+    return tuple(pairs), *log2_bounds(c.numerator, c.denominator)
+
+
+def _decide(net: Optional[tuple], closed: bool = False) -> Optional[bool]:
+    """Whether a value in [2^lo, 2^hi] is < 1 (``<= 1`` if closed); None if open."""
+    if net is None:
+        return None
+    lo, hi = net
+    if hi < 0 or closed and hi == 0:
+        return True
+    if lo > 0 or not closed and lo == 0:
+        return False
+    return None
 
 
 class _Image:
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
-    ``a1`` and ``a2`` are ``bounds.Product`` brackets of |f1(lam)|^2 and
-    |f2(lam)|^2, and ``gap`` one of |f2(lam) - f1(lam)|^2 (None when the
-    factor map has no form for it), all over the atoms of ``factors``
-    (``_image_factors``; by default |f1|^2 and |f2|^2): one ``ball_point``
-    of lam, and one ``ball_abs2`` per polynomial of the map.  ``v1`` and
-    ``v2`` are the exact ``eval_scaled`` triples of f1 and f2, both
-    evaluated the first time either is read: by a predicate whose bracket
-    comparison was undecided, by a zero test whose bracket reaches 0, or by
-    a refutation that renders the point.
+    ``atoms`` are the point atoms of ``factors`` (``_image_factors``; by
+    default |f1|^2 and |f2|^2): the exact |lam|^2 when the map has it and
+    one ``ball_abs2`` bracket per polynomial, from one ``ball_point`` of
+    lam; ``exps`` are their binary exponents (None where a bracket reaches
+    0, ``positive`` when none does), on which ``net`` decides.  ``a1``,
+    ``a2`` and ``gap`` are the ``bounds.Product``s of |f1|^2, |f2|^2 and
+    |f2 - f1|^2 (None without a form), built when ``net`` leaves a
+    predicate open or a zero test meets a zero bracket.  ``v1`` and ``v2``
+    are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
+    either is first read: by an undecided bracket comparison or zero test,
+    or by a refutation that renders the point.
     """
 
-    __slots__ = ("fam", "lam", "a1", "a2", "gap", "_triples")
+    __slots__ = (
+        "fam", "lam", "factors", "atoms", "exps", "positive", "_quantities", "_triples"
+    )
 
     def __init__(
         self,
@@ -231,16 +279,59 @@ class _Image:
     ):
         factors = _image_factors(fam) if factors is None else factors
         ball = ball_point(num_re, num_im, den)
-        atoms = list(factors.constants)
+        atoms = []
         if factors.lam:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
             atoms.append(Ratio(num_re * num_re + num_im * num_im, den * den))
         for p in factors.polys:
             atoms.append(ball_abs2(p, num_re, num_im, den, ball=ball))
-        self.a1, self.a2, *gap = products(atoms, factors.forms)
-        self.gap = gap[0] if gap else None
-        self.fam, self.lam = fam, (num_re, num_im, den)
+        self.exps = [exponents(a) for a in atoms]
+        self.positive = None not in self.exps
+        self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
+        self.atoms = atoms
+        self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
+
+    def net(self, coeffs: tuple, square: Optional[str] = None) -> Optional[tuple]:
+        """Powers of two ``(lo, hi)`` around ``_compile_net``'s quotient at lam.
+
+        Sums over the net powers, compiled once per factor map; None when an
+        atom they use has a bracket that reaches 0.
+        """
+        nets = self.factors.nets
+        key = coeffs, square
+        compiled = nets.get(key)
+        if compiled is None:
+            compiled = nets[key] = _compile_net(self.fam, self.factors, coeffs, square)
+        pairs, c_lo, c_hi = compiled
+        lo, hi = -c_hi, -c_lo
+        exps = self.exps
+        for i, p in pairs:
+            if exps[i] is None:
+                return None
+            e_lo, e_hi = exps[i] if p > 0 else exps[i][::-1]
+            lo, hi = lo + p * e_lo, hi + p * e_hi
+        return lo, hi
+
+    @property
+    def quantities(self) -> tuple:
+        """``(a1, a2, gap)``, built on first read."""
+        if self._quantities is None:
+            factors = self.factors
+            made = products((*factors.constants, *self.atoms), factors.forms)
+            self._quantities = (*made, None)[:3]
+        return self._quantities
+
+    a1 = property(lambda self: self.quantities[0])
+    a2 = property(lambda self: self.quantities[1])
+    gap = property(lambda self: self.quantities[2])
+
+    @property
+    def formed(self) -> bool:
+        """Whether a comparison formed a 192-bit product of this image."""
+        return self._quantities is not None and any(
+            q is not None and q.formed for q in self._quantities
+        )
 
     @property
     def evaluated(self) -> bool:
@@ -264,14 +355,19 @@ class _Image:
 
     def vanishes(self, i: int) -> bool:
         """Exact f_i(lam) = 0; the triples are read only if a_i reaches 0."""
+        if self.positive:
+            return False  # every atom, and so |f_i|^2, is positive
         product = (self.a1, self.a2)[i - 1]
         return product.exponents is None and self.triples[i - 1][:2] == (0, 0)
 
 
 def _count(tally: Counter, values) -> None:
-    """Book one point, and whether a comparison needed its exact values."""
+    """Book one point, whether it needed its exact values and, for an image,
+    whether it formed a 192-bit product."""
     tally["points"] += 1
     tally["exact_fallbacks"] += values.evaluated
+    if isinstance(values, _Image):
+        tally["products"] += values.formed
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -288,7 +384,10 @@ def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
 
 
 def _member_test(fam: Family, img: _Image, k: int) -> bool:
-    """Exact |f1(lam)| < r |f2(lam)|^k via brackets, falling back to integers."""
+    """Exact |f1(lam)| < r |f2(lam)|^k: net exponents, brackets, then integers."""
+    verdict = _decide(img.net((1, -k), "r2"))
+    if verdict is not None:
+        return verdict
     rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
     verdict = bracket_lt([img.a1, rd2_b], [rn2_b, *[img.a2] * k])
     if verdict is not None:
@@ -299,7 +398,10 @@ def _member_test(fam: Family, img: _Image, k: int) -> bool:
 
 
 def _chart_entry_test(fam: Family, img: _Image, k: int) -> bool:
-    """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)| via brackets, then integers."""
+    """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)|: net exponents, brackets, then integers."""
+    verdict = _decide(img.net((-1, k + 2), "r2"))
+    if verdict is not None:
+        return verdict
     rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
     verdict = bracket_lt([*[img.a2] * (k + 2), rd2_b], [rn2_b, img.a1])
     if verdict is not None:
@@ -320,6 +422,31 @@ def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
     return g_re * g_re + g_im * g_im, (d1 * dp) ** 2
 
 
+def _cone_net(img: _Image, k: int, square: str) -> Optional[tuple[int, int]]:
+    """Powers of two around |f1|^4 / (c |f2^(k+1) - f1|^2 |f2|^(2k)), c named
+    by ``square``; None where they are not known.
+
+    At k = 0 with the difference factorization the gap is a quantity.
+    Otherwise, with s <= 2^-3 the smaller of t = |f1|^2 / |f2|^(2k+2) and
+    1/t, the gap is the larger term times (1 -+ sqrt(s))^2, in [2^-2, 2]
+    and in [2^-1, 2] once s <= 2^-4, by the reverse triangle inequality.
+    """
+    if k == 0 and len(img.factors.forms) == 3:
+        return img.net((2, 0, -1), square)
+    t = img.net((1, -(k + 1)))
+    if t is None:
+        return None
+    if t[1] <= -3:
+        lo, hi = img.net((2, -(2 * k + 1)), square)
+        s = t[1]
+    elif t[0] >= 3:
+        lo, hi = img.net((1, -k), square)
+        s = -t[0]
+    else:
+        return None
+    return lo - 1, hi + (1 if s <= -4 else 2)
+
+
 def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
     """The cone inequality at a scaled point, via brackets with exact fallback.
 
@@ -327,8 +454,11 @@ def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
     closed (the margin-bearing form the factorization lemmas give); without
     it the parameter is rho and the comparison is the open cone condition.
     """
-    squares = fam.params.squares
-    pn2, pd2, pn2_b, pd2_b = squares.half_rho2 if halved else squares.rho2
+    square = "half_rho2" if halved else "rho2"
+    verdict = _decide(_cone_net(img, k, square), closed=halved)
+    if verdict is not None:
+        return verdict
+    pn2, pd2, pn2_b, pd2_b = getattr(fam.params.squares, square)
     if k == 0 and img.gap is not None:
         gap = img.gap
     else:
@@ -353,8 +483,12 @@ def _in_cover_region(fam: Family, img: _Image) -> bool:
         return False
     rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
     rn4, rd4, rn4_b, rd4_b = fam.params.squares.r4
-    first = bracket_lt([img.a1, rd2_b], [rn2_b])
-    second = bracket_lt([img.a2, rd4_b], [rn4_b])
+    first = _decide(img.net((1, 0), "r2"))
+    if first is None:
+        first = bracket_lt([img.a1, rd2_b], [rn2_b])
+    second = _decide(img.net((0, 1), "r4"))
+    if second is None:
+        second = bracket_lt([img.a2, rd4_b], [rn4_b])
     if first is None or second is None:
         n1, q1 = scaled_abs2(img.v1)
         n2, q2 = scaled_abs2(img.v2)
@@ -1215,9 +1349,10 @@ class TraceReport:
       their gap and equals n - 1 exactly when the pair is as expected.
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
-    (``points``) and those whose exact triples a predicate needed
-    (``exact_fallbacks``), ``witness`` the same two counts for the
-    cone-window witness; ``boundary`` holds the same two counts for each
+    (``points``), those whose exact triples a predicate needed
+    (``exact_fallbacks``) and those that formed a 192-bit product
+    (``products``), ``witness`` the same three counts for the cone-window
+    witness; ``boundary`` holds the first two counts for each
     exact-circle-point loop of the trace (``target``, ``window`` and
     ``base``).  They describe the work, not the verdict, and are not part
     of ``to_json``.
@@ -1262,6 +1397,8 @@ class TraceReport:
 # the exact-circle-point loops of a trace, in the order they run
 _BOUNDARY_LOOPS = ("target", "window", "base")
 _WORK_COUNTS = ("points", "exact_fallbacks")
+# an image point also books whether it formed a 192-bit product
+_IMAGE_COUNTS = (*_WORK_COUNTS, "products")
 
 _TRACE_DETAIL = {
     Status.REFUTED: "a condition is refuted",
@@ -1371,8 +1508,8 @@ def trace_family(
         seed=seed,
         status=status,
         detail=_TRACE_DETAIL[status],
-        ladder={key: tally[key] for key in _WORK_COUNTS},
-        witness={key: witness_tally[key] for key in _WORK_COUNTS},
+        ladder={key: tally[key] for key in _IMAGE_COUNTS},
+        witness={key: witness_tally[key] for key in _IMAGE_COUNTS},
         boundary={
             loop: {key: counts[key] for key in _WORK_COUNTS}
             for loop, counts in boundary.items()

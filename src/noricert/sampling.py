@@ -3,11 +3,12 @@
 Every layer of this package that samples points does so through a
 ``RationalSampler``: a ``random.Random`` whose stream is a pure function of
 a textual seed recipe, so a reported verdict (including any counterexample)
-can be reproduced exactly on any platform.  Callers draw integers with the
-inherited ``randint``, ``getrandbits`` and ``randrange``; the sampler adds
-only dyadic-grid complex points, returned as integer triples
-``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``, ready for
-``eval_scaled``.  No draw builds a rational number.
+can be reproduced exactly on any platform.  Callers draw integers with
+``randint``, ``getrandbits`` and ``randrange``; ``randint`` is CPython's own
+rejection from ``getrandbits``, the same stream without the ``randrange``
+layers.  The sampler adds dyadic-grid complex points, returned as integer
+triples ``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``,
+ready for ``eval_scaled``.  No draw builds a rational number.
 """
 
 from __future__ import annotations
@@ -47,6 +48,22 @@ class RationalSampler(random.Random):
 
     def __init__(self, *seed_parts):
         super().__init__(seed_for(*seed_parts))
+
+    def randint(self, a: int, b: int) -> int:
+        """``random.Random.randint(a, b)``, drawn without its ``randrange`` layers.
+
+        CPython draws k = n.bit_length() random bits until they fall below
+        the range size n = b - a + 1 (``_randbelow_with_getrandbits``); this
+        is that rejection, so the stream is the inherited one.
+        """
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
 
     def _box(self) -> tuple[int, int]:
         """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G]."""

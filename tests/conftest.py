@@ -86,14 +86,52 @@ def trace_reports(built_families, root_certs, corollary_reports, identities, div
     }
 
 
+def _scaled_product(p, q, z, bits):
+    """``(lo, hi)`` with lo <= p q / 2^z < hi, from the top ``bits`` bits of p."""
+    a = min(max(p.bit_length() - bits, 0), z)
+    top_p, top_q = p >> a, q >> (z - a)
+    return top_p * top_q, (top_p + 1) * (top_q + 1)
+
+
+def _pair_lt(x, y):
+    """x[0]/x[1] < y[0]/y[1] for unreduced pairs (num >= 0, den > 0).
+
+    The cross products are compared by bit lengths, then by their top bits
+    at rising precision, and formed only when those leave it open: the sup
+    candidates of neighbouring circle points can agree to thousands of bits.
+    """
+    if not x[0] or not y[0] or x == y:  # conjugate points give equal pairs
+        return x[0] < y[0]
+    left = x[0].bit_length() + y[1].bit_length()
+    right = y[0].bit_length() + x[1].bit_length()
+    if left + 2 <= right:
+        return True
+    if right + 2 <= left:
+        return False
+    for bits in (64, 512, 4096):
+        z = max(max(left, right) - 2 * bits, 0)
+        l_lo, l_hi = _scaled_product(x[0], y[1], z, bits)
+        r_lo, r_hi = _scaled_product(y[0], x[1], z, bits)
+        if l_hi <= r_lo:
+            return True
+        if r_hi <= l_lo:
+            return False
+    return x[0] * y[1] < y[0] * x[1]
+
+
 def exact_sup(fam, pts):
-    """max(|f1|^2, |f2|^2, |f2/f1|^2) over every point of ``pts``, in Fractions."""
-    best = Fraction(0)
+    """max(|f1|^2, |f2|^2, |f2/f1|^2) over every point of ``pts``, as a Fraction.
+
+    The candidates stay unreduced integer pairs, compared by cross-multiplying;
+    only the maximum is reduced.
+    """
+    best = (0, 1)
     for triple in pts:
-        a1 = Fraction(*scaled_abs2(eval_scaled(fam.f1, *triple)))
-        a2 = Fraction(*scaled_abs2(eval_scaled(fam.f2, *triple)))
-        best = max(best, a1, a2, a2 / a1)
-    return best
+        (n1, q1), (n2, q2) = (scaled_abs2(eval_scaled(f, *triple)) for f in (fam.f1, fam.f2))
+        for candidate in ((n1, q1), (n2, q2), (n2 * q1, q2 * n1)):
+            if _pair_lt(best, candidate):
+                best = candidate
+    return Fraction(*best)
 
 
 @pytest.fixture(scope="session")

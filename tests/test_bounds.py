@@ -38,8 +38,10 @@ from noricert.bounds import (
     ball_point,
     bracket_lt,
     constant_factor,
+    exponents,
     gap_bracket,
     int_bracket,
+    log2_bounds,
     products,
 )
 from noricert.certify import circle_points, circle_triples
@@ -113,10 +115,10 @@ class TestGapBracket:
                 assert _value(gap[0]) <= exact <= _value(gap[1]), (a, c, k)
         assert decided >= 4000
 
-    def test_separated_exponents_give_a_factor(self):
-        # moduli at least 2^3 apart by exponents: a factor whose exponents
-        # enclose the exact gap and its bracket, formed only when read;
-        # closer moduli keep the eager bracket (or None)
+    def test_brackets_at_every_separation(self):
+        # moduli at least 2^3 apart by exponents always get a bracket, within
+        # the powers of two of the larger term widened by 2 below and 1
+        # above; closer moduli get a bracket or None
         rng = random.Random(2)
         kinds = Counter()
         for _ in range(3000):
@@ -130,20 +132,18 @@ class TestGapBracket:
                 a2 = Ratio(c * c, 1)
             gap = gap_bracket(a1, a2, k)
             exact = F((c ** (k + 1) - a) ** 2)
-            if isinstance(gap, Factor):
-                kinds["factor"] += 1
-                assert gap._bracket is None
-                lo, hi = gap.exponents
-                assert F(2) ** lo <= exact <= F(2) ** hi
-                bracket = gap.bracket
-                assert bracket is not None
-                assert F(2) ** lo <= _value(bracket[0]) <= exact <= _value(bracket[1]) <= F(2) ** hi
+            (e1_lo, e1_hi), (e2_lo, e2_hi) = exponents(a1), exponents(a2)
+            p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
+            if p_hi + 3 <= e1_lo or e1_hi + 3 <= p_lo:
+                kinds["separated"] += 1
+                lo, hi = (e1_lo - 2, e1_hi + 1) if p_hi < e1_lo else (p_lo - 2, p_hi + 1)
+                assert F(2) ** lo <= _value(gap[0]) <= exact <= _value(gap[1]) <= F(2) ** hi
             elif gap is not None:
                 kinds["bracket"] += 1
                 assert _value(gap[0]) <= exact <= _value(gap[1])
             else:
                 kinds["none"] += 1
-        assert min(kinds["factor"], kinds["bracket"], kinds["none"]) > 100
+        assert min(kinds["separated"], kinds["bracket"], kinds["none"]) > 100
 
 
 def _exact(x):
@@ -567,10 +567,32 @@ class TestFactors:
 
     def test_a_factor_reads_as_its_bracket(self):
         ratio = Ratio(5, 3)
-        assert ratio._bracket is None  # formed on first read only
+        assert ratio._bracket is None and not ratio.formed  # formed on first read only
         lo, hi = ratio
+        assert ratio.formed
         assert (lo, hi) == ratio.bracket == (ratio[0], ratio[1])
         assert isinstance(ratio, Factor)
+
+    def test_exponents_of_brackets_and_factors(self):
+        bracket = int_bracket(5 << 300)
+        assert exponents(bracket) == (302, 303)
+        assert exponents(Ratio(5 << 300, 1)) == Ratio(5 << 300, 1).exponents == (301, 303)
+        assert exponents(((0, 0), (1, 0))) is None and exponents(Ratio(0, 1)) is None
+
+    def test_log2_bounds_are_the_floor_and_ceil(self):
+        # at, just below and just above powers of two, and drawn ratios
+        rng = random.Random(34)
+        cases = [(1, 1), (8, 1), (1, 8), (3, 24), (7, 8), (9, 8), (2**400 - 1, 2**200)]
+        cases += [(2**200 + 1, 2**400), (3, 2), (2, 3)]
+        for _ in range(500):
+            num = rng.getrandbits(rng.randrange(1, 300)) + 1
+            den = rng.getrandbits(rng.randrange(1, 300)) + 1
+            cases.append((num, den))
+        for num, den in cases:
+            lo, hi = log2_bounds(num, den)
+            q = F(num, den)
+            assert F(2) ** lo <= q <= F(2) ** hi
+            assert hi - lo == (0 if q == F(2) ** lo else 1)
 
     def test_products_enclose_the_exact_products(self):
         # atoms mixing ratios, integer brackets, ball-like brackets and a

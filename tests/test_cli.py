@@ -362,30 +362,37 @@ STAGES = {
 class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
-        # under 1 % of the ball-bracketed points need the exact triples
+        # under 1 % of the ball-bracketed points need the exact triples;
+        # the net exponents leave 61 of them to 192-bit products (663
+        # when the two sides' exponents were summed uncancelled): the entry
+        # probe at the root of P_(n-1) and its neighbour, and cone tests at
+        # n = 4 whose net exponents straddle 1
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
-        assert set(deep) == {"points", "exact_fallbacks", "per_n"}
+        assert set(deep) == {"points", "exact_fallbacks", "products", "per_n"}
         assert set(deep["per_n"]) == {"2", "3", "4"}
-        for key in ("points", "exact_fallbacks"):
+        for key in ("points", "exact_fallbacks", "products"):
             assert deep[key] == sum(c[key] for c in deep["per_n"].values())
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
         assert (deep["points"], deep["exact_fallbacks"]) == (1608, 3)
+        assert [deep["per_n"][n]["products"] for n in "234"] == [2, 2, 57]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_witness_counters(self, default_run):
         # the cone-window witness at n = 2..4 draws 2048 points per size,
-        # bracketed through the factors and decided by their exponents
+        # bracketed through the factors and decided by their net exponents,
+        # with no exact triple and no 192-bit product
         report, code = default_run
         assert code == EXIT_OK
         witness = report["meta"]["witness"]
+        zero = {"exact_fallbacks": 0, "products": 0}
         assert witness == {
             "points": 6144,
-            "exact_fallbacks": 0,
-            "per_n": {n: {"points": 2048, "exact_fallbacks": 0} for n in ("2", "3", "4")},
+            **zero,
+            "per_n": {n: {"points": 2048, **zero} for n in ("2", "3", "4")},
         }
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256

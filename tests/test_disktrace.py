@@ -12,8 +12,10 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2
+from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2, scaled_to_complex
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
 from noricert.certify import (
     Status,
@@ -40,13 +42,22 @@ from noricert.disktrace import (
     uniform_convergence_witness,
     vanishing_orders,
 )
-from noricert.bounds import Values, bracket_lt, gap_bracket
+from noricert.bounds import (
+    Factor,
+    Values,
+    _exponent_bounds,
+    bracket_lt,
+    exponents,
+    gap_bracket,
+)
 from noricert.disktrace import (
     _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
     _chart_entry_test,
+    _cone_net,
     _cone_test,
+    _decide,
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
@@ -489,6 +500,258 @@ class TestFactorImages:
             _cover_indices_scaled(fam, img, 4)
         assert seen and 0 not in seen
 
+_PREDICATES = ("region", "member", "entry", "cone", "halved")
+
+
+def _predicate(name, fam, img, k):
+    """One chart-k predicate of the scaled path at ``img``."""
+    if name == "region":
+        return _in_cover_region(fam, img)
+    if name == "member":
+        return _member_test(fam, img, k)
+    if name == "entry":
+        return _chart_entry_test(fam, img, k)
+    return _cone_test(fam, img, k, halved=name == "halved")
+
+
+def _scaled_verdicts(fam, lam, factors, k):
+    """Each chart-k predicate on its own image of lam: ``(verdict, by_net)``.
+
+    The net stage decided a predicate when its image built no product and
+    read no exact triple.
+    """
+    out = {}
+    for name in _PREDICATES:
+        img = _Image(fam, *lam, factors)
+        verdict = _predicate(name, fam, img, k)
+        out[name] = verdict, img._quantities is None and not img.evaluated
+    return out
+
+
+def _reference_verdicts(fam, lam, ks):
+    """The same predicates in Fractions at the consecutive chart indices
+    ``ks``; ``chart_cover_indices`` and ``cone_condition`` agree with them."""
+    p = ChartPoint(*(scaled_to_complex(eval_scaled(f, *lam)) for f in (fam.f1, fam.f2)))
+    r, rho = fam.params.r, fam.params.rho
+    a1, a2 = p.z1.abs2(), p.z2.abs2()
+    cover = chart_cover_indices(p, r, ks[-1])
+    refs, power = {}, p.z2 ** ks[0]
+    for k in ks:
+        power = power * p.z2  # z2^(k+1): the ks are consecutive
+        gap = (power - p.z1).abs2()
+        ref = refs[k] = {
+            "region": cover.in_region,
+            "member": a1 < r**2 * a2**k,
+            "entry": a2 ** (k + 2) < r**2 * a1,
+            "cone": a1 * a1 < rho**2 * gap * a2**k,
+            "halved": a1 * a1 <= (rho / 2) ** 2 * gap * a2**k,
+        }
+        if cover.in_region:
+            assert (k in cover.indices) == (ref["member"] and ref["entry"])
+    if not p.is_origin:
+        assert cone_condition(p, ks[0], rho) == refs[ks[0]]["cone"]
+    return refs
+
+
+def _net_stage_against_the_reference(fam, factors, points, ks):
+    """Every predicate at every point and chart index equals its reference;
+    returns how many the net stage decided, of how many."""
+    decided = total = 0
+    for lam in points:
+        refs = _reference_verdicts(fam, lam, list(ks))
+        for k in ks:
+            for name, (verdict, by_net) in _scaled_verdicts(fam, lam, factors, k).items():
+                assert verdict == refs[k][name], (name, lam, k)
+                decided += by_net
+                total += 1
+    return decided, total
+
+
+def _exponent_stage(lhs, rhs, closed=False):
+    """``bracket_lt``'s exponent stage alone, on the uncancelled sides."""
+    left, right = _exponent_bounds(lhs), _exponent_bounds(rhs)
+    if left is None or right is None:
+        return None
+    (l_lo, l_hi), (r_lo, r_hi) = left, right
+    if l_hi < r_lo or closed and l_hi == r_lo:
+        return True
+    if r_hi < l_lo or not closed and r_hi == l_lo:
+        return False
+    return None
+
+
+class _Powers(Factor):
+    """A factor known only by its exponents."""
+
+    def __init__(self, exps):
+        self.exponents, self._bracket = exps, None
+
+
+def _separated_gap(a1, a2, k):
+    """The gap |f2^(k+1) - f1|^2 by the uncancelled exponents of its terms:
+    those of the larger, widened by 2 below and 1 above, when the two are
+    at least 2^3 apart; None otherwise."""
+    (e1_lo, e1_hi), (e2_lo, e2_hi) = exponents(a1), exponents(a2)
+    p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
+    if p_hi + 3 <= e1_lo:
+        return _Powers((e1_lo - 2, e1_hi + 1))
+    if e1_hi + 3 <= p_lo:
+        return _Powers((p_lo - 2, p_hi + 1))
+    return None
+
+
+def _uncancelled_verdicts(fam, img, k):
+    """Each predicate decided on the exponent sums of its two uncancelled
+    sides, as before the net stage, or None where those overlap (and for a
+    cone whose gap is not known by exponents)."""
+    squares = fam.params.squares
+    (rn2, rd2), (rn4, rd4) = squares.r2[2:], squares.r4[2:]
+    a1, a2 = img.a1, img.a2
+    first = _exponent_stage([a1, rd2], [rn2])
+    second = _exponent_stage([a2, rd4], [rn4])
+    out = {
+        "region": None if first is None or second is None else first and second,
+        "member": _exponent_stage([a1, rd2], [rn2, *[a2] * k]),
+        "entry": _exponent_stage([*[a2] * (k + 2), rd2], [rn2, a1]),
+    }
+    if k == 0 and img.gap is not None:
+        gap = img.gap
+    elif a1.exponents is not None and a2.exponents is not None:
+        gap = _separated_gap(a1, a2, k)
+    else:
+        gap = None
+    for name, (pn2, pd2) in (("cone", squares.rho2[2:]), ("halved", squares.half_rho2[2:])):
+        out[name] = (
+            None
+            if gap is None
+            else _exponent_stage([a1, a1, pd2], [pn2, gap, *[a2] * k], closed=name == "halved")
+        )
+    return out
+
+
+class TestNetStage:
+    """The chart predicates decided on net powers of the image atoms."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_draws_match_the_reference(self, built_families, identities, n):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        # the Fraction reference takes about a second per point at n = 4
+        points = list(_witness_draws(n, 24 if n < 4 else 3, 7))
+        decided, total = _net_stage_against_the_reference(fam, factors, points, range(n))
+        assert decided * 10 >= total * 9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ladder_candidates_match_the_reference(self, built_families, identities, n):
+        # the first candidates of each chart's ladder at seed 0, up to five
+        # decades past its entry scale; one per chart at n = 4, where the
+        # Fraction reference of chart 3 takes seconds
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        decided = total = 0
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            candidates = _approach_candidates(fam, k, entry, 64, 0)
+            count = 8 if n < 4 else 1
+            points = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(count))]
+            got = _net_stage_against_the_reference(fam, factors, points, (k,))
+            decided, total = decided + got[0], total + got[1]
+        assert decided * 10 >= total * 8
+
+    def test_entry_scales_match_the_reference(self, built_families, identities):
+        # the probes 10^-e on both sides of the n = 4 entry thresholds, where
+        # membership is a near tie, and a ladder-like point at the first two
+        # scales (the ladder test has one at 914 digits); 10^-913 is the root
+        # of P_3, where only the triples decide
+        fam = built_families[4]
+        factors = _image_factors(fam, identities[4])
+        decided = 0
+        for k, e in zip((1, 2, 3), (11, 111, 914)):
+            points = [(1, 0, 10**e), (1, 0, 10 ** (e - 1))]
+            if e < 914:
+                points.append((200, -131, 2**8 * 10**e))
+            decided += _net_stage_against_the_reference(fam, factors, points, (k,))[0]
+        assert decided >= 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, n):
+        # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2: an
+        # atom's bracket reaches 0 and nothing cancels
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        root = fam.params.eps ** fam.params.c[-1]
+        points = [(0, 0, 1), (root.numerator, 0, root.denominator)]
+        assert _net_stage_against_the_reference(fam, factors, points, range(n))[0] == 0
+
+    def test_two_atom_family(self, built_families):
+        # without the factor identities the atoms are |f1|^2 and |f2|^2
+        fam = built_families[3]
+        factors = _image_factors(fam, _identities())
+        assert not factors.lam and factors.polys == (fam.f1, fam.f2)
+        points = list(_witness_draws(3, 24, 8))
+        decided, total = _net_stage_against_the_reference(fam, factors, points, range(3))
+        assert decided * 10 >= total * 9
+
+    def test_eps_one_family(self):
+        # the refuted family, at witness draws and at the refutation witness
+        # of its cone-window witness
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        factors = _image_factors(fam, exact_identity_checks(fam))
+        assert factors.lam
+        points = [*_witness_draws(2, 24, 9), (-3299, -10052, 16384)]
+        decided, total = _net_stage_against_the_reference(fam, factors, points, range(2))
+        assert decided * 3 >= total * 2
+
+    @pytest.mark.parametrize(
+        "f1, f2, r, rho, halved, holds",
+        [
+            # t = |f1|^2/|f2|^4 just below 2^-3 by exponents; the cone
+            # ratio X |f2|^4/gap is 1.079/1.266 < 1 (opposite phases) and
+            # 0.490/0.418 > 1 (equal phases), where X's exponents alone
+            # would read >= 1 and < 1
+            (F(-1, 4), F(181, 128), F(1, 100), F(1, 47), False, True),
+            (F(181, 512), F(1), F(1, 20), F(5, 28), False, False),
+            # the same at the halved closed cone: X <= 1/2 by exponents
+            (F(181, 512), F(1), F(1, 10), F(5, 14), True, False),
+            # t just below 2^-4: the halved ratio is 0.754/0.564 > 1, where
+            # X's exponents alone would read <= 1
+            (F(255, 1024), F(1), F(1, 20), F(1, 7), True, False),
+        ],
+    )
+    def test_gap_widening_leaves_near_ties_open(self, f1, f2, r, rho, halved, holds):
+        params = FamilyParams.build(2, r=r, rho=rho)
+        fam = SimpleNamespace(f1=Poly.constant(f1), f2=Poly.constant(f2), params=params)
+        img = _Image(fam, 1, 0, 1)
+        assert img.net((1, -2))[1] <= -3
+        square = "half_rho2" if halved else "rho2"
+        assert _decide(_cone_net(img, 1, square), closed=halved) is None
+        assert _cone_test(fam, img, 1, halved=halved) is holds
+        a1, a2, gap = f1 * f1, f2 * f2, (f2 * f2 - f1) ** 2
+        c = (rho / 2) ** 2 if halved else rho**2
+        assert (a1 * a1 <= c * gap * a2 if halved else a1 * a1 < c * gap * a2) is holds
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.booleans(),
+        st.integers(-(2**8), 2**8),
+        st.integers(-(2**8), 2**8),
+        st.integers(0, 920),
+        st.data(),
+    )
+    def test_decides_wherever_the_uncancelled_sums_decide(
+        self, built_families, identities, n, factored, a, b, e, data
+    ):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n] if factored else None)
+        k = data.draw(st.integers(0, n - 1))
+        lam = (a, b, 2**8 * 10**e)
+        uncancelled = _uncancelled_verdicts(fam, _Image(fam, *lam, factors), k)
+        for name, (verdict, by_net) in _scaled_verdicts(fam, lam, factors, k).items():
+            if uncancelled[name] is not None:
+                assert by_net and verdict == uncancelled[name], name
+
+
 def _exact_target_failure(fam, spot_checks=64):
     """The target loop with exact integers only: (checked, (radius, i) or None)."""
     nn, checked = fam.n * fam.n, 0
@@ -546,7 +809,7 @@ class TestBoundaryLoops:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_real_families_match_exact_loops(
-        self, built_families, corollary_reports, identities, n
+        self, built_families, corollary_reports, identities, unit_circle_sups, n
     ):
         fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
         tally = Counter()
@@ -562,7 +825,7 @@ class TestBoundaryLoops:
         wit = uniform_convergence_witness([fam], {n: target})
         assert wit.status is Status.PROVED
         bound = wit.entries[0].bound_squared
-        assert exact_sup(fam, circle_triples(F(1), 512)) <= bound == F(1, n * n)
+        assert unit_circle_sups[n] <= bound == F(1, n * n)
 
     @pytest.mark.parametrize("scale", [F(2, 7), F(1, 4)])
     def test_tampered_target_refuted_at_the_exact_witness(
@@ -852,6 +1115,22 @@ class TestUniformConvergence:
             a1, a2 = fam.f1(cpt.point).abs2(), fam.f2(cpt.point).abs2()
             expected = max(expected, a1, a2, a2 / a1)
         assert unit_circle_sups[n] == expected <= F(1, n * n)
+
+    def test_pair_comparison_is_exact(self):
+        # the fixture's comparison of unreduced pairs, at ties, near ties
+        # past its top-bit stages and apart, against Fractions
+        from conftest import _pair_lt
+
+        rng = random.Random(15)
+        base = rng.getrandbits(9000) | 1
+        cases = [((0, 3), (0, 5)), ((0, 3), (1, 5)), ((1, 5), (0, 3)), ((6, 4), (9, 6))]
+        for _ in range(200):
+            num, den = rng.getrandbits(rng.randrange(1, 9000)) + 1, base + rng.getrandbits(64)
+            k = rng.randrange(1, 4)
+            near = (num * den * k + rng.choice([-1, 0, 1]), den * den * k)
+            cases += [((num, den), near), (near, (num, den)), ((num, den), (rng.getrandbits(50) + 1, 3))]
+        for x, y in cases:
+            assert _pair_lt(x, y) == (F(*x) < F(*y))
 
     def test_missing_target_cert_inconclusive(self, built_families):
         wit = uniform_convergence_witness([built_families[2]], target_certs={})

@@ -81,3 +81,40 @@ class TestDraws:
             sampler.dyadic_in_annulus(1, 1)
         with pytest.raises(ValueError):
             sampler.dyadic_in_annulus(F(-1, 2), 1)
+
+
+class _Inherited(RationalSampler):
+    """The sampler with ``random.Random``'s own ``randint``."""
+
+    randint = random.Random.randint
+
+
+class TestRandint:
+    """``RationalSampler.randint`` is the inherited draw, without ``randrange``."""
+
+    # every range the package draws from, and a = b, which still draws
+    @pytest.mark.parametrize(
+        "a, b", [(0, 2**16), (-(2**8), 2**8), (0, 12), (0, 5), (0, 1), (7, 7)]
+    )
+    def test_equals_random_randint(self, a, b):
+        assert RationalSampler.randint is not random.Random.randint
+        for seed in range(3):
+            ours = RationalSampler("randint", a, b, seed)
+            ref = random.Random(seed_for("randint", a, b, seed))
+            assert [ours.randint(a, b) for _ in range(10**4)] == [
+                ref.randint(a, b) for _ in range(10**4)
+            ]
+            # the two generators are left in the same state
+            assert ours.getrandbits(64) == ref.getrandbits(64)
+
+    def test_empty_range(self):
+        with pytest.raises(ValueError):
+            RationalSampler("empty").randint(1, 0)
+
+    def test_point_streams_are_the_inherited_ones(self):
+        ours = RationalSampler("points", 0)
+        ref = _Inherited("points", 0)
+        for _ in range(500):
+            assert ours.dyadic_in_disk(F(1, 5)) == ref.dyadic_in_disk(F(1, 5))
+            assert ours.dyadic_in_annulus(F(1, 5), 1) == ref.dyadic_in_annulus(F(1, 5), 1)
+            assert ours.dyadic_in_disk(2) == ref.dyadic_in_disk(2)
