@@ -25,15 +25,21 @@ Circle points come from the rational half-circle chart
 
 and its negation, so every point has exactly rational coordinates.
 
-Polynomial identities between products of the family's factors (the exact
-identities, each factor's defining recursion and each chart's cone
-factorization) are proved by exact evaluation instead of expansion.  Both
-sides have degree at most D, read from the degrees of the actual ``Poly``
-objects, and a nonzero polynomial of degree at most D has at most D roots,
-so agreement at D + 1 distinct integers proves the identity.  The factors
-are evaluated by ``eval_scaled`` and their values multiplied; only the cone
-combinations, which the divisions use as polynomials, are expanded, once
-per chart, and they are evaluated from those expansions.
+Polynomial identities between products of the family's factors are proved
+in one of two ways.  Each factor's defining recursion, and three premises
+per family -- f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and the
+recursion of P_1 -- are proved by exact evaluation instead of expansion.
+Both sides have degree at most D, read from the degrees of the actual
+``Poly`` objects, and a nonzero polynomial of degree at most D has at most
+D roots, so agreement at D + 1 distinct integers proves the identity; the
+factors are evaluated by ``eval_scaled`` and their values multiplied.  Given
+the premises, the exact identities and each chart's cone factorization are
+exponent bookkeeping: both sides are sums of monomials c z^m prod P_j^(e_j),
+and after P_1 is eliminated by its recursion their normal forms agree
+(``ProductForms``).  Where a premise fails or two normal forms differ, the
+identity falls back to exact evaluation, so bookkeeping never refutes.  Only
+the cone combinations, which the divisions use as polynomials, are
+expanded, once per chart.
 
 Status taxonomy: ``PROVED`` (certificate complete), ``REFUTED`` (an exact
 witness violates the claim), ``INCONCLUSIVE`` (a sufficient condition that
@@ -44,6 +50,7 @@ certificate missing -- never a soundness concession).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -70,6 +77,8 @@ __all__ = [
     "CorollaryReport",
     "DivisionWitness",
     "ConeFactorCertificate",
+    "ProductForms",
+    "IdentityReport",
     "worst",
     "circle_points",
     "circle_triples",
@@ -769,6 +778,95 @@ def _proved_equal(lhs: list, rhs: list) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Identities by exponent bookkeeping
+# ---------------------------------------------------------------------------
+
+# Sides (see ``_localization_sides``) multiply as monomials c z^m prod X_j^e
+# in symbols X_j that stand for the factors P_j.
+
+
+def _side_product(*sides: tuple) -> tuple:
+    """The product of ``sides``, as a side."""
+    c, m, powers = Fraction(1), 0, Counter()
+    for side_c, side_m, factors in sides:
+        c, m = c * side_c, m + side_m
+        for j, e in factors:
+            powers[j] += e
+    return c, m, tuple(sorted((j, e) for j, e in powers.items() if e))
+
+
+def _negated(side: tuple) -> tuple:
+    c, m, factors = side
+    return -c, m, factors
+
+
+def _normal_form(sides: list, recursion: tuple) -> dict:
+    """The sum of ``sides`` with X_1 eliminated, as {(m, factors): c}.
+
+    ``recursion`` is ``_localization_sides(fam, 1)``, (dominant, (a, 0, ())),
+    for P_1 = a - dominant: each X_1^e expands binomially into sum_i C(e, i)
+    a^(e-i) (-dominant)^i.  The constants stay exact ``Fraction``s, so
+    a = eps^(c_1) is compared with eps exactly.  Equal normal forms are
+    equal polynomials once the X_j are replaced by the P_j; different ones
+    prove nothing, since the P_j satisfy relations the symbols do not.
+    """
+    dominant, (a, _, _) = recursion
+    out: dict = {}
+    for c, m, factors in sides:
+        powers = dict(factors)
+        e = powers.pop(1, 0)
+        rest = (Fraction(c), m, tuple(powers.items()))
+        for i in range(e + 1):
+            term = _side_product(rest, *[_negated(dominant)] * i)
+            key = term[1:]
+            out[key] = out.get(key, 0) + term[0] * math.comb(e, i) * Fraction(a) ** (e - i)
+    return {key: c for key, c in out.items() if c}
+
+
+@dataclass(frozen=True)
+class ProductForms:
+    """Product forms proved for ``family``, each by ``_proved_equal``.
+
+    ``f1`` is the side eps z^n prod P_j^j and ``f2`` the side eps^2 z prod
+    P_j, each equal to the family's polynomial, and ``recursion`` is
+    ``_localization_sides(family, 1)``, whose difference equals P_1.
+    """
+
+    family: Family = field(repr=False)
+    f1: tuple
+    f2: tuple
+    recursion: tuple
+
+    def equal(self, lhs: list, rhs: list) -> bool:
+        """Whether two sums of sides have the same normal form.
+
+        True proves the identity; False proves nothing.
+        """
+        return _normal_form(lhs, self.recursion) == _normal_form(rhs, self.recursion)
+
+
+def _proved_forms(fam: Family) -> Optional[ProductForms]:
+    """``fam``'s product forms, or None unless all three are proved.
+
+    Each premise is one ``_proved_equal``: f1 and f2 against their product
+    forms, and P_1 against the difference of ``_localization_sides(fam, 1)``
+    (at n = 2, the linear form eps^(c_1) - z).
+    """
+    n, eps = fam.n, fam.params.eps
+    f1 = (eps, n, tuple((j, j) for j in range(1, n)))
+    f2 = (eps**2, 1, tuple((j, 1) for j in range(1, n)))
+    dominant, rest = recursion = _localization_sides(fam, 1)
+    premises = (
+        (fam.f1, [_side_term(fam, f1)]),
+        (fam.f2, [_side_term(fam, f2)]),
+        (fam.Pk(1), [_side_term(fam, rest), _side_term(fam, dominant, -1)]),
+    )
+    if all(_proved_equal([(1, ((poly, 1),))], rhs) for poly, rhs in premises):
+        return ProductForms(fam, f1, f2, recursion)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Division identities
 # ---------------------------------------------------------------------------
 
@@ -871,14 +969,28 @@ def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly]:
     return unit_part - dominant, unit_part, dominant
 
 
-def _cone_identity(fam: Family, k: int, c_poly: Poly) -> bool:
-    """Whether f2^(k+1) - f1 == G * c_poly, proved by exact evaluation."""
-    g = ((Poly.x(), k + 1),) + tuple(
-        (fam.Pk(j), min(j, k + 1)) for j in range(1, fam.n)
-    )
+def _cone_identity(
+    fam: Family, k: int, c_poly: Poly, forms: Optional[ProductForms] = None
+) -> bool:
+    """Whether f2^(k+1) - f1 == G * c_poly, G = eps z^(k+1) prod_j P_j^min(j, k+1).
+
+    ``c_poly`` is the expansion of ``cone_sides(fam, k)``, unit part minus
+    dominant.  With ``forms`` the identity is read from the normal forms of
+    the product forms of f1 and f2 against G times each symbolic side (both
+    reduce to the same exponent vectors); without them, or where the normal
+    forms differ, it is proved by exact evaluation with ``c_poly``.
+    """
+    g = (fam.params.eps, k + 1, tuple((j, min(j, k + 1)) for j in range(1, fam.n)))
+    if forms is not None:
+        dominant, unit_part = cone_sides(fam, k)
+        lhs = [_side_product(*[forms.f2] * (k + 1)), _negated(forms.f1)]
+        rhs = [_side_product(g, unit_part), _negated(_side_product(g, dominant))]
+        if forms.equal(lhs, rhs):
+            return True
+    c, factors = _side_term(fam, g)
     return _proved_equal(
         [(1, ((fam.f2, k + 1),)), (-1, ((fam.f1, 1),))],
-        [(fam.params.eps, g + ((c_poly, 1),))],
+        [(c, factors + ((c_poly, 1),))],
     )
 
 
@@ -891,15 +1003,17 @@ def cone_factor_certificate(
 ) -> ConeFactorCertificate:
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
-    For k <= n-2 the identity f2^(k+1) - f1 = G * C is proved here by exact
-    evaluation at D + 1 integers (see ``_proved_equal``): C is the difference
-    of the two expanded sides that the division witness ``divisions[k]``
-    (``lemma_div_check(fam, k+1)``) carries, the expansions of the
-    ``cone_sides`` that the dominance below compares in product form, and is
-    evaluated from that expansion, while G and the powers of f2 enter only
-    through the values of their factors.  The divisibility of C by factor
-    k+1 is read from that witness rather than redone, and the sides are not
-    expanded again.
+    For k <= n-2 the identity f2^(k+1) - f1 = G * C is checked here: C is
+    the difference of the two expanded sides that the division witness
+    ``divisions[k]`` (``lemma_div_check(fam, k+1)``) carries, the expansions
+    of the ``cone_sides`` that the dominance below compares in product form.
+    When ``identities`` is the report of ``exact_identity_checks(fam)`` and
+    proved the product forms of f1 and f2 (``ProductForms``), the identity
+    is an equality of exponent vectors over those symbolic sides and nothing
+    is evaluated; otherwise, or where the exponents do not match, it is
+    proved by exact evaluation at D + 1 integers (``_cone_identity``).  The
+    divisibility of C by factor k+1 is read from the witness rather than
+    redone, and the sides are not expanded again.
     The nonvanishing of the cofactor is established by counting: the
     root-product dominance on |z| = 2 (``root_product_dominance``) localizes
     all roots of C among the already-localized deeper factors and the
@@ -933,8 +1047,9 @@ def cone_factor_certificate(
     division = divisions[k]
     if division.index != k + 1:
         raise ValueError("divisions must hold lemma_div_check(fam, j) for j = 1..n-1")
-    unit_part, dominant = division.unit_part, division.dominant
-    identity_ok = _cone_identity(fam, k, unit_part - dominant)
+    identity_ok = _cone_identity(
+        fam, k, division.unit_part - division.dominant, _forms_of(fam, identities)
+    )
     divisibility_ok = division.status is Status.PROVED and not division.quotient.is_zero
 
     prereq_ok = all(
@@ -974,7 +1089,11 @@ def cone_factor_certificate(
 
 
 def _identity_sides(fam: Family) -> dict[str, tuple[list, list]]:
-    """The two sides of each exact identity, as terms for ``_proved_equal``."""
+    """The two sides of each exact identity, as terms for ``_proved_equal``.
+
+    They read f1 and f2 as the family's polynomials, not as product forms:
+    the evaluation that decides an identity bookkeeping leaves open.
+    """
     n, eps = fam.n, fam.params.eps
     f1, f2, z = fam.f1, fam.f2, Poly.x()
     unit, unit_factors = _side_term(fam, cone_sides(fam, n - 1)[1])
@@ -993,7 +1112,41 @@ def _identity_sides(fam: Family) -> dict[str, tuple[list, list]]:
     }
 
 
-def exact_identity_checks(fam: Family) -> CheckReport:
+def _identity_products(forms: ProductForms) -> dict[str, tuple[list, list]]:
+    """The sides of ``_identity_sides`` in product form, f1 and f2 by ``forms``."""
+    fam = forms.family
+    n, eps, f1, f2 = fam.n, fam.params.eps, forms.f1, forms.f2
+    unit = cone_sides(fam, n - 1)[1]
+    difference = (eps, 1, ((1, 2), *((j, 1) for j in range(2, n))))
+    square = (eps, 2 * n - 1, tuple((j, 2 * j - 1) for j in range(2, n)))
+    return {
+        "power-ratio": ([_side_product(*[f2] * n)], [_side_product(f1, unit)]),
+        "difference-factorization": ([f2, _negated(f1)], [difference]),
+        "square-ratio": (
+            [_side_product(f1, f1)],
+            [_side_product(f2, square), _negated(_side_product(f1, square))],
+        ),
+    }
+
+
+@dataclass(frozen=True)
+class IdentityReport(CheckReport):
+    """The exact identities, and the product forms they were derived from.
+
+    ``forms`` is None unless all three premises were proved; it is not part
+    of ``to_json``.  ``cone_factor_certificate`` reads it.
+    """
+
+    forms: Optional[ProductForms] = field(default=None, compare=False, repr=False)
+
+
+def _forms_of(fam: Family, identities: CheckReport) -> Optional[ProductForms]:
+    """The product forms that ``identities`` proved for ``fam`` itself, if any."""
+    forms = identities.forms if isinstance(identities, IdentityReport) else None
+    return forms if forms is not None and forms.family is fam else None
+
+
+def exact_identity_checks(fam: Family) -> IdentityReport:
     """Division identities tying the two map components together.
 
     * ``power-ratio``: f2^n equals f1 times the unit eps^(2n-1) prod_j
@@ -1003,16 +1156,24 @@ def exact_identity_checks(fam: Family) -> CheckReport:
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
       product form.
 
-    Each identity is proved by exact evaluation at D + 1 integers, D the
-    degree bound of its two sides (see ``_proved_equal``).  Nothing is
-    expanded: f2^n, f1 * unit and the product forms on the right are
-    products of factor values.
+    Three premises are proved by exact evaluation at D + 1 integers (see
+    ``_proved_equal``): f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and
+    the recursion P_1 = eps^(c_1) - z^(n-1) prod_{j>=2} P_j^(j-1)
+    (``_proved_forms``).  Given them, power-ratio is an equality of exponent
+    vectors, and difference-factorization and square-ratio follow once P_1
+    is rewritten by its recursion (``ProductForms.equal``).  Where a premise
+    fails, or two normal forms differ, the identity is proved or refuted by
+    exact evaluation of its own sides (``_identity_sides``), so a tampered
+    family is still decided exactly.  Nothing is expanded.
     """
+    forms = _proved_forms(fam)
+    derived = _identity_products(forms) if forms is not None else {}
     holds = {
-        name: _proved_equal(lhs, rhs)
+        name: (name in derived and forms.equal(*derived[name]))
+        or _proved_equal(lhs, rhs)
         for name, (lhs, rhs) in _identity_sides(fam).items()
     }
-    return CheckReport(
+    return IdentityReport(
         checks=(
             CheckResult("power-ratio", holds["power-ratio"],
                         "f2^n = f1 * unit-polynomial"),
@@ -1021,4 +1182,5 @@ def exact_identity_checks(fam: Family) -> CheckReport:
             CheckResult("square-ratio", holds["square-ratio"],
                         "f1^2 = (f2 - f1) * explicit polynomial"),
         ),
+        forms=forms,
     )

@@ -198,8 +198,12 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     difference-factorization gives f1^2 = (eps lam^n prod P_j^j)^2, which
     fixes |f1|; power-ratio then gives |f2|^(2n) = (eps^4 |lam|^2
     prod |P_j|^2)^n, which fixes |f2|; difference-factorization is
-    f2 - f1 = eps lam P_1^2 prod_{j>=2} P_j.  Otherwise (or without
-    ``identities``) the atoms are |f1|^2 and |f2|^2 themselves.
+    f2 - f1 = eps lam P_1^2 prod_{j>=2} P_j.  ``exact_identity_checks``
+    derives the three from the product forms of f1 and f2 and the
+    recursion of P_1, each proved by exact evaluation, and evaluates an
+    identity's own sides only where that bookkeeping does not close.
+    Otherwise (or without ``identities``) the atoms are |f1|^2 and |f2|^2
+    themselves.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
         return _Factors((), False, (fam.f1, fam.f2), ((1, 0), (0, 1)), {})

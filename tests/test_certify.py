@@ -13,19 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noricert.arith import Poly, as_scaled, eval_scaled, scaled_abs2
+from noricert import certify
 from noricert.certify import (
     AnnulusReport,
+    IdentityReport,
+    ProductForms,
     RootLocalization,
     Status,
     _cone_combination,
     _cone_identity,
     _degree_bound,
     _identity_points,
+    _identity_products,
     _identity_sides,
     _localization_sides,
+    _negated,
+    _normal_form,
     _proved_equal,
     _side_bounds,
     _side_poly,
+    _side_product,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
     circle_points,
@@ -665,9 +672,12 @@ def _evaluated_cone_identity(fam, k):
 
 
 def _tampered(fam, kind):
-    """The family with f2 doubled ("f2-doubled") or one more term in P_j ("Pj")."""
+    """The family with f2 doubled ("f2-doubled"), f1 + 1 ("f1-plus-one") or
+    one more term in P_j ("Pj")."""
     if kind == "f2-doubled":
         return dataclasses.replace(fam, f2=fam.f2 * 2)
+    if kind == "f1-plus-one":
+        return dataclasses.replace(fam, f1=fam.f1 + Poly.one())
     j = int(kind[1:])
     bumped = fam.Pk(j) + Poly.monomial(1, fam.params.eps)
     return dataclasses.replace(fam, P=fam.P[: j - 1] + (bumped,) + fam.P[j:])
@@ -685,6 +695,8 @@ class TestEvaluationProof:
         for k in range(n - 1):
             assert _expanded_cone_identity(fam, k)
             assert _evaluated_cone_identity(fam, k)
+            c_poly = _cone_combination(fam, k)[0]
+            assert _cone_identity(fam, k, c_poly, identities[n].forms)
 
     @pytest.mark.parametrize(
         "n, kind",
@@ -766,3 +778,178 @@ class TestExactIdentities:
         tampered = dataclasses.replace(fam, f2=fam.f2 * 2)
         rep = exact_identity_checks(tampered)
         assert not rep.all_passed
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Records the sides of each ``certify._proved_equal`` call, which still decides."""
+    calls = []
+
+    def counted(lhs, rhs):
+        calls.append((lhs, rhs))
+        return _proved_equal(lhs, rhs)
+
+    monkeypatch.setattr(certify, "_proved_equal", counted)
+    return calls
+
+
+def _cone_certificates(fam, root_certs, identities, divisions):
+    return [
+        cone_factor_certificate(fam, k, root_certs, identities, divisions)
+        for k in range(fam.n)
+    ]
+
+
+class TestDerivedIdentities:
+    """The identities read from two proved product forms and the recursion of
+    P_1 (exponent bookkeeping), against the evaluated and expanded oracles."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_verdicts_match_the_oracles(self, n, built_families, identities):
+        fam = built_families[n]
+        rep = identities[n]
+        assert isinstance(rep, IdentityReport) and rep.forms is not None
+        derived = _identity_products(rep.forms)
+        assert {name: rep.forms.equal(*sides) for name, sides in derived.items()} == (
+            dict.fromkeys(derived, True)
+        )
+        # the expanded oracles: TestEvaluationProof::test_agrees_with_expansion
+        assert {c.name: c.passed for c in rep.checks} == _evaluated_identities(fam)
+        for k in range(n - 1):
+            c_poly = _cone_combination(fam, k)[0]
+            assert _cone_identity(fam, k, c_poly, rep.forms)
+            assert _evaluated_cone_identity(fam, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_three_evaluations_per_family(
+        self, n, built_families, root_certs, identities, divisions, evaluations
+    ):
+        fam = built_families[n]
+        rep = exact_identity_checks(fam)
+        assert rep.all_passed and rep.forms is not None
+        # the premises: f1, f2 and P_1 against their product forms
+        assert [lhs[0][1][0][0] for lhs, _ in evaluations] == [fam.f1, fam.f2, fam.Pk(1)]
+        evaluations.clear()
+        certs = _cone_certificates(fam, root_certs[n], rep, divisions[n])
+        assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
+        assert evaluations == []
+
+    def test_report_bytes_and_equality(self, built_families, identities):
+        # the forms are neither serialized nor compared
+        rep = identities[3]
+        bare = IdentityReport(rep.checks)
+        assert bare.forms is None and bare == rep
+        assert rep.to_json() == bare.to_json() == {
+            "all_passed": True,
+            "checks": [c.to_json() for c in rep.checks],
+        }
+
+    @pytest.mark.parametrize(
+        "n, kind",
+        [(n, kind) for n in (2, 3, 4) for kind in ("f2-doubled", "f1-plus-one")]
+        + [(n, f"P{j}") for n in (2, 3, 4) for j in range(1, n)],
+    )
+    def test_tampered_families_fall_back(self, n, kind, built_families, evaluations):
+        fam = _tampered(built_families[n], kind)
+        rep = exact_identity_checks(fam)
+        assert rep.forms is None
+        # a failed premise, then the three identities on their own sides
+        assert len(evaluations) >= 4
+        assert evaluations[-3:] == list(_identity_sides(fam).values())
+        assert {c.name: c.passed for c in rep.checks} == _evaluated_identities(fam)
+        assert not rep.passed("power-ratio")
+        if n < 4:
+            expanded = _expanded_identities(fam, _expanded_unit(fam))
+            assert {c.name: c.passed for c in rep.checks} == expanded
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tampered_cone_identities_refuted(
+        self, n, built_families, root_certs, divisions
+    ):
+        # with its own report (no forms) or the report of the untampered
+        # family (forms of another family), the cone identity is evaluated
+        fam = built_families[n]
+        tampered = _tampered(fam, "f1-plus-one")
+        for rep in (exact_identity_checks(tampered), exact_identity_checks(fam)):
+            for k in range(n - 1):
+                cert = cone_factor_certificate(
+                    tampered, k, root_certs[n], rep, divisions[n]
+                )
+                assert cert.status is Status.REFUTED and not cert.identity_ok
+
+    def test_identity_with_different_normal_forms_is_proved(
+        self, built_families, monkeypatch, evaluations
+    ):
+        # power-ratio stated with P_2 = eps^(c_2) - z written out: it holds,
+        # but the symbol X_2 is not eliminated, so the normal forms differ
+        fam = built_families[3]
+        forms = exact_identity_checks(fam).forms
+        lhs, rhs = _identity_products(forms)["power-ratio"]
+        (c, m, factors), = rhs
+        powers = dict(factors)
+        powers[2] -= 1
+        rest = (c, m, tuple(powers.items()))
+        last = (fam.params.eps ** fam.params.c[1], 0, ())
+        written_out = [_side_product(rest, last), _negated(_side_product(rest, (1, 1, ())))]
+        assert _side_poly(fam, rhs[0]) == sum(
+            (_side_poly(fam, side) for side in written_out), Poly.zero()
+        )
+        assert not forms.equal(lhs, written_out)
+
+        derived = _identity_products(forms)
+        monkeypatch.setattr(
+            certify, "_identity_products",
+            lambda forms: {**derived, "power-ratio": (lhs, written_out)},
+        )
+        evaluations.clear()
+        rep = exact_identity_checks(fam)
+        assert rep.all_passed and rep.forms is not None
+        assert evaluations[3:] == [_identity_sides(fam)["power-ratio"]]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cone_mismatch_is_proved_by_evaluation(
+        self, n, built_families, root_certs, identities, divisions,
+        monkeypatch, evaluations,
+    ):
+        monkeypatch.setattr(ProductForms, "equal", lambda self, lhs, rhs: False)
+        fam = built_families[n]
+        certs = _cone_certificates(fam, root_certs[n], identities[n], divisions[n])
+        assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
+        assert len(evaluations) == n - 1
+
+    def test_normal_form_eliminates_p1(self, built_families):
+        # P_1 = eps - z^2 P_2 at n = 3: X_1^2 expands binomially, and a side
+        # off by one exponent is told apart
+        fam = built_families[3]
+        eps = fam.params.eps
+        recursion = _localization_sides(fam, 1)
+        assert recursion == ((1, 2, ((2, 1),)), (eps, 0, ()))
+        square = _normal_form([(1, 0, ((1, 2),))], recursion)
+        assert square == {
+            (0, ()): eps**2,
+            (2, ((2, 1),)): -2 * eps,
+            (4, ((2, 2),)): F(1),
+        }
+        one = [(eps, 0, ()), (-1, 2, ((2, 1),))]
+        assert _normal_form([(1, 0, ((1, 1),))], recursion) == _normal_form(one, recursion)
+        assert _normal_form([(1, 0, ((1, 1), (2, 1)))], recursion) != (
+            _normal_form(one, recursion)
+        )
+        # terms that cancel leave nothing
+        assert _normal_form([(eps, 0, ((1, 1),)), (-eps, 0, ((1, 1),))], recursion) == {}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forms_reject_a_wrong_exponent(self, n, built_families, identities):
+        forms = identities[n].forms
+        lhs, rhs = _identity_products(forms)["power-ratio"]
+        for j in range(1, n):
+            assert not forms.equal(lhs, [_side_product(rhs[0], (1, 0, ((j, 1),)))])
+        assert not forms.equal(lhs, [_side_product(rhs[0], (2, 0, ()))])
+
+    def test_eps_one_family(self, evaluations):
+        # eps^(c_1) against eps is compared exactly whatever eps is
+        fam = build_family(FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True))
+        rep = exact_identity_checks(fam)
+        assert rep.forms is not None
+        assert {c.name: c.passed for c in rep.checks} == _evaluated_identities(fam)
+        assert rep.all_passed and len(evaluations) == 3

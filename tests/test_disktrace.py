@@ -6,6 +6,7 @@ oracles before being frozen here.  The scaled fast-path predicates are
 cross-validated against the reference Fraction implementations.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -205,9 +206,49 @@ class TestScaledPredicates:
                 assert first == expected
 
 
+def _product_bracket(pairs, bits):
+    """(lo, hi, shift) with lo 2^shift <= prod x^e < hi 2^shift over ``pairs``
+    of nonnegative integers x and exponents e >= 1, from the top ``bits``
+    bits m of each x: m 2^s <= x < (m + 1) 2^s (0 <= 0 < 1 for x = 0).  With
+    bits = 1 that is the bit length b of x > 0, 2^(b-1) <= x < 2^b."""
+    lo = hi = 1
+    shift = 0
+    for x, e in pairs:
+        s = max(x.bit_length() - bits, 0)
+        m = x >> s
+        lo, hi, shift = lo * m**e, hi * (m + 1) ** e, shift + e * s
+    return lo, hi, shift
+
+
+def _shifted_le(a, p, b, q):
+    """a 2^p <= b 2^q for nonnegative integers."""
+    return a << (p - q) <= b if p >= q else a <= b << (q - p)
+
+
+def _product_lt(left, right, closed=False):
+    """prod x^e over ``left`` < (``<=`` if closed) the same over ``right``.
+
+    Both are lists of pairs (x, e), x a nonnegative integer and e >= 1.
+    Decided on bit-length sums first, then on the top 64 bits of each x
+    (``_product_bracket``); the products are formed only where those
+    brackets overlap.
+    """
+    for bits in (1, 64):
+        lo_l, hi_l, s_l = _product_bracket(left, bits)
+        lo_r, hi_r, s_r = _product_bracket(right, bits)
+        if _shifted_le(hi_l, s_l, lo_r, s_r):
+            return True
+        if _shifted_le(hi_r, s_r, lo_l, s_l):
+            return False
+    lhs = math.prod(x**e for x, e in left)
+    rhs = math.prod(x**e for x, e in right)
+    return lhs <= rhs if closed else lhs < rhs
+
+
 def _exact_chart_verdicts(fam, k, a, b, den):
     """Chart-k membership, entry and closed halved cone at (a + ib)/den, by
-    integer cross-multiplication of the exact ``eval_scaled`` triples."""
+    integer cross-multiplication of the exact ``eval_scaled`` triples,
+    decided on bit lengths first (``_product_lt``)."""
     re1, im1, d1 = v1 = eval_scaled(fam.f1, a, b, den)
     re2, im2, d2 = v2 = eval_scaled(fam.f2, a, b, den)
     p_re, p_im, p_den = v2
@@ -218,9 +259,13 @@ def _exact_chart_verdicts(fam, k, a, b, den):
     r2, h2 = fam.params.r**2, (fam.params.rho / 2) ** 2
     rn, rd, hn, hd = r2.numerator, r2.denominator, h2.numerator, h2.denominator
     return (
-        n1 * rd * q2**k < rn * n2**k * q1,
-        n2 ** (k + 2) * rd * q1 < rn * n1 * q2 ** (k + 2),
-        n1 * n1 * hd * qg * q2**k <= hn * ng * n2**k * q1 * q1,
+        _product_lt([(n1, 1), (rd, 1), (q2, k)], [(rn, 1), (n2, k), (q1, 1)]),
+        _product_lt([(n2, k + 2), (rd, 1), (q1, 1)], [(rn, 1), (n1, 1), (q2, k + 2)]),
+        _product_lt(
+            [(n1, 2), (hd, 1), (qg, 1), (q2, k)],
+            [(hn, 1), (ng, 1), (n2, k), (q1, 2)],
+            closed=True,
+        ),
     )
 
 
@@ -253,6 +298,27 @@ class TestBallImages:
                 if member:
                     assert _cone_test(fam, img, k, halved=True) == exact_cone
             assert accepted == 256
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**160), st.integers(1, 4)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 2**160), st.integers(1, 4)), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_product_comparison_is_exact(self, left, right, closed):
+        lhs = math.prod(x**e for x, e in left)
+        rhs = math.prod(x**e for x, e in right)
+        assert _product_lt(left, right, closed) == (lhs <= rhs if closed else lhs < rhs)
+        # the same products regrouped: a tie, and ties off by one in a factor
+        # below the top 64 bits of every bracket
+        assert _product_lt(left, left[::-1], closed) == closed
+        big = 2**130
+        assert _product_lt([(big, 1), *left], [(big + 1, 1), *left], closed) == (
+            closed or lhs > 0
+        )
+        assert _product_lt([(big + 1, 1), *left], [(big, 1), *left], closed) == (
+            closed and lhs == 0
+        )
 
     def test_undecided_comparison_reaches_exact_triples(self):
         # |f1| = r |f2| exactly at lam = (3 + 4i)/5 (f1 = lam, f2 = 5,
