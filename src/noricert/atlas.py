@@ -12,11 +12,15 @@ and the cone around the k-th exceptional direction by
     |z1|^2 < rho * |z2^(k+1) - z1| * |z2|^k.
 
 Everything in this module evaluates such conditions exactly, through squared
-moduli.  The randomized searches (chart disjointness, the overlap polydisk
-identity) draw dyadic points as integer triples from seeded ``RationalSampler``
-streams and re-verify the inequality chains in integers at every sample; a
-counterexample is reported as an exact point.  The ``Fraction`` predicates
-are the reference semantics that the integer transcriptions are tested against.
+moduli.  Chart disjointness and the overlap polydisk identity are settled by
+their short exact arguments (``disjointness_certificate``,
+``overlap_polydisk_certificate``), whose hypotheses are checked in exact
+rationals.  The randomized searches for the same claims draw dyadic points
+as integer triples from seeded ``RationalSampler`` streams and re-verify the
+inequality chains in integers at every sample; a counterexample is reported
+as an exact point.  The test suite runs them as cross-checks of the
+arguments.  The ``Fraction`` predicates are the reference semantics that the
+integer transcriptions are tested against.
 """
 
 from __future__ import annotations
@@ -31,14 +35,17 @@ from .sampling import RationalSampler
 __all__ = [
     "ChartPoint",
     "CoverResult",
+    "ExactArgument",
     "DisjointnessReport",
     "OverlapReport",
     "IntersectionMatrix",
     "chart_membership",
     "chart_cover_indices",
     "cone_condition",
+    "disjointness_certificate",
     "disjointness_search",
     "overlap_inequalities",
+    "overlap_polydisk_certificate",
     "overlap_polydisk_check",
     "negative_definite",
 ]
@@ -130,6 +137,95 @@ def chart_cover_indices(p: ChartPoint, r: Rational, k_max: int) -> CoverResult:
 
 
 # ---------------------------------------------------------------------------
+# Exact arguments
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExactArgument:
+    """A chart-geometry claim settled by a short exact argument.
+
+    ``hypotheses`` pairs each hypothesis of ``argument`` with whether it
+    holds, decided in exact rationals; the claim is proved when all hold.
+    A failed hypothesis proves nothing either way.
+    """
+
+    claim: str
+    r: Fraction
+    hypotheses: tuple[tuple[str, bool], ...]
+    argument: str
+
+    @property
+    def proved(self) -> bool:
+        return all(holds for _, holds in self.hypotheses)
+
+    @property
+    def detail(self) -> str:
+        if self.proved:
+            return self.argument
+        failed = [name for name, holds in self.hypotheses if not holds]
+        return "the argument does not apply: " + ", ".join(failed) + " fails"
+
+    def to_json(self) -> dict:
+        return {
+            "claim": self.claim,
+            "r": format_rational(self.r),
+            "hypotheses": [
+                {"name": name, "holds": holds} for name, holds in self.hypotheses
+            ],
+            "proved": self.proved,
+        }
+
+
+def _positive_radius(r: Rational) -> Fraction:
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("r must be positive")
+    return r
+
+
+def disjointness_certificate(r: Rational, j: int, k: int) -> ExactArgument:
+    """Charts j and k share no point of the covered region 0 < |z1| < r,
+    |z2| < r^2, when |j - k| >= 2 and r^4 <= 1.
+
+    With lo = min(j, k), hi = max(j, k) and A_i = |z_i|^2, membership in
+    chart lo gives A2^(lo+2) < r^2 A1, and membership in chart hi gives
+    A1 < r^2 A2^hi, so A2^(lo+2) < r^4 A2^hi.  A2 = 0 would leave
+    A1 < 0 (hi >= 2), so 1 < r^4 A2^(hi-lo-2); but A2 < r^4 <= 1 makes the
+    right side at most r^4 <= 1.  Both hypotheses are checked exactly.
+    """
+    r = _positive_radius(r)
+    if j < 0 or k < 0:
+        raise ValueError("chart indices must be >= 0")
+    lo, hi = min(j, k), max(j, k)
+    return ExactArgument(
+        f"charts {lo} and {hi} are disjoint in the covered region",
+        r,
+        (("|j - k| >= 2", hi - lo >= 2), ("r^4 <= 1", r**4 <= 1)),
+        f"membership in both gives A2^{lo + 2} < r^2 A1 < r^4 A2^{hi}, so "
+        f"1 < r^4 A2^{hi - lo - 2} with A2 = |z2|^2 < r^4 <= 1",
+    )
+
+
+def overlap_polydisk_certificate(r: Rational) -> ExactArgument:
+    """The consecutive-chart overlap is the polydisk {|x| < r, |y| < r}
+    when r^3 <= r.
+
+    Inside the polydisk |x^2 y| and |x y^2| are below r^3 <= r, so all four
+    ``overlap_inequalities`` hold; outside it |x| >= r or |y| >= r breaks
+    |x| < r or |y| < r.  The hypothesis is checked exactly.
+    """
+    r = _positive_radius(r)
+    return ExactArgument(
+        "the overlap of consecutive charts is the polydisk |x|, |y| < r",
+        r,
+        (("r^3 <= r", r**3 <= r),),
+        "|x|, |y| < r gives |x^2 y|, |x y^2| < r^3 <= r; "
+        "|x| >= r or |y| >= r breaks |x| < r or |y| < r",
+    )
+
+
+# ---------------------------------------------------------------------------
 # Pairwise disjointness of distant charts
 # ---------------------------------------------------------------------------
 
@@ -188,9 +284,10 @@ def disjointness_search(
 ) -> DisjointnessReport:
     """Search the covered region for a point in both chart j and chart k.
 
-    Requires |j - k| >= 2 and r <= 1, the regime where the two charts are
-    provably disjoint; a counterexample would refute the construction.  At
-    every sample the report additionally re-verifies the inequality chain
+    A sampled cross-check of ``disjointness_certificate``.  Requires
+    |j - k| >= 2 and r <= 1, the regime where the two charts are provably
+    disjoint; a counterexample would refute the construction.  At every
+    sample the report additionally re-verifies the inequality chain
     behind the disjointness proof — with A2 = |z2|^2,
 
         r^4 * A2^max <= A2^(min+2),
@@ -330,7 +427,8 @@ def _overlap_int(x: tuple, y: tuple, rn2: int, rd2: int) -> tuple[bool, bool, bo
 
 
 def overlap_polydisk_check(r: Rational, samples: int, seed: int = 0) -> OverlapReport:
-    """Verify that the overlap of consecutive charts is the polydisk.
+    """Verify that the overlap of consecutive charts is the polydisk, on
+    samples: a cross-check of ``overlap_polydisk_certificate``.
 
     In the overlap coordinates (x, y) the two consecutive charts glue along
     z2 = x*y, z1 = x^2*y, and the overlap is exactly {|x| < r, |y| < r}.

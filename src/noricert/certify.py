@@ -69,6 +69,7 @@ from .family import CheckReport, CheckResult, Family
 __all__ = [
     "Status",
     "CirclePoint",
+    "SpotLoop",
     "RootProductBound",
     "RootLocalization",
     "AnnulusBounds",
@@ -82,12 +83,14 @@ __all__ = [
     "worst",
     "circle_points",
     "circle_triples",
+    "spot_loop",
     "cone_sides",
     "side_factors",
     "root_product_dominance",
     "family_root_certificates",
     "annulus_bounds_certificate",
     "annulus_bounds_for_factor",
+    "annulus_spot_checks",
     "corollary_ineq_certificate",
     "lemma_div_check",
     "cone_factor_certificate",
@@ -174,6 +177,45 @@ def circle_triples(radius: Fraction, count: int) -> list[tuple[int, int, int]]:
         g = math.gcd(re, im, den)
         out.append((re // g, im // g, den // g))
     return out + [(-re, -im, den) for re, im, den in out]
+
+
+@dataclass(frozen=True)
+class SpotLoop:
+    """A loop over exact circle points: how many it tested, how many of
+    those exact integers decided, and the first point where the claim
+    fails (``radius`` and ``witness``, None where it holds at every point)."""
+
+    points: int
+    exact_fallbacks: int
+    radius: Optional[Fraction] = None
+    witness: Optional[CirclePoint] = None
+
+    def counts(self) -> dict[str, int]:
+        return {"points": self.points, "exact_fallbacks": self.exact_fallbacks}
+
+
+def spot_loop(
+    polys: Sequence[Poly], radii: Sequence[Fraction], count: int, holds
+) -> SpotLoop:
+    """Test ``holds(values)`` at ``count`` exact points of each circle of ``radii``.
+
+    ``values`` is the ``bounds.Values`` of ``polys`` at the point, decided on
+    ball brackets, exact integers where they overlap.  The loop stops at the
+    first point where the claim fails.  A certificate runs it only where its
+    own proof is incomplete, to find a refutation witness; the test suite
+    runs it on the proved families as a cross-check.
+    """
+    checked = fallbacks = 0
+    for radius in radii:
+        for i, triple in enumerate(circle_triples(radius, count)):
+            values = Values(polys, *triple)
+            checked += 1
+            ok = holds(values)
+            fallbacks += values.evaluated
+            if not ok:
+                witness = circle_points(radius, count)[i]
+                return SpotLoop(checked, fallbacks, radius, witness)
+    return SpotLoop(checked, fallbacks)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +421,13 @@ def root_product_dominance(
 
 @dataclass(frozen=True)
 class RootLocalization:
-    """All roots of factor ``index`` certified inside |z| < radius."""
+    """All roots of factor ``index`` certified inside |z| < radius.
+
+    ``family`` is the family whose factor was localized, and ``recursion``
+    whether its defining recursion P_k = eps^(c_k) - z^(n-k) prod_{j>k}
+    P_j^(j-k) was proved there (the recursion of ``_localization_sides``;
+    for the last factor, its linear form).  Neither is part of ``to_json``.
+    """
 
     index: int
     radius: Fraction
@@ -389,6 +437,10 @@ class RootLocalization:
     method: str  # "exact-root" | "perturbation"
     dominance: Optional[RootProductBound]
     detail: str = ""
+    family: Optional[Family] = field(
+        default=None, kw_only=True, compare=False, repr=False
+    )
+    recursion: bool = field(default=False, kw_only=True, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -411,37 +463,44 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
     root; each earlier factor is its constant term minus the product of the
     already-localized deeper factors times a monomial (a recursion proved by
     exact evaluation), so a root-product dominance on its circle transfers
-    the full root count.
+    the full root count.  Each certificate records ``fam`` and whether that
+    recursion was proved, so ``exact_identity_checks`` does not prove the
+    recursion of P_1 again.
     """
     n = fam.n
     eps = fam.params.eps
     c, d = fam.params.c, fam.params.d
     certs: dict[int, RootLocalization] = {}
 
+    def localized(*args, recursion: bool = False) -> RootLocalization:
+        return RootLocalization(*args, family=fam, recursion=recursion)
+
     k = n - 1
     root = eps ** c[-1]
     radius = Fraction(1, 2**k)
     if fam.Pk(k) != Poly([root, -1]):
-        certs[k] = RootLocalization(
+        certs[k] = localized(
             k, radius, fam.Pk(k).degree, None, Status.INCONCLUSIVE,
             "exact-root", None, "last factor is not in the expected linear form",
         )
     elif root < radius:
-        certs[k] = RootLocalization(
+        certs[k] = localized(
             k, radius, 1, 1, Status.PROVED, "exact-root", None,
             f"single root at {decimal_approx(root)} inside the disk",
+            recursion=True,
         )
     else:
-        certs[k] = RootLocalization(
+        certs[k] = localized(
             k, radius, 1, None, Status.REFUTED, "exact-root", None,
             f"single root at {decimal_approx(root)} lies outside |z| < {radius}",
+            recursion=True,
         )
 
     for k in range(n - 2, 0, -1):
         radius = Fraction(1, 2**k)
         degree = fam.Pk(k).degree
         if any(certs[j].status is not Status.PROVED for j in range(k + 1, n)):
-            certs[k] = RootLocalization(
+            certs[k] = localized(
                 k, radius, degree, None, Status.INCONCLUSIVE, "perturbation",
                 None, "a deeper factor lacks a proved localization",
             )
@@ -455,22 +514,24 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
                 [_side_term(fam, small), _side_term(fam, big, -1)],
             )
             if recursion_ok and degree == inside == d[k - 1]:
-                certs[k] = RootLocalization(
+                certs[k] = localized(
                     k, radius, degree, inside, Status.PROVED, "perturbation",
                     dom, f"count transferred from dominant part ({inside} roots)",
+                    recursion=True,
                 )
             else:
-                certs[k] = RootLocalization(
+                certs[k] = localized(
                     k, radius, degree, None, Status.INCONCLUSIVE, "perturbation",
                     dom, "factor does not match its defining recursion",
+                    recursion=recursion_ok,
                 )
         elif dom.status is Status.REFUTED:
-            certs[k] = RootLocalization(
+            certs[k] = localized(
                 k, radius, degree, None, Status.REFUTED, "perturbation", dom,
                 "dominance fails on the localization circle",
             )
         else:
-            certs[k] = RootLocalization(
+            certs[k] = localized(
                 k, radius, degree, None, Status.INCONCLUSIVE, "perturbation",
                 dom, dom.detail,
             )
@@ -486,9 +547,10 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
 class AnnulusBounds:
     """(1/2)^d_k < |P_k(z)| < 3^d_k for 1 <= |z| <= 2.
 
-    ``exact_fallbacks`` counts the spot checks whose brackets overlapped,
-    which exact integers decided; it describes the work, not the verdict,
-    and is not part of ``to_json``.
+    ``spot_checks`` counts the boundary points tested, none when the root
+    localization proves the bounds; ``exact_fallbacks`` counts those whose
+    brackets overlapped, which exact integers decided.  It describes the
+    work, not the verdict, and is not part of ``to_json``.
     """
 
     index: int
@@ -510,6 +572,27 @@ class AnnulusBounds:
         }
 
 
+def _annulus_bounds(fam: Family, k: int) -> tuple[Fraction, Fraction]:
+    """The bounds (1/2)^d_k and 3^d_k of |P_k| on the annulus."""
+    deg = fam.params.d[k - 1]
+    return Fraction(1, 2**deg), Fraction(3**deg)
+
+
+def annulus_spot_checks(fam: Family, k: int, *, spot_checks: int = 512) -> SpotLoop:
+    """The annulus bounds of P_k at ``spot_checks`` exact points, half on each
+    of |z| = 1 and |z| = 2 (rounded up to an even count per circle)."""
+    lower, upper = _annulus_bounds(fam, k)
+    lo2, up2 = constant_factor(lower * lower), constant_factor(upper * upper)
+    per_circle = max(2, spot_checks // 2)
+    per_circle += per_circle % 2
+    return spot_loop(
+        (fam.Pk(k),),
+        (Fraction(1), Fraction(2)),
+        per_circle,
+        lambda values: values.lt((lo2,), (0,)) and values.lt((0,), (up2,)),
+    )
+
+
 def annulus_bounds_for_factor(
     fam: Family,
     k: int,
@@ -521,61 +604,50 @@ def annulus_bounds_for_factor(
 
     With all ``d_k`` roots strictly inside |z| < 1/2 and a unit-modulus
     leading coefficient, every linear factor has modulus in (1/2, 3) on the
-    annulus, giving the product bounds.  Exact spot checks on the two
-    boundary circles guard the derivation, decided on ball brackets, exact
-    integers where they overlap; any spot failure is a refutation with an
-    explicit witness.
+    annulus, giving the product bounds.  Only where that derivation lacks a
+    prerequisite -- a proved localization of this family's P_k -- do
+    ``annulus_spot_checks`` test the bounds on the two boundary circles, so
+    that a broken factor is refuted with an explicit witness.
     """
     p = fam.Pk(k)
     deg = fam.params.d[k - 1]
-    lower = Fraction(1, 2**deg)
-    upper = Fraction(3**deg)
-
-    lo2, up2 = constant_factor(lower * lower), constant_factor(upper * upper)
-    per_circle = max(2, spot_checks // 2)
-    per_circle += per_circle % 2
-    checked = fallbacks = 0
-    for circle_radius in (Fraction(1), Fraction(2)):
-        for i, triple in enumerate(circle_triples(circle_radius, per_circle)):
-            values = Values((p,), *triple)
-            checked += 1
-            inside = values.lt((lo2,), (0,)) and values.lt((0,), (up2,))
-            fallbacks += values.evaluated
-            if not inside:
-                point = circle_points(circle_radius, per_circle)[i].point
-                return AnnulusBounds(
-                    k, lower, upper, Status.REFUTED, checked,
-                    f"bound fails at exact point {point} on |z| = {circle_radius}",
-                    fallbacks,
-                )
-
+    lower, upper = _annulus_bounds(fam, k)
     derivation_ok = (
         root_cert.status is Status.PROVED
+        and root_cert.family is fam
         and root_cert.index == k
         and root_cert.radius <= Fraction(1, 2)
         and root_cert.count == root_cert.degree == deg == p.degree
         and abs(p.leading) == 1
     )
-    if not derivation_ok:
+    if derivation_ok:
         return AnnulusBounds(
-            k, lower, upper, Status.INCONCLUSIVE, checked,
-            "spot checks pass but the root localization prerequisite is missing",
-            fallbacks,
+            k, lower, upper, Status.PROVED, 0, "derived from root localization"
+        )
+    loop = annulus_spot_checks(fam, k, spot_checks=spot_checks)
+    if loop.witness is not None:
+        return AnnulusBounds(
+            k, lower, upper, Status.REFUTED, loop.points,
+            f"bound fails at exact point {loop.witness.point} on |z| = {loop.radius}",
+            loop.exact_fallbacks,
         )
     return AnnulusBounds(
-        k, lower, upper, Status.PROVED, checked,
-        f"derived from root localization; {checked} boundary spot checks",
-        fallbacks,
+        k, lower, upper, Status.INCONCLUSIVE, loop.points,
+        "spot checks pass but the root localization prerequisite is missing",
+        loop.exact_fallbacks,
     )
 
 
 @dataclass(frozen=True)
 class AnnulusReport:
-    """Two-sided annulus bounds for every factor of a family."""
+    """Two-sided annulus bounds for every factor of ``family``."""
 
     status: Status
     per_factor: tuple[AnnulusBounds, ...]
     detail: str = ""
+    family: Optional[Family] = field(
+        default=None, kw_only=True, compare=False, repr=False
+    )
 
     def factor(self, k: int) -> AnnulusBounds:
         return self.per_factor[k - 1]
@@ -614,7 +686,7 @@ def annulus_bounds_certificate(
         for k in range(1, fam.n)
     )
     status = worst(b.status for b in per_factor)
-    return AnnulusReport(status, per_factor, _ANNULUS_DETAIL[status])
+    return AnnulusReport(status, per_factor, _ANNULUS_DETAIL[status], family=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +714,15 @@ class IneqCheck:
 
 @dataclass(frozen=True)
 class CorollaryReport:
+    """The envelope inequality chains of ``family``; ``family`` is not part
+    of ``to_json``."""
+
     status: Status
     checks: tuple[IneqCheck, ...]
     detail: str = ""
+    family: Optional[Family] = field(
+        default=None, kw_only=True, compare=False, repr=False
+    )
 
     def failed(self) -> list[IneqCheck]:
         return [c for c in self.checks if not c.passed]
@@ -701,13 +779,13 @@ def corollary_ineq_certificate(fam: Family, annulus: AnnulusReport) -> Corollary
     if any(not c.passed for c in checks):
         status = Status.REFUTED
         detail = "an exact envelope inequality fails"
-    elif annulus.status is not Status.PROVED:
+    elif annulus.status is not Status.PROVED or annulus.family is not fam:
         status = Status.INCONCLUSIVE
         detail = "envelope comparisons pass but an annulus bound is not proved"
     else:
         status = Status.PROVED
         detail = "all envelope inequalities hold with proved annulus bounds"
-    return CorollaryReport(status, checks, detail)
+    return CorollaryReport(status, checks, detail, family=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -845,22 +923,30 @@ class ProductForms:
         return _normal_form(lhs, self.recursion) == _normal_form(rhs, self.recursion)
 
 
-def _proved_forms(fam: Family) -> Optional[ProductForms]:
+def _proved_forms(
+    fam: Family, root_certs: Optional[dict] = None
+) -> Optional[ProductForms]:
     """``fam``'s product forms, or None unless all three are proved.
 
     Each premise is one ``_proved_equal``: f1 and f2 against their product
     forms, and P_1 against the difference of ``_localization_sides(fam, 1)``
-    (at n = 2, the linear form eps^(c_1) - z).
+    (at n = 2, the linear form eps^(c_1) - z).  The last is taken from
+    ``root_certs[1]`` where ``family_root_certificates(fam)`` proved it
+    already.
     """
     n, eps = fam.n, fam.params.eps
     f1 = (eps, n, tuple((j, j) for j in range(1, n)))
     f2 = (eps**2, 1, tuple((j, 1) for j in range(1, n)))
     dominant, rest = recursion = _localization_sides(fam, 1)
-    premises = (
+    premises = [
         (fam.f1, [_side_term(fam, f1)]),
         (fam.f2, [_side_term(fam, f2)]),
-        (fam.Pk(1), [_side_term(fam, rest), _side_term(fam, dominant, -1)]),
-    )
+    ]
+    cert = (root_certs or {}).get(1)
+    if cert is None or cert.family is not fam or not cert.recursion:
+        premises.append(
+            (fam.Pk(1), [_side_term(fam, rest), _side_term(fam, dominant, -1)])
+        )
     if all(_proved_equal([(1, ((poly, 1),))], rhs) for poly, rhs in premises):
         return ProductForms(fam, f1, f2, recursion)
     return None
@@ -1146,7 +1232,9 @@ def _forms_of(fam: Family, identities: CheckReport) -> Optional[ProductForms]:
     return forms if forms is not None and forms.family is fam else None
 
 
-def exact_identity_checks(fam: Family) -> IdentityReport:
+def exact_identity_checks(
+    fam: Family, root_certs: Optional[dict[int, RootLocalization]] = None
+) -> IdentityReport:
     """Division identities tying the two map components together.
 
     * ``power-ratio``: f2^n equals f1 times the unit eps^(2n-1) prod_j
@@ -1159,14 +1247,16 @@ def exact_identity_checks(fam: Family) -> IdentityReport:
     Three premises are proved by exact evaluation at D + 1 integers (see
     ``_proved_equal``): f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and
     the recursion P_1 = eps^(c_1) - z^(n-1) prod_{j>=2} P_j^(j-1)
-    (``_proved_forms``).  Given them, power-ratio is an equality of exponent
-    vectors, and difference-factorization and square-ratio follow once P_1
-    is rewritten by its recursion (``ProductForms.equal``).  Where a premise
+    (``_proved_forms``; the recursion is read from ``root_certs``, the
+    ``family_root_certificates(fam)``, where they proved it).  Given them,
+    power-ratio is an equality of exponent vectors, and
+    difference-factorization and square-ratio follow once P_1 is rewritten
+    by its recursion (``ProductForms.equal``).  Where a premise
     fails, or two normal forms differ, the identity is proved or refuted by
     exact evaluation of its own sides (``_identity_sides``), so a tampered
     family is still decided exactly.  Nothing is expanded.
     """
-    forms = _proved_forms(fam)
+    forms = _proved_forms(fam, root_certs)
     derived = _identity_products(forms) if forms is not None else {}
     holds = {
         name: (name in derived and forms.equal(*derived[name]))

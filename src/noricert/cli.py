@@ -21,9 +21,16 @@ exact triples after all, and how many formed a 192-bit product,
 ``witness``: the same three counts for the cone-window witness's sampled
 image points, ``boundary``: the points and exact fallbacks of each loop
 over exact circle points (the annulus bounds, the target region, the chart
-window and the base chart).  The boundary sup
-metric of condition iii is derived from the target certificate, so it has
-no loop and no counts.
+window and the base chart).  A loop runs only where its certificate's own
+proof is incomplete, so a proved family counts 0 for each.  The boundary
+sup metric of condition iii is derived from the target certificate, so it
+has no loop and no counts.
+
+Schema ``noricert-report/4``: the atlas checks ``chart-disjointness-j-k``
+and ``overlap-polydisk`` carry their exact arguments (``atlas.ExactArgument``)
+instead of sample reports, and the boundary spot-check counts in the
+certificates (``spot_checks``, ``boundary_checks``) are 0 where the proof
+made the loop unnecessary.
 """
 
 import argparse
@@ -37,9 +44,9 @@ from typing import Optional, Sequence
 from .arith import format_rational, parse_rational
 from .atlas import (
     IntersectionMatrix,
-    disjointness_search,
+    disjointness_certificate,
     negative_definite,
-    overlap_polydisk_check,
+    overlap_polydisk_certificate,
 )
 from .certify import (
     Status,
@@ -67,7 +74,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-REPORT_SCHEMA = "noricert-report/3"
+REPORT_SCHEMA = "noricert-report/4"
 
 # the exact-circle-point loops counted in ``meta``: the annulus bounds', then
 # the trace's
@@ -359,7 +366,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    identities = timed("identities", exact_identity_checks, fam)
+    identities = timed("identities", exact_identity_checks, fam, roots)
     certificates.append(
         Certificate(
             "exact-identities",
@@ -417,30 +424,25 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
 
 def _run_atlas(config: RunConfig) -> dict:
-    """Chart-geometry checks; they depend on r and the seed only."""
-    checks = []
-    pairs = ((0, 2), (1, 3), (0, 3))
-    for j, k in pairs:
-        report = disjointness_search(
-            config.r, j, k, config.samples, config.seed
-        )
-        checks.append(
-            Certificate(
-                f"chart-disjointness-{j}-{k}",
-                Status.PROVED if report.disjoint else Status.REFUTED,
-                report.detail,
-                report.to_json(),
-            )
-        )
-    overlap = overlap_polydisk_check(config.r, max(2, config.samples), config.seed)
-    checks.append(
+    """Chart-geometry checks; they depend on r only.
+
+    Disjointness and the overlap polydisk are reported from their exact
+    arguments; no sampler runs.
+    """
+    arguments = [
+        (f"chart-disjointness-{j}-{k}", disjointness_certificate(config.r, j, k))
+        for j, k in ((0, 2), (1, 3), (0, 3))
+    ]
+    arguments.append(("overlap-polydisk", overlap_polydisk_certificate(config.r)))
+    checks = [
         Certificate(
-            "overlap-polydisk",
-            Status.PROVED if overlap.passed else Status.REFUTED,
-            overlap.detail,
-            overlap.to_json(),
+            name,
+            Status.PROVED if argument.proved else Status.INCONCLUSIVE,
+            argument.detail,
+            argument.to_json(),
         )
-    )
+        for name, argument in arguments
+    ]
     definite_ok = negative_definite(_MATRIX_GOOD) and not negative_definite(
         _MATRIX_BAD
     )

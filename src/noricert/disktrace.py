@@ -38,9 +38,11 @@ predicate is one net power vector over the atoms, compiled once per
 certificate, so common factors cancel before anything is multiplied and
 the net exponent sums decide almost every predicate; the ``bounds.Product``s
 of |f1|^2, |f2|^2 and |f2 - f1|^2 are built, and their 192-bit products
-formed, only where the net exponents straddle the threshold.  The values
-at every exact circle point of a spot check take ``bounds.Values``,
-bracketed by ball Horner.  Exact ``eval_scaled`` triples
+formed, only where the net exponents straddle the threshold.  A boundary
+spot check (target region, chart window, base chart) runs only where the
+certificate's own proof is incomplete, as the search for a refutation
+witness; the values at each of its exact circle points take
+``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
 are evaluated only when a comparison or a zero test is left undecided, or
 when a refutation renders its witness as exact rationals with
 ``scaled_to_complex``.
@@ -80,12 +82,13 @@ from .certify import (
     CorollaryReport,
     DivisionWitness,
     RootLocalization,
+    SpotLoop,
     Status,
-    circle_points,
-    circle_triples,
+    _forms_of,
     cone_factor_certificate,
     cone_sides,
     side_factors,
+    spot_loop,
     worst,
 )
 from .family import CheckReport, Family
@@ -99,9 +102,12 @@ __all__ = [
     "ConvergenceEntry",
     "ConvergenceWitness",
     "annulus_into_target",
+    "target_spot_checks",
     "image_in_chart_window",
+    "window_spot_checks",
     "chart_cone_certificate",
     "base_chart_certificate",
+    "base_spot_checks",
     "cone_window_witness",
     "vanishing_orders",
     "escape_witness",
@@ -156,7 +162,7 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # directed 192-bit products; integer cross-multiplication of the exact
 # triples of f1 and f2 decides where those overlap, and the zero tests read
 # the triples only when a bracket reaches 0.  Every exact circle point of a
-# spot check is a ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from
+# spot check that runs is a ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from
 # one ball of the point.  The Fraction predicates of the atlas module remain
 # the reference semantics; the test suite cross-validates the paths.
 # ---------------------------------------------------------------------------
@@ -365,13 +371,12 @@ class _Image:
         return product.exponents is None and self.triples[i - 1][:2] == (0, 0)
 
 
-def _count(tally: Counter, values) -> None:
-    """Book one point, whether it needed its exact values and, for an image,
-    whether it formed a 192-bit product."""
+def _count(tally: Counter, img: _Image) -> None:
+    """Book one image point, whether it needed its exact values and whether
+    it formed a 192-bit product."""
     tally["points"] += 1
-    tally["exact_fallbacks"] += values.evaluated
-    if isinstance(values, _Image):
-        tally["products"] += values.formed
+    tally["exact_fallbacks"] += img.evaluated
+    tally["products"] += img.formed
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -611,9 +616,52 @@ def _named_check(corollary: CorollaryReport, name: str):
     return None
 
 
+def _envelopes_proved(
+    fam: Family,
+    corollary: CorollaryReport,
+    identities: Optional[CheckReport],
+    *names: str,
+) -> bool:
+    """Whether the envelopes of |f1| and |f2| on the annulus are proved for
+    ``fam`` and pass the checks ``names``.
+
+    The envelopes bound the product forms f1 = eps z^n prod P_j^j and
+    f2 = eps^2 z prod P_j by the annulus bounds of the factors, so they
+    need ``corollary`` to be ``fam``'s own proved chain and ``identities``
+    to have proved those product forms for ``fam`` (``certify.ProductForms``).
+    """
+    checks = [_named_check(corollary, name) for name in names]
+    return (
+        corollary.status is Status.PROVED
+        and corollary.family is fam
+        and identities is not None
+        and _forms_of(fam, identities) is not None
+        and all(check is not None and check.passed for check in checks)
+    )
+
+
+def _booked(loop: SpotLoop, tally: Optional[Counter]) -> SpotLoop:
+    """``loop``, its points and exact fallbacks booked in ``tally``."""
+    if tally is not None:
+        tally.update(loop.counts())
+    return loop
+
+
+def target_spot_checks(fam: Family, *, spot_checks: int = 64) -> SpotLoop:
+    """Target membership at ``spot_checks`` exact points of each of |lam| = 1
+    and |lam| = 2."""
+    return spot_loop(
+        (fam.f1, fam.f2),
+        (Fraction(1), Fraction(2)),
+        spot_checks,
+        TargetRegion(fam.n).contains_values,
+    )
+
+
 def annulus_into_target(
     fam: Family,
     corollary: CorollaryReport,
+    identities: Optional[CheckReport] = None,
     *,
     spot_checks: int = 64,
     tally: Optional[Counter] = None,
@@ -623,50 +671,50 @@ def annulus_into_target(
     The proof delegates to the envelope inequality chain: the upper envelope
     of |f1| on the annulus sits below r/n < 1/n, the upper envelope of |f2|
     below r^2/n < 1/n, and n times the |f2| envelope below the |f1| lower
-    envelope, which is the squared-free form of |f2| <= (1/n)|f1|.  On top of
-    the delegation, ``spot_checks`` exact membership tests run on each
-    bounding circle so a broken family is refuted by a concrete point; they
-    are decided on ball brackets, exact integers where they overlap.
-    ``tally`` counts the points and the exact fallbacks.
+    envelope, which is the squared-free form of |f2| <= (1/n)|f1|.  Only
+    where that proof is incomplete -- an envelope fails, or ``corollary``
+    and ``identities`` do not prove the envelopes for ``fam``
+    (``_envelopes_proved``) -- do ``target_spot_checks`` test membership on
+    each bounding circle, so that a broken family is refuted by a concrete
+    point.  ``tally`` counts their points and exact fallbacks.
     """
     target = TargetRegion(fam.n)
-    tally = Counter() if tally is None else tally
-
-    checked = 0
-    for radius in (Fraction(1), Fraction(2)):
-        for i, triple in enumerate(circle_triples(radius, spot_checks)):
-            values = Values((fam.f1, fam.f2), *triple)
-            checked += 1
-            inside = target.contains_values(values)
-            _count(tally, values)
-            if not inside:
-                cpt = circle_points(radius, spot_checks)[i]
-                return Certificate(
-                    "annulus-into-target",
-                    Status.REFUTED,
-                    f"image leaves the target region at an exact boundary point "
-                    f"(|lam| = {radius}, chart {cpt.chart}, t = {cpt.t})",
-                    {"witness": cpt.to_json(), "target": target.to_json()},
-                )
-
     upper_f1 = _named_check(corollary, "f1-upper-vs-r-over-n")
     upper_f2 = _named_check(corollary, "f2-upper-vs-r2-over-n")
     ratio = _named_check(corollary, "f2-scaled-vs-f1-lower")
-    if upper_f1 is None or upper_f2 is None or ratio is None:
-        return Certificate(
-            "annulus-into-target",
-            Status.INCONCLUSIVE,
-            "the envelope inequality chain does not expose the needed bounds",
-        )
+    exposed = None not in (upper_f1, upper_f2, ratio)
     bound = target.bound
     envelopes_ok = (
-        upper_f1.passed
+        exposed
+        and upper_f1.passed
         and upper_f2.passed
         and ratio.passed
         and upper_f1.lhs <= bound
         and upper_f2.lhs <= bound
         and ratio.lhs <= ratio.rhs
     )
+    proved = envelopes_ok and _envelopes_proved(fam, corollary, identities)
+
+    checked = 0
+    if not proved:
+        loop = _booked(target_spot_checks(fam, spot_checks=spot_checks), tally)
+        checked = loop.points
+        if loop.witness is not None:
+            cpt = loop.witness
+            return Certificate(
+                "annulus-into-target",
+                Status.REFUTED,
+                f"image leaves the target region at an exact boundary point "
+                f"(|lam| = {loop.radius}, chart {cpt.chart}, t = {cpt.t})",
+                {"witness": cpt.to_json(), "target": target.to_json()},
+            )
+
+    if not exposed:
+        return Certificate(
+            "annulus-into-target",
+            Status.INCONCLUSIVE,
+            "the envelope inequality chain does not expose the needed bounds",
+        )
     data = {
         "target": target.to_json(),
         "spot_checks": checked,
@@ -680,7 +728,7 @@ def annulus_into_target(
             "an envelope bound exceeds the target radius",
             data,
         )
-    if corollary.status is not Status.PROVED:
+    if not proved:
         return Certificate(
             "annulus-into-target",
             Status.INCONCLUSIVE,
@@ -690,7 +738,7 @@ def annulus_into_target(
     return Certificate(
         "annulus-into-target",
         Status.PROVED,
-        f"envelope chain proved; {checked} exact boundary memberships verified",
+        "envelope chain proved",
         data,
     )
 
@@ -698,6 +746,18 @@ def annulus_into_target(
 # ---------------------------------------------------------------------------
 # Chart-window coverage of the disk image
 # ---------------------------------------------------------------------------
+
+
+def window_spot_checks(fam: Family) -> SpotLoop:
+    """|unit| < 1 at 64 exact points of |lam| = 2, unit the power-ratio
+    quotient eps^(2n-1) prod_j P_j^(n-j), decided on ball brackets of the
+    factors."""
+    n = fam.n
+    factors = side_factors(cone_sides(fam, n - 1)[1], Fraction(2))
+    polys = tuple(fam.Pk(j) for j in range(1, n))
+    return spot_loop(
+        polys, (Fraction(2),), 64, lambda values: values.lt(factors, ())
+    )
 
 
 def image_in_chart_window(
@@ -718,14 +778,13 @@ def image_in_chart_window(
     lower envelope, and a polynomial bounded by 1 on the outer circle is
     bounded by 1 on the closed disk.  Away from the common zero set this
     gives |f2|^n < |f1|, which defeats the membership inequality
-    |f1| < r|f2|^k of every chart of index k >= n.  The claim is
-    spot-checked at 64 exact points of the outer circle, where
-    eps^(2(2n-1)) prod_j |P_j|^(2(n-j)) < 1 is decided on ball brackets of
-    the factors, exact integers where they overlap, and at sampled disk
-    points, where the computed chart cover must be nonempty with all
-    indices < n.  The identity is proved once per family, in
-    ``identities``, and the quotient stays in product form.  ``tally``
-    counts the outer-circle points and their exact fallbacks.
+    |f1| < r|f2|^k of every chart of index k >= n.  Only where those two
+    envelope inequalities are not proved for ``fam`` (``_envelopes_proved``)
+    is |h| < 1 tested, at the 64 exact outer-circle points of
+    ``window_spot_checks`` (``tally`` counts them and their exact
+    fallbacks).  Sampled disk points always test that the computed chart
+    cover is nonempty with all indices < n.  The identity is proved once
+    per family, in ``identities``, and the quotient stays in product form.
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -736,25 +795,20 @@ def image_in_chart_window(
         )
     unit = cone_sides(fam, n - 1)[1]
     quotient_degree = sum(fam.Pk(j).degree * e for j, e in unit[2])
-    factors = side_factors(unit, Fraction(2))
-    polys = tuple(fam.Pk(j) for j in range(1, n))
+    proved = _envelopes_proved(
+        fam, corollary, identities, "f2-upper-below-one", "f2-upper-vs-f1-lower"
+    )
 
-    below_one = _named_check(corollary, "f2-upper-below-one")
-    below_f1 = _named_check(corollary, "f2-upper-vs-f1-lower")
-
-    tally = Counter() if tally is None else tally
     boundary_checked = 0
-    for i, triple in enumerate(circle_triples(Fraction(2), 64)):
-        boundary_checked += 1
-        values = Values(polys, *triple)
-        below = values.lt(factors, ())
-        _count(tally, values)
-        if not below:
+    if not proved:
+        loop = _booked(window_spot_checks(fam), tally)
+        boundary_checked = loop.points
+        if loop.witness is not None:
             return Certificate(
                 "image-in-chart-window",
                 Status.REFUTED,
                 "the power-ratio quotient reaches modulus 1 on the outer circle",
-                {"witness": circle_points(Fraction(2), 64)[i].to_json()},
+                {"witness": loop.witness.to_json()},
             )
 
     sampler = RationalSampler("chart-window", fam.n, samples, seed)
@@ -792,13 +846,7 @@ def image_in_chart_window(
             "the sampler could not populate the disk away from the zero set",
             data,
         )
-    if (
-        below_one is None
-        or below_f1 is None
-        or not below_one.passed
-        or not below_f1.passed
-        or corollary.status is not Status.PROVED
-    ):
+    if not proved:
         return Certificate(
             "image-in-chart-window",
             Status.INCONCLUSIVE,
@@ -1004,6 +1052,17 @@ def chart_cone_certificate(
     )
 
 
+def base_spot_checks(fam: Family, *, samples: int = 256) -> SpotLoop:
+    """|f1|^4 <= (rho/2)^2 |f2 - f1|^2 at ``samples`` exact points of |lam| = 2."""
+    half_rho2 = fam.params.squares.half_rho2
+    return spot_loop(
+        (fam.f1, fam.f2 - fam.f1),
+        (Fraction(2),),
+        samples,
+        lambda values: values.lt((0, 0), (half_rho2, 1), closed=True),
+    )
+
+
 def base_chart_certificate(
     fam: Family,
     corollary: CorollaryReport,
@@ -1021,12 +1080,12 @@ def base_chart_certificate(
         |f1|^2 + (rho/2)|f2| <= (rho/2)|f1|  on |lam| = 2,
 
     so by the maximum principle the bound, and with it the inequality
-    ``|f1|^2 <= (rho/2)|f2 - f1|``, holds on the whole closed disk.  The
-    inequality is checked (in squared form) at ``samples`` exact outer
-    boundary points, decided on ball brackets, exact integers where they
-    overlap, and exactly at the degenerate points where both components
-    vanish, where it holds as 0 <= 0.  ``tally`` counts the boundary points
-    and their exact fallbacks.
+    ``|f1|^2 <= (rho/2)|f2 - f1|``, holds on the whole closed disk.  Only
+    where the boundary chain is not proved for ``fam`` (``_envelopes_proved``)
+    is the inequality tested (in squared form) at the ``samples`` exact
+    outer-circle points of ``base_spot_checks``; ``tally`` counts them and
+    their exact fallbacks.  It is always checked exactly at the degenerate
+    points where both components vanish, where it holds as 0 <= 0.
     """
     if not (
         identities.passed("square-ratio")
@@ -1039,23 +1098,18 @@ def base_chart_certificate(
             {"identities": identities.to_json()},
         )
     chain = _named_check(corollary, "outer-boundary-chain")
+    proved = _envelopes_proved(fam, corollary, identities, "outer-boundary-chain")
 
-    tally = Counter() if tally is None else tally
-    half_rho2 = fam.params.squares.half_rho2
-    polys = (fam.f1, fam.f2 - fam.f1)
     checked = 0
-    for i, triple in enumerate(circle_triples(Fraction(2), samples)):
-        values = Values(polys, *triple)
-        checked += 1
-        # |f1|^4 <= (rho/2)^2 |f2 - f1|^2
-        holds = values.lt((0, 0), (half_rho2, 1), closed=True)
-        _count(tally, values)
-        if not holds:
+    if not proved:
+        loop = _booked(base_spot_checks(fam, samples=samples), tally)
+        checked = loop.points
+        if loop.witness is not None:
             return Certificate(
                 "base-chart-cone",
                 Status.REFUTED,
                 "the halved base-cone inequality fails at an exact boundary point",
-                {"witness": circle_points(Fraction(2), samples)[i].to_json()},
+                {"witness": loop.witness.to_json()},
             )
 
     # degenerate points: the disk center and the one rational root of the
@@ -1084,7 +1138,7 @@ def base_chart_certificate(
             else "the envelope chain does not expose the boundary bound",
             data,
         )
-    if corollary.status is not Status.PROVED:
+    if not proved:
         return Certificate(
             "base-chart-cone",
             Status.INCONCLUSIVE,
@@ -1094,8 +1148,8 @@ def base_chart_certificate(
     return Certificate(
         "base-chart-cone",
         Status.PROVED,
-        f"exact divisibility, proved boundary chain, {checked} exact boundary "
-        f"points and {len(degenerate)} degenerate points validated",
+        f"exact divisibility, proved boundary chain and {len(degenerate)} "
+        f"degenerate points validated",
         data,
     )
 
@@ -1358,7 +1412,8 @@ class TraceReport:
     (``products``), ``witness`` the same three counts for the cone-window
     witness; ``boundary`` holds the first two counts for each
     exact-circle-point loop of the trace (``target``, ``window`` and
-    ``base``).  They describe the work, not the verdict, and are not part
+    ``base``), all 0 for a loop that did not run because its certificate
+    was proved without it.  They describe the work, not the verdict, and are not part
     of ``to_json``.
     """
 
@@ -1398,7 +1453,8 @@ class TraceReport:
         }
 
 
-# the exact-circle-point loops of a trace, in the order they run
+# the exact-circle-point loops of a trace, in the order they run where
+# their certificates need them
 _BOUNDARY_LOOPS = ("target", "window", "base")
 _WORK_COUNTS = ("points", "exact_fallbacks")
 # an image point also books whether it formed a 192-bit product
@@ -1436,7 +1492,7 @@ def trace_family(
     tally: Counter = Counter()
     boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
     condition_ii = annulus_into_target(
-        fam, corollary, spot_checks=spot_checks, tally=boundary["target"]
+        fam, corollary, identities, spot_checks=spot_checks, tally=boundary["target"]
     )
     window = image_in_chart_window(
         fam,

@@ -16,13 +16,16 @@ import numpy as np
 from noricert.arith import Poly, as_scaled, poly_gcd
 from noricert.atlas import (
     IntersectionMatrix,
+    disjointness_certificate,
     disjointness_search,
     negative_definite,
+    overlap_polydisk_certificate,
     overlap_polydisk_check,
 )
 from noricert.certify import (
     Status,
     annulus_bounds_certificate,
+    annulus_spot_checks,
     circle_points,
     cone_factor_certificate,
     corollary_ineq_certificate,
@@ -147,8 +150,12 @@ def test_criterion_04_annulus_bounds(built_families, root_certs):
             assert bounds.status is Status.PROVED
             assert bounds.lower == F(1, 2) ** d_k
             assert bounds.upper == F(3) ** d_k
-            assert bounds.spot_checks == 1024  # 512 per boundary circle
-    _verdict(4, "factor bounds hold at 512 exact points per circle")
+            # derived from the root localization, which needs no spot check;
+            # the bounds still hold at 512 exact points per boundary circle
+            assert bounds.spot_checks == 0
+            loop = annulus_spot_checks(built_families[n], k, spot_checks=1024)
+            assert (loop.points, loop.witness) == (1024, None)
+    _verdict(4, "factor bounds proved; they hold at 512 exact points per circle")
 
 
 def test_criterion_05_modulus_chain(built_families, corollary_reports):
@@ -261,11 +268,18 @@ def test_criterion_09_atlas():
     for j, k in pairs:
         report = disjointness_search(r, j, k, 100_000, seed)
         assert report.disjoint, (j, k, report.detail)
+        # the exact argument the pipeline reports agrees with the search
+        assert disjointness_certificate(r, j, k).proved, (j, k)
     overlap = overlap_polydisk_check(r, 10_000, seed)
     assert overlap.passed, overlap.detail
+    assert overlap_polydisk_certificate(r).proved
     assert negative_definite(IntersectionMatrix(-3, 2, -3)) is True
     assert negative_definite(IntersectionMatrix(-2, 2, -2)) is False
-    _verdict(9, "10^5-sample disjointness x15 pairs; 10^4 overlap; matrix pair")
+    _verdict(
+        9,
+        "exact disjointness and overlap arguments, with 10^5-sample disjointness "
+        "x15 pairs and 10^4 overlap samples; matrix pair",
+    )
 
 
 def test_criterion_10_refutation_paths():

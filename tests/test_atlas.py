@@ -19,9 +19,11 @@ from noricert.atlas import (
     chart_cover_indices,
     chart_membership,
     cone_condition,
+    disjointness_certificate,
     disjointness_search,
     negative_definite,
     overlap_inequalities,
+    overlap_polydisk_certificate,
     overlap_polydisk_check,
 )
 from noricert.sampling import GRID_BITS, RationalSampler
@@ -190,6 +192,64 @@ class TestDisjointness:
                 want = chart_membership(p, r, k)
                 got = _membership_int(n1, s1, n2, s2, 1, 4, k)
                 assert want == got
+
+
+class TestExactArguments:
+    """The exact arguments the pipeline reports for the atlas geometry."""
+
+    @pytest.mark.parametrize("r", [F(1, 5), F(1, 2), F(1)])
+    def test_distant_charts_proved(self, r):
+        for j in range(6):
+            for k in range(j + 2, 9):
+                for a, b in ((j, k), (k, j)):
+                    cert = disjointness_certificate(r, a, b)
+                    assert cert.proved, (r, a, b)
+                    assert cert.claim == f"charts {j} and {k} are disjoint in the covered region"
+
+    def test_disjointness_not_proved_when_a_hypothesis_fails(self):
+        for j, k in ((0, 1), (3, 2), (2, 2)):
+            cert = disjointness_certificate(F(1, 5), j, k)
+            assert not cert.proved
+            assert cert.detail == "the argument does not apply: |j - k| >= 2 fails"
+        wide = disjointness_certificate(F(3, 2), 0, 2)
+        assert not wide.proved
+        assert wide.detail == "the argument does not apply: r^4 <= 1 fails"
+        # adjacent charts do share points of the covered region, so no
+        # argument could prove them disjoint
+        r = F(1, 2)
+        p = ChartPoint(ComplexRational.of(F(1, 30)), ComplexRational.of(F(1, 10)))
+        assert p.z1.abs2() < r * r and p.z2.abs2() < r**4
+        assert chart_membership(p, r, 0) and chart_membership(p, r, 1)
+
+    def test_overlap_proved_and_declined(self):
+        assert overlap_polydisk_certificate(F(1, 5)).proved
+        assert overlap_polydisk_certificate(F(1)).proved
+        wide = overlap_polydisk_certificate(F(3, 2))
+        assert not wide.proved
+        assert wide.detail == "the argument does not apply: r^3 <= r fails"
+        # and there the polydisk is not the overlap
+        x = ComplexRational.of(F(6, 5))
+        assert not all(overlap_inequalities(x, x, F(3, 2)))
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            disjointness_certificate(F(0), 0, 2)
+        with pytest.raises(ValueError):
+            disjointness_certificate(F(1, 5), -1, 2)
+        with pytest.raises(ValueError):
+            overlap_polydisk_certificate(F(-1, 5))
+
+    def test_json(self):
+        assert disjointness_certificate(F(1, 5), 0, 3).to_json() == {
+            "claim": "charts 0 and 3 are disjoint in the covered region",
+            "r": "1/5",
+            "hypotheses": [
+                {"name": "|j - k| >= 2", "holds": True},
+                {"name": "r^4 <= 1", "holds": True},
+            ],
+            "proved": True,
+        }
+        assert overlap_polydisk_certificate(F(3, 2)).to_json()["proved"] is False
 
 
 class TestOverlap:

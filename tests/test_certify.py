@@ -19,6 +19,7 @@ from noricert.certify import (
     IdentityReport,
     ProductForms,
     RootLocalization,
+    SpotLoop,
     Status,
     _cone_combination,
     _cone_identity,
@@ -35,6 +36,7 @@ from noricert.certify import (
     _side_product,
     annulus_bounds_certificate,
     annulus_bounds_for_factor,
+    annulus_spot_checks,
     circle_points,
     circle_triples,
     cone_factor_certificate,
@@ -413,7 +415,9 @@ class TestAnnulusBounds:
         assert (a1.lower, a1.upper) == (F(1, 8), F(27))
         assert (a2.lower, a2.upper) == (F(1, 2), F(3))
         assert a1.status is a2.status is Status.PROVED
-        assert a1.spot_checks == 512
+        # derived from the root localizations: no boundary point is tested
+        assert a1.spot_checks == a2.spot_checks == 0
+        assert annulus_spot_checks(built_families[3], 1).points == 512
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_all_indices_proved(self, n, annulus_reports):
@@ -432,14 +436,28 @@ class TestAnnulusBounds:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_spot_checks_match_exact_loop(self, n, built_families, annulus_reports):
+        # the proved bounds run no loop; the split-out loop at 512 points per
+        # factor passes wherever they are proved, every point decided on
+        # ball brackets, and agrees with the exact-integer port
         fam = built_families[n]
         for k, bounds in enumerate(annulus_reports[n].per_factor, start=1):
+            assert bounds.status is Status.PROVED
+            assert (bounds.spot_checks, bounds.exact_fallbacks) == (0, 0)
             assert _exact_annulus_failure(fam.Pk(k), fam.params.d[k - 1], 256) is None
-            assert (bounds.spot_checks, bounds.exact_fallbacks) == (512, 0)
-        assert annulus_reports[n].counts() == {
-            "points": 512 * (n - 1),
-            "exact_fallbacks": 0,
-        }
+            assert annulus_spot_checks(fam, k) == SpotLoop(512, 0)
+        assert annulus_reports[n].counts() == {"points": 0, "exact_fallbacks": 0}
+
+    def test_root_certificate_of_another_family_is_not_trusted(
+        self, built_families, root_certs
+    ):
+        # the same polynomials in another family object: the derivation
+        # lacks its prerequisite, so the loop runs, passes and proves nothing
+        fam = build_family(built_families[2].params)
+        cert = annulus_bounds_for_factor(fam, 1, root_certs[2][1])
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.spot_checks == 512
+        own = annulus_bounds_for_factor(fam, 1, family_root_certificates(fam)[1])
+        assert (own.status, own.spot_checks) == (Status.PROVED, 0)
 
     @pytest.mark.parametrize("scale", [F(1), F(1, 2)])
     def test_tampered_factor_refuted_at_the_exact_witness(
@@ -452,11 +470,20 @@ class TestAnnulusBounds:
         tampered = dataclasses.replace(fam, P=(Poly([scale, scale]),))
         radius, i = _exact_annulus_failure(tampered.Pk(1), 1, 256)
         assert radius == 1 and 128 < i < 256
-        cert = annulus_bounds_for_factor(tampered, 1, root_certs[2][1])
-        assert cert.status is Status.REFUTED
         point = circle_points(radius, 256)[i].point
-        assert cert.detail == f"bound fails at exact point {point} on |z| = 1"
-        assert cert.spot_checks == i + 1
+        assert annulus_spot_checks(tampered, 1) == SpotLoop(
+            i + 1, 0, F(1), circle_points(radius, 256)[i]
+        )
+        # the tampered family's own localization is not proved (P_1 is not
+        # eps - z), and the certificate of the untampered family is not its
+        # own: either way the loop runs and refutes at the same point
+        own = family_root_certificates(tampered)[1]
+        assert own.status is not Status.PROVED
+        for root_cert in (own, root_certs[2][1]):
+            cert = annulus_bounds_for_factor(tampered, 1, root_cert)
+            assert cert.status is Status.REFUTED
+            assert cert.detail == f"bound fails at exact point {point} on |z| = 1"
+            assert cert.spot_checks == i + 1
 
     def test_missing_prerequisite_is_inconclusive(self, built_families, root_certs):
         fam = built_families[2]
@@ -833,6 +860,32 @@ class TestDerivedIdentities:
         certs = _cone_certificates(fam, root_certs[n], rep, divisions[n])
         assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
         assert evaluations == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_proof_of_the_p1_recursion_per_family(
+        self, n, built_families, evaluations
+    ):
+        # the root localizations prove the recursion of P_1 (at n = 2 its
+        # linear form, by comparison) and the identities read it from them
+        fam = built_families[n]
+        recursion = [(1, ((fam.Pk(1), 1),))]
+        roots = family_root_certificates(fam)
+        assert roots[1].recursion and roots[1].family is fam
+        # one recursion per factor P_1 .. P_(n-2), P_1 among them
+        assert [lhs for lhs, _ in evaluations].count(recursion) == (n >= 3)
+        assert len(evaluations) == n - 2
+        evaluations.clear()
+        rep = exact_identity_checks(fam, roots)
+        assert rep.all_passed and rep.forms is not None
+        assert [lhs[0][1][0][0] for lhs, _ in evaluations] == [fam.f1, fam.f2]
+
+    def test_recursion_of_another_family_is_proved_again(
+        self, built_families, root_certs, evaluations
+    ):
+        fam = build_family(built_families[3].params)
+        rep = exact_identity_checks(fam, root_certs[3])
+        assert rep.forms is not None
+        assert [lhs[0][1][0][0] for lhs, _ in evaluations] == [fam.f1, fam.f2, fam.Pk(1)]
 
     def test_report_bytes_and_equality(self, built_families, identities):
         # the forms are neither serialized nor compared

@@ -11,6 +11,9 @@ from fractions import Fraction as F
 import pytest
 
 from noricert import certify, cli, disktrace
+from noricert.certify import annulus_spot_checks
+from noricert.disktrace import base_spot_checks, target_spot_checks, window_spot_checks
+from noricert.family import default_family
 from noricert.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -27,11 +30,11 @@ from noricert.cli import (
 
 
 # verify --n 2..3 --samples 256 --seed 0
-GOLDEN_REPORT_SHA256 = "cf1616ad2379d25a697c037edf3d5f6bd8eb07dd5230e62b76f87904a3bc9f9d"
+GOLDEN_REPORT_SHA256 = "69346fcd587d21b8c5fbfc06fa72a0d40ec3b9c79756c2033f492b840090d5ca"
 # verify --n 2..4 --seed 0 (also pinned in CI)
-DEFAULT_REPORT_SHA256 = "1c48324a84b59acc0603105fed3a7ee62676c85b89545f4d4c8390a4dfd48641"
+DEFAULT_REPORT_SHA256 = "51e38c4ff364202b002c862f0993f13f763305c3375e90b638c0d12434d6833b"
 # verify --n 2 --eps 1 --unsafe-eps --seed 0, which exits 1 (also pinned in CI)
-REFUTED_REPORT_SHA256 = "04a7960721dbd93fbb7f0d1f418948ec7246304b07d2e874850a52ffe38f52f3"
+REFUTED_REPORT_SHA256 = "e3da8680e785958dd54b259795211dead909a3f10f78ed24f6c349f87fcd46ff"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -237,6 +240,23 @@ class TestStages:
             "corollary_ineq_certificate": 2,
         }
 
+    def test_recursion_of_p1_proved_once_per_family(self, monkeypatch):
+        # _proved_equal runs the premises f1 and f2 of each family and, at
+        # n = 3, the recursion of P_1 once, in the root localization; at
+        # n = 2 that recursion is the linear form the localization compares
+        evaluated = []
+        original = certify._proved_equal
+
+        def counted(lhs, rhs):
+            evaluated.append(lhs[0][1][0][0])
+            return original(lhs, rhs)
+
+        monkeypatch.setattr(certify, "_proved_equal", counted)
+        _, code = run_verify(RunConfig(n_list=(2, 3), samples=64))
+        assert code == EXIT_OK
+        fam2, fam3 = default_family(2), default_family(3)
+        assert evaluated == [fam2.f1, fam2.f2, fam3.Pk(1), fam3.f1, fam3.f2]
+
 
 class TestReportShape:
     def test_top_level_keys(self, small_report):
@@ -298,7 +318,15 @@ class TestReportShape:
             "overlap-polydisk",
             "intersection-matrices",
         ]
-        assert all(c["status"] == "proved" for c in small_report["atlas"]["checks"])
+        checks = small_report["atlas"]["checks"]
+        assert all(c["status"] == "proved" for c in checks)
+        # reported from their exact arguments: no sampled point, and every
+        # data entry is a dict or absent
+        for check in checks[:4]:
+            assert check["data"]["proved"] is True
+            assert all(h["holds"] for h in check["data"]["hypotheses"])
+            assert "samples" not in check["data"]
+        assert "data" not in checks[4]
 
     def test_summary_counts_add_up(self, small_report):
         summary = small_report["summary"]
@@ -397,31 +425,34 @@ class TestMeta:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
-    def test_boundary_counters(self, default_run):
-        # the four loops over exact circle points at n = 2..4: the ball
-        # brackets decide every spot check; the sup metric of condition iii
-        # is derived from the target certificate and has no loop
+    def test_boundary_counters(self, default_run, built_families):
+        # the four loops over exact circle points at n = 2..4 run only where
+        # a certificate's proof is missing, so meta counts none of them; the
+        # split-out loops at the pipeline's loads pass, every point decided
+        # on ball brackets.  The sup metric of condition iii is derived from
+        # the target certificate and has no loop
         report, code = default_run
         assert code == EXIT_OK
         boundary = report["meta"]["boundary"]
-        per_n = {
-            "annulus": [(512, 0), (1024, 0), (1536, 0)],
-            "target": [(128, 0)] * 3,
-            "window": [(64, 0)] * 3,
-            "base": [(256, 0)] * 3,
+        zero = {"points": 0, "exact_fallbacks": 0}
+        loops = ("annulus", "target", "window", "base")
+        assert boundary == {
+            **dict.fromkeys(loops, zero),
+            "per_n": {n: dict.fromkeys(loops, zero) for n in ("2", "3", "4")},
         }
-        assert set(boundary) == {"annulus", "target", "window", "base", "per_n"}
-        assert set(boundary["per_n"]) == {"2", "3", "4"}
-        assert all(set(loops) == set(per_n) for loops in boundary["per_n"].values())
-        for loop, counts in per_n.items():
-            for n, (points, fallbacks) in zip("234", counts):
-                assert boundary["per_n"][n][loop] == {
-                    "points": points,
-                    "exact_fallbacks": fallbacks,
-                }
-            assert boundary[loop] == {
-                "points": sum(p for p, _ in counts),
-                "exact_fallbacks": sum(f for _, f in counts),
+        for n, fam in built_families.items():
+            split = {
+                "annulus": [annulus_spot_checks(fam, k) for k in range(1, n)],
+                "target": [target_spot_checks(fam)],
+                "window": [window_spot_checks(fam)],
+                "base": [base_spot_checks(fam)],
+            }
+            assert {name: [(s.points, s.exact_fallbacks, s.witness) for s in runs]
+                    for name, runs in split.items()} == {
+                "annulus": [(512, 0, None)] * (n - 1),
+                "target": [(128, 0, None)],
+                "window": [(64, 0, None)],
+                "base": [(256, 0, None)],
             }
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256

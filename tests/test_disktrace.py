@@ -6,6 +6,7 @@ oracles before being frozen here.  The scaled fast-path predicates are
 cross-validated against the reference Fraction implementations.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2, scaled_to_complex
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
 from noricert.certify import (
+    SpotLoop,
     Status,
     _side_poly,
     annulus_bounds_certificate,
+    annulus_spot_checks,
     circle_points,
     circle_triples,
     cone_sides,
@@ -35,13 +38,16 @@ from noricert.disktrace import (
     TargetRegion,
     annulus_into_target,
     base_chart_certificate,
+    base_spot_checks,
     chart_cone_certificate,
     cone_window_witness,
     escape_witness,
     image_in_chart_window,
+    target_spot_checks,
     trace_family,
     uniform_convergence_witness,
     vanishing_orders,
+    window_spot_checks,
 )
 from noricert.bounds import (
     Factor,
@@ -870,8 +876,20 @@ def _unit(fam):
     return _side_poly(fam, cone_sides(fam, fam.n - 1)[1])
 
 
+def _own_certificates(fam):
+    """The root localizations and envelope chain of ``fam`` itself."""
+    roots = family_root_certificates(fam)
+    return roots, corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots))
+
+
 class TestBoundaryLoops:
-    """The bracketed exact-circle-point loops against exact-integer ports."""
+    """The bracketed exact-circle-point loops against exact-integer ports.
+
+    A proved certificate runs no loop; the split-out loops run here at the
+    pipeline's loads as cross-checks, and on tampered families, whose
+    proofs are missing, each certificate runs its loop and is refuted at
+    the loop's witness.
+    """
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_real_families_match_exact_loops(
@@ -879,19 +897,47 @@ class TestBoundaryLoops:
     ):
         fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
         tally = Counter()
-        target = annulus_into_target(fam, cor, tally=tally)
+        target = annulus_into_target(fam, cor, ids, tally=tally)
         assert target.status is Status.PROVED
+        assert target.data["spot_checks"] == 0 and tally == Counter()
+        assert target_spot_checks(fam) == SpotLoop(128, 0)
         assert _exact_target_failure(fam) == (128, None)
-        assert tally == Counter(points=128)
-        assert image_in_chart_window(fam, cor, ids, samples=4).status is Status.PROVED
+        window = image_in_chart_window(fam, cor, ids, samples=4, tally=tally)
+        assert window.status is Status.PROVED
+        assert window.data["boundary_checks"] == 0 and tally == Counter()
+        assert window_spot_checks(fam) == SpotLoop(64, 0)
         assert _exact_window_failure(_unit(fam)) is None
-        base = base_chart_certificate(fam, cor, ids, samples=256)
+        base = base_chart_certificate(fam, cor, ids, samples=256, tally=tally)
         assert base.status is Status.PROVED
+        assert base.data["boundary_checks"] == 0 and tally == Counter()
+        assert base_spot_checks(fam, samples=256) == SpotLoop(256, 0)
         assert _exact_base_failure(fam, 256) is None
         wit = uniform_convergence_witness([fam], {n: target})
         assert wit.status is Status.PROVED
         bound = wit.entries[0].bound_squared
         assert unit_circle_sups[n] <= bound == F(1, n * n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_loops_run_where_a_proof_is_missing(
+        self, built_families, corollary_reports, identities, n
+    ):
+        # an unproved chain, identities without product forms, or the chain
+        # of another family object: each certificate runs its full loop,
+        # which passes, and proves nothing
+        fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
+        weak = dataclasses.replace(cor, status=Status.INCONCLUSIVE)
+        bare = CheckReport(ids.checks)
+        other = build_family(fam.params)
+        for chain, report, family in ((weak, ids, fam), (cor, bare, fam), (cor, ids, other)):
+            tally = Counter()
+            target = annulus_into_target(family, chain, report, tally=tally)
+            window = image_in_chart_window(family, chain, report, samples=4, tally=tally)
+            base = base_chart_certificate(family, chain, report, samples=256, tally=tally)
+            assert [c.status for c in (target, window, base)] == [Status.INCONCLUSIVE] * 3
+            assert target.data["spot_checks"] == 128
+            assert window.data["boundary_checks"] == 64
+            assert base.data["boundary_checks"] == 256
+            assert tally == Counter(points=128 + 64 + 256)
 
     @pytest.mark.parametrize("scale", [F(2, 7), F(1, 4)])
     def test_tampered_target_refuted_at_the_exact_witness(
@@ -909,6 +955,16 @@ class TestBoundaryLoops:
         cert = annulus_into_target(fake, corollary_reports[2])
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(radius, 64)[i].to_json()
+        assert target_spot_checks(fake).witness == circle_points(radius, 64)[i]
+        # a real family with these components and its own certificates: its
+        # envelope chain reads only the parameters and is proved, but the
+        # product forms of f1 and f2 are not, so the loop runs
+        tampered = dataclasses.replace(fam, f1=fake.f1, f2=fake.f2)
+        _, corollary = _own_certificates(tampered)
+        assert corollary.status is Status.PROVED
+        ids = exact_identity_checks(tampered)
+        assert ids.forms is None
+        assert annulus_into_target(tampered, corollary, ids).data == cert.data
         # condition iii: the unit-circle witness refutes the sup bound 1/n,
         # and the metric there does exceed it; one on |lam| = 2 says nothing
         # about the unit circle
@@ -943,13 +999,22 @@ class TestBoundaryLoops:
         # |unit| < 1 refutes
         fam = built_families[2]
         unit = Poly((scale, scale))
-        fake = _fake(fam, fam.f1, fam.f2, (unit * (1 / fam.params.eps**3),))
+        factors = (unit * (1 / fam.params.eps**3),)
+        fake = _fake(fam, fam.f1, fam.f2, factors)
         assert _unit(fake) == unit
         i = _exact_window_failure(unit)
         assert 0 < i < 32
         cert = image_in_chart_window(fake, corollary_reports[2], _identities("power-ratio"))
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(F(2), 64)[i].to_json()
+        assert window_spot_checks(fake).witness == circle_points(F(2), 64)[i]
+        # a real family with this factor: its own localization of P_1 is not
+        # proved, so neither is its envelope chain, and the loop runs
+        tampered = dataclasses.replace(fam, P=factors)
+        roots, corollary = _own_certificates(tampered)
+        assert roots[1].status is not Status.PROVED
+        own = image_in_chart_window(tampered, corollary, _identities("power-ratio"))
+        assert own.data == cert.data
 
     def test_tampered_base_refuted_at_the_exact_witness(
         self, built_families, corollary_reports
@@ -965,6 +1030,14 @@ class TestBoundaryLoops:
         cert = base_chart_certificate(fake, corollary_reports[2], ids, samples=256)
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(F(2), 256)[i].to_json()
+        assert base_spot_checks(fake).witness == circle_points(F(2), 256)[i]
+        # a real family with these components, its own (parameter-only, so
+        # proved) envelope chain and identities without product forms
+        tampered = dataclasses.replace(fam, f1=fake.f1, f2=fake.f2)
+        _, corollary = _own_certificates(tampered)
+        assert corollary.status is Status.PROVED
+        own = base_chart_certificate(tampered, corollary, ids, samples=256)
+        assert own.data == cert.data
 
     def test_vanishing_first_component_refutes_the_sup(self):
         # f1 = lam^2 (1 - lam) of the eps = 1 family vanishes at lam = 1; its
@@ -983,6 +1056,41 @@ class TestBoundaryLoops:
         assert wit.detail == (
             "the image leaves the target region on the unit circle for n in [2]"
         )
+        assert target.data["witness"] == target_spot_checks(fam).witness.to_json()
+
+    def test_refuted_family_runs_every_loop(self):
+        # the eps = 1 family (verify --eps 1 --unsafe-eps): no certificate is
+        # proved, so the trace runs each loop up to its first failing point,
+        # at the split-out loop's witness; condition iii reuses the target's
+        # unit-circle witness
+        fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
+        roots, corollary = _own_certificates(fam)
+        ids = exact_identity_checks(fam, roots)
+        rep = trace_family(
+            fam,
+            root_certs=roots,
+            corollary=corollary,
+            identities=ids,
+            divisions=[lemma_div_check(fam, 1)],
+            window_samples=16,
+            cone_samples=16,
+            witness_samples=64,
+        )
+        loops = {
+            "target": target_spot_checks(fam),
+            "window": window_spot_checks(fam),
+            "base": base_spot_checks(fam),
+        }
+        assert rep.boundary == {name: loop.counts() for name, loop in loops.items()}
+        assert all(loop.witness is not None for loop in loops.values())
+        target = rep.condition_ii
+        assert target.status is Status.REFUTED
+        assert target.data["witness"] == loops["target"].witness.to_json()
+        assert rep.condition_iii.status is Status.REFUTED
+        assert rep.condition_iii.data["entry"]["witness"] == target.data["witness"]
+        annulus = annulus_bounds_certificate(fam, roots)
+        assert annulus.status is Status.REFUTED
+        assert annulus.counts()["points"] == annulus_spot_checks(fam, 1).points
 
 
 class TestVanishingOrders:
@@ -1052,11 +1160,14 @@ class TestAnnulusIntoTarget:
         assert w2.abs2() < F(1, 4)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_proved(self, built_families, corollary_reports, n):
-        cert = annulus_into_target(built_families[n], corollary_reports[n])
+    def test_proved(self, built_families, corollary_reports, identities, n):
+        fam = built_families[n]
+        cert = annulus_into_target(fam, corollary_reports[n], identities[n])
         assert cert.status is Status.PROVED
-        # 64 exact points on each of the two bounding circles
-        assert cert.data["spot_checks"] == 128
+        # the proved envelopes need no boundary point; the split-out loop
+        # tests 64 exact points on each of the two bounding circles
+        assert cert.data["spot_checks"] == 0
+        assert target_spot_checks(fam) == SpotLoop(128, 0)
 
     def test_unproved_prerequisite_is_inconclusive(
         self, built_families, corollary_reports
