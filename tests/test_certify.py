@@ -542,6 +542,18 @@ class TestCorollaryChains:
             "outer-boundary-chain",
         }
 
+    def test_annulus_of_another_family_is_not_trusted(
+        self, built_families, annulus_reports
+    ):
+        # the same polynomials in another family object: the chain passes
+        # but rests on annulus bounds proved for a different family
+        fam = build_family(built_families[2].params)
+        rep = corollary_ineq_certificate(fam, annulus_reports[2])
+        assert rep.status is Status.INCONCLUSIVE and not rep.failed()
+        roots = family_root_certificates(fam)
+        own = corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots))
+        assert own.status is Status.PROVED and own.family is fam
+
     def test_scalar_window_is_equality_at_defaults(self, built_families):
         rep = corollary_ineq_certificate(built_families[2], ABSENT_ANNULUS)
         check = next(c for c in rep.checks if c.name == "scalar-window")

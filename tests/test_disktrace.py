@@ -922,13 +922,17 @@ class TestBoundaryLoops:
         self, built_families, corollary_reports, identities, n
     ):
         # an unproved chain, identities without product forms, or the chain
-        # of another family object: each certificate runs its full loop,
-        # which passes, and proves nothing
+        # (and forms) of another family object: each certificate runs its
+        # full loop, which passes, and proves nothing
         fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
         weak = dataclasses.replace(cor, status=Status.INCONCLUSIVE)
         bare = CheckReport(ids.checks)
         other = build_family(fam.params)
-        for chain, report, family in ((weak, ids, fam), (cor, bare, fam), (cor, ids, other)):
+        own_ids = exact_identity_checks(other)
+        cases = (
+            (weak, ids, fam), (cor, bare, fam), (cor, ids, other), (cor, own_ids, other)
+        )
+        for chain, report, family in cases:
             tally = Counter()
             target = annulus_into_target(family, chain, report, tally=tally)
             window = image_in_chart_window(family, chain, report, samples=4, tally=tally)
@@ -938,6 +942,12 @@ class TestBoundaryLoops:
             assert window.data["boundary_checks"] == 64
             assert base.data["boundary_checks"] == 256
             assert tally == Counter(points=128 + 64 + 256)
+        # with its own chain as well, the other family object is proved
+        own_chain = corollary_ineq_certificate(
+            other, annulus_bounds_certificate(other, family_root_certificates(other))
+        )
+        target = annulus_into_target(other, own_chain, own_ids)
+        assert (target.status, target.data["spot_checks"]) == (Status.PROVED, 0)
 
     @pytest.mark.parametrize("scale", [F(2, 7), F(1, 4)])
     def test_tampered_target_refuted_at_the_exact_witness(
