@@ -41,8 +41,10 @@ rounding only when those powers do not separate.  A directed product never
 crosses a power of two that bounds the exact product on its side, so the
 exponent stage decides only where the product stage would decide the same
 way: verdicts and exact fallbacks are those of the products alone.  Callers
-settle ``None`` with the full integer cross-products, so no truncation ever
-decides a verdict the exact arithmetic would not.
+settle ``None`` with ``exact_lt``, the one integer cross-multiplication of
+unreduced squared moduli and constants (``Values.lt`` and the disk trace's
+``_Image.lt``), so no truncation ever decides a verdict the exact
+arithmetic would not.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "ball_point",
     "bracket_lt",
     "constant_factor",
+    "exact_lt",
     "exponents",
     "gap_bracket",
     "int_bracket",
@@ -537,6 +540,24 @@ def bracket_lt(lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> Optiona
     return None
 
 
+def exact_lt(terms: Sequence[tuple], *, closed: bool = False) -> bool:
+    """Exact ``prod (num/den)^e < 1`` (``<= 1`` when ``closed``).
+
+    ``terms`` are ``(num, den, e)`` with num >= 0, den > 0 and an integer
+    power e of either sign: the unreduced integer fractions of squared
+    moduli (``scaled_abs2``) and the numerators and denominators of
+    ``constant_factor``s, cross-multiplied without a gcd.  The last stage of
+    every comparison that brackets leave open.
+    """
+    left = right = 1
+    for num, den, e in terms:
+        if e > 0:
+            left, right = left * num**e, right * den**e
+        elif e < 0:
+            left, right = left * den**-e, right * num**-e
+    return left <= right if closed else left < right
+
+
 class Values:
     """The values of ``polys`` at z = (num_re + i num_im)/den, bracketed first.
 
@@ -571,8 +592,8 @@ class Values:
 
         A factor is an index ``i``, standing for |polys[i](z)|^2, or a
         ``constant_factor``.  ``bracket_lt`` decides on the brackets, and
-        where they overlap the unreduced integer squares of the triples
-        are cross-multiplied with the constants' numerators and denominators.
+        where they overlap ``exact_lt`` on the unreduced integer squares of
+        the triples and the constants' numerators and denominators.
         """
         lb, rb = [], []
         for f in lhs:
@@ -592,11 +613,9 @@ class Values:
             return verdict
         if self._squares is None:
             self._squares = tuple(scaled_abs2(t) for t in self.triples)
-        left = right = 1
-        for f in lhs:
-            num, den = self._squares[f] if isinstance(f, int) else f[:2]
-            left, right = left * num, right * den
-        for f in rhs:
-            num, den = self._squares[f] if isinstance(f, int) else f[:2]
-            left, right = left * den, right * num
-        return left <= right if closed else left < right
+        terms = []
+        for side, power in ((lhs, 1), (rhs, -1)):
+            for f in side:
+                num, den = self._squares[f] if isinstance(f, int) else f[:2]
+                terms.append((num, den, power))
+        return exact_lt(terms, closed=closed)

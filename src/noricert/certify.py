@@ -311,10 +311,12 @@ _FALLBACK_POINTS = 16  # circle points tested when the bound does not prove
 
 
 def _factor_localized(fam: Family, j: int, root_certs: dict) -> bool:
-    """Whether P_j has a unit leading coefficient and all its roots localized."""
+    """Whether P_j has a unit leading coefficient and all its roots localized
+    by a certificate of ``fam`` itself."""
     p, cert = fam.Pk(j), root_certs.get(j)
     return (
         cert is not None
+        and cert.family is fam
         and cert.status is Status.PROVED
         and cert.index == j
         and cert.count == cert.degree == p.degree
@@ -352,10 +354,7 @@ def _violation(
     """
     polys = tuple(fam.Pk(j) for j in range(1, fam.n))
     small, big = side_factors(dominated, radius), side_factors(dominant, radius)
-    for i, triple in enumerate(circle_triples(radius, _FALLBACK_POINTS)):
-        if not Values(polys, *triple).lt(small, big):
-            return circle_points(radius, _FALLBACK_POINTS)[i]
-    return None
+    return spot_loop(polys, (radius,), _FALLBACK_POINTS, lambda v: v.lt(small, big)).witness
 
 
 def root_product_dominance(
@@ -1138,10 +1137,7 @@ def cone_factor_certificate(
     )
     divisibility_ok = division.status is Status.PROVED and not division.quotient.is_zero
 
-    prereq_ok = all(
-        root_certs.get(j) is not None and root_certs[j].status is Status.PROVED
-        for j in range(k + 1, n)
-    )
+    prereq_ok = all(_factor_localized(fam, j, root_certs) for j in range(k + 1, n))
     inside = (n - k - 1) + sum((j - k - 1) * d[j - 1] for j in range(k + 2, n))
     bookkeeping_ok = inside == d[k]
 

@@ -21,9 +21,9 @@ status, from the family's target certificate, so the bounds tend to 0 as
 ``n`` grows.
 
 Every verdict is exact: moduli are compared through their squares, by
-certified brackets that fall back to exact integer arithmetic whenever they
-cannot decide.  Each sampled layer draws its points as integer triples
-``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
+certified exponents and brackets that fall back to exact integer arithmetic
+whenever they cannot decide.  Each sampled layer draws its points as integer
+triples ``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
 deterministic given its seed and builds no rational number per sample.  A
 sampled image point is an ``_Image``.  When the family's three exact
 identities are proved, it is bracketed through the factors: square-ratio
@@ -33,15 +33,15 @@ power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
 products, with powers, of eps^2, the exact |lam|^2 and the ball brackets
 (``bounds.ball_abs2``) of the low-degree factors; the difference needs no
 subtraction.  Without those proofs the atoms are |f1|^2 and |f2|^2
-themselves.  A point reads only its atoms' binary exponents.  Each chart
-predicate is one net power vector over the atoms, compiled once per
-certificate, so common factors cancel before anything is multiplied and
-the net exponent sums decide almost every predicate; the ``bounds.Product``s
-of |f1|^2, |f2|^2 and |f2 - f1|^2 are built, and their 192-bit products
-formed, only where the net exponents straddle the threshold.  A boundary
-spot check (target region, chart window, base chart) runs only where the
-certificate's own proof is incomplete, as the search for a refutation
-witness; the values at each of its exact circle points take
+themselves.  Every chart predicate (cover region, membership, entry, cone)
+is one call of one comparator, ``_Image.lt``: a power vector over
+(|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart square.  It decides on
+the net exponents of the atoms first (common factors cancel before anything
+is multiplied, and these decide almost every predicate), then on the
+192-bit products of the ``bounds.Product``s, then on the exact integers.  A
+boundary spot check (target region, chart window, base chart) runs only
+where the certificate's own proof is incomplete, as the search for a
+refutation witness; the values at each of its exact circle points take
 ``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
 are evaluated only when a comparison or a zero test is left undecided, or
 when a refutation renders its witness as exact rationals with
@@ -73,6 +73,7 @@ from .bounds import (
     ball_point,
     bracket_lt,
     constant_factor,
+    exact_lt,
     exponents,
     gap_bracket,
     log2_bounds,
@@ -151,20 +152,19 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
 # work on exponents, brackets and unreduced ``eval_scaled`` triples.  Every
 # sampled image point is an ``_Image`` over the atoms of its factor map
-# (``_image_factors``).  Each chart predicate compares two products of
-# |f1|^2, |f2|^2, |f2 - f1|^2 and a chart square, which over the same atoms
-# is one net power vector (``_compile_net``, once per certificate): common
-# atoms cancel before anything is multiplied, and the net exponent sums
-# (``_Image.net``) decide wherever the two sides' own sums would, and at
-# most points where those overlap.  Where they straddle the threshold the
-# image forms its ``bounds.Product``s for ``bounds.bracket_lt`` against the
-# chart squares (``FamilyParams.squares``), first on exponents, then on
-# directed 192-bit products; integer cross-multiplication of the exact
-# triples of f1 and f2 decides where those overlap, and the zero tests read
-# the triples only when a bracket reaches 0.  Every exact circle point of a
-# spot check that runs is a ``bounds.Values``, bracketed by ``bounds.ball_abs2`` from
-# one ball of the point.  The Fraction predicates of the atlas module remain
-# the reference semantics; the test suite cross-validates the paths.
+# (``_image_factors``), and every chart predicate is ``_Image.lt`` of a
+# power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart
+# square (``FamilyParams.squares``): membership (1, -k) and entry
+# (-1, k + 2) against r^2, the cover region (1, 0) against r^2 and (0, 1)
+# against r^4, the cone (2, -k, -1) against rho^2 or (rho/2)^2.  Its three
+# stages: the net exponents (``_compile_net``, once per certificate, so
+# common atoms cancel), ``bounds.bracket_lt`` on the 192-bit products, and
+# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  The
+# zero tests read the triples only when a bracket reaches 0.  Every exact
+# circle point of a spot check that runs is a ``bounds.Values``, bracketed
+# by ``bounds.ball_abs2`` from one ball of the point.  The Fraction
+# predicates of the atlas module remain the reference semantics; the test
+# suite cross-validates the paths.
 # ---------------------------------------------------------------------------
 
 
@@ -178,7 +178,7 @@ class _Factors(NamedTuple):
     The atoms of a point are ``constants`` (``bounds.Ratio``s), then
     |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``;
     ``forms`` holds one power vector over the atoms for each of the three
-    quantities, or for the first two only, when the cone test brackets the
+    quantities, or for the first two only, when ``_Image.lt`` brackets the
     difference by ``gap_bracket``.  ``nets`` holds the compiled net power
     vectors of the chart predicates (``_compile_net``), filled on first use.
     """
@@ -225,15 +225,31 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     )
 
 
-def _compile_net(fam: Family, factors: _Factors, coeffs: tuple, square: Optional[str]):
-    """prod_i q_i^coeffs[i] / c as ``(pairs, lo, hi)``, the q_i the quantities
-    of ``factors.forms`` and c the chart square ``square`` (1 when None).
+def _compile_net(
+    fam: Family, factors: _Factors, coeffs: tuple, square: Optional[str], k: int
+) -> tuple:
+    """prod_i q_i^coeffs[i] / c over the atoms, c the chart square ``square``
+    (1 when None) and q_i the quantities of ``factors.forms``, the third
+    being |f2^(k+1) - f1|^2.
 
-    The constant atoms fold into c, and 2^lo <= c <= 2^hi are the tightest
-    powers of two around it.  ``pairs`` holds ``(i, net power)`` for each
-    point atom i that either side uses: a common atom cancels only where it
-    is positive.
+    Returns ``(pairs, lo, hi)``: the constant atoms fold into c, and
+    2^lo <= c <= 2^hi are the tightest powers of two around it; ``pairs``
+    holds ``(i, net power)`` for each point atom i that either side uses (a
+    common atom cancels only where it is positive).  A vector with the gap
+    where the gap is no quantity (k >= 1, or k = 0 without its form)
+    compiles to ``(None, keys, g)`` instead: g is the gap's power, and
+    ``keys`` name the nets of the ratio t = |f1|^2 / |f2|^(2k+2) and of
+    the vector with the gap replaced by |f2|^(2k+2) and by |f1|^2 (see
+    ``_Image.net``).
     """
+    if len(coeffs) == 3 and (k or len(factors.forms) == 2):
+        c1, c2, g = coeffs
+        keys = (
+            ((1, -(k + 1)), None, 0),
+            ((c1, c2 + g * (k + 1)), square, 0),
+            ((c1 + g, c2), square, 0),
+        )
+        return None, keys, g
     fixed = len(factors.constants)
     c = Fraction(*getattr(fam.params.squares, square)[:2]) if square else Fraction(1)
     pairs = []
@@ -247,18 +263,6 @@ def _compile_net(fam: Family, factors: _Factors, coeffs: tuple, square: Optional
     return tuple(pairs), *log2_bounds(c.numerator, c.denominator)
 
 
-def _decide(net: Optional[tuple], closed: bool = False) -> Optional[bool]:
-    """Whether a value in [2^lo, 2^hi] is < 1 (``<= 1`` if closed); None if open."""
-    if net is None:
-        return None
-    lo, hi = net
-    if hi < 0 or closed and hi == 0:
-        return True
-    if lo > 0 or not closed and lo == 0:
-        return False
-    return None
-
-
 class _Image:
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
@@ -266,10 +270,10 @@ class _Image:
     default |f1|^2 and |f2|^2): the exact |lam|^2 when the map has it and
     one ``ball_abs2`` bracket per polynomial, from one ``ball_point`` of
     lam; ``exps`` are their binary exponents (None where a bracket reaches
-    0, ``positive`` when none does), on which ``net`` decides.  ``a1``,
-    ``a2`` and ``gap`` are the ``bounds.Product``s of |f1|^2, |f2|^2 and
-    |f2 - f1|^2 (None without a form), built when ``net`` leaves a
-    predicate open or a zero test meets a zero bracket.  ``v1`` and ``v2``
+    0, ``positive`` when none does).  ``lt`` decides every chart predicate.
+    ``a1``, ``a2`` and ``gap`` are the ``bounds.Product``s of |f1|^2,
+    |f2|^2 and |f2 - f1|^2 (None without a form), built when ``net`` leaves
+    a predicate open or a zero test meets a zero bracket.  ``v1`` and ``v2``
     are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
     either is first read: by an undecided bracket comparison or zero test,
     or by a refutation that renders the point.
@@ -302,26 +306,100 @@ class _Image:
         self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
 
-    def net(self, coeffs: tuple, square: Optional[str] = None) -> Optional[tuple]:
-        """Powers of two ``(lo, hi)`` around ``_compile_net``'s quotient at lam.
+    def net(
+        self, coeffs: tuple, square: Optional[str] = None, k: int = 0
+    ) -> Optional[tuple]:
+        """Powers of two ``(lo, hi)`` around ``_compile_net``'s quotient at
+        lam; None where they are not known.
 
-        Sums over the net powers, compiled once per factor map; None when an
-        atom they use has a bracket that reaches 0.
+        Sums over the net powers, compiled once per factor map; None where
+        an atom they use has a bracket that reaches 0.  Where the gap is no
+        quantity, the ratio t = |f1|^2 / |f2|^(2k+2) stands in: with
+        s <= 2^-3 the smaller of t and 1/t, the gap is the larger term times
+        (1 -+ sqrt(s))^2, in [2^-2, 2] and in [2^-1, 2] once s <= 2^-4, by
+        the reverse triangle inequality; otherwise None.
         """
         nets = self.factors.nets
-        key = coeffs, square
+        key = coeffs, square, k
         compiled = nets.get(key)
         if compiled is None:
-            compiled = nets[key] = _compile_net(self.fam, self.factors, coeffs, square)
-        pairs, c_lo, c_hi = compiled
-        lo, hi = -c_hi, -c_lo
+            compiled = nets[key] = _compile_net(self.fam, self.factors, coeffs, square, k)
+        pairs, lo, hi = compiled
+        if pairs is None:
+            (t_key, small, large), g = lo, hi
+            # t uses every atom of |f1|^2 and |f2|^2, so where it is known
+            # the two replacements are too
+            t = self.net(*t_key)
+            if t is None:
+                return None
+            if t[1] <= -3:
+                (lo, hi), s = self.net(*small), t[1]
+            elif t[0] >= 3:
+                (lo, hi), s = self.net(*large), -t[0]
+            else:
+                return None
+            w = 1 if s <= -4 else 2  # the gap over the larger term is in [2^-w, 2]
+            return (lo - w * g, hi + g) if g > 0 else (lo + g, hi - w * g)
+        lo, hi = -hi, -lo  # around 1/c
         exps = self.exps
         for i, p in pairs:
-            if exps[i] is None:
+            e = exps[i]
+            if e is None:
                 return None
-            e_lo, e_hi = exps[i] if p > 0 else exps[i][::-1]
-            lo, hi = lo + p * e_lo, hi + p * e_hi
+            if p > 0:
+                lo, hi = lo + p * e[0], hi + p * e[1]
+            else:
+                lo, hi = lo + p * e[1], hi + p * e[0]
         return lo, hi
+
+    def lt(
+        self,
+        coeffs: tuple,
+        square: Optional[str] = None,
+        *,
+        closed: bool = False,
+        k: int = 0,
+    ) -> bool:
+        """Exact prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) at lam.
+
+        q = (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), a vector of length 2 leaving
+        out the gap, and c the ``FamilyParams.squares`` entry ``square`` (1
+        when None).  Three stages, each deciding where the one before leaves
+        the comparison open: the net exponents (``net``);
+        ``bounds.bracket_lt`` on the ``Product``s with the square's brackets
+        as factors (the gap is a product at k = 0 with its form,
+        ``gap_bracket`` otherwise, and the stage is skipped where that is
+        None); ``bounds.exact_lt`` on the unreduced integer squares of the
+        exact triples.
+        """
+        net = self.net(coeffs, square, k)
+        if net is not None:
+            lo, hi = net
+            if hi < 0 or closed and hi == 0:
+                return True
+            if lo > 0 or not closed and lo == 0:
+                return False
+        c = getattr(self.fam.params.squares, square) if square else None
+        a1, a2, gap = self.quantities
+        if len(coeffs) == 3 and (k or gap is None):
+            gap = gap_bracket(a1, a2, k)
+        if len(coeffs) == 2 or gap is not None:
+            pairs = list(zip((a1, a2, gap), coeffs))
+            lhs = [q for q, e in pairs for _ in range(e)]
+            rhs = [q for q, e in reversed(pairs) for _ in range(-e)]
+            if c is not None:
+                lhs.append(c[3])
+                rhs.insert(0, c[2])
+            verdict = bracket_lt(lhs, rhs, closed=closed)
+            if verdict is not None:
+                return verdict
+        v1, v2 = self.triples
+        terms = [] if c is None else [(c[0], c[1], -1)]
+        for i, e in enumerate(coeffs):
+            if e:
+                pair = _gap_squared_exact(v1, v2, k) if i == 2 else scaled_abs2((v1, v2)[i])
+                terms.append((*pair, e))
+        return exact_lt(terms, closed=closed)
 
     @property
     def quantities(self) -> tuple:
@@ -392,34 +470,6 @@ def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
     return rr, ri
 
 
-def _member_test(fam: Family, img: _Image, k: int) -> bool:
-    """Exact |f1(lam)| < r |f2(lam)|^k: net exponents, brackets, then integers."""
-    verdict = _decide(img.net((1, -k), "r2"))
-    if verdict is not None:
-        return verdict
-    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
-    verdict = bracket_lt([img.a1, rd2_b], [rn2_b, *[img.a2] * k])
-    if verdict is not None:
-        return verdict
-    n1, q1 = scaled_abs2(img.v1)
-    n2, q2 = scaled_abs2(img.v2)
-    return n1 * rd2 * q2**k < rn2 * n2**k * q1
-
-
-def _chart_entry_test(fam: Family, img: _Image, k: int) -> bool:
-    """Exact |f2(lam)|^(k+2) < r^2 |f1(lam)|: net exponents, brackets, then integers."""
-    verdict = _decide(img.net((-1, k + 2), "r2"))
-    if verdict is not None:
-        return verdict
-    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
-    verdict = bracket_lt([*[img.a2] * (k + 2), rd2_b], [rn2_b, img.a1])
-    if verdict is not None:
-        return verdict
-    n1, q1 = scaled_abs2(img.v1)
-    n2, q2 = scaled_abs2(img.v2)
-    return n2 ** (k + 2) * rd2 * q1 < rn2 * n1 * q2 ** (k + 2)
-
-
 def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
     """|f2^(k+1) - f1|^2 as an unreduced integer pair (num, den)."""
     re1, im1, d1 = v1
@@ -431,120 +481,41 @@ def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
     return g_re * g_re + g_im * g_im, (d1 * dp) ** 2
 
 
-def _cone_net(img: _Image, k: int, square: str) -> Optional[tuple[int, int]]:
-    """Powers of two around |f1|^4 / (c |f2^(k+1) - f1|^2 |f2|^(2k)), c named
-    by ``square``; None where they are not known.
-
-    At k = 0 with the difference factorization the gap is a quantity.
-    Otherwise, with s <= 2^-3 the smaller of t = |f1|^2 / |f2|^(2k+2) and
-    1/t, the gap is the larger term times (1 -+ sqrt(s))^2, in [2^-2, 2]
-    and in [2^-1, 2] once s <= 2^-4, by the reverse triangle inequality.
-    """
-    if k == 0 and len(img.factors.forms) == 3:
-        return img.net((2, 0, -1), square)
-    t = img.net((1, -(k + 1)))
-    if t is None:
-        return None
-    if t[1] <= -3:
-        lo, hi = img.net((2, -(2 * k + 1)), square)
-        s = t[1]
-    elif t[0] >= 3:
-        lo, hi = img.net((1, -k), square)
-        s = -t[0]
-    else:
-        return None
-    return lo - 1, hi + (1 if s <= -4 else 2)
-
-
-def _cone_test(fam: Family, img: _Image, k: int, *, halved: bool) -> bool:
-    """The cone inequality at a scaled point, via brackets with exact fallback.
-
-    With ``halved`` the opening parameter is rho/2 and the comparison is
-    closed (the margin-bearing form the factorization lemmas give); without
-    it the parameter is rho and the comparison is the open cone condition.
-    """
-    square = "half_rho2" if halved else "rho2"
-    verdict = _decide(_cone_net(img, k, square), closed=halved)
-    if verdict is not None:
-        return verdict
-    pn2, pd2, pn2_b, pd2_b = getattr(fam.params.squares, square)
-    if k == 0 and img.gap is not None:
-        gap = img.gap
-    else:
-        gap = gap_bracket(img.a1, img.a2, k)
-    if gap is not None:
-        verdict = bracket_lt(
-            [img.a1, img.a1, pd2_b], [pn2_b, gap, *[img.a2] * k], closed=halved
-        )
-        if verdict is not None:
-            return verdict
-    n1, q1 = scaled_abs2(img.v1)
-    n2, q2 = scaled_abs2(img.v2)
-    g_num, g_den = _gap_squared_exact(img.v1, img.v2, k)
-    lhs = n1 * n1 * pd2 * g_den * q2**k
-    rhs = pn2 * g_num * n2**k * q1 * q1
-    return lhs <= rhs if halved else lhs < rhs
-
-
-def _in_cover_region(fam: Family, img: _Image) -> bool:
+def _in_cover_region(img: _Image) -> bool:
     """0 < |z1| < r and |z2| < r^2 at a scaled point (exact semantics)."""
-    if img.vanishes(1):
-        return False
-    rn2, rd2, rn2_b, rd2_b = fam.params.squares.r2
-    rn4, rd4, rn4_b, rd4_b = fam.params.squares.r4
-    first = _decide(img.net((1, 0), "r2"))
-    if first is None:
-        first = bracket_lt([img.a1, rd2_b], [rn2_b])
-    second = _decide(img.net((0, 1), "r4"))
-    if second is None:
-        second = bracket_lt([img.a2, rd4_b], [rn4_b])
-    if first is None or second is None:
-        n1, q1 = scaled_abs2(img.v1)
-        n2, q2 = scaled_abs2(img.v2)
-        if first is None:
-            first = n1 * rd2 < rn2 * q1
-        if second is None:
-            second = n2 * rd4 < rn4 * q2
-    return first and second
+    return not img.vanishes(1) and img.lt((1, 0), "r2") and img.lt((0, 1), "r4")
 
 
-def _cover_indices_scaled(
-    fam: Family, img: _Image, k_max: int
-) -> tuple[bool, tuple[int, ...]]:
+def _in_chart(img: _Image, k: int) -> bool:
+    """Chart k membership of a point of the cover region: |f2|^(k+2) <
+    r^2 |f1| and |f1| < r |f2|^k, the second already decided at k = 0,
+    where it is |f1| < r of ``_in_cover_region``."""
+    return img.lt((-1, k + 2), "r2") and (k == 0 or img.lt((1, -k), "r2"))
+
+
+def _cover_indices_scaled(img: _Image, k_max: int) -> tuple[bool, tuple[int, ...]]:
     """Chart cover of a scaled image point: (in_region, covering indices).
 
     Same predicates as ``chart_cover_indices``; the test suite
     cross-validates.
     """
-    if not _in_cover_region(fam, img):
+    if not _in_cover_region(img):
         return False, ()
-    # at k = 0 membership is |f1| < r, which _in_cover_region has decided
-    indices = [
-        k
-        for k in range(k_max + 1)
-        if _chart_entry_test(fam, img, k) and (k == 0 or _member_test(fam, img, k))
-    ]
-    return True, tuple(indices)
+    return True, tuple(k for k in range(k_max + 1) if _in_chart(img, k))
 
 
-def _first_open_cone_scaled(
-    fam: Family, img: _Image, k_limit: int
-) -> tuple[bool, Optional[int]]:
+def _first_open_cone_scaled(img: _Image, k_limit: int) -> tuple[bool, Optional[int]]:
     """First chart index k < k_limit covering the point with its cone open.
 
     Returns (in_region, index or None).  The scan stops at the first
     success; indices at and beyond ``k_limit`` are the business of the
-    divisibility window certificate, not of this scan.
+    divisibility window certificate, not of this scan.  The cone is
+    |f1|^2 < rho |f2^(k+1) - f1| |f2|^k, squared.
     """
-    if not _in_cover_region(fam, img):
+    if not _in_cover_region(img):
         return False, None
     for k in range(k_limit):
-        # at k = 0 membership is |f1| < r, which _in_cover_region has decided
-        if (
-            _chart_entry_test(fam, img, k)
-            and (k == 0 or _member_test(fam, img, k))
-            and _cone_test(fam, img, k, halved=False)
-        ):
+        if _in_chart(img, k) and img.lt((2, -k, -1), "rho2", k=k):
             return True, k
     return True, None
 
@@ -823,7 +794,7 @@ def image_in_chart_window(
         img = _Image(fam, *sampler.dyadic_in_disk(2), factors)
         if img.vanishes(2):
             continue  # exact exclusion of the common zero set
-        in_region, indices = _cover_indices_scaled(fam, img, k_max)
+        in_region, indices = _cover_indices_scaled(img, k_max)
         if not in_region or not indices or max(indices) > n - 1:
             return Certificate(
                 "image-in-chart-window",
@@ -885,7 +856,7 @@ def _entry_scale(
 
     def member(e: int) -> bool:
         img = _Image(fam, 1, 0, 10**e, factors)
-        verdict = _member_test(fam, img, k)
+        verdict = img.lt((1, -k), "r2")
         _count(tally, img)
         return verdict
 
@@ -980,9 +951,9 @@ def chart_cone_certificate(
     for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
         img = _Image(fam, a, b, den, factors)
         try:
-            if not _member_test(fam, img, k):
+            if not img.lt((1, -k), "r2"):
                 continue
-            if not _cone_test(fam, img, k, halved=True):
+            if not img.lt((2, -k, -1), "half_rho2", closed=True, k=k):
                 return Certificate(
                     "chart-cone",
                     Status.REFUTED,
@@ -1003,7 +974,7 @@ def chart_cone_certificate(
                 # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test
                 # above is the second half)
                 full_membership_checks += 1
-                if not _chart_entry_test(fam, img, k):
+                if not img.lt((-1, k + 2), "r2"):
                     return Certificate(
                         "chart-cone",
                         Status.REFUTED,
@@ -1191,7 +1162,7 @@ def cone_window_witness(
         try:
             if img.vanishes(2):
                 continue
-            in_region, cone_index = _first_open_cone_scaled(fam, img, n)
+            in_region, cone_index = _first_open_cone_scaled(img, n)
         finally:
             _count(tally, img)
         if not in_region or cone_index is None:

@@ -38,6 +38,7 @@ from noricert.bounds import (
     ball_point,
     bracket_lt,
     constant_factor,
+    exact_lt,
     exponents,
     gap_bracket,
     int_bracket,
@@ -776,3 +777,20 @@ class TestValues:
         assert values.lt((0,), (quarter,)) is False
         assert values.lt((0,), (quarter,), closed=True) is True
         assert values.evaluated
+
+
+class TestExactLt:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 2**70), st.integers(1, 2**70), st.integers(-3, 3)),
+            max_size=5,
+        ),
+        st.booleans(),
+    )
+    def test_matches_the_rational_product(self, terms, closed):
+        value = math.prod((F(num, den) ** e for num, den, e in terms), start=F(1))
+        assert exact_lt(terms, closed=closed) == (value <= 1 if closed else value < 1)
+        # a zero factor, and a term cancelled by its reciprocal at a tie
+        assert exact_lt([*terms, (0, 5, 1)], closed=closed) is True
+        assert exact_lt([(3, 7, 2), (3, 7, -2)], closed=closed) is closed

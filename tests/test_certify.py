@@ -146,8 +146,10 @@ def _hand_built(*factors):
     return SimpleNamespace(n=len(factors) + 1, Pk=lambda j: factors[j - 1])
 
 
-def _localized(j, radius, degree, status=Status.PROVED):
-    return RootLocalization(j, radius, degree, degree, status, "perturbation", None)
+def _localized(fam, j, radius, degree, status=Status.PROVED):
+    return RootLocalization(
+        j, radius, degree, degree, status, "perturbation", None, family=fam
+    )
 
 
 class TestRootProductDominance:
@@ -175,7 +177,8 @@ class TestRootProductDominance:
         # and of its upper bound at z = -1
         a = F(1, 2) - F(1, 10**6)
         p = Poly([-a, 1]) ** 3
-        fam, certs, side = _hand_built(p), {1: _localized(1, F(1, 2), 3)}, (1, 0, ((1, 2),))
+        fam, side = _hand_built(p), (1, 0, ((1, 2),))
+        certs = {1: _localized(fam, 1, F(1, 2), 3)}
         lower, upper = _side_bounds(fam, side, F(1), certs)
         assert (lower, upper) == (F(1, 2) ** 6, F(3, 2) ** 6)
         values = [
@@ -189,14 +192,14 @@ class TestRootProductDominance:
         # |z| = 1 > 1/10 on the whole circle, so no point refutes
         fam, dominant, dominated = _hand_built(Poly.x()), (1, 0, ((1, 1),)), (F(1, 10), 0, ())
         for status in (Status.INCONCLUSIVE, Status.REFUTED):
-            certs = {1: _localized(1, F(1, 2), 1, status)}
+            certs = {1: _localized(fam, 1, F(1, 2), 1, status)}
             dom = root_product_dominance(fam, dominant, dominated, F(1), certs)
             assert dom.status is Status.INCONCLUSIVE
             assert dom.lower is None and dom.upper is None and dom.witness is None
             assert dom.detail.startswith("factors [1] lack")
         dom = root_product_dominance(fam, dominant, dominated, F(1), {})
         assert dom.status is Status.INCONCLUSIVE
-        certs = {1: _localized(1, F(1, 2), 1)}
+        certs = {1: _localized(fam, 1, F(1, 2), 1)}
         proved = root_product_dominance(fam, dominant, dominated, F(1), certs)
         assert proved.status is Status.PROVED
         assert (proved.lower, proved.upper) == (F(1, 2), F(1, 10))
@@ -204,7 +207,8 @@ class TestRootProductDominance:
     def test_non_unit_leading_coefficient_is_inconclusive(self):
         # |2z| = 2 on |z| = 1, far above 1/10, but the root-product bound
         # needs |leading| = 1
-        fam, certs = _hand_built(Poly([0, 2])), {1: _localized(1, F(1, 2), 1)}
+        fam = _hand_built(Poly([0, 2]))
+        certs = {1: _localized(fam, 1, F(1, 2), 1)}
         dom = root_product_dominance(fam, (1, 0, ((1, 1),)), (F(1, 10), 0, ()), F(1), certs)
         assert dom.status is Status.INCONCLUSIVE
         assert dom.lower is None and dom.witness is None
@@ -212,7 +216,8 @@ class TestRootProductDominance:
     def test_failed_bound_without_violation_is_inconclusive(self):
         # |z| = 1 on the circle, but a root anywhere in |z| < 1/2 only
         # guarantees 1/2, which is not above 3/4
-        fam, certs = _hand_built(Poly.x()), {1: _localized(1, F(1, 2), 1)}
+        fam = _hand_built(Poly.x())
+        certs = {1: _localized(fam, 1, F(1, 2), 1)}
         dom = root_product_dominance(fam, (1, 0, ((1, 1),)), (F(3, 4), 0, ()), F(1), certs)
         assert dom.status is Status.INCONCLUSIVE
         assert (dom.lower, dom.upper, dom.witness) == (F(1, 2), F(3, 4), None)
@@ -222,10 +227,24 @@ class TestRootProductDominance:
         )
         assert dom.to_json()["lower"] == "5.00000e-01"
 
+    def test_certificates_of_another_family_are_not_used(self, built_families, root_certs):
+        # P_1 + 1/2 keeps the degree and the leading coefficient of P_1 but
+        # not its roots: with the certificates of the untampered family the
+        # bound would prove the chart-2 cone dominance on |z| = 2
+        fam = built_families[3]
+        tampered = dataclasses.replace(fam, P=(fam.Pk(1) + Poly.constant(F(1, 2)), fam.Pk(2)))
+        sides = cone_sides(tampered, 2)
+        for certs in (root_certs[3], family_root_certificates(tampered)):
+            dom = root_product_dominance(tampered, *sides, F(2), certs)
+            assert dom.status is Status.INCONCLUSIVE
+            assert dom.lower is None and dom.witness is None
+        assert root_product_dominance(fam, *sides, F(2), root_certs[3]).status is Status.PROVED
+
     def test_violation_refutes_at_the_first_failing_point(self):
         # |z - 1/4| <= 1 on the right part of |z| = 1
         p = Poly([F(-1, 4), 1])
-        fam, certs = _hand_built(p), {1: _localized(1, F(1, 2), 1)}
+        fam = _hand_built(p)
+        certs = {1: _localized(fam, 1, F(1, 2), 1)}
         failing = [
             i for i, triple in enumerate(circle_triples(F(1), 16))
             if F(*scaled_abs2(eval_scaled(p, *triple))) <= 1
@@ -287,6 +306,7 @@ def _reference_dominance(fam, dominant, dominated, radius, root_certs):
     used = sorted({j for _, _, factors in sides for j, _ in factors})
     usable = all(
         root_certs.get(j) is not None
+        and root_certs[j].family is fam
         and root_certs[j].status is Status.PROVED
         and root_certs[j].index == j
         and root_certs[j].count == root_certs[j].degree == fam.Pk(j).degree
@@ -353,7 +373,7 @@ def _dominance_cases(draw):
         factors.append(p)
         status = draw(st.sampled_from([Status.PROVED] * 3 + [Status.INCONCLUSIVE]))
         count = p.degree if draw(st.booleans()) else p.degree - 1
-        certs[j] = RootLocalization(j, rho, p.degree, count, status, "perturbation", None)
+        certs[j] = (j, rho, p.degree, count, status, "perturbation", None)
 
     def side():
         c = draw(st.fractions(min_value=F(1, 1000), max_value=4, max_denominator=1000))
@@ -363,7 +383,9 @@ def _dominance_cases(draw):
         ))
         return c, draw(st.integers(0, 2)), tuple(powers)
 
-    return _hand_built(*factors), side(), side(), radius, certs
+    fam = _hand_built(*factors)
+    certs = {j: RootLocalization(*cert, family=fam) for j, cert in certs.items()}
+    return fam, side(), side(), radius, certs
 
 
 class TestDominanceAgainstReference:
@@ -631,6 +653,23 @@ class TestConeFactorization:
             cone_factor_certificate(
                 built_families[3], 0, root_certs[3], identities[3], reordered
             )
+
+    def test_deeper_localization_of_another_family_is_missing(
+        self, built_families, root_certs, divisions
+    ):
+        # chart 1 at n = 3 dominates with P_1 alone; the root count of its
+        # cofactor also needs P_2, whose certificate belongs to another
+        # family object with the same polynomials
+        fam = built_families[3]
+        copy = dataclasses.replace(fam)
+        own = {j: dataclasses.replace(c, family=copy) for j, c in root_certs[3].items()}
+        mixed = {1: own[1], 2: root_certs[3][2]}
+        ids = exact_identity_checks(copy, own)
+        cert = cone_factor_certificate(copy, 1, mixed, ids, divisions[3])
+        assert cert.nonvanishing.status is Status.PROVED
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.detail == "a deeper root localization is missing"
+        assert cone_factor_certificate(copy, 1, own, ids, divisions[3]).status is Status.PROVED
 
     def test_refuted_division_refutes(self, built_families, root_certs, identities, divisions):
         # a refuted witness still carries the sides of its combination

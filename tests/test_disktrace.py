@@ -61,16 +61,11 @@ from noricert.disktrace import (
     _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
-    _chart_entry_test,
-    _cone_net,
-    _cone_test,
-    _decide,
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
     _image_factors,
     _in_cover_region,
-    _member_test,
 )
 from noricert.sampling import RationalSampler
 from conftest import SIZES, exact_sup
@@ -135,18 +130,34 @@ def _image_and_reference(fam, a, b, den):
     return img, ChartPoint(fam.f1(lam), fam.f2(lam))
 
 
+_PREDICATES = ("region", "member", "entry", "cone", "halved")
+
+
+def _predicate(name, img, k):
+    """One chart-k predicate of the scaled path at ``img``: the cover region,
+    or a net power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against
+    a chart square; the halved cone is the closed one at rho/2."""
+    if name == "region":
+        return _in_cover_region(img)
+    coeffs, square = {
+        "member": ((1, -k), "r2"),
+        "entry": ((-1, k + 2), "r2"),
+        "cone": ((2, -k, -1), "rho2"),
+        "halved": ((2, -k, -1), "half_rho2"),
+    }[name]
+    return img.lt(coeffs, square, closed=name == "halved", k=k)
+
+
 def _assert_chart_predicates_match(fam, img, p, k):
     """The chart-k predicates equal their Fraction references at one point;
     the halved cone is the closed inequality at rho/2."""
     r, rho = fam.params.r, fam.params.rho
     a1, a2 = p.z1.abs2(), p.z2.abs2()
-    assert _chart_entry_test(fam, img, k) == (a2 ** (k + 2) < r**2 * a1)
-    assert _member_test(fam, img, k) == (a1 < r**2 * a2**k)
-    assert _cone_test(fam, img, k, halved=False) == cone_condition(p, k, rho)
+    assert _predicate("entry", img, k) == (a2 ** (k + 2) < r**2 * a1)
+    assert _predicate("member", img, k) == (a1 < r**2 * a2**k)
+    assert _predicate("cone", img, k) == cone_condition(p, k, rho)
     gap = (p.z2 ** (k + 1) - p.z1).abs2()
-    assert _cone_test(fam, img, k, halved=True) == (
-        a1 * a1 <= (rho / 2) ** 2 * gap * a2**k
-    )
+    assert _predicate("halved", img, k) == (a1 * a1 <= (rho / 2) ** 2 * gap * a2**k)
 
 
 class TestScaledPredicates:
@@ -163,7 +174,7 @@ class TestScaledPredicates:
             den = rng.choice([64, 100, 1024, 10**4, 10**7])
             img, p = _image_and_reference(fam, a, b, den)
             ref = chart_cover_indices(p, fam.params.r, 4)
-            in_region, indices = _cover_indices_scaled(fam, img, 4)
+            in_region, indices = _cover_indices_scaled(img, 4)
             assert in_region == ref.in_region
             if ref.in_region:
                 assert indices == ref.indices
@@ -195,7 +206,7 @@ class TestScaledPredicates:
                 continue
             den = rng.choice([128, 1000, 10**5])
             img = _Image(fam, a, b, den)
-            in_region, first = _first_open_cone_scaled(fam, img, fam.n)
+            in_region, first = _first_open_cone_scaled(img, fam.n)
             lam = ComplexRational(F(a, den), F(b, den))
             p = ChartPoint(fam.f1(lam), fam.f2(lam))
             ref = chart_cover_indices(p, fam.params.r, fam.n - 1)
@@ -292,7 +303,7 @@ class TestBallImages:
                 if accepted == 256:
                     break
                 img = _Image(fam, a, b, den)
-                member = _member_test(fam, img, k)
+                member = _predicate("member", img, k)
                 accepted += member
                 if i % stride:
                     continue
@@ -300,9 +311,9 @@ class TestBallImages:
                     fam, k, a, b, den
                 )
                 assert member == exact_member
-                assert _chart_entry_test(fam, img, k) == exact_entry
+                assert _predicate("entry", img, k) == exact_entry
                 if member:
-                    assert _cone_test(fam, img, k, halved=True) == exact_cone
+                    assert _predicate("halved", img, k) == exact_cone
             assert accepted == 256
 
     @settings(max_examples=150, deadline=None)
@@ -338,7 +349,7 @@ class TestBallImages:
         assert (rn2, rd2) == (1, 25)
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is None
         assert not img.evaluated
-        assert _member_test(fam, img, 1) is False
+        assert img.lt((1, -1), "r2") is False
         assert img.evaluated
         assert img.v1 == eval_scaled(fam.f1, 3, 4, 5)
         # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5: the closed halved
@@ -347,9 +358,9 @@ class TestBallImages:
             f1=Poly.one(), f2=Poly.constant(5), params=params
         )
         img = _Image(fam, 1, 0, 1)
-        assert _cone_test(fam, img, 0, halved=True) is True
+        assert _predicate("halved", img, 0) is True
         assert img.evaluated
-        assert _cone_test(fam, img, 0, halved=False) is True
+        assert _predicate("cone", img, 0) is True
 
     def test_zero_tests_read_triples_only_at_a_zero_bracket(self, built_families):
         # lam = 0 and the rational root eps^c_{n-1} of the last factor are
@@ -363,7 +374,7 @@ class TestBallImages:
             assert not img.evaluated
             assert img.vanishes(1) and img.vanishes(2)
             assert img.evaluated
-            assert not _in_cover_region(fam, img)
+            assert not _in_cover_region(img)
         img = _Image(fam, 3, -2, 4)
         assert not img.vanishes(1) and not img.vanishes(2)
         assert not img.evaluated
@@ -491,7 +502,7 @@ class TestFactorImages:
             assert not img.evaluated
             assert img.vanishes(1) and img.vanishes(2)
             assert img.evaluated
-            assert not _in_cover_region(fam, img)
+            assert not _in_cover_region(img)
         for a, b, den in ((1, 1, 2), (3, 0, 5), (1, 0, 3)):
             img = _Image(fam, a, b, den, factors)
             for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
@@ -512,7 +523,7 @@ class TestFactorImages:
             lam = ComplexRational(F(a, den), F(b, den))
             p = ChartPoint(fam.f1(lam), fam.f2(lam))
             ref = chart_cover_indices(p, fam.params.r, 4)
-            in_region, indices = _cover_indices_scaled(fam, img, 4)
+            in_region, indices = _cover_indices_scaled(img, 4)
             assert in_region == ref.in_region
             if in_region:
                 assert indices == ref.indices
@@ -532,14 +543,11 @@ class TestFactorImages:
                 if i % 4 or i > 256:
                     continue
                 img, plain = _Image(fam, a, b, den, factors), _Image(fam, a, b, den)
-                member = _member_test(fam, img, k)
-                assert member == _member_test(fam, plain, k)
-                assert _chart_entry_test(fam, img, k) == _chart_entry_test(fam, plain, k)
-                if member:
-                    for halved in (True, False):
-                        assert _cone_test(fam, img, k, halved=halved) == _cone_test(
-                            fam, plain, k, halved=halved
-                        )
+                names = ("member", "entry", "halved", "cone")
+                if not _predicate("member", img, k):
+                    names = names[:2]
+                for name in names:
+                    assert _predicate(name, img, k) == _predicate(name, plain, k), name
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witness_decides_on_exponents(self, built_families, identities, n):
@@ -554,36 +562,35 @@ class TestFactorImages:
         assert factored["exact_fallbacks"] == 0
 
     def test_membership_at_k0_is_not_retested(self, built_families, monkeypatch):
-        # |f1| < r is the first inequality of the cover region
-        import noricert.disktrace as disktrace
+        # membership at k = 0, |f1| < r, is the vector (1, 0) against r^2 of
+        # the cover region's first inequality: each scan compares it once
+        seen = Counter()
+        real = _Image.lt
 
-        seen = []
-        real = disktrace._member_test
+        def recording(img, coeffs, square=None, **kw):
+            seen[coeffs, square] += 1
+            return real(img, coeffs, square, **kw)
 
-        def recording(fam, img, k):
-            seen.append(k)
-            return real(fam, img, k)
-
-        monkeypatch.setattr(disktrace, "_member_test", recording)
+        monkeypatch.setattr(_Image, "lt", recording)
         fam = built_families[3]
         for a, b, den in _witness_draws(3, 60, 5):
             img = _Image(fam, a, b, den)
-            _first_open_cone_scaled(fam, img, 3)
-            _cover_indices_scaled(fam, img, 4)
-        assert seen and 0 not in seen
+            for scan, limit in ((_first_open_cone_scaled, 3), (_cover_indices_scaled, 4)):
+                seen.clear()
+                scan(img, limit)
+                assert seen[(1, 0), "r2"] == 1
 
-_PREDICATES = ("region", "member", "entry", "cone", "halved")
-
-
-def _predicate(name, fam, img, k):
-    """One chart-k predicate of the scaled path at ``img``."""
-    if name == "region":
-        return _in_cover_region(fam, img)
-    if name == "member":
-        return _member_test(fam, img, k)
-    if name == "entry":
-        return _chart_entry_test(fam, img, k)
-    return _cone_test(fam, img, k, halved=name == "halved")
+    def test_cover_region_stops_at_its_first_failed_inequality(self):
+        # |f1| = 1 >= r = 1/5 by exponents, and |f2| = 1/25 = r^2 exactly,
+        # where neither the exponents nor the ball brackets decide: the
+        # second inequality is not compared, and no exact triple is read
+        params = FamilyParams.build(2)
+        fam = SimpleNamespace(f1=Poly.one(), f2=Poly.constant(F(1, 25)), params=params)
+        img = _Image(fam, 1, 0, 1)
+        assert not _in_cover_region(img)
+        assert not img.evaluated
+        assert img.lt((0, 1), "r4") is False
+        assert img.evaluated
 
 
 def _scaled_verdicts(fam, lam, factors, k):
@@ -595,7 +602,7 @@ def _scaled_verdicts(fam, lam, factors, k):
     out = {}
     for name in _PREDICATES:
         img = _Image(fam, *lam, factors)
-        verdict = _predicate(name, fam, img, k)
+        verdict = _predicate(name, img, k)
         out[name] = verdict, img._quantities is None and not img.evaluated
     return out
 
@@ -774,6 +781,22 @@ class TestNetStage:
         decided, total = _net_stage_against_the_reference(fam, factors, points, range(2))
         assert decided * 3 >= total * 2
 
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_gap_to_a_positive_power(self, built_families, identities, factored):
+        # the reversed cone |f2^(k+1) - f1|^2 |f2|^(2k) < rho^2 |f1|^4 puts
+        # the gap on the left; the chart-0 gap is a product only with the
+        # factor forms
+        fam = built_families[2]
+        factors = _image_factors(fam, identities[2] if factored else None)
+        rho2 = fam.params.rho**2
+        for lam in _witness_draws(2, 24, 10):
+            a1, a2, _ = _exact_moduli(fam, *lam)
+            z1, z2 = (scaled_to_complex(eval_scaled(f, *lam)) for f in (fam.f1, fam.f2))
+            for k in (0, 1):
+                gap = (z2 ** (k + 1) - z1).abs2()
+                img = _Image(fam, *lam, factors)
+                assert img.lt((-2, k, 1), "rho2", k=k) == (gap * a2**k < rho2 * a1 * a1)
+
     @pytest.mark.parametrize(
         "f1, f2, r, rho, halved, holds",
         [
@@ -796,8 +819,10 @@ class TestNetStage:
         img = _Image(fam, 1, 0, 1)
         assert img.net((1, -2))[1] <= -3
         square = "half_rho2" if halved else "rho2"
-        assert _decide(_cone_net(img, 1, square), closed=halved) is None
-        assert _cone_test(fam, img, 1, halved=halved) is holds
+        lo, hi = img.net((2, -1, -1), square, 1)
+        # the net decides neither way
+        assert (lo <= 0 if halved else lo < 0) and (hi > 0 if halved else hi >= 0)
+        assert _predicate("halved" if halved else "cone", img, 1) is holds
         a1, a2, gap = f1 * f1, f2 * f2, (f2 * f2 - f1) ** 2
         c = (rho / 2) ** 2 if halved else rho**2
         assert (a1 * a1 <= c * gap * a2 if halved else a1 * a1 < c * gap * a2) is holds
