@@ -6,9 +6,25 @@ Representation notes:
   exact total order).  ``Rational`` is exported as an alias for annotations.
 * Complex scalars are pairs of rationals.  Modulus comparisons are always made
   on squared moduli (``abs2``); no square root is ever taken in this module.
-* Polynomials are dense: a tuple of rational coefficients, index = degree of
-  the monomial, with no trailing zeros.  The zero polynomial is the empty
-  tuple and reports degree -1.
+* A polynomial (``Poly``) is dense and stored as one pair: a tuple of integer
+  numerators, index = degree of the monomial, with no trailing zeros, over
+  one positive common denominator.  The pair is not reduced, and no gcd runs
+  on it: ``*`` convolves the integers over the product of the denominators,
+  ``+`` and ``-`` rescale to the lcm of the two (one gcd per sum, not one per
+  coefficient), and ``divmod`` runs a long division on the integers (see
+  ``Poly.__divmod__``).  ``scaled()`` is the stored pair.  ``==`` compares
+  values by cross-multiplication and ``hash`` hashes the reduced
+  coefficients, so equal polynomials over different denominators are equal
+  and hash equal.  The zero polynomial has no numerators, denominator 1 and
+  degree -1.
+* ``Fraction`` coefficients are built only at the edge of the API: ``coeffs``
+  (reduced, built on first read and cached; ``__call__``, ``balls`` and
+  ``hash`` read them), ``coeff`` and ``leading`` (the cached value, or the
+  one coefficient alone) and ``to_json`` (the cached values, or each one
+  built, formatted and dropped).  A ``Poly`` built from coefficients
+  keeps its input, which is already reduced, as that cache.  Coefficients
+  are ints or Fractions; anything else, a float above all, is a
+  ``TypeError``.
 
 Serialized forms: a rational is the string ``"num/den"``; a polynomial is a
 list of coefficient strings (index = degree); a complex scalar is a mapping
@@ -245,102 +261,140 @@ CZERO = ComplexRational.of(0)
 CONE = ComplexRational.of(1)
 
 
-def _normalize(coeffs: Iterable) -> tuple:
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _exact(value: RationalLike) -> RationalLike:
+    """``value`` itself; only ints and Fractions are exact coefficients."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(
+        f"polynomial coefficients must be int or Fraction, not {type(value).__name__}"
+    )
 
 
 class Poly:
     """Dense univariate polynomial over the rationals.
 
-    Coefficients are stored low degree first with no trailing zeros; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    Stored as one pair: integer numerators, low degree first with no
+    trailing zeros, over one positive common denominator.  The pair is not
+    reduced; the polynomial is ``sum(ints[i] z^i) / den`` whatever factor the
+    integers and ``den`` share.  The zero polynomial has no numerators,
+    denominator 1 and degree -1.
     """
 
+    __slots__ = ("_ints", "_den", "_fractions", "_ball_cache")
+
     def __init__(self, coeffs: Iterable = ()):  # noqa: D401
-        self._coeffs = _normalize(coeffs)
-        self._scaled_cache = None
+        fractions = [Fraction(_exact(c)) for c in coeffs]
+        while fractions and not fractions[-1]:
+            fractions.pop()
+        den = math.lcm(*(c.denominator for c in fractions))
+        self._ints = tuple(c.numerator * (den // c.denominator) for c in fractions)
+        self._den = den
+        self._fractions = tuple(fractions)
         self._ball_cache = None
 
     @classmethod
+    def _of(cls, ints: Sequence[int], den: int = 1) -> "Poly":
+        """The polynomial ``sum(ints[i] z^i) / den``; ``den`` must be positive."""
+        end = len(ints)
+        while end and not ints[end - 1]:
+            end -= 1
+        poly = object.__new__(cls)
+        poly._ints = tuple(ints[:end])
+        poly._den = den if end else 1
+        poly._fractions = None
+        poly._ball_cache = None
+        return poly
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return cls._of((1,))
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls._of((0, 1))
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Poly":
-        return cls((Fraction(value),))
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, power: int, coeff: RationalLike = 1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (Fraction(coeff),))
+        q = _exact(coeff)
+        return cls._of((0,) * power + (q.numerator,), q.denominator)
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        """The coefficients as reduced Fractions, built on first read and cached."""
+        if self._fractions is None:
+            den = self._den
+            self._fractions = tuple(Fraction(c, den) for c in self._ints)
+        return self._fractions
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self.coeff(len(self._ints) - 1)
 
     @property
     def trailing_order(self) -> int:
         """Smallest degree with a nonzero coefficient (vanishing order at 0)."""
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no vanishing order")
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
+        for i, c in enumerate(self._ints):
+            if c:
                 return i
-        raise AssertionError("unreachable: normalized nonzero poly")
+        raise ValueError("zero polynomial has no vanishing order")
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
+        if not 0 <= i < len(self._ints):
+            return Fraction(0)
+        if self._fractions is not None:
+            return self._fractions[i]
+        return Fraction(self._ints[i], self._den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
+        if not isinstance(other, Poly):
+            return NotImplemented
+        a, b, da, db = self._ints, other._ints, self._den, other._den
+        if da == db:
+            return a == b
+        return len(a) == len(b) and all(x * db == y * da for x, y in zip(a, b))
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b, da, db = self._ints, other._ints, self._den, other._den
+        den = da if da == db else math.lcm(da, db)
+        if den != da:
+            a = [c * (den // da) for c in a]
+        if den != db:
+            b = [c * (den // db) for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out, den)
 
     __radd__ = __add__
 
@@ -357,34 +411,30 @@ class Poly:
         return other + (-self)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._of(tuple(-c for c in self._ints), self._den)
 
     @staticmethod
     def _coerce(value) -> "Poly | None":
         if isinstance(value, Poly):
             return value
         if isinstance(value, (int, Fraction)):
-            return Poly((value,))
+            return Poly.constant(value)
         return None
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._ints, other._ints
+        if not a or not b:
             return Poly.zero()
-        # Integer convolution over common denominators: avoids a gcd per
-        # coefficient operation, which dominates at large operand sizes.
-        a_ints, a_den = self.scaled()
-        b_ints, b_den = other.scaled()
-        out = [0] * (len(a_ints) + len(b_ints) - 1)
-        for i, ai in enumerate(a_ints):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b_ints):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        out[i + j] += ai * bj
-        den = a_den * b_den
-        return Poly(tuple(Fraction(c, den) for c in out))
+                        out[j] += ai * bj
+        return Poly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -402,24 +452,52 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """Quotient and remainder, divided in integers on a common denominator.
+
+        ``A / a`` divided by ``B / b`` is ``b / a`` times ``A`` divided by
+        ``B``.  That long division runs on the integers: each quotient digit
+        is the top numerator over the leading numerator ``L`` of ``B``, and
+        where that is no integer, the remainder and the digits so far are
+        first scaled by the least factor that makes it one.  With ``S`` the
+        product of those factors, ``S A = Q B + R`` in integers, so the
+        quotient is ``Q b / (S a)`` and the remainder ``R / (S a)``.  Where
+        ``B`` divides ``A`` over the integers, as it does for the family's
+        factors, ``S`` stays 1.
+        """
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
+        b = other._ints
+        db = len(b) - 1
+        steps = len(self._ints) - db
+        if steps <= 0:
             return Poly.zero(), self
-        rem = list(self._coeffs)
-        db = other.degree
-        lead = other.leading
-        quot = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            factor = rem[i + db] / lead
-            if factor:
-                quot[i] = factor
-                for j, c in enumerate(other._coeffs):
-                    rem[i + j] -= factor * c
-        return Poly(quot), Poly(rem[:db])
+        lead = b[-1]
+        rem = list(self._ints)
+        quot = [0] * steps
+        scale = 1
+        for i in range(steps - 1, -1, -1):
+            top = rem[i + db]
+            if not top:
+                continue
+            q, r = divmod(top, lead)
+            if r:
+                f = abs(lead) // math.gcd(top, lead)
+                rem = [c * f for c in rem]
+                quot = [c * f for c in quot]
+                scale *= f
+                q = top * f // lead
+            quot[i] = q
+            for j, c in enumerate(b, i):
+                rem[j] -= q * c
+        den = self._den * scale
+        g = math.gcd(den, other._den)
+        return (
+            Poly._of([q * (other._den // g) for q in quot], den // g),
+            Poly._of(rem[:db], den),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -431,36 +509,31 @@ class Poly:
         """Evaluate by Horner's rule at a rational or complex-rational point."""
         if isinstance(z, ComplexRational):
             acc = CZERO
-            for c in reversed(self._coeffs):
+            for c in reversed(self.coeffs):
                 acc = acc * z + c
             return acc
         zq = Fraction(z)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * zq + c
         return acc
 
     def scaled(self) -> tuple:
-        """Coefficients as ``(integers, common_denominator)``, cached."""
-        if self._scaled_cache is None:
-            if not self._coeffs:
-                self._scaled_cache = ((), 1)
-            else:
-                den = math.lcm(*(c.denominator for c in self._coeffs))
-                ints = tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
-                self._scaled_cache = (ints, den)
-        return self._scaled_cache
+        """The stored pair ``(integers, common_denominator)``, not reduced."""
+        return self._ints, self._den
 
     def balls(self) -> tuple:
         """Coefficients as midpoint-radius balls ``(m, e, r)``, cached.
 
         ``m`` is the floor of the coefficient at a binary exponent ``e`` that
         leaves it about ``BALL_BITS`` bits, and ``r`` is 0 when ``m * 2^e`` is
-        the coefficient exactly and 1 otherwise: |c - m 2^e| <= r 2^e.
+        the coefficient exactly and 1 otherwise: |c - m 2^e| <= r 2^e.  The
+        exponent is read from the reduced coefficient, so the balls do not
+        depend on the stored denominator.
         """
         if self._ball_cache is None:
             out = []
-            for c in self._coeffs:
+            for c in self.coeffs:
                 num, den = c.numerator, c.denominator
                 if num == 0:
                     out.append((0, 0, 0))
@@ -478,29 +551,48 @@ class Poly:
         if self.is_zero:
             return "Poly(0)"
         parts = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if c:
                 parts.append(f"({c})*z^{i}" if i else f"({c})")
         return "Poly(" + " + ".join(parts) + ")"
 
     def to_json(self) -> list:
-        return [format_rational(c) for c in self._coeffs]
+        # serialised once per polynomial (report, family hash): the reduced
+        # coefficients are read from the cache or built one at a time, and
+        # not kept
+        coeffs = self._fractions or (Fraction(c, self._den) for c in self._ints)
+        return [format_rational(c) for c in coeffs]
 
     @classmethod
     def from_json(cls, items: Sequence[str]) -> "Poly":
         return cls(tuple(parse_rational(s) for s in items))
 
 
+def _primitive(p: Poly) -> Poly:
+    """``p``'s numerators over their content: a positive constant multiple of ``p``."""
+    ints, _ = p.scaled()
+    g = math.gcd(*ints)
+    return Poly._of([c // g for c in ints]) if g else p
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean algorithm.
 
+    The remainders are kept primitive (integer numerators over their
+    content, a constant multiple, so the gcd is the same), which keeps the
+    scaling factors of ``divmod`` from piling up from one step to the next.
     Raises ValueError when both arguments are zero.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
+    a, b = _primitive(a), _primitive(b)
     while not b.is_zero:
-        a, b = b, a % b
-    return Poly(tuple(c / a.leading for c in a.coeffs))
+        a, b = b, _primitive(a % b)
+    ints, _ = a.scaled()
+    lead = ints[-1]
+    if lead < 0:
+        ints, lead = [-c for c in ints], -lead
+    return Poly._of(ints, lead)
 
 
 def eval_scaled(poly: Poly, num_re: int, num_im: int, den: int) -> tuple:

@@ -820,9 +820,9 @@ def _proved_equal(lhs: list, rhs: list) -> bool:
     integers of ``_identity_points(D)``.  This is a complete proof, not a
     sample.
 
-    Every factor is evaluated there by ``eval_scaled`` on its cached integer
-    coefficients.  At an integer point a factor's value has the common
-    denominator of its coefficients whatever the point, so the denominators
+    Every factor is evaluated there by ``eval_scaled`` on its stored integer
+    numerators.  At an integer point a factor's value has its stored
+    denominator whatever the point, so the denominators
     are hoisted once into one integer weight per term (reduced by their
     common divisor), and each point is compared exactly in integers.
     """

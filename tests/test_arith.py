@@ -190,6 +190,188 @@ class TestPolyAlgebra:
             p ** (-1)
 
 
+def _strip(coeffs) -> tuple:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [F(0)] * (n - len(a)), list(b) + [F(0)] * (n - len(b))
+    return _strip(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    """Long division on reduced Fraction tuples, with no common denominator."""
+    rem, db = list(a), len(b) - 1
+    if len(rem) <= db:
+        return (), _strip(rem)
+    quot = [F(0)] * (len(rem) - db)
+    for i in range(len(rem) - db - 1, -1, -1):
+        factor = rem[i + db] / b[-1]
+        quot[i] = factor
+        for j, c in enumerate(b):
+            rem[i + j] -= factor * c
+    return _strip(quot), _strip(rem[:db])
+
+
+def _ref_balls(coeffs) -> tuple:
+    """The ball formula on reduced coefficients: exponents from their bit lengths."""
+    out = []
+    for c in coeffs:
+        num, den = c.numerator, c.denominator
+        if num == 0:
+            out.append((0, 0, 0))
+            continue
+        e = num.bit_length() - den.bit_length() - BALL_BITS
+        m, rest = divmod(num << -e, den) if e <= 0 else divmod(num, den << e)
+        out.append((m, e, 1 if rest else 0))
+    return tuple(out)
+
+
+def _rescaled(p: Poly, k: int) -> Poly:
+    """``p`` stored over ``k`` times its denominator: numerators and denominator share k.
+
+    The zero polynomial keeps denominator 1.
+    """
+    q = p * k * F(1, k)
+    assert q.scaled()[1] == (p.scaled()[1] * k if p else 1)
+    return q
+
+
+# a polynomial as a reduced Fraction tuple and the same value over an
+# unreduced denominator; the tuple is the reference the Poly is checked against
+unreduced = st.tuples(
+    st.lists(rationals, max_size=7).map(_strip), st.integers(1, 10**12)
+).map(lambda t: (t[0], _rescaled(Poly(t[0]), t[1])))
+nonzero_unreduced = unreduced.filter(lambda t: t[0])
+
+
+def _assert_matches(p: Poly, ref: tuple) -> None:
+    """Every read of ``p`` against the reduced Fraction tuple ``ref``."""
+    assert [p.coeff(i) for i in range(-1, len(ref) + 2)] == [F(0), *ref, F(0), F(0)]
+    assert p.to_json() == [format_rational(c) for c in ref]  # before the cache
+    assert p.coeffs == ref
+    assert all(type(c) is F for c in p.coeffs)
+    assert p.to_json() == [format_rational(c) for c in ref]  # from the cache
+    assert p.degree == len(ref) - 1
+    ints, den = p.scaled()
+    assert den > 0 and len(ints) == len(ref)
+    assert tuple(F(c, den) for c in ints) == ref
+    assert p.balls() == _ref_balls(ref)
+    if ref:
+        assert p.leading == ref[-1]
+        assert p.trailing_order == next(i for i, c in enumerate(ref) if c)
+
+
+class TestIntegerScaledPoly:
+    """The integer pair against plain reduced Fraction tuples."""
+
+    @settings(max_examples=80)
+    @given(unreduced, unreduced)
+    def test_ring_operations_match_fraction_tuples(self, a, b):
+        (ra, pa), (rb, pb) = a, b
+        _assert_matches(pa, ra)
+        _assert_matches(pa + pb, _ref_add(ra, rb))
+        _assert_matches(pa - pb, _ref_add(ra, rb, -1))
+        _assert_matches(-pa, tuple(-c for c in ra))
+        _assert_matches(pa * pb, _ref_mul(ra, rb))
+        _assert_matches(pa + F(2, 3), _ref_add(ra, (F(2, 3),)))
+        _assert_matches(F(2, 3) - pa, _ref_add((F(2, 3),), ra, -1))
+        _assert_matches(3 * pa, _ref_mul((F(3),), ra))
+
+    @settings(max_examples=40)
+    @given(unreduced, st.integers(0, 4))
+    def test_power_matches_fraction_tuples(self, a, e):
+        ra, pa = a
+        want = (F(1),)
+        for _ in range(e):
+            want = _ref_mul(want, ra)
+        _assert_matches(pa**e, want)
+
+    @settings(max_examples=80)
+    @given(unreduced, nonzero_unreduced)
+    def test_divmod_matches_fraction_tuples(self, a, b):
+        (ra, pa), (rb, pb) = a, b
+        want_q, want_r = _ref_divmod(ra, rb)
+        q, r = divmod(pa, pb)
+        _assert_matches(q, want_q)
+        _assert_matches(r, want_r)
+
+    @pytest.mark.parametrize("lead", [F(1), F(-1), F(2), F(-3, 7), F(10**30, 3)])
+    def test_divmod_by_any_leading_coefficient(self, lead):
+        # the family's factors lead with +-1; poly_gcd divides by others
+        rng = random.Random(7)
+        a = tuple(F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(9)) + (F(5, 2),)
+        b = tuple(F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3)) + (lead,)
+        want_q, want_r = _ref_divmod(a, b)
+        q, r = divmod(_rescaled(Poly(a), 6), _rescaled(Poly(b), 35))
+        _assert_matches(q, want_q)
+        _assert_matches(r, want_r)
+        assert q * Poly(b) + r == Poly(a)
+
+    def test_exact_division_by_a_unit_leading_factor_needs_no_scaling(self):
+        # b divides a over the integers: the quotient's pair is stored over
+        # a's denominator divided by the common factor with b's
+        b = Poly([F(1, 10**6), -1])
+        a = b * Poly([F(3, 10**9), F(1, 10**3), 7])
+        q, r = divmod(a, b)
+        assert r.is_zero and q == Poly([F(3, 10**9), F(1, 10**3), 7])
+        assert q.scaled()[1] == a.scaled()[1] // b.scaled()[1]
+
+    @settings(max_examples=60)
+    @given(unreduced, st.integers(2, 10**40))
+    def test_equal_values_over_different_denominators(self, a, k):
+        ra, pa = a
+        other = _rescaled(pa, k)
+        assert other.scaled()[1] != pa.scaled()[1] or not ra
+        assert other == pa and pa == other
+        assert hash(other) == hash(pa) == hash(Poly(ra))
+        assert not other != pa
+        bumped = other + Poly.monomial(len(ra), F(1, k))
+        assert bumped != pa
+
+    def test_operations_build_no_fraction(self, monkeypatch):
+        # the algebra runs on the integer pairs: no coefficient is reduced
+        a = _rescaled(Poly([F(1, 3), F(-2, 5), F(7, 2)]), 4)
+        b = _rescaled(Poly([F(3, 4), 1]), 9)
+        half = F(1, 2)
+
+        def no_fraction(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(F, "__new__", no_fraction)
+        a + b, a - b, -a, a * b, a**3, divmod(a * b, b), divmod(a, b), a.scaled()
+        a + 1, 3 * a, a - half, divmod(a, half)
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            (a * b).coeffs  # the reduced coefficients: built on first read
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Poly([1, 0.5]),
+            lambda: Poly([F(1, 2), float("nan")]),
+            lambda: Poly.constant(0.25),
+            lambda: Poly.monomial(3, 2.0),
+        ],
+    )
+    def test_float_coefficients_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+
 class TestEvaluation:
     @settings(max_examples=40)
     @given(small_polys, rationals, rationals)

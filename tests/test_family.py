@@ -226,6 +226,20 @@ class TestSerialization:
         other = default_family(2)
         assert family_hash(other) != family_hash(fam)
 
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2, "e84747b248c9acd9a6ea7d06014f2f95e54bc7fb1c9a011307312bbba8cb8873"),
+            (3, "21bcc430cf3eed63d2663978b3e47a760f1519f6d4fb6e267e8c685ab1fb12a5"),
+            (4, "0a426c2160baefb0e9c0fe4a49dcb6fd9d862e9b42e341c6398e37f80ae598b1"),
+        ],
+    )
+    def test_default_family_hash_is_pinned(self, n, digest, built_families):
+        # every reduced coefficient of P_k, f1 and f2 at the default
+        # parameters, as serialized; any change to the polynomial algebra
+        # that moves one of them moves the digest
+        assert family_hash(built_families[n]) == digest
+
     def test_poly_text_form(self):
         fam = default_family(2)
         eps = fam.params.eps
