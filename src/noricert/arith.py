@@ -36,13 +36,17 @@ and performs no gcd, which matters when operands reach tens of thousands of
 digits.  Callers compare its results by integer cross-multiplication, after
 the directed-rounding bounds of :mod:`noricert.bounds` have had a chance to
 decide, and reduce to ``Fraction`` only where a reduced value is reported or
-fed to a square-root bound.  Sampled disk points take one image path that
-skips the exact triple: every sampled image point of the disk trace is
-bracketed by ``bounds.ball_abs2``, a midpoint-radius Horner on the
-coefficient balls of ``Poly.balls``, and ``eval_scaled`` runs only when a
-comparison or a zero test is left undecided or a refutation is rendered.  ``Poly.__call__`` over ``Fraction`` / ``ComplexRational`` is the
-reference path: the tests cross-check ``eval_scaled`` against it, and
-refutation witnesses are rendered with it.
+fed to a square-root bound.  Sampled disk points take one image path,
+``bounds.abs2_atoms``, which picks the evaluation by the polynomial's
+stored size: a small polynomial (stored integers of at most
+``2 * BALL_BITS`` bits) is evaluated by ``eval_scaled`` into an exact
+squared modulus, any other one is bracketed by ``bounds.ball_abs2``, a
+midpoint-radius Horner on the coefficient balls of ``Poly.balls``, and its
+``eval_scaled`` runs only when a comparison or a zero test is left
+undecided or a refutation is rendered.  ``Poly.__call__`` over
+``Fraction`` / ``ComplexRational`` is the reference path: the tests
+cross-check ``eval_scaled`` against it, and refutation witnesses are
+rendered with it.
 """
 
 from __future__ import annotations
@@ -605,20 +609,18 @@ def eval_scaled(poly: Poly, num_re: int, num_im: int, den: int) -> tuple:
     if den <= 0:
         raise ValueError("den must be positive")
     nums, cden = poly.scaled()
-    deg = len(nums) - 1
-    if deg < 0:
+    if not nums:
         return 0, 0, 1
-    pows = [1] * (deg + 1)
-    for i in range(1, deg + 1):
-        pows[i] = pows[i - 1] * den
-    acc_re, acc_im = nums[deg], 0
-    for i in range(deg - 1, -1, -1):
+    # after the step of nums[i] the accumulator is scaled by den^(deg - i)
+    acc_re, acc_im, scale = nums[-1], 0, 1
+    for c in nums[-2::-1]:
         acc_re, acc_im = (
             acc_re * num_re - acc_im * num_im,
             acc_re * num_im + acc_im * num_re,
         )
-        acc_re += nums[i] * pows[deg - i]
-    return acc_re, acc_im, cden * pows[deg]
+        scale *= den
+        acc_re += c * scale
+    return acc_re, acc_im, cden * scale
 
 
 def as_scaled(z: ComplexRational) -> tuple[int, int, int]:

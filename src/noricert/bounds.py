@@ -9,13 +9,18 @@ between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
 around one nonnegative quantity; ``int_bracket``, ``ball_abs2`` (the squared
 modulus of a polynomial value, by midpoint-radius Horner at about 192 bits
 plus an exponent, without the exact ``eval_scaled`` triple) and
-``gap_bracket`` build them.
-``ball_abs2`` is the one bracket of a polynomial value at a point; the
-squared modulus of a given complex rational is ``ball_abs2`` of the identity
-polynomial ``Poly.x()``.  ``Values`` holds the brackets of several
-polynomials at one point, built from one ``ball_point``, and decides
-products of them and of ``constant_factor`` constants, reading the exact
-triples only where the brackets overlap.  Dominances need no brackets:
+``gap_bracket`` build them.  ``ball_abs2`` bounds the midpoint's modulus by
+``|re| + |im|`` and takes no square root.
+
+``abs2_atoms`` builds every atom |p(z)|^2 of a polynomial value at a point,
+by one size rule, ``exact_atoms``: a polynomial whose stored integers have at
+most ``2 * BALL_BITS`` bits gets the exact ``Ratio`` of its ``eval_scaled``
+triple (with ``log2_bounds`` exponents, and an exact zero stays one), every
+other one the ``ball_abs2`` bracket, all from one ``ball_point`` built only
+when some atom needs it.  ``Values`` holds the atoms of several polynomials
+at one point and decides products of them and of ``constant_factor``
+constants, on the exact atoms' own integers or, for a ball atom, the exact
+triples, only where the brackets overlap.  Dominances need no brackets:
 ``certify`` proves them from root products in exact rationals, and only
 the circle points that test a failed bound are decided by ``Values``.  The
 boundary sup metric needs none either: the disk trace derives its bound
@@ -29,8 +34,9 @@ products over the same atoms and reads each atom's exponents once).
 ``exponents`` reads the powers of two around a bracket or a factor, and
 ``log2_bounds`` the tightest ones around a positive rational.  The disk
 trace brackets an image point this way: |f1|^2, |f2|^2 and |f2 - f1|^2 are
-products of eps^2, |lam|^2 and the |P_j|^2 with powers, decided on the net
-powers of those atoms and formed only where those leave a comparison open.
+products of eps^2, |lam|^2 and the |P_j|^2 atoms of ``abs2_atoms`` with
+powers, decided on the net powers of those atoms and formed only where
+those leave a comparison open.
 
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
@@ -59,10 +65,12 @@ __all__ = [
     "Product",
     "Ratio",
     "Values",
+    "abs2_atoms",
     "ball_abs2",
     "ball_point",
     "bracket_lt",
     "constant_factor",
+    "exact_atoms",
     "exact_lt",
     "exponents",
     "gap_bracket",
@@ -239,9 +247,14 @@ def ball_abs2(
     complex ball ``(re, im, rad, e)``, the exact value lying within
     ``rad * 2^e`` of ``(re + i im) * 2^e``, with the midpoint kept to about
     192 bits plus the exponent ``e``.  Each step rounds the midpoint down and
-    grows the radius by at least what the rounding lost, so the result
-    encloses the exact value, to a relative width of 2^-180 or so; a
-    comparison it cannot decide is settled by the caller's exact fallback.
+    grows the radius by at least what the rounding lost.  With the final
+    midpoint m = re + i im and radius rad, |p(z)|^2 lies in
+    [|m|^2 - s + rad^2, |m|^2 + s + rad^2], s = 2 rad (|re| + |im|), since
+    |m| <= |re| + |im|: no square root is taken, and the lower end is 0
+    where rad^2 >= |m|^2 = re^2 + im^2.  So the result
+    encloses the exact value, to a relative width of 2^-180 or so away from
+    cancellation, and a comparison it cannot decide is settled by the
+    caller's exact fallback.
     ``den`` must be positive.  ``ball``, when given, is
     ``ball_point(num_re, num_im, den)``, built once by a caller that
     brackets several polynomials at the same point.
@@ -286,18 +299,19 @@ def ball_abs2(
         k = (abs(re) | abs(im) | rad).bit_length() - _BITS
         if k > 0:
             re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
-    # |p| lies in [root - rad, root + 1 + rad] with root = isqrt(re^2 + im^2)
+    # |p| lies within rad of |re + i im| <= |re| + |im|, so |p|^2 lies in
+    # [norm - s + rad^2, norm + s + rad^2] with s = 2 rad (|re| + |im|); the
+    # lower end holds only where |re + i im| > rad, and no root is taken
     norm = re * re + im * im
-    root = math.isqrt(norm)
-    hi = root + rad + (root * root < norm)
-    lo = root - rad
-    # the squares, truncated to _BITS bits: the lower one down, the upper up
-    hi *= hi
+    rad2 = rad * rad
+    s = 2 * rad * (abs(re) + abs(im))
+    # both ends truncated to _BITS bits: the lower one down, the upper up
+    hi = norm + s + rad2
     k = hi.bit_length() - _BITS
     upper = (-((-hi) >> k), 2 * e + k) if k > 0 else (hi, 2 * e)
-    if lo <= 0:
+    lo = norm - s + rad2
+    if rad2 >= norm or lo <= 0:
         return (0, 0), upper
-    lo *= lo
     k = lo.bit_length() - _BITS
     return ((lo >> k, 2 * e + k) if k > 0 else (lo, 2 * e)), upper
 
@@ -372,16 +386,23 @@ class Ratio(Factor):
     """The rational num/den (num >= 0, den > 0) as a ``Factor``.
 
     With num in [2^(bn-1), 2^bn) and den in [2^(bd-1), 2^bd), num/den lies
-    in (2^(bn-1-bd), 2^(bn-bd+1)).  The bracket is one exact division at 192
-    bits: the floor of the quotient, and one unit above it unless the
+    in (2^(bn-1-bd), 2^(bn-bd+1)), exponents two apart read from the bit
+    lengths alone; ``tight`` takes ``log2_bounds`` instead, at most one
+    apart, as a ball bracket's are.  The bracket is one exact division at
+    192 bits: the floor of the quotient, and one unit above it unless the
     division is exact.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int):
-        bn, bd = num.bit_length(), den.bit_length()
-        self.exponents = (bn - 1 - bd, bn - bd + 1) if num else None
+    def __init__(self, num: int, den: int, *, tight: bool = False):
+        if not num:
+            self.exponents = None
+        elif tight:
+            self.exponents = log2_bounds(num, den)
+        else:
+            bn, bd = num.bit_length(), den.bit_length()
+            self.exponents = (bn - 1 - bd, bn - bd + 1)
         self.num, self.den, self._bracket = num, den, None
 
     def _form(self) -> tuple:
@@ -427,6 +448,48 @@ class Product(Factor):
         if lo is None:
             lo = hi = (1, 0)  # the empty product
         return ((0, 0) if self.exponents is None else lo), hi
+
+
+def exact_atoms(polys: Sequence) -> tuple[bool, ...]:
+    """Which of ``polys`` ``abs2_atoms`` brackets exactly: the one size rule.
+
+    A polynomial whose stored numerators and common denominator
+    (``Poly.scaled``) have at most ``2 * BALL_BITS`` bits is small: its exact
+    ``eval_scaled`` triple costs less than the ball Horner's fixed overhead.
+    Every other polynomial is bracketed by ``ball_abs2``.
+    """
+    limit = 2 * _BITS
+    out = []
+    for poly in polys:
+        ints, den = poly.scaled()
+        out.append(
+            den.bit_length() <= limit and all(abs(c).bit_length() <= limit for c in ints)
+        )
+    return tuple(out)
+
+
+def abs2_atoms(
+    polys: Sequence, exact: Sequence[bool], num_re: int, num_im: int, den: int
+) -> list:
+    """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den.
+
+    ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
+    atom is the ``Ratio`` (re^2 + im^2)/d^2 of the triple (re, im, d) of
+    ``eval_scaled``, with ``log2_bounds`` exponents (a zero stays an exact
+    zero); every other atom is the ``ball_abs2`` bracket, all of them from
+    one ``ball_point``, built only when some atom needs it.
+    """
+    out = []
+    ball = None
+    for poly, small in zip(polys, exact):
+        if small:
+            re, im, d = eval_scaled(poly, num_re, num_im, den)
+            out.append(Ratio(re * re + im * im, d * d, tight=True))
+        else:
+            if ball is None:
+                ball = ball_point(num_re, num_im, den)
+            out.append(ball_abs2(poly, num_re, num_im, den, ball=ball))
+    return out
 
 
 def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
@@ -561,20 +624,32 @@ def exact_lt(terms: Sequence[tuple], *, closed: bool = False) -> bool:
 class Values:
     """The values of ``polys`` at z = (num_re + i num_im)/den, bracketed first.
 
-    ``abs2[i]`` brackets |polys[i](z)|^2; ``ball_abs2`` builds all of them
-    from one ball of z.  ``triples`` are the exact ``eval_scaled`` triples,
-    all evaluated the first time they are read: by a comparison whose
-    brackets overlap, or by a caller that renders the point.
+    ``abs2[i]`` is the atom of |polys[i](z)|^2 that ``abs2_atoms`` builds:
+    an exact ``Ratio`` for a small polynomial, a ``ball_abs2`` bracket for
+    the others, as ``exact`` (``exact_atoms(polys)``, computed when not
+    given; a caller testing many points passes it once) says.  ``fell_back``
+    tells whether a comparison's brackets overlapped, so that ``exact_lt``
+    decided it.  ``triples`` are the exact ``eval_scaled`` triples, all
+    evaluated the first time they are read: by such a comparison on a ball
+    atom, or by a caller that renders the point.
     """
 
-    __slots__ = ("polys", "lam", "abs2", "_triples", "_squares")
+    __slots__ = ("polys", "lam", "abs2", "fell_back", "_triples")
 
-    def __init__(self, polys: Sequence, num_re: int, num_im: int, den: int):
-        ball = ball_point(num_re, num_im, den)
+    def __init__(
+        self,
+        polys: Sequence,
+        num_re: int,
+        num_im: int,
+        den: int,
+        *,
+        exact: Optional[Sequence[bool]] = None,
+    ):
+        exact = exact_atoms(polys) if exact is None else exact
         self.polys, self.lam = polys, (num_re, num_im, den)
-        self.abs2 = tuple(ball_abs2(p, num_re, num_im, den, ball=ball) for p in polys)
+        self.abs2 = tuple(abs2_atoms(polys, exact, num_re, num_im, den))
+        self.fell_back = False
         self._triples: Optional[tuple] = None
-        self._squares: Optional[tuple] = None
 
     @property
     def evaluated(self) -> bool:
@@ -587,13 +662,21 @@ class Values:
             self._triples = tuple(eval_scaled(p, *self.lam) for p in self.polys)
         return self._triples
 
+    def _square(self, i: int) -> tuple:
+        """|polys[i](z)|^2 as an unreduced integer pair ``(num, den)``."""
+        atom = self.abs2[i]
+        if isinstance(atom, Ratio):
+            return atom.num, atom.den
+        return scaled_abs2(self.triples[i])
+
     def lt(self, lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> bool:
         """Exact ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) at z.
 
         A factor is an index ``i``, standing for |polys[i](z)|^2, or a
-        ``constant_factor``.  ``bracket_lt`` decides on the brackets, and
-        where they overlap ``exact_lt`` on the unreduced integer squares of
-        the triples and the constants' numerators and denominators.
+        ``constant_factor``.  ``bracket_lt`` decides on the atoms, and where
+        they overlap ``exact_lt`` on the unreduced integer squares (an exact
+        atom's own, the triples' for a ball atom) and the constants'
+        numerators and denominators.
         """
         lb, rb = [], []
         for f in lhs:
@@ -611,11 +694,10 @@ class Values:
         verdict = bracket_lt(lb, rb, closed=closed)
         if verdict is not None:
             return verdict
-        if self._squares is None:
-            self._squares = tuple(scaled_abs2(t) for t in self.triples)
+        self.fell_back = True
         terms = []
         for side, power in ((lhs, 1), (rhs, -1)):
             for f in side:
-                num, den = self._squares[f] if isinstance(f, int) else f[:2]
+                num, den = self._square(f) if isinstance(f, int) else f[:2]
                 terms.append((num, den, power))
         return exact_lt(terms, closed=closed)

@@ -63,7 +63,7 @@ from .arith import (
     eval_scaled,
     format_rational,
 )
-from .bounds import Values, constant_factor
+from .bounds import Values, constant_factor, exact_atoms
 from .family import CheckReport, CheckResult, Family
 
 __all__ = [
@@ -200,18 +200,21 @@ def spot_loop(
     """Test ``holds(values)`` at ``count`` exact points of each circle of ``radii``.
 
     ``values`` is the ``bounds.Values`` of ``polys`` at the point, decided on
-    ball brackets, exact integers where they overlap.  The loop stops at the
-    first point where the claim fails.  A certificate runs it only where its
-    own proof is incomplete, to find a refutation witness; the test suite
-    runs it on the proved families as a cross-check.
+    the brackets of its atoms (``bounds.exact_atoms`` picks their kind once
+    for the loop), exact integers where they overlap; a point counts as an
+    exact fallback when some comparison there overlapped.  The loop stops at
+    the first point where the claim fails.  A certificate runs it only where
+    its own proof is incomplete, to find a refutation witness; the test
+    suite runs it on the proved families as a cross-check.
     """
+    exact = exact_atoms(polys)
     checked = fallbacks = 0
     for radius in radii:
         for i, triple in enumerate(circle_triples(radius, count)):
-            values = Values(polys, *triple)
+            values = Values(polys, *triple, exact=exact)
             checked += 1
             ok = holds(values)
-            fallbacks += values.evaluated
+            fallbacks += values.fell_back
             if not ok:
                 witness = circle_points(radius, count)[i]
                 return SpotLoop(checked, fallbacks, radius, witness)

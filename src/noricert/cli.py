@@ -16,12 +16,13 @@ contract:
 Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
 each certificate stage per size, ``deep_scale``: how many image points the
-chart-cone ladders bracketed by ball Horner, how many of those needed the
-exact triples after all, and how many formed a 192-bit product,
-``witness``: the same three counts for the cone-window witness's sampled
-image points, ``boundary``: the points and exact fallbacks of each loop
-over exact circle points (the annulus bounds, the target region, the chart
-window and the base chart).  A loop runs only where its certificate's own
+chart-cone ladders bracketed, how many of those needed the exact triples
+after all, and how many formed a 192-bit product, ``witness``: the same
+three counts for the cone-window witness's sampled image points,
+``boundary``: the points of each loop over exact circle points (the annulus
+bounds, the target region, the chart window and the base chart) and its
+exact fallbacks, the points where a comparison's brackets overlapped and
+exact integers decided.  A loop runs only where its certificate's own
 proof is incomplete, so a proved family counts 0 for each.  The boundary
 sup metric of condition iii is derived from the target certificate, so it
 has no loop and no counts.

@@ -23,28 +23,31 @@ status, from the family's target certificate, so the bounds tend to 0 as
 Every verdict is exact: moduli are compared through their squares, by
 certified exponents and brackets that fall back to exact integer arithmetic
 whenever they cannot decide.  Each sampled layer draws its points as integer
-triples ``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it is
-deterministic given its seed and builds no rational number per sample.  A
+triples ``(num_re, num_im, den)`` from a seeded ``RationalSampler``, so it
+is deterministic given its seed and builds no rational number per sample.  A
 sampled image point is an ``_Image``.  When the family's three exact
 identities are proved, it is bracketed through the factors: square-ratio
 with difference-factorization gives f1^2 = (eps lam^n prod P_j^j)^2 and
 power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
 |f2|^2 and |f2 - f1|^2 = eps^2 |lam|^2 |P_1|^4 prod_{j>=2} |P_j|^2 are
-products, with powers, of eps^2, the exact |lam|^2 and the ball brackets
-(``bounds.ball_abs2``) of the low-degree factors; the difference needs no
-subtraction.  Without those proofs the atoms are |f1|^2 and |f2|^2
-themselves.  Every chart predicate (cover region, membership, entry, cone)
-is one call of one comparator, ``_Image.lt``: a power vector over
-(|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart square.  It decides on
-the net exponents of the atoms first (common factors cancel before anything
-is multiplied, and these decide almost every predicate), then on the
-192-bit products of the ``bounds.Product``s, then on the exact integers.  A
-boundary spot check (target region, chart window, base chart) runs only
-where the certificate's own proof is incomplete, as the search for a
-refutation witness; the values at each of its exact circle points take
-``bounds.Values``, bracketed by ball Horner.  Exact ``eval_scaled`` triples
-are evaluated only when a comparison or a zero test is left undecided, or
-when a refutation renders its witness as exact rationals with
+products, with powers, of eps^2, the exact |lam|^2 and the atoms
+(``bounds.abs2_atoms``) of the low-degree factors: the exact |P_j|^2 of a
+small factor (at n = 2, 3 all of them), a ball bracket of any other one (at
+n = 4); the difference needs no subtraction.  Without those proofs the atoms
+are |f1|^2 and |f2|^2 themselves.  Every chart predicate (cover region,
+membership, entry, cone) is one call of one comparator, ``_Image.lt``: a
+power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart
+square.  It decides on the net exponents of the atoms first (common factors
+cancel before anything is multiplied, and these decide almost every
+predicate), then on the 192-bit products of the ``bounds.Product``s, then on
+the exact integers of the triples.  A boundary spot check (target region,
+chart window, base chart) runs only where the certificate's own proof is
+incomplete, as the search for a refutation witness; the values at each of
+its exact circle points take ``bounds.Values``, whose atoms follow the same
+size rule.  The exact ``eval_scaled`` triples of f1 and f2 are evaluated
+only when the brackets leave a comparison undecided, when a zero test meets
+a ball bracket that reaches 0 (an exact zero atom settles it), or when a
+refutation renders its witness as exact rationals with
 ``scaled_to_complex``.
 """
 
@@ -69,10 +72,10 @@ from .atlas import ChartPoint, chart_cover_indices
 from .bounds import (
     Ratio,
     Values,
-    ball_abs2,
-    ball_point,
+    abs2_atoms,
     bracket_lt,
     constant_factor,
+    exact_atoms,
     exact_lt,
     exponents,
     gap_bracket,
@@ -159,10 +162,12 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # against r^4, the cone (2, -k, -1) against rho^2 or (rho/2)^2.  Its three
 # stages: the net exponents (``_compile_net``, once per certificate, so
 # common atoms cancel), ``bounds.bracket_lt`` on the 192-bit products, and
-# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  The
-# zero tests read the triples only when a bracket reaches 0.  Every exact
-# circle point of a spot check that runs is a ``bounds.Values``, bracketed
-# by ``bounds.ball_abs2`` from one ball of the point.  The Fraction
+# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  An
+# atom is exact or a ball bracket by the one size rule of
+# ``bounds.exact_atoms``, decided once per factor map.  The zero tests read
+# the triples only when a ball bracket reaches 0 and no exact atom is 0.
+# Every exact circle point of a spot check that runs is a ``bounds.Values``,
+# whose atoms ``abs2_atoms`` builds by the same rule.  The Fraction
 # predicates of the atlas module remain the reference semantics; the test
 # suite cross-validates the paths.
 # ---------------------------------------------------------------------------
@@ -176,16 +181,19 @@ class _Factors(NamedTuple):
     """How an image brackets |f1|^2, |f2|^2 and, at k = 0, |f2 - f1|^2.
 
     The atoms of a point are ``constants`` (``bounds.Ratio``s), then
-    |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``;
-    ``forms`` holds one power vector over the atoms for each of the three
-    quantities, or for the first two only, when ``_Image.lt`` brackets the
-    difference by ``gap_bracket``.  ``nets`` holds the compiled net power
-    vectors of the chart predicates (``_compile_net``), filled on first use.
+    |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``,
+    exact where ``exact`` (``bounds.exact_atoms``) says so and a ball
+    bracket otherwise; ``forms`` holds one power vector over the atoms for
+    each of the three quantities, or for the first two only, when
+    ``_Image.lt`` brackets the difference by ``gap_bracket``.  ``nets``
+    holds the compiled net power vectors of the chart predicates
+    (``_compile_net``), filled on first use.
     """
 
     constants: tuple
     lam: bool
     polys: tuple
+    exact: tuple
     forms: tuple
     nets: dict
 
@@ -209,17 +217,21 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     recursion of P_1, each proved by exact evaluation, and evaluates an
     identity's own sides only where that bookkeeping does not close.
     Otherwise (or without ``identities``) the atoms are |f1|^2 and |f2|^2
-    themselves.
+    themselves.  Which polynomials get exact atoms is decided here, once,
+    by ``bounds.exact_atoms``.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
-        return _Factors((), False, (fam.f1, fam.f2), ((1, 0), (0, 1)), {})
+        polys = fam.f1, fam.f2
+        return _Factors((), False, polys, exact_atoms(polys), ((1, 0), (0, 1)), {})
     n = fam.n
     eps2 = fam.params.eps**2
     ones = (1,) * (n - 2)
+    polys = tuple(fam.Pk(j) for j in range(1, n))
     return _Factors(
         (Ratio(eps2.numerator, eps2.denominator),),
         True,
-        tuple(fam.Pk(j) for j in range(1, n)),
+        polys,
+        exact_atoms(polys),
         ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
         {},
     )
@@ -268,15 +280,18 @@ class _Image:
 
     ``atoms`` are the point atoms of ``factors`` (``_image_factors``; by
     default |f1|^2 and |f2|^2): the exact |lam|^2 when the map has it and
-    one ``ball_abs2`` bracket per polynomial, from one ``ball_point`` of
-    lam; ``exps`` are their binary exponents (None where a bracket reaches
-    0, ``positive`` when none does).  ``lt`` decides every chart predicate.
+    one atom per polynomial from ``bounds.abs2_atoms``, an exact
+    ``bounds.Ratio`` where ``factors.exact`` says so and a ``ball_abs2``
+    bracket otherwise; ``exps`` are their binary exponents (None where an
+    atom is 0 or its bracket reaches 0, ``positive`` when none does).
+    ``lt`` decides every chart predicate.
     ``a1``, ``a2`` and ``gap`` are the ``bounds.Product``s of |f1|^2,
     |f2|^2 and |f2 - f1|^2 (None without a form), built when ``net`` leaves
     a predicate open or a zero test meets a zero bracket.  ``v1`` and ``v2``
     are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
-    either is first read: by an undecided bracket comparison or zero test,
-    or by a refutation that renders the point.
+    either is first read: by a bracket comparison left undecided, by a zero
+    test at a ball bracket that reaches 0, or by a refutation that renders
+    the point.
     """
 
     __slots__ = (
@@ -292,13 +307,10 @@ class _Image:
         factors: Optional[_Factors] = None,
     ):
         factors = _image_factors(fam) if factors is None else factors
-        ball = ball_point(num_re, num_im, den)
-        atoms = []
+        atoms = abs2_atoms(factors.polys, factors.exact, num_re, num_im, den)
         if factors.lam:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
-            atoms.append(Ratio(num_re * num_re + num_im * num_im, den * den))
-        for p in factors.polys:
-            atoms.append(ball_abs2(p, num_re, num_im, den, ball=ball))
+            atoms.insert(0, Ratio(num_re * num_re + num_im * num_im, den * den))
         self.exps = [exponents(a) for a in atoms]
         self.positive = None not in self.exps
         self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
@@ -442,11 +454,20 @@ class _Image:
         return self.triples[1]
 
     def vanishes(self, i: int) -> bool:
-        """Exact f_i(lam) = 0; the triples are read only if a_i reaches 0."""
+        """Exact f_i(lam) = 0; the triples are read only if a ball atom of
+        |f_i|^2 reaches 0 and no exact atom of it is 0."""
         if self.positive:
             return False  # every atom, and so |f_i|^2, is positive
         product = (self.a1, self.a2)[i - 1]
-        return product.exponents is None and self.triples[i - 1][:2] == (0, 0)
+        if product.exponents is not None:
+            return False
+        form = self.factors.forms[i - 1][len(self.factors.constants):]
+        if any(
+            p and ex is None and isinstance(a, Ratio)
+            for a, ex, p in zip(self.atoms, self.exps, form)
+        ):
+            return True  # an exact atom, and so |f_i|^2, is 0
+        return self.triples[i - 1][:2] == (0, 0)
 
 
 def _count(tally: Counter, img: _Image) -> None:
@@ -1381,10 +1402,11 @@ class TraceReport:
     (``points``), those whose exact triples a predicate needed
     (``exact_fallbacks``) and those that formed a 192-bit product
     (``products``), ``witness`` the same three counts for the cone-window
-    witness; ``boundary`` holds the first two counts for each
-    exact-circle-point loop of the trace (``target``, ``window`` and
-    ``base``), all 0 for a loop that did not run because its certificate
-    was proved without it.  They describe the work, not the verdict, and are not part
+    witness; ``boundary`` holds, for each exact-circle-point loop of the
+    trace (``target``, ``window`` and ``base``), its ``points`` and as
+    ``exact_fallbacks`` those where a comparison's brackets overlapped and
+    exact integers decided, all 0 for a loop that did not run because its
+    certificate was proved without it.  They describe the work, not the verdict, and are not part
     of ``to_json``.
     """
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noricert.bounds as bounds
-from noricert.arith import ComplexRational, Poly, as_scaled, eval_scaled
+from noricert.arith import ComplexRational, Poly, as_scaled, eval_scaled, scaled_abs2
 from noricert.bounds import (
     _BITS,
     _p_add,
@@ -34,10 +34,12 @@ from noricert.bounds import (
     Factor,
     Ratio,
     Values,
+    abs2_atoms,
     ball_abs2,
     ball_point,
     bracket_lt,
     constant_factor,
+    exact_atoms,
     exact_lt,
     exponents,
     gap_bracket,
@@ -360,6 +362,130 @@ class TestBallAbs2:
     def test_rejects_bad_den(self):
         with pytest.raises(ValueError):
             ball_abs2(Poly.one(), 1, 0, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys(), _points())
+    def test_encloses_the_exact_square_without_a_root(self, poly, point):
+        # the epilogue bounds |m| by |re| + |im| and takes no square root
+        def no_isqrt(_):
+            raise AssertionError("ball_abs2 took a square root")
+
+        real = math.isqrt
+        bounds.math.isqrt = no_isqrt
+        try:
+            bracket = ball_abs2(poly, *point)
+        finally:
+            bounds.math.isqrt = real
+        num, den = scaled_abs2(eval_scaled(poly, *point))
+        lo, hi = bracket
+        assert _value(lo) <= F(num, den) <= _value(hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys(), _points(), st.integers(300, 600))
+    def test_values_below_the_radius_give_a_zero_lower_end(self, cofactor, point, depth):
+        # p = (z - w) q with w within 2^-depth |z| of z = num_re/den: |p(z)|
+        # is below one unit of the ball's last bit, and the lower end is
+        # (0, 0)
+        num_re, _, den = point
+        num_re = num_re or 1  # z = 0 is an exact ball
+        shift = F(num_re, den * 2**depth)
+        linear = Poly((-(F(num_re, den) + shift), 1))
+        for q in (cofactor, Poly.one()):
+            poly = linear * q
+            lo, hi = ball_abs2(poly, num_re, 0, den)
+            assert lo == (0, 0)
+            _encloses((lo, hi), eval_scaled(poly, num_re, 0, den))
+
+    def test_an_exact_root_gives_zero_ends(self):
+        # z = 3/4 and the coefficients of (z - 3/4)(z + 5/8) are exact in
+        # binary: the value is 0, the lower end (0, 0), and the upper end a
+        # few units of the last bit, squared
+        poly = Poly((F(-3, 4), 1)) * Poly((F(5, 8), 1))
+        assert ball_point(3, 0, 4)[2] == 0
+        lo, hi = ball_abs2(poly, 3, 0, 4)
+        assert lo == (0, 0)
+        assert 0 < _value(hi) < F(1, 2 ** (2 * _BITS - 16))
+
+    def test_relative_width_is_about_2_to_the_minus_180(self):
+        # away from cancellation (|p(z)| at least 2^-8 of sum |c_i| |z|^i)
+        # the bracket is at most 2^-170 wide relative to its lower end, at
+        # every coefficient size and at the scales of the ladders
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(300):
+            bits = rng.choice([8, 60, 200, 2000])
+            deg = rng.randrange(0, 22)
+            poly = Poly([
+                F(rng.randrange(-(2**bits), 2**bits), rng.randrange(1, 2**bits))
+                for _ in range(deg + 1)
+            ])
+            den = rng.randrange(1, 2**16) * 10 ** rng.choice([0, 3, 30, 300])
+            top = 2 ** rng.choice([16, 40, 200])
+            point = (rng.randrange(-top, top), rng.randrange(-top, top), den)
+            z = ComplexRational(F(point[0], den), F(point[1], den))
+            value = poly(z).abs2()
+            # sum |c_i| |z|^i, |z| rounded down to 200 bits
+            modulus = F(math.isqrt(int(z.abs2() * 2**400)), 2**200)
+            scale = sum(abs(c) * modulus**i for i, c in enumerate(poly.coeffs))
+            if value * 2**16 < scale * scale:
+                continue
+            lo, hi = ball_abs2(poly, *point)
+            assert (_value(hi) - _value(lo)) * 2**170 < _value(lo)
+            checked += 1
+        assert checked > 200
+
+
+class TestAtoms:
+    """``exact_atoms`` is the one size rule, ``abs2_atoms`` builds by it."""
+
+    def test_the_size_bound_is_on_the_stored_integers(self):
+        limit = 2 * _BITS
+        assert exact_atoms(()) == ()
+        assert exact_atoms((Poly.zero(), Poly.one(), Poly.x())) == (True, True, True)
+        top = Poly((2**limit - 1, 1))
+        over = Poly((2**limit, 1))
+        # a denominator over the bound, with numerators under it
+        fine = Poly((F(1, 2**limit - 1), 1))
+        wide = Poly((F(1, 2**limit), F(1, 3)))
+        assert exact_atoms((top, over, fine, wide)) == (True, False, True, False)
+        assert wide.scaled()[1].bit_length() == limit + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polys(), _points())
+    def test_atoms_enclose_the_exact_square(self, poly, point):
+        exact, = exact_atoms((poly,))
+        atom, = abs2_atoms((poly,), (exact,), *point)
+        num, den = scaled_abs2(eval_scaled(poly, *point))
+        assert isinstance(atom, Ratio) == exact
+        lo, hi = atom
+        assert _value(lo) <= F(num, den) <= _value(hi)
+        exps = exponents(atom)
+        if num == 0:
+            assert exps is None
+        elif exps is not None:
+            assert F(2) ** exps[0] <= F(num, den) <= F(2) ** exps[1]
+        if exact:
+            # the atom is the exact square itself, with exponents at most one
+            # apart, as a ball bracket's
+            assert F(atom.num, atom.den) == F(num, den)
+            assert num == 0 or exps == log2_bounds(num, den)
+
+    def test_one_ball_point_only_when_a_ball_atom_needs_it(self, monkeypatch):
+        made = Counter()
+        real = bounds.ball_point
+
+        def counted(*lam):
+            made["balls"] += 1
+            return real(*lam)
+
+        monkeypatch.setattr(bounds, "ball_point", counted)
+        small, big = Poly((F(1, 3), 1)), Poly((F(1, 3**300), 1))
+        atoms = abs2_atoms((small, small), (True, True), 3, 4, 7)
+        assert made["balls"] == 0 and all(isinstance(a, Ratio) for a in atoms)
+        atoms = abs2_atoms((big, small, big), (False, True, False), 3, 4, 7)
+        assert made["balls"] == 1
+        assert [isinstance(a, Ratio) for a in atoms] == [False, True, False]
+        assert atoms[0] == ball_abs2(big, 3, 4, 7)
 
 
 def _product_stage(lhs, rhs, closed):
@@ -733,11 +859,14 @@ class TestValues:
 
     def test_against_fraction_products(self):
         rng = random.Random(23)
+        # the first two polynomials get exact atoms, the third (476-bit
+        # stored integers) a ball bracket
         polys = (
             Poly((F(1, 3), F(-2, 7), F(5, 11))),
             Poly((F(3, 4), 1)),
-            Poly((F(10**40 + 1, 3**80), F(1, 5))),
+            Poly((F(10**40 + 1, 3**300), F(1, 5))),
         )
+        assert exact_atoms(polys) == (True, True, False)
         exact_reads = 0
         for _ in range(300):
             den = rng.choice([1, 7, 64, 1000, 10**30])
@@ -768,15 +897,52 @@ class TestValues:
         assert 0 < exact_reads < 300
 
     def test_decided_comparisons_read_no_triples(self):
-        # |(3 + 4i)/10|^2 = 1/4: separated from 1/2, tied with 1/4
-        values = Values((Poly.x(),), 3, 4, 10)
-        half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
+        # |c (3 + 4i)/10|^2 = c^2/4 with c = 1 + 3^-300, whose 476-bit
+        # integers put c z above the size bound: a ball atom, separated from
+        # c^2/2, tied with c^2/4
+        c = 1 + F(1, 3**300)
+        values = Values((Poly((0, c)),), 3, 4, 10)
+        assert not isinstance(values.abs2[0], Ratio)
+        half, quarter = constant_factor(c * c / 2), constant_factor(c * c / 4)
         assert values.lt((0,), (half,)) is True
         assert values.lt((half,), (0,)) is False
         assert not values.evaluated
+        assert not values.fell_back
         assert values.lt((0,), (quarter,)) is False
         assert values.lt((0,), (quarter,), closed=True) is True
-        assert values.evaluated
+        assert values.evaluated and values.fell_back
+
+    def test_ties_of_exact_atoms_read_no_triples(self):
+        # |(3 + 4i)/10|^2 = 1/4 for the small z: an exact atom, whose bracket
+        # has width 0 and decides the tie with 1/4; |z/3|^2 = 1/36 has an
+        # inexact bracket, and the tie with 1/36 falls back to the atom's own
+        # integers, with no triple read
+        values = Values((Poly.x(),), 3, 4, 10)
+        assert isinstance(values.abs2[0], Ratio)
+        half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
+        assert values.lt((0,), (half,)) is True
+        assert values.lt((half,), (0,)) is False
+        assert values.lt((0,), (quarter,)) is False
+        assert values.lt((0,), (quarter,), closed=True) is True
+        assert not values.fell_back
+        values = Values((Poly((0, F(1, 3))),), 3, 4, 10)
+        ninth = constant_factor(F(1, 36))
+        assert values.lt((0,), (ninth,)) is False
+        assert values.fell_back
+        assert values.lt((0,), (ninth,), closed=True) is True
+        assert not values.evaluated
+
+    def test_given_atom_kinds_are_used(self):
+        # a caller testing many points passes exact_atoms once; the kinds it
+        # passes are the ones built
+        polys = (Poly.x(), Poly((0, F(1, 3))))
+        lam = (3, 4, 10)
+        assert Values(polys, *lam).abs2 == Values(polys, *lam, exact=exact_atoms(polys)).abs2
+        values = Values(polys, *lam, exact=(True, False))
+        assert isinstance(values.abs2[0], Ratio)
+        assert values.abs2[1] == ball_abs2(polys[1], *lam)
+        assert values.lt((1,), (constant_factor(F(1, 36)),), closed=True) is True
+        assert values.fell_back and values.evaluated
 
 
 class TestExactLt:

@@ -390,11 +390,13 @@ STAGES = {
 class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
-        # under 1 % of the ball-bracketed points need the exact triples;
+        # under 1 % of the bracketed points need the exact triples;
         # the net exponents leave 61 of them to 192-bit products (663
         # when the two sides' exponents were summed uncancelled): the entry
         # probe at the root of P_(n-1) and its neighbour, and cone tests at
-        # n = 4 whose net exponents straddle 1
+        # n = 4 whose net exponents straddle 1.  At n = 2, 3 the factors'
+        # atoms are exact, so the probe at the root of P_(n-1) is decided on
+        # exact zero atoms: only the n = 4 probe reads the triples
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
@@ -404,7 +406,7 @@ class TestMeta:
             assert deep[key] == sum(c[key] for c in deep["per_n"].values())
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
-        assert (deep["points"], deep["exact_fallbacks"]) == (1608, 3)
+        assert (deep["points"], deep["exact_fallbacks"]) == (1608, 1)
         assert [deep["per_n"][n]["products"] for n in "234"] == [2, 2, 57]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256

@@ -51,9 +51,11 @@ from noricert.disktrace import (
 )
 from noricert.bounds import (
     Factor,
+    Ratio,
     Values,
     _exponent_bounds,
     bracket_lt,
+    exact_atoms,
     exponents,
     gap_bracket,
 )
@@ -67,6 +69,7 @@ from noricert.disktrace import (
     _image_factors,
     _in_cover_region,
 )
+import noricert.bounds as bounds
 from noricert.sampling import RationalSampler
 from conftest import SIZES, exact_sup
 from noricert.family import (
@@ -78,6 +81,10 @@ from noricert.family import (
 )
 
 F = Fraction
+
+# a coefficient of 476 bits: a polynomial with it is above the size bound of
+# exact atoms (2 * 192 bits), so its atoms are ball brackets
+TINY = F(1, 3**300)
 
 
 class TestTargetRegion:
@@ -339,11 +346,14 @@ class TestBallImages:
 
     def test_undecided_comparison_reaches_exact_triples(self):
         # |f1| = r |f2| exactly at lam = (3 + 4i)/5 (f1 = lam, f2 = 5,
-        # r = 1/5): the ball brackets overlap, and the strict membership is
-        # decided false by the exact triples
+        # r = 1/5, each plus TINY q with q(lam) = 0, which puts them above
+        # the size bound of exact atoms): the ball brackets overlap, and the
+        # strict membership is decided false by the exact triples
         params = FamilyParams.build(2)
         assert (params.r, params.rho) == (F(1, 5), F(1, 2))
-        fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
+        q = Poly((25, -30, 25)) * TINY  # vanishes at (3 +- 4i)/5
+        fam = SimpleNamespace(f1=Poly.x() + q, f2=Poly.constant(5) + q, params=params)
+        assert _image_factors(fam).exact == (False, False)
         img = _Image(fam, 3, 4, 5)
         rn2, rd2, rn2_b, rd2_b = params.squares.r2
         assert (rn2, rd2) == (1, 25)
@@ -352,21 +362,46 @@ class TestBallImages:
         assert img.lt((1, -1), "r2") is False
         assert img.evaluated
         assert img.v1 == eval_scaled(fam.f1, 3, 4, 5)
-        # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5: the closed halved
-        # cone holds with equality, the open cone at rho strictly
-        fam = SimpleNamespace(
-            f1=Poly.one(), f2=Poly.constant(5), params=params
-        )
+        # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5 at lam = 1 (plus
+        # TINY (lam - 1)): the closed halved cone holds with equality, the
+        # open cone at rho strictly
+        q = Poly((-1, 1)) * TINY
+        fam = SimpleNamespace(f1=Poly.one() + q, f2=Poly.constant(5) + q, params=params)
         img = _Image(fam, 1, 0, 1)
         assert _predicate("halved", img, 0) is True
         assert img.evaluated
         assert _predicate("cone", img, 0) is True
 
+    def test_undecided_comparison_of_exact_atoms_reads_no_triples(self):
+        # the same ties with f1 = lam, f2 = 5 and f1 = 1, f2 = 5: their atoms
+        # are exact Ratios of the integers 1 and 25, whose brackets have
+        # width 0, so the products decide the tie
+        params = FamilyParams.build(2)
+        fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
+        assert _image_factors(fam).exact == (True, True)
+        img = _Image(fam, 3, 4, 5)
+        assert all(isinstance(a, Ratio) for a in img.atoms)
+        rn2_b, rd2_b = params.squares.r2[2:]
+        assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is False
+        assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2], closed=True) is True
+        assert img.lt((1, -1), "r2") is False
+        assert img.lt((1, -1), "r2", closed=True) is True
+        assert not img.evaluated
+        # the gap |f2 - f1|^2 is no product of the atoms |f1|^2 and |f2|^2:
+        # its exact stage still reads the triples
+        fam = SimpleNamespace(f1=Poly.one(), f2=Poly.constant(5), params=params)
+        img = _Image(fam, 1, 0, 1)
+        assert _predicate("halved", img, 0) is True
+        assert _predicate("cone", img, 0) is True
+        assert img.evaluated
+
     def test_zero_tests_read_triples_only_at_a_zero_bracket(self, built_families):
         # lam = 0 and the rational root eps^c_{n-1} of the last factor are
-        # common zeros of f1 and f2; elsewhere the lower bracket ends are
-        # positive and decide without the triples
+        # common zeros of f1 and f2 (at n = 3 both above the size bound of
+        # exact atoms); elsewhere the lower bracket ends are positive and
+        # decide without the triples
         fam = built_families[3]
+        assert _image_factors(fam).exact == (False, False)
         root = fam.params.eps ** fam.params.c[-1]
         for a, den in ((0, 1), (root.numerator, root.denominator)):
             img = _Image(fam, a, 0, den)
@@ -379,13 +414,35 @@ class TestBallImages:
         assert not img.vanishes(1) and not img.vanishes(2)
         assert not img.evaluated
         # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket
-        # reaches 0 and the exact triple shows the value is not zero
-        line = Poly((F(-1, 3), 1))
+        # reaches 0 and the exact triple shows the value is not zero (the
+        # line times 1 + TINY lam, above the size bound)
+        line = Poly((F(-1, 3), 1)) * Poly((1, TINY))
         near = SimpleNamespace(f1=line, f2=line, params=fam.params)
         img = _Image(near, 2**400 + 3, 0, 3 * 2**400)
         assert img.a1[0] == (0, 0)
         assert not img.vanishes(1)
         assert img.evaluated
+
+    def test_zero_tests_of_exact_atoms_read_no_triples(self, built_families):
+        # at n = 2 f1 and f2 are small: their atoms at the common zeros are
+        # exact zero Ratios, and elsewhere exact positive ones
+        fam = built_families[2]
+        assert _image_factors(fam).exact == (True, True)
+        root = fam.params.eps ** fam.params.c[-1]
+        for a, den in ((0, 1), (root.numerator, root.denominator)):
+            img = _Image(fam, a, 0, den)
+            assert img.exps == [None, None]
+            assert img.atoms[0].num == img.atoms[1].num == 0
+            assert img.vanishes(1) and img.vanishes(2)
+            assert not _in_cover_region(img)
+            assert not img.evaluated
+        # the 2^-400 that a ball does not resolve is an exact positive atom
+        line = Poly((F(-1, 3), 1))
+        near = SimpleNamespace(f1=line, f2=line, params=fam.params)
+        img = _Image(near, 2**400 + 3, 0, 3 * 2**400)
+        assert img.exps[0] == (-800, -800)  # |lam - 1/3|^2 = 2^-800 exactly
+        assert not img.vanishes(1)
+        assert not img.evaluated
 
 
 def _exact_moduli(fam, a, b, den):
@@ -459,6 +516,69 @@ class TestFactorImages:
         assert _image_factors(fam, failed).polys == (fam.f1, fam.f2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_atoms_by_factor_size(self, built_families, identities, n):
+        # the factors at n = 2, 3 have 27 and 333 bits, those at n = 4 3,033
+        # and more: exact atoms below, ball atoms above
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        assert factors.exact == (n < 4,) * (n - 1)
+        img = _Image(fam, *next(_witness_draws(n, 1, 3)), factors)
+        assert [isinstance(a, Ratio) for a in img.atoms] == [True] + [n < 4] * (n - 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ball_atoms_evaluate_nothing(self, built_families, identities, n, monkeypatch):
+        # an exact atom costs one eval_scaled per factor, a ball atom none
+        calls = Counter()
+        real = bounds.eval_scaled
+
+        def counted(poly, *lam):
+            calls[poly] += 1
+            return real(poly, *lam)
+
+        monkeypatch.setattr(bounds, "eval_scaled", counted)
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        for lam in _witness_draws(n, 8, 4):
+            _Image(fam, *lam, factors)
+        assert sum(calls.values()) == (8 * (n - 1) if n < 4 else 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_exponents_inside_the_ball_exponents(self, built_families, identities, n):
+        # at the witness draws and the first ladder candidates of each chart
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        points = list(_witness_draws(n, 200, 11))
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            candidates = _approach_candidates(fam, k, entry, 64, 0)
+            points += [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(64))]
+        balls = factors._replace(exact=(False,) * (n - 1), nets={})
+        for lam in points:
+            exact, ball = _Image(fam, *lam, factors), _Image(fam, *lam, balls)
+            assert exact.exps[0] == ball.exps[0]  # |lam|^2
+            for e, b in zip(exact.exps[1:], ball.exps[1:]):
+                assert e is not None and b is not None
+                assert b[0] <= e[0] <= e[1] <= b[1] and e[1] - e[0] <= 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ball_atoms_match_the_reference(self, built_families, identities, n):
+        # every chart predicate on ball atoms of the small factors, at witness
+        # draws, ladder candidates and the common zeros, against Fractions
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        balls = factors._replace(exact=(False,) * (n - 1), nets={})
+        root = fam.params.eps ** fam.params.c[-1]
+        points = list(_witness_draws(n, 16, 12))
+        points += [(0, 0, 1), (root.numerator, 0, root.denominator)]
+        _net_stage_against_the_reference(fam, balls, points, range(n))
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), balls)
+            assert entry == _entry_scale(fam, k, Counter(), factors)
+            candidates = _approach_candidates(fam, k, entry, 8, 0)
+            points = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(8))]
+            _net_stage_against_the_reference(fam, balls, points, (k,))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_products_enclose_the_exact_moduli(self, built_families, identities, n):
         fam = built_families[n]
         factors = _image_factors(fam, identities[n])
@@ -485,15 +605,22 @@ class TestFactorImages:
                 for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
                     _assert_encloses(product, exact)
 
-    def test_zeros_of_each_factor_read_the_triples(self):
-        # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: each product's
-        # lower end is 0, and the zero tests read the exact triples; beside
-        # them the exponents decide without the triples
+    @staticmethod
+    def _rational_root_factors(exact):
         fam = _rational_root_family()
         ids = exact_identity_checks(fam)
         assert all(ids.passed(name) for name in _FACTOR_IDENTITIES)
         factors = _image_factors(fam, ids)
-        assert factors.polys == fam.P
+        assert factors.polys == fam.P and factors.exact == (True, True)
+        # the same map with ball atoms, as for factors above the size bound
+        return fam, factors if exact else factors._replace(exact=(False, False), nets={})
+
+    def test_zeros_of_each_factor_read_the_triples(self):
+        # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: each product's
+        # lower end is 0, and with ball atoms the zero tests at the roots of
+        # P_1 and P_2 read the exact triples (at lam = 0 the exact |lam|^2
+        # atom is 0); beside them the exponents decide without the triples
+        fam, factors = self._rational_root_factors(exact=False)
         for a, den in ((0, 1), (1, 2), (1, 1)):
             assert all(eval_scaled(p, a, 0, den)[0] == 0 for p in (fam.f1, fam.f2))
             img = _Image(fam, a, 0, den, factors)
@@ -501,8 +628,26 @@ class TestFactorImages:
                 assert product.exponents is None and product.bracket[0] == (0, 0)
             assert not img.evaluated
             assert img.vanishes(1) and img.vanishes(2)
-            assert img.evaluated
+            assert img.evaluated == (a != 0)
             assert not _in_cover_region(img)
+        self._assert_positive_beside_the_zeros(fam, factors)
+
+    def test_zeros_of_each_factor_are_exact_zero_atoms(self):
+        # the same zeros with the exact atoms of these small factors: each
+        # zero is an exact zero Ratio, and no zero test reads a triple
+        fam, factors = self._rational_root_factors(exact=True)
+        for a, den in ((0, 1), (1, 2), (1, 1)):
+            img = _Image(fam, a, 0, den, factors)
+            assert any(isinstance(x, Ratio) and x.num == 0 for x in img.atoms)
+            for product in (img.a1, img.a2, img.gap):
+                assert product.exponents is None and product.bracket[0] == (0, 0)
+            assert img.vanishes(1) and img.vanishes(2)
+            assert not _in_cover_region(img)
+            assert not img.evaluated
+        self._assert_positive_beside_the_zeros(fam, factors)
+
+    @staticmethod
+    def _assert_positive_beside_the_zeros(fam, factors):
         for a, b, den in ((1, 1, 2), (3, 0, 5), (1, 0, 3)):
             img = _Image(fam, a, b, den, factors)
             for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
@@ -582,7 +727,7 @@ class TestFactorImages:
 
     def test_cover_region_stops_at_its_first_failed_inequality(self):
         # |f1| = 1 >= r = 1/5 by exponents, and |f2| = 1/25 = r^2 exactly,
-        # where neither the exponents nor the ball brackets decide: the
+        # where neither the exponents nor the brackets decide: the
         # second inequality is not compared, and no exact triple is read
         params = FamilyParams.build(2)
         fam = SimpleNamespace(f1=Poly.one(), f2=Poly.constant(F(1, 25)), params=params)
@@ -755,7 +900,8 @@ class TestNetStage:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, n):
         # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2: an
-        # atom's bracket reaches 0 and nothing cancels
+        # atom is an exact 0 (n = 2, 3) or its bracket reaches 0 (n = 4), and
+        # nothing cancels
         fam = built_families[n]
         factors = _image_factors(fam, identities[n])
         root = fam.params.eps ** fam.params.c[-1]
@@ -1014,10 +1160,24 @@ class TestBoundaryLoops:
 
     def test_target_equality_is_inside(self, built_families, corollary_reports):
         # n |f2| = |f1| at every point: the closed slope inequality holds with
-        # equality, and the inexact balls of the circle points overlap
+        # equality, and the inexact brackets of the circle points overlap
         fam = built_families[2]
         f1 = Poly((F(1, 8), F(1, 16)))
         fake = _fake(fam, f1, f1 * F(1, 2))
+        tally = Counter()
+        cert = annulus_into_target(fake, corollary_reports[2], tally=tally)
+        assert _exact_target_failure(fake) == (128, None)
+        assert cert.data["spot_checks"] == 128
+        assert tally["exact_fallbacks"] > 100
+
+    def test_target_equality_of_ball_atoms_is_inside(self, built_families, corollary_reports):
+        # the same equality with a TINY z^2 term, which puts f1 and f2 above
+        # the size bound of exact atoms: the ball brackets overlap, and the
+        # triples decide
+        fam = built_families[2]
+        f1 = Poly((F(1, 8), F(1, 16), TINY))
+        fake = _fake(fam, f1, f1 * F(1, 2))
+        assert exact_atoms((fake.f1, fake.f2)) == (False, False)
         tally = Counter()
         cert = annulus_into_target(fake, corollary_reports[2], tally=tally)
         assert _exact_target_failure(fake) == (128, None)
