@@ -13,11 +13,13 @@ plus an exponent, without the exact ``eval_scaled`` triple) and
 ``|re| + |im|`` and takes no square root.
 
 ``abs2_atoms`` builds every atom |p(z)|^2 of a polynomial value at a point,
-by one size rule, ``exact_atoms``: a polynomial whose stored integers have at
-most ``2 * BALL_BITS`` bits gets the exact ``Ratio`` of its ``eval_scaled``
-triple (with ``log2_bounds`` exponents, and an exact zero stays one), every
-other one the ``ball_abs2`` bracket, all from one ``ball_point`` built only
-when some atom needs it.  ``Values`` holds the atoms of several polynomials
+by one size rule, ``exact_atoms``, and returns each atom's exponents with
+it: a polynomial whose stored integers have at most ``2 * BALL_BITS`` bits
+gets the exact unreduced pair (num, den) of its ``eval_scaled`` triple
+(with ``log2_bounds`` exponents, and an exact zero stays one; the caller
+builds its ``Ratio`` only where it reads the atom as a factor), every other
+one the ``ball_abs2`` bracket, all from one ``ball_point`` built only when
+some atom needs it.  ``Values`` holds the atoms of several polynomials
 at one point and decides products of them and of ``constant_factor``
 constants, on the exact atoms' own integers or, for a ball atom, the exact
 triples, only where the brackets overlap.  Dominances need no brackets:
@@ -31,12 +33,13 @@ built and forms its bracket only when one is read: a ``Ratio`` of two
 integers reads them from bit lengths, and a ``Product`` of brackets and
 factors with powers sums its atoms' exponents (``products`` builds several
 products over the same atoms and reads each atom's exponents once).
-``exponents`` reads the powers of two around a bracket or a factor, and
-``log2_bounds`` the tightest ones around a positive rational.  The disk
-trace brackets an image point this way: |f1|^2, |f2|^2 and |f2 - f1|^2 are
-products of eps^2, |lam|^2 and the |P_j|^2 atoms of ``abs2_atoms`` with
-powers, decided on the net powers of those atoms and formed only where
-those leave a comparison open.
+``exponents`` reads the powers of two around a bracket or a factor,
+``ratio_exponents`` those a ``Ratio`` is built with, and ``log2_bounds``
+the tightest ones around a positive rational.  The disk trace brackets an
+image point this way: |f1|^2, |f2|^2 and |f2 - f1|^2 are products of eps^2,
+|lam|^2 and the |P_j|^2 atoms of ``abs2_atoms`` with powers, decided on the
+net powers of those atoms' exponents and formed, with the atoms' factor
+objects, only where those leave a comparison open.
 
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
@@ -49,7 +52,7 @@ exponent stage decides only where the product stage would decide the same
 way: verdicts and exact fallbacks are those of the products alone.  Callers
 settle ``None`` with ``exact_lt``, the one integer cross-multiplication of
 unreduced squared moduli and constants (``Values.lt`` and the disk trace's
-``_Image.lt``), so no truncation ever decides a verdict the exact
+``_Image.first_failing``), so no truncation ever decides a verdict the exact
 arithmetic would not.
 """
 
@@ -77,6 +80,7 @@ __all__ = [
     "int_bracket",
     "log2_bounds",
     "products",
+    "ratio_exponents",
 ]
 
 _BITS = BALL_BITS
@@ -342,6 +346,22 @@ def log2_bounds(num: int, den: int) -> tuple[int, int]:
     return lo, lo if a == b else lo + 1
 
 
+def ratio_exponents(
+    num: int, den: int, *, tight: bool = False
+) -> Optional[tuple[int, int]]:
+    """The exponents of ``Ratio(num, den, tight=tight)``; None at num = 0.
+
+    Read from the bit lengths alone, two apart, or with ``tight`` the
+    ``log2_bounds``, at most one apart.
+    """
+    if not num:
+        return None
+    if tight:
+        return log2_bounds(num, den)
+    bn, bd = num.bit_length(), den.bit_length()
+    return bn - 1 - bd, bn - bd + 1
+
+
 class Factor:
     """A nonnegative factor of ``bracket_lt``: exponents now, a bracket later.
 
@@ -396,13 +416,7 @@ class Ratio(Factor):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int, *, tight: bool = False):
-        if not num:
-            self.exponents = None
-        elif tight:
-            self.exponents = log2_bounds(num, den)
-        else:
-            bn, bd = num.bit_length(), den.bit_length()
-            self.exponents = (bn - 1 - bd, bn - bd + 1)
+        self.exponents = ratio_exponents(num, den, tight=tight)
         self.num, self.den, self._bracket = num, den, None
 
     def _form(self) -> tuple:
@@ -470,26 +484,33 @@ def exact_atoms(polys: Sequence) -> tuple[bool, ...]:
 
 def abs2_atoms(
     polys: Sequence, exact: Sequence[bool], num_re: int, num_im: int, den: int
-) -> list:
-    """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den.
+) -> tuple[list, list]:
+    """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den, and
+    their exponents.
 
     ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
-    atom is the ``Ratio`` (re^2 + im^2)/d^2 of the triple (re, im, d) of
-    ``eval_scaled``, with ``log2_bounds`` exponents (a zero stays an exact
-    zero); every other atom is the ``ball_abs2`` bracket, all of them from
-    one ``ball_point``, built only when some atom needs it.
+    atom is the unreduced integer pair (re^2 + im^2, d^2) of the triple
+    (re, im, d) of ``eval_scaled``, with the ``log2_bounds`` exponents of
+    ``Ratio(..., tight=True)``, None at an exact zero; the caller builds
+    that ``Ratio`` only where it reads the atom as a factor.  Every other
+    atom is the ``ball_abs2`` bracket with its ``_exponents``, all of them
+    from one ``ball_point``, built only when some atom needs it.
     """
-    out = []
+    atoms, exps = [], []
     ball = None
     for poly, small in zip(polys, exact):
         if small:
             re, im, d = eval_scaled(poly, num_re, num_im, den)
-            out.append(Ratio(re * re + im * im, d * d, tight=True))
+            num, d2 = re * re + im * im, d * d
+            atoms.append((num, d2))
+            exps.append(log2_bounds(num, d2) if num else None)
         else:
             if ball is None:
                 ball = ball_point(num_re, num_im, den)
-            out.append(ball_abs2(poly, num_re, num_im, den, ball=ball))
-    return out
+            bracket = ball_abs2(poly, num_re, num_im, den, ball=ball)
+            atoms.append(bracket)
+            exps.append(_exponents(bracket))
+    return atoms, exps
 
 
 def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
@@ -647,7 +668,10 @@ class Values:
     ):
         exact = exact_atoms(polys) if exact is None else exact
         self.polys, self.lam = polys, (num_re, num_im, den)
-        self.abs2 = tuple(abs2_atoms(polys, exact, num_re, num_im, den))
+        atoms = abs2_atoms(polys, exact, num_re, num_im, den)[0]
+        self.abs2 = tuple(
+            Ratio(*atom, tight=True) if small else atom for atom, small in zip(atoms, exact)
+        )
         self.fell_back = False
         self._triples: Optional[tuple] = None
 

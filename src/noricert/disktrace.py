@@ -34,13 +34,16 @@ products, with powers, of eps^2, the exact |lam|^2 and the atoms
 (``bounds.abs2_atoms``) of the low-degree factors: the exact |P_j|^2 of a
 small factor (at n = 2, 3 all of them), a ball bracket of any other one (at
 n = 4); the difference needs no subtraction.  Without those proofs the atoms
-are |f1|^2 and |f2|^2 themselves.  Every chart predicate (cover region,
-membership, entry, cone) is one call of one comparator, ``_Image.lt``: a
-power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart
-square.  It decides on the net exponents of the atoms first (common factors
-cancel before anything is multiplied, and these decide almost every
-predicate), then on the 192-bit products of the ``bounds.Product``s, then on
-the exact integers of the triples.  A boundary spot check (target region,
+are |f1|^2 and |f2|^2 themselves.  A chart predicate (cover region,
+membership, entry, cone) is a test compiled once per factor map: a power
+vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart square,
+held as plain data.  ``_Image.first_failing`` decides an ordered sequence of
+them in one pass over the point's exponent vector and stops at the first
+that fails: each on the net exponents of the atoms first (common factors
+cancel before anything is multiplied, and these decide almost every test),
+then on the 192-bit products of the ``bounds.Product``s, then on the exact
+integers of the triples; the atoms become factor objects only where a test
+reaches the products.  A boundary spot check (target region,
 chart window, base chart) runs only where the certificate's own proof is
 incomplete, as the search for a refutation witness; the values at each of
 its exact circle points take ``bounds.Values``, whose atoms follow the same
@@ -77,10 +80,10 @@ from .bounds import (
     constant_factor,
     exact_atoms,
     exact_lt,
-    exponents,
     gap_bracket,
     log2_bounds,
     products,
+    ratio_exponents,
 )
 from .certify import (
     CorollaryReport,
@@ -155,17 +158,22 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
 # work on exponents, brackets and unreduced ``eval_scaled`` triples.  Every
 # sampled image point is an ``_Image`` over the atoms of its factor map
-# (``_image_factors``), and every chart predicate is ``_Image.lt`` of a
-# power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart
-# square (``FamilyParams.squares``): membership (1, -k) and entry
-# (-1, k + 2) against r^2, the cover region (1, 0) against r^2 and (0, 1)
-# against r^4, the cone (2, -k, -1) against rho^2 or (rho/2)^2.  Its three
-# stages: the net exponents (``_compile_net``, once per certificate, so
-# common atoms cancel), ``bounds.bracket_lt`` on the 192-bit products, and
-# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  An
-# atom is exact or a ball bracket by the one size rule of
-# ``bounds.exact_atoms``, decided once per factor map.  The zero tests read
-# the triples only when a ball bracket reaches 0 and no exact atom is 0.
+# (``_image_factors``): their exponent vector, with the atoms themselves
+# built as factors only where a test needs their products.  A chart
+# predicate is a power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2)
+# against a chart square (``FamilyParams.squares``): membership (1, -k) and
+# entry (-1, k + 2) against r^2, the cover region (1, 0) against r^2 and
+# (0, 1) against r^4, the cone (2, -k, -1) against rho^2 or (rho/2)^2.  It
+# is compiled once per factor map into a tuple (``_compile_test``; the tests
+# of each chart index are ``_chart_tests``), and ``_Image.first_failing``
+# decides an ordered sequence of them in one pass, stopping at the first
+# that fails; ``_Image.lt`` is its one-test case.  Its three stages: the net
+# exponents (``_compile_net``, so common atoms cancel),
+# ``bounds.bracket_lt`` on the 192-bit products, and ``bounds.exact_lt`` on
+# the unreduced integer squares of the triples.  An atom is exact or a ball
+# bracket by the one size rule of ``bounds.exact_atoms``, decided once per
+# factor map.  The zero tests read the triples only when a ball bracket
+# reaches 0 and no exact atom is 0.
 # Every exact circle point of a spot check that runs is a ``bounds.Values``,
 # whose atoms ``abs2_atoms`` builds by the same rule.  The Fraction
 # predicates of the atlas module remain the reference semantics; the test
@@ -185,9 +193,9 @@ class _Factors(NamedTuple):
     exact where ``exact`` (``bounds.exact_atoms``) says so and a ball
     bracket otherwise; ``forms`` holds one power vector over the atoms for
     each of the three quantities, or for the first two only, when
-    ``_Image.lt`` brackets the difference by ``gap_bracket``.  ``nets``
-    holds the compiled net power vectors of the chart predicates
-    (``_compile_net``), filled on first use.
+    ``_Image.first_failing`` brackets the difference by ``gap_bracket``.
+    ``tests`` holds the compiled tests of each chart index
+    (``_chart_tests``), filled on first use.
     """
 
     constants: tuple
@@ -195,7 +203,7 @@ class _Factors(NamedTuple):
     polys: tuple
     exact: tuple
     forms: tuple
-    nets: dict
+    tests: list
 
 
 def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Factors:
@@ -222,7 +230,7 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
         polys = fam.f1, fam.f2
-        return _Factors((), False, polys, exact_atoms(polys), ((1, 0), (0, 1)), {})
+        return _Factors((), False, polys, exact_atoms(polys), ((1, 0), (0, 1)), [])
     n = fam.n
     eps2 = fam.params.eps**2
     ones = (1,) * (n - 2)
@@ -233,7 +241,7 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
         polys,
         exact_atoms(polys),
         ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
-        {},
+        [],
     )
 
 
@@ -245,23 +253,23 @@ def _compile_net(
     being |f2^(k+1) - f1|^2.
 
     Returns ``(pairs, lo, hi)``: the constant atoms fold into c, and
-    2^lo <= c <= 2^hi are the tightest powers of two around it; ``pairs``
-    holds ``(i, net power)`` for each point atom i that either side uses (a
-    common atom cancels only where it is positive).  A vector with the gap
-    where the gap is no quantity (k >= 1, or k = 0 without its form)
-    compiles to ``(None, keys, g)`` instead: g is the gap's power, and
-    ``keys`` name the nets of the ratio t = |f1|^2 / |f2|^(2k+2) and of
+    2^lo <= 1/c <= 2^hi are the tightest powers of two around its inverse;
+    ``pairs`` holds ``(i, net power)`` for each point atom i that either
+    side uses (a common atom cancels only where it is positive).  A vector
+    with the gap where the gap is no quantity (k >= 1, or k = 0 without its
+    form) compiles to ``(None, nets, g)`` instead: g is the gap's power,
+    and ``nets`` are the nets of the ratio t = |f1|^2 / |f2|^(2k+2) and of
     the vector with the gap replaced by |f2|^(2k+2) and by |f1|^2 (see
     ``_Image.net``).
     """
     if len(coeffs) == 3 and (k or len(factors.forms) == 2):
         c1, c2, g = coeffs
-        keys = (
-            ((1, -(k + 1)), None, 0),
-            ((c1, c2 + g * (k + 1)), square, 0),
-            ((c1 + g, c2), square, 0),
+        nets = (
+            _compile_net(fam, factors, (1, -(k + 1)), None, 0),
+            _compile_net(fam, factors, (c1, c2 + g * (k + 1)), square, 0),
+            _compile_net(fam, factors, (c1 + g, c2), square, 0),
         )
-        return None, keys, g
+        return None, nets, g
     fixed = len(factors.constants)
     c = Fraction(*getattr(fam.params.squares, square)[:2]) if square else Fraction(1)
     pairs = []
@@ -272,30 +280,93 @@ def _compile_net(
             c *= Fraction(ratio.num, ratio.den) ** -sum(terms)
         elif any(terms):
             pairs.append((i - fixed, sum(terms)))
-    return tuple(pairs), *log2_bounds(c.numerator, c.denominator)
+    lo, hi = log2_bounds(c.numerator, c.denominator)
+    return tuple(pairs), -hi, -lo
+
+
+def _compile_test(
+    fam: Family,
+    factors: _Factors,
+    coeffs: tuple,
+    square: Optional[str] = None,
+    *,
+    closed: bool = False,
+    k: int = 0,
+) -> tuple:
+    """The chart test prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) as
+    data: ``(pairs, lo, hi, closed, (coeffs, c, k))``.
+
+    ``(pairs, lo, hi)`` is ``_compile_net``'s net, c the
+    ``FamilyParams.squares`` entry ``square`` (None for 1); ``coeffs``, c
+    and k are what the product and exact stages of ``_Image.first_failing``
+    read.  Compiled once per factor map, so that deciding a test at a point
+    builds and hashes no key.
+    """
+    c = getattr(fam.params.squares, square) if square else None
+    return (*_compile_net(fam, factors, coeffs, square, k), closed, (coeffs, c, k))
+
+
+def _chart_tests(fam: Family, factors: _Factors, k: int) -> tuple:
+    """The compiled tests of chart k on ``factors`` (``_compile_chart``),
+    compiled on first use."""
+    charts = factors.tests
+    while len(charts) <= k:
+        charts.append(_compile_chart(fam, factors, len(charts)))
+    return charts[k]
+
+
+def _compile_chart(fam: Family, factors: _Factors, k: int) -> tuple:
+    """``(region, chart, cone, member, entry, halved)``, the tests of chart k:
+
+    * ``region``: the cover region, |f1| < r by (1, 0) against r^2, then
+      |f2| < r^2 by (0, 1) against r^4;
+    * ``chart``: chart k membership of a point of the cover region, entry
+      |f2|^(k+2) < r^2 |f1| by (-1, k + 2) against r^2, then at k >= 1
+      member |f1| < r |f2|^k by (1, -k) against r^2 (at k = 0 member is the
+      region's first test);
+    * ``cone``: ``chart``, then the open cone |f1|^2 < rho |f2^(k+1) - f1|
+      |f2|^k, squared, by (2, -k, -1) against rho^2; at k = 0 the region's
+      two tests come first, so that one call decides a witness point's
+      common case;
+    * ``member``, ``entry`` and ``halved``, single tests for the ladder and
+      the entry probe, ``halved`` the closed cone against (rho/2)^2.
+    """
+
+    def test(coeffs, square, closed=False):
+        return _compile_test(fam, factors, coeffs, square, closed=closed, k=k)
+
+    region = test((1, 0), "r2"), test((0, 1), "r4")
+    member, entry = test((1, -k), "r2"), test((-1, k + 2), "r2")
+    chart = (entry, member) if k else (entry,)
+    cone = (*chart, test((2, -k, -1), "rho2"))
+    halved = test((2, -k, -1), "half_rho2", closed=True)
+    return region, chart, cone if k else (*region, *cone), member, entry, halved
 
 
 class _Image:
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
-    ``atoms`` are the point atoms of ``factors`` (``_image_factors``; by
-    default |f1|^2 and |f2|^2): the exact |lam|^2 when the map has it and
-    one atom per polynomial from ``bounds.abs2_atoms``, an exact
-    ``bounds.Ratio`` where ``factors.exact`` says so and a ``ball_abs2``
-    bracket otherwise; ``exps`` are their binary exponents (None where an
-    atom is 0 or its bracket reaches 0, ``positive`` when none does).
-    ``lt`` decides every chart predicate.
-    ``a1``, ``a2`` and ``gap`` are the ``bounds.Product``s of |f1|^2,
-    |f2|^2 and |f2 - f1|^2 (None without a form), built when ``net`` leaves
-    a predicate open or a zero test meets a zero bracket.  ``v1`` and ``v2``
-    are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
-    either is first read: by a bracket comparison left undecided, by a zero
-    test at a ball bracket that reaches 0, or by a refutation that renders
-    the point.
+    ``exps`` are the binary exponents of the point atoms of ``factors``
+    (``_image_factors``; by default |f1|^2 and |f2|^2): the exact |lam|^2
+    when the map has it and one atom per polynomial from
+    ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a
+    ``ball_abs2`` bracket otherwise (None where an atom is 0 or its bracket
+    reaches 0, ``positive`` when none is None).  ``first_failing`` decides
+    a sequence of compiled chart tests on them in one pass.  ``atoms``, the
+    atoms as factors (a ``bounds.Ratio`` for |lam|^2 and each exact atom,
+    the bracket otherwise), are built on first read: by ``quantities`` and
+    by a zero test at a zero bracket.  ``a1``, ``a2`` and ``gap`` are the
+    ``bounds.Product``s of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without a
+    form), built when ``net`` leaves a test open or a zero test meets a zero
+    bracket.  ``v1`` and ``v2`` are the exact ``eval_scaled`` triples of f1
+    and f2, both evaluated when either is first read: by a bracket
+    comparison left undecided, by a zero test at a ball bracket that reaches
+    0, or by a refutation that renders the point.
     """
 
     __slots__ = (
-        "fam", "lam", "factors", "atoms", "exps", "positive", "_quantities", "_triples"
+        "fam", "lam", "factors", "exps", "positive",
+        "_raw", "_atoms", "_quantities", "_triples",
     )
 
     def __init__(
@@ -307,41 +378,48 @@ class _Image:
         factors: Optional[_Factors] = None,
     ):
         factors = _image_factors(fam) if factors is None else factors
-        atoms = abs2_atoms(factors.polys, factors.exact, num_re, num_im, den)
+        raw, exps = abs2_atoms(factors.polys, factors.exact, num_re, num_im, den)
         if factors.lam:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
-            atoms.insert(0, Ratio(num_re * num_re + num_im * num_im, den * den))
-        self.exps = [exponents(a) for a in atoms]
-        self.positive = None not in self.exps
+            num, den2 = num_re * num_re + num_im * num_im, den * den
+            raw.insert(0, (num, den2))
+            exps.insert(0, ratio_exponents(num, den2))
+        self.exps = exps
+        self.positive = None not in exps
         self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
-        self.atoms = atoms
+        self._raw = raw
+        self._atoms: Optional[list] = None
         self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
 
-    def net(
-        self, coeffs: tuple, square: Optional[str] = None, k: int = 0
-    ) -> Optional[tuple]:
-        """Powers of two ``(lo, hi)`` around ``_compile_net``'s quotient at
-        lam; None where they are not known.
+    @property
+    def atoms(self) -> list:
+        """The point atoms as ``bracket_lt`` factors, built on first read."""
+        if self._atoms is None:
+            raw, factors = self._raw, self.factors
+            atoms = [Ratio(*raw[0])] if factors.lam else []
+            for atom, small in zip(raw[len(atoms):], factors.exact):
+                atoms.append(Ratio(*atom, tight=True) if small else atom)
+            self._atoms = atoms
+        return self._atoms
 
-        Sums over the net powers, compiled once per factor map; None where
-        an atom they use has a bracket that reaches 0.  Where the gap is no
-        quantity, the ratio t = |f1|^2 / |f2|^(2k+2) stands in: with
-        s <= 2^-3 the smaller of t and 1/t, the gap is the larger term times
-        (1 -+ sqrt(s))^2, in [2^-2, 2] and in [2^-1, 2] once s <= 2^-4, by
-        the reverse triangle inequality; otherwise None.
+    def net(self, pairs: Optional[tuple], lo, hi) -> Optional[tuple]:
+        """Powers of two ``(lo, hi)`` around the quotient of a compiled net
+        ``(pairs, lo, hi)`` (``_compile_net``) at lam; None where they are
+        not known.
+
+        Sums over the net powers; None where an atom they use has a bracket
+        that reaches 0.  Where the gap is no quantity, the ratio
+        t = |f1|^2 / |f2|^(2k+2) stands in: with s <= 2^-3 the smaller of t
+        and 1/t, the gap is the larger term times (1 -+ sqrt(s))^2, in
+        [2^-2, 2] and in [2^-1, 2] once s <= 2^-4, by the reverse triangle
+        inequality; otherwise None.
         """
-        nets = self.factors.nets
-        key = coeffs, square, k
-        compiled = nets.get(key)
-        if compiled is None:
-            compiled = nets[key] = _compile_net(self.fam, self.factors, coeffs, square, k)
-        pairs, lo, hi = compiled
         if pairs is None:
-            (t_key, small, large), g = lo, hi
+            (t_net, small, large), g = lo, hi
             # t uses every atom of |f1|^2 and |f2|^2, so where it is known
             # the two replacements are too
-            t = self.net(*t_key)
+            t = self.net(*t_net)
             if t is None:
                 return None
             if t[1] <= -3:
@@ -352,7 +430,6 @@ class _Image:
                 return None
             w = 1 if s <= -4 else 2  # the gap over the larger term is in [2^-w, 2]
             return (lo - w * g, hi + g) if g > 0 else (lo + g, hi - w * g)
-        lo, hi = -hi, -lo  # around 1/c
         exps = self.exps
         for i, p in pairs:
             e = exps[i]
@@ -364,6 +441,52 @@ class _Image:
                 lo, hi = lo + p * e[1], hi + p * e[0]
         return lo, hi
 
+    def first_failing(self, tests: Sequence[tuple]) -> int:
+        """The index of the first of the compiled ``tests`` (``_compile_test``)
+        that does not hold at lam; ``len(tests)`` when all hold.
+
+        Each test prod_i q_i^coeffs[i] < c (``<=`` when closed), q =
+        (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), is decided in three stages, each
+        where the one before leaves it open: the net exponents (``net``);
+        ``bounds.bracket_lt`` on the ``Product``s with the square's brackets
+        as factors (the gap is a product at k = 0 with its form,
+        ``gap_bracket`` otherwise, and the stage is skipped where that is
+        None); ``bounds.exact_lt`` on the unreduced integer squares of the
+        exact triples.  The tests run in order and stop at the first that
+        fails, so the products formed and the triples evaluated are those of
+        one ``lt`` call per test up to it.
+        """
+        exps = self.exps
+        index = 0
+        for pairs, lo, hi, closed, stage in tests:
+            if pairs is None:
+                net = self.net(pairs, lo, hi)
+                if net is not None:
+                    # decided below, as a sum of no terms
+                    pairs, (lo, hi) = (), net
+            if pairs is not None:
+                # ``net``'s sum, inline: one pass over the exponent vector
+                for i, p in pairs:
+                    e = exps[i]
+                    if e is None:
+                        break
+                    if p > 0:
+                        lo += p * e[0]
+                        hi += p * e[1]
+                    else:
+                        lo += p * e[1]
+                        hi += p * e[0]
+                else:
+                    if hi < 0 or closed and hi == 0:
+                        index += 1
+                        continue
+                    if lo > 0 or not closed and lo == 0:
+                        return index
+            if not self._decide(closed, *stage):
+                return index
+            index += 1
+        return index
+
     def lt(
         self,
         coeffs: tuple,
@@ -372,26 +495,19 @@ class _Image:
         closed: bool = False,
         k: int = 0,
     ) -> bool:
-        """Exact prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) at lam.
+        """Exact prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) at lam: the
+        one test ``_compile_test(coeffs, square, closed=closed, k=k)`` of
+        ``first_failing``.
 
         q = (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), a vector of length 2 leaving
         out the gap, and c the ``FamilyParams.squares`` entry ``square`` (1
-        when None).  Three stages, each deciding where the one before leaves
-        the comparison open: the net exponents (``net``);
-        ``bounds.bracket_lt`` on the ``Product``s with the square's brackets
-        as factors (the gap is a product at k = 0 with its form,
-        ``gap_bracket`` otherwise, and the stage is skipped where that is
-        None); ``bounds.exact_lt`` on the unreduced integer squares of the
-        exact triples.
+        when None).
         """
-        net = self.net(coeffs, square, k)
-        if net is not None:
-            lo, hi = net
-            if hi < 0 or closed and hi == 0:
-                return True
-            if lo > 0 or not closed and lo == 0:
-                return False
-        c = getattr(self.fam.params.squares, square) if square else None
+        test = _compile_test(self.fam, self.factors, coeffs, square, closed=closed, k=k)
+        return self.first_failing((test,)) == 1
+
+    def _decide(self, closed: bool, coeffs: tuple, c: Optional[tuple], k: int) -> bool:
+        """The product and exact stages of one test that the net leaves open."""
         a1, a2, gap = self.quantities
         if len(coeffs) == 3 and (k or gap is None):
             gap = gap_bracket(a1, a2, k)
@@ -502,16 +618,21 @@ def _gap_squared_exact(v1: tuple, v2: tuple, k: int) -> tuple[int, int]:
     return g_re * g_re + g_im * g_im, (d1 * dp) ** 2
 
 
+def _holds(img: _Image, tests: tuple) -> bool:
+    """Whether every one of the compiled ``tests`` holds at ``img``."""
+    return img.first_failing(tests) == len(tests)
+
+
 def _in_cover_region(img: _Image) -> bool:
     """0 < |z1| < r and |z2| < r^2 at a scaled point (exact semantics)."""
-    return not img.vanishes(1) and img.lt((1, 0), "r2") and img.lt((0, 1), "r4")
+    return not img.vanishes(1) and _holds(img, _chart_tests(img.fam, img.factors, 0)[0])
 
 
 def _in_chart(img: _Image, k: int) -> bool:
     """Chart k membership of a point of the cover region: |f2|^(k+2) <
     r^2 |f1| and |f1| < r |f2|^k, the second already decided at k = 0,
     where it is |f1| < r of ``_in_cover_region``."""
-    return img.lt((-1, k + 2), "r2") and (k == 0 or img.lt((1, -k), "r2"))
+    return _holds(img, _chart_tests(img.fam, img.factors, k)[1])
 
 
 def _cover_indices_scaled(img: _Image, k_max: int) -> tuple[bool, tuple[int, ...]]:
@@ -531,12 +652,24 @@ def _first_open_cone_scaled(img: _Image, k_limit: int) -> tuple[bool, Optional[i
     Returns (in_region, index or None).  The scan stops at the first
     success; indices at and beyond ``k_limit`` are the business of the
     divisibility window certificate, not of this scan.  The cone is
-    |f1|^2 < rho |f2^(k+1) - f1| |f2|^k, squared.
+    |f1|^2 < rho |f2^(k+1) - f1| |f2|^k, squared.  The cover region, chart
+    0 and its cone are one call of ``first_failing``, whose failing index
+    tells a point that left the region from one that tries chart 1.
     """
-    if not _in_cover_region(img):
+    if not k_limit:
+        return _in_cover_region(img), None
+    if img.vanishes(1):
         return False, None
-    for k in range(k_limit):
-        if _in_chart(img, k) and img.lt((2, -k, -1), "rho2", k=k):
+    fam, factors = img.fam, img.factors
+    chart = _chart_tests(fam, factors, 0)
+    tests = chart[2]
+    failed = img.first_failing(tests)
+    if failed < len(chart[0]):
+        return False, None
+    if failed == len(tests):
+        return True, 0
+    for k in range(1, k_limit):
+        if _holds(img, _chart_tests(fam, factors, k)[2]):
             return True, k
     return True, None
 
@@ -875,9 +1008,12 @@ def _entry_scale(
     bracketed through ``factors`` (``_Image``'s default when None).
     """
 
+    factors = _image_factors(fam) if factors is None else factors
+    tests = (_chart_tests(fam, factors, k)[3],)
+
     def member(e: int) -> bool:
         img = _Image(fam, 1, 0, 10**e, factors)
-        verdict = img.lt((1, -k), "r2")
+        verdict = _holds(img, tests)
         _count(tally, img)
         return verdict
 
@@ -969,12 +1105,19 @@ def chart_cone_certificate(
 
     accepted = 0
     full_membership_checks = 0
+    _, _, _, member, entry_test, halved = _chart_tests(fam, factors, k)
+    # the first 32 accepted points also get the other half of chart
+    # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test is the
+    # first half)
+    checked, unchecked = (member, halved, entry_test), (member, halved)
     for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
         img = _Image(fam, a, b, den, factors)
         try:
-            if not img.lt((1, -k), "r2"):
+            full = full_membership_checks < 32
+            failed = img.first_failing(checked if full else unchecked)
+            if failed == 0:
                 continue
-            if not img.lt((2, -k, -1), "half_rho2", closed=True, k=k):
+            if failed == 1:
                 return Certificate(
                     "chart-cone",
                     Status.REFUTED,
@@ -990,12 +1133,9 @@ def chart_cone_certificate(
                         },
                     },
                 )
-            if full_membership_checks < 32:
-                # the first few accepted points also get the other half of chart
-                # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test
-                # above is the second half)
+            if full:
                 full_membership_checks += 1
-                if not img.lt((-1, k + 2), "r2"):
+                if failed == 2:
                     return Certificate(
                         "chart-cone",
                         Status.REFUTED,

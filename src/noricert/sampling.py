@@ -38,8 +38,8 @@ class RationalSampler(random.Random):
 
     The positional arguments form the seed recipe; two samplers constructed
     with equal recipes produce identical streams.  Each point draw picks a
-    box point with two ``randint(0, G)`` calls and rejects it by an integer
-    test until it lies in the wanted region.
+    box point with two ``randint(0, G)`` draws (``_box``) and rejects it by
+    an integer test until it lies in the wanted region.
     """
 
     def __new__(cls, *seed_parts):
@@ -66,9 +66,19 @@ class RationalSampler(random.Random):
         return a + r
 
     def _box(self) -> tuple[int, int]:
-        """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G]."""
-        g = 1 << GRID_BITS
-        return 2 * self.randint(0, g) - g, 2 * self.randint(0, g) - g
+        """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G].
+
+        t and u are ``randint(0, G)``, drawn as that rejection does it:
+        ``GRID_BITS + 1`` random bits until they are at most G.
+        """
+        g, bits, draw = 1 << GRID_BITS, GRID_BITS + 1, self.getrandbits
+        t = draw(bits)
+        while t > g:
+            t = draw(bits)
+        u = draw(bits)
+        while u > g:
+            u = draw(bits)
+        return 2 * t - g, 2 * u - g
 
     def dyadic_in_disk(self, radius) -> tuple[int, int, int]:
         """A grid point of the open disk |z| < radius, as ``(re, im, den)``."""

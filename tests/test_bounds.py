@@ -454,12 +454,14 @@ class TestAtoms:
     @given(_polys(), _points())
     def test_atoms_enclose_the_exact_square(self, poly, point):
         exact, = exact_atoms((poly,))
-        atom, = abs2_atoms((poly,), (exact,), *point)
+        (raw,), (exps,) = abs2_atoms((poly,), (exact,), *point)
         num, den = scaled_abs2(eval_scaled(poly, *point))
-        assert isinstance(atom, Ratio) == exact
+        # an exact atom is the unreduced integer pair, read as a factor
+        # through its Ratio; a ball atom is the bracket itself
+        atom = Ratio(*raw, tight=True) if exact else raw
+        assert exps == exponents(atom)
         lo, hi = atom
         assert _value(lo) <= F(num, den) <= _value(hi)
-        exps = exponents(atom)
         if num == 0:
             assert exps is None
         elif exps is not None:
@@ -467,7 +469,7 @@ class TestAtoms:
         if exact:
             # the atom is the exact square itself, with exponents at most one
             # apart, as a ball bracket's
-            assert F(atom.num, atom.den) == F(num, den)
+            assert raw == (num, den)
             assert num == 0 or exps == log2_bounds(num, den)
 
     def test_one_ball_point_only_when_a_ball_atom_needs_it(self, monkeypatch):
@@ -480,12 +482,13 @@ class TestAtoms:
 
         monkeypatch.setattr(bounds, "ball_point", counted)
         small, big = Poly((F(1, 3), 1)), Poly((F(1, 3**300), 1))
-        atoms = abs2_atoms((small, small), (True, True), 3, 4, 7)
-        assert made["balls"] == 0 and all(isinstance(a, Ratio) for a in atoms)
-        atoms = abs2_atoms((big, small, big), (False, True, False), 3, 4, 7)
+        atoms, _ = abs2_atoms((small, small), (True, True), 3, 4, 7)
+        assert made["balls"] == 0
+        assert atoms == [scaled_abs2(eval_scaled(small, 3, 4, 7))] * 2
+        atoms, _ = abs2_atoms((big, small, big), (False, True, False), 3, 4, 7)
         assert made["balls"] == 1
-        assert [isinstance(a, Ratio) for a in atoms] == [False, True, False]
-        assert atoms[0] == ball_abs2(big, 3, 4, 7)
+        assert atoms[1] == scaled_abs2(eval_scaled(small, 3, 4, 7))
+        assert atoms[0] == atoms[2] == ball_abs2(big, 3, 4, 7)
 
 
 def _product_stage(lhs, rhs, closed):

@@ -63,6 +63,9 @@ from noricert.disktrace import (
     _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
+    _chart_tests,
+    _compile_net,
+    _compile_test,
     _cover_indices_scaled,
     _entry_scale,
     _first_open_cone_scaled,
@@ -552,7 +555,7 @@ class TestFactorImages:
             entry = _entry_scale(fam, k, Counter(), factors)
             candidates = _approach_candidates(fam, k, entry, 64, 0)
             points += [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(64))]
-        balls = factors._replace(exact=(False,) * (n - 1), nets={})
+        balls = factors._replace(exact=(False,) * (n - 1), tests=[])
         for lam in points:
             exact, ball = _Image(fam, *lam, factors), _Image(fam, *lam, balls)
             assert exact.exps[0] == ball.exps[0]  # |lam|^2
@@ -566,7 +569,7 @@ class TestFactorImages:
         # draws, ladder candidates and the common zeros, against Fractions
         fam = built_families[n]
         factors = _image_factors(fam, identities[n])
-        balls = factors._replace(exact=(False,) * (n - 1), nets={})
+        balls = factors._replace(exact=(False,) * (n - 1), tests=[])
         root = fam.params.eps ** fam.params.c[-1]
         points = list(_witness_draws(n, 16, 12))
         points += [(0, 0, 1), (root.numerator, 0, root.denominator)]
@@ -613,7 +616,7 @@ class TestFactorImages:
         factors = _image_factors(fam, ids)
         assert factors.polys == fam.P and factors.exact == (True, True)
         # the same map with ball atoms, as for factors above the size bound
-        return fam, factors if exact else factors._replace(exact=(False, False), nets={})
+        return fam, factors if exact else factors._replace(exact=(False, False), tests=[])
 
     def test_zeros_of_each_factor_read_the_triples(self):
         # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: each product's
@@ -709,21 +712,26 @@ class TestFactorImages:
     def test_membership_at_k0_is_not_retested(self, built_families, monkeypatch):
         # membership at k = 0, |f1| < r, is the vector (1, 0) against r^2 of
         # the cover region's first inequality: each scan compares it once
+        # (a sequence of tests is compared up to its first failing one)
         seen = Counter()
-        real = _Image.lt
+        real = _Image.first_failing
+        r2 = built_families[3].params.squares.r2
 
-        def recording(img, coeffs, square=None, **kw):
-            seen[coeffs, square] += 1
-            return real(img, coeffs, square, **kw)
+        def recording(img, tests):
+            failed = real(img, tests)
+            for test in tests[: failed + 1]:
+                coeffs, c, _ = test[4]
+                seen[coeffs, c is r2] += 1
+            return failed
 
-        monkeypatch.setattr(_Image, "lt", recording)
+        monkeypatch.setattr(_Image, "first_failing", recording)
         fam = built_families[3]
         for a, b, den in _witness_draws(3, 60, 5):
             img = _Image(fam, a, b, den)
             for scan, limit in ((_first_open_cone_scaled, 3), (_cover_indices_scaled, 4)):
                 seen.clear()
                 scan(img, limit)
-                assert seen[(1, 0), "r2"] == 1
+                assert seen[(1, 0), True] == 1
 
     def test_cover_region_stops_at_its_first_failed_inequality(self):
         # |f1| = 1 >= r = 1/5 by exponents, and |f2| = 1/25 = r^2 exactly,
@@ -963,9 +971,9 @@ class TestNetStage:
         params = FamilyParams.build(2, r=r, rho=rho)
         fam = SimpleNamespace(f1=Poly.constant(f1), f2=Poly.constant(f2), params=params)
         img = _Image(fam, 1, 0, 1)
-        assert img.net((1, -2))[1] <= -3
+        assert img.net(*_compile_net(fam, img.factors, (1, -2), None, 0))[1] <= -3
         square = "half_rho2" if halved else "rho2"
-        lo, hi = img.net((2, -1, -1), square, 1)
+        lo, hi = img.net(*_compile_net(fam, img.factors, (2, -1, -1), square, 1))
         # the net decides neither way
         assert (lo <= 0 if halved else lo < 0) and (hi > 0 if halved else hi >= 0)
         assert _predicate("halved" if halved else "cone", img, 1) is holds
@@ -993,6 +1001,144 @@ class TestNetStage:
         for name, (verdict, by_net) in _scaled_verdicts(fam, lam, factors, k).items():
             if uncancelled[name] is not None:
                 assert by_net and verdict == uncancelled[name], name
+
+
+@pytest.fixture(scope="module")
+def scaled_points(built_families, identities):
+    """Per n: the family, its exact factor map and the same map with ball
+    atoms, witness draws, the first ladder candidates of each chart and the
+    common zeros lam = 0 and the root of the last factor."""
+    pools = {}
+    for n in (2, 3, 4):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        balls = factors._replace(exact=(False,) * (n - 1), tests=[])
+        ladder = {0: []}
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            candidates = _approach_candidates(fam, k, entry, 8, 0)
+            ladder[k] = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(8))]
+        root = fam.params.eps ** fam.params.c[-1]
+        zeros = [(0, 0, 1), (root.numerator, 0, root.denominator)]
+        pools[n] = fam, (factors, balls), list(_witness_draws(n, 24, 31)), ladder, zeros
+    return pools
+
+
+def _sequential_lt(img, tests):
+    """The index of the first of the compiled ``tests`` that fails at
+    ``img``, by one ``lt`` call per test."""
+    squares = img.fam.params.squares
+    names = {id(getattr(squares, name)): name for name in squares._fields}
+    for index, (_, _, _, closed, (coeffs, c, k)) in enumerate(tests):
+        square = None if c is None else names[id(c)]
+        if not img.lt(coeffs, square, closed=closed, k=k):
+            return index
+    return len(tests)
+
+
+def _atoms_by_value(fam, factors, lam):
+    """The point atoms of ``factors`` at lam, each built as a factor: the
+    bit-length ``Ratio`` of |lam|^2, the ``tight`` ``Ratio`` of each exact
+    |P|^2 and the ``ball_abs2`` bracket of each other one."""
+    a, b, den = lam
+    atoms = [Ratio(a * a + b * b, den * den)] if factors.lam else []
+    for poly, small in zip(factors.polys, factors.exact):
+        if small:
+            atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam)), tight=True))
+        else:
+            atoms.append(bounds.ball_abs2(poly, *lam))
+    return atoms
+
+
+def _first_open_cone_reference(p, r, rho, n):
+    """``chart_cover_indices`` below index n and the first of them whose
+    cone is open, in Fractions."""
+    cover = chart_cover_indices(p, r, n - 1)
+    first = next((k for k in cover.indices if cone_condition(p, k, rho)), None)
+    return cover.in_region, first
+
+
+class TestOnePass:
+    """``_Image.first_failing`` against one ``lt`` call per test and the
+    Fraction predicates of the atlas, on the exact factor maps and on the
+    same maps with ball atoms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.data())
+    def test_first_failing_is_sequential_lt(self, scaled_points, n, ball, data):
+        fam, maps, witness, ladder, zeros = scaled_points[n]
+        factors = maps[ball]
+        k = data.draw(st.integers(0, n - 1))
+        lam = data.draw(st.sampled_from(witness + ladder[k] + zeros))
+        region, chart, cone, member, entry, halved = _chart_tests(fam, factors, k)
+        for tests in (region, chart, cone, (member, halved, entry)):
+            img, ref = _Image(fam, *lam, factors), _Image(fam, *lam, factors)
+            assert img.first_failing(tests) == _sequential_lt(ref, tests)
+            assert (img.formed, img.evaluated) == (ref.formed, ref.evaluated)
+            # the atoms are built where a product is, and not otherwise
+            assert (img._atoms is None) == (img._quantities is None)
+
+    def test_exact_ties_on_the_net(self):
+        # |f1|^2 = r^2 and |f2|^2 = r^4 exactly, both powers of two: each
+        # region test's net is exactly (0, 0), where the open test fails and
+        # the closed one holds, with no product formed
+        params = FamilyParams.build(2, r=F(1, 4), rho=F(3, 4))
+        f1, f2 = Poly.constant(F(1, 4)), Poly.constant(F(1, 16))
+        fam = SimpleNamespace(f1=f1, f2=f2, params=params)
+        img = _Image(fam, 1, 0, 1)
+        for coeffs, square in (((1, 0), "r2"), ((0, 1), "r4")):
+            open_test = _compile_test(fam, img.factors, coeffs, square)
+            closed_test = _compile_test(fam, img.factors, coeffs, square, closed=True)
+            assert img.net(*open_test[:3]) == (0, 0)
+            assert img.first_failing((open_test,)) == 0
+            assert img.first_failing((closed_test, open_test)) == 1
+        assert not _in_cover_region(img)
+        assert not img.formed and not img.evaluated
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ball", [False, True])
+    def test_atoms_are_the_ratios_and_brackets_by_value(self, scaled_points, n, ball):
+        fam, maps, witness, ladder, zeros = scaled_points[n]
+        factors = maps[ball]
+        for lam in witness[:8] + [pt for k in range(1, n) for pt in ladder[k][:2]] + zeros:
+            img = _Image(fam, *lam, factors)
+            expected = _atoms_by_value(fam, factors, lam)
+            assert img._atoms is None
+            for atom, ref, exps in zip(img.atoms, expected, img.exps, strict=True):
+                assert type(atom) is type(ref)
+                if isinstance(ref, Ratio):
+                    assert (atom.num, atom.den) == (ref.num, ref.den)
+                assert atom == ref
+                assert exponents(atom) == exponents(ref) == exps
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.booleans(), st.data())
+    def test_scans_match_the_atlas_reference(self, scaled_points, n, ball, data):
+        fam, maps, witness, ladder, _ = scaled_points[n]
+        pool = witness + [pt for k in range(1, n) for pt in ladder[k]]
+        lam = data.draw(st.sampled_from(pool))
+        self._assert_scans_match(fam, (maps[ball],), lam)
+
+    def test_n4_scans_match_the_atlas_reference(self, scaled_points):
+        # two witness draws and one candidate of each chart's ladder, past
+        # 11, 111 and 914 digits, on both maps; the Fraction reference takes
+        # from half a second to seconds per point here
+        fam, maps, witness, ladder, _ = scaled_points[4]
+        for lam in witness[:2] + [ladder[k][0] for k in (1, 2, 3)]:
+            self._assert_scans_match(fam, maps, lam)
+
+    @staticmethod
+    def _assert_scans_match(fam, maps, lam):
+        """Both scans at lam, on each factor map of ``maps``, equal the
+        Fraction reference."""
+        n, r, rho = fam.n, fam.params.r, fam.params.rho
+        p = ChartPoint(*(scaled_to_complex(eval_scaled(f, *lam)) for f in (fam.f1, fam.f2)))
+        cover = chart_cover_indices(p, r, n + 1)
+        cone = _first_open_cone_reference(p, r, rho, n)
+        for factors in maps:
+            in_region, indices = _cover_indices_scaled(_Image(fam, *lam, factors), n + 1)
+            assert (in_region, indices) == (cover.in_region, cover.indices)
+            assert _first_open_cone_scaled(_Image(fam, *lam, factors), n) == cone
 
 
 def _exact_target_failure(fam, spot_checks=64):

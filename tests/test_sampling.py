@@ -111,6 +111,19 @@ class TestRandint:
         with pytest.raises(ValueError):
             RationalSampler("empty").randint(1, 0)
 
+    def test_box_draws_are_randint_pairs(self):
+        # _box draws its bits without randint: 10^4 pairs equal those of
+        # random.Random's own randint(0, G), and the states stay together
+        g = 1 << GRID_BITS
+        for seed in range(2):
+            ours = RationalSampler("box", seed)
+            ref = random.Random(seed_for("box", seed))
+            expected = [
+                (2 * ref.randint(0, g) - g, 2 * ref.randint(0, g) - g) for _ in range(10**4)
+            ]
+            assert [ours._box() for _ in range(10**4)] == expected
+            assert ours.getrandbits(64) == ref.getrandbits(64)
+
     def test_point_streams_are_the_inherited_ones(self):
         ours = RationalSampler("points", 0)
         ref = _Inherited("points", 0)
