@@ -41,9 +41,12 @@ fed to a square-root bound.  Sampled disk points take one image path,
 stored size: a small polynomial (stored integers of at most
 ``2 * BALL_BITS`` bits) is evaluated by ``eval_scaled`` into an exact
 squared modulus, any other one is bracketed by ``bounds.ball_abs2``, a
-midpoint-radius Horner on the coefficient balls of ``Poly.balls``, and its
-``eval_scaled`` runs only when a comparison or a zero test is left
-undecided or a refutation is rendered.  ``Poly.__call__`` over
+midpoint-radius Horner on the coefficient balls of ``Poly.balls`` (the
+family's factors, where their recursions are proved, by
+``bounds.recursion_balls`` from the ``coefficient_ball``s of the
+recursions' constants instead), and its ``eval_scaled`` runs only where
+that bracket reaches 0, a comparison is left undecided or a refutation is
+rendered.  ``Poly.__call__`` over
 ``Fraction`` / ``ComplexRational`` is the reference path: the tests
 cross-check ``eval_scaled`` against it, and refutation witnesses are
 rendered with it.
@@ -529,26 +532,15 @@ class Poly:
     def balls(self) -> tuple:
         """Coefficients as midpoint-radius balls ``(m, e, r)``, cached.
 
-        ``m`` is the floor of the coefficient at a binary exponent ``e`` that
-        leaves it about ``BALL_BITS`` bits, and ``r`` is 0 when ``m * 2^e`` is
-        the coefficient exactly and 1 otherwise: |c - m 2^e| <= r 2^e.  The
-        exponent is read from the reduced coefficient, so the balls do not
-        depend on the stored denominator.
+        Each is the ``coefficient_ball`` of the coefficient: ``m`` its floor
+        at a binary exponent ``e`` that leaves it about ``BALL_BITS`` bits,
+        and ``r`` 0 when ``m * 2^e`` is the coefficient exactly and 1
+        otherwise: |c - m 2^e| <= r 2^e.  The exponent is read from the
+        reduced coefficient, so the balls do not depend on the stored
+        denominator.
         """
         if self._ball_cache is None:
-            out = []
-            for c in self.coeffs:
-                num, den = c.numerator, c.denominator
-                if num == 0:
-                    out.append((0, 0, 0))
-                    continue
-                e = num.bit_length() - den.bit_length() - BALL_BITS
-                if e <= 0:
-                    m, rest = divmod(num << -e, den)
-                else:
-                    m, rest = divmod(num, den << e)
-                out.append((m, e, 1 if rest else 0))
-            self._ball_cache = tuple(out)
+            self._ball_cache = tuple(coefficient_ball(c) for c in self.coeffs)
         return self._ball_cache
 
     def __repr__(self) -> str:
@@ -570,6 +562,25 @@ class Poly:
     @classmethod
     def from_json(cls, items: Sequence[str]) -> "Poly":
         return cls(tuple(parse_rational(s) for s in items))
+
+
+def coefficient_ball(c: RationalLike) -> tuple:
+    """The rational ``c`` as a real ball ``(m, e, r)`` of about ``BALL_BITS`` bits.
+
+    ``m`` is the floor of ``c`` at a binary exponent ``e`` read from the
+    reduced value, and ``r`` is 0 when ``m * 2^e`` is ``c`` exactly and 1
+    otherwise: |c - m 2^e| <= r 2^e.  The balls of ``Poly.balls``.
+    """
+    c = Fraction(c)
+    num, den = c.numerator, c.denominator
+    if num == 0:
+        return 0, 0, 0
+    e = num.bit_length() - den.bit_length() - BALL_BITS
+    if e <= 0:
+        m, rest = divmod(num << -e, den)
+    else:
+        m, rest = divmod(num, den << e)
+    return m, e, 1 if rest else 0
 
 
 def _primitive(p: Poly) -> Poly:

@@ -9,8 +9,16 @@ between pairs are exact.  A "bracket" is a ``(lower, upper)`` pair of pairs
 around one nonnegative quantity; ``int_bracket``, ``ball_abs2`` (the squared
 modulus of a polynomial value, by midpoint-radius Horner at about 192 bits
 plus an exponent, without the exact ``eval_scaled`` triple) and
-``gap_bracket`` build them.  ``ball_abs2`` bounds the midpoint's modulus by
-``|re| + |im|`` and takes no square root.
+``gap_bracket`` build them.
+
+One ball arithmetic serves every complex ball ``(re, im, rad, e)``: a
+product (``_ball_mul``), a coefficient ball added or subtracted
+(``_ball_add``, ``_ball_sub``), each cut to about 192 bits with the radius
+grown by 3 units, and the bracket of the squared modulus (``_ball_abs2``),
+which bounds the midpoint's modulus by ``|re| + |im|`` and takes no square
+root.  ``ball_abs2`` is a Horner of these steps; ``recursion_balls`` gives
+the balls of all the family's factors P_1, ..., P_{n-1} from their proved
+recursions, two products per factor and no Horner.
 
 ``abs2_atoms`` builds every atom |p(z)|^2 of a polynomial value at a point,
 by one size rule, ``exact_atoms``, and returns each atom's exponents with
@@ -18,15 +26,18 @@ it: a polynomial whose stored integers have at most ``2 * BALL_BITS`` bits
 gets the exact unreduced pair (num, den) of its ``eval_scaled`` triple
 (with ``log2_bounds`` exponents, and an exact zero stays one; the caller
 builds its ``Ratio`` only where it reads the atom as a factor), every other
-one the ``ball_abs2`` bracket, all from one ``ball_point`` built only when
-some atom needs it.  ``Values`` holds the atoms of several polynomials
-at one point and decides products of them and of ``constant_factor``
-constants, on the exact atoms' own integers or, for a ball atom, the exact
-triples, only where the brackets overlap.  Dominances need no brackets:
-``certify`` proves them from root products in exact rationals, and only
-the circle points that test a failed bound are decided by ``Values``.  The
-boundary sup metric needs none either: the disk trace derives its bound
-from the target certificate.
+one a ball bracket, by ``ball_abs2`` or, for the factors of a family whose
+recursions are proved, from ``recursion_balls``, all from one
+``ball_point`` built only when some atom needs it.  A ball bracket that
+reaches 0 is replaced by the exact atom, so a zero atom is always an
+exact zero (``exact_atom`` tells the two kinds apart).  ``Values`` holds
+the atoms of several polynomials at one point and decides products of them
+and of ``constant_factor`` constants, on the exact atoms' own integers or,
+for a ball atom, the exact triples, only where the brackets overlap.
+Dominances need no brackets: ``certify`` proves them from root products in
+exact rationals, and only the circle points that test a failed bound are
+decided by ``Values``.  The boundary sup metric needs none either: the disk
+trace derives its bound from the target certificate.
 
 A ``Factor`` is a quantity that knows powers of two around itself when it is
 built and forms its bracket only when one is read: a ``Ratio`` of two
@@ -73,6 +84,7 @@ __all__ = [
     "ball_point",
     "bracket_lt",
     "constant_factor",
+    "exact_atom",
     "exact_atoms",
     "exact_lt",
     "exponents",
@@ -81,6 +93,7 @@ __all__ = [
     "log2_bounds",
     "products",
     "ratio_exponents",
+    "recursion_balls",
 ]
 
 _BITS = BALL_BITS
@@ -241,6 +254,83 @@ def ball_point(num_re: int, num_im: int, den: int) -> tuple:
     return re, im, 2 if rest_re or rest_im else 0, -s
 
 
+def _ball_trunc(re: int, im: int, rad: int, e: int) -> tuple:
+    """The complex ball ``(re, im, rad, e)`` cut to about 192 bits.
+
+    Two floors lose less than sqrt(2) < 2 units and the radius's floor less
+    than one, so the radius grows by 3 units of the new last bit.
+    """
+    k = (abs(re) | abs(im) | rad).bit_length() - _BITS
+    if k > 0:
+        return re >> k, im >> k, (rad >> k) + 3, e + k
+    return re, im, rad, e
+
+
+def _ball_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two complex balls ``(re, im, rad, e)``, cut by ``_ball_trunc``.
+
+    |A B - a b| <= |a| rad_b + rad_a |b| + rad_a rad_b, with |a| bounded by
+    |re_a| + |im_a|.
+    """
+    ar, ai, arad, ae = a
+    br, bi, brad, be = b
+    span = abs(br) + abs(bi) + brad  # an upper bound of |B|, in 2^be
+    rad = (abs(ar) + abs(ai)) * brad + arad * span if brad else arad * span
+    return _ball_trunc(ar * br - ai * bi, ar * bi + ai * br, rad, ae + be)
+
+
+def _ball_add(w: tuple, c: tuple) -> tuple:
+    """The complex ball ``w`` plus the real coefficient ball ``c = (m, ce, cr)``.
+
+    A term below one unit of the other's last bit only widens the radius by
+    one unit, with |c| < 2^(top_c + 1) and |w| < 2^(top_w + 2).
+    """
+    m, ce, cr = c
+    if m == 0 and cr == 0:
+        return w
+    re, im, rad, e = w
+    if not (re or im or rad):
+        return m, 0, cr, ce
+    if ce + (abs(m) | cr).bit_length() + 1 <= e:
+        return re, im, rad + 1, e  # c is below one unit of w
+    if e + (abs(re) | abs(im) | rad).bit_length() + 2 <= ce:
+        return m, 0, cr + 1, ce  # w is below one unit of c
+    if e >= ce:
+        sh = e - ce
+        return _ball_trunc((re << sh) + m, im << sh, (rad << sh) + cr, ce)
+    sh = ce - e
+    return _ball_trunc(re + (m << sh), im, rad + (cr << sh), e)
+
+
+def _ball_sub(c: tuple, w: tuple) -> tuple:
+    """The real coefficient ball ``c`` minus the complex ball ``w``."""
+    re, im, rad, e = w
+    return _ball_add((-re, -im, rad, e), c)
+
+
+def _ball_abs2(w: tuple) -> tuple:
+    """The bracket of |x|^2 for every x in the complex ball ``w``.
+
+    With the midpoint m = re + i im and radius rad, |x| lies within rad of
+    |m| <= |re| + |im|, so |x|^2 lies in [|m|^2 - s + rad^2, |m|^2 + s +
+    rad^2], s = 2 rad (|re| + |im|): no square root is taken, and the lower
+    end is (0, 0) where rad^2 >= |m|^2 = re^2 + im^2.  Both ends are
+    truncated to 192 bits, the lower one down and the upper one up.
+    """
+    re, im, rad, e = w
+    norm = re * re + im * im
+    rad2 = rad * rad
+    s = 2 * rad * (abs(re) + abs(im))
+    hi = norm + s + rad2
+    k = hi.bit_length() - _BITS
+    upper = (-((-hi) >> k), 2 * e + k) if k > 0 else (hi, 2 * e)
+    lo = norm - s + rad2
+    if rad2 >= norm or lo <= 0:
+        return (0, 0), upper
+    k = lo.bit_length() - _BITS
+    return ((lo >> k, 2 * e + k) if k > 0 else (lo, 2 * e)), upper
+
+
 def ball_abs2(
     poly, num_re: int, num_im: int, den: int, *, ball: Optional[tuple] = None
 ) -> tuple:
@@ -250,15 +340,13 @@ def ball_abs2(
     bracketed without the exact triple: every intermediate value is a
     complex ball ``(re, im, rad, e)``, the exact value lying within
     ``rad * 2^e`` of ``(re + i im) * 2^e``, with the midpoint kept to about
-    192 bits plus the exponent ``e``.  Each step rounds the midpoint down and
-    grows the radius by at least what the rounding lost.  With the final
-    midpoint m = re + i im and radius rad, |p(z)|^2 lies in
-    [|m|^2 - s + rad^2, |m|^2 + s + rad^2], s = 2 rad (|re| + |im|), since
-    |m| <= |re| + |im|: no square root is taken, and the lower end is 0
-    where rad^2 >= |m|^2 = re^2 + im^2.  So the result
-    encloses the exact value, to a relative width of 2^-180 or so away from
-    cancellation, and a comparison it cannot decide is settled by the
-    caller's exact fallback.
+    192 bits plus the exponent ``e``.  Each step is one ``_ball_mul`` by the
+    ball of z and one ``_ball_add`` of a coefficient ball, each rounding the
+    midpoint down and growing the radius by at least what the rounding
+    lost, and ``_ball_abs2`` brackets the square of the last ball without a
+    square root.  So the result encloses the exact value, to a relative
+    width of 2^-180 or so away from cancellation, and a comparison it cannot
+    decide is settled by the caller's exact fallback.
     ``den`` must be positive.  ``ball``, when given, is
     ``ball_point(num_re, num_im, den)``, built once by a caller that
     brackets several polynomials at the same point.
@@ -268,56 +356,35 @@ def ball_abs2(
     coeffs = poly.balls()
     if not coeffs:
         return (0, 0), (0, 0)
-    zr, zi, zrad, ze = ball
-    zspan = abs(zr) + abs(zi) + zrad  # an upper bound of |z|, in 2^ze
-    re, e, rad = coeffs[-1]
-    im = 0
-    for m, ce, cr in reversed(coeffs[:-1]):
-        # acc * z: |A Z - a z| <= |a| rad_z + rad_a |z| + rad_a rad_z
-        rad = (abs(re) + abs(im)) * zrad + rad * zspan if zrad else rad * zspan
-        re, im = re * zr - im * zi, re * zi + im * zr
-        e += ze
-        # the largest bit length of re, im and rad
-        k = (abs(re) | abs(im) | rad).bit_length() - _BITS
-        if k > 0:
-            # two floors lose less than sqrt(2) < 2 units, the radius rounds up
-            re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
-        if m == 0 and cr == 0:
-            continue
-        # + c, with |c| < 2^(top_c + 1) and |acc| < 2^(top_acc + 2)
-        if not (re or im or rad):
-            re, rad, e = m, cr, ce
-            continue
-        if ce + (abs(m) | cr).bit_length() + 1 <= e:
-            rad += 1  # c is below one unit of the accumulator
-            continue
-        if e + (abs(re) | abs(im) | rad).bit_length() + 2 <= ce:
-            re, im, rad, e = m, 0, cr + 1, ce  # the accumulator is below one unit of c
-            continue
-        if e >= ce:
-            sh = e - ce
-            re, im, rad, e = (re << sh) + m, im << sh, (rad << sh) + cr, ce
-        else:
-            sh = ce - e
-            re, rad = re + (m << sh), rad + (cr << sh)
-        k = (abs(re) | abs(im) | rad).bit_length() - _BITS
-        if k > 0:
-            re, im, rad, e = re >> k, im >> k, (rad >> k) + 3, e + k
-    # |p| lies within rad of |re + i im| <= |re| + |im|, so |p|^2 lies in
-    # [norm - s + rad^2, norm + s + rad^2] with s = 2 rad (|re| + |im|); the
-    # lower end holds only where |re + i im| > rad, and no root is taken
-    norm = re * re + im * im
-    rad2 = rad * rad
-    s = 2 * rad * (abs(re) + abs(im))
-    # both ends truncated to _BITS bits: the lower one down, the upper up
-    hi = norm + s + rad2
-    k = hi.bit_length() - _BITS
-    upper = (-((-hi) >> k), 2 * e + k) if k > 0 else (hi, 2 * e)
-    lo = norm - s + rad2
-    if rad2 >= norm or lo <= 0:
-        return (0, 0), upper
-    k = lo.bit_length() - _BITS
-    return ((lo >> k, 2 * e + k) if k > 0 else (lo, 2 * e)), upper
+    m, e, rad = coeffs[-1]
+    w = m, 0, rad, e
+    for c in reversed(coeffs[:-1]):
+        w = _ball_add(_ball_mul(w, ball), c)
+    return _ball_abs2(w)
+
+
+def recursion_balls(constants: Sequence[tuple], ball: tuple) -> list:
+    """The complex balls of P_1, ..., P_{n-1} at the point ``ball``, by their
+    recursion.
+
+    ``constants`` holds the coefficient balls (``arith.coefficient_ball``)
+    of e_k = eps^(c_k), k = 1..n-1, and ``ball`` is the ``ball_point`` of
+    lam.  Where the recursions P_{n-1} = e_{n-1} - lam and P_k = e_k -
+    lam^(n-k) prod_{j>k} P_j^(j-k) hold, two ball products per factor give
+    them all: S_{n-1} = Q_{n-1} = lam, and for k = n-2 .. 1, S_k =
+    P_{k+1} S_{k+1}, Q_k = S_k Q_{k+1} = lam^(n-k) prod_{j>k} P_j^(j-k) and
+    P_k = e_k - Q_k.  The same ball arithmetic as ``ball_abs2``, no Horner.
+    """
+    s = q = ball
+    p = _ball_sub(constants[-1], ball)
+    out = [p]
+    for c in reversed(constants[:-1]):
+        s = _ball_mul(p, s)
+        q = _ball_mul(s, q)
+        p = _ball_sub(c, q)
+        out.append(p)
+    out.reverse()
+    return out
 
 
 def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
@@ -483,7 +550,12 @@ def exact_atoms(polys: Sequence) -> tuple[bool, ...]:
 
 
 def abs2_atoms(
-    polys: Sequence, exact: Sequence[bool], num_re: int, num_im: int, den: int
+    polys: Sequence,
+    exact: Sequence[bool],
+    num_re: int,
+    num_im: int,
+    den: int,
+    chain: Optional[Sequence[tuple]] = None,
 ) -> tuple[list, list]:
     """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den, and
     their exponents.
@@ -493,24 +565,43 @@ def abs2_atoms(
     (re, im, d) of ``eval_scaled``, with the ``log2_bounds`` exponents of
     ``Ratio(..., tight=True)``, None at an exact zero; the caller builds
     that ``Ratio`` only where it reads the atom as a factor.  Every other
-    atom is the ``ball_abs2`` bracket with its ``_exponents``, all of them
-    from one ``ball_point``, built only when some atom needs it.
+    atom is a ball bracket with its ``_exponents``, all of them from one
+    ``ball_point``, built only when some atom needs it: the ``_ball_abs2``
+    of the polynomial's ball in ``recursion_balls(chain, ...)`` when the
+    caller passes ``chain`` (``polys`` are then P_1, ..., P_{n-1} and
+    ``chain`` the coefficient balls of the constants of their proved
+    recursions), the ``ball_abs2`` bracket otherwise.  A ball bracket whose
+    lower end is 0 is replaced by the polynomial's exact atom, so an atom
+    without exponents is an exact zero.
     """
     atoms, exps = [], []
-    ball = None
+    ball = balls = None
     for poly, small in zip(polys, exact):
-        if small:
-            re, im, d = eval_scaled(poly, num_re, num_im, den)
-            num, d2 = re * re + im * im, d * d
-            atoms.append((num, d2))
-            exps.append(log2_bounds(num, d2) if num else None)
-        else:
+        if not small:
             if ball is None:
                 ball = ball_point(num_re, num_im, den)
-            bracket = ball_abs2(poly, num_re, num_im, den, ball=ball)
-            atoms.append(bracket)
-            exps.append(_exponents(bracket))
+                if chain is not None:
+                    balls = recursion_balls(chain, ball)
+            if balls is None:
+                bracket = ball_abs2(poly, num_re, num_im, den, ball=ball)
+            else:
+                bracket = _ball_abs2(balls[len(atoms)])
+            if bracket[0][0]:
+                atoms.append(bracket)
+                exps.append(_exponents(bracket))
+                continue
+            # the ball reaches 0: the exact value decides
+        re, im, d = eval_scaled(poly, num_re, num_im, den)
+        num, d2 = re * re + im * im, d * d
+        atoms.append((num, d2))
+        exps.append(log2_bounds(num, d2) if num else None)
     return atoms, exps
+
+
+def exact_atom(atom: tuple) -> bool:
+    """Whether an atom of ``abs2_atoms`` is an exact integer pair (not a
+    bracket): its kind, read from the atom itself."""
+    return isinstance(atom[0], int)
 
 
 def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
@@ -648,7 +739,8 @@ class Values:
     ``abs2[i]`` is the atom of |polys[i](z)|^2 that ``abs2_atoms`` builds:
     an exact ``Ratio`` for a small polynomial, a ``ball_abs2`` bracket for
     the others, as ``exact`` (``exact_atoms(polys)``, computed when not
-    given; a caller testing many points passes it once) says.  ``fell_back``
+    given; a caller testing many points passes it once) says, and an exact
+    ``Ratio`` wherever a bracket would reach 0.  ``fell_back``
     tells whether a comparison's brackets overlapped, so that ``exact_lt``
     decided it.  ``triples`` are the exact ``eval_scaled`` triples, all
     evaluated the first time they are read: by such a comparison on a ball
@@ -670,7 +762,7 @@ class Values:
         self.polys, self.lam = polys, (num_re, num_im, den)
         atoms = abs2_atoms(polys, exact, num_re, num_im, den)[0]
         self.abs2 = tuple(
-            Ratio(*atom, tight=True) if small else atom for atom, small in zip(atoms, exact)
+            Ratio(*atom, tight=True) if exact_atom(atom) else atom for atom in atoms
         )
         self.fell_back = False
         self._triples: Optional[tuple] = None

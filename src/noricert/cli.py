@@ -15,7 +15,8 @@ contract:
 
 Identical configurations produce byte-identical reports except for the
 ``meta`` section (timestamps, wall-clock timings, ``stages``: the seconds of
-each certificate stage per size, ``deep_scale``: how many image points the
+each stage per size, from the family's ``build`` through its certificate
+stages to its ``family_hash``, ``deep_scale``: how many image points the
 chart-cone ladders bracketed, how many of those needed the exact triples
 after all, and how many formed a 192-bit product, ``witness``: the same
 three counts for the cone-window witness's sampled image points,
@@ -290,8 +291,8 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     trace's deep-scale ladder counts (``deep_scale``), the cone-window
     witness's counts (``witness``), the points and exact fallbacks of each
     exact-circle-point loop (``boundary``) and the seconds
-    of each stage (``stages``); that is empty when the family is refuted
-    before it is built.  This is the one place that orders the stages of a family: each
+    of each stage (``stages``, the build and the family hash included);
+    that is empty when the family is refuted before it is built.  This is the one place that orders the stages of a family: each
     stage runs once and receives the earlier stages it uses as arguments.
     """
     try:
@@ -317,7 +318,6 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             }, {}
         raise UsageError(str(exc)) from exc
 
-    fam = build_family(params)
     certificates = []
     stages: dict[str, float] = {}
 
@@ -327,6 +327,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         stages[stage] = round(time.perf_counter() - started, 6)
         return result
 
+    fam = timed("build", build_family, params)
     structural = timed("structural", structural_checks, fam)
     certificates.append(
         Certificate(
@@ -411,7 +412,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             "c": list(params.c),
             "d": list(params.d),
             "N": params.N,
-            "hash": family_hash(fam),
+            "hash": timed("family_hash", family_hash, fam),
         },
         "certificates": [cert.to_json() for cert in certificates],
         "trace": trace.to_json(),

@@ -33,11 +33,16 @@ power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
 products, with powers, of eps^2, the exact |lam|^2 and the atoms
 (``bounds.abs2_atoms``) of the low-degree factors: the exact |P_j|^2 of a
 small factor (at n = 2, 3 all of them), a ball bracket of any other one (at
-n = 4); the difference needs no subtraction.  Without those proofs the atoms
-are |f1|^2 and |f2|^2 themselves.  A chart predicate (cover region,
-membership, entry, cone) is a test compiled once per factor map: a power
-vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) against a chart square,
-held as plain data.  ``_Image.first_failing`` decides an ordered sequence of
+n = 4); the difference needs no subtraction.  Where the root localizations
+proved every factor's recursion P_k = eps^(c_k) - lam^(n-k) prod_{j>k}
+P_j^(j-k) for this family, the balls of all the factors come from those
+recursions, two ball products per factor (``bounds.recursion_balls``), and
+otherwise each from a ball Horner over its expanded coefficients; a ball
+bracket that reaches 0 is replaced by the factor's exact atom.  Without
+the identities the atoms are |f1|^2 and |f2|^2 themselves.  A chart
+predicate (cover region, membership, entry, cone) is a test compiled once
+per factor map: a power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2)
+against a chart square, held as plain data.  ``_Image.first_failing`` decides an ordered sequence of
 them in one pass over the point's exponent vector and stops at the first
 that fails: each on the net exponents of the atoms first (common factors
 cancel before anything is multiplied, and these decide almost every test),
@@ -48,10 +53,10 @@ chart window, base chart) runs only where the certificate's own proof is
 incomplete, as the search for a refutation witness; the values at each of
 its exact circle points take ``bounds.Values``, whose atoms follow the same
 size rule.  The exact ``eval_scaled`` triples of f1 and f2 are evaluated
-only when the brackets leave a comparison undecided, when a zero test meets
-a ball bracket that reaches 0 (an exact zero atom settles it), or when a
-refutation renders its witness as exact rationals with
-``scaled_to_complex``.
+only when the brackets leave a comparison undecided or when a refutation
+renders its witness as exact rationals with ``scaled_to_complex``; a zero
+test reads the atoms' exponents alone, since an atom without them is an
+exact zero.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from typing import NamedTuple, Optional, Sequence
 from .arith import (
     ComplexRational,
     as_scaled,
+    coefficient_ball,
     decimal_approx,
     eval_scaled,
     format_rational,
@@ -78,6 +84,7 @@ from .bounds import (
     abs2_atoms,
     bracket_lt,
     constant_factor,
+    exact_atom,
     exact_atoms,
     exact_lt,
     gap_bracket,
@@ -92,6 +99,7 @@ from .certify import (
     SpotLoop,
     Status,
     _forms_of,
+    _localization_sides,
     cone_factor_certificate,
     cone_sides,
     side_factors,
@@ -172,8 +180,11 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # ``bounds.bracket_lt`` on the 192-bit products, and ``bounds.exact_lt`` on
 # the unreduced integer squares of the triples.  An atom is exact or a ball
 # bracket by the one size rule of ``bounds.exact_atoms``, decided once per
-# factor map.  The zero tests read the triples only when a ball bracket
-# reaches 0 and no exact atom is 0.
+# factor map; the ball brackets of the factors come from their proved
+# recursions where ``_image_factors`` finds them proved for the family
+# object.  A ball bracket that reaches 0 is replaced by its polynomial's
+# exact atom, so the zero tests read no triple: an atom without exponents
+# is an exact zero.
 # Every exact circle point of a spot check that runs is a ``bounds.Values``,
 # whose atoms ``abs2_atoms`` builds by the same rule.  The Fraction
 # predicates of the atlas module remain the reference semantics; the test
@@ -191,8 +202,12 @@ class _Factors(NamedTuple):
     The atoms of a point are ``constants`` (``bounds.Ratio``s), then
     |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``,
     exact where ``exact`` (``bounds.exact_atoms``) says so and a ball
-    bracket otherwise; ``forms`` holds one power vector over the atoms for
-    each of the three quantities, or for the first two only, when
+    bracket otherwise; ``chain``, when set, holds the coefficient balls of
+    the constants e_k = eps^(c_k) of the proved recursions of ``polys`` =
+    P_1, ..., P_{n-1}, from which ``bounds.recursion_balls`` gives the ball
+    atoms without a Horner (None: each ball atom is ``bounds.ball_abs2``'s).
+    ``forms`` holds one power vector over the atoms for each of the three
+    quantities, or for the first two only, when
     ``_Image.first_failing`` brackets the difference by ``gap_bracket``.
     ``tests`` holds the compiled tests of each chart index
     (``_chart_tests``), filled on first use.
@@ -204,9 +219,34 @@ class _Factors(NamedTuple):
     exact: tuple
     forms: tuple
     tests: list
+    chain: Optional[tuple] = None
 
 
-def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Factors:
+def _recursion_chain(
+    fam: Family, root_certs: Optional[dict[int, RootLocalization]]
+) -> Optional[tuple]:
+    """The coefficient balls of e_1, ..., e_{n-1}, the constants of the
+    factors' recursions, or None unless ``root_certs`` proved every
+    recursion for ``fam`` itself.
+
+    The constants are read from ``certify._localization_sides``, the sides
+    whose difference each proof checked against P_k.
+    """
+    n = fam.n
+    if root_certs is None:
+        return None
+    for k in range(1, n):
+        cert = root_certs.get(k)
+        if cert is None or cert.family is not fam or not cert.recursion:
+            return None
+    return tuple(coefficient_ball(_localization_sides(fam, k)[1][0]) for k in range(1, n))
+
+
+def _image_factors(
+    fam: Family,
+    identities: Optional[CheckReport] = None,
+    root_certs: Optional[dict[int, RootLocalization]] = None,
+) -> _Factors:
     """The factor map of ``fam``'s images, built once per certificate.
 
     With the three identities of ``_FACTOR_IDENTITIES`` proved, the atoms
@@ -226,7 +266,10 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
     identity's own sides only where that bookkeeping does not close.
     Otherwise (or without ``identities``) the atoms are |f1|^2 and |f2|^2
     themselves.  Which polynomials get exact atoms is decided here, once,
-    by ``bounds.exact_atoms``.
+    by ``bounds.exact_atoms``.  Where ``root_certs`` proved the recursion
+    of every P_k for this family object, ``chain`` is set
+    (``_recursion_chain``) and the ball atoms come from the recursions, two
+    ball products per factor; otherwise each is a ball Horner.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
         polys = fam.f1, fam.f2
@@ -242,6 +285,7 @@ def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Fa
         exact_atoms(polys),
         ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
         [],
+        _recursion_chain(fam, root_certs),
     )
 
 
@@ -349,19 +393,19 @@ class _Image:
     ``exps`` are the binary exponents of the point atoms of ``factors``
     (``_image_factors``; by default |f1|^2 and |f2|^2): the exact |lam|^2
     when the map has it and one atom per polynomial from
-    ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a
-    ``ball_abs2`` bracket otherwise (None where an atom is 0 or its bracket
-    reaches 0, ``positive`` when none is None).  ``first_failing`` decides
-    a sequence of compiled chart tests on them in one pass.  ``atoms``, the
-    atoms as factors (a ``bounds.Ratio`` for |lam|^2 and each exact atom,
-    the bracket otherwise), are built on first read: by ``quantities`` and
-    by a zero test at a zero bracket.  ``a1``, ``a2`` and ``gap`` are the
-    ``bounds.Product``s of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without a
-    form), built when ``net`` leaves a test open or a zero test meets a zero
-    bracket.  ``v1`` and ``v2`` are the exact ``eval_scaled`` triples of f1
-    and f2, both evaluated when either is first read: by a bracket
-    comparison left undecided, by a zero test at a ball bracket that reaches
-    0, or by a refutation that renders the point.
+    ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a ball
+    bracket otherwise (from ``factors.chain`` when the map has one), and
+    exact wherever that bracket would reach 0; None marks an exact zero
+    atom, and ``positive`` tells that there is none.  ``first_failing``
+    decides a sequence of compiled chart tests on them in one pass.
+    ``atoms``, the atoms as factors (a ``bounds.Ratio`` for |lam|^2 and
+    each exact atom, by the atom's own kind, the bracket otherwise), are
+    built on first read, by ``quantities``.  ``a1``, ``a2`` and ``gap`` are
+    the ``bounds.Product``s of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without
+    a form), built when ``net`` leaves a test open.  ``v1`` and ``v2`` are
+    the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
+    either is first read: by a bracket comparison left undecided, or by a
+    refutation that renders the point.
     """
 
     __slots__ = (
@@ -378,7 +422,9 @@ class _Image:
         factors: Optional[_Factors] = None,
     ):
         factors = _image_factors(fam) if factors is None else factors
-        raw, exps = abs2_atoms(factors.polys, factors.exact, num_re, num_im, den)
+        raw, exps = abs2_atoms(
+            factors.polys, factors.exact, num_re, num_im, den, factors.chain
+        )
         if factors.lam:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
             num, den2 = num_re * num_re + num_im * num_im, den * den
@@ -396,10 +442,10 @@ class _Image:
     def atoms(self) -> list:
         """The point atoms as ``bracket_lt`` factors, built on first read."""
         if self._atoms is None:
-            raw, factors = self._raw, self.factors
-            atoms = [Ratio(*raw[0])] if factors.lam else []
-            for atom, small in zip(raw[len(atoms):], factors.exact):
-                atoms.append(Ratio(*atom, tight=True) if small else atom)
+            raw = self._raw
+            atoms = [Ratio(*raw[0])] if self.factors.lam else []
+            for atom in raw[len(atoms):]:
+                atoms.append(Ratio(*atom, tight=True) if exact_atom(atom) else atom)
             self._atoms = atoms
         return self._atoms
 
@@ -570,20 +616,17 @@ class _Image:
         return self.triples[1]
 
     def vanishes(self, i: int) -> bool:
-        """Exact f_i(lam) = 0; the triples are read only if a ball atom of
-        |f_i|^2 reaches 0 and no exact atom of it is 0."""
+        """Exact f_i(lam) = 0: an atom of |f_i|^2 is an exact 0.
+
+        An atom without exponents is an exact zero (``bounds.abs2_atoms``
+        gives a ball bracket that reaches 0 its exact value), and every
+        constant atom is positive, so no triple is read.
+        """
         if self.positive:
             return False  # every atom, and so |f_i|^2, is positive
-        product = (self.a1, self.a2)[i - 1]
-        if product.exponents is not None:
-            return False
-        form = self.factors.forms[i - 1][len(self.factors.constants):]
-        if any(
-            p and ex is None and isinstance(a, Ratio)
-            for a, ex, p in zip(self.atoms, self.exps, form)
-        ):
-            return True  # an exact atom, and so |f_i|^2, is 0
-        return self.triples[i - 1][:2] == (0, 0)
+        factors = self.factors
+        form = factors.forms[i - 1][len(factors.constants):]
+        return any(p and ex is None for ex, p in zip(self.exps, form))
 
 
 def _count(tally: Counter, img: _Image) -> None:
@@ -893,6 +936,7 @@ def image_in_chart_window(
     samples: int = 64,
     seed: int = 0,
     tally: Optional[Counter] = None,
+    root_certs: Optional[dict[int, RootLocalization]] = None,
 ) -> Certificate:
     """Certify that the disk image stays below chart index n.
 
@@ -910,6 +954,8 @@ def image_in_chart_window(
     fallbacks).  Sampled disk points always test that the computed chart
     cover is nonempty with all indices < n.  The identity is proved once
     per family, in ``identities``, and the quotient stays in product form.
+    The sampled images take their ball atoms from the factors' recursions
+    where ``root_certs`` proves them (``_image_factors``).
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -940,7 +986,7 @@ def image_in_chart_window(
     # one index beyond n suffices for the scan: membership at any k >= n
     # would already contradict |f2|^n < |f1| (and |f2| < 1) shown above
     k_max = n + 1
-    factors = _image_factors(fam, identities)
+    factors = _image_factors(fam, identities, root_certs)
     accepted = 0
     attempts = 0
     while accepted < samples and attempts < 40 * samples:
@@ -1080,7 +1126,9 @@ def chart_cone_certificate(
     The halved opening parameter leaves a factor-two margin, so every
     validated point satisfies the open cone condition at ``rho`` strictly
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
-    image points and exact fallbacks.
+    image points and exact fallbacks.  The entry probe and the ladder
+    bracket their images through one factor map, with ball atoms from the
+    factors' recursions where ``root_certs`` proves them.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -1092,7 +1140,7 @@ def chart_cone_certificate(
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
 
-    factors = _image_factors(fam, identities)
+    factors = _image_factors(fam, identities, root_certs)
     entry = _entry_scale(fam, k, tally, factors)
     data: dict = {"chart": k, "seed": seed, "entry_scale": entry, "core": core.to_json()}
     if entry is None:
@@ -1293,6 +1341,7 @@ def cone_window_witness(
     samples: int = 2000,
     seed: int = 0,
     tally: Optional[Counter] = None,
+    root_certs: Optional[dict[int, RootLocalization]] = None,
 ) -> Certificate:
     """Sampled witness that image points sit in a chart with its cone open.
 
@@ -1304,11 +1353,13 @@ def cone_window_witness(
     The absence of chart memberships at indices n and above is not re-sampled
     here: the divisibility window certificate proves it for the whole disk.
     The images are bracketed through the factors when ``identities`` proves
-    the three identities of ``_FACTOR_IDENTITIES`` (see ``_image_factors``).
-    ``tally`` counts the drawn image points and their exact fallbacks.
+    the three identities of ``_FACTOR_IDENTITIES``, with ball atoms from the
+    factors' recursions where ``root_certs`` proves them (see
+    ``_image_factors``).  ``tally`` counts the drawn image points and their
+    exact fallbacks.
     """
     n = fam.n
-    factors = _image_factors(fam, identities)
+    factors = _image_factors(fam, identities, root_certs)
     tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     accepted = 0
@@ -1634,6 +1685,7 @@ def trace_family(
         samples=window_samples,
         seed=seed,
         tally=boundary["window"],
+        root_certs=root_certs,
     )
     cones = [
         chart_cone_certificate(
@@ -1657,7 +1709,12 @@ def trace_family(
     )
     witness_tally: Counter = Counter()
     witness = cone_window_witness(
-        fam, identities, samples=witness_samples, seed=seed, tally=witness_tally
+        fam,
+        identities,
+        samples=witness_samples,
+        seed=seed,
+        tally=witness_tally,
+        root_certs=root_certs,
     )
     condition_i = _combine(
         "disk-into-chart-cones", [window, base, *cones, witness]

@@ -3,7 +3,8 @@
 The directed pair operations and the brackets built from them must enclose
 the exact values, and ``bracket_lt`` may return a verdict only when it is
 the exact one.  ``ball_abs2`` must enclose the exact squared modulus of
-``eval_scaled`` wherever it is evaluated.  The exponent stage of
+``eval_scaled`` wherever it is evaluated, and the balls of
+``recursion_balls`` every factor of the built families.  The exponent stage of
 ``bracket_lt`` must decide only where its product stage decides the same
 way, ``_p_pow`` must keep the pairs of plain square and multiply, and the
 exact circle points built without ``Fraction`` (``circle_triples``) must
@@ -20,9 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noricert.bounds as bounds
-from noricert.arith import ComplexRational, Poly, as_scaled, eval_scaled, scaled_abs2
+from noricert.arith import (
+    ComplexRational,
+    Poly,
+    as_scaled,
+    coefficient_ball,
+    eval_scaled,
+    scaled_abs2,
+)
 from noricert.bounds import (
     _BITS,
+    _ball_abs2,
+    _ball_mul,
+    _ball_sub,
     _p_add,
     _p_div,
     _p_lt,
@@ -39,6 +50,7 @@ from noricert.bounds import (
     ball_point,
     bracket_lt,
     constant_factor,
+    exact_atom,
     exact_atoms,
     exact_lt,
     exponents,
@@ -46,8 +58,10 @@ from noricert.bounds import (
     int_bracket,
     log2_bounds,
     products,
+    recursion_balls,
 )
 from noricert.certify import circle_points, circle_triples
+from noricert.sampling import RationalSampler
 
 
 def _value(pair):
@@ -457,7 +471,12 @@ class TestAtoms:
         (raw,), (exps,) = abs2_atoms((poly,), (exact,), *point)
         num, den = scaled_abs2(eval_scaled(poly, *point))
         # an exact atom is the unreduced integer pair, read as a factor
-        # through its Ratio; a ball atom is the bracket itself
+        # through its Ratio; a ball atom is the bracket itself, and the
+        # exact pair where the bracket reaches 0
+        if not exact:
+            bracket = ball_abs2(poly, *point)
+            assert exact_atom(raw) == (bracket[0] == (0, 0))
+            exact = exact_atom(raw)
         atom = Ratio(*raw, tight=True) if exact else raw
         assert exps == exponents(atom)
         lo, hi = atom
@@ -489,6 +508,123 @@ class TestAtoms:
         assert made["balls"] == 1
         assert atoms[1] == scaled_abs2(eval_scaled(small, 3, 4, 7))
         assert atoms[0] == atoms[2] == ball_abs2(big, 3, 4, 7)
+
+
+    def test_a_ball_that_reaches_zero_gets_the_exact_atom(self):
+        # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket of
+        # the line (times 1 + 3^-300 lam, above the size bound) reaches 0,
+        # and the atom is the exact square, positive; at lam = 1/3 it is an
+        # exact 0, without exponents
+        line = Poly((F(-1, 3), 1)) * Poly((1, F(1, 3**300)))
+        assert exact_atoms((line,)) == (False,)
+        near = (2**400 + 3, 0, 3 * 2**400)
+        assert ball_abs2(line, *near)[0] == (0, 0)
+        (atom,), (exps,) = abs2_atoms((line,), (False,), *near)
+        num, den = scaled_abs2(eval_scaled(line, *near))
+        assert exact_atom(atom) and atom == (num, den) and num > 0
+        assert exps == log2_bounds(num, den)
+        (atom,), (exps,) = abs2_atoms((line,), (False,), 1, 0, 3)
+        assert atom[0] == 0 and exps is None
+        # Values builds each Ratio from the atom's own kind
+        values = Values((line, Poly.x()), *near, exact=(False, False))
+        assert isinstance(values.abs2[0], Ratio) and not isinstance(values.abs2[1], Ratio)
+        assert values.lt((0,), (constant_factor(F(num, den)),), closed=True) is True
+        assert not values.evaluated
+
+
+def _ball_contains(w, triple):
+    """Whether the complex ball ``w = (re, im, rad, e)`` contains
+    (x + i y)/d, decided on integers."""
+    re, im, rad, e = w
+    x, y, d = triple
+    if e <= 0:
+        dx, dy, r = (x << -e) - re * d, (y << -e) - im * d, rad * d
+    else:
+        dx, dy, r = x - ((re * d) << e), y - ((im * d) << e), (rad * d) << e
+    return dx * dx + dy * dy <= r * r
+
+
+def _chain_constants(fam):
+    """The coefficient balls of e_k = eps^(c_k), k = 1..n-1."""
+    return tuple(coefficient_ball(fam.params.eps**c) for c in fam.params.c)
+
+
+@st.composite
+def _chain_points(draw, n):
+    """A point of the disk trace at size n: a cone-window witness draw, a
+    ladder-like point at a decimal scale up to 920, the root of P_(n-1), or
+    lam = 0."""
+    kind = draw(st.sampled_from(("witness", "ladder", "root", "zero")))
+    if kind == "witness":
+        sampler = RationalSampler("cone-window", n, draw(st.integers(0, 2**16)))
+        a, b, den = sampler.dyadic_in_disk(2)
+        return a, b, den * 10 ** draw(st.integers(0, 12))
+    if kind == "ladder":
+        a, b = draw(st.integers(-(2**8), 2**8)), draw(st.integers(-(2**8), 2**8))
+        return a, b, 2**8 * 10 ** draw(st.integers(0, 920))
+    if kind == "root":
+        return None
+    return 0, 0, 1
+
+
+class TestRecursionBalls:
+    """``recursion_balls`` encloses every factor of the built families."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.data())
+    def test_chain_balls_enclose_every_factor(self, built_families, n, data):
+        fam = built_families[n]
+        lam = data.draw(_chain_points(n))
+        if lam is None:
+            root = fam.params.eps ** fam.params.c[-1]
+            lam = root.numerator, 0, root.denominator
+        balls = recursion_balls(_chain_constants(fam), ball_point(*lam))
+        assert len(balls) == n - 1
+        for j, w in enumerate(balls, start=1):
+            triple = eval_scaled(fam.Pk(j), *lam)
+            assert _ball_contains(w, triple)
+            _encloses(_ball_abs2(w), triple)
+
+    def test_two_products_per_factor(self, built_families, monkeypatch):
+        # n - 1 constant steps and 2 (n - 2) products, no Horner
+        fam = built_families[4]
+        made = Counter()
+        real = bounds._ball_mul
+
+        def counted(a, b):
+            made["products"] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(bounds, "_ball_mul", counted)
+        monkeypatch.setattr(bounds, "ball_abs2", None)
+        atoms, _ = abs2_atoms(fam.P, (False,) * 3, 3, -5, 2**8 * 10**20, _chain_constants(fam))
+        assert made["products"] == 4
+        for poly, atom in zip(fam.P, atoms):
+            _encloses(atom, eval_scaled(poly, 3, -5, 2**8 * 10**20))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rationals(300), _rationals(300), _rationals(300), _points())
+    def test_ball_steps_enclose(self, c, x, y, point):
+        # c - (x + i y) z and (x + i y) z at a ball of z
+        product = _ball_mul(_ball_of(x, y), ball_point(*point))
+        num_re, num_im, den = point
+        px, py = x.numerator * y.denominator, y.numerator * x.denominator
+        q = x.denominator * y.denominator
+        # (px + i py)/q times (num_re + i num_im)/den
+        exact = (px * num_re - py * num_im, px * num_im + py * num_re, q * den)
+        assert _ball_contains(product, exact)
+        diff = _ball_sub(coefficient_ball(c), product)
+        cn, cd = c.numerator, c.denominator
+        d = exact[2]
+        assert _ball_contains(diff, (cn * d - exact[0] * cd, -exact[1] * cd, cd * d))
+
+
+def _ball_of(x, y):
+    """The complex ball of x + i y from the coefficient balls of x and y,
+    brought to one exponent."""
+    (mx, ex, rx), (my, ey, ry) = coefficient_ball(x), coefficient_ball(y)
+    e = min(ex, ey)
+    return mx << (ex - e), my << (ey - e), (rx << (ex - e)) + (ry << (ey - e)), e
 
 
 def _product_stage(lhs, rhs, closed):

@@ -17,11 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noricert.arith import ComplexRational, Poly, eval_scaled, scaled_abs2, scaled_to_complex
+from noricert.arith import (
+    ComplexRational,
+    Poly,
+    coefficient_ball,
+    eval_scaled,
+    scaled_abs2,
+    scaled_to_complex,
+)
 from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
 from noricert.certify import (
     SpotLoop,
     Status,
+    _localization_sides,
     _side_poly,
     annulus_bounds_certificate,
     annulus_spot_checks,
@@ -73,6 +81,7 @@ from noricert.disktrace import (
     _in_cover_region,
 )
 import noricert.bounds as bounds
+import noricert.disktrace as disktrace
 from noricert.sampling import RationalSampler
 from conftest import SIZES, exact_sup
 from noricert.family import (
@@ -398,33 +407,41 @@ class TestBallImages:
         assert _predicate("cone", img, 0) is True
         assert img.evaluated
 
-    def test_zero_tests_read_triples_only_at_a_zero_bracket(self, built_families):
+    def test_zero_tests_at_a_zero_bracket_read_the_exact_atom(self, built_families):
         # lam = 0 and the rational root eps^c_{n-1} of the last factor are
         # common zeros of f1 and f2 (at n = 3 both above the size bound of
-        # exact atoms); elsewhere the lower bracket ends are positive and
-        # decide without the triples
+        # exact atoms): their ball brackets reach 0, and the exact atoms that
+        # replace them are exact zeros, which settle the zero tests without
+        # the triples; elsewhere the lower bracket ends are positive and
+        # decide without them
         fam = built_families[3]
         assert _image_factors(fam).exact == (False, False)
         root = fam.params.eps ** fam.params.c[-1]
         for a, den in ((0, 1), (root.numerator, root.denominator)):
+            assert bounds.ball_abs2(fam.f1, a, 0, den)[0] == (0, 0)
             img = _Image(fam, a, 0, den)
+            assert img.exps == [None, None]
+            assert all(isinstance(x, Ratio) and x.num == 0 for x in img.atoms)
             assert img.a1[0] == img.a2[0] == (0, 0)
-            assert not img.evaluated
             assert img.vanishes(1) and img.vanishes(2)
-            assert img.evaluated
             assert not _in_cover_region(img)
+            assert not img.evaluated
         img = _Image(fam, 3, -2, 4)
+        assert not any(isinstance(x, Ratio) for x in img.atoms)
         assert not img.vanishes(1) and not img.vanishes(2)
         assert not img.evaluated
         # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket
-        # reaches 0 and the exact triple shows the value is not zero (the
-        # line times 1 + TINY lam, above the size bound)
+        # reaches 0, and the exact atom that replaces it shows the value is
+        # not zero (the line times 1 + TINY lam, above the size bound)
         line = Poly((F(-1, 3), 1)) * Poly((1, TINY))
         near = SimpleNamespace(f1=line, f2=line, params=fam.params)
-        img = _Image(near, 2**400 + 3, 0, 3 * 2**400)
-        assert img.a1[0] == (0, 0)
+        lam = (2**400 + 3, 0, 3 * 2**400)
+        assert bounds.ball_abs2(line, *lam)[0] == (0, 0)
+        img = _Image(near, *lam)
+        assert isinstance(img.atoms[0], Ratio)
+        assert img.a1[0] != (0, 0)
         assert not img.vanishes(1)
-        assert img.evaluated
+        assert not img.evaluated
 
     def test_zero_tests_of_exact_atoms_read_no_triples(self, built_families):
         # at n = 2 f1 and f2 are small: their atoms at the common zeros are
@@ -618,22 +635,31 @@ class TestFactorImages:
         # the same map with ball atoms, as for factors above the size bound
         return fam, factors if exact else factors._replace(exact=(False, False), tests=[])
 
-    def test_zeros_of_each_factor_read_the_triples(self):
-        # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: each product's
-        # lower end is 0, and with ball atoms the zero tests at the roots of
-        # P_1 and P_2 read the exact triples (at lam = 0 the exact |lam|^2
-        # atom is 0); beside them the exponents decide without the triples
+    def test_zeros_of_each_ball_factor_are_exact_zero_atoms(self):
+        # lam = 0, 1/2 (P_1) and 1 (P_2) are common zeros: with ball atoms,
+        # by ball Horner or by the recursions P_2 = 1 - lam and P_1 = eps -
+        # lam^2 P_2, the bracket of the vanishing factor reaches 0 and is
+        # replaced by its exact atom, an exact 0 (at lam = 0 the exact
+        # |lam|^2 atom is 0): each product's lower end is 0 and the zero
+        # tests read no triple; beside them the exponents decide without the
+        # triples
         fam, factors = self._rational_root_factors(exact=False)
-        for a, den in ((0, 1), (1, 2), (1, 1)):
+        chain = factors._replace(
+            chain=(coefficient_ball(fam.params.eps), coefficient_ball(1)), tests=[]
+        )
+        for a, den, zero in ((0, 1, 0), (1, 2, 1), (1, 1, 2)):
             assert all(eval_scaled(p, a, 0, den)[0] == 0 for p in (fam.f1, fam.f2))
-            img = _Image(fam, a, 0, den, factors)
-            for product in (img.a1, img.a2, img.gap):
-                assert product.exponents is None and product.bracket[0] == (0, 0)
-            assert not img.evaluated
-            assert img.vanishes(1) and img.vanishes(2)
-            assert img.evaluated == (a != 0)
-            assert not _in_cover_region(img)
-        self._assert_positive_beside_the_zeros(fam, factors)
+            for ball_map in (factors, chain):
+                img = _Image(fam, a, 0, den, ball_map)
+                assert [e is None for e in img.exps] == [i == zero for i in range(3)]
+                assert isinstance(img.atoms[zero], Ratio) and img.atoms[zero].num == 0
+                for product in (img.a1, img.a2, img.gap):
+                    assert product.exponents is None and product.bracket[0] == (0, 0)
+                assert img.vanishes(1) and img.vanishes(2)
+                assert not _in_cover_region(img)
+                assert not img.evaluated
+        for ball_map in (factors, chain):
+            self._assert_positive_beside_the_zeros(fam, ball_map)
 
     def test_zeros_of_each_factor_are_exact_zero_atoms(self):
         # the same zeros with the exact atoms of these small factors: each
@@ -906,15 +932,27 @@ class TestNetStage:
         assert decided >= 20
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, n):
+    def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, root_certs, n):
         # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2: an
-        # atom is an exact 0 (n = 2, 3) or its bracket reaches 0 (n = 4), and
-        # nothing cancels
+        # atom is an exact 0 (at n = 4 the ball of P_3, by Horner or by the
+        # recursions, reaches 0 at the root and is replaced by its exact
+        # atom), and nothing cancels: the net decides no chart test, and only
+        # the cover region is settled without a product, by the zero test
+        # of f1 on the exponents
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n])
         root = fam.params.eps ** fam.params.c[-1]
         points = [(0, 0, 1), (root.numerator, 0, root.denominator)]
-        assert _net_stage_against_the_reference(fam, factors, points, range(n))[0] == 0
+        for factors in (
+            _image_factors(fam, identities[n]),
+            _image_factors(fam, identities[n], root_certs[n]),
+        ):
+            decided, _ = _net_stage_against_the_reference(fam, factors, points, range(n))
+            assert decided == len(points) * n
+            for lam in points:
+                for k in range(n):
+                    verdicts = _scaled_verdicts(fam, lam, factors, k)
+                    assert verdicts.pop("region") == (False, True)
+                    assert not any(by_net for _, by_net in verdicts.values())
 
     def test_two_atom_family(self, built_families):
         # without the factor identities the atoms are |f1|^2 and |f2|^2
@@ -1004,15 +1042,19 @@ class TestNetStage:
 
 
 @pytest.fixture(scope="module")
-def scaled_points(built_families, identities):
-    """Per n: the family, its exact factor map and the same map with ball
-    atoms, witness draws, the first ladder candidates of each chart and the
+def scaled_points(built_families, identities, root_certs):
+    """Per n: the family, its factor maps (the exact one, the same map with
+    ball atoms by Horner and with ball atoms from the proved recursions),
+    witness draws, the first ladder candidates of each chart and the
     common zeros lam = 0 and the root of the last factor."""
     pools = {}
     for n in (2, 3, 4):
         fam = built_families[n]
         factors = _image_factors(fam, identities[n])
         balls = factors._replace(exact=(False,) * (n - 1), tests=[])
+        chained = _image_factors(fam, identities[n], root_certs[n])
+        chained = chained._replace(exact=balls.exact, tests=[])
+        assert chained.chain is not None and factors.chain is None
         ladder = {0: []}
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
@@ -1020,7 +1062,8 @@ def scaled_points(built_families, identities):
             ladder[k] = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(8))]
         root = fam.params.eps ** fam.params.c[-1]
         zeros = [(0, 0, 1), (root.numerator, 0, root.denominator)]
-        pools[n] = fam, (factors, balls), list(_witness_draws(n, 24, 31)), ladder, zeros
+        maps = factors, balls, chained
+        pools[n] = fam, maps, list(_witness_draws(n, 24, 31)), ladder, zeros
     return pools
 
 
@@ -1039,14 +1082,24 @@ def _sequential_lt(img, tests):
 def _atoms_by_value(fam, factors, lam):
     """The point atoms of ``factors`` at lam, each built as a factor: the
     bit-length ``Ratio`` of |lam|^2, the ``tight`` ``Ratio`` of each exact
-    |P|^2 and the ``ball_abs2`` bracket of each other one."""
+    |P|^2 and of each ball atom whose bracket reaches 0, and the bracket of
+    each other one, by ``ball_abs2`` or, where the map has a chain, from
+    the balls of ``recursion_balls``."""
     a, b, den = lam
     atoms = [Ratio(a * a + b * b, den * den)] if factors.lam else []
-    for poly, small in zip(factors.polys, factors.exact):
-        if small:
-            atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam)), tight=True))
-        else:
-            atoms.append(bounds.ball_abs2(poly, *lam))
+    balls = None
+    if factors.chain is not None:
+        balls = bounds.recursion_balls(factors.chain, bounds.ball_point(*lam))
+    for i, (poly, small) in enumerate(zip(factors.polys, factors.exact)):
+        if not small:
+            if balls is None:
+                bracket = bounds.ball_abs2(poly, *lam)
+            else:
+                bracket = bounds._ball_abs2(balls[i])
+            if bracket[0] != (0, 0):
+                atoms.append(bracket)
+                continue
+        atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam)), tight=True))
     return atoms
 
 
@@ -1061,13 +1114,13 @@ def _first_open_cone_reference(p, r, rho, n):
 class TestOnePass:
     """``_Image.first_failing`` against one ``lt`` call per test and the
     Fraction predicates of the atlas, on the exact factor maps and on the
-    same maps with ball atoms."""
+    same maps with ball atoms, by Horner and from the proved recursions."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([2, 3, 4]), st.booleans(), st.data())
-    def test_first_failing_is_sequential_lt(self, scaled_points, n, ball, data):
+    @given(st.sampled_from([2, 3, 4]), st.sampled_from([0, 1, 2]), st.data())
+    def test_first_failing_is_sequential_lt(self, scaled_points, n, kind, data):
         fam, maps, witness, ladder, zeros = scaled_points[n]
-        factors = maps[ball]
+        factors = maps[kind]
         k = data.draw(st.integers(0, n - 1))
         lam = data.draw(st.sampled_from(witness + ladder[k] + zeros))
         region, chart, cone, member, entry, halved = _chart_tests(fam, factors, k)
@@ -1098,8 +1151,15 @@ class TestOnePass:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ball", [False, True])
     def test_atoms_are_the_ratios_and_brackets_by_value(self, scaled_points, n, ball):
-        fam, maps, witness, ladder, zeros = scaled_points[n]
-        factors = maps[ball]
+        self._assert_atoms_by_value(*scaled_points[n], ball)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_atoms_are_the_ratios_and_brackets_by_value(self, scaled_points, n):
+        self._assert_atoms_by_value(*scaled_points[n], 2)
+
+    @staticmethod
+    def _assert_atoms_by_value(fam, maps, witness, ladder, zeros, kind):
+        n, factors = fam.n, maps[kind]
         for lam in witness[:8] + [pt for k in range(1, n) for pt in ladder[k][:2]] + zeros:
             img = _Image(fam, *lam, factors)
             expected = _atoms_by_value(fam, factors, lam)
@@ -1112,16 +1172,16 @@ class TestOnePass:
                 assert exponents(atom) == exponents(ref) == exps
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([2, 3]), st.booleans(), st.data())
-    def test_scans_match_the_atlas_reference(self, scaled_points, n, ball, data):
+    @given(st.sampled_from([2, 3]), st.sampled_from([0, 1, 2]), st.data())
+    def test_scans_match_the_atlas_reference(self, scaled_points, n, kind, data):
         fam, maps, witness, ladder, _ = scaled_points[n]
         pool = witness + [pt for k in range(1, n) for pt in ladder[k]]
         lam = data.draw(st.sampled_from(pool))
-        self._assert_scans_match(fam, (maps[ball],), lam)
+        self._assert_scans_match(fam, (maps[kind],), lam)
 
     def test_n4_scans_match_the_atlas_reference(self, scaled_points):
         # two witness draws and one candidate of each chart's ladder, past
-        # 11, 111 and 914 digits, on both maps; the Fraction reference takes
+        # 11, 111 and 914 digits, on every map; the Fraction reference takes
         # from half a second to seconds per point here
         fam, maps, witness, ladder, _ = scaled_points[4]
         for lam in witness[:2] + [ladder[k][0] for k in (1, 2, 3)]:
@@ -1139,6 +1199,111 @@ class TestOnePass:
             in_region, indices = _cover_indices_scaled(_Image(fam, *lam, factors), n + 1)
             assert (in_region, indices) == (cover.in_region, cover.indices)
             assert _first_open_cone_scaled(_Image(fam, *lam, factors), n) == cone
+
+
+def _tampered_family(fam):
+    """``fam`` (n = 3) with P_2 moved off its recursion by TINY lam^2, P_1
+    rebuilt by its own recursion from that P_2, and f1, f2 the product
+    forms: the three identities hold, the recursion of P_2 does not."""
+    eps, c, lam = fam.params.eps, fam.params.c, Poly.x()
+    p2 = fam.Pk(2) + Poly.monomial(2, TINY)
+    p1 = Poly.constant(eps ** c[0]) - lam * lam * p2
+    factors = (p1, p2)
+    f1 = Poly.constant(eps) * lam**3 * p1 * p2 * p2
+    f2 = Poly.constant(eps**2) * lam * p1 * p2
+    return SimpleNamespace(
+        n=3, f1=f1, f2=f2, params=fam.params, P=factors, Pk=lambda j: factors[j - 1]
+    )
+
+
+class TestRecursionChain:
+    """Ball atoms from the proved recursions: two ball products per factor,
+    used only where every recursion is proved for the family object."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_only_where_every_recursion_is_proved(
+        self, built_families, identities, root_certs, n
+    ):
+        fam, ids, roots = built_families[n], identities[n], root_certs[n]
+        chain = _image_factors(fam, ids, roots).chain
+        # the constants e_k = eps^(c_k) of the sides the proofs checked
+        assert chain == tuple(coefficient_ball(fam.params.eps**c) for c in fam.params.c)
+        for k in range(1, n):
+            assert _localization_sides(fam, k)[0] == (
+                1, n - k, tuple((j, j - k) for j in range(k + 1, n))
+            )
+        assert _image_factors(fam, ids).chain is None
+        assert _image_factors(fam, None, roots).chain is None  # no factor atoms
+        other = family_root_certificates(default_family(n))  # another family object
+        for k in range(1, n):
+            unproved = {**roots, k: dataclasses.replace(roots[k], recursion=False)}
+            assert _image_factors(fam, ids, unproved).chain is None
+            foreign = {**roots, k: other[k]}
+            assert _image_factors(fam, ids, foreign).chain is None
+            missing = {j: cert for j, cert in roots.items() if j != k}
+            assert _image_factors(fam, ids, missing).chain is None
+
+    def test_tampered_factor_keeps_the_horner(self, built_families):
+        fam = _tampered_family(built_families[3])
+        roots = family_root_certificates(fam)
+        assert not roots[2].recursion
+        ids = exact_identity_checks(fam, roots)
+        assert all(ids.passed(name) for name in _FACTOR_IDENTITIES)
+        factors = _image_factors(fam, ids, roots)
+        assert factors.polys == fam.P and factors.exact == (False, False)
+        assert factors.chain is None
+        # the same verdicts and counts as the map built without the root
+        # certificates
+        for run in (
+            lambda **kw: cone_window_witness(fam, ids, samples=256, **kw),
+            lambda **kw: image_in_chart_window(
+                fam, corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots)),
+                ids, samples=32, **kw,
+            ),
+        ):
+            with_roots, without = Counter(), Counter()
+            got = run(root_certs=roots, tally=with_roots)
+            assert got.to_json() == run(tally=without).to_json()
+            assert with_roots == without
+        for k in (1, 2):
+            assert _entry_scale(fam, k, Counter(), factors) == _entry_scale(
+                fam, k, Counter(), _image_factors(fam, ids)
+            )
+
+    def test_proved_n4_run_calls_no_ball_horner(
+        self, built_families, root_certs, corollary_reports, identities, divisions, monkeypatch
+    ):
+        # the whole n = 4 trace with the chain and with the Horner (the chain
+        # switched off): the same report and work counts, and ball_abs2 runs
+        # only without the chain
+        calls = Counter()
+        real = bounds.ball_abs2
+
+        def spy(*args, **kwargs):
+            calls["ball_abs2"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "ball_abs2", spy)
+        n = 4
+        fam = built_families[n]
+
+        def trace():
+            return trace_family(
+                fam,
+                root_certs=root_certs[n],
+                corollary=corollary_reports[n],
+                identities=identities[n],
+                divisions=divisions[n],
+            )
+
+        chained = trace()
+        assert chained.status is Status.PROVED
+        assert calls["ball_abs2"] == 0
+        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
+        horner = trace()
+        assert calls["ball_abs2"] > 0
+        assert chained.to_json() == horner.to_json()
+        assert (chained.ladder, chained.witness) == (horner.ladder, horner.witness)
 
 
 def _exact_target_failure(fam, spot_checks=64):
