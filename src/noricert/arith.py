@@ -21,14 +21,20 @@ Representation notes:
   (reduced, built on first read and cached; ``__call__``, ``balls`` and
   ``hash`` read them), ``coeff`` and ``leading`` (the cached value, or the
   one coefficient alone) and ``to_json`` (the cached values, or each one
-  built, formatted and dropped).  A ``Poly`` built from coefficients
-  keeps its input, which is already reduced, as that cache.  Coefficients
-  are ints or Fractions; anything else, a float above all, is a
-  ``TypeError``.
+  reduced, formatted and dropped: over 10^K without a ``Fraction``).  A
+  ``Poly`` built from coefficients keeps its input, which is already
+  reduced, as that cache.  Coefficients are ints or Fractions; anything
+  else, a float above all, is a ``TypeError``.
 
-Serialized forms: a rational is the string ``"num/den"``; a polynomial is a
-list of coefficient strings (index = degree); a complex scalar is a mapping
-``{"re": "num/den", "im": "num/den"}``.
+Serialized forms: a rational is the string ``"num/den"``, reduced; a
+polynomial is a list of coefficient strings (index = degree); a complex
+scalar is a mapping ``{"re": "num/den", "im": "num/den"}``.  Where a
+polynomial's common denominator is 10^K, as the family's are at a
+power-of-ten eps, ``Poly.to_json`` reduces each coefficient without a gcd
+and writes its reduced denominator 2^x 5^y from the two exponents
+(``_over_power_of_ten``), so 10^K is never converted to decimal; the bytes
+are those of the ``Fraction`` path.  Integers of more than ``_DC_BITS``
+bits are converted by divide and conquer (``_dc_int_str``).
 
 The certificates evaluate polynomials with ``eval_scaled``, an exact
 integer-scaled Horner: it returns an unreduced numerator/denominator triple
@@ -54,10 +60,11 @@ rendered with it.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -90,19 +97,132 @@ def format_rational(q: RationalLike) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
-def _int_str(n: int) -> str:
-    """Decimal string of an integer at any size.
+def _power_of_ten(den: int) -> Optional[int]:
+    """K where ``den`` (positive) is 10^K exactly, None otherwise."""
+    k = (den & -den).bit_length() - 1
+    return k if den == 5**k << k else None
 
-    Stays below the interpreter's int-to-str conversion guard by splitting
-    very large values at a power of ten and recursing on the halves.
+
+def _strip_fives(m: int, cap: int, guess: int) -> tuple[int, int]:
+    """``(m / 5^b, b)`` with b = min(v_5(m), cap) for a positive integer m.
+
+    ``guess`` (at most ``cap``) is tried first, with one division: a
+    coefficient over 10^K is an integer times a power of ten, so its 2-adic
+    valuation is the usual guess.  Where 5^guess does not divide m, v_5(m)
+    is that of the remainder, a smaller integer, and m is divided once.
+    """
+    if 0 < guess <= cap:
+        q, r = divmod(m, 5**guess)
+        if r:
+            b = _gallop_fives(r, guess)[1]
+            return m // 5**b, b
+        m, b = _gallop_fives(q, cap - guess)
+        return m, b + guess
+    return _gallop_fives(m, cap)
+
+
+def _gallop_fives(m: int, cap: int) -> tuple[int, int]:
+    """``(m / 5^b, b)`` with b = min(v_5(m), cap), by galloping over
+    5^(2^i) and descending: each division is by a power of 5 at most as
+    large as the part of the valuation it strips."""
+    b = 0
+    powers = []
+    p, step = 5, 1
+    while step <= cap - b:
+        q, r = divmod(m, p)
+        if r:
+            break
+        m, b = q, b + step
+        powers.append((p, step))
+        p, step = p * p, 2 * step
+    for p, step in reversed(powers):
+        if step <= cap - b:
+            q, r = divmod(m, p)
+            if not r:
+                m, b = q, b + step
+    return m, b
+
+
+def _over_power_of_ten(c: int, k: int) -> str:
+    """``format_rational(Fraction(c, 10**k))``, reduced without a gcd.
+
+    The reduced value is m / (2^x 5^y): the 2-adic part of c is a shift and
+    its 5-adic part ``_strip_fives``, and the denominator's string is the
+    small power 2^|x-y| or 5^|x-y| followed by min(x, y) zeros, so 10^k is
+    never converted to decimal.
+    """
+    if not c:
+        return "0/1"
+    m = -c if c < 0 else c
+    a = min((m & -m).bit_length() - 1, k)
+    m, b = _strip_fives(m >> a, k, a)
+    x, y = k - a, k - b
+    den = _int_str(1 << (x - y)) + "0" * y if x >= y else _int_str(5 ** (y - x)) + "0" * x
+    return f"{'-' if c < 0 else ''}{_int_str(m)}/{den}"
+
+
+# Above this many bits ``_int_str`` converts by divide and conquer in
+# ``decimal``: slower than the split below at 24k bits (1.04 vs 1.01 ms),
+# even at 32k, 1.4x faster at 48k and 8x at 780k (CPython 3.11).
+_DC_BITS = 40_000
+
+
+def _int_str(n: int) -> str:
+    """Decimal string of an integer at any size, equal to ``str(n)``.
+
+    Stays below the interpreter's int-to-str conversion guard: up to
+    ``_DC_BITS`` bits by splitting at a power of ten and recursing on the
+    halves, above by ``_dc_int_str``.
     """
     if n < 0:
         return "-" + _int_str(-n)
-    if n.bit_length() <= 10000:  # ~3000 digits, safely below the guard
+    bits = n.bit_length()
+    if bits <= 10000:  # ~3000 digits, safely below the guard
         return str(n)
+    if bits > _DC_BITS:
+        return _dc_int_str(n)
     half = _digits10(n) // 2
     hi, lo = divmod(n, 10**half)
     return _int_str(hi) + _int_str(lo).zfill(half)
+
+
+def _dc_int_str(n: int) -> str:
+    """Decimal string of a nonnegative integer in subquadratic time.
+
+    The integer is split on powers of two, n = hi 2^w + lo, and rebuilt in
+    ``decimal`` (libmpdec, exact at the largest precision), whose products
+    of large operands are subquadratic and whose ``str`` is linear; the
+    powers 2^w are built once per call.  The design of CPython 3.12's
+    ``_pylong.int_to_decimal_string``.
+    """
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= 128:
+                result = D(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                result = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def inner(n: int, w: int) -> decimal.Decimal:
+        if w <= 128:
+            return D(n)
+        low = w >> 1
+        hi = n >> low
+        return inner(n - (hi << low), low) + inner(hi, w - low) * pow2(low)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(inner(n, n.bit_length()))
 
 
 def _digits10(n: int) -> int:
@@ -553,9 +673,15 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
     def to_json(self) -> list:
-        # serialised once per polynomial (report, family hash): the reduced
-        # coefficients are read from the cache or built one at a time, and
+        # serialised once per polynomial (family hash): the reduced
+        # coefficients are read from the cache; over 10^K, the family's
+        # denominator at a power-of-ten eps, each is reduced and written by
+        # ``_over_power_of_ten``; otherwise each is built, formatted and
         # not kept
+        if self._fractions is None:
+            k = _power_of_ten(self._den)
+            if k is not None:
+                return [_over_power_of_ten(c, k) for c in self._ints]
         coeffs = self._fractions or (Fraction(c, self._den) for c in self._ints)
         return [format_rational(c) for c in coeffs]
 

@@ -57,10 +57,12 @@ the two sides' products separate, and ``None`` when they overlap.  It first
 compares powers of two read from the factors' binary exponents
 (``bit_length`` plus the pair exponent, or a ``Factor``'s own exponents; no
 multiply), and multiplies the factor brackets of each side with directed
-rounding only when those powers do not separate.  A directed product never
-crosses a power of two that bounds the exact product on its side, so the
-exponent stage decides only where the product stage would decide the same
-way: verdicts and exact fallbacks are those of the products alone.  Callers
+rounding only when those powers do not separate; a side holding an exact
+zero is 0 and is decided against the other side's sign alone.  A directed
+product never crosses a power of two that bounds the exact product on its
+side, so the exponent stage decides only where the product stage would
+decide the same way: verdicts and exact fallbacks are those of the
+products alone.  Callers
 settle ``None`` with ``exact_lt``, the one integer cross-multiplication of
 unreduced squared moduli and constants (``Values.lt`` and the disk trace's
 ``_Image.first_failing``), so no truncation ever decides a verdict the exact
@@ -447,6 +449,11 @@ class Factor:
         raise NotImplementedError
 
     @property
+    def zero(self) -> bool:
+        """Whether the factor is exactly 0, read without forming its bracket."""
+        raise NotImplementedError
+
+    @property
     def formed(self) -> bool:
         """Whether the bracket has been formed."""
         return self._bracket is not None
@@ -486,6 +493,10 @@ class Ratio(Factor):
         self.exponents = ratio_exponents(num, den, tight=tight)
         self.num, self.den, self._bracket = num, den, None
 
+    @property
+    def zero(self) -> bool:
+        return not self.num
+
     def _form(self) -> tuple:
         num, den = self.num, self.den
         if not num:
@@ -516,6 +527,13 @@ class Product(Factor):
     ):
         self.exponents, self.atoms, self.powers = exponents, atoms, powers
         self._bracket = None
+
+    @property
+    def zero(self) -> bool:
+        """Whether an atom with a positive power is exactly 0."""
+        return self.exponents is None and any(
+            e > 0 and _zero(a) for a, e in zip(self.atoms, self.powers)
+        )
 
     def _form(self) -> tuple:
         lo = hi = None
@@ -556,9 +574,9 @@ def abs2_atoms(
     num_im: int,
     den: int,
     chain: Optional[Sequence[tuple]] = None,
-) -> tuple[list, list]:
-    """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den, and
-    their exponents.
+) -> tuple[list, list, int]:
+    """The atoms |p(z)|^2 of ``polys`` at z = (num_re + i num_im)/den, their
+    exponents, and how many ball atoms the zero rule made exact.
 
     ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
     atom is the unreduced integer pair (re^2 + im^2, d^2) of the triple
@@ -571,11 +589,12 @@ def abs2_atoms(
     caller passes ``chain`` (``polys`` are then P_1, ..., P_{n-1} and
     ``chain`` the coefficient balls of the constants of their proved
     recursions), the ``ball_abs2`` bracket otherwise.  A ball bracket whose
-    lower end is 0 is replaced by the polynomial's exact atom, so an atom
-    without exponents is an exact zero.
+    lower end is 0 is replaced by the polynomial's exact atom (counted in
+    the third value), so an atom without exponents is an exact zero.
     """
     atoms, exps = [], []
     ball = balls = None
+    zeros = 0
     for poly, small in zip(polys, exact):
         if not small:
             if ball is None:
@@ -591,11 +610,12 @@ def abs2_atoms(
                 exps.append(_exponents(bracket))
                 continue
             # the ball reaches 0: the exact value decides
+            zeros += 1
         re, im, d = eval_scaled(poly, num_re, num_im, den)
         num, d2 = re * re + im * im, d * d
         atoms.append((num, d2))
         exps.append(log2_bounds(num, d2) if num else None)
-    return atoms, exps
+    return atoms, exps, zeros
 
 
 def exact_atom(atom: tuple) -> bool:
@@ -624,6 +644,12 @@ def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
         else:
             out.append(Product(atoms, powers, (lo, hi)))
     return out
+
+
+def _zero(x) -> bool:
+    """Whether a bracket or a ``Factor`` is exactly 0: a bracket whose upper
+    end is 0, or a factor that says so without forming its bracket."""
+    return x.zero if isinstance(x, Factor) else not x[1][0]
 
 
 def _exponent_bounds(side: Sequence) -> Optional[tuple[int, int]]:
@@ -668,14 +694,18 @@ def bracket_lt(lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> Optiona
       ``2^lo`` at or below each side's lower product and ``2^hi`` at or
       above its upper product: a ``Factor`` brings the exponents it was
       built with, a bracket those of ``_exponents``, read from
-      ``bit_length`` alone, and an empty side is 1 = 2^0 (the stage is
-      skipped when a lower end is zero).  Directed truncation keeps a
-      product on its side of a power of two, and a factor's bracket lies
-      within its exponents, so the product stage's lower end is >= 2^lo
-      and its upper end <= 2^hi; the stage demands the same strict or
-      non-strict separation of these powers as the product stage does of
-      its ends, and so returns a verdict only where the product stage
-      would return the same one, without a multiply.
+      ``bit_length`` alone, and an empty side is 1 = 2^0.  Directed
+      truncation keeps a product on its side of a power of two, and a
+      factor's bracket lies within its exponents, so the product stage's
+      lower end is >= 2^lo and its upper end <= 2^hi; the stage demands the
+      same strict or non-strict separation of these powers as the product
+      stage does of its ends, and so returns a verdict only where the
+      product stage would return the same one, without a multiply.  Where
+      a lower end is 0 the powers are not known; a side holding an exact
+      zero (``_zero``) is then 0, and against the other side's sign alone
+      0 < x holds for x > 0, 0 <= x always, x < 0 never and x <= 0 only at
+      x = 0, again the product stage's verdicts, since a zero factor's
+      upper end is 0.
     * Products.  Each side is the product of its factors' brackets (a
       ``Factor``'s is formed on first read), multiplied with directed
       rounding at the precision of the widest factor (at least 192 bits).
@@ -696,6 +726,14 @@ def bracket_lt(lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> Optiona
                 return True
             if r_max <= l_min:
                 return False
+    else:
+        # a side with known exponents is positive
+        l_zero = left is None and any(_zero(f) for f in lhs)
+        r_zero = right is None and any(_zero(f) for f in rhs)
+        if r_zero and (l_zero or not closed or left is not None):
+            return l_zero and closed
+        if l_zero and (closed or right is not None):
+            return True
     lhs = [f.bracket if isinstance(f, Factor) else f for f in lhs]
     rhs = [f.bracket if isinstance(f, Factor) else f for f in rhs]
     bits = max((hi[0].bit_length() for _, hi in (*lhs, *rhs)), default=0)

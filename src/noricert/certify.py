@@ -37,9 +37,11 @@ the premises, the exact identities and each chart's cone factorization are
 exponent bookkeeping: both sides are sums of monomials c z^m prod P_j^(e_j),
 and after P_1 is eliminated by its recursion their normal forms agree
 (``ProductForms``).  Where a premise fails or two normal forms differ, the
-identity falls back to exact evaluation, so bookkeeping never refutes.  Only
-the cone combinations, which the divisions use as polynomials, are
-expanded, once per chart.
+identity falls back to exact evaluation, so bookkeeping never refutes.  The
+divisibility of each cone combination by its factor follows from the same
+proved recursions (``lemma_div_check``): modulo P_k every shallower factor
+is its constant, so nothing is expanded.  A cone combination is expanded,
+and divided, only where a recursion is not proved for the family.
 
 Status taxonomy: ``PROVED`` (certificate complete), ``REFUTED`` (an exact
 witness violates the claim), ``INCONCLUSIVE`` (a sufficient condition that
@@ -54,7 +56,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .arith import (
     ComplexRational,
@@ -261,6 +264,24 @@ def _side_poly(fam: Family, side: tuple) -> Poly:
     for j, e in factors:
         poly = poly * fam.Pk(j) ** e
     return poly
+
+
+def _side_degree(fam: Family, side: tuple) -> int:
+    """The degree of a side with a nonzero constant, from its factors' degrees."""
+    _, m, factors = side
+    return m + sum(e * fam.Pk(j).degree for j, e in factors)
+
+
+def _recursions_proved(fam: Family, root_certs: Optional[dict], upto: int) -> bool:
+    """Whether ``root_certs`` proved the recursions of P_1, ..., P_upto for
+    ``fam`` itself (``RootLocalization.recursion``)."""
+    if root_certs is None:
+        return False
+    for j in range(1, upto + 1):
+        cert = root_certs.get(j)
+        if cert is None or cert.family is not fam or not cert.recursion:
+            return False
+    return True
 
 
 def side_factors(side: tuple, radius: Fraction) -> list:
@@ -961,52 +982,146 @@ def _proved_forms(
 
 @dataclass(frozen=True)
 class DivisionWitness:
-    """Factor ``index`` divides its associated combination; quotient emitted.
+    """Factor ``index`` divides the cone combination C of chart ``index - 1``.
 
-    ``unit_part`` and ``dominant`` are the two sides of the combination
-    (``_cone_combination(fam, index - 1)``, which is ``unit_part -
-    dominant``).  They are built once, here, and the cone factor of chart
-    ``index - 1`` reads them instead of expanding them again; they are not
-    part of the serialized report.
+    C is ``unit_part - dominant``, the expansions of ``cone_sides(family,
+    index - 1)``.  ``method`` is the argument: ``"recursion"`` where the
+    proved recursions give the divisibility (``lemma_div_check``), nothing
+    expanded, and ``"long-division"`` where C was expanded and divided.
+    ``degree`` is the quotient's degree, None unless proved.  The report
+    states the argument and that degree, not the quotient's coefficients.
+
+    ``quotient``, ``unit_part`` and ``dominant`` are expanded on first read
+    (where the long division ran, they are its own), and ``combination``
+    is their difference: the cone factor of chart ``index - 1`` reads it
+    only where the product forms leave its identity open, and the tests
+    read the quotient.
     """
 
     index: int
     status: Status
-    quotient: Optional[Poly]
+    method: str  # "recursion" | "long-division"
+    degree: Optional[int]
     detail: str = ""
-    unit_part: Poly = field(kw_only=True, compare=False, repr=False)
-    dominant: Poly = field(kw_only=True, compare=False, repr=False)
+    family: Family = field(kw_only=True, compare=False, repr=False)
+    # (quotient, unit_part, dominant) of the long division, where it ran
+    expanded: Optional[tuple] = field(
+        default=None, kw_only=True, compare=False, repr=False
+    )
+
+    @cached_property
+    def _sides(self) -> tuple[Poly, Poly]:
+        if self.expanded is not None:
+            return self.expanded[1:]
+        dominant, unit_part = (
+            _side_poly(self.family, side)
+            for side in cone_sides(self.family, self.index - 1)
+        )
+        return unit_part, dominant
+
+    unit_part = property(lambda self: self._sides[0])
+    dominant = property(lambda self: self._sides[1])
+
+    @cached_property
+    def combination(self) -> Poly:
+        return self.unit_part - self.dominant
+
+    @cached_property
+    def quotient(self) -> Optional[Poly]:
+        """C / P_index, None unless proved; where the recursions proved it,
+        1 + (unit_part - e) / P_index with e the constant of P_index's
+        recursion."""
+        if self.status is not Status.PROVED:
+            return None
+        if self.expanded is not None:
+            return self.expanded[0]
+        fam, k = self.family, self.index
+        e = _localization_sides(fam, k)[1][0]
+        return Poly.one() + (self.unit_part - e) // fam.Pk(k)
 
     def to_json(self) -> dict:
         return {
             "index": self.index,
             "status": self.status.value,
-            "quotient": None if self.quotient is None else self.quotient.to_json(),
+            "method": self.method,
+            "quotient_degree": self.degree,
             "detail": self.detail,
         }
 
 
-def lemma_div_check(fam: Family, k: int) -> DivisionWitness:
-    """Verify that factor k divides its defining combination, exactly.
+def _derived_quotient_degree(
+    fam: Family, k: int, root_certs: Optional[dict]
+) -> Optional[int]:
+    """The degree of C / P_k where the proved recursions give the division
+    (see ``lemma_div_check``), None where they do not."""
+    if not _recursions_proved(fam, root_certs, k):
+        return None
+    if any(p.is_zero for p in fam.P):
+        return None
+    dominant, unit_part = cone_sides(fam, k - 1)
+    own, (e_k, _, _) = _localization_sides(fam, k)
+    c, m, factors = unit_part
+    residue = Fraction(c)
+    for j, e in factors:
+        residue *= Fraction(_localization_sides(fam, j)[1][0]) ** e
+    if dominant != own or m or residue != e_k or any(j >= k for j, _ in factors):
+        return None
+    unit_degree, dominant_degree = _side_degree(fam, unit_part), _side_degree(fam, dominant)
+    if unit_degree == dominant_degree:
+        return None  # the leading terms may cancel
+    return max(unit_degree, dominant_degree) - fam.Pk(k).degree
 
-    The combination is the scaled product of factors below k minus the
-    monomial-weighted product of factors above k (for k = 1 it collapses to
-    the factor itself, with quotient one).  A nonzero remainder refutes the
-    construction.
+
+def lemma_div_check(
+    fam: Family, k: int, root_certs: Optional[dict[int, RootLocalization]] = None
+) -> DivisionWitness:
+    """Verify that factor k divides the cone combination of chart k - 1.
+
+    C = eps^(2k-1) prod_{j<k} P_j^(k-j) - z^(n-k) prod_{j>k} P_j^(j-k), the
+    scaled product of the factors below k minus the monomial-weighted
+    product of those above (for k = 1 it is the factor itself, quotient
+    one).  Where ``root_certs`` (``family_root_certificates(fam)``) proved
+    the recursions P_j = e_j - z^(n-j) prod_{i>j} P_i^(i-j), e_j =
+    eps^(c_j), of P_1, ..., P_k for ``fam`` itself, the division is derived
+    and nothing is expanded:
+
+    * for j < k the recursion of P_j holds P_k^(k-j), so P_j = e_j mod
+      P_k, and the unit side is eps^(2k-1) prod_{j<k} e_j^(k-j) = e_k mod
+      P_k (checked as an exact product of the constants: the definition
+      of c_k);
+    * the dominant side is the dominated side of P_k's own recursion, so
+      C = e_k - (e_k - P_k) = 0 mod P_k;
+    * the quotient is 1 + (unit side - e_k)/P_k.  With its sides' degrees
+      apart, read from the factors' ``Poly`` degrees, C is nonzero and the
+      quotient has degree max(side degrees) - deg P_k; its value at 0 is 1,
+      since every P_j(0) = e_j.
+
+    Where a premise is missing, or the two side degrees tie, C is expanded
+    and divided exactly, and a nonzero remainder refutes the construction,
+    so a tampered family is still decided.
     """
     if not 1 <= k <= fam.n - 1:
         raise ValueError(f"factor index must be in 1..{fam.n - 1}")
+    degree = _derived_quotient_degree(fam, k, root_certs)
+    if degree is not None:
+        return DivisionWitness(
+            k, Status.PROVED, "recursion", degree,
+            f"C = 0 mod P_{k} by the proved recursions of P_1..P_{k} (unit side = "
+            f"eps^c_{k}, dominant side = eps^c_{k} - P_{k}); quotient degree {degree}",
+            family=fam,
+        )
     combination, unit_part, dominant = _cone_combination(fam, k - 1)
-    sides = {"unit_part": unit_part, "dominant": dominant}
     quotient, remainder = divmod(combination, fam.Pk(k))
     if remainder.is_zero:
         return DivisionWitness(
-            k, Status.PROVED, quotient,
-            f"exact division; quotient degree {quotient.degree}", **sides,
+            k, Status.PROVED, "long-division", quotient.degree,
+            f"exact division; quotient degree {quotient.degree}",
+            family=fam, expanded=(quotient, unit_part, dominant),
         )
     return DivisionWitness(
-        k, Status.REFUTED, None,
-        f"nonzero remainder of degree {remainder.degree}", **sides,
+        k, Status.REFUTED, "long-division", None,
+        f"nonzero remainder of degree {remainder.degree}",
+        family=fam, expanded=(None, unit_part, dominant),
     )
 
 
@@ -1058,15 +1173,19 @@ def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly]:
 
 
 def _cone_identity(
-    fam: Family, k: int, c_poly: Poly, forms: Optional[ProductForms] = None
+    fam: Family,
+    k: int,
+    combination: Callable[[], Poly],
+    forms: Optional[ProductForms] = None,
 ) -> bool:
-    """Whether f2^(k+1) - f1 == G * c_poly, G = eps z^(k+1) prod_j P_j^min(j, k+1).
+    """Whether f2^(k+1) - f1 == G * C, G = eps z^(k+1) prod_j P_j^min(j, k+1).
 
-    ``c_poly`` is the expansion of ``cone_sides(fam, k)``, unit part minus
-    dominant.  With ``forms`` the identity is read from the normal forms of
-    the product forms of f1 and f2 against G times each symbolic side (both
-    reduce to the same exponent vectors); without them, or where the normal
-    forms differ, it is proved by exact evaluation with ``c_poly``.
+    ``combination()`` returns C, the expansion of ``cone_sides(fam, k)``,
+    unit part minus dominant.  With ``forms`` the identity is read from the
+    normal forms of the product forms of f1 and f2 against G times each
+    symbolic side (both reduce to the same exponent vectors), and C is not
+    asked for; without them, or where the normal forms differ, it is proved
+    by exact evaluation with C.
     """
     g = (fam.params.eps, k + 1, tuple((j, min(j, k + 1)) for j in range(1, fam.n)))
     if forms is not None:
@@ -1078,7 +1197,7 @@ def _cone_identity(
     c, factors = _side_term(fam, g)
     return _proved_equal(
         [(1, ((fam.f2, k + 1),)), (-1, ((fam.f1, 1),))],
-        [(c, factors + ((c_poly, 1),))],
+        [(c, factors + ((combination(), 1),))],
     )
 
 
@@ -1092,16 +1211,17 @@ def cone_factor_certificate(
     """Certify the factorization of f2^(k+1) - f1 used by chart k.
 
     For k <= n-2 the identity f2^(k+1) - f1 = G * C is checked here: C is
-    the difference of the two expanded sides that the division witness
-    ``divisions[k]`` (``lemma_div_check(fam, k+1)``) carries, the expansions
-    of the ``cone_sides`` that the dominance below compares in product form.
-    When ``identities`` is the report of ``exact_identity_checks(fam)`` and
-    proved the product forms of f1 and f2 (``ProductForms``), the identity
-    is an equality of exponent vectors over those symbolic sides and nothing
-    is evaluated; otherwise, or where the exponents do not match, it is
+    the combination of the ``cone_sides`` that the dominance below compares
+    in product form, and of the division witness ``divisions[k]``
+    (``lemma_div_check(fam, k+1)``).  When ``identities`` is the report of
+    ``exact_identity_checks(fam)`` and proved the product forms of f1 and
+    f2 (``ProductForms``), the identity is an equality of exponent vectors
+    over those symbolic sides, and nothing is expanded or evaluated;
+    otherwise, or where the exponents do not match, the witness's
+    ``combination`` is expanded (once, by the witness) and the identity
     proved by exact evaluation at D + 1 integers (``_cone_identity``).  The
-    divisibility of C by factor k+1 is read from the witness rather than
-    redone, and the sides are not expanded again.
+    divisibility of C by factor k+1 and the cofactor's degree are read from
+    the witness rather than redone.
     The nonvanishing of the cofactor is established by counting: the
     root-product dominance on |z| = 2 (``root_product_dominance``) localizes
     all roots of C among the already-localized deeper factors and the
@@ -1136,9 +1256,9 @@ def cone_factor_certificate(
     if division.index != k + 1:
         raise ValueError("divisions must hold lemma_div_check(fam, j) for j = 1..n-1")
     identity_ok = _cone_identity(
-        fam, k, division.unit_part - division.dominant, _forms_of(fam, identities)
+        fam, k, lambda: division.combination, _forms_of(fam, identities)
     )
-    divisibility_ok = division.status is Status.PROVED and not division.quotient.is_zero
+    divisibility_ok = division.status is Status.PROVED and division.degree >= 0
 
     prereq_ok = all(_factor_localized(fam, j, root_certs) for j in range(k + 1, n))
     inside = (n - k - 1) + sum((j - k - 1) * d[j - 1] for j in range(k + 2, n))
@@ -1155,7 +1275,7 @@ def cone_factor_certificate(
     elif dom.status is Status.PROVED and prereq_ok and bookkeeping_ok:
         status = Status.PROVED
         detail = (
-            f"cofactor of degree {division.quotient.degree} has no root with |z| <= 2 "
+            f"cofactor of degree {division.degree} has no root with |z| <= 2 "
             f"({inside} localized roots all absorbed by factor {k + 1})"
         )
     else:

@@ -18,8 +18,9 @@ Identical configurations produce byte-identical reports except for the
 each stage per size, from the family's ``build`` through its certificate
 stages to its ``family_hash``, ``deep_scale``: how many image points the
 chart-cone ladders bracketed, how many of those needed the exact triples
-after all, and how many formed a 192-bit product, ``witness``: the same
-three counts for the cone-window witness's sampled image points,
+after all, how many formed a 192-bit product and how many of their atoms
+were evaluated exactly because a ball bracket reached 0, ``witness``: the
+same four counts for the cone-window witness's sampled image points,
 ``boundary``: the points of each loop over exact circle points (the annulus
 bounds, the target region, the chart window and the base chart) and its
 exact fallbacks, the points where a comparison's brackets overlapped and
@@ -28,8 +29,11 @@ proof is incomplete, so a proved family counts 0 for each.  The boundary
 sup metric of condition iii is derived from the target certificate, so it
 has no loop and no counts.
 
-Schema ``noricert-report/4``: the atlas checks ``chart-disjointness-j-k``
-and ``overlap-polydisk`` carry their exact arguments (``atlas.ExactArgument``)
+Schema ``noricert-report/5``: a ``divisibility-k`` entry states its
+argument and the quotient's degree (``DivisionWitness.to_json``: ``method``
+``recursion`` or ``long-division``, ``quotient_degree``), not the quotient's
+coefficients.  Since ``/4`` the atlas checks ``chart-disjointness-j-k`` and
+``overlap-polydisk`` carry their exact arguments (``atlas.ExactArgument``)
 instead of sample reports, and the boundary spot-check counts in the
 certificates (``spot_checks``, ``boundary_checks``) are 0 where the proof
 made the loop unnecessary.
@@ -76,7 +80,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-REPORT_SCHEMA = "noricert-report/4"
+REPORT_SCHEMA = "noricert-report/5"
 
 # the exact-circle-point loops counted in ``meta``: the annulus bounds', then
 # the trace's
@@ -379,7 +383,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     )
 
     divisions = timed(
-        "divisions", lambda: [lemma_div_check(fam, k) for k in range(1, n)]
+        "divisions", lambda: [lemma_div_check(fam, k, roots) for k in range(1, n)]
     )
     for k, witness in enumerate(divisions, start=1):
         certificates.append(

@@ -100,6 +100,7 @@ from .certify import (
     Status,
     _forms_of,
     _localization_sides,
+    _recursions_proved,
     cone_factor_certificate,
     cone_sides,
     side_factors,
@@ -233,12 +234,8 @@ def _recursion_chain(
     whose difference each proof checked against P_k.
     """
     n = fam.n
-    if root_certs is None:
+    if not _recursions_proved(fam, root_certs, n - 1):
         return None
-    for k in range(1, n):
-        cert = root_certs.get(k)
-        if cert is None or cert.family is not fam or not cert.recursion:
-            return None
     return tuple(coefficient_ball(_localization_sides(fam, k)[1][0]) for k in range(1, n))
 
 
@@ -395,8 +392,9 @@ class _Image:
     when the map has it and one atom per polynomial from
     ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a ball
     bracket otherwise (from ``factors.chain`` when the map has one), and
-    exact wherever that bracket would reach 0; None marks an exact zero
-    atom, and ``positive`` tells that there is none.  ``first_failing``
+    exact wherever that bracket would reach 0 (``zero_atoms`` counts those);
+    None marks an exact zero atom, and ``positive`` tells that there is
+    none.  ``first_failing``
     decides a sequence of compiled chart tests on them in one pass.
     ``atoms``, the atoms as factors (a ``bounds.Ratio`` for |lam|^2 and
     each exact atom, by the atom's own kind, the bracket otherwise), are
@@ -409,7 +407,7 @@ class _Image:
     """
 
     __slots__ = (
-        "fam", "lam", "factors", "exps", "positive",
+        "fam", "lam", "factors", "exps", "positive", "zero_atoms",
         "_raw", "_atoms", "_quantities", "_triples",
     )
 
@@ -422,7 +420,7 @@ class _Image:
         factors: Optional[_Factors] = None,
     ):
         factors = _image_factors(fam) if factors is None else factors
-        raw, exps = abs2_atoms(
+        raw, exps, self.zero_atoms = abs2_atoms(
             factors.polys, factors.exact, num_re, num_im, den, factors.chain
         )
         if factors.lam:
@@ -630,11 +628,14 @@ class _Image:
 
 
 def _count(tally: Counter, img: _Image) -> None:
-    """Book one image point, whether it needed its exact values and whether
-    it formed a 192-bit product."""
+    """Book one image point, whether it needed its exact values, whether it
+    formed a 192-bit product and how many of its atoms the zero rule made
+    exact."""
     tally["points"] += 1
     tally["exact_fallbacks"] += img.evaluated
     tally["products"] += img.formed
+    if img.zero_atoms:  # rare: a Counter reads a missing key as 0
+        tally["zero_atoms"] += img.zero_atoms
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -1591,9 +1592,10 @@ class TraceReport:
 
     ``ladder`` counts the deep-scale image points of the chart-cone ladders
     (``points``), those whose exact triples a predicate needed
-    (``exact_fallbacks``) and those that formed a 192-bit product
-    (``products``), ``witness`` the same three counts for the cone-window
-    witness; ``boundary`` holds, for each exact-circle-point loop of the
+    (``exact_fallbacks``), those that formed a 192-bit product
+    (``products``) and the atoms that ``bounds.abs2_atoms`` evaluated
+    exactly because their ball reached 0 (``zero_atoms``), ``witness`` the
+    same four counts for the cone-window witness; ``boundary`` holds, for each exact-circle-point loop of the
     trace (``target``, ``window`` and ``base``), its ``points`` and as
     ``exact_fallbacks`` those where a comparison's brackets overlapped and
     exact integers decided, all 0 for a loop that did not run because its
@@ -1641,8 +1643,9 @@ class TraceReport:
 # their certificates need them
 _BOUNDARY_LOOPS = ("target", "window", "base")
 _WORK_COUNTS = ("points", "exact_fallbacks")
-# an image point also books whether it formed a 192-bit product
-_IMAGE_COUNTS = (*_WORK_COUNTS, "products")
+# an image point also books whether it formed a 192-bit product and how
+# many of its ball atoms reached 0 and were evaluated exactly
+_IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms")
 
 _TRACE_DETAIL = {
     Status.REFUTED: "a condition is refuted",

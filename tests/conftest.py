@@ -46,9 +46,10 @@ def identities(built_families):
 
 
 @pytest.fixture(scope="session")
-def divisions(built_families):
+def divisions(built_families, root_certs):
+    """The pipeline's division witnesses, derived from the proved recursions."""
     return {
-        n: [lemma_div_check(built_families[n], k) for k in range(1, n)]
+        n: [lemma_div_check(built_families[n], k, root_certs[n]) for k in range(1, n)]
         for n in SIZES
     }
 

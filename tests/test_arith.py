@@ -5,6 +5,7 @@ oracle) rather than against the code under test.
 """
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,9 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noricert.arith import (
+    _DC_BITS,
     BALL_BITS,
     ComplexRational,
     Poly,
+    _dc_int_str,
+    _int_str,
+    _power_of_ten,
+    _strip_fives,
     decimal_approx,
     eval_scaled,
     format_rational,
@@ -25,6 +31,7 @@ from noricert.arith import (
     scaled_abs2,
     scaled_to_complex,
 )
+from noricert.family import FamilyParams, build_family
 
 F = Fraction
 
@@ -439,3 +446,112 @@ class TestDecimalApprox:
             decimal_approx(F(1), sig=0)
         with pytest.raises(ValueError):
             decimal_approx(F(1), mode="sideways")
+
+
+def _fraction_json(p: Poly) -> list:
+    """The reference serialization: each coefficient reduced by ``Fraction``."""
+    ints, den = p.scaled()
+    return [format_rational(F(c, den)) for c in ints]
+
+
+# a numerator over 10^k: a cofactor prime to 10 (or any integer) times
+# 2^a 5^b, either valuation below, at or above k, of either sign or zero
+over_ten = st.integers(0, 40).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(
+            st.tuples(
+                st.integers(-(10**30), 10**30),
+                st.integers(0, k + 3),
+                st.integers(0, k + 3),
+            ).map(lambda t: t[0] * 2 ** t[1] * 5 ** t[2]),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+class TestPowerOfTenSerialization:
+    """``Poly.to_json`` over 10^K against the ``Fraction`` path, byte for byte."""
+
+    def test_power_of_ten_detection(self):
+        assert [_power_of_ten(10**k) for k in (0, 1, 7, 300)] == [0, 1, 7, 300]
+        for den in (2, 5, 20, 50, 3 * 10**4, 2**5 * 10**3, 7**9, 10**6 + 1):
+            assert _power_of_ten(den) is None
+
+    @settings(max_examples=300)
+    @given(over_ten)
+    def test_matches_the_fraction_path(self, case):
+        k, ints = case
+        p = Poly._of(ints, 10**k)
+        assert p.to_json() == _fraction_json(p)
+
+    def test_unbalanced_valuations(self):
+        # reduced denominators 2^x 5^y with x > y, x < y and x = y, a zero,
+        # negative numerators and numerators divisible by more than 10^k
+        k = 12
+        ints = [
+            0, 1, -1, 2**3, -(5**4), 2**12 * 3, 5**12 * 7, 10**12, -(10**15) * 13,
+            2**20 * 5**2, 2**2 * 5**20, 3 * 2**7 * 5**11,
+        ]
+        p = Poly._of(ints, 10**k)
+        got = p.to_json()
+        assert got == _fraction_json(p)
+        assert got[:4] == ["0/1", "1/1000000000000", "-1/1000000000000", "1/125000000000"]
+        assert got[5] == "3/244140625"  # 3 / 5^12
+
+    def test_other_denominators_keep_the_fraction_path(self):
+        # an --eps override that is no power of ten: the family's
+        # denominators are powers of 7
+        fam = build_family(FamilyParams.build(3, eps=F(1, 7**40)))
+        for p in (*fam.P, fam.f1, fam.f2):
+            assert _power_of_ten(p.scaled()[1]) is None
+            assert p.to_json() == _fraction_json(p)
+        p = Poly._of([3, -6, 2**9, 0, 25], 2**5 * 10**3)
+        assert p.to_json() == _fraction_json(p)
+
+    def test_family_polynomials(self, built_families):
+        for fam in built_families.values():
+            for p in (*fam.P, fam.f1, fam.f2):
+                k = _power_of_ten(p.scaled()[1])
+                assert k is not None
+                assert p.to_json() == _fraction_json(p)
+
+    def test_strip_fives(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            v, cap = rng.randrange(0, 60), rng.randrange(0, 60)
+            m = rng.randrange(1, 10**12) * 5**v
+            guess = rng.choice([0, v, max(v - 3, 0), v + 4])
+            b = 0
+            while b < cap and m % 5 ** (b + 1) == 0:
+                b += 1
+            assert _strip_fives(m, cap, guess) == (m // 5**b, b)
+
+
+@pytest.fixture
+def no_int_str_guard():
+    """Lift the interpreter's int-to-str digit limit, where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntStr:
+    """``_int_str`` and its divide-and-conquer branch against ``str``."""
+
+    def test_divide_and_conquer_is_str(self, no_int_str_guard):
+        rng = random.Random(8)
+        for bits in (1, 127, 128, 129, 200, 4000, 12345, _DC_BITS + 1, 100_000):
+            for x in (rng.getrandbits(bits), (1 << bits) - 1, 1 << bits, 10 ** (bits // 4)):
+                assert _dc_int_str(x) == str(x), bits
+                assert _int_str(x) == str(x) and _int_str(-x) == str(-x), bits
+        assert _dc_int_str(0) == "0"
+
+    def test_below_and_above_the_threshold(self, no_int_str_guard):
+        for x in (10 ** 3000 + 17, 3 ** 20000, 7 ** 40000 - 1):
+            assert _int_str(x) == str(x)

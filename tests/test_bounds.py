@@ -468,7 +468,7 @@ class TestAtoms:
     @given(_polys(), _points())
     def test_atoms_enclose_the_exact_square(self, poly, point):
         exact, = exact_atoms((poly,))
-        (raw,), (exps,) = abs2_atoms((poly,), (exact,), *point)
+        (raw,), (exps,), _ = abs2_atoms((poly,), (exact,), *point)
         num, den = scaled_abs2(eval_scaled(poly, *point))
         # an exact atom is the unreduced integer pair, read as a factor
         # through its Ratio; a ball atom is the bracket itself, and the
@@ -501,11 +501,11 @@ class TestAtoms:
 
         monkeypatch.setattr(bounds, "ball_point", counted)
         small, big = Poly((F(1, 3), 1)), Poly((F(1, 3**300), 1))
-        atoms, _ = abs2_atoms((small, small), (True, True), 3, 4, 7)
-        assert made["balls"] == 0
+        atoms, _, zeros = abs2_atoms((small, small), (True, True), 3, 4, 7)
+        assert made["balls"] == zeros == 0
         assert atoms == [scaled_abs2(eval_scaled(small, 3, 4, 7))] * 2
-        atoms, _ = abs2_atoms((big, small, big), (False, True, False), 3, 4, 7)
-        assert made["balls"] == 1
+        atoms, _, zeros = abs2_atoms((big, small, big), (False, True, False), 3, 4, 7)
+        assert made["balls"] == 1 and zeros == 0
         assert atoms[1] == scaled_abs2(eval_scaled(small, 3, 4, 7))
         assert atoms[0] == atoms[2] == ball_abs2(big, 3, 4, 7)
 
@@ -514,17 +514,17 @@ class TestAtoms:
         # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket of
         # the line (times 1 + 3^-300 lam, above the size bound) reaches 0,
         # and the atom is the exact square, positive; at lam = 1/3 it is an
-        # exact 0, without exponents
+        # exact 0, without exponents; either way the zero rule counts it
         line = Poly((F(-1, 3), 1)) * Poly((1, F(1, 3**300)))
         assert exact_atoms((line,)) == (False,)
         near = (2**400 + 3, 0, 3 * 2**400)
         assert ball_abs2(line, *near)[0] == (0, 0)
-        (atom,), (exps,) = abs2_atoms((line,), (False,), *near)
+        (atom,), (exps,), zeros = abs2_atoms((line,), (False,), *near)
         num, den = scaled_abs2(eval_scaled(line, *near))
-        assert exact_atom(atom) and atom == (num, den) and num > 0
+        assert exact_atom(atom) and atom == (num, den) and num > 0 and zeros == 1
         assert exps == log2_bounds(num, den)
-        (atom,), (exps,) = abs2_atoms((line,), (False,), 1, 0, 3)
-        assert atom[0] == 0 and exps is None
+        (atom,), (exps,), zeros = abs2_atoms((line,), (False,), 1, 0, 3)
+        assert atom[0] == 0 and exps is None and zeros == 1
         # Values builds each Ratio from the atom's own kind
         values = Values((line, Poly.x()), *near, exact=(False, False))
         assert isinstance(values.abs2[0], Ratio) and not isinstance(values.abs2[1], Ratio)
@@ -597,8 +597,10 @@ class TestRecursionBalls:
 
         monkeypatch.setattr(bounds, "_ball_mul", counted)
         monkeypatch.setattr(bounds, "ball_abs2", None)
-        atoms, _ = abs2_atoms(fam.P, (False,) * 3, 3, -5, 2**8 * 10**20, _chain_constants(fam))
-        assert made["products"] == 4
+        atoms, _, zeros = abs2_atoms(
+            fam.P, (False,) * 3, 3, -5, 2**8 * 10**20, _chain_constants(fam)
+        )
+        assert made["products"] == 4 and zeros == 0
         for poly, atom in zip(fam.P, atoms):
             _encloses(atom, eval_scaled(poly, 3, -5, 2**8 * 10**20))
 
@@ -759,6 +761,36 @@ class TestExponentStage:
         assert bracket_lt([zero], [tiny]) is True
         assert bracket_lt([zero], [zero]) is False
         assert bracket_lt([zero], [zero], closed=True) is True
+
+    def test_an_exact_zero_side_decides_by_sign(self, monkeypatch):
+        # a side holding an exact zero (a bracket up to 0, a zero Ratio, or
+        # a Product with a zero atom) is 0: against a positive side 0 < x
+        # and 0 <= x hold, x < 0 and x <= 0 fail, and two zero sides are
+        # equal; no product is formed, and the verdicts are those of the
+        # product stage
+        calls = []
+
+        def counting_mul(*args):
+            calls.append(args)
+            return _p_mul(*args)
+
+        monkeypatch.setattr(bounds, "_p_mul", counting_mul)
+        tiny = ((1, -40), (1, -40))
+        zeros = [((0, 0), (0, 0)), Ratio(0, 7), products([Ratio(0, 3), tiny], [(1, 2)])[0]]
+        for zero in zeros:
+            for other in ([tiny], [tiny, tiny], [], [Ratio(5, 3)]):
+                for closed in (False, True):
+                    assert bracket_lt([zero, tiny], other, closed=closed) is True
+                    assert bracket_lt(other, [zero], closed=closed) is False
+                    assert bracket_lt([zero], [tiny, zero], closed=closed) is closed
+        assert calls == []
+        assert not zeros[2].formed
+        for closed in (False, True):
+            plain = [[((0, 0), (0, 0)), tiny], [tiny]]
+            assert bracket_lt(*plain, closed=closed) == _product_stage(*plain, closed)
+            assert bracket_lt(*plain[::-1], closed=closed) == _product_stage(
+                *plain[::-1], closed
+            )
 
     def test_powers_of_two_at_the_boundary(self):
         # 2^a against 2^b, and against a value one ulp on either side of

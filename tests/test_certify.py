@@ -619,6 +619,59 @@ class TestDivisionWitness:
         with pytest.raises(ValueError):
             lemma_div_check(built_families[3], 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_derived_division_matches_the_long_division(
+        self, n, built_families, root_certs, monkeypatch
+    ):
+        # with the recursions proved nothing is expanded; the lazy quotient
+        # is the long division's, of the degree the witness states (0, 2,
+        # then 0, 5, 18 at n = 4), with value 1 at 0
+        fam = built_families[n]
+
+        def expanded(*args):
+            raise AssertionError("a side was expanded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(certify, "_side_poly", expanded)
+            derived = [lemma_div_check(fam, k, root_certs[n]) for k in range(1, n)]
+        for k, witness in enumerate(derived, start=1):
+            divided = lemma_div_check(fam, k)
+            assert (witness.method, divided.method) == ("recursion", "long-division")
+            assert witness.status is divided.status is Status.PROVED
+            assert witness.degree == divided.degree == divided.quotient.degree
+            assert witness.quotient == divided.quotient
+            assert witness.quotient.coeff(0) == 1
+            assert witness.combination == divided.combination
+            assert set(witness.to_json()) == {
+                "index", "status", "method", "quotient_degree", "detail"
+            }
+            assert witness.to_json()["quotient_degree"] == witness.degree
+        assert [w.degree for w in derived] == {2: [0], 3: [0, 2], 4: [0, 5, 18]}[n]
+
+    def test_premises_of_another_family_fall_back(self, built_families, root_certs):
+        # the same polynomials under another family object: the recursions
+        # were proved for the original, so the copy is divided
+        fam = built_families[3]
+        copy = dataclasses.replace(fam)
+        for k in (1, 2):
+            witness = lemma_div_check(copy, k, root_certs[3])
+            assert witness.method == "long-division"
+            assert witness.status is Status.PROVED
+            assert witness.quotient == lemma_div_check(fam, k, root_certs[3]).quotient
+
+    def test_tampered_factor_falls_back_and_is_refuted(self, built_families):
+        # P_2 with one more term at n = 4: its recursion, and that of P_1,
+        # which contains it, are not proved, so every division falls back to
+        # the long division, and P_2 does not divide its combination
+        tampered = _tampered(built_families[4], "P2")
+        roots = family_root_certificates(tampered)
+        assert [roots[j].recursion for j in (1, 2, 3)] == [False, False, True]
+        witnesses = [lemma_div_check(tampered, k, roots) for k in (1, 2, 3)]
+        assert {w.method for w in witnesses} == {"long-division"}
+        assert witnesses[1].status is Status.REFUTED
+        assert witnesses[1].quotient is None and witnesses[1].degree is None
+        assert "nonzero remainder" in witnesses[1].detail
+
 
 class TestConeFactorization:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -672,11 +725,12 @@ class TestConeFactorization:
         assert cone_factor_certificate(copy, 1, own, ids, divisions[3]).status is Status.PROVED
 
     def test_refuted_division_refutes(self, built_families, root_certs, identities, divisions):
-        # a refuted witness still carries the sides of its combination
+        # a refuted witness still expands the sides of its combination
         failed = dataclasses.replace(
-            divisions[3][1], status=Status.REFUTED, quotient=None,
+            divisions[3][1], status=Status.REFUTED, degree=None,
             detail="nonzero remainder",
         )
+        assert failed.quotient is None
         cert = cone_factor_certificate(
             built_families[3], 1, root_certs[3], identities[3],
             [divisions[3][0], failed],
@@ -745,8 +799,12 @@ def _evaluated_identities(fam):
     }
 
 
+def _not_expanded():
+    raise AssertionError("the cone combination was expanded")
+
+
 def _evaluated_cone_identity(fam, k):
-    return _cone_identity(fam, k, _cone_combination(fam, k)[0])
+    return _cone_identity(fam, k, lambda: _cone_combination(fam, k)[0])
 
 
 def _tampered(fam, kind):
@@ -773,8 +831,8 @@ class TestEvaluationProof:
         for k in range(n - 1):
             assert _expanded_cone_identity(fam, k)
             assert _evaluated_cone_identity(fam, k)
-            c_poly = _cone_combination(fam, k)[0]
-            assert _cone_identity(fam, k, c_poly, identities[n].forms)
+            # the product forms close: the combination is never expanded
+            assert _cone_identity(fam, k, _not_expanded, identities[n].forms)
 
     @pytest.mark.parametrize(
         "n, kind",
@@ -895,7 +953,7 @@ class TestDerivedIdentities:
         assert {c.name: c.passed for c in rep.checks} == _evaluated_identities(fam)
         for k in range(n - 1):
             c_poly = _cone_combination(fam, k)[0]
-            assert _cone_identity(fam, k, c_poly, rep.forms)
+            assert _cone_identity(fam, k, lambda: c_poly, rep.forms)
             assert _evaluated_cone_identity(fam, k)
 
     @pytest.mark.parametrize("n", [2, 3, 4])

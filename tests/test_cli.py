@@ -30,11 +30,11 @@ from noricert.cli import (
 
 
 # verify --n 2..3 --samples 256 --seed 0
-GOLDEN_REPORT_SHA256 = "69346fcd587d21b8c5fbfc06fa72a0d40ec3b9c79756c2033f492b840090d5ca"
+GOLDEN_REPORT_SHA256 = "9cb5e78ccf12b33cb95ac9b835bc598ba7c087602b0b93a2f694513c8e1d5030"
 # verify --n 2..4 --seed 0 (also pinned in CI)
-DEFAULT_REPORT_SHA256 = "51e38c4ff364202b002c862f0993f13f763305c3375e90b638c0d12434d6833b"
+DEFAULT_REPORT_SHA256 = "3a3d0ed994f7d6539255bb8e21a68fa0cc4db4a94a00cbfd582894fced7df88c"
 # verify --n 2 --eps 1 --unsafe-eps --seed 0, which exits 1 (also pinned in CI)
-REFUTED_REPORT_SHA256 = "e3da8680e785958dd54b259795211dead909a3f10f78ed24f6c349f87fcd46ff"
+REFUTED_REPORT_SHA256 = "115293347e13ec0af47b005a942f0cbcd843ae5d5fa58313afb93666fc7cb668"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -392,35 +392,37 @@ class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
         # under 1 % of the bracketed points need the exact triples;
-        # the net exponents leave 61 of them to 192-bit products (663
+        # the net exponents leave 58 of them to 192-bit products (663
         # when the two sides' exponents were summed uncancelled): the entry
-        # probe at the root of P_(n-1) and its neighbour, and cone tests at
-        # n = 4 whose net exponents straddle 1.  The probe at the root of
-        # P_(n-1) is decided on an exact zero atom: at n = 2, 3 the factors'
-        # atoms are exact, and at n = 4 the ball of P_3 reaches 0 there and
-        # is replaced by its exact value, so no point reads the triples
+        # probe's neighbour of the root of P_(n-1), and cone tests at n = 4
+        # whose net exponents straddle 1.  The probe at the root of P_(n-1)
+        # is decided on an exact zero atom by sign alone, with no product:
+        # at n = 2, 3 the factors' atoms are exact, and at n = 4 the ball
+        # of P_3 reaches 0 there and is replaced by its exact value (the
+        # one zero-rule atom), so no point reads the triples
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
-        assert set(deep) == {"points", "exact_fallbacks", "products", "per_n"}
+        assert set(deep) == {"points", "exact_fallbacks", "products", "zero_atoms", "per_n"}
         assert set(deep["per_n"]) == {"2", "3", "4"}
-        for key in ("points", "exact_fallbacks", "products"):
+        for key in ("points", "exact_fallbacks", "products", "zero_atoms"):
             assert deep[key] == sum(c[key] for c in deep["per_n"].values())
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
         assert (deep["points"], deep["exact_fallbacks"]) == (1608, 0)
-        assert [deep["per_n"][n]["products"] for n in "234"] == [2, 2, 57]
+        assert [deep["per_n"][n]["products"] for n in "234"] == [1, 1, 56]
+        assert [deep["per_n"][n]["zero_atoms"] for n in "234"] == [0, 0, 1]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_witness_counters(self, default_run):
         # the cone-window witness at n = 2..4 draws 2048 points per size,
         # bracketed through the factors and decided by their net exponents,
-        # with no exact triple and no 192-bit product
+        # with no exact triple, no 192-bit product and no ball reaching 0
         report, code = default_run
         assert code == EXIT_OK
         witness = report["meta"]["witness"]
-        zero = {"exact_fallbacks": 0, "products": 0}
+        zero = {"exact_fallbacks": 0, "products": 0, "zero_atoms": 0}
         assert witness == {
             "points": 6144,
             **zero,
