@@ -18,7 +18,10 @@ grown by 3 units, and the bracket of the squared modulus (``_ball_abs2``),
 which bounds the midpoint's modulus by ``|re| + |im|`` and takes no square
 root.  ``ball_abs2`` is a Horner of these steps; ``recursion_balls`` gives
 the balls of all the family's factors P_1, ..., P_{n-1} from their proved
-recursions, two products per factor and no Horner.
+recursions, two products per factor and no Horner.  Before any ball,
+``recursion_exponents`` runs the same recursions on powers of two alone,
+integer additions of bit lengths, and bounds every |P_k|^2 wherever one of
+the recursion's two terms dominates the other.
 
 ``abs2_atoms`` builds every atom |p(z)|^2 of a polynomial value at a point,
 by one size rule, ``exact_atoms``, and returns each atom's exponents with
@@ -96,6 +99,7 @@ __all__ = [
     "products",
     "ratio_exponents",
     "recursion_balls",
+    "recursion_exponents",
 ]
 
 _BITS = BALL_BITS
@@ -384,6 +388,39 @@ def recursion_balls(constants: Sequence[tuple], ball: tuple) -> list:
         s = _ball_mul(p, s)
         q = _ball_mul(s, q)
         p = _ball_sub(c, q)
+        out.append(p)
+    out.reverse()
+    return out
+
+
+def recursion_exponents(constants: Sequence[tuple], lam: tuple) -> Optional[list]:
+    """Powers of two ``(lo, hi)`` around |P_1|^2, ..., |P_{n-1}|^2 at lam, by
+    their recursions on exponents alone; None where two terms come close.
+
+    ``constants`` holds the ``log2_bounds`` of |e_k|^2, e_k = eps^(c_k),
+    k = 1..n-1, and ``lam`` those of |lam|^2 > 0.  The S/Q recursion of
+    ``recursion_balls`` runs on exponent pairs: |S_k|^2 and |Q_k|^2 are
+    products, so their exponents add.  Of P_k = e_k - Q_k, where one term's
+    upper power of two is at least 2^4 below the other's lower one, the
+    smaller term is at most a quarter of the larger in modulus, so |P_k|
+    lies in [3/4, 5/4] times the larger and |P_k|^2 in [2^-1, 2] times its
+    square: the larger's pair widened by one on each side.  Where neither
+    dominates so (|Q_k| within a factor 4 of |e_k|, give or take the
+    pairs' widths) the function gives up.  Integer additions only.
+    """
+    s = q = lam
+    out = []
+    p = None
+    for e in reversed(constants):
+        if p is not None:
+            s = p[0] + s[0], p[1] + s[1]
+            q = s[0] + q[0], s[1] + q[1]
+        if q[1] <= e[0] - 4:
+            p = e[0] - 1, e[1] + 1
+        elif e[1] <= q[0] - 4:
+            p = q[0] - 1, q[1] + 1
+        else:
+            return None
         out.append(p)
     out.reverse()
     return out

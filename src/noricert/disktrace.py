@@ -38,17 +38,23 @@ proved every factor's recursion P_k = eps^(c_k) - lam^(n-k) prod_{j>k}
 P_j^(j-k) for this family, the balls of all the factors come from those
 recursions, two ball products per factor (``bounds.recursion_balls``), and
 otherwise each from a ball Horner over its expanded coefficients; a ball
-bracket that reaches 0 is replaced by the factor's exact atom.  Without
-the identities the atoms are |f1|^2 and |f2|^2 themselves.  A chart
-predicate (cover region, membership, entry, cone) is a test compiled once
-per factor map: a power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2)
-against a chart square, held as plain data.  ``_Image.first_failing`` decides an ordered sequence of
-them in one pass over the point's exponent vector and stops at the first
-that fails: each on the net exponents of the atoms first (common factors
-cancel before anything is multiplied, and these decide almost every test),
-then on the 192-bit products of the ``bounds.Product``s, then on the exact
-integers of the triples; the atoms become factor objects only where a test
-reaches the products.  A boundary spot check (target region,
+bracket that reaches 0 is replaced by the factor's exact atom.  With those
+recursions proved, the same recursions on exponent pairs alone
+(``bounds.recursion_exponents``) give powers of two around every |P_k|^2
+wherever one of their two terms dominates the other by a factor 4, and the
+atoms are computed only where that is not so, or where those powers leave a
+test open.  Without the identities the atoms are |f1|^2 and |f2|^2
+themselves.  A chart predicate (cover region, membership, entry, cone) is
+a test compiled once per factor map: a power vector over (|f1|^2, |f2|^2,
+|f2^(k+1) - f1|^2) against a chart square, held as plain data.
+``_Image.first_failing`` decides an ordered sequence of them in one pass
+over the point's exponent vector and stops at the first that fails, each
+in four rungs: on the net exponents from the recursions, then on the net
+exponents of the atoms (common factors cancel before anything is
+multiplied, and these two decide almost every test), then on the 192-bit
+products of the ``bounds.Product``s, then on the exact integers of the
+triples; the atoms become factor objects only where a test reaches the
+products.  A boundary spot check (target region,
 chart window, base chart) runs only where the certificate's own proof is
 incomplete, as the search for a refutation witness; the values at each of
 its exact circle points take ``bounds.Values``, whose atoms follow the same
@@ -91,6 +97,7 @@ from .bounds import (
     log2_bounds,
     products,
     ratio_exponents,
+    recursion_exponents,
 )
 from .certify import (
     CorollaryReport,
@@ -211,7 +218,15 @@ class _Factors(NamedTuple):
     quantities, or for the first two only, when
     ``_Image.first_failing`` brackets the difference by ``gap_bracket``.
     ``tests`` holds the compiled tests of each chart index
-    (``_chart_tests``), filled on first use.
+    (``_chart_tests``), filled on first use.  ``rung``, set with
+    ``chain``, holds the ``log2_bounds`` of each |e_k|^2
+    (``_recursion_rung``), from which ``bounds.recursion_exponents`` gives
+    powers of two around every |P_k(lam)|^2 before any atom is computed.
+
+    So one image point is decided in four rungs, each only where the one
+    before leaves a test open: the recursion exponents (with ``rung``), the
+    atoms' exponents, the 192-bit products of the atoms, and the exact
+    integers of the ``eval_scaled`` triples of f1 and f2.
     """
 
     constants: tuple
@@ -221,6 +236,7 @@ class _Factors(NamedTuple):
     forms: tuple
     tests: list
     chain: Optional[tuple] = None
+    rung: Optional[tuple] = None
 
 
 def _recursion_chain(
@@ -237,6 +253,16 @@ def _recursion_chain(
     if not _recursions_proved(fam, root_certs, n - 1):
         return None
     return tuple(coefficient_ball(_localization_sides(fam, k)[1][0]) for k in range(1, n))
+
+
+def _recursion_rung(fam: Family) -> tuple:
+    """The ``log2_bounds`` of |e_k|^2 = e_k^2, k = 1..n-1, read once per
+    factor map from the exact constants of ``_recursion_chain``."""
+    out = []
+    for k in range(1, fam.n):
+        e = _localization_sides(fam, k)[1][0]
+        out.append(log2_bounds(e.numerator**2, e.denominator**2))
+    return tuple(out)
 
 
 def _image_factors(
@@ -266,7 +292,10 @@ def _image_factors(
     by ``bounds.exact_atoms``.  Where ``root_certs`` proved the recursion
     of every P_k for this family object, ``chain`` is set
     (``_recursion_chain``) and the ball atoms come from the recursions, two
-    ball products per factor; otherwise each is a ball Horner.
+    ball products per factor; otherwise each is a ball Horner.  With
+    ``chain`` comes ``rung`` (``_recursion_rung``), the exponents of the
+    recursions' constants, from which an image decides most tests before
+    it computes any atom.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
         polys = fam.f1, fam.f2
@@ -275,6 +304,7 @@ def _image_factors(
     eps2 = fam.params.eps**2
     ones = (1,) * (n - 2)
     polys = tuple(fam.Pk(j) for j in range(1, n))
+    chain = _recursion_chain(fam, root_certs)
     return _Factors(
         (Ratio(eps2.numerator, eps2.denominator),),
         True,
@@ -282,7 +312,8 @@ def _image_factors(
         exact_atoms(polys),
         ((1, n, *range(1, n)), (2, 1, 1, *ones), (1, 1, 2, *ones)),
         [],
-        _recursion_chain(fam, root_certs),
+        chain,
+        None if chain is None else _recursion_rung(fam),
     )
 
 
@@ -387,21 +418,30 @@ def _compile_chart(fam: Family, factors: _Factors, k: int) -> tuple:
 class _Image:
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
-    ``exps`` are the binary exponents of the point atoms of ``factors``
+    One point is decided in four rungs, each only where the one before
+    leaves a test open: the recursion exponents, the atoms' exponents, the
+    192-bit products of the atoms, the exact integers of the triples.
+
+    ``exps`` are powers of two around the point atoms of ``factors``
     (``_image_factors``; by default |f1|^2 and |f2|^2): the exact |lam|^2
-    when the map has it and one atom per polynomial from
+    when the map has it, then one per polynomial.  Where the map has a
+    ``rung`` and lam is not 0, they are first that ``log2_bounds`` pair of
+    |lam|^2 and the pairs ``bounds.recursion_exponents`` derives from it, no
+    atom computed, all finite.  Where that gives up, or a test's net sum
+    on them is open, the point refines (``refined``): its atoms come from
     ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a ball
     bracket otherwise (from ``factors.chain`` when the map has one), and
-    exact wherever that bracket would reach 0 (``zero_atoms`` counts those);
-    None marks an exact zero atom, and ``positive`` tells that there is
-    none.  ``first_failing``
-    decides a sequence of compiled chart tests on them in one pass.
+    exact wherever that bracket would reach 0 (``zero_atoms`` counts
+    those), and ``exps`` become their exponents.  None marks an exact zero
+    atom, and ``positive`` tells that there is none.  ``first_failing``
+    decides a sequence of compiled chart tests on ``exps`` in one pass.
     ``atoms``, the atoms as factors (a ``bounds.Ratio`` for |lam|^2 and
     each exact atom, by the atom's own kind, the bracket otherwise), are
-    built on first read, by ``quantities``.  ``a1``, ``a2`` and ``gap`` are
-    the ``bounds.Product``s of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without
-    a form), built when ``net`` leaves a test open.  ``v1`` and ``v2`` are
-    the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
+    built on first read, by ``quantities``; reading them, or the triples,
+    refines first.  ``a1``, ``a2`` and ``gap`` are the ``bounds.Product``s
+    of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without a form), built when
+    ``net`` leaves a test open on the atoms' exponents.  ``v1`` and ``v2``
+    are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
     either is first read: by a bracket comparison left undecided, or by a
     refutation that renders the point.
     """
@@ -420,6 +460,28 @@ class _Image:
         factors: Optional[_Factors] = None,
     ):
         factors = _image_factors(fam) if factors is None else factors
+        self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
+        self._atoms: Optional[list] = None
+        self._quantities: Optional[tuple] = None
+        self._triples: Optional[tuple] = None
+        rung = factors.rung
+        if rung is not None and (num_re or num_im):
+            # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
+            num, den2 = num_re * num_re + num_im * num_im, den * den
+            lam = log2_bounds(num, den2)
+            exps = recursion_exponents(rung, lam)
+            if exps is not None:
+                exps.insert(0, lam)
+                self.exps, self.positive, self.zero_atoms = exps, True, 0
+                self._raw = None
+                return
+        self._refine()
+
+    def _refine(self) -> None:
+        """Compute the point atoms (``bounds.abs2_atoms``) and replace
+        ``exps`` by their exponents."""
+        factors = self.factors
+        num_re, num_im, den = self.lam
         raw, exps, self.zero_atoms = abs2_atoms(
             factors.polys, factors.exact, num_re, num_im, den, factors.chain
         )
@@ -430,16 +492,19 @@ class _Image:
             exps.insert(0, ratio_exponents(num, den2))
         self.exps = exps
         self.positive = None not in exps
-        self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
         self._raw = raw
-        self._atoms: Optional[list] = None
-        self._quantities: Optional[tuple] = None
-        self._triples: Optional[tuple] = None
+
+    @property
+    def refined(self) -> bool:
+        """Whether the point atoms have been computed."""
+        return self._raw is not None
 
     @property
     def atoms(self) -> list:
         """The point atoms as ``bracket_lt`` factors, built on first read."""
         if self._atoms is None:
+            if self._raw is None:
+                self._refine()
             raw = self._raw
             atoms = [Ratio(*raw[0])] if self.factors.lam else []
             for atom in raw[len(atoms):]:
@@ -490,8 +555,10 @@ class _Image:
         that does not hold at lam; ``len(tests)`` when all hold.
 
         Each test prod_i q_i^coeffs[i] < c (``<=`` when closed), q =
-        (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), is decided in three stages, each
-        where the one before leaves it open: the net exponents (``net``);
+        (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), is decided in stages, each
+        where the one before leaves it open: the net exponents (``net``),
+        on the recursion exponents and, where those leave it open, again
+        after the point refines, on the atoms' exponents;
         ``bounds.bracket_lt`` on the ``Product``s with the square's brackets
         as factors (the gap is a product at k = 0 with its form,
         ``gap_bracket`` otherwise, and the stage is skipped where that is
@@ -501,8 +568,9 @@ class _Image:
         one ``lt`` call per test up to it.
         """
         exps = self.exps
-        index = 0
-        for pairs, lo, hi, closed, stage in tests:
+        index, count = 0, len(tests)
+        while index < count:
+            pairs, lo, hi, closed, stage = tests[index]
             if pairs is None:
                 net = self.net(pairs, lo, hi)
                 if net is not None:
@@ -526,6 +594,12 @@ class _Image:
                         continue
                     if lo > 0 or not closed and lo == 0:
                         return index
+            if self._raw is None:
+                # the recursion exponents leave the test open: decide it
+                # again on the atoms' exponents
+                self._refine()
+                exps = self.exps
+                continue
             if not self._decide(closed, *stage):
                 return index
             index += 1
@@ -601,6 +675,8 @@ class _Image:
     @property
     def triples(self) -> tuple:
         if self._triples is None:
+            if self._raw is None:
+                self._refine()
             fam = self.fam
             self._triples = (eval_scaled(fam.f1, *self.lam), eval_scaled(fam.f2, *self.lam))
         return self._triples
@@ -627,15 +703,13 @@ class _Image:
         return any(p and ex is None for ex, p in zip(self.exps, form))
 
 
-def _count(tally: Counter, img: _Image) -> None:
-    """Book one image point, whether it needed its exact values, whether it
-    formed a 192-bit product and how many of its atoms the zero rule made
-    exact."""
-    tally["points"] += 1
-    tally["exact_fallbacks"] += img.evaluated
-    tally["products"] += img.formed
-    if img.zero_atoms:  # rare: a Counter reads a missing key as 0
-        tally["zero_atoms"] += img.zero_atoms
+def _book_images(tally: Counter, *counts: int) -> None:
+    """Add image counts, in the order of ``_IMAGE_COUNTS``, to ``tally``: the
+    points, those that needed their exact values, those that formed a
+    192-bit product, the atoms the zero rule made exact and the points whose
+    atoms were computed."""
+    for key, value in zip(_IMAGE_COUNTS, counts, strict=True):
+        tally[key] += value
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -1061,7 +1135,7 @@ def _entry_scale(
     def member(e: int) -> bool:
         img = _Image(fam, 1, 0, 10**e, factors)
         verdict = _holds(img, tests)
-        _count(tally, img)
+        _book_images(tally, 1, img.evaluated, img.formed, img.zero_atoms, img.refined)
         return verdict
 
     probe = 1
@@ -1159,11 +1233,18 @@ def chart_cone_certificate(
     # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test is the
     # first half)
     checked, unchecked = (member, halved, entry_test), (member, halved)
-    for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
-        img = _Image(fam, a, b, den, factors)
-        try:
+    # the ladder's image counts (``_IMAGE_COUNTS``), booked once
+    points = fallbacks = formed = zeros = refined = 0
+    try:
+        for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
+            img = _Image(fam, a, b, den, factors)
             full = full_membership_checks < 32
             failed = img.first_failing(checked if full else unchecked)
+            points += 1
+            fallbacks += img.evaluated
+            formed += img.formed
+            zeros += img.zero_atoms
+            refined += img.refined
             if failed == 0:
                 continue
             if failed == 1:
@@ -1194,8 +1275,8 @@ def chart_cone_certificate(
             accepted += 1
             if accepted == samples:
                 break
-        finally:
-            _count(tally, img)
+    finally:
+        _book_images(tally, points, fallbacks, formed, zeros, refined)
 
     data["samples"] = accepted
     data["full_membership_checks"] = full_membership_checks
@@ -1335,6 +1416,10 @@ def base_chart_certificate(
     )
 
 
+# the scales 10^0 .. 10^12 of every other witness draw
+_WITNESS_SCALES = tuple(10**e for e in range(13))
+
+
 def cone_window_witness(
     fam: Family,
     identities: CheckReport,
@@ -1366,27 +1451,36 @@ def cone_window_witness(
     accepted = 0
     attempts = 0
     index_counts = {k: 0 for k in range(n)}
-    while accepted < samples and attempts < 40 * samples:
-        attempts += 1
-        a, b, den = sampler.dyadic_in_disk(2)
-        if attempts % 2 == 0:
-            den *= 10 ** sampler.randint(0, 12)
-        img = _Image(fam, a, b, den, factors)
-        try:
-            if img.vanishes(2):
+    # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
+    points = fallbacks = formed = zeros = refined = 0
+    try:
+        while accepted < samples and attempts < 40 * samples:
+            attempts += 1
+            a, b, den = sampler.dyadic_in_disk(2)
+            if attempts % 2 == 0:
+                den *= _WITNESS_SCALES[sampler.randint(0, 12)]
+            img = _Image(fam, a, b, den, factors)
+            skipped = img.vanishes(2)
+            if not skipped:
+                in_region, cone_index = _first_open_cone_scaled(img, n)
+            points += 1
+            fallbacks += img.evaluated
+            formed += img.formed
+            zeros += img.zero_atoms
+            refined += img.refined
+            if skipped:
                 continue
-            in_region, cone_index = _first_open_cone_scaled(img, n)
-        finally:
-            _count(tally, img)
-        if not in_region or cone_index is None:
-            return Certificate(
-                "cone-window-witness",
-                Status.REFUTED,
-                "a sampled image point has no covering chart with an open cone",
-                _sample_witness(img, n + 1),
-            )
-        index_counts[cone_index] += 1
-        accepted += 1
+            if not in_region or cone_index is None:
+                return Certificate(
+                    "cone-window-witness",
+                    Status.REFUTED,
+                    "a sampled image point has no covering chart with an open cone",
+                    _sample_witness(img, n + 1),
+                )
+            index_counts[cone_index] += 1
+            accepted += 1
+    finally:
+        _book_images(tally, points, fallbacks, formed, zeros, refined)
     data = {
         "samples": accepted,
         "seed": seed,
@@ -1594,8 +1688,11 @@ class TraceReport:
     (``points``), those whose exact triples a predicate needed
     (``exact_fallbacks``), those that formed a 192-bit product
     (``products``) and the atoms that ``bounds.abs2_atoms`` evaluated
-    exactly because their ball reached 0 (``zero_atoms``), ``witness`` the
-    same four counts for the cone-window witness; ``boundary`` holds, for each exact-circle-point loop of the
+    exactly because their ball reached 0 (``zero_atoms``) and the points
+    whose atoms were computed at all (``refined``: where the recursion
+    exponents left a test open or gave up, or every point without them),
+    ``witness`` the same five counts for the cone-window witness;
+    ``boundary`` holds, for each exact-circle-point loop of the
     trace (``target``, ``window`` and ``base``), its ``points`` and as
     ``exact_fallbacks`` those where a comparison's brackets overlapped and
     exact integers decided, all 0 for a loop that did not run because its
@@ -1643,9 +1740,11 @@ class TraceReport:
 # their certificates need them
 _BOUNDARY_LOOPS = ("target", "window", "base")
 _WORK_COUNTS = ("points", "exact_fallbacks")
-# an image point also books whether it formed a 192-bit product and how
-# many of its ball atoms reached 0 and were evaluated exactly
-_IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms")
+# an image point also books whether it formed a 192-bit product, how many
+# of its ball atoms reached 0 and were evaluated exactly, and whether its
+# atoms were computed (where the recursion exponents left a test open, or
+# without them)
+_IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms", "refined")
 
 _TRACE_DETAIL = {
     Status.REFUTED: "a condition is refuted",

@@ -648,6 +648,25 @@ class TestDivisionWitness:
             assert witness.to_json()["quotient_degree"] == witness.degree
         assert [w.degree for w in derived] == {2: [0], 3: [0, 2], 4: [0, 5, 18]}[n]
 
+    def test_degree_tie_falls_back_to_the_long_division(
+        self, built_families, root_certs, monkeypatch
+    ):
+        # with every premise proved but the two side degrees tied, the
+        # leading terms may cancel, so the degree is not derived: C is
+        # expanded and divided, and the quotient has the degree the
+        # recursions give where the degrees are apart (0, 2 at n = 3)
+        fam = built_families[3]
+        derived = [lemma_div_check(fam, k, root_certs[3]) for k in (1, 2)]
+        assert {w.method for w in derived} == {"recursion"}
+        monkeypatch.setattr(certify, "_side_degree", lambda fam, side: 7)
+        for k, want in zip((1, 2), derived):
+            witness = lemma_div_check(fam, k, root_certs[3])
+            assert witness.method == "long-division"
+            assert witness.status is Status.PROVED
+            assert witness.expanded is not None
+            assert witness.degree == witness.quotient.degree == want.degree
+            assert witness.quotient == want.quotient
+
     def test_premises_of_another_family_fall_back(self, built_families, root_certs):
         # the same polynomials under another family object: the recursions
         # were proved for the original, so the copy is divided

@@ -392,10 +392,14 @@ class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
         # under 1 % of the bracketed points need the exact triples;
-        # the net exponents leave 58 of them to 192-bit products (663
+        # the net exponents leave 57 of them to 192-bit products (663
         # when the two sides' exponents were summed uncancelled): the entry
-        # probe's neighbour of the root of P_(n-1), and cone tests at n = 4
-        # whose net exponents straddle 1.  The probe at the root of P_(n-1)
+        # probe's neighbour of the root of P_(n-1) at n = 3, and cone tests
+        # at n = 4 whose net exponents straddle 1.  At n = 2 that neighbour,
+        # lam = 1e-9, is decided by the recursion exponents, which read
+        # |lam|^2 by its tightest powers of two (the atoms' exponents, with
+        # the bit-length pair of |lam|^2, left it to the products).  The
+        # probe at the root of P_(n-1)
         # is decided on an exact zero atom by sign alone, with no product:
         # at n = 2, 3 the factors' atoms are exact, and at n = 4 the ball
         # of P_3 reaches 0 there and is replaced by its exact value (the
@@ -403,30 +407,40 @@ class TestMeta:
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
-        assert set(deep) == {"points", "exact_fallbacks", "products", "zero_atoms", "per_n"}
+        counts = ("points", "exact_fallbacks", "products", "zero_atoms", "refined")
+        assert set(deep) == {*counts, "per_n"}
         assert set(deep["per_n"]) == {"2", "3", "4"}
-        for key in ("points", "exact_fallbacks", "products", "zero_atoms"):
+        for key in counts:
             assert deep[key] == sum(c[key] for c in deep["per_n"].values())
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
         assert (deep["points"], deep["exact_fallbacks"]) == (1608, 0)
-        assert [deep["per_n"][n]["products"] for n in "234"] == [1, 1, 56]
+        assert [deep["per_n"][n]["products"] for n in "234"] == [0, 1, 56]
         assert [deep["per_n"][n]["zero_atoms"] for n in "234"] == [0, 0, 1]
+        # the points whose atoms were computed: where the recursion
+        # exponents of the factors left a test open, or gave up
+        assert [deep["per_n"][n]["refined"] for n in "234"] == [1, 25, 76]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
     def test_witness_counters(self, default_run):
         # the cone-window witness at n = 2..4 draws 2048 points per size,
         # bracketed through the factors and decided by their net exponents,
-        # with no exact triple, no 192-bit product and no ball reaching 0
+        # with no exact triple, no 192-bit product and no ball reaching 0;
+        # the atoms are computed only at the points where the recursion
+        # exponents leave a test open (the band |lam| ~ 1e-8 at n = 2)
         report, code = default_run
         assert code == EXIT_OK
         witness = report["meta"]["witness"]
         zero = {"exact_fallbacks": 0, "products": 0, "zero_atoms": 0}
+        refined = {"2": 97, "3": 23, "4": 12}
         assert witness == {
             "points": 6144,
             **zero,
-            "per_n": {n: {"points": 2048, **zero} for n in ("2", "3", "4")},
+            "refined": sum(refined.values()),
+            "per_n": {
+                n: {"points": 2048, **zero, "refined": refined[n]} for n in ("2", "3", "4")
+            },
         }
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256

@@ -66,6 +66,8 @@ from noricert.bounds import (
     exact_atoms,
     exponents,
     gap_bracket,
+    log2_bounds,
+    recursion_exponents,
 )
 from noricert.disktrace import (
     _FACTOR_IDENTITIES,
@@ -1274,8 +1276,10 @@ class TestRecursionChain:
         self, built_families, root_certs, corollary_reports, identities, divisions, monkeypatch
     ):
         # the whole n = 4 trace with the chain and with the Horner (the chain
-        # switched off): the same report and work counts, and ball_abs2 runs
-        # only without the chain
+        # switched off): the same report and work counts, but for the points
+        # whose atoms were computed (without the chain there is no rung of
+        # recursion exponents, so every point), and ball_abs2 runs only
+        # without the chain
         calls = Counter()
         real = bounds.ball_abs2
 
@@ -1303,7 +1307,194 @@ class TestRecursionChain:
         horner = trace()
         assert calls["ball_abs2"] > 0
         assert chained.to_json() == horner.to_json()
+        refined = [
+            (run.ladder.pop("refined"), run.witness.pop("refined")) for run in (chained, horner)
+        ]
+        assert refined == [(76, 14), (horner.ladder["points"], horner.witness["points"])]
         assert (chained.ladder, chained.witness) == (horner.ladder, horner.witness)
+
+
+def _in_power_bounds(pair, num, den):
+    """Whether 2^lo <= num/den <= 2^hi for ``pair = (lo, hi)``, on integers."""
+    lo, hi = pair
+    lower = num << -lo >= den if lo < 0 else num >= den << lo
+    upper = num << -hi <= den if hi < 0 else num <= den << hi
+    return lower and upper
+
+
+def _crossover_scale(fam, k):
+    """A binary scale m at which |Q_k(2^-m)| = |e_k - P_k(2^-m)| crosses
+    |e_k|: above it at 2^-(m - 1), at or below it at 2^-m, by bisection on
+    exact values."""
+    e = fam.params.eps ** fam.params.c[k - 1]
+
+    def above(m):
+        re, im, d = eval_scaled(fam.Pk(k), 1, 0, 2**m)
+        return abs(e - F(re, d)) > e
+
+    lo, hi = 0, 1
+    while above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# unit-ish directions of the band points: lam = u 2^-m
+_DIRECTIONS = ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (3, 4, 5), (-5, 12, 13), (7, -1, 5))
+
+
+class TestRecursionExponents:
+    """The first rung of an image point: powers of two around every
+    |P_k(lam)|^2 from the proved recursions, by integer bit lengths, and the
+    atoms only where two recursion terms come close."""
+
+    @staticmethod
+    def _points(fam):
+        """Draws at every decimal scale 10^0 .. 10^-12, and points inside and
+        on the edges of each factor's crossover band."""
+        sampler = RationalSampler("recursion-exponents", fam.n)
+        points = []
+        for e in range(13):
+            for _ in range(6):
+                a, b, den = sampler.dyadic_in_disk(2)
+                points.append((a, b, den * 10**e))
+        for k in range(1, fam.n):
+            m = _crossover_scale(fam, k)
+            for shift in range(-8, 9):
+                for a, b, d in _DIRECTIONS:
+                    points.append((a, b, d << (m + shift)))  # m > 8 at n = 2..4
+            # points between consecutive binary scales across the band
+            for num in range(16, 32):
+                points.append((num, 0, 1 << (m + 4)))
+        return points
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_pair_bounds_the_exact_factor(self, built_families, identities, root_certs, n):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        assert factors.rung is not None
+        returned = gave_up = 0
+        for a, b, den in self._points(fam):
+            lam2 = log2_bounds(a * a + b * b, den * den)
+            pairs = recursion_exponents(factors.rung, lam2)
+            if pairs is None:
+                gave_up += 1
+                continue
+            returned += 1
+            assert len(pairs) == n - 1
+            for j, pair in enumerate(pairs, start=1):
+                num, d2 = scaled_abs2(eval_scaled(fam.Pk(j), a, b, den))
+                assert _in_power_bounds(pair, num, d2), (j, (a, b, den), pair)
+        # the rung decides most points and gives up inside the bands
+        assert returned > gave_up > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rung_pairs_of_the_constants(self, built_families, identities, root_certs, n):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        for pair, c in zip(factors.rung, fam.params.c, strict=True):
+            e = fam.params.eps**c
+            assert pair == log2_bounds(e.numerator**2, e.denominator**2)
+
+    def test_gives_up_where_the_terms_come_close(self):
+        # |e|^2 in [2^-10, 2^-9] and |Q|^2 = |lam|^2 at n = 2: the larger
+        # term's pair widened by one where the other's upper power is 2^4
+        # below its lower one, None otherwise
+        rung = ((-10, -9),)
+        assert recursion_exponents(rung, (-15, -14)) == [(-11, -8)]
+        assert recursion_exponents(rung, (-5, -4)) == [(-6, -3)]
+        for lam in ((-14, -13), (-12, -11), (-8, -7), (-6, -5)):
+            assert recursion_exponents(rung, lam) is None
+        # at n = 3, |Q_1|^2 = |lam|^2 |lam P_2|^2 adds the pairs: (-41, -36)
+        # and (-16, -11) at the two points above, both far above |e_1|^2
+        rung = ((-60, -59), (-10, -9))
+        assert recursion_exponents(rung, (-15, -14)) == [(-42, -35), (-11, -8)]
+        assert recursion_exponents(rung, (-5, -4)) == [(-17, -10), (-6, -3)]
+        assert recursion_exponents(rung, (-9, -8)) is None
+        # P_2 decided, |Q_1|^2 within the band of |e_1|^2
+        assert recursion_exponents(((-40, -39), (-10, -9)), (-15, -14)) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_images_at_zero_fall_through(self, built_families, identities, root_certs, n):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        img = _Image(fam, 0, 0, 1, factors)
+        assert img.refined and img.exps[0] is None
+        assert img.vanishes(1) and img.vanishes(2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_images_refine_only_where_a_test_is_open(
+        self, built_families, identities, root_certs, n
+    ):
+        # against the same map without the rung: away from the bands a
+        # point is decided on the rung alone, its atoms never computed and
+        # its exponents enclosing the atoms' own; a point the rung gives up
+        # on has its atoms from the start
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        plain = factors._replace(rung=None, tests=[])
+        decided = 0
+        for lam in self._points(fam):
+            img, atoms = _Image(fam, *lam, factors), _Image(fam, *lam, plain)
+            if img.refined:
+                assert img.exps == atoms.exps
+                continue
+            assert img.positive and img.zero_atoms == 0
+            # |lam|^2 by its tightest powers of two, inside the bit-length
+            # pair of its atom
+            a, b, den = lam
+            assert img.exps[0] == log2_bounds(a * a + b * b, den * den)
+            (lo, hi), (a_lo, a_hi) = img.exps[0], atoms.exps[0]
+            assert a_lo <= lo <= hi <= a_hi
+            for rung, exact in zip(img.exps[1:], atoms.exps[1:], strict=True):
+                assert rung[0] <= exact[0] <= exact[1] <= rung[1]
+            assert _first_open_cone_scaled(img, n) == _first_open_cone_scaled(atoms, n)
+            decided += not img.refined
+            # reading the atoms refines first
+            assert img.atoms == atoms.atoms and img.refined
+            assert img.exps == atoms.exps
+        assert decided > 0
+
+    def test_no_rung_without_a_proved_chain(self, built_families, identities, root_certs):
+        # tampered P_2, root certificates of another family object or none:
+        # no chain and no rung, every image has its atoms from the start
+        fam, ids, roots = built_families[3], identities[3], root_certs[3]
+        other = family_root_certificates(default_family(3))
+        tampered = _tampered_family(fam)
+        t_roots = family_root_certificates(tampered)
+        maps = (
+            _image_factors(fam, ids),
+            _image_factors(fam, ids, {**roots, 2: other[2]}),
+            _image_factors(tampered, exact_identity_checks(tampered, t_roots), t_roots),
+        )
+        for factors in maps:
+            assert factors.chain is None and factors.rung is None
+        for lam in _witness_draws(3, 16, 21):
+            assert _Image(fam, *lam, maps[0]).refined
+            assert _Image(fam, *lam, maps[1]).refined
+            assert _Image(tampered, *lam, maps[2]).refined
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_verdicts_and_counts_with_and_without_the_rung(
+        self, built_families, identities, root_certs, n
+    ):
+        # the same certificate and counts, but for ``refined``: every point
+        # without the rung, a few with it
+        fam = built_families[n]
+        with_rung, without = Counter(), Counter()
+        got = cone_window_witness(
+            fam, identities[n], samples=512, root_certs=root_certs[n], tally=with_rung
+        )
+        ref = cone_window_witness(fam, identities[n], samples=512, tally=without)
+        assert got.to_json() == ref.to_json()
+        assert without["refined"] == without["points"]
+        assert 0 < with_rung.pop("refined") * 10 < without.pop("refined")
+        assert with_rung == without
 
 
 def _exact_target_failure(fam, spot_checks=64):
