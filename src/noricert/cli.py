@@ -18,9 +18,11 @@ Identical configurations produce byte-identical reports except for the
 each stage per size, from the family's ``build`` through its certificate
 stages to its ``family_hash``, ``deep_scale``: how many image points the
 chart-cone ladders bracketed, how many of those needed the exact triples
-after all, how many formed a 192-bit product and how many of their atoms
-were evaluated exactly because a ball bracket reached 0, ``witness``: the
-same four counts for the cone-window witness's sampled image points,
+after all, how many formed a 192-bit product, how many of their atoms
+were evaluated exactly because a ball bracket reached 0, how many computed
+their atoms at all (``refined``) and how many reused the outcome of an
+earlier point with the same |lam|^2 pair (``reused``), ``witness``: the
+same six counts for the cone-window witness's sampled image points,
 ``boundary``: the points of each loop over exact circle points (the annulus
 bounds, the target region, the chart window and the base chart) and its
 exact fallbacks, the points where a comparison's brackets overlapped and

@@ -47,6 +47,11 @@ test open.  Without the identities the atoms are |f1|^2 and |f2|^2
 themselves.  A chart predicate (cover region, membership, entry, cone) is
 a test compiled once per factor map: a power vector over (|f1|^2, |f2|^2,
 |f2^(k+1) - f1|^2) against a chart square, held as plain data.
+The two sampled loops, the chart-cone ladder and the cone-window witness,
+first read a point's ``log2_bounds`` pair of |lam|^2 (``_rung_key``), all
+that the first rung below reads of lam, and reuse the outcome of an
+earlier point of the same call with that pair that was decided on the
+first rung alone and refuted nothing; every other point is an ``_Image``.
 ``_Image.first_failing`` decides an ordered sequence of them in one pass
 over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
@@ -222,6 +227,9 @@ class _Factors(NamedTuple):
     ``chain``, holds the ``log2_bounds`` of each |e_k|^2
     (``_recursion_rung``), from which ``bounds.recursion_exponents`` gives
     powers of two around every |P_k(lam)|^2 before any atom is computed.
+    That first rung reads lam only through its |lam|^2 pair (``_rung_key``),
+    so the sampled loops decide each such pair on it once per call and
+    reuse the outcome.
 
     So one image point is decided in four rungs, each only where the one
     before leaves a test open: the recursion exponents (with ``rung``), the
@@ -415,26 +423,46 @@ def _compile_chart(fam: Family, factors: _Factors, k: int) -> tuple:
     return region, chart, cone if k else (*region, *cone), member, entry, halved
 
 
+def _rung_key(factors: _Factors, num_re: int, num_im: int, den2: int) -> Optional[tuple]:
+    """The ``log2_bounds`` pair of the exact |lam|^2 = (num_re^2 +
+    num_im^2)/den2, den2 the squared denominator of lam, where ``factors``
+    has a ``rung`` and lam is not 0; None otherwise.
+
+    It is all that an image's first rung reads of lam: an image that
+    decides its tests on the recursion exponents without refining has an
+    outcome, and counts, fixed by the factor map, the tests and this pair,
+    which is why the sampled loops memoize such outcomes by it.
+    """
+    if factors.rung is None or not (num_re or num_im):
+        return None
+    return log2_bounds(num_re * num_re + num_im * num_im, den2)
+
+
 class _Image:
     """The image point (f1(lam), f2(lam)) of lam = (num_re + i num_im)/den.
 
     One point is decided in four rungs, each only where the one before
     leaves a test open: the recursion exponents, the atoms' exponents, the
-    192-bit products of the atoms, the exact integers of the triples.
+    192-bit products of the atoms, the exact integers of the triples.  The
+    sampled loops (the chart-cone ladder and the cone-window witness) build
+    no image at all for a point whose |lam|^2 pair (``_rung_key``) already
+    gave a non-refuting outcome on the first rung alone, with no refinement:
+    they reuse that outcome.
 
     ``exps`` are powers of two around the point atoms of ``factors``
     (``_image_factors``; by default |f1|^2 and |f2|^2): the exact |lam|^2
     when the map has it, then one per polynomial.  Where the map has a
     ``rung`` and lam is not 0, they are first that ``log2_bounds`` pair of
-    |lam|^2 and the pairs ``bounds.recursion_exponents`` derives from it, no
-    atom computed, all finite.  Where that gives up, or a test's net sum
-    on them is open, the point refines (``refined``): its atoms come from
-    ``bounds.abs2_atoms``, exact where ``factors.exact`` says so and a ball
-    bracket otherwise (from ``factors.chain`` when the map has one), and
-    exact wherever that bracket would reach 0 (``zero_atoms`` counts
-    those), and ``exps`` become their exponents.  None marks an exact zero
-    atom, and ``positive`` tells that there is none.  ``first_failing``
-    decides a sequence of compiled chart tests on ``exps`` in one pass.
+    |lam|^2 (``_rung_key``) and the pairs ``bounds.recursion_exponents``
+    derives from it, no atom computed, all finite.  Where that gives up, or
+    a test's net sum on them is open, the point refines (``refined``): its
+    atoms come from ``bounds.abs2_atoms``, exact where ``factors.exact``
+    says so and a ball bracket otherwise (from ``factors.chain`` when the
+    map has one), and exact wherever that bracket would reach 0
+    (``zero_atoms`` counts those), and ``exps`` become their exponents.
+    None marks an exact zero atom, and ``positive`` tells that there is
+    none.  ``first_failing`` decides a sequence of compiled chart tests on
+    ``exps`` in one pass.
     ``atoms``, the atoms as factors (a ``bounds.Ratio`` for |lam|^2 and
     each exact atom, by the atom's own kind, the bracket otherwise), are
     built on first read, by ``quantities``; reading them, or the triples,
@@ -464,14 +492,11 @@ class _Image:
         self._atoms: Optional[list] = None
         self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
-        rung = factors.rung
-        if rung is not None and (num_re or num_im):
-            # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
-            num, den2 = num_re * num_re + num_im * num_im, den * den
-            lam = log2_bounds(num, den2)
-            exps = recursion_exponents(rung, lam)
+        key = _rung_key(factors, num_re, num_im, den * den)
+        if key is not None:
+            exps = recursion_exponents(factors.rung, key)
             if exps is not None:
-                exps.insert(0, lam)
+                exps.insert(0, key)
                 self.exps, self.positive, self.zero_atoms = exps, True, 0
                 self._raw = None
                 return
@@ -706,8 +731,8 @@ class _Image:
 def _book_images(tally: Counter, *counts: int) -> None:
     """Add image counts, in the order of ``_IMAGE_COUNTS``, to ``tally``: the
     points, those that needed their exact values, those that formed a
-    192-bit product, the atoms the zero rule made exact and the points whose
-    atoms were computed."""
+    192-bit product, the atoms the zero rule made exact, the points whose
+    atoms were computed and the points that reused an earlier outcome."""
     for key, value in zip(_IMAGE_COUNTS, counts, strict=True):
         tally[key] += value
 
@@ -1135,7 +1160,7 @@ def _entry_scale(
     def member(e: int) -> bool:
         img = _Image(fam, 1, 0, 10**e, factors)
         verdict = _holds(img, tests)
-        _book_images(tally, 1, img.evaluated, img.formed, img.zero_atoms, img.refined)
+        _book_images(tally, 1, img.evaluated, img.formed, img.zero_atoms, img.refined, 0)
         return verdict
 
     probe = 1
@@ -1158,6 +1183,11 @@ def _entry_scale(
 _GRID = 8  # magnitude grid of the ladder: |w| in [1/2, 1) with 2^8 resolution
 
 
+def _ladder_denominators(entry: int) -> tuple:
+    """The six denominators 2^8 10^e of the ladder, e = entry .. entry + 5."""
+    return tuple((2**_GRID) * 10**e for e in range(entry, entry + 6))
+
+
 def _approach_candidates(fam: Family, k: int, entry: int, samples: int, seed: int):
     """The deterministic candidate points ``(a, b, e, den)`` of chart k's ladder.
 
@@ -1166,13 +1196,14 @@ def _approach_candidates(fam: Family, k: int, entry: int, samples: int, seed: in
     wanted sample are made.
     """
     sampler = RationalSampler("cone-region", fam.n, k, samples, seed)
+    dens = _ladder_denominators(entry)
     for _ in range(40 * samples):
         a = sampler.randint(-(2**_GRID), 2**_GRID)
         b = sampler.randint(-(2**_GRID), 2**_GRID)
         if not 2 ** (2 * _GRID - 2) <= a * a + b * b < 2 ** (2 * _GRID):
             continue
-        e = entry + sampler.randint(0, 5)
-        yield a, b, e, (2**_GRID) * 10**e
+        step = sampler.randint(0, 5)
+        yield a, b, entry + step, dens[step]
 
 
 def chart_cone_certificate(
@@ -1203,7 +1234,12 @@ def chart_cone_certificate(
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
     image points and exact fallbacks.  The entry probe and the ladder
     bracket their images through one factor map, with ball atoms from the
-    factors' recursions where ``root_certs`` proves them.
+    factors' recursions where ``root_certs`` proves them.  A ladder point
+    whose |lam|^2 pair (``_rung_key``) an earlier point of this chart
+    decided on the recursion exponents alone, outside the approach region
+    or passing every test of the same sequence, reuses that failing index
+    (``reused``) and builds no image; the ladder's six denominators and
+    their squares are computed once per chart.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -1233,18 +1269,31 @@ def chart_cone_certificate(
     # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test is the
     # first half)
     checked, unchecked = (member, halved, entry_test), (member, halved)
+    squares = tuple(den * den for den in _ladder_denominators(entry))
+    # the failing index of each (full, |lam|^2 pair) that an image decided
+    # on the recursion exponents alone, not refuting (``_rung_key``)
+    reuse: dict = {}
     # the ladder's image counts (``_IMAGE_COUNTS``), booked once
-    points = fallbacks = formed = zeros = refined = 0
+    points = fallbacks = formed = zeros = refined = reused = 0
     try:
         for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
-            img = _Image(fam, a, b, den, factors)
             full = full_membership_checks < 32
-            failed = img.first_failing(checked if full else unchecked)
+            key = full, _rung_key(factors, a, b, squares[e - entry])
             points += 1
-            fallbacks += img.evaluated
-            formed += img.formed
-            zeros += img.zero_atoms
-            refined += img.refined
+            failed = reuse.get(key)
+            if failed is None:
+                img = _Image(fam, a, b, den, factors)
+                tests = checked if full else unchecked
+                failed = img.first_failing(tests)
+                fallbacks += img.evaluated
+                formed += img.formed
+                zeros += img.zero_atoms
+                refined += img.refined
+                # an image without a rung key refines, so none is stored
+                if not img.refined and failed in (0, len(tests)):
+                    reuse[key] = failed
+            else:
+                reused += 1
             if failed == 0:
                 continue
             if failed == 1:
@@ -1276,7 +1325,7 @@ def chart_cone_certificate(
             if accepted == samples:
                 break
     finally:
-        _book_images(tally, points, fallbacks, formed, zeros, refined)
+        _book_images(tally, points, fallbacks, formed, zeros, refined, reused)
 
     data["samples"] = accepted
     data["full_membership_checks"] = full_membership_checks
@@ -1441,8 +1490,11 @@ def cone_window_witness(
     The images are bracketed through the factors when ``identities`` proves
     the three identities of ``_FACTOR_IDENTITIES``, with ball atoms from the
     factors' recursions where ``root_certs`` proves them (see
-    ``_image_factors``).  ``tally`` counts the drawn image points and their
-    exact fallbacks.
+    ``_image_factors``).  A draw whose |lam|^2 pair (``_rung_key``) an
+    earlier draw of this call decided on the recursion exponents alone, in
+    the region with an open cone, reuses that cone index (``reused``) and
+    builds no image; a refutation is always rendered from its own point.
+    ``tally`` counts the drawn image points and their exact fallbacks.
     """
     n = fam.n
     factors = _image_factors(fam, identities, root_certs)
@@ -1451,19 +1503,29 @@ def cone_window_witness(
     accepted = 0
     attempts = 0
     index_counts = {k: 0 for k in range(n)}
+    # the cone index of each |lam|^2 pair that an image decided on the
+    # recursion exponents alone (``_rung_key``)
+    reuse: dict = {}
     # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
-    points = fallbacks = formed = zeros = refined = 0
+    points = fallbacks = formed = zeros = refined = reused = 0
     try:
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
             a, b, den = sampler.dyadic_in_disk(2)
             if attempts % 2 == 0:
                 den *= _WITNESS_SCALES[sampler.randint(0, 12)]
+            points += 1
+            key = _rung_key(factors, a, b, den * den)
+            cone_index = reuse.get(key)
+            if cone_index is not None:
+                reused += 1
+                index_counts[cone_index] += 1
+                accepted += 1
+                continue
             img = _Image(fam, a, b, den, factors)
             skipped = img.vanishes(2)
             if not skipped:
                 in_region, cone_index = _first_open_cone_scaled(img, n)
-            points += 1
             fallbacks += img.evaluated
             formed += img.formed
             zeros += img.zero_atoms
@@ -1477,10 +1539,13 @@ def cone_window_witness(
                     "a sampled image point has no covering chart with an open cone",
                     _sample_witness(img, n + 1),
                 )
+            # an image without a rung key refines, so none is stored
+            if not img.refined:
+                reuse[key] = cone_index
             index_counts[cone_index] += 1
             accepted += 1
     finally:
-        _book_images(tally, points, fallbacks, formed, zeros, refined)
+        _book_images(tally, points, fallbacks, formed, zeros, refined, reused)
     data = {
         "samples": accepted,
         "seed": seed,
@@ -1690,8 +1755,10 @@ class TraceReport:
     (``products``) and the atoms that ``bounds.abs2_atoms`` evaluated
     exactly because their ball reached 0 (``zero_atoms``) and the points
     whose atoms were computed at all (``refined``: where the recursion
-    exponents left a test open or gave up, or every point without them),
-    ``witness`` the same five counts for the cone-window witness;
+    exponents left a test open or gave up, or every point without them) and
+    those that reused the outcome of an earlier point with the same |lam|^2
+    pair, decided on the recursion exponents alone (``reused``),
+    ``witness`` the same six counts for the cone-window witness;
     ``boundary`` holds, for each exact-circle-point loop of the
     trace (``target``, ``window`` and ``base``), its ``points`` and as
     ``exact_fallbacks`` those where a comparison's brackets overlapped and
@@ -1743,8 +1810,9 @@ _WORK_COUNTS = ("points", "exact_fallbacks")
 # an image point also books whether it formed a 192-bit product, how many
 # of its ball atoms reached 0 and were evaluated exactly, and whether its
 # atoms were computed (where the recursion exponents left a test open, or
-# without them)
-_IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms", "refined")
+# without them); a point of a sampled loop also books whether it reused the
+# outcome of an earlier point with its |lam|^2 pair (``_rung_key``)
+_IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms", "refined", "reused")
 
 _TRACE_DETAIL = {
     Status.REFUTED: "a condition is refuted",

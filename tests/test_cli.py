@@ -407,7 +407,7 @@ class TestMeta:
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
-        counts = ("points", "exact_fallbacks", "products", "zero_atoms", "refined")
+        counts = ("points", "exact_fallbacks", "products", "zero_atoms", "refined", "reused")
         assert set(deep) == {*counts, "per_n"}
         assert set(deep["per_n"]) == {"2", "3", "4"}
         for key in counts:
@@ -420,6 +420,9 @@ class TestMeta:
         # the points whose atoms were computed: where the recursion
         # exponents of the factors left a test open, or gave up
         assert [deep["per_n"][n]["refined"] for n in "234"] == [1, 25, 76]
+        # the ladder points whose |lam|^2 pair an earlier point of the same
+        # chart had decided on the recursion exponents alone
+        assert [deep["per_n"][n]["reused"] for n in "234"] == [224, 431, 615]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
@@ -428,18 +431,23 @@ class TestMeta:
         # bracketed through the factors and decided by their net exponents,
         # with no exact triple, no 192-bit product and no ball reaching 0;
         # the atoms are computed only at the points where the recursion
-        # exponents leave a test open (the band |lam| ~ 1e-8 at n = 2)
+        # exponents leave a test open (the band |lam| ~ 1e-8 at n = 2), and
+        # all but a few hundred points reuse the cone index of an earlier
+        # point with the same |lam|^2 pair
         report, code = default_run
         assert code == EXIT_OK
         witness = report["meta"]["witness"]
         zero = {"exact_fallbacks": 0, "products": 0, "zero_atoms": 0}
         refined = {"2": 97, "3": 23, "4": 12}
+        reused = {"2": 1877, "3": 1948, "4": 1959}
         assert witness == {
             "points": 6144,
             **zero,
             "refined": sum(refined.values()),
+            "reused": sum(reused.values()),
             "per_n": {
-                n: {"points": 2048, **zero, "refined": refined[n]} for n in ("2", "3", "4")
+                n: {"points": 2048, **zero, "refined": refined[n], "reused": reused[n]}
+                for n in ("2", "3", "4")
             },
         }
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)

@@ -81,6 +81,7 @@ from noricert.disktrace import (
     _first_open_cone_scaled,
     _image_factors,
     _in_cover_region,
+    _rung_key,
 )
 import noricert.bounds as bounds
 import noricert.disktrace as disktrace
@@ -1311,6 +1312,11 @@ class TestRecursionChain:
             (run.ladder.pop("refined"), run.witness.pop("refined")) for run in (chained, horner)
         ]
         assert refined == [(76, 14), (horner.ladder["points"], horner.witness["points"])]
+        # without a rung no point has a key, so none reuses an outcome
+        reused = [
+            (run.ladder.pop("reused"), run.witness.pop("reused")) for run in (chained, horner)
+        ]
+        assert reused[1] == (0, 0) and min(reused[0]) > 0
         assert (chained.ladder, chained.witness) == (horner.ladder, horner.witness)
 
 
@@ -1484,7 +1490,8 @@ class TestRecursionExponents:
         self, built_families, identities, root_certs, n
     ):
         # the same certificate and counts, but for ``refined``: every point
-        # without the rung, a few with it
+        # without the rung, a few with it; and for ``reused``: none without
+        # the rung, most with it
         fam = built_families[n]
         with_rung, without = Counter(), Counter()
         got = cone_window_witness(
@@ -1494,7 +1501,126 @@ class TestRecursionExponents:
         assert got.to_json() == ref.to_json()
         assert without["refined"] == without["points"]
         assert 0 < with_rung.pop("refined") * 10 < without.pop("refined")
+        assert without.pop("reused") == 0 < with_rung.pop("reused")
         assert with_rung == without
+
+
+class _Unequal(tuple):
+    """A ``_rung_key`` pair that equals only itself, so that no dict lookup
+    finds it: the images keep their first rung, the loops reuse nothing."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
+def _ladder_tests(fam, factors, k):
+    """The ladder's two test sequences of chart k, with and without the
+    entry half of chart membership."""
+    _, _, _, member, entry, halved = _chart_tests(fam, factors, k)
+    return (member, halved, entry), (member, halved)
+
+
+class TestRungMemo:
+    """The sampled loops reuse an outcome decided on the recursion
+    exponents alone for every later point with the same |lam|^2 pair."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_key_fixes_the_first_rungs_outcome(self, built_families, identities, root_certs, n):
+        # replay both memos point by point on fresh images: a point whose
+        # key was stored decides on its first rung alone, to the stored
+        # outcome, with no atom, product or triple; integers only
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+
+        def first_rung_only(img, key):
+            assert not img.refined and not img.evaluated and not img.formed
+            assert img.zero_atoms == 0 and img.exps[0] == key
+
+        stored, hits = {}, 0
+        for a, b, den in _witness_draws(n, 2048, 0):
+            key = _rung_key(factors, a, b, den * den)
+            assert key == (log2_bounds(a * a + b * b, den * den) if a or b else None)
+            img = _Image(fam, a, b, den, factors)
+            outcome = (img.vanishes(2), *_first_open_cone_scaled(img, n))
+            if key in stored:
+                first_rung_only(img, key)
+                assert outcome == (False, True, stored[key])
+                hits += 1
+            elif not img.refined:
+                # no draw of the proved family refutes the witness
+                assert outcome[:2] == (False, True) and outcome[2] is not None
+                stored[key] = outcome[2]
+        assert hits > 1024
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            stored, hits = {}, 0
+            candidates = _approach_candidates(fam, k, entry, 256, 0)
+            for (a, b, _, den), _ in zip(candidates, range(512)):
+                for tests in _ladder_tests(fam, factors, k):
+                    key = len(tests), _rung_key(factors, a, b, den * den)
+                    img = _Image(fam, a, b, den, factors)
+                    failed = img.first_failing(tests)
+                    if key in stored:
+                        first_rung_only(img, key[1])
+                        assert failed == stored[key]
+                        hits += 1
+                    elif not img.refined and failed in (0, len(tests)):
+                        stored[key] = failed
+            assert hits > 256
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certificates_and_counts_without_reuse(
+        self, monkeypatch, built_families, identities, root_certs, divisions, n
+    ):
+        # the witness and every chart-cone ladder with the memo, with keys
+        # that never match (the images keep their first rung), with no key
+        # at all (which also switches the first rung off: every point
+        # refines) and without a proved chain (no rung, so no key)
+        fam = built_families[n]
+
+        def run():
+            witness, ladder = Counter(), Counter()
+            certs = [
+                cone_window_witness(
+                    fam, identities[n], samples=1024, tally=witness, root_certs=root_certs[n]
+                ).to_json()
+            ]
+            for k in range(1, n):
+                certs.append(
+                    chart_cone_certificate(
+                        fam, k, root_certs[n], identities[n], divisions[n], tally=ladder
+                    ).to_json()
+                )
+            return certs, (witness, ladder)
+
+        certs, tallies = run()
+        real = disktrace._rung_key
+
+        def unequal(*args):
+            key = real(*args)
+            return None if key is None else _Unequal(key)
+
+        monkeypatch.setattr(disktrace, "_rung_key", unequal)
+        fresh, fresh_tallies = run()
+        assert fresh == certs
+        for got, ref in zip(tallies, fresh_tallies):
+            assert ref.pop("reused") == 0 < got["reused"]
+            assert {**got, "reused": 0} == {**ref, "reused": 0}
+        monkeypatch.setattr(disktrace, "_rung_key", lambda *args: None)
+        plain, plain_tallies = run()
+        assert plain == certs
+        for tally in plain_tallies:
+            assert tally["reused"] == 0 and tally["refined"] == tally["points"]
+        monkeypatch.setattr(disktrace, "_rung_key", real)
+        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
+        horner, horner_tallies = run()
+        assert horner == certs
+        assert [tally["reused"] for tally in horner_tallies] == [0, 0]
 
 
 def _exact_target_failure(fam, spot_checks=64):
