@@ -12,11 +12,7 @@ from .atlas import (
     ChartPoint,
     IntersectionMatrix,
     chart_cover_indices,
-    chart_membership,
-    cone_condition,
-    disjointness_search,
     negative_definite,
-    overlap_polydisk_check,
 )
 from .certify import (
     Status,
@@ -36,10 +32,8 @@ from .disktrace import (
     base_chart_certificate,
     chart_cone_certificate,
     cone_window_witness,
-    escape_witness,
     image_in_chart_window,
     trace_family,
-    uniform_convergence_witness,
     vanishing_orders,
 )
 from .family import Family, FamilyParams, choose_epsilon, default_family, make_constants
@@ -65,15 +59,11 @@ __all__ = [
     "base_chart_certificate",
     "chart_cone_certificate",
     "chart_cover_indices",
-    "chart_membership",
     "choose_epsilon",
-    "cone_condition",
     "cone_factor_certificate",
     "cone_window_witness",
     "corollary_ineq_certificate",
     "default_family",
-    "disjointness_search",
-    "escape_witness",
     "exact_identity_checks",
     "family_root_certificates",
     "format_rational",
@@ -81,13 +71,11 @@ __all__ = [
     "lemma_div_check",
     "make_constants",
     "negative_definite",
-    "overlap_polydisk_check",
     "parse_rational",
     "poly_gcd",
     "root_product_dominance",
     "seed_for",
     "trace_family",
-    "uniform_convergence_witness",
     "vanishing_orders",
     "__version__",
 ]

@@ -44,16 +44,16 @@ trace derives its bound from the target certificate.
 
 A ``Factor`` is a quantity that knows powers of two around itself when it is
 built and forms its bracket only when one is read: a ``Ratio`` of two
-integers reads them from bit lengths, and a ``Product`` of brackets and
-factors with powers sums its atoms' exponents (``products`` builds several
-products over the same atoms and reads each atom's exponents once).
-``exponents`` reads the powers of two around a bracket or a factor,
-``ratio_exponents`` those a ``Ratio`` is built with, and ``log2_bounds``
-the tightest ones around a positive rational.  The disk trace brackets an
-image point this way: |f1|^2, |f2|^2 and |f2 - f1|^2 are products of eps^2,
-|lam|^2 and the |P_j|^2 atoms of ``abs2_atoms`` with powers, decided on the
-net powers of those atoms' exponents and formed, with the atoms' factor
-objects, only where those leave a comparison open.
+integers takes the tightest ones, ``log2_bounds``, and a ``Product`` of
+brackets and factors with powers sums its atoms' exponents (``products``
+builds several products over the same atoms and reads each atom's
+exponents once).  ``exponents`` reads the powers of two around a bracket
+or a factor, and ``ratio_exponents`` those a ``Ratio`` is built with.
+The disk trace brackets an image point this way: |f1|^2, |f2|^2 and
+|f2 - f1|^2 are products of eps^2, |lam|^2 and the |P_j|^2 atoms of
+``abs2_atoms`` with powers, decided on the net powers of those atoms'
+exponents and formed, with the atoms' factor objects, only where those
+leave a comparison open.
 
 ``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
 the two sides' products separate, and ``None`` when they overlap.  It first
@@ -452,20 +452,10 @@ def log2_bounds(num: int, den: int) -> tuple[int, int]:
     return lo, lo if a == b else lo + 1
 
 
-def ratio_exponents(
-    num: int, den: int, *, tight: bool = False
-) -> Optional[tuple[int, int]]:
-    """The exponents of ``Ratio(num, den, tight=tight)``; None at num = 0.
-
-    Read from the bit lengths alone, two apart, or with ``tight`` the
-    ``log2_bounds``, at most one apart.
-    """
-    if not num:
-        return None
-    if tight:
-        return log2_bounds(num, den)
-    bn, bd = num.bit_length(), den.bit_length()
-    return bn - 1 - bd, bn - bd + 1
+def ratio_exponents(num: int, den: int) -> Optional[tuple[int, int]]:
+    """The exponents of ``Ratio(num, den)``: its ``log2_bounds``, at most one
+    apart; None at num = 0."""
+    return log2_bounds(num, den) if num else None
 
 
 class Factor:
@@ -516,18 +506,16 @@ class Factor:
 class Ratio(Factor):
     """The rational num/den (num >= 0, den > 0) as a ``Factor``.
 
-    With num in [2^(bn-1), 2^bn) and den in [2^(bd-1), 2^bd), num/den lies
-    in (2^(bn-1-bd), 2^(bn-bd+1)), exponents two apart read from the bit
-    lengths alone; ``tight`` takes ``log2_bounds`` instead, at most one
-    apart, as a ball bracket's are.  The bracket is one exact division at
-    192 bits: the floor of the quotient, and one unit above it unless the
-    division is exact.
+    Its exponents are ``log2_bounds``, at most one apart, as a ball
+    bracket's are.  The bracket is one exact division at 192 bits: the
+    floor of the quotient, and one unit above it unless the division is
+    exact.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int, *, tight: bool = False):
-        self.exponents = ratio_exponents(num, den, tight=tight)
+    def __init__(self, num: int, den: int):
+        self.exponents = ratio_exponents(num, den)
         self.num, self.den, self._bracket = num, den, None
 
     @property
@@ -618,7 +606,7 @@ def abs2_atoms(
     ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
     atom is the unreduced integer pair (re^2 + im^2, d^2) of the triple
     (re, im, d) of ``eval_scaled``, with the ``log2_bounds`` exponents of
-    ``Ratio(..., tight=True)``, None at an exact zero; the caller builds
+    its ``Ratio``, None at an exact zero; the caller builds
     that ``Ratio`` only where it reads the atom as a factor.  Every other
     atom is a ball bracket with its ``_exponents``, all of them from one
     ``ball_point``, built only when some atom needs it: the ``_ball_abs2``
@@ -837,7 +825,7 @@ class Values:
         self.polys, self.lam = polys, (num_re, num_im, den)
         atoms = abs2_atoms(polys, exact, num_re, num_im, den)[0]
         self.abs2 = tuple(
-            Ratio(*atom, tight=True) if exact_atom(atom) else atom for atom in atoms
+            Ratio(*atom) if exact_atom(atom) else atom for atom in atoms
         )
         self.fell_back = False
         self._triples: Optional[tuple] = None

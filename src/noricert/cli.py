@@ -111,7 +111,6 @@ class RunConfig:
     seed: int = 0
     output_format: str = "json"
     out_path: Optional[str] = None
-    histogram: bool = False
     max_n: int = 5
 
     def validate(self) -> None:
@@ -246,14 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to a file instead of stdout",
     )
     verify.add_argument(
-        "--histogram",
-        action="store_true",
-        help=(
-            "append a text histogram of witness chart indices (text format; "
-            "JSON reports always carry the counts)"
-        ),
-    )
-    verify.add_argument(
         "--max-n",
         type=int,
         default=5,
@@ -275,7 +266,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         output_format=args.output_format,
         out_path=args.out,
-        histogram=args.histogram,
         max_n=args.max_n,
     )
     config.validate()
@@ -598,16 +588,14 @@ def render_text(report: dict) -> str:
         "summary: verdict={verdict} proved={proved} refuted={refuted} "
         "inconclusive={inconclusive} total={total}".format(**summary)
     )
+    lines.extend(_histogram_lines(report))
     return "\n".join(lines)
 
 
 def emit_report(report: dict, config: RunConfig) -> str:
     if config.output_format == "json":
         return json.dumps(report, sort_keys=True, indent=2)
-    text = render_text(report)
-    if config.histogram:
-        text = text + "\n" + "\n".join(_histogram_lines(report))
-    return text
+    return render_text(report)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -15,10 +15,13 @@ chart geometry of :mod:`noricert.atlas`.  For a family of disk maps
 * that the boundary sup metric max(|f1|, |f2|, |f2/f1|) on the unit circle
   is at most 1/n, which the target containment of the annulus implies.
 
-``trace_family`` certifies one family.  The sup metric is not sampled:
-``uniform_convergence_witness`` reads each family's bound 1/n, and its
-status, from the family's target certificate, so the bounds tend to 0 as
-``n`` grows.
+``trace_family`` certifies one family.  It builds the family's factor map
+(``_image_factors``) once and hands it to every stage that brackets image
+points: the chart window, each chart cone with its entry probe, and the
+cone-window witness; so each chart's tests are compiled once per family.
+The sup metric is not sampled: condition iii reads the family's bound 1/n,
+and its status, from the family's target certificate, so the bounds tend
+to 0 as ``n`` grows.
 
 Every verdict is exact: moduli are compared through their squares, by
 certified exponents and brackets that fall back to exact integer arithmetic
@@ -126,9 +129,6 @@ __all__ = [
     "Certificate",
     "TargetRegion",
     "TraceReport",
-    "EscapeWitness",
-    "ConvergenceEntry",
-    "ConvergenceWitness",
     "annulus_into_target",
     "target_spot_checks",
     "image_in_chart_window",
@@ -138,8 +138,6 @@ __all__ = [
     "base_spot_checks",
     "cone_window_witness",
     "vanishing_orders",
-    "escape_witness",
-    "uniform_convergence_witness",
     "trace_family",
 ]
 
@@ -188,10 +186,9 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # is compiled once per factor map into a tuple (``_compile_test``; the tests
 # of each chart index are ``_chart_tests``), and ``_Image.first_failing``
 # decides an ordered sequence of them in one pass, stopping at the first
-# that fails; ``_Image.lt`` is its one-test case.  Its three stages: the net
-# exponents (``_compile_net``, so common atoms cancel),
-# ``bounds.bracket_lt`` on the 192-bit products, and ``bounds.exact_lt`` on
-# the unreduced integer squares of the triples.  An atom is exact or a ball
+# that fails.  Its three stages: the net exponents (``_compile_net``, so
+# common atoms cancel), ``bounds.bracket_lt`` on the 192-bit products, and
+# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  An atom is exact or a ball
 # bracket by the one size rule of ``bounds.exact_atoms``, decided once per
 # factor map; the ball brackets of the factors come from their proved
 # recursions where ``_image_factors`` finds them proved for the family
@@ -199,9 +196,8 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # exact atom, so the zero tests read no triple: an atom without exponents
 # is an exact zero.
 # Every exact circle point of a spot check that runs is a ``bounds.Values``,
-# whose atoms ``abs2_atoms`` builds by the same rule.  The Fraction
-# predicates of the atlas module remain the reference semantics; the test
-# suite cross-validates the paths.
+# whose atoms ``abs2_atoms`` builds by the same rule.  The test suite
+# cross-validates these paths against ``Fraction`` reference predicates.
 # ---------------------------------------------------------------------------
 
 
@@ -223,7 +219,8 @@ class _Factors(NamedTuple):
     quantities, or for the first two only, when
     ``_Image.first_failing`` brackets the difference by ``gap_bracket``.
     ``tests`` holds the compiled tests of each chart index
-    (``_chart_tests``), filled on first use.  ``rung``, set with
+    (``_chart_tests``), filled on first use and shared by every stage that
+    ``trace_family`` hands the map to.  ``rung``, set with
     ``chain``, holds the ``log2_bounds`` of each |e_k|^2
     (``_recursion_rung``), from which ``bounds.recursion_exponents`` gives
     powers of two around every |P_k(lam)|^2 before any atom is computed.
@@ -278,7 +275,7 @@ def _image_factors(
     identities: Optional[CheckReport] = None,
     root_certs: Optional[dict[int, RootLocalization]] = None,
 ) -> _Factors:
-    """The factor map of ``fam``'s images, built once per certificate.
+    """The factor map of ``fam``'s images, built once per family trace.
 
     With the three identities of ``_FACTOR_IDENTITIES`` proved, the atoms
     are eps^2, |lam|^2 and the |P_j|^2, and
@@ -450,8 +447,9 @@ class _Image:
     they reuse that outcome.
 
     ``exps`` are powers of two around the point atoms of ``factors``
-    (``_image_factors``; by default |f1|^2 and |f2|^2): the exact |lam|^2
-    when the map has it, then one per polynomial.  Where the map has a
+    (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
+    identities): the exact |lam|^2 when the map has it, then one per
+    polynomial.  Where the map has a
     ``rung`` and lam is not 0, they are first that ``log2_bounds`` pair of
     |lam|^2 (``_rung_key``) and the pairs ``bounds.recursion_exponents``
     derives from it, no atom computed, all finite.  Where that gives up, or
@@ -479,15 +477,7 @@ class _Image:
         "_raw", "_atoms", "_quantities", "_triples",
     )
 
-    def __init__(
-        self,
-        fam: Family,
-        num_re: int,
-        num_im: int,
-        den: int,
-        factors: Optional[_Factors] = None,
-    ):
-        factors = _image_factors(fam) if factors is None else factors
+    def __init__(self, fam: Family, num_re: int, num_im: int, den: int, factors: _Factors):
         self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
         self._atoms: Optional[list] = None
         self._quantities: Optional[tuple] = None
@@ -530,11 +520,7 @@ class _Image:
         if self._atoms is None:
             if self._raw is None:
                 self._refine()
-            raw = self._raw
-            atoms = [Ratio(*raw[0])] if self.factors.lam else []
-            for atom in raw[len(atoms):]:
-                atoms.append(Ratio(*atom, tight=True) if exact_atom(atom) else atom)
-            self._atoms = atoms
+            self._atoms = [Ratio(*atom) if exact_atom(atom) else atom for atom in self._raw]
         return self._atoms
 
     def net(self, pairs: Optional[tuple], lo, hi) -> Optional[tuple]:
@@ -590,7 +576,7 @@ class _Image:
         None); ``bounds.exact_lt`` on the unreduced integer squares of the
         exact triples.  The tests run in order and stop at the first that
         fails, so the products formed and the triples evaluated are those of
-        one ``lt`` call per test up to it.
+        deciding each test up to it on its own.
         """
         exps = self.exps
         index, count = 0, len(tests)
@@ -629,25 +615,6 @@ class _Image:
                 return index
             index += 1
         return index
-
-    def lt(
-        self,
-        coeffs: tuple,
-        square: Optional[str] = None,
-        *,
-        closed: bool = False,
-        k: int = 0,
-    ) -> bool:
-        """Exact prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) at lam: the
-        one test ``_compile_test(coeffs, square, closed=closed, k=k)`` of
-        ``first_failing``.
-
-        q = (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), a vector of length 2 leaving
-        out the gap, and c the ``FamilyParams.squares`` entry ``square`` (1
-        when None).
-        """
-        test = _compile_test(self.fam, self.factors, coeffs, square, closed=closed, k=k)
-        return self.first_failing((test,)) == 1
 
     def _decide(self, closed: bool, coeffs: tuple, c: Optional[tuple], k: int) -> bool:
         """The product and exact stages of one test that the net leaves open."""
@@ -1032,11 +999,11 @@ def image_in_chart_window(
     fam: Family,
     corollary: CorollaryReport,
     identities: CheckReport,
+    factors: _Factors,
     *,
     samples: int = 64,
     seed: int = 0,
     tally: Optional[Counter] = None,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
 ) -> Certificate:
     """Certify that the disk image stays below chart index n.
 
@@ -1054,8 +1021,8 @@ def image_in_chart_window(
     fallbacks).  Sampled disk points always test that the computed chart
     cover is nonempty with all indices < n.  The identity is proved once
     per family, in ``identities``, and the quotient stays in product form.
-    The sampled images take their ball atoms from the factors' recursions
-    where ``root_certs`` proves them (``_image_factors``).
+    The sampled images are bracketed through ``factors``, the family's
+    factor map (``_image_factors``).
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -1086,7 +1053,6 @@ def image_in_chart_window(
     # one index beyond n suffices for the scan: membership at any k >= n
     # would already contradict |f2|^n < |f1| (and |f2| < 1) shown above
     k_max = n + 1
-    factors = _image_factors(fam, identities, root_certs)
     accepted = 0
     attempts = 0
     while accepted < samples and attempts < 40 * samples:
@@ -1141,9 +1107,7 @@ def image_in_chart_window(
 _ENTRY_CAP = 4096  # deepest decimal scale the entry probe tries
 
 
-def _entry_scale(
-    fam: Family, k: int, tally: Counter, factors: Optional[_Factors] = None
-) -> Optional[int]:
+def _entry_scale(fam: Family, k: int, tally: Counter, factors: _Factors) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
     Deep enough scales are always members (the components' vanishing orders
@@ -1151,10 +1115,8 @@ def _entry_scale(
     the last failing probe locates an entry threshold.  Sampling does not
     rely on membership between the two probes: every sampled point is tested
     for membership exactly before use.  ``tally`` counts the probe images,
-    bracketed through ``factors`` (``_Image``'s default when None).
+    bracketed through ``factors``.
     """
-
-    factors = _image_factors(fam) if factors is None else factors
     tests = (_chart_tests(fam, factors, k)[3],)
 
     def member(e: int) -> bool:
@@ -1212,6 +1174,7 @@ def chart_cone_certificate(
     root_certs: dict[int, RootLocalization],
     identities: CheckReport,
     divisions: Sequence[DivisionWitness],
+    factors: _Factors,
     *,
     samples: int = 256,
     seed: int = 0,
@@ -1233,11 +1196,11 @@ def chart_cone_certificate(
     validated point satisfies the open cone condition at ``rho`` strictly
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
     image points and exact fallbacks.  The entry probe and the ladder
-    bracket their images through one factor map, with ball atoms from the
-    factors' recursions where ``root_certs`` proves them.  A ladder point
-    whose |lam|^2 pair (``_rung_key``) an earlier point of this chart
-    decided on the recursion exponents alone, outside the approach region
-    or passing every test of the same sequence, reuses that failing index
+    bracket their images through ``factors``, the family's factor map
+    (``_image_factors``).  A ladder point whose |lam|^2 pair
+    (``_rung_key``) an earlier point of this chart decided on the recursion
+    exponents alone, outside the approach region or passing every test of
+    the same sequence, reuses that failing index
     (``reused``) and builds no image; the ladder's six denominators and
     their squares are computed once per chart.
     """
@@ -1251,7 +1214,6 @@ def chart_cone_certificate(
     r, rho = fam.params.r, fam.params.rho
     scalar_ok = r * r <= (rho / 2) * (r - r * r)
 
-    factors = _image_factors(fam, identities, root_certs)
     entry = _entry_scale(fam, k, tally, factors)
     data: dict = {"chart": k, "seed": seed, "entry_scale": entry, "core": core.to_json()}
     if entry is None:
@@ -1471,12 +1433,11 @@ _WITNESS_SCALES = tuple(10**e for e in range(13))
 
 def cone_window_witness(
     fam: Family,
-    identities: CheckReport,
+    factors: _Factors,
     *,
     samples: int = 2000,
     seed: int = 0,
     tally: Optional[Counter] = None,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
 ) -> Certificate:
     """Sampled witness that image points sit in a chart with its cone open.
 
@@ -1487,17 +1448,14 @@ def cone_window_witness(
     the image point with its open cone condition holding at the family's rho.
     The absence of chart memberships at indices n and above is not re-sampled
     here: the divisibility window certificate proves it for the whole disk.
-    The images are bracketed through the factors when ``identities`` proves
-    the three identities of ``_FACTOR_IDENTITIES``, with ball atoms from the
-    factors' recursions where ``root_certs`` proves them (see
-    ``_image_factors``).  A draw whose |lam|^2 pair (``_rung_key``) an
+    The images are bracketed through ``factors``, the family's factor map
+    (``_image_factors``).  A draw whose |lam|^2 pair (``_rung_key``) an
     earlier draw of this call decided on the recursion exponents alone, in
     the region with an open cone, reuses that cone index (``reused``) and
     builds no image; a refutation is always rendered from its own point.
     ``tally`` counts the drawn image points and their exact fallbacks.
     """
     n = fam.n
-    factors = _image_factors(fam, identities, root_certs)
     tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     accepted = 0
@@ -1568,7 +1526,7 @@ def cone_window_witness(
 
 
 # ---------------------------------------------------------------------------
-# Vanishing orders, escape depth, uniform convergence
+# Vanishing orders and the boundary sup metric
 # ---------------------------------------------------------------------------
 
 
@@ -1582,99 +1540,9 @@ def vanishing_orders(fam: Family) -> tuple[int, int]:
     return fam.f1.trailing_order, fam.f2.trailing_order
 
 
-@dataclass(frozen=True)
-class EscapeWitness:
-    """Escape depths (n, order gap) across a sequence of families."""
-
-    status: Status
-    entries: tuple[tuple[int, int], ...]
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "entries": [list(e) for e in self.entries],
-            "detail": self.detail,
-        }
-
-
-def escape_witness(fams: Sequence[Family]) -> EscapeWitness:
-    """Escape depth per family: the gap of the two vanishing orders.
-
-    Each family must vanish to orders (n, 1), giving depth n - 1; across the
-    sequence the depths must be strictly increasing — the image chains escape
-    through ever deeper charts.  Any violation refutes with the family named.
-    """
-    if not fams:
-        raise ValueError("at least one family is required")
-    entries = []
-    for fam in fams:
-        orders = vanishing_orders(fam)
-        if orders != (fam.n, 1):
-            return EscapeWitness(
-                Status.REFUTED,
-                tuple(entries),
-                f"vanishing orders {orders} instead of ({fam.n}, 1) at n = {fam.n}",
-            )
-        entries.append((fam.n, orders[0] - orders[1]))
-    depths = [depth for _, depth in entries]
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        return EscapeWitness(
-            Status.REFUTED,
-            tuple(entries),
-            "escape depths are not strictly increasing",
-        )
-    return EscapeWitness(
-        Status.PROVED,
-        tuple(entries),
-        "every family vanishes to orders (n, 1); escape depths strictly increase",
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceEntry:
-    """One family's bound on its boundary sup metric, in squared-modulus units.
-
-    ``status`` is that of the bound; ``witness``, when the bound is refuted,
-    is the exact point of the unit circle where the image leaves the target
-    region.
-    """
-
-    n: int
-    status: Status
-    bound_squared: Fraction
-    witness: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "status": self.status.value,
-            "bound_squared": format_rational(self.bound_squared),
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass(frozen=True)
-class ConvergenceWitness:
-    """Uniform boundary convergence: the sup metric of each family at most 1/n."""
-
-    status: Status
-    entries: tuple[ConvergenceEntry, ...]
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "entries": [e.to_json() for e in self.entries],
-            "detail": self.detail,
-        }
-
-
-def _unit_circle_witness(cert: Optional[Certificate]) -> Optional[dict]:
+def _unit_circle_witness(cert: Certificate) -> Optional[dict]:
     """The witness of a refuted target certificate, if it lies on |lam| = 1."""
-    if cert is None or cert.status is not Status.REFUTED:
+    if cert.status is not Status.REFUTED:
         return None
     witness = (cert.data or {}).get("witness")
     if witness is None or ComplexRational.from_json(witness["point"]).abs2() != 1:
@@ -1682,14 +1550,13 @@ def _unit_circle_witness(cert: Optional[Certificate]) -> Optional[dict]:
     return witness
 
 
-def uniform_convergence_witness(
-    fams: Sequence[Family], target_certs: dict[int, Certificate]
-) -> ConvergenceWitness:
-    """Boundary images shrink uniformly: sup metric at most 1/n on |lam| = 1.
+def _sup_metric_certificate(n: int, target: Certificate) -> Certificate:
+    """Condition iii: the boundary sup metric of the family of size ``n`` is
+    at most 1/n on |lam| = 1.
 
     The metric at a point is max(|f1|, |f2|, |f2/f1|).  Nothing is
-    evaluated: the bound of each family follows from its target certificate
-    ``target_certs[n]`` (``annulus_into_target``).
+    evaluated: the bound follows from ``target``, the family's target
+    certificate (``annulus_into_target``).
 
     * Proved target containment puts the unit circle, with the whole closed
       annulus, in the region |f1| <= 1/n, |f2| <= 1/n, |f2| <= |f1|/n, and
@@ -1699,35 +1566,27 @@ def uniform_convergence_witness(
     * A refutation with a witness on the unit circle refutes the bound at
       that point: outside the region, |f1| or |f2| exceeds 1/n, or |f2|
       exceeds |f1|/n (with f1 = 0 and f2 != 0 the quotient is unbounded).
-    * Any other verdict (a witness on |lam| = 2, an envelope refutation, no
-      certificate) leaves the bound inconclusive.
-
-    The status is the worst over the families.
+    * Any other verdict (a witness on |lam| = 2, an envelope refutation)
+      leaves the bound inconclusive.
     """
-    if not fams:
-        raise ValueError("at least one family is required")
-    entries = []
-    for fam in fams:
-        cert = target_certs.get(fam.n)
-        witness = _unit_circle_witness(cert)
-        if witness is not None:
-            status = Status.REFUTED
-        elif cert is not None and cert.status is Status.PROVED:
-            status = Status.PROVED
-        else:
-            status = Status.INCONCLUSIVE
-        entries.append(
-            ConvergenceEntry(fam.n, status, Fraction(1, fam.n * fam.n), witness)
-        )
-    status = worst(e.status for e in entries)
-    failed = [e.n for e in entries if e.status is status]
-    if status is Status.REFUTED:
-        detail = f"the image leaves the target region on the unit circle for n in {failed}"
-    elif status is Status.INCONCLUSIVE:
-        detail = f"target containment is not proved for n in {failed}"
-    else:
+    witness = _unit_circle_witness(target)
+    if witness is not None:
+        status = Status.REFUTED
+        detail = f"the image leaves the target region on the unit circle for n in [{n}]"
+    elif target.status is Status.PROVED:
+        status = Status.PROVED
         detail = "sup metric at most 1/n on the unit circle, from proved target containment"
-    return ConvergenceWitness(status, tuple(entries), detail)
+    else:
+        status = Status.INCONCLUSIVE
+        detail = f"target containment is not proved for n in [{n}]"
+    entry = {
+        "n": n,
+        "status": status.value,
+        "bound_squared": format_rational(Fraction(1, n * n)),
+    }
+    if witness is not None:
+        entry["witness"] = witness
+    return Certificate("boundary-sup-metric", status, detail, {"entry": entry})
 
 
 # ---------------------------------------------------------------------------
@@ -1745,7 +1604,7 @@ class TraceReport:
     * ``condition_ii``: the annulus image lies in the shrinking target region.
     * ``condition_iii``: the boundary sup metric on the unit circle is at
       most 1/n (squared: 1/n^2), derived from ``condition_ii`` by
-      ``uniform_convergence_witness``, not sampled.
+      ``_sup_metric_certificate``, not sampled.
     * ``condition_iv``: the vanishing-order pair (n, 1); ``escape_index`` is
       their gap and equals n - 1 exactly when the pair is as expected.
 
@@ -1840,9 +1699,12 @@ def trace_family(
     root localizations, envelope chains, exact identities and division
     witnesses of ``fam``; the caller computes each of them once and the
     conditions here only read them.  The aggregate status is the worst of
-    the four condition statuses.
+    the four condition statuses.  The factor map of the family's images
+    (``_image_factors``) is built here, once, and every stage that
+    brackets image points reads it.
     """
     n = fam.n
+    factors = _image_factors(fam, identities, root_certs)
     tally: Counter = Counter()
     boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
     condition_ii = annulus_into_target(
@@ -1852,10 +1714,10 @@ def trace_family(
         fam,
         corollary,
         identities,
+        factors,
         samples=window_samples,
         seed=seed,
         tally=boundary["window"],
-        root_certs=root_certs,
     )
     cones = [
         chart_cone_certificate(
@@ -1864,6 +1726,7 @@ def trace_family(
             root_certs,
             identities,
             divisions,
+            factors,
             samples=cone_samples,
             seed=seed,
             tally=tally,
@@ -1879,24 +1742,13 @@ def trace_family(
     )
     witness_tally: Counter = Counter()
     witness = cone_window_witness(
-        fam,
-        identities,
-        samples=witness_samples,
-        seed=seed,
-        tally=witness_tally,
-        root_certs=root_certs,
+        fam, factors, samples=witness_samples, seed=seed, tally=witness_tally
     )
     condition_i = _combine(
         "disk-into-chart-cones", [window, base, *cones, witness]
     )
 
-    convergence = uniform_convergence_witness([fam], {n: condition_ii})
-    condition_iii = Certificate(
-        "boundary-sup-metric",
-        convergence.status,
-        convergence.detail,
-        {"entry": convergence.entries[0].to_json()},
-    )
+    condition_iii = _sup_metric_certificate(n, condition_ii)
 
     orders = vanishing_orders(fam)
     escape = orders[0] - orders[1]

@@ -1,4 +1,4 @@
-"""Deterministic integer sampling for the sampled witnesses and searches.
+"""Deterministic integer sampling for the sampled witnesses and the test searches.
 
 Every layer of this package that samples points does so through a
 ``RationalSampler``: a ``random.Random`` whose stream is a pure function of
@@ -90,19 +90,3 @@ class RationalSampler(random.Random):
             u, v = self._box()
             if u * u + v * v < g2:
                 return p * u, p * v, q << GRID_BITS
-
-    def dyadic_in_annulus(self, inner, outer) -> tuple[int, int, int]:
-        """A grid point with inner <= |z| < outer, as ``(re, im, den)``."""
-        if not 0 <= inner < outer:
-            raise ValueError("need 0 <= inner < outer")
-        lp, lq = inner.numerator, inner.denominator
-        hp, hq = outer.numerator, outer.denominator
-        g2 = 1 << (2 * GRID_BITS)
-        # |z|^2 = (hp/hq)^2 s / G^2 with s = u^2 + v^2
-        lo = (lp * hq) ** 2 * g2
-        hi = (hp * lq) ** 2
-        while True:
-            u, v = self._box()
-            s = u * u + v * v
-            if s < g2 and lo <= hi * s:
-                return hp * u, hp * v, hq << GRID_BITS

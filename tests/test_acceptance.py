@@ -17,10 +17,8 @@ from noricert.arith import Poly, as_scaled, poly_gcd
 from noricert.atlas import (
     IntersectionMatrix,
     disjointness_certificate,
-    disjointness_search,
     negative_definite,
     overlap_polydisk_certificate,
-    overlap_polydisk_check,
 )
 from noricert.certify import (
     Status,
@@ -34,7 +32,7 @@ from noricert.certify import (
 )
 from noricert.bounds import ball_abs2, bracket_lt, int_bracket
 from noricert.cli import RunConfig, UsageError
-from noricert.disktrace import escape_witness, vanishing_orders
+from noricert.disktrace import vanishing_orders
 from noricert.family import (
     FamilyParamError,
     FamilyParams,
@@ -42,6 +40,7 @@ from noricert.family import (
     structural_checks,
 )
 
+from atlas_reference import disjointness_search, overlap_polydisk_check
 from conftest import SIZES
 
 EXPECTED_C = {2: (1,), 3: (1, 4), 4: (1, 4, 11)}
@@ -228,16 +227,12 @@ def test_criterion_06_disk_trace(trace_reports, unit_circle_sups):
 
 
 def test_criterion_07_escape(built_families, trace_reports):
-    fams = [built_families[n] for n in SIZES]
-    for fam in fams:
-        assert vanishing_orders(fam) == (fam.n, 1)
-    witness = escape_witness(fams)
-    assert witness.status is Status.PROVED
-    assert witness.entries == ((2, 1), (3, 2), (4, 3))
-    depths = [depth for _, depth in witness.entries]
-    assert all(b > a for a, b in zip(depths, depths[1:]))
     for n in SIZES:
-        assert trace_reports[n].escape_index == n - 1
+        assert vanishing_orders(built_families[n]) == (n, 1)
+        assert trace_reports[n].condition_iv.status is Status.PROVED
+    depths = [trace_reports[n].escape_index for n in SIZES]
+    assert depths == [n - 1 for n in SIZES]
+    assert all(b > a for a, b in zip(depths, depths[1:]))
     _verdict(7, "orders (n, 1); escape indices (1, 2, 3) strictly increasing")
 
 

@@ -14,19 +14,23 @@ from noricert.arith import ComplexRational, scaled_to_complex
 from noricert.atlas import (
     ChartPoint,
     IntersectionMatrix,
-    _membership_int,
-    _overlap_int,
     chart_cover_indices,
-    chart_membership,
-    cone_condition,
     disjointness_certificate,
-    disjointness_search,
     negative_definite,
-    overlap_inequalities,
     overlap_polydisk_certificate,
-    overlap_polydisk_check,
 )
 from noricert.sampling import GRID_BITS, RationalSampler
+
+from atlas_reference import (
+    _membership_int,
+    _overlap_int,
+    chart_membership,
+    cone_condition,
+    disjointness_search,
+    dyadic_in_annulus,
+    overlap_inequalities,
+    overlap_polydisk_check,
+)
 
 F = Fraction
 
@@ -281,8 +285,8 @@ class TestOverlap:
         sampler = RationalSampler("overlap-int")
         for r in (F(1, 5), F(1, 2), F(7, 9)):
             for _ in range(300):
-                xr, xi, xd = sampler.dyadic_in_annulus(0, F(3, 2))
-                yr, yi, yd = sampler.dyadic_in_annulus(0, F(3, 2))
+                xr, xi, xd = dyadic_in_annulus(sampler, 0, F(3, 2))
+                yr, yi, yd = dyadic_in_annulus(sampler, 0, F(3, 2))
                 x = (xr, xi, xd << sampler.randint(0, 3))
                 y = (yr, yi, yd << sampler.randint(0, 3))
                 got, want = self._int_and_fraction(x, y, r)

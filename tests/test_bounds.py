@@ -477,7 +477,7 @@ class TestAtoms:
             bracket = ball_abs2(poly, *point)
             assert exact_atom(raw) == (bracket[0] == (0, 0))
             exact = exact_atom(raw)
-        atom = Ratio(*raw, tight=True) if exact else raw
+        atom = Ratio(*raw) if exact else raw
         assert exps == exponents(atom)
         lo, hi = atom
         assert _value(lo) <= F(num, den) <= _value(hi)
@@ -835,10 +835,11 @@ class TestFactors:
     def test_ratio_exponents_at_the_ends_of_their_ranges(self):
         # num = 2^(bn-1) over den = 2^bd - 1 is the smallest quotient the
         # bit lengths allow, just above 2^(bn-1-bd); the largest is just
-        # below 2^(bn-bd+1)
+        # below 2^(bn-bd+1); the exponents are the floor and ceil of log2
         for num, den in _extreme_ratios():
             lo, hi = Ratio(num, den).exponents
-            assert F(2) ** lo < F(num, den) < F(2) ** hi
+            assert F(2) ** lo <= F(num, den) <= F(2) ** hi
+            assert hi - lo <= 1
 
     def test_ratio_bracket_encloses_the_quotient(self):
         rng = random.Random(31)
@@ -874,7 +875,7 @@ class TestFactors:
     def test_exponents_of_brackets_and_factors(self):
         bracket = int_bracket(5 << 300)
         assert exponents(bracket) == (302, 303)
-        assert exponents(Ratio(5 << 300, 1)) == Ratio(5 << 300, 1).exponents == (301, 303)
+        assert exponents(Ratio(5 << 300, 1)) == Ratio(5 << 300, 1).exponents == (302, 303)
         assert exponents(((0, 0), (1, 0))) is None and exponents(Ratio(0, 1)) is None
 
     def test_log2_bounds_are_the_floor_and_ceil(self):
@@ -891,6 +892,8 @@ class TestFactors:
             q = F(num, den)
             assert F(2) ** lo <= q <= F(2) ** hi
             assert hi - lo == (0 if q == F(2) ** lo else 1)
+            # every Ratio takes them as its exponents
+            assert Ratio(num, den).exponents == (lo, hi)
 
     def test_products_enclose_the_exact_products(self):
         # atoms mixing ratios, integer brackets, ball-like brackets and a

@@ -392,13 +392,14 @@ class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
         # under 1 % of the bracketed points need the exact triples;
-        # the net exponents leave 57 of them to 192-bit products (663
-        # when the two sides' exponents were summed uncancelled): the entry
-        # probe's neighbour of the root of P_(n-1) at n = 3, and cone tests
-        # at n = 4 whose net exponents straddle 1.  At n = 2 that neighbour,
-        # lam = 1e-9, is decided by the recursion exponents, which read
-        # |lam|^2 by its tightest powers of two (the atoms' exponents, with
-        # the bit-length pair of |lam|^2, left it to the products).  The
+        # the net exponents leave 40 of them to 192-bit products (663
+        # when the two sides' exponents were summed uncancelled): cone
+        # tests at n = 4 whose net exponents straddle 1.  The entry probe's
+        # neighbour of the root of P_(n-1) is decided on exponents at
+        # n = 2, 3, since every Ratio, the atoms of |lam|^2 and of the
+        # exact |P_j|^2 among them, takes the tightest powers of two (with
+        # the bit-length pair of a Ratio, two apart, the n = 3 neighbour and
+        # 16 more of the n = 4 cone tests went to the products).  The
         # probe at the root of P_(n-1)
         # is decided on an exact zero atom by sign alone, with no product:
         # at n = 2, 3 the factors' atoms are exact, and at n = 4 the ball
@@ -415,7 +416,7 @@ class TestMeta:
         assert deep["per_n"]["4"]["points"] > 768
         assert deep["exact_fallbacks"] * 100 < deep["points"]
         assert (deep["points"], deep["exact_fallbacks"]) == (1608, 0)
-        assert [deep["per_n"][n]["products"] for n in "234"] == [0, 1, 56]
+        assert [deep["per_n"][n]["products"] for n in "234"] == [0, 0, 40]
         assert [deep["per_n"][n]["zero_atoms"] for n in "234"] == [0, 0, 1]
         # the points whose atoms were computed: where the recursion
         # exponents of the factors left a test open, or gave up
@@ -531,22 +532,16 @@ class TestRendering:
         assert "PASS" in out
 
     def test_text_histogram(self, capsys):
-        code = main(
-            [
-                "verify",
-                "--n",
-                "2",
-                "--samples",
-                "32",
-                "--format",
-                "text",
-                "--histogram",
-            ]
-        )
+        # the text report always ends with the witness's chart histogram
+        code = main(["verify", "--n", "2", "--samples", "32", "--format", "text"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "chart index histogram" in out
-        assert "chart 0:" in out
+        assert [line.rstrip() for line in out.splitlines()[-4:]] == [
+            "chart index histogram (witness samples)",
+            "  n=2  (32 samples)",
+            "    chart 0:     32  " + "#" * 40,
+            "    chart 1:      0",
+        ]
 
     def test_out_file_suppresses_stdout(self, tmp_path, capsys):
         out = tmp_path / "r.json"

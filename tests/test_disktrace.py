@@ -25,7 +25,7 @@ from noricert.arith import (
     scaled_abs2,
     scaled_to_complex,
 )
-from noricert.atlas import ChartPoint, chart_cover_indices, cone_condition
+from noricert.atlas import ChartPoint, chart_cover_indices
 from noricert.certify import (
     SpotLoop,
     Status,
@@ -49,11 +49,9 @@ from noricert.disktrace import (
     base_spot_checks,
     chart_cone_certificate,
     cone_window_witness,
-    escape_witness,
     image_in_chart_window,
     target_spot_checks,
     trace_family,
-    uniform_convergence_witness,
     vanishing_orders,
     window_spot_checks,
 )
@@ -82,10 +80,12 @@ from noricert.disktrace import (
     _image_factors,
     _in_cover_region,
     _rung_key,
+    _sup_metric_certificate,
 )
 import noricert.bounds as bounds
 import noricert.disktrace as disktrace
 from noricert.sampling import RationalSampler
+from atlas_reference import cone_condition
 from conftest import SIZES, exact_sup
 from noricert.family import (
     CheckReport,
@@ -145,9 +145,17 @@ class TestTargetRegion:
         assert on_boundary >= 4
 
 
+def _lt(img, coeffs, square=None, *, closed=False, k=0):
+    """Exact prod_i q_i^coeffs[i] < c (``<=`` when ``closed``) at ``img``,
+    q = (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2) and c the chart square
+    ``square`` (1 when None): ``first_failing`` on the one compiled test."""
+    test = _compile_test(img.fam, img.factors, coeffs, square, closed=closed, k=k)
+    return img.first_failing((test,)) == 1
+
+
 def _image_and_reference(fam, a, b, den):
     """The scaled image point of (a + ib)/den and its Fraction ChartPoint."""
-    img = _Image(fam, a, b, den)
+    img = _Image(fam, a, b, den, _image_factors(fam))
     lam = ComplexRational(F(a, den), F(b, den))
     return img, ChartPoint(fam.f1(lam), fam.f2(lam))
 
@@ -167,7 +175,7 @@ def _predicate(name, img, k):
         "cone": ((2, -k, -1), "rho2"),
         "halved": ((2, -k, -1), "half_rho2"),
     }[name]
-    return img.lt(coeffs, square, closed=name == "halved", k=k)
+    return _lt(img, coeffs, square, closed=name == "halved", k=k)
 
 
 def _assert_chart_predicates_match(fam, img, p, k):
@@ -211,7 +219,7 @@ class TestScaledPredicates:
         fam = built_families[4]
         rng = random.Random(13)
         for k in range(1, 4):
-            entry = _entry_scale(fam, k, Counter())
+            entry = _entry_scale(fam, k, Counter(), _image_factors(fam))
             for _ in range(2):
                 a, b = rng.randrange(128, 256), rng.randrange(-255, 256)
                 den = 2**8 * 10 ** (entry + rng.randrange(0, 6))
@@ -227,7 +235,7 @@ class TestScaledPredicates:
             if a == 0 and b == 0:
                 continue
             den = rng.choice([128, 1000, 10**5])
-            img = _Image(fam, a, b, den)
+            img = _Image(fam, a, b, den, _image_factors(fam))
             in_region, first = _first_open_cone_scaled(img, fam.n)
             lam = ComplexRational(F(a, den), F(b, den))
             p = ChartPoint(fam.f1(lam), fam.f2(lam))
@@ -318,13 +326,13 @@ class TestBallImages:
         fam = built_families[n]
         tally = Counter()
         for k in range(1, n):
-            entry = _entry_scale(fam, k, tally)
+            entry = _entry_scale(fam, k, tally, _image_factors(fam))
             accepted = 0
             candidates = _approach_candidates(fam, k, entry, 256, 0)
             for i, (a, b, _, den) in enumerate(candidates):
                 if accepted == 256:
                     break
-                img = _Image(fam, a, b, den)
+                img = _Image(fam, a, b, den, _image_factors(fam))
                 member = _predicate("member", img, k)
                 accepted += member
                 if i % stride:
@@ -369,12 +377,12 @@ class TestBallImages:
         q = Poly((25, -30, 25)) * TINY  # vanishes at (3 +- 4i)/5
         fam = SimpleNamespace(f1=Poly.x() + q, f2=Poly.constant(5) + q, params=params)
         assert _image_factors(fam).exact == (False, False)
-        img = _Image(fam, 3, 4, 5)
+        img = _Image(fam, 3, 4, 5, _image_factors(fam))
         rn2, rd2, rn2_b, rd2_b = params.squares.r2
         assert (rn2, rd2) == (1, 25)
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is None
         assert not img.evaluated
-        assert img.lt((1, -1), "r2") is False
+        assert _lt(img, (1, -1), "r2") is False
         assert img.evaluated
         assert img.v1 == eval_scaled(fam.f1, 3, 4, 5)
         # |f1|^2 = (rho/2) |f2 - f1| with f1 = 1, f2 = 5 at lam = 1 (plus
@@ -382,7 +390,7 @@ class TestBallImages:
         # open cone at rho strictly
         q = Poly((-1, 1)) * TINY
         fam = SimpleNamespace(f1=Poly.one() + q, f2=Poly.constant(5) + q, params=params)
-        img = _Image(fam, 1, 0, 1)
+        img = _Image(fam, 1, 0, 1, _image_factors(fam))
         assert _predicate("halved", img, 0) is True
         assert img.evaluated
         assert _predicate("cone", img, 0) is True
@@ -394,18 +402,18 @@ class TestBallImages:
         params = FamilyParams.build(2)
         fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
         assert _image_factors(fam).exact == (True, True)
-        img = _Image(fam, 3, 4, 5)
+        img = _Image(fam, 3, 4, 5, _image_factors(fam))
         assert all(isinstance(a, Ratio) for a in img.atoms)
         rn2_b, rd2_b = params.squares.r2[2:]
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is False
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2], closed=True) is True
-        assert img.lt((1, -1), "r2") is False
-        assert img.lt((1, -1), "r2", closed=True) is True
+        assert _lt(img, (1, -1), "r2") is False
+        assert _lt(img, (1, -1), "r2", closed=True) is True
         assert not img.evaluated
         # the gap |f2 - f1|^2 is no product of the atoms |f1|^2 and |f2|^2:
         # its exact stage still reads the triples
         fam = SimpleNamespace(f1=Poly.one(), f2=Poly.constant(5), params=params)
-        img = _Image(fam, 1, 0, 1)
+        img = _Image(fam, 1, 0, 1, _image_factors(fam))
         assert _predicate("halved", img, 0) is True
         assert _predicate("cone", img, 0) is True
         assert img.evaluated
@@ -422,14 +430,14 @@ class TestBallImages:
         root = fam.params.eps ** fam.params.c[-1]
         for a, den in ((0, 1), (root.numerator, root.denominator)):
             assert bounds.ball_abs2(fam.f1, a, 0, den)[0] == (0, 0)
-            img = _Image(fam, a, 0, den)
+            img = _Image(fam, a, 0, den, _image_factors(fam))
             assert img.exps == [None, None]
             assert all(isinstance(x, Ratio) and x.num == 0 for x in img.atoms)
             assert img.a1[0] == img.a2[0] == (0, 0)
             assert img.vanishes(1) and img.vanishes(2)
             assert not _in_cover_region(img)
             assert not img.evaluated
-        img = _Image(fam, 3, -2, 4)
+        img = _Image(fam, 3, -2, 4, _image_factors(fam))
         assert not any(isinstance(x, Ratio) for x in img.atoms)
         assert not img.vanishes(1) and not img.vanishes(2)
         assert not img.evaluated
@@ -440,7 +448,7 @@ class TestBallImages:
         near = SimpleNamespace(f1=line, f2=line, params=fam.params)
         lam = (2**400 + 3, 0, 3 * 2**400)
         assert bounds.ball_abs2(line, *lam)[0] == (0, 0)
-        img = _Image(near, *lam)
+        img = _Image(near, *lam, _image_factors(near))
         assert isinstance(img.atoms[0], Ratio)
         assert img.a1[0] != (0, 0)
         assert not img.vanishes(1)
@@ -453,7 +461,7 @@ class TestBallImages:
         assert _image_factors(fam).exact == (True, True)
         root = fam.params.eps ** fam.params.c[-1]
         for a, den in ((0, 1), (root.numerator, root.denominator)):
-            img = _Image(fam, a, 0, den)
+            img = _Image(fam, a, 0, den, _image_factors(fam))
             assert img.exps == [None, None]
             assert img.atoms[0].num == img.atoms[1].num == 0
             assert img.vanishes(1) and img.vanishes(2)
@@ -462,7 +470,7 @@ class TestBallImages:
         # the 2^-400 that a ball does not resolve is an exact positive atom
         line = Poly((F(-1, 3), 1))
         near = SimpleNamespace(f1=line, f2=line, params=fam.params)
-        img = _Image(near, 2**400 + 3, 0, 3 * 2**400)
+        img = _Image(near, 2**400 + 3, 0, 3 * 2**400, _image_factors(near))
         assert img.exps[0] == (-800, -800)  # |lam - 1/3|^2 = 2^-800 exactly
         assert not img.vanishes(1)
         assert not img.evaluated
@@ -715,11 +723,11 @@ class TestFactorImages:
         factors = _image_factors(fam, identities[n])
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
-            assert entry == _entry_scale(fam, k, Counter())
+            assert entry == _entry_scale(fam, k, Counter(), _image_factors(fam))
             for i, (a, b, _, den) in enumerate(_approach_candidates(fam, k, entry, 64, 0)):
                 if i % 4 or i > 256:
                     continue
-                img, plain = _Image(fam, a, b, den, factors), _Image(fam, a, b, den)
+                img, plain = _Image(fam, a, b, den, factors), _Image(fam, a, b, den, _image_factors(fam))
                 names = ("member", "entry", "halved", "cone")
                 if not _predicate("member", img, k):
                     names = names[:2]
@@ -731,8 +739,12 @@ class TestFactorImages:
         # the same certificate as on plain images, with no exact fallback
         fam = built_families[n]
         factored, plain = Counter(), Counter()
-        wit = cone_window_witness(fam, identities[n], samples=1024, tally=factored)
-        ref = cone_window_witness(fam, _identities(), samples=1024, tally=plain)
+        wit = cone_window_witness(
+            fam, _image_factors(fam, identities[n]), samples=1024, tally=factored
+        )
+        ref = cone_window_witness(
+            fam, _image_factors(fam, _identities()), samples=1024, tally=plain
+        )
         assert wit.to_json() == ref.to_json()
         assert wit.status is Status.PROVED
         assert factored["points"] == plain["points"] >= 1024
@@ -756,7 +768,7 @@ class TestFactorImages:
         monkeypatch.setattr(_Image, "first_failing", recording)
         fam = built_families[3]
         for a, b, den in _witness_draws(3, 60, 5):
-            img = _Image(fam, a, b, den)
+            img = _Image(fam, a, b, den, _image_factors(fam))
             for scan, limit in ((_first_open_cone_scaled, 3), (_cover_indices_scaled, 4)):
                 seen.clear()
                 scan(img, limit)
@@ -768,10 +780,10 @@ class TestFactorImages:
         # second inequality is not compared, and no exact triple is read
         params = FamilyParams.build(2)
         fam = SimpleNamespace(f1=Poly.one(), f2=Poly.constant(F(1, 25)), params=params)
-        img = _Image(fam, 1, 0, 1)
+        img = _Image(fam, 1, 0, 1, _image_factors(fam))
         assert not _in_cover_region(img)
         assert not img.evaluated
-        assert img.lt((0, 1), "r4") is False
+        assert _lt(img, (0, 1), "r4") is False
         assert img.evaluated
 
 
@@ -809,7 +821,7 @@ def _reference_verdicts(fam, lam, ks):
         }
         if cover.in_region:
             assert (k in cover.indices) == (ref["member"] and ref["entry"])
-    if not p.is_origin:
+    if not (p.z1.is_zero and p.z2.is_zero):
         assert cone_condition(p, ks[0], rho) == refs[ks[0]]["cone"]
     return refs
 
@@ -990,7 +1002,7 @@ class TestNetStage:
             for k in (0, 1):
                 gap = (z2 ** (k + 1) - z1).abs2()
                 img = _Image(fam, *lam, factors)
-                assert img.lt((-2, k, 1), "rho2", k=k) == (gap * a2**k < rho2 * a1 * a1)
+                assert _lt(img, (-2, k, 1), "rho2", k=k) == (gap * a2**k < rho2 * a1 * a1)
 
     @pytest.mark.parametrize(
         "f1, f2, r, rho, halved, holds",
@@ -1011,7 +1023,7 @@ class TestNetStage:
     def test_gap_widening_leaves_near_ties_open(self, f1, f2, r, rho, halved, holds):
         params = FamilyParams.build(2, r=r, rho=rho)
         fam = SimpleNamespace(f1=Poly.constant(f1), f2=Poly.constant(f2), params=params)
-        img = _Image(fam, 1, 0, 1)
+        img = _Image(fam, 1, 0, 1, _image_factors(fam))
         assert img.net(*_compile_net(fam, img.factors, (1, -2), None, 0))[1] <= -3
         square = "half_rho2" if halved else "rho2"
         lo, hi = img.net(*_compile_net(fam, img.factors, (2, -1, -1), square, 1))
@@ -1072,20 +1084,20 @@ def scaled_points(built_families, identities, root_certs):
 
 def _sequential_lt(img, tests):
     """The index of the first of the compiled ``tests`` that fails at
-    ``img``, by one ``lt`` call per test."""
+    ``img``, by one ``_lt`` call per test."""
     squares = img.fam.params.squares
     names = {id(getattr(squares, name)): name for name in squares._fields}
     for index, (_, _, _, closed, (coeffs, c, k)) in enumerate(tests):
         square = None if c is None else names[id(c)]
-        if not img.lt(coeffs, square, closed=closed, k=k):
+        if not _lt(img, coeffs, square, closed=closed, k=k):
             return index
     return len(tests)
 
 
 def _atoms_by_value(fam, factors, lam):
     """The point atoms of ``factors`` at lam, each built as a factor: the
-    bit-length ``Ratio`` of |lam|^2, the ``tight`` ``Ratio`` of each exact
-    |P|^2 and of each ball atom whose bracket reaches 0, and the bracket of
+    ``Ratio`` of |lam|^2, the ``Ratio`` of each exact |P|^2 and of each
+    ball atom whose bracket reaches 0, and the bracket of
     each other one, by ``ball_abs2`` or, where the map has a chain, from
     the balls of ``recursion_balls``."""
     a, b, den = lam
@@ -1102,7 +1114,7 @@ def _atoms_by_value(fam, factors, lam):
             if bracket[0] != (0, 0):
                 atoms.append(bracket)
                 continue
-        atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam)), tight=True))
+        atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam))))
     return atoms
 
 
@@ -1115,7 +1127,7 @@ def _first_open_cone_reference(p, r, rho, n):
 
 
 class TestOnePass:
-    """``_Image.first_failing`` against one ``lt`` call per test and the
+    """``_Image.first_failing`` against one ``_lt`` call per test and the
     Fraction predicates of the atlas, on the exact factor maps and on the
     same maps with ball atoms, by Horner and from the proved recursions."""
 
@@ -1141,7 +1153,7 @@ class TestOnePass:
         params = FamilyParams.build(2, r=F(1, 4), rho=F(3, 4))
         f1, f2 = Poly.constant(F(1, 4)), Poly.constant(F(1, 16))
         fam = SimpleNamespace(f1=f1, f2=f2, params=params)
-        img = _Image(fam, 1, 0, 1)
+        img = _Image(fam, 1, 0, 1, _image_factors(fam))
         for coeffs, square in (((1, 0), "r2"), ((0, 1), "r4")):
             open_test = _compile_test(fam, img.factors, coeffs, square)
             closed_test = _compile_test(fam, img.factors, coeffs, square, closed=True)
@@ -1257,16 +1269,16 @@ class TestRecursionChain:
         assert factors.chain is None
         # the same verdicts and counts as the map built without the root
         # certificates
+        corollary = corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots))
         for run in (
-            lambda **kw: cone_window_witness(fam, ids, samples=256, **kw),
-            lambda **kw: image_in_chart_window(
-                fam, corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots)),
-                ids, samples=32, **kw,
+            lambda m, tally: cone_window_witness(fam, m, samples=256, tally=tally),
+            lambda m, tally: image_in_chart_window(
+                fam, corollary, ids, m, samples=32, tally=tally
             ),
         ):
             with_roots, without = Counter(), Counter()
-            got = run(root_certs=roots, tally=with_roots)
-            assert got.to_json() == run(tally=without).to_json()
+            got = run(factors, with_roots)
+            assert got.to_json() == run(_image_factors(fam, ids), without).to_json()
             assert with_roots == without
         for k in (1, 2):
             assert _entry_scale(fam, k, Counter(), factors) == _entry_scale(
@@ -1451,12 +1463,9 @@ class TestRecursionExponents:
                 assert img.exps == atoms.exps
                 continue
             assert img.positive and img.zero_atoms == 0
-            # |lam|^2 by its tightest powers of two, inside the bit-length
-            # pair of its atom
+            # |lam|^2 by its tightest powers of two, its atom's exponents
             a, b, den = lam
-            assert img.exps[0] == log2_bounds(a * a + b * b, den * den)
-            (lo, hi), (a_lo, a_hi) = img.exps[0], atoms.exps[0]
-            assert a_lo <= lo <= hi <= a_hi
+            assert img.exps[0] == atoms.exps[0] == log2_bounds(a * a + b * b, den * den)
             for rung, exact in zip(img.exps[1:], atoms.exps[1:], strict=True):
                 assert rung[0] <= exact[0] <= exact[1] <= rung[1]
             assert _first_open_cone_scaled(img, n) == _first_open_cone_scaled(atoms, n)
@@ -1495,9 +1504,11 @@ class TestRecursionExponents:
         fam = built_families[n]
         with_rung, without = Counter(), Counter()
         got = cone_window_witness(
-            fam, identities[n], samples=512, root_certs=root_certs[n], tally=with_rung
+            fam, _image_factors(fam, identities[n], root_certs[n]), samples=512, tally=with_rung
         )
-        ref = cone_window_witness(fam, identities[n], samples=512, tally=without)
+        ref = cone_window_witness(
+            fam, _image_factors(fam, identities[n]), samples=512, tally=without
+        )
         assert got.to_json() == ref.to_json()
         assert without["refined"] == without["points"]
         assert 0 < with_rung.pop("refined") * 10 < without.pop("refined")
@@ -1585,15 +1596,14 @@ class TestRungMemo:
 
         def run():
             witness, ladder = Counter(), Counter()
+            factors = _image_factors(fam, identities[n], root_certs[n])
             certs = [
-                cone_window_witness(
-                    fam, identities[n], samples=1024, tally=witness, root_certs=root_certs[n]
-                ).to_json()
+                cone_window_witness(fam, factors, samples=1024, tally=witness).to_json()
             ]
             for k in range(1, n):
                 certs.append(
                     chart_cone_certificate(
-                        fam, k, root_certs[n], identities[n], divisions[n], tally=ladder
+                        fam, k, root_certs[n], identities[n], divisions[n], factors, tally=ladder
                     ).to_json()
                 )
             return certs, (witness, ladder)
@@ -1701,7 +1711,9 @@ class TestBoundaryLoops:
         assert target.data["spot_checks"] == 0 and tally == Counter()
         assert target_spot_checks(fam) == SpotLoop(128, 0)
         assert _exact_target_failure(fam) == (128, None)
-        window = image_in_chart_window(fam, cor, ids, samples=4, tally=tally)
+        window = image_in_chart_window(
+            fam, cor, ids, _image_factors(fam, ids), samples=4, tally=tally
+        )
         assert window.status is Status.PROVED
         assert window.data["boundary_checks"] == 0 and tally == Counter()
         assert window_spot_checks(fam) == SpotLoop(64, 0)
@@ -1711,10 +1723,10 @@ class TestBoundaryLoops:
         assert base.data["boundary_checks"] == 0 and tally == Counter()
         assert base_spot_checks(fam, samples=256) == SpotLoop(256, 0)
         assert _exact_base_failure(fam, 256) is None
-        wit = uniform_convergence_witness([fam], {n: target})
-        assert wit.status is Status.PROVED
-        bound = wit.entries[0].bound_squared
-        assert unit_circle_sups[n] <= bound == F(1, n * n)
+        sup = _sup_metric_certificate(n, target)
+        assert sup.status is Status.PROVED
+        assert sup.data["entry"]["bound_squared"] == f"1/{n * n}"
+        assert unit_circle_sups[n] <= F(1, n * n)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_loops_run_where_a_proof_is_missing(
@@ -1734,7 +1746,9 @@ class TestBoundaryLoops:
         for chain, report, family in cases:
             tally = Counter()
             target = annulus_into_target(family, chain, report, tally=tally)
-            window = image_in_chart_window(family, chain, report, samples=4, tally=tally)
+            window = image_in_chart_window(
+                family, chain, report, _image_factors(family, report), samples=4, tally=tally
+            )
             base = base_chart_certificate(family, chain, report, samples=256, tally=tally)
             assert [c.status for c in (target, window, base)] == [Status.INCONCLUSIVE] * 3
             assert target.data["spot_checks"] == 128
@@ -1777,14 +1791,14 @@ class TestBoundaryLoops:
         # condition iii: the unit-circle witness refutes the sup bound 1/n,
         # and the metric there does exceed it; one on |lam| = 2 says nothing
         # about the unit circle
-        wit = uniform_convergence_witness([fake], {2: cert})
+        sup = _sup_metric_certificate(2, cert)
         if radius == 1:
-            assert wit.status is Status.REFUTED
-            assert wit.entries[0].witness == cert.data["witness"]
+            assert sup.status is Status.REFUTED
+            assert sup.data["entry"]["witness"] == cert.data["witness"]
             assert exact_sup(fake, [circle_triples(radius, 64)[i]]) > F(1, 4)
         else:
-            assert wit.status is Status.INCONCLUSIVE
-            assert wit.entries[0].witness is None
+            assert sup.status is Status.INCONCLUSIVE
+            assert "witness" not in sup.data["entry"]
 
     def test_target_equality_is_inside(self, built_families, corollary_reports):
         # n |f2| = |f1| at every point: the closed slope inequality holds with
@@ -1827,7 +1841,8 @@ class TestBoundaryLoops:
         assert _unit(fake) == unit
         i = _exact_window_failure(unit)
         assert 0 < i < 32
-        cert = image_in_chart_window(fake, corollary_reports[2], _identities("power-ratio"))
+        ids = _identities("power-ratio")
+        cert = image_in_chart_window(fake, corollary_reports[2], ids, _image_factors(fake, ids))
         assert cert.status is Status.REFUTED
         assert cert.data["witness"] == circle_points(F(2), 64)[i].to_json()
         assert window_spot_checks(fake).witness == circle_points(F(2), 64)[i]
@@ -1836,7 +1851,7 @@ class TestBoundaryLoops:
         tampered = dataclasses.replace(fam, P=factors)
         roots, corollary = _own_certificates(tampered)
         assert roots[1].status is not Status.PROVED
-        own = image_in_chart_window(tampered, corollary, _identities("power-ratio"))
+        own = image_in_chart_window(tampered, corollary, ids, _image_factors(tampered, ids))
         assert own.data == cert.data
 
     def test_tampered_base_refuted_at_the_exact_witness(
@@ -1873,10 +1888,10 @@ class TestBoundaryLoops:
         target = annulus_into_target(fam, corollary)
         assert target.status is Status.REFUTED
         assert target.data["witness"]["point"] == {"re": "0/1", "im": "-1/1"}
-        wit = uniform_convergence_witness([fam], {2: target})
-        assert wit.status is Status.REFUTED
-        assert wit.entries[0].witness == target.data["witness"]
-        assert wit.detail == (
+        sup = _sup_metric_certificate(2, target)
+        assert sup.status is Status.REFUTED
+        assert sup.data["entry"]["witness"] == target.data["witness"]
+        assert sup.detail == (
             "the image leaves the target region on the unit circle for n in [2]"
         )
         assert target.data["witness"] == target_spot_checks(fam).witness.to_json()
@@ -1949,8 +1964,9 @@ class TestDivisibilityWindow:
         assert identities[n].passed("power-ratio")
 
     def test_status_proved(self, built_families, corollary_reports, identities):
+        fam, ids = built_families[2], identities[2]
         cert = image_in_chart_window(
-            built_families[2], corollary_reports[2], identities[2], samples=32
+            fam, corollary_reports[2], ids, _image_factors(fam, ids), samples=32
         )
         assert cert.status is Status.PROVED
         assert cert.data["samples"] == 32
@@ -2009,7 +2025,9 @@ class TestConeCertificates:
         self, built_families, root_certs, identities, divisions
     ):
         fam = built_families[2]
-        prereqs = (root_certs[2], identities[2], divisions[2])
+        prereqs = (
+            root_certs[2], identities[2], divisions[2], _image_factors(fam, identities[2])
+        )
         with pytest.raises(ValueError):
             chart_cone_certificate(fam, 0, *prereqs, tally=Counter())
         with pytest.raises(ValueError):
@@ -2017,8 +2035,10 @@ class TestConeCertificates:
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
     def test_proved(self, built_families, root_certs, identities, divisions, n, k):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
         cert = chart_cone_certificate(
-            built_families[n], k, root_certs[n], identities[n], divisions[n],
+            fam, k, root_certs[n], identities[n], divisions[n], factors,
             samples=48, tally=Counter(),
         )
         assert cert.status is Status.PROVED
@@ -2028,8 +2048,10 @@ class TestConeCertificates:
     def test_entry_scale_recorded(
         self, built_families, root_certs, identities, divisions
     ):
+        fam = built_families[3]
+        factors = _image_factors(fam, identities[3], root_certs[3])
         cert = chart_cone_certificate(
-            built_families[3], 2, root_certs[3], identities[3], divisions[3],
+            fam, 2, root_certs[3], identities[3], divisions[3], factors,
             samples=16, tally=Counter(),
         )
         # frozen: the approach region of chart 2 at n=3 opens near 10^-101
@@ -2056,54 +2078,85 @@ class TestConeCertificates:
 
 
 class TestConeWindowWitness:
+    @staticmethod
+    def _witness(built_families, identities, **kwargs):
+        fam = built_families[2]
+        return cone_window_witness(fam, _image_factors(fam, identities[2]), **kwargs)
+
     def test_proved_small_run(self, built_families, identities):
-        wit = cone_window_witness(built_families[2], identities[2], samples=200)
+        wit = self._witness(built_families, identities, samples=200)
         assert wit.status is Status.PROVED
         assert wit.data["samples"] == 200
 
     def test_deterministic(self, built_families, identities):
-        a = cone_window_witness(built_families[2], identities[2], samples=64, seed=5)
-        b = cone_window_witness(built_families[2], identities[2], samples=64, seed=5)
+        a = self._witness(built_families, identities, samples=64, seed=5)
+        b = self._witness(built_families, identities, samples=64, seed=5)
         assert a.to_json() == b.to_json()
 
     def test_seed_changes_samples_not_verdict(self, built_families, identities):
-        a = cone_window_witness(built_families[2], identities[2], samples=64, seed=1)
-        b = cone_window_witness(built_families[2], identities[2], samples=64, seed=2)
+        a = self._witness(built_families, identities, samples=64, seed=1)
+        b = self._witness(built_families, identities, samples=64, seed=2)
         assert a.status is Status.PROVED and b.status is Status.PROVED
 
 
 class TestEscapeWitness:
-    def test_frozen_table(self, built_families):
-        wit = escape_witness([built_families[n] for n in (2, 3, 4)])
-        assert wit.status is Status.PROVED
-        assert wit.entries == ((2, 1), (3, 2), (4, 3))
+    """Condition iv: the vanishing orders (n, 1), whose gap n - 1 is the
+    escape index; criterion 7 reads its strict increase across the traces."""
 
-    def test_single_family(self, built_families):
-        wit = escape_witness([built_families[2]])
-        assert wit.status is Status.PROVED
-        assert wit.entries == ((2, 1),)
+    def test_frozen_table(self, trace_reports):
+        for n in SIZES:
+            rep = trace_reports[n]
+            condition = rep.condition_iv
+            assert condition.status is Status.PROVED
+            assert condition.detail == (
+                f"components vanish to orders ({n}, 1); escape depth {n - 1}"
+            )
+            assert condition.data == {"orders": [n, 1], "escape_index": n - 1}
+            assert rep.escape_index == n - 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            escape_witness([])
-
-    def test_non_monotone_refuted(self, built_families):
-        wit = escape_witness([built_families[3], built_families[2]])
-        assert wit.status is Status.REFUTED
+    def test_wrong_orders_refuted(
+        self, built_families, root_certs, corollary_reports, identities, divisions
+    ):
+        # f1 times lam vanishes to order 3 at n = 2: condition iv is refuted
+        # with the orders named, and so is the trace
+        fam = built_families[2]
+        tampered = dataclasses.replace(fam, f1=fam.f1 * Poly.x())
+        assert vanishing_orders(tampered) == (3, 1)
+        rep = trace_family(
+            tampered,
+            root_certs=root_certs[2],
+            corollary=corollary_reports[2],
+            identities=identities[2],
+            divisions=divisions[2],
+            window_samples=16,
+            cone_samples=16,
+            witness_samples=64,
+        )
+        condition = rep.condition_iv
+        assert condition.status is Status.REFUTED
+        assert condition.detail == "components vanish to orders (3, 1) instead of (2, 1)"
+        assert condition.data == {"orders": [3, 1], "escape_index": 2}
+        assert rep.escape_index == 2
+        assert rep.status is Status.REFUTED
 
 
 class TestUniformConvergence:
-    def test_bounds_and_monotonicity(self, built_families, trace_reports, unit_circle_sups):
-        wit = uniform_convergence_witness(
-            [built_families[n] for n in SIZES],
-            target_certs={n: trace_reports[n].condition_ii for n in SIZES},
-        )
-        assert wit.status is Status.PROVED
-        assert [e.bound_squared for e in wit.entries] == [F(1, n * n) for n in SIZES]
+    """Condition iii, the boundary sup metric, from the target certificate."""
+
+    def test_bounds_and_monotonicity(self, trace_reports, unit_circle_sups):
+        certs = [_sup_metric_certificate(n, trace_reports[n].condition_ii) for n in SIZES]
+        for n, cert in zip(SIZES, certs):
+            assert cert.status is Status.PROVED
+            assert cert.detail == (
+                "sup metric at most 1/n on the unit circle, from proved target containment"
+            )
+            assert cert.data == {
+                "entry": {"n": n, "status": "proved", "bound_squared": f"1/{n * n}"}
+            }
+            # the certificate the trace reports
+            assert cert == trace_reports[n].condition_iii
+            assert 0 <= unit_circle_sups[n] <= F(1, n * n)
         sups = [unit_circle_sups[n] for n in SIZES]
-        for sup, entry in zip(sups, wit.entries):
-            assert entry.status is Status.PROVED
-            assert 0 <= sup <= entry.bound_squared
         assert sups == sorted(sups, reverse=True)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -2132,21 +2185,23 @@ class TestUniformConvergence:
         for x, y in cases:
             assert _pair_lt(x, y) == (F(*x) < F(*y))
 
-    def test_missing_target_cert_inconclusive(self, built_families):
-        wit = uniform_convergence_witness([built_families[2]], target_certs={})
-        assert wit.status is Status.INCONCLUSIVE
-        assert wit.detail == "target containment is not proved for n in [2]"
+    def test_missing_target_cert_inconclusive(self):
+        # a target certificate without a verdict proves no bound
+        target = Certificate("annulus-into-target", Status.INCONCLUSIVE)
+        cert = _sup_metric_certificate(2, target)
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.detail == "target containment is not proved for n in [2]"
 
     def test_refutation_without_a_unit_circle_witness_is_inconclusive(self):
         # an envelope refutation carries no point; the bound is not evaluated
-        # at all, so a family with no components will do
+        # at all, so the size alone will do
         envelope = Certificate("annulus-into-target", Status.REFUTED, "", {"target": {}})
-        fams = [SimpleNamespace(n=2), SimpleNamespace(n=3)]
-        proved = Certificate("annulus-into-target", Status.PROVED)
-        wit = uniform_convergence_witness(fams, {2: proved, 3: envelope})
-        assert wit.status is Status.INCONCLUSIVE
-        assert [e.status for e in wit.entries] == [Status.PROVED, Status.INCONCLUSIVE]
-        assert wit.detail == "target containment is not proved for n in [3]"
+        cert = _sup_metric_certificate(3, envelope)
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.data == {
+            "entry": {"n": 3, "status": "inconclusive", "bound_squared": "1/9"}
+        }
+        assert cert.detail == "target containment is not proved for n in [3]"
 
 
 class TestPipeline:
@@ -2178,6 +2233,32 @@ class TestPipeline:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_escape_index(self, trace_reports, n):
         assert trace_reports[n].escape_index == n - 1
+
+    def test_one_factor_map_per_family(
+        self, monkeypatch, built_families, root_certs, corollary_reports, identities, divisions
+    ):
+        # each trace builds its factor map once and hands it to every stage,
+        # so each chart's tests are compiled once per family: charts 0..n+1,
+        # as the window scans one index beyond n, 15 over n = 2..4
+        calls = Counter()
+        for name in ("_image_factors", "_compile_chart"):
+
+            def counted(*args, _real=getattr(disktrace, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(disktrace, name, counted)
+        for n in SIZES:
+            calls.clear()
+            trace_family(
+                built_families[n],
+                root_certs=root_certs[n],
+                corollary=corollary_reports[n],
+                identities=identities[n],
+                divisions=divisions[n],
+            )
+            assert calls == {"_image_factors": 1, "_compile_chart": n + 2}
+        assert sum(n + 2 for n in SIZES) == 15
 
     def test_report_json_round_trip(self, trace_reports):
         import json
@@ -2233,7 +2314,7 @@ class TestTamper:
         # rationals, next to the Fraction chart cover of its image
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
         ids = _identities("square-ratio", "difference-factorization")
-        wit = cone_window_witness(fam, ids, samples=64)
+        wit = cone_window_witness(fam, _image_factors(fam, ids), samples=64)
         assert wit.status is Status.REFUTED
         assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
         assert wit.data["cover"] == {
@@ -2248,10 +2329,9 @@ class TestTamper:
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
         ids = exact_identity_checks(fam)
         assert _image_factors(fam, ids).polys == fam.P
-        wit = cone_window_witness(fam, ids, samples=64)
-        plain = cone_window_witness(
-            fam, _identities("square-ratio", "difference-factorization"), samples=64
-        )
+        wit = cone_window_witness(fam, _image_factors(fam, ids), samples=64)
+        plain_ids = _identities("square-ratio", "difference-factorization")
+        plain = cone_window_witness(fam, _image_factors(fam, plain_ids), samples=64)
         assert wit.status is Status.REFUTED
         assert wit.data == plain.data
         assert wit.data["lambda"] == {"re": "-3299/16384", "im": "-2513/4096"}
@@ -2268,7 +2348,9 @@ class TestTamper:
         )
         fake = _fake(fam, fam.f1, fam.f2, (Poly.zero(),))
         identities = _identities("power-ratio")
-        cert = image_in_chart_window(fake, corollary, identities, samples=16, seed=0)
+        cert = image_in_chart_window(
+            fake, corollary, identities, _image_factors(fake, identities), samples=16, seed=0
+        )
         assert cert.status is Status.REFUTED
         assert cert.data["lambda"] == {"re": "3993/8192", "im": "26577/16384"}
         assert cert.data["cover"] == {
