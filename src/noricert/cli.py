@@ -23,6 +23,7 @@ were evaluated exactly because a ball bracket reached 0, how many computed
 their atoms at all (``refined``) and how many reused the outcome of an
 earlier point with the same |lam|^2 pair (``reused``), ``witness``: the
 same six counts for the cone-window witness's sampled image points,
+``window``: the same for the chart window's sampled image points,
 ``boundary``: the points of each loop over exact circle points (the annulus
 bounds, the target region, the chart window and the base chart) and its
 exact fallbacks, the points where a comparison's brackets overlapped and
@@ -285,9 +286,10 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
 
     Returns the per-n report entry and what the size adds to ``meta``: the
     trace's deep-scale ladder counts (``deep_scale``), the cone-window
-    witness's counts (``witness``), the points and exact fallbacks of each
-    exact-circle-point loop (``boundary``) and the seconds
-    of each stage (``stages``, the build and the family hash included);
+    witness's counts (``witness``), the chart window's (``window``), the
+    points and exact fallbacks of each exact-circle-point loop
+    (``boundary``) and the seconds of each stage (``stages``, the build and
+    the family hash included);
     that is empty when the family is refuted before it is built.  This is the one place that orders the stages of a family: each
     stage runs once and receives the earlier stages it uses as arguments.
     """
@@ -416,6 +418,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     return entry, {
         "deep_scale": trace.ladder,
         "witness": trace.witness,
+        "window": trace.window,
         "boundary": {"annulus": annulus.counts(), **trace.boundary},
         "stages": stages,
     }
@@ -499,6 +502,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
             "elapsed_seconds": round(time.time() - started, 3),
             "deep_scale": totals("deep_scale", _IMAGE_COUNTS),
             "witness": totals("witness", _IMAGE_COUNTS),
+            "window": totals("window", _IMAGE_COUNTS),
             "boundary": {
                 **{
                     loop: {

@@ -50,11 +50,15 @@ test open.  Without the identities the atoms are |f1|^2 and |f2|^2
 themselves.  A chart predicate (cover region, membership, entry, cone) is
 a test compiled once per factor map: a power vector over (|f1|^2, |f2|^2,
 |f2^(k+1) - f1|^2) against a chart square, held as plain data.
-The two sampled loops, the chart-cone ladder and the cone-window witness,
-first read a point's ``log2_bounds`` pair of |lam|^2 (``_rung_key``), all
-that the first rung below reads of lam, and reuse the outcome of an
-earlier point of the same call with that pair that was decided on the
-first rung alone and refuted nothing; every other point is an ``_Image``.
+The three sampled loops, the chart window, the chart-cone ladder and the
+cone-window witness, draw grid integers from the sampler's endless
+generators (``disk_grid``, ``randints``) and first read a point's
+``log2_bounds`` pair of |lam|^2 (``_rung_key``), all that the first rung
+below reads of lam, from those integers, up to a power of two fixed per
+loop (``_draw_key``); they reuse the outcome of an earlier point of the
+same call with that pair that was decided on the first rung alone and
+refuted nothing, and build lam's triple and an ``_Image`` only for a point
+that reuses nothing.
 ``_Image.first_failing`` decides an ordered sequence of them in one pass
 over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
@@ -123,7 +127,7 @@ from .certify import (
     worst,
 )
 from .family import CheckReport, Family
-from .sampling import RationalSampler
+from .sampling import GRID_BITS, RationalSampler
 
 __all__ = [
     "Certificate",
@@ -226,7 +230,7 @@ class _Factors(NamedTuple):
     powers of two around every |P_k(lam)|^2 before any atom is computed.
     That first rung reads lam only through its |lam|^2 pair (``_rung_key``),
     so the sampled loops decide each such pair on it once per call and
-    reuse the outcome.
+    reuse the outcome (``_draw_key``).
 
     So one image point is decided in four rungs, each only where the one
     before leaves a test open: the recursion exponents (with ``rung``), the
@@ -428,11 +432,27 @@ def _rung_key(factors: _Factors, num_re: int, num_im: int, den2: int) -> Optiona
     It is all that an image's first rung reads of lam: an image that
     decides its tests on the recursion exponents without refining has an
     outcome, and counts, fixed by the factor map, the tests and this pair,
-    which is why the sampled loops memoize such outcomes by it.
+    which is why the sampled loops memoize such outcomes by it, read from
+    their draws' integers (``_draw_key``).
     """
     if factors.rung is None or not (num_re or num_im):
         return None
     return log2_bounds(num_re * num_re + num_im * num_im, den2)
+
+
+def _draw_key(num: int, scale: int) -> Optional[tuple]:
+    """The memo key of a sampled loop's draw: the ``log2_bounds`` of
+    num/scale, where num is the draw's integer |num_re + i num_im|^2 and
+    |lam|^2 = num/(scale 2^c) with c fixed per loop, so the key is the
+    ``_rung_key`` pair shifted by c; None at num = 0 (lam = 0, which has no
+    first rung).
+
+    It reads the integers a draw already holds, so a reused draw builds
+    neither lam's triple nor the products of ``_rung_key``.  A loop stores
+    an outcome under a key only where the image did not refine, which
+    every image of a map without a ``rung`` does.
+    """
+    return log2_bounds(num, scale) if num else None
 
 
 class _Image:
@@ -441,10 +461,10 @@ class _Image:
     One point is decided in four rungs, each only where the one before
     leaves a test open: the recursion exponents, the atoms' exponents, the
     192-bit products of the atoms, the exact integers of the triples.  The
-    sampled loops (the chart-cone ladder and the cone-window witness) build
-    no image at all for a point whose |lam|^2 pair (``_rung_key``) already
-    gave a non-refuting outcome on the first rung alone, with no refinement:
-    they reuse that outcome.
+    sampled loops (the chart window, the chart-cone ladder and the
+    cone-window witness) build no image at all for a point whose |lam|^2
+    pair (``_draw_key``) already gave a non-refuting outcome on the first
+    rung alone, with no refinement: they reuse that outcome.
 
     ``exps`` are powers of two around the point atoms of ``factors``
     (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
@@ -1004,6 +1024,7 @@ def image_in_chart_window(
     samples: int = 64,
     seed: int = 0,
     tally: Optional[Counter] = None,
+    images: Optional[Counter] = None,
 ) -> Certificate:
     """Certify that the disk image stays below chart index n.
 
@@ -1022,7 +1043,13 @@ def image_in_chart_window(
     cover is nonempty with all indices < n.  The identity is proved once
     per family, in ``identities``, and the quotient stays in product form.
     The sampled images are bracketed through ``factors``, the family's
-    factor map (``_image_factors``).
+    factor map (``_image_factors``).  The disk points come from the
+    sampler's ``disk_grid``.  A draw whose |lam|^2 pair (``_draw_key``, read
+    from the draw's x^2 + y^2) an earlier draw of this call decided on the
+    recursion exponents alone, not vanishing and covered below index n,
+    reuses that cover (``reused``) and builds no image; a refutation is
+    always rendered from its own point.  ``images`` counts the sampled
+    image points (``_IMAGE_COUNTS``).
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -1049,26 +1076,51 @@ def image_in_chart_window(
                 {"witness": loop.witness.to_json()},
             )
 
-    sampler = RationalSampler("chart-window", fam.n, samples, seed)
+    images = Counter() if images is None else images
+    grid = RationalSampler("chart-window", fam.n, samples, seed).disk_grid()
     # one index beyond n suffices for the scan: membership at any k >= n
     # would already contradict |f2|^n < |f1| (and |f2| < 1) shown above
     k_max = n + 1
     accepted = 0
     attempts = 0
-    while accepted < samples and attempts < 40 * samples:
-        attempts += 1
-        img = _Image(fam, *sampler.dyadic_in_disk(2), factors)
-        if img.vanishes(2):
-            continue  # exact exclusion of the common zero set
-        in_region, indices = _cover_indices_scaled(img, k_max)
-        if not in_region or not indices or max(indices) > n - 1:
-            return Certificate(
-                "image-in-chart-window",
-                Status.REFUTED,
-                "a sampled image point is not covered by the charts below index n",
-                _sample_witness(img, k_max),
-            )
-        accepted += 1
+    # the cover of each |lam|^2 pair, shifted by 30 (``_draw_key``: lam =
+    # 2 (x + i y)/2^16), that an image decided on the recursion exponents
+    # alone, not vanishing and not refuting
+    reuse: dict = {}
+    # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
+    points = fallbacks = formed = zeros = refined = reused = 0
+    try:
+        while accepted < samples and attempts < 40 * samples:
+            attempts += 1
+            x, y, s = next(grid)
+            points += 1
+            key = _draw_key(s, 1)
+            if key in reuse:
+                reused += 1
+                accepted += 1
+                continue
+            img = _Image(fam, 2 * x, 2 * y, 1 << GRID_BITS, factors)
+            skipped = img.vanishes(2)  # exact exclusion of the common zero set
+            if not skipped:
+                in_region, indices = _cover_indices_scaled(img, k_max)
+            fallbacks += img.evaluated
+            formed += img.formed
+            zeros += img.zero_atoms
+            refined += img.refined
+            if skipped:
+                continue
+            if not in_region or not indices or max(indices) > n - 1:
+                return Certificate(
+                    "image-in-chart-window",
+                    Status.REFUTED,
+                    "a sampled image point is not covered by the charts below index n",
+                    _sample_witness(img, k_max),
+                )
+            if key is not None and not img.refined:
+                reuse[key] = in_region, indices
+            accepted += 1
+    finally:
+        _book_images(images, points, fallbacks, formed, zeros, refined, reused)
 
     data = {
         "quotient_degree": quotient_degree,
@@ -1150,22 +1202,22 @@ def _ladder_denominators(entry: int) -> tuple:
     return tuple((2**_GRID) * 10**e for e in range(entry, entry + 6))
 
 
-def _approach_candidates(fam: Family, k: int, entry: int, samples: int, seed: int):
-    """The deterministic candidate points ``(a, b, e, den)`` of chart k's ladder.
+def _approach_candidates(fam: Family, k: int, samples: int, seed: int):
+    """The deterministic candidate draws ``(a, b, s, step)`` of chart k's ladder.
 
-    Each is lam = (a + i b)/den with den = 2^8 10^e, |a + i b| in
-    [2^7, 2^8) and e at most 5 above the entry scale; at most 40 draws per
-    wanted sample are made.
+    Each is lam = (a + i b)/den with s = a^2 + b^2 in [2^14, 2^16), so
+    |a + i b| in [2^7, 2^8), and den = 2^8 10^(entry + step), step in 0..5
+    (``_ladder_denominators``); at most 40 draws per wanted sample are made,
+    from the sampler's ``randints``.
     """
     sampler = RationalSampler("cone-region", fam.n, k, samples, seed)
-    dens = _ladder_denominators(entry)
+    coords, steps = sampler.randints(-(2**_GRID), 2**_GRID), sampler.randints(0, 5)
+    lo, hi = 2 ** (2 * _GRID - 2), 2 ** (2 * _GRID)
     for _ in range(40 * samples):
-        a = sampler.randint(-(2**_GRID), 2**_GRID)
-        b = sampler.randint(-(2**_GRID), 2**_GRID)
-        if not 2 ** (2 * _GRID - 2) <= a * a + b * b < 2 ** (2 * _GRID):
-            continue
-        step = sampler.randint(0, 5)
-        yield a, b, entry + step, dens[step]
+        a, b = next(coords), next(coords)
+        s = a * a + b * b
+        if lo <= s < hi:
+            yield a, b, s, next(steps)
 
 
 def chart_cone_certificate(
@@ -1198,9 +1250,10 @@ def chart_cone_certificate(
     image points and exact fallbacks.  The entry probe and the ladder
     bracket their images through ``factors``, the family's factor map
     (``_image_factors``).  A ladder point whose |lam|^2 pair
-    (``_rung_key``) an earlier point of this chart decided on the recursion
-    exponents alone, outside the approach region or passing every test of
-    the same sequence, reuses that failing index
+    (``_draw_key`` of the candidate's a^2 + b^2 over its squared
+    denominator, ``_approach_candidates``) an earlier point of this chart
+    decided on the recursion exponents alone, outside the approach region
+    or passing every test of the same sequence, reuses that failing index
     (``reused``) and builds no image; the ladder's six denominators and
     their squares are computed once per chart.
     """
@@ -1231,28 +1284,30 @@ def chart_cone_certificate(
     # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test is the
     # first half)
     checked, unchecked = (member, halved, entry_test), (member, halved)
-    squares = tuple(den * den for den in _ladder_denominators(entry))
+    dens = _ladder_denominators(entry)
+    squares = tuple(den * den for den in dens)
     # the failing index of each (full, |lam|^2 pair) that an image decided
-    # on the recursion exponents alone, not refuting (``_rung_key``)
+    # on the recursion exponents alone, not refuting (``_draw_key`` of a^2 +
+    # b^2 over the squared denominator: the ``_rung_key`` pair itself)
     reuse: dict = {}
     # the ladder's image counts (``_IMAGE_COUNTS``), booked once
     points = fallbacks = formed = zeros = refined = reused = 0
     try:
-        for a, b, e, den in _approach_candidates(fam, k, entry, samples, seed):
+        for a, b, s, step in _approach_candidates(fam, k, samples, seed):
             full = full_membership_checks < 32
-            key = full, _rung_key(factors, a, b, squares[e - entry])
+            pair = _draw_key(s, squares[step])
+            key = full, pair
             points += 1
             failed = reuse.get(key)
             if failed is None:
-                img = _Image(fam, a, b, den, factors)
+                img = _Image(fam, a, b, dens[step], factors)
                 tests = checked if full else unchecked
                 failed = img.first_failing(tests)
                 fallbacks += img.evaluated
                 formed += img.formed
                 zeros += img.zero_atoms
                 refined += img.refined
-                # an image without a rung key refines, so none is stored
-                if not img.refined and failed in (0, len(tests)):
+                if pair is not None and not img.refined and failed in (0, len(tests)):
                     reuse[key] = failed
             else:
                 reused += 1
@@ -1269,7 +1324,7 @@ def chart_cone_certificate(
                         "witness": {
                             "num_re": a,
                             "num_im": b,
-                            "den_log10": e,
+                            "den_log10": entry + step,
                             "den_pow2": _GRID,
                         },
                     },
@@ -1281,7 +1336,10 @@ def chart_cone_certificate(
                         "chart-cone",
                         Status.REFUTED,
                         f"a sampled approach-region point is not in chart {k}",
-                        {**data, "witness": {"num_re": a, "num_im": b, "den_log10": e}},
+                        {
+                            **data,
+                            "witness": {"num_re": a, "num_im": b, "den_log10": entry + step},
+                        },
                     )
             accepted += 1
             if accepted == samples:
@@ -1427,8 +1485,9 @@ def base_chart_certificate(
     )
 
 
-# the scales 10^0 .. 10^12 of every other witness draw
+# the scales 10^0 .. 10^12 of every other witness draw, and their squares
 _WITNESS_SCALES = tuple(10**e for e in range(13))
+_WITNESS_SQUARES = tuple(scale * scale for scale in _WITNESS_SCALES)
 
 
 def cone_window_witness(
@@ -1449,37 +1508,42 @@ def cone_window_witness(
     The absence of chart memberships at indices n and above is not re-sampled
     here: the divisibility window certificate proves it for the whole disk.
     The images are bracketed through ``factors``, the family's factor map
-    (``_image_factors``).  A draw whose |lam|^2 pair (``_rung_key``) an
-    earlier draw of this call decided on the recursion exponents alone, in
-    the region with an open cone, reuses that cone index (``reused``) and
-    builds no image; a refutation is always rendered from its own point.
-    ``tally`` counts the drawn image points and their exact fallbacks.
+    (``_image_factors``).  The points come from the sampler's
+    ``disk_grid`` and the scale indices from its ``randints(0, 12)``.  A
+    draw whose |lam|^2 pair (``_draw_key``, read from the draw's x^2 + y^2
+    and the square of its scale) an earlier draw of this call decided on
+    the recursion exponents alone, in the region with an open cone, reuses
+    that cone index (``reused``) and builds neither lam nor an image; a
+    refutation is always rendered from its own point.  ``tally`` counts the
+    drawn image points and their exact fallbacks (``_IMAGE_COUNTS``).
     """
     n = fam.n
     tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
+    grid, scales = sampler.disk_grid(), sampler.randints(0, 12)
     accepted = 0
     attempts = 0
     index_counts = {k: 0 for k in range(n)}
-    # the cone index of each |lam|^2 pair that an image decided on the
-    # recursion exponents alone (``_rung_key``)
+    # the cone index of each |lam|^2 pair, shifted by 30 (``_draw_key``: lam
+    # = 2 (x + i y)/(2^16 10^e)), that an image decided on the recursion
+    # exponents alone
     reuse: dict = {}
     # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
     points = fallbacks = formed = zeros = refined = reused = 0
     try:
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
-            a, b, den = sampler.dyadic_in_disk(2)
-            if attempts % 2 == 0:
-                den *= _WITNESS_SCALES[sampler.randint(0, 12)]
+            x, y, s = next(grid)
+            e = next(scales) if attempts % 2 == 0 else 0
             points += 1
-            key = _rung_key(factors, a, b, den * den)
+            key = _draw_key(s, _WITNESS_SQUARES[e])
             cone_index = reuse.get(key)
             if cone_index is not None:
                 reused += 1
                 index_counts[cone_index] += 1
                 accepted += 1
                 continue
+            a, b, den = 2 * x, 2 * y, _WITNESS_SCALES[e] << GRID_BITS
             img = _Image(fam, a, b, den, factors)
             skipped = img.vanishes(2)
             if not skipped:
@@ -1497,8 +1561,7 @@ def cone_window_witness(
                     "a sampled image point has no covering chart with an open cone",
                     _sample_witness(img, n + 1),
                 )
-            # an image without a rung key refines, so none is stored
-            if not img.refined:
+            if key is not None and not img.refined:
                 reuse[key] = cone_index
             index_counts[cone_index] += 1
             accepted += 1
@@ -1617,7 +1680,8 @@ class TraceReport:
     exponents left a test open or gave up, or every point without them) and
     those that reused the outcome of an earlier point with the same |lam|^2
     pair, decided on the recursion exponents alone (``reused``),
-    ``witness`` the same six counts for the cone-window witness;
+    ``witness`` the same six counts for the cone-window witness and
+    ``window`` for the chart window's sampled points;
     ``boundary`` holds, for each exact-circle-point loop of the
     trace (``target``, ``window`` and ``base``), its ``points`` and as
     ``exact_fallbacks`` those where a comparison's brackets overlapped and
@@ -1637,6 +1701,7 @@ class TraceReport:
     detail: str = ""
     ladder: dict = field(default_factory=dict, compare=False)
     witness: dict = field(default_factory=dict, compare=False)
+    window: dict = field(default_factory=dict, compare=False)
     boundary: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -1670,7 +1735,7 @@ _WORK_COUNTS = ("points", "exact_fallbacks")
 # of its ball atoms reached 0 and were evaluated exactly, and whether its
 # atoms were computed (where the recursion exponents left a test open, or
 # without them); a point of a sampled loop also books whether it reused the
-# outcome of an earlier point with its |lam|^2 pair (``_rung_key``)
+# outcome of an earlier point with its |lam|^2 pair (``_draw_key``)
 _IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms", "refined", "reused")
 
 _TRACE_DETAIL = {
@@ -1707,6 +1772,7 @@ def trace_family(
     factors = _image_factors(fam, identities, root_certs)
     tally: Counter = Counter()
     boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
+    window_tally: Counter = Counter()
     condition_ii = annulus_into_target(
         fam, corollary, identities, spot_checks=spot_checks, tally=boundary["target"]
     )
@@ -1718,6 +1784,7 @@ def trace_family(
         samples=window_samples,
         seed=seed,
         tally=boundary["window"],
+        images=window_tally,
     )
     cones = [
         chart_cone_certificate(
@@ -1782,6 +1849,7 @@ def trace_family(
         detail=_TRACE_DETAIL[status],
         ladder={key: tally[key] for key in _IMAGE_COUNTS},
         witness={key: witness_tally[key] for key in _IMAGE_COUNTS},
+        window={key: window_tally[key] for key in _IMAGE_COUNTS},
         boundary={
             loop: {key: counts[key] for key in _WORK_COUNTS}
             for loop, counts in boundary.items()

@@ -4,11 +4,14 @@ Every layer of this package that samples points does so through a
 ``RationalSampler``: a ``random.Random`` whose stream is a pure function of
 a textual seed recipe, so a reported verdict (including any counterexample)
 can be reproduced exactly on any platform.  Callers draw integers with
-``randint``, ``getrandbits`` and ``randrange``; ``randint`` is CPython's own
-rejection from ``getrandbits``, the same stream without the ``randrange``
-layers.  The sampler adds dyadic-grid complex points, returned as integer
-triples ``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``,
-ready for ``eval_scaled``.  No draw builds a rational number.
+``randints`` (or ``randint``), ``getrandbits`` and ``randrange``;
+``randints`` is CPython's own ``randint`` rejection from ``getrandbits``,
+the same stream without the ``randrange`` layers.  The sampler adds
+dyadic-grid points of a disk: ``disk_grid`` yields their integer grid
+coordinates with the squared modulus the rejection already computed, and
+``dyadic_in_disk`` returns one as an integer triple ``(num_re, num_im,
+den)`` with value ``(num_re + i num_im)/den``, ready for ``eval_scaled``.
+No draw builds a rational number.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ class RationalSampler(random.Random):
     """``random.Random`` seeded by ``seed_for(*seed_parts)``, with dyadic draws.
 
     The positional arguments form the seed recipe; two samplers constructed
-    with equal recipes produce identical streams.  Each point draw picks a
-    box point with two ``randint(0, G)`` draws (``_box``) and rejects it by
-    an integer test until it lies in the wanted region.
+    with equal recipes produce identical streams.  A sampled loop draws
+    from the endless generators ``disk_grid`` and ``randints``; the single
+    draws ``dyadic_in_disk`` and ``randint`` take one value of each.
     """
 
     def __new__(cls, *seed_parts):
@@ -49,44 +52,57 @@ class RationalSampler(random.Random):
     def __init__(self, *seed_parts):
         super().__init__(seed_for(*seed_parts))
 
-    def randint(self, a: int, b: int) -> int:
-        """``random.Random.randint(a, b)``, drawn without its ``randrange`` layers.
+    def randints(self, a: int, b: int):
+        """Endless ``random.Random.randint(a, b)`` values, drawn without its
+        ``randrange`` layers.
 
         CPython draws k = n.bit_length() random bits until they fall below
         the range size n = b - a + 1 (``_randbelow_with_getrandbits``); this
-        is that rejection, so the stream is the inherited one.
+        is that rejection, so the stream is the inherited one.  A generator
+        draws only when ``next`` asks it to, so generators of one sampler
+        interleave on its stream word for word.
         """
         n = b - a + 1
         if n <= 0:
             raise ValueError(f"empty range for randint({a}, {b})")
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return a + r
+        k, draw = n.bit_length(), self.getrandbits
+        while True:
+            r = draw(k)
+            while r >= n:
+                r = draw(k)
+            yield a + r
 
-    def _box(self) -> tuple[int, int]:
-        """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G].
+    def randint(self, a: int, b: int) -> int:
+        """``random.Random.randint(a, b)``: one value of ``randints``."""
+        return next(self.randints(a, b))
 
-        t and u are ``randint(0, G)``, drawn as that rejection does it:
-        ``GRID_BITS + 1`` random bits until they are at most G.
+    def disk_grid(self):
+        """Endless grid points ``(x, y, x^2 + y^2)`` of the open disk
+        x^2 + y^2 < G^2, in twice-centred coordinates x = 2t - G, y = 2u - G.
+
+        t and u are ``randint(0, G)``, drawn as that rejection does it
+        (``GRID_BITS + 1`` random bits until they are at most G), and a box
+        point outside the disk is rejected; the value of a point on the disk
+        of radius w is w (x + i y)/G.
         """
         g, bits, draw = 1 << GRID_BITS, GRID_BITS + 1, self.getrandbits
-        t = draw(bits)
-        while t > g:
+        g2 = g * g
+        while True:
             t = draw(bits)
-        u = draw(bits)
-        while u > g:
+            while t > g:
+                t = draw(bits)
             u = draw(bits)
-        return 2 * t - g, 2 * u - g
+            while u > g:
+                u = draw(bits)
+            x, y = 2 * t - g, 2 * u - g
+            s = x * x + y * y
+            if s < g2:
+                yield x, y, s
 
     def dyadic_in_disk(self, radius) -> tuple[int, int, int]:
         """A grid point of the open disk |z| < radius, as ``(re, im, den)``."""
         p, q = radius.numerator, radius.denominator
         if p <= 0:
             raise ValueError("radius must be positive")
-        g2 = 1 << (2 * GRID_BITS)
-        while True:
-            u, v = self._box()
-            if u * u + v * v < g2:
-                return p * u, p * v, q << GRID_BITS
+        x, y, _ = next(self.disk_grid())
+        return p * x, p * y, q << GRID_BITS

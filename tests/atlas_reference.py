@@ -13,7 +13,7 @@ disk trace's integer predicates against:
   reported as an exact point.  ``_membership_int`` and ``_overlap_int`` are
   their integer transcriptions, tested against the ``Fraction`` forms;
 * ``dyadic_in_annulus``, the sampler draw of the overlap check's exterior
-  points.
+  points, and ``box``, the pair of grid coordinates it draws per attempt.
 """
 
 from dataclasses import dataclass
@@ -35,6 +35,22 @@ def _is_origin(p: ChartPoint) -> bool:
     return p.z1.is_zero and p.z2.is_zero
 
 
+def box(sampler: RationalSampler) -> tuple[int, int]:
+    """Twice-centred grid coordinates ``(2t - G, 2u - G)`` in [-G, G].
+
+    t and u are ``randint(0, G)``, drawn as that rejection does it:
+    ``GRID_BITS + 1`` random bits until they are at most G.
+    """
+    g, bits, draw = 1 << GRID_BITS, GRID_BITS + 1, sampler.getrandbits
+    t = draw(bits)
+    while t > g:
+        t = draw(bits)
+    u = draw(bits)
+    while u > g:
+        u = draw(bits)
+    return 2 * t - g, 2 * u - g
+
+
 def dyadic_in_annulus(sampler: RationalSampler, inner, outer) -> tuple[int, int, int]:
     """A grid point of ``sampler`` with inner <= |z| < outer, as ``(re, im, den)``."""
     if not 0 <= inner < outer:
@@ -46,7 +62,7 @@ def dyadic_in_annulus(sampler: RationalSampler, inner, outer) -> tuple[int, int,
     lo = (lp * hq) ** 2 * g2
     hi = (hp * lq) ** 2
     while True:
-        u, v = sampler._box()
+        u, v = box(sampler)
         s = u * u + v * v
         if s < g2 and lo <= hi * s:
             return hp * u, hp * v, hq << GRID_BITS

@@ -454,6 +454,27 @@ class TestMeta:
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
+    def test_window_counters(self, default_run):
+        # the chart window's 64 sampled disk points per size, booked like
+        # the witness's: every cover is decided on the recursion exponents,
+        # with no atom computed, and all but 5 or 6 points per size reuse
+        # the cover of an earlier point with the same |lam|^2 pair
+        report, code = default_run
+        assert code == EXIT_OK
+        window = report["meta"]["window"]
+        zero = {"exact_fallbacks": 0, "products": 0, "zero_atoms": 0, "refined": 0}
+        reused = {"2": 58, "3": 59, "4": 58}
+        assert window == {
+            "points": 192,
+            **zero,
+            "reused": sum(reused.values()),
+            "per_n": {
+                n: {"points": 64, **zero, "reused": reused[n]} for n in ("2", "3", "4")
+            },
+        }
+        body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
+        assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
     def test_boundary_counters(self, default_run, built_families):
         # the four loops over exact circle points at n = 2..4 run only where
         # a certificate's proof is missing, so meta counts none of them; the
@@ -491,7 +512,8 @@ class TestMeta:
         report, code = default_run
         assert code == EXIT_OK
         assert set(report["meta"]) == {
-            "generated_at", "elapsed_seconds", "deep_scale", "witness", "boundary", "stages",
+            "generated_at", "elapsed_seconds", "deep_scale", "witness", "window", "boundary",
+            "stages",
         }
 
     def test_stage_seconds(self, default_run):

@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -79,6 +80,7 @@ from noricert.disktrace import (
     _first_open_cone_scaled,
     _image_factors,
     _in_cover_region,
+    _ladder_denominators,
     _rung_key,
     _sup_metric_certificate,
 )
@@ -328,8 +330,8 @@ class TestBallImages:
         for k in range(1, n):
             entry = _entry_scale(fam, k, tally, _image_factors(fam))
             accepted = 0
-            candidates = _approach_candidates(fam, k, entry, 256, 0)
-            for i, (a, b, _, den) in enumerate(candidates):
+            candidates = _ladder_points(fam, k, entry, 256, 0)
+            for i, (a, b, den) in enumerate(candidates):
                 if accepted == 256:
                     break
                 img = _Image(fam, a, b, den, _image_factors(fam))
@@ -504,6 +506,13 @@ def _witness_draws(n, count, seed):
         yield a, b, den
 
 
+def _ladder_points(fam, k, entry, samples, seed):
+    """The candidate points of chart k's ladder as triples ``(a, b, den)``."""
+    dens = _ladder_denominators(entry)
+    for a, b, _, step in _approach_candidates(fam, k, samples, seed):
+        yield a, b, dens[step]
+
+
 def _rational_root_family():
     """An n = 3 family whose factors P_1 and P_2 both have rational roots.
 
@@ -581,8 +590,7 @@ class TestFactorImages:
         points = list(_witness_draws(n, 200, 11))
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
-            candidates = _approach_candidates(fam, k, entry, 64, 0)
-            points += [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(64))]
+            points += islice(_ladder_points(fam, k, entry, 64, 0), 64)
         balls = factors._replace(exact=(False,) * (n - 1), tests=[])
         for lam in points:
             exact, ball = _Image(fam, *lam, factors), _Image(fam, *lam, balls)
@@ -605,8 +613,7 @@ class TestFactorImages:
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), balls)
             assert entry == _entry_scale(fam, k, Counter(), factors)
-            candidates = _approach_candidates(fam, k, entry, 8, 0)
-            points = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(8))]
+            points = list(islice(_ladder_points(fam, k, entry, 8, 0), 8))
             _net_stage_against_the_reference(fam, balls, points, (k,))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -724,7 +731,7 @@ class TestFactorImages:
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
             assert entry == _entry_scale(fam, k, Counter(), _image_factors(fam))
-            for i, (a, b, _, den) in enumerate(_approach_candidates(fam, k, entry, 64, 0)):
+            for i, (a, b, den) in enumerate(_ladder_points(fam, k, entry, 64, 0)):
                 if i % 4 or i > 256:
                     continue
                 img, plain = _Image(fam, a, b, den, factors), _Image(fam, a, b, den, _image_factors(fam))
@@ -924,9 +931,8 @@ class TestNetStage:
         decided = total = 0
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
-            candidates = _approach_candidates(fam, k, entry, 64, 0)
             count = 8 if n < 4 else 1
-            points = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(count))]
+            points = list(islice(_ladder_points(fam, k, entry, 64, 0), count))
             got = _net_stage_against_the_reference(fam, factors, points, (k,))
             decided, total = decided + got[0], total + got[1]
         assert decided * 10 >= total * 8
@@ -1073,8 +1079,7 @@ def scaled_points(built_families, identities, root_certs):
         ladder = {0: []}
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
-            candidates = _approach_candidates(fam, k, entry, 8, 0)
-            ladder[k] = [(a, b, den) for (a, b, _, den), _ in zip(candidates, range(8))]
+            ladder[k] = list(islice(_ladder_points(fam, k, entry, 8, 0), 8))
         root = fam.params.eps ** fam.params.c[-1]
         zeros = [(0, 0, 1), (root.numerator, 0, root.denominator)]
         maps = factors, balls, chained
@@ -1536,9 +1541,26 @@ def _ladder_tests(fam, factors, k):
     return (member, halved, entry), (member, halved)
 
 
+def _window_draws(n, count, seed):
+    """The first points of the chart window's stream at its 64 samples."""
+    sampler = RationalSampler("chart-window", n, 64, seed)
+    for _ in range(count):
+        yield sampler.dyadic_in_disk(2)
+
+
+def _shifted(key, c):
+    """A ``_rung_key`` pair shifted by c; None stays None."""
+    return None if key is None else (key[0] + c, key[1] + c)
+
+
 class TestRungMemo:
     """The sampled loops reuse an outcome decided on the recursion
     exponents alone for every later point with the same |lam|^2 pair."""
+
+    @staticmethod
+    def _first_rung_only(img, key):
+        assert not img.refined and not img.evaluated and not img.formed
+        assert img.zero_atoms == 0 and img.exps[0] == key
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_key_fixes_the_first_rungs_outcome(self, built_families, identities, root_certs, n):
@@ -1547,11 +1569,6 @@ class TestRungMemo:
         # outcome, with no atom, product or triple; integers only
         fam = built_families[n]
         factors = _image_factors(fam, identities[n], root_certs[n])
-
-        def first_rung_only(img, key):
-            assert not img.refined and not img.evaluated and not img.formed
-            assert img.zero_atoms == 0 and img.exps[0] == key
-
         stored, hits = {}, 0
         for a, b, den in _witness_draws(n, 2048, 0):
             key = _rung_key(factors, a, b, den * den)
@@ -1559,7 +1576,7 @@ class TestRungMemo:
             img = _Image(fam, a, b, den, factors)
             outcome = (img.vanishes(2), *_first_open_cone_scaled(img, n))
             if key in stored:
-                first_rung_only(img, key)
+                self._first_rung_only(img, key)
                 assert outcome == (False, True, stored[key])
                 hits += 1
             elif not img.refined:
@@ -1570,14 +1587,13 @@ class TestRungMemo:
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
             stored, hits = {}, 0
-            candidates = _approach_candidates(fam, k, entry, 256, 0)
-            for (a, b, _, den), _ in zip(candidates, range(512)):
+            for a, b, den in islice(_ladder_points(fam, k, entry, 256, 0), 512):
                 for tests in _ladder_tests(fam, factors, k):
                     key = len(tests), _rung_key(factors, a, b, den * den)
                     img = _Image(fam, a, b, den, factors)
                     failed = img.first_failing(tests)
                     if key in stored:
-                        first_rung_only(img, key[1])
+                        self._first_rung_only(img, key[1])
                         assert failed == stored[key]
                         hits += 1
                     elif not img.refined and failed in (0, len(tests)):
@@ -1585,20 +1601,87 @@ class TestRungMemo:
             assert hits > 256
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_certificates_and_counts_without_reuse(
-        self, monkeypatch, built_families, identities, root_certs, divisions, n
+    def test_window_key_fixes_the_cover(self, built_families, identities, root_certs, n):
+        # the chart window's memo replayed on fresh images of its stream: a
+        # stored pair decides on the first rung alone, to the stored
+        # (in_region, indices); every draw of the proved family is covered
+        # below index n, and none refines
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        stored, hits = {}, 0
+        for a, b, den in _window_draws(n, 512, 0):
+            key = _rung_key(factors, a, b, den * den)
+            img = _Image(fam, a, b, den, factors)
+            assert not img.vanishes(2)
+            in_region, indices = _cover_indices_scaled(img, n + 1)
+            assert in_region and indices and max(indices) < n
+            if key in stored:
+                self._first_rung_only(img, key)
+                assert (in_region, indices) == stored[key]
+                hits += 1
+            elif not img.refined:
+                stored[key] = in_region, indices
+        assert hits > 448
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_memo_keys_are_shifted_rung_keys(
+        self, monkeypatch, built_families, identities, root_certs, divisions, corollary_reports, n
     ):
-        # the witness and every chart-cone ladder with the memo, with keys
-        # that never match (the images keep their first rung), with no key
-        # at all (which also switches the first rung off: every point
-        # refines) and without a proved chain (no rung, so no key)
+        # every key the three loops read (``_draw_key``), in draw order, is
+        # the ``_rung_key`` pair of the draw's lam shifted by the loop's
+        # constant: 30 for the witness and the window, whose lam is 2 (x +
+        # i y)/(2^16 10^e), and 0 for the ladder, which divides by the
+        # squared denominator itself
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        keys, real = [], disktrace._draw_key
+
+        def spy(num, scale):
+            keys.append(real(num, scale))
+            return keys[-1]
+
+        monkeypatch.setattr(disktrace, "_draw_key", spy)
+        tally = Counter()
+        cone_window_witness(fam, factors, samples=1024, tally=tally)
+        assert len(keys) == tally["points"] >= 1024
+        draws = _witness_draws(n, len(keys), 0)
+        assert keys == [_shifted(_rung_key(factors, *lam[:2], lam[2] ** 2), 30) for lam in draws]
+        for k in range(1, n):
+            keys.clear()
+            chart_cone_certificate(
+                fam, k, root_certs[n], identities[n], divisions[n], factors, tally=tally
+            )
+            entry = _entry_scale(fam, k, Counter(), factors)
+            points = islice(_ladder_points(fam, k, entry, 256, 0), len(keys))
+            assert len(keys) >= 256
+            assert keys == [_rung_key(factors, a, b, den * den) for a, b, den in points]
+        keys.clear()
+        images = Counter()
+        image_in_chart_window(
+            fam, corollary_reports[n], identities[n], factors, images=images
+        )
+        assert len(keys) == images["points"] == 64
+        draws = _window_draws(n, len(keys), 0)
+        assert keys == [_shifted(_rung_key(factors, *lam[:2], lam[2] ** 2), 30) for lam in draws]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_certificates_and_counts_without_reuse(
+        self, monkeypatch, built_families, identities, root_certs, divisions, corollary_reports, n
+    ):
+        # the witness, every chart-cone ladder and the chart window with the
+        # memo, with keys that never match (the images keep their first
+        # rung), with no key at all, without the images' first rung (every
+        # point refines) and without a proved chain (no rung, so no key)
         fam = built_families[n]
 
         def run():
-            witness, ladder = Counter(), Counter()
+            witness, ladder, window = Counter(), Counter(), Counter()
             factors = _image_factors(fam, identities[n], root_certs[n])
             certs = [
-                cone_window_witness(fam, factors, samples=1024, tally=witness).to_json()
+                cone_window_witness(fam, factors, samples=1024, tally=witness).to_json(),
+                image_in_chart_window(
+                    fam, corollary_reports[n], identities[n], factors, samples=256, images=window
+                ).to_json(),
             ]
             for k in range(1, n):
                 certs.append(
@@ -1606,31 +1689,35 @@ class TestRungMemo:
                         fam, k, root_certs[n], identities[n], divisions[n], factors, tally=ladder
                     ).to_json()
                 )
-            return certs, (witness, ladder)
+            return certs, (witness, ladder, window)
 
         certs, tallies = run()
-        real = disktrace._rung_key
+        real = disktrace._draw_key
 
         def unequal(*args):
             key = real(*args)
             return None if key is None else _Unequal(key)
 
-        monkeypatch.setattr(disktrace, "_rung_key", unequal)
+        monkeypatch.setattr(disktrace, "_draw_key", unequal)
         fresh, fresh_tallies = run()
         assert fresh == certs
-        for got, ref in zip(tallies, fresh_tallies):
-            assert ref.pop("reused") == 0 < got["reused"]
-            assert {**got, "reused": 0} == {**ref, "reused": 0}
+        for got, ref in zip(tallies, fresh_tallies, strict=True):
+            assert ref["reused"] == 0 < got["reused"]
+            assert {**got, "reused": 0} == ref
+        monkeypatch.setattr(disktrace, "_draw_key", lambda *args: None)
+        keyless, keyless_tallies = run()
+        assert keyless == certs and keyless_tallies == fresh_tallies
+        monkeypatch.setattr(disktrace, "_draw_key", real)
         monkeypatch.setattr(disktrace, "_rung_key", lambda *args: None)
         plain, plain_tallies = run()
         assert plain == certs
         for tally in plain_tallies:
             assert tally["reused"] == 0 and tally["refined"] == tally["points"]
-        monkeypatch.setattr(disktrace, "_rung_key", real)
+        monkeypatch.undo()
         monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
         horner, horner_tallies = run()
         assert horner == certs
-        assert [tally["reused"] for tally in horner_tallies] == [0, 0]
+        assert [tally["reused"] for tally in horner_tallies] == [0, 0, 0]
 
 
 def _exact_target_failure(fam, spot_checks=64):

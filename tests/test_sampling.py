@@ -3,12 +3,15 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
+from noricert.disktrace import _approach_candidates
 from noricert.sampling import GRID_BITS, RationalSampler, seed_for
 
-from atlas_reference import dyadic_in_annulus
+from atlas_reference import box, dyadic_in_annulus
 
 F = Fraction
 
@@ -17,6 +20,10 @@ def _digest(triples) -> str:
     """sha256 over the draws, each rendered as two reduced fractions."""
     lines = [f"{F(a, d)} {F(b, d)}" for a, b, d in triples]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# the first 2000 draws of the cone-window recipe at n = 2 and seed 0
+CONE_WINDOW_DIGEST = "a508637284a97eebc2ea10a917f9dada399de30022da35b3a39f1c57fa42f198"
 
 
 class TestStreams:
@@ -31,9 +38,19 @@ class TestStreams:
             if i % 2 == 0:
                 den *= 10 ** sampler.randint(0, 12)
             draws.append((a, b, den))
-        assert _digest(draws) == (
-            "a508637284a97eebc2ea10a917f9dada399de30022da35b3a39f1c57fa42f198"
-        )
+        assert _digest(draws) == CONE_WINDOW_DIGEST
+
+    def test_cone_window_stream_through_the_generators(self):
+        # the witness's own draws: grid points and scale indices taken from
+        # two generators of one sampler, interleaved as the loop asks
+        sampler = RationalSampler("cone-window", 2, 2048, 0)
+        grid, scales = sampler.disk_grid(), sampler.randints(0, 12)
+        draws = []
+        for i in range(1, 2001):
+            x, y, _ = next(grid)
+            e = next(scales) if i % 2 == 0 else 0
+            draws.append((2 * x, 2 * y, 10**e << GRID_BITS))
+        assert _digest(draws) == CONE_WINDOW_DIGEST
 
     def test_overlap_disk_stream(self):
         sampler = RationalSampler("overlap-polydisk", F(1, 5), 16384, 0)
@@ -112,10 +129,14 @@ class TestRandint:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             RationalSampler("empty").randint(1, 0)
+        # the generator raises on its first draw
+        with pytest.raises(ValueError):
+            next(RationalSampler("empty").randints(1, 0))
 
     def test_box_draws_are_randint_pairs(self):
-        # _box draws its bits without randint: 10^4 pairs equal those of
-        # random.Random's own randint(0, G), and the states stay together
+        # the annulus draw's box draws its bits without randint: 10^4 pairs
+        # equal those of random.Random's own randint(0, G), and the states
+        # stay together
         g = 1 << GRID_BITS
         for seed in range(2):
             ours = RationalSampler("box", seed)
@@ -123,7 +144,7 @@ class TestRandint:
             expected = [
                 (2 * ref.randint(0, g) - g, 2 * ref.randint(0, g) - g) for _ in range(10**4)
             ]
-            assert [ours._box() for _ in range(10**4)] == expected
+            assert [box(ours) for _ in range(10**4)] == expected
             assert ours.getrandbits(64) == ref.getrandbits(64)
 
     def test_point_streams_are_the_inherited_ones(self):
@@ -133,3 +154,70 @@ class TestRandint:
             assert ours.dyadic_in_disk(F(1, 5)) == ref.dyadic_in_disk(F(1, 5))
             assert dyadic_in_annulus(ours, F(1, 5), 1) == dyadic_in_annulus(ref, F(1, 5), 1)
             assert ours.dyadic_in_disk(2) == ref.dyadic_in_disk(2)
+
+
+def _reference_disk_grid(ref: random.Random):
+    """``disk_grid`` from ``random.Random.randint``: box points by two
+    ``randint(0, G)``, rejected outside the open disk."""
+    g = 1 << GRID_BITS
+    while True:
+        x, y = 2 * ref.randint(0, g) - g, 2 * ref.randint(0, g) - g
+        if x * x + y * y < g * g:
+            yield x, y, x * x + y * y
+
+
+def _reference_candidates(n, k, samples, seed):
+    """The chart-cone ladder's candidates ``(a, b, s, step)`` from
+    ``random.Random.randint``."""
+    ref = random.Random(seed_for("cone-region", n, k, samples, seed))
+    for _ in range(40 * samples):
+        a, b = ref.randint(-(2**8), 2**8), ref.randint(-(2**8), 2**8)
+        if 2**14 <= a * a + b * b < 2**16:
+            yield a, b, a * a + b * b, ref.randint(0, 5)
+
+
+class TestGenerators:
+    """``disk_grid`` and ``randints`` are the inherited stream, drawn in one
+    pass, and every single draw is one value of them."""
+
+    @pytest.mark.parametrize("a, b", [(-(2**8), 2**8), (0, 12), (0, 5), (7, 7)])
+    def test_randints_equal_random_randint(self, a, b):
+        for seed in range(3):
+            ours = RationalSampler("randints", a, b, seed)
+            ref = random.Random(seed_for("randints", a, b, seed))
+            assert list(islice(ours.randints(a, b), 10**4)) == [
+                ref.randint(a, b) for _ in range(10**4)
+            ]
+            assert ours.getrandbits(64) == ref.getrandbits(64)
+
+    def test_disk_grid_equals_randint_rejection(self):
+        for seed in range(3):
+            ours = RationalSampler("disk-grid", seed)
+            ref = random.Random(seed_for("disk-grid", seed))
+            assert list(islice(ours.disk_grid(), 10**4)) == list(
+                islice(_reference_disk_grid(ref), 10**4)
+            )
+            assert ours.getrandbits(64) == ref.getrandbits(64)
+
+    def test_single_draws_are_values_of_the_generators(self):
+        # dyadic_in_disk scales a disk_grid point by the radius p/q, and
+        # randint is one value of randints, on the same stream
+        for radius in (F(2), F(1, 5), F(7, 3)):
+            ours = RationalSampler("single", radius)
+            ref = random.Random(seed_for("single", radius))
+            grid = _reference_disk_grid(ref)
+            p, q = radius.numerator, radius.denominator
+            for _ in range(2000):
+                x, y, _ = next(grid)
+                assert ours.dyadic_in_disk(radius) == (p * x, p * y, q << GRID_BITS)
+                assert ours.randint(0, 12) == ref.randint(0, 12)
+            assert ours.getrandbits(64) == ref.getrandbits(64)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ladder_candidates_equal_the_randint_reference(self, n):
+        # the first 10^4 candidates of every chart's ladder
+        fam = SimpleNamespace(n=n)
+        for k in range(1, n):
+            ours = list(islice(_approach_candidates(fam, k, 1024, 0), 10**4))
+            assert len(ours) == 10**4
+            assert ours == list(islice(_reference_candidates(n, k, 1024, 0), 10**4))
