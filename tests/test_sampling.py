@@ -102,12 +102,6 @@ class TestDraws:
             dyadic_in_annulus(sampler, F(-1, 2), 1)
 
 
-class _Inherited(RationalSampler):
-    """The sampler with ``random.Random``'s own ``randint``."""
-
-    randint = random.Random.randint
-
-
 class TestRandint:
     """``RationalSampler.randint`` is the inherited draw, without ``randrange``."""
 
@@ -148,13 +142,27 @@ class TestRandint:
             assert ours.getrandbits(64) == ref.getrandbits(64)
 
     def test_point_streams_are_the_inherited_ones(self):
-        ours = RationalSampler("points", 0)
-        ref = _Inherited("points", 0)
-        for _ in range(500):
-            assert ours.dyadic_in_disk(F(1, 5)) == ref.dyadic_in_disk(F(1, 5))
-            assert dyadic_in_annulus(ours, F(1, 5), 1) == dyadic_in_annulus(ref, F(1, 5), 1)
-            assert ours.dyadic_in_disk(2) == ref.dyadic_in_disk(2)
-
+        # the single draws, interleaved on one stream as their callers do,
+        # against the same draws from random.Random's own randint:
+        # dyadic_in_disk scales a disk point by the radius p/q, the annulus
+        # draw rejects disk points below its inner radius, and randint is
+        # one value of randints
+        g2 = 1 << (2 * GRID_BITS)
+        for seed in range(3):
+            ours = RationalSampler("points", seed)
+            ref = random.Random(seed_for("points", seed))
+            grid = _reference_disk_grid(ref)
+            for _ in range(2000):
+                for radius in (F(1, 5), F(2), F(7, 3)):
+                    x, y, _ = next(grid)
+                    p, q = radius.numerator, radius.denominator
+                    assert ours.dyadic_in_disk(radius) == (p * x, p * y, q << GRID_BITS)
+                x, y, s = next(grid)
+                while 25 * s < g2:  # 1/5 <= |z| < 1
+                    x, y, s = next(grid)
+                assert dyadic_in_annulus(ours, F(1, 5), 1) == (x, y, 1 << GRID_BITS)
+                assert ours.randint(0, 12) == ref.randint(0, 12)
+            assert ours.getrandbits(64) == ref.getrandbits(64)
 
 def _reference_disk_grid(ref: random.Random):
     """``disk_grid`` from ``random.Random.randint``: box points by two
@@ -197,20 +205,6 @@ class TestGenerators:
             assert list(islice(ours.disk_grid(), 10**4)) == list(
                 islice(_reference_disk_grid(ref), 10**4)
             )
-            assert ours.getrandbits(64) == ref.getrandbits(64)
-
-    def test_single_draws_are_values_of_the_generators(self):
-        # dyadic_in_disk scales a disk_grid point by the radius p/q, and
-        # randint is one value of randints, on the same stream
-        for radius in (F(2), F(1, 5), F(7, 3)):
-            ours = RationalSampler("single", radius)
-            ref = random.Random(seed_for("single", radius))
-            grid = _reference_disk_grid(ref)
-            p, q = radius.numerator, radius.denominator
-            for _ in range(2000):
-                x, y, _ = next(grid)
-                assert ours.dyadic_in_disk(radius) == (p * x, p * y, q << GRID_BITS)
-                assert ours.randint(0, 12) == ref.randint(0, 12)
             assert ours.getrandbits(64) == ref.getrandbits(64)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
