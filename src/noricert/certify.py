@@ -91,6 +91,7 @@ __all__ = [
     "side_factors",
     "root_product_dominance",
     "family_root_certificates",
+    "proved_recursions",
     "annulus_bounds_certificate",
     "annulus_bounds_for_factor",
     "annulus_spot_checks",
@@ -272,16 +273,20 @@ def _side_degree(fam: Family, side: tuple) -> int:
     return m + sum(e * fam.Pk(j).degree for j, e in factors)
 
 
+def proved_recursions(fam: Family, root_certs: Optional[dict]) -> frozenset[int]:
+    """The indices k whose recursion ``root_certs`` proved for ``fam`` itself
+    (``RootLocalization.recursion``); ``structural_checks`` takes them."""
+    return frozenset(
+        k
+        for k, cert in (root_certs or {}).items()
+        if cert.family is fam and cert.recursion
+    )
+
+
 def _recursions_proved(fam: Family, root_certs: Optional[dict], upto: int) -> bool:
     """Whether ``root_certs`` proved the recursions of P_1, ..., P_upto for
-    ``fam`` itself (``RootLocalization.recursion``)."""
-    if root_certs is None:
-        return False
-    for j in range(1, upto + 1):
-        cert = root_certs.get(j)
-        if cert is None or cert.family is not fam or not cert.recursion:
-            return False
-    return True
+    ``fam`` itself."""
+    return proved_recursions(fam, root_certs).issuperset(range(1, upto + 1))
 
 
 def side_factors(side: tuple, radius: Fraction) -> list:

@@ -64,6 +64,7 @@ from .certify import (
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
+    proved_recursions,
     worst,
 )
 from . import disktrace
@@ -289,9 +290,13 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     witness's counts (``witness``), the chart window's (``window``), the
     points and exact fallbacks of each exact-circle-point loop
     (``boundary``) and the seconds of each stage (``stages``, the build and
-    the family hash included);
-    that is empty when the family is refuted before it is built.  This is the one place that orders the stages of a family: each
-    stage runs once and receives the earlier stages it uses as arguments.
+    the family hash included); that is empty when the family is refuted
+    before it is built.  This is the one place that orders the stages of a
+    family: each stage runs once and receives the earlier stages it uses as
+    arguments.  They run as build, roots, structural (which reads the
+    recursions the roots proved), annulus, corollary, identities,
+    divisions, trace and family hash; the report still lists the
+    structural certificate first.
     """
     try:
         params = FamilyParams.build(
@@ -326,7 +331,12 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         return result
 
     fam = timed("build", build_family, params)
-    structural = timed("structural", structural_checks, fam)
+    # the roots first: their proved recursions decide the coprimality of the
+    # factors, so the structural checks divide nothing where they hold
+    roots = timed("roots", family_root_certificates, fam)
+    structural = timed(
+        "structural", structural_checks, fam, proved_recursions(fam, roots)
+    )
     certificates.append(
         Certificate(
             "structural",
@@ -335,8 +345,6 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             structural.to_json(),
         )
     )
-
-    roots = timed("roots", family_root_certificates, fam)
     certificates.append(
         Certificate(
             "root-localization",

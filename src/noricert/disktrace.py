@@ -83,10 +83,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import (
     ComplexRational,
+    _digits10,
     as_scaled,
     coefficient_ball,
     decimal_approx,
@@ -114,6 +115,7 @@ from .bounds import (
 from .certify import (
     CorollaryReport,
     DivisionWitness,
+    ProductForms,
     RootLocalization,
     SpotLoop,
     Status,
@@ -1156,17 +1158,80 @@ def image_in_chart_window(
 # ---------------------------------------------------------------------------
 
 
-_ENTRY_CAP = 4096  # deepest decimal scale the entry probe tries
+_ENTRY_CAP = 16384  # deepest decimal scale the entry probe tries
+
+
+def _threshold(holds: Callable[[int], bool]) -> Optional[int]:
+    """A scale e in 1.._ENTRY_CAP where ``holds`` switches to true: holds(e)
+    and, unless e = 1, not holds(e - 1); None if no doubling probe holds.
+
+    A doubling probe finds a scale that holds, and bisection against the
+    last one that failed locates the switch.
+    """
+    probe = 1
+    while probe <= _ENTRY_CAP:
+        if holds(probe):
+            break
+        probe *= 2
+    else:
+        return None
+    lo, hi = probe // 2, probe  # fails at lo (or lo == 0), holds at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _entry_model(fam: Family, k: int) -> Optional[int]:
+    """The entry scale of chart k that decimal valuations predict, or None
+    where eps is not a power of ten 10^-L.
+
+    At lam = 10^-e write v(x) = -log10 |x|.  Each factor P_j = eps^(c_j) -
+    Q_j, Q_j = lam^(n-j) prod_{i>j} P_i^(i-j), is taken as its larger term,
+    v(P_j) = min(c_j L, v(Q_j)), by the S/Q recursion that
+    ``bounds.recursion_exponents`` runs on powers of two; the product forms
+    then give v(f1) = L + n e + sum_j j v(P_j) and v(f2) = 2L + e + sum_j
+    v(P_j).  A scale is a member, |f1| < r |f2|^k, in the model where
+    r 10^(v(f1) - k v(f2)) > 1.  Near a root the larger term is no bound,
+    so the prediction is only a candidate, which ``_entry_scale`` probes.
+    """
+    p = fam.params
+    n, eps, c = p.n, p.eps, p.c
+    L = _digits10(eps.denominator) - 1
+    if eps.numerator != 1 or eps.denominator != 10**L:
+        return None
+    margin = 1  # the least integer t with r 10^t > 1
+    while p.r * 10**margin <= 1:
+        margin += 1
+
+    def member(e: int) -> bool:
+        s = q = e
+        v1, v2 = L + n * e, 2 * L + e
+        for j in range(n - 1, 0, -1):
+            v = min(c[j - 1] * L, q)
+            v1, v2 = v1 + j * v, v2 + v
+            s += v
+            q += s
+        return v1 - k * v2 >= margin
+
+    return _threshold(member)
 
 
 def _entry_scale(fam: Family, k: int, tally: Counter, factors: _Factors) -> Optional[int]:
     """Smallest decimal scale e with 10^-e inside the approach region of chart k.
 
-    Deep enough scales are always members (the components' vanishing orders
-    at 0 differ), so a doubling probe finds a member and bisection against
-    the last failing probe locates an entry threshold.  Sampling does not
-    rely on membership between the two probes: every sampled point is tested
-    for membership exactly before use.  ``tally`` counts the probe images,
+    ``_entry_model`` predicts it, and two probes confirm it: 10^-e is a
+    member and, unless e = 1, 10^-(e-1) is not.  Where they do not, a
+    doubling probe finds a member and bisection against the last failing
+    probe locates an entry threshold (deep enough scales are always
+    members: the components' vanishing orders at 0 differ).  No probe goes
+    deeper than ``_ENTRY_CAP`` digits: beyond it the scale is None, which
+    the certificate reports as inconclusive.  Sampling does not rely on
+    membership between two probes: every sampled point is tested for
+    membership exactly before use.  ``tally`` counts the probe images,
     bracketed through ``factors``.
     """
     tests = (_chart_tests(fam, factors, k)[3],)
@@ -1177,21 +1242,10 @@ def _entry_scale(fam: Family, k: int, tally: Counter, factors: _Factors) -> Opti
         _book_images(tally, 1, img.evaluated, img.formed, img.zero_atoms, img.refined, 0)
         return verdict
 
-    probe = 1
-    while probe <= _ENTRY_CAP:
-        if member(probe):
-            break
-        probe *= 2
-    else:
-        return None
-    lo, hi = probe // 2, probe  # membership fails at lo (or lo == 0), holds at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    model = _entry_model(fam, k)
+    if model is not None and member(model) and (model == 1 or not member(model - 1)):
+        return model
+    return _threshold(member)
 
 
 _GRID = 8  # magnitude grid of the ladder: |w| in [1/2, 1) with 2^8 resolution
@@ -1394,6 +1448,25 @@ def base_spot_checks(fam: Family, *, samples: int = 256) -> SpotLoop:
     )
 
 
+def _common_zero(fam: Family, forms: Optional[ProductForms], z: ComplexRational) -> bool:
+    """Whether f1 and f2 both vanish at z.
+
+    ``forms`` are the product forms proved for ``fam`` (``_forms_of``), or
+    None.  With them, z = 0 is a zero of the lam factor of both forms, and a
+    root of P_(n-1) one of a factor both forms carry (to the powers n - 1
+    and 1): one exact evaluation of the linear factor.  A point that
+    neither settles, and every point of a family without proved forms,
+    evaluates f1 and f2 themselves, so a missing common zero is still
+    refuted exactly.
+    """
+    a, b, den = as_scaled(z)
+    if forms is not None and (
+        not (a or b) or eval_scaled(fam.Pk(fam.n - 1), a, b, den)[:2] == (0, 0)
+    ):
+        return True
+    return all(eval_scaled(p, a, b, den)[:2] == (0, 0) for p in (fam.f1, fam.f2))
+
+
 def base_chart_certificate(
     fam: Family,
     corollary: CorollaryReport,
@@ -1416,7 +1489,10 @@ def base_chart_certificate(
     is the inequality tested (in squared form) at the ``samples`` exact
     outer-circle points of ``base_spot_checks``; ``tally`` counts them and
     their exact fallbacks.  It is always checked exactly at the degenerate
-    points where both components vanish, where it holds as 0 <= 0.
+    points where both components vanish, where it holds as 0 <= 0: lam = 0
+    and the root eps^(c_(n-1)) of the last factor.  Where ``identities``
+    proved the product forms of ``fam`` itself, both are common zeros by
+    those forms (``_common_zero``), and f1 and f2 are not evaluated.
     """
     if not (
         identities.passed("square-ratio")
@@ -1449,9 +1525,9 @@ def base_chart_certificate(
         ComplexRational(Fraction(0), Fraction(0)),
         ComplexRational(fam.params.eps ** fam.params.c[-1], Fraction(0)),
     ]
+    forms = _forms_of(fam, identities)
     for z in degenerate:
-        a, b, den = as_scaled(z)
-        if any(eval_scaled(p, a, b, den)[:2] != (0, 0) for p in (fam.f1, fam.f2)):
+        if not _common_zero(fam, forms, z):
             return Certificate(
                 "base-chart-cone",
                 Status.REFUTED,

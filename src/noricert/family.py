@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -281,12 +282,20 @@ class CheckReport:
         }
 
 
-def structural_checks(fam: Family) -> CheckReport:
+def structural_checks(fam: Family, recursions: Collection[int] = ()) -> CheckReport:
     """Exact structural facts about a built family.
 
     Covers: unit leading coefficient (|leading| = 1) and degree ``d_k`` of
     each ``P_k``, constant terms ``P_k(0) = eps^{c_k}``, pairwise coprimality
     of the ``P_k``, and the degree formulas for ``f1`` and ``f2``.
+
+    ``recursions`` holds the indices j whose recursion P_j = eps^(c_j) -
+    z^(n-j) prod_{i>j} P_i^(i-j) is proved for ``fam`` itself (the
+    ``RootLocalization.recursion`` of ``certify.family_root_certificates``).
+    For such a j, every P_k with k > j divides the product, so P_j is
+    congruent to its constant eps^(c_j) != 0 modulo P_k, and the two have no
+    common root: their gcd has degree 0 with nothing divided.  Every other
+    pair is decided by ``poly_gcd``.
     """
     p = fam.params
     n, eps = p.n, p.eps
@@ -306,9 +315,10 @@ def structural_checks(fam: Family) -> CheckReport:
             f"constant term vs eps^{p.c[k-1]}",
         )
     for j in range(1, n):
+        derived = j in recursions and eps ** p.c[j - 1] != 0
         for k in range(j + 1, n):
-            g = poly_gcd(fam.Pk(j), fam.Pk(k))
-            add(f"gcd-P{j}-P{k}", g.degree == 0, f"gcd degree {g.degree}")
+            degree = 0 if derived else poly_gcd(fam.Pk(j), fam.Pk(k)).degree
+            add(f"gcd-P{j}-P{k}", degree == 0, f"gcd degree {degree}")
     want_f1 = sum((k + 1) * p.d[k] for k in range(n - 1)) + n
     want_f2 = sum(p.d) + 1
     add("f1-degree", fam.f1.degree == want_f1, f"degree={fam.f1.degree}, want {want_f1}")

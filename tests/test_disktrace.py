@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from noricert.arith import (
     ComplexRational,
     Poly,
+    as_scaled,
     coefficient_ball,
     eval_scaled,
     scaled_abs2,
@@ -30,6 +31,7 @@ from noricert.atlas import ChartPoint, chart_cover_indices
 from noricert.certify import (
     SpotLoop,
     Status,
+    _forms_of,
     _localization_sides,
     _side_poly,
     annulus_bounds_certificate,
@@ -73,9 +75,11 @@ from noricert.disktrace import (
     _Image,
     _approach_candidates,
     _chart_tests,
+    _common_zero,
     _compile_net,
     _compile_test,
     _cover_indices_scaled,
+    _entry_model,
     _entry_scale,
     _first_open_cone_scaled,
     _image_factors,
@@ -2162,6 +2166,175 @@ class TestConeCertificates:
         for lam in (ComplexRational.of(0), ComplexRational.of(eps)):
             assert fam.f1(lam).is_zero
             assert fam.f2(lam).is_zero
+
+
+def _expanded_common_zero(fam, z):
+    """Whether f1 and f2 both vanish at z, by evaluating both."""
+    a, b, den = as_scaled(z)
+    return all(eval_scaled(p, a, b, den)[:2] == (0, 0) for p in (fam.f1, fam.f2))
+
+
+class TestBaseChartForms:
+    """The base chart's common zeros from the proved product forms, and the
+    expanded f1 and f2 where the forms are not proved for the family."""
+
+    @staticmethod
+    def _degenerate(fam):
+        root = fam.params.eps ** fam.params.c[-1]
+        return ComplexRational.of(0), ComplexRational.of(root)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every ``(poly, triple)`` that ``disktrace`` evaluates."""
+        seen, real = [], disktrace.eval_scaled
+
+        def spy(poly, *triple):
+            seen.append((poly, triple))
+            return real(poly, *triple)
+
+        monkeypatch.setattr(disktrace, "eval_scaled", spy)
+        return seen
+
+    @staticmethod
+    def _reference(monkeypatch, *args, **kwargs):
+        """``base_chart_certificate`` with every common zero evaluated on the
+        expanded components."""
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                disktrace, "_common_zero", lambda fam, forms, z: _expanded_common_zero(fam, z)
+            )
+            return base_chart_certificate(*args, **kwargs)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_forms_agree_with_the_expansion(self, built_families, identities, n):
+        fam = built_families[n]
+        forms = _forms_of(fam, identities[n])
+        assert forms is not None
+        # both degenerate points are common zeros, and a point that is not
+        # one falls through to the expansion
+        points = (*self._degenerate(fam), ComplexRational.of(F(1, 3), F(1, 7)))
+        for z, want in zip(points, (True, True, False)):
+            assert _common_zero(fam, forms, z) is want
+            assert _common_zero(fam, None, z) is want
+            assert _expanded_common_zero(fam, z) is want
+
+    def test_proved_family_evaluates_neither_component(
+        self, monkeypatch, built_families, corollary_reports, identities
+    ):
+        fam = built_families[4]
+        want = self._reference(monkeypatch, fam, corollary_reports[4], identities[4])
+        seen = self._spy(monkeypatch)
+        cert = base_chart_certificate(fam, corollary_reports[4], identities[4])
+        assert cert.status is Status.PROVED
+        assert cert == want
+        polys = [poly for poly, _ in seen]
+        assert not any(poly is fam.f1 or poly is fam.f2 for poly in polys)
+        # the root of the last factor is settled by that factor alone
+        assert polys == [fam.Pk(3)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_identities_of_another_family_object_fall_back(
+        self, monkeypatch, built_families, corollary_reports, identities, n
+    ):
+        fam = built_families[n]
+        copy = dataclasses.replace(fam)  # equal, but another object
+        assert _forms_of(copy, identities[n]) is None
+        args = (copy, corollary_reports[n], identities[n])
+        want = self._reference(monkeypatch, *args, samples=64)
+        seen = self._spy(monkeypatch)
+        cert = base_chart_certificate(*args, samples=64)
+        assert cert == want
+        assert cert.data["degenerate_points"] == 2
+        for z in self._degenerate(copy):
+            for poly in (copy.f1, copy.f2):
+                assert any(p is poly and t == as_scaled(z) for p, t in seen)
+
+    @pytest.mark.parametrize(
+        "component, witness",
+        [("f1", 1), ("f2", 0)],  # the index of the degenerate point missed
+    )
+    def test_tampered_component_misses_a_common_zero(
+        self, monkeypatch, built_families, corollary_reports, identities, component, witness
+    ):
+        # f1 + delta lam keeps lam = 0 and loses the root of P_2; f2 + delta
+        # loses lam = 0.  The untampered family's forms would have passed
+        # both, so they must not be borrowed.
+        fam = built_families[3]
+        delta = fam.params.eps**20
+        bump = Poly.monomial(1, delta) if component == "f1" else Poly.constant(delta)
+        tampered = dataclasses.replace(
+            fam, **{component: getattr(fam, component) + bump}
+        )
+        args = (tampered, corollary_reports[3], identities[3])
+        want = self._reference(monkeypatch, *args, samples=64)
+        seen = self._spy(monkeypatch)
+        cert = base_chart_certificate(*args, samples=64)
+        assert cert == want
+        assert cert.status is Status.REFUTED
+        assert cert.detail == "a common zero of the two components is missing"
+        z = self._degenerate(fam)[witness]
+        assert cert.data["witness"] == z.to_json()
+        assert any(p is tampered.f1 and t == as_scaled(z) for p, t in seen)
+
+
+class TestEntryModel:
+    """The chart entry scales that decimal valuations predict, confirmed by
+    two probes, against the doubling probe."""
+
+    SCALES = {2: [9], 3: [9, 101], 4: [11, 111, 914], 5: [13, 134, 980, 7744]}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_model_scales(self, n):
+        # the model reads the parameters alone, so n = 5 needs no build
+        fam = SimpleNamespace(params=FamilyParams.build(n))
+        assert [_entry_model(fam, k) for k in range(1, n)] == self.SCALES[n]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_two_probes_match_the_doubling_probe(
+        self, monkeypatch, built_families, identities, root_certs, n
+    ):
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        tally = Counter()
+        scales = [_entry_scale(fam, k, tally, factors) for k in range(1, n)]
+        assert scales == self.SCALES[n]
+        assert tally["points"] == 2 * (n - 1)  # one probe at e, one at e - 1
+        monkeypatch.setattr(disktrace, "_entry_model", lambda fam, k: None)
+        probed = Counter()
+        assert [_entry_scale(fam, k, probed, factors) for k in range(1, n)] == scales
+        assert probed["points"] > tally["points"]
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    def test_unconfirmed_model_falls_back(self, monkeypatch, built_families, shift):
+        # too shallow a scale is no member; too deep a one has a member at
+        # e - 1: either way the doubling probe decides
+        fam = built_families[3]
+        factors = _image_factors(fam)
+        monkeypatch.setattr(disktrace, "_entry_model", lambda fam, k: 101 + shift)
+        assert _entry_scale(fam, 2, Counter(), factors) == 101
+
+    def test_non_decimal_eps_has_no_model(self):
+        params = FamilyParams.build(3)
+        eps = params.eps / 2
+        fam = SimpleNamespace(params=dataclasses.replace(params, eps=eps))
+        assert _entry_model(fam, 1) is None
+
+    def test_scale_beyond_the_cap_is_inconclusive(
+        self, monkeypatch, built_families, root_certs, identities, divisions
+    ):
+        # chart 3 at n = 4 opens at 10^-914: below a cap of 512 digits
+        # neither the model nor the probe reaches it
+        monkeypatch.setattr(disktrace, "_ENTRY_CAP", 512)
+        fam = built_families[4]
+        factors = _image_factors(fam, identities[4], root_certs[4])
+        assert _entry_model(fam, 3) is None
+        assert _entry_scale(fam, 3, Counter(), factors) is None
+        cert = chart_cone_certificate(
+            fam, 3, root_certs[4], identities[4], divisions[4], factors,
+            samples=16, tally=Counter(),
+        )
+        assert cert.status is Status.INCONCLUSIVE
+        assert cert.detail == "no entry scale found for the approach region of chart 3"
 
 
 class TestConeWindowWitness:

@@ -10,8 +10,10 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+import noricert.family as family_module
 from noricert.arith import Poly, _digits10
 from noricert.bounds import int_bracket
+from noricert.certify import family_root_certificates, proved_recursions
 from noricert.family import (
     Family,
     FamilyParamError,
@@ -214,6 +216,59 @@ class TestStructuralChecks:
         rep = structural_checks(tampered)
         names = {c.name for c in rep.failed()}
         assert "P1-constant-term" in names
+
+
+class TestCoprimalityFromRecursions:
+    """``gcd-Pj-Pk`` from the recursions the root localizations proved, and
+    ``poly_gcd`` wherever they are not given."""
+
+    @staticmethod
+    def _gcd_calls(monkeypatch):
+        calls, real = [], family_module.poly_gcd
+
+        def spy(p, q):
+            calls.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(family_module, "poly_gcd", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_checks_as_poly_gcd(self, monkeypatch, built_families, root_certs, n):
+        fam = built_families[n]
+        recursions = proved_recursions(fam, root_certs[n])
+        assert recursions == frozenset(range(1, n))
+        calls = self._gcd_calls(monkeypatch)
+        derived = structural_checks(fam, recursions)
+        assert calls == []
+        divided = structural_checks(fam)
+        assert len(calls) == (n - 1) * (n - 2) // 2
+        assert derived == divided
+        gcds = [c for c in derived.checks if c.name.startswith("gcd-")]
+        assert [(c.name, c.passed, c.detail) for c in gcds] == [
+            (f"gcd-P{j}-P{k}", True, "gcd degree 0")
+            for j in range(1, n)
+            for k in range(j + 1, n)
+        ]
+
+    def test_tampered_families_still_divide(self, monkeypatch, built_families, root_certs):
+        # P_1 + eps and a repeated factor break the recursion of P_1, so their
+        # own localizations prove none for it and every pair is divided; the
+        # untampered family's proofs name another object and count for nothing
+        fam = built_families[3]
+        bumped = dataclasses.replace(
+            fam, P=(fam.Pk(1) + Poly.constant(fam.params.eps), fam.Pk(2))
+        )
+        repeated = dataclasses.replace(fam, P=(fam.Pk(1), fam.Pk(1)))
+        for tampered in (bumped, repeated):
+            own = proved_recursions(tampered, family_root_certificates(tampered))
+            assert 1 not in own
+            assert proved_recursions(tampered, root_certs[3]) == frozenset()
+            calls = self._gcd_calls(monkeypatch)
+            assert structural_checks(tampered, own) == structural_checks(tampered)
+            assert len(calls) == 2
+        failed = {c.name for c in structural_checks(repeated).failed()}
+        assert "gcd-P1-P2" in failed
 
 
 class TestSerialization:
