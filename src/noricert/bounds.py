@@ -27,47 +27,31 @@ the recursion's two terms dominates the other.
 by one size rule, ``exact_atoms``, and returns each atom's exponents with
 it: a polynomial whose stored integers have at most ``2 * BALL_BITS`` bits
 gets the exact unreduced pair (num, den) of its ``eval_scaled`` triple
-(with ``log2_bounds`` exponents, and an exact zero stays one; the caller
-builds its ``Ratio`` only where it reads the atom as a factor), every other
+(with ``log2_bounds`` exponents, and an exact zero stays one), every other
 one a ball bracket, by ``ball_abs2`` or, for the factors of a family whose
 recursions are proved, from ``recursion_balls``, all from one
 ``ball_point`` built only when some atom needs it.  A ball bracket that
 reaches 0 is replaced by the exact atom, so a zero atom is always an
-exact zero (``exact_atom`` tells the two kinds apart).  ``Values`` holds
-the atoms of several polynomials at one point and decides products of them
-and of ``constant_factor`` constants, on the exact atoms' own integers or,
-for a ball atom, the exact triples, only where the brackets overlap.
+exact zero (``exact_atom`` tells the two kinds apart).  ``ratio_bracket``
+brackets an exact atom, or any rational num/den, by one division, and
+``product_bracket`` brackets a product of atoms with powers by directed
+multiplication.  ``Values`` holds the atoms of several polynomials at one
+point and decides products of them and of ``constant_factor`` constants,
+on the brackets first and, where those overlap, on the exact atoms' own
+integers or, for a ball atom, the exact triples.
 Dominances need no brackets: ``certify`` proves them from root products in
 exact rationals, and only the circle points that test a failed bound are
 decided by ``Values``.  The boundary sup metric needs none either: the disk
-trace derives its bound from the target certificate.
-
-A ``Factor`` is a quantity that knows powers of two around itself when it is
-built and forms its bracket only when one is read: a ``Ratio`` of two
-integers takes the tightest ones, ``log2_bounds``, and a ``Product`` of
-brackets and factors with powers sums its atoms' exponents (``products``
-builds several products over the same atoms and reads each atom's
-exponents once).  ``exponents`` reads the powers of two around a bracket
-or a factor, and ``ratio_exponents`` those a ``Ratio`` is built with.
-The disk trace brackets an image point this way: |f1|^2, |f2|^2 and
-|f2 - f1|^2 are products of eps^2, |lam|^2 and the |P_j|^2 atoms of
-``abs2_atoms`` with powers, decided on the net powers of those atoms'
-exponents and formed, with the atoms' factor objects, only where those
+trace derives its bound from the target certificate.  The disk trace
+decides its image points on the atoms' exponents first, and brackets
+|f1|^2, |f2|^2 and |f2 - f1|^2 with ``product_bracket`` only where those
 leave a comparison open.
 
-``bracket_lt`` is the one comparator: it returns ``True`` or ``False`` when
-the two sides' products separate, and ``None`` when they overlap.  It first
-compares powers of two read from the factors' binary exponents
-(``bit_length`` plus the pair exponent, or a ``Factor``'s own exponents; no
-multiply), and multiplies the factor brackets of each side with directed
-rounding only when those powers do not separate; a side holding an exact
-zero is 0 and is decided against the other side's sign alone.  A directed
-product never crosses a power of two that bounds the exact product on its
-side, so the exponent stage decides only where the product stage would
-decide the same way: verdicts and exact fallbacks are those of the
-products alone.  Callers
-settle ``None`` with ``exact_lt``, the one integer cross-multiplication of
-unreduced squared moduli and constants (``Values.lt`` and the disk trace's
+``bracket_lt`` is the one comparator: it multiplies the brackets of each
+side with directed rounding and returns ``True`` or ``False`` when the two
+products separate, ``None`` when they overlap.  Callers settle ``None``
+with ``exact_lt``, the one integer cross-multiplication of unreduced
+squared moduli and constants (``Values.lt`` and the disk trace's
 ``_Image.first_failing``), so no truncation ever decides a verdict the exact
 arithmetic would not.
 """
@@ -80,9 +64,6 @@ from typing import Optional, Sequence
 from .arith import BALL_BITS, eval_scaled, scaled_abs2
 
 __all__ = [
-    "Factor",
-    "Product",
-    "Ratio",
     "Values",
     "abs2_atoms",
     "ball_abs2",
@@ -92,11 +73,11 @@ __all__ = [
     "exact_atom",
     "exact_atoms",
     "exact_lt",
-    "exponents",
     "gap_bracket",
     "int_bracket",
     "log2_bounds",
-    "products",
+    "product_bracket",
+    "ratio_bracket",
     "ratio_exponents",
     "recursion_balls",
     "recursion_exponents",
@@ -195,11 +176,10 @@ def constant_factor(q) -> tuple:
 
     The shape of the chart parameters' squares (``FamilyParams.squares``)
     and of the constant factors of ``Values.lt``; built once per
-    certificate, not per point.  The two brackets are one-atom ``Product``
-    factors, so a comparison reads their exponents instead of forming them.
+    certificate, not per point.
     """
     num, den = q.numerator, q.denominator
-    return (num, den, *products([int_bracket(num), int_bracket(den)], ((1, 0), (0, 1))))
+    return num, den, int_bracket(num), int_bracket(den)
 
 
 def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
@@ -209,7 +189,6 @@ def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
     two moduli are separated by at least a factor two, |big - small| lies in
     [(1 - t) |big|, (1 + t) |big|] with t the modulus ratio.  Comparable
     moduli (possible cancellation) return None for the exact fallback.
-    ``a1`` and ``a2`` are brackets or factors.
     """
     (a1_lo, a1_hi), (a2_lo, a2_hi) = a1, a2
     p_lo = _p_pow(a2_lo, k + 1, False)
@@ -439,11 +418,6 @@ def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
     return s_lo + m_lo.bit_length() - 1, s_hi + m_hi.bit_length()
 
 
-def exponents(x) -> Optional[tuple[int, int]]:
-    """Powers of two ``(lo, hi)`` around a bracket or a ``Factor``; None at 0."""
-    return x.exponents if isinstance(x, Factor) else _exponents(x)
-
-
 def log2_bounds(num: int, den: int) -> tuple[int, int]:
     """The tightest powers of two around num/den > 0: floor and ceil of log2."""
     e = num.bit_length() - den.bit_length()  # num/den lies in (2^(e-1), 2^(e+1))
@@ -453,125 +427,45 @@ def log2_bounds(num: int, den: int) -> tuple[int, int]:
 
 
 def ratio_exponents(num: int, den: int) -> Optional[tuple[int, int]]:
-    """The exponents of ``Ratio(num, den)``: its ``log2_bounds``, at most one
-    apart; None at num = 0."""
+    """Powers of two around num/den >= 0: its ``log2_bounds``, at most one
+    apart, as a ball bracket's are; None at num = 0."""
     return log2_bounds(num, den) if num else None
 
 
-class Factor:
-    """A nonnegative factor of ``bracket_lt``: exponents now, a bracket later.
+def ratio_bracket(num: int, den: int) -> tuple:
+    """The bracket of num/den (num >= 0, den > 0) at 192 bits.
 
-    ``exponents`` is ``(lo, hi)`` such that the value and both ends of
-    ``bracket`` lie in [2^lo, 2^hi], or None when the bracket's lower end is
-    ``(0, 0)``; it is set when the factor is built, and ``bracket_lt``
-    decides on it without a multiply.  ``bracket``, the ``(lower, upper)``
-    pair of pairs, is formed on first read: by a comparison the exponents
-    leave open, or by a caller that needs the ends.  A factor reads as its
-    bracket: it unpacks, indexes and compares equal as that pair.
+    One exact division: the floor of the quotient, and one unit above it
+    unless the division is exact.
     """
-
-    __slots__ = ("exponents", "_bracket")  # both set by each subclass
-
-    def _form(self) -> tuple:
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> bool:
-        """Whether the factor is exactly 0, read without forming its bracket."""
-        raise NotImplementedError
-
-    @property
-    def formed(self) -> bool:
-        """Whether the bracket has been formed."""
-        return self._bracket is not None
-
-    @property
-    def bracket(self) -> tuple:
-        if self._bracket is None:
-            self._bracket = self._form()
-        return self._bracket
-
-    def __getitem__(self, i: int) -> tuple:
-        return self.bracket[i]
-
-    def __iter__(self):
-        return iter(self.bracket)
-
-    def __eq__(self, other) -> bool:
-        return self.bracket == (other.bracket if isinstance(other, Factor) else other)
-
-    __hash__ = None  # compared by value, like the bracket it reads as
+    if not num:
+        return (0, 0), (0, 0)
+    k = _BITS + den.bit_length() - num.bit_length()
+    if k >= 0:
+        m, rest = divmod(num << k, den)
+    else:
+        m, rest = divmod(num, den << -k)
+    return (m, -k), (m + (rest > 0), -k)
 
 
-class Ratio(Factor):
-    """The rational num/den (num >= 0, den > 0) as a ``Factor``.
+def product_bracket(atoms: Sequence[tuple], powers: Sequence[int]) -> tuple:
+    """The bracket of prod_i x_i^powers[i], each x_i >= 0 in the bracket
+    ``atoms[i]`` and each power >= 0.
 
-    Its exponents are ``log2_bounds``, at most one apart, as a ball
-    bracket's are.  The bracket is one exact division at 192 bits: the
-    floor of the quotient, and one unit above it unless the division is
-    exact.
+    The directed product of the atoms' powers at 192 bits; the empty
+    product is 1, and a product with an exact zero atom is exactly 0.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int):
-        self.exponents = ratio_exponents(num, den)
-        self.num, self.den, self._bracket = num, den, None
-
-    @property
-    def zero(self) -> bool:
-        return not self.num
-
-    def _form(self) -> tuple:
-        num, den = self.num, self.den
-        if not num:
-            return (0, 0), (0, 0)
-        k = _BITS + den.bit_length() - num.bit_length()
-        if k >= 0:
-            m, rest = divmod(num << k, den)
-        else:
-            m, rest = divmod(num, den << -k)
-        return (m, -k), (m + (rest > 0), -k)
-
-
-class Product(Factor):
-    """prod_i x_i^(e_i) as a ``Factor``, each x_i >= 0 in ``atoms[i]``.
-
-    An atom is a bracket or a ``Factor``.  The exponents are the sums that
-    ``products`` forms from the atoms' exponents; the bracket is the
-    directed product of the atoms' powers at 192 bits.
-    """
-
-    __slots__ = ("atoms", "powers")
-
-    def __init__(
-        self,
-        atoms: Sequence,
-        powers: Sequence[int],
-        exponents: Optional[tuple[int, int]],
-    ):
-        self.exponents, self.atoms, self.powers = exponents, atoms, powers
-        self._bracket = None
-
-    @property
-    def zero(self) -> bool:
-        """Whether an atom with a positive power is exactly 0."""
-        return self.exponents is None and any(
-            e > 0 and _zero(a) for a, e in zip(self.atoms, self.powers)
-        )
-
-    def _form(self) -> tuple:
-        lo = hi = None
-        for (a_lo, a_hi), e in zip(self.atoms, self.powers):
-            if not e:
-                continue
-            f_lo, f_hi = _p_pow(a_lo, e, False), _p_pow(a_hi, e, True)
-            if lo is not None:
-                f_lo, f_hi = _p_mul(lo, f_lo, False), _p_mul(hi, f_hi, True)
-            lo, hi = f_lo, f_hi
-        if lo is None:
-            lo = hi = (1, 0)  # the empty product
-        return ((0, 0) if self.exponents is None else lo), hi
+    lo = hi = None
+    for (a_lo, a_hi), e in zip(atoms, powers):
+        if not e:
+            continue
+        f_lo, f_hi = _p_pow(a_lo, e, False), _p_pow(a_hi, e, True)
+        if lo is not None:
+            f_lo, f_hi = _p_mul(lo, f_lo, False), _p_mul(hi, f_hi, True)
+        lo, hi = f_lo, f_hi
+    if lo is None:
+        return (1, 0), (1, 0)  # the empty product
+    return ((0, 0) if not lo[0] else lo), ((0, 0) if not hi[0] else hi)
 
 
 def exact_atoms(polys: Sequence) -> tuple[bool, ...]:
@@ -605,9 +499,9 @@ def abs2_atoms(
 
     ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
     atom is the unreduced integer pair (re^2 + im^2, d^2) of the triple
-    (re, im, d) of ``eval_scaled``, with the ``log2_bounds`` exponents of
-    its ``Ratio``, None at an exact zero; the caller builds
-    that ``Ratio`` only where it reads the atom as a factor.  Every other
+    (re, im, d) of ``eval_scaled``, with its ``ratio_exponents``, None at
+    an exact zero; the caller brackets it (``ratio_bracket``) only where it
+    multiplies.  Every other
     atom is a ball bracket with its ``_exponents``, all of them from one
     ``ball_point``, built only when some atom needs it: the ``_ball_abs2``
     of the polynomial's ball in ``recursion_balls(chain, ...)`` when the
@@ -649,52 +543,6 @@ def exact_atom(atom: tuple) -> bool:
     return isinstance(atom[0], int)
 
 
-def products(atoms: Sequence, forms: Sequence[Sequence[int]]) -> list:
-    """One ``Product`` of ``atoms`` per power vector of ``forms``.
-
-    The atoms' exponents are read once, and each product's sums are formed
-    here, once.
-    """
-    exps = [exponents(a) for a in atoms]
-    out = []
-    for powers in forms:
-        lo = hi = 0
-        for ex, e in zip(exps, powers):
-            if e:
-                if ex is None:
-                    out.append(Product(atoms, powers, None))
-                    break
-                lo += e * ex[0]
-                hi += e * ex[1]
-        else:
-            out.append(Product(atoms, powers, (lo, hi)))
-    return out
-
-
-def _zero(x) -> bool:
-    """Whether a bracket or a ``Factor`` is exactly 0: a bracket whose upper
-    end is 0, or a factor that says so without forming its bracket."""
-    return x.zero if isinstance(x, Factor) else not x[1][0]
-
-
-def _exponent_bounds(side: Sequence) -> Optional[tuple[int, int]]:
-    """Powers of two around one side's products; None if a lower end is 0.
-
-    Returns ``(lo, hi)`` with 2^lo <= the product of the lower ends and the
-    product of the upper ends <= 2^hi: the sums of the exponents a
-    ``Factor`` was built with and of those ``_exponents`` reads from a
-    bracket.  An empty side is 1 = 2^0.
-    """
-    lo_exp = hi_exp = 0
-    for f in side:
-        exps = exponents(f)
-        if exps is None:
-            return None
-        lo_exp += exps[0]
-        hi_exp += exps[1]
-    return lo_exp, hi_exp
-
-
 def _side_product(side: Sequence[tuple], bits: int) -> tuple:
     """The directed product bracket of one side's factor brackets at ``bits``.
 
@@ -712,55 +560,14 @@ def _side_product(side: Sequence[tuple], bits: int) -> tuple:
 def bracket_lt(lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> Optional[bool]:
     """Decide ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) by brackets.
 
-    A factor is a bracket or a ``Factor``.  Two stages, each returning the
-    verdict when the two sides separate:
-
-    * Exponents.  Sums of the factors' binary exponents give a power of two
-      ``2^lo`` at or below each side's lower product and ``2^hi`` at or
-      above its upper product: a ``Factor`` brings the exponents it was
-      built with, a bracket those of ``_exponents``, read from
-      ``bit_length`` alone, and an empty side is 1 = 2^0.  Directed
-      truncation keeps a product on its side of a power of two, and a
-      factor's bracket lies within its exponents, so the product stage's
-      lower end is >= 2^lo and its upper end <= 2^hi; the stage demands the
-      same strict or non-strict separation of these powers as the product
-      stage does of its ends, and so returns a verdict only where the
-      product stage would return the same one, without a multiply.  Where
-      a lower end is 0 the powers are not known; a side holding an exact
-      zero (``_zero``) is then 0, and against the other side's sign alone
-      0 < x holds for x > 0, 0 <= x always, x < 0 never and x <= 0 only at
-      x = 0, again the product stage's verdicts, since a zero factor's
-      upper end is 0.
-    * Products.  Each side is the product of its factors' brackets (a
-      ``Factor``'s is formed on first read), multiplied with directed
-      rounding at the precision of the widest factor (at least 192 bits).
-
+    Each side is the product of its factors' brackets, multiplied with
+    directed rounding at the precision of the widest factor (at least 192
+    bits); an empty side is 1.  An exact zero factor has upper end 0, so a
+    side holding one is decided against the other side's sign alone: 0 < x
+    holds for x > 0, 0 <= x always, x < 0 never and x <= 0 only at x = 0.
     Returns ``None`` when the product brackets overlap; the caller then
     decides exactly.
     """
-    left, right = _exponent_bounds(lhs), _exponent_bounds(rhs)
-    if left is not None and right is not None:
-        (l_min, l_max), (r_min, r_max) = left, right
-        if closed:
-            if l_max <= r_min:
-                return True
-            if r_max < l_min:
-                return False
-        else:
-            if l_max < r_min:
-                return True
-            if r_max <= l_min:
-                return False
-    else:
-        # a side with known exponents is positive
-        l_zero = left is None and any(_zero(f) for f in lhs)
-        r_zero = right is None and any(_zero(f) for f in rhs)
-        if r_zero and (l_zero or not closed or left is not None):
-            return l_zero and closed
-        if l_zero and (closed or right is not None):
-            return True
-    lhs = [f.bracket if isinstance(f, Factor) else f for f in lhs]
-    rhs = [f.bracket if isinstance(f, Factor) else f for f in rhs]
     bits = max((hi[0].bit_length() for _, hi in (*lhs, *rhs)), default=0)
     bits = max(bits, _BITS)
     l_lo, l_hi = _side_product(lhs, bits)
@@ -800,17 +607,18 @@ class Values:
     """The values of ``polys`` at z = (num_re + i num_im)/den, bracketed first.
 
     ``abs2[i]`` is the atom of |polys[i](z)|^2 that ``abs2_atoms`` builds:
-    an exact ``Ratio`` for a small polynomial, a ``ball_abs2`` bracket for
-    the others, as ``exact`` (``exact_atoms(polys)``, computed when not
-    given; a caller testing many points passes it once) says, and an exact
-    ``Ratio`` wherever a bracket would reach 0.  ``fell_back``
-    tells whether a comparison's brackets overlapped, so that ``exact_lt``
-    decided it.  ``triples`` are the exact ``eval_scaled`` triples, all
-    evaluated the first time they are read: by such a comparison on a ball
-    atom, or by a caller that renders the point.
+    the exact integer pair (num, den) for a small polynomial, a
+    ``ball_abs2`` bracket for the others, as ``exact`` (``exact_atoms(polys)``,
+    computed when not given; a caller testing many points passes it once)
+    says, and the exact pair wherever a bracket would reach 0.
+    ``brackets[i]`` is its bracket (``ratio_bracket`` of an exact pair).
+    ``fell_back`` tells whether a comparison's brackets overlapped, so that
+    ``exact_lt`` decided it.  ``triples`` are the exact ``eval_scaled``
+    triples, all evaluated the first time they are read: by such a
+    comparison on a ball atom, or by a caller that renders the point.
     """
 
-    __slots__ = ("polys", "lam", "abs2", "fell_back", "_triples")
+    __slots__ = ("polys", "lam", "abs2", "brackets", "fell_back", "_triples")
 
     def __init__(
         self,
@@ -823,9 +631,9 @@ class Values:
     ):
         exact = exact_atoms(polys) if exact is None else exact
         self.polys, self.lam = polys, (num_re, num_im, den)
-        atoms = abs2_atoms(polys, exact, num_re, num_im, den)[0]
-        self.abs2 = tuple(
-            Ratio(*atom) if exact_atom(atom) else atom for atom in atoms
+        self.abs2 = tuple(abs2_atoms(polys, exact, num_re, num_im, den)[0])
+        self.brackets = tuple(
+            ratio_bracket(*atom) if exact_atom(atom) else atom for atom in self.abs2
         )
         self.fell_back = False
         self._triples: Optional[tuple] = None
@@ -844,29 +652,27 @@ class Values:
     def _square(self, i: int) -> tuple:
         """|polys[i](z)|^2 as an unreduced integer pair ``(num, den)``."""
         atom = self.abs2[i]
-        if isinstance(atom, Ratio):
-            return atom.num, atom.den
-        return scaled_abs2(self.triples[i])
+        return atom if exact_atom(atom) else scaled_abs2(self.triples[i])
 
     def lt(self, lhs: Sequence, rhs: Sequence, *, closed: bool = False) -> bool:
         """Exact ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) at z.
 
         A factor is an index ``i``, standing for |polys[i](z)|^2, or a
-        ``constant_factor``.  ``bracket_lt`` decides on the atoms, and where
-        they overlap ``exact_lt`` on the unreduced integer squares (an exact
-        atom's own, the triples' for a ball atom) and the constants'
-        numerators and denominators.
+        ``constant_factor``.  ``bracket_lt`` decides on the atoms' brackets,
+        and where they overlap ``exact_lt`` on the unreduced integer squares
+        (an exact atom's own, the triples' for a ball atom) and the
+        constants' numerators and denominators.
         """
         lb, rb = [], []
         for f in lhs:
             if isinstance(f, int):
-                lb.append(self.abs2[f])
+                lb.append(self.brackets[f])
             else:
                 lb.append(f[2])
                 rb.append(f[3])
         for f in rhs:
             if isinstance(f, int):
-                rb.append(self.abs2[f])
+                rb.append(self.brackets[f])
             else:
                 rb.append(f[2])
                 lb.append(f[3])

@@ -486,8 +486,8 @@ class RootLocalization:
 def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
     """Localize the roots of every factor, deepest factor first.
 
-    Factor k (degree d_k) is certified to have all of its roots in the open
-    disk |z| < 2^-k.  The last factor is linear with an explicitly known
+    The factor P_k (degree d_k) is certified to have all of its roots in the
+    open disk |z| < 2^-k.  The last factor is linear with an explicitly known
     root; each earlier factor is its constant term minus the product of the
     already-localized deeper factors times a monomial (a recursion proved by
     exact evaluation), so a root-product dominance on its circle transfers
@@ -931,7 +931,7 @@ def _normal_form(sides: list, recursion: tuple) -> dict:
 
 @dataclass(frozen=True)
 class ProductForms:
-    """Product forms proved for ``family``, each by ``_proved_equal``.
+    """The product forms proved for ``family``, each by ``_proved_equal``.
 
     ``f1`` is the side eps z^n prod P_j^j and ``f2`` the side eps^2 z prod
     P_j, each equal to the family's polynomial, and ``recursion`` is
@@ -987,7 +987,7 @@ def _proved_forms(
 
 @dataclass(frozen=True)
 class DivisionWitness:
-    """Factor ``index`` divides the cone combination C of chart ``index - 1``.
+    """The factor ``index`` divides the cone combination C of chart ``index - 1``.
 
     C is ``unit_part - dominant``, the expansions of ``cone_sides(family,
     index - 1)``.  ``method`` is the argument: ``"recursion"`` where the

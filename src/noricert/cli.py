@@ -171,6 +171,8 @@ def parse_n_range(text: str) -> tuple[int, ...]:
                 raise UsageError(f"empty range: {text!r}")
             return tuple(range(lo, hi + 1))
         return (int(s),)
+    except UsageError:
+        raise
     except ValueError as exc:
         raise UsageError(f"invalid n or n-range: {text!r}") from exc
 

@@ -64,9 +64,10 @@ over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
 exponents of the atoms (common factors cancel before anything is
 multiplied, and these two decide almost every test), then on the 192-bit
-products of the ``bounds.Product``s, then on the exact integers of the
-triples; the atoms become factor objects only where a test reaches the
-products.  A boundary spot check (target region,
+product brackets of the three quantities (``bounds.product_bracket``),
+then on the exact integers of the triples; the quantities are bracketed
+only where a test reaches the products, and a test with an exact-zero
+quantity is decided by sign before that.  A boundary spot check (target region,
 chart window, base chart) runs only where the certificate's own proof is
 incomplete, as the search for a refutation witness; the values at each of
 its exact circle points take ``bounds.Values``, whose atoms follow the same
@@ -98,7 +99,6 @@ from .arith import (
 )
 from .atlas import ChartPoint, chart_cover_indices
 from .bounds import (
-    Ratio,
     Values,
     abs2_atoms,
     bracket_lt,
@@ -108,7 +108,8 @@ from .bounds import (
     exact_lt,
     gap_bracket,
     log2_bounds,
-    products,
+    product_bracket,
+    ratio_bracket,
     ratio_exponents,
     recursion_exponents,
 )
@@ -183,8 +184,8 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # arithmetic would gcd-normalize at every step.  All hot paths therefore
 # work on exponents, brackets and unreduced ``eval_scaled`` triples.  Every
 # sampled image point is an ``_Image`` over the atoms of its factor map
-# (``_image_factors``): their exponent vector, with the atoms themselves
-# built as factors only where a test needs their products.  A chart
+# (``_image_factors``): their exponent vector, with the quantities
+# bracketed only where a test needs their products.  A chart
 # predicate is a power vector over (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2)
 # against a chart square (``FamilyParams.squares``): membership (1, -k) and
 # entry (-1, k + 2) against r^2, the cover region (1, 0) against r^2 and
@@ -192,9 +193,10 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # is compiled once per factor map into a tuple (``_compile_test``; the tests
 # of each chart index are ``_chart_tests``), and ``_Image.first_failing``
 # decides an ordered sequence of them in one pass, stopping at the first
-# that fails.  Its three stages: the net exponents (``_compile_net``, so
-# common atoms cancel), ``bounds.bracket_lt`` on the 192-bit products, and
-# ``bounds.exact_lt`` on the unreduced integer squares of the triples.  An atom is exact or a ball
+# that fails.  Its stages: the net exponents (``_compile_net``, so common
+# atoms cancel), the sign of a test with an exact-zero quantity,
+# ``bounds.bracket_lt`` on the 192-bit products, and ``bounds.exact_lt`` on
+# the unreduced integer squares of the triples.  An atom is exact or a ball
 # bracket by the one size rule of ``bounds.exact_atoms``, decided once per
 # factor map; the ball brackets of the factors come from their proved
 # recursions where ``_image_factors`` finds them proved for the family
@@ -214,7 +216,7 @@ _FACTOR_IDENTITIES = ("power-ratio", "square-ratio", "difference-factorization")
 class _Factors(NamedTuple):
     """How an image brackets |f1|^2, |f2|^2 and, at k = 0, |f2 - f1|^2.
 
-    The atoms of a point are ``constants`` (``bounds.Ratio``s), then
+    The atoms of a point are ``constants`` (exact pairs (num, den)), then
     |lam|^2 when ``lam`` is set, then |p(lam)|^2 for each of ``polys``,
     exact where ``exact`` (``bounds.exact_atoms``) says so and a ball
     bracket otherwise; ``chain``, when set, holds the coefficient balls of
@@ -317,7 +319,7 @@ def _image_factors(
     polys = tuple(fam.Pk(j) for j in range(1, n))
     chain = _recursion_chain(fam, root_certs)
     return _Factors(
-        (Ratio(eps2.numerator, eps2.denominator),),
+        ((eps2.numerator, eps2.denominator),),
         True,
         polys,
         exact_atoms(polys),
@@ -359,8 +361,7 @@ def _compile_net(
     for i, column in enumerate(zip(*factors.forms)):
         terms = [coeff * e for coeff, e in zip(coeffs, column)]
         if i < fixed:
-            ratio = factors.constants[i]
-            c *= Fraction(ratio.num, ratio.den) ** -sum(terms)
+            c *= Fraction(*factors.constants[i]) ** -sum(terms)
         elif any(terms):
             pairs.append((i - fixed, sum(terms)))
     lo, hi = log2_bounds(c.numerator, c.denominator)
@@ -462,11 +463,11 @@ class _Image:
 
     One point is decided in four rungs, each only where the one before
     leaves a test open: the recursion exponents, the atoms' exponents, the
-    192-bit products of the atoms, the exact integers of the triples.  The
-    sampled loops (the chart window, the chart-cone ladder and the
-    cone-window witness) build no image at all for a point whose |lam|^2
-    pair (``_draw_key``) already gave a non-refuting outcome on the first
-    rung alone, with no refinement: they reuse that outcome.
+    192-bit product brackets of the quantities, the exact integers of the
+    triples.  The sampled loops (the chart window, the chart-cone ladder
+    and the cone-window witness) build no image at all for a point whose
+    |lam|^2 pair (``_draw_key``) already gave a non-refuting outcome on the
+    first rung alone, with no refinement: they reuse that outcome.
 
     ``exps`` are powers of two around the point atoms of ``factors``
     (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
@@ -483,25 +484,24 @@ class _Image:
     None marks an exact zero atom, and ``positive`` tells that there is
     none.  ``first_failing`` decides a sequence of compiled chart tests on
     ``exps`` in one pass.
-    ``atoms``, the atoms as factors (a ``bounds.Ratio`` for |lam|^2 and
-    each exact atom, by the atom's own kind, the bracket otherwise), are
-    built on first read, by ``quantities``; reading them, or the triples,
-    refines first.  ``a1``, ``a2`` and ``gap`` are the ``bounds.Product``s
-    of |f1|^2, |f2|^2 and |f2 - f1|^2 (None without a form), built when
-    ``net`` leaves a test open on the atoms' exponents.  ``v1`` and ``v2``
-    are the exact ``eval_scaled`` triples of f1 and f2, both evaluated when
-    either is first read: by a bracket comparison left undecided, or by a
-    refutation that renders the point.
+    ``atoms`` are the point atoms as brackets (``bounds.ratio_bracket`` of
+    |lam|^2 and of each exact atom); reading them, or the triples, refines
+    first.  ``a1``, ``a2`` and ``gap`` are the brackets of |f1|^2, |f2|^2
+    and |f2 - f1|^2 (None without a form), ``bounds.product_bracket``s over
+    the constants and the atoms, built together when a test that the
+    atoms' exponents leave open has no exact-zero quantity.  ``v1`` and
+    ``v2`` are the exact ``eval_scaled`` triples of f1 and f2, both
+    evaluated when either is first read: by a bracket comparison left
+    undecided, or by a refutation that renders the point.
     """
 
     __slots__ = (
         "fam", "lam", "factors", "exps", "positive", "zero_atoms",
-        "_raw", "_atoms", "_quantities", "_triples",
+        "_raw", "_quantities", "_triples",
     )
 
     def __init__(self, fam: Family, num_re: int, num_im: int, den: int, factors: _Factors):
         self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
-        self._atoms: Optional[list] = None
         self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
         key = _rung_key(factors, num_re, num_im, den * den)
@@ -538,12 +538,10 @@ class _Image:
 
     @property
     def atoms(self) -> list:
-        """The point atoms as ``bracket_lt`` factors, built on first read."""
-        if self._atoms is None:
-            if self._raw is None:
-                self._refine()
-            self._atoms = [Ratio(*atom) if exact_atom(atom) else atom for atom in self._raw]
-        return self._atoms
+        """The point atoms as brackets."""
+        if self._raw is None:
+            self._refine()
+        return [ratio_bracket(*atom) if exact_atom(atom) else atom for atom in self._raw]
 
     def net(self, pairs: Optional[tuple], lo, hi) -> Optional[tuple]:
         """Powers of two ``(lo, hi)`` around the quotient of a compiled net
@@ -591,9 +589,10 @@ class _Image:
         (|f1|^2, |f2|^2, |f2^(k+1) - f1|^2), is decided in stages, each
         where the one before leaves it open: the net exponents (``net``),
         on the recursion exponents and, where those leave it open, again
-        after the point refines, on the atoms' exponents;
-        ``bounds.bracket_lt`` on the ``Product``s with the square's brackets
-        as factors (the gap is a product at k = 0 with its form,
+        after the point refines, on the atoms' exponents; by sign, where a
+        quantity the test uses is an exact 0 (``_zero_sign``);
+        ``bounds.bracket_lt`` on the quantities' brackets with the square's
+        brackets as factors (the gap is a product at k = 0 with its form,
         ``gap_bracket`` otherwise, and the stage is skipped where that is
         None); ``bounds.exact_lt`` on the unreduced integer squares of the
         exact triples.  The tests run in order and stop at the first that
@@ -639,7 +638,16 @@ class _Image:
         return index
 
     def _decide(self, closed: bool, coeffs: tuple, c: Optional[tuple], k: int) -> bool:
-        """The product and exact stages of one test that the net leaves open."""
+        """The sign, product and exact stages of one test that the net
+        leaves open.
+
+        A test with an exact-zero quantity is decided by sign alone, on no
+        bracket and no triple (``_zero_sign``).
+        """
+        if not self.positive:
+            verdict = self._zero_sign(closed, coeffs, k)
+            if verdict is not None:
+                return verdict
         a1, a2, gap = self.quantities
         if len(coeffs) == 3 and (k or gap is None):
             gap = gap_bracket(a1, a2, k)
@@ -661,12 +669,34 @@ class _Image:
                 terms.append((*pair, e))
         return exact_lt(terms, closed=closed)
 
+    def _zero_sign(self, closed: bool, coeffs: tuple, k: int) -> Optional[bool]:
+        """prod_i q_i^coeffs[i] < c (``<=`` when closed) where some q_i with
+        a nonzero power is an exact 0; None where none is.
+
+        |f1|^2 and |f2|^2 are 0 where they vanish (``vanishes``), and
+        |f2^(k+1) - f1|^2 where its form (k = 0) vanishes or, without one,
+        where both do; every other quantity is then positive, as is c.
+        With a zero on the right the test reads x < 0 or x <= 0 for some
+        x >= 0, which holds only as 0 <= 0; with zeros on the left alone it
+        reads 0 < x for x > 0, which holds.
+        """
+        zeros = [self.vanishes(1), self.vanishes(2)]
+        if len(coeffs) == 3:
+            has_form = not k and len(self.factors.forms) == 3
+            zeros.append(self.vanishes(3) if has_form else zeros[0] and zeros[1])
+        left = any(e > 0 and z for e, z in zip(coeffs, zeros))
+        if any(e < 0 and z for e, z in zip(coeffs, zeros)):
+            return left and closed
+        return True if left else None
+
     @property
     def quantities(self) -> tuple:
-        """``(a1, a2, gap)``, built on first read."""
+        """``(a1, a2, gap)``, the product brackets of ``factors.forms`` over
+        the constants and the atoms, built on first read."""
         if self._quantities is None:
             factors = self.factors
-            made = products((*factors.constants, *self.atoms), factors.forms)
+            atoms = [ratio_bracket(*c) for c in factors.constants] + self.atoms
+            made = [product_bracket(atoms, powers) for powers in factors.forms]
             self._quantities = (*made, None)[:3]
         return self._quantities
 
@@ -676,10 +706,9 @@ class _Image:
 
     @property
     def formed(self) -> bool:
-        """Whether a comparison formed a 192-bit product of this image."""
-        return self._quantities is not None and any(
-            q is not None and q.formed for q in self._quantities
-        )
+        """Whether a comparison formed the 192-bit product brackets of this
+        image."""
+        return self._quantities is not None
 
     @property
     def evaluated(self) -> bool:
@@ -704,14 +733,15 @@ class _Image:
         return self.triples[1]
 
     def vanishes(self, i: int) -> bool:
-        """Exact f_i(lam) = 0: an atom of |f_i|^2 is an exact 0.
+        """Exact f_i(lam) = 0 (i = 3: f2 - f1, where it has a form): an atom
+        of its squared modulus is an exact 0.
 
         An atom without exponents is an exact zero (``bounds.abs2_atoms``
         gives a ball bracket that reaches 0 its exact value), and every
         constant atom is positive, so no triple is read.
         """
         if self.positive:
-            return False  # every atom, and so |f_i|^2, is positive
+            return False  # every atom, and so every quantity, is positive
         factors = self.factors
         form = factors.forms[i - 1][len(factors.constants):]
         return any(p and ex is None for ex, p in zip(self.exps, form))

@@ -4,10 +4,11 @@ The directed pair operations and the brackets built from them must enclose
 the exact values, and ``bracket_lt`` may return a verdict only when it is
 the exact one.  ``ball_abs2`` must enclose the exact squared modulus of
 ``eval_scaled`` wherever it is evaluated, and the balls of
-``recursion_balls`` every factor of the built families.  The exponent stage of
-``bracket_lt`` must decide only where its product stage decides the same
-way, ``_p_pow`` must keep the pairs of plain square and multiply, and the
-exact circle points built without ``Fraction`` (``circle_triples``) must
+``recursion_balls`` every factor of the built families.  ``bracket_lt``
+must decide brackets at and next to powers of two, empty sides and zero
+ends exactly, ``ratio_bracket`` and ``product_bracket`` must enclose
+their exact values, ``_p_pow`` must keep the pairs of plain square and
+multiply, and the exact circle points built without ``Fraction`` (``circle_triples``) must
 equal their ``Fraction`` references.
 """
 
@@ -40,10 +41,9 @@ from noricert.bounds import (
     _p_mul,
     _p_pow,
     _p_sqrt,
+    _exponents,
     _p_trunc,
     _side_product,
-    Factor,
-    Ratio,
     Values,
     abs2_atoms,
     ball_abs2,
@@ -53,11 +53,12 @@ from noricert.bounds import (
     exact_atom,
     exact_atoms,
     exact_lt,
-    exponents,
     gap_bracket,
     int_bracket,
     log2_bounds,
-    products,
+    product_bracket,
+    ratio_bracket,
+    ratio_exponents,
     recursion_balls,
 )
 from noricert.certify import circle_points, circle_triples
@@ -145,11 +146,12 @@ class TestGapBracket:
             if rng.random() < 0.3:  # |f1| within a factor 8 of |f2|^(k+1)
                 a = max(1, c ** (k + 1) * rng.randrange(1, 9) // rng.randrange(1, 9))
             a1, a2 = ball_abs2(Poly.x(), a, 0, 1), ball_abs2(Poly.x(), c, 0, 1)
+            (e1_lo, e1_hi), (e2_lo, e2_hi) = _exponents(a1), _exponents(a2)
             if rng.random() < 0.5:
-                a2 = Ratio(c * c, 1)
+                a2 = ratio_bracket(c * c, 1)
+                e2_lo, e2_hi = ratio_exponents(c * c, 1)
             gap = gap_bracket(a1, a2, k)
             exact = F((c ** (k + 1) - a) ** 2)
-            (e1_lo, e1_hi), (e2_lo, e2_hi) = exponents(a1), exponents(a2)
             p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
             if p_hi + 3 <= e1_lo or e1_hi + 3 <= p_lo:
                 kinds["separated"] += 1
@@ -470,15 +472,15 @@ class TestAtoms:
         exact, = exact_atoms((poly,))
         (raw,), (exps,), _ = abs2_atoms((poly,), (exact,), *point)
         num, den = scaled_abs2(eval_scaled(poly, *point))
-        # an exact atom is the unreduced integer pair, read as a factor
-        # through its Ratio; a ball atom is the bracket itself, and the
-        # exact pair where the bracket reaches 0
+        # an exact atom is the unreduced integer pair, bracketed by
+        # ratio_bracket; a ball atom is the bracket itself, and the exact
+        # pair where the bracket reaches 0
         if not exact:
             bracket = ball_abs2(poly, *point)
             assert exact_atom(raw) == (bracket[0] == (0, 0))
             exact = exact_atom(raw)
-        atom = Ratio(*raw) if exact else raw
-        assert exps == exponents(atom)
+        atom = ratio_bracket(*raw) if exact else raw
+        assert exps == (ratio_exponents(*raw) if exact else _exponents(raw))
         lo, hi = atom
         assert _value(lo) <= F(num, den) <= _value(hi)
         if num == 0:
@@ -525,9 +527,10 @@ class TestAtoms:
         assert exps == log2_bounds(num, den)
         (atom,), (exps,), zeros = abs2_atoms((line,), (False,), 1, 0, 3)
         assert atom[0] == 0 and exps is None and zeros == 1
-        # Values builds each Ratio from the atom's own kind
+        # Values brackets each atom by its own kind
         values = Values((line, Poly.x()), *near, exact=(False, False))
-        assert isinstance(values.abs2[0], Ratio) and not isinstance(values.abs2[1], Ratio)
+        assert exact_atom(values.abs2[0]) and not exact_atom(values.abs2[1])
+        assert values.brackets == (ratio_bracket(num, den), values.abs2[1])
         assert values.lt((0,), (constant_factor(F(num, den)),), closed=True) is True
         assert not values.evaluated
 
@@ -671,12 +674,14 @@ def _power_of_two_bracket(rng):
 
 
 class TestExponentStage:
-    """``bracket_lt`` first compares powers of two read from ``bit_length``."""
+    """``bracket_lt`` at and next to powers of two, on empty sides and on
+    zero ends, where a comparison of exponents alone is hardest to get
+    right."""
 
     def test_agrees_with_the_product_stage(self):
         # random sides mixing integers, squared moduli, zero lower ends and
-        # brackets at or next to powers of two: the exponent stage returns a
-        # verdict only where the product stage returns the same one
+        # brackets at or next to powers of two: bracket_lt returns the
+        # verdict of the product stage, and every verdict is sound
         rng = random.Random(44)
         for _ in range(3000):
             sides = []
@@ -696,32 +701,6 @@ class TestExponentStage:
                 verdict = bracket_lt(*sides, closed=closed)
                 assert verdict == _product_stage(*sides, closed)
                 _sound(*sides, closed, verdict)
-
-    def test_separated_exponents_need_no_multiply(self, monkeypatch):
-        calls = []
-
-        def counting_mul(*args):
-            calls.append(args)
-            return _p_mul(*args)
-
-        monkeypatch.setattr(bounds, "_p_mul", counting_mul)
-        small, big = int_bracket(3 << 400), int_bracket(5 << 700)
-        lhs, rhs = [small] * 7, [big] * 5
-        assert bracket_lt(lhs, rhs) is True
-        assert bracket_lt(rhs, lhs, closed=True) is False
-        # the thresholds meet: 3 2^3 * 2^4 <= 2^10 <= 2^5 * 2^5 by exponents
-        # alone, which decide the open False and the closed True
-        power = [((1, 5), (1, 5))] * 2
-        below = [((3, 3), (3, 3)), ((1, 4), (1, 4))]
-        assert bracket_lt(power, below) is False
-        assert bracket_lt(below, power, closed=True) is True
-        assert calls == []
-        # (3 2^400)^3 = 27 2^1200 and (5 2^600)^2 = 25 2^1200 both lie in
-        # [2^1203, 2^1206] by exponents: the products decide, with 2 + 1
-        # multiplies per end (the first factor of a side is only truncated)
-        lhs, rhs = [int_bracket(3 << 400)] * 3, [int_bracket(5 << 600)] * 2
-        assert bracket_lt(lhs, rhs) is False
-        assert len(calls) == 2 * 3
 
     def test_empty_sides_are_one(self):
         one, two, half = ((1, 0), (1, 0)), ((1, 1), (1, 1)), ((1, -1), (1, -1))
@@ -748,8 +727,8 @@ class TestExponentStage:
                 assert verdict == _product_stage(lhs, rhs, closed)
 
     def test_zero_lower_ends_skip_the_stage(self):
-        # [0, 2^-50] against 2^-40 is decided by the products either way;
-        # two sides that both reach 0 are left open
+        # [0, 2^-50] against 2^-40 is decided by the products; two sides
+        # that both reach 0 are left open
         near_zero = ((0, 0), (1, -50))
         tiny = ((1, -40), (1, -40))
         for closed in (False, True):
@@ -762,29 +741,23 @@ class TestExponentStage:
         assert bracket_lt([zero], [zero]) is False
         assert bracket_lt([zero], [zero], closed=True) is True
 
-    def test_an_exact_zero_side_decides_by_sign(self, monkeypatch):
-        # a side holding an exact zero (a bracket up to 0, a zero Ratio, or
-        # a Product with a zero atom) is 0: against a positive side 0 < x
+    def test_an_exact_zero_side_decides_by_sign(self):
+        # a side holding an exact zero (a bracket up to 0, a zero ratio, or
+        # a product with a zero atom) is 0: against a positive side 0 < x
         # and 0 <= x hold, x < 0 and x <= 0 fail, and two zero sides are
-        # equal; no product is formed, and the verdicts are those of the
-        # product stage
-        calls = []
-
-        def counting_mul(*args):
-            calls.append(args)
-            return _p_mul(*args)
-
-        monkeypatch.setattr(bounds, "_p_mul", counting_mul)
+        # equal; the verdicts are those of the product stage
         tiny = ((1, -40), (1, -40))
-        zeros = [((0, 0), (0, 0)), Ratio(0, 7), products([Ratio(0, 3), tiny], [(1, 2)])[0]]
+        zeros = [
+            ((0, 0), (0, 0)),
+            ratio_bracket(0, 7),
+            product_bracket([ratio_bracket(0, 3), tiny], (1, 2)),
+        ]
         for zero in zeros:
-            for other in ([tiny], [tiny, tiny], [], [Ratio(5, 3)]):
+            for other in ([tiny], [tiny, tiny], [], [ratio_bracket(5, 3)]):
                 for closed in (False, True):
                     assert bracket_lt([zero, tiny], other, closed=closed) is True
                     assert bracket_lt(other, [zero], closed=closed) is False
                     assert bracket_lt([zero], [tiny, zero], closed=closed) is closed
-        assert calls == []
-        assert not zeros[2].formed
         for closed in (False, True):
             plain = [[((0, 0), (0, 0)), tiny], [tiny]]
             assert bracket_lt(*plain, closed=closed) == _product_stage(*plain, closed)
@@ -830,14 +803,15 @@ def _extreme_ratios():
 
 
 class TestFactors:
-    """``Ratio`` and ``Product``: exponents when built, brackets on demand."""
+    """``ratio_bracket``, ``ratio_exponents`` and ``product_bracket``: the
+    factors of ``bracket_lt`` and their powers of two."""
 
     def test_ratio_exponents_at_the_ends_of_their_ranges(self):
         # num = 2^(bn-1) over den = 2^bd - 1 is the smallest quotient the
         # bit lengths allow, just above 2^(bn-1-bd); the largest is just
         # below 2^(bn-bd+1); the exponents are the floor and ceil of log2
         for num, den in _extreme_ratios():
-            lo, hi = Ratio(num, den).exponents
+            lo, hi = ratio_exponents(num, den)
             assert F(2) ** lo <= F(num, den) <= F(2) ** hi
             assert hi - lo <= 1
 
@@ -848,35 +822,25 @@ class TestFactors:
             num = rng.getrandbits(rng.randrange(1, 3000))
             cases.append((num, rng.getrandbits(rng.randrange(1, 3000)) + 1))
         for num, den in cases:
-            ratio = Ratio(num, den)
-            lo, hi = ratio.bracket
+            lo, hi = ratio_bracket(num, den)
             assert _value(lo) <= F(num, den) <= _value(hi)
             if num:
                 assert lo[0].bit_length() in (_BITS, _BITS + 1) and hi[0] - lo[0] <= 1
-                _exact_power_of_two_bounds(ratio.exponents, _value(lo))
-                _exact_power_of_two_bounds(ratio.exponents, _value(hi))
-        exact = Ratio(3 << 500, 1 << 200)
-        assert exact.bracket[0] == exact.bracket[1]
-        assert _value(exact.bracket[0]) == 3 << 300
+                _exact_power_of_two_bounds(ratio_exponents(num, den), _value(lo))
+                _exact_power_of_two_bounds(ratio_exponents(num, den), _value(hi))
+        exact = ratio_bracket(3 << 500, 1 << 200)
+        assert exact[0] == exact[1]
+        assert _value(exact[0]) == 3 << 300
 
     def test_zero_ratio(self):
-        zero = Ratio(0, 7)
-        assert zero.exponents is None
-        assert zero.bracket == ((0, 0), (0, 0))
-
-    def test_a_factor_reads_as_its_bracket(self):
-        ratio = Ratio(5, 3)
-        assert ratio._bracket is None and not ratio.formed  # formed on first read only
-        lo, hi = ratio
-        assert ratio.formed
-        assert (lo, hi) == ratio.bracket == (ratio[0], ratio[1])
-        assert isinstance(ratio, Factor)
+        assert ratio_exponents(0, 7) is None
+        assert ratio_bracket(0, 7) == ((0, 0), (0, 0))
 
     def test_exponents_of_brackets_and_factors(self):
         bracket = int_bracket(5 << 300)
-        assert exponents(bracket) == (302, 303)
-        assert exponents(Ratio(5 << 300, 1)) == Ratio(5 << 300, 1).exponents == (302, 303)
-        assert exponents(((0, 0), (1, 0))) is None and exponents(Ratio(0, 1)) is None
+        assert _exponents(bracket) == (302, 303)
+        assert _exponents(ratio_bracket(5 << 300, 1)) == ratio_exponents(5 << 300, 1) == (302, 303)
+        assert _exponents(((0, 0), (1, 0))) is None and ratio_exponents(0, 1) is None
 
     def test_log2_bounds_are_the_floor_and_ceil(self):
         # at, just below and just above powers of two, and drawn ratios
@@ -892,8 +856,8 @@ class TestFactors:
             q = F(num, den)
             assert F(2) ** lo <= q <= F(2) ** hi
             assert hi - lo == (0 if q == F(2) ** lo else 1)
-            # every Ratio takes them as its exponents
-            assert Ratio(num, den).exponents == (lo, hi)
+            # they are the exponents of every ratio
+            assert ratio_exponents(num, den) == (lo, hi)
 
     def test_products_enclose_the_exact_products(self):
         # atoms mixing ratios, integer brackets, ball-like brackets and a
@@ -906,7 +870,7 @@ class TestFactors:
                 if pick < 0.3:
                     num = rng.getrandbits(rng.randrange(1, 400)) + 1
                     den = rng.getrandbits(rng.randrange(1, 400)) + 1
-                    atoms.append(Ratio(num, den))
+                    atoms.append(ratio_bracket(num, den))
                     values.append((F(num, den), F(num, den)))
                 elif pick < 0.5:
                     atoms.append(_power_of_two_bracket(rng))
@@ -916,66 +880,23 @@ class TestFactors:
                     atoms.append(bracket)
                     values.append((value, value))
             forms = [tuple(rng.randrange(5) for _ in atoms) for _ in range(3)]
-            for product, powers in zip(products(atoms, forms), forms):
+            for powers in forms:
                 lower = math.prod(v[0] ** e for v, e in zip(values, powers))
                 upper = math.prod(v[1] ** e for v, e in zip(values, powers))
-                lo, hi = product.bracket
+                lo, hi = product_bracket(atoms, powers)
                 assert _value(lo) <= lower <= upper <= _value(hi)
-                if product.exponents is None:
-                    assert lower == 0 and lo == (0, 0)
-                    continue
-                _exact_power_of_two_bounds(product.exponents, lower)
-                _exact_power_of_two_bounds(product.exponents, upper)
-                _exact_power_of_two_bounds(product.exponents, _value(lo))
-                _exact_power_of_two_bounds(product.exponents, _value(hi))
+                if lower == 0:
+                    assert lo == (0, 0)
 
     def test_zero_atoms(self):
         # a zero lower end with a positive power makes the product's lower
-        # end (0, 0) and leaves it without exponents; with power 0 it is
-        # not a factor at all
+        # end (0, 0); with power 0 it is not a factor at all
         near_zero = ((0, 0), (1, -50))
         two = ((1, 1), (1, 1))
-        with_zero, without, empty = products([near_zero, two], [(1, 3), (0, 3), (0, 0)])
-        assert with_zero.exponents is None
-        assert with_zero.bracket == ((0, 0), (1, -47))
-        assert without.exponents == (3, 6)
-        assert without.bracket == ((1, 3), (1, 3))
-        assert empty.exponents == (0, 0) and empty.bracket == ((1, 0), (1, 0))
-        assert products([Ratio(0, 3), two], [(1, 1)])[0].bracket[0] == (0, 0)
-
-    def test_bracket_lt_on_factors_is_bracket_lt_on_their_brackets(self):
-        # the same comparisons with each factor replaced by its bracket: the
-        # exponents a factor was built with never decide otherwise
-        rng = random.Random(33)
-        for _ in range(600):
-            sides, plain = [], []
-            for _ in range(2):
-                side = []
-                for _ in range(rng.randrange(0, 4)):
-                    if rng.random() < 0.5:
-                        num = rng.getrandbits(rng.randrange(1, 300))
-                        side.append(Ratio(num, rng.getrandbits(rng.randrange(1, 300)) + 1))
-                    else:
-                        atoms = [TestBracketLt._factor(rng, 64)[0] for _ in range(2)]
-                        side.append(products(atoms, [(rng.randrange(3), rng.randrange(3))])[0])
-                sides.append(side)
-                plain.append([f.bracket for f in side])
-            for closed in (False, True):
-                verdict = bracket_lt(*sides, closed=closed)
-                assert verdict == bracket_lt(*plain, closed=closed)
-                _sound(*plain, closed, verdict)
-
-    def test_exponents_decide_without_forming_brackets(self):
-        small, big = Ratio(3, 1 << 400), Ratio(5 << 700, 3)
-        assert bracket_lt([small, small], [big]) is True
-        assert bracket_lt([big], [small], closed=True) is False
-        assert small._bracket is None and big._bracket is None
-        # 1 against 3/2: exponents [0, 2] and [0, 2] overlap; the brackets
-        # decide
-        one, three_halves = Ratio(1, 1), Ratio(3, 2)
-        assert bracket_lt([one], [three_halves]) is True
-        assert bracket_lt([three_halves], [one]) is False
-        assert one._bracket is not None
+        assert product_bracket([near_zero, two], (1, 3)) == ((0, 0), (1, -47))
+        assert product_bracket([near_zero, two], (0, 3)) == ((1, 3), (1, 3))
+        assert product_bracket([near_zero, two], (0, 0)) == ((1, 0), (1, 0))
+        assert product_bracket([ratio_bracket(0, 3), two], (1, 1)) == ((0, 0), (0, 0))
 
 
 def _p_pow_square_and_multiply(a, e, up):
@@ -1076,7 +997,7 @@ class TestValues:
         # c^2/2, tied with c^2/4
         c = 1 + F(1, 3**300)
         values = Values((Poly((0, c)),), 3, 4, 10)
-        assert not isinstance(values.abs2[0], Ratio)
+        assert not exact_atom(values.abs2[0])
         half, quarter = constant_factor(c * c / 2), constant_factor(c * c / 4)
         assert values.lt((0,), (half,)) is True
         assert values.lt((half,), (0,)) is False
@@ -1092,7 +1013,7 @@ class TestValues:
         # inexact bracket, and the tie with 1/36 falls back to the atom's own
         # integers, with no triple read
         values = Values((Poly.x(),), 3, 4, 10)
-        assert isinstance(values.abs2[0], Ratio)
+        assert values.abs2[0] == (25, 100)
         half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
         assert values.lt((0,), (half,)) is True
         assert values.lt((half,), (0,)) is False
@@ -1113,7 +1034,7 @@ class TestValues:
         lam = (3, 4, 10)
         assert Values(polys, *lam).abs2 == Values(polys, *lam, exact=exact_atoms(polys)).abs2
         values = Values(polys, *lam, exact=(True, False))
-        assert isinstance(values.abs2[0], Ratio)
+        assert exact_atom(values.abs2[0])
         assert values.abs2[1] == ball_abs2(polys[1], *lam)
         assert values.lt((1,), (constant_factor(F(1, 36)),), closed=True) is True
         assert values.fell_back and values.evaluated

@@ -70,6 +70,15 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_n_range(text)
 
+    def test_empty_range_keeps_its_message(self, capsys):
+        # the empty range is a well-formed one: its own message, not the
+        # generic "invalid n or n-range" of a malformed one
+        with pytest.raises(UsageError, match="empty range: '2..1'"):
+            parse_n_range("2..1")
+        assert main(["verify", "--n", "2..1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "empty range" in err and "invalid n or n-range" not in err
+
     def test_decimal_rational_rejected(self, capsys):
         assert main(["verify", "--n", "2", "--r", "0.2"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -396,10 +405,10 @@ class TestMeta:
         # when the two sides' exponents were summed uncancelled): cone
         # tests at n = 4 whose net exponents straddle 1.  The entry probe's
         # neighbour of the root of P_(n-1) is decided on exponents at
-        # n = 2, 3, since every Ratio, the atoms of |lam|^2 and of the
-        # exact |P_j|^2 among them, takes the tightest powers of two (with
-        # the bit-length pair of a Ratio, two apart, the n = 3 neighbour and
-        # 16 more of the n = 4 cone tests went to the products).  The
+        # n = 2, 3, since every exact atom, of |lam|^2 and of the exact
+        # |P_j|^2, takes the tightest powers of two (with the bit-length
+        # pair of its bracket, two apart, the n = 3 neighbour and 16 more
+        # of the n = 4 cone tests went to the products).  The
         # probe at the root of P_(n-1)
         # is decided on an exact zero atom by sign alone, with no product:
         # at n = 2, 3 the factors' atoms are exact, and at n = 4 the ball

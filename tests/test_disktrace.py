@@ -59,15 +59,16 @@ from noricert.disktrace import (
     window_spot_checks,
 )
 from noricert.bounds import (
-    Factor,
-    Ratio,
     Values,
-    _exponent_bounds,
+    _exponents,
     bracket_lt,
+    exact_atom,
     exact_atoms,
-    exponents,
+    exact_lt,
     gap_bracket,
     log2_bounds,
+    ratio_bracket,
+    ratio_exponents,
     recursion_exponents,
 )
 from noricert.disktrace import (
@@ -164,6 +165,14 @@ def _image_and_reference(fam, a, b, den):
     img = _Image(fam, a, b, den, _image_factors(fam))
     lam = ComplexRational(F(a, den), F(b, den))
     return img, ChartPoint(fam.f1(lam), fam.f2(lam))
+
+
+def _raw_atoms(img):
+    """The point atoms of ``img`` as ``bounds.abs2_atoms`` built them: an
+    exact integer pair (num, den) or a ball bracket; refines first."""
+    if not img.refined:
+        img._refine()
+    return img._raw
 
 
 _PREDICATES = ("region", "member", "entry", "cone", "halved")
@@ -403,13 +412,13 @@ class TestBallImages:
 
     def test_undecided_comparison_of_exact_atoms_reads_no_triples(self):
         # the same ties with f1 = lam, f2 = 5 and f1 = 1, f2 = 5: their atoms
-        # are exact Ratios of the integers 1 and 25, whose brackets have
+        # are the exact pairs of the integers 1 and 25, whose brackets have
         # width 0, so the products decide the tie
         params = FamilyParams.build(2)
         fam = SimpleNamespace(f1=Poly.x(), f2=Poly.constant(5), params=params)
         assert _image_factors(fam).exact == (True, True)
         img = _Image(fam, 3, 4, 5, _image_factors(fam))
-        assert all(isinstance(a, Ratio) for a in img.atoms)
+        assert all(exact_atom(a) for a in _raw_atoms(img))
         rn2_b, rd2_b = params.squares.r2[2:]
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is False
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2], closed=True) is True
@@ -438,13 +447,13 @@ class TestBallImages:
             assert bounds.ball_abs2(fam.f1, a, 0, den)[0] == (0, 0)
             img = _Image(fam, a, 0, den, _image_factors(fam))
             assert img.exps == [None, None]
-            assert all(isinstance(x, Ratio) and x.num == 0 for x in img.atoms)
+            assert all(exact_atom(x) and x[0] == 0 for x in _raw_atoms(img))
             assert img.a1[0] == img.a2[0] == (0, 0)
             assert img.vanishes(1) and img.vanishes(2)
             assert not _in_cover_region(img)
             assert not img.evaluated
         img = _Image(fam, 3, -2, 4, _image_factors(fam))
-        assert not any(isinstance(x, Ratio) for x in img.atoms)
+        assert not any(exact_atom(x) for x in _raw_atoms(img))
         assert not img.vanishes(1) and not img.vanishes(2)
         assert not img.evaluated
         # lam - 1/3 = 2^-400 is below the ball's resolution: the bracket
@@ -455,21 +464,21 @@ class TestBallImages:
         lam = (2**400 + 3, 0, 3 * 2**400)
         assert bounds.ball_abs2(line, *lam)[0] == (0, 0)
         img = _Image(near, *lam, _image_factors(near))
-        assert isinstance(img.atoms[0], Ratio)
+        assert exact_atom(_raw_atoms(img)[0])
         assert img.a1[0] != (0, 0)
         assert not img.vanishes(1)
         assert not img.evaluated
 
     def test_zero_tests_of_exact_atoms_read_no_triples(self, built_families):
         # at n = 2 f1 and f2 are small: their atoms at the common zeros are
-        # exact zero Ratios, and elsewhere exact positive ones
+        # exact zero pairs, and elsewhere exact positive ones
         fam = built_families[2]
         assert _image_factors(fam).exact == (True, True)
         root = fam.params.eps ** fam.params.c[-1]
         for a, den in ((0, 1), (root.numerator, root.denominator)):
             img = _Image(fam, a, 0, den, _image_factors(fam))
             assert img.exps == [None, None]
-            assert img.atoms[0].num == img.atoms[1].num == 0
+            assert _raw_atoms(img)[0][0] == _raw_atoms(img)[1][0] == 0
             assert img.vanishes(1) and img.vanishes(2)
             assert not _in_cover_region(img)
             assert not img.evaluated
@@ -490,14 +499,11 @@ def _exact_moduli(fam, a, b, den):
 
 
 def _assert_encloses(product, exact):
-    """The product's bracket and its powers of two enclose ``exact``."""
-    lo, hi = product.bracket
+    """The product's bracket encloses ``exact``, from (0, 0) where it is 0."""
+    lo, hi = product
     assert F(lo[0]) * F(2) ** lo[1] <= exact <= F(hi[0]) * F(2) ** hi[1]
-    if product.exponents is None:
+    if exact == 0:
         assert lo == (0, 0)
-    else:
-        e_lo, e_hi = product.exponents
-        assert F(2) ** e_lo <= exact <= F(2) ** e_hi
 
 
 def _witness_draws(n, count, seed):
@@ -567,7 +573,7 @@ class TestFactorImages:
         factors = _image_factors(fam, identities[n])
         assert factors.exact == (n < 4,) * (n - 1)
         img = _Image(fam, *next(_witness_draws(n, 1, 3)), factors)
-        assert [isinstance(a, Ratio) for a in img.atoms] == [True] + [n < 4] * (n - 1)
+        assert [exact_atom(a) for a in _raw_atoms(img)] == [True] + [n < 4] * (n - 1)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_ball_atoms_evaluate_nothing(self, built_families, identities, n, monkeypatch):
@@ -674,9 +680,10 @@ class TestFactorImages:
             for ball_map in (factors, chain):
                 img = _Image(fam, a, 0, den, ball_map)
                 assert [e is None for e in img.exps] == [i == zero for i in range(3)]
-                assert isinstance(img.atoms[zero], Ratio) and img.atoms[zero].num == 0
+                atom = _raw_atoms(img)[zero]
+                assert exact_atom(atom) and atom[0] == 0
                 for product in (img.a1, img.a2, img.gap):
-                    assert product.exponents is None and product.bracket[0] == (0, 0)
+                    assert product[0] == (0, 0)
                 assert img.vanishes(1) and img.vanishes(2)
                 assert not _in_cover_region(img)
                 assert not img.evaluated
@@ -685,13 +692,13 @@ class TestFactorImages:
 
     def test_zeros_of_each_factor_are_exact_zero_atoms(self):
         # the same zeros with the exact atoms of these small factors: each
-        # zero is an exact zero Ratio, and no zero test reads a triple
+        # zero is an exact zero pair, and no zero test reads a triple
         fam, factors = self._rational_root_factors(exact=True)
         for a, den in ((0, 1), (1, 2), (1, 1)):
             img = _Image(fam, a, 0, den, factors)
-            assert any(isinstance(x, Ratio) and x.num == 0 for x in img.atoms)
+            assert any(exact_atom(x) and x[0] == 0 for x in _raw_atoms(img))
             for product in (img.a1, img.a2, img.gap):
-                assert product.exponents is None and product.bracket[0] == (0, 0)
+                assert product[0] == (0, 0)
             assert img.vanishes(1) and img.vanishes(2)
             assert not _in_cover_region(img)
             assert not img.evaluated
@@ -703,7 +710,7 @@ class TestFactorImages:
             img = _Image(fam, a, b, den, factors)
             for product, exact in zip((img.a1, img.a2, img.gap), _exact_moduli(fam, a, b, den)):
                 _assert_encloses(product, exact)
-                assert product.exponents is not None
+                assert product[0][0] > 0
             assert not img.vanishes(1) and not img.vanishes(2)
             assert not img.evaluated
 
@@ -798,17 +805,31 @@ class TestFactorImages:
         assert img.evaluated
 
 
+class _Staged(_Image):
+    """An image that counts the tests it hands on past the net stage."""
+
+    __slots__ = ("decides",)
+
+    def __init__(self, *args):
+        self.decides = 0
+        super().__init__(*args)
+
+    def _decide(self, *stage):
+        self.decides += 1
+        return super()._decide(*stage)
+
+
 def _scaled_verdicts(fam, lam, factors, k):
     """Each chart-k predicate on its own image of lam: ``(verdict, by_net)``.
 
-    The net stage decided a predicate when its image built no product and
-    read no exact triple.
+    The net stage decided a predicate when its image handed no test on to
+    the later stages (``_Image._decide``: sign, products, triples).
     """
     out = {}
     for name in _PREDICATES:
-        img = _Image(fam, *lam, factors)
+        img = _Staged(fam, *lam, factors)
         verdict = _predicate(name, img, k)
-        out[name] = verdict, img._quantities is None and not img.evaluated
+        out[name] = verdict, img.decides == 0
     return out
 
 
@@ -852,11 +873,13 @@ def _net_stage_against_the_reference(fam, factors, points, ks):
 
 
 def _exponent_stage(lhs, rhs, closed=False):
-    """``bracket_lt``'s exponent stage alone, on the uncancelled sides."""
-    left, right = _exponent_bounds(lhs), _exponent_bounds(rhs)
-    if left is None or right is None:
+    """The exponent comparison of two uncancelled sides, each a list of
+    ``(lo, hi)`` powers of two around its factors (None: an exact zero, so
+    no verdict), as ``bracket_lt`` once decided before it multiplied."""
+    if None in lhs or None in rhs:
         return None
-    (l_lo, l_hi), (r_lo, r_hi) = left, right
+    l_lo, l_hi = sum(e[0] for e in lhs), sum(e[1] for e in lhs)
+    r_lo, r_hi = sum(e[0] for e in rhs), sum(e[1] for e in rhs)
     if l_hi < r_lo or closed and l_hi == r_lo:
         return True
     if r_hi < l_lo or not closed and r_hi == l_lo:
@@ -864,23 +887,33 @@ def _exponent_stage(lhs, rhs, closed=False):
     return None
 
 
-class _Powers(Factor):
-    """A factor known only by its exponents."""
+def _quantity_exponents(img):
+    """The uncancelled exponent sums of |f1|^2, |f2|^2 and the chart-0 gap
+    (None without its form) over the constants and the refined atoms; None
+    for a quantity with an exact zero atom."""
+    factors = img.factors
+    _raw_atoms(img)  # refines: ``exps`` become the atoms' own exponents
+    exps = [ratio_exponents(*c) for c in factors.constants] + img.exps
+    out = []
+    for form in factors.forms:
+        used = [(ex, p) for ex, p in zip(exps, form) if p]
+        if any(ex is None for ex, _ in used):
+            out.append(None)
+        else:
+            out.append((sum(p * ex[0] for ex, p in used), sum(p * ex[1] for ex, p in used)))
+    return (*out, None)[:3]
 
-    def __init__(self, exps):
-        self.exponents, self._bracket = exps, None
 
-
-def _separated_gap(a1, a2, k):
+def _separated_gap(e1, e2, k):
     """The gap |f2^(k+1) - f1|^2 by the uncancelled exponents of its terms:
     those of the larger, widened by 2 below and 1 above, when the two are
     at least 2^3 apart; None otherwise."""
-    (e1_lo, e1_hi), (e2_lo, e2_hi) = exponents(a1), exponents(a2)
+    (e1_lo, e1_hi), (e2_lo, e2_hi) = e1, e2
     p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
     if p_hi + 3 <= e1_lo:
-        return _Powers((e1_lo - 2, e1_hi + 1))
+        return e1_lo - 2, e1_hi + 1
     if e1_hi + 3 <= p_lo:
-        return _Powers((p_lo - 2, p_hi + 1))
+        return p_lo - 2, p_hi + 1
     return None
 
 
@@ -889,8 +922,10 @@ def _uncancelled_verdicts(fam, img, k):
     sides, as before the net stage, or None where those overlap (and for a
     cone whose gap is not known by exponents)."""
     squares = fam.params.squares
-    (rn2, rd2), (rn4, rd4) = squares.r2[2:], squares.r4[2:]
-    a1, a2 = img.a1, img.a2
+    (rn2, rd2), (rn4, rd4) = (
+        [_exponents(bracket) for bracket in square[2:]] for square in (squares.r2, squares.r4)
+    )
+    a1, a2, gap = _quantity_exponents(img)
     first = _exponent_stage([a1, rd2], [rn2])
     second = _exponent_stage([a2, rd4], [rn4])
     out = {
@@ -898,13 +933,10 @@ def _uncancelled_verdicts(fam, img, k):
         "member": _exponent_stage([a1, rd2], [rn2, *[a2] * k]),
         "entry": _exponent_stage([*[a2] * (k + 2), rd2], [rn2, a1]),
     }
-    if k == 0 and img.gap is not None:
-        gap = img.gap
-    elif a1.exponents is not None and a2.exponents is not None:
-        gap = _separated_gap(a1, a2, k)
-    else:
-        gap = None
-    for name, (pn2, pd2) in (("cone", squares.rho2[2:]), ("halved", squares.half_rho2[2:])):
+    if k or len(img.factors.forms) == 2:
+        gap = None if a1 is None or a2 is None else _separated_gap(a1, a2, k)
+    for name, square in (("cone", squares.rho2), ("halved", squares.half_rho2)):
+        pn2, pd2 = (_exponents(bracket) for bracket in square[2:])
         out[name] = (
             None
             if gap is None
@@ -962,8 +994,8 @@ class TestNetStage:
         # atom is an exact 0 (at n = 4 the ball of P_3, by Horner or by the
         # recursions, reaches 0 at the root and is replaced by its exact
         # atom), and nothing cancels: the net decides no chart test, and only
-        # the cover region is settled without a product, by the zero test
-        # of f1 on the exponents
+        # the cover region is settled before the later stages, by the zero
+        # test of f1 on the exponents
         fam = built_families[n]
         root = fam.params.eps ** fam.params.c[-1]
         points = [(0, 0, 1), (root.numerator, 0, root.denominator)]
@@ -1104,13 +1136,12 @@ def _sequential_lt(img, tests):
 
 
 def _atoms_by_value(fam, factors, lam):
-    """The point atoms of ``factors`` at lam, each built as a factor: the
-    ``Ratio`` of |lam|^2, the ``Ratio`` of each exact |P|^2 and of each
-    ball atom whose bracket reaches 0, and the bracket of
-    each other one, by ``ball_abs2`` or, where the map has a chain, from
-    the balls of ``recursion_balls``."""
+    """The point atoms of ``factors`` at lam: the exact pair of |lam|^2, the
+    exact pair of each exact |P|^2 and of each ball atom whose bracket
+    reaches 0, and the bracket of each other one, by ``ball_abs2`` or,
+    where the map has a chain, from the balls of ``recursion_balls``."""
     a, b, den = lam
-    atoms = [Ratio(a * a + b * b, den * den)] if factors.lam else []
+    atoms = [(a * a + b * b, den * den)] if factors.lam else []
     balls = None
     if factors.chain is not None:
         balls = bounds.recursion_balls(factors.chain, bounds.ball_point(*lam))
@@ -1123,7 +1154,7 @@ def _atoms_by_value(fam, factors, lam):
             if bracket[0] != (0, 0):
                 atoms.append(bracket)
                 continue
-        atoms.append(Ratio(*scaled_abs2(eval_scaled(poly, *lam))))
+        atoms.append(scaled_abs2(eval_scaled(poly, *lam)))
     return atoms
 
 
@@ -1152,8 +1183,6 @@ class TestOnePass:
             img, ref = _Image(fam, *lam, factors), _Image(fam, *lam, factors)
             assert img.first_failing(tests) == _sequential_lt(ref, tests)
             assert (img.formed, img.evaluated) == (ref.formed, ref.evaluated)
-            # the atoms are built where a product is, and not otherwise
-            assert (img._atoms is None) == (img._quantities is None)
 
     def test_exact_ties_on_the_net(self):
         # |f1|^2 = r^2 and |f2|^2 = r^4 exactly, both powers of two: each
@@ -1173,6 +1202,45 @@ class TestOnePass:
         assert not img.formed and not img.evaluated
 
     @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_zero_quantities_decide_by_sign(
+        self, built_families, identities, root_certs, n
+    ):
+        # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2, so
+        # every quantity of every chart test is an exact 0: each test gets
+        # the verdict of exact_lt on the triples, on every factor map,
+        # without a product bracket or a triple of its own
+        fam = built_families[n]
+        root = fam.params.eps ** fam.params.c[-1]
+        maps = (
+            _image_factors(fam),
+            _image_factors(fam, identities[n]),
+            _image_factors(fam, identities[n], root_certs[n]),
+        )
+        for lam in ((0, 0, 1), (root.numerator, 0, root.denominator)):
+            v1, v2 = eval_scaled(fam.f1, *lam), eval_scaled(fam.f2, *lam)
+            assert v1[0] == v1[1] == v2[0] == v2[1] == 0
+            for factors in maps:
+                tests = set()
+                for k in range(n):
+                    region, chart, cone, member, entry, halved = _chart_tests(fam, factors, k)
+                    tests.update((*region, *chart, *cone, member, entry, halved))
+                for test in tests:
+                    _, _, _, closed, (coeffs, c, k) = test
+                    terms = [] if c is None else [(c[0], c[1], -1)]
+                    for i, e in enumerate(coeffs):
+                        if e:
+                            pair = (
+                                disktrace._gap_squared_exact(v1, v2, k)
+                                if i == 2
+                                else scaled_abs2((v1, v2)[i])
+                            )
+                            terms.append((*pair, e))
+                    img = _Image(fam, *lam, factors)
+                    holds = img.first_failing((test,)) == 1
+                    assert holds == exact_lt(terms, closed=closed), (lam, coeffs, k)
+                    assert not img.formed and not img.evaluated
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ball", [False, True])
     def test_atoms_are_the_ratios_and_brackets_by_value(self, scaled_points, n, ball):
         self._assert_atoms_by_value(*scaled_points[n], ball)
@@ -1187,13 +1255,16 @@ class TestOnePass:
         for lam in witness[:8] + [pt for k in range(1, n) for pt in ladder[k][:2]] + zeros:
             img = _Image(fam, *lam, factors)
             expected = _atoms_by_value(fam, factors, lam)
-            assert img._atoms is None
-            for atom, ref, exps in zip(img.atoms, expected, img.exps, strict=True):
-                assert type(atom) is type(ref)
-                if isinstance(ref, Ratio):
-                    assert (atom.num, atom.den) == (ref.num, ref.den)
-                assert atom == ref
-                assert exponents(atom) == exponents(ref) == exps
+            brackets = img.atoms
+            for raw, bracket, ref, exps in zip(
+                img._raw, brackets, expected, img.exps, strict=True
+            ):
+                assert raw == ref
+                if exact_atom(ref):
+                    assert bracket == ratio_bracket(*ref)
+                    assert ratio_exponents(*ref) == exps
+                else:
+                    assert bracket == ref and _exponents(ref) == exps
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3]), st.sampled_from([0, 1, 2]), st.data())
