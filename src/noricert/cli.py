@@ -232,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=2048,
-        help="disk witness sample count; other sample plans scale from it (default 2048)",
+        metavar="N",
+        help=(
+            "cone-window witness sample count (default 2048); the chart window "
+            "takes max(16, N/32) points, each chart-cone ladder max(16, N/8) and "
+            "the base chart's boundary loop, where it runs, max(256, N/8)"
+        ),
     )
     verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     verify.add_argument(
@@ -404,9 +409,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         corollary=corollary,
         identities=identities,
         divisions=divisions,
-        window_samples=max(16, config.samples // 32),
-        cone_samples=max(16, config.samples // 8),
-        witness_samples=config.samples,
+        samples=config.samples,
         seed=config.seed,
     )
 

@@ -54,11 +54,11 @@ The three sampled loops, the chart window, the chart-cone ladder and the
 cone-window witness, draw grid integers from the sampler's endless
 generators (``disk_grid``, ``randints``) and first read a point's
 ``log2_bounds`` pair of |lam|^2 (``_rung_key``), all that the first rung
-below reads of lam, from those integers, up to a power of two fixed per
-loop (``_draw_key``); they reuse the outcome of an earlier point of the
-same call with that pair that was decided on the first rung alone and
-refuted nothing, and build lam's triple and an ``_Image`` only for a point
-that reuses nothing.
+below reads of lam, from the numerator and the squared denominator of
+|lam|^2 that the loop holds; they reuse the outcome of an earlier point
+of the same call with that pair that was decided on the first rung alone
+and refuted nothing, and build an ``_Image`` only for a point that reuses
+nothing, handing it that squared denominator and that pair.
 ``_Image.first_failing`` decides an ordered sequence of them in one pass
 over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
@@ -234,7 +234,7 @@ class _Factors(NamedTuple):
     powers of two around every |P_k(lam)|^2 before any atom is computed.
     That first rung reads lam only through its |lam|^2 pair (``_rung_key``),
     so the sampled loops decide each such pair on it once per call and
-    reuse the outcome (``_draw_key``).
+    reuse the outcome.
 
     So one image point is decided in four rungs, each only where the one
     before leaves a test open: the recursion exponents (with ``rung``), the
@@ -427,35 +427,19 @@ def _compile_chart(fam: Family, factors: _Factors, k: int) -> tuple:
     return region, chart, cone if k else (*region, *cone), member, entry, halved
 
 
-def _rung_key(factors: _Factors, num_re: int, num_im: int, den2: int) -> Optional[tuple]:
-    """The ``log2_bounds`` pair of the exact |lam|^2 = (num_re^2 +
-    num_im^2)/den2, den2 the squared denominator of lam, where ``factors``
-    has a ``rung`` and lam is not 0; None otherwise.
+def _rung_key(num: int, den2: int) -> Optional[tuple]:
+    """The ``log2_bounds`` pair of the exact |lam|^2 = num/den2, num =
+    num_re^2 + num_im^2 and den2 the squared denominator of lam; None at
+    lam = 0, which has no first rung.
 
     It is all that an image's first rung reads of lam: an image that
     decides its tests on the recursion exponents without refining has an
     outcome, and counts, fixed by the factor map, the tests and this pair,
-    which is why the sampled loops memoize such outcomes by it, read from
-    their draws' integers (``_draw_key``).
+    which is why the sampled loops memoize such outcomes by it.  A loop
+    stores an outcome only where the image did not refine, which every
+    image of a map without a ``rung`` does.
     """
-    if factors.rung is None or not (num_re or num_im):
-        return None
-    return log2_bounds(num_re * num_re + num_im * num_im, den2)
-
-
-def _draw_key(num: int, scale: int) -> Optional[tuple]:
-    """The memo key of a sampled loop's draw: the ``log2_bounds`` of
-    num/scale, where num is the draw's integer |num_re + i num_im|^2 and
-    |lam|^2 = num/(scale 2^c) with c fixed per loop, so the key is the
-    ``_rung_key`` pair shifted by c; None at num = 0 (lam = 0, which has no
-    first rung).
-
-    It reads the integers a draw already holds, so a reused draw builds
-    neither lam's triple nor the products of ``_rung_key``.  A loop stores
-    an outcome under a key only where the image did not refine, which
-    every image of a map without a ``rung`` does.
-    """
-    return log2_bounds(num, scale) if num else None
+    return log2_bounds(num, den2) if num else None
 
 
 class _Image:
@@ -466,8 +450,10 @@ class _Image:
     192-bit product brackets of the quantities, the exact integers of the
     triples.  The sampled loops (the chart window, the chart-cone ladder
     and the cone-window witness) build no image at all for a point whose
-    |lam|^2 pair (``_draw_key``) already gave a non-refuting outcome on the
-    first rung alone, with no refinement: they reuse that outcome.
+    |lam|^2 pair (``_rung_key``) already gave a non-refuting outcome on the
+    first rung alone, with no refinement: they reuse that outcome.  A loop
+    that builds one hands it den2 = den^2 and that pair, ``key``, which it
+    holds already; without den2 both are computed here from lam.
 
     ``exps`` are powers of two around the point atoms of ``factors``
     (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
@@ -497,15 +483,27 @@ class _Image:
 
     __slots__ = (
         "fam", "lam", "factors", "exps", "positive", "zero_atoms",
-        "_raw", "_quantities", "_triples",
+        "_den2", "_raw", "_quantities", "_triples",
     )
 
-    def __init__(self, fam: Family, num_re: int, num_im: int, den: int, factors: _Factors):
+    def __init__(
+        self,
+        fam: Family,
+        num_re: int,
+        num_im: int,
+        den: int,
+        factors: _Factors,
+        den2: Optional[int] = None,
+        key: Optional[tuple] = None,
+    ):
         self.fam, self.lam, self.factors = fam, (num_re, num_im, den), factors
         self._quantities: Optional[tuple] = None
         self._triples: Optional[tuple] = None
-        key = _rung_key(factors, num_re, num_im, den * den)
-        if key is not None:
+        if den2 is None:
+            den2 = den * den
+            key = _rung_key(num_re * num_re + num_im * num_im, den2)
+        self._den2 = den2
+        if key is not None and factors.rung is not None:
             exps = recursion_exponents(factors.rung, key)
             if exps is not None:
                 exps.insert(0, key)
@@ -524,7 +522,7 @@ class _Image:
         )
         if factors.lam:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
-            num, den2 = num_re * num_re + num_im * num_im, den * den
+            num, den2 = num_re * num_re + num_im * num_im, self._den2
             raw.insert(0, (num, den2))
             exps.insert(0, ratio_exponents(num, den2))
         self.exps = exps
@@ -747,13 +745,15 @@ class _Image:
         return any(p and ex is None for ex, p in zip(self.exps, form))
 
 
-def _book_images(tally: Counter, *counts: int) -> None:
-    """Add image counts, in the order of ``_IMAGE_COUNTS``, to ``tally``: the
-    points, those that needed their exact values, those that formed a
-    192-bit product, the atoms the zero rule made exact, the points whose
-    atoms were computed and the points that reused an earlier outcome."""
-    for key, value in zip(_IMAGE_COUNTS, counts, strict=True):
-        tally[key] += value
+def _book_image(tally: Counter, img: _Image) -> None:
+    """Add the counts that a built image reports to ``tally``: whether it
+    needed its exact values, whether it formed a 192-bit product, the atoms
+    the zero rule made exact and whether its atoms were computed.  The
+    loops book their ``points`` and ``reused`` themselves."""
+    tally["exact_fallbacks"] += img.evaluated
+    tally["products"] += img.formed
+    tally["zero_atoms"] += img.zero_atoms
+    tally["refined"] += img.refined
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -934,14 +934,11 @@ def _booked(loop: SpotLoop, tally: Optional[Counter]) -> SpotLoop:
     return loop
 
 
-def target_spot_checks(fam: Family, *, spot_checks: int = 64) -> SpotLoop:
-    """Target membership at ``spot_checks`` exact points of each of |lam| = 1
-    and |lam| = 2."""
+def target_spot_checks(fam: Family) -> SpotLoop:
+    """Target membership at 64 exact points of each of |lam| = 1 and
+    |lam| = 2."""
     return spot_loop(
-        (fam.f1, fam.f2),
-        (Fraction(1), Fraction(2)),
-        spot_checks,
-        TargetRegion(fam.n).contains_values,
+        (fam.f1, fam.f2), (Fraction(1), Fraction(2)), 64, TargetRegion(fam.n).contains_values
     )
 
 
@@ -950,7 +947,6 @@ def annulus_into_target(
     corollary: CorollaryReport,
     identities: Optional[CheckReport] = None,
     *,
-    spot_checks: int = 64,
     tally: Optional[Counter] = None,
 ) -> Certificate:
     """Certify that the annulus 1 <= |lam| <= 2 maps into the target region.
@@ -984,7 +980,7 @@ def annulus_into_target(
 
     checked = 0
     if not proved:
-        loop = _booked(target_spot_checks(fam, spot_checks=spot_checks), tally)
+        loop = _booked(target_spot_checks(fam), tally)
         checked = loop.points
         if loop.witness is not None:
             cpt = loop.witness
@@ -1076,12 +1072,12 @@ def image_in_chart_window(
     per family, in ``identities``, and the quotient stays in product form.
     The sampled images are bracketed through ``factors``, the family's
     factor map (``_image_factors``).  The disk points come from the
-    sampler's ``disk_grid``.  A draw whose |lam|^2 pair (``_draw_key``, read
-    from the draw's x^2 + y^2) an earlier draw of this call decided on the
-    recursion exponents alone, not vanishing and covered below index n,
-    reuses that cover (``reused``) and builds no image; a refutation is
-    always rendered from its own point.  ``images`` counts the sampled
-    image points (``_IMAGE_COUNTS``).
+    sampler's ``disk_grid``.  A draw whose |lam|^2 pair (``_rung_key`` of
+    x^2 + y^2 over the fixed squared denominator) an earlier draw of
+    this call decided on the recursion exponents alone, not vanishing and
+    covered below index n, reuses that cover (``reused``) and builds no
+    image; a refutation is always rendered from its own point.  ``images``
+    counts the sampled image points (``_IMAGE_COUNTS``).
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -1113,32 +1109,26 @@ def image_in_chart_window(
     # one index beyond n suffices for the scan: membership at any k >= n
     # would already contradict |f2|^n < |f1| (and |f2| < 1) shown above
     k_max = n + 1
-    accepted = 0
-    attempts = 0
-    # the cover of each |lam|^2 pair, shifted by 30 (``_draw_key``: lam =
-    # 2 (x + i y)/2^16), that an image decided on the recursion exponents
-    # alone, not vanishing and not refuting
+    # lam = 2 (x + i y)/2^16 = (x + i y)/2^15, so |lam|^2 = (x^2 + y^2)/2^30
+    den, den2 = 1 << GRID_BITS - 1, 1 << 2 * GRID_BITS - 2
+    accepted = attempts = reused = 0
+    # the cover of each |lam|^2 pair that an image decided on the recursion
+    # exponents alone, not vanishing and not refuting
     reuse: dict = {}
-    # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
-    points = fallbacks = formed = zeros = refined = reused = 0
     try:
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
             x, y, s = next(grid)
-            points += 1
-            key = _draw_key(s, 1)
+            key = _rung_key(s, den2)
             if key in reuse:
                 reused += 1
                 accepted += 1
                 continue
-            img = _Image(fam, 2 * x, 2 * y, 1 << GRID_BITS, factors)
+            img = _Image(fam, x, y, den, factors, den2, key)
             skipped = img.vanishes(2)  # exact exclusion of the common zero set
             if not skipped:
                 in_region, indices = _cover_indices_scaled(img, k_max)
-            fallbacks += img.evaluated
-            formed += img.formed
-            zeros += img.zero_atoms
-            refined += img.refined
+            _book_image(images, img)
             if skipped:
                 continue
             if not in_region or not indices or max(indices) > n - 1:
@@ -1152,7 +1142,8 @@ def image_in_chart_window(
                 reuse[key] = in_region, indices
             accepted += 1
     finally:
-        _book_images(images, points, fallbacks, formed, zeros, refined, reused)
+        images["points"] += attempts
+        images["reused"] += reused
 
     data = {
         "quotient_degree": quotient_degree,
@@ -1269,7 +1260,8 @@ def _entry_scale(fam: Family, k: int, tally: Counter, factors: _Factors) -> Opti
     def member(e: int) -> bool:
         img = _Image(fam, 1, 0, 10**e, factors)
         verdict = _holds(img, tests)
-        _book_images(tally, 1, img.evaluated, img.formed, img.zero_atoms, img.refined, 0)
+        tally["points"] += 1
+        _book_image(tally, img)
         return verdict
 
     model = _entry_model(fam, k)
@@ -1334,12 +1326,13 @@ def chart_cone_certificate(
     image points and exact fallbacks.  The entry probe and the ladder
     bracket their images through ``factors``, the family's factor map
     (``_image_factors``).  A ladder point whose |lam|^2 pair
-    (``_draw_key`` of the candidate's a^2 + b^2 over its squared
+    (``_rung_key`` of the candidate's a^2 + b^2 over its squared
     denominator, ``_approach_candidates``) an earlier point of this chart
     decided on the recursion exponents alone, outside the approach region
     or passing every test of the same sequence, reuses that failing index
     (``reused``) and builds no image; the ladder's six denominators and
-    their squares are computed once per chart.
+    their squares are computed once per chart, and an image is handed its
+    square and its pair.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -1371,26 +1364,21 @@ def chart_cone_certificate(
     dens = _ladder_denominators(entry)
     squares = tuple(den * den for den in dens)
     # the failing index of each (full, |lam|^2 pair) that an image decided
-    # on the recursion exponents alone, not refuting (``_draw_key`` of a^2 +
-    # b^2 over the squared denominator: the ``_rung_key`` pair itself)
+    # on the recursion exponents alone, not refuting
     reuse: dict = {}
-    # the ladder's image counts (``_IMAGE_COUNTS``), booked once
-    points = fallbacks = formed = zeros = refined = reused = 0
+    points = reused = 0
     try:
         for a, b, s, step in _approach_candidates(fam, k, samples, seed):
             full = full_membership_checks < 32
-            pair = _draw_key(s, squares[step])
+            pair = _rung_key(s, squares[step])
             key = full, pair
             points += 1
             failed = reuse.get(key)
             if failed is None:
-                img = _Image(fam, a, b, dens[step], factors)
+                img = _Image(fam, a, b, dens[step], factors, squares[step], pair)
                 tests = checked if full else unchecked
                 failed = img.first_failing(tests)
-                fallbacks += img.evaluated
-                formed += img.formed
-                zeros += img.zero_atoms
-                refined += img.refined
+                _book_image(tally, img)
                 if pair is not None and not img.refined and failed in (0, len(tests)):
                     reuse[key] = failed
             else:
@@ -1429,7 +1417,8 @@ def chart_cone_certificate(
             if accepted == samples:
                 break
     finally:
-        _book_images(tally, points, fallbacks, formed, zeros, refined, reused)
+        tally["points"] += points
+        tally["reused"] += reused
 
     data["samples"] = accepted
     data["full_membership_checks"] = full_membership_checks
@@ -1591,9 +1580,9 @@ def base_chart_certificate(
     )
 
 
-# the scales 10^0 .. 10^12 of every other witness draw, and their squares
-_WITNESS_SCALES = tuple(10**e for e in range(13))
-_WITNESS_SQUARES = tuple(scale * scale for scale in _WITNESS_SCALES)
+# the denominators 10^e 2^15 of the witness draws, e = 0 .. 12 (every other
+# draw takes e = 0), each with its square
+_WITNESS_DENS = tuple((den, den * den) for den in (10**e << GRID_BITS - 1 for e in range(13)))
 
 
 def cone_window_witness(
@@ -1616,10 +1605,10 @@ def cone_window_witness(
     The images are bracketed through ``factors``, the family's factor map
     (``_image_factors``).  The points come from the sampler's
     ``disk_grid`` and the scale indices from its ``randints(0, 12)``.  A
-    draw whose |lam|^2 pair (``_draw_key``, read from the draw's x^2 + y^2
-    and the square of its scale) an earlier draw of this call decided on
-    the recursion exponents alone, in the region with an open cone, reuses
-    that cone index (``reused``) and builds neither lam nor an image; a
+    draw whose |lam|^2 pair (``_rung_key`` of x^2 + y^2 over the squared
+    denominator, from ``_WITNESS_DENS``) an earlier draw of this
+    call decided on the recursion exponents alone, in the region with an
+    open cone, reuses that cone index (``reused``) and builds no image; a
     refutation is always rendered from its own point.  ``tally`` counts the
     drawn image points and their exact fallbacks (``_IMAGE_COUNTS``).
     """
@@ -1627,37 +1616,30 @@ def cone_window_witness(
     tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     grid, scales = sampler.disk_grid(), sampler.randints(0, 12)
-    accepted = 0
-    attempts = 0
+    accepted = attempts = reused = 0
     index_counts = {k: 0 for k in range(n)}
-    # the cone index of each |lam|^2 pair, shifted by 30 (``_draw_key``: lam
-    # = 2 (x + i y)/(2^16 10^e)), that an image decided on the recursion
-    # exponents alone
+    # the cone index of each |lam|^2 pair that an image decided on the
+    # recursion exponents alone
     reuse: dict = {}
-    # the drawn points' image counts (``_IMAGE_COUNTS``), booked once
-    points = fallbacks = formed = zeros = refined = reused = 0
     try:
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
             x, y, s = next(grid)
-            e = next(scales) if attempts % 2 == 0 else 0
-            points += 1
-            key = _draw_key(s, _WITNESS_SQUARES[e])
+            # lam = 2 (x + i y)/(10^e 2^16) = (x + i y)/den, so |lam|^2 =
+            # (x^2 + y^2)/den^2
+            den, den2 = _WITNESS_DENS[next(scales) if attempts % 2 == 0 else 0]
+            key = _rung_key(s, den2)
             cone_index = reuse.get(key)
             if cone_index is not None:
                 reused += 1
                 index_counts[cone_index] += 1
                 accepted += 1
                 continue
-            a, b, den = 2 * x, 2 * y, _WITNESS_SCALES[e] << GRID_BITS
-            img = _Image(fam, a, b, den, factors)
+            img = _Image(fam, x, y, den, factors, den2, key)
             skipped = img.vanishes(2)
             if not skipped:
                 in_region, cone_index = _first_open_cone_scaled(img, n)
-            fallbacks += img.evaluated
-            formed += img.formed
-            zeros += img.zero_atoms
-            refined += img.refined
+            _book_image(tally, img)
             if skipped:
                 continue
             if not in_region or cone_index is None:
@@ -1672,7 +1654,8 @@ def cone_window_witness(
             index_counts[cone_index] += 1
             accepted += 1
     finally:
-        _book_images(tally, points, fallbacks, formed, zeros, refined, reused)
+        tally["points"] += attempts
+        tally["reused"] += reused
     data = {
         "samples": accepted,
         "seed": seed,
@@ -1840,8 +1823,9 @@ _WORK_COUNTS = ("points", "exact_fallbacks")
 # an image point also books whether it formed a 192-bit product, how many
 # of its ball atoms reached 0 and were evaluated exactly, and whether its
 # atoms were computed (where the recursion exponents left a test open, or
-# without them); a point of a sampled loop also books whether it reused the
-# outcome of an earlier point with its |lam|^2 pair (``_draw_key``)
+# without them), all four by ``_book_image``; a point of a sampled loop also
+# books whether it reused the outcome of an earlier point with its |lam|^2
+# pair (``_rung_key``)
 _IMAGE_COUNTS = (*_WORK_COUNTS, "products", "zero_atoms", "refined", "reused")
 
 _TRACE_DETAIL = {
@@ -1858,10 +1842,7 @@ def trace_family(
     corollary: CorollaryReport,
     identities: CheckReport,
     divisions: Sequence[DivisionWitness],
-    window_samples: int = 64,
-    cone_samples: int = 256,
-    witness_samples: int = 2000,
-    spot_checks: int = 64,
+    samples: int = 2048,
     seed: int = 0,
 ) -> TraceReport:
     """The four per-family conditions, built on the family's certified stages.
@@ -1873,21 +1854,25 @@ def trace_family(
     the four condition statuses.  The factor map of the family's images
     (``_image_factors``) is built here, once, and every stage that
     brackets image points reads it.
+
+    ``samples`` is the cone-window witness's sample count, and every other
+    sample plan derives from it: the chart window takes
+    max(16, samples // 32) points, each chart-cone ladder max(16,
+    samples // 8) and the base chart's boundary loop max(256, samples // 8);
+    the target loop always takes 64 points per circle.
     """
     n = fam.n
     factors = _image_factors(fam, identities, root_certs)
     tally: Counter = Counter()
     boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
     window_tally: Counter = Counter()
-    condition_ii = annulus_into_target(
-        fam, corollary, identities, spot_checks=spot_checks, tally=boundary["target"]
-    )
+    condition_ii = annulus_into_target(fam, corollary, identities, tally=boundary["target"])
     window = image_in_chart_window(
         fam,
         corollary,
         identities,
         factors,
-        samples=window_samples,
+        samples=max(16, samples // 32),
         seed=seed,
         tally=boundary["window"],
         images=window_tally,
@@ -1900,7 +1885,7 @@ def trace_family(
             identities,
             divisions,
             factors,
-            samples=cone_samples,
+            samples=max(16, samples // 8),
             seed=seed,
             tally=tally,
         )
@@ -1910,13 +1895,11 @@ def trace_family(
         fam,
         corollary,
         identities,
-        samples=max(cone_samples, 256),
+        samples=max(256, samples // 8),
         tally=boundary["base"],
     )
     witness_tally: Counter = Counter()
-    witness = cone_window_witness(
-        fam, factors, samples=witness_samples, seed=seed, tally=witness_tally
-    )
+    witness = cone_window_witness(fam, factors, samples=samples, seed=seed, tally=witness_tally)
     condition_i = _combine(
         "disk-into-chart-cones", [window, base, *cones, witness]
     )

@@ -310,6 +310,23 @@ class TestReportShape:
         ]
         assert all(c["status"] == "proved" for c in entry["certificates"])
 
+    @pytest.mark.parametrize(
+        "samples, plan",
+        [
+            # the chart window and the ladder at their floor of 16
+            (1, [("image-in-chart-window", 16), ("chart-cone", 16), ("cone-window-witness", 1)]),
+            (64, [("image-in-chart-window", 16), ("chart-cone", 16), ("cone-window-witness", 64)]),
+        ],
+    )
+    def test_sample_plan(self, samples, plan):
+        # the sampled certificates of condition i take the plan that
+        # --samples sets, at n = 2
+        report, code = run_verify(RunConfig(n_list=(2,), samples=samples, seed=0))
+        assert code == EXIT_OK
+        stages = report["per_n"][0]["trace"]["condition_i"]["data"]["stages"]
+        got = [(s["name"], s["data"]["samples"]) for s in stages if "samples" in s["data"]]
+        assert got == plan
+
     def test_trace_entry(self, small_report):
         trace = small_report["per_n"][0]["trace"]
         for key in ("condition_i", "condition_ii", "condition_iii", "condition_iv"):

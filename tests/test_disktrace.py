@@ -75,6 +75,7 @@ from noricert.disktrace import (
     _FACTOR_IDENTITIES,
     _Image,
     _approach_candidates,
+    _book_image,
     _chart_tests,
     _common_zero,
     _compile_net,
@@ -1403,8 +1404,10 @@ class TestRecursionChain:
         refined = [
             (run.ladder.pop("refined"), run.witness.pop("refined")) for run in (chained, horner)
         ]
-        assert refined == [(76, 14), (horner.ladder["points"], horner.witness["points"])]
-        # without a rung no point has a key, so none reuses an outcome
+        # at the default plan, the CLI's: 2048 witness points, 256 per ladder
+        assert refined == [(76, 12), (horner.ladder["points"], horner.witness["points"])]
+        # without a rung every point refines, so none stores or reuses an
+        # outcome
         reused = [
             (run.ladder.pop("reused"), run.witness.pop("reused")) for run in (chained, horner)
         ]
@@ -1623,11 +1626,6 @@ def _window_draws(n, count, seed):
         yield sampler.dyadic_in_disk(2)
 
 
-def _shifted(key, c):
-    """A ``_rung_key`` pair shifted by c; None stays None."""
-    return None if key is None else (key[0] + c, key[1] + c)
-
-
 class TestRungMemo:
     """The sampled loops reuse an outcome decided on the recursion
     exponents alone for every later point with the same |lam|^2 pair."""
@@ -1646,7 +1644,7 @@ class TestRungMemo:
         factors = _image_factors(fam, identities[n], root_certs[n])
         stored, hits = {}, 0
         for a, b, den in _witness_draws(n, 2048, 0):
-            key = _rung_key(factors, a, b, den * den)
+            key = _rung_key(a * a + b * b, den * den)
             assert key == (log2_bounds(a * a + b * b, den * den) if a or b else None)
             img = _Image(fam, a, b, den, factors)
             outcome = (img.vanishes(2), *_first_open_cone_scaled(img, n))
@@ -1664,7 +1662,7 @@ class TestRungMemo:
             stored, hits = {}, 0
             for a, b, den in islice(_ladder_points(fam, k, entry, 256, 0), 512):
                 for tests in _ladder_tests(fam, factors, k):
-                    key = len(tests), _rung_key(factors, a, b, den * den)
+                    key = len(tests), _rung_key(a * a + b * b, den * den)
                     img = _Image(fam, a, b, den, factors)
                     failed = img.first_failing(tests)
                     if key in stored:
@@ -1685,7 +1683,7 @@ class TestRungMemo:
         factors = _image_factors(fam, identities[n], root_certs[n])
         stored, hits = {}, 0
         for a, b, den in _window_draws(n, 512, 0):
-            key = _rung_key(factors, a, b, den * den)
+            key = _rung_key(a * a + b * b, den * den)
             img = _Image(fam, a, b, den, factors)
             assert not img.vanishes(2)
             in_region, indices = _cover_indices_scaled(img, n + 1)
@@ -1699,45 +1697,98 @@ class TestRungMemo:
         assert hits > 448
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_memo_keys_are_shifted_rung_keys(
+    def test_memo_keys_are_rung_keys(
         self, monkeypatch, built_families, identities, root_certs, divisions, corollary_reports, n
     ):
-        # every key the three loops read (``_draw_key``), in draw order, is
-        # the ``_rung_key`` pair of the draw's lam shifted by the loop's
-        # constant: 30 for the witness and the window, whose lam is 2 (x +
-        # i y)/(2^16 10^e), and 0 for the ladder, which divides by the
-        # squared denominator itself
+        # every key the three loops read, in draw order, is the
+        # ``_rung_key`` pair of the drawn lam, and the pair that an image
+        # built from lam alone puts first in its exponent vector
         fam = built_families[n]
         factors = _image_factors(fam, identities[n], root_certs[n])
-        keys, real = [], disktrace._draw_key
+        entries = {k: _entry_scale(fam, k, Counter(), factors) for k in range(1, n)}
+        keys, real = [], disktrace._rung_key
 
-        def spy(num, scale):
-            keys.append(real(num, scale))
+        def spy(*args):
+            keys.append(real(*args))
             return keys[-1]
 
-        monkeypatch.setattr(disktrace, "_draw_key", spy)
-        tally = Counter()
-        cone_window_witness(fam, factors, samples=1024, tally=tally)
-        assert len(keys) == tally["points"] >= 1024
-        draws = _witness_draws(n, len(keys), 0)
-        assert keys == [_shifted(_rung_key(factors, *lam[:2], lam[2] ** 2), 30) for lam in draws]
-        for k in range(1, n):
+        def read(loop):
             keys.clear()
-            chart_cone_certificate(
-                fam, k, root_certs[n], identities[n], divisions[n], factors, tally=tally
+            loop()
+            return list(keys)
+
+        monkeypatch.setattr(disktrace, "_rung_key", spy)
+        # the entry probe builds its images from lam alone, and so reads
+        # keys of its own: each chart's entry scale is found beforehand
+        monkeypatch.setattr(disktrace, "_entry_scale", lambda fam, k, *args: entries[k])
+        tally, images = Counter(), Counter()
+        witness = read(lambda: cone_window_witness(fam, factors, samples=1024, tally=tally))
+        ladders = {
+            k: read(
+                lambda: chart_cone_certificate(
+                    fam, k, root_certs[n], identities[n], divisions[n], factors, tally=Counter()
+                )
             )
-            entry = _entry_scale(fam, k, Counter(), factors)
-            points = islice(_ladder_points(fam, k, entry, 256, 0), len(keys))
-            assert len(keys) >= 256
-            assert keys == [_rung_key(factors, a, b, den * den) for a, b, den in points]
-        keys.clear()
-        images = Counter()
-        image_in_chart_window(
-            fam, corollary_reports[n], identities[n], factors, images=images
+            for k in range(1, n)
+        }
+        window = read(
+            lambda: image_in_chart_window(
+                fam, corollary_reports[n], identities[n], factors, images=images
+            )
         )
-        assert len(keys) == images["points"] == 64
-        draws = _window_draws(n, len(keys), 0)
-        assert keys == [_shifted(_rung_key(factors, *lam[:2], lam[2] ** 2), 30) for lam in draws]
+        monkeypatch.undo()
+
+        def expected(points):
+            out = []
+            for a, b, den in points:
+                key = _rung_key(a * a + b * b, den * den)
+                assert _Image(fam, a, b, den, factors).exps[0] == key
+                out.append(key)
+            return out
+
+        assert len(witness) == tally["points"] >= 1024
+        assert witness == expected(_witness_draws(n, len(witness), 0))
+        for k, got in ladders.items():
+            assert len(got) >= 256
+            assert got == expected(islice(_ladder_points(fam, k, entries[k], 256, 0), len(got)))
+        assert len(window) == images["points"] == 64
+        assert window == expected(_window_draws(n, len(window), 0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rung", [True, False])
+    def test_handed_key_builds_the_same_image(
+        self, built_families, identities, root_certs, n, rung
+    ):
+        # an image handed the squared denominator and the key, as a loop
+        # builds it, has the exponents, the failing indices and the counts
+        # of one built from lam alone, on the witness's and the ladders'
+        # points, with the map's rung and without it
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n] if rung else None)
+        assert (factors.rung is not None) is rung
+        points = list(_witness_draws(n, 256, 0))
+        for k in range(1, n):
+            entry = _entry_scale(fam, k, Counter(), factors)
+            points += islice(_ladder_points(fam, k, entry, 64, 0), 64)
+        sequences = []
+        for k in range(n):
+            region, chart, cone, *single = _chart_tests(fam, factors, k)
+            sequences += [region, chart, cone, *((test,) for test in single)]
+        refined = 0
+        for a, b, den in points:
+            den2 = den * den
+            handed = _Image(fam, a, b, den, factors, den2, _rung_key(a * a + b * b, den2))
+            alone = _Image(fam, a, b, den, factors)
+            assert handed.exps == alone.exps
+            for tests in sequences:
+                assert handed.first_failing(tests) == alone.first_failing(tests)
+            counts = [Counter(), Counter()]
+            _book_image(counts[0], handed)
+            _book_image(counts[1], alone)
+            assert counts[0] == counts[1]
+            refined += handed.refined
+        # without the rung every image refines, with it a few do
+        assert (refined == len(points)) is not rung
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_certificates_and_counts_without_reuse(
@@ -1745,13 +1796,16 @@ class TestRungMemo:
     ):
         # the witness, every chart-cone ladder and the chart window with the
         # memo, with keys that never match (the images keep their first
-        # rung), with no key at all, without the images' first rung (every
-        # point refines) and without a proved chain (no rung, so no key)
+        # rung), with no key at all (every point refines), on a map without
+        # its rung (every point refines, so no outcome is stored) and
+        # without a proved chain (no rung either)
         fam = built_families[n]
 
-        def run():
+        def run(rung=True):
             witness, ladder, window = Counter(), Counter(), Counter()
             factors = _image_factors(fam, identities[n], root_certs[n])
+            if not rung:
+                factors = factors._replace(rung=None)
             certs = [
                 cone_window_witness(fam, factors, samples=1024, tally=witness).to_json(),
                 image_in_chart_window(
@@ -1767,28 +1821,26 @@ class TestRungMemo:
             return certs, (witness, ladder, window)
 
         certs, tallies = run()
-        real = disktrace._draw_key
+        real = disktrace._rung_key
 
         def unequal(*args):
             key = real(*args)
             return None if key is None else _Unequal(key)
 
-        monkeypatch.setattr(disktrace, "_draw_key", unequal)
+        monkeypatch.setattr(disktrace, "_rung_key", unequal)
         fresh, fresh_tallies = run()
         assert fresh == certs
         for got, ref in zip(tallies, fresh_tallies, strict=True):
             assert ref["reused"] == 0 < got["reused"]
             assert {**got, "reused": 0} == ref
-        monkeypatch.setattr(disktrace, "_draw_key", lambda *args: None)
-        keyless, keyless_tallies = run()
-        assert keyless == certs and keyless_tallies == fresh_tallies
-        monkeypatch.setattr(disktrace, "_draw_key", real)
         monkeypatch.setattr(disktrace, "_rung_key", lambda *args: None)
-        plain, plain_tallies = run()
-        assert plain == certs
-        for tally in plain_tallies:
+        keyless, keyless_tallies = run()
+        assert keyless == certs
+        for tally in keyless_tallies:
             assert tally["reused"] == 0 and tally["refined"] == tally["points"]
         monkeypatch.undo()
+        plain, plain_tallies = run(rung=False)
+        assert plain == certs and plain_tallies == keyless_tallies
         monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
         horner, horner_tallies = run()
         assert horner == certs
@@ -2072,9 +2124,7 @@ class TestBoundaryLoops:
             corollary=corollary,
             identities=ids,
             divisions=[lemma_div_check(fam, 1)],
-            window_samples=16,
-            cone_samples=16,
-            witness_samples=64,
+            samples=64,
         )
         loops = {
             "target": target_spot_checks(fam),
@@ -2459,9 +2509,7 @@ class TestEscapeWitness:
             corollary=corollary_reports[2],
             identities=identities[2],
             divisions=divisions[2],
-            window_samples=16,
-            cone_samples=16,
-            witness_samples=64,
+            samples=64,
         )
         condition = rep.condition_iv
         assert condition.status is Status.REFUTED
@@ -2606,10 +2654,7 @@ class TestPipeline:
             corollary=corollary_reports[2],
             identities=identities[2],
             divisions=divisions[2],
-            window_samples=16,
-            cone_samples=16,
-            witness_samples=64,
-            spot_checks=8,
+            samples=64,
         )
         a = trace_family(built_families[2], **kwargs)
         b = trace_family(built_families[2], **kwargs)
@@ -2632,10 +2677,7 @@ class TestTamper:
             corollary=corollary,
             identities=exact_identity_checks(fam),
             divisions=[lemma_div_check(fam, 1)],
-            window_samples=16,
-            cone_samples=16,
-            witness_samples=64,
-            spot_checks=8,
+            samples=64,
         )
         assert rep.status is Status.REFUTED
         assert any(c.status is Status.REFUTED for c in rep.conditions)
