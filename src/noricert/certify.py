@@ -25,19 +25,17 @@ Circle points come from the rational half-circle chart
 
 and its negation, so every point has exactly rational coordinates.
 
-Polynomial identities between products of the family's factors are proved
-in one of two ways.  Each factor's defining recursion, and three premises
+A polynomial identity between products of the family's factors is proved
+in one of three ways.  Each factor's defining recursion, and three premises
 per family -- f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and the
-recursion of P_1 -- are proved by exact evaluation instead of expansion.
-Both sides have degree at most D, read from the degrees of the actual
-``Poly`` objects, and a nonzero polynomial of degree at most D has at most
-D roots, so agreement at D + 1 distinct integers proves the identity; the
-factors are evaluated by ``eval_scaled`` and their values multiplied.  Given
-the premises, the exact identities and each chart's cone factorization are
-exponent bookkeeping: both sides are sums of monomials c z^m prod P_j^(e_j),
-and after P_1 is eliminated by its recursion their normal forms agree
-(``ProductForms``).  Where a premise fails or two normal forms differ, the
-identity falls back to exact evaluation, so bookkeeping never refutes.  The
+recursion of P_1 -- are proved by comparing expansions: both sides are
+multiplied out as exact ``Poly`` objects and compared coefficient by
+coefficient.  Given the premises, the exact identities and each chart's
+cone factorization are exponent bookkeeping: both sides are sums of
+monomials c z^m prod P_j^(e_j), and after P_1 is eliminated by its
+recursion their normal forms agree (``ProductForms``).  Where a premise
+fails or two normal forms differ, the identity falls back to comparing the
+expansions of its own sides, so bookkeeping never refutes.  The
 divisibility of each cone combination by its factor follows from the same
 proved recursions (``lemma_div_check``): modulo P_k every shallower factor
 is its constant, so nothing is expanded.  A cone combination is expanded,
@@ -63,7 +61,6 @@ from .arith import (
     ComplexRational,
     Poly,
     decimal_approx,
-    eval_scaled,
     format_rational,
 )
 from .bounds import Values, constant_factor, exact_atoms
@@ -301,13 +298,6 @@ def side_factors(side: tuple, radius: Fraction) -> list:
     return [const] + [j - 1 for j, e in powers for _ in range(e)]
 
 
-def _side_term(fam: Family, side: tuple, sign: int = 1) -> tuple:
-    """``sign`` times a side, as a term of ``_proved_equal``."""
-    c, m, factors = side
-    monomial = ((Poly.x(), m),) if m else ()
-    return sign * c, monomial + tuple((fam.Pk(j), e) for j, e in factors)
-
-
 @dataclass(frozen=True)
 class RootProductBound:
     """Outcome of certifying |dominated| < |dominant| on the circle |z| = radius.
@@ -490,7 +480,7 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
     open disk |z| < 2^-k.  The last factor is linear with an explicitly known
     root; each earlier factor is its constant term minus the product of the
     already-localized deeper factors times a monomial (a recursion proved by
-    exact evaluation), so a root-product dominance on its circle transfers
+    comparing expansions), so a root-product dominance on its circle transfers
     the full root count.  Each certificate records ``fam`` and whether that
     recursion was proved, so ``exact_identity_checks`` does not prove the
     recursion of P_1 again.
@@ -537,10 +527,7 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
         dom = root_product_dominance(fam, big, small, radius, certs)
         if dom.status is Status.PROVED:
             inside = (n - k) + sum((j - k) * d[j - 1] for j in range(k + 1, n))
-            recursion_ok = _proved_equal(
-                [(1, ((fam.Pk(k), 1),))],
-                [_side_term(fam, small), _side_term(fam, big, -1)],
-            )
+            recursion_ok = fam.Pk(k) == _side_poly(fam, small) - _side_poly(fam, big)
             if recursion_ok and degree == inside == d[k - 1]:
                 certs[k] = localized(
                     k, radius, degree, inside, Status.PROVED, "perturbation",
@@ -817,73 +804,6 @@ def corollary_ineq_certificate(fam: Family, annulus: AnnulusReport) -> Corollary
 
 
 # ---------------------------------------------------------------------------
-# Identities proved by exact evaluation
-# ---------------------------------------------------------------------------
-
-# A side of an identity is a list of terms; the term ``(c, ((p, e), ...))``
-# stands for c * p^e * ....  Products of known factors are never expanded
-# to be compared: the factors are evaluated and their values multiplied.
-
-
-def _degree_bound(terms) -> int:
-    """A bound on the degree of a sum of terms, from the factors' own degrees."""
-    return max(
-        (sum(e * max(p.degree, 0) for p, e in factors) for _, factors in terms),
-        default=0,
-    )
-
-
-def _identity_points(degree: int) -> range:
-    """The degree + 1 distinct integers -floor(D/2) .. D - floor(D/2), D = degree."""
-    return range(-(degree // 2), degree - degree // 2 + 1)
-
-
-def _proved_equal(lhs: list, rhs: list) -> bool:
-    """Whether the two sides are the same polynomial, proved by evaluation.
-
-    Both sides have degree at most D, the ``_degree_bound`` of their terms,
-    read from the degrees of the actual ``Poly`` objects (never from the
-    family's tables, so no term can hide above it).  Their difference is a
-    polynomial of degree at most D, and a nonzero one has at most D roots:
-    the sides are equal exactly when they agree at the D + 1 distinct
-    integers of ``_identity_points(D)``.  This is a complete proof, not a
-    sample.
-
-    Every factor is evaluated there by ``eval_scaled`` on its stored integer
-    numerators.  At an integer point a factor's value has its stored
-    denominator whatever the point, so the denominators
-    are hoisted once into one integer weight per term (reduced by their
-    common divisor), and each point is compared exactly in integers.
-    """
-    terms = [*lhs, *rhs]
-    dens = [
-        Fraction(c).denominator * math.prod(p.scaled()[1] ** e for p, e in factors)
-        for c, factors in terms
-    ]
-    common = math.lcm(*dens)
-    weights = [
-        Fraction(c).numerator * (common // den) for (c, _), den in zip(terms, dens)
-    ]
-    divisor = math.gcd(*weights) or 1
-    weighted = [(w // divisor, factors) for w, (_, factors) in zip(weights, terms)]
-    lhs_w, rhs_w = weighted[: len(lhs)], weighted[len(lhs):]
-    polys = {id(p): p for _, factors in terms for p, _ in factors}
-
-    def side(part: list, at: dict) -> int:
-        return sum(
-            w * math.prod(at[id(p)] ** e for p, e in factors)
-            for w, factors in part
-            if w
-        )
-
-    for x in _identity_points(_degree_bound(terms)):
-        at = {key: eval_scaled(p, x, 0, 1)[0] for key, p in polys.items()}
-        if side(lhs_w, at) != side(rhs_w, at):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Identities by exponent bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -931,7 +851,7 @@ def _normal_form(sides: list, recursion: tuple) -> dict:
 
 @dataclass(frozen=True)
 class ProductForms:
-    """The product forms proved for ``family``, each by ``_proved_equal``.
+    """The product forms proved for ``family`` (``_proved_forms``).
 
     ``f1`` is the side eps z^n prod P_j^j and ``f2`` the side eps^2 z prod
     P_j, each equal to the family's polynomial, and ``recursion`` is
@@ -956,26 +876,27 @@ def _proved_forms(
 ) -> Optional[ProductForms]:
     """``fam``'s product forms, or None unless all three are proved.
 
-    Each premise is one ``_proved_equal``: f1 and f2 against their product
-    forms, and P_1 against the difference of ``_localization_sides(fam, 1)``
-    (at n = 2, the linear form eps^(c_1) - z).  The last is taken from
-    ``root_certs[1]`` where ``family_root_certificates(fam)`` proved it
-    already.
+    Each premise compares a polynomial of the family with an expansion: f1
+    and f2 with their product forms, and P_1 with the difference of
+    ``_localization_sides(fam, 1)`` (at n = 2, the linear form eps^(c_1) -
+    z).  The last is taken from ``root_certs[1]`` where
+    ``family_root_certificates(fam)`` proved it already.  The premises are
+    checked in that order, and each is expanded only when it is checked.
     """
     n, eps = fam.n, fam.params.eps
     f1 = (eps, n, tuple((j, j) for j in range(1, n)))
     f2 = (eps**2, 1, tuple((j, 1) for j in range(1, n)))
     dominant, rest = recursion = _localization_sides(fam, 1)
-    premises = [
-        (fam.f1, [_side_term(fam, f1)]),
-        (fam.f2, [_side_term(fam, f2)]),
-    ]
     cert = (root_certs or {}).get(1)
-    if cert is None or cert.family is not fam or not cert.recursion:
-        premises.append(
-            (fam.Pk(1), [_side_term(fam, rest), _side_term(fam, dominant, -1)])
+    proved_by_roots = cert is not None and cert.family is fam and cert.recursion
+    if (
+        fam.f1 == _side_poly(fam, f1)
+        and fam.f2 == _side_poly(fam, f2)
+        and (
+            proved_by_roots
+            or fam.Pk(1) == _side_poly(fam, rest) - _side_poly(fam, dominant)
         )
-    if all(_proved_equal([(1, ((poly, 1),))], rhs) for poly, rhs in premises):
+    ):
         return ProductForms(fam, f1, f2, recursion)
     return None
 
@@ -1169,9 +1090,8 @@ def _cone_combination(fam: Family, k: int) -> tuple[Poly, Poly, Poly]:
     """C and its two sides (unit part, dominant part) for chart k <= n-2.
 
     C is the cone combination of f2^(k+1) - f1 = G * C, where G = eps *
-    z^(k+1) * prod_j P_j^min(j, k+1); ``_cone_identity`` proves that identity
-    from the values of G's factors, so G itself is never expanded.  The
-    sides are the expansions of ``cone_sides(fam, k)``.
+    z^(k+1) * prod_j P_j^min(j, k+1) (``_cone_identity`` proves that
+    identity).  The sides are the expansions of ``cone_sides(fam, k)``.
     """
     dominant, unit_part = (_side_poly(fam, side) for side in cone_sides(fam, k))
     return unit_part - dominant, unit_part, dominant
@@ -1189,8 +1109,8 @@ def _cone_identity(
     unit part minus dominant.  With ``forms`` the identity is read from the
     normal forms of the product forms of f1 and f2 against G times each
     symbolic side (both reduce to the same exponent vectors), and C is not
-    asked for; without them, or where the normal forms differ, it is proved
-    by exact evaluation with C.
+    asked for; without them, or where the normal forms differ, both sides
+    are expanded, G from its side and C by ``combination()``, and compared.
     """
     g = (fam.params.eps, k + 1, tuple((j, min(j, k + 1)) for j in range(1, fam.n)))
     if forms is not None:
@@ -1199,11 +1119,7 @@ def _cone_identity(
         rhs = [_side_product(g, unit_part), _negated(_side_product(g, dominant))]
         if forms.equal(lhs, rhs):
             return True
-    c, factors = _side_term(fam, g)
-    return _proved_equal(
-        [(1, ((fam.f2, k + 1),)), (-1, ((fam.f1, 1),))],
-        [(c, factors + ((combination(), 1),))],
-    )
+    return fam.f2 ** (k + 1) - fam.f1 == _side_poly(fam, g) * combination()
 
 
 def cone_factor_certificate(
@@ -1221,12 +1137,12 @@ def cone_factor_certificate(
     (``lemma_div_check(fam, k+1)``).  When ``identities`` is the report of
     ``exact_identity_checks(fam)`` and proved the product forms of f1 and
     f2 (``ProductForms``), the identity is an equality of exponent vectors
-    over those symbolic sides, and nothing is expanded or evaluated;
-    otherwise, or where the exponents do not match, the witness's
-    ``combination`` is expanded (once, by the witness) and the identity
-    proved by exact evaluation at D + 1 integers (``_cone_identity``).  The
-    divisibility of C by factor k+1 and the cofactor's degree are read from
-    the witness rather than redone.
+    over those symbolic sides, and nothing is expanded; otherwise, or where
+    the exponents do not match, the witness's ``combination`` is expanded
+    (once, by the witness) and the identity proved by comparing the
+    expansions of its sides (``_cone_identity``).  The divisibility of C by
+    factor k+1 and the cofactor's degree are read from the witness rather
+    than redone.
     The nonvanishing of the cofactor is established by counting: the
     root-product dominance on |z| = 2 (``root_product_dominance``) localizes
     all roots of C among the already-localized deeper factors and the
@@ -1298,37 +1214,37 @@ def cone_factor_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _identity_sides(fam: Family) -> dict[str, tuple[list, list]]:
-    """The two sides of each exact identity, as terms for ``_proved_equal``.
+def _identity_cofactors(fam: Family) -> tuple[tuple, tuple, tuple]:
+    """The sides (unit, difference, square) of the three exact identities:
+    f2^n = f1 * unit, f2 - f1 = difference and f1^2 = (f2 - f1) * square."""
+    n, eps = fam.n, fam.params.eps
+    unit = cone_sides(fam, n - 1)[1]
+    difference = (eps, 1, ((1, 2), *((j, 1) for j in range(2, n))))
+    square = (eps, 2 * n - 1, tuple((j, 2 * j - 1) for j in range(2, n)))
+    return unit, difference, square
+
+
+def _identity_sides(fam: Family) -> dict[str, Callable[[], tuple[Poly, Poly]]]:
+    """The two expanded sides of each exact identity, one callable each.
 
     They read f1 and f2 as the family's polynomials, not as product forms:
-    the evaluation that decides an identity bookkeeping leaves open.
+    the comparison that decides an identity bookkeeping leaves open.  A side
+    is expanded only when its callable is called.
     """
-    n, eps = fam.n, fam.params.eps
-    f1, f2, z = fam.f1, fam.f2, Poly.x()
-    unit, unit_factors = _side_term(fam, cone_sides(fam, n - 1)[1])
-    deeper = tuple((fam.Pk(j), 1) for j in range(2, n))
-    square = ((z, 2 * n - 1),) + tuple((fam.Pk(j), 2 * j - 1) for j in range(2, n))
+    n, f1, f2 = fam.n, fam.f1, fam.f2
+    unit, difference, square = _identity_cofactors(fam)
     return {
-        "power-ratio": ([(1, ((f2, n),))], [(unit, ((f1, 1),) + unit_factors)]),
-        "difference-factorization": (
-            [(1, ((f2, 1),)), (-1, ((f1, 1),))],
-            [(eps, ((z, 1), (fam.Pk(1), 2)) + deeper)],
-        ),
-        "square-ratio": (
-            [(1, ((f1, 2),))],
-            [(eps, ((f2, 1),) + square), (-eps, ((f1, 1),) + square)],
-        ),
+        "power-ratio": lambda: (f2**n, f1 * _side_poly(fam, unit)),
+        "difference-factorization": lambda: (f2 - f1, _side_poly(fam, difference)),
+        "square-ratio": lambda: (f1 * f1, (f2 - f1) * _side_poly(fam, square)),
     }
 
 
 def _identity_products(forms: ProductForms) -> dict[str, tuple[list, list]]:
     """The sides of ``_identity_sides`` in product form, f1 and f2 by ``forms``."""
     fam = forms.family
-    n, eps, f1, f2 = fam.n, fam.params.eps, forms.f1, forms.f2
-    unit = cone_sides(fam, n - 1)[1]
-    difference = (eps, 1, ((1, 2), *((j, 1) for j in range(2, n))))
-    square = (eps, 2 * n - 1, tuple((j, 2 * j - 1) for j in range(2, n)))
+    n, f1, f2 = fam.n, forms.f1, forms.f2
+    unit, difference, square = _identity_cofactors(fam)
     return {
         "power-ratio": ([_side_product(*[f2] * n)], [_side_product(f1, unit)]),
         "difference-factorization": ([f2, _negated(f1)], [difference]),
@@ -1368,25 +1284,27 @@ def exact_identity_checks(
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
       product form.
 
-    Three premises are proved by exact evaluation at D + 1 integers (see
-    ``_proved_equal``): f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and
-    the recursion P_1 = eps^(c_1) - z^(n-1) prod_{j>=2} P_j^(j-1)
-    (``_proved_forms``; the recursion is read from ``root_certs``, the
-    ``family_root_certificates(fam)``, where they proved it).  Given them,
-    power-ratio is an equality of exponent vectors, and
-    difference-factorization and square-ratio follow once P_1 is rewritten
-    by its recursion (``ProductForms.equal``).  Where a premise
-    fails, or two normal forms differ, the identity is proved or refuted by
-    exact evaluation of its own sides (``_identity_sides``), so a tampered
-    family is still decided exactly.  Nothing is expanded.
+    Three premises are proved by comparing expansions: f1 = eps z^n prod
+    P_j^j, f2 = eps^2 z prod P_j and the recursion P_1 = eps^(c_1) -
+    z^(n-1) prod_{j>=2} P_j^(j-1) (``_proved_forms``; the recursion is read
+    from ``root_certs``, the ``family_root_certificates(fam)``, where they
+    proved it).  Given them, power-ratio is an equality of exponent
+    vectors, and difference-factorization and square-ratio follow once P_1
+    is rewritten by its recursion (``ProductForms.equal``), with no
+    identity side expanded.  Where a premise fails, or two normal forms
+    differ, the identity is proved or refuted by comparing the expansions
+    of its own sides (``_identity_sides``), so a tampered family is still
+    decided exactly.
     """
     forms = _proved_forms(fam, root_certs)
     derived = _identity_products(forms) if forms is not None else {}
-    holds = {
-        name: (name in derived and forms.equal(*derived[name]))
-        or _proved_equal(lhs, rhs)
-        for name, (lhs, rhs) in _identity_sides(fam).items()
-    }
+    holds = {}
+    for name, sides in _identity_sides(fam).items():
+        if name in derived and forms.equal(*derived[name]):
+            holds[name] = True
+        else:
+            lhs, rhs = sides()
+            holds[name] = lhs == rhs
     return IdentityReport(
         checks=(
             CheckResult("power-ratio", holds["power-ratio"],

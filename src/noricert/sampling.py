@@ -4,14 +4,14 @@ Every layer of this package that samples points does so through a
 ``RationalSampler``: a ``random.Random`` whose stream is a pure function of
 a textual seed recipe, so a reported verdict (including any counterexample)
 can be reproduced exactly on any platform.  Callers draw integers with
-``randints`` (or ``randint``), ``getrandbits`` and ``randrange``;
-``randints`` is CPython's own ``randint`` rejection from ``getrandbits``,
-the same stream without the ``randrange`` layers.  The sampler adds
-dyadic-grid points of a disk: ``disk_grid`` yields their integer grid
-coordinates with the squared modulus the rejection already computed, and
-``dyadic_in_disk`` returns one as an integer triple ``(num_re, num_im,
-den)`` with value ``(num_re + i num_im)/den``, ready for ``eval_scaled``.
-No draw builds a rational number.
+``randints``, ``getrandbits`` and ``randrange``; ``randints`` is CPython's
+own ``randint`` rejection from ``getrandbits``, the same stream without the
+``randrange`` layers, and the inherited ``randint`` draws one value of it.
+The sampler adds dyadic-grid points of a disk: ``disk_grid`` yields their
+integer grid coordinates with the squared modulus the rejection already
+computed, and ``dyadic_in_disk`` returns one as an integer triple
+``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``, ready for
+``eval_scaled``.  No draw builds a rational number.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class RationalSampler(random.Random):
     The positional arguments form the seed recipe; two samplers constructed
     with equal recipes produce identical streams.  A sampled loop draws
     from the endless generators ``disk_grid`` and ``randints``; the single
-    draws ``dyadic_in_disk`` and ``randint`` take one value of each.
+    draws ``dyadic_in_disk`` and the inherited ``randint`` take the value
+    that each would give next.
     """
 
     def __new__(cls, *seed_parts):
@@ -71,10 +72,6 @@ class RationalSampler(random.Random):
             while r >= n:
                 r = draw(k)
             yield a + r
-
-    def randint(self, a: int, b: int) -> int:
-        """``random.Random.randint(a, b)``: one value of ``randints``."""
-        return next(self.randints(a, b))
 
     def disk_grid(self):
         """Endless grid points ``(x, y, x^2 + y^2)`` of the open disk

@@ -250,21 +250,30 @@ class TestStages:
         }
 
     def test_recursion_of_p1_proved_once_per_family(self, monkeypatch):
-        # _proved_equal runs the premises f1 and f2 of each family and, at
-        # n = 3, the recursion of P_1 once, in the root localization; at
-        # n = 2 that recursion is the linear form the localization compares
-        evaluated = []
-        original = certify._proved_equal
+        # _side_poly expands the product forms of f1 and f2 of each family
+        # and, at n = 3, the two sides of P_1's recursion once, in the root
+        # localization; at n = 2 that recursion is the linear form the
+        # localization compares
+        expanded = []
+        original = certify._side_poly
 
-        def counted(lhs, rhs):
-            evaluated.append(lhs[0][1][0][0])
-            return original(lhs, rhs)
+        def counted(fam, side):
+            expanded.append((fam.n, side))
+            return original(fam, side)
 
-        monkeypatch.setattr(certify, "_proved_equal", counted)
+        monkeypatch.setattr(certify, "_side_poly", counted)
         _, code = run_verify(RunConfig(n_list=(2, 3), samples=64))
         assert code == EXIT_OK
-        fam2, fam3 = default_family(2), default_family(3)
-        assert evaluated == [fam2.f1, fam2.f2, fam3.Pk(1), fam3.f1, fam3.f2]
+
+        def forms(n):
+            eps = default_family(n).params.eps
+            return [
+                (n, (eps, n, tuple((j, j) for j in range(1, n)))),
+                (n, (eps**2, 1, tuple((j, 1) for j in range(1, n)))),
+            ]
+
+        dominant, constant = certify._localization_sides(default_family(3), 1)
+        assert expanded == forms(2) + [(3, constant), (3, dominant)] + forms(3)
 
 
 class TestReportShape:

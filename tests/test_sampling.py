@@ -103,14 +103,15 @@ class TestDraws:
 
 
 class TestRandint:
-    """``RationalSampler.randint`` is the inherited draw, without ``randrange``."""
+    """``RationalSampler.randint`` is the inherited draw, one value of
+    ``randints``."""
 
     # every range the package draws from, and a = b, which still draws
     @pytest.mark.parametrize(
         "a, b", [(0, 2**16), (-(2**8), 2**8), (0, 12), (0, 5), (0, 1), (7, 7)]
     )
     def test_equals_random_randint(self, a, b):
-        assert RationalSampler.randint is not random.Random.randint
+        assert RationalSampler.randint is random.Random.randint
         for seed in range(3):
             ours = RationalSampler("randint", a, b, seed)
             ref = random.Random(seed_for("randint", a, b, seed))
