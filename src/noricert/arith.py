@@ -21,20 +21,18 @@ Representation notes:
   (reduced, built on first read and cached; ``__call__``, ``balls`` and
   ``hash`` read them), ``coeff`` and ``leading`` (the cached value, or the
   one coefficient alone) and ``to_json`` (the cached values, or each one
-  reduced, formatted and dropped: over 10^K without a ``Fraction``).  A
-  ``Poly`` built from coefficients keeps its input, which is already
-  reduced, as that cache.  Coefficients are ints or Fractions; anything
+  reduced, formatted and dropped).  A ``Poly`` built from coefficients
+  keeps its input, which is already reduced, as that cache.  Coefficients are ints or Fractions; anything
   else, a float above all, is a ``TypeError``.
 
 Serialized forms: a rational is the string ``"num/den"``, reduced; a
 polynomial is a list of coefficient strings (index = degree); a complex
-scalar is a mapping ``{"re": "num/den", "im": "num/den"}``.  Where a
-polynomial's common denominator is 10^K, as the family's are at a
-power-of-ten eps, ``Poly.to_json`` reduces each coefficient without a gcd
-and writes its reduced denominator 2^x 5^y from the two exponents
-(``_over_power_of_ten``), so 10^K is never converted to decimal; the bytes
-are those of the ``Fraction`` path.  Integers of more than ``_DC_BITS``
-bits are converted by divide and conquer (``_dc_int_str``).
+scalar is a mapping ``{"re": "num/den", "im": "num/den"}``.
+``Poly.to_json`` reduces each coefficient as a ``Fraction``; the family's
+hash does not read it for a built family, whose coefficients
+``family.Family.to_json`` writes from their form in Z[lam, eps].  Integers
+of more than ``_DC_BITS`` bits are converted by divide and conquer
+(``_dc_int_str``).
 
 The certificates evaluate polynomials with ``eval_scaled``, an exact
 integer-scaled Horner: it returns an unreduced numerator/denominator triple
@@ -64,7 +62,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -80,14 +78,14 @@ def parse_rational(text: str) -> Fraction:
     if "/" in s:
         num_s, den_s = s.split("/", 1)
         try:
-            num, den = int(num_s), int(den_s)
+            num, den = _parse_int(num_s), _parse_int(den_s)
         except ValueError as exc:
             raise ValueError(f"invalid rational literal: {text!r}") from exc
         if den == 0:
             raise ValueError(f"zero denominator in rational literal: {text!r}")
         return Fraction(num, den)
     try:
-        return Fraction(int(s))
+        return Fraction(_parse_int(s))
     except ValueError as exc:
         raise ValueError(f"invalid rational literal: {text!r}") from exc
 
@@ -95,70 +93,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: RationalLike) -> str:
     q = Fraction(q)
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
-
-
-def _power_of_ten(den: int) -> Optional[int]:
-    """K where ``den`` (positive) is 10^K exactly, None otherwise."""
-    k = (den & -den).bit_length() - 1
-    return k if den == 5**k << k else None
-
-
-def _strip_fives(m: int, cap: int, guess: int) -> tuple[int, int]:
-    """``(m / 5^b, b)`` with b = min(v_5(m), cap) for a positive integer m.
-
-    ``guess`` (at most ``cap``) is tried first, with one division: a
-    coefficient over 10^K is an integer times a power of ten, so its 2-adic
-    valuation is the usual guess.  Where 5^guess does not divide m, v_5(m)
-    is that of the remainder, a smaller integer, and m is divided once.
-    """
-    if 0 < guess <= cap:
-        q, r = divmod(m, 5**guess)
-        if r:
-            b = _gallop_fives(r, guess)[1]
-            return m // 5**b, b
-        m, b = _gallop_fives(q, cap - guess)
-        return m, b + guess
-    return _gallop_fives(m, cap)
-
-
-def _gallop_fives(m: int, cap: int) -> tuple[int, int]:
-    """``(m / 5^b, b)`` with b = min(v_5(m), cap), by galloping over
-    5^(2^i) and descending: each division is by a power of 5 at most as
-    large as the part of the valuation it strips."""
-    b = 0
-    powers = []
-    p, step = 5, 1
-    while step <= cap - b:
-        q, r = divmod(m, p)
-        if r:
-            break
-        m, b = q, b + step
-        powers.append((p, step))
-        p, step = p * p, 2 * step
-    for p, step in reversed(powers):
-        if step <= cap - b:
-            q, r = divmod(m, p)
-            if not r:
-                m, b = q, b + step
-    return m, b
-
-
-def _over_power_of_ten(c: int, k: int) -> str:
-    """``format_rational(Fraction(c, 10**k))``, reduced without a gcd.
-
-    The reduced value is m / (2^x 5^y): the 2-adic part of c is a shift and
-    its 5-adic part ``_strip_fives``, and the denominator's string is the
-    small power 2^|x-y| or 5^|x-y| followed by min(x, y) zeros, so 10^k is
-    never converted to decimal.
-    """
-    if not c:
-        return "0/1"
-    m = -c if c < 0 else c
-    a = min((m & -m).bit_length() - 1, k)
-    m, b = _strip_fives(m >> a, k, a)
-    x, y = k - a, k - b
-    den = _int_str(1 << (x - y)) + "0" * y if x >= y else _int_str(5 ** (y - x)) + "0" * x
-    return f"{'-' if c < 0 else ''}{_int_str(m)}/{den}"
 
 
 # Above this many bits ``_int_str`` converts by divide and conquer in
@@ -184,6 +118,24 @@ def _int_str(n: int) -> str:
     half = _digits10(n) // 2
     hi, lo = divmod(n, 10**half)
     return _int_str(hi) + _int_str(lo).zfill(half)
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` at any length, equal to it where it has no guard.
+
+    Stays below the interpreter's str-to-int conversion guard: a literal
+    of more than 4,000 characters must be a sign and decimal digits, and
+    is split in halves, each read alone.
+    """
+    if len(text) <= 4000:
+        return int(text)
+    sign = text[0] if text[0] in "+-" else ""
+    digits = text[len(sign):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer literal: {text[:20]!r}...")
+    half = len(digits) // 2
+    value = _parse_int(digits[:-half]) * 10**half + _parse_int(digits[-half:])
+    return -value if sign == "-" else value
 
 
 def _dc_int_str(n: int) -> str:
@@ -673,15 +625,8 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
     def to_json(self) -> list:
-        # serialised once per polynomial (family hash): the reduced
-        # coefficients are read from the cache; over 10^K, the family's
-        # denominator at a power-of-ten eps, each is reduced and written by
-        # ``_over_power_of_ten``; otherwise each is built, formatted and
-        # not kept
-        if self._fractions is None:
-            k = _power_of_ten(self._den)
-            if k is not None:
-                return [_over_power_of_ten(c, k) for c in self._ints]
+        # the reduced coefficients are read from the cache, or each is
+        # built, formatted and not kept
         coeffs = self._fractions or (Fraction(c, self._den) for c in self._ints)
         return [format_rational(c) for c in coeffs]
 

@@ -30,12 +30,15 @@ in one of three ways.  Each factor's defining recursion, and three premises
 per family -- f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and the
 recursion of P_1 -- are proved by comparing expansions: both sides are
 multiplied out as exact ``Poly`` objects and compared coefficient by
-coefficient.  Given the premises, the exact identities and each chart's
-cone factorization are exponent bookkeeping: both sides are sums of
-monomials c z^m prod P_j^(e_j), and after P_1 is eliminated by its
-recursion their normal forms agree (``ProductForms``).  Where a premise
-fails or two normal forms differ, the identity falls back to comparing the
-expansions of its own sides, so bookkeeping never refutes.  The
+coefficient.  The first two need no proof on a family from
+``build_family``: its f1 and f2 are those products of its own factors by
+construction (``Family.form``), and are never expanded.  Given the
+premises, the exact identities and each chart's cone factorization are
+exponent bookkeeping: both sides are sums of monomials c z^m prod
+P_j^(e_j), and after P_1 is eliminated by its recursion their normal
+forms agree (``ProductForms``).  Where a premise fails or two normal
+forms differ, the identity falls back to comparing the expansions of its
+own sides, so bookkeeping never refutes.  The
 divisibility of each cone combination by its factor follows from the same
 proved recursions (``lemma_div_check``): modulo P_k every shallower factor
 is its constant, so nothing is expanded.  A cone combination is expanded,
@@ -65,6 +68,8 @@ from .arith import (
 )
 from .bounds import Values, constant_factor, exact_atoms
 from .family import CheckReport, CheckResult, Family
+# the expansion of a side; tests count the expansions through this name
+from .family import expand_side as _side_poly
 
 __all__ = [
     "Status",
@@ -227,7 +232,8 @@ def spot_loop(
 # ---------------------------------------------------------------------------
 
 # A side of a dominance is ``(c, m, ((j, e), ...))``, the product
-# c * z^m * prod_j P_j^e of a constant, a monomial and the family's factors.
+# c * z^m * prod_j P_j^e of a constant, a monomial and the family's factors
+# (``_side_poly`` expands it).
 
 
 def _localization_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
@@ -253,15 +259,6 @@ def cone_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
         tuple((j, k + 1 - j) for j in range(1, k + 1)),
     )
     return dominant, unit_part
-
-
-def _side_poly(fam: Family, side: tuple) -> Poly:
-    """The expansion of a side."""
-    c, m, factors = side
-    poly = Poly.monomial(m, c)
-    for j, e in factors:
-        poly = poly * fam.Pk(j) ** e
-    return poly
 
 
 def _side_degree(fam: Family, side: tuple) -> int:
@@ -876,22 +873,26 @@ def _proved_forms(
 ) -> Optional[ProductForms]:
     """``fam``'s product forms, or None unless all three are proved.
 
-    Each premise compares a polynomial of the family with an expansion: f1
-    and f2 with their product forms, and P_1 with the difference of
-    ``_localization_sides(fam, 1)`` (at n = 2, the linear form eps^(c_1) -
-    z).  The last is taken from ``root_certs[1]`` where
-    ``family_root_certificates(fam)`` proved it already.  The premises are
-    checked in that order, and each is expanded only when it is checked.
+    The premises are f1 and f2 equal to their product forms, and P_1 equal
+    to the difference of ``_localization_sides(fam, 1)`` (at n = 2, the
+    linear form eps^(c_1) - z).  A family that carries its ``form`` (one
+    from ``build_family``) holds the first two by construction: its f1 and
+    f2 are those products of its own P_j, expanded only when read.  Any
+    other family proves them by comparing f1 and f2 with their expanded
+    forms.  The recursion of P_1 is taken from ``root_certs[1]`` where
+    ``family_root_certificates(fam)`` proved it already, and is compared
+    with its expanded sides otherwise.  The premises are checked in that
+    order, and each is expanded only when it is checked.
     """
-    n, eps = fam.n, fam.params.eps
-    f1 = (eps, n, tuple((j, j) for j in range(1, n)))
-    f2 = (eps**2, 1, tuple((j, 1) for j in range(1, n)))
+    f1, f2 = fam.product_form("f1"), fam.product_form("f2")
     dominant, rest = recursion = _localization_sides(fam, 1)
     cert = (root_certs or {}).get(1)
     proved_by_roots = cert is not None and cert.family is fam and cert.recursion
     if (
-        fam.f1 == _side_poly(fam, f1)
-        and fam.f2 == _side_poly(fam, f2)
+        (
+            fam.form is not None
+            or (fam.f1 == _side_poly(fam, f1) and fam.f2 == _side_poly(fam, f2))
+        )
         and (
             proved_by_roots
             or fam.Pk(1) == _side_poly(fam, rest) - _side_poly(fam, dominant)
@@ -1231,12 +1232,12 @@ def _identity_sides(fam: Family) -> dict[str, Callable[[], tuple[Poly, Poly]]]:
     the comparison that decides an identity bookkeeping leaves open.  A side
     is expanded only when its callable is called.
     """
-    n, f1, f2 = fam.n, fam.f1, fam.f2
+    n = fam.n
     unit, difference, square = _identity_cofactors(fam)
     return {
-        "power-ratio": lambda: (f2**n, f1 * _side_poly(fam, unit)),
-        "difference-factorization": lambda: (f2 - f1, _side_poly(fam, difference)),
-        "square-ratio": lambda: (f1 * f1, (f2 - f1) * _side_poly(fam, square)),
+        "power-ratio": lambda: (fam.f2**n, fam.f1 * _side_poly(fam, unit)),
+        "difference-factorization": lambda: (fam.f2 - fam.f1, _side_poly(fam, difference)),
+        "square-ratio": lambda: (fam.f1 * fam.f1, (fam.f2 - fam.f1) * _side_poly(fam, square)),
     }
 
 
@@ -1286,9 +1287,10 @@ def exact_identity_checks(
 
     Three premises are proved by comparing expansions: f1 = eps z^n prod
     P_j^j, f2 = eps^2 z prod P_j and the recursion P_1 = eps^(c_1) -
-    z^(n-1) prod_{j>=2} P_j^(j-1) (``_proved_forms``; the recursion is read
-    from ``root_certs``, the ``family_root_certificates(fam)``, where they
-    proved it).  Given them, power-ratio is an equality of exponent
+    z^(n-1) prod_{j>=2} P_j^(j-1) (``_proved_forms``; the first two hold by
+    construction on a family that carries its form, and the recursion is
+    read from ``root_certs``, the ``family_root_certificates(fam)``, where
+    they proved it).  Given them, power-ratio is an equality of exponent
     vectors, and difference-factorization and square-ratio follow once P_1
     is rewritten by its recursion (``ProductForms.equal``), with no
     identity side expanded.  Where a premise fails, or two normal forms

@@ -298,7 +298,7 @@ def _image_factors(
     prod |P_j|^2)^n, which fixes |f2|; difference-factorization is
     f2 - f1 = eps lam P_1^2 prod_{j>=2} P_j.  ``exact_identity_checks``
     derives the three from the product forms of f1 and f2 and the
-    recursion of P_1, each proved by comparing expansions, and expands an
+    recursion of P_1 (``certify._proved_forms``), and expands an
     identity's own sides only where that bookkeeping does not close.
     Otherwise (or without ``identities``) the atoms are |f1|^2 and |f2|^2
     themselves.  Which polynomials get exact atoms is decided here, once,
@@ -1689,7 +1689,7 @@ def vanishing_orders(fam: Family) -> tuple[int, int]:
     order n, the second to order 1, and their difference counts the chart
     transitions the image performs approaching the center.
     """
-    return fam.f1.trailing_order, fam.f2.trailing_order
+    return fam.trailing_order("f1"), fam.trailing_order("f2")
 
 
 def _unit_circle_witness(cert: Certificate) -> Optional[dict]:

@@ -23,19 +23,41 @@ The building blocks are
 ``(f1, f2)`` is the coordinate pair of the disk map; everything the
 certification pipeline verifies is an exact statement about these
 polynomials.
+
+``build_family`` builds the ``P_k`` as ``Poly``s and, next to them, the
+whole family in ``Z[lam, eps]`` (``FamilyForm``): each polynomial as a
+dict ``{(i, m): a}`` of terms ``a lam^i eps^m`` with small integer ``a``,
+formed by ring products before ``eps`` is given its value.  A built
+family reads from that form what the certificates need of ``f1`` and
+``f2``:
+
+* ``f1`` and ``f2`` are the products of its own ``P_k``, so they are
+  expanded into ``Poly``s only when first read, and the certificates that
+  take them as product forms read nothing;
+* their degrees and vanishing orders (``Family.degree``,
+  ``Family.trailing_order``);
+* the serialization of ``family_hash``: at ``eps = 10^-L`` each reduced
+  coefficient is written in ``decimal`` from the terms, with no binary
+  integer of the coefficient's size converted; at any other ``eps`` it is
+  reduced as a ``Fraction``.
+
+A family without the form (``Family.from_json``, ``dataclasses.replace``,
+one built directly) holds ``f1`` and ``f2`` as given and reads all of this
+from them.
 """
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import json
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from .arith import Poly, _digits10, format_rational, parse_rational, poly_gcd
+from .arith import Poly, _digits10, _int_str, format_rational, parse_rational, poly_gcd
 from .bounds import constant_factor
 
 
@@ -169,14 +191,199 @@ class FamilyParams:
             raise FamilyParamError("N-def", "N != 2n(sum d + 1)")
 
 
+# ---------------------------------------------------------------------------
+# The family in Z[lam, eps]
+# ---------------------------------------------------------------------------
+
+# A term dict {(i, m): a} is the polynomial sum of a lam^i eps^m, with
+# integer a != 0: the family before eps is given its value.
+
+
+def _ring_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (i, m), a in p.items():
+        for (j, k), b in q.items():
+            key = (i + j, m + k)
+            out[key] = out.get(key, 0) + a * b
+    return {key: a for key, a in out.items() if a}
+
+
+class FamilyForm(NamedTuple):
+    """P_1, ..., P_(n-1), f1 and f2 as term dicts in Z[lam, eps]."""
+
+    P: tuple
+    f1: dict
+    f2: dict
+
+    @classmethod
+    def build(cls, n: int, c: tuple) -> "FamilyForm":
+        """The recursions of the module docstring, run on term dicts.
+
+        Downward from k = n - 1, with S = prod_(j>k) P_j and R =
+        prod_(j>k) P_j^(j-k): P_k = eps^(c_k) - lam^(n-k) R, then S picks
+        up P_k and R picks up the new S, so that after k = 1 they are
+        prod_j P_j and prod_j P_j^j: 2(n - 1) products in all.
+        """
+        P, S, R = {}, {(0, 0): 1}, {(0, 0): 1}
+        for k in range(n - 1, 0, -1):
+            P[k] = {(0, c[k - 1]): 1, **{(i + n - k, m): -a for (i, m), a in R.items()}}
+            S = _ring_mul(P[k], S)
+            R = _ring_mul(R, S)
+        return cls(
+            tuple(P[k] for k in range(1, n)),
+            {(i + n, m + 1): a for (i, m), a in R.items()},
+            {(i + 1, m + 2): a for (i, m), a in S.items()},
+        )
+
+
+def _rows(terms: dict) -> dict:
+    """``terms`` by power of lam: {i: {m: a}}, each row the coefficient of
+    lam^i as a polynomial in eps."""
+    rows: dict = {}
+    for (i, m), a in terms.items():
+        rows.setdefault(i, {})[m] = a
+    return rows
+
+
+def _value(row: dict, eps: Fraction) -> Fraction:
+    """sum of a eps^m over ``row``, reduced."""
+    p, q = eps.numerator, eps.denominator
+    top = max(row)
+    return Fraction(sum(a * p**m * q ** (top - m) for m, a in row.items()), q**top)
+
+
+def _end(rows: dict, eps: Fraction, top: bool) -> Optional[int]:
+    """The highest (``top``) or lowest power of lam whose coefficient is
+    nonzero at ``eps``, None where there is none.
+
+    Rows are tried from that end inwards.  One term a eps^m, a != 0, is
+    nonzero at eps != 0 with nothing valued, and the end rows of a built
+    family are single terms (a unit leading coefficient times eps or eps^2,
+    and the product of the constants eps^(c_k)).
+    """
+    for i in sorted(rows, reverse=top):
+        if (len(rows[i]) == 1 and eps) or _value(rows[i], eps):
+            return i
+    return None
+
+
+# Exact decimal arithmetic for the coefficients of the family's hash: every
+# operation below is an integer sum, product or shift, and ``Inexact`` traps
+# any rounding.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact],
+)
+_ONE = decimal.Decimal(1)
+
+# Over fewer digits than this (L times the top power of eps), a coefficient
+# is reduced as a ``Fraction`` in microseconds.  Every coefficient up to
+# n = 3 is, so those runs leave the arithmetic of ``decimal`` unused, and
+# with it the 0.15 MiB of peak memory its code takes once run.
+_DECIMAL_DIGITS = 500
+
+
+def _v5(a: int) -> int:
+    v = 0
+    while not a % 5:
+        a, v = a // 5, v + 1
+    return v
+
+
+def _decimal_coefficient(row: dict, L: int) -> Optional[str]:
+    """``format_rational`` of sum of a 10^(-L m) over ``row``, written in
+    ``decimal``, or None where the lowest term cannot give the valuations.
+
+    Over 10^K, K = L M with M the top power, the numerator is N = sum of
+    a_m 10^(L (M - m)), which is a_M modulo 10^L.  So where v_2(a_M) and
+    v_5(a_M) are below L, they are v_2(N) and v_5(N) (capped at K): N is
+    divided by 2^v2 5^v5 as one product by 5^v2 or 2^v5 and a shift, and
+    the reduced denominator 2^(K - v2) 5^(K - v5) is written as a small
+    power followed by zeros.  No binary integer of N's size is formed.
+    """
+    top = max(row)
+    low = row[top]
+    v2, v5 = (low & -low).bit_length() - 1, _v5(low)
+    if max(v2, v5) >= L:
+        return None
+    K = L * top
+    v2, v5 = min(v2, K), min(v5, K)
+    N = decimal.Decimal(low)
+    for m, a in row.items():
+        if m != top:
+            N = _EXACT.add(N, _EXACT.scaleb(decimal.Decimal(a), L * (top - m)))
+    v = min(v2, v5)
+    N = _EXACT.multiply(N, 5 ** (v2 - v) * 2 ** (v5 - v))
+    N = _EXACT.quantize(_EXACT.scaleb(N, v - v2 - v5), _ONE)
+    x, y = K - v2, K - v5
+    den = _int_str(1 << (x - y)) + "0" * y if x >= y else _int_str(5 ** (y - x)) + "0" * x
+    return f"{N}/{den}"
+
+
+def _strings(terms: dict, eps: Fraction) -> list:
+    """``Poly.to_json`` of ``terms`` at ``eps``: each reduced coefficient of
+    lam^0, ..., lam^deg as ``"num/den"``.
+
+    At eps = 10^-L, L >= 1, each over at least ``_DECIMAL_DIGITS`` digits
+    is written in ``decimal`` (``_decimal_coefficient``); every other one,
+    and one where that gives no answer, is reduced as a ``Fraction``.
+    """
+    rows = _rows(terms)
+    degree = _end(rows, eps, top=True)
+    L = _digits10(eps.denominator) - 1
+    power_of_ten = L >= 1 and eps.numerator == 1 and eps.denominator == 10**L
+    out = []
+    for i in range(0 if degree is None else degree + 1):
+        row = rows.get(i)
+        text = None
+        if row and power_of_ten and L * max(row) >= _DECIMAL_DIGITS:
+            text = _decimal_coefficient(row, L)
+        out.append(text or format_rational(_value(row, eps) if row else 0))
+    return out
+
+
+class _Expanded:
+    """f1 or f2 of a ``Family``: the polynomial it was given or, where it
+    was given none, the expansion of the product form of a built family,
+    made on first read and kept."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, fam, owner=None):
+        if fam is None:
+            return None  # the field's default: expand on first read
+        poly = fam.__dict__[self.name]
+        if poly is None:
+            if fam.form is None:
+                raise TypeError(f"a family without a form needs {self.name}")
+            poly = expand_side(fam, fam.product_form(self.name))
+            fam.__dict__[self.name] = poly
+        return poly
+
+    def __set__(self, fam, poly) -> None:
+        fam.__dict__[self.name] = poly
+
+
 @dataclass(frozen=True)
 class Family:
-    """The built family: parameter block plus the polynomials themselves."""
+    """The built family: parameter block plus the polynomials themselves.
+
+    ``form`` is the family in Z[lam, eps] (``FamilyForm``), set by
+    ``build_family`` alone: a copy by ``dataclasses.replace``, a family read
+    by ``from_json`` and one built directly carry none.  With it, f1 and f2
+    are the products eps z^n prod P_j^j and eps^2 z prod P_j of ``P`` by
+    construction; they are expanded only when read, and their degrees,
+    vanishing orders and serialized coefficients are read from the form.
+    """
 
     params: FamilyParams
     P: tuple  # P[0] is P_1, ..., P[n-2] is P_{n-1}
-    f1: Poly
-    f2: Poly
+    f1: Poly = _Expanded()
+    f2: Poly = _Expanded()
+    form: Optional[FamilyForm] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -188,8 +395,37 @@ class Family:
             raise IndexError(f"P index out of range: {k}")
         return self.P[k - 1]
 
+    def product_form(self, name: str) -> tuple:
+        """f1 or f2 (``name``) as a side (``expand_side``): eps z^n prod
+        P_j^j and eps^2 z prod P_j."""
+        n, eps = self.n, self.params.eps
+        if name == "f1":
+            return eps, n, tuple((j, j) for j in range(1, n))
+        return eps**2, 1, tuple((j, 1) for j in range(1, n))
+
+    def degree(self, name: str) -> int:
+        """The degree of f1 or f2 (``name``), -1 for zero."""
+        if self.form is None:
+            return getattr(self, name).degree
+        degree = _end(_rows(getattr(self.form, name)), self.params.eps, top=True)
+        return -1 if degree is None else degree
+
+    def trailing_order(self, name: str) -> int:
+        """The vanishing order of f1 or f2 (``name``) at 0."""
+        if self.form is None:
+            return getattr(self, name).trailing_order
+        order = _end(_rows(getattr(self.form, name)), self.params.eps, top=False)
+        if order is None:
+            raise ValueError("zero polynomial has no vanishing order")
+        return order
+
     def to_json(self) -> dict:
         p = self.params
+        if self.form is None:
+            P, f1, f2 = ([q.to_json() for q in self.P], self.f1.to_json(), self.f2.to_json())
+        else:
+            P = [_strings(q, p.eps) for q in self.form.P]
+            f1, f2 = _strings(self.form.f1, p.eps), _strings(self.form.f2, p.eps)
         return {
             "n": p.n,
             "r": format_rational(p.r),
@@ -198,9 +434,9 @@ class Family:
             "c": list(p.c),
             "d": list(p.d),
             "N": p.N,
-            "P": [q.to_json() for q in self.P],
-            "f1": self.f1.to_json(),
-            "f2": self.f2.to_json(),
+            "P": P,
+            "f1": f1,
+            "f2": f2,
         }
 
     @classmethod
@@ -223,6 +459,16 @@ class Family:
         )
 
 
+def expand_side(fam: Family, side: tuple) -> Poly:
+    """The expansion of a side ``(c, m, ((j, e), ...))``, the monomial
+    c z^m prod_j P_j^e in the factors of ``fam``."""
+    c, m, factors = side
+    poly = Poly.monomial(m, c)
+    for j, e in factors:
+        poly = poly * fam.Pk(j) ** e
+    return poly
+
+
 def family_hash(fam: Family) -> str:
     """Stable sha256 of the canonical family serialization."""
     blob = json.dumps(fam.to_json(), sort_keys=True, separators=(",", ":"))
@@ -231,7 +477,7 @@ def family_hash(fam: Family) -> str:
 
 def build_family(params: FamilyParams) -> Family:
     n, eps = params.n, params.eps
-    c, d = params.c, params.d
+    c = params.c
     lam = Poly.x()
     P = {n - 1: Poly.constant(eps ** c[n - 2]) - lam}
     for k in range(n - 2, 0, -1):
@@ -239,14 +485,8 @@ def build_family(params: FamilyParams) -> Family:
         for j in range(k + 1, n):
             prod = prod * P[j] ** (j - k)
         P[k] = Poly.constant(eps ** c[k - 1]) - prod * lam ** (n - k)
-    f1 = Poly.constant(eps)
-    f2 = Poly.constant(eps**2)
-    for j in range(1, n):
-        f1 = f1 * P[j] ** j
-        f2 = f2 * P[j]
-    f1 = f1 * lam**n
-    f2 = f2 * lam
-    fam = Family(params=params, P=tuple(P[k] for k in range(1, n)), f1=f1, f2=f2)
+    fam = Family(params=params, P=tuple(P[k] for k in range(1, n)))
+    object.__setattr__(fam, "form", FamilyForm.build(n, c))
     return fam
 
 
@@ -321,13 +561,14 @@ def structural_checks(fam: Family, recursions: Collection[int] = ()) -> CheckRep
             add(f"gcd-P{j}-P{k}", degree == 0, f"gcd degree {degree}")
     want_f1 = sum((k + 1) * p.d[k] for k in range(n - 1)) + n
     want_f2 = sum(p.d) + 1
-    add("f1-degree", fam.f1.degree == want_f1, f"degree={fam.f1.degree}, want {want_f1}")
-    add("f2-degree", fam.f2.degree == want_f2, f"degree={fam.f2.degree}, want {want_f2}")
+    deg_f1, deg_f2 = fam.degree("f1"), fam.degree("f2")
+    add("f1-degree", deg_f1 == want_f1, f"degree={deg_f1}, want {want_f1}")
+    add("f2-degree", deg_f2 == want_f2, f"degree={deg_f2}, want {want_f2}")
     gap = (n - 1) + sum(k * p.d[k] for k in range(n - 1))
     add(
         "f1-f2-degree-gap",
-        fam.f1.degree - fam.f2.degree == gap,
-        f"gap={fam.f1.degree - fam.f2.degree}, want {gap}",
+        deg_f1 - deg_f2 == gap,
+        f"gap={deg_f1 - deg_f2}, want {gap}",
     )
     return CheckReport(tuple(checks))
 

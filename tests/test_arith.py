@@ -21,8 +21,6 @@ from noricert.arith import (
     Poly,
     _dc_int_str,
     _int_str,
-    _power_of_ten,
-    _strip_fives,
     decimal_approx,
     eval_scaled,
     format_rational,
@@ -31,7 +29,8 @@ from noricert.arith import (
     scaled_abs2,
     scaled_to_complex,
 )
-from noricert.family import FamilyParams, build_family
+import noricert.family as family_module
+from noricert.family import FamilyParams, _decimal_coefficient, _rows, _strings, build_family
 
 F = Fraction
 
@@ -52,6 +51,15 @@ class TestRationalText:
         assert format_rational(F(1, 2)) == "1/2"
         assert format_rational(F(-2, 4)) == "-1/2"
         assert format_rational(3) == "3/1"
+
+    def test_parse_beyond_the_str_conversion_guard(self):
+        # a family's JSON at n = 4 holds numerators of about 12,000 digits
+        q = F(-(3**20000), 7**9000)
+        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(_int_str(10**5000 + 1)) == 10**5000 + 1
+        for bad in ("1" * 5000 + "x/3", "3/" + "1_0" * 2000):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "a/b", "1/0", "1.5", "1/2/3"):
@@ -454,50 +462,66 @@ def _fraction_json(p: Poly) -> list:
     return [format_rational(F(c, den)) for c in ints]
 
 
-# a numerator over 10^k: a cofactor prime to 10 (or any integer) times
-# 2^a 5^b, either valuation below, at or above k, of either sign or zero
-over_ten = st.integers(0, 40).flatmap(
-    lambda k: st.tuples(
-        st.just(k),
-        st.lists(
+def _row_json(terms: dict, eps: Fraction) -> list:
+    """The reference serialization of a term dict {(i, m): a} at ``eps``:
+    each coefficient of lam^i summed and reduced as a ``Fraction``."""
+    coeffs: dict = {}
+    for (i, m), a in terms.items():
+        coeffs[i] = coeffs.get(i, 0) + a * eps**m
+    return _fraction_json(Poly([coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1)]))
+
+
+# a term dict at eps = 10^-L: coefficients of up to five powers of eps per
+# power of lam, each a cofactor prime to 10 (or any integer) times 2^a 5^b,
+# either valuation below, at or above L, of either sign; over up to 600
+# digits, on both sides of ``family._DECIMAL_DIGITS``
+over_ten = st.integers(1, 150).flatmap(
+    lambda L: st.tuples(
+        st.just(L),
+        st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 4)),
             st.tuples(
-                st.integers(-(10**30), 10**30),
-                st.integers(0, k + 3),
-                st.integers(0, k + 3),
+                st.integers(-(10**30), 10**30).filter(bool),
+                st.integers(0, L + 3),
+                st.integers(0, L + 3),
             ).map(lambda t: t[0] * 2 ** t[1] * 5 ** t[2]),
             min_size=1,
-            max_size=8,
+            max_size=10,
         ),
     )
 )
 
 
 class TestPowerOfTenSerialization:
-    """``Poly.to_json`` over 10^K against the ``Fraction`` path, byte for byte."""
-
-    def test_power_of_ten_detection(self):
-        assert [_power_of_ten(10**k) for k in (0, 1, 7, 300)] == [0, 1, 7, 300]
-        for den in (2, 5, 20, 50, 3 * 10**4, 2**5 * 10**3, 7**9, 10**6 + 1):
-            assert _power_of_ten(den) is None
+    """The family's coefficients written from its form in Z[lam, eps]
+    (``family._strings``) against the ``Fraction`` path, byte for byte."""
 
     @settings(max_examples=300)
     @given(over_ten)
     def test_matches_the_fraction_path(self, case):
-        k, ints = case
-        p = Poly._of(ints, 10**k)
-        assert p.to_json() == _fraction_json(p)
+        L, terms = case
+        eps = F(1, 10**L)
+        assert _strings(terms, eps) == _row_json(terms, eps)
+        # each coefficient written in decimal, whatever its size
+        for i, row in _rows(terms).items():
+            text = _decimal_coefficient(row, L)
+            assert text is None or [text] == _row_json({(0, m): a for m, a in row.items()}, eps)
 
-    def test_unbalanced_valuations(self):
+    def test_unbalanced_valuations(self, monkeypatch):
+        # a * eps at eps = 10^-12, every coefficient offered to decimal:
         # reduced denominators 2^x 5^y with x > y, x < y and x = y, a zero,
-        # negative numerators and numerators divisible by more than 10^k
-        k = 12
+        # negative numerators and numerators divisible by more than 10^12,
+        # where the lowest term cannot give the valuations and the
+        # coefficient is reduced as a Fraction
+        monkeypatch.setattr(family_module, "_DECIMAL_DIGITS", 0)
+        eps = F(1, 10**12)
         ints = [
             0, 1, -1, 2**3, -(5**4), 2**12 * 3, 5**12 * 7, 10**12, -(10**15) * 13,
             2**20 * 5**2, 2**2 * 5**20, 3 * 2**7 * 5**11,
         ]
-        p = Poly._of(ints, 10**k)
-        got = p.to_json()
-        assert got == _fraction_json(p)
+        terms = {(i, 1): a for i, a in enumerate(ints) if a}
+        got = _strings(terms, eps)
+        assert got == _row_json(terms, eps)
         assert got[:4] == ["0/1", "1/1000000000000", "-1/1000000000000", "1/125000000000"]
         assert got[5] == "3/244140625"  # 3 / 5^12
 
@@ -505,29 +529,17 @@ class TestPowerOfTenSerialization:
         # an --eps override that is no power of ten: the family's
         # denominators are powers of 7
         fam = build_family(FamilyParams.build(3, eps=F(1, 7**40)))
-        for p in (*fam.P, fam.f1, fam.f2):
-            assert _power_of_ten(p.scaled()[1]) is None
-            assert p.to_json() == _fraction_json(p)
+        blob = fam.to_json()
+        for got, p in zip((*blob["P"], blob["f1"], blob["f2"]), (*fam.P, fam.f1, fam.f2)):
+            assert p.to_json() == _fraction_json(p) == got
         p = Poly._of([3, -6, 2**9, 0, 25], 2**5 * 10**3)
         assert p.to_json() == _fraction_json(p)
 
     def test_family_polynomials(self, built_families):
         for fam in built_families.values():
-            for p in (*fam.P, fam.f1, fam.f2):
-                k = _power_of_ten(p.scaled()[1])
-                assert k is not None
-                assert p.to_json() == _fraction_json(p)
-
-    def test_strip_fives(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            v, cap = rng.randrange(0, 60), rng.randrange(0, 60)
-            m = rng.randrange(1, 10**12) * 5**v
-            guess = rng.choice([0, v, max(v - 3, 0), v + 4])
-            b = 0
-            while b < cap and m % 5 ** (b + 1) == 0:
-                b += 1
-            assert _strip_fives(m, cap, guess) == (m // 5**b, b)
+            blob = fam.to_json()
+            polys = (*fam.P, fam.f1, fam.f2)
+            assert [*blob["P"], blob["f1"], blob["f2"]] == [_fraction_json(p) for p in polys]
 
 
 @pytest.fixture

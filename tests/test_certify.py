@@ -1010,10 +1010,19 @@ class TestDerivedIdentities:
         self, n, built_families, root_certs, identities, divisions, expansions
     ):
         fam = built_families[n]
+        # a copy carries no form: f1, f2 and P_1 against their expanded
+        # product forms
+        copy = dataclasses.replace(fam)
+        assert copy.form is None
+        rep = exact_identity_checks(copy)
+        assert rep.all_passed and rep.forms is not None
+        assert expansions == _premise_sides(copy)
+        expansions.clear()
+        # the built family: f1 and f2 are their product forms by
+        # construction, so only P_1's recursion is expanded
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        # the premises: f1, f2 and P_1 against their expanded product forms
-        assert expansions == _premise_sides(fam)
+        assert expansions == _premise_sides(fam)[2:]
         expansions.clear()
         certs = _cone_certificates(fam, root_certs[n], rep, divisions[n])
         assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
@@ -1035,18 +1044,19 @@ class TestDerivedIdentities:
         expansions.clear()
         rep = exact_identity_checks(fam, roots)
         assert rep.all_passed and rep.forms is not None
-        assert expansions == _premise_sides(fam)[:2]
+        assert expansions == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pipeline_expands_only_the_premises(self, n, expansions):
         # every stage of a run on the built family: the roots expand their
-        # recursions, P_1's among them, and the identities the product forms
-        # of f1 and f2 alone; no identity side and no cone combination is
-        # expanded, and P_1's recursion is not expanded again
+        # recursions, P_1's among them, and nothing else is expanded: f1 and
+        # f2 are their product forms by construction, no identity side and
+        # no cone combination is expanded, and P_1's recursion is not
+        # expanded again
         entry, _ = _run_family(RunConfig(n_list=(n,), samples=64), n)
         assert {c["status"] for c in entry["certificates"]} == {"proved"}
         fam = default_family(n)
-        assert expansions == _recursion_sides(fam) + _premise_sides(fam)[:2]
+        assert expansions == _recursion_sides(fam)
 
     def test_recursion_of_another_family_is_proved_again(
         self, built_families, root_certs, expansions
@@ -1054,7 +1064,7 @@ class TestDerivedIdentities:
         fam = build_family(built_families[3].params)
         rep = exact_identity_checks(fam, root_certs[3])
         assert rep.forms is not None
-        assert expansions == _premise_sides(fam)
+        assert expansions == _premise_sides(fam)[2:]
 
     def test_report_bytes_and_equality(self, built_families, identities):
         # the forms are neither serialized nor compared
@@ -1133,8 +1143,8 @@ class TestDerivedIdentities:
         expansions.clear()
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        # the premises, then power-ratio's unit side alone
-        assert expansions == _premise_sides(fam) + [cone_sides(fam, 2)[1]]
+        # P_1's recursion, then power-ratio's unit side alone
+        assert expansions == _premise_sides(fam)[2:] + [cone_sides(fam, 2)[1]]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cone_mismatch_is_proved_by_evaluation(
@@ -1187,5 +1197,5 @@ class TestDerivedIdentities:
         fam = build_family(FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True))
         rep = exact_identity_checks(fam)
         assert rep.forms is not None
-        assert rep.all_passed and expansions == _premise_sides(fam)
+        assert rep.all_passed and expansions == _premise_sides(fam)[2:]
         assert {c.name: c.passed for c in rep.checks} == _compared_identities(fam)

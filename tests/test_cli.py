@@ -13,7 +13,7 @@ import pytest
 from noricert import certify, cli, disktrace
 from noricert.certify import annulus_spot_checks
 from noricert.disktrace import base_spot_checks, target_spot_checks, window_spot_checks
-from noricert.family import default_family
+from noricert.family import build_family, default_family
 from noricert.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -250,10 +250,10 @@ class TestStages:
         }
 
     def test_recursion_of_p1_proved_once_per_family(self, monkeypatch):
-        # _side_poly expands the product forms of f1 and f2 of each family
-        # and, at n = 3, the two sides of P_1's recursion once, in the root
-        # localization; at n = 2 that recursion is the linear form the
-        # localization compares
+        # _side_poly expands, at n = 3, the two sides of P_1's recursion
+        # once, in the root localization; at n = 2 that recursion is the
+        # linear form the localization compares, and f1 and f2 of a built
+        # family are their product forms by construction
         expanded = []
         original = certify._side_poly
 
@@ -265,15 +265,25 @@ class TestStages:
         _, code = run_verify(RunConfig(n_list=(2, 3), samples=64))
         assert code == EXIT_OK
 
-        def forms(n):
-            eps = default_family(n).params.eps
-            return [
-                (n, (eps, n, tuple((j, j) for j in range(1, n)))),
-                (n, (eps**2, 1, tuple((j, 1) for j in range(1, n)))),
-            ]
-
         dominant, constant = certify._localization_sides(default_family(3), 1)
-        assert expanded == forms(2) + [(3, constant), (3, dominant)] + forms(3)
+        assert expanded == [(3, constant), (3, dominant)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_run_never_expands_f1_or_f2(self, monkeypatch, n):
+        # every stage of a run reads f1 and f2 of the built family through
+        # its form: their lazy expansions are never made
+        built = []
+
+        def recorded(params):
+            built.append(build_family(params))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_family", recorded)
+        entry, _ = cli._run_family(RunConfig(n_list=(n,)), n)
+        assert {c["status"] for c in entry["certificates"]} == {"proved"}
+        (fam,) = built
+        assert fam.form is not None
+        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
 
 
 class TestReportShape:

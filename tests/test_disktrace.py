@@ -98,6 +98,7 @@ from conftest import SIZES, exact_sup
 from noricert.family import (
     CheckReport,
     CheckResult,
+    Family,
     FamilyParams,
     build_family,
     default_family,
@@ -538,7 +539,7 @@ def _rational_root_family():
     factors = (p1, p2)
     f1 = Poly.constant(eps) * p1 * p2 * p2 * lam**3
     f2 = Poly.constant(eps**2) * p1 * p2 * lam
-    return SimpleNamespace(n=3, f1=f1, f2=f2, params=params, P=factors, Pk=lambda j: factors[j - 1])
+    return Family(params=params, P=factors, f1=f1, f2=f2)
 
 
 class TestFactorImages:
@@ -1307,9 +1308,7 @@ def _tampered_family(fam):
     factors = (p1, p2)
     f1 = Poly.constant(eps) * lam**3 * p1 * p2 * p2
     f2 = Poly.constant(eps**2) * lam * p1 * p2
-    return SimpleNamespace(
-        n=3, f1=f1, f2=f2, params=fam.params, P=factors, Pk=lambda j: factors[j - 1]
-    )
+    return Family(params=fam.params, P=factors, f1=f1, f2=f2)
 
 
 class TestRecursionChain:

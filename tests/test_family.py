@@ -13,7 +13,7 @@ import sympy as sp
 import noricert.family as family_module
 from noricert.arith import Poly, _digits10
 from noricert.bounds import int_bracket
-from noricert.certify import family_root_certificates, proved_recursions
+from noricert.certify import _side_poly, family_root_certificates, proved_recursions
 from noricert.family import (
     Family,
     FamilyParamError,
@@ -180,8 +180,6 @@ class TestBuild:
             assert want == got
 
     def test_degree_formulas(self):
-        # building n=5 takes over a minute, so degrees are checked against the
-        # closed formulas there instead of a full build (frozen: 55 and 34)
         for n in (2, 3, 4):
             fam = default_family(n)
             rep = structural_checks(fam)
@@ -192,6 +190,12 @@ class TestBuild:
         c5, d5, _ = make_constants(5)
         assert sum((k + 1) * d5[k] for k in range(4)) + 5 == 55
         assert sum(d5) + 1 == 34
+        # at n = 5 the degrees are read from the form, with f1 and f2 (of
+        # about a million bits each) never expanded
+        fam = default_family(5)
+        assert (fam.degree("f1"), fam.degree("f2")) == (55, 34)
+        assert (fam.trailing_order("f1"), fam.trailing_order("f2")) == (5, 1)
+        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
 
 
 class TestStructuralChecks:
@@ -287,15 +291,128 @@ class TestSerialization:
             (2, "e84747b248c9acd9a6ea7d06014f2f95e54bc7fb1c9a011307312bbba8cb8873"),
             (3, "21bcc430cf3eed63d2663978b3e47a760f1519f6d4fb6e267e8c685ab1fb12a5"),
             (4, "0a426c2160baefb0e9c0fe4a49dcb6fd9d862e9b42e341c6398e37f80ae598b1"),
+            (5, "a00a47e3d76819cac35e16d70641af6b293bf89185185e87a9dd37f6ee6f63c1"),
         ],
     )
     def test_default_family_hash_is_pinned(self, n, digest, built_families):
         # every reduced coefficient of P_k, f1 and f2 at the default
         # parameters, as serialized; any change to the polynomial algebra
-        # that moves one of them moves the digest
-        assert family_hash(built_families[n]) == digest
+        # that moves one of them moves the digest.  The hash is written
+        # from the form: n = 5 never expands f1 or f2
+        fam = built_families.get(n) or default_family(n)
+        assert family_hash(fam) == digest
+        if n == 5:
+            assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+
+    @staticmethod
+    def _fraction_path_hashes(fam, **kwargs):
+        """The hashes of two formless families with ``fam``'s values, each
+        coefficient reduced as a ``Fraction``: ``fam`` read back from its
+        JSON, and a copy whose f1 and f2 are expanded from its P_j."""
+        back = Family.from_json(fam.to_json(), **kwargs)
+        copy = dataclasses.replace(fam)
+        assert back.form is None and copy.form is None
+        return family_hash(back), family_hash(copy)
+
+    @staticmethod
+    def _hash_written(monkeypatch, fam):
+        """``family_hash(fam)``, and for each coefficient offered to
+        ``_decimal_coefficient`` whether it was written in decimal."""
+        written, real = [], family_module._decimal_coefficient
+
+        def spy(row, L):
+            text = real(row, L)
+            written.append(text is not None)
+            return text
+
+        with monkeypatch.context() as patch:
+            patch.setattr(family_module, "_decimal_coefficient", spy)
+            return family_hash(fam), written
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_form_hash_matches_the_fraction_path(self, monkeypatch, n):
+        fam = default_family(n)
+        digest, written = self._hash_written(monkeypatch, fam)
+        assert self._fraction_path_hashes(fam) == (digest,) * 2
+        # up to n = 3 every coefficient is below _DECIMAL_DIGITS; at n = 4,
+        # 36 of the 43 are written in decimal
+        assert written == ([True] * 36 if n == 4 else [])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 100), F(1, 3), F(1)])
+    def test_unsafe_eps_hash_matches_the_fraction_path(self, monkeypatch, n, eps):
+        # every coefficient offered to decimal: a small L, the fallback where
+        # the lowest term of a coefficient is divisible by 2^L or 5^L, and
+        # eps other than 10^-L
+        monkeypatch.setattr(family_module, "_DECIMAL_DIGITS", 0)
+        fam = build_family(FamilyParams.build(n, eps=eps, allow_unsafe_eps=True))
+        digest, written = self._hash_written(monkeypatch, fam)
+        assert self._fraction_path_hashes(fam, allow_unsafe_eps=True) == (digest,) * 2
+        if eps.denominator in (10, 100):
+            # at n = 4 both paths run: 26 + 17 coefficients at 1/10, 36 + 7
+            # at 1/100
+            assert True in written
+            assert False in written or n < 4
+        else:
+            assert written == []
 
     def test_poly_text_form(self):
         fam = default_family(2)
         eps = fam.params.eps
         assert fam.to_json()["P"][0] == [f"1/{eps.denominator}", "-1/1"]
+
+
+class TestForm:
+    """The family in Z[lam, eps]: f1 and f2 expanded on first read, and
+    carried only by a family from ``build_family``."""
+
+    @staticmethod
+    def _sides(fam):
+        n, eps = fam.n, fam.params.eps
+        return (
+            _side_poly(fam, (eps, n, tuple((j, j) for j in range(1, n)))),
+            _side_poly(fam, (eps**2, 1, tuple((j, 1) for j in range(1, n)))),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lazy_sides_are_the_product_forms(self, n):
+        fam = default_family(n)
+        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+        f1, f2 = self._sides(fam)
+        # the same stored pairs, which pick the image path of bounds.abs2_atoms
+        assert fam.f1.scaled() == f1.scaled() and fam.f2.scaled() == f2.scaled()
+        assert vars(fam)["f1"] is fam.f1 and vars(fam)["f2"] is fam.f2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [None, F(1, 10), F(1, 3), F(1)])
+    def test_degrees_and_orders_from_the_form(self, n, eps):
+        fam = build_family(FamilyParams.build(n, eps=eps, allow_unsafe_eps=True))
+        for name, poly in zip(("f1", "f2"), self._sides(fam)):
+            assert fam.degree(name) == poly.degree
+            assert fam.trailing_order(name) == poly.trailing_order
+        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+
+    def test_form_terms_are_the_polynomials(self):
+        # each term dict, valued at eps, is its polynomial
+        fam = default_family(3)
+        eps = fam.params.eps
+        polys = (*fam.P, *self._sides(fam))
+        for terms, poly in zip((*fam.form.P, fam.form.f1, fam.form.f2), polys):
+            coeffs = [F(0)] * (poly.degree + 1)
+            for (i, m), a in terms.items():
+                coeffs[i] += a * eps**m
+            assert Poly(coeffs) == poly
+
+    def test_a_replaced_family_carries_no_form(self, built_families):
+        fam = built_families[3]
+        bumped = fam.Pk(1) + Poly.constant(fam.params.eps)
+        for copy in (dataclasses.replace(fam), dataclasses.replace(fam, P=(bumped, fam.Pk(2)))):
+            assert copy.form is None
+            assert copy.f1 == fam.f1 and copy.f2 == fam.f2
+        assert Family.from_json(fam.to_json()).form is None
+
+    def test_a_family_without_a_form_needs_f1_and_f2(self, built_families):
+        fam = built_families[2]
+        bare = Family(params=fam.params, P=fam.P)
+        with pytest.raises(TypeError):
+            bare.f1
