@@ -29,8 +29,8 @@ Serialized forms: a rational is the string ``"num/den"``, reduced; a
 polynomial is a list of coefficient strings (index = degree); a complex
 scalar is a mapping ``{"re": "num/den", "im": "num/den"}``.
 ``Poly.to_json`` reduces each coefficient as a ``Fraction``; the family's
-hash does not read it for a built family, whose coefficients
-``family.Family.to_json`` writes from their form in Z[lam, eps].  Integers
+hash does not read it: ``family.Family.to_json`` writes the coefficients
+from the family's form in Z[lam, eps].  Integers
 of more than ``_DC_BITS`` bits are converted by divide and conquer
 (``_dc_int_str``).
 

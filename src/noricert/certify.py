@@ -26,13 +26,12 @@ Circle points come from the rational half-circle chart
 and its negation, so every point has exactly rational coordinates.
 
 A polynomial identity between products of the family's factors is proved
-in one of three ways.  Each factor's defining recursion, and three premises
-per family -- f1 = eps z^n prod P_j^j, f2 = eps^2 z prod P_j and the
-recursion of P_1 -- are proved by comparing expansions: both sides are
-multiplied out as exact ``Poly`` objects and compared coefficient by
-coefficient.  The first two need no proof on a family from
-``build_family``: its f1 and f2 are those products of its own factors by
-construction (``Family.form``), and are never expanded.  Given the
+in one of three ways.  Each factor's defining recursion, and the premise
+that P_1 satisfies its own, are proved by comparing expansions: both sides
+are multiplied out as exact ``Poly`` objects and compared coefficient by
+coefficient.  The premises f1 = eps z^n prod P_j^j and f2 = eps^2 z prod
+P_j are one comparison in Z[lam, eps] of the family's form
+(``FamilyForm.products_hold``), so f1 and f2 are never expanded.  Given the
 premises, the exact identities and each chart's cone factorization are
 exponent bookkeeping: both sides are sums of monomials c z^m prod
 P_j^(e_j), and after P_1 is eliminated by its recursion their normal
@@ -875,28 +874,19 @@ def _proved_forms(
 
     The premises are f1 and f2 equal to their product forms, and P_1 equal
     to the difference of ``_localization_sides(fam, 1)`` (at n = 2, the
-    linear form eps^(c_1) - z).  A family that carries its ``form`` (one
-    from ``build_family``) holds the first two by construction: its f1 and
-    f2 are those products of its own P_j, expanded only when read.  Any
-    other family proves them by comparing f1 and f2 with their expanded
-    forms.  The recursion of P_1 is taken from ``root_certs[1]`` where
-    ``family_root_certificates(fam)`` proved it already, and is compared
-    with its expanded sides otherwise.  The premises are checked in that
-    order, and each is expanded only when it is checked.
+    linear form eps^(c_1) - z).  The first two are one check in Z[lam, eps]
+    (``FamilyForm.products_hold``, 2(n - 1) ring products); where it fails
+    it proves nothing, and None leaves every identity to the comparison of
+    its own expansions.  The recursion of P_1 is taken from ``root_certs[1]``
+    where ``family_root_certificates(fam)`` proved it, and is compared with
+    its expanded sides otherwise.
     """
     f1, f2 = fam.product_form("f1"), fam.product_form("f2")
     dominant, rest = recursion = _localization_sides(fam, 1)
     cert = (root_certs or {}).get(1)
     proved_by_roots = cert is not None and cert.family is fam and cert.recursion
-    if (
-        (
-            fam.form is not None
-            or (fam.f1 == _side_poly(fam, f1) and fam.f2 == _side_poly(fam, f2))
-        )
-        and (
-            proved_by_roots
-            or fam.Pk(1) == _side_poly(fam, rest) - _side_poly(fam, dominant)
-        )
+    if fam.form.products_hold() and (
+        proved_by_roots or fam.Pk(1) == _side_poly(fam, rest) - _side_poly(fam, dominant)
     ):
         return ProductForms(fam, f1, f2, recursion)
     return None
@@ -1285,12 +1275,12 @@ def exact_identity_checks(
     * ``square-ratio``: f1^2 / (f2 - f1) is a polynomial with an explicit
       product form.
 
-    Three premises are proved by comparing expansions: f1 = eps z^n prod
-    P_j^j, f2 = eps^2 z prod P_j and the recursion P_1 = eps^(c_1) -
-    z^(n-1) prod_{j>=2} P_j^(j-1) (``_proved_forms``; the first two hold by
-    construction on a family that carries its form, and the recursion is
-    read from ``root_certs``, the ``family_root_certificates(fam)``, where
-    they proved it).  Given them, power-ratio is an equality of exponent
+    Three premises come from ``_proved_forms``: f1 = eps z^n prod P_j^j and
+    f2 = eps^2 z prod P_j in Z[lam, eps] (never on a family given by its
+    polynomials, ``Family.of``), and the recursion P_1 = eps^(c_1) -
+    z^(n-1) prod_{j>=2} P_j^(j-1), read from ``root_certs``, the
+    ``family_root_certificates(fam)``, where they proved it and compared by
+    expansion otherwise.  Given them, power-ratio is an equality of exponent
     vectors, and difference-factorization and square-ratio follow once P_1
     is rewritten by its recursion (``ProductForms.equal``), with no
     identity side expanded.  Where a premise fails, or two normal forms

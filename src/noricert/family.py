@@ -24,26 +24,22 @@ The building blocks are
 certification pipeline verifies is an exact statement about these
 polynomials.
 
-``build_family`` builds the ``P_k`` as ``Poly``s and, next to them, the
-whole family in ``Z[lam, eps]`` (``FamilyForm``): each polynomial as a
-dict ``{(i, m): a}`` of terms ``a lam^i eps^m`` with small integer ``a``,
-formed by ring products before ``eps`` is given its value.  A built
-family reads from that form what the certificates need of ``f1`` and
-``f2``:
+A ``Family`` is its parameters and its form in Z[lam, eps]
+(``FamilyForm``): P_1, ..., P_(n-1), f1 and f2, each a dict ``{(i, m): a}``
+of terms ``a lam^i eps^m``.  ``build_family`` runs the recursions above on
+term dicts with small integer ``a``, before ``eps`` is given its value;
+``Family.of`` (``from_json``, families made by hand) takes polynomials as
+rows ``{(i, 0): c}`` with ``Fraction`` ``c``.  All else is read from it:
 
-* ``f1`` and ``f2`` are the products of its own ``P_k``, so they are
-  expanded into ``Poly``s only when first read, and the certificates that
-  take them as product forms read nothing;
-* their degrees and vanishing orders (``Family.degree``,
-  ``Family.trailing_order``);
+* ``P``, ``f1`` and ``f2`` as ``Poly``s, made on first read and kept, with
+  the stored pairs of the ``Poly`` products of the recursions (``_poly``);
+* the degrees and vanishing orders of f1 and f2, without making them;
 * the serialization of ``family_hash``: at ``eps = 10^-L`` each reduced
-  coefficient is written in ``decimal`` from the terms, with no binary
-  integer of the coefficient's size converted; at any other ``eps`` it is
-  reduced as a ``Fraction``.
-
-A family without the form (``Family.from_json``, ``dataclasses.replace``,
-one built directly) holds ``f1`` and ``f2`` as given and reads all of this
-from them.
+  coefficient of an integer row is written in ``decimal`` from the terms,
+  with no binary integer of the coefficient's size converted; at any other
+  ``eps``, or from ``Fraction`` terms, it is reduced as a ``Fraction``;
+* whether f1 and f2 are eps lam^n prod P_j^j and eps^2 lam prod P_j in the
+  ring (``FamilyForm.products_hold``), the premises ``certify`` takes.
 """
 
 from __future__ import annotations
@@ -51,7 +47,8 @@ from __future__ import annotations
 import decimal
 import hashlib
 import json
-from collections.abc import Collection
+import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -196,7 +193,8 @@ class FamilyParams:
 # ---------------------------------------------------------------------------
 
 # A term dict {(i, m): a} is the polynomial sum of a lam^i eps^m, with
-# integer a != 0: the family before eps is given its value.
+# a != 0: an integer in a built family, a ``Fraction`` in one given by its
+# polynomials (``Family.of``, always with m = 0).
 
 
 def _ring_mul(p: dict, q: dict) -> dict:
@@ -217,16 +215,24 @@ class FamilyForm(NamedTuple):
 
     @classmethod
     def build(cls, n: int, c: tuple) -> "FamilyForm":
-        """The recursions of the module docstring, run on term dicts.
+        """The recursions of the module docstring, run on term dicts."""
+        return cls._products(
+            n,
+            lambda k, R: {(0, c[k - 1]): 1, **{(i + n - k, m): -a for (i, m), a in R.items()}},
+        )
+
+    @classmethod
+    def _products(cls, n: int, factor) -> "FamilyForm":
+        """The P_k = ``factor(k, R)``, and f1, f2 as their products.
 
         Downward from k = n - 1, with S = prod_(j>k) P_j and R =
-        prod_(j>k) P_j^(j-k): P_k = eps^(c_k) - lam^(n-k) R, then S picks
-        up P_k and R picks up the new S, so that after k = 1 they are
-        prod_j P_j and prod_j P_j^j: 2(n - 1) products in all.
+        prod_(j>k) P_j^(j-k): P_k is read, then S picks up P_k and R picks
+        up the new S, so that after k = 1 they are prod_j P_j and prod_j
+        P_j^j: 2(n - 1) products in all.
         """
         P, S, R = {}, {(0, 0): 1}, {(0, 0): 1}
         for k in range(n - 1, 0, -1):
-            P[k] = {(0, c[k - 1]): 1, **{(i + n - k, m): -a for (i, m), a in R.items()}}
+            P[k] = factor(k, R)
             S = _ring_mul(P[k], S)
             R = _ring_mul(R, S)
         return cls(
@@ -234,6 +240,13 @@ class FamilyForm(NamedTuple):
             {(i + n, m + 1): a for (i, m), a in R.items()},
             {(i + 1, m + 2): a for (i, m), a in S.items()},
         )
+
+    def products_hold(self) -> bool:
+        """Whether f1 = eps lam^n prod P_j^j and f2 = eps^2 lam prod P_j in
+        Z[lam, eps], which proves them at every eps; False proves nothing (a
+        form given by its polynomials holds no power of eps)."""
+        made = self._products(len(self.P) + 1, lambda k, R: self.P[k - 1])
+        return made.f1 == self.f1 and made.f2 == self.f2
 
 
 def _rows(terms: dict) -> dict:
@@ -245,11 +258,35 @@ def _rows(terms: dict) -> dict:
     return rows
 
 
+def _numerator(row: dict, p: int, q: int) -> int:
+    """sum of a p^m q^(M - m) over ``row``, M its top power: the row at
+    eps = p/q times q^M.  ``Fraction`` terms give a ``Fraction``."""
+    acc = last = 0
+    for m in sorted(row):
+        acc = acc * q ** (m - last) + row[m] * p**m
+        last = m
+    return acc
+
+
 def _value(row: dict, eps: Fraction) -> Fraction:
     """sum of a eps^m over ``row``, reduced."""
-    p, q = eps.numerator, eps.denominator
-    top = max(row)
-    return Fraction(sum(a * p**m * q ** (top - m) for m, a in row.items()), q**top)
+    q = eps.denominator
+    return Fraction(_numerator(row, eps.numerator, q), q ** max(row))
+
+
+def _poly(terms: dict, eps: Fraction) -> Poly:
+    """``terms`` at eps = p/q as a ``Poly``: each lam-row is an integer over
+    q^M, M the top power of eps, which is the stored pair of the ``Poly``
+    products of the recursions (it selects the image path of
+    ``bounds.abs2_atoms``); the lcm of any ``Fraction`` terms' denominators
+    joins q^M."""
+    rows, p, q = _rows(terms), eps.numerator, eps.denominator
+    M = max((m for _, m in terms), default=0)
+    scale = math.lcm(*(a.denominator for a in terms.values() if isinstance(a, Fraction)))
+    ints = [0] * (max(rows, default=-1) + 1)
+    for i, row in rows.items():
+        ints[i] = int(_numerator(row, p, q) * scale * q ** (M - max(row)))
+    return Poly._of(ints, q**M * scale)
 
 
 def _end(rows: dict, eps: Fraction, top: bool) -> Optional[int]:
@@ -326,9 +363,10 @@ def _strings(terms: dict, eps: Fraction) -> list:
     """``Poly.to_json`` of ``terms`` at ``eps``: each reduced coefficient of
     lam^0, ..., lam^deg as ``"num/den"``.
 
-    At eps = 10^-L, L >= 1, each over at least ``_DECIMAL_DIGITS`` digits
-    is written in ``decimal`` (``_decimal_coefficient``); every other one,
-    and one where that gives no answer, is reduced as a ``Fraction``.
+    At eps = 10^-L, L >= 1, each with integer terms over at least
+    ``_DECIMAL_DIGITS`` digits is written in ``decimal``
+    (``_decimal_coefficient``); every other one, and one where that gives no
+    answer, is reduced as a ``Fraction``.
     """
     rows = _rows(terms)
     degree = _end(rows, eps, top=True)
@@ -338,56 +376,52 @@ def _strings(terms: dict, eps: Fraction) -> list:
     for i in range(0 if degree is None else degree + 1):
         row = rows.get(i)
         text = None
-        if row and power_of_ten and L * max(row) >= _DECIMAL_DIGITS:
+        if (
+            row
+            and power_of_ten
+            and L * max(row) >= _DECIMAL_DIGITS
+            and all(isinstance(a, int) for a in row.values())
+        ):
             text = _decimal_coefficient(row, L)
         out.append(text or format_rational(_value(row, eps) if row else 0))
     return out
 
 
-class _Expanded:
-    """f1 or f2 of a ``Family``: the polynomial it was given or, where it
-    was given none, the expansion of the product form of a built family,
-    made on first read and kept."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, fam, owner=None):
-        if fam is None:
-            return None  # the field's default: expand on first read
-        poly = fam.__dict__[self.name]
-        if poly is None:
-            if fam.form is None:
-                raise TypeError(f"a family without a form needs {self.name}")
-            poly = expand_side(fam, fam.product_form(self.name))
-            fam.__dict__[self.name] = poly
-        return poly
-
-    def __set__(self, fam, poly) -> None:
-        fam.__dict__[self.name] = poly
-
-
 @dataclass(frozen=True)
 class Family:
-    """The built family: parameter block plus the polynomials themselves.
-
-    ``form`` is the family in Z[lam, eps] (``FamilyForm``), set by
-    ``build_family`` alone: a copy by ``dataclasses.replace``, a family read
-    by ``from_json`` and one built directly carry none.  With it, f1 and f2
-    are the products eps z^n prod P_j^j and eps^2 z prod P_j of ``P`` by
-    construction; they are expanded only when read, and their degrees,
-    vanishing orders and serialized coefficients are read from the form.
-    """
+    """The family: its parameter block and its form in Z[lam, eps].  ``P``
+    (P[0] is P_1, ..., P[n-2] is P_(n-1)), ``f1`` and ``f2`` are read from
+    the form on first read and kept."""
 
     params: FamilyParams
-    P: tuple  # P[0] is P_1, ..., P[n-2] is P_{n-1}
-    f1: Poly = _Expanded()
-    f2: Poly = _Expanded()
-    form: Optional[FamilyForm] = field(default=None, init=False, compare=False, repr=False)
+    form: FamilyForm = field(repr=False, hash=False)
+
+    @classmethod
+    def of(cls, params: FamilyParams, P: Sequence[Poly], f1: Poly, f2: Poly) -> "Family":
+        """The family with the given polynomials, each a form of lam-rows
+        ``{(i, 0): c}``; ``P`` must hold n - 1 factors."""
+        if len(P) != params.n - 1:
+            raise FamilyParamError(
+                "factor-count", f"n = {params.n} needs {params.n - 1} factors P_k, got {len(P)}"
+            )
+        rows = [{(i, 0): c for i, c in enumerate(poly.coeffs) if c} for poly in (*P, f1, f2)]
+        return cls(params, FamilyForm(tuple(rows[:-2]), *rows[-2:]))
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def P(self) -> tuple:
+        return tuple(_poly(terms, self.params.eps) for terms in self.form.P)
+
+    @cached_property
+    def f1(self) -> Poly:
+        return _poly(self.form.f1, self.params.eps)
+
+    @cached_property
+    def f2(self) -> Poly:
+        return _poly(self.form.f2, self.params.eps)
 
     def Pk(self, k: int) -> Poly:
         """1-based accessor: ``Pk(k)`` is ``P_k`` for ``1 <= k <= n-1``."""
@@ -405,27 +439,18 @@ class Family:
 
     def degree(self, name: str) -> int:
         """The degree of f1 or f2 (``name``), -1 for zero."""
-        if self.form is None:
-            return getattr(self, name).degree
         degree = _end(_rows(getattr(self.form, name)), self.params.eps, top=True)
         return -1 if degree is None else degree
 
     def trailing_order(self, name: str) -> int:
         """The vanishing order of f1 or f2 (``name``) at 0."""
-        if self.form is None:
-            return getattr(self, name).trailing_order
         order = _end(_rows(getattr(self.form, name)), self.params.eps, top=False)
         if order is None:
             raise ValueError("zero polynomial has no vanishing order")
         return order
 
     def to_json(self) -> dict:
-        p = self.params
-        if self.form is None:
-            P, f1, f2 = ([q.to_json() for q in self.P], self.f1.to_json(), self.f2.to_json())
-        else:
-            P = [_strings(q, p.eps) for q in self.form.P]
-            f1, f2 = _strings(self.form.f1, p.eps), _strings(self.form.f2, p.eps)
+        p, form = self.params, self.form
         return {
             "n": p.n,
             "r": format_rational(p.r),
@@ -434,9 +459,9 @@ class Family:
             "c": list(p.c),
             "d": list(p.d),
             "N": p.N,
-            "P": P,
-            "f1": f1,
-            "f2": f2,
+            "P": [_strings(q, p.eps) for q in form.P],
+            "f1": _strings(form.f1, p.eps),
+            "f2": _strings(form.f2, p.eps),
         }
 
     @classmethod
@@ -451,12 +476,8 @@ class Family:
             N=int(obj["N"]),
         )
         params.validate(allow_unsafe_eps=allow_unsafe_eps)
-        return cls(
-            params=params,
-            P=tuple(Poly.from_json(item) for item in obj["P"]),
-            f1=Poly.from_json(obj["f1"]),
-            f2=Poly.from_json(obj["f2"]),
-        )
+        P = [Poly.from_json(item) for item in obj["P"]]
+        return cls.of(params, P, Poly.from_json(obj["f1"]), Poly.from_json(obj["f2"]))
 
 
 def expand_side(fam: Family, side: tuple) -> Poly:
@@ -476,18 +497,7 @@ def family_hash(fam: Family) -> str:
 
 
 def build_family(params: FamilyParams) -> Family:
-    n, eps = params.n, params.eps
-    c = params.c
-    lam = Poly.x()
-    P = {n - 1: Poly.constant(eps ** c[n - 2]) - lam}
-    for k in range(n - 2, 0, -1):
-        prod = Poly.one()
-        for j in range(k + 1, n):
-            prod = prod * P[j] ** (j - k)
-        P[k] = Poly.constant(eps ** c[k - 1]) - prod * lam ** (n - k)
-    fam = Family(params=params, P=tuple(P[k] for k in range(1, n)))
-    object.__setattr__(fam, "form", FamilyForm.build(n, c))
-    return fam
+    return Family(params, FamilyForm.build(params.n, params.c))
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,15 @@ from noricert.certify import (
     family_root_certificates,
     lemma_div_check,
 )
-from noricert.family import default_family
+from noricert.family import Family, default_family
 
 SIZES = (2, 3, 4)
+
+
+def retouched(fam, **changes):
+    """``fam`` with the polynomials ``changes`` (``P``, ``f1`` or ``f2``) in
+    place of its own, as a family given by its polynomials (``Family.of``)."""
+    return Family.of(fam.params, **{"P": fam.P, "f1": fam.f1, "f2": fam.f2, **changes})
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from noricert.certify import (
     _cone_combination,
     _cone_identity,
     _identity_cofactors,
+    _proved_forms,
     _identity_products,
     _identity_sides,
     _localization_sides,
@@ -46,7 +47,8 @@ from noricert.certify import (
     root_product_dominance,
 )
 from noricert.cli import RunConfig, _run_family
-from noricert.family import FamilyParams, build_family, default_family
+from noricert.family import Family, FamilyParams, build_family, default_family
+from conftest import retouched
 
 F = Fraction
 
@@ -122,7 +124,7 @@ class TestRootLocalization:
         # but the recursion P_1 = eps - z^2 P_2, compared by expansion, fails
         fam = built_families[3]
         bumped = fam.Pk(1) + Poly.monomial(2, fam.params.eps**9)
-        certs = family_root_certificates(dataclasses.replace(fam, P=(bumped, fam.Pk(2))))
+        certs = family_root_certificates(retouched(fam, P=(bumped, fam.Pk(2))))
         assert certs[1].dominance.status is Status.PROVED
         assert certs[1].status is Status.INCONCLUSIVE
         assert certs[1].detail == "factor does not match its defining recursion"
@@ -231,7 +233,7 @@ class TestRootProductDominance:
         # not its roots: with the certificates of the untampered family the
         # bound would prove the chart-2 cone dominance on |z| = 2
         fam = built_families[3]
-        tampered = dataclasses.replace(fam, P=(fam.Pk(1) + Poly.constant(F(1, 2)), fam.Pk(2)))
+        tampered = retouched(fam, P=(fam.Pk(1) + Poly.constant(F(1, 2)), fam.Pk(2)))
         sides = cone_sides(tampered, 2)
         for certs in (root_certs[3], family_root_certificates(tampered)):
             dom = root_product_dominance(tampered, *sides, F(2), certs)
@@ -450,7 +452,7 @@ class TestAnnulusBounds:
 
     def test_spot_check_refutation(self, built_families, root_certs):
         fam = built_families[2]
-        tampered = dataclasses.replace(fam, P=(Poly([F(-3), F(-1)]),))
+        tampered = retouched(fam, P=(Poly([F(-3), F(-1)]),))
         rep = annulus_bounds_certificate(tampered, root_certs[2])
         assert rep.status is Status.REFUTED
         assert "exact point" in rep.factor(1).detail
@@ -488,7 +490,7 @@ class TestAnnulusBounds:
         # |z| = 1 (scale 1) or stays above it up to the point z = -1, where it
         # vanishes (scale 1/2): both fail first inside chart 1
         fam = built_families[2]
-        tampered = dataclasses.replace(fam, P=(Poly([scale, scale]),))
+        tampered = retouched(fam, P=(Poly([scale, scale]),))
         radius, i = _exact_annulus_failure(tampered.Pk(1), 1, 256)
         assert radius == 1 and 128 < i < 256
         point = circle_points(radius, 256)[i].point
@@ -760,7 +762,7 @@ class TestConeFactorization:
     @staticmethod
     def _assert_tampered_refuted(n, k, built_families, root_certs, divisions):
         fam = built_families[n]
-        tampered = dataclasses.replace(fam, f1=fam.f1 + Poly.one())
+        tampered = retouched(fam, f1=fam.f1 + Poly.one())
         cert = cone_factor_certificate(
             tampered, k, root_certs[n], exact_identity_checks(tampered), divisions[n]
         )
@@ -840,17 +842,17 @@ def _tampered(fam, kind):
     plus a polynomial of degree D + 1 that vanishes at ``_vanishing_points``
     ("f1-plus-vanishing") or one more term in P_j ("Pj")."""
     if kind == "f2-doubled":
-        return dataclasses.replace(fam, f2=fam.f2 * 2)
+        return retouched(fam, f2=fam.f2 * 2)
     if kind == "f1-plus-one":
-        return dataclasses.replace(fam, f1=fam.f1 + Poly.one())
+        return retouched(fam, f1=fam.f1 + Poly.one())
     if kind == "f1-plus-vanishing":
         bump = Poly.one()
         for x in _vanishing_points(fam):
             bump = bump * Poly([-x, 1])
-        return dataclasses.replace(fam, f1=fam.f1 + bump)
+        return retouched(fam, f1=fam.f1 + bump)
     j = int(kind[1:])
     bumped = fam.Pk(j) + Poly.monomial(1, fam.params.eps)
-    return dataclasses.replace(fam, P=fam.P[: j - 1] + (bumped,) + fam.P[j:])
+    return retouched(fam, P=fam.P[: j - 1] + (bumped,) + fam.P[j:])
 
 
 class TestEvaluationProof:
@@ -936,7 +938,7 @@ class TestExactIdentities:
 
     def test_tampering_detected(self, built_families):
         fam = built_families[3]
-        tampered = dataclasses.replace(fam, f2=fam.f2 * 2)
+        tampered = retouched(fam, f2=fam.f2 * 2)
         rep = exact_identity_checks(tampered)
         assert not rep.all_passed
 
@@ -955,17 +957,9 @@ def expansions(monkeypatch):
 
 
 def _premise_sides(fam):
-    """The sides the premises expand, in order: the product forms eps z^n
-    prod P_j^j of f1 and eps^2 z prod P_j of f2, then P_1's recursion as
-    its constant and its dominant side."""
-    n, eps = fam.n, fam.params.eps
-    dominant, constant = _localization_sides(fam, 1)
-    return [
-        (eps, n, tuple((j, j) for j in range(1, n))),
-        (eps**2, 1, tuple((j, 1) for j in range(1, n))),
-        constant,
-        dominant,
-    ]
+    """The sides the premises expand, in order: P_1's recursion as its
+    constant and its dominant side (f1 and f2 are checked in Z[lam, eps])."""
+    return list(reversed(_localization_sides(fam, 1)))
 
 
 def _recursion_sides(fam):
@@ -1010,19 +1004,11 @@ class TestDerivedIdentities:
         self, n, built_families, root_certs, identities, divisions, expansions
     ):
         fam = built_families[n]
-        # a copy carries no form: f1, f2 and P_1 against their expanded
-        # product forms
-        copy = dataclasses.replace(fam)
-        assert copy.form is None
-        rep = exact_identity_checks(copy)
-        assert rep.all_passed and rep.forms is not None
-        assert expansions == _premise_sides(copy)
-        expansions.clear()
-        # the built family: f1 and f2 are their product forms by
-        # construction, so only P_1's recursion is expanded
+        # f1 and f2 are checked in the ring, so only P_1's recursion is
+        # expanded
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        assert expansions == _premise_sides(fam)[2:]
+        assert expansions == _premise_sides(fam)
         expansions.clear()
         certs = _cone_certificates(fam, root_certs[n], rep, divisions[n])
         assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
@@ -1040,7 +1026,7 @@ class TestDerivedIdentities:
         # one recursion per factor P_1 .. P_(n-2), P_1 among them
         assert expansions == _recursion_sides(fam)
         if n >= 3:
-            assert expansions[-2:] == _premise_sides(fam)[2:]
+            assert expansions[-2:] == _premise_sides(fam)
         expansions.clear()
         rep = exact_identity_checks(fam, roots)
         assert rep.all_passed and rep.forms is not None
@@ -1050,9 +1036,9 @@ class TestDerivedIdentities:
     def test_pipeline_expands_only_the_premises(self, n, expansions):
         # every stage of a run on the built family: the roots expand their
         # recursions, P_1's among them, and nothing else is expanded: f1 and
-        # f2 are their product forms by construction, no identity side and
-        # no cone combination is expanded, and P_1's recursion is not
-        # expanded again
+        # f2 are their product forms in Z[lam, eps], no identity side and no
+        # cone combination is expanded, and P_1's recursion is not expanded
+        # again
         entry, _ = _run_family(RunConfig(n_list=(n,), samples=64), n)
         assert {c["status"] for c in entry["certificates"]} == {"proved"}
         fam = default_family(n)
@@ -1064,7 +1050,7 @@ class TestDerivedIdentities:
         fam = build_family(built_families[3].params)
         rep = exact_identity_checks(fam, root_certs[3])
         assert rep.forms is not None
-        assert expansions == _premise_sides(fam)[2:]
+        assert expansions == _premise_sides(fam)
 
     def test_report_bytes_and_equality(self, built_families, identities):
         # the forms are neither serialized nor compared
@@ -1089,16 +1075,32 @@ class TestDerivedIdentities:
         fam = _tampered(built_families[n], kind)
         rep = exact_identity_checks(fam)
         assert rep.forms is None
-        # the premises up to the first that fails, then the three identities
-        # on their own sides: the unit, difference and square sides
-        premises = expansions[:-3]
-        assert premises and premises == _premise_sides(fam)[: len(premises)]
-        assert expansions[-3:] == list(_identity_cofactors(fam))
+        # its f1 and f2 are not the products in Z[lam, eps], so no premise is
+        # expanded; the three identities on their own sides: the unit,
+        # difference and square sides
+        assert expansions == list(_identity_cofactors(fam))
         assert {c.name: c.passed for c in rep.checks} == _compared_identities(fam)
         assert not rep.passed("power-ratio")
         if n < 4:
             expanded = _expanded_identities(fam, _expanded_unit(fam))
             assert {c.name: c.passed for c in rep.checks} == expanded
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_premise_is_sound(self, n, built_families, expansions):
+        # f1 plus eps lam^0 as a term of the ring and minus eps as a lam-only
+        # term: the same polynomial at eps, but not eps lam^n prod P_j^j in
+        # Z[lam, eps], so the premise proves nothing, and the three
+        # identities are proved on their own sides
+        fam = built_families[n]
+        f1 = {**fam.form.f1, (0, 1): 1, (0, 0): -fam.params.eps}
+        shifted = Family(fam.params, fam.form._replace(f1=f1))
+        assert shifted.f1 == fam.f1 and not shifted.form.products_hold()
+        roots = family_root_certificates(shifted)
+        expansions.clear()
+        assert _proved_forms(shifted, roots) is None
+        rep = exact_identity_checks(shifted, roots)
+        assert rep.all_passed and rep.forms is None
+        assert expansions == list(_identity_cofactors(shifted))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tampered_cone_identities_refuted(
@@ -1144,7 +1146,7 @@ class TestDerivedIdentities:
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
         # P_1's recursion, then power-ratio's unit side alone
-        assert expansions == _premise_sides(fam)[2:] + [cone_sides(fam, 2)[1]]
+        assert expansions == _premise_sides(fam) + [cone_sides(fam, 2)[1]]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cone_mismatch_is_proved_by_evaluation(
@@ -1197,5 +1199,5 @@ class TestDerivedIdentities:
         fam = build_family(FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True))
         rep = exact_identity_checks(fam)
         assert rep.forms is not None
-        assert rep.all_passed and expansions == _premise_sides(fam)[2:]
+        assert rep.all_passed and expansions == _premise_sides(fam)
         assert {c.name: c.passed for c in rep.checks} == _compared_identities(fam)

@@ -94,7 +94,7 @@ import noricert.bounds as bounds
 import noricert.disktrace as disktrace
 from noricert.sampling import RationalSampler
 from atlas_reference import cone_condition
-from conftest import SIZES, exact_sup
+from conftest import SIZES, exact_sup, retouched
 from noricert.family import (
     CheckReport,
     CheckResult,
@@ -539,7 +539,7 @@ def _rational_root_family():
     factors = (p1, p2)
     f1 = Poly.constant(eps) * p1 * p2 * p2 * lam**3
     f2 = Poly.constant(eps**2) * p1 * p2 * lam
-    return Family(params=params, P=factors, f1=f1, f2=f2)
+    return Family.of(params, factors, f1, f2)
 
 
 class TestFactorImages:
@@ -1308,7 +1308,7 @@ def _tampered_family(fam):
     factors = (p1, p2)
     f1 = Poly.constant(eps) * lam**3 * p1 * p2 * p2
     f2 = Poly.constant(eps**2) * lam * p1 * p2
-    return Family(params=fam.params, P=factors, f1=f1, f2=f2)
+    return Family.of(fam.params, factors, f1, f2)
 
 
 class TestRecursionChain:
@@ -1995,7 +1995,7 @@ class TestBoundaryLoops:
         # a real family with these components and its own certificates: its
         # envelope chain reads only the parameters and is proved, but the
         # product forms of f1 and f2 are not, so the loop runs
-        tampered = dataclasses.replace(fam, f1=fake.f1, f2=fake.f2)
+        tampered = retouched(fam, f1=fake.f1, f2=fake.f2)
         _, corollary = _own_certificates(tampered)
         assert corollary.status is Status.PROVED
         ids = exact_identity_checks(tampered)
@@ -2061,7 +2061,7 @@ class TestBoundaryLoops:
         assert window_spot_checks(fake).witness == circle_points(F(2), 64)[i]
         # a real family with this factor: its own localization of P_1 is not
         # proved, so neither is its envelope chain, and the loop runs
-        tampered = dataclasses.replace(fam, P=factors)
+        tampered = retouched(fam, P=factors)
         roots, corollary = _own_certificates(tampered)
         assert roots[1].status is not Status.PROVED
         own = image_in_chart_window(tampered, corollary, ids, _image_factors(tampered, ids))
@@ -2084,7 +2084,7 @@ class TestBoundaryLoops:
         assert base_spot_checks(fake).witness == circle_points(F(2), 256)[i]
         # a real family with these components, its own (parameter-only, so
         # proved) envelope chain and identities without product forms
-        tampered = dataclasses.replace(fam, f1=fake.f1, f2=fake.f2)
+        tampered = retouched(fam, f1=fake.f1, f2=fake.f2)
         _, corollary = _own_certificates(tampered)
         assert corollary.status is Status.PROVED
         own = base_chart_certificate(tampered, corollary, ids, samples=256)
@@ -2382,7 +2382,7 @@ class TestBaseChartForms:
         fam = built_families[3]
         delta = fam.params.eps**20
         bump = Poly.monomial(1, delta) if component == "f1" else Poly.constant(delta)
-        tampered = dataclasses.replace(
+        tampered = retouched(
             fam, **{component: getattr(fam, component) + bump}
         )
         args = (tampered, corollary_reports[3], identities[3])
@@ -2500,7 +2500,7 @@ class TestEscapeWitness:
         # f1 times lam vanishes to order 3 at n = 2: condition iv is refuted
         # with the orders named, and so is the trace
         fam = built_families[2]
-        tampered = dataclasses.replace(fam, f1=fam.f1 * Poly.x())
+        tampered = retouched(fam, f1=fam.f1 * Poly.x())
         assert vanishing_orders(tampered) == (3, 1)
         rep = trace_family(
             tampered,

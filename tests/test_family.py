@@ -14,6 +14,7 @@ import noricert.family as family_module
 from noricert.arith import Poly, _digits10
 from noricert.bounds import int_bracket
 from noricert.certify import _side_poly, family_root_certificates, proved_recursions
+from conftest import retouched
 from noricert.family import (
     Family,
     FamilyParamError,
@@ -191,11 +192,11 @@ class TestBuild:
         assert sum((k + 1) * d5[k] for k in range(4)) + 5 == 55
         assert sum(d5) + 1 == 34
         # at n = 5 the degrees are read from the form, with f1 and f2 (of
-        # about a million bits each) never expanded
+        # about a million bits each) never made
         fam = default_family(5)
         assert (fam.degree("f1"), fam.degree("f2")) == (55, 34)
         assert (fam.trailing_order("f1"), fam.trailing_order("f2")) == (5, 1)
-        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+        assert "f1" not in vars(fam) and "f2" not in vars(fam)
 
 
 class TestStructuralChecks:
@@ -208,7 +209,7 @@ class TestStructuralChecks:
     def test_tampered_leading_coefficient_detected(self):
         fam = default_family(2)
         bad_p = 2 * fam.Pk(1)
-        tampered = dataclasses.replace(fam, P=(bad_p,))
+        tampered = retouched(fam, P=(bad_p,))
         rep = structural_checks(tampered)
         names = {c.name for c in rep.failed()}
         assert "P1-unit-leading" in names
@@ -216,7 +217,7 @@ class TestStructuralChecks:
     def test_tampered_constant_term_detected(self):
         fam = default_family(3)
         bad = fam.Pk(1) + Poly.constant(fam.params.eps)
-        tampered = dataclasses.replace(fam, P=(bad, fam.Pk(2)))
+        tampered = retouched(fam, P=(bad, fam.Pk(2)))
         rep = structural_checks(tampered)
         names = {c.name for c in rep.failed()}
         assert "P1-constant-term" in names
@@ -260,10 +261,10 @@ class TestCoprimalityFromRecursions:
         # own localizations prove none for it and every pair is divided; the
         # untampered family's proofs name another object and count for nothing
         fam = built_families[3]
-        bumped = dataclasses.replace(
+        bumped = retouched(
             fam, P=(fam.Pk(1) + Poly.constant(fam.params.eps), fam.Pk(2))
         )
-        repeated = dataclasses.replace(fam, P=(fam.Pk(1), fam.Pk(1)))
+        repeated = retouched(fam, P=(fam.Pk(1), fam.Pk(1)))
         for tampered in (bumped, repeated):
             own = proved_recursions(tampered, family_root_certificates(tampered))
             assert 1 not in own
@@ -280,7 +281,8 @@ class TestSerialization:
         fam = default_family(3)
         blob = fam.to_json()
         back = Family.from_json(blob)
-        assert back == fam
+        assert back.params == fam.params
+        assert (back.P, back.f1, back.f2) == (fam.P, fam.f1, fam.f2)
         assert family_hash(back) == family_hash(fam)
         other = default_family(2)
         assert family_hash(other) != family_hash(fam)
@@ -298,21 +300,20 @@ class TestSerialization:
         # every reduced coefficient of P_k, f1 and f2 at the default
         # parameters, as serialized; any change to the polynomial algebra
         # that moves one of them moves the digest.  The hash is written
-        # from the form: n = 5 never expands f1 or f2
+        # from the form: n = 5 never makes f1 or f2
         fam = built_families.get(n) or default_family(n)
         assert family_hash(fam) == digest
         if n == 5:
-            assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+            assert "f1" not in vars(fam) and "f2" not in vars(fam)
 
     @staticmethod
     def _fraction_path_hashes(fam, **kwargs):
-        """The hashes of two formless families with ``fam``'s values, each
-        coefficient reduced as a ``Fraction``: ``fam`` read back from its
-        JSON, and a copy whose f1 and f2 are expanded from its P_j."""
+        """The hashes of two families given by ``fam``'s polynomials, whose
+        rows hold ``Fraction`` terms, each coefficient reduced as a
+        ``Fraction``: ``fam`` read back from its JSON, and ``Family.of`` of
+        the ``Poly``s read from its form."""
         back = Family.from_json(fam.to_json(), **kwargs)
-        copy = dataclasses.replace(fam)
-        assert back.form is None and copy.form is None
-        return family_hash(back), family_hash(copy)
+        return family_hash(back), family_hash(retouched(fam))
 
     @staticmethod
     def _hash_written(monkeypatch, fam):
@@ -356,15 +357,69 @@ class TestSerialization:
         else:
             assert written == []
 
+    def test_fraction_rows_are_reduced_as_fractions(self, monkeypatch, built_families):
+        # every integer row is offered to decimal; a family read back by
+        # from_json offers none, since its rows hold Fraction terms, and
+        # hashes as the built family
+        monkeypatch.setattr(family_module, "_DECIMAL_DIGITS", 0)
+        fam = built_families[4]
+        digest, written = self._hash_written(monkeypatch, Family.from_json(fam.to_json()))
+        assert written == [] and digest == family_hash(fam)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_factor_count_must_be_n_minus_1(self, built_families, count):
+        fam = built_families[3]
+        blob = fam.to_json()
+        P = (blob["P"] * 2)[:count]
+        with pytest.raises(FamilyParamError) as err:
+            Family.from_json({**blob, "P": P})
+        assert err.value.violation == "factor-count"
+        with pytest.raises(FamilyParamError) as err:
+            retouched(fam, P=(fam.P * 2)[:count])
+        assert err.value.violation == "factor-count"
+
     def test_poly_text_form(self):
         fam = default_family(2)
         eps = fam.params.eps
         assert fam.to_json()["P"][0] == [f"1/{eps.denominator}", "-1/1"]
 
 
+def _poly_recursion(params, products=True):
+    """P_1, ..., P_(n-1) by the recursions of the family module run on
+    ``Poly``s and, with ``products``, f1 and f2 as their ``Poly`` products:
+    the reference for the stored pairs read from the form, which select the
+    image path of ``bounds.abs2_atoms``."""
+    n, eps, c = params.n, params.eps, params.c
+    lam = Poly.x()
+    P = {n - 1: Poly.constant(eps ** c[n - 2]) - lam}
+    for k in range(n - 2, 0, -1):
+        prod = Poly.one()
+        for j in range(k + 1, n):
+            prod = prod * P[j] ** (j - k)
+        P[k] = Poly.constant(eps ** c[k - 1]) - prod * lam ** (n - k)
+    polys = [P[k] for k in range(1, n)]
+    if products:
+        f1, f2 = Poly.constant(eps) * lam**n, Poly.constant(eps**2) * lam
+        for j, p in enumerate(polys, start=1):
+            f1, f2 = f1 * p**j, f2 * p
+        polys += [f1, f2]
+    return [p.scaled() for p in polys]
+
+
 class TestForm:
-    """The family in Z[lam, eps]: f1 and f2 expanded on first read, and
-    carried only by a family from ``build_family``."""
+    """The family in Z[lam, eps]: P, f1 and f2 read from it on first read."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_factors_have_the_pairs_of_the_poly_recursion(self, n, built_families):
+        fam = built_families.get(n) or default_family(n)
+        assert [p.scaled() for p in fam.P] == _poly_recursion(fam.params, products=False)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [F(1, 10), F(2, 5), F(1)])
+    def test_pairs_at_other_eps(self, n, eps):
+        fam = build_family(FamilyParams.build(n, eps=eps, allow_unsafe_eps=True))
+        polys = (*fam.P, fam.f1, fam.f2)
+        assert [p.scaled() for p in polys] == _poly_recursion(fam.params)
 
     @staticmethod
     def _sides(fam):
@@ -377,10 +432,9 @@ class TestForm:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lazy_sides_are_the_product_forms(self, n):
         fam = default_family(n)
-        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
-        f1, f2 = self._sides(fam)
-        # the same stored pairs, which pick the image path of bounds.abs2_atoms
-        assert fam.f1.scaled() == f1.scaled() and fam.f2.scaled() == f2.scaled()
+        assert "f1" not in vars(fam) and "f2" not in vars(fam)
+        # the stored pairs of the Poly products
+        assert [fam.f1.scaled(), fam.f2.scaled()] == _poly_recursion(fam.params)[-2:]
         assert vars(fam)["f1"] is fam.f1 and vars(fam)["f2"] is fam.f2
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -390,7 +444,7 @@ class TestForm:
         for name, poly in zip(("f1", "f2"), self._sides(fam)):
             assert fam.degree(name) == poly.degree
             assert fam.trailing_order(name) == poly.trailing_order
-        assert vars(fam)["f1"] is None and vars(fam)["f2"] is None
+        assert "f1" not in vars(fam) and "f2" not in vars(fam)
 
     def test_form_terms_are_the_polynomials(self):
         # each term dict, valued at eps, is its polynomial
@@ -403,16 +457,18 @@ class TestForm:
                 coeffs[i] += a * eps**m
             assert Poly(coeffs) == poly
 
-    def test_a_replaced_family_carries_no_form(self, built_families):
+    def test_a_family_of_polynomials_holds_lam_rows(self, built_families):
+        # from_json and Family.of: each polynomial as rows {(i, 0): c}, with
+        # the stored pairs of Poly(coeffs), whose products in the ring are
+        # not f1 and f2; a copy shares the built form, and hashes equal
         fam = built_families[3]
-        bumped = fam.Pk(1) + Poly.constant(fam.params.eps)
-        for copy in (dataclasses.replace(fam), dataclasses.replace(fam, P=(bumped, fam.Pk(2)))):
-            assert copy.form is None
-            assert copy.f1 == fam.f1 and copy.f2 == fam.f2
-        assert Family.from_json(fam.to_json()).form is None
-
-    def test_a_family_without_a_form_needs_f1_and_f2(self, built_families):
-        fam = built_families[2]
-        bare = Family(params=fam.params, P=fam.P)
-        with pytest.raises(TypeError):
-            bare.f1
+        for other in (Family.from_json(fam.to_json()), retouched(fam)):
+            assert other.form.f2 == {(i, 0): c for i, c in enumerate(fam.f2.coeffs) if c}
+            assert (other.P, other.f1, other.f2) == (fam.P, fam.f1, fam.f2)
+            polys = (*fam.P, fam.f1, fam.f2)
+            made = (*other.P, other.f1, other.f2)
+            assert [p.scaled() for p in made] == [Poly(p.coeffs).scaled() for p in polys]
+            assert not other.form.products_hold()
+        assert fam.form.products_hold()
+        copy = dataclasses.replace(fam)
+        assert copy.form is fam.form and copy == fam and hash(copy) == hash(fam)
