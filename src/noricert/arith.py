@@ -60,9 +60,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -233,8 +232,7 @@ def decimal_approx(q: RationalLike, sig: int = 6, mode: str = "nearest") -> str:
     return f"{sign}{mantissa}e{e:+03d}"
 
 
-@dataclass(frozen=True)
-class ComplexRational:
+class ComplexRational(NamedTuple):
     """A complex number with exact rational real and imaginary parts."""
 
     re: Fraction

@@ -24,8 +24,8 @@ them as cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import ComplexRational, Rational, format_rational
 
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChartPoint:
+class ChartPoint(NamedTuple):
     """A point of C^2 in base coordinates."""
 
     z1: ComplexRational
@@ -52,8 +51,7 @@ class ChartPoint:
         return {"z1": self.z1.to_json(), "z2": self.z2.to_json()}
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     """Chart indices containing a point of the covered region.
 
     ``in_region`` is False when the point violates 0 < |z1| < r, |z2| < r^2;
@@ -102,8 +100,7 @@ def chart_cover_indices(p: ChartPoint, r: Rational, k_max: int) -> CoverResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExactArgument:
+class ExactArgument(NamedTuple):
     """A chart-geometry claim settled by a short exact argument.
 
     ``hypotheses`` pairs each hypothesis of ``argument`` with whether it
@@ -193,18 +190,15 @@ def overlap_polydisk_certificate(r: Rational) -> ExactArgument:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntersectionMatrix:
     """A symmetric 2x2 integer matrix [[a11, a12], [a12, a22]]."""
 
-    a11: int
-    a12: int
-    a22: int
+    __slots__ = ("a11", "a12", "a22")
 
-    def __post_init__(self):
-        for name in ("a11", "a12", "a22"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError("matrix entries must be integers")
+    def __init__(self, a11: int, a12: int, a22: int):
+        if not all(isinstance(a, int) for a in (a11, a12, a22)):
+            raise ValueError("matrix entries must be integers")
+        self.a11, self.a12, self.a22 = a11, a12, a22
 
     @classmethod
     def from_rows(cls, rows) -> "IntersectionMatrix":

@@ -53,11 +53,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import (
     ComplexRational,
@@ -128,8 +127,7 @@ def chart_point(radius: Fraction, t: Fraction) -> ComplexRational:
     return ComplexRational(radius * (1 - t * t) / den, radius * 2 * t / den)
 
 
-@dataclass(frozen=True)
-class CirclePoint:
+class CirclePoint(NamedTuple):
     """An exact point on a circle: chart 0 is w(t), chart 1 is -w(t)."""
 
     chart: int
@@ -184,8 +182,7 @@ def circle_triples(radius: Fraction, count: int) -> list[tuple[int, int, int]]:
     return out + [(-re, -im, den) for re, im, den in out]
 
 
-@dataclass(frozen=True)
-class SpotLoop:
+class SpotLoop(NamedTuple):
     """A loop over exact circle points: how many it tested, how many of
     those exact integers decided, and the first point where the claim
     fails (``radius`` and ``witness``, None where it holds at every point)."""
@@ -294,8 +291,7 @@ def side_factors(side: tuple, radius: Fraction) -> list:
     return [const] + [j - 1 for j, e in powers for _ in range(e)]
 
 
-@dataclass(frozen=True)
-class RootProductBound:
+class RootProductBound(NamedTuple):
     """Outcome of certifying |dominated| < |dominant| on the circle |z| = radius.
 
     ``lower`` is a lower bound of |dominant| and ``upper`` an upper bound of
@@ -433,7 +429,6 @@ def root_product_dominance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RootLocalization:
     """All roots of factor ``index`` certified inside |z| < radius.
 
@@ -443,18 +438,28 @@ class RootLocalization:
     for the last factor, its linear form).  Neither is part of ``to_json``.
     """
 
-    index: int
-    radius: Fraction
-    degree: int
-    count: Optional[int]
-    status: Status
-    method: str  # "exact-root" | "perturbation"
-    dominance: Optional[RootProductBound]
-    detail: str = ""
-    family: Optional[Family] = field(
-        default=None, kw_only=True, compare=False, repr=False
+    __slots__ = (
+        "index", "radius", "degree", "count", "status", "method", "dominance",
+        "detail", "family", "recursion",
     )
-    recursion: bool = field(default=False, kw_only=True, compare=False, repr=False)
+
+    def __init__(
+        self,
+        index: int,
+        radius: Fraction,
+        degree: int,
+        count: Optional[int],
+        status: Status,
+        method: str,  # "exact-root" | "perturbation"
+        dominance: Optional[RootProductBound],
+        detail: str = "",
+        *,
+        family: Optional[Family] = None,
+        recursion: bool = False,
+    ):
+        self.index, self.radius, self.degree, self.count = index, radius, degree, count
+        self.status, self.method, self.dominance = status, method, dominance
+        self.detail, self.family, self.recursion = detail, family, recursion
 
     def to_json(self) -> dict:
         return {
@@ -554,7 +559,6 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AnnulusBounds:
     """(1/2)^d_k < |P_k(z)| < 3^d_k for 1 <= |z| <= 2.
 
@@ -564,13 +568,20 @@ class AnnulusBounds:
     work, not the verdict, and is not part of ``to_json``.
     """
 
-    index: int
-    lower: Fraction
-    upper: Fraction
-    status: Status
-    spot_checks: int
-    detail: str = ""
-    exact_fallbacks: int = field(default=0, compare=False, repr=False)
+    __slots__ = ("index", "lower", "upper", "status", "spot_checks", "detail", "exact_fallbacks")
+
+    def __init__(
+        self,
+        index: int,
+        lower: Fraction,
+        upper: Fraction,
+        status: Status,
+        spot_checks: int,
+        detail: str = "",
+        exact_fallbacks: int = 0,
+    ):
+        self.index, self.lower, self.upper, self.status = index, lower, upper, status
+        self.spot_checks, self.detail, self.exact_fallbacks = spot_checks, detail, exact_fallbacks
 
     def to_json(self) -> dict:
         return {
@@ -649,16 +660,20 @@ def annulus_bounds_for_factor(
     )
 
 
-@dataclass(frozen=True)
 class AnnulusReport:
     """Two-sided annulus bounds for every factor of ``family``."""
 
-    status: Status
-    per_factor: tuple[AnnulusBounds, ...]
-    detail: str = ""
-    family: Optional[Family] = field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
+    __slots__ = ("status", "per_factor", "detail", "family")
+
+    def __init__(
+        self,
+        status: Status,
+        per_factor: tuple[AnnulusBounds, ...],
+        detail: str = "",
+        *,
+        family: Optional[Family] = None,
+    ):
+        self.status, self.per_factor, self.detail, self.family = status, per_factor, detail, family
 
     def factor(self, k: int) -> AnnulusBounds:
         return self.per_factor[k - 1]
@@ -705,8 +720,7 @@ def annulus_bounds_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IneqCheck:
+class IneqCheck(NamedTuple):
     name: str
     passed: bool
     lhs: Fraction
@@ -723,17 +737,21 @@ class IneqCheck:
         }
 
 
-@dataclass(frozen=True)
 class CorollaryReport:
     """The envelope inequality chains of ``family``; ``family`` is not part
     of ``to_json``."""
 
-    status: Status
-    checks: tuple[IneqCheck, ...]
-    detail: str = ""
-    family: Optional[Family] = field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
+    __slots__ = ("status", "checks", "detail", "family")
+
+    def __init__(
+        self,
+        status: Status,
+        checks: tuple[IneqCheck, ...],
+        detail: str = "",
+        *,
+        family: Optional[Family] = None,
+    ):
+        self.status, self.checks, self.detail, self.family = status, checks, detail, family
 
     def failed(self) -> list[IneqCheck]:
         return [c for c in self.checks if not c.passed]
@@ -845,8 +863,7 @@ def _normal_form(sides: list, recursion: tuple) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class ProductForms:
+class ProductForms(NamedTuple):
     """The product forms proved for ``family`` (``_proved_forms``).
 
     ``f1`` is the side eps z^n prod P_j^j and ``f2`` the side eps^2 z prod
@@ -854,7 +871,7 @@ class ProductForms:
     ``_localization_sides(family, 1)``, whose difference equals P_1.
     """
 
-    family: Family = field(repr=False)
+    family: Family
     f1: tuple
     f2: tuple
     recursion: tuple
@@ -897,7 +914,6 @@ def _proved_forms(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DivisionWitness:
     """The factor ``index`` divides the cone combination C of chart ``index - 1``.
 
@@ -915,16 +931,20 @@ class DivisionWitness:
     read the quotient.
     """
 
-    index: int
-    status: Status
-    method: str  # "recursion" | "long-division"
-    degree: Optional[int]
-    detail: str = ""
-    family: Family = field(kw_only=True, compare=False, repr=False)
-    # (quotient, unit_part, dominant) of the long division, where it ran
-    expanded: Optional[tuple] = field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
+    def __init__(
+        self,
+        index: int,
+        status: Status,
+        method: str,  # "recursion" | "long-division"
+        degree: Optional[int],
+        detail: str = "",
+        *,
+        family: Family,
+        # (quotient, unit_part, dominant) of the long division, where it ran
+        expanded: Optional[tuple] = None,
+    ):
+        self.index, self.status, self.method, self.degree = index, status, method, degree
+        self.detail, self.family, self.expanded = detail, family, expanded
 
     @cached_property
     def _sides(self) -> tuple[Poly, Poly]:
@@ -1047,8 +1067,7 @@ def lemma_div_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeFactorCertificate:
+class ConeFactorCertificate(NamedTuple):
     """Certified factorization of f2^(k+1) - f1 over the chart of index k.
 
     For k <= n-2:  f2^(k+1) - f1 = G * C with G a unit times a monomial and
@@ -1246,15 +1265,18 @@ def _identity_products(forms: ProductForms) -> dict[str, tuple[list, list]]:
     }
 
 
-@dataclass(frozen=True)
 class IdentityReport(CheckReport):
     """The exact identities, and the product forms they were derived from.
 
-    ``forms`` is None unless all three premises were proved; it is not part
-    of ``to_json``.  ``cone_factor_certificate`` reads it.
+    ``forms`` is None unless all three premises were proved; it is neither
+    part of ``to_json`` nor compared.  ``cone_factor_certificate`` reads it.
     """
 
-    forms: Optional[ProductForms] = field(default=None, compare=False, repr=False)
+    __slots__ = ("forms",)
+
+    def __init__(self, checks: tuple, forms: Optional[ProductForms] = None):
+        super().__init__(checks)
+        self.forms = forms
 
 
 def _forms_of(fam: Family, identities: CheckReport) -> Optional[ProductForms]:

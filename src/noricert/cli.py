@@ -43,12 +43,11 @@ made the loop unnecessary.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import format_rational, parse_rational
 from .atlas import (
@@ -100,8 +99,7 @@ class UsageError(ValueError):
     """Invalid command line or configuration; maps to exit code 64."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated run parameters for ``run_verify``."""
 
     n_list: tuple[int, ...]
@@ -125,6 +123,8 @@ class RunConfig:
             raise UsageError("at least one size n is required")
         if len(set(self.n_list)) != len(self.n_list):
             raise UsageError("duplicate sizes in the n list")
+        if self.max_n < 2:
+            raise UsageError(f"max-n must be at least 2, got {self.max_n}")
         for n in self.n_list:
             try:
                 FamilyParams.build(

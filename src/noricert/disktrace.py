@@ -81,7 +81,6 @@ exact zero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -149,8 +148,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A named verdict with human-readable detail and JSON-safe payload."""
 
     name: str
@@ -850,7 +848,6 @@ def _sample_witness(img: _Image, k_max: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TargetRegion:
     """Closed region |z1| <= 1/n, |z2| <= 1/n, |z2| <= (1/n)|z1| in C^2.
 
@@ -859,11 +856,10 @@ class TargetRegion:
     target index they reach.
     """
 
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("target index must be >= 1")
+        self.n = n
 
     @property
     def bound(self) -> Fraction:
@@ -1746,7 +1742,6 @@ def _sup_metric_certificate(n: int, target: Certificate) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TraceReport:
     """The four per-family conditions, each with its own certificate.
 
@@ -1779,19 +1774,34 @@ class TraceReport:
     of ``to_json``.
     """
 
-    n: int
-    condition_i: Certificate
-    condition_ii: Certificate
-    condition_iii: Certificate
-    condition_iv: Certificate
-    escape_index: int
-    seed: int
-    status: Status
-    detail: str = ""
-    ladder: dict = field(default_factory=dict, compare=False)
-    witness: dict = field(default_factory=dict, compare=False)
-    window: dict = field(default_factory=dict, compare=False)
-    boundary: dict = field(default_factory=dict, compare=False)
+    __slots__ = (
+        "n", "condition_i", "condition_ii", "condition_iii", "condition_iv",
+        "escape_index", "seed", "status", "detail",
+        "ladder", "witness", "window", "boundary",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        condition_i: Certificate,
+        condition_ii: Certificate,
+        condition_iii: Certificate,
+        condition_iv: Certificate,
+        escape_index: int,
+        seed: int,
+        status: Status,
+        detail: str,
+        *,
+        ladder: dict,
+        witness: dict,
+        window: dict,
+        boundary: dict,
+    ):
+        self.n, self.escape_index, self.seed = n, escape_index, seed
+        self.condition_i, self.condition_ii = condition_i, condition_ii
+        self.condition_iii, self.condition_iv = condition_iii, condition_iv
+        self.status, self.detail = status, detail
+        self.ladder, self.witness, self.window, self.boundary = ladder, witness, window, boundary
 
     @property
     def conditions(self) -> tuple[Certificate, Certificate, Certificate, Certificate]:

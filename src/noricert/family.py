@@ -49,7 +49,6 @@ import hashlib
 import json
 import math
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -121,15 +120,24 @@ class ChartSquares(NamedTuple):
     half_rho2: tuple
 
 
-@dataclass(frozen=True)
 class FamilyParams:
-    n: int
-    r: Fraction
-    rho: Fraction
-    eps: Fraction
-    c: tuple
-    d: tuple
-    N: int
+    """The parameter block of a family; equal, and hashed, by its fields."""
+
+    def __init__(
+        self, n: int, r: Fraction, rho: Fraction, eps: Fraction, c: tuple, d: tuple, N: int
+    ):
+        self.n, self.r, self.rho, self.eps, self.c, self.d, self.N = n, r, rho, eps, c, d, N
+
+    def _key(self) -> tuple:
+        return self.n, self.r, self.rho, self.eps, self.c, self.d, self.N
+
+    def __eq__(self, other):
+        if type(other) is not FamilyParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def build(
@@ -387,14 +395,23 @@ def _strings(terms: dict, eps: Fraction) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class Family:
     """The family: its parameter block and its form in Z[lam, eps].  ``P``
     (P[0] is P_1, ..., P[n-2] is P_(n-1)), ``f1`` and ``f2`` are read from
-    the form on first read and kept."""
+    the form on first read and kept.  Two families are equal when their
+    params and forms are; a family hashes by its params (a form holds
+    dicts)."""
 
-    params: FamilyParams
-    form: FamilyForm = field(repr=False, hash=False)
+    def __init__(self, params: FamilyParams, form: FamilyForm):
+        self.params, self.form = params, form
+
+    def __eq__(self, other):
+        if type(other) is not Family:
+            return NotImplemented
+        return self.params == other.params and self.form == other.form
+
+    def __hash__(self) -> int:
+        return hash(self.params)
 
     @classmethod
     def of(cls, params: FamilyParams, P: Sequence[Poly], f1: Poly, f2: Poly) -> "Family":
@@ -500,8 +517,7 @@ def build_family(params: FamilyParams) -> Family:
     return Family(params, FamilyForm.build(params.n, params.c))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -510,9 +526,19 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    checks: tuple
+    """Named exact checks; two reports of one class are equal when their
+    checks are."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self.checks = checks
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.checks == other.checks
 
     @property
     def all_passed(self) -> bool:

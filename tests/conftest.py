@@ -11,6 +11,7 @@ import pytest
 
 from noricert.arith import eval_scaled, scaled_abs2
 from noricert.certify import (
+    RootLocalization,
     annulus_bounds_certificate,
     circle_triples,
     exact_identity_checks,
@@ -26,6 +27,13 @@ def retouched(fam, **changes):
     """``fam`` with the polynomials ``changes`` (``P``, ``f1`` or ``f2``) in
     place of its own, as a family given by its polynomials (``Family.of``)."""
     return Family.of(fam.params, **{"P": fam.P, "f1": fam.f1, "f2": fam.f2, **changes})
+
+
+def relocalized(cert, **changes):
+    """The root localization ``cert`` with the fields ``changes`` in place of
+    its own."""
+    fields = {name: getattr(cert, name) for name in RootLocalization.__slots__}
+    return RootLocalization(**{**fields, **changes})
 
 
 @pytest.fixture(scope="session")

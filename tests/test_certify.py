@@ -4,7 +4,6 @@ Reference values (quotients, root counts, bound constants) were computed with
 an independent sympy/numpy oracle before being frozen here.
 """
 
-import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +15,7 @@ from noricert.arith import Poly, as_scaled, eval_scaled, scaled_abs2
 from noricert import certify
 from noricert.certify import (
     AnnulusReport,
+    DivisionWitness,
     IdentityReport,
     ProductForms,
     RootLocalization,
@@ -48,7 +48,7 @@ from noricert.certify import (
 )
 from noricert.cli import RunConfig, _run_family
 from noricert.family import Family, FamilyParams, build_family, default_family
-from conftest import retouched
+from conftest import relocalized, retouched
 
 F = Fraction
 
@@ -405,7 +405,7 @@ class TestDominanceAgainstReference:
             assert swapped.status is Status.REFUTED
             assert swapped.witness == circle_points(radius, 16)[0]
             coarse = {
-                j: dataclasses.replace(cert, radius=radius) for j, cert in certs.items()
+                j: relocalized(cert, radius=radius) for j, cert in certs.items()
             }
             widened = _assert_matches_reference(fam, dominant, dominated, radius, coarse)
             assert widened.status is not Status.REFUTED
@@ -510,7 +510,7 @@ class TestAnnulusBounds:
 
     def test_missing_prerequisite_is_inconclusive(self, built_families, root_certs):
         fam = built_families[2]
-        broken = dataclasses.replace(root_certs[2][1], status=Status.INCONCLUSIVE)
+        broken = relocalized(root_certs[2][1], status=Status.INCONCLUSIVE)
         cert = annulus_bounds_for_factor(fam, 1, broken)
         assert cert.status is Status.INCONCLUSIVE
 
@@ -672,7 +672,7 @@ class TestDivisionWitness:
         # the same polynomials under another family object: the recursions
         # were proved for the original, so the copy is divided
         fam = built_families[3]
-        copy = dataclasses.replace(fam)
+        copy = Family(fam.params, fam.form)
         for k in (1, 2):
             witness = lemma_div_check(copy, k, root_certs[3])
             assert witness.method == "long-division"
@@ -734,8 +734,8 @@ class TestConeFactorization:
         # cofactor also needs P_2, whose certificate belongs to another
         # family object with the same polynomials
         fam = built_families[3]
-        copy = dataclasses.replace(fam)
-        own = {j: dataclasses.replace(c, family=copy) for j, c in root_certs[3].items()}
+        copy = Family(fam.params, fam.form)
+        own = {j: relocalized(c, family=copy) for j, c in root_certs[3].items()}
         mixed = {1: own[1], 2: root_certs[3][2]}
         ids = exact_identity_checks(copy, own)
         cert = cone_factor_certificate(copy, 1, mixed, ids, divisions[3])
@@ -746,9 +746,10 @@ class TestConeFactorization:
 
     def test_refuted_division_refutes(self, built_families, root_certs, identities, divisions):
         # a refuted witness still expands the sides of its combination
-        failed = dataclasses.replace(
-            divisions[3][1], status=Status.REFUTED, degree=None,
-            detail="nonzero remainder",
+        proved = divisions[3][1]
+        failed = DivisionWitness(
+            proved.index, Status.REFUTED, proved.method, None, "nonzero remainder",
+            family=proved.family, expanded=proved.expanded,
         )
         assert failed.quotient is None
         cert = cone_factor_certificate(

@@ -6,6 +6,10 @@ default run of the meta tests.
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +39,9 @@ GOLDEN_REPORT_SHA256 = "9cb5e78ccf12b33cb95ac9b835bc598ba7c087602b0b93a2f694513c
 DEFAULT_REPORT_SHA256 = "3a3d0ed994f7d6539255bb8e21a68fa0cc4db4a94a00cbfd582894fced7df88c"
 # verify --n 2 --eps 1 --unsafe-eps --seed 0, which exits 1 (also pinned in CI)
 REFUTED_REPORT_SHA256 = "115293347e13ec0af47b005a942f0cbcd843ae5d5fa58313afb93666fc7cb668"
+# the standard output of verify --n 2..3 --seed 0 --format text, which holds
+# no timings
+TEXT_REPORT_SHA256 = "698196242f3620c1c094686da12bf95918d4109cb020a018ad1716c9a3d690ae"
 
 
 def _strip_meta(report: dict) -> dict:
@@ -169,6 +176,12 @@ class TestExitCodes:
     def test_incompatible_radius(self, capsys):
         assert main(["verify", "--n", "2", "--r", "9/10", "--rho", "1/2"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("max_n", [1, 0, -3])
+    def test_max_n_below_two(self, capsys, max_n):
+        # a usage error of its own, not an empty range 2..max_n for every n
+        assert main(["verify", "--n", "2", "--max-n", str(max_n)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: max-n must be at least 2, got {max_n}\n"
 
     def test_inadmissible_eps_refutes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -612,6 +625,14 @@ class TestRendering:
             "    chart 1:      0",
         ]
 
+    def test_text_report_digest(self, capsys):
+        # records reach the text through their to_json and through the str of
+        # a record in a detail string (an exact point); its bytes are pinned
+        # whole
+        assert main(["verify", "--n", "2..3", "--seed", "0", "--format", "text"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_REPORT_SHA256
+
     def test_out_file_suppresses_stdout(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(
@@ -621,3 +642,21 @@ class TestRendering:
         assert capsys.readouterr().out == ""
         report = json.loads(out.read_text())
         assert report["summary"]["verdict"] == "proved"
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses(self):
+        # the records are NamedTuples and plain classes: importing the CLI
+        # loads neither dataclasses nor the modules it pulls in.  -S keeps
+        # the site-packages' .pth files, which are not the package's, out
+        src = pathlib.Path(cli.__file__).parents[1]
+        heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+        code = f"import noricert.cli, sys; print(*(m for m in {heavy!r} if m in sys.modules))"
+        run = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.split() == []

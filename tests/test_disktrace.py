@@ -6,7 +6,6 @@ oracles before being frozen here.  The scaled fast-path predicates are
 cross-validated against the reference Fraction implementations.
 """
 
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -29,6 +28,7 @@ from noricert.arith import (
 )
 from noricert.atlas import ChartPoint, chart_cover_indices
 from noricert.certify import (
+    CorollaryReport,
     SpotLoop,
     Status,
     _forms_of,
@@ -94,7 +94,7 @@ import noricert.bounds as bounds
 import noricert.disktrace as disktrace
 from noricert.sampling import RationalSampler
 from atlas_reference import cone_condition
-from conftest import SIZES, exact_sup, retouched
+from conftest import SIZES, exact_sup, relocalized, retouched
 from noricert.family import (
     CheckReport,
     CheckResult,
@@ -1331,7 +1331,7 @@ class TestRecursionChain:
         assert _image_factors(fam, None, roots).chain is None  # no factor atoms
         other = family_root_certificates(default_family(n))  # another family object
         for k in range(1, n):
-            unproved = {**roots, k: dataclasses.replace(roots[k], recursion=False)}
+            unproved = {**roots, k: relocalized(roots[k], recursion=False)}
             assert _image_factors(fam, ids, unproved).chain is None
             foreign = {**roots, k: other[k]}
             assert _image_factors(fam, ids, foreign).chain is None
@@ -1949,7 +1949,7 @@ class TestBoundaryLoops:
         # (and forms) of another family object: each certificate runs its
         # full loop, which passes, and proves nothing
         fam, cor, ids = built_families[n], corollary_reports[n], identities[n]
-        weak = dataclasses.replace(cor, status=Status.INCONCLUSIVE)
+        weak = CorollaryReport(Status.INCONCLUSIVE, cor.checks, cor.detail, family=cor.family)
         bare = CheckReport(ids.checks)
         other = build_family(fam.params)
         own_ids = exact_identity_checks(other)
@@ -2222,11 +2222,8 @@ class TestAnnulusIntoTarget:
     def test_unproved_prerequisite_is_inconclusive(
         self, built_families, corollary_reports
     ):
-        import dataclasses
-
-        weak = dataclasses.replace(
-            corollary_reports[2], status=Status.INCONCLUSIVE
-        )
+        cor = corollary_reports[2]
+        weak = CorollaryReport(Status.INCONCLUSIVE, cor.checks, cor.detail, family=cor.family)
         cert = annulus_into_target(built_families[2], weak)
         assert cert.status is Status.INCONCLUSIVE
 
@@ -2357,7 +2354,7 @@ class TestBaseChartForms:
         self, monkeypatch, built_families, corollary_reports, identities, n
     ):
         fam = built_families[n]
-        copy = dataclasses.replace(fam)  # equal, but another object
+        copy = Family(fam.params, fam.form)  # equal, but another object
         assert _forms_of(copy, identities[n]) is None
         args = (copy, corollary_reports[n], identities[n])
         want = self._reference(monkeypatch, *args, samples=64)
@@ -2436,7 +2433,9 @@ class TestEntryModel:
     def test_non_decimal_eps_has_no_model(self):
         params = FamilyParams.build(3)
         eps = params.eps / 2
-        fam = SimpleNamespace(params=dataclasses.replace(params, eps=eps))
+        fam = SimpleNamespace(
+            params=FamilyParams(params.n, params.r, params.rho, eps, params.c, params.d, params.N)
+        )
         assert _entry_model(fam, 1) is None
 
     def test_scale_beyond_the_cap_is_inconclusive(

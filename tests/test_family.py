@@ -4,7 +4,6 @@ Expected values below were derived with an independent sympy/Fraction oracle
 (recursions coded separately from the library) before being frozen here.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -136,7 +135,7 @@ class TestParams:
             bracketed = (num, den, int_bracket(num), int_bracket(den))
             assert getattr(squares, name) == bracketed
         # the cached value is not a field: equality and hashing are unchanged
-        twin = dataclasses.replace(p)
+        twin = FamilyParams(p.n, p.r, p.rho, p.eps, p.c, p.d, p.N)
         assert p == twin and hash(p) == hash(twin)
 
 
@@ -286,6 +285,23 @@ class TestSerialization:
         assert family_hash(back) == family_hash(fam)
         other = default_family(2)
         assert family_hash(other) != family_hash(fam)
+
+    def test_equality_and_hash_contracts(self):
+        # a family is equal to another with equal params and form, and hashes
+        # by its params; the params are equal, and hash alike, field by field
+        fam = default_family(3)
+        again = default_family(3)
+        assert again is not fam and again == fam and hash(again) == hash(fam)
+        assert {fam: "built"}[again] == "built"
+        back = Family.from_json(fam.to_json())
+        assert back.params is not fam.params
+        assert back.params == fam.params and hash(back.params) == hash(fam.params)
+        # read back, the polynomials are lam-rows: another form, the same hash
+        assert back != fam and hash(back) == hash(fam)
+        unsafe = FamilyParams.build(3, eps=fam.params.eps * 10, allow_unsafe_eps=True)
+        assert unsafe != fam.params and build_family(unsafe) != fam
+        p = fam.params
+        assert p != (p.n, p.r, p.rho, p.eps, p.c, p.d, p.N) and fam != p
 
     @pytest.mark.parametrize(
         "n, digest",
@@ -470,5 +486,5 @@ class TestForm:
             assert [p.scaled() for p in made] == [Poly(p.coeffs).scaled() for p in polys]
             assert not other.form.products_hold()
         assert fam.form.products_hold()
-        copy = dataclasses.replace(fam)
+        copy = Family(fam.params, fam.form)
         assert copy.form is fam.form and copy == fam and hash(copy) == hash(fam)
