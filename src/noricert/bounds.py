@@ -19,15 +19,24 @@ which bounds the midpoint's modulus by ``|re| + |im|`` and takes no square
 root.  ``ball_abs2`` is a Horner of these steps; ``recursion_balls`` gives
 the balls of all the family's factors P_1, ..., P_{n-1} from their proved
 recursions, two products per factor and no Horner.  Before any ball,
-``recursion_exponents`` runs the same recursions on powers of two alone,
-integer additions of bit lengths, and bounds every |P_k|^2 wherever one of
-the recursion's two terms dominates the other.
+``recursion_exponents`` runs the same recursions on exponents alone,
+integer additions, and bounds every |P_k|^2 wherever one of the
+recursion's two terms dominates the other.
+
+An "exponent" is an integer bound of 16 log2 of a positive quantity: every
+exponent counts sixteenths of a power of two.  ``_lo16`` and ``_hi16``
+bound 16 log2(m 2^s) by the top 8 bits t of m and a 257-entry table of the
+bit lengths of t^16, integer arithmetic only; ``_exponents`` reads them off
+a bracket's ends and ``log16_bounds`` off an exact ratio num/den.  A
+constant compiled once gets the floor and ceil of its 16 log2
+(``log16_floor_ceil``).  ``log2_bounds``, whole powers of two, remains the
+one integer pair that keys the disk trace's memo of sampled points.
 
 ``abs2_atoms`` builds every atom |p(z)|^2 of a polynomial value at a point,
 by one size rule, ``exact_atoms``, and returns each atom's exponents with
 it: a polynomial whose stored integers have at most ``2 * BALL_BITS`` bits
 gets the exact unreduced pair (num, den) of its ``eval_scaled`` triple
-(with ``log2_bounds`` exponents, and an exact zero stays one), every other
+(with ``log16_bounds`` exponents, and an exact zero stays one), every other
 one a ball bracket, by ``ball_abs2`` or, for the factors of a family whose
 recursions are proved, from ``recursion_balls``, all from one
 ``ball_point`` built only when some atom needs it.  A ball bracket that
@@ -37,8 +46,9 @@ brackets an exact atom, or any rational num/den, by one division, and
 ``product_bracket`` brackets a product of atoms with powers by directed
 multiplication.  ``Values`` holds the atoms of several polynomials at one
 point and decides products of them and of ``constant_factor`` constants,
-on the brackets first and, where those overlap, on the exact atoms' own
-integers or, for a ball atom, the exact triples.
+on the net of their exponents first, then on the brackets and, where those
+overlap, on the exact atoms' own integers or, for a ball atom, the exact
+triples.
 Dominances need no brackets: ``certify`` proves them from root products in
 exact rationals, and only the circle points that test a failed bound are
 decided by ``Values``.  The boundary sup metric needs none either: the disk
@@ -76,9 +86,10 @@ __all__ = [
     "gap_bracket",
     "int_bracket",
     "log2_bounds",
+    "log16_bounds",
+    "log16_floor_ceil",
     "product_bracket",
     "ratio_bracket",
-    "ratio_exponents",
     "recursion_balls",
     "recursion_exponents",
 ]
@@ -172,14 +183,16 @@ def int_bracket(x: int) -> tuple:
 
 
 def constant_factor(q) -> tuple:
-    """A nonnegative rational as the factor ``(num, den, num_bracket, den_bracket)``.
+    """A nonnegative rational as the factor ``(num, den, num_bracket,
+    den_bracket, exps)``, ``exps`` its ``log16_bounds`` (None at 0).
 
     The shape of the chart parameters' squares (``FamilyParams.squares``)
     and of the constant factors of ``Values.lt``; built once per
     certificate, not per point.
     """
     num, den = q.numerator, q.denominator
-    return num, den, int_bracket(num), int_bracket(den)
+    exps = log16_bounds(num, den) if num else None
+    return num, den, int_bracket(num), int_bracket(den), exps
 
 
 def gap_bracket(a1: Sequence, a2: Sequence, k: int) -> Optional[tuple]:
@@ -373,19 +386,21 @@ def recursion_balls(constants: Sequence[tuple], ball: tuple) -> list:
 
 
 def recursion_exponents(constants: Sequence[tuple], lam: tuple) -> Optional[list]:
-    """Powers of two ``(lo, hi)`` around |P_1|^2, ..., |P_{n-1}|^2 at lam, by
-    their recursions on exponents alone; None where two terms come close.
+    """Exponents ``(lo, hi)``, in sixteenths, around |P_1|^2, ...,
+    |P_{n-1}|^2 at lam, by their recursions on exponents alone; None where
+    two terms come close.
 
-    ``constants`` holds the ``log2_bounds`` of |e_k|^2, e_k = eps^(c_k),
-    k = 1..n-1, and ``lam`` those of |lam|^2 > 0.  The S/Q recursion of
-    ``recursion_balls`` runs on exponent pairs: |S_k|^2 and |Q_k|^2 are
-    products, so their exponents add.  Of P_k = e_k - Q_k, where one term's
-    upper power of two is at least 2^4 below the other's lower one, the
-    smaller term is at most a quarter of the larger in modulus, so |P_k|
-    lies in [3/4, 5/4] times the larger and |P_k|^2 in [2^-1, 2] times its
-    square: the larger's pair widened by one on each side.  Where neither
-    dominates so (|Q_k| within a factor 4 of |e_k|, give or take the
-    pairs' widths) the function gives up.  Integer additions only.
+    ``constants`` holds the ``log16_bounds`` of |e_k|^2, e_k = eps^(c_k),
+    k = 1..n-1, and ``lam`` bounds of 16 log2 |lam|^2, |lam|^2 > 0.  The
+    S/Q recursion of ``recursion_balls`` runs on exponent pairs: |S_k|^2
+    and |Q_k|^2 are products, so their exponents add.  Of P_k = e_k - Q_k,
+    where one term's upper exponent is at least 64 (2^4) below the other's
+    lower one, the smaller term is at most a quarter of the larger in
+    modulus, so |P_k| lies in [3/4, 5/4] times the larger and |P_k|^2 in
+    [2^-1, 2] times its square: the larger's pair widened by 16 on each
+    side.  Where neither dominates so (|Q_k| within a factor 4 of |e_k|,
+    give or take the pairs' widths) the function gives up.  Integer
+    additions only, so the bounds are as rigorous as their inputs.
     """
     s = q = lam
     out = []
@@ -394,10 +409,10 @@ def recursion_exponents(constants: Sequence[tuple], lam: tuple) -> Optional[list
         if p is not None:
             s = p[0] + s[0], p[1] + s[1]
             q = s[0] + q[0], s[1] + q[1]
-        if q[1] <= e[0] - 4:
-            p = e[0] - 1, e[1] + 1
-        elif e[1] <= q[0] - 4:
-            p = q[0] - 1, q[1] + 1
+        if q[1] <= e[0] - 64:
+            p = e[0] - 16, e[1] + 16
+        elif e[1] <= q[0] - 64:
+            p = q[0] - 16, q[1] + 16
         else:
             return None
         out.append(p)
@@ -405,17 +420,81 @@ def recursion_exponents(constants: Sequence[tuple], lam: tuple) -> Optional[list
     return out
 
 
-def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
-    """Powers of two around one bracket; None if its lower end is 0.
+# floor and ceil of 16 log2 t for t = 1..256 (index 0 unused): t^16 has bit
+# length floor(16 log2 t) + 1, and the two meet where t is a power of two
+_FLOOR16 = [(t**16).bit_length() - 1 for t in range(257)]
+_CEIL16 = [f + (t & (t - 1) != 0) for t, f in enumerate(_FLOOR16)]
 
-    Returns ``(lo, hi)`` with 2^lo <= the lower end and the upper end <=
-    2^hi: a positive pair ``(m, s)`` lies in [2^(E-1), 2^E) with
-    E = s + m.bit_length().
+
+def _lo16(m: int, s: int = 0) -> int:
+    """A lower bound of 16 log2(m 2^s), m > 0: 16 (s + k) + floor(16 log2 t),
+    t = m >> k the top 8 bits of m."""
+    k = m.bit_length() - 8
+    if k <= 0:
+        return 16 * s + _FLOOR16[m]
+    return 16 * (s + k) + _FLOOR16[m >> k]
+
+
+def _hi16(m: int, s: int = 0) -> int:
+    """An upper bound of 16 log2(m 2^s), m > 0: 16 (s + k) + ceil(16 log2 u),
+    u = t + 1 for the top 8 bits t = m >> k of m, or t where the bits
+    below them are 0."""
+    k = m.bit_length() - 8
+    if k <= 0:
+        return 16 * s + _CEIL16[m]
+    t = m >> k
+    return 16 * (s + k) + _CEIL16[t + ((t << k) != m)]
+
+
+def _exponents(bracket: tuple) -> Optional[tuple[int, int]]:
+    """Bounds ``(lo, hi)`` of 16 log2 of the ends of one bracket; None if
+    its lower end is 0.
+
+    2^(lo/16) <= the lower end and the upper end <= 2^(hi/16).
     """
     (m_lo, s_lo), (m_hi, s_hi) = bracket
     if not m_lo:
         return None
-    return s_lo + m_lo.bit_length() - 1, s_hi + m_hi.bit_length()
+    return _lo16(m_lo, s_lo), _hi16(m_hi, s_hi)
+
+
+def log16_bounds(num: int, den: int) -> tuple[int, int]:
+    """Integers ``(lo, hi)`` around 16 log2(num/den), num, den > 0: the
+    exponents of an exact ratio, in sixteenths of a power of two.
+
+    One division gives the quotient's top bits, q = floor(num 2^sh / den),
+    and ``_lo16`` and ``_hi16`` bound q and q + 1 (q alone where the
+    division is exact): the pair is at most 2 apart, 0 apart where num/den
+    is a power of two, and inside the exponents of any bracket of num/den.
+    """
+    sh = 8 + den.bit_length() - num.bit_length()  # num 2^sh / den in (2^7, 2^9)
+    if sh >= 0:
+        q, rest = divmod(num << sh, den)
+    else:
+        q, rest = divmod(num, den << -sh)
+    return _lo16(q, -sh), _hi16(q + (rest > 0), -sh)
+
+
+def log16_floor_ceil(num: int, den: int) -> tuple[int, int]:
+    """The floor and ceil of 16 log2(num/den), num, den > 0: the tightest
+    exponents of a constant, inside any other integer bounds of it.
+
+    ``log16_bounds`` at most one apart are already the floor and ceil.
+    Where they are two apart, the directed 16th powers of the 192-bit
+    ``ratio_bracket`` tell on which side of the middle one the value lies,
+    and only where they straddle it (16 log2(num/den) within about 2^-180
+    of it) do the exact 16th powers.
+    """
+    lo, hi = log16_bounds(num, den)
+    if hi - lo <= 1:
+        return lo, hi
+    lower, upper = ratio_bracket(num, den)
+    middle = 1, lo + 1  # the pair 2^(lo + 1)
+    if not _p_lt(_p_pow(lower, 16, False), middle):
+        return lo + 1, hi
+    if _p_lt(_p_pow(upper, 16, True), middle):
+        return lo, lo + 1
+    return log2_bounds(num**16, den**16)
 
 
 def log2_bounds(num: int, den: int) -> tuple[int, int]:
@@ -424,12 +503,6 @@ def log2_bounds(num: int, den: int) -> tuple[int, int]:
     a, b = (num, den << e) if e >= 0 else (num << -e, den)
     lo = e if a >= b else e - 1
     return lo, lo if a == b else lo + 1
-
-
-def ratio_exponents(num: int, den: int) -> Optional[tuple[int, int]]:
-    """Powers of two around num/den >= 0: its ``log2_bounds``, at most one
-    apart, as a ball bracket's are; None at num = 0."""
-    return log2_bounds(num, den) if num else None
 
 
 def ratio_bracket(num: int, den: int) -> tuple:
@@ -499,7 +572,7 @@ def abs2_atoms(
 
     ``exact`` is ``exact_atoms(polys)``, read once by the caller.  An exact
     atom is the unreduced integer pair (re^2 + im^2, d^2) of the triple
-    (re, im, d) of ``eval_scaled``, with its ``ratio_exponents``, None at
+    (re, im, d) of ``eval_scaled``, with its ``log16_bounds``, None at
     an exact zero; the caller brackets it (``ratio_bracket``) only where it
     multiplies.  Every other
     atom is a ball bracket with its ``_exponents``, all of them from one
@@ -533,7 +606,7 @@ def abs2_atoms(
         re, im, d = eval_scaled(poly, num_re, num_im, den)
         num, d2 = re * re + im * im, d * d
         atoms.append((num, d2))
-        exps.append(log2_bounds(num, d2) if num else None)
+        exps.append(log16_bounds(num, d2) if num else None)
     return atoms, exps, zeros
 
 
@@ -611,14 +684,17 @@ class Values:
     ``ball_abs2`` bracket for the others, as ``exact`` (``exact_atoms(polys)``,
     computed when not given; a caller testing many points passes it once)
     says, and the exact pair wherever a bracket would reach 0.
-    ``brackets[i]`` is its bracket (``ratio_bracket`` of an exact pair).
+    ``exps[i]`` is its exponents in sixteenths (None at an exact zero) and
+    ``brackets[i]`` its bracket (``ratio_bracket`` of an exact pair); the
+    brackets are built when first read, by a comparison that the exponents
+    leave open.
     ``fell_back`` tells whether a comparison's brackets overlapped, so that
     ``exact_lt`` decided it.  ``triples`` are the exact ``eval_scaled``
     triples, all evaluated the first time they are read: by such a
     comparison on a ball atom, or by a caller that renders the point.
     """
 
-    __slots__ = ("polys", "lam", "abs2", "brackets", "fell_back", "_triples")
+    __slots__ = ("polys", "lam", "abs2", "exps", "fell_back", "_brackets", "_triples")
 
     def __init__(
         self,
@@ -631,12 +707,19 @@ class Values:
     ):
         exact = exact_atoms(polys) if exact is None else exact
         self.polys, self.lam = polys, (num_re, num_im, den)
-        self.abs2 = tuple(abs2_atoms(polys, exact, num_re, num_im, den)[0])
-        self.brackets = tuple(
-            ratio_bracket(*atom) if exact_atom(atom) else atom for atom in self.abs2
-        )
+        atoms, exps, _ = abs2_atoms(polys, exact, num_re, num_im, den)
+        self.abs2, self.exps = tuple(atoms), tuple(exps)
         self.fell_back = False
+        self._brackets: Optional[tuple] = None
         self._triples: Optional[tuple] = None
+
+    @property
+    def brackets(self) -> tuple:
+        if self._brackets is None:
+            self._brackets = tuple(
+                ratio_bracket(*atom) if exact_atom(atom) else atom for atom in self.abs2
+            )
+        return self._brackets
 
     @property
     def evaluated(self) -> bool:
@@ -658,21 +741,27 @@ class Values:
         """Exact ``prod(lhs) < prod(rhs)`` (``<=`` when ``closed``) at z.
 
         A factor is an index ``i``, standing for |polys[i](z)|^2, or a
-        ``constant_factor``.  ``bracket_lt`` decides on the atoms' brackets,
-        and where they overlap ``exact_lt`` on the unreduced integer squares
-        (an exact atom's own, the triples' for a ball atom) and the
-        constants' numerators and denominators.
+        ``constant_factor``.  The net of the factors' exponents in
+        sixteenths decides first (``_exponent_lt``); where it straddles 0,
+        or a factor is an exact zero, ``bracket_lt`` decides on the atoms'
+        brackets, and where they overlap ``exact_lt`` on the unreduced
+        integer squares (an exact atom's own, the triples' for a ball atom)
+        and the constants' numerators and denominators.
         """
+        verdict = self._exponent_lt(lhs, rhs, closed)
+        if verdict is not None:
+            return verdict
+        brackets = self.brackets
         lb, rb = [], []
         for f in lhs:
             if isinstance(f, int):
-                lb.append(self.brackets[f])
+                lb.append(brackets[f])
             else:
                 lb.append(f[2])
                 rb.append(f[3])
         for f in rhs:
             if isinstance(f, int):
-                rb.append(self.brackets[f])
+                rb.append(brackets[f])
             else:
                 rb.append(f[2])
                 lb.append(f[3])
@@ -686,3 +775,23 @@ class Values:
                 num, den = self._square(f) if isinstance(f, int) else f[:2]
                 terms.append((num, den, power))
         return exact_lt(terms, closed=closed)
+
+    def _exponent_lt(self, lhs: Sequence, rhs: Sequence, closed: bool) -> Optional[bool]:
+        """``lt`` on the exponents alone: bounds of 16 log2 of prod(lhs) /
+        prod(rhs) from those of each factor; None where they straddle 0
+        (or touch it on the strict side) or a factor has none."""
+        lo = hi = 0
+        for side, sign in ((lhs, 1), (rhs, -1)):
+            for f in side:
+                e = self.exps[f] if isinstance(f, int) else f[4]
+                if e is None:
+                    return None
+                if sign > 0:
+                    lo, hi = lo + e[0], hi + e[1]
+                else:
+                    lo, hi = lo - e[1], hi - e[0]
+        if hi < 0 or closed and hi == 0:
+            return True
+        if lo > 0 or not closed and lo == 0:
+            return False
+        return None

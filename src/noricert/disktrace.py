@@ -41,13 +41,14 @@ proved every factor's recursion P_k = eps^(c_k) - lam^(n-k) prod_{j>k}
 P_j^(j-k) for this family, the balls of all the factors come from those
 recursions, two ball products per factor (``bounds.recursion_balls``), and
 otherwise each from a ball Horner over its expanded coefficients; a ball
-bracket that reaches 0 is replaced by the factor's exact atom.  With those
-recursions proved, the same recursions on exponent pairs alone
-(``bounds.recursion_exponents``) give powers of two around every |P_k|^2
-wherever one of their two terms dominates the other by a factor 4, and the
-atoms are computed only where that is not so, or where those powers leave a
-test open.  Without the identities the atoms are |f1|^2 and |f2|^2
-themselves.  A chart predicate (cover region, membership, entry, cone) is
+bracket that reaches 0 is replaced by the factor's exact atom.  Every
+exponent counts sixteenths of a power of two (``bounds.log16_bounds``).
+With those recursions proved, the same recursions on exponent pairs alone
+(``bounds.recursion_exponents``) bound every |P_k|^2 wherever one of their
+two terms dominates the other by a factor 4, and the atoms are computed
+only where that is not so, or where those bounds leave a test open.
+Without the identities the atoms are |f1|^2 and |f2|^2 themselves.  A
+chart predicate (cover region, membership, entry, cone) is
 a test compiled once per factor map: a power vector over (|f1|^2, |f2|^2,
 |f2^(k+1) - f1|^2) against a chart square, held as plain data.
 The three sampled loops, the chart window, the chart-cone ladder and the
@@ -107,9 +108,10 @@ from .bounds import (
     exact_lt,
     gap_bracket,
     log2_bounds,
+    log16_bounds,
+    log16_floor_ceil,
     product_bracket,
     ratio_bracket,
-    ratio_exponents,
     recursion_exponents,
 )
 from .certify import (
@@ -227,9 +229,9 @@ class _Factors(NamedTuple):
     ``tests`` holds the compiled tests of each chart index
     (``_chart_tests``), filled on first use and shared by every stage that
     ``trace_family`` hands the map to.  ``rung``, set with
-    ``chain``, holds the ``log2_bounds`` of each |e_k|^2
-    (``_recursion_rung``), from which ``bounds.recursion_exponents`` gives
-    powers of two around every |P_k(lam)|^2 before any atom is computed.
+    ``chain``, holds the exponents of each |e_k|^2 in sixteenths of a power
+    of two (``_recursion_rung``), from which ``bounds.recursion_exponents``
+    bounds every |P_k(lam)|^2 before any atom is computed.
     That first rung reads lam only through its |lam|^2 pair (``_rung_key``),
     so the sampled loops decide each such pair on it once per call and
     reuse the outcome.
@@ -267,12 +269,13 @@ def _recursion_chain(
 
 
 def _recursion_rung(fam: Family) -> tuple:
-    """The ``log2_bounds`` of |e_k|^2 = e_k^2, k = 1..n-1, read once per
-    factor map from the exact constants of ``_recursion_chain``."""
+    """The ``log16_bounds`` of |e_k|^2 = e_k^2, k = 1..n-1, in sixteenths of
+    a power of two, read once per factor map from the exact constants of
+    ``_recursion_chain``."""
     out = []
     for k in range(1, fam.n):
         e = _localization_sides(fam, k)[1][0]
-        out.append(log2_bounds(e.numerator**2, e.denominator**2))
+        out.append(log16_bounds(e.numerator**2, e.denominator**2))
     return tuple(out)
 
 
@@ -336,9 +339,12 @@ def _compile_net(
     being |f2^(k+1) - f1|^2.
 
     Returns ``(pairs, lo, hi)``: the constant atoms fold into c, and
-    2^lo <= 1/c <= 2^hi are the tightest powers of two around its inverse;
-    ``pairs`` holds ``(i, net power)`` for each point atom i that either
-    side uses (a common atom cancels only where it is positive).  A vector
+    lo <= 16 log2(1/c) <= hi, in sixteenths of a power of two like every
+    image exponent, are the tightest integers around it
+    (``bounds.log16_floor_ceil``), so the net of a folded constant decides
+    wherever the sum of its factors' own exponents would; ``pairs`` holds
+    ``(i, net power)`` for each point atom i that either side uses (a
+    common atom cancels only where it is positive).  A vector
     with the gap where the gap is no quantity (k >= 1, or k = 0 without its
     form) compiles to ``(None, nets, g)`` instead: g is the gap's power,
     and ``nets`` are the nets of the ratio t = |f1|^2 / |f2|^(2k+2) and of
@@ -362,7 +368,7 @@ def _compile_net(
             c *= Fraction(*factors.constants[i]) ** -sum(terms)
         elif any(terms):
             pairs.append((i - fixed, sum(terms)))
-    lo, hi = log2_bounds(c.numerator, c.denominator)
+    lo, hi = log16_floor_ceil(c.numerator, c.denominator)
     return tuple(pairs), -hi, -lo
 
 
@@ -453,13 +459,14 @@ class _Image:
     that builds one hands it den2 = den^2 and that pair, ``key``, which it
     holds already; without den2 both are computed here from lam.
 
-    ``exps`` are powers of two around the point atoms of ``factors``
-    (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
+    ``exps`` are exponents, bounds of 16 log2, around the point atoms of
+    ``factors`` (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
     identities): the exact |lam|^2 when the map has it, then one per
     polynomial.  Where the map has a
     ``rung`` and lam is not 0, they are first that ``log2_bounds`` pair of
-    |lam|^2 (``_rung_key``) and the pairs ``bounds.recursion_exponents``
-    derives from it, no atom computed, all finite.  Where that gives up, or
+    |lam|^2 (``_rung_key``), times 16, and the pairs
+    ``bounds.recursion_exponents`` derives from it, no atom computed, all
+    finite.  Where that gives up, or
     a test's net sum on them is open, the point refines (``refined``): its
     atoms come from ``bounds.abs2_atoms``, exact where ``factors.exact``
     says so and a ball bracket otherwise (from ``factors.chain`` when the
@@ -502,9 +509,11 @@ class _Image:
             key = _rung_key(num_re * num_re + num_im * num_im, den2)
         self._den2 = den2
         if key is not None and factors.rung is not None:
-            exps = recursion_exponents(factors.rung, key)
+            # the key's powers of two, in the sixteenths of every exponent
+            lam = 16 * key[0], 16 * key[1]
+            exps = recursion_exponents(factors.rung, lam)
             if exps is not None:
-                exps.insert(0, key)
+                exps.insert(0, lam)
                 self.exps, self.positive, self.zero_atoms = exps, True, 0
                 self._raw = None
                 return
@@ -522,7 +531,7 @@ class _Image:
             # the exact |lam|^2 = (num_re^2 + num_im^2)/den^2
             num, den2 = num_re * num_re + num_im * num_im, self._den2
             raw.insert(0, (num, den2))
-            exps.insert(0, ratio_exponents(num, den2))
+            exps.insert(0, log16_bounds(num, den2) if num else None)
         self.exps = exps
         self.positive = None not in exps
         self._raw = raw
@@ -540,16 +549,16 @@ class _Image:
         return [ratio_bracket(*atom) if exact_atom(atom) else atom for atom in self._raw]
 
     def net(self, pairs: Optional[tuple], lo, hi) -> Optional[tuple]:
-        """Powers of two ``(lo, hi)`` around the quotient of a compiled net
-        ``(pairs, lo, hi)`` (``_compile_net``) at lam; None where they are
-        not known.
+        """Exponents ``(lo, hi)``, in sixteenths, around the quotient of a
+        compiled net ``(pairs, lo, hi)`` (``_compile_net``) at lam; None
+        where they are not known.
 
         Sums over the net powers; None where an atom they use has a bracket
         that reaches 0.  Where the gap is no quantity, the ratio
         t = |f1|^2 / |f2|^(2k+2) stands in: with s <= 2^-3 the smaller of t
-        and 1/t, the gap is the larger term times (1 -+ sqrt(s))^2, in
-        [2^-2, 2] and in [2^-1, 2] once s <= 2^-4, by the reverse triangle
-        inequality; otherwise None.
+        and 1/t (an exponent of -48 or less), the gap is the larger term
+        times (1 -+ sqrt(s))^2, in [2^-2, 2] and in [2^-1, 2] once s <= 2^-4
+        (-64), by the reverse triangle inequality; otherwise None.
         """
         if pairs is None:
             (t_net, small, large), g = lo, hi
@@ -558,14 +567,15 @@ class _Image:
             t = self.net(*t_net)
             if t is None:
                 return None
-            if t[1] <= -3:
+            if t[1] <= -48:
                 (lo, hi), s = self.net(*small), t[1]
-            elif t[0] >= 3:
+            elif t[0] >= 48:
                 (lo, hi), s = self.net(*large), -t[0]
             else:
                 return None
-            w = 1 if s <= -4 else 2  # the gap over the larger term is in [2^-w, 2]
-            return (lo - w * g, hi + g) if g > 0 else (lo + g, hi - w * g)
+            # the gap over the larger term is in [2^(-w/16), 2]
+            w = 16 if s <= -64 else 32
+            return (lo - w * g, hi + 16 * g) if g > 0 else (lo + 16 * g, hi - w * g)
         exps = self.exps
         for i, p in pairs:
             e = exps[i]
@@ -1209,7 +1219,7 @@ def _entry_model(fam: Family, k: int) -> Optional[int]:
     At lam = 10^-e write v(x) = -log10 |x|.  Each factor P_j = eps^(c_j) -
     Q_j, Q_j = lam^(n-j) prod_{i>j} P_i^(i-j), is taken as its larger term,
     v(P_j) = min(c_j L, v(Q_j)), by the S/Q recursion that
-    ``bounds.recursion_exponents`` runs on powers of two; the product forms
+    ``bounds.recursion_exponents`` runs on exponents; the product forms
     then give v(f1) = L + n e + sum_j j v(P_j) and v(f2) = 2L + e + sum_j
     v(P_j).  A scale is a member, |f1| < r |f2|^k, in the model where
     r 10^(v(f1) - k v(f2)) > 1.  Near a root the larger term is no bound,

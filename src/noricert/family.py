@@ -112,7 +112,8 @@ def _check_n_range(n: int, max_n: int) -> None:
 
 class ChartSquares(NamedTuple):
     """r^2, r^4, rho^2 and (rho/2)^2 for the scaled chart predicates, each a
-    ``bounds.constant_factor``: ``(num, den, num_bracket, den_bracket)``."""
+    ``bounds.constant_factor``: ``(num, den, num_bracket, den_bracket,
+    exps)``."""
 
     r2: tuple
     r4: tuple

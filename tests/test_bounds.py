@@ -42,6 +42,8 @@ from noricert.bounds import (
     _p_pow,
     _p_sqrt,
     _exponents,
+    _hi16,
+    _lo16,
     _p_trunc,
     _side_product,
     Values,
@@ -56,9 +58,10 @@ from noricert.bounds import (
     gap_bracket,
     int_bracket,
     log2_bounds,
+    log16_bounds,
+    log16_floor_ceil,
     product_bracket,
     ratio_bracket,
-    ratio_exponents,
     recursion_balls,
 )
 from noricert.certify import circle_points, circle_triples
@@ -68,6 +71,13 @@ from noricert.sampling import RationalSampler
 def _value(pair):
     m, s = pair
     return F(m) * F(2) ** s
+
+
+def _within16(lo, x, hi):
+    """2^(lo/16) <= x <= 2^(hi/16) for a rational x > 0, decided exactly on
+    the 16th powers."""
+    x16 = F(x) ** 16
+    return F(2) ** lo <= x16 <= F(2) ** hi
 
 
 class TestMantissaBounds:
@@ -134,9 +144,10 @@ class TestGapBracket:
         assert decided >= 4000
 
     def test_brackets_at_every_separation(self):
-        # moduli at least 2^3 apart by exponents always get a bracket, within
-        # the powers of two of the larger term widened by 2 below and 1
-        # above; closer moduli get a bracket or None
+        # moduli at least 2^3 apart by exponents (48 sixteenths) always get
+        # a bracket, within the exponents of the larger term widened by 2
+        # powers of two below and 1 above; closer moduli get a bracket or
+        # None
         rng = random.Random(2)
         kinds = Counter()
         for _ in range(3000):
@@ -149,14 +160,15 @@ class TestGapBracket:
             (e1_lo, e1_hi), (e2_lo, e2_hi) = _exponents(a1), _exponents(a2)
             if rng.random() < 0.5:
                 a2 = ratio_bracket(c * c, 1)
-                e2_lo, e2_hi = ratio_exponents(c * c, 1)
+                e2_lo, e2_hi = log16_bounds(c * c, 1)
             gap = gap_bracket(a1, a2, k)
             exact = F((c ** (k + 1) - a) ** 2)
             p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
-            if p_hi + 3 <= e1_lo or e1_hi + 3 <= p_lo:
+            if p_hi + 48 <= e1_lo or e1_hi + 48 <= p_lo:
                 kinds["separated"] += 1
-                lo, hi = (e1_lo - 2, e1_hi + 1) if p_hi < e1_lo else (p_lo - 2, p_hi + 1)
-                assert F(2) ** lo <= _value(gap[0]) <= exact <= _value(gap[1]) <= F(2) ** hi
+                lo, hi = (e1_lo - 32, e1_hi + 16) if p_hi < e1_lo else (p_lo - 32, p_hi + 16)
+                assert _value(gap[0]) <= exact <= _value(gap[1])
+                assert _within16(lo, _value(gap[0]), hi) and _within16(lo, _value(gap[1]), hi)
             elif gap is not None:
                 kinds["bracket"] += 1
                 assert _value(gap[0]) <= exact <= _value(gap[1])
@@ -480,18 +492,21 @@ class TestAtoms:
             assert exact_atom(raw) == (bracket[0] == (0, 0))
             exact = exact_atom(raw)
         atom = ratio_bracket(*raw) if exact else raw
-        assert exps == (ratio_exponents(*raw) if exact else _exponents(raw))
+        if exact:
+            assert exps == (log16_bounds(*raw) if raw[0] else None)
+        else:
+            assert exps == _exponents(raw)
         lo, hi = atom
         assert _value(lo) <= F(num, den) <= _value(hi)
         if num == 0:
             assert exps is None
         elif exps is not None:
-            assert F(2) ** exps[0] <= F(num, den) <= F(2) ** exps[1]
+            assert _within16(exps[0], F(num, den), exps[1])
         if exact:
-            # the atom is the exact square itself, with exponents at most one
-            # apart, as a ball bracket's
+            # the atom is the exact square itself, with exponents at most
+            # two sixteenths apart
             assert raw == (num, den)
-            assert num == 0 or exps == log2_bounds(num, den)
+            assert num == 0 or exps == log16_bounds(num, den) and exps[1] - exps[0] <= 2
 
     def test_one_ball_point_only_when_a_ball_atom_needs_it(self, monkeypatch):
         made = Counter()
@@ -524,7 +539,7 @@ class TestAtoms:
         (atom,), (exps,), zeros = abs2_atoms((line,), (False,), *near)
         num, den = scaled_abs2(eval_scaled(line, *near))
         assert exact_atom(atom) and atom == (num, den) and num > 0 and zeros == 1
-        assert exps == log2_bounds(num, den)
+        assert exps == log16_bounds(num, den)
         (atom,), (exps,), zeros = abs2_atoms((line,), (False,), 1, 0, 3)
         assert atom[0] == 0 and exps is None and zeros == 1
         # Values brackets each atom by its own kind
@@ -790,7 +805,7 @@ class TestExponentStage:
 
 def _exact_power_of_two_bounds(exponents, value):
     lo, hi = exponents
-    assert F(2) ** lo <= value <= F(2) ** hi
+    assert _within16(lo, value, hi)
 
 
 def _extreme_ratios():
@@ -802,18 +817,96 @@ def _extreme_ratios():
                     yield num, den
 
 
+class TestSixteenths:
+    """``_lo16``, ``_hi16`` and ``log16_bounds`` enclose 16 log2 of the exact
+    value: the image exponents, in sixteenths of a power of two."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 255),
+            st.integers(0, 400).map(lambda j: 1 << j),
+            st.integers(1, 1 << 400),
+        ),
+        st.integers(-600, 600),
+    )
+    def test_mantissa_bounds_enclose_the_exact_logarithm(self, m, s):
+        lo, hi = _lo16(m, s), _hi16(m, s)
+        assert _within16(lo, F(m) * F(2) ** s, hi)
+        # exact at a power of two, floor and ceil of one value below 256,
+        # and at most 2 apart from the top 8 bits
+        if m & (m - 1) == 0:
+            assert lo == hi == 16 * (s + m.bit_length() - 1)
+        assert hi - lo <= (1 if m < 256 else 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1 << 400), st.integers(1, 10**2000))
+    def test_ratio_bounds_enclose_the_exact_logarithm(self, num, den):
+        lo, hi = log16_bounds(num, den)
+        assert _within16(lo, F(num, den), hi)
+        assert hi - lo <= 2
+        # the top 8 bits of the exact quotient: inside the exponents of
+        # its 192-bit bracket
+        b_lo, b_hi = _exponents(ratio_bracket(num, den))
+        assert b_lo <= lo <= hi <= b_hi
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10**2000), st.integers(0, 2000))
+    def test_ratio_at_a_power_of_two_is_exact(self, m, j):
+        assert log16_bounds(m << j, m) == (16 * j, 16 * j)
+        assert log16_bounds(m, m << j) == (-16 * j, -16 * j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 1 << 400), st.integers(0, 400).map(lambda j: 1 << j)),
+        st.one_of(st.integers(1, 10**600), st.integers(0, 2000).map(lambda j: 1 << j)),
+    )
+    def test_constants_get_the_floor_and_ceil(self, num, den):
+        assert log16_floor_ceil(num, den) == log2_bounds(num**16, den**16)
+
+    def test_constants_next_to_a_power_of_two_fall_back_to_exact(self, monkeypatch):
+        # x/2^300 just below and x+1/2^300 just above 2^(1/16): their 16th
+        # powers lie within 2^-280 of 2, inside the directed 16th power of
+        # the 192-bit bracket, so the exact powers decide
+        n = 1 << (1 + 16 * 300)
+        x = 1 << (n.bit_length() // 16 + 1)
+        while (y := (15 * x + n // x**15) // 16) < x:
+            x = y
+        assert x**16 <= n < (x + 1) ** 16
+        exact = Counter()
+        real = bounds.log2_bounds
+
+        def counted(*args):
+            exact["calls"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "log2_bounds", counted)
+        assert log16_floor_ceil(x, 1 << 300) == (0, 1)
+        assert log16_floor_ceil(x + 1, 1 << 300) == (1, 2)
+        assert exact["calls"] == 2
+        assert log16_floor_ceil(3, 1) == (25, 26) and exact["calls"] == 2
+
+    def test_constant_factors_carry_their_exponents(self):
+        assert constant_factor(F(0))[4] is None
+        for q in (F(1), F(1, 49), F(9, 100), F(3**200, 7**90)):
+            assert constant_factor(q)[4] == log16_bounds(q.numerator, q.denominator)
+
+
 class TestFactors:
-    """``ratio_bracket``, ``ratio_exponents`` and ``product_bracket``: the
-    factors of ``bracket_lt`` and their powers of two."""
+    """``ratio_bracket``, ``log16_bounds`` and ``product_bracket``: the
+    factors of ``bracket_lt`` and their exponents."""
 
     def test_ratio_exponents_at_the_ends_of_their_ranges(self):
         # num = 2^(bn-1) over den = 2^bd - 1 is the smallest quotient the
         # bit lengths allow, just above 2^(bn-1-bd); the largest is just
-        # below 2^(bn-bd+1); the exponents are the floor and ceil of log2
+        # below 2^(bn-bd+1); the exponents are at most two sixteenths of a
+        # power of two apart, and equal at a power of two
         for num, den in _extreme_ratios():
-            lo, hi = ratio_exponents(num, den)
-            assert F(2) ** lo <= F(num, den) <= F(2) ** hi
-            assert hi - lo <= 1
+            lo, hi = log16_bounds(num, den)
+            assert _within16(lo, F(num, den), hi)
+            assert hi - lo <= 2
+            if den & (den - 1) == 0 and num & (num - 1) == 0:
+                assert lo == hi == 16 * (num.bit_length() - den.bit_length())
 
     def test_ratio_bracket_encloses_the_quotient(self):
         rng = random.Random(31)
@@ -826,21 +919,26 @@ class TestFactors:
             assert _value(lo) <= F(num, den) <= _value(hi)
             if num:
                 assert lo[0].bit_length() in (_BITS, _BITS + 1) and hi[0] - lo[0] <= 1
-                _exact_power_of_two_bounds(ratio_exponents(num, den), _value(lo))
-                _exact_power_of_two_bounds(ratio_exponents(num, den), _value(hi))
+                _exact_power_of_two_bounds(log16_bounds(num, den), _value(lo))
+                _exact_power_of_two_bounds(log16_bounds(num, den), _value(hi))
         exact = ratio_bracket(3 << 500, 1 << 200)
         assert exact[0] == exact[1]
         assert _value(exact[0]) == 3 << 300
 
     def test_zero_ratio(self):
-        assert ratio_exponents(0, 7) is None
+        # an exact zero atom has no exponents
+        (exps,) = abs2_atoms((Poly.zero(),), (True,), 1, 2, 3)[1]
+        assert exps is None
         assert ratio_bracket(0, 7) == ((0, 0), (0, 0))
 
     def test_exponents_of_brackets_and_factors(self):
+        # 16 log2(5 2^300) = 4837.15...: between the whole powers 302 and
+        # 303, and between the sixteenths 4837 and 4838
         bracket = int_bracket(5 << 300)
-        assert _exponents(bracket) == (302, 303)
-        assert _exponents(ratio_bracket(5 << 300, 1)) == ratio_exponents(5 << 300, 1) == (302, 303)
-        assert _exponents(((0, 0), (1, 0))) is None and ratio_exponents(0, 1) is None
+        assert _exponents(bracket) == (4837, 4838)
+        assert _exponents(ratio_bracket(5 << 300, 1)) == log16_bounds(5 << 300, 1) == (4837, 4838)
+        assert _exponents(((0, 0), (1, 0))) is None
+        assert _exponents(int_bracket(1 << 300)) == log16_bounds(1 << 300, 1) == (4800, 4800)
 
     def test_log2_bounds_are_the_floor_and_ceil(self):
         # at, just below and just above powers of two, and drawn ratios
@@ -856,8 +954,9 @@ class TestFactors:
             q = F(num, den)
             assert F(2) ** lo <= q <= F(2) ** hi
             assert hi - lo == (0 if q == F(2) ** lo else 1)
-            # they are the exponents of every ratio
-            assert ratio_exponents(num, den) == (lo, hi)
+            # the sixteenths lie within the whole powers of two
+            lo16, hi16 = log16_bounds(num, den)
+            assert 16 * lo <= lo16 <= hi16 <= 16 * hi
 
     def test_products_enclose_the_exact_products(self):
         # atoms mixing ratios, integer brackets, ball-like brackets and a
@@ -1008,10 +1107,11 @@ class TestValues:
         assert values.evaluated and values.fell_back
 
     def test_ties_of_exact_atoms_read_no_triples(self):
-        # |(3 + 4i)/10|^2 = 1/4 for the small z: an exact atom, whose bracket
-        # has width 0 and decides the tie with 1/4; |z/3|^2 = 1/36 has an
-        # inexact bracket, and the tie with 1/36 falls back to the atom's own
-        # integers, with no triple read
+        # |(3 + 4i)/10|^2 = 1/4 for the small z: an exact atom, whose
+        # exponents (like its bracket) have width 0 and decide the tie with
+        # 1/4; |z/3|^2 = 1/36 has inexact exponents and bracket, and the tie
+        # with 1/36 falls back to the atom's own integers, with no triple
+        # read
         values = Values((Poly.x(),), 3, 4, 10)
         assert values.abs2[0] == (25, 100)
         half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
@@ -1026,6 +1126,34 @@ class TestValues:
         assert values.fell_back
         assert values.lt((0,), (ninth,), closed=True) is True
         assert not values.evaluated
+
+    def test_exponents_decide_before_any_product(self, monkeypatch):
+        # the net of the sixteenth exponents decides every comparison it
+        # separates, ties of exact powers of two included; a constant
+        # within a sixteenth of the atom, or an exact zero atom, goes on to
+        # the bracket products
+        products = Counter()
+        real = bounds.bracket_lt
+
+        def counted(*args, **kwargs):
+            products["calls"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "bracket_lt", counted)
+        values = Values((Poly.x(), Poly.zero()), 3, 4, 10)
+        assert values.exps == ((-32, -32), None)
+        half, quarter = constant_factor(F(1, 2)), constant_factor(F(1, 4))
+        assert values.lt((0,), (half,)) is True
+        assert values.lt((half,), (0, 0, 0)) is False
+        assert values.lt((0,), (quarter,)) is False
+        assert values.lt((quarter,), (0,), closed=True) is True
+        assert products["calls"] == 0 and values._brackets is None
+        near = constant_factor(F(1, 4) + F(1, 10**6))
+        assert values.lt((0,), (near,)) is True
+        assert products["calls"] == 1
+        assert values.lt((1,), (near,)) is True
+        assert products["calls"] == 2
+        assert not values.fell_back
 
     def test_given_atom_kinds_are_used(self):
         # a caller testing many points passes exact_atoms once; the kinds it

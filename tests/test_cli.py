@@ -448,20 +448,16 @@ STAGES = {
 class TestMeta:
     def test_deep_scale_counters(self, default_run):
         # the chart-cone ladders at n = 2..4: every count is in meta, and
-        # under 1 % of the bracketed points need the exact triples;
-        # the net exponents leave 40 of them to 192-bit products (663
-        # when the two sides' exponents were summed uncancelled): cone
-        # tests at n = 4 whose net exponents straddle 1.  The entry probe's
-        # neighbour of the root of P_(n-1) is decided on exponents at
-        # n = 2, 3, since every exact atom, of |lam|^2 and of the exact
-        # |P_j|^2, takes the tightest powers of two (with the bit-length
-        # pair of its bracket, two apart, the n = 3 neighbour and 16 more
-        # of the n = 4 cone tests went to the products).  The
-        # probe at the root of P_(n-1)
-        # is decided on an exact zero atom by sign alone, with no product:
-        # at n = 2, 3 the factors' atoms are exact, and at n = 4 the ball
-        # of P_3 reaches 0 there and is replaced by its exact value (the
-        # one zero-rule atom), so no point reads the triples
+        # under 1 % of the bracketed points need the exact triples.  The
+        # net exponents, counted in sixteenths of a power of two, decide
+        # every test of every ladder point: no point forms a 192-bit
+        # product (40 n = 4 cone tests did with whole powers of two, whose
+        # net sums were 5 or more wide, and 663 when the two sides'
+        # exponents were summed uncancelled).  The probe at the root of
+        # P_(n-1) is decided on an exact zero atom by sign alone, with no
+        # product: at n = 2, 3 the factors' atoms are exact, and at n = 4
+        # the ball of P_3 reaches 0 there and is replaced by its exact
+        # value (the one zero-rule atom), so no point reads the triples
         report, code = default_run
         assert code == EXIT_OK
         deep = report["meta"]["deep_scale"]
@@ -476,14 +472,15 @@ class TestMeta:
         # model's scale and one decade shallower (the doubling probe and
         # its bisection took 1608 points in all)
         assert (deep["points"], deep["exact_fallbacks"]) == (1548, 0)
-        assert [deep["per_n"][n]["products"] for n in "234"] == [0, 0, 40]
+        assert [deep["per_n"][n]["products"] for n in "234"] == [0, 0, 0]
         assert [deep["per_n"][n]["zero_atoms"] for n in "234"] == [0, 0, 1]
         # the points whose atoms were computed: where the recursion
-        # exponents of the factors left a test open, or gave up
-        assert [deep["per_n"][n]["refined"] for n in "234"] == [1, 24, 76]
+        # exponents of the factors left a test open, or gave up (at n = 3,
+        # 24 with the constants' whole powers of two)
+        assert [deep["per_n"][n]["refined"] for n in "234"] == [1, 2, 76]
         # the ladder points whose |lam|^2 pair an earlier point of the same
         # chart had decided on the recursion exponents alone
-        assert [deep["per_n"][n]["reused"] for n in "234"] == [224, 431, 615]
+        assert [deep["per_n"][n]["reused"] for n in "234"] == [224, 450, 615]
         body = json.dumps(_strip_meta(report), sort_keys=True, indent=2)
         assert hashlib.sha256(body.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 

@@ -67,8 +67,8 @@ from noricert.bounds import (
     exact_lt,
     gap_bracket,
     log2_bounds,
+    log16_bounds,
     ratio_bracket,
-    ratio_exponents,
     recursion_exponents,
 )
 from noricert.disktrace import (
@@ -395,7 +395,7 @@ class TestBallImages:
         fam = SimpleNamespace(f1=Poly.x() + q, f2=Poly.constant(5) + q, params=params)
         assert _image_factors(fam).exact == (False, False)
         img = _Image(fam, 3, 4, 5, _image_factors(fam))
-        rn2, rd2, rn2_b, rd2_b = params.squares.r2
+        rn2, rd2, rn2_b, rd2_b, _ = params.squares.r2
         assert (rn2, rd2) == (1, 25)
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is None
         assert not img.evaluated
@@ -421,7 +421,7 @@ class TestBallImages:
         assert _image_factors(fam).exact == (True, True)
         img = _Image(fam, 3, 4, 5, _image_factors(fam))
         assert all(exact_atom(a) for a in _raw_atoms(img))
-        rn2_b, rd2_b = params.squares.r2[2:]
+        rn2_b, rd2_b = params.squares.r2[2:4]
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2]) is False
         assert bracket_lt([img.a1, rd2_b], [rn2_b, img.a2], closed=True) is True
         assert _lt(img, (1, -1), "r2") is False
@@ -488,7 +488,7 @@ class TestBallImages:
         line = Poly((F(-1, 3), 1))
         near = SimpleNamespace(f1=line, f2=line, params=fam.params)
         img = _Image(near, 2**400 + 3, 0, 3 * 2**400, _image_factors(near))
-        assert img.exps[0] == (-800, -800)  # |lam - 1/3|^2 = 2^-800 exactly
+        assert img.exps[0] == (-12800, -12800)  # |lam - 1/3|^2 = 2^-800 exactly
         assert not img.vanishes(1)
         assert not img.evaluated
 
@@ -609,7 +609,7 @@ class TestFactorImages:
             assert exact.exps[0] == ball.exps[0]  # |lam|^2
             for e, b in zip(exact.exps[1:], ball.exps[1:]):
                 assert e is not None and b is not None
-                assert b[0] <= e[0] <= e[1] <= b[1] and e[1] - e[0] <= 1
+                assert b[0] <= e[0] <= e[1] <= b[1] and e[1] - e[0] <= 2
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ball_atoms_match_the_reference(self, built_families, identities, n):
@@ -876,8 +876,9 @@ def _net_stage_against_the_reference(fam, factors, points, ks):
 
 def _exponent_stage(lhs, rhs, closed=False):
     """The exponent comparison of two uncancelled sides, each a list of
-    ``(lo, hi)`` powers of two around its factors (None: an exact zero, so
-    no verdict), as ``bracket_lt`` once decided before it multiplied."""
+    ``(lo, hi)`` exponents, in sixteenths, around its factors (None: an
+    exact zero, so no verdict), as ``bracket_lt`` once decided before it
+    multiplied."""
     if None in lhs or None in rhs:
         return None
     l_lo, l_hi = sum(e[0] for e in lhs), sum(e[1] for e in lhs)
@@ -895,7 +896,7 @@ def _quantity_exponents(img):
     for a quantity with an exact zero atom."""
     factors = img.factors
     _raw_atoms(img)  # refines: ``exps`` become the atoms' own exponents
-    exps = [ratio_exponents(*c) for c in factors.constants] + img.exps
+    exps = [log16_bounds(*c) for c in factors.constants] + img.exps
     out = []
     for form in factors.forms:
         used = [(ex, p) for ex, p in zip(exps, form) if p]
@@ -908,14 +909,15 @@ def _quantity_exponents(img):
 
 def _separated_gap(e1, e2, k):
     """The gap |f2^(k+1) - f1|^2 by the uncancelled exponents of its terms:
-    those of the larger, widened by 2 below and 1 above, when the two are
-    at least 2^3 apart; None otherwise."""
+    those of the larger, widened by 2 powers of two (32 sixteenths) below
+    and 1 (16) above, when the two are at least 2^3 (48) apart; None
+    otherwise."""
     (e1_lo, e1_hi), (e2_lo, e2_hi) = e1, e2
     p_lo, p_hi = (k + 1) * e2_lo, (k + 1) * e2_hi
-    if p_hi + 3 <= e1_lo:
-        return e1_lo - 2, e1_hi + 1
-    if e1_hi + 3 <= p_lo:
-        return p_lo - 2, p_hi + 1
+    if p_hi + 48 <= e1_lo:
+        return e1_lo - 32, e1_hi + 16
+    if e1_hi + 48 <= p_lo:
+        return p_lo - 32, p_hi + 16
     return None
 
 
@@ -925,7 +927,7 @@ def _uncancelled_verdicts(fam, img, k):
     cone whose gap is not known by exponents)."""
     squares = fam.params.squares
     (rn2, rd2), (rn4, rd4) = (
-        [_exponents(bracket) for bracket in square[2:]] for square in (squares.r2, squares.r4)
+        [_exponents(bracket) for bracket in square[2:4]] for square in (squares.r2, squares.r4)
     )
     a1, a2, gap = _quantity_exponents(img)
     first = _exponent_stage([a1, rd2], [rn2])
@@ -938,7 +940,7 @@ def _uncancelled_verdicts(fam, img, k):
     if k or len(img.factors.forms) == 2:
         gap = None if a1 is None or a2 is None else _separated_gap(a1, a2, k)
     for name, square in (("cone", squares.rho2), ("halved", squares.half_rho2)):
-        pn2, pd2 = (_exponents(bracket) for bracket in square[2:])
+        pn2, pd2 = (_exponents(bracket) for bracket in square[2:4])
         out[name] = (
             None
             if gap is None
@@ -1068,7 +1070,7 @@ class TestNetStage:
         params = FamilyParams.build(2, r=r, rho=rho)
         fam = SimpleNamespace(f1=Poly.constant(f1), f2=Poly.constant(f2), params=params)
         img = _Image(fam, 1, 0, 1, _image_factors(fam))
-        assert img.net(*_compile_net(fam, img.factors, (1, -2), None, 0))[1] <= -3
+        assert img.net(*_compile_net(fam, img.factors, (1, -2), None, 0))[1] <= -48
         square = "half_rho2" if halved else "rho2"
         lo, hi = img.net(*_compile_net(fam, img.factors, (2, -1, -1), square, 1))
         # the net decides neither way
@@ -1264,7 +1266,7 @@ class TestOnePass:
                 assert raw == ref
                 if exact_atom(ref):
                     assert bracket == ratio_bracket(*ref)
-                    assert ratio_exponents(*ref) == exps
+                    assert (log16_bounds(*ref) if ref[0] else None) == exps
                 else:
                     assert bracket == ref and _exponents(ref) == exps
 
@@ -1415,11 +1417,19 @@ class TestRecursionChain:
 
 
 def _in_power_bounds(pair, num, den):
-    """Whether 2^lo <= num/den <= 2^hi for ``pair = (lo, hi)``, on integers."""
+    """Whether 2^(lo/16) <= num/den <= 2^(hi/16) for ``pair = (lo, hi)``, in
+    sixteenths of a power of two, on the integers' 16th powers."""
     lo, hi = pair
+    num, den = num**16, den**16
     lower = num << -lo >= den if lo < 0 else num >= den << lo
     upper = num << -hi <= den if hi < 0 else num <= den << hi
     return lower and upper
+
+
+def _sixteenths(key):
+    """A ``_rung_key`` pair of whole powers of two, in sixteenths: the
+    |lam|^2 exponents of an image's first rung."""
+    return None if key is None else (16 * key[0], 16 * key[1])
 
 
 def _crossover_scale(fam, k):
@@ -1449,9 +1459,9 @@ _DIRECTIONS = ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (3, 4, 5), (-5, 12, 13), (7, -1
 
 
 class TestRecursionExponents:
-    """The first rung of an image point: powers of two around every
-    |P_k(lam)|^2 from the proved recursions, by integer bit lengths, and the
-    atoms only where two recursion terms come close."""
+    """The first rung of an image point: exponents, in sixteenths of a power
+    of two, around every |P_k(lam)|^2 from the proved recursions, by integer
+    additions, and the atoms only where two recursion terms come close."""
 
     @staticmethod
     def _points(fam):
@@ -1480,16 +1490,19 @@ class TestRecursionExponents:
         assert factors.rung is not None
         returned = gave_up = 0
         for a, b, den in self._points(fam):
-            lam2 = log2_bounds(a * a + b * b, den * den)
-            pairs = recursion_exponents(factors.rung, lam2)
-            if pairs is None:
-                gave_up += 1
-                continue
-            returned += 1
-            assert len(pairs) == n - 1
-            for j, pair in enumerate(pairs, start=1):
-                num, d2 = scaled_abs2(eval_scaled(fam.Pk(j), a, b, den))
-                assert _in_power_bounds(pair, num, d2), (j, (a, b, den), pair)
+            # |lam|^2 by its whole powers of two, as the first rung reads
+            # it, and by its own sixteenths
+            key = _sixteenths(log2_bounds(a * a + b * b, den * den))
+            for lam2 in (key, log16_bounds(a * a + b * b, den * den)):
+                pairs = recursion_exponents(factors.rung, lam2)
+                if pairs is None:
+                    gave_up += lam2 is key
+                    continue
+                returned += lam2 is key
+                assert len(pairs) == n - 1
+                for j, pair in enumerate(pairs, start=1):
+                    num, d2 = scaled_abs2(eval_scaled(fam.Pk(j), a, b, den))
+                    assert _in_power_bounds(pair, num, d2), (j, (a, b, den), pair)
         # the rung decides most points and gives up inside the bands
         assert returned > gave_up > 0
 
@@ -1499,25 +1512,31 @@ class TestRecursionExponents:
         factors = _image_factors(fam, identities[n], root_certs[n])
         for pair, c in zip(factors.rung, fam.params.c, strict=True):
             e = fam.params.eps**c
-            assert pair == log2_bounds(e.numerator**2, e.denominator**2)
+            assert pair == log16_bounds(e.numerator**2, e.denominator**2)
 
     def test_gives_up_where_the_terms_come_close(self):
-        # |e|^2 in [2^-10, 2^-9] and |Q|^2 = |lam|^2 at n = 2: the larger
-        # term's pair widened by one where the other's upper power is 2^4
-        # below its lower one, None otherwise
-        rung = ((-10, -9),)
-        assert recursion_exponents(rung, (-15, -14)) == [(-11, -8)]
-        assert recursion_exponents(rung, (-5, -4)) == [(-6, -3)]
-        for lam in ((-14, -13), (-12, -11), (-8, -7), (-6, -5)):
+        # |e|^2 in [2^-10, 2^-9] and |Q|^2 = |lam|^2 at n = 2, in
+        # sixteenths: the larger term's pair widened by 16 where the other's
+        # upper exponent is 64 (2^4) below its lower one, None otherwise
+        rung = ((-160, -144),)
+        assert recursion_exponents(rung, (-240, -224)) == [(-176, -128)]
+        assert recursion_exponents(rung, (-80, -64)) == [(-96, -48)]
+        for lam in ((-224, -208), (-192, -176), (-128, -112), (-96, -80)):
             assert recursion_exponents(rung, lam) is None
-        # at n = 3, |Q_1|^2 = |lam|^2 |lam P_2|^2 adds the pairs: (-41, -36)
-        # and (-16, -11) at the two points above, both far above |e_1|^2
-        rung = ((-60, -59), (-10, -9))
-        assert recursion_exponents(rung, (-15, -14)) == [(-42, -35), (-11, -8)]
-        assert recursion_exponents(rung, (-5, -4)) == [(-17, -10), (-6, -3)]
-        assert recursion_exponents(rung, (-9, -8)) is None
+        # one sixteenth closer on either side is too close
+        assert recursion_exponents(rung, (-239, -223)) is None
+        assert recursion_exponents(rung, (-81, -65)) is None
+        assert recursion_exponents(rung, (-300, -224)) == [(-176, -128)]
+        assert recursion_exponents(rung, (-80, -20)) == [(-96, -4)]
+        # at n = 3, |Q_1|^2 = |lam|^2 |lam P_2|^2 adds the pairs: (-656,
+        # -576) and (-256, -176) at the two points above, both far above
+        # |e_1|^2
+        rung = ((-960, -944), (-160, -144))
+        assert recursion_exponents(rung, (-240, -224)) == [(-672, -560), (-176, -128)]
+        assert recursion_exponents(rung, (-80, -64)) == [(-272, -160), (-96, -48)]
+        assert recursion_exponents(rung, (-144, -128)) is None
         # P_2 decided, |Q_1|^2 within the band of |e_1|^2
-        assert recursion_exponents(((-40, -39), (-10, -9)), (-15, -14)) is None
+        assert recursion_exponents(((-640, -624), (-160, -144)), (-240, -224)) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_images_at_zero_fall_through(self, built_families, identities, root_certs, n):
@@ -1545,10 +1564,12 @@ class TestRecursionExponents:
                 assert img.exps == atoms.exps
                 continue
             assert img.positive and img.zero_atoms == 0
-            # |lam|^2 by its tightest powers of two, its atom's exponents
+            # |lam|^2 by its tightest powers of two in sixteenths, around its
+            # atom's exponents
             a, b, den = lam
-            assert img.exps[0] == atoms.exps[0] == log2_bounds(a * a + b * b, den * den)
-            for rung, exact in zip(img.exps[1:], atoms.exps[1:], strict=True):
+            assert img.exps[0] == _sixteenths(log2_bounds(a * a + b * b, den * den))
+            assert atoms.exps[0] == log16_bounds(a * a + b * b, den * den)
+            for rung, exact in zip(img.exps, atoms.exps, strict=True):
                 assert rung[0] <= exact[0] <= exact[1] <= rung[1]
             assert _first_open_cone_scaled(img, n) == _first_open_cone_scaled(atoms, n)
             decided += not img.refined
@@ -1632,7 +1653,7 @@ class TestRungMemo:
     @staticmethod
     def _first_rung_only(img, key):
         assert not img.refined and not img.evaluated and not img.formed
-        assert img.zero_atoms == 0 and img.exps[0] == key
+        assert img.zero_atoms == 0 and img.exps[0] == _sixteenths(key)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_key_fixes_the_first_rungs_outcome(self, built_families, identities, root_certs, n):
@@ -1701,7 +1722,8 @@ class TestRungMemo:
     ):
         # every key the three loops read, in draw order, is the
         # ``_rung_key`` pair of the drawn lam, and the pair that an image
-        # built from lam alone puts first in its exponent vector
+        # built from lam alone puts first in its exponent vector, in
+        # sixteenths (around the exact |lam|^2's own, where it refines)
         fam = built_families[n]
         factors = _image_factors(fam, identities[n], root_certs[n])
         entries = {k: _entry_scale(fam, k, Counter(), factors) for k in range(1, n)}
@@ -1741,7 +1763,13 @@ class TestRungMemo:
             out = []
             for a, b, den in points:
                 key = _rung_key(a * a + b * b, den * den)
-                assert _Image(fam, a, b, den, factors).exps[0] == key
+                img = _Image(fam, a, b, den, factors)
+                if img.refined and key is not None:
+                    lo, hi = img.exps[0]
+                    assert img.exps[0] == log16_bounds(a * a + b * b, den * den)
+                    assert 16 * key[0] <= lo <= hi <= 16 * key[1]
+                else:
+                    assert img.exps[0] == _sixteenths(key)
                 out.append(key)
             return out
 

@@ -11,7 +11,7 @@ import sympy as sp
 
 import noricert.family as family_module
 from noricert.arith import Poly, _digits10
-from noricert.bounds import int_bracket
+from noricert.bounds import int_bracket, log16_bounds
 from noricert.certify import _side_poly, family_root_certificates, proved_recursions
 from conftest import retouched
 from noricert.family import (
@@ -132,7 +132,7 @@ class TestParams:
             "r2": (1, 49), "r4": (1, 2401), "rho2": (9, 25), "half_rho2": (9, 100)
         }
         for name, (num, den) in expected.items():
-            bracketed = (num, den, int_bracket(num), int_bracket(den))
+            bracketed = (num, den, int_bracket(num), int_bracket(den), log16_bounds(num, den))
             assert getattr(squares, name) == bracketed
         # the cached value is not a field: equality and hashing are unchanged
         twin = FamilyParams(p.n, p.r, p.rho, p.eps, p.c, p.d, p.N)
