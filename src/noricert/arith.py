@@ -235,8 +235,12 @@ def decimal_approx(q: RationalLike, sig: int = 6, mode: str = "nearest") -> str:
 class ComplexRational(NamedTuple):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    # the fields as type objects: a string annotation would cost a compiled
+    # typing.ForwardRef when the class is created
+    __annotations__ = {
+        "re": Fraction,
+        "im": Fraction,
+    }
 
     @classmethod
     def of(cls, re: RationalLike = 0, im: RationalLike = 0) -> "ComplexRational":

@@ -44,8 +44,12 @@ __all__ = [
 class ChartPoint(NamedTuple):
     """A point of C^2 in base coordinates."""
 
-    z1: ComplexRational
-    z2: ComplexRational
+    # the fields as type objects: a string annotation would cost a compiled
+    # typing.ForwardRef when the class is created
+    __annotations__ = {
+        "z1": ComplexRational,
+        "z2": ComplexRational,
+    }
 
     def to_json(self) -> dict:
         return {"z1": self.z1.to_json(), "z2": self.z2.to_json()}
@@ -58,9 +62,12 @@ class CoverResult(NamedTuple):
     the index run is empty in that case and carries no claim.
     """
 
-    in_region: bool
-    indices: tuple[int, ...]
-    detail: str = ""
+    __annotations__ = {
+        "in_region": bool,
+        "indices": tuple[int, ...],
+        "detail": str,
+    }
+    detail = ""
 
     def to_json(self) -> dict:
         return {
@@ -108,10 +115,12 @@ class ExactArgument(NamedTuple):
     A failed hypothesis proves nothing either way.
     """
 
-    claim: str
-    r: Fraction
-    hypotheses: tuple[tuple[str, bool], ...]
-    argument: str
+    __annotations__ = {
+        "claim": str,
+        "r": Fraction,
+        "hypotheses": tuple[tuple[str, bool], ...],
+        "argument": str,
+    }
 
     @property
     def proved(self) -> bool:

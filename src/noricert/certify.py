@@ -130,9 +130,13 @@ def chart_point(radius: Fraction, t: Fraction) -> ComplexRational:
 class CirclePoint(NamedTuple):
     """An exact point on a circle: chart 0 is w(t), chart 1 is -w(t)."""
 
-    chart: int
-    t: Fraction
-    point: ComplexRational
+    # the fields as type objects: a string annotation would cost a compiled
+    # typing.ForwardRef when the class is created
+    __annotations__ = {
+        "chart": int,
+        "t": Fraction,
+        "point": ComplexRational,
+    }
 
     def to_json(self) -> dict:
         return {
@@ -187,10 +191,14 @@ class SpotLoop(NamedTuple):
     those exact integers decided, and the first point where the claim
     fails (``radius`` and ``witness``, None where it holds at every point)."""
 
-    points: int
-    exact_fallbacks: int
-    radius: Optional[Fraction] = None
-    witness: Optional[CirclePoint] = None
+    __annotations__ = {
+        "points": int,
+        "exact_fallbacks": int,
+        "radius": Optional[Fraction],
+        "witness": Optional[CirclePoint],
+    }
+    radius = None
+    witness = None
 
     def counts(self) -> dict[str, int]:
         return {"points": self.points, "exact_fallbacks": self.exact_fallbacks}
@@ -300,12 +308,15 @@ class RootProductBound(NamedTuple):
     ``witness`` is an exact circle point with |dominated| >= |dominant|.
     """
 
-    status: Status
-    radius: Fraction
-    lower: Optional[Fraction]
-    upper: Optional[Fraction]
-    witness: Optional[CirclePoint]
-    detail: str = ""
+    __annotations__ = {
+        "status": Status,
+        "radius": Fraction,
+        "lower": Optional[Fraction],
+        "upper": Optional[Fraction],
+        "witness": Optional[CirclePoint],
+        "detail": str,
+    }
+    detail = ""
 
     def to_json(self) -> dict:
         return {
@@ -721,11 +732,14 @@ def annulus_bounds_certificate(
 
 
 class IneqCheck(NamedTuple):
-    name: str
-    passed: bool
-    lhs: Fraction
-    rhs: Fraction
-    relation: str = "<"
+    __annotations__ = {
+        "name": str,
+        "passed": bool,
+        "lhs": Fraction,
+        "rhs": Fraction,
+        "relation": str,
+    }
+    relation = "<"
 
     def to_json(self) -> dict:
         return {
@@ -871,10 +885,12 @@ class ProductForms(NamedTuple):
     ``_localization_sides(family, 1)``, whose difference equals P_1.
     """
 
-    family: Family
-    f1: tuple
-    f2: tuple
-    recursion: tuple
+    __annotations__ = {
+        "family": Family,
+        "f1": tuple,
+        "f2": tuple,
+        "recursion": tuple,
+    }
 
     def equal(self, lhs: list, rhs: list) -> bool:
         """Whether two sums of sides have the same normal form.
@@ -1076,13 +1092,16 @@ class ConeFactorCertificate(NamedTuple):
     f1 * Q with Q certified nonvanishing on |z| <= 2.
     """
 
-    index: int
-    status: Status
-    identity_ok: bool
-    divisibility_ok: bool
-    nonvanishing: Optional[RootProductBound]
-    localized: Optional[int]
-    detail: str = ""
+    __annotations__ = {
+        "index": int,
+        "status": Status,
+        "identity_ok": bool,
+        "divisibility_ok": bool,
+        "nonvanishing": Optional[RootProductBound],
+        "localized": Optional[int],
+        "detail": str,
+    }
+    detail = ""
 
     def to_json(self) -> dict:
         return {

@@ -53,13 +53,15 @@ a test compiled once per factor map: a power vector over (|f1|^2, |f2|^2,
 |f2^(k+1) - f1|^2) against a chart square, held as plain data.
 The three sampled loops, the chart window, the chart-cone ladder and the
 cone-window witness, draw grid integers from the sampler's endless
-generators (``disk_grid``, ``randints``) and first read a point's
-``log2_bounds`` pair of |lam|^2 (``_rung_key``), all that the first rung
-below reads of lam, from the numerator and the squared denominator of
-|lam|^2 that the loop holds; they reuse the outcome of an earlier point
-of the same call with that pair that was decided on the first rung alone
-and refuted nothing, and build an ``_Image`` only for a point that reuses
-nothing, handing it that squared denominator and that pair.
+generators (``disk_grid``, ``randints``).  Each draw's |lam|^2 is s/den2
+over one of a few fixed squared denominators, and its ``log2_bounds`` pair,
+all that the first rung below reads of lam, is read from a table of that
+den2 (``_PairTable``, one per denominator and call, each row built on first
+read): one bit length of s and two comparisons with the row's threshold,
+no call, division or shift.  A loop reuses the outcome of an earlier
+point of the same call with that pair that was decided on the first rung
+alone and refuted nothing, and builds an ``_Image`` only for a point that
+reuses nothing, handing it den2 and the pair.
 ``_Image.first_failing`` decides an ordered sequence of them in one pass
 over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
@@ -153,10 +155,16 @@ __all__ = [
 class Certificate(NamedTuple):
     """A named verdict with human-readable detail and JSON-safe payload."""
 
-    name: str
-    status: Status
-    detail: str = ""
-    data: Optional[dict] = None
+    # the fields as type objects: a string annotation would cost a compiled
+    # typing.ForwardRef when the class is created
+    __annotations__ = {
+        "name": str,
+        "status": Status,
+        "detail": str,
+        "data": Optional[dict],
+    }
+    detail = ""
+    data = None
 
     def to_json(self) -> dict:
         out = {"name": self.name, "status": self.status.value, "detail": self.detail}
@@ -232,9 +240,10 @@ class _Factors(NamedTuple):
     ``chain``, holds the exponents of each |e_k|^2 in sixteenths of a power
     of two (``_recursion_rung``), from which ``bounds.recursion_exponents``
     bounds every |P_k(lam)|^2 before any atom is computed.
-    That first rung reads lam only through its |lam|^2 pair (``_rung_key``),
-    so the sampled loops decide each such pair on it once per call and
-    reuse the outcome.
+    That first rung reads lam only through its |lam|^2 pair
+    (``_rung_key``, which the sampled loops read from a ``_PairTable``),
+    so they decide each such pair on it once per call and reuse the
+    outcome.
 
     So one image point is decided in four rungs, each only where the one
     before leaves a test open: the recursion exponents (with ``rung``), the
@@ -242,14 +251,18 @@ class _Factors(NamedTuple):
     integers of the ``eval_scaled`` triples of f1 and f2.
     """
 
-    constants: tuple
-    lam: bool
-    polys: tuple
-    exact: tuple
-    forms: tuple
-    tests: list
-    chain: Optional[tuple] = None
-    rung: Optional[tuple] = None
+    __annotations__ = {
+        "constants": tuple,
+        "lam": bool,
+        "polys": tuple,
+        "exact": tuple,
+        "forms": tuple,
+        "tests": list,
+        "chain": Optional[tuple],
+        "rung": Optional[tuple],
+    }
+    chain = None
+    rung = None
 
 
 def _recursion_chain(
@@ -441,9 +454,44 @@ def _rung_key(num: int, den2: int) -> Optional[tuple]:
     outcome, and counts, fixed by the factor map, the tests and this pair,
     which is why the sampled loops memoize such outcomes by it.  A loop
     stores an outcome only where the image did not refine, which every
-    image of a map without a ``rung`` does.
+    image of a map without a ``rung`` does.  The loops read the pair from
+    a ``_PairTable`` of their squared denominator; this is the reference
+    those tables are tested against, and the key of an image built from
+    lam alone (the entry probe).
     """
     return log2_bounds(num, den2) if num else None
+
+
+class _PairTable(dict):
+    """``_rung_key(s, den2)`` for every numerator s over one squared
+    denominator, read as ``t, pairs = table[s.bit_length()]`` and then
+    ``pairs[(s >= t) + (s == t)]``: one bit length and two comparisons.
+
+    With e = b - den2.bit_length() for the bit length b of s, s/den2 lies
+    in (2^(e-1), 2^(e+1)), and t = ceil(den2 2^e) splits it: below t the
+    pair is (e-1, e), above it (e, e+1), and at t it is (e, e) where den2
+    2^e is an integer (else s = t is above it).  Row 0 is s = 0, lam = 0:
+    t = 1 and every pair None.  A row is built when it is first read, so a
+    table costs only the rows its draws reach.
+    """
+
+    __slots__ = ("den2",)
+
+    def __init__(self, den2: int):
+        super().__init__()
+        self.den2 = den2
+
+    def __missing__(self, b: int) -> tuple:
+        if not b:
+            row = 1, (None, None, None)
+        else:
+            den2 = self.den2
+            e = b - den2.bit_length()
+            t = den2 << e if e >= 0 else -(-den2 >> -e)
+            exact = e >= 0 or not den2 & ((1 << -e) - 1)
+            row = t, ((e - 1, e), (e, e + 1), (e, e) if exact else (e, e + 1))
+        self[b] = row
+        return row
 
 
 class _Image:
@@ -454,17 +502,18 @@ class _Image:
     192-bit product brackets of the quantities, the exact integers of the
     triples.  The sampled loops (the chart window, the chart-cone ladder
     and the cone-window witness) build no image at all for a point whose
-    |lam|^2 pair (``_rung_key``) already gave a non-refuting outcome on the
-    first rung alone, with no refinement: they reuse that outcome.  A loop
-    that builds one hands it den2 = den^2 and that pair, ``key``, which it
-    holds already; without den2 both are computed here from lam.
+    |lam|^2 pair already gave a non-refuting outcome on the first rung
+    alone, with no refinement: they reuse that outcome.  A loop that builds
+    one hands it den2 = den^2 and that pair, ``key``, read from its
+    ``_PairTable``; without den2 both are computed here from lam
+    (``_rung_key``).
 
     ``exps`` are exponents, bounds of 16 log2, around the point atoms of
     ``factors`` (``_image_factors``; |f1|^2 and |f2|^2 without the factors'
     identities): the exact |lam|^2 when the map has it, then one per
     polynomial.  Where the map has a
     ``rung`` and lam is not 0, they are first that ``log2_bounds`` pair of
-    |lam|^2 (``_rung_key``), times 16, and the pairs
+    |lam|^2, times 16, and the pairs
     ``bounds.recursion_exponents`` derives from it, no atom computed, all
     finite.  Where that gives up, or
     a test's net sum on them is open, the point refines (``refined``): its
@@ -1078,11 +1127,12 @@ def image_in_chart_window(
     per family, in ``identities``, and the quotient stays in product form.
     The sampled images are bracketed through ``factors``, the family's
     factor map (``_image_factors``).  The disk points come from the
-    sampler's ``disk_grid``.  A draw whose |lam|^2 pair (``_rung_key`` of
-    x^2 + y^2 over the fixed squared denominator) an earlier draw of
-    this call decided on the recursion exponents alone, not vanishing and
-    covered below index n, reuses that cover (``reused``) and builds no
-    image; a refutation is always rendered from its own point.  ``images``
+    sampler's ``disk_grid``.  Each draw's |lam|^2 pair is read from a
+    ``_PairTable`` of the fixed squared denominator 2^30.  A draw whose
+    pair an earlier draw of this call decided on the recursion exponents
+    alone, not vanishing and covered below index n, reuses that cover
+    (``reused``) and builds no image; a refutation is always rendered from
+    its own point.  ``images``
     counts the sampled image points (``_IMAGE_COUNTS``).
     """
     n = fam.n
@@ -1117,6 +1167,7 @@ def image_in_chart_window(
     k_max = n + 1
     # lam = 2 (x + i y)/2^16 = (x + i y)/2^15, so |lam|^2 = (x^2 + y^2)/2^30
     den, den2 = 1 << GRID_BITS - 1, 1 << 2 * GRID_BITS - 2
+    table = _PairTable(den2)
     accepted = attempts = reused = 0
     # the cover of each |lam|^2 pair that an image decided on the recursion
     # exponents alone, not vanishing and not refuting
@@ -1125,7 +1176,8 @@ def image_in_chart_window(
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
             x, y, s = next(grid)
-            key = _rung_key(s, den2)
+            t, pairs = table[s.bit_length()]
+            key = pairs[(s >= t) + (s == t)]
             if key in reuse:
                 reused += 1
                 accepted += 1
@@ -1331,14 +1383,15 @@ def chart_cone_certificate(
     whenever the right-hand side is nonzero.  ``tally`` counts the ladder's
     image points and exact fallbacks.  The entry probe and the ladder
     bracket their images through ``factors``, the family's factor map
-    (``_image_factors``).  A ladder point whose |lam|^2 pair
-    (``_rung_key`` of the candidate's a^2 + b^2 over its squared
-    denominator, ``_approach_candidates``) an earlier point of this chart
-    decided on the recursion exponents alone, outside the approach region
-    or passing every test of the same sequence, reuses that failing index
-    (``reused``) and builds no image; the ladder's six denominators and
-    their squares are computed once per chart, and an image is handed its
-    square and its pair.
+    (``_image_factors``).  The ladder's six denominators, their squares
+    and a ``_PairTable`` of each are built once per chart; each candidate
+    reads its |lam|^2 pair from one of them, in one of two rows
+    (``_approach_candidates`` keeps a^2 + b^2 in [2^14, 2^16)).  A ladder
+    point whose pair an earlier point of this chart decided on the
+    recursion exponents alone, outside the approach region or passing
+    every test of the same sequence, reuses that failing index
+    (``reused``) and builds no image; an image is handed its square and
+    its pair.
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -1369,6 +1422,7 @@ def chart_cone_certificate(
     checked, unchecked = (member, halved, entry_test), (member, halved)
     dens = _ladder_denominators(entry)
     squares = tuple(den * den for den in dens)
+    tables = tuple(_PairTable(den2) for den2 in squares)
     # the failing index of each (full, |lam|^2 pair) that an image decided
     # on the recursion exponents alone, not refuting
     reuse: dict = {}
@@ -1376,7 +1430,8 @@ def chart_cone_certificate(
     try:
         for a, b, s, step in _approach_candidates(fam, k, samples, seed):
             full = full_membership_checks < 32
-            pair = _rung_key(s, squares[step])
+            t, pairs = tables[step][s.bit_length()]
+            pair = pairs[(s >= t) + (s == t)]
             key = full, pair
             points += 1
             failed = reuse.get(key)
@@ -1610,12 +1665,13 @@ def cone_window_witness(
     here: the divisibility window certificate proves it for the whole disk.
     The images are bracketed through ``factors``, the family's factor map
     (``_image_factors``).  The points come from the sampler's
-    ``disk_grid`` and the scale indices from its ``randints(0, 12)``.  A
-    draw whose |lam|^2 pair (``_rung_key`` of x^2 + y^2 over the squared
-    denominator, from ``_WITNESS_DENS``) an earlier draw of this
-    call decided on the recursion exponents alone, in the region with an
-    open cone, reuses that cone index (``reused``) and builds no image; a
-    refutation is always rendered from its own point.  ``tally`` counts the
+    ``disk_grid`` and the scale indices from its ``randints(0, 12)``.
+    Each draw's |lam|^2 pair is read from the ``_PairTable`` of its
+    squared denominator, one for each of the 13 of ``_WITNESS_DENS``.  A
+    draw whose pair an earlier draw of this call decided on the recursion
+    exponents alone, in the region with an open cone, reuses that cone
+    index (``reused``) and builds no image; a refutation is always rendered
+    from its own point.  ``tally`` counts the
     drawn image points and their exact fallbacks (``_IMAGE_COUNTS``).
     """
     n = fam.n
@@ -1627,14 +1683,16 @@ def cone_window_witness(
     # the cone index of each |lam|^2 pair that an image decided on the
     # recursion exponents alone
     reuse: dict = {}
+    scaled = [(den, den2, _PairTable(den2)) for den, den2 in _WITNESS_DENS]
     try:
         while accepted < samples and attempts < 40 * samples:
             attempts += 1
             x, y, s = next(grid)
             # lam = 2 (x + i y)/(10^e 2^16) = (x + i y)/den, so |lam|^2 =
             # (x^2 + y^2)/den^2
-            den, den2 = _WITNESS_DENS[next(scales) if attempts % 2 == 0 else 0]
-            key = _rung_key(s, den2)
+            den, den2, table = scaled[next(scales) if attempts % 2 == 0 else 0]
+            t, pairs = table[s.bit_length()]
+            key = pairs[(s >= t) + (s == t)]
             cone_index = reuse.get(key)
             if cone_index is not None:
                 reused += 1

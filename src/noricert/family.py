@@ -115,10 +115,14 @@ class ChartSquares(NamedTuple):
     ``bounds.constant_factor``: ``(num, den, num_bracket, den_bracket,
     exps)``."""
 
-    r2: tuple
-    r4: tuple
-    rho2: tuple
-    half_rho2: tuple
+    # the fields as type objects: a string annotation would cost a compiled
+    # typing.ForwardRef when the class is created
+    __annotations__ = {
+        "r2": tuple,
+        "r4": tuple,
+        "rho2": tuple,
+        "half_rho2": tuple,
+    }
 
 
 class FamilyParams:
@@ -218,9 +222,11 @@ def _ring_mul(p: dict, q: dict) -> dict:
 class FamilyForm(NamedTuple):
     """P_1, ..., P_(n-1), f1 and f2 as term dicts in Z[lam, eps]."""
 
-    P: tuple
-    f1: dict
-    f2: dict
+    __annotations__ = {
+        "P": tuple,
+        "f1": dict,
+        "f2": dict,
+    }
 
     @classmethod
     def build(cls, n: int, c: tuple) -> "FamilyForm":
@@ -508,10 +514,20 @@ def expand_side(fam: Family, side: tuple) -> Poly:
     return poly
 
 
+# the canonical family serialization: compact JSON with sorted keys
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def family_hash(fam: Family) -> str:
-    """Stable sha256 of the canonical family serialization."""
-    blob = json.dumps(fam.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Stable sha256 of the canonical family serialization.
+
+    The text is fed to the digest piece by piece, as the encoder yields
+    it, so it is never held whole (about 195 KB at n = 4, 14 MB at n = 5).
+    """
+    digest = hashlib.sha256()
+    for piece in _CANONICAL.iterencode(fam.to_json()):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def build_family(params: FamilyParams) -> Family:
@@ -519,9 +535,11 @@ def build_family(params: FamilyParams) -> Family:
 
 
 class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
+    __annotations__ = {
+        "name": str,
+        "passed": bool,
+        "detail": str,
+    }
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

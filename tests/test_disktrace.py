@@ -1646,6 +1646,99 @@ def _window_draws(n, count, seed):
         yield sampler.dyadic_in_disk(2)
 
 
+class _SpiedPairs:
+    """The pairs of one ``_PairTable`` row, each read through ``wrap`` and
+    appended to ``keys`` (when given) in the order the loop reads them."""
+
+    def __init__(self, pairs, wrap, keys):
+        self.pairs, self.wrap, self.keys = pairs, wrap, keys
+
+    def __getitem__(self, i):
+        key = self.wrap(self.pairs[i])
+        if self.keys is not None:
+            self.keys.append(key)
+        return key
+
+
+def _spied_tables(wrap, keys=None):
+    """A ``disktrace._PairTable`` whose rows hand out their pairs through
+    ``_SpiedPairs``."""
+    real = disktrace._PairTable
+
+    class Spied:
+        def __init__(self, den2):
+            self.table = real(den2)
+
+        def __getitem__(self, b):
+            t, pairs = self.table[b]
+            return t, _SpiedPairs(pairs, wrap, keys)
+
+    return Spied
+
+
+def _table_key(table, s):
+    """The key of s in a ``_PairTable``, read as the loops read it."""
+    t, pairs = table[s.bit_length()]
+    return pairs[(s >= t) + (s == t)]
+
+
+class TestPairTables:
+    """The sampled loops read each draw's |lam|^2 pair from a table per
+    squared denominator; every entry is ``_rung_key``'s."""
+
+    # the chart-cone entry scales of the default families at n = 2..5, as
+    # the reports pin them
+    ENTRIES = (9, 101, 11, 111, 914, 13, 134, 980, 7744)
+
+    def test_table_keys_are_rung_keys(self):
+        # the witness's 13 squared denominators, the window's 2^30 and the
+        # ladders' at the entry scales of n = 2..5; at s = 0, every power
+        # of two, t - 1, t and t + 1 of every row, and random s < 2^32
+        rng = random.Random(38)
+        top = 1 << 2 * disktrace.GRID_BITS
+        dens2 = [den2 for _, den2 in disktrace._WITNESS_DENS]
+        dens2.append(1 << 2 * disktrace.GRID_BITS - 2)
+        dens2 += [den * den for entry in self.ENTRIES for den in _ladder_denominators(entry)]
+        inexact = 0
+        for den2 in dens2:
+            table = disktrace._PairTable(den2)
+            values = {0, *(1 << i for i in range(32)), *(rng.randrange(top) for _ in range(500))}
+            for b in range(1, 33):
+                t, pairs = table[b]
+                values.update((t - 1, t, t + 1))
+                inexact += pairs[2] == pairs[1]
+            for s in sorted(v for v in values if 0 <= v < top):
+                assert _table_key(table, s) == _rung_key(s, den2), (den2, s)
+        # some rows have no integer den2 2^e, where s = t is above it
+        assert inexact > 0
+
+    def test_rows_are_built_on_first_read(self):
+        table = disktrace._PairTable(1 << 60)
+        assert not table
+        row = table[20]
+        assert list(table) == [20] and table[20] is row
+        assert table[0] == (1, (None, None, None))
+
+    def test_witness_dense_calls_no_log2_bounds_per_draw(self, monkeypatch, tmp_path):
+        # verify --n 2..3 --samples 16384 --seed 0 draws 32,768 witness
+        # points, 6,150 ladder points and 1,024 window points; only the
+        # entry probes' images compute their keys
+        from noricert.cli import main
+
+        calls = Counter()
+        real = bounds.log2_bounds
+
+        def counted(*args):
+            calls["log2_bounds"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "log2_bounds", counted)
+        monkeypatch.setattr(disktrace, "log2_bounds", counted)
+        argv = ["verify", "--n", "2..3", "--samples", "16384", "--seed", "0"]
+        assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+        assert 0 < calls["log2_bounds"] < 100
+
+
 class TestRungMemo:
     """The sampled loops reuse an outcome decided on the recursion
     exponents alone for every later point with the same |lam|^2 pair."""
@@ -1727,21 +1820,17 @@ class TestRungMemo:
         fam = built_families[n]
         factors = _image_factors(fam, identities[n], root_certs[n])
         entries = {k: _entry_scale(fam, k, Counter(), factors) for k in range(1, n)}
-        keys, real = [], disktrace._rung_key
-
-        def spy(*args):
-            keys.append(real(*args))
-            return keys[-1]
+        keys = []
 
         def read(loop):
             keys.clear()
             loop()
             return list(keys)
 
-        monkeypatch.setattr(disktrace, "_rung_key", spy)
-        # the entry probe builds its images from lam alone, and so reads
-        # keys of its own: each chart's entry scale is found beforehand
-        monkeypatch.setattr(disktrace, "_entry_scale", lambda fam, k, *args: entries[k])
+        # the loops read every key from the tables they build per call, so
+        # each read goes through the spy; the entry probe builds its images
+        # from lam alone and reads no table
+        monkeypatch.setattr(disktrace, "_PairTable", _spied_tables(lambda key: key, keys))
         tally, images = Counter(), Counter()
         witness = read(lambda: cone_window_witness(fam, factors, samples=1024, tally=tally))
         ladders = {
@@ -1780,6 +1869,45 @@ class TestRungMemo:
             assert got == expected(islice(_ladder_points(fam, k, entries[k], 256, 0), len(got)))
         assert len(window) == images["points"] == 64
         assert window == expected(_window_draws(n, len(window), 0))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_keys_at_the_thresholds(
+        self, monkeypatch, built_families, identities, root_certs, corollary_reports, n
+    ):
+        # grid draws whose s = x^2 + y^2 is a power of two sit on the
+        # threshold t = den2 2^e of their row for den2 = 2^30 and 2^60 (the
+        # witness's scale 0, the window), where the pair is (e, e): the
+        # loops read the same keys as ``_rung_key`` there too
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n], root_certs[n])
+        points = [
+            (x, y, x * x + y * y)
+            for j in range(16)
+            for x, y in ((1 << j, 0), (0, 1 << j), (1 << j, 1 << j))
+        ]
+
+        def grid(self):
+            while True:
+                yield from points
+
+        keys = []
+        monkeypatch.setattr(RationalSampler, "disk_grid", grid)
+        monkeypatch.setattr(disktrace, "_PairTable", _spied_tables(lambda key: key, keys))
+        cone_window_witness(fam, factors, samples=2 * len(points), seed=0)
+        scales = RationalSampler("cone-window", n, 2 * len(points), 0).randints(0, 12)
+        expected = []
+        for i, key in enumerate(keys, 1):
+            s = points[(i - 1) % len(points)][2]
+            den2 = disktrace._WITNESS_DENS[next(scales) if i % 2 == 0 else 0][1]
+            expected.append(_rung_key(s, den2))
+        assert len(keys) >= 2 * len(points) and keys == expected
+        assert sum(key is not None and key[0] == key[1] for key in keys) >= len(points)
+        keys.clear()
+        image_in_chart_window(fam, corollary_reports[n], identities[n], factors, samples=64)
+        window = 1 << 2 * disktrace.GRID_BITS - 2
+        assert len(keys) >= 64
+        assert keys == [_rung_key(points[i % len(points)][2], window) for i in range(len(keys))]
+        assert all(key[0] == key[1] for key in keys)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("rung", [True, False])
@@ -1850,16 +1978,19 @@ class TestRungMemo:
         certs, tallies = run()
         real = disktrace._rung_key
 
-        def unequal(*args):
-            key = real(*args)
+        def unequal(key):
             return None if key is None else _Unequal(key)
 
-        monkeypatch.setattr(disktrace, "_rung_key", unequal)
+        # both seams: the loops' tables, and the key of an image built from
+        # lam alone (the entry probe, booked in the ladder's tally)
+        monkeypatch.setattr(disktrace, "_PairTable", _spied_tables(unequal))
+        monkeypatch.setattr(disktrace, "_rung_key", lambda *args: unequal(real(*args)))
         fresh, fresh_tallies = run()
         assert fresh == certs
         for got, ref in zip(tallies, fresh_tallies, strict=True):
             assert ref["reused"] == 0 < got["reused"]
             assert {**got, "reused": 0} == ref
+        monkeypatch.setattr(disktrace, "_PairTable", _spied_tables(lambda key: None))
         monkeypatch.setattr(disktrace, "_rung_key", lambda *args: None)
         keyless, keyless_tallies = run()
         assert keyless == certs
