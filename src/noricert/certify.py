@@ -8,7 +8,7 @@ root counts from the dominant part to the difference, which is how every
 root-localization and nonvanishing claim below is established.
 
 Every dominance the pipeline needs compares two products of the family's
-factors (``cone_sides``, ``_localization_sides``), and the roots of each
+factors (``cone_sides``, ``recursion_sides``), and the roots of each
 factor ``P_j`` are already localized in ``|z| < 2^-j``, deepest first.  With
 ``|leading P_j| = 1`` and ``d = deg P_j`` that gives
 
@@ -26,22 +26,22 @@ Circle points come from the rational half-circle chart
 and its negation, so every point has exactly rational coordinates.
 
 A polynomial identity between products of the family's factors is proved
-in one of three ways.  Each factor's defining recursion, and the premise
-that P_1 satisfies its own, are proved by comparing expansions: both sides
-are multiplied out as exact ``Poly`` objects and compared coefficient by
-coefficient.  The premises f1 = eps z^n prod P_j^j and f2 = eps^2 z prod
-P_j are one comparison in Z[lam, eps] of the family's form
-(``FamilyForm.products_hold``), so f1 and f2 are never expanded.  Given the
-premises, the exact identities and each chart's cone factorization are
-exponent bookkeeping: both sides are sums of monomials c z^m prod
-P_j^(e_j), and after P_1 is eliminated by its recursion their normal
-forms agree (``ProductForms``).  Where a premise fails or two normal
-forms differ, the identity falls back to comparing the expansions of its
-own sides, so bookkeeping never refutes.  The
-divisibility of each cone combination by its factor follows from the same
-proved recursions (``lemma_div_check``): modulo P_k every shallower factor
-is its constant, so nothing is expanded.  A cone combination is expanded,
-and divided, only where a recursion is not proved for the family.
+in one of three ways.  Each factor's defining recursion is a fact of the
+family (``Family.recursions``), proved once in Z[lam, eps] in the same
+pass as the premises f1 = eps z^n prod P_j^j and f2 = eps^2 z prod P_j
+(``FamilyForm.check``), so on a built family no factor, f1 or f2 is
+expanded; only where the ring leaves a recursion out are its sides
+expanded and compared as exact ``Poly`` objects.  Given the premises and
+the recursion of P_1, the exact identities and each chart's cone
+factorization are exponent bookkeeping: both sides are sums of monomials
+c z^m prod P_j^(e_j), and after P_1 is eliminated by its recursion their
+normal forms agree (``ProductForms``).  Where a premise fails or two
+normal forms differ, the identity falls back to comparing the expansions
+of its own sides, so bookkeeping never refutes.  The divisibility of each
+cone combination by its factor follows from the same recursions
+(``lemma_div_check``): modulo P_k every shallower factor is its constant,
+so nothing is expanded.  A cone combination is expanded, and divided,
+only where a recursion does not hold for the family.
 
 Status taxonomy: ``PROVED`` (certificate complete), ``REFUTED`` (an exact
 witness violates the claim), ``INCONCLUSIVE`` (a sufficient condition that
@@ -65,7 +65,7 @@ from .arith import (
     format_rational,
 )
 from .bounds import Values, constant_factor, exact_atoms
-from .family import CheckReport, CheckResult, Family
+from .family import CheckReport, CheckResult, Family, recursion_sides
 # the expansion of a side; tests count the expansions through this name
 from .family import expand_side as _side_poly
 
@@ -91,7 +91,6 @@ __all__ = [
     "side_factors",
     "root_product_dominance",
     "family_root_certificates",
-    "proved_recursions",
     "annulus_bounds_certificate",
     "annulus_bounds_for_factor",
     "annulus_spot_checks",
@@ -240,13 +239,6 @@ def spot_loop(
 # (``_side_poly`` expands it).
 
 
-def _localization_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
-    """(dominant, dominated) of factor k's recursion P_k = eps^(c_k) - dominant."""
-    n = fam.n
-    dominant = (1, n - k, tuple((j, j - k) for j in range(k + 1, n)))
-    return dominant, (fam.params.eps ** fam.params.c[k - 1], 0, ())
-
-
 def cone_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
     """(dominant, unit part) of chart k's cone combination, unit part - dominant.
 
@@ -269,22 +261,6 @@ def _side_degree(fam: Family, side: tuple) -> int:
     """The degree of a side with a nonzero constant, from its factors' degrees."""
     _, m, factors = side
     return m + sum(e * fam.Pk(j).degree for j, e in factors)
-
-
-def proved_recursions(fam: Family, root_certs: Optional[dict]) -> frozenset[int]:
-    """The indices k whose recursion ``root_certs`` proved for ``fam`` itself
-    (``RootLocalization.recursion``); ``structural_checks`` takes them."""
-    return frozenset(
-        k
-        for k, cert in (root_certs or {}).items()
-        if cert.family is fam and cert.recursion
-    )
-
-
-def _recursions_proved(fam: Family, root_certs: Optional[dict], upto: int) -> bool:
-    """Whether ``root_certs`` proved the recursions of P_1, ..., P_upto for
-    ``fam`` itself."""
-    return proved_recursions(fam, root_certs).issuperset(range(1, upto + 1))
 
 
 def side_factors(side: tuple, radius: Fraction) -> list:
@@ -443,15 +419,13 @@ def root_product_dominance(
 class RootLocalization:
     """All roots of factor ``index`` certified inside |z| < radius.
 
-    ``family`` is the family whose factor was localized, and ``recursion``
-    whether its defining recursion P_k = eps^(c_k) - z^(n-k) prod_{j>k}
-    P_j^(j-k) was proved there (the recursion of ``_localization_sides``;
-    for the last factor, its linear form).  Neither is part of ``to_json``.
+    ``family`` is the family whose factor was localized; it is not part of
+    ``to_json``.
     """
 
     __slots__ = (
         "index", "radius", "degree", "count", "status", "method", "dominance",
-        "detail", "family", "recursion",
+        "detail", "family",
     )
 
     def __init__(
@@ -466,11 +440,10 @@ class RootLocalization:
         detail: str = "",
         *,
         family: Optional[Family] = None,
-        recursion: bool = False,
     ):
         self.index, self.radius, self.degree, self.count = index, radius, degree, count
         self.status, self.method, self.dominance = status, method, dominance
-        self.detail, self.family, self.recursion = detail, family, recursion
+        self.detail, self.family = detail, family
 
     def to_json(self) -> dict:
         return {
@@ -491,24 +464,22 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
     The factor P_k (degree d_k) is certified to have all of its roots in the
     open disk |z| < 2^-k.  The last factor is linear with an explicitly known
     root; each earlier factor is its constant term minus the product of the
-    already-localized deeper factors times a monomial (a recursion proved by
-    comparing expansions), so a root-product dominance on its circle transfers
-    the full root count.  Each certificate records ``fam`` and whether that
-    recursion was proved, so ``exact_identity_checks`` does not prove the
-    recursion of P_1 again.
+    already-localized deeper factors times a monomial, so a root-product
+    dominance on its circle transfers the full root count.  Both read the
+    recursions from ``fam.recursions``, and each certificate records ``fam``.
     """
     n = fam.n
     eps = fam.params.eps
     c, d = fam.params.c, fam.params.d
     certs: dict[int, RootLocalization] = {}
 
-    def localized(*args, recursion: bool = False) -> RootLocalization:
-        return RootLocalization(*args, family=fam, recursion=recursion)
+    def localized(*args) -> RootLocalization:
+        return RootLocalization(*args, family=fam)
 
     k = n - 1
     root = eps ** c[-1]
     radius = Fraction(1, 2**k)
-    if fam.Pk(k) != Poly([root, -1]):
+    if k not in fam.recursions:
         certs[k] = localized(
             k, radius, fam.Pk(k).degree, None, Status.INCONCLUSIVE,
             "exact-root", None, "last factor is not in the expected linear form",
@@ -517,13 +488,11 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
         certs[k] = localized(
             k, radius, 1, 1, Status.PROVED, "exact-root", None,
             f"single root at {decimal_approx(root)} inside the disk",
-            recursion=True,
         )
     else:
         certs[k] = localized(
             k, radius, 1, None, Status.REFUTED, "exact-root", None,
             f"single root at {decimal_approx(root)} lies outside |z| < {radius}",
-            recursion=True,
         )
 
     for k in range(n - 2, 0, -1):
@@ -535,22 +504,18 @@ def family_root_certificates(fam: Family) -> dict[int, RootLocalization]:
                 None, "a deeper factor lacks a proved localization",
             )
             continue
-        big, small = _localization_sides(fam, k)
-        dom = root_product_dominance(fam, big, small, radius, certs)
+        dom = root_product_dominance(fam, *recursion_sides(fam, k), radius, certs)
         if dom.status is Status.PROVED:
             inside = (n - k) + sum((j - k) * d[j - 1] for j in range(k + 1, n))
-            recursion_ok = fam.Pk(k) == _side_poly(fam, small) - _side_poly(fam, big)
-            if recursion_ok and degree == inside == d[k - 1]:
+            if k in fam.recursions and degree == inside == d[k - 1]:
                 certs[k] = localized(
                     k, radius, degree, inside, Status.PROVED, "perturbation",
                     dom, f"count transferred from dominant part ({inside} roots)",
-                    recursion=True,
                 )
             else:
                 certs[k] = localized(
                     k, radius, degree, None, Status.INCONCLUSIVE, "perturbation",
                     dom, "factor does not match its defining recursion",
-                    recursion=recursion_ok,
                 )
         elif dom.status is Status.REFUTED:
             certs[k] = localized(
@@ -835,7 +800,7 @@ def corollary_ineq_certificate(fam: Family, annulus: AnnulusReport) -> Corollary
 # Identities by exponent bookkeeping
 # ---------------------------------------------------------------------------
 
-# Sides (see ``_localization_sides``) multiply as monomials c z^m prod X_j^e
+# Sides (see ``recursion_sides``) multiply as monomials c z^m prod X_j^e
 # in symbols X_j that stand for the factors P_j.
 
 
@@ -857,7 +822,7 @@ def _negated(side: tuple) -> tuple:
 def _normal_form(sides: list, recursion: tuple) -> dict:
     """The sum of ``sides`` with X_1 eliminated, as {(m, factors): c}.
 
-    ``recursion`` is ``_localization_sides(fam, 1)``, (dominant, (a, 0, ())),
+    ``recursion`` is ``recursion_sides(fam, 1)``, (dominant, (a, 0, ())),
     for P_1 = a - dominant: each X_1^e expands binomially into sum_i C(e, i)
     a^(e-i) (-dominant)^i.  The constants stay exact ``Fraction``s, so
     a = eps^(c_1) is compared with eps exactly.  Equal normal forms are
@@ -882,7 +847,7 @@ class ProductForms(NamedTuple):
 
     ``f1`` is the side eps z^n prod P_j^j and ``f2`` the side eps^2 z prod
     P_j, each equal to the family's polynomial, and ``recursion`` is
-    ``_localization_sides(family, 1)``, whose difference equals P_1.
+    ``recursion_sides(family, 1)``, whose difference equals P_1.
     """
 
     __annotations__ = {
@@ -900,28 +865,18 @@ class ProductForms(NamedTuple):
         return _normal_form(lhs, self.recursion) == _normal_form(rhs, self.recursion)
 
 
-def _proved_forms(
-    fam: Family, root_certs: Optional[dict] = None
-) -> Optional[ProductForms]:
+def _proved_forms(fam: Family) -> Optional[ProductForms]:
     """``fam``'s product forms, or None unless all three are proved.
 
-    The premises are f1 and f2 equal to their product forms, and P_1 equal
-    to the difference of ``_localization_sides(fam, 1)`` (at n = 2, the
-    linear form eps^(c_1) - z).  The first two are one check in Z[lam, eps]
-    (``FamilyForm.products_hold``, 2(n - 1) ring products); where it fails
-    it proves nothing, and None leaves every identity to the comparison of
-    its own expansions.  The recursion of P_1 is taken from ``root_certs[1]``
-    where ``family_root_certificates(fam)`` proved it, and is compared with
-    its expanded sides otherwise.
+    The premises are f1 and f2 equal to their product forms in Z[lam, eps]
+    (``Family.ring``), and P_1 equal to the difference of
+    ``recursion_sides(fam, 1)`` (at n = 2, the linear form eps^(c_1) - z;
+    ``Family.recursions``).  Where the ring does not prove the first two,
+    None leaves every identity to the comparison of its own expansions.
     """
-    f1, f2 = fam.product_form("f1"), fam.product_form("f2")
-    dominant, rest = recursion = _localization_sides(fam, 1)
-    cert = (root_certs or {}).get(1)
-    proved_by_roots = cert is not None and cert.family is fam and cert.recursion
-    if fam.form.products_hold() and (
-        proved_by_roots or fam.Pk(1) == _side_poly(fam, rest) - _side_poly(fam, dominant)
-    ):
-        return ProductForms(fam, f1, f2, recursion)
+    if fam.ring.products and 1 in fam.recursions:
+        f1, f2 = fam.product_form("f1"), fam.product_form("f2")
+        return ProductForms(fam, f1, f2, recursion_sides(fam, 1))
     return None
 
 
@@ -989,7 +944,7 @@ class DivisionWitness:
         if self.expanded is not None:
             return self.expanded[0]
         fam, k = self.family, self.index
-        e = _localization_sides(fam, k)[1][0]
+        e = recursion_sides(fam, k)[1][0]
         return Poly.one() + (self.unit_part - e) // fam.Pk(k)
 
     def to_json(self) -> dict:
@@ -1002,21 +957,19 @@ class DivisionWitness:
         }
 
 
-def _derived_quotient_degree(
-    fam: Family, k: int, root_certs: Optional[dict]
-) -> Optional[int]:
-    """The degree of C / P_k where the proved recursions give the division
-    (see ``lemma_div_check``), None where they do not."""
-    if not _recursions_proved(fam, root_certs, k):
+def _derived_quotient_degree(fam: Family, k: int) -> Optional[int]:
+    """The degree of C / P_k where the recursions give the division (see
+    ``lemma_div_check``), None where they do not."""
+    if not fam.recursions.issuperset(range(1, k + 1)):
         return None
     if any(p.is_zero for p in fam.P):
         return None
     dominant, unit_part = cone_sides(fam, k - 1)
-    own, (e_k, _, _) = _localization_sides(fam, k)
+    own, (e_k, _, _) = recursion_sides(fam, k)
     c, m, factors = unit_part
     residue = Fraction(c)
     for j, e in factors:
-        residue *= Fraction(_localization_sides(fam, j)[1][0]) ** e
+        residue *= Fraction(recursion_sides(fam, j)[1][0]) ** e
     if dominant != own or m or residue != e_k or any(j >= k for j, _ in factors):
         return None
     unit_degree, dominant_degree = _side_degree(fam, unit_part), _side_degree(fam, dominant)
@@ -1025,18 +978,15 @@ def _derived_quotient_degree(
     return max(unit_degree, dominant_degree) - fam.Pk(k).degree
 
 
-def lemma_div_check(
-    fam: Family, k: int, root_certs: Optional[dict[int, RootLocalization]] = None
-) -> DivisionWitness:
+def lemma_div_check(fam: Family, k: int) -> DivisionWitness:
     """Verify that factor k divides the cone combination of chart k - 1.
 
     C = eps^(2k-1) prod_{j<k} P_j^(k-j) - z^(n-k) prod_{j>k} P_j^(j-k), the
     scaled product of the factors below k minus the monomial-weighted
     product of those above (for k = 1 it is the factor itself, quotient
-    one).  Where ``root_certs`` (``family_root_certificates(fam)``) proved
-    the recursions P_j = e_j - z^(n-j) prod_{i>j} P_i^(i-j), e_j =
-    eps^(c_j), of P_1, ..., P_k for ``fam`` itself, the division is derived
-    and nothing is expanded:
+    one).  Where the recursions P_j = e_j - z^(n-j) prod_{i>j} P_i^(i-j),
+    e_j = eps^(c_j), of P_1, ..., P_k hold (``Family.recursions``), the
+    division is derived and nothing is expanded:
 
     * for j < k the recursion of P_j holds P_k^(k-j), so P_j = e_j mod
       P_k, and the unit side is eps^(2k-1) prod_{j<k} e_j^(k-j) = e_k mod
@@ -1055,7 +1005,7 @@ def lemma_div_check(
     """
     if not 1 <= k <= fam.n - 1:
         raise ValueError(f"factor index must be in 1..{fam.n - 1}")
-    degree = _derived_quotient_degree(fam, k, root_certs)
+    degree = _derived_quotient_degree(fam, k)
     if degree is not None:
         return DivisionWitness(
             k, Status.PROVED, "recursion", degree,
@@ -1304,9 +1254,7 @@ def _forms_of(fam: Family, identities: CheckReport) -> Optional[ProductForms]:
     return forms if forms is not None and forms.family is fam else None
 
 
-def exact_identity_checks(
-    fam: Family, root_certs: Optional[dict[int, RootLocalization]] = None
-) -> IdentityReport:
+def exact_identity_checks(fam: Family) -> IdentityReport:
     """Division identities tying the two map components together.
 
     * ``power-ratio``: f2^n equals f1 times the unit eps^(2n-1) prod_j
@@ -1319,17 +1267,16 @@ def exact_identity_checks(
     Three premises come from ``_proved_forms``: f1 = eps z^n prod P_j^j and
     f2 = eps^2 z prod P_j in Z[lam, eps] (never on a family given by its
     polynomials, ``Family.of``), and the recursion P_1 = eps^(c_1) -
-    z^(n-1) prod_{j>=2} P_j^(j-1), read from ``root_certs``, the
-    ``family_root_certificates(fam)``, where they proved it and compared by
-    expansion otherwise.  Given them, power-ratio is an equality of exponent
-    vectors, and difference-factorization and square-ratio follow once P_1
-    is rewritten by its recursion (``ProductForms.equal``), with no
-    identity side expanded.  Where a premise fails, or two normal forms
+    z^(n-1) prod_{j>=2} P_j^(j-1) (``Family.recursions``).  Given them,
+    power-ratio is an equality of exponent vectors, and
+    difference-factorization and square-ratio follow once P_1 is rewritten
+    by its recursion (``ProductForms.equal``), with no identity side
+    expanded.  Where a premise fails, or two normal forms
     differ, the identity is proved or refuted by comparing the expansions
     of its own sides (``_identity_sides``), so a tampered family is still
     decided exactly.
     """
-    forms = _proved_forms(fam, root_certs)
+    forms = _proved_forms(fam)
     derived = _identity_products(forms) if forms is not None else {}
     holds = {}
     for name, sides in _identity_sides(fam).items():

@@ -63,12 +63,12 @@ from .certify import (
     exact_identity_checks,
     family_root_certificates,
     lemma_div_check,
-    proved_recursions,
     worst,
 )
 from . import disktrace
 from .disktrace import _IMAGE_COUNTS, _WORK_COUNTS, Certificate, trace_family
 from .family import (
+    _check_n_range,
     FamilyParamError,
     FamilyParams,
     build_family,
@@ -123,8 +123,7 @@ class RunConfig(NamedTuple):
             raise UsageError("at least one size n is required")
         if len(set(self.n_list)) != len(self.n_list):
             raise UsageError("duplicate sizes in the n list")
-        if self.max_n < 2:
-            raise UsageError(f"max-n must be at least 2, got {self.max_n}")
+        _check_max_n(self.max_n)
         for n in self.n_list:
             try:
                 FamilyParams.build(
@@ -160,8 +159,18 @@ class RunConfig(NamedTuple):
         }
 
 
-def parse_n_range(text: str) -> tuple[int, ...]:
-    """Parse ``"3"`` or ``"2..4"`` into an explicit tuple of sizes."""
+def _check_max_n(max_n: int) -> None:
+    if max_n < 2:
+        raise UsageError(f"max-n must be at least 2, got {max_n}")
+
+
+def parse_n_range(text: str, max_n: int = 5) -> tuple[int, ...]:
+    """Parse ``"3"`` or ``"2..4"`` into an explicit tuple of sizes.
+
+    A range is checked against ``max_n`` before it is built: the first size
+    outside 2..max_n is refused with the ``n-range`` message that
+    ``RunConfig.validate`` gives, so a bound such as 10^30 forms nothing.
+    """
     s = text.strip()
     try:
         if ".." in s:
@@ -169,10 +178,15 @@ def parse_n_range(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise UsageError(f"empty range: {text!r}")
+            _check_max_n(max_n)
+            for n in (lo, min(hi, max_n + 1)):
+                _check_n_range(n, max_n)
             return tuple(range(lo, hi + 1))
         return (int(s),)
     except UsageError:
         raise
+    except FamilyParamError as exc:
+        raise UsageError(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(f"invalid n or n-range: {text!r}") from exc
 
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(
-        n_list=parse_n_range(args.n),
+        n_list=parse_n_range(args.n, args.max_n),
         r=_parse_rational_arg("r", args.r),
         rho=_parse_rational_arg("rho", args.rho),
         eps_override=(
@@ -300,10 +314,8 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     the family hash included); that is empty when the family is refuted
     before it is built.  This is the one place that orders the stages of a
     family: each stage runs once and receives the earlier stages it uses as
-    arguments.  They run as build, roots, structural (which reads the
-    recursions the roots proved), annulus, corollary, identities,
-    divisions, trace and family hash; the report still lists the
-    structural certificate first.
+    arguments.  They run in report order: build, structural, roots,
+    annulus, corollary, identities, divisions, trace and family hash.
     """
     try:
         params = FamilyParams.build(
@@ -338,12 +350,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         return result
 
     fam = timed("build", build_family, params)
-    # the roots first: their proved recursions decide the coprimality of the
-    # factors, so the structural checks divide nothing where they hold
-    roots = timed("roots", family_root_certificates, fam)
-    structural = timed(
-        "structural", structural_checks, fam, proved_recursions(fam, roots)
-    )
+    structural = timed("structural", structural_checks, fam)
     certificates.append(
         Certificate(
             "structural",
@@ -352,6 +359,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
             structural.to_json(),
         )
     )
+    roots = timed("roots", family_root_certificates, fam)
     certificates.append(
         Certificate(
             "root-localization",
@@ -381,7 +389,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
         )
     )
 
-    identities = timed("identities", exact_identity_checks, fam, roots)
+    identities = timed("identities", exact_identity_checks, fam)
     certificates.append(
         Certificate(
             "exact-identities",
@@ -392,7 +400,7 @@ def _run_family(config: RunConfig, n: int) -> tuple[dict, dict]:
     )
 
     divisions = timed(
-        "divisions", lambda: [lemma_div_check(fam, k, roots) for k in range(1, n)]
+        "divisions", lambda: [lemma_div_check(fam, k) for k in range(1, n)]
     )
     for k, witness in enumerate(divisions, start=1):
         certificates.append(

@@ -36,11 +36,11 @@ power-ratio then |f2|^(2n) = (eps^4 |lam|^2 prod |P_j|^2)^n, so |f1|^2,
 products, with powers, of eps^2, the exact |lam|^2 and the atoms
 (``bounds.abs2_atoms``) of the low-degree factors: the exact |P_j|^2 of a
 small factor (at n = 2, 3 all of them), a ball bracket of any other one (at
-n = 4); the difference needs no subtraction.  Where the root localizations
-proved every factor's recursion P_k = eps^(c_k) - lam^(n-k) prod_{j>k}
-P_j^(j-k) for this family, the balls of all the factors come from those
-recursions, two ball products per factor (``bounds.recursion_balls``), and
-otherwise each from a ball Horner over its expanded coefficients; a ball
+n = 4); the difference needs no subtraction.  Where every factor's
+recursion P_k = eps^(c_k) - lam^(n-k) prod_{j>k} P_j^(j-k) holds for the
+family (``Family.recursions``), the balls of all the factors come from
+those recursions, two ball products per factor (``bounds.recursion_balls``),
+and otherwise each from a ball Horner over its expanded coefficients; a ball
 bracket that reaches 0 is replaced by the factor's exact atom.  Every
 exponent counts sixteenths of a power of two (``bounds.log16_bounds``).
 With those recursions proved, the same recursions on exponent pairs alone
@@ -124,15 +124,13 @@ from .certify import (
     SpotLoop,
     Status,
     _forms_of,
-    _localization_sides,
-    _recursions_proved,
     cone_factor_certificate,
     cone_sides,
     side_factors,
     spot_loop,
     worst,
 )
-from .family import CheckReport, Family
+from .family import CheckReport, Family, recursion_sides
 from .sampling import GRID_BITS, RationalSampler
 
 __all__ = [
@@ -206,11 +204,10 @@ def _combine(name: str, parts: Sequence[Certificate]) -> Certificate:
 # ``bounds.bracket_lt`` on the 192-bit products, and ``bounds.exact_lt`` on
 # the unreduced integer squares of the triples.  An atom is exact or a ball
 # bracket by the one size rule of ``bounds.exact_atoms``, decided once per
-# factor map; the ball brackets of the factors come from their proved
-# recursions where ``_image_factors`` finds them proved for the family
-# object.  A ball bracket that reaches 0 is replaced by its polynomial's
-# exact atom, so the zero tests read no triple: an atom without exponents
-# is an exact zero.
+# factor map; the ball brackets of the factors come from their
+# recursions where ``Family.recursions`` holds all of them.  A ball
+# bracket that reaches 0 is replaced by its polynomial's exact atom, so the
+# zero tests read no triple: an atom without exponents is an exact zero.
 # Every exact circle point of a spot check that runs is a ``bounds.Values``,
 # whose atoms ``abs2_atoms`` builds by the same rule.  The test suite
 # cross-validates these paths against ``Fraction`` reference predicates.
@@ -265,20 +262,14 @@ class _Factors(NamedTuple):
     rung = None
 
 
-def _recursion_chain(
-    fam: Family, root_certs: Optional[dict[int, RootLocalization]]
-) -> Optional[tuple]:
+def _recursion_chain(fam: Family) -> Optional[tuple]:
     """The coefficient balls of e_1, ..., e_{n-1}, the constants of the
-    factors' recursions, or None unless ``root_certs`` proved every
-    recursion for ``fam`` itself.
-
-    The constants are read from ``certify._localization_sides``, the sides
-    whose difference each proof checked against P_k.
-    """
+    factors' recursions (``family.recursion_sides``), or None unless every
+    recursion holds for ``fam`` (``Family.recursions``)."""
     n = fam.n
-    if not _recursions_proved(fam, root_certs, n - 1):
+    if not fam.recursions.issuperset(range(1, n)):
         return None
-    return tuple(coefficient_ball(_localization_sides(fam, k)[1][0]) for k in range(1, n))
+    return tuple(coefficient_ball(recursion_sides(fam, k)[1][0]) for k in range(1, n))
 
 
 def _recursion_rung(fam: Family) -> tuple:
@@ -287,16 +278,12 @@ def _recursion_rung(fam: Family) -> tuple:
     ``_recursion_chain``."""
     out = []
     for k in range(1, fam.n):
-        e = _localization_sides(fam, k)[1][0]
+        e = recursion_sides(fam, k)[1][0]
         out.append(log16_bounds(e.numerator**2, e.denominator**2))
     return tuple(out)
 
 
-def _image_factors(
-    fam: Family,
-    identities: Optional[CheckReport] = None,
-    root_certs: Optional[dict[int, RootLocalization]] = None,
-) -> _Factors:
+def _image_factors(fam: Family, identities: Optional[CheckReport] = None) -> _Factors:
     """The factor map of ``fam``'s images, built once per family trace.
 
     With the three identities of ``_FACTOR_IDENTITIES`` proved, the atoms
@@ -316,13 +303,12 @@ def _image_factors(
     identity's own sides only where that bookkeeping does not close.
     Otherwise (or without ``identities``) the atoms are |f1|^2 and |f2|^2
     themselves.  Which polynomials get exact atoms is decided here, once,
-    by ``bounds.exact_atoms``.  Where ``root_certs`` proved the recursion
-    of every P_k for this family object, ``chain`` is set
-    (``_recursion_chain``) and the ball atoms come from the recursions, two
-    ball products per factor; otherwise each is a ball Horner.  With
-    ``chain`` comes ``rung`` (``_recursion_rung``), the exponents of the
-    recursions' constants, from which an image decides most tests before
-    it computes any atom.
+    by ``bounds.exact_atoms``.  Where the recursion of every P_k holds
+    (``Family.recursions``), ``chain`` is set (``_recursion_chain``) and
+    the ball atoms come from the recursions, two ball products per factor;
+    otherwise each is a ball Horner.  With ``chain`` comes ``rung``
+    (``_recursion_rung``), the exponents of the recursions' constants, from
+    which an image decides most tests before it computes any atom.
     """
     if identities is None or not all(identities.passed(i) for i in _FACTOR_IDENTITIES):
         polys = fam.f1, fam.f2
@@ -331,7 +317,7 @@ def _image_factors(
     eps2 = fam.params.eps**2
     ones = (1,) * (n - 2)
     polys = tuple(fam.Pk(j) for j in range(1, n))
-    chain = _recursion_chain(fam, root_certs)
+    chain = _recursion_chain(fam)
     return _Factors(
         ((eps2.numerator, eps2.denominator),),
         True,
@@ -1940,7 +1926,7 @@ def trace_family(
     the target loop always takes 64 points per circle.
     """
     n = fam.n
-    factors = _image_factors(fam, identities, root_certs)
+    factors = _image_factors(fam, identities)
     tally: Counter = Counter()
     boundary = {loop: Counter() for loop in _BOUNDARY_LOOPS}
     window_tally: Counter = Counter()

@@ -38,8 +38,11 @@ rows ``{(i, 0): c}`` with ``Fraction`` ``c``.  All else is read from it:
   coefficient of an integer row is written in ``decimal`` from the terms,
   with no binary integer of the coefficient's size converted; at any other
   ``eps``, or from ``Fraction`` terms, it is reduced as a ``Fraction``;
-* whether f1 and f2 are eps lam^n prod P_j^j and eps^2 lam prod P_j in the
-  ring (``FamilyForm.products_hold``), the premises ``certify`` takes.
+* in one pass of 2(n - 1) products in the ring (``FamilyForm.check``,
+  kept as ``Family.ring``), whether f1 and f2 are eps lam^n prod P_j^j and
+  eps^2 lam prod P_j, and which P_k equal their recursions; a k the ring
+  leaves out is compared by expansion, and the result, ``Family.recursions``,
+  is the one fact about the recursions that every stage reads.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import decimal
 import hashlib
 import json
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -219,6 +222,21 @@ def _ring_mul(p: dict, q: dict) -> dict:
     return {key: a for key, a in out.items() if a}
 
 
+def _recursion(n: int, c: tuple, k: int, R: dict) -> dict:
+    """eps^(c_k) - lam^(n-k) R, the recursion of P_k for R = prod_(j>k)
+    P_j^(j-k); n - k >= 1, so the two parts share no term."""
+    return {(0, c[k - 1]): 1, **{(i + n - k, m): -a for (i, m), a in R.items()}}
+
+
+class FormCheck(NamedTuple):
+    """The facts ``FamilyForm.check`` proves in Z[lam, eps]."""
+
+    __annotations__ = {
+        "products": bool,
+        "recursions": frozenset,
+    }
+
+
 class FamilyForm(NamedTuple):
     """P_1, ..., P_(n-1), f1 and f2 as term dicts in Z[lam, eps]."""
 
@@ -231,10 +249,7 @@ class FamilyForm(NamedTuple):
     @classmethod
     def build(cls, n: int, c: tuple) -> "FamilyForm":
         """The recursions of the module docstring, run on term dicts."""
-        return cls._products(
-            n,
-            lambda k, R: {(0, c[k - 1]): 1, **{(i + n - k, m): -a for (i, m), a in R.items()}},
-        )
+        return cls._products(n, lambda k, R: _recursion(n, c, k, R))
 
     @classmethod
     def _products(cls, n: int, factor) -> "FamilyForm":
@@ -256,12 +271,23 @@ class FamilyForm(NamedTuple):
             {(i + 1, m + 2): a for (i, m), a in S.items()},
         )
 
-    def products_hold(self) -> bool:
-        """Whether f1 = eps lam^n prod P_j^j and f2 = eps^2 lam prod P_j in
-        Z[lam, eps], which proves them at every eps; False proves nothing (a
-        form given by its polynomials holds no power of eps)."""
-        made = self._products(len(self.P) + 1, lambda k, R: self.P[k - 1])
-        return made.f1 == self.f1 and made.f2 == self.f2
+    def check(self, c: tuple) -> FormCheck:
+        """What Z[lam, eps] proves of the form, in one pass of ``_products``
+        over its own P_k: whether f1 = eps lam^n prod P_j^j and f2 = eps^2
+        lam prod P_j (``products``), and the k with P_k = eps^(c_k) -
+        lam^(n-k) prod_(j>k) P_j^(j-k) (``recursions``), each compared on
+        the R that the pass forms for P_k anyway.  Each holds at every eps;
+        False, or a k left out, proves nothing (a form given by its
+        polynomials holds no power of eps)."""
+        n, ring = len(self.P) + 1, set()
+
+        def factor(k: int, R: dict) -> dict:
+            if self.P[k - 1] == _recursion(n, c, k, R):
+                ring.add(k)
+            return self.P[k - 1]
+
+        made = self._products(n, factor)
+        return FormCheck(made.f1 == self.f1 and made.f2 == self.f2, frozenset(ring))
 
 
 def _rows(terms: dict) -> dict:
@@ -453,6 +479,31 @@ class Family:
             raise IndexError(f"P index out of range: {k}")
         return self.P[k - 1]
 
+    @cached_property
+    def ring(self) -> FormCheck:
+        """``form.check``: what Z[lam, eps] proves of the family, its 2(n -
+        1) products formed once."""
+        return self.form.check(self.params.c)
+
+    @cached_property
+    def recursions(self) -> frozenset:
+        """The k in 1..n-1 whose recursion P_k = eps^(c_k) - z^(n-k)
+        prod_(j>k) P_j^(j-k) holds for this family's polynomials (for k =
+        n - 1, the linear form eps^(c_(n-1)) - z).
+
+        Read from the ring (``ring.recursions``); a k that the ring leaves
+        out is decided by comparing P_k with the expansions of its
+        ``recursion_sides``, so a family given by its polynomials, or a
+        form whose P_k meets its recursion only at eps, keeps its verdict.
+        """
+        ring = self.ring.recursions
+        return frozenset(k for k in range(1, self.n) if k in ring or self._expands_to(k))
+
+    def _expands_to(self, k: int) -> bool:
+        """Whether P_k equals its recursion, both sides expanded."""
+        dominant, constant = recursion_sides(self, k)
+        return self.Pk(k) == expand_side(self, constant) - expand_side(self, dominant)
+
     def product_form(self, name: str) -> tuple:
         """f1 or f2 (``name``) as a side (``expand_side``): eps z^n prod
         P_j^j and eps^2 z prod P_j."""
@@ -502,6 +553,14 @@ class Family:
         params.validate(allow_unsafe_eps=allow_unsafe_eps)
         P = [Poly.from_json(item) for item in obj["P"]]
         return cls.of(params, P, Poly.from_json(obj["f1"]), Poly.from_json(obj["f2"]))
+
+
+def recursion_sides(fam: Family, k: int) -> tuple[tuple, tuple]:
+    """(dominant, constant) of factor k's recursion P_k = eps^(c_k) -
+    dominant, as sides (``expand_side``)."""
+    n = fam.n
+    dominant = (1, n - k, tuple((j, j - k) for j in range(k + 1, n)))
+    return dominant, (fam.params.eps ** fam.params.c[k - 1], 0, ())
 
 
 def expand_side(fam: Family, side: tuple) -> Poly:
@@ -577,20 +636,18 @@ class CheckReport:
         }
 
 
-def structural_checks(fam: Family, recursions: Collection[int] = ()) -> CheckReport:
+def structural_checks(fam: Family) -> CheckReport:
     """Exact structural facts about a built family.
 
     Covers: unit leading coefficient (|leading| = 1) and degree ``d_k`` of
     each ``P_k``, constant terms ``P_k(0) = eps^{c_k}``, pairwise coprimality
     of the ``P_k``, and the degree formulas for ``f1`` and ``f2``.
 
-    ``recursions`` holds the indices j whose recursion P_j = eps^(c_j) -
-    z^(n-j) prod_{i>j} P_i^(i-j) is proved for ``fam`` itself (the
-    ``RootLocalization.recursion`` of ``certify.family_root_certificates``).
-    For such a j, every P_k with k > j divides the product, so P_j is
-    congruent to its constant eps^(c_j) != 0 modulo P_k, and the two have no
-    common root: their gcd has degree 0 with nothing divided.  Every other
-    pair is decided by ``poly_gcd``.
+    Where the recursion of P_j holds (``Family.recursions``), every P_k
+    with k > j divides its product, so P_j is congruent to its constant
+    eps^(c_j) != 0 modulo P_k, and the two have no common root: their gcd
+    has degree 0 with nothing divided.  Every other pair is decided by
+    ``poly_gcd``.
     """
     p = fam.params
     n, eps = p.n, p.eps
@@ -610,7 +667,7 @@ def structural_checks(fam: Family, recursions: Collection[int] = ()) -> CheckRep
             f"constant term vs eps^{p.c[k-1]}",
         )
     for j in range(1, n):
-        derived = j in recursions and eps ** p.c[j - 1] != 0
+        derived = j in fam.recursions and eps ** p.c[j - 1] != 0
         for k in range(j + 1, n):
             degree = 0 if derived else poly_gcd(fam.Pk(j), fam.Pk(k)).degree
             add(f"gcd-P{j}-P{k}", degree == 0, f"gcd degree {degree}")

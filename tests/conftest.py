@@ -60,12 +60,9 @@ def identities(built_families):
 
 
 @pytest.fixture(scope="session")
-def divisions(built_families, root_certs):
-    """The pipeline's division witnesses, derived from the proved recursions."""
-    return {
-        n: [lemma_div_check(built_families[n], k, root_certs[n]) for k in range(1, n)]
-        for n in SIZES
-    }
+def divisions(built_families):
+    """The pipeline's division witnesses, derived from the recursions."""
+    return {n: [lemma_div_check(built_families[n], k) for k in range(1, n)] for n in SIZES}
 
 
 def float_roots(poly):

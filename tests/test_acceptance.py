@@ -125,20 +125,19 @@ def test_criterion_02_root_localization(built_families):
     _verdict(2, f"all roots in |z| < 2^-k, oracle margin > 10^3 ({elapsed:.2f}s)")
 
 
-def test_criterion_03_divisibility(built_families, root_certs):
-    # the pipeline's witnesses, derived from the proved recursions; their
+def test_criterion_03_divisibility(built_families):
+    # the pipeline's witnesses, derived from the recursions; their
     # quotients are expanded when read, and equal the long division's
     for n in SIZES:
         fam = built_families[n]
         for k in range(1, n):
-            witness = lemma_div_check(fam, k, root_certs[n])
+            witness = lemma_div_check(fam, k)
             assert witness.status is Status.PROVED, (n, k, witness.detail)
             quotient, remainder = divmod(witness.combination, fam.Pk(k))
             assert remainder.is_zero and witness.quotient == quotient
     eps3 = built_families[3].params.eps
-    quotient = lemma_div_check(built_families[3], 2, root_certs[3]).quotient
+    quotient = lemma_div_check(built_families[3], 2).quotient
     assert quotient == Poly((F(1), F(0), -(eps3**3)))
-    assert lemma_div_check(built_families[3], 2).quotient == quotient
     _verdict(3, "C = 0 mod P_k by the recursions; the n=3,k=2 quotient is 1 - eps^3*z^2")
 
 

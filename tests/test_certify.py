@@ -27,7 +27,6 @@ from noricert.certify import (
     _proved_forms,
     _identity_products,
     _identity_sides,
-    _localization_sides,
     _negated,
     _normal_form,
     _side_bounds,
@@ -47,7 +46,15 @@ from noricert.certify import (
     root_product_dominance,
 )
 from noricert.cli import RunConfig, _run_family
-from noricert.family import Family, FamilyParams, build_family, default_family
+import noricert.family as family_module
+from noricert.family import (
+    Family,
+    FamilyForm,
+    FamilyParams,
+    build_family,
+    recursion_sides,
+    structural_checks,
+)
 from conftest import relocalized, retouched
 
 F = Fraction
@@ -111,6 +118,13 @@ class TestRootLocalization:
         assert certs[2].status is Status.PROVED
         assert certs[1].status is Status.REFUTED
         assert certs[1].dominance.witness is not None
+        # the recursions hold whatever eps is, so the divisions are still
+        # derived from them
+        witnesses = [lemma_div_check(fam, k) for k in (1, 2)]
+        assert [(w.method, w.status, w.degree) for w in witnesses] == [
+            ("recursion", Status.PROVED, 0),
+            ("recursion", Status.PROVED, 2),
+        ]
 
     def test_prerequisite_gap_is_inconclusive(self):
         params = FamilyParams.build(3, eps=F(1), allow_unsafe_eps=True)
@@ -137,7 +151,7 @@ def _dominances(fam):
     """
     n = fam.n
     return [
-        *((*_localization_sides(fam, k), F(1, 2**k)) for k in range(n - 2, 0, -1)),
+        *((*recursion_sides(fam, k), F(1, 2**k)) for k in range(n - 2, 0, -1)),
         *((*cone_sides(fam, k), F(2)) for k in range(n)),
     ]
 
@@ -621,9 +635,7 @@ class TestDivisionWitness:
             lemma_div_check(built_families[3], 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_derived_division_matches_the_long_division(
-        self, n, built_families, root_certs, monkeypatch
-    ):
+    def test_derived_division_matches_the_long_division(self, n, built_families, monkeypatch):
         # with the recursions proved nothing is expanded; the lazy quotient
         # is the long division's, of the degree the witness states (0, 2,
         # then 0, 5, 18 at n = 4), with value 1 at 0
@@ -634,7 +646,10 @@ class TestDivisionWitness:
 
         with monkeypatch.context() as patch:
             patch.setattr(certify, "_side_poly", expanded)
-            derived = [lemma_div_check(fam, k, root_certs[n]) for k in range(1, n)]
+            patch.setattr(family_module, "expand_side", expanded)
+            derived = [lemma_div_check(fam, k) for k in range(1, n)]
+        # the long division: the same family with the derivation switched off
+        monkeypatch.setattr(certify, "_derived_quotient_degree", lambda fam, k: None)
         for k, witness in enumerate(derived, start=1):
             divided = lemma_div_check(fam, k)
             assert (witness.method, divided.method) == ("recursion", "long-division")
@@ -649,44 +664,43 @@ class TestDivisionWitness:
             assert witness.to_json()["quotient_degree"] == witness.degree
         assert [w.degree for w in derived] == {2: [0], 3: [0, 2], 4: [0, 5, 18]}[n]
 
-    def test_degree_tie_falls_back_to_the_long_division(
-        self, built_families, root_certs, monkeypatch
-    ):
+    def test_degree_tie_falls_back_to_the_long_division(self, built_families, monkeypatch):
         # with every premise proved but the two side degrees tied, the
         # leading terms may cancel, so the degree is not derived: C is
         # expanded and divided, and the quotient has the degree the
         # recursions give where the degrees are apart (0, 2 at n = 3)
         fam = built_families[3]
-        derived = [lemma_div_check(fam, k, root_certs[3]) for k in (1, 2)]
+        derived = [lemma_div_check(fam, k) for k in (1, 2)]
         assert {w.method for w in derived} == {"recursion"}
         monkeypatch.setattr(certify, "_side_degree", lambda fam, side: 7)
         for k, want in zip((1, 2), derived):
-            witness = lemma_div_check(fam, k, root_certs[3])
+            witness = lemma_div_check(fam, k)
             assert witness.method == "long-division"
             assert witness.status is Status.PROVED
             assert witness.expanded is not None
             assert witness.degree == witness.quotient.degree == want.degree
             assert witness.quotient == want.quotient
 
-    def test_premises_of_another_family_fall_back(self, built_families, root_certs):
-        # the same polynomials under another family object: the recursions
-        # were proved for the original, so the copy is divided
+    def test_premises_of_another_family_fall_back(self, built_families):
+        # the same polynomials given as polynomials: the ring proves no
+        # recursion of the copy, the comparison of expansions proves each,
+        # and the copy's divisions are derived from its own recursions
         fam = built_families[3]
-        copy = Family(fam.params, fam.form)
+        copy = retouched(fam)
+        assert copy.ring.recursions == frozenset() and copy.recursions == {1, 2}
         for k in (1, 2):
-            witness = lemma_div_check(copy, k, root_certs[3])
-            assert witness.method == "long-division"
+            witness = lemma_div_check(copy, k)
+            assert witness.method == "recursion"
             assert witness.status is Status.PROVED
-            assert witness.quotient == lemma_div_check(fam, k, root_certs[3]).quotient
+            assert witness.quotient == lemma_div_check(fam, k).quotient
 
     def test_tampered_factor_falls_back_and_is_refuted(self, built_families):
         # P_2 with one more term at n = 4: its recursion, and that of P_1,
         # which contains it, are not proved, so every division falls back to
         # the long division, and P_2 does not divide its combination
         tampered = _tampered(built_families[4], "P2")
-        roots = family_root_certificates(tampered)
-        assert [roots[j].recursion for j in (1, 2, 3)] == [False, False, True]
-        witnesses = [lemma_div_check(tampered, k, roots) for k in (1, 2, 3)]
+        assert tampered.recursions == {3}
+        witnesses = [lemma_div_check(tampered, k) for k in (1, 2, 3)]
         assert {w.method for w in witnesses} == {"long-division"}
         assert witnesses[1].status is Status.REFUTED
         assert witnesses[1].quotient is None and witnesses[1].degree is None
@@ -737,7 +751,7 @@ class TestConeFactorization:
         copy = Family(fam.params, fam.form)
         own = {j: relocalized(c, family=copy) for j, c in root_certs[3].items()}
         mixed = {1: own[1], 2: root_certs[3][2]}
-        ids = exact_identity_checks(copy, own)
+        ids = exact_identity_checks(copy)
         cert = cone_factor_certificate(copy, 1, mixed, ids, divisions[3])
         assert cert.nonvanishing.status is Status.PROVED
         assert cert.status is Status.INCONCLUSIVE
@@ -946,7 +960,8 @@ class TestExactIdentities:
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Records the side of each ``certify._side_poly`` call, which still expands."""
+    """Records the side of each expansion, by ``certify._side_poly`` or by
+    the recursions' fallback (``family.expand_side``)."""
     calls = []
 
     def counted(fam, side):
@@ -954,23 +969,22 @@ def expansions(monkeypatch):
         return _side_poly(fam, side)
 
     monkeypatch.setattr(certify, "_side_poly", counted)
+    monkeypatch.setattr(family_module, "expand_side", counted)
     return calls
 
 
-def _premise_sides(fam):
-    """The sides the premises expand, in order: P_1's recursion as its
-    constant and its dominant side (f1 and f2 are checked in Z[lam, eps])."""
-    return list(reversed(_localization_sides(fam, 1)))
+@pytest.fixture
+def ring_passes(monkeypatch):
+    """Counts the passes of ``FamilyForm.check``, the ring products."""
+    calls = []
+    real = FamilyForm.check
 
+    def counted(form, c):
+        calls.append(form)
+        return real(form, c)
 
-def _recursion_sides(fam):
-    """The sides the root localizations expand: each recursion of P_(n-2),
-    ..., P_1, deepest first, as its constant and its dominant side."""
-    return [
-        side
-        for k in range(fam.n - 2, 0, -1)
-        for side in reversed(_localization_sides(fam, k))
-    ]
+    monkeypatch.setattr(FamilyForm, "check", counted)
+    return calls
 
 
 def _cone_certificates(fam, root_certs, identities, divisions):
@@ -1005,53 +1019,49 @@ class TestDerivedIdentities:
         self, n, built_families, root_certs, identities, divisions, expansions
     ):
         fam = built_families[n]
-        # f1 and f2 are checked in the ring, so only P_1's recursion is
-        # expanded
+        # f1, f2 and the recursion of P_1 are checked in the ring, so
+        # nothing is expanded
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        assert expansions == _premise_sides(fam)
-        expansions.clear()
+        assert expansions == []
         certs = _cone_certificates(fam, root_certs[n], rep, divisions[n])
         assert all(c.status is Status.PROVED and c.identity_ok for c in certs)
         assert expansions == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_proof_of_the_p1_recursion_per_family(
-        self, n, built_families, expansions
+        self, n, built_families, expansions, ring_passes
     ):
-        # the root localizations prove the recursion of P_1 (at n = 2 its
-        # linear form, by comparison) and the identities read it from them
-        fam = built_families[n]
+        # one pass of ring products proves every recursion, P_1's among them
+        # (at n = 2 its linear form), and f1 and f2; every stage reads it
+        fam = build_family(built_families[n].params)
+        assert structural_checks(fam).all_passed
         roots = family_root_certificates(fam)
-        assert roots[1].recursion and roots[1].family is fam
-        # one recursion per factor P_1 .. P_(n-2), P_1 among them
-        assert expansions == _recursion_sides(fam)
-        if n >= 3:
-            assert expansions[-2:] == _premise_sides(fam)
-        expansions.clear()
-        rep = exact_identity_checks(fam, roots)
+        assert all(cert.status is Status.PROVED for cert in roots.values())
+        rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        assert expansions == []
+        assert all(lemma_div_check(fam, k).method == "recursion" for k in range(1, n))
+        assert fam.recursions == set(range(1, n)) == fam.ring.recursions
+        assert ring_passes == [fam.form] and expansions == []
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_pipeline_expands_only_the_premises(self, n, expansions):
-        # every stage of a run on the built family: the roots expand their
-        # recursions, P_1's among them, and nothing else is expanded: f1 and
-        # f2 are their product forms in Z[lam, eps], no identity side and no
-        # cone combination is expanded, and P_1's recursion is not expanded
-        # again
+    def test_pipeline_expands_only_the_premises(self, n, expansions, ring_passes):
+        # every stage of a run on the built family: the premises and the
+        # recursions are proved in one pass in Z[lam, eps], and nothing is
+        # expanded: no recursion side, no identity side and no cone
+        # combination
         entry, _ = _run_family(RunConfig(n_list=(n,), samples=64), n)
         assert {c["status"] for c in entry["certificates"]} == {"proved"}
-        fam = default_family(n)
-        assert expansions == _recursion_sides(fam)
+        assert expansions == [] and len(ring_passes) == 1
 
     def test_recursion_of_another_family_is_proved_again(
-        self, built_families, root_certs, expansions
+        self, built_families, expansions, ring_passes
     ):
+        # another family object with the same form makes its own pass
         fam = build_family(built_families[3].params)
-        rep = exact_identity_checks(fam, root_certs[3])
+        rep = exact_identity_checks(fam)
         assert rep.forms is not None
-        assert expansions == _premise_sides(fam)
+        assert ring_passes == [fam.form] and expansions == []
 
     def test_report_bytes_and_equality(self, built_families, identities):
         # the forms are neither serialized nor compared
@@ -1095,11 +1105,9 @@ class TestDerivedIdentities:
         fam = built_families[n]
         f1 = {**fam.form.f1, (0, 1): 1, (0, 0): -fam.params.eps}
         shifted = Family(fam.params, fam.form._replace(f1=f1))
-        assert shifted.f1 == fam.f1 and not shifted.form.products_hold()
-        roots = family_root_certificates(shifted)
-        expansions.clear()
-        assert _proved_forms(shifted, roots) is None
-        rep = exact_identity_checks(shifted, roots)
+        assert shifted.f1 == fam.f1 and not shifted.ring.products
+        assert _proved_forms(shifted) is None
+        rep = exact_identity_checks(shifted)
         assert rep.all_passed and rep.forms is None
         assert expansions == list(_identity_cofactors(shifted))
 
@@ -1146,8 +1154,8 @@ class TestDerivedIdentities:
         expansions.clear()
         rep = exact_identity_checks(fam)
         assert rep.all_passed and rep.forms is not None
-        # P_1's recursion, then power-ratio's unit side alone
-        assert expansions == _premise_sides(fam) + [cone_sides(fam, 2)[1]]
+        # power-ratio's unit side alone
+        assert expansions == [cone_sides(fam, 2)[1]]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cone_mismatch_is_proved_by_evaluation(
@@ -1171,7 +1179,7 @@ class TestDerivedIdentities:
         # off by one exponent is told apart
         fam = built_families[3]
         eps = fam.params.eps
-        recursion = _localization_sides(fam, 1)
+        recursion = recursion_sides(fam, 1)
         assert recursion == ((1, 2, ((2, 1),)), (eps, 0, ()))
         square = _normal_form([(1, 0, ((1, 2),))], recursion)
         assert square == {
@@ -1200,5 +1208,5 @@ class TestDerivedIdentities:
         fam = build_family(FamilyParams.build(2, eps=F(1), allow_unsafe_eps=True))
         rep = exact_identity_checks(fam)
         assert rep.forms is not None
-        assert rep.all_passed and expansions == _premise_sides(fam)
+        assert rep.all_passed and expansions == []
         assert {c.name: c.passed for c in rep.checks} == _compared_identities(fam)

@@ -17,7 +17,8 @@ import pytest
 from noricert import certify, cli, disktrace
 from noricert.certify import annulus_spot_checks
 from noricert.disktrace import base_spot_checks, target_spot_checks, window_spot_checks
-from noricert.family import build_family, default_family
+import noricert.family as family_module
+from noricert.family import build_family
 from noricert.cli import (
     EXIT_OK,
     EXIT_REFUTED,
@@ -183,6 +184,29 @@ class TestExitCodes:
         assert main(["verify", "--n", "2", "--max-n", str(max_n)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: max-n must be at least 2, got {max_n}\n"
 
+    @pytest.mark.parametrize(
+        "sizes, first",
+        [
+            (f"2..{10**18}", 6),
+            (f"2..{10**30}", 6),
+            (f"0..{10**30}", 0),
+            (f"{10**18}..{10**30}", 10**18),
+        ],
+    )
+    def test_huge_range_is_refused_before_it_is_built(self, capsys, sizes, first):
+        # the bounds are checked against --max-n, so no tuple of sizes is
+        # formed: the message names the first size outside 2..5, as
+        # validation does for a short range
+        assert main(["verify", "--n", sizes]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: n-range: n must be in 2..5, got {first}\n"
+        with pytest.raises(UsageError, match=f"got {first}$"):
+            parse_n_range(sizes)
+        assert main(["verify", "--n", "2..7"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: n-range: n must be in 2..5, got 6\n"
+        # with --max-n below 2, its own message comes first, as for one size
+        assert main(["verify", "--n", sizes, "--max-n", "1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: max-n must be at least 2, got 1\n"
+
     def test_inadmissible_eps_refutes(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -263,23 +287,27 @@ class TestStages:
         }
 
     def test_recursion_of_p1_proved_once_per_family(self, monkeypatch):
-        # _side_poly expands, at n = 3, the two sides of P_1's recursion
-        # once, in the root localization; at n = 2 that recursion is the
-        # linear form the localization compares, and f1 and f2 of a built
-        # family are their product forms by construction
-        expanded = []
-        original = certify._side_poly
+        # every recursion of a built family, P_1's among them, is proved in
+        # its one pass of ring products with f1 and f2 (FamilyForm.check), so
+        # no run expands a side, by the certificates or by the recursions'
+        # fallback
+        expanded, passes = [], []
+        original, check = certify._side_poly, family_module.FamilyForm.check
 
         def counted(fam, side):
             expanded.append((fam.n, side))
             return original(fam, side)
 
+        def checked(form, c):
+            passes.append(len(form.P) + 1)
+            return check(form, c)
+
         monkeypatch.setattr(certify, "_side_poly", counted)
+        monkeypatch.setattr(family_module, "expand_side", counted)
+        monkeypatch.setattr(family_module.FamilyForm, "check", checked)
         _, code = run_verify(RunConfig(n_list=(2, 3), samples=64))
         assert code == EXIT_OK
-
-        dominant, constant = certify._localization_sides(default_family(3), 1)
-        assert expanded == [(3, constant), (3, dominant)]
+        assert expanded == [] and passes == [2, 3]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_run_never_expands_f1_or_f2(self, monkeypatch, n):

@@ -32,7 +32,6 @@ from noricert.certify import (
     SpotLoop,
     Status,
     _forms_of,
-    _localization_sides,
     _side_poly,
     annulus_bounds_certificate,
     annulus_spot_checks,
@@ -94,14 +93,14 @@ import noricert.bounds as bounds
 import noricert.disktrace as disktrace
 from noricert.sampling import RationalSampler
 from atlas_reference import cone_condition
-from conftest import SIZES, exact_sup, relocalized, retouched
+from conftest import SIZES, exact_sup, retouched
 from noricert.family import (
     CheckReport,
     CheckResult,
     Family,
     FamilyParams,
     build_family,
-    default_family,
+    recursion_sides,
 )
 
 F = Fraction
@@ -525,6 +524,12 @@ def _ladder_points(fam, k, entry, samples, seed):
         yield a, b, dens[step]
 
 
+def _horner(factors):
+    """``factors`` without its recursions: each ball atom by ball Horner,
+    and no rung of recursion exponents."""
+    return factors._replace(chain=None, rung=None)
+
+
 def _rational_root_family():
     """An n = 3 family whose factors P_1 and P_2 both have rational roots.
 
@@ -589,7 +594,7 @@ class TestFactorImages:
 
         monkeypatch.setattr(bounds, "eval_scaled", counted)
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n])
+        factors = _horner(_image_factors(fam, identities[n]))
         for lam in _witness_draws(n, 8, 4):
             _Image(fam, *lam, factors)
         assert sum(calls.values()) == (8 * (n - 1) if n < 4 else 0)
@@ -598,7 +603,7 @@ class TestFactorImages:
     def test_exact_exponents_inside_the_ball_exponents(self, built_families, identities, n):
         # at the witness draws and the first ladder candidates of each chart
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n])
+        factors = _horner(_image_factors(fam, identities[n]))
         points = list(_witness_draws(n, 200, 11))
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
@@ -993,7 +998,7 @@ class TestNetStage:
         assert decided >= 20
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, root_certs, n):
+    def test_zero_atoms_leave_it_to_the_triples(self, built_families, identities, n):
         # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2: an
         # atom is an exact 0 (at n = 4 the ball of P_3, by Horner or by the
         # recursions, reaches 0 at the root and is replaced by its exact
@@ -1004,8 +1009,8 @@ class TestNetStage:
         root = fam.params.eps ** fam.params.c[-1]
         points = [(0, 0, 1), (root.numerator, 0, root.denominator)]
         for factors in (
+            _horner(_image_factors(fam, identities[n])),
             _image_factors(fam, identities[n]),
-            _image_factors(fam, identities[n], root_certs[n]),
         ):
             decided, _ = _net_stage_against_the_reference(fam, factors, points, range(n))
             assert decided == len(points) * n
@@ -1103,19 +1108,19 @@ class TestNetStage:
 
 
 @pytest.fixture(scope="module")
-def scaled_points(built_families, identities, root_certs):
+def scaled_points(built_families, identities):
     """Per n: the family, its factor maps (the exact one, the same map with
-    ball atoms by Horner and with ball atoms from the proved recursions),
-    witness draws, the first ladder candidates of each chart and the
-    common zeros lam = 0 and the root of the last factor."""
+    ball atoms by Horner and with ball atoms from the recursions), witness
+    draws, the first ladder candidates of each chart and the common zeros
+    lam = 0 and the root of the last factor."""
     pools = {}
     for n in (2, 3, 4):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n])
+        chained = _image_factors(fam, identities[n])
+        factors = _horner(chained)
         balls = factors._replace(exact=(False,) * (n - 1), tests=[])
-        chained = _image_factors(fam, identities[n], root_certs[n])
         chained = chained._replace(exact=balls.exact, tests=[])
-        assert chained.chain is not None and factors.chain is None
+        assert chained.chain is not None
         ladder = {0: []}
         for k in range(1, n):
             entry = _entry_scale(fam, k, Counter(), factors)
@@ -1207,7 +1212,7 @@ class TestOnePass:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_zero_quantities_decide_by_sign(
-        self, built_families, identities, root_certs, n
+        self, built_families, identities, n
     ):
         # lam = 0 and the root of P_(n-1) are common zeros of f1 and f2, so
         # every quantity of every chart test is an exact 0: each test gets
@@ -1217,8 +1222,8 @@ class TestOnePass:
         root = fam.params.eps ** fam.params.c[-1]
         maps = (
             _image_factors(fam),
+            _horner(_image_factors(fam, identities[n])),
             _image_factors(fam, identities[n]),
-            _image_factors(fam, identities[n], root_certs[n]),
         )
         for lam in ((0, 0, 1), (root.numerator, 0, root.denominator)):
             v1, v2 = eval_scaled(fam.f1, *lam), eval_scaled(fam.f2, *lam)
@@ -1314,58 +1319,47 @@ def _tampered_family(fam):
 
 
 class TestRecursionChain:
-    """Ball atoms from the proved recursions: two ball products per factor,
-    used only where every recursion is proved for the family object."""
+    """Ball atoms from the recursions: two ball products per factor, used
+    only where every recursion holds for the family (``Family.recursions``)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_chain_only_where_every_recursion_is_proved(
-        self, built_families, identities, root_certs, n
-    ):
-        fam, ids, roots = built_families[n], identities[n], root_certs[n]
-        chain = _image_factors(fam, ids, roots).chain
-        # the constants e_k = eps^(c_k) of the sides the proofs checked
+    def test_chain_only_where_every_recursion_is_proved(self, built_families, identities, n):
+        fam, ids = built_families[n], identities[n]
+        chain = _image_factors(fam, ids).chain
+        # the constants e_k = eps^(c_k) of the recursions' sides
         assert chain == tuple(coefficient_ball(fam.params.eps**c) for c in fam.params.c)
         for k in range(1, n):
-            assert _localization_sides(fam, k)[0] == (
+            assert recursion_sides(fam, k)[0] == (
                 1, n - k, tuple((j, j - k) for j in range(k + 1, n))
             )
-        assert _image_factors(fam, ids).chain is None
-        assert _image_factors(fam, None, roots).chain is None  # no factor atoms
-        other = family_root_certificates(default_family(n))  # another family object
+        assert _image_factors(fam, None).chain is None  # no factor atoms
         for k in range(1, n):
-            unproved = {**roots, k: relocalized(roots[k], recursion=False)}
-            assert _image_factors(fam, ids, unproved).chain is None
-            foreign = {**roots, k: other[k]}
-            assert _image_factors(fam, ids, foreign).chain is None
-            missing = {j: cert for j, cert in roots.items() if j != k}
-            assert _image_factors(fam, ids, missing).chain is None
+            # the same form, read as if the recursion of P_k did not hold
+            unproved = Family(fam.params, fam.form)
+            unproved.recursions = fam.recursions - {k}
+            assert _image_factors(unproved, ids).chain is None
 
     def test_tampered_factor_keeps_the_horner(self, built_families):
         fam = _tampered_family(built_families[3])
-        roots = family_root_certificates(fam)
-        assert not roots[2].recursion
-        ids = exact_identity_checks(fam, roots)
+        assert fam.recursions == {1}
+        ids = exact_identity_checks(fam)
         assert all(ids.passed(name) for name in _FACTOR_IDENTITIES)
-        factors = _image_factors(fam, ids, roots)
+        factors = _image_factors(fam, ids)
         assert factors.polys == fam.P and factors.exact == (False, False)
-        assert factors.chain is None
-        # the same verdicts and counts as the map built without the root
-        # certificates
+        assert factors.chain is None and factors.rung is None
+        # without a rung every sampled point computes its atoms, and none
+        # reuses an outcome
+        roots = family_root_certificates(fam)
         corollary = corollary_ineq_certificate(fam, annulus_bounds_certificate(fam, roots))
         for run in (
-            lambda m, tally: cone_window_witness(fam, m, samples=256, tally=tally),
-            lambda m, tally: image_in_chart_window(
-                fam, corollary, ids, m, samples=32, tally=tally
+            lambda tally: cone_window_witness(fam, factors, samples=256, tally=tally),
+            lambda tally: image_in_chart_window(
+                fam, corollary, ids, factors, samples=32, images=tally
             ),
         ):
-            with_roots, without = Counter(), Counter()
-            got = run(factors, with_roots)
-            assert got.to_json() == run(_image_factors(fam, ids), without).to_json()
-            assert with_roots == without
-        for k in (1, 2):
-            assert _entry_scale(fam, k, Counter(), factors) == _entry_scale(
-                fam, k, Counter(), _image_factors(fam, ids)
-            )
+            tally = Counter()
+            run(tally)
+            assert tally["refined"] == tally["points"] > 0 and tally["reused"] == 0
 
     def test_proved_n4_run_calls_no_ball_horner(
         self, built_families, root_certs, corollary_reports, identities, divisions, monkeypatch
@@ -1398,7 +1392,7 @@ class TestRecursionChain:
         chained = trace()
         assert chained.status is Status.PROVED
         assert calls["ball_abs2"] == 0
-        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
+        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam: None)
         horner = trace()
         assert calls["ball_abs2"] > 0
         assert chained.to_json() == horner.to_json()
@@ -1484,9 +1478,9 @@ class TestRecursionExponents:
         return points
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_every_pair_bounds_the_exact_factor(self, built_families, identities, root_certs, n):
+    def test_every_pair_bounds_the_exact_factor(self, built_families, identities, n):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         assert factors.rung is not None
         returned = gave_up = 0
         for a, b, den in self._points(fam):
@@ -1507,9 +1501,9 @@ class TestRecursionExponents:
         assert returned > gave_up > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_rung_pairs_of_the_constants(self, built_families, identities, root_certs, n):
+    def test_rung_pairs_of_the_constants(self, built_families, identities, n):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         for pair, c in zip(factors.rung, fam.params.c, strict=True):
             e = fam.params.eps**c
             assert pair == log16_bounds(e.numerator**2, e.denominator**2)
@@ -1539,23 +1533,23 @@ class TestRecursionExponents:
         assert recursion_exponents(((-640, -624), (-160, -144)), (-240, -224)) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_images_at_zero_fall_through(self, built_families, identities, root_certs, n):
+    def test_images_at_zero_fall_through(self, built_families, identities, n):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         img = _Image(fam, 0, 0, 1, factors)
         assert img.refined and img.exps[0] is None
         assert img.vanishes(1) and img.vanishes(2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_images_refine_only_where_a_test_is_open(
-        self, built_families, identities, root_certs, n
+        self, built_families, identities, n
     ):
         # against the same map without the rung: away from the bands a
         # point is decided on the rung alone, its atoms never computed and
         # its exponents enclosing the atoms' own; a point the rung gives up
         # on has its atoms from the start
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         plain = factors._replace(rung=None, tests=[])
         decided = 0
         for lam in self._points(fam):
@@ -1578,17 +1572,18 @@ class TestRecursionExponents:
             assert img.exps == atoms.exps
         assert decided > 0
 
-    def test_no_rung_without_a_proved_chain(self, built_families, identities, root_certs):
-        # tampered P_2, root certificates of another family object or none:
-        # no chain and no rung, every image has its atoms from the start
-        fam, ids, roots = built_families[3], identities[3], root_certs[3]
-        other = family_root_certificates(default_family(3))
+    def test_no_rung_without_a_proved_chain(self, built_families, identities):
+        # tampered P_2, the recursion of P_2 left out, or the map without its
+        # recursions: no chain and no rung, every image has its atoms from
+        # the start
+        fam, ids = built_families[3], identities[3]
+        unproved = Family(fam.params, fam.form)
+        unproved.recursions = fam.recursions - {2}
         tampered = _tampered_family(fam)
-        t_roots = family_root_certificates(tampered)
         maps = (
-            _image_factors(fam, ids),
-            _image_factors(fam, ids, {**roots, 2: other[2]}),
-            _image_factors(tampered, exact_identity_checks(tampered, t_roots), t_roots),
+            _horner(_image_factors(fam, ids)),
+            _image_factors(unproved, ids),
+            _image_factors(tampered, exact_identity_checks(tampered)),
         )
         for factors in maps:
             assert factors.chain is None and factors.rung is None
@@ -1599,7 +1594,7 @@ class TestRecursionExponents:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_witness_verdicts_and_counts_with_and_without_the_rung(
-        self, built_families, identities, root_certs, n
+        self, built_families, identities, n
     ):
         # the same certificate and counts, but for ``refined``: every point
         # without the rung, a few with it; and for ``reused``: none without
@@ -1607,10 +1602,10 @@ class TestRecursionExponents:
         fam = built_families[n]
         with_rung, without = Counter(), Counter()
         got = cone_window_witness(
-            fam, _image_factors(fam, identities[n], root_certs[n]), samples=512, tally=with_rung
+            fam, _image_factors(fam, identities[n]), samples=512, tally=with_rung
         )
         ref = cone_window_witness(
-            fam, _image_factors(fam, identities[n]), samples=512, tally=without
+            fam, _horner(_image_factors(fam, identities[n])), samples=512, tally=without
         )
         assert got.to_json() == ref.to_json()
         assert without["refined"] == without["points"]
@@ -1749,12 +1744,12 @@ class TestRungMemo:
         assert img.zero_atoms == 0 and img.exps[0] == _sixteenths(key)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_key_fixes_the_first_rungs_outcome(self, built_families, identities, root_certs, n):
+    def test_key_fixes_the_first_rungs_outcome(self, built_families, identities, n):
         # replay both memos point by point on fresh images: a point whose
         # key was stored decides on its first rung alone, to the stored
         # outcome, with no atom, product or triple; integers only
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         stored, hits = {}, 0
         for a, b, den in _witness_draws(n, 2048, 0):
             key = _rung_key(a * a + b * b, den * den)
@@ -1787,13 +1782,13 @@ class TestRungMemo:
             assert hits > 256
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_window_key_fixes_the_cover(self, built_families, identities, root_certs, n):
+    def test_window_key_fixes_the_cover(self, built_families, identities, n):
         # the chart window's memo replayed on fresh images of its stream: a
         # stored pair decides on the first rung alone, to the stored
         # (in_region, indices); every draw of the proved family is covered
         # below index n, and none refines
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         stored, hits = {}, 0
         for a, b, den in _window_draws(n, 512, 0):
             key = _rung_key(a * a + b * b, den * den)
@@ -1818,7 +1813,7 @@ class TestRungMemo:
         # built from lam alone puts first in its exponent vector, in
         # sixteenths (around the exact |lam|^2's own, where it refines)
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         entries = {k: _entry_scale(fam, k, Counter(), factors) for k in range(1, n)}
         keys = []
 
@@ -1872,14 +1867,14 @@ class TestRungMemo:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_keys_at_the_thresholds(
-        self, monkeypatch, built_families, identities, root_certs, corollary_reports, n
+        self, monkeypatch, built_families, identities, corollary_reports, n
     ):
         # grid draws whose s = x^2 + y^2 is a power of two sit on the
         # threshold t = den2 2^e of their row for den2 = 2^30 and 2^60 (the
         # witness's scale 0, the window), where the pair is (e, e): the
         # loops read the same keys as ``_rung_key`` there too
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         points = [
             (x, y, x * x + y * y)
             for j in range(16)
@@ -1912,14 +1907,15 @@ class TestRungMemo:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("rung", [True, False])
     def test_handed_key_builds_the_same_image(
-        self, built_families, identities, root_certs, n, rung
+        self, built_families, identities, n, rung
     ):
         # an image handed the squared denominator and the key, as a loop
         # builds it, has the exponents, the failing indices and the counts
         # of one built from lam alone, on the witness's and the ladders'
         # points, with the map's rung and without it
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n] if rung else None)
+        factors = _image_factors(fam, identities[n])
+        factors = factors if rung else _horner(factors)
         assert (factors.rung is not None) is rung
         points = list(_witness_draws(n, 256, 0))
         for k in range(1, n):
@@ -1958,7 +1954,7 @@ class TestRungMemo:
 
         def run(rung=True):
             witness, ladder, window = Counter(), Counter(), Counter()
-            factors = _image_factors(fam, identities[n], root_certs[n])
+            factors = _image_factors(fam, identities[n])
             if not rung:
                 factors = factors._replace(rung=None)
             certs = [
@@ -1999,7 +1995,7 @@ class TestRungMemo:
         monkeypatch.undo()
         plain, plain_tallies = run(rung=False)
         assert plain == certs and plain_tallies == keyless_tallies
-        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam, roots: None)
+        monkeypatch.setattr(disktrace, "_recursion_chain", lambda fam: None)
         horner, horner_tallies = run()
         assert horner == certs
         assert [tally["reused"] for tally in horner_tallies] == [0, 0, 0]
@@ -2275,7 +2271,7 @@ class TestBoundaryLoops:
         # unit-circle witness
         fam = build_family(FamilyParams.build(2, eps=1, allow_unsafe_eps=True))
         roots, corollary = _own_certificates(fam)
-        ids = exact_identity_checks(fam, roots)
+        ids = exact_identity_checks(fam)
         rep = trace_family(
             fam,
             root_certs=roots,
@@ -2403,7 +2399,7 @@ class TestConeCertificates:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2)])
     def test_proved(self, built_families, root_certs, identities, divisions, n, k):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         cert = chart_cone_certificate(
             fam, k, root_certs[n], identities[n], divisions[n], factors,
             samples=48, tally=Counter(),
@@ -2416,7 +2412,7 @@ class TestConeCertificates:
         self, built_families, root_certs, identities, divisions
     ):
         fam = built_families[3]
-        factors = _image_factors(fam, identities[3], root_certs[3])
+        factors = _image_factors(fam, identities[3])
         cert = chart_cone_certificate(
             fam, 2, root_certs[3], identities[3], divisions[3], factors,
             samples=16, tally=Counter(),
@@ -2567,10 +2563,10 @@ class TestEntryModel:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_two_probes_match_the_doubling_probe(
-        self, monkeypatch, built_families, identities, root_certs, n
+        self, monkeypatch, built_families, identities, n
     ):
         fam = built_families[n]
-        factors = _image_factors(fam, identities[n], root_certs[n])
+        factors = _image_factors(fam, identities[n])
         tally = Counter()
         scales = [_entry_scale(fam, k, tally, factors) for k in range(1, n)]
         assert scales == self.SCALES[n]
@@ -2604,7 +2600,7 @@ class TestEntryModel:
         # neither the model nor the probe reaches it
         monkeypatch.setattr(disktrace, "_ENTRY_CAP", 512)
         fam = built_families[4]
-        factors = _image_factors(fam, identities[4], root_certs[4])
+        factors = _image_factors(fam, identities[4])
         assert _entry_model(fam, 3) is None
         assert _entry_scale(fam, 3, Counter(), factors) is None
         cert = chart_cone_certificate(

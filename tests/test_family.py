@@ -12,12 +12,13 @@ import sympy as sp
 import noricert.family as family_module
 from noricert.arith import Poly, _digits10
 from noricert.bounds import int_bracket, log16_bounds
-from noricert.certify import _side_poly, family_root_certificates, proved_recursions
+from noricert.certify import _side_poly
 from conftest import retouched
 from noricert.family import (
     Family,
     FamilyParamError,
     FamilyParams,
+    FormCheck,
     build_family,
     choose_epsilon,
     default_family,
@@ -223,8 +224,8 @@ class TestStructuralChecks:
 
 
 class TestCoprimalityFromRecursions:
-    """``gcd-Pj-Pk`` from the recursions the root localizations proved, and
-    ``poly_gcd`` wherever they are not given."""
+    """``gcd-Pj-Pk`` from the family's recursions, and ``poly_gcd`` wherever
+    they do not hold."""
 
     @staticmethod
     def _gcd_calls(monkeypatch):
@@ -238,41 +239,100 @@ class TestCoprimalityFromRecursions:
         return calls
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_same_checks_as_poly_gcd(self, monkeypatch, built_families, root_certs, n):
+    def test_same_checks_as_poly_gcd(self, monkeypatch, built_families, n):
         fam = built_families[n]
-        recursions = proved_recursions(fam, root_certs[n])
-        assert recursions == frozenset(range(1, n))
+        assert fam.recursions == frozenset(range(1, n))
         calls = self._gcd_calls(monkeypatch)
-        derived = structural_checks(fam, recursions)
+        derived = structural_checks(fam)
         assert calls == []
-        divided = structural_checks(fam)
-        assert len(calls) == (n - 1) * (n - 2) // 2
-        assert derived == divided
         gcds = [c for c in derived.checks if c.name.startswith("gcd-")]
+        pairs = [(j, k) for j in range(1, n) for k in range(j + 1, n)]
         assert [(c.name, c.passed, c.detail) for c in gcds] == [
-            (f"gcd-P{j}-P{k}", True, "gcd degree 0")
-            for j in range(1, n)
-            for k in range(j + 1, n)
+            (f"gcd-P{j}-P{k}", True, "gcd degree 0") for j, k in pairs
         ]
+        # the degrees poly_gcd gives
+        assert all(family_module.poly_gcd(fam.Pk(j), fam.Pk(k)).degree == 0 for j, k in pairs)
 
-    def test_tampered_families_still_divide(self, monkeypatch, built_families, root_certs):
-        # P_1 + eps and a repeated factor break the recursion of P_1, so their
-        # own localizations prove none for it and every pair is divided; the
-        # untampered family's proofs name another object and count for nothing
+    def test_tampered_families_still_divide(self, monkeypatch, built_families):
+        # P_1 + eps and a repeated factor break the recursion of P_1, so the
+        # pair (P_1, P_2) is divided
         fam = built_families[3]
         bumped = retouched(
             fam, P=(fam.Pk(1) + Poly.constant(fam.params.eps), fam.Pk(2))
         )
         repeated = retouched(fam, P=(fam.Pk(1), fam.Pk(1)))
         for tampered in (bumped, repeated):
-            own = proved_recursions(tampered, family_root_certificates(tampered))
-            assert 1 not in own
-            assert proved_recursions(tampered, root_certs[3]) == frozenset()
+            assert 1 not in tampered.recursions
             calls = self._gcd_calls(monkeypatch)
-            assert structural_checks(tampered, own) == structural_checks(tampered)
-            assert len(calls) == 2
+            structural_checks(tampered)
+            assert len(calls) == 1
         failed = {c.name for c in structural_checks(repeated).failed()}
         assert "gcd-P1-P2" in failed
+
+
+def _expanded_recursions(fam):
+    """The k whose P_k equals eps^(c_k) - z^(n-k) prod_(j>k) P_j^(j-k), both
+    sides multiplied out as ``Poly``s here."""
+    n, eps, c = fam.n, fam.params.eps, fam.params.c
+    held = set()
+    for k in range(1, n):
+        product = Poly.monomial(n - k)
+        for j in range(k + 1, n):
+            product = product * fam.Pk(j) ** (j - k)
+        if fam.Pk(k) == Poly.constant(eps ** c[k - 1]) - product:
+            held.add(k)
+    return frozenset(held)
+
+
+class TestRecursions:
+    """``Family.recursions``: read from the ring's pass where it proves a
+    recursion, from the comparison of expansions where it does not."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_the_expansion_comparison(self, monkeypatch, built_families, n):
+        fam = built_families.get(n) or default_family(n)
+        everything = frozenset(range(1, n))
+        assert fam.ring == FormCheck(True, everything)
+        assert fam.recursions == _expanded_recursions(fam) == everything
+
+        def expanded(*args):
+            raise AssertionError("a recursion side was expanded")
+
+        # a built family expands no side of any recursion
+        monkeypatch.setattr(family_module, "expand_side", expanded)
+        assert build_family(fam.params).recursions == everything
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_retouched_copy_is_proved_by_the_fallback(self, built_families, n):
+        # the same polynomials as lam-rows: the ring proves nothing
+        copy = retouched(built_families[n])
+        assert copy.ring == FormCheck(False, frozenset())
+        assert copy.recursions == _expanded_recursions(copy) == frozenset(range(1, n))
+
+    @pytest.mark.parametrize("n, j", [(n, j) for n in (2, 3, 4) for j in range(1, n)])
+    def test_tampered_factor_drops_with_every_shallower_one(self, built_families, n, j):
+        # P_j plus eps z: its recursion fails, and so does that of every
+        # P_k, k < j, whose product holds P_j
+        fam = built_families[n]
+        bumped = fam.Pk(j) + Poly.monomial(1, fam.params.eps)
+        tampered = retouched(fam, P=fam.P[: j - 1] + (bumped,) + fam.P[j:])
+        assert tampered.recursions == _expanded_recursions(tampered)
+        assert tampered.recursions == frozenset(range(j + 1, n))
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 4) for k in range(1, n)])
+    def test_ring_shifted_factor_is_proved_by_the_fallback(self, built_families, n, k):
+        # P_k plus eps as a term of the ring and minus eps as a lam-only
+        # term: the same polynomial at eps, another term dict; the ring
+        # proves neither its recursion nor any shallower one
+        fam = built_families[n]
+        terms = dict(fam.form.P[k - 1])
+        terms[(0, 1)] = terms.get((0, 1), 0) + 1
+        terms[(0, 0)] = -fam.params.eps
+        P = fam.form.P[: k - 1] + (terms,) + fam.form.P[k:]
+        shifted = Family(fam.params, fam.form._replace(P=P))
+        assert shifted.Pk(k) == fam.Pk(k) and P != fam.form.P
+        assert shifted.ring == FormCheck(False, frozenset(range(k + 1, n)))
+        assert shifted.recursions == frozenset(range(1, n))
 
 
 class TestSerialization:
@@ -484,7 +544,7 @@ class TestForm:
             polys = (*fam.P, fam.f1, fam.f2)
             made = (*other.P, other.f1, other.f2)
             assert [p.scaled() for p in made] == [Poly(p.coeffs).scaled() for p in polys]
-            assert not other.form.products_hold()
-        assert fam.form.products_hold()
+            assert not other.ring.products
+        assert fam.ring.products
         copy = Family(fam.params, fam.form)
         assert copy.form is fam.form and copy == fam and hash(copy) == hash(fam)
