@@ -43,10 +43,10 @@ made the loop unnecessary.
 """
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import format_rational, parse_rational
@@ -617,9 +617,84 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+_INF = float("inf")
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json.dumps`` writes it, non-finite values included."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as the text ``json.dumps`` quotes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True or key is False or key is None:
+        return _WORDS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_chunks(value, head: str, indent: str, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` writes it, after ``head``; ``indent`` is a newline and the
+    indentation of the value's own line.
+
+    One chunk per item, as the standard library's encoder writes it: a
+    scalar with its separator, line break and key in front, a container's
+    opening the same way and its closing bracket on its own.  Unlike that
+    encoder it passes no chunk up through nested generators, and it has no
+    check for a container that holds itself: a report is a tree.
+    """
+    if isinstance(value, str):
+        out.append(head + _quote(value))
+    elif value is None or value is True or value is False:
+        out.append(head + _WORDS[value])
+    elif isinstance(value, int):
+        out.append(head + int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(head + _float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(head + "[]")
+            return
+        inner = indent + "  "
+        lead = head + "[" + inner
+        for item in value:
+            _json_chunks(item, lead, inner, out)
+            lead = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append(head + "{}")
+            return
+        inner = indent + "  "
+        lead = head + "{" + inner
+        for key, item in sorted(value.items()):
+            _json_chunks(item, lead + _quote(_key_text(key)) + ": ", inner, out)
+            lead = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_report(report: dict, config: RunConfig) -> str:
+    """The report as text: with the json format, the bytes of
+    ``json.dumps(report, sort_keys=True, indent=2)``."""
     if config.output_format == "json":
-        return json.dumps(report, sort_keys=True, indent=2)
+        out: list = []
+        _json_chunks(report, "", "\n", out)
+        return "".join(out)
     return render_text(report)
 
 

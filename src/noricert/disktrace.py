@@ -61,7 +61,11 @@ read): one bit length of s and two comparisons with the row's threshold,
 no call, division or shift.  A loop reuses the outcome of an earlier
 point of the same call with that pair that was decided on the first rung
 alone and refuted nothing, and builds an ``_Image`` only for a point that
-reuses nothing, handing it den2 and the pair.
+reuses nothing, handing it den2 and the pair.  A reused draw costs the
+draw, its table row, the pair, one memo lookup and one count: a loop
+counts the images it builds and the draws it skips, and derives its
+accepted and reused counts from those, and only a built image reads its
+denominator.
 ``_Image.first_failing`` decides an ordered sequence of them in one pass
 over the point's exponent vector and stops at the first that fails, each
 in four rungs: on the net exponents from the recursions, then on the net
@@ -791,12 +795,13 @@ class _Image:
 def _book_image(tally: Counter, img: _Image) -> None:
     """Add the counts that a built image reports to ``tally``: whether it
     needed its exact values, whether it formed a 192-bit product, the atoms
-    the zero rule made exact and whether its atoms were computed.  The
-    loops book their ``points`` and ``reused`` themselves."""
-    tally["exact_fallbacks"] += img.evaluated
-    tally["products"] += img.formed
+    the zero rule made exact and whether its atoms were computed, read
+    from its slots (``evaluated``, ``formed`` and ``refined`` without their
+    calls).  The loops book their ``points`` and ``reused`` themselves."""
+    tally["exact_fallbacks"] += img._triples is not None
+    tally["products"] += img._quantities is not None
     tally["zero_atoms"] += img.zero_atoms
-    tally["refined"] += img.refined
+    tally["refined"] += img._raw is not None
 
 
 def _complex_int_pow(re: int, im: int, exponent: int) -> tuple[int, int]:
@@ -1116,10 +1121,12 @@ def image_in_chart_window(
     sampler's ``disk_grid``.  Each draw's |lam|^2 pair is read from a
     ``_PairTable`` of the fixed squared denominator 2^30.  A draw whose
     pair an earlier draw of this call decided on the recursion exponents
-    alone, not vanishing and covered below index n, reuses that cover
+    alone, not vanishing and covered below index n, is covered too
     (``reused``) and builds no image; a refutation is always rendered from
-    its own point.  ``images``
-    counts the sampled image points (``_IMAGE_COUNTS``).
+    its own point.  The loop counts its draws, the images it builds and
+    the draws it skips as common zeros; the accepted samples are the draws
+    less the skipped ones, and the reused draws are the draws less the
+    images.  ``images`` counts the sampled image points (``_IMAGE_COUNTS``).
     """
     n = fam.n
     if not identities.passed("power-ratio"):
@@ -1154,27 +1161,30 @@ def image_in_chart_window(
     # lam = 2 (x + i y)/2^16 = (x + i y)/2^15, so |lam|^2 = (x^2 + y^2)/2^30
     den, den2 = 1 << GRID_BITS - 1, 1 << 2 * GRID_BITS - 2
     table = _PairTable(den2)
-    accepted = attempts = reused = 0
-    # the cover of each |lam|^2 pair that an image decided on the recursion
-    # exponents alone, not vanishing and not refuting
-    reuse: dict = {}
+    limit = 40 * samples
+    # as in the witness: attempts less skipped draws are accepted
+    stop = min(samples, limit)
+    attempts = built = skipped = 0
+    # the |lam|^2 pairs that an image decided on the recursion exponents
+    # alone, not vanishing and covered below index n
+    covered: set = set()
     try:
-        while accepted < samples and attempts < 40 * samples:
+        while attempts < stop:
             attempts += 1
             x, y, s = next(grid)
             t, pairs = table[s.bit_length()]
             key = pairs[(s >= t) + (s == t)]
-            if key in reuse:
-                reused += 1
-                accepted += 1
+            if key in covered:
                 continue
+            built += 1
             img = _Image(fam, x, y, den, factors, den2, key)
-            skipped = img.vanishes(2)  # exact exclusion of the common zero set
-            if not skipped:
-                in_region, indices = _cover_indices_scaled(img, k_max)
-            _book_image(images, img)
-            if skipped:
+            if img.vanishes(2):  # exact exclusion of the common zero set
+                _book_image(images, img)
+                skipped += 1
+                stop = min(samples + skipped, limit)
                 continue
+            in_region, indices = _cover_indices_scaled(img, k_max)
+            _book_image(images, img)
             if not in_region or not indices or max(indices) > n - 1:
                 return Certificate(
                     "image-in-chart-window",
@@ -1182,12 +1192,12 @@ def image_in_chart_window(
                     "a sampled image point is not covered by the charts below index n",
                     _sample_witness(img, k_max),
                 )
-            if key is not None and not img.refined:
-                reuse[key] = in_region, indices
-            accepted += 1
+            if img._raw is None:
+                covered.add(key)
     finally:
         images["points"] += attempts
-        images["reused"] += reused
+        images["reused"] += attempts - built
+    accepted = attempts - skipped
 
     data = {
         "quotient_degree": quotient_degree,
@@ -1340,6 +1350,22 @@ def _approach_candidates(fam: Family, k: int, samples: int, seed: int):
             yield a, b, s, next(steps)
 
 
+def _ladder_refutation(
+    data: dict, k: int, failed: int, a: int, b: int, den_log10: int
+) -> Certificate:
+    """The refutation of chart k's ladder at lam = (a + i b)/(2^8 10^den_log10),
+    where the halved cone fails (``failed`` 1) or the entry half of chart k
+    membership does (2)."""
+    detail = (
+        f"the halved cone inequality fails at an exact point of the approach "
+        f"region of chart {k}"
+        if failed == 1
+        else f"a sampled approach-region point is not in chart {k}"
+    )
+    witness = {"num_re": a, "num_im": b, "den_log10": den_log10, "den_pow2": _GRID}
+    return Certificate("chart-cone", Status.REFUTED, detail, {**data, "witness": witness})
+
+
 def chart_cone_certificate(
     fam: Family,
     k: int,
@@ -1377,7 +1403,10 @@ def chart_cone_certificate(
     recursion exponents alone, outside the approach region or passing
     every test of the same sequence, reuses that failing index
     (``reused``) and builds no image; an image is handed its square and
-    its pair.
+    its pair.  The two sequences, with and without the entry half of
+    membership, have a memo each, keyed by the pair alone; the first
+    serves until 32 points are accepted.  A refutation's witness is its
+    point as lam = (num_re + i num_im)/(2^den_pow2 10^den_log10).
     """
     n = fam.n
     if not 1 <= k <= n - 1:
@@ -1399,76 +1428,46 @@ def chart_cone_certificate(
             data,
         )
 
-    accepted = 0
-    full_membership_checks = 0
     _, _, _, member, entry_test, halved = _chart_tests(fam, factors, k)
     # the first 32 accepted points also get the other half of chart
     # membership, |f2|^(k+2) < r^2 |f1| (the approach-region test is the
-    # first half)
-    checked, unchecked = (member, halved, entry_test), (member, halved)
+    # first half); each sequence has its own memo: the failing index of
+    # each |lam|^2 pair that an image decided on the recursion exponents
+    # alone, not refuting
+    tests, reuse = (member, halved, entry_test), {}
     dens = _ladder_denominators(entry)
     squares = tuple(den * den for den in dens)
     tables = tuple(_PairTable(den2) for den2 in squares)
-    # the failing index of each (full, |lam|^2 pair) that an image decided
-    # on the recursion exponents alone, not refuting
-    reuse: dict = {}
-    points = reused = 0
+    points = built = accepted = 0
     try:
-        for a, b, s, step in _approach_candidates(fam, k, samples, seed):
-            full = full_membership_checks < 32
+        for points, (a, b, s, step) in enumerate(
+            _approach_candidates(fam, k, samples, seed), 1
+        ):
             t, pairs = tables[step][s.bit_length()]
             pair = pairs[(s >= t) + (s == t)]
-            key = full, pair
-            points += 1
-            failed = reuse.get(key)
+            failed = reuse.get(pair)
             if failed is None:
+                built += 1
                 img = _Image(fam, a, b, dens[step], factors, squares[step], pair)
-                tests = checked if full else unchecked
                 failed = img.first_failing(tests)
                 _book_image(tally, img)
-                if pair is not None and not img.refined and failed in (0, len(tests)):
-                    reuse[key] = failed
-            else:
-                reused += 1
-            if failed == 0:
-                continue
-            if failed == 1:
-                return Certificate(
-                    "chart-cone",
-                    Status.REFUTED,
-                    f"the halved cone inequality fails at an exact point of the "
-                    f"approach region of chart {k}",
-                    {
-                        **data,
-                        "witness": {
-                            "num_re": a,
-                            "num_im": b,
-                            "den_log10": entry + step,
-                            "den_pow2": _GRID,
-                        },
-                    },
-                )
-            if full:
-                full_membership_checks += 1
-                if failed == 2:
-                    return Certificate(
-                        "chart-cone",
-                        Status.REFUTED,
-                        f"a sampled approach-region point is not in chart {k}",
-                        {
-                            **data,
-                            "witness": {"num_re": a, "num_im": b, "den_log10": entry + step},
-                        },
-                    )
-            accepted += 1
-            if accepted == samples:
-                break
+                # index 2 fails only in the sequence with the entry half
+                if failed == 1 or failed == 2 and len(tests) == 3:
+                    return _ladder_refutation(data, k, failed, a, b, entry + step)
+                if img._raw is None:
+                    reuse[pair] = failed
+            if failed:
+                accepted += 1
+                if accepted == samples:
+                    break
+                if accepted == 32:
+                    tests, reuse = (member, halved), {}
     finally:
         tally["points"] += points
-        tally["reused"] += reused
+        tally["reused"] += points - built
 
     data["samples"] = accepted
-    data["full_membership_checks"] = full_membership_checks
+    data["full_membership_checks"] = min(accepted, 32)
     if not scalar_ok:
         return Certificate(
             "chart-cone",
@@ -1657,41 +1656,52 @@ def cone_window_witness(
     draw whose pair an earlier draw of this call decided on the recursion
     exponents alone, in the region with an open cone, reuses that cone
     index (``reused``) and builds no image; a refutation is always rendered
-    from its own point.  ``tally`` counts the
-    drawn image points and their exact fallbacks (``_IMAGE_COUNTS``).
+    from its own point.  The 13 tables are indexed by the scale index, and
+    only a built image reads its denominator from ``_WITNESS_DENS``.  The
+    loop counts its draws, the images it builds, the draws it skips as
+    common zeros and the draws per cone index; the accepted samples are
+    the draws less the skipped ones, and the reused draws are the draws
+    less the images.  ``tally`` counts the drawn image points and their exact
+    fallbacks (``_IMAGE_COUNTS``).
     """
     n = fam.n
     tally = Counter() if tally is None else tally
     sampler = RationalSampler("cone-window", fam.n, samples, seed)
     grid, scales = sampler.disk_grid(), sampler.randints(0, 12)
-    accepted = attempts = reused = 0
-    index_counts = {k: 0 for k in range(n)}
+    limit = 40 * samples
+    # the draws accepted are the attempts less the skipped ones, so the loop
+    # runs while attempts < samples + skipped, and at most ``limit`` times
+    stop = min(samples, limit)
+    attempts = built = skipped = 0
+    counts = [0] * n
     # the cone index of each |lam|^2 pair that an image decided on the
     # recursion exponents alone
     reuse: dict = {}
-    scaled = [(den, den2, _PairTable(den2)) for den, den2 in _WITNESS_DENS]
+    tables = [_PairTable(den2) for _, den2 in _WITNESS_DENS]
+    get = reuse.get
     try:
-        while accepted < samples and attempts < 40 * samples:
+        while attempts < stop:
             attempts += 1
             x, y, s = next(grid)
+            e = 0 if attempts & 1 else next(scales)
+            t, pairs = tables[e][s.bit_length()]
+            key = pairs[(s >= t) + (s == t)]
+            cone_index = get(key)
+            if cone_index is not None:
+                counts[cone_index] += 1
+                continue
+            built += 1
             # lam = 2 (x + i y)/(10^e 2^16) = (x + i y)/den, so |lam|^2 =
             # (x^2 + y^2)/den^2
-            den, den2, table = scaled[next(scales) if attempts % 2 == 0 else 0]
-            t, pairs = table[s.bit_length()]
-            key = pairs[(s >= t) + (s == t)]
-            cone_index = reuse.get(key)
-            if cone_index is not None:
-                reused += 1
-                index_counts[cone_index] += 1
-                accepted += 1
-                continue
+            den, den2 = _WITNESS_DENS[e]
             img = _Image(fam, x, y, den, factors, den2, key)
-            skipped = img.vanishes(2)
-            if not skipped:
-                in_region, cone_index = _first_open_cone_scaled(img, n)
-            _book_image(tally, img)
-            if skipped:
+            if img.vanishes(2):
+                _book_image(tally, img)
+                skipped += 1
+                stop = min(samples + skipped, limit)
                 continue
+            in_region, cone_index = _first_open_cone_scaled(img, n)
+            _book_image(tally, img)
             if not in_region or cone_index is None:
                 return Certificate(
                     "cone-window-witness",
@@ -1699,17 +1709,17 @@ def cone_window_witness(
                     "a sampled image point has no covering chart with an open cone",
                     _sample_witness(img, n + 1),
                 )
-            if key is not None and not img.refined:
+            if img._raw is None:
                 reuse[key] = cone_index
-            index_counts[cone_index] += 1
-            accepted += 1
+            counts[cone_index] += 1
     finally:
         tally["points"] += attempts
-        tally["reused"] += reused
+        tally["reused"] += attempts - built
+    accepted = attempts - skipped
     data = {
         "samples": accepted,
         "seed": seed,
-        "index_counts": {str(k): v for k, v in index_counts.items()},
+        "index_counts": {str(k): v for k, v in enumerate(counts)},
     }
     if accepted < samples:
         return Certificate(

@@ -9,7 +9,7 @@ own ``randint`` rejection from ``getrandbits``, the same stream without the
 ``randrange`` layers, and the inherited ``randint`` draws one value of it.
 The sampler adds dyadic-grid points of a disk: ``disk_grid`` yields their
 integer grid coordinates with the squared modulus the rejection already
-computed, and ``dyadic_in_disk`` returns one as an integer triple
+computed; a loop puts them over its own denominator, as integer triples
 ``(num_re, num_im, den)`` with value ``(num_re + i num_im)/den``, ready for
 ``eval_scaled``.  No draw builds a rational number.
 """
@@ -41,9 +41,8 @@ class RationalSampler(random.Random):
 
     The positional arguments form the seed recipe; two samplers constructed
     with equal recipes produce identical streams.  A sampled loop draws
-    from the endless generators ``disk_grid`` and ``randints``; the single
-    draws ``dyadic_in_disk`` and the inherited ``randint`` take the value
-    that each would give next.
+    from the endless generators ``disk_grid`` and ``randints``; the
+    inherited ``randint`` takes the value that ``randints`` would give next.
     """
 
     def __new__(cls, *seed_parts):
@@ -95,11 +94,3 @@ class RationalSampler(random.Random):
             s = x * x + y * y
             if s < g2:
                 yield x, y, s
-
-    def dyadic_in_disk(self, radius) -> tuple[int, int, int]:
-        """A grid point of the open disk |z| < radius, as ``(re, im, den)``."""
-        p, q = radius.numerator, radius.denominator
-        if p <= 0:
-            raise ValueError("radius must be positive")
-        x, y, _ = next(self.disk_grid())
-        return p * x, p * y, q << GRID_BITS

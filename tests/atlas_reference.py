@@ -12,6 +12,8 @@ disk trace's integer predicates against:
   inequality chains in integers at every sample; a counterexample is
   reported as an exact point.  ``_membership_int`` and ``_overlap_int`` are
   their integer transcriptions, tested against the ``Fraction`` forms;
+* ``dyadic_in_disk``, one grid point of a disk as an integer triple, the
+  searches' draw and the tests' replay of the sampled loops' streams;
 * ``dyadic_in_annulus``, the sampler draw of the overlap check's exterior
   points, and ``box``, the pair of grid coordinates it draws per attempt.
 """
@@ -49,6 +51,16 @@ def box(sampler: RationalSampler) -> tuple[int, int]:
     while u > g:
         u = draw(bits)
     return 2 * t - g, 2 * u - g
+
+
+def dyadic_in_disk(sampler: RationalSampler, radius) -> tuple[int, int, int]:
+    """The next ``disk_grid`` point of ``sampler`` on the open disk
+    |z| < radius, as ``(re, im, den)``."""
+    p, q = radius.numerator, radius.denominator
+    if p <= 0:
+        raise ValueError("radius must be positive")
+    x, y, _ = next(sampler.disk_grid())
+    return p * x, p * y, q << GRID_BITS
 
 
 def dyadic_in_annulus(sampler: RationalSampler, inner, outer) -> tuple[int, int, int]:
@@ -313,7 +325,7 @@ def overlap_polydisk_check(r: Rational, samples: int, seed: int = 0) -> OverlapR
     rn2, rd2 = r.numerator**2, r.denominator**2
     interior = exterior = 0
     for i in range(samples):
-        x, y = sampler.dyadic_in_disk(r), sampler.dyadic_in_disk(r)
+        x, y = dyadic_in_disk(sampler, r), dyadic_in_disk(sampler, r)
         if i % 2 == 0:
             interior += 1
         else:

@@ -28,6 +28,7 @@ from atlas_reference import (
     cone_condition,
     disjointness_search,
     dyadic_in_annulus,
+    dyadic_in_disk,
     overlap_inequalities,
     overlap_polydisk_check,
 )
@@ -95,11 +96,11 @@ class TestChartCover:
         sampler = RationalSampler("cover-property", r)
         checked = 0
         while checked < 2000:
-            a1, b1, d1 = sampler.dyadic_in_disk(r)
+            a1, b1, d1 = dyadic_in_disk(sampler, r)
             if a1 == b1 == 0:
                 continue
             z1 = scaled_to_complex((a1, b1, d1 * 10 ** sampler.randint(0, 9)))
-            a2, b2, d2 = sampler.dyadic_in_disk(r * r)
+            a2, b2, d2 = dyadic_in_disk(sampler, r * r)
             z2 = scaled_to_complex((a2, b2, d2 * 10 ** sampler.randint(0, 9)))
             res = chart_cover_indices(ChartPoint(z1, z2), r, 64)
             assert res.in_region
@@ -136,7 +137,7 @@ class TestConeCondition:
         tried = 0
         grid = 1 << GRID_BITS
         while tried < 100:
-            a, b, den = sampler.dyadic_in_disk(rho)
+            a, b, den = dyadic_in_disk(sampler, rho)
             if a == b == 0:
                 continue
             z1 = scaled_to_complex((a, b, den))

@@ -67,6 +67,8 @@ from noricert.bounds import (
 from noricert.certify import circle_points, circle_triples
 from noricert.sampling import RationalSampler
 
+from atlas_reference import dyadic_in_disk
+
 
 def _value(pair):
     m, s = pair
@@ -575,7 +577,7 @@ def _chain_points(draw, n):
     kind = draw(st.sampled_from(("witness", "ladder", "root", "zero")))
     if kind == "witness":
         sampler = RationalSampler("cone-window", n, draw(st.integers(0, 2**16)))
-        a, b, den = sampler.dyadic_in_disk(2)
+        a, b, den = dyadic_in_disk(sampler, 2)
         return a, b, den * 10 ** draw(st.integers(0, 12))
     if kind == "ladder":
         a, b = draw(st.integers(-(2**8), 2**8)), draw(st.integers(-(2**8), 2**8))

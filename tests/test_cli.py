@@ -6,6 +6,7 @@ default run of the meta tests.
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noricert import certify, cli, disktrace
 from noricert.certify import annulus_spot_checks
@@ -28,6 +31,7 @@ from noricert.cli import (
     UsageError,
     build_parser,
     config_from_args,
+    emit_report,
     main,
     parse_n_range,
     run_verify,
@@ -460,6 +464,72 @@ class TestDeterminism:
         assert code == EXIT_OK
         assert _strip_meta(other) != _strip_meta(small_report)
 
+
+
+# the arguments of the six runs that CI's "Pinned reports" step pins
+PINNED_RUNS = (
+    "--n 2..4 --seed 0",
+    "--n 2..3 --samples 16384 --seed 0",
+    "--n 2 --eps 1 --unsafe-eps --seed 0",
+    "--n 3 --eps 1/3 --unsafe-eps --seed 0",
+    "--n 4 --eps 1/3 --unsafe-eps --seed 0",
+    "--n 2..4 --seed 3 --samples 512",
+)
+
+_TEXT = st.text(
+    st.characters() | st.sampled_from("\x00\x1f\x7f\"\\\n\t\u2028\ud800\xe9\U0001f600")
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.sampled_from((math.inf, -math.inf, math.nan, -0.0))
+    | _TEXT
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans(), children, max_size=4)
+        | st.dictionaries(st.floats(), children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+class TestReportEncoder:
+    """``emit_report`` writes the bytes of ``json.dumps(report,
+    sort_keys=True, indent=2)``."""
+
+    JSON = RunConfig(n_list=(2,))
+
+    def _dumps(self, value):
+        return json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("args", PINNED_RUNS)
+    def test_pinned_reports(self, args):
+        # meta included: its timings are floats
+        config = config_from_args(build_parser().parse_args(["verify", *args.split()]))
+        report, _ = run_verify(config)
+        assert emit_report(report, config) == self._dumps(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_trees(self, tree):
+        assert emit_report(tree, self.JSON) == self._dumps(tree)
+
+    @pytest.mark.parametrize(
+        "value", [{"a": {1, 2}}, [object()], {("k",): 1}, {"a": 1, 2: 3}]
+    )
+    def test_unencodable_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            self._dumps(value)
+        with pytest.raises(TypeError):
+            emit_report(value, self.JSON)
 
 @pytest.fixture(scope="class")
 def default_run():

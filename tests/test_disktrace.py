@@ -91,8 +91,9 @@ from noricert.disktrace import (
 )
 import noricert.bounds as bounds
 import noricert.disktrace as disktrace
+from noricert.cli import RunConfig, run_verify
 from noricert.sampling import RationalSampler
-from atlas_reference import cone_condition
+from atlas_reference import cone_condition, dyadic_in_disk
 from conftest import SIZES, exact_sup, retouched
 from noricert.family import (
     CheckReport,
@@ -511,7 +512,7 @@ def _witness_draws(n, count, seed):
     """The first points of the cone-window witness's stream, scaled alike."""
     sampler = RationalSampler("cone-window", n, count, seed)
     for i in range(1, count + 1):
-        a, b, den = sampler.dyadic_in_disk(2)
+        a, b, den = dyadic_in_disk(sampler, 2)
         if i % 2 == 0:
             den *= 10 ** sampler.randint(0, 12)
         yield a, b, den
@@ -1465,7 +1466,7 @@ class TestRecursionExponents:
         points = []
         for e in range(13):
             for _ in range(6):
-                a, b, den = sampler.dyadic_in_disk(2)
+                a, b, den = dyadic_in_disk(sampler, 2)
                 points.append((a, b, den * 10**e))
         for k in range(1, fam.n):
             m = _crossover_scale(fam, k)
@@ -1638,7 +1639,7 @@ def _window_draws(n, count, seed):
     """The first points of the chart window's stream at its 64 samples."""
     sampler = RationalSampler("chart-window", n, 64, seed)
     for _ in range(count):
-        yield sampler.dyadic_in_disk(2)
+        yield dyadic_in_disk(sampler, 2)
 
 
 class _SpiedPairs:
@@ -2000,6 +2001,155 @@ class TestRungMemo:
         assert horner == certs
         assert [tally["reused"] for tally in horner_tallies] == [0, 0, 0]
 
+
+
+def _counts(tally):
+    """The six image counts of a loop's tally, in the order of ``meta``."""
+    return tuple(
+        tally[c] for c in ("points", "reused", "refined", "products", "zero_atoms", "exact_fallbacks")
+    )
+
+
+def _unsafe_family(n, eps):
+    """The family of size n at an eps that no validated run builds, with
+    its identities and factor map."""
+    fam = build_family(FamilyParams.build(n, eps=eps, allow_unsafe_eps=True))
+    checks = exact_identity_checks(fam)
+    return fam, checks, _image_factors(fam, checks)
+
+
+class TestLoopCounts:
+    """The witness and the window count their draws, the images they build
+    and the draws they skip, and derive the accepted and reused counts."""
+
+    # lam = 0 (a common zero, skipped) and one point of modulus about 0.56,
+    # which the recursion exponents decide
+    G = 1 << disktrace.GRID_BITS
+    DRAWS = [(0, 0, 0)] + 3 * [(G // 4, G // 8, (G // 4) ** 2 + (G // 8) ** 2)]
+
+    def _seam(self, monkeypatch):
+        draws = self.DRAWS
+
+        def grid(self):
+            while True:
+                yield from draws
+
+        monkeypatch.setattr(RationalSampler, "disk_grid", grid)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_draws_are_skipped(
+        self, monkeypatch, built_families, identities, corollary_reports, n
+    ):
+        # 6 samples take 8 draws, two of them lam = 0: each builds its image
+        # (key None, so it refines) and is skipped; the window builds one
+        # image of the other point and reuses its cover 5 times, the witness
+        # reuses what its replay on fresh images reuses
+        fam = built_families[n]
+        factors = _image_factors(fam, identities[n])
+        x, y, s = self.DRAWS[1]
+        self._seam(monkeypatch)
+        images = Counter()
+        cert = image_in_chart_window(
+            fam, corollary_reports[n], identities[n], factors, samples=6, images=images
+        )
+        assert cert.status is Status.PROVED and cert.data["samples"] == 6
+        window = _Image(fam, x, y, self.G >> 1, factors)
+        assert _cover_indices_scaled(window, n + 1)[0] and not window.refined
+        assert _counts(images) == (8, 5, 2, 0, 0, 0)
+
+        tally = Counter()
+        cert = cone_window_witness(fam, factors, samples=6, seed=0, tally=tally)
+        scales = RationalSampler("cone-window", n, 6, 0).randints(0, 12)
+        stored, reused, refined, counts = {}, 0, 0, Counter()
+        for i in range(1, 9):
+            a, b, t = self.DRAWS[(i - 1) % len(self.DRAWS)]
+            den, den2 = disktrace._WITNESS_DENS[next(scales) if i % 2 == 0 else 0]
+            key = _rung_key(t, den2)
+            if key in stored:
+                reused += 1
+                counts[stored[key]] += 1
+                continue
+            img = _Image(fam, a, b, den, factors)
+            refined += img.refined
+            if img.vanishes(2):
+                continue
+            in_region, index = _first_open_cone_scaled(img, n)
+            assert in_region and index is not None
+            counts[index] += 1
+            if not img.refined:
+                stored[key] = index
+        assert cert.status is Status.PROVED and cert.data["samples"] == 6
+        assert _counts(tally)[:3] == (8, reused, refined) and reused > 0
+        assert cert.data["index_counts"] == {str(k): counts[k] for k in range(n)}
+
+    @pytest.mark.parametrize(
+        "n,eps,counts", [(2, F(1), (1, 0, 1, 0, 0, 0)), (3, F(1, 3), (1, 0, 0, 0, 0, 0))]
+    )
+    def test_witness_refuting_on_its_first_draw(self, n, eps, counts):
+        # the witness of the unsafe families of the CI pins refutes on its
+        # first draw; the counts it books on the way out are the pinned
+        # meta.witness counts
+        fam, _, factors = _unsafe_family(n, eps)
+        tally = Counter()
+        cert = cone_window_witness(fam, factors, samples=2048, seed=0, tally=tally)
+        assert cert.status is Status.REFUTED
+        assert _counts(tally) == counts
+
+
+def _values_at(fam, witness):
+    """``(|f1|^2, |f2|^2, f1, f2)`` as Fractions at the lam of a ladder
+    witness, (num_re + i num_im)/(2^den_pow2 10^den_log10)."""
+    den = (1 << witness["den_pow2"]) * 10 ** witness["den_log10"]
+    z1, z2 = (
+        scaled_to_complex(eval_scaled(p, witness["num_re"], witness["num_im"], den))
+        for p in (fam.f1, fam.f2)
+    )
+    return z1.abs2(), z2.abs2(), z1, z2
+
+
+class TestLadderRefutations:
+    """A ladder's two refutations render lam with its power of two 2^8, and
+    the rendered point fails the test that each names, in Fractions."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cone_refutation(self, built_families, root_certs, identities, divisions, k):
+        # a seam: the n = 3 family's own polynomials with rho = 1/1000,
+        # which no validated run allows, so the halved cone fails near
+        # the entry scale while the point is in the approach region
+        fam = built_families[3]
+        p = fam.params
+        narrow = Family(FamilyParams(p.n, p.r, F(1, 1000), p.eps, p.c, p.d, p.N), fam.form)
+        factors = _image_factors(narrow, identities[3])
+        cert = chart_cone_certificate(
+            narrow, k, root_certs[3], identities[3], divisions[3], factors, tally=Counter()
+        )
+        assert cert.status is Status.REFUTED and "halved cone" in cert.detail
+        witness = cert.data["witness"]
+        assert witness["den_pow2"] == 8
+        a1, a2, z1, z2 = _values_at(narrow, witness)
+        assert a1 < p.r**2 * a2**k  # in the approach region
+        half = F(1, 2000)
+        assert a1 * a1 > half * half * (z2 ** (k + 1) - z1).abs2() * a2**k
+
+    def test_membership_refutation(self):
+        # verify --n 4 --eps 1/3 --unsafe-eps: chart 1's ladder meets a
+        # point of its approach region that fails the entry half of chart 1
+        # membership, |f2|^3 < r^2 |f1|
+        config = RunConfig(n_list=(4,), eps_override=F(1, 3), allow_unsafe_eps=True, seed=0)
+        report, _ = run_verify(config)
+        (entry,) = report["per_n"]
+        stages = entry["trace"]["condition_i"]["data"]["stages"]
+        (cert,) = [
+            stage for stage in stages
+            if stage["name"] == "chart-cone" and "not in chart" in stage["detail"]
+        ]
+        witness = cert["data"]["witness"]
+        assert cert["data"]["chart"] == 1 and witness["den_pow2"] == 8
+        fam = build_family(FamilyParams.build(4, eps=F(1, 3), allow_unsafe_eps=True))
+        a1, a2, _, _ = _values_at(fam, witness)
+        r2 = fam.params.r ** 2
+        assert a1 < r2 * a2
+        assert a2**3 >= r2 * r2 * a1
 
 def _exact_target_failure(fam, spot_checks=64):
     """The target loop with exact integers only: (checked, (radius, i) or None)."""

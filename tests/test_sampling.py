@@ -11,7 +11,7 @@ import pytest
 from noricert.disktrace import _approach_candidates
 from noricert.sampling import GRID_BITS, RationalSampler, seed_for
 
-from atlas_reference import box, dyadic_in_annulus
+from atlas_reference import box, dyadic_in_annulus, dyadic_in_disk
 
 F = Fraction
 
@@ -34,7 +34,7 @@ class TestStreams:
         sampler = RationalSampler("cone-window", 2, 2048, 0)
         draws = []
         for i in range(1, 2001):
-            a, b, den = sampler.dyadic_in_disk(2)
+            a, b, den = dyadic_in_disk(sampler, 2)
             if i % 2 == 0:
                 den *= 10 ** sampler.randint(0, 12)
             draws.append((a, b, den))
@@ -54,7 +54,7 @@ class TestStreams:
 
     def test_overlap_disk_stream(self):
         sampler = RationalSampler("overlap-polydisk", F(1, 5), 16384, 0)
-        draws = [sampler.dyadic_in_disk(F(1, 5)) for _ in range(2000)]
+        draws = [dyadic_in_disk(sampler, F(1, 5)) for _ in range(2000)]
         assert _digest(draws) == (
             "fd0803d59bed2275e675ba8f834b22971ec140c0f67d4e88ac94f0de323add47"
         )
@@ -79,7 +79,7 @@ class TestDraws:
         sampler = RationalSampler("disk-draws")
         for radius in (F(1, 5), F(2), 3, F(7, 3)):
             for _ in range(200):
-                a, b, den = sampler.dyadic_in_disk(radius)
+                a, b, den = dyadic_in_disk(sampler, radius)
                 assert den == radius.denominator << GRID_BITS
                 assert F(a * a + b * b, den * den) < F(radius) ** 2
 
@@ -93,9 +93,9 @@ class TestDraws:
     def test_validation(self):
         sampler = RationalSampler("validation")
         with pytest.raises(ValueError):
-            sampler.dyadic_in_disk(0)
+            dyadic_in_disk(sampler, 0)
         with pytest.raises(ValueError):
-            sampler.dyadic_in_disk(F(-1, 2))
+            dyadic_in_disk(sampler, F(-1, 2))
         with pytest.raises(ValueError):
             dyadic_in_annulus(sampler, 1, 1)
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestRandint:
                 for radius in (F(1, 5), F(2), F(7, 3)):
                     x, y, _ = next(grid)
                     p, q = radius.numerator, radius.denominator
-                    assert ours.dyadic_in_disk(radius) == (p * x, p * y, q << GRID_BITS)
+                    assert dyadic_in_disk(ours, radius) == (p * x, p * y, q << GRID_BITS)
                 x, y, s = next(grid)
                 while 25 * s < g2:  # 1/5 <= |z| < 1
                     x, y, s = next(grid)
